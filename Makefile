@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-baseline test race verify bench benchrec
+.PHONY: all build vet lint lint-baseline test race verify bench benchrec benchpairs
 
 all: verify
 
@@ -40,3 +40,12 @@ bench:
 # sweep into BENCH_baseline.json / BENCH_after.json + kernel benchmarks.
 benchrec:
 	sh scripts/bench.sh
+
+# Paired parent/change runs of one benchmark workload — the "Claiming a
+# gain" procedure of benchmark/README.md: medians, quartiles, pairs won,
+# virt_digest equality. WORKLOAD is required.
+PARENT ?= HEAD~1
+PAIRS ?= 10
+SEED ?= 1
+benchpairs:
+	bash scripts/benchpairs.sh "$(WORKLOAD)" "$(PARENT)" "$(PAIRS)" "$(SEED)"

@@ -46,9 +46,45 @@ func (s segment) slice(from, to int64) segment {
 }
 
 // Blob is an immutable sequence of payload bytes. The zero Blob is empty.
+//
+// The first segment lives inline in the value, so a single-segment blob —
+// every synthetic block, every FromBytes — is a plain value that is built,
+// sliced and copied without touching the heap. Only blobs that really mix
+// runs (a byte-backed header before synthetic data, two different streams)
+// carry the spill slice. The blob is non-empty exactly when n > 0, and then
+// first is its leading segment; no segment is ever empty.
 type Blob struct {
-	segs []segment
-	n    int64
+	first segment
+	rest  []segment
+	n     int64
+}
+
+// numSegs returns the number of segments.
+func (b *Blob) numSegs() int {
+	if b.n == 0 {
+		return 0
+	}
+	return 1 + len(b.rest)
+}
+
+// seg returns segment i, 0 <= i < numSegs.
+func (b *Blob) seg(i int) *segment {
+	if i == 0 {
+		return &b.first
+	}
+	return &b.rest[i-1]
+}
+
+// push appends a non-empty segment. It is used only while building a fresh
+// blob, never on one that has been handed out: blobs share spill slices by
+// value.
+func (b *Blob) push(s segment) {
+	if b.n == 0 {
+		b.first = s
+	} else {
+		b.rest = append(b.rest, s)
+	}
+	b.n += s.length()
 }
 
 // FromBytes returns a byte-backed Blob. The caller must not mutate b after
@@ -57,7 +93,7 @@ func FromBytes(b []byte) Blob {
 	if len(b) == 0 {
 		return Blob{}
 	}
-	return Blob{segs: []segment{{data: b}}, n: int64(len(b))}
+	return Blob{first: segment{data: b}, n: int64(len(b))}
 }
 
 // FromString returns a byte-backed Blob with the bytes of s.
@@ -79,7 +115,7 @@ func Synthetic(seed uint64, off, n int64) Blob {
 	if n == 0 {
 		return Blob{}
 	}
-	return Blob{segs: []segment{{seed: seed, off: off, n: n}}, n: n}
+	return Blob{first: segment{seed: seed, off: off, n: n}, n: n}
 }
 
 // Len returns the total number of bytes.
@@ -88,8 +124,8 @@ func (b Blob) Len() int64 { return b.n }
 // IsSynthetic reports whether the blob contains no byte-backed segments
 // (an empty blob is synthetic).
 func (b Blob) IsSynthetic() bool {
-	for _, s := range b.segs {
-		if s.data != nil {
+	for i, n := 0, b.numSegs(); i < n; i++ {
+		if b.seg(i).data != nil {
 			return false
 		}
 	}
@@ -101,7 +137,8 @@ func (b Blob) At(i int64) byte {
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("blob: index %d out of range [0,%d)", i, b.n))
 	}
-	for _, s := range b.segs {
+	for j, n := 0, b.numSegs(); j < n; j++ {
+		s := b.seg(j)
 		if l := s.length(); i < l {
 			return s.at(i)
 		} else {
@@ -119,9 +156,13 @@ func (b Blob) Slice(from, to int64) Blob {
 	if from == to {
 		return Blob{}
 	}
+	if b.rest == nil {
+		return Blob{first: b.first.slice(from, to), n: to - from}
+	}
 	var out Blob
 	pos := int64(0)
-	for _, s := range b.segs {
+	for i, n := 0, b.numSegs(); i < n; i++ {
+		s := b.seg(i)
 		l := s.length()
 		lo, hi := from-pos, to-pos
 		if lo < 0 {
@@ -131,8 +172,7 @@ func (b Blob) Slice(from, to int64) Blob {
 			hi = l
 		}
 		if lo < hi {
-			out.segs = append(out.segs, s.slice(lo, hi))
-			out.n += hi - lo
+			out.push(s.slice(lo, hi))
 		}
 		pos += l
 		if pos >= to {
@@ -143,21 +183,33 @@ func (b Blob) Slice(from, to int64) Blob {
 }
 
 // Concat returns the concatenation of parts. Adjacent synthetic segments
-// from the same stream are coalesced.
+// from the same stream are coalesced, so reassembling consecutive windows
+// of one stream yields a single-segment blob again — without allocating.
+// A result that does need a spill gets it in one allocation, sized for the
+// segments still to come.
 func Concat(parts ...Blob) Blob {
+	left := 0 // input segments not yet consumed: the spill's upper bound
+	for i := range parts {
+		left += parts[i].numSegs()
+	}
 	var out Blob
-	for _, p := range parts {
-		for _, s := range p.segs {
-			if n := len(out.segs); n > 0 && s.data == nil {
-				last := &out.segs[n-1]
+	for i := range parts {
+		p := &parts[i]
+		for j, n := 0, p.numSegs(); j < n; j++ {
+			s := p.seg(j)
+			left--
+			if out.n > 0 && s.data == nil {
+				last := out.seg(len(out.rest))
 				if last.data == nil && last.seed == s.seed && last.off+last.n == s.off {
 					last.n += s.n
 					out.n += s.n
 					continue
 				}
 			}
-			out.segs = append(out.segs, s)
-			out.n += s.length()
+			if out.n > 0 && out.rest == nil {
+				out.rest = make([]segment, 0, left+1)
+			}
+			out.push(*s)
 		}
 	}
 	return out
@@ -167,12 +219,13 @@ func Concat(parts ...Blob) Blob {
 // is freshly allocated except for a single byte-backed segment, which is
 // returned as-is.
 func (b Blob) Bytes() []byte {
-	if len(b.segs) == 1 && b.segs[0].data != nil {
-		return b.segs[0].data
+	if b.rest == nil && b.first.data != nil {
+		return b.first.data
 	}
 	out := make([]byte, b.n)
 	pos := 0
-	for _, s := range b.segs {
+	for i, n := 0, b.numSegs(); i < n; i++ {
+		s := b.seg(i)
 		l := s.length()
 		if s.data != nil {
 			pos += copy(out[pos:], s.data)
@@ -201,7 +254,8 @@ func (b Blob) Equal(c Blob) bool {
 func (b Blob) Checksum() uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
-	for _, s := range b.segs {
+	for j, n := 0, b.numSegs(); j < n; j++ {
+		s := b.seg(j)
 		l := s.length()
 		for i := int64(0); i < l; i++ {
 			h ^= uint64(s.at(i))
@@ -239,7 +293,7 @@ func (b Blob) String() string {
 	if b.IsSynthetic() {
 		kind = "synthetic"
 	}
-	return fmt.Sprintf("blob{%s, %d bytes, %d segs}", kind, b.n, len(b.segs))
+	return fmt.Sprintf("blob{%s, %d bytes, %d segs}", kind, b.n, b.numSegs())
 }
 
 // synthByte is the content function: a splitmix64-style mix of the seed and

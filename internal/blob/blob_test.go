@@ -126,8 +126,8 @@ func TestConcatCoalescesAdjacentSynthetic(t *testing.T) {
 	a := Synthetic(9, 0, 100)
 	b := Synthetic(9, 100, 50)
 	c := Concat(a, b)
-	if len(c.segs) != 1 {
-		t.Errorf("adjacent synthetic segments not coalesced: %d segs", len(c.segs))
+	if c.numSegs() != 1 {
+		t.Errorf("adjacent synthetic segments not coalesced: %d segs", c.numSegs())
 	}
 	if !c.Equal(Synthetic(9, 0, 150)) {
 		t.Error("coalesced content differs")
@@ -136,8 +136,8 @@ func TestConcatCoalescesAdjacentSynthetic(t *testing.T) {
 
 func TestConcatDoesNotCoalesceDifferentStreams(t *testing.T) {
 	c := Concat(Synthetic(1, 0, 10), Synthetic(2, 10, 10))
-	if len(c.segs) != 2 {
-		t.Errorf("segments with different seeds coalesced: %d segs", len(c.segs))
+	if c.numSegs() != 2 {
+		t.Errorf("segments with different seeds coalesced: %d segs", c.numSegs())
 	}
 }
 
@@ -268,5 +268,105 @@ func BenchmarkSliceSynthetic(b *testing.B) {
 	blob := Synthetic(1, 0, 1<<30)
 	for i := 0; i < b.N; i++ {
 		_ = blob.Slice(int64(i)%(1<<20), int64(i)%(1<<20)+4096)
+	}
+}
+
+// Property: on seeded random mixes of synthetic and byte-backed segments,
+// every operation agrees with the materialised bytes — Slice, Concat, Equal,
+// Checksum and Reader see one content whatever the segment layout behind
+// it, inline or spilled.
+func TestPropertyMixedBlobsAgreeWithBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	mixed := func() Blob {
+		var parts []Blob
+		for i, n := 0, rng.Intn(5); i < n; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				raw := make([]byte, rng.Intn(48))
+				rng.Read(raw)
+				parts = append(parts, FromBytes(raw))
+			case 1:
+				parts = append(parts, Synthetic(rng.Uint64()|1, int64(rng.Intn(100)), int64(rng.Intn(48))))
+			default:
+				// Two windows of one stream, sometimes adjacent: the
+				// coalescing path next to the spilling one.
+				seed, off, n := rng.Uint64()|1, int64(rng.Intn(100)), int64(1+rng.Intn(24))
+				gap := int64(rng.Intn(2))
+				parts = append(parts, Synthetic(seed, off, n), Synthetic(seed, off+n+gap, n))
+			}
+		}
+		return Concat(parts...)
+	}
+	for trial := 0; trial < 300; trial++ {
+		a, b := mixed(), mixed()
+		am, bm := a.Bytes(), b.Bytes()
+		if int64(len(am)) != a.Len() {
+			t.Fatalf("trial %d: Bytes has %d bytes, Len says %d", trial, len(am), a.Len())
+		}
+		if n := a.numSegs(); (n == 0) != (a.Len() == 0) || (n <= 1) != (a.rest == nil) {
+			t.Fatalf("trial %d: %d segments, %d bytes, spill %v: the inline invariant broke", trial, n, a.Len(), a.rest != nil)
+		}
+		lo := int64(0)
+		if a.Len() > 0 {
+			lo = rng.Int63n(a.Len() + 1)
+		}
+		hi := lo + rng.Int63n(a.Len()-lo+1)
+		if got := a.Slice(lo, hi).Bytes(); !bytes.Equal(got, am[lo:hi]) {
+			t.Fatalf("trial %d: Slice(%d,%d) of %v differs from the bytes", trial, lo, hi, a)
+		}
+		if got := Concat(a, b).Bytes(); !bytes.Equal(got, append(append([]byte{}, am...), bm...)) {
+			t.Fatalf("trial %d: Concat(%v, %v) differs from the bytes", trial, a, b)
+		}
+		if re := Concat(a.Slice(0, lo), a.Slice(lo, hi), a.Slice(hi, a.Len())); !re.Equal(a) || re.Checksum() != a.Checksum() {
+			t.Fatalf("trial %d: slicing %v at %d,%d and concatenating changed it", trial, a, lo, hi)
+		}
+		if a.Equal(b) != bytes.Equal(am, bm) {
+			t.Fatalf("trial %d: Equal(%v, %v) disagrees with the bytes", trial, a, b)
+		}
+		if !a.Equal(FromBytes(am)) && a.Len() > 0 {
+			t.Fatalf("trial %d: %v != its own materialisation", trial, a)
+		}
+		if a.Checksum() != FromBytes(am).Checksum() {
+			t.Fatalf("trial %d: Checksum of %v differs from its bytes'", trial, a)
+		}
+		if got, err := io.ReadAll(a.Reader()); err != nil || !bytes.Equal(got, am) {
+			t.Fatalf("trial %d: Reader of %v differs from the bytes (%v)", trial, a, err)
+		}
+	}
+}
+
+// TestSingleSegmentBlobsAreValues: the shapes the data path is made of —
+// a synthetic block, a window of one, adjacent windows put back together, a
+// byte buffer — stay single-segment values, structurally equal to the blob
+// built directly, and cost no allocation to make.
+func TestSingleSegmentBlobsAreValues(t *testing.T) {
+	// same reports whether two blobs are the same single synthetic value.
+	same := func(a, b Blob) bool {
+		return a.rest == nil && b.rest == nil && a.n == b.n && a.first.data == nil && b.first.data == nil &&
+			a.first.seed == b.first.seed && a.first.off == b.first.off && a.first.n == b.first.n
+	}
+	got := Synthetic(7, 0, 100).Slice(25, 75)
+	want := Synthetic(7, 25, 50)
+	if !same(got, want) {
+		t.Errorf("Synthetic(7,0,100).Slice(25,75) = %+v, want the value %+v", got, want)
+	}
+	whole := Synthetic(7, 0, 8192)
+	re := Concat(whole.Slice(0, 2048), whole.Slice(2048, 4096), whole.Slice(4096, 8192))
+	if !same(re, whole) {
+		t.Errorf("adjacent windows reassembled to %+v, want the value %+v", re, whole)
+	}
+	raw := []byte("0123456789")
+	var sink Blob
+	if avg := testing.AllocsPerRun(100, func() {
+		sink = Synthetic(7, 0, 8192)
+		sink = sink.Slice(100, 4000)
+		sink = Concat(whole.Slice(0, 2048), whole.Slice(2048, 4096))
+		sink = Zeros(512)
+		sink = FromBytes(raw).Slice(2, 8)
+	}); avg != 0 {
+		t.Errorf("building single-segment blobs allocated %.0f times, want 0", avg)
+	}
+	if string(sink.Bytes()) != "234567" {
+		t.Errorf("sliced byte blob = %q", sink.Bytes())
 	}
 }

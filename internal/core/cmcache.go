@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"imca/internal/blob"
 	"imca/internal/flight"
 	"imca/internal/gluster"
@@ -41,8 +39,11 @@ type CMCache struct {
 	// rebuild "<path>:stat" per operation. Private by default; deployments
 	// share one table across all translators via ShareStatKeys.
 	skeys *KeyInterner
-	// statOps pools StatT's per-operation frames.
+	// statOps and readOps pool StatT's and ReadT's per-operation frames;
+	// pushes pools the block-push frames of client-populate mode.
 	statOps []*statOp
+	readOps []*readOp
+	pushes  pushPool
 
 	Stats CMCacheStats
 
@@ -66,6 +67,7 @@ func NewCMCache(child gluster.FS, mcd *memcache.SimClient, cfg Config) *CMCache 
 		cfg:     cfg,
 		fdPaths: make(map[gluster.FD]string),
 		skeys:   NewKeyInterner(),
+		pushes:  pushPool{mcd: mcd},
 	}
 }
 
@@ -148,24 +150,23 @@ func (c *CMCache) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, 
 		return c.child.Read(p, fd, off, size)
 	}
 	sp := optrace.StartSpan(p, optrace.LayerCMCache, "read")
-	sp.SetAttr("bytes", strconv.FormatInt(size, 10))
+	sp.SetAttrInt("bytes", size)
 	defer sp.End(p)
 	defer c.readHist.ObserveSince(p, p.Now())
 	bs := c.cfg.blockSize()
-	offsets := blockOffsets(off, size, bs)
-	keys := make([]string, len(offsets))
-	for i, bo := range offsets {
-		keys[i] = blockKey(path, bo)
-	}
-	c.Stats.BlockLookups += uint64(len(keys))
-	items := c.mcd.GetMulti(p, keys)
-	c.Stats.BlockHits += uint64(len(items))
-	if len(items) < len(keys) {
+	var bk blockKeys
+	bk.build(path, off, size, bs)
+	c.Stats.BlockLookups += uint64(len(bk.keys))
+	items := c.mcd.GetMulti(p, bk.keys)
+	hits := countHits(items)
+	c.Stats.BlockHits += uint64(hits)
+	if hits < len(items) {
 		sp.SetAttr("result", "miss")
 		return c.forwardRead(p, fd, path, off, size)
 	}
 
-	data, ok := assembleBlocks(items, keys, offsets, off, size, bs)
+	var parts []blob.Blob
+	data, ok := assembleBlocks(&parts, items, bk.offsets, off, size, bs)
 	if !ok {
 		// Mid-range EOF claim contradicted by the blocks after it.
 		sp.SetAttr("result", "short-miss")
@@ -176,18 +177,32 @@ func (c *CMCache) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, 
 	return data, nil
 }
 
+// countHits returns how many entries of a multi-get result are present.
+func countHits(items []*memcache.Item) int {
+	n := 0
+	for _, it := range items {
+		if it != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // assembleBlocks stitches the requested [off, off+size) range together from
-// the covering cache blocks. A block shorter than the block size claims end
+// the covering cache blocks; items is the bank's answer, aligned with
+// offsets and fully present. A block shorter than the block size claims end
 // of file — trustworthy only in the final covering block. A short block
 // with more covering blocks behind it is an inconsistency (e.g. a stale
 // tail block of a file that has since grown): returning the assembly would
 // be a silent short read, so ok is false and the caller falls back to the
-// server. Pure block arithmetic — shared by both client engines.
-func assembleBlocks(items map[string]*memcache.Item, keys []string, offsets []int64, off, size, bs int64) (blob.Blob, bool) {
-	var parts []blob.Blob
+// server. Pure block arithmetic — shared by both client engines. scratch
+// collects the pieces; a pooled caller passes a slice that keeps its
+// capacity.
+func assembleBlocks(scratch *[]blob.Blob, items []*memcache.Item, offsets []int64, off, size, bs int64) (blob.Blob, bool) {
+	parts := (*scratch)[:0]
 	want := size
 	for i, bo := range offsets {
-		b := items[keys[i]].Value
+		b := items[i].Value
 		lo := int64(0)
 		if bo < off {
 			lo = off - bo
@@ -205,11 +220,13 @@ func assembleBlocks(items map[string]*memcache.Item, keys []string, offsets []in
 		}
 		if b.Len() < bs {
 			if i < len(offsets)-1 {
+				*scratch = parts
 				return blob.Blob{}, false
 			}
 			break // EOF in the final block: a legitimate short read
 		}
 	}
+	*scratch = parts
 	return blob.Concat(parts...), true
 }
 
@@ -232,15 +249,7 @@ func (c *CMCache) forwardRead(p *sim.Proc, fd gluster.FD, path string, off, size
 		return blob.Blob{}, err
 	}
 	c.pushBlocks(p, path, alignedOff, data)
-	lo := off - alignedOff
-	if lo >= data.Len() {
-		return blob.Blob{}, nil
-	}
-	hi := lo + size
-	if hi > data.Len() {
-		hi = data.Len()
-	}
-	return data.Slice(lo, hi), nil
+	return cutRange(data, alignedOff, off, size), nil
 }
 
 // Write implements gluster.FS; CMCache does not intercept writes — they
@@ -249,7 +258,7 @@ func (c *CMCache) forwardRead(p *sim.Proc, fd gluster.FD, path string, off, size
 // and pushed to the MCD bank, mirroring what SMCache does server-side.
 func (c *CMCache) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (int64, error) {
 	sp := optrace.StartSpan(p, optrace.LayerCMCache, "write")
-	sp.SetAttr("bytes", strconv.FormatInt(data.Len(), 10))
+	sp.SetAttrInt("bytes", data.Len())
 	defer sp.End(p)
 	if !c.cfg.ClientPopulate {
 		return c.child.Write(p, fd, off, data)

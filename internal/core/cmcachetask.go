@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"imca/internal/blob"
 	"imca/internal/flight"
 	"imca/internal/gluster"
@@ -141,6 +139,60 @@ func (c *CMCache) StatT(t *sim.Task, path string, k func(*gluster.Stat, error)) 
 	c.mcd.GetT(t, c.skeys.get(path), op.fnGot)
 }
 
+// readOp is ReadT's pooled per-operation frame: the request, the covering
+// block keys and assembly scratch (which keep their capacity), and every
+// continuation of the read — bank answer, server fallback, client-populate
+// fill and push — prebound as method values. A bank hit therefore costs the
+// read's one key string and, for data that does not coalesce, the result
+// blob's spill. Like statOp, the op returns to its pool before k runs.
+type readOp struct {
+	c         *CMCache
+	t         *sim.Task
+	fd        gluster.FD
+	path      string
+	off, size int64
+	k         func(blob.Blob, error)
+	sp        *optrace.Span
+	t0        sim.Time
+	bk        blockKeys
+	parts     []blob.Blob
+	// alignedOff and data carry client-populate mode's widened server read
+	// from the fill to the slice-out after the push.
+	alignedOff int64
+	data       blob.Blob
+
+	fnGot    func([]*memcache.Item)
+	fnDone   func(blob.Blob, error)
+	fnFilled func(blob.Blob, error)
+	fnPushed func()
+}
+
+func (c *CMCache) takeReadOp() *readOp {
+	if n := len(c.readOps); n > 0 {
+		op := c.readOps[n-1]
+		c.readOps[n-1] = nil
+		c.readOps = c.readOps[:n-1]
+		return op
+	}
+	op := &readOp{c: c}
+	op.fnGot = op.got
+	op.fnDone = op.done
+	op.fnFilled = op.filled
+	op.fnPushed = op.pushed
+	return op
+}
+
+func (op *readOp) release() {
+	op.t, op.k, op.sp = nil, nil, nil
+	op.path, op.data = "", blob.Blob{}
+	op.bk.drop()
+	for i := range op.parts {
+		op.parts[i] = blob.Blob{}
+	}
+	op.parts = op.parts[:0]
+	op.c.readOps = append(op.c.readOps, op)
+}
+
 // ReadT implements gluster.TaskFS; see Read.
 func (c *CMCache) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.Blob, error)) {
 	if size <= 0 {
@@ -153,80 +205,83 @@ func (c *CMCache) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob
 		c.childT().ReadT(t, fd, off, size, k)
 		return
 	}
-	sp := optrace.StartSpan(t, optrace.LayerCMCache, "read")
-	sp.SetAttr("bytes", strconv.FormatInt(size, 10))
-	t0 := t.Now()
-	bs := c.cfg.blockSize()
-	offsets := blockOffsets(off, size, bs)
-	keys := make([]string, len(offsets))
-	for i, bo := range offsets {
-		keys[i] = blockKey(path, bo)
-	}
-	c.Stats.BlockLookups += uint64(len(keys))
-	c.mcd.GetMultiT(t, keys, func(items map[string]*memcache.Item) {
-		c.Stats.BlockHits += uint64(len(items))
-		if len(items) < len(keys) {
-			sp.SetAttr("result", "miss")
-			c.forwardReadT(t, fd, path, off, size, func(data blob.Blob, err error) {
-				sp.End(t)
-				c.readHist.ObserveSince(t, t0)
-				k(data, err)
-			})
-			return
-		}
-		data, ok := assembleBlocks(items, keys, offsets, off, size, bs)
-		if !ok {
-			sp.SetAttr("result", "short-miss")
-			c.forwardReadT(t, fd, path, off, size, func(data blob.Blob, err error) {
-				sp.End(t)
-				c.readHist.ObserveSince(t, t0)
-				k(data, err)
-			})
-			return
-		}
-		c.Stats.ReadHits++
-		sp.SetAttr("result", "hit")
-		sp.End(t)
-		c.readHist.ObserveSince(t, t0)
-		k(data, nil)
-	})
+	op := c.takeReadOp()
+	op.t, op.fd, op.path, op.off, op.size, op.k = t, fd, path, off, size, k
+	op.sp = optrace.StartSpan(t, optrace.LayerCMCache, "read")
+	op.sp.SetAttrInt("bytes", size)
+	op.t0 = t.Now()
+	op.bk.build(path, off, size, c.cfg.blockSize())
+	c.Stats.BlockLookups += uint64(len(op.bk.keys))
+	c.mcd.GetMultiT(t, op.bk.keys, op.fnGot)
 }
 
-// forwardReadT is forwardRead for the task engine.
-func (c *CMCache) forwardReadT(t *sim.Task, fd gluster.FD, path string, off, size int64, k func(blob.Blob, error)) {
-	c.Stats.ReadMisses++
-	c.fr.Append(t.Now(), flight.KindForward, c.frName, "read", size)
-	optrace.ClearDeadline(t)
-	if !c.cfg.ClientPopulate {
-		c.childT().ReadT(t, fd, off, size, k)
+// got is the bank-lookup continuation: assemble the hit or fall back to the
+// server, exactly as Read does. items is a borrow that ends when this
+// returns; the assembled blob copies what it keeps.
+func (op *readOp) got(items []*memcache.Item) {
+	c := op.c
+	hits := countHits(items)
+	c.Stats.BlockHits += uint64(hits)
+	if hits < len(items) {
+		op.sp.SetAttr("result", "miss")
+		op.forward()
 		return
 	}
-	bs := c.cfg.blockSize()
-	alignedOff, alignedSize := alignSpan(off, size, bs)
-	c.childT().ReadT(t, fd, alignedOff, alignedSize, func(data blob.Blob, err error) {
-		if err != nil {
-			k(blob.Blob{}, err)
-			return
-		}
-		c.pushBlocksT(t, path, alignedOff, data, func() {
-			lo := off - alignedOff
-			if lo >= data.Len() {
-				k(blob.Blob{}, nil)
-				return
-			}
-			hi := lo + size
-			if hi > data.Len() {
-				hi = data.Len()
-			}
-			k(data.Slice(lo, hi), nil)
-		})
-	})
+	data, ok := assembleBlocks(&op.parts, items, op.bk.offsets, op.off, op.size, c.cfg.blockSize())
+	if !ok {
+		op.sp.SetAttr("result", "short-miss")
+		op.forward()
+		return
+	}
+	c.Stats.ReadHits++
+	op.sp.SetAttr("result", "hit")
+	op.done(data, nil)
+}
+
+// done closes the read's span and latency sample and delivers the result.
+func (op *readOp) done(data blob.Blob, err error) {
+	t, k := op.t, op.k
+	op.sp.End(t)
+	op.c.readHist.ObserveSince(t, op.t0)
+	op.release()
+	k(data, err)
+}
+
+// forward is forwardRead for the task engine.
+func (op *readOp) forward() {
+	c, t := op.c, op.t
+	c.Stats.ReadMisses++
+	c.fr.Append(t.Now(), flight.KindForward, c.frName, "read", op.size)
+	optrace.ClearDeadline(t)
+	if !c.cfg.ClientPopulate {
+		c.childT().ReadT(t, op.fd, op.off, op.size, op.fnDone)
+		return
+	}
+	alignedOff, alignedSize := alignSpan(op.off, op.size, c.cfg.blockSize())
+	op.alignedOff = alignedOff
+	c.childT().ReadT(t, op.fd, alignedOff, alignedSize, op.fnFilled)
+}
+
+// filled receives client-populate mode's widened server read and pushes its
+// blocks to the bank.
+func (op *readOp) filled(data blob.Blob, err error) {
+	if err != nil {
+		op.done(blob.Blob{}, err)
+		return
+	}
+	op.data = data
+	op.c.pushBlocksT(op.t, op.path, op.alignedOff, data, op.fnPushed)
+}
+
+// pushed slices the caller's range out of the pushed aligned read.
+func (op *readOp) pushed() {
+	op.done(cutRange(op.data, op.alignedOff, op.off, op.size), nil)
 }
 
 // WriteT implements gluster.TaskFS; see Write.
 func (c *CMCache) WriteT(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
 	sp := optrace.StartSpan(t, optrace.LayerCMCache, "write")
-	sp.SetAttr("bytes", strconv.FormatInt(data.Len(), 10))
+	sp.SetAttrInt("bytes", data.Len())
 	if !c.cfg.ClientPopulate {
 		c.childT().WriteT(t, fd, off, data, func(n int64, err error) {
 			sp.End(t)
@@ -302,22 +357,7 @@ func (c *CMCache) WriteT(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, 
 // pushBlocksT is pushBlocks for the task engine: the blocks store
 // sequentially, as the blocking loop does.
 func (c *CMCache) pushBlocksT(t *sim.Task, path string, alignedOff int64, data blob.Blob, k func()) {
-	bs := c.cfg.blockSize()
-	var step func(pos int64)
-	step = func(pos int64) {
-		if pos >= data.Len() {
-			k()
-			return
-		}
-		end := pos + bs
-		if end > data.Len() {
-			end = data.Len()
-		}
-		c.mcd.SetT(t, blockKey(path, alignedOff+pos), data.Slice(pos, end), func(error) {
-			step(pos + bs)
-		})
-	}
-	step(0)
+	c.pushes.push(t, path, alignedOff, data, c.cfg.blockSize(), nil, k)
 }
 
 // UnlinkT implements gluster.TaskFS.

@@ -26,6 +26,8 @@ package core
 
 import (
 	"strconv"
+
+	"imca/internal/blob"
 )
 
 // Config carries the IMCa tuning knobs shared by both translators.
@@ -62,10 +64,23 @@ func (c Config) blockSize() int64 {
 // statKey returns the MCD key for a file's stat structure.
 func statKey(path string) string { return path + ":stat" }
 
+// appendBlockKey appends the MCD key for the data block at the given
+// aligned byte offset, "<path>:<off>", to dst.
+func appendBlockKey(dst []byte, path string, blockOff int64) []byte {
+	dst = append(dst, path...)
+	dst = append(dst, ':')
+	return strconv.AppendInt(dst, blockOff, 10)
+}
+
 // blockKey returns the MCD key for the data block at the given aligned
-// byte offset.
+// byte offset. The key is assembled in stack scratch and costs its one
+// string allocation (a path too long for the scratch spills to the heap
+// first). Block keys are deliberately not interned the way stat keys are: a
+// streaming workload pushes each distinct key once, and a table retaining
+// them would grow with the bytes streamed, not with the namespace.
 func blockKey(path string, blockOff int64) string {
-	return path + ":" + strconv.FormatInt(blockOff, 10)
+	var scratch [128]byte
+	return string(appendBlockKey(scratch[:0], path, blockOff))
 }
 
 // alignSpan widens [off, off+size) to block boundaries, returning the
@@ -82,16 +97,57 @@ func alignSpan(off, size, bs int64) (alignedOff, alignedSize int64) {
 	return start, end - start
 }
 
-// blockOffsets lists the aligned block offsets covering [off, off+size).
-func blockOffsets(off, size, bs int64) []int64 {
+// cutRange slices the caller's [off, off+size) out of data, an aligned read
+// that starts at alignedOff; a range starting at or past the data's end is
+// an empty read, one running past it a short one.
+func cutRange(data blob.Blob, alignedOff, off, size int64) blob.Blob {
+	lo := off - alignedOff
+	if lo >= data.Len() {
+		return blob.Blob{}
+	}
+	hi := lo + size
+	if hi > data.Len() {
+		hi = data.Len()
+	}
+	return data.Slice(lo, hi)
+}
+
+// blockKeys is the scratch a read builds its covering block keys in: the
+// aligned block offsets covering the range, and the keys as substrings of one backing string, so a read of
+// any width costs one string allocation. The keys are transient — the bank
+// client and the daemons look them up and let go — which is what makes
+// sharing a backing string safe; keys that get *stored* (pushes) are built
+// one by one with blockKey so no stored item pins a neighbour's bytes.
+type blockKeys struct {
+	offsets []int64
+	keys    []string
+	buf     []byte
+	ends    []int
+}
+
+// build fills the scratch for the blocks covering [off, off+size) of path.
+func (bk *blockKeys) build(path string, off, size, bs int64) {
 	start, span := alignSpan(off, size, bs)
-	if span == 0 {
-		return nil
+	offsets, buf, ends := bk.offsets[:0], bk.buf[:0], bk.ends[:0]
+	for bo := start; bo < start+span; bo += bs {
+		offsets = append(offsets, bo)
+		buf = appendBlockKey(buf, path, bo)
+		ends = append(ends, len(buf))
 	}
-	n := span / bs
-	out := make([]int64, 0, n)
-	for b := start; b < start+span; b += bs {
-		out = append(out, b)
+	bk.offsets, bk.buf, bk.ends = offsets, buf, ends
+	all := string(buf)
+	keys, from := bk.keys[:0], 0
+	for _, e := range ends {
+		keys = append(keys, all[from:e])
+		from = e
 	}
-	return out
+	bk.keys = keys
+}
+
+// drop releases the key strings (the slices keep their capacity).
+func (bk *blockKeys) drop() {
+	for i := range bk.keys {
+		bk.keys[i] = ""
+	}
+	bk.keys = bk.keys[:0]
 }

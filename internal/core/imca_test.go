@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -395,11 +396,22 @@ func TestAlignSpan(t *testing.T) {
 }
 
 func TestBlockOffsets(t *testing.T) {
-	got := blockOffsets(2047, 2, 2048)
-	if len(got) != 2 || got[0] != 0 || got[1] != 2048 {
-		t.Errorf("blockOffsets = %v, want [0 2048]", got)
+	var bk blockKeys
+	bk.build("/a/f", 2047, 2, 2048)
+	if got := bk.offsets; len(got) != 2 || got[0] != 0 || got[1] != 2048 {
+		t.Errorf("offsets = %v, want [0 2048]", got)
 	}
-	if blockOffsets(0, 0, 2048) != nil {
+	if got := bk.keys; len(got) != 2 || got[0] != "/a/f:0" || got[1] != "/a/f:2048" {
+		t.Errorf("keys = %q, want the two covering block keys", got)
+	}
+	// The scratch is reused: a narrower read must not see the wider one's
+	// leftovers.
+	bk.build("/b", 4096, 100, 2048)
+	if len(bk.offsets) != 1 || bk.offsets[0] != 4096 || len(bk.keys) != 1 || bk.keys[0] != blockKey("/b", 4096) {
+		t.Errorf("rebuilt scratch = %v %q, want [4096] [/b:4096]", bk.offsets, bk.keys)
+	}
+	bk.build("/b", 0, 0, 2048)
+	if len(bk.offsets) != 0 || len(bk.keys) != 0 {
 		t.Error("zero-size span returned blocks")
 	}
 }
@@ -427,6 +439,11 @@ func TestKeyScheme(t *testing.T) {
 	}
 	if blockKey("/a/f", 4096) != "/a/f:4096" {
 		t.Errorf("blockKey = %q", blockKey("/a/f", 4096))
+	}
+	// A path longer than the key scratch still comes out whole.
+	long := "/" + strings.Repeat("d/", 100) + "f"
+	if got := blockKey(long, 1<<40); got != long+":1099511627776" {
+		t.Errorf("blockKey of a %d-byte path = %q", len(long), got)
 	}
 }
 

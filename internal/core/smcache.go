@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strconv"
 
 	"imca/internal/blob"
 	"imca/internal/gluster"
@@ -41,6 +40,10 @@ type SMCache struct {
 	// skeys interns stat keys for the push/purge paths; shared with the
 	// deployment's CMCaches via ShareStatKeys.
 	skeys *KeyInterner
+	// readOps and pushes pool the task engine's per-read and per-push
+	// frames (see smcachetask.go, pushtask.go).
+	readOps []*smReadOp
+	pushes  pushPool
 
 	Stats SMCacheStats
 }
@@ -51,7 +54,7 @@ var _ gluster.FS = (*SMCache)(nil)
 // on the server's own node — its traffic models the extra server-side load
 // the paper attributes to IMCa.
 func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Config) *SMCache {
-	return &SMCache{
+	s := &SMCache{
 		env:     env,
 		child:   child,
 		mcd:     mcd,
@@ -60,6 +63,8 @@ func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Con
 		pushed:  make(map[string]map[int64]struct{}),
 		skeys:   NewKeyInterner(),
 	}
+	s.pushes = pushPool{mcd: mcd, landed: s.blockLanded}
+	return s
 }
 
 // ShareStatKeys replaces the translator's private stat-key intern table
@@ -102,7 +107,7 @@ func (s *SMCache) purgeAll(p *sim.Proc, path string) int {
 // setPurged annotates a span with the number of purged keys.
 func setPurged(sp *optrace.Span, n int) {
 	if n > 0 {
-		sp.SetAttr("purged", strconv.Itoa(n))
+		sp.SetAttrInt("purged", int64(n))
 	}
 }
 
@@ -206,16 +211,7 @@ func (s *SMCache) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, 
 	s.deferIf(p, "smcache-read-push", func(q *sim.Proc) {
 		s.pushBlocks(q, path, alignedOff, data)
 	})
-	// Slice the caller's range out of the aligned read.
-	lo := off - alignedOff
-	if lo >= data.Len() {
-		return blob.Blob{}, nil
-	}
-	hi := lo + size
-	if hi > data.Len() {
-		hi = data.Len()
-	}
-	return data.Slice(lo, hi), nil
+	return cutRange(data, alignedOff, off, size), nil
 }
 
 // Write implements gluster.FS. The write goes to the file system first

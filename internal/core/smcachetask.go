@@ -69,38 +69,27 @@ func (s *SMCache) pushStatT(t *sim.Task, st *gluster.Stat, k func()) {
 }
 
 // pushBlocksT is pushBlocks for tasks: the blocks store sequentially, as
-// the blocking loop does.
+// the blocking loop does, each recorded as resident once it lands.
 func (s *SMCache) pushBlocksT(t *sim.Task, path string, alignedOff int64, data blob.Blob, k func()) {
-	bs := s.cfg.blockSize()
 	set := s.pushed[path]
 	if set == nil {
 		set = make(map[int64]struct{})
 		s.pushed[path] = set
 	}
-	var step func(pos int64)
-	step = func(pos int64) {
-		if pos >= data.Len() {
-			k()
-			return
-		}
-		end := pos + bs
-		if end > data.Len() {
-			end = data.Len()
-		}
-		bo := alignedOff + pos
-		s.mcd.SetT(t, blockKey(path, bo), data.Slice(pos, end), func(error) {
-			set[bo] = struct{}{}
-			s.Stats.BlockPushes++
-			step(pos + bs)
-		})
-	}
-	step(0)
+	s.pushes.push(t, path, alignedOff, data, s.cfg.blockSize(), set, k)
+}
+
+// blockLanded is the push pool's per-block hook: the block is resident.
+func (s *SMCache) blockLanded(set map[int64]struct{}, blockOff int64) {
+	set[blockOff] = struct{}{}
+	s.Stats.BlockPushes++
 }
 
 // deferIfT is deferIf for tasks. Threaded mode spawns the same helper
 // process the blocking engine does (fn, blocking) and continues
 // immediately; inline mode drives the task-native chain (inline) on the
-// request's critical path before continuing.
+// request's critical path before continuing. fn is read in Threaded mode
+// only, so a pooled caller builds it only then.
 func (s *SMCache) deferIfT(t *sim.Task, name string, fn func(q *sim.Proc), inline func(k func()), k func()) {
 	if s.cfg.Threaded {
 		s.env.Process(name, fn)
@@ -185,43 +174,91 @@ func (s *SMCache) CloseT(t *sim.Task, fd gluster.FD, k func(error)) {
 	})
 }
 
+// smReadOp is ReadT's pooled per-operation frame; see CMCache's readOp. The
+// aligned data rides in the op from the storage read to the slice-out
+// after the push. Only Threaded mode still builds a closure — the helper
+// process's body, which outlives the op and must own its captures.
+type smReadOp struct {
+	s          *SMCache
+	t          *sim.Task
+	path       string
+	off, size  int64
+	alignedOff int64
+	data       blob.Blob
+	k          func(blob.Blob, error)
+	sp         *optrace.Span
+
+	fnDone    func(blob.Blob, error)
+	fnAligned func(blob.Blob, error)
+	fnPush    func(k func())
+	fnPushed  func()
+}
+
+func (s *SMCache) takeReadOp() *smReadOp {
+	if n := len(s.readOps); n > 0 {
+		op := s.readOps[n-1]
+		s.readOps[n-1] = nil
+		s.readOps = s.readOps[:n-1]
+		return op
+	}
+	op := &smReadOp{s: s}
+	op.fnDone = op.done
+	op.fnAligned = op.aligned
+	op.fnPush = op.push
+	op.fnPushed = op.pushed
+	return op
+}
+
+// done closes the span, recycles the op, and delivers the result.
+func (op *smReadOp) done(data blob.Blob, err error) {
+	t, k := op.t, op.k
+	op.sp.End(t)
+	op.t, op.k, op.sp = nil, nil, nil
+	op.path, op.data = "", blob.Blob{}
+	op.s.readOps = append(op.s.readOps, op)
+	k(data, err)
+}
+
 // ReadT implements gluster.TaskFS; see Read.
 func (s *SMCache) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.Blob, error)) {
-	sp := optrace.StartSpan(t, optrace.LayerSMCache, "read")
+	op := s.takeReadOp()
+	op.t, op.off, op.size, op.k = t, off, size, k
+	op.sp = optrace.StartSpan(t, optrace.LayerSMCache, "read")
 	path, tracked := s.fdPaths[fd]
 	if !tracked || size <= 0 {
-		s.childT().ReadT(t, fd, off, size, func(data blob.Blob, err error) {
-			sp.End(t)
-			k(data, err)
-		})
+		s.childT().ReadT(t, fd, off, size, op.fnDone)
 		return
 	}
 	alignedOff, alignedSize := alignSpan(off, size, s.cfg.blockSize())
-	s.childT().ReadT(t, fd, alignedOff, alignedSize, func(data blob.Blob, err error) {
-		if err != nil {
-			sp.End(t)
-			k(blob.Blob{}, err)
-			return
-		}
-		s.deferIfT(t, "smcache-read-push",
-			func(q *sim.Proc) { s.pushBlocks(q, path, alignedOff, data) },
-			func(k2 func()) { s.pushBlocksT(t, path, alignedOff, data, k2) },
-			func() {
-				// Slice the caller's range out of the aligned read.
-				lo := off - alignedOff
-				if lo >= data.Len() {
-					sp.End(t)
-					k(blob.Blob{}, nil)
-					return
-				}
-				hi := lo + size
-				if hi > data.Len() {
-					hi = data.Len()
-				}
-				sp.End(t)
-				k(data.Slice(lo, hi), nil)
-			})
-	})
+	op.path, op.alignedOff = path, alignedOff
+	s.childT().ReadT(t, fd, alignedOff, alignedSize, op.fnAligned)
+}
+
+// aligned receives the widened storage read and feeds its blocks to the
+// bank — inline, or on a helper process in Threaded mode.
+func (op *smReadOp) aligned(data blob.Blob, err error) {
+	if err != nil {
+		op.done(blob.Blob{}, err)
+		return
+	}
+	s := op.s
+	op.data = data
+	var helper func(q *sim.Proc)
+	if s.cfg.Threaded {
+		path, alignedOff := op.path, op.alignedOff
+		helper = func(q *sim.Proc) { s.pushBlocks(q, path, alignedOff, data) }
+	}
+	s.deferIfT(op.t, "smcache-read-push", helper, op.fnPush, op.fnPushed)
+}
+
+// push is the inline side of aligned's deferred push.
+func (op *smReadOp) push(k func()) {
+	op.s.pushBlocksT(op.t, op.path, op.alignedOff, op.data, k)
+}
+
+// pushed slices the caller's range out of the aligned read.
+func (op *smReadOp) pushed() {
+	op.done(cutRange(op.data, op.alignedOff, op.off, op.size), nil)
 }
 
 // WriteT implements gluster.TaskFS; see Write.

@@ -27,7 +27,7 @@ import (
 
 // cacheVersion invalidates every entry when the checks themselves change.
 // Bump it whenever a check's behavior or a finding message changes.
-const cacheVersion = "imcalint-2"
+const cacheVersion = "imcalint-3"
 
 // cachedFinding and cachedSup are the JSON forms of a finding and a
 // suppression; positions are module-root-relative, so the cache is stable

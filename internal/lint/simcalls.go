@@ -21,9 +21,9 @@ var simSchedMethods = map[string]bool{
 	"Env.StartTask": true,
 	"Env.schedule":  true, "Env.scheduleProc": true, "Env.wake": true,
 	"Proc.Sleep": true, "Proc.Yield": true, "Proc.Spawn": true, "Proc.park": true,
-	"Task.Sleep": true, "Task.End": true,
+	"Task.Sleep": true, "Task.End": true, "Task.Start": true,
 	"Event.Wait": true, "Event.WaitUntil": true, "Event.Trigger": true,
-	"Event.WaitT": true, "Event.WaitUntilT": true,
+	"Event.WaitT": true, "Event.WaitUntilT": true, "Event.WaitFn": true,
 	"Chan.Send": true, "Chan.TrySend": true, "Chan.Recv": true, "Chan.TryRecv": true,
 	"Resource.Acquire": true, "Resource.Release": true, "Resource.Use": true,
 	"Resource.AcquireT": true, "Resource.UseT": true,
@@ -67,7 +67,12 @@ func funcKey(f *types.Func) string {
 // simSchedCallee reports whether call statically invokes one of the sim
 // kernel's scheduling entry points, returning its display name.
 func simSchedCallee(info *types.Info, call *ast.CallExpr, simPath string) (string, bool) {
-	f := calleeFunc(info, call)
+	return simSchedFunc(calleeFunc(info, call), simPath)
+}
+
+// simSchedFunc reports whether f is one of the sim kernel's scheduling
+// entry points, returning its display name.
+func simSchedFunc(f *types.Func, simPath string) (string, bool) {
 	if f == nil || simPath == "" || f.Pkg() == nil || f.Pkg().Path() != simPath {
 		return "", false
 	}

@@ -23,8 +23,12 @@ import (
 // receivers are stripped and the task engine's trailing-T spellings fold
 // onto their blocking twins (Event.WaitT ≡ Event.Wait, Resource.AcquireT
 // ≡ Resource.Acquire). The walk is the same static DFS the other
-// reachability checks use and shares its blind spot: calls through stored
-// function values are invisible.
+// reachability checks use, widened to follow method values (the prebound
+// continuations of pooled operation frames); calls through interfaces and
+// through function values stored in fields remain invisible. It stops at
+// kernel primitives and at the sibling pairs of the layers below: a pair
+// answers for the primitives and pairs it reaches itself, and a divergence
+// is reported once, at the pair that has it, not again at every caller.
 //
 // Types that are not yet task-ready are deliberately out of scope — the
 // task engine is being grown layer by layer, and the check's job is to
@@ -145,9 +149,11 @@ func firstParamActor(fn *types.Func, simPath string) string {
 // schedSetOf walks the static call graph from fn and returns the set of
 // kernel scheduling primitives it reaches, normalized across engines.
 func schedSetOf(ld *loader, fn *types.Func, simPath string) map[string]bool {
+	rootKey, _ := siblingPairKey(fn, simPath)
 	c := &schedCollector{
 		idx:     ld.funcIndex(),
 		simPath: simPath,
+		rootKey: rootKey,
 		visited: make(map[*types.Func]bool),
 		set:     make(map[string]bool),
 	}
@@ -158,6 +164,7 @@ func schedSetOf(ld *loader, fn *types.Func, simPath string) map[string]bool {
 type schedCollector struct {
 	idx     map[*types.Func]funcRef
 	simPath string
+	rootKey string // the pair being compared; a recursive reference is not a lower layer
 	visited map[*types.Func]bool
 	set     map[string]bool
 }
@@ -175,23 +182,77 @@ func (c *schedCollector) walkFunc(f *types.Func) {
 	c.walkBody(ref.pkg, ref.decl.Body)
 }
 
+// walkBody follows every reference to a function in body, not only the
+// ones in call position: a method value stored on a pooled frame
+// (`op.fnDone = op.done`) or handed to a primitive (`ev.WaitFn(op.collect)`)
+// is a continuation the operation will run, so the frame's constructor
+// reaching it is the operation reaching it. Every function reference ends
+// in an identifier — bare, or the Sel of a selector — so identifiers are
+// the only nodes that need resolving.
 func (c *schedCollector) walkBody(pkg *pkgInfo, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
+		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		if name, ok := simSchedCallee(pkg.info, call, c.simPath); ok {
-			c.set[normalizeSched(strings.TrimPrefix(name, "sim."))] = true
-			// Stop at the primitive: its internals (park vs continuation
-			// push) are exactly the engine difference being abstracted.
+		f, ok := pkg.info.Uses[id].(*types.Func)
+		if !ok {
 			return true
 		}
-		if f := calleeFunc(pkg.info, call); f != nil {
-			c.walkFunc(f)
+		if name, ok := simSchedFunc(f, c.simPath); ok {
+			// Stop at the primitive: its internals (park vs continuation
+			// push) are exactly the engine difference being abstracted.
+			key := normalizeSched(strings.TrimPrefix(name, "sim."))
+			if key == "Resource.Use" {
+				// Use is Acquire, Sleep, Release by definition; a sibling
+				// that spells the three out charges the same.
+				c.set["Resource.Acquire"], c.set["Sleep"], c.set["Resource.Release"] = true, true, true
+				return true
+			}
+			c.set[key] = true
+			return true
 		}
+		if key, ok := siblingPairKey(f, c.simPath); ok && key != c.rootKey {
+			// Stop at a lower layer's sibling pair too: Binding.Call and
+			// Binding.CallT are one primitive to the layers above, and
+			// whether the pair itself is in parity is that pair's own
+			// finding, not every caller's.
+			c.set[key] = true
+			return true
+		}
+		c.walkFunc(f)
 		return true
 	})
+}
+
+// siblingPairKey reports whether f is one half of a Proc/Task sibling pair
+// — an exported method X taking a *sim.Proc whose receiver also has an XT
+// taking a *sim.Task, or that XT — and names the pair "Type.X" for both
+// halves. Only the pairs checkTaskParity itself compares qualify: an
+// unexported helper pair is walked into like any other callee, and an
+// interface method has no body either engine's walk could enter.
+func siblingPairKey(f *types.Func, simPath string) (string, bool) {
+	f = f.Origin()
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || !f.Exported() || types.IsInterface(sig.Recv().Type()) {
+		return "", false
+	}
+	actor := firstParamActor(f, simPath)
+	name, sibName, sibActor := f.Name(), f.Name()+"T", "Task"
+	switch {
+	case actor == "Task" && strings.HasSuffix(name, "T"):
+		name = strings.TrimSuffix(name, "T")
+		sibName, sibActor = name, "Proc"
+	case actor != "Proc":
+		return "", false
+	}
+	obj, _, _ := types.LookupFieldOrMethod(sig.Recv().Type(), true, f.Pkg(), sibName)
+	sib, ok := obj.(*types.Func)
+	if !ok || firstParamActor(sib, simPath) != sibActor {
+		return "", false
+	}
+	recv, _, _ := strings.Cut(funcKey(f), ".")
+	return recv + "." + name, true
 }
 
 // normalizeSched folds the task engine's spelling of a primitive onto the
@@ -204,11 +265,17 @@ func normalizeSched(key string) string {
 		key = name
 	}
 	key = strings.TrimSuffix(key, "T")
+	// Event.WaitFn is WaitT for pooled callers: same registration, same
+	// one-event wake-up.
+	if key == "Event.WaitFn" {
+		return "Event.Wait"
+	}
 	// Proc.Spawn is literal sugar for Env.Process (one new actor, one
-	// schedule), and Env.StartTask is the continuation engine's spelling
-	// of the same charge; all three fold together so a sibling pair may
-	// fan out with whichever actor representation fits its workers.
-	if key == "Spawn" || key == "Env.StartTask" {
+	// schedule), Env.StartTask is the continuation engine's spelling of
+	// the same charge and Task.Start its spelling for a pooled actor; all
+	// four fold together so a sibling pair may fan out with whichever
+	// actor representation fits its workers.
+	if key == "Spawn" || key == "Start" || key == "Env.StartTask" {
 		return "Env.Process"
 	}
 	return key

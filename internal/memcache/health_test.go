@@ -145,11 +145,11 @@ func TestGetMultiSkipsEjectedServers(t *testing.T) {
 			t.Errorf("batched get sent %d messages, want 1 (healthy server only)",
 				cl.node.TxMsgs-txBefore)
 		}
-		if _, ok := got[keys[0]]; ok {
+		if got[0] != nil {
 			t.Error("batched get returned a key from an ejected server")
 		}
-		if it, ok := got[keys[1]]; !ok || string(it.Value.Bytes()) != "v1" {
-			t.Errorf("healthy server's key = %v, %v", it, ok)
+		if it := got[1]; it == nil || string(it.Value.Bytes()) != "v1" {
+			t.Errorf("healthy server's key = %v", it)
 		}
 	})
 	env.Run()
@@ -182,11 +182,11 @@ func TestEjectionMidGetMulti(t *testing.T) {
 			t.Errorf("scatter sent %d messages, want 2 (crash must postdate the scatter)",
 				cl.node.TxMsgs-txBefore)
 		}
-		if _, ok := got[keys[0]]; ok {
+		if got[0] != nil {
 			t.Error("batched get returned a key from a daemon that died mid-batch")
 		}
-		if it, ok := got[keys[1]]; !ok || string(it.Value.Bytes()) != "v1" {
-			t.Errorf("healthy server's key = %v, %v", it, ok)
+		if it := got[1]; it == nil || string(it.Value.Bytes()) != "v1" {
+			t.Errorf("healthy server's key = %v", it)
 		}
 		if !cl.Ejected(0) {
 			t.Error("mid-batch down reply did not eject the server")
@@ -197,7 +197,7 @@ func TestEjectionMidGetMulti(t *testing.T) {
 			t.Errorf("post-ejection batch sent %d messages, want 1 (ejected server must be skipped)",
 				cl.node.TxMsgs-txBefore)
 		}
-		if _, ok := got[keys[1]]; !ok {
+		if got[1] == nil {
 			t.Error("healthy server's key missing from the post-ejection batch")
 		}
 	})

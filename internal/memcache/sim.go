@@ -2,7 +2,6 @@ package memcache
 
 import (
 	"errors"
-	"strconv"
 	"time"
 
 	"imca/internal/blob"
@@ -33,12 +32,13 @@ func copyTime(n int64) sim.Duration {
 // approximate the text protocol's framing.
 
 // GetReq requests one or more keys. A pooled request (op non-nil) belongs
-// to a client-side getOp; the fabric recycles it when the call's frame
-// retires, which is what returns the op to its pool.
+// to a client-side frame — a getOp, or one leg of a multi-key get; the
+// fabric recycles it when the call's frame retires, which is what returns
+// the frame to its pool.
 type GetReq struct {
 	Keys []string
 
-	op *getOp
+	op interface{ release() }
 }
 
 // Recycle implements fabric.Recyclable.
@@ -268,9 +268,11 @@ type SimClient struct {
 	// path never repeats the lookup or the cross-network check.
 	bindings []*fabric.Binding
 	// Free lists of pooled task-engine operation frames (see simtask.go).
-	getOps []*getOp
-	setOps []*setOp
-	delOps []*delOp
+	getOps   []*getOp
+	setOps   []*setOp
+	delOps   []*delOp
+	multiOps []*multiGetOp
+	legs     []*multiGetLeg
 	// downReplies counts requests that came back with Down set (connection
 	// refused by a failed daemon). Surfaced through BankStats.
 	downReplies uint64
@@ -415,7 +417,7 @@ func (c *SimClient) getOn(p *sim.Proc, idx, next int, key string) (*Item, bool) 
 		}
 		return nil, false
 	}
-	m, err := c.node.Call(p, srv.node, ServiceName, &GetReq{Keys: []string{key}})
+	m, err := c.bindings[idx].Call(p, &GetReq{Keys: []string{key}})
 	if err != nil {
 		sp.SetAttr("result", c.fail(p, idx, err, false))
 		sp.End(p)
@@ -444,7 +446,7 @@ func (c *SimClient) getOn(p *sim.Proc, idx, next int, key string) (*Item, bool) 
 		return nil, false
 	}
 	sp.SetAttr("result", "hit")
-	sp.SetAttr("bytes", strconv.FormatInt(resp.Items[0].Value.Len(), 10))
+	sp.SetAttrInt("bytes", resp.Items[0].Value.Len())
 	sp.End(p)
 	c.getHist.ObserveSince(p, t0)
 	return resp.Items[0], true
@@ -465,62 +467,58 @@ type mcdReply struct {
 }
 
 // GetMulti fetches many keys with one batched request per MCD; requests to
-// distinct MCDs proceed in parallel. The result maps found keys to items.
-// Keys served by a dead daemon, over a cut link, or abandoned because the
-// operation's deadline expired, are simply absent — misses the caller
-// satisfies from the server. Keys on an ejected server are absent without
-// a worker being spawned or a request serializing onto the NIC.
-func (c *SimClient) GetMulti(p *sim.Proc, keys []string) map[string]*Item {
+// distinct MCDs proceed in parallel. The result is aligned with keys:
+// entry i is the item found for keys[i], or nil on a miss. Keys served by a
+// dead daemon, over a cut link, or abandoned because the operation's
+// deadline expired, are simply nil — misses the caller satisfies from the
+// server. Keys on an ejected server are nil without a worker being spawned
+// or a request serializing onto the NIC.
+func (c *SimClient) GetMulti(p *sim.Proc, keys []string) []*Item {
+	out := make([]*Item, len(keys))
 	if len(keys) == 1 {
-		it, ok := c.Get(p, keys[0])
-		if !ok {
-			return map[string]*Item{}
+		if it, ok := c.Get(p, keys[0]); ok {
+			out[0] = it
 		}
-		return map[string]*Item{keys[0]: it}
+		return out
 	}
 	defer c.multiHist.ObserveSince(p, p.Now())
-	byServer := make(map[int][]string)
-	for _, k := range keys {
-		i := c.routeRead(p, k)
-		byServer[i] = append(byServer[i], k)
+	// Scatter: per-server key batches, each remembering where its keys sit
+	// in the caller's slice.
+	type batch struct {
+		keys []string
+		pos  []int
 	}
-	out := make(map[string]*Item, len(keys))
+	byServer := make([]batch, len(c.servers))
+	for j, k := range keys {
+		b := &byServer[c.routeRead(p, k)]
+		b.keys = append(b.keys, k)
+		b.pos = append(b.pos, j)
+	}
 	var events []*sim.Event
 	var idxs []int
 	for i := range c.servers { // deterministic order
-		ks, ok := byServer[i]
-		if !ok {
+		ks := byServer[i].keys
+		if len(ks) == 0 {
 			continue
 		}
 		if !c.admitRead(p, i) {
 			continue // ejected: every key an instant miss
 		}
-		i, s := i, c.servers[i]
+		s := c.servers[i]
 		ev := sim.NewEvent(p.Env())
 		worker := p.Spawn("mcd-get", func(q *sim.Proc) {
 			sp := optrace.StartSpan(q, optrace.LayerMCD, "getmulti")
 			sp.SetAttr("server", s.node.Name())
-			sp.SetAttr("keys", strconv.Itoa(len(ks)))
-			m, err := c.node.Call(q, s.node, ServiceName, &GetReq{Keys: ks})
+			sp.SetAttrInt("keys", int64(len(ks)))
+			m, err := c.bindings[i].Call(q, &GetReq{Keys: ks})
 			if err != nil {
-				if errors.Is(err, fabric.ErrUnreachable) {
-					sp.SetAttr("result", "unreachable")
-				} else {
-					sp.SetAttr("result", "deadline")
-				}
+				sp.SetAttr("result", multiErrResult(err))
 				sp.End(q)
 				ev.Trigger(mcdReply{err: err})
 				return
 			}
 			resp := m.(*GetResp)
-			switch {
-			case resp.Down:
-				sp.SetAttr("result", "down")
-			case len(resp.Items) == len(ks):
-				sp.SetAttr("result", "hit")
-			default:
-				sp.SetAttr("result", "partial")
-			}
+			sp.SetAttr("result", multiRespResult(resp, len(ks)))
 			sp.End(q)
 			ev.Trigger(mcdReply{resp: resp})
 		})
@@ -541,11 +539,48 @@ func (c *SimClient) GetMulti(p *sim.Proc, keys []string) map[string]*Item {
 			continue
 		}
 		c.observe(p, idxs[n], true)
-		for _, it := range r.resp.Items {
-			out[it.Key] = it
-		}
+		b := &byServer[idxs[n]]
+		// Blocking responses are never recycled, so the items stay valid
+		// for as long as the caller holds them.
+		matchItems(b.keys, r.resp.Items, func(j int, it *Item) { out[b.pos[j]] = it })
 	}
 	return out
+}
+
+// multiErrResult names a failed multi-get leg for its span.
+func multiErrResult(err error) string {
+	if errors.Is(err, fabric.ErrUnreachable) {
+		return "unreachable"
+	}
+	return "deadline"
+}
+
+// multiRespResult names an answered multi-get leg for its span.
+func multiRespResult(resp *GetResp, asked int) string {
+	switch {
+	case resp.Down:
+		return "down"
+	case len(resp.Items) == asked:
+		return "hit"
+	}
+	return "partial"
+}
+
+// matchItems pairs a daemon's reply with the keys that asked for it. The
+// daemon answers hits in request order and drops misses, so one forward walk
+// pairs them exactly; a key asked twice is answered twice. hit receives the
+// index into keys and the item found for it.
+func matchItems(keys []string, items []*Item, hit func(j int, it *Item)) {
+	n := 0
+	for j, k := range keys {
+		if n == len(items) {
+			return
+		}
+		if items[n].Key == k {
+			hit(j, items[n])
+			n++
+		}
+	}
 }
 
 // routeRead picks the server a batched read for key should go to: the
@@ -584,14 +619,14 @@ func (c *SimClient) setOn(p *sim.Proc, idx int, key string, value blob.Blob) err
 	srv := c.servers[idx]
 	sp := optrace.StartSpan(p, optrace.LayerMCD, "set")
 	sp.SetAttr("server", srv.node.Name())
-	sp.SetAttr("bytes", strconv.FormatInt(value.Len(), 10))
+	sp.SetAttrInt("bytes", value.Len())
 	defer sp.End(p)
 	defer c.setHist.ObserveSince(p, p.Now())
 	if !c.admit(p, idx) {
 		sp.SetAttr("result", "ejected")
 		return ErrServerDown
 	}
-	m, err := c.node.Call(p, srv.node, ServiceName, &SetReq{Item: &Item{Key: key, Value: value}})
+	m, err := c.bindings[idx].Call(p, &SetReq{Item: &Item{Key: key, Value: value}})
 	if err != nil {
 		sp.SetAttr("result", c.fail(p, idx, err, false))
 		return err
@@ -636,7 +671,7 @@ func (c *SimClient) delOn(p *sim.Proc, idx int, key string) bool {
 		sp.SetAttr("result", "ejected")
 		return false
 	}
-	m, err := c.node.Call(p, srv.node, ServiceName, &DelReq{Key: key})
+	m, err := c.bindings[idx].Call(p, &DelReq{Key: key})
 	if err != nil {
 		sp.SetAttr("result", c.fail(p, idx, err, false))
 		return false

@@ -1,9 +1,6 @@
 package memcache
 
 import (
-	"errors"
-	"strconv"
-
 	"imca/internal/blob"
 	"imca/internal/fabric"
 	"imca/internal/flight"
@@ -96,11 +93,9 @@ func (op *getOp) done(m fabric.Msg, err error) {
 		op.k(nil, false)
 		return
 	}
-	if sp != nil {
-		sp.SetAttr("result", "hit")
-		sp.SetAttr("bytes", strconv.FormatInt(resp.Items[0].Value.Len(), 10))
-		sp.End(t)
-	}
+	sp.SetAttr("result", "hit")
+	sp.SetAttrInt("bytes", resp.Items[0].Value.Len())
+	sp.End(t)
 	c.getHist.ObserveSince(t, op.t0)
 	// The item points into the pooled response: valid through k, reclaimed
 	// when the fabric recycles the response after k returns.
@@ -163,97 +158,242 @@ func (c *SimClient) failoverGetT(t *sim.Task, next int, key string, k func(*Item
 	c.bindings[next].CallT(t, &op.req, op.fnDone)
 }
 
-// GetMultiT is GetMulti for the task engine. The scatter-gather workers
-// remain Procs — they are bounded by the MCD bank size, not the client
-// count, and spawning them costs the same one schedule as Proc.Spawn — so
-// only the caller side changes representation.
-func (c *SimClient) GetMultiT(t *sim.Task, keys []string, k func(map[string]*Item)) {
-	if len(keys) == 1 {
-		c.GetT(t, keys[0], func(it *Item, ok bool) {
-			if !ok {
-				k(map[string]*Item{})
-				return
-			}
-			k(map[string]*Item{keys[0]: it})
-		})
-		return
+// multiGetOp is GetMultiT's pooled per-operation frame: the caller's
+// continuation, the result slice handed to it, the by-value item
+// snapshots that slice points into, and the join state of the scatter —
+// one legResult and one resettable event per MCD asked, collected in
+// scatter order. Everything keeps its capacity across reuses, so a
+// steady-state multi-get allocates nothing. The op returns to its client's pool after k returns: the items
+// are a borrow that ends there, exactly like GetT's.
+type multiGetOp struct {
+	c  *SimClient
+	t  *sim.Task
+	k  func([]*Item)
+	t0 sim.Time
+
+	out   []*Item
+	items []Item
+	// byServer is scatter-time scratch indexed by server: the leg gathering
+	// that server's keys, nil again once the scatter loop has armed it.
+	byServer []*multiGetLeg
+	res      []legResult
+	// evs[n] fires when res[n] is filled in; the events outlive the
+	// operation and are reset for the next one. next is the leg the
+	// collector consumes next.
+	evs  []*sim.Event
+	next int
+
+	fnCollect func()
+	fnGot1    func(*Item, bool)
+}
+
+// legResult is one MCD's scatter-gather outcome, parked in the op until the
+// collector reaches it. Health accounting happens at collection, in scatter
+// order, as GetMulti's Wait loop does it — not when the reply lands.
+type legResult struct {
+	idx  int
+	err  error
+	down bool
+}
+
+// multiGetLeg is one MCD's share of a multi-get: the pooled request (its
+// Keys slice keeps its capacity), where each of its keys sits in the
+// caller's slice, and a context task that is the leg's actor — the identity
+// the retired "mcd-get" worker process used to provide for span nesting and
+// deadline lookup. A leg outlives its op's interest in it: it returns to
+// the pool only when the fabric recycles the request, which for a
+// deadline-abandoned call is after the far daemon has finished reading it.
+type multiGetLeg struct {
+	c   *SimClient
+	op  *multiGetOp
+	n   int // index into op.res
+	t   *sim.Task
+	sp  *optrace.Span
+	req GetReq
+	pos []int
+
+	fnStart func()
+	fnDone  func(fabric.Msg, error)
+}
+
+func (c *SimClient) takeMultiOp() *multiGetOp {
+	if n := len(c.multiOps); n > 0 {
+		op := c.multiOps[n-1]
+		c.multiOps[n-1] = nil
+		c.multiOps = c.multiOps[:n-1]
+		return op
 	}
-	t0 := t.Now()
-	byServer := make(map[int][]string)
-	for _, key := range keys {
-		i := c.routeRead(t, key)
-		byServer[i] = append(byServer[i], key)
+	op := &multiGetOp{c: c, byServer: make([]*multiGetLeg, len(c.servers))}
+	op.fnCollect = op.collect
+	op.fnGot1 = op.got1
+	return op
+}
+
+// finish hands the result to the caller and recycles the op. The borrow of
+// op.out ends when k returns.
+func (op *multiGetOp) finish() {
+	op.k(op.out)
+	op.t, op.k = nil, nil
+	for i := range op.out {
+		op.out[i] = nil
 	}
-	out := make(map[string]*Item, len(keys))
-	var events []*sim.Event
-	var idxs []int
-	for i := range c.servers { // deterministic order
-		ks, ok := byServer[i]
-		if !ok {
-			continue
+	for i := range op.items {
+		op.items[i] = Item{}
+	}
+	for i := range op.res {
+		op.res[i] = legResult{}
+		op.evs[i].Reset()
+	}
+	op.out, op.items, op.res = op.out[:0], op.items[:0], op.res[:0]
+	op.next = 0
+	op.c.multiOps = append(op.c.multiOps, op)
+}
+
+// got1 completes the one-key fast path: GetT's item is valid through this
+// continuation, so it is lent onward as is.
+func (op *multiGetOp) got1(it *Item, ok bool) {
+	if ok {
+		op.out[0] = it
+	}
+	op.finish()
+}
+
+func (c *SimClient) takeLeg() *multiGetLeg {
+	if n := len(c.legs); n > 0 {
+		l := c.legs[n-1]
+		c.legs[n-1] = nil
+		c.legs = c.legs[:n-1]
+		return l
+	}
+	l := &multiGetLeg{c: c, t: c.node.Network().Env().ContextTask("mcd-get")}
+	l.req.op = l
+	l.fnStart = l.start
+	l.fnDone = l.done
+	return l
+}
+
+// release returns the leg to its client's pool; reached through the pooled
+// request's Recycle, or directly for a leg whose server refused admission.
+func (l *multiGetLeg) release() {
+	for i := range l.req.Keys {
+		l.req.Keys[i] = ""
+	}
+	l.req.Keys, l.pos = l.req.Keys[:0], l.pos[:0]
+	l.op, l.sp = nil, nil
+	l.t.SetCtx(nil)
+	l.c.legs = append(l.c.legs, l)
+}
+
+// start is the leg's first slice, one scheduled event after the scatter, as
+// a worker process's is.
+func (l *multiGetLeg) start() {
+	c := l.c
+	idx := l.op.res[l.n].idx
+	l.sp = optrace.StartSpan(l.t, optrace.LayerMCD, "getmulti")
+	l.sp.SetAttr("server", c.servers[idx].node.Name())
+	l.sp.SetAttrInt("keys", int64(len(l.req.Keys)))
+	c.bindings[idx].CallT(l.t, &l.req, l.fnDone)
+}
+
+// done receives the MCD's reply. The pooled response is reclaimed when this
+// returns, so hits are snapshotted into the op here; the outcome waits in
+// the op for the collector, woken by the leg's event if it is parked on it.
+func (l *multiGetLeg) done(m fabric.Msg, err error) {
+	op := l.op
+	r := &op.res[l.n]
+	if err != nil {
+		l.sp.SetAttr("result", multiErrResult(err))
+		r.err = err
+	} else {
+		resp := m.(*GetResp)
+		l.sp.SetAttr("result", multiRespResult(resp, len(l.req.Keys)))
+		r.down = resp.Down
+		if !resp.Down {
+			matchItems(l.req.Keys, resp.Items, func(j int, it *Item) {
+				op.items = append(op.items, *it)
+				op.out[l.pos[j]] = &op.items[len(op.items)-1]
+			})
 		}
-		if !c.admitRead(t, i) {
-			continue // ejected: every key an instant miss
-		}
-		i, s := i, c.servers[i]
-		ev := sim.NewEvent(t.Env())
-		worker := t.Env().Process("mcd-get", func(q *sim.Proc) {
-			sp := optrace.StartSpan(q, optrace.LayerMCD, "getmulti")
-			sp.SetAttr("server", s.node.Name())
-			sp.SetAttr("keys", strconv.Itoa(len(ks)))
-			m, err := c.node.Call(q, s.node, ServiceName, &GetReq{Keys: ks})
-			if err != nil {
-				if errors.Is(err, fabric.ErrUnreachable) {
-					sp.SetAttr("result", "unreachable")
-				} else {
-					sp.SetAttr("result", "deadline")
-				}
-				sp.End(q)
-				ev.Trigger(mcdReply{err: err})
-				return
-			}
-			resp := m.(*GetResp)
-			switch {
-			case resp.Down:
-				sp.SetAttr("result", "down")
-			case len(resp.Items) == len(ks):
-				sp.SetAttr("result", "hit")
-			default:
-				sp.SetAttr("result", "partial")
-			}
-			sp.End(q)
-			ev.Trigger(mcdReply{resp: resp})
-		})
-		optrace.Fork(t, worker)
-		events = append(events, ev)
-		idxs = append(idxs, i)
 	}
-	// Collect replies in spawn order, as GetMulti's Wait loop does. The
-	// recursion depth is bounded by the bank size.
-	var collect func(n int)
-	collect = func(n int) {
-		if n == len(events) {
-			c.multiHist.ObserveSince(t, t0)
-			k(out)
+	l.sp.End(l.t)
+	op.evs[l.n].Trigger(nil)
+}
+
+// collect consumes leg outcomes in scatter order, parking on the first one
+// still in flight, and completes the operation after the last.
+func (op *multiGetOp) collect() {
+	c, t := op.c, op.t
+	for op.next < len(op.res) {
+		if ev := op.evs[op.next]; !ev.Triggered() {
+			ev.WaitFn(op.fnCollect)
 			return
 		}
-		events[n].WaitT(t, func(v interface{}) {
-			r := v.(mcdReply)
-			switch {
-			case r.err != nil:
-				c.fail(t, idxs[n], r.err, false)
-			case r.resp.Down:
-				c.fail(t, idxs[n], nil, true)
-			default:
-				c.observe(t, idxs[n], true)
-				for _, it := range r.resp.Items {
-					out[it.Key] = it
-				}
-			}
-			collect(n + 1)
-		})
+		r := &op.res[op.next]
+		switch {
+		case r.err != nil:
+			c.fail(t, r.idx, r.err, false)
+		case r.down:
+			c.fail(t, r.idx, nil, true)
+		default:
+			c.observe(t, r.idx, true)
+		}
+		op.next++
 	}
-	collect(0)
+	c.multiHist.ObserveSince(t, op.t0)
+	op.finish()
+}
+
+// GetMultiT is GetMulti for the task engine: k receives a slice aligned
+// with keys, nil where a key missed. The items alias pooled storage and are
+// valid only until k returns; continuation code copies what it keeps. Each
+// MCD's batch is a pooled leg issuing one CallT, started and joined with
+// the schedule consumption of GetMulti's worker processes and events, so
+// the two engines replay one event stream.
+func (c *SimClient) GetMultiT(t *sim.Task, keys []string, k func([]*Item)) {
+	op := c.takeMultiOp()
+	op.t, op.k = t, k
+	if cap(op.out) < len(keys) {
+		op.out = make([]*Item, len(keys))
+		// Snapshots are pointed into: the backing array must never move
+		// while a gather is appending to it.
+		op.items = make([]Item, 0, len(keys))
+	}
+	op.out = op.out[:len(keys)]
+	if len(keys) == 1 {
+		c.GetT(t, keys[0], op.fnGot1)
+		return
+	}
+	op.t0 = t.Now()
+	for j, key := range keys {
+		i := c.routeRead(t, key)
+		l := op.byServer[i]
+		if l == nil {
+			l = c.takeLeg()
+			op.byServer[i] = l
+		}
+		l.req.Keys = append(l.req.Keys, key)
+		l.pos = append(l.pos, j)
+	}
+	for i, l := range op.byServer { // deterministic order
+		if l == nil {
+			continue
+		}
+		op.byServer[i] = nil
+		if !c.admitRead(t, i) {
+			l.release() // ejected: every key an instant miss
+			continue
+		}
+		l.op, l.n = op, len(op.res)
+		op.res = append(op.res, legResult{idx: i})
+		if len(op.evs) < len(op.res) {
+			op.evs = append(op.evs, sim.NewEvent(t.Env()))
+		}
+		l.t.Start(l.fnStart)
+		// The legs run on the operation's critical path: their spans nest
+		// under the caller's current span.
+		optrace.Fork(t, l.t)
+	}
+	op.collect()
 }
 
 // delOp is DeleteT's pooled per-operation frame; see getOp.
@@ -434,9 +574,7 @@ func (c *SimClient) setOnT(t *sim.Task, idx int, key string, value blob.Blob, k 
 	srv := c.servers[idx]
 	sp := optrace.StartSpan(t, optrace.LayerMCD, "set")
 	sp.SetAttr("server", srv.node.Name())
-	if sp != nil {
-		sp.SetAttr("bytes", strconv.FormatInt(value.Len(), 10))
-	}
+	sp.SetAttrInt("bytes", value.Len())
 	t0 := t.Now()
 	if !c.admit(t, idx) {
 		sp.SetAttr("result", "ejected")

@@ -22,6 +22,7 @@ package optrace
 import (
 	"errors"
 	"sort"
+	"strconv"
 
 	"imca/internal/sim"
 )
@@ -132,6 +133,16 @@ func (s *Span) SetAttr(key, value string) {
 		return
 	}
 	s.Attrs = append(s.Attrs, Attr{key, value})
+}
+
+// SetAttrInt annotates the span with v in decimal. The number is formatted
+// only when the span exists, so untraced operations — the common case —
+// pay nothing for an annotation they would discard.
+func (s *Span) SetAttrInt(key string, v int64) {
+	if s == nil {
+		return
+	}
+	s.Attrs = append(s.Attrs, Attr{key, strconv.FormatInt(v, 10)})
 }
 
 // Attr returns the value of the first attribute named key ("" if absent).

@@ -82,6 +82,37 @@ func TestNilSafety(t *testing.T) {
 	env.Run()
 }
 
+// TestSetAttrInt: the integer annotation renders exactly what
+// SetAttr(strconv.FormatInt(v, 10)) did, and on a nil span — tracing off —
+// it formats nothing at all.
+func TestSetAttrInt(t *testing.T) {
+	env := sim.NewEnv()
+	col := NewCollector()
+	env.Process("p", func(p *sim.Proc) {
+		col.Begin(p, "op")
+		sp := StartSpan(p, LayerMCD, "get")
+		sp.SetAttrInt("bytes", 32768)
+		sp.SetAttrInt("delta", -7)
+		sp.SetAttr("result", "hit")
+		sp.End(p)
+		col.End(p)
+		want := []Attr{{"bytes", "32768"}, {"delta", "-7"}, {"result", "hit"}}
+		if len(sp.Attrs) != len(want) {
+			t.Fatalf("attrs = %v, want %v", sp.Attrs, want)
+		}
+		for i := range want {
+			if sp.Attrs[i] != want[i] {
+				t.Errorf("attr %d = %v, want %v", i, sp.Attrs[i], want[i])
+			}
+		}
+	})
+	env.Run()
+	var off *Span
+	if avg := testing.AllocsPerRun(100, func() { off.SetAttrInt("bytes", 1<<40) }); avg != 0 {
+		t.Errorf("SetAttrInt on a nil span allocated %.0f times, want 0", avg)
+	}
+}
+
 // TestForkNesting: spans opened by a forked child nest under the parent's
 // current span, and deadline state is shared through the same Op.
 func TestForkNesting(t *testing.T) {

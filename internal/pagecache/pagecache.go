@@ -8,11 +8,7 @@
 // local cache.
 package pagecache
 
-import (
-	"container/list"
-
-	"imca/internal/telemetry"
-)
+import "imca/internal/telemetry"
 
 // Range is a byte extent within a file.
 type Range struct {
@@ -27,6 +23,16 @@ type key struct {
 	idx int64
 }
 
+// page is one cached page: its key plus the links of the intrusive LRU
+// ring. Evicted and invalidated pages go onto the cache's free list (linked
+// through next) and are reused by the next insert, so a cache running at
+// capacity — the steady state of every streaming workload — inserts without
+// allocating.
+type page struct {
+	key        key
+	prev, next *page
+}
+
 // Cache is a bounded LRU page cache. It is not safe for concurrent use; in
 // the simulation exactly one process runs at a time, so no locking is
 // needed.
@@ -34,9 +40,12 @@ type Cache struct {
 	pageSize int64
 	capacity int64
 	used     int64
-	lru      *list.List // of key; front = most recent
-	pages    map[key]*list.Element
-	perFile  map[uint64]map[int64]struct{}
+	// root is the sentinel of the LRU ring: root.next is the most recently
+	// used page, root.prev the eviction victim.
+	root    page
+	free    *page
+	pages   map[key]*page
+	perFile map[uint64]map[int64]struct{}
 
 	Hits, Misses, Evictions uint64
 
@@ -51,12 +60,34 @@ func New(capacity, pageSize int64) *Cache {
 	if pageSize <= 0 || capacity < 0 {
 		panic("pagecache: bad geometry")
 	}
-	return &Cache{
+	c := &Cache{
 		pageSize: pageSize,
 		capacity: capacity,
-		lru:      list.New(),
-		pages:    make(map[key]*list.Element),
+		pages:    make(map[key]*page),
 		perFile:  make(map[uint64]map[int64]struct{}),
+	}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
+}
+
+// unlink removes pg from the LRU ring.
+func (c *Cache) unlink(pg *page) {
+	pg.prev.next = pg.next
+	pg.next.prev = pg.prev
+}
+
+// pushFront makes pg the most recently used page.
+func (c *Cache) pushFront(pg *page) {
+	pg.prev, pg.next = &c.root, c.root.next
+	pg.next.prev = pg
+	c.root.next = pg
+}
+
+// touch freshens a page already in the ring.
+func (c *Cache) touch(pg *page) {
+	if c.root.next != pg {
+		c.unlink(pg)
+		c.pushFront(pg)
 	}
 }
 
@@ -67,7 +98,7 @@ func (c *Cache) PageSize() int64 { return c.pageSize }
 func (c *Cache) Used() int64 { return c.used }
 
 // Len returns the number of cached pages.
-func (c *Cache) Len() int { return c.lru.Len() }
+func (c *Cache) Len() int { return len(c.pages) }
 
 // pageSpan returns the page index range [lo, hi) covering [off, off+size).
 func (c *Cache) pageSpan(off, size int64) (lo, hi int64) {
@@ -87,9 +118,9 @@ func (c *Cache) Lookup(ino uint64, off, size int64) []Range {
 	lo, hi := c.pageSpan(off, size)
 	var missing []Range
 	for idx := lo; idx < hi; idx++ {
-		if el, ok := c.pages[key{ino, idx}]; ok {
+		if pg, ok := c.pages[key{ino, idx}]; ok {
 			c.Hits++
-			c.lru.MoveToFront(el)
+			c.touch(pg)
 			continue
 		}
 		c.Misses++
@@ -127,8 +158,8 @@ func (c *Cache) Insert(ino uint64, off, size int64) {
 	lo, hi := c.pageSpan(off, size)
 	for idx := lo; idx < hi; idx++ {
 		k := key{ino, idx}
-		if el, ok := c.pages[k]; ok {
-			c.lru.MoveToFront(el)
+		if pg, ok := c.pages[k]; ok {
+			c.touch(pg)
 			continue
 		}
 		if c.pageSize > c.capacity {
@@ -137,8 +168,15 @@ func (c *Cache) Insert(ino uint64, off, size int64) {
 		for c.used+c.pageSize > c.capacity {
 			c.evictOldest()
 		}
-		el := c.lru.PushFront(k)
-		c.pages[k] = el
+		pg := c.free
+		if pg != nil {
+			c.free = pg.next
+		} else {
+			pg = new(page)
+		}
+		pg.key = k
+		c.pushFront(pg)
+		c.pages[k] = pg
 		c.used += c.pageSize
 		f := c.perFile[ino]
 		if f == nil {
@@ -150,17 +188,20 @@ func (c *Cache) Insert(ino uint64, off, size int64) {
 }
 
 func (c *Cache) evictOldest() {
-	el := c.lru.Back()
-	if el == nil {
+	pg := c.root.prev
+	if pg == &c.root {
 		panic("pagecache: eviction from empty cache")
 	}
-	c.removeElement(el)
+	c.removePage(pg)
 	c.Evictions++
 }
 
-func (c *Cache) removeElement(el *list.Element) {
-	k := el.Value.(key)
-	c.lru.Remove(el)
+// removePage drops pg from the cache and parks it on the free list.
+func (c *Cache) removePage(pg *page) {
+	k := pg.key
+	c.unlink(pg)
+	pg.prev, pg.next = nil, c.free
+	c.free = pg
 	delete(c.pages, k)
 	c.used -= c.pageSize
 	if f := c.perFile[k.ino]; f != nil {
@@ -175,8 +216,8 @@ func (c *Cache) removeElement(el *list.Element) {
 func (c *Cache) InvalidateFile(ino uint64) {
 	f := c.perFile[ino]
 	for idx := range f {
-		if el, ok := c.pages[key{ino, idx}]; ok {
-			c.removeElement(el)
+		if pg, ok := c.pages[key{ino, idx}]; ok {
+			c.removePage(pg)
 		}
 	}
 }
@@ -188,16 +229,17 @@ func (c *Cache) InvalidateRange(ino uint64, off, size int64) {
 	}
 	lo, hi := c.pageSpan(off, size)
 	for idx := lo; idx < hi; idx++ {
-		if el, ok := c.pages[key{ino, idx}]; ok {
-			c.removeElement(el)
+		if pg, ok := c.pages[key{ino, idx}]; ok {
+			c.removePage(pg)
 		}
 	}
 }
 
 // Clear empties the cache (e.g. an unmount/remount for a cold-cache run).
 func (c *Cache) Clear() {
-	c.lru.Init()
-	c.pages = make(map[key]*list.Element)
+	c.root.prev, c.root.next = &c.root, &c.root
+	c.free = nil
+	c.pages = make(map[key]*page)
 	c.perFile = make(map[uint64]map[int64]struct{})
 	c.used = 0
 }

@@ -1,6 +1,8 @@
 package pagecache
 
 import (
+	"container/list"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -261,5 +263,155 @@ func TestWarmVsColdPasses(t *testing.T) {
 	}
 	if c.Misses != pages+1 {
 		t.Errorf("misses = %d after post-Clear lookup, want %d", c.Misses, pages+1)
+	}
+}
+
+// listLRU is the cache as it was before the LRU became intrusive: a
+// container/list of keys plus a map of elements, presence only. It is the
+// reference the eviction-order test replays the same accesses against.
+type listLRU struct {
+	capPages int
+	lru      *list.List
+	pages    map[key]*list.Element
+	evicted  []key
+}
+
+func (m *listLRU) lookup(k key) bool {
+	el, ok := m.pages[k]
+	if ok {
+		m.lru.MoveToFront(el)
+	}
+	return ok
+}
+
+func (m *listLRU) insert(k key) {
+	if el, ok := m.pages[k]; ok {
+		m.lru.MoveToFront(el)
+		return
+	}
+	for m.lru.Len() >= m.capPages {
+		m.remove(m.lru.Back())
+	}
+	m.pages[k] = m.lru.PushFront(k)
+}
+
+func (m *listLRU) remove(el *list.Element) {
+	k := m.lru.Remove(el).(key)
+	delete(m.pages, k)
+	m.evicted = append(m.evicted, k)
+}
+
+// TestEvictionOrderMatchesListLRU replays one seeded access string —
+// lookups, inserts, range and whole-file invalidations over a working set
+// four times the cache — against the cache and against the container/list
+// LRU it replaced. Residency after every step, the hit/miss/eviction
+// counters, and the order pages leave in must all agree: the free list and
+// the ring change how pages are held, not which page goes next.
+func TestEvictionOrderMatchesListLRU(t *testing.T) {
+	const pageSize, capPages, files, pagesPerFile = 4096, 64, 4, 64
+	c := New(capPages*pageSize, pageSize)
+	ref := &listLRU{capPages: capPages, lru: list.New(), pages: make(map[key]*list.Element)}
+	rng := rand.New(rand.NewSource(42))
+	var hits, misses uint64
+	// drain empties both caches by evicting, reporting the cache's victims
+	// in order.
+	victims := func() []key {
+		var out []key
+		for c.Len() > 0 {
+			out = append(out, c.root.prev.key)
+			c.evictOldest()
+		}
+		return out
+	}
+	for step := 0; step < 20000; step++ {
+		ino := uint64(1 + rng.Intn(files))
+		idx := int64(rng.Intn(pagesPerFile))
+		k := key{ino, idx}
+		switch op := rng.Intn(100); {
+		case op < 45:
+			missing := c.Lookup(ino, idx*pageSize, pageSize)
+			if ref.lookup(k) {
+				hits++
+			} else {
+				misses++
+			}
+			if (len(missing) == 0) != (ref.pages[k] != nil) {
+				t.Fatalf("step %d: lookup of %v disagrees with the list LRU", step, k)
+			}
+		case op < 95:
+			evBefore, nBefore := c.Evictions, len(ref.evicted)
+			c.Insert(ino, idx*pageSize, pageSize)
+			ref.insert(k)
+			if int(c.Evictions-evBefore) != len(ref.evicted)-nBefore {
+				t.Fatalf("step %d: insert of %v evicted %d pages, the list LRU %d",
+					step, k, c.Evictions-evBefore, len(ref.evicted)-nBefore)
+			}
+			for _, gone := range ref.evicted[nBefore:] {
+				if c.Contains(gone.ino, gone.idx*pageSize, pageSize) {
+					t.Fatalf("step %d: the list LRU evicted %v, the cache kept it", step, gone)
+				}
+			}
+		case op < 98:
+			c.InvalidateRange(ino, idx*pageSize, 3*pageSize)
+			for i := idx; i < idx+3; i++ {
+				if el, ok := ref.pages[key{ino, i}]; ok {
+					ref.remove(el)
+				}
+			}
+		default:
+			c.InvalidateFile(ino)
+			for i := int64(0); i < pagesPerFile; i++ {
+				if el, ok := ref.pages[key{ino, i}]; ok {
+					ref.remove(el)
+				}
+			}
+		}
+		if c.Len() != ref.lru.Len() {
+			t.Fatalf("step %d: %d pages cached, the list LRU holds %d", step, c.Len(), ref.lru.Len())
+		}
+	}
+	if c.Hits != hits || c.Misses != misses {
+		t.Errorf("hits/misses = %d/%d, the list LRU saw %d/%d", c.Hits, c.Misses, hits, misses)
+	}
+	if c.Evictions == 0 {
+		t.Fatal("the access string never evicted")
+	}
+	// What is left must leave in the list LRU's order, oldest first.
+	var want []key
+	for el := ref.lru.Back(); el != nil; el = el.Prev() {
+		want = append(want, el.Value.(key))
+	}
+	got := victims()
+	if len(got) != len(want) {
+		t.Fatalf("%d pages left to evict, the list LRU has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("eviction %d is %v, the list LRU's is %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestInsertAtCapacityAllocFree: once the cache is full, an insert reuses
+// the page it evicts — the steady state of a streaming scan allocates
+// nothing, pass after pass.
+func TestInsertAtCapacityAllocFree(t *testing.T) {
+	const pageSize, capPages = 4096, 256
+	c := New(capPages*pageSize, pageSize)
+	next := int64(0)
+	scan := func() {
+		for i := 0; i < capPages; i++ {
+			c.Insert(1, next*pageSize, pageSize)
+			next = (next + 1) % (4 * capPages)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		scan() // fill, then let the maps reach their steady size
+	}
+	if c.Len() != capPages || c.Evictions == 0 {
+		t.Fatalf("cache holds %d pages after %d evictions; not at capacity", c.Len(), c.Evictions)
+	}
+	if avg := testing.AllocsPerRun(50, scan); avg != 0 {
+		t.Errorf("a %d-insert scan of a full cache allocated %.0f times, want 0", capPages, avg)
 	}
 }

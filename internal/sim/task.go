@@ -70,12 +70,18 @@ func (e *Env) StartTask(name string, fn func(t *Task)) *Task {
 // than by the kernel. Pooled RPC frames use one as the server-side actor
 // for span nesting and *T primitives, reusing it across every call the
 // frame carries. A context task is never counted live (the caller whose
-// call it serves already is), has no scheduled body, and must never call
-// End.
+// call it serves already is), has no body of its own (see Start), and must
+// never call End.
 func (e *Env) ContextTask(name string) *Task {
 	e.nextTID++
 	return &Task{env: e, name: name, tid: e.nextTID}
 }
+
+// Start schedules fn as a context task's first slice at the current virtual
+// time: the one sequence number StartTask and Env.Process spend on a new
+// actor's first slice, for an owner that pools its actors and therefore
+// cannot create one per activity.
+func (t *Task) Start(fn func()) { t.env.schedule(t.env.now, nil, fn) }
 
 // Name returns the name given at creation.
 func (t *Task) Name() string { return t.name }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-baseline test race verify bench benchrec benchpairs
+.PHONY: all build vet lint lint-baseline test race verify regdiff bench benchrec benchpairs
 
 all: verify
 
@@ -11,9 +11,9 @@ vet:
 	$(GO) vet ./...
 
 # Whole-program static analysis: determinism invariants (wallclock, rand,
-# maprange, nogoroutine, tickpurity) plus hot-path allocation, task-engine
-# parity, instrumentation completeness, and error-drop checks, run against
-# the committed lint.baseline. See DESIGN.md "Static analysis".
+# maprange, nogoroutine, tickpurity) plus hot-path allocation,
+# instrumentation completeness, and error-drop checks, run against the
+# committed lint.baseline. See DESIGN.md "Static analysis".
 lint:
 	$(GO) run ./cmd/imcalint ./...
 
@@ -32,6 +32,11 @@ race:
 # Tier-1 check: gofmt + vet + build + lint + race tests + example link check.
 verify:
 	sh scripts/verify.sh
+
+# The behaviour contract: every registry table at scale 16, serial and
+# parallel, byte-identical to results_scale16.txt (wall times stripped).
+regdiff:
+	sh scripts/regdiff.sh
 
 bench:
 	$(GO) test -bench . -benchtime=1x

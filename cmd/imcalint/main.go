@@ -2,7 +2,7 @@
 // (internal/lint) over the given package patterns.
 //
 //	imcalint ./...
-//	imcalint -check allocfree,taskparity ./internal/...
+//	imcalint -check allocfree,errdrop ./internal/...
 //	imcalint -json ./...                     # machine-readable findings
 //	imcalint -sarif-file lint.sarif ./...    # GitHub code-scanning log
 //	imcalint -fix-baseline ./...             # regenerate lint.baseline
@@ -16,7 +16,7 @@
 // Known findings tracked for burn-down live in lint.baseline at the
 // module root; -fix-baseline is the only way to regenerate it, so every
 // burn-down step is an explicit diff. See internal/lint's package
-// documentation for the nine checks and the invariants behind them.
+// documentation for the eight checks and the invariants behind them.
 package main
 
 import (

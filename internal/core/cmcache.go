@@ -28,7 +28,8 @@ type CMCacheStats struct {
 // protocol stack (its child) and tries to serve Stat and Read from the MCD
 // bank before involving the server.
 type CMCache struct {
-	child gluster.FS
+	gluster.Blocking
+	child gluster.TaskFS
 	mcd   *memcache.SimClient
 	cfg   Config
 
@@ -56,24 +57,38 @@ type CMCache struct {
 	frName string
 }
 
-var _ gluster.FS = (*CMCache)(nil)
+var _ gluster.TaskFS = (*CMCache)(nil)
 
 // NewCMCache wraps child with the client translator using the given MCD
 // bank client.
 func NewCMCache(child gluster.FS, mcd *memcache.SimClient, cfg Config) *CMCache {
-	return &CMCache{
-		child:   child,
+	c := &CMCache{
+		child:   gluster.Lift(child),
 		mcd:     mcd,
 		cfg:     cfg,
 		fdPaths: make(map[gluster.FD]string),
-		skeys:   NewKeyInterner(),
 		pushes:  pushPool{mcd: mcd},
 	}
+	c.T = c
+	return c
 }
+
+// TaskReady implements gluster.TaskFS: the translator is task-capable when
+// the wrapped protocol stack is (the bank client always is).
+func (c *CMCache) TaskReady() bool { return c.child.TaskReady() }
 
 // ShareStatKeys replaces the translator's private stat-key intern table
 // with a deployment-wide one; see KeyInterner.
 func (c *CMCache) ShareStatKeys(in *KeyInterner) { c.skeys = in }
+
+// statKey returns the interned "<path>:stat" key. A translator nobody gave
+// a shared table builds a private one on first use.
+func (c *CMCache) statKey(path string) string {
+	if c.skeys == nil {
+		c.skeys = NewKeyInterner()
+	}
+	return c.skeys.get(path)
+}
 
 // Bank returns the MCD bank client (for stats inspection).
 func (c *CMCache) Bank() *memcache.SimClient { return c.mcd }
@@ -88,93 +103,374 @@ func (c *CMCache) SetFlight(rec *flight.Recorder, name string) {
 	c.mcd.SetFlight(rec)
 }
 
-// Create implements gluster.FS; create operations offer no caching
+// tracked wraps a create/open continuation to record the path↔fd
+// association on success.
+func (c *CMCache) tracked(path string, k func(gluster.FD, error)) func(gluster.FD, error) {
+	return func(fd gluster.FD, err error) {
+		if err == nil {
+			c.fdPaths[fd] = path
+		}
+		k(fd, err)
+	}
+}
+
+// CreateT implements gluster.TaskFS; create operations offer no caching
 // opportunity and are forwarded directly (paper §4.2).
-func (c *CMCache) Create(p *sim.Proc, path string) (gluster.FD, error) {
-	fd, err := c.child.Create(p, path)
-	if err == nil {
-		c.fdPaths[fd] = path
-	}
-	return fd, err
+func (c *CMCache) CreateT(t *sim.Task, path string, k func(gluster.FD, error)) {
+	c.child.CreateT(t, path, c.tracked(path, k))
 }
 
-// Open implements gluster.FS, recording the path↔fd association.
-func (c *CMCache) Open(p *sim.Proc, path string) (gluster.FD, error) {
-	fd, err := c.child.Open(p, path)
-	if err == nil {
-		c.fdPaths[fd] = path
-	}
-	return fd, err
+// OpenT implements gluster.TaskFS, recording the path↔fd association.
+func (c *CMCache) OpenT(t *sim.Task, path string, k func(gluster.FD, error)) {
+	c.child.OpenT(t, path, c.tracked(path, k))
 }
 
-// Close implements gluster.FS; closes propagate directly to the server.
-func (c *CMCache) Close(p *sim.Proc, fd gluster.FD) error {
+// CloseT implements gluster.TaskFS; closes propagate directly to the server.
+func (c *CMCache) CloseT(t *sim.Task, fd gluster.FD, k func(error)) {
 	delete(c.fdPaths, fd)
-	return c.child.Close(p, fd)
+	c.child.CloseT(t, fd, k)
 }
 
-// Stat implements gluster.FS: it first attempts to fetch the stat
-// structure from the MCD bank and falls back to the server on a miss. Any
-// cache-budget deadline is spent once the bank answers (or fails to): the
-// server fallback must complete.
-func (c *CMCache) Stat(p *sim.Proc, path string) (*gluster.Stat, error) {
-	sp := optrace.StartSpan(p, optrace.LayerCMCache, "stat")
-	defer sp.End(p)
-	defer c.statHist.ObserveSince(p, p.Now())
-	if it, ok := c.mcd.Get(p, c.skeys.get(path)); ok {
-		if st, err := decodeStat(it.Value); err == nil {
+// statOp is StatT's pooled per-operation frame: the continuation state the
+// two closures used to capture, with both legs prebound as method values so
+// a steady-state stat allocates nothing client-side. The op returns to its
+// translator's pool before k runs — by then every pooled field has been
+// copied to locals, so k may immediately issue another stat that reuses it.
+type statOp struct {
+	c     *CMCache
+	t     *sim.Task
+	path  string
+	k     func(*gluster.Stat, error)
+	sp    *optrace.Span
+	t0    sim.Time
+	fnGot func(*memcache.Item, bool)
+	fnFwd func(*gluster.Stat, error)
+	// st is the scratch frame hit results decode into; &st is handed to k
+	// as a borrow, valid only until this op's next bank hit. Stat callers
+	// consume the structure inside their continuation (the engine is
+	// single-threaded and the next decode is always behind another RPC),
+	// so the borrow never outlives its window.
+	st gluster.Stat
+}
+
+func newStatOp(c *CMCache) *statOp {
+	op := &statOp{c: c}
+	op.fnGot = op.got
+	op.fnFwd = op.fwd
+	return op
+}
+
+func (c *CMCache) takeStatOp() *statOp {
+	if n := len(c.statOps); n > 0 {
+		op := c.statOps[n-1]
+		c.statOps[n-1] = nil
+		c.statOps = c.statOps[:n-1]
+		return op
+	}
+	return newStatOp(c)
+}
+
+func (op *statOp) release() {
+	op.t, op.k, op.sp = nil, nil, nil
+	op.path = ""
+	op.c.statOps = append(op.c.statOps, op)
+}
+
+// got is the bank-lookup continuation: serve the hit or fall back to the
+// server. Any cache-budget deadline is spent once the bank answers (or
+// fails to): the server fallback must complete.
+func (op *statOp) got(it *memcache.Item, ok bool) {
+	c, t, sp := op.c, op.t, op.sp
+	if ok {
+		if err := decodeStatInto(&op.st, it.Value, op.path); err == nil {
+			st := &op.st
 			c.Stats.StatHits++
 			sp.SetAttr("result", "hit")
-			return st, nil
+			sp.End(t)
+			c.statHist.ObserveSince(t, op.t0)
+			k := op.k
+			op.release()
+			k(st, nil)
+			return
 		}
 	}
 	c.Stats.StatMisses++
 	sp.SetAttr("result", "miss")
-	c.fr.Append(p.Now(), flight.KindForward, c.frName, "stat", 0)
-	optrace.ClearDeadline(p)
-	return c.child.Stat(p, path)
+	c.fr.Append(t.Now(), flight.KindForward, c.frName, "stat", 0)
+	optrace.ClearDeadline(t)
+	c.child.StatT(t, op.path, op.fnFwd)
 }
 
-// Read implements gluster.FS. The path stored at Open plus each covering
-// aligned block offset form the MCD keys; if every covering block is
-// present the read is assembled locally, otherwise the entire read is
+// fwd is the server-fallback continuation.
+func (op *statOp) fwd(st *gluster.Stat, err error) {
+	t, sp, k := op.t, op.sp, op.k
+	sp.End(t)
+	op.c.statHist.ObserveSince(t, op.t0)
+	op.release()
+	k(st, err)
+}
+
+// StatT implements gluster.TaskFS: it first attempts to fetch the stat
+// structure from the MCD bank and falls back to the server on a miss.
+func (c *CMCache) StatT(t *sim.Task, path string, k func(*gluster.Stat, error)) {
+	op := c.takeStatOp()
+	op.t, op.path, op.k = t, path, k
+	op.sp = optrace.StartSpan(t, optrace.LayerCMCache, "stat")
+	op.t0 = t.Now()
+	c.mcd.GetT(t, c.statKey(path), op.fnGot)
+}
+
+// readOp is ReadT's pooled per-operation frame: the request, the covering
+// block keys and assembly scratch (which keep their capacity), and every
+// continuation of the read — bank answer, server fallback, client-populate
+// fill and push — prebound as method values. A bank hit therefore costs the
+// read's one key string and, for data that does not coalesce, the result
+// blob's spill. Like statOp, the op returns to its pool before k runs.
+type readOp struct {
+	c         *CMCache
+	t         *sim.Task
+	fd        gluster.FD
+	path      string
+	off, size int64
+	k         func(blob.Blob, error)
+	sp        *optrace.Span
+	t0        sim.Time
+	bk        blockKeys
+	parts     []blob.Blob
+	// alignedOff and data carry client-populate mode's widened server read
+	// from the fill to the slice-out after the push.
+	alignedOff int64
+	data       blob.Blob
+
+	fnGot    func([]*memcache.Item)
+	fnDone   func(blob.Blob, error)
+	fnFilled func(blob.Blob, error)
+	fnPushed func()
+}
+
+func (c *CMCache) takeReadOp() *readOp {
+	if n := len(c.readOps); n > 0 {
+		op := c.readOps[n-1]
+		c.readOps[n-1] = nil
+		c.readOps = c.readOps[:n-1]
+		return op
+	}
+	op := &readOp{c: c}
+	op.fnGot = op.got
+	op.fnDone = op.done
+	op.fnFilled = op.filled
+	op.fnPushed = op.pushed
+	return op
+}
+
+func (op *readOp) release() {
+	op.t, op.k, op.sp = nil, nil, nil
+	op.path, op.data = "", blob.Blob{}
+	op.bk.drop()
+	for i := range op.parts {
+		op.parts[i] = blob.Blob{}
+	}
+	op.parts = op.parts[:0]
+	op.c.readOps = append(op.c.readOps, op)
+}
+
+// ReadT implements gluster.TaskFS. The path stored at Open plus each
+// covering aligned block offset form the MCD keys; if every covering block
+// is present the read is assembled locally, otherwise the entire read is
 // forwarded to the server (making cold misses more expensive than the
 // native file system, as the paper notes).
-func (c *CMCache) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, error) {
+func (c *CMCache) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.Blob, error)) {
 	if size <= 0 {
-		return blob.Blob{}, nil
+		k(blob.Blob{}, nil)
+		return
 	}
 	path, ok := c.fdPaths[fd]
 	if !ok {
 		// Descriptor not opened through this translator; pass through.
-		return c.child.Read(p, fd, off, size)
+		c.child.ReadT(t, fd, off, size, k)
+		return
 	}
-	sp := optrace.StartSpan(p, optrace.LayerCMCache, "read")
-	sp.SetAttrInt("bytes", size)
-	defer sp.End(p)
-	defer c.readHist.ObserveSince(p, p.Now())
-	bs := c.cfg.blockSize()
-	var bk blockKeys
-	bk.build(path, off, size, bs)
-	c.Stats.BlockLookups += uint64(len(bk.keys))
-	items := c.mcd.GetMulti(p, bk.keys)
+	op := c.takeReadOp()
+	op.t, op.fd, op.path, op.off, op.size, op.k = t, fd, path, off, size, k
+	op.sp = optrace.StartSpan(t, optrace.LayerCMCache, "read")
+	op.sp.SetAttrInt("bytes", size)
+	op.t0 = t.Now()
+	op.bk.build(path, off, size, c.cfg.blockSize())
+	c.Stats.BlockLookups += uint64(len(op.bk.keys))
+	c.mcd.GetMultiT(t, op.bk.keys, op.fnGot)
+}
+
+// got is the bank-lookup continuation: assemble the hit or fall back to the
+// server. items is a borrow that ends when this returns; the assembled blob
+// copies what it keeps.
+func (op *readOp) got(items []*memcache.Item) {
+	c := op.c
 	hits := countHits(items)
 	c.Stats.BlockHits += uint64(hits)
 	if hits < len(items) {
-		sp.SetAttr("result", "miss")
-		return c.forwardRead(p, fd, path, off, size)
+		op.sp.SetAttr("result", "miss")
+		op.forward()
+		return
 	}
-
-	var parts []blob.Blob
-	data, ok := assembleBlocks(&parts, items, bk.offsets, off, size, bs)
+	data, ok := assembleBlocks(&op.parts, items, op.bk.offsets, op.off, op.size, c.cfg.blockSize())
 	if !ok {
 		// Mid-range EOF claim contradicted by the blocks after it.
-		sp.SetAttr("result", "short-miss")
-		return c.forwardRead(p, fd, path, off, size)
+		op.sp.SetAttr("result", "short-miss")
+		op.forward()
+		return
 	}
 	c.Stats.ReadHits++
-	sp.SetAttr("result", "hit")
-	return data, nil
+	op.sp.SetAttr("result", "hit")
+	op.done(data, nil)
+}
+
+// done closes the read's span and latency sample and delivers the result.
+func (op *readOp) done(data blob.Blob, err error) {
+	t, k := op.t, op.k
+	op.sp.End(t)
+	op.c.readHist.ObserveSince(t, op.t0)
+	op.release()
+	k(data, err)
+}
+
+// forward satisfies a read from the server after the MCD bank could not.
+// The cache-budget deadline (if any) is spent: the server path is
+// authoritative and must complete.
+func (op *readOp) forward() {
+	c, t := op.c, op.t
+	c.Stats.ReadMisses++
+	c.fr.Append(t.Now(), flight.KindForward, c.frName, "read", op.size)
+	optrace.ClearDeadline(t)
+	if !c.cfg.ClientPopulate {
+		c.child.ReadT(t, op.fd, op.off, op.size, op.fnDone)
+		return
+	}
+	// Client-populate mode: widen to block alignment, push the fetched
+	// blocks ourselves, and return the requested slice.
+	alignedOff, alignedSize := alignSpan(op.off, op.size, c.cfg.blockSize())
+	op.alignedOff = alignedOff
+	c.child.ReadT(t, op.fd, alignedOff, alignedSize, op.fnFilled)
+}
+
+// filled receives client-populate mode's widened server read and pushes its
+// blocks to the bank.
+func (op *readOp) filled(data blob.Blob, err error) {
+	if err != nil {
+		op.done(blob.Blob{}, err)
+		return
+	}
+	op.data = data
+	op.c.pushBlocksT(op.t, op.path, op.alignedOff, data, op.fnPushed)
+}
+
+// pushed slices the caller's range out of the pushed aligned read.
+func (op *readOp) pushed() {
+	op.done(cutRange(op.data, op.alignedOff, op.off, op.size), nil)
+}
+
+// WriteT implements gluster.TaskFS; CMCache does not intercept writes —
+// they must be persistent, so they go straight to the server (paper
+// §4.3.2). In client-populate mode the completed write's aligned span is
+// re-read and pushed to the MCD bank, mirroring what SMCache does
+// server-side.
+func (c *CMCache) WriteT(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerCMCache, "write")
+	sp.SetAttrInt("bytes", data.Len())
+	if !c.cfg.ClientPopulate {
+		c.child.WriteT(t, fd, off, data, func(n int64, err error) {
+			sp.End(t)
+			k(n, err)
+		})
+		return
+	}
+	path, tracked := c.fdPaths[fd]
+	statBefore := func(k2 func(oldSize int64)) {
+		if !tracked {
+			k2(-1)
+			return
+		}
+		c.child.StatT(t, path, func(st *gluster.Stat, serr error) {
+			if serr == nil {
+				k2(st.Size)
+				return
+			}
+			k2(-1)
+		})
+	}
+	statBefore(func(oldSize int64) {
+		c.child.WriteT(t, fd, off, data, func(n int64, err error) {
+			if err != nil || n == 0 || !tracked {
+				sp.End(t)
+				k(n, err)
+				return
+			}
+			bs := c.cfg.blockSize()
+			alignedOff, alignedSize := alignSpan(off, n, bs)
+			c.child.ReadT(t, fd, alignedOff, alignedSize, func(back blob.Blob, rerr error) {
+				if rerr != nil {
+					sp.End(t)
+					k(n, nil)
+					return
+				}
+				c.pushBlocksT(t, path, alignedOff, back, func() {
+					refreshTail := func(k2 func()) {
+						// Refresh the old tail block when the file grows
+						// past it (see SMCache.writeBackT).
+						oldTail := oldSize - oldSize%bs
+						if !(oldSize > 0 && oldSize%bs != 0 && off+n > oldSize && alignedOff > oldTail) {
+							k2()
+							return
+						}
+						c.child.ReadT(t, fd, oldTail, bs, func(tb blob.Blob, terr error) {
+							if terr != nil {
+								k2()
+								return
+							}
+							c.pushBlocksT(t, path, oldTail, tb, k2)
+						})
+					}
+					refreshTail(func() {
+						c.child.StatT(t, path, func(st *gluster.Stat, serr error) {
+							if serr != nil {
+								sp.End(t)
+								k(n, nil)
+								return
+							}
+							c.mcd.SetT(t, c.statKey(path), encodeStat(st), func(error) {
+								sp.End(t)
+								k(n, nil)
+							})
+						})
+					})
+				})
+			})
+		})
+	})
+}
+
+// pushBlocksT splits aligned data into blocks and stores each in the bank,
+// one after another.
+func (c *CMCache) pushBlocksT(t *sim.Task, path string, alignedOff int64, data blob.Blob, k func()) {
+	c.pushes.push(t, path, alignedOff, data, c.cfg.blockSize(), nil, k)
+}
+
+// UnlinkT implements gluster.TaskFS; deletes are forwarded without
+// interception (the server-side translator purges the MCD entries).
+func (c *CMCache) UnlinkT(t *sim.Task, path string, k func(error)) {
+	c.child.UnlinkT(t, path, k)
+}
+
+// MkdirT implements gluster.TaskFS.
+func (c *CMCache) MkdirT(t *sim.Task, path string, k func(error)) { c.child.MkdirT(t, path, k) }
+
+// ReaddirT implements gluster.TaskFS.
+func (c *CMCache) ReaddirT(t *sim.Task, path string, k func([]string, error)) {
+	c.child.ReaddirT(t, path, k)
+}
+
+// TruncateT implements gluster.TaskFS.
+func (c *CMCache) TruncateT(t *sim.Task, path string, size int64, k func(error)) {
+	c.child.TruncateT(t, path, size, k)
 }
 
 // countHits returns how many entries of a multi-get result are present.
@@ -195,9 +491,8 @@ func countHits(items []*memcache.Item) int {
 // with more covering blocks behind it is an inconsistency (e.g. a stale
 // tail block of a file that has since grown): returning the assembly would
 // be a silent short read, so ok is false and the caller falls back to the
-// server. Pure block arithmetic — shared by both client engines. scratch
-// collects the pieces; a pooled caller passes a slice that keeps its
-// capacity.
+// server. Pure block arithmetic. scratch collects the pieces; a pooled
+// caller passes a slice that keeps its capacity.
 func assembleBlocks(scratch *[]blob.Blob, items []*memcache.Item, offsets []int64, off, size, bs int64) (blob.Blob, bool) {
 	parts := (*scratch)[:0]
 	want := size
@@ -228,99 +523,4 @@ func assembleBlocks(scratch *[]blob.Blob, items []*memcache.Item, offsets []int6
 	}
 	*scratch = parts
 	return blob.Concat(parts...), true
-}
-
-// forwardRead satisfies a read from the server after the MCD bank could
-// not. The cache-budget deadline (if any) is spent: the server path is
-// authoritative and must complete.
-func (c *CMCache) forwardRead(p *sim.Proc, fd gluster.FD, path string, off, size int64) (blob.Blob, error) {
-	c.Stats.ReadMisses++
-	c.fr.Append(p.Now(), flight.KindForward, c.frName, "read", size)
-	optrace.ClearDeadline(p)
-	if !c.cfg.ClientPopulate {
-		return c.child.Read(p, fd, off, size)
-	}
-	// Client-populate mode: widen to block alignment, push the fetched
-	// blocks ourselves, and return the requested slice.
-	bs := c.cfg.blockSize()
-	alignedOff, alignedSize := alignSpan(off, size, bs)
-	data, err := c.child.Read(p, fd, alignedOff, alignedSize)
-	if err != nil {
-		return blob.Blob{}, err
-	}
-	c.pushBlocks(p, path, alignedOff, data)
-	return cutRange(data, alignedOff, off, size), nil
-}
-
-// Write implements gluster.FS; CMCache does not intercept writes — they
-// must be persistent, so they go straight to the server (paper §4.3.2).
-// In client-populate mode the completed write's aligned span is re-read
-// and pushed to the MCD bank, mirroring what SMCache does server-side.
-func (c *CMCache) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (int64, error) {
-	sp := optrace.StartSpan(p, optrace.LayerCMCache, "write")
-	sp.SetAttrInt("bytes", data.Len())
-	defer sp.End(p)
-	if !c.cfg.ClientPopulate {
-		return c.child.Write(p, fd, off, data)
-	}
-	path, tracked := c.fdPaths[fd]
-	oldSize := int64(-1)
-	if tracked {
-		if st, serr := c.child.Stat(p, path); serr == nil {
-			oldSize = st.Size
-		}
-	}
-	n, err := c.child.Write(p, fd, off, data)
-	if err != nil || n == 0 || !tracked {
-		return n, err
-	}
-	bs := c.cfg.blockSize()
-	alignedOff, alignedSize := alignSpan(off, n, bs)
-	back, rerr := c.child.Read(p, fd, alignedOff, alignedSize)
-	if rerr == nil {
-		c.pushBlocks(p, path, alignedOff, back)
-		// Refresh the old tail block when the file grows past it (see
-		// SMCache.Write).
-		if oldTail := oldSize - oldSize%bs; oldSize > 0 && oldSize%bs != 0 &&
-			off+n > oldSize && alignedOff > oldTail {
-			if tb, terr := c.child.Read(p, fd, oldTail, bs); terr == nil {
-				c.pushBlocks(p, path, oldTail, tb)
-			}
-		}
-		if st, serr := c.child.Stat(p, path); serr == nil {
-			_ = c.mcd.Set(p, c.skeys.get(path), encodeStat(st))
-		}
-	}
-	return n, nil
-}
-
-// pushBlocks splits aligned data into blocks and stores each in the bank.
-func (c *CMCache) pushBlocks(p *sim.Proc, path string, alignedOff int64, data blob.Blob) {
-	bs := c.cfg.blockSize()
-	for pos := int64(0); pos < data.Len(); pos += bs {
-		end := pos + bs
-		if end > data.Len() {
-			end = data.Len()
-		}
-		_ = c.mcd.Set(p, blockKey(path, alignedOff+pos), data.Slice(pos, end))
-	}
-}
-
-// Unlink implements gluster.FS; deletes are forwarded without
-// interception (the server-side translator purges the MCD entries).
-func (c *CMCache) Unlink(p *sim.Proc, path string) error {
-	return c.child.Unlink(p, path)
-}
-
-// Mkdir implements gluster.FS.
-func (c *CMCache) Mkdir(p *sim.Proc, path string) error { return c.child.Mkdir(p, path) }
-
-// Readdir implements gluster.FS.
-func (c *CMCache) Readdir(p *sim.Proc, path string) ([]string, error) {
-	return c.child.Readdir(p, path)
-}
-
-// Truncate implements gluster.FS.
-func (c *CMCache) Truncate(p *sim.Proc, path string, size int64) error {
-	return c.child.Truncate(p, path, size)
 }

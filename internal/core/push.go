@@ -6,9 +6,9 @@ import (
 	"imca/internal/sim"
 )
 
-// pushOp is one task-engine block push: aligned data split into blocks and
-// stored in the bank sequentially, as the blocking pushBlocks loops do. It
-// is the frame both translators' pushBlocksT run on — the position, the
+// pushOp is one block push: aligned data split into blocks and stored in
+// the bank sequentially. It is the frame both translators' pushBlocksT run
+// on — the position, the
 // completion continuation, and the store continuation prebound once — so a
 // push allocates what it stores (one key string per block; the bank makes
 // the item) and nothing for its own bookkeeping. The op returns to its pool

@@ -28,8 +28,9 @@ type SMCacheStats struct {
 // blocks after reads and writes. Open/close/delete purge the file's
 // entries.
 type SMCache struct {
+	gluster.Blocking
 	env   *sim.Env
-	child gluster.FS
+	child gluster.TaskFS
 	mcd   *memcache.SimClient
 	cfg   Config
 
@@ -40,15 +41,15 @@ type SMCache struct {
 	// skeys interns stat keys for the push/purge paths; shared with the
 	// deployment's CMCaches via ShareStatKeys.
 	skeys *KeyInterner
-	// readOps and pushes pool the task engine's per-read and per-push
-	// frames (see smcachetask.go, pushtask.go).
+	// readOps and pushes pool the per-read and per-push frames (see
+	// smReadOp, pushOp).
 	readOps []*smReadOp
 	pushes  pushPool
 
 	Stats SMCacheStats
 }
 
-var _ gluster.FS = (*SMCache)(nil)
+var _ gluster.TaskFS = (*SMCache)(nil)
 
 // NewSMCache wraps child with the server translator. mcd must be a client
 // on the server's own node — its traffic models the extra server-side load
@@ -56,53 +57,36 @@ var _ gluster.FS = (*SMCache)(nil)
 func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Config) *SMCache {
 	s := &SMCache{
 		env:     env,
-		child:   child,
+		child:   gluster.Lift(child),
 		mcd:     mcd,
 		cfg:     cfg,
 		fdPaths: make(map[gluster.FD]string),
 		pushed:  make(map[string]map[int64]struct{}),
-		skeys:   NewKeyInterner(),
 	}
 	s.pushes = pushPool{mcd: mcd, landed: s.blockLanded}
+	s.T = s
 	return s
 }
+
+// TaskReady implements gluster.TaskFS: the translator is task-capable when
+// its storage stack is (the MCD bank client always is).
+func (s *SMCache) TaskReady() bool { return s.child.TaskReady() }
 
 // ShareStatKeys replaces the translator's private stat-key intern table
 // with a deployment-wide one; see KeyInterner.
 func (s *SMCache) ShareStatKeys(in *KeyInterner) { s.skeys = in }
 
-// Child returns the wrapped storage stack.
-func (s *SMCache) Child() gluster.FS { return s.child }
+// statKey returns the interned "<path>:stat" key. A translator nobody gave
+// a shared table builds a private one on first use.
+func (s *SMCache) statKey(path string) string {
+	if s.skeys == nil {
+		s.skeys = NewKeyInterner()
+	}
+	return s.skeys.get(path)
+}
 
 // Bank returns the MCD bank client (for stats inspection).
 func (s *SMCache) Bank() *memcache.SimClient { return s.mcd }
-
-// purgeData deletes the data blocks recorded for path, returning how many
-// keys it removed. The stat entry stays valid (open/close do not change
-// file contents' metadata beyond what the fresh stat push provides).
-func (s *SMCache) purgeData(p *sim.Proc, path string) int {
-	// Delete in sorted block order: each delete is a simulated RPC, so
-	// map-order iteration would reorder bank traffic between runs.
-	blocks := make([]int64, 0, len(s.pushed[path]))
-	for bo := range s.pushed[path] {
-		blocks = append(blocks, bo)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, bo := range blocks {
-		s.mcd.Delete(p, blockKey(path, bo))
-		s.Stats.Purges++
-	}
-	delete(s.pushed, path)
-	return len(blocks)
-}
-
-// purgeAll additionally removes the stat entry — used for deletes and
-// truncates, where a stale stat would be a false positive.
-func (s *SMCache) purgeAll(p *sim.Proc, path string) int {
-	s.mcd.Delete(p, s.skeys.get(path))
-	s.Stats.Purges++
-	return 1 + s.purgeData(p, path)
-}
 
 // setPurged annotates a span with the number of purged keys.
 func setPurged(sp *optrace.Span, n int) {
@@ -111,191 +95,395 @@ func setPurged(sp *optrace.Span, n int) {
 	}
 }
 
-// pushStat stores a file's stat structure in the MCD bank.
-func (s *SMCache) pushStat(p *sim.Proc, st *gluster.Stat) {
-	_ = s.mcd.Set(p, s.skeys.get(st.Path), encodeStat(st))
-	s.Stats.StatPushes++
+// purgeDataT deletes the data blocks recorded for path and hands k how many
+// keys it removed. The stat entry stays valid (open/close do not change
+// file contents' metadata beyond what the fresh stat push provides).
+func (s *SMCache) purgeDataT(t *sim.Task, path string, k func(n int)) {
+	// Delete in sorted block order: each delete is a simulated RPC, so
+	// map-order iteration would reorder bank traffic between runs.
+	blocks := make([]int64, 0, len(s.pushed[path]))
+	for bo := range s.pushed[path] {
+		blocks = append(blocks, bo)
+	}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	var step func(i int)
+	step = func(i int) {
+		if i == len(blocks) {
+			delete(s.pushed, path)
+			k(len(blocks))
+			return
+		}
+		s.Stats.Purges++
+		s.mcd.DeleteT(t, blockKey(path, blocks[i]), func(bool) { step(i + 1) })
+	}
+	step(0)
 }
 
-// pushBlocks splits data (starting at the aligned offset alignedOff) into
-// fixed-size blocks and stores each in the MCD bank.
-func (s *SMCache) pushBlocks(p *sim.Proc, path string, alignedOff int64, data blob.Blob) {
-	bs := s.cfg.blockSize()
+// purgeAllT additionally removes the stat entry — used for deletes and
+// truncates, where a stale stat would be a false positive.
+func (s *SMCache) purgeAllT(t *sim.Task, path string, k func(n int)) {
+	s.Stats.Purges++
+	s.mcd.DeleteT(t, s.statKey(path), func(bool) {
+		s.purgeDataT(t, path, func(n int) { k(1 + n) })
+	})
+}
+
+// pushStatT stores a file's stat structure in the MCD bank.
+func (s *SMCache) pushStatT(t *sim.Task, st *gluster.Stat, k func()) {
+	s.mcd.SetT(t, s.statKey(st.Path), encodeStat(st), func(error) {
+		s.Stats.StatPushes++
+		k()
+	})
+}
+
+// pushBlocksT splits data (starting at the aligned offset alignedOff) into
+// fixed-size blocks and stores each in the MCD bank, one after another,
+// each recorded as resident once it lands.
+func (s *SMCache) pushBlocksT(t *sim.Task, path string, alignedOff int64, data blob.Blob, k func()) {
 	set := s.pushed[path]
 	if set == nil {
 		set = make(map[int64]struct{})
 		s.pushed[path] = set
 	}
-	for pos := int64(0); pos < data.Len(); pos += bs {
-		end := pos + bs
-		if end > data.Len() {
-			end = data.Len()
-		}
-		bo := alignedOff + pos
-		_ = s.mcd.Set(p, blockKey(path, bo), data.Slice(pos, end))
-		set[bo] = struct{}{}
-		s.Stats.BlockPushes++
-	}
+	s.pushes.push(t, path, alignedOff, data, s.cfg.blockSize(), set, k)
 }
 
-// deferIf runs fn inline, or on a helper process when Threaded mode is on
-// (removing the MCD update from the request's critical path).
-func (s *SMCache) deferIf(p *sim.Proc, name string, fn func(q *sim.Proc)) {
-	if s.cfg.Threaded {
-		s.env.Process(name, fn)
+// blockLanded is the push pool's per-block hook: the block is resident.
+func (s *SMCache) blockLanded(set map[int64]struct{}, blockOff int64) {
+	set[blockOff] = struct{}{}
+	s.Stats.BlockPushes++
+}
+
+// deferIfT runs the bank update fn and then k. In Threaded mode the update
+// runs on a helper actor of its own (removing it from the request's
+// critical path) and k continues immediately; otherwise it runs inline on
+// the request's task before k. The helper is a task, or — when the storage
+// stack needs a process to block on — a process awaiting the same body.
+func (s *SMCache) deferIfT(t *sim.Task, name string, fn func(t *sim.Task, k func()), k func()) {
+	if !s.cfg.Threaded {
+		fn(t, k)
 		return
 	}
-	fn(p)
+	helper := func(h *sim.Task) { fn(h, h.End) }
+	if s.child.TaskReady() {
+		s.env.StartTask(name, helper)
+	} else {
+		s.env.Process(name, func(p *sim.Proc) { p.Await(helper) })
+	}
+	k()
 }
 
-// Create implements gluster.FS.
-func (s *SMCache) Create(p *sim.Proc, path string) (gluster.FD, error) {
-	sp := optrace.StartSpan(p, optrace.LayerSMCache, "create")
-	defer sp.End(p)
-	fd, err := s.child.Create(p, path)
-	if err != nil {
-		return fd, err
+// opened is the completion CreateT and OpenT share: record the descriptor,
+// purge the MCDs of data for the file (a re-created or re-opened path must
+// not serve stale blocks), then push the fresh stat structure (paper
+// §4.3.2 and §4.2).
+func (s *SMCache) opened(t *sim.Task, sp *optrace.Span, path string, k func(gluster.FD, error)) func(gluster.FD, error) {
+	return func(fd gluster.FD, err error) {
+		if err != nil {
+			sp.End(t)
+			k(fd, err)
+			return
+		}
+		s.fdPaths[fd] = path
+		s.purgeDataT(t, path, func(n int) {
+			setPurged(sp, n)
+			s.child.StatT(t, path, func(st *gluster.Stat, serr error) {
+				if serr != nil {
+					sp.End(t)
+					k(fd, nil)
+					return
+				}
+				s.pushStatT(t, st, func() {
+					sp.End(t)
+					k(fd, nil)
+				})
+			})
+		})
 	}
-	s.fdPaths[fd] = path
-	setPurged(sp, s.purgeData(p, path)) // a re-created path must not serve stale blocks
-	if st, serr := s.child.Stat(p, path); serr == nil {
-		s.pushStat(p, st)
-	}
-	return fd, nil
 }
 
-// Open implements gluster.FS: the MCDs are purged of data for the file,
-// then the fresh stat structure is pushed (paper §4.3.2 and §4.2).
-func (s *SMCache) Open(p *sim.Proc, path string) (gluster.FD, error) {
-	sp := optrace.StartSpan(p, optrace.LayerSMCache, "open")
-	defer sp.End(p)
-	fd, err := s.child.Open(p, path)
-	if err != nil {
-		return fd, err
-	}
-	s.fdPaths[fd] = path
-	setPurged(sp, s.purgeData(p, path))
-	if st, serr := s.child.Stat(p, path); serr == nil {
-		s.pushStat(p, st)
-	}
-	return fd, nil
+// CreateT implements gluster.TaskFS.
+func (s *SMCache) CreateT(t *sim.Task, path string, k func(gluster.FD, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerSMCache, "create")
+	s.child.CreateT(t, path, s.opened(t, sp, path, k))
 }
 
-// Close implements gluster.FS: SMCache discards the file's data (not its
-// stat entry) from the MCDs when the close arrives.
-func (s *SMCache) Close(p *sim.Proc, fd gluster.FD) error {
-	sp := optrace.StartSpan(p, optrace.LayerSMCache, "close")
-	defer sp.End(p)
-	if path, ok := s.fdPaths[fd]; ok {
-		setPurged(sp, s.purgeData(p, path))
+// OpenT implements gluster.TaskFS.
+func (s *SMCache) OpenT(t *sim.Task, path string, k func(gluster.FD, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerSMCache, "open")
+	s.child.OpenT(t, path, s.opened(t, sp, path, k))
+}
+
+// CloseT implements gluster.TaskFS: SMCache discards the file's data (not
+// its stat entry) from the MCDs when the close arrives.
+func (s *SMCache) CloseT(t *sim.Task, fd gluster.FD, k func(error)) {
+	sp := optrace.StartSpan(t, optrace.LayerSMCache, "close")
+	path, ok := s.fdPaths[fd]
+	if !ok {
+		s.child.CloseT(t, fd, func(err error) {
+			sp.End(t)
+			k(err)
+		})
+		return
+	}
+	s.purgeDataT(t, path, func(n int) {
+		setPurged(sp, n)
 		delete(s.fdPaths, fd)
-	}
-	return s.child.Close(p, fd)
+		s.child.CloseT(t, fd, func(err error) {
+			sp.End(t)
+			k(err)
+		})
+	})
 }
 
-// Read implements gluster.FS. The read is widened to block alignment so
-// the completed data can be fed to the MCDs as whole blocks; the client's
-// requested range is sliced out of the aligned result.
-func (s *SMCache) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, error) {
-	sp := optrace.StartSpan(p, optrace.LayerSMCache, "read")
-	defer sp.End(p)
+// smReadOp is ReadT's pooled per-operation frame; see CMCache's readOp. The
+// aligned data rides in the op from the storage read to the slice-out
+// after the push. Only Threaded mode still builds a closure — the helper
+// task's body, which outlives the op and must own its captures.
+type smReadOp struct {
+	s          *SMCache
+	t          *sim.Task
+	path       string
+	off, size  int64
+	alignedOff int64
+	data       blob.Blob
+	k          func(blob.Blob, error)
+	sp         *optrace.Span
+
+	fnDone    func(blob.Blob, error)
+	fnAligned func(blob.Blob, error)
+	fnPush    func(t *sim.Task, k func())
+	fnPushed  func()
+}
+
+func (s *SMCache) takeReadOp() *smReadOp {
+	if n := len(s.readOps); n > 0 {
+		op := s.readOps[n-1]
+		s.readOps[n-1] = nil
+		s.readOps = s.readOps[:n-1]
+		return op
+	}
+	op := &smReadOp{s: s}
+	op.fnDone = op.done
+	op.fnAligned = op.aligned
+	op.fnPush = op.push
+	op.fnPushed = op.pushed
+	return op
+}
+
+// done closes the span, recycles the op, and delivers the result.
+func (op *smReadOp) done(data blob.Blob, err error) {
+	t, k := op.t, op.k
+	op.sp.End(t)
+	op.t, op.k, op.sp = nil, nil, nil
+	op.path, op.data = "", blob.Blob{}
+	op.s.readOps = append(op.s.readOps, op)
+	k(data, err)
+}
+
+// ReadT implements gluster.TaskFS. The read is widened to block alignment
+// so the completed data can be fed to the MCDs as whole blocks; the
+// client's requested range is sliced out of the aligned result.
+func (s *SMCache) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.Blob, error)) {
+	op := s.takeReadOp()
+	op.t, op.off, op.size, op.k = t, off, size, k
+	op.sp = optrace.StartSpan(t, optrace.LayerSMCache, "read")
 	path, tracked := s.fdPaths[fd]
 	if !tracked || size <= 0 {
-		return s.child.Read(p, fd, off, size)
+		s.child.ReadT(t, fd, off, size, op.fnDone)
+		return
 	}
 	alignedOff, alignedSize := alignSpan(off, size, s.cfg.blockSize())
-	data, err := s.child.Read(p, fd, alignedOff, alignedSize)
-	if err != nil {
-		return blob.Blob{}, err
-	}
-	s.deferIf(p, "smcache-read-push", func(q *sim.Proc) {
-		s.pushBlocks(q, path, alignedOff, data)
-	})
-	return cutRange(data, alignedOff, off, size), nil
+	op.path, op.alignedOff = path, alignedOff
+	s.child.ReadT(t, fd, alignedOff, alignedSize, op.fnAligned)
 }
 
-// Write implements gluster.FS. The write goes to the file system first
+// aligned receives the widened storage read and feeds its blocks to the
+// bank — inline, or on a helper task in Threaded mode.
+func (op *smReadOp) aligned(data blob.Blob, err error) {
+	if err != nil {
+		op.done(blob.Blob{}, err)
+		return
+	}
+	s := op.s
+	op.data = data
+	push := op.fnPush
+	if s.cfg.Threaded {
+		path, alignedOff := op.path, op.alignedOff
+		push = func(h *sim.Task, k func()) { s.pushBlocksT(h, path, alignedOff, data, k) }
+	}
+	s.deferIfT(op.t, "smcache-read-push", push, op.fnPushed)
+}
+
+// push is the inline form of aligned's bank update.
+func (op *smReadOp) push(t *sim.Task, k func()) {
+	op.s.pushBlocksT(t, op.path, op.alignedOff, op.data, k)
+}
+
+// pushed slices the caller's range out of the aligned read.
+func (op *smReadOp) pushed() {
+	op.done(cutRange(op.data, op.alignedOff, op.off, op.size), nil)
+}
+
+// WriteT implements gluster.TaskFS. The write goes to the file system first
 // (persistence), then SMCache re-reads the covering aligned span and feeds
 // those blocks plus the updated stat to the MCDs. Overlapping writes and
 // the fixed block size are why the written buffer cannot be pushed
 // directly (paper §4.3.2). In Threaded mode the read-back and pushes leave
 // the critical path.
-func (s *SMCache) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (int64, error) {
-	sp := optrace.StartSpan(p, optrace.LayerSMCache, "write")
-	defer sp.End(p)
+func (s *SMCache) WriteT(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerSMCache, "write")
 	path, tracked := s.fdPaths[fd]
-	// The pre-write size decides whether this write grows the file past a
-	// partially-filled tail block, whose cached copy would otherwise keep
-	// claiming end-of-file.
-	oldSize := int64(-1)
-	if tracked {
-		if st, serr := s.child.Stat(p, path); serr == nil {
-			oldSize = st.Size
+	statBefore := func(k2 func(oldSize int64)) {
+		// The pre-write size decides whether this write grows the file
+		// past a partially-filled tail block, whose cached copy would
+		// otherwise keep claiming end-of-file.
+		if !tracked {
+			k2(-1)
+			return
 		}
-	}
-	n, err := s.child.Write(p, fd, off, data)
-	if err != nil {
-		return n, err
-	}
-	if !tracked || n == 0 {
-		return n, err
-	}
-	bs := s.cfg.blockSize()
-	alignedOff, alignedSize := alignSpan(off, n, bs)
-	s.deferIf(p, "smcache-write-push", func(q *sim.Proc) {
-		s.writeBack(q, fd, path, alignedOff, alignedSize, oldSize, off, n, bs)
-	})
-	return n, nil
-}
-
-// Stat implements gluster.FS, feeding the completed stat structure to the
-// MCDs so later client stats hit the cache.
-func (s *SMCache) Stat(p *sim.Proc, path string) (*gluster.Stat, error) {
-	sp := optrace.StartSpan(p, optrace.LayerSMCache, "stat")
-	defer sp.End(p)
-	st, err := s.child.Stat(p, path)
-	if err != nil {
-		return nil, err
-	}
-	if !st.IsDir {
-		s.deferIf(p, "smcache-stat-push", func(q *sim.Proc) {
-			s.pushStat(q, st)
+		s.child.StatT(t, path, func(st *gluster.Stat, serr error) {
+			if serr == nil {
+				k2(st.Size)
+				return
+			}
+			k2(-1)
 		})
 	}
-	return st, nil
+	statBefore(func(oldSize int64) {
+		s.child.WriteT(t, fd, off, data, func(n int64, err error) {
+			if err != nil || !tracked || n == 0 {
+				sp.End(t)
+				k(n, err)
+				return
+			}
+			bs := s.cfg.blockSize()
+			alignedOff, alignedSize := alignSpan(off, n, bs)
+			s.deferIfT(t, "smcache-write-push",
+				func(h *sim.Task, k2 func()) {
+					s.writeBackT(h, fd, path, alignedOff, alignedSize, oldSize, off, n, bs, k2)
+				},
+				func() {
+					sp.End(t)
+					k(n, nil)
+				})
+		})
+	})
 }
 
-// Unlink implements gluster.FS: the file's cache entries are removed so
-// clients cannot see false positives for a deleted file (paper §4.2).
-func (s *SMCache) Unlink(p *sim.Proc, path string) error {
-	sp := optrace.StartSpan(p, optrace.LayerSMCache, "unlink")
-	defer sp.End(p)
-	if err := s.child.Unlink(p, path); err != nil {
-		return err
-	}
-	setPurged(sp, s.purgeAll(p, path))
-	return nil
+// writeBackT is WriteT's read-back-and-push: re-read the covering aligned
+// span, push its blocks, refresh the old tail block if the file grew past
+// it, and push the updated stat.
+func (s *SMCache) writeBackT(t *sim.Task, fd gluster.FD, path string, alignedOff, alignedSize, oldSize, off, n, bs int64, k func()) {
+	s.child.ReadT(t, fd, alignedOff, alignedSize, func(back blob.Blob, rerr error) {
+		if rerr != nil {
+			k()
+			return
+		}
+		s.Stats.ReadBacks++
+		s.pushBlocksT(t, path, alignedOff, back, func() {
+			refreshTail := func(k2 func()) {
+				oldTail := oldSize - oldSize%bs
+				if !(oldSize > 0 && oldSize%bs != 0 && off+n > oldSize && alignedOff > oldTail) {
+					k2()
+					return
+				}
+				s.child.ReadT(t, fd, oldTail, bs, func(tb blob.Blob, terr error) {
+					if terr != nil {
+						k2()
+						return
+					}
+					s.pushBlocksT(t, path, oldTail, tb, k2)
+				})
+			}
+			refreshTail(func() {
+				s.child.StatT(t, path, func(st *gluster.Stat, serr error) {
+					if serr != nil {
+						k()
+						return
+					}
+					s.pushStatT(t, st, k)
+				})
+			})
+		})
+	})
 }
 
-// Mkdir implements gluster.FS.
-func (s *SMCache) Mkdir(p *sim.Proc, path string) error { return s.child.Mkdir(p, path) }
-
-// Readdir implements gluster.FS.
-func (s *SMCache) Readdir(p *sim.Proc, path string) ([]string, error) {
-	return s.child.Readdir(p, path)
+// StatT implements gluster.TaskFS, feeding the completed stat structure to
+// the MCDs so later client stats hit the cache.
+func (s *SMCache) StatT(t *sim.Task, path string, k func(*gluster.Stat, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerSMCache, "stat")
+	s.child.StatT(t, path, func(st *gluster.Stat, err error) {
+		if err != nil {
+			sp.End(t)
+			k(nil, err)
+			return
+		}
+		if st.IsDir {
+			sp.End(t)
+			k(st, nil)
+			return
+		}
+		s.deferIfT(t, "smcache-stat-push",
+			func(h *sim.Task, k2 func()) { s.pushStatT(h, st, k2) },
+			func() {
+				sp.End(t)
+				k(st, nil)
+			})
+	})
 }
 
-// Truncate implements gluster.FS, purging cached blocks that may now lie
-// past end of file.
-func (s *SMCache) Truncate(p *sim.Proc, path string, size int64) error {
-	sp := optrace.StartSpan(p, optrace.LayerSMCache, "truncate")
-	defer sp.End(p)
-	if err := s.child.Truncate(p, path, size); err != nil {
-		return err
-	}
-	setPurged(sp, s.purgeAll(p, path))
-	if st, serr := s.child.Stat(p, path); serr == nil {
-		s.pushStat(p, st)
-	}
-	return nil
+// MkdirT implements gluster.TaskFS: forwarded without interception.
+func (s *SMCache) MkdirT(t *sim.Task, path string, k func(error)) {
+	s.child.MkdirT(t, path, k)
+}
+
+// ReaddirT implements gluster.TaskFS: forwarded without interception.
+func (s *SMCache) ReaddirT(t *sim.Task, path string, k func([]string, error)) {
+	s.child.ReaddirT(t, path, k)
+}
+
+// TruncateT implements gluster.TaskFS, purging cached blocks that may now
+// lie past end of file.
+func (s *SMCache) TruncateT(t *sim.Task, path string, size int64, k func(error)) {
+	sp := optrace.StartSpan(t, optrace.LayerSMCache, "truncate")
+	s.child.TruncateT(t, path, size, func(err error) {
+		if err != nil {
+			sp.End(t)
+			k(err)
+			return
+		}
+		s.purgeAllT(t, path, func(n int) {
+			setPurged(sp, n)
+			s.child.StatT(t, path, func(st *gluster.Stat, serr error) {
+				if serr != nil {
+					sp.End(t)
+					k(nil)
+					return
+				}
+				s.pushStatT(t, st, func() {
+					sp.End(t)
+					k(nil)
+				})
+			})
+		})
+	})
+}
+
+// UnlinkT implements gluster.TaskFS: the file's cache entries are removed
+// so clients cannot see false positives for a deleted file (paper §4.2).
+func (s *SMCache) UnlinkT(t *sim.Task, path string, k func(error)) {
+	sp := optrace.StartSpan(t, optrace.LayerSMCache, "unlink")
+	s.child.UnlinkT(t, path, func(err error) {
+		if err != nil {
+			sp.End(t)
+			k(err)
+			return
+		}
+		s.purgeAllT(t, path, func(n int) {
+			setPurged(sp, n)
+			sp.End(t)
+			k(nil)
+		})
+	})
 }

@@ -2,9 +2,13 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"imca/internal/blob"
+	"imca/internal/disk"
+	"imca/internal/fabric"
 	"imca/internal/gluster"
+	"imca/internal/memcache"
 	"imca/internal/sim"
 )
 
@@ -90,4 +94,57 @@ func TestStackedStatStaysCoherent(t *testing.T) {
 		}
 	})
 	r.env.Run()
+}
+
+// TestBlockingDeviceUnderTaskStack puts a device that exists only in
+// blocking form (disk.SchedDisk) under the brick: Posix holds it through
+// disk.Lift, nothing above it is task-ready any more, so the daemon serves
+// each request on a process awaiting its handler and SMCache's Threaded
+// helpers become processes awaiting theirs — the same *T bodies throughout.
+// The client stack is unaffected: its stack ends at the fabric.
+func TestBlockingDeviceUnderTaskStack(t *testing.T) {
+	for _, threaded := range []bool{false, true} {
+		env := sim.NewEnv()
+		net := fabric.NewNetwork(env, fabric.IPoIB)
+		srvNode, cliNode := net.NewNode("server", 8), net.NewNode("client0", 8)
+		mcds := []*memcache.SimServer{memcache.NewSimServer(net.NewNode("mcd0", 8), 1<<30)}
+		cfg := Config{BlockSize: 2048, Threaded: threaded}
+
+		px := gluster.NewPosix(env, gluster.PosixConfig{
+			Dev: disk.NewSched(env, disk.HighPoint2008, disk.Elevator), CacheBytes: 4096}) // tiny page cache: read-backs reach the device
+		sm := NewSMCache(env, px, memcache.NewSimClient(srvNode, mcds), cfg)
+		if px.TaskReady() || sm.TaskReady() {
+			t.Fatal("a stack over a blocking-only device must not report task-ready")
+		}
+		gluster.NewServer(srvNode, sm, gluster.DefaultServerConfig)
+		cm := NewCMCache(gluster.NewClient(cliNode, srvNode), memcache.NewSimClient(cliNode, mcds), cfg)
+		top := gluster.NewFuse(cliNode, cm, gluster.DefaultFuseConfig)
+		if !top.TaskReady() {
+			t.Fatal("the client stack ends at the fabric and stays task-ready")
+		}
+
+		payload := blob.Synthetic(9, 0, 6000)
+		env.Process("client", func(p *sim.Proc) {
+			fd, err := top.Create(p, "/sched/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := top.Write(p, fd, 0, payload); err != nil {
+				t.Fatal(err)
+			}
+			p.Sleep(10 * time.Millisecond) // let Threaded helpers land their pushes
+			got, err := top.Read(p, fd, 0, 6000)
+			if err != nil || !got.Equal(payload) {
+				t.Fatalf("threaded=%v: read back %d bytes, err %v", threaded, got.Len(), err)
+			}
+			st, err := top.Stat(p, "/sched/f")
+			if err != nil || st.Size != 6000 {
+				t.Fatalf("threaded=%v: stat %+v, err %v", threaded, st, err)
+			}
+		})
+		env.Run()
+		if cm.Stats.ReadHits != 1 || cm.Stats.StatHits != 1 || sm.Stats.BlockPushes == 0 {
+			t.Errorf("threaded=%v: bank not fed through the lifted stack: cm %+v, sm %+v", threaded, cm.Stats, sm.Stats)
+		}
+	}
 }

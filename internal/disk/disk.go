@@ -35,6 +35,45 @@ type Device interface {
 	Access(p *sim.Proc, addr, size int64, write bool)
 }
 
+// TaskDevice is a Device whose access path is written in continuation
+// style; its blocking Access is derived from AccessT (see access). Disk
+// and Array are TaskDevices; a device that exists only in blocking form
+// (SchedDisk) becomes one through Lift.
+type TaskDevice interface {
+	Device
+	// AccessT performs a read or write of size bytes at addr and runs k
+	// when the simulated transfer completes.
+	AccessT(t *sim.Task, addr, size int64, write bool, k func())
+}
+
+var (
+	_ TaskDevice = (*Disk)(nil)
+	_ TaskDevice = (*Array)(nil)
+)
+
+// access is the blocking face of a TaskDevice: the process awaits AccessT.
+func access(p *sim.Proc, dev TaskDevice, addr, size int64, write bool) {
+	p.Await(func(t *sim.Task) { dev.AccessT(t, addr, size, write, t.End) })
+}
+
+// Lift returns dev as a TaskDevice: dev itself when it already is one,
+// otherwise a shim whose AccessT runs the blocking Access on the process
+// its task fronts (sim.Task.Block) — so it serves only stacks driven by
+// Process+Await, which is what the layers above arrange when a device is
+// not task-native.
+func Lift(dev Device) TaskDevice {
+	if td, ok := dev.(TaskDevice); ok {
+		return td
+	}
+	return lifted{dev}
+}
+
+type lifted struct{ Device }
+
+func (l lifted) AccessT(t *sim.Task, addr, size int64, write bool, k func()) {
+	t.Block(func(p *sim.Proc) { l.Access(p, addr, size, write) }, k)
+}
+
 // Disk is a single spindle. Concurrent requests queue FIFO at the arm.
 type Disk struct {
 	env     *sim.Env
@@ -45,6 +84,9 @@ type Disk struct {
 	// spindle; see SetSlowdown). Zero or one means healthy, and the cost
 	// computation is untouched.
 	slow float64
+
+	// ops is the free list of request frames; see diskOp.
+	ops []*diskOp
 
 	// Stats
 	Reads, Writes uint64
@@ -62,30 +104,93 @@ func New(env *sim.Env, params Params) *Disk {
 }
 
 // Access implements Device.
-func (d *Disk) Access(p *sim.Proc, addr, size int64, write bool) {
-	if size < 0 || addr < 0 {
+func (d *Disk) Access(p *sim.Proc, addr, size int64, write bool) { access(p, d, addr, size, write) }
+
+// AccessT implements TaskDevice: requests queue FIFO at the arm, pay a
+// seek unless they continue the previous access, then transfer.
+func (d *Disk) AccessT(t *sim.Task, addr, size int64, write bool, k func()) {
+	op := d.takeOp()
+	op.one[0] = chunk{addr: addr, size: size}
+	op.run(t, op.one[:], write, k)
+}
+
+// diskOp is one request at the spindle — a single access, or the run of
+// chunks a striped request maps to this member, served in order — as a
+// pooled frame with prebound continuations, so a disk access allocates
+// nothing. The frame returns to the pool before k runs.
+type diskOp struct {
+	d      *Disk
+	t      *sim.Task
+	chunks []chunk
+	one    [1]chunk // AccessT's single chunk
+	i      int
+	write  bool
+	k      func()
+
+	fnGranted, fnDone func()
+}
+
+func (d *Disk) takeOp() *diskOp {
+	if n := len(d.ops); n > 0 {
+		op := d.ops[n-1]
+		d.ops = d.ops[:n-1]
+		return op
+	}
+	op := &diskOp{d: d}
+	op.fnGranted, op.fnDone = op.granted, op.done
+	return op
+}
+
+func (op *diskOp) run(t *sim.Task, chunks []chunk, write bool, k func()) {
+	op.t, op.chunks, op.i, op.write, op.k = t, chunks, 0, write, k
+	op.next()
+}
+
+// next queues the op's next chunk at the arm, or completes the op.
+func (op *diskOp) next() {
+	if op.i == len(op.chunks) {
+		k := op.k
+		op.t, op.chunks, op.k = nil, nil, nil
+		op.d.ops = append(op.d.ops, op)
+		k()
+		return
+	}
+	if c := op.chunks[op.i]; c.size < 0 || c.addr < 0 {
 		panic("disk: negative access")
 	}
-	d.arm.Acquire(p, 1)
+	op.d.arm.AcquireT(op.t, 1, op.fnGranted)
+}
+
+// granted holds the arm for the access. Cost is computed at grant time:
+// lastEnd reflects the request served before this one, not the one ahead
+// in the queue when we arrived.
+func (op *diskOp) granted() {
+	d, c := op.d, op.chunks[op.i]
 	cost := sim.Duration(0)
-	if addr != d.lastEnd {
+	if c.addr != d.lastEnd {
 		cost += d.params.SeekTime
 		d.Seeks++
 	}
-	cost += sim.Duration(float64(size) / d.params.TransferRate * 1e9)
+	cost += sim.Duration(float64(c.size) / d.params.TransferRate * 1e9)
 	if d.slow > 1 {
 		cost = sim.Duration(float64(cost) * d.slow)
 	}
-	d.lastEnd = addr + size
-	p.Sleep(cost)
+	d.lastEnd = c.addr + c.size
+	op.t.Sleep(cost, op.fnDone)
+}
+
+func (op *diskOp) done() {
+	d, c := op.d, op.chunks[op.i]
 	d.arm.Release(1)
-	if write {
+	if op.write {
 		d.Writes++
-		d.BytesWritten += size
+		d.BytesWritten += c.size
 	} else {
 		d.Reads++
-		d.BytesRead += size
+		d.BytesRead += c.size
 	}
+	op.i++
+	op.next()
 }
 
 // Utilization returns the fraction of virtual time the arm has been busy.
@@ -168,17 +273,23 @@ func (a *Array) mapRequest(addr, size int64) []chunk {
 	return out
 }
 
-// Access implements Device, striping the request across members.
-func (a *Array) Access(p *sim.Proc, addr, size int64, write bool) {
+// Access implements Device.
+func (a *Array) Access(p *sim.Proc, addr, size int64, write bool) { access(p, a, addr, size, write) }
+
+// AccessT implements TaskDevice, striping the request across members: one
+// helper task per member disk serves that disk's chunks in order, and the
+// request completes when the last helper has.
+func (a *Array) AccessT(t *sim.Task, addr, size int64, write bool, k func()) {
 	if size <= 0 {
 		if size < 0 {
 			panic("disk: negative access")
 		}
+		k()
 		return
 	}
 	chunks := a.mapRequest(addr, size)
 	if len(chunks) == 1 {
-		chunks[0].disk.Access(p, chunks[0].addr, chunks[0].size, write)
+		chunks[0].disk.AccessT(t, chunks[0].addr, chunks[0].size, write, k)
 		return
 	}
 	// Coalesce contiguous chunks on the same member so a long sequential
@@ -186,8 +297,8 @@ func (a *Array) Access(p *sim.Proc, addr, size int64, write bool) {
 	perDisk := make(map[*Disk][]chunk)
 	for _, c := range chunks {
 		l := perDisk[c.disk]
-		if k := len(l); k > 0 && l[k-1].addr+l[k-1].size == c.addr {
-			l[k-1].size += c.size
+		if n := len(l); n > 0 && l[n-1].addr+l[n-1].size == c.addr {
+			l[n-1].size += c.size
 		} else {
 			l = append(l, c)
 		}
@@ -200,14 +311,18 @@ func (a *Array) Access(p *sim.Proc, addr, size int64, write bool) {
 			continue
 		}
 		d := d
-		ev := sim.NewEvent(p.Env())
-		p.Spawn("raid-chunk", func(q *sim.Proc) {
-			for _, c := range l {
-				d.Access(q, c.addr, c.size, write)
-			}
-			ev.Trigger(nil)
+		helper := a.env.StartTask("raid-chunk", func(q *sim.Task) {
+			d.takeOp().run(q, l, write, q.End)
 		})
-		events = append(events, ev)
+		events = append(events, helper.Done())
 	}
-	sim.WaitAll(p, events...)
+	var join func(i int)
+	join = func(i int) {
+		if i == len(events) {
+			k()
+			return
+		}
+		events[i].WaitT(t, func(interface{}) { join(i + 1) })
+	}
+	join(0)
 }

@@ -8,8 +8,9 @@
 // that term is what distinguishes RDMA from IPoIB and GigE at equal wire
 // speed, and it is what saturates a single server as client counts grow.
 //
-// Services register per-node request handlers; Call performs a synchronous
-// RPC in virtual time, spawning a handler process on the destination node.
+// Services register per-node request handlers; CallT performs an RPC in
+// virtual time and hands the result to a continuation, and Call is the same
+// RPC for a blocking process.
 package fabric
 
 import (
@@ -21,7 +22,7 @@ import (
 	"imca/internal/telemetry"
 )
 
-// ErrDeadline is returned by Call when the calling process's operation
+// ErrDeadline is the result of a call when the calling actor's operation
 // context (see optrace) has a virtual-time deadline that the call would
 // pass. Cache layers treat it as a miss; the wire and the far daemon may
 // still carry the abandoned request and response.
@@ -74,24 +75,24 @@ type Msg interface {
 }
 
 // Handler serves one request on the destination node; it runs in its own
-// simulated process and may block (CPU, disk, nested Calls).
+// simulated process and may block (CPU, disk, nested Calls). It is the
+// shape for services written as ordinary blocking code (Lustre, NFS).
 type Handler func(p *sim.Proc, from *Node, req Msg) Msg
 
 // HandlerT is a task-native service handler: it runs in scheduler context
 // on the destination node, advances through the kernel's *T primitives
 // instead of blocking, and delivers its response by calling respond
-// exactly once. Registering one (HandleT) instead of a Handler removes the
-// per-request process spawn entirely — the RPC's serve side becomes plain
-// heap events — while consuming sequence numbers identically, so a service
-// ported from Handler to HandlerT replays the same event stream.
+// exactly once. The RPC's serve side is then plain heap events, with no
+// process per request; its dispatch costs the one scheduled event a
+// Handler's process start does.
 type HandlerT func(t *sim.Task, from *Node, req Msg, respond func(Msg))
 
 // Recyclable is implemented by pooled messages. After CallT delivers a
 // response and the caller's continuation returns, the fabric recycles a
 // Recyclable response; a Recyclable request is recycled when the call's
 // frame retires (both the caller's continuation and the far side are done
-// with it). Blocking Call never recycles — its results escape to the
-// caller — so pooled messages on that path simply fall to the collector.
+// with it). Blocking Call refuses a Recyclable response: its result
+// escapes to the caller.
 type Recyclable interface {
 	Recycle()
 }
@@ -229,14 +230,20 @@ type Binding struct {
 // Bind resolves service on dst once, for calls originating at nd. The
 // service must already be registered.
 func (nd *Node) Bind(dst *Node, service string) *Binding {
+	return &Binding{nd: nd, dst: dst, svc: nd.resolve(dst, service)}
+}
+
+// resolve looks service up on dst for a call from nd; an unknown service or
+// a destination on another network is a wiring bug and panics.
+func (nd *Node) resolve(dst *Node, service string) *service {
 	if nd.net != dst.net {
-		panic("fabric: cross-network bind")
+		panic("fabric: cross-network call")
 	}
 	svc, ok := dst.services[service]
 	if !ok {
 		panic(fmt.Sprintf("fabric: no service %q on %s", service, dst.name))
 	}
-	return &Binding{nd: nd, dst: dst, svc: svc}
+	return svc
 }
 
 // hostCost is the per-message CPU charge at one end.
@@ -244,294 +251,32 @@ func (t Transport) hostCost(wire int64) sim.Duration {
 	return t.HostOverhead + sim.Duration(float64(wire)*t.PerByteCPUNanos)
 }
 
-// transfer moves size payload bytes from src to dst in p's context,
-// charging serialization at both NICs, wire latency, and host CPU overhead
-// at both ends. A degraded link (ls non-nil) stretches the wire legs; a
-// healthy link passes ls == nil and costs exactly what it always has.
-func transfer(p *sim.Proc, src, dst *Node, size int64, ls *linkState) {
-	t := src.net.transport
-	wire := size + headerBytes
-	lat, xmit := t.Latency, t.xmitTime(wire)
-	if ls != nil {
-		lat, xmit = ls.scaled(lat, xmit)
-	}
-
-	// Sender-side protocol processing, then TX serialization.
-	src.CPU.Use(p, t.hostCost(wire))
-	src.tx.Acquire(p, 1)
-	p.Sleep(xmit)
-	src.tx.Release(1)
-	src.TxBytes += wire
-	src.TxMsgs++
-
-	p.Sleep(lat)
-
-	// RX serialization, then receiver-side protocol processing.
-	dst.rx.Acquire(p, 1)
-	p.Sleep(xmit)
-	dst.rx.Release(1)
-	dst.RxBytes += wire
-	dst.RxMsgs++
-	dst.CPU.Use(p, t.hostCost(wire))
-}
-
-// Call performs a synchronous RPC from nd to dst: the request crosses the
-// network, a handler process runs on dst, and the response crosses back.
-// It must be called in process context.
+// CallT performs an RPC from nd to dst: the request crosses the network —
+// sender CPU, TX serialization, wire latency, RX serialization, receiver
+// CPU — the service's handler runs on dst, the response crosses back the
+// same way, and k receives the result.
 //
-// When the calling process carries an operation context with a deadline
-// (see optrace), Call honors it: if the deadline has already passed, or
-// passes while the request serializes, or passes before the response
-// arrives, Call abandons the RPC and returns ErrDeadline at the deadline
-// instant. The far side is unaware — a spawned handler still runs to
-// completion and its response still crosses the wire, exactly as a real
-// timed-out RPC leaves work behind. Tracing and deadline checks cost no
-// virtual time.
+// When the calling actor carries an operation context with a deadline (see
+// optrace), CallT honors it: if the deadline has already passed, or passes
+// while the request serializes, or passes before the response arrives, the
+// RPC is abandoned and k receives ErrDeadline at the deadline instant. The
+// far side is unaware — the handler still runs to completion and its
+// response still crosses the wire, exactly as a real timed-out RPC leaves
+// work behind. Tracing and deadline checks cost no virtual time.
 //
 // When the network carries fault state (see fault.go), a call on a cut
 // link fails with ErrUnreachable — after the connect timeout if the link
 // was already down, or at the cut instant if the cut lands mid-flight —
 // and degraded links stretch each wire leg. A deadline expiring at or
 // before the failure instant wins and turns the result into ErrDeadline.
-func (nd *Node) Call(p *sim.Proc, dst *Node, service string, req Msg) (Msg, error) {
-	if nd.net != dst.net {
-		panic("fabric: cross-network call")
-	}
-	svc, ok := dst.services[service]
-	if !ok {
-		panic(fmt.Sprintf("fabric: no service %q on %s", service, dst.name))
-	}
-	return call(nd, dst, svc, p, req)
-}
-
-// call is Call past service resolution, shared with Binding.Call.
-func call(nd, dst *Node, svc *service, p *sim.Proc, req Msg) (Msg, error) {
-	deadline, hasDeadline := optrace.Deadline(p)
-	if hasDeadline && p.Now() >= deadline {
-		return nil, ErrDeadline
-	}
-	callStart := p.Now()
-
-	// Fault-aware path: once any fault API has been used on this network,
-	// every call tracks its link so cuts can refuse, degrade, or abort it.
-	// ls stays nil on an unfaulted network and the call costs exactly what
-	// it always has.
-	var ls *linkState
-	if fa := nd.net.faults; fa != nil {
-		ls = fa.link(nd.name, dst.name)
-		if ls.cut {
-			// Connect against a partitioned peer: hang for the connect
-			// timeout, unless the operation deadline expires first — on an
-			// exact tie the deadline wins, as in Event.WaitUntil.
-			sp := optrace.StartSpan(p, optrace.LayerNet, svc.op)
-			sp.SetAttr("to", dst.name)
-			timeoutAt := p.Now().Add(fa.connectTimeout)
-			if hasDeadline && deadline <= timeoutAt {
-				p.Sleep(deadline.Sub(p.Now()))
-				sp.SetAttr("deadline", "expired")
-				sp.End(p)
-				return nil, ErrDeadline
-			}
-			p.Sleep(fa.connectTimeout)
-			sp.SetAttr("result", "unreachable")
-			sp.End(p)
-			nd.UnreachableCalls++
-			return nil, ErrUnreachable
-		}
-	}
-
-	sp := optrace.StartSpan(p, optrace.LayerNet, svc.op)
-	sp.SetAttr("to", dst.name)
-	rq := optrace.StartSpan(p, optrace.LayerNet, "request")
-	transfer(p, nd, dst, req.WireSize(), ls)
-	rq.End(p)
-	if hasDeadline && p.Now() >= deadline {
-		// Expired during serialization: the request is on the wire but the
-		// caller gives up before waiting for service.
-		sp.SetAttr("deadline", "expired")
-		sp.End(p)
-		return nil, ErrDeadline
-	}
-	if ls != nil && ls.cut {
-		// The link was cut while the request serialized; the connection
-		// dies under the caller before the far side can answer.
-		sp.SetAttr("result", "unreachable")
-		sp.End(p)
-		nd.UnreachableCalls++
-		return nil, ErrUnreachable
-	}
-
-	done := sim.NewEvent(p.Env())
-	if ls != nil {
-		// Track the call so a cut landing mid-service aborts it instead of
-		// leaving the caller parked forever on a dropped response.
-		ls.inflight = append(ls.inflight, done)
-		defer ls.drop(done)
-	}
-	// The handler inherits the caller's operation context, so spans it
-	// opens (server daemon, storage, disk) nest under this call's span.
-	if svc.ht != nil {
-		st := serveBlockingT(nd, dst, svc, req, ls, done)
-		optrace.Fork(p, st)
-	} else {
-		hp := serveAndRespond(nd, dst, svc, req, ls, done, nil)
-		optrace.Fork(p, hp)
-	}
-
-	var resp interface{}
-	if hasDeadline {
-		v, ok := done.WaitUntil(p, deadline)
-		if !ok {
-			sp.SetAttr("deadline", "expired")
-			sp.End(p)
-			return nil, ErrDeadline
-		}
-		resp = v
-	} else {
-		resp = done.Wait(p)
-	}
-	if _, aborted := resp.(unreachableMark); aborted {
-		// CutLink aborted the call mid-flight; no response arrived, so no
-		// receive-side processing is charged.
-		sp.SetAttr("result", "unreachable")
-		sp.End(p)
-		nd.UnreachableCalls++
-		return nil, ErrUnreachable
-	}
-	// Caller-side protocol processing for the response.
-	var respSize int64
-	if m, ok := resp.(Msg); ok && m != nil {
-		respSize = m.WireSize()
-	}
-	nd.CPU.Use(p, nd.net.transport.hostCost(respSize+headerBytes))
-	sp.End(p)
-	// Only completed round-trips enter the RTT distribution; failed and
-	// abandoned calls are counted by their own instruments.
-	nd.rtt.Observe(p.Now().Sub(callStart))
-	if resp == nil {
-		return nil, nil
-	}
-	return resp.(Msg), nil
-}
-
-// serveAndRespond spawns the handler process for one RPC on dst: it runs
-// the registered handler in caller's service context, sends the response
-// back across the wire in the handler's own context (so the server pays
-// its send-side costs before the caller proceeds), and triggers done with
-// the response. Process-backed handlers remain the right shape for
-// services whose bodies block naturally (nested Calls, disk stacks); fin,
-// when non-nil, runs after the handler's side of the exchange is fully
-// over — response sent or dropped — so a pooled caller frame can hold its
-// server-side reference until then.
-func serveAndRespond(caller, dst *Node, svc *service, req Msg, ls *linkState, done *sim.Event, fin func()) *sim.Proc {
-	return dst.net.env.Process(svc.name, func(hp *sim.Proc) {
-		if fin != nil {
-			defer fin()
-		}
-		resp := svc.h(hp, caller, req)
-		if ls != nil && ls.cut {
-			// The link died while the request was in service: the response
-			// is dropped on the floor. The caller has already been aborted
-			// by CutLink's in-flight sweep.
-			return
-		}
-		var respSize int64
-		if resp != nil {
-			respSize = resp.WireSize()
-		}
-		t := dst.net.transport
-		wire := respSize + headerBytes
-		lat, xmit := t.Latency, t.xmitTime(wire)
-		if ls != nil {
-			lat, xmit = ls.scaled(lat, xmit)
-		}
-		dst.CPU.Use(hp, t.hostCost(wire))
-		dst.tx.Acquire(hp, 1)
-		hp.Sleep(xmit)
-		dst.tx.Release(1)
-		dst.TxBytes += wire
-		dst.TxMsgs++
-		hp.Sleep(lat)
-		caller.rx.Acquire(hp, 1)
-		hp.Sleep(xmit)
-		caller.rx.Release(1)
-		caller.RxBytes += wire
-		caller.RxMsgs++
-		done.Trigger(resp)
-	})
-}
-
-// serveBlockingT drives a task-native handler for a blocking Call: the
-// dispatch costs one scheduled event (exactly what the handler-process
-// starter used to cost), the handler advances through *T primitives, and
-// the response legs replay serveAndRespond's charges continuation-style,
-// leg for leg. The returned context task is the server-side actor, so the
-// handler's spans nest under the call exactly as a handler process's did.
-func serveBlockingT(caller, dst *Node, svc *service, req Msg, ls *linkState, done *sim.Event) *sim.Task {
-	env := dst.net.env
-	st := env.ContextTask(svc.name)
-	env.Defer(0, func() {
-		svc.ht(st, caller, req, func(resp Msg) {
-			if ls != nil && ls.cut {
-				// Response dropped on the floor; the caller was aborted by
-				// CutLink's in-flight sweep.
-				return
-			}
-			var respSize int64
-			if resp != nil {
-				respSize = resp.WireSize()
-			}
-			tr := dst.net.transport
-			wire := respSize + headerBytes
-			lat, xmit := tr.Latency, tr.xmitTime(wire)
-			if ls != nil {
-				lat, xmit = ls.scaled(lat, xmit)
-			}
-			dst.CPU.UseT(st, tr.hostCost(wire), func() {
-				dst.tx.AcquireT(st, 1, func() {
-					st.Sleep(xmit, func() {
-						dst.tx.Release(1)
-						dst.TxBytes += wire
-						dst.TxMsgs++
-						st.Sleep(lat, func() {
-							caller.rx.AcquireT(st, 1, func() {
-								st.Sleep(xmit, func() {
-									caller.rx.Release(1)
-									caller.RxBytes += wire
-									caller.RxMsgs++
-									done.Trigger(resp)
-								})
-							})
-						})
-					})
-				})
-			})
-		})
-	})
-	return st
-}
-
-// CallT is Call for the task engine: the same RPC — request transfer,
-// handler on dst, response transfer — with the result delivered to k
-// instead of returned. Deadline, cut-link, and degradation semantics match
-// Call exactly, as does the schedule consumption of every path, so a
-// client ported from Call to CallT replays an identical event stream.
 //
 // The call's entire state machine lives in a pooled per-node frame (see
 // frame.go): wire legs, deadline bookkeeping, and completion delivery are
 // preallocated method values on a recycled struct, so a steady-state CallT
-// allocates nothing. Against a task-native handler (HandleT) the serve
-// side is frames all the way down; against a process-backed handler the
-// handler still runs as a Proc (see serveAndRespond).
+// allocates nothing. A response that is Recyclable is lent to k and goes
+// back to its pool when k returns.
 func (nd *Node) CallT(t *sim.Task, dst *Node, service string, req Msg, k func(Msg, error)) {
-	if nd.net != dst.net {
-		panic("fabric: cross-network call")
-	}
-	svc, ok := dst.services[service]
-	if !ok {
-		panic(fmt.Sprintf("fabric: no service %q on %s", service, dst.name))
-	}
-	callT(nd, dst, svc, t, req, k)
+	callT(nd, dst, nd.resolve(dst, service), t, req, k)
 }
 
 // CallT performs the bound RPC; see Node.CallT. The service resolution and
@@ -541,9 +286,23 @@ func (b *Binding) CallT(t *sim.Task, req Msg, k func(Msg, error)) {
 	callT(b.nd, b.dst, b.svc, t, req, k)
 }
 
-// Call performs the bound RPC in process context; see Node.Call.
-func (b *Binding) Call(p *sim.Proc, req Msg) (Msg, error) {
-	return call(b.nd, b.dst, b.svc, p, req)
+// Call is CallT for a blocking caller: p awaits the RPC and receives its
+// result. The response must be the caller's to keep, so a Recyclable
+// (pooled) response is refused with a panic rather than handed back and
+// recycled under the caller: services with pooled replies are reached
+// through CallT, whose continuation copies what it keeps.
+func (nd *Node) Call(p *sim.Proc, dst *Node, service string, req Msg) (resp Msg, err error) {
+	svc := nd.resolve(dst, service)
+	p.Await(func(t *sim.Task) {
+		callT(nd, dst, svc, t, req, func(m Msg, e error) {
+			if _, pooled := m.(Recyclable); pooled {
+				panic(fmt.Sprintf("fabric: blocking Call to %s got a pooled %T; use CallT", svc.name, m))
+			}
+			resp, err = m, e
+			t.End()
+		})
+	})
+	return resp, err
 }
 
 // Bytes is a convenience Msg for raw payloads of a given size.

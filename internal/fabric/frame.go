@@ -72,6 +72,7 @@ type callFrame struct {
 	fnDstCPUHeld    func()
 	fnDstCPUDone    func()
 	fnServe         func()
+	fnServeProc     func(*sim.Proc)
 	fnRespond       func(Msg)
 	fnRespCPUHeld   func()
 	fnRespCPUDone   func()
@@ -87,7 +88,6 @@ type callFrame struct {
 	fnTimeoutFire   func()
 	fnCutDeadline   func()
 	fnCutTimeout    func()
-	fnServerDone    func()
 }
 
 // newCallFrame builds a frame for nd with every continuation prebound.
@@ -105,6 +105,7 @@ func newCallFrame(nd *Node) *callFrame {
 	f.fnDstCPUHeld = f.dstCPUHeld
 	f.fnDstCPUDone = f.dstCPUDone
 	f.fnServe = f.serve
+	f.fnServeProc = f.serveProc
 	f.fnRespond = f.respond
 	f.fnRespCPUHeld = f.respCPUHeld
 	f.fnRespCPUDone = f.respCPUDone
@@ -120,7 +121,6 @@ func newCallFrame(nd *Node) *callFrame {
 	f.fnTimeoutFire = f.deliverDeadline
 	f.fnCutDeadline = f.cutDeadline
 	f.fnCutTimeout = f.cutTimeout
-	f.fnServerDone = f.release
 	return f
 }
 
@@ -205,9 +205,7 @@ func (f *callFrame) recycle() {
 	f.nd.frames = append(f.nd.frames, f)
 }
 
-// callT starts one pooled-frame RPC; see Node.CallT for semantics. Every
-// path consumes sequence numbers exactly as the blocking Call does, leg for
-// leg, so the two engines replay identical event streams.
+// callT starts one pooled-frame RPC; see Node.CallT for semantics.
 func callT(nd, dst *Node, svc *service, t *sim.Task, req Msg, k func(Msg, error)) {
 	deadline, hasDeadline := optrace.Deadline(t)
 	if hasDeadline && t.Now() >= deadline {
@@ -228,8 +226,8 @@ func callT(nd, dst *Node, svc *service, t *sim.Task, req Msg, k func(Msg, error)
 		if f.ls.cut {
 			// Connect against a partitioned peer: hang for the connect
 			// timeout unless the deadline expires first (ties go to the
-			// deadline, as in Call). One deferred event either way — the
-			// same schedule Call's Sleep consumed.
+			// deadline, as in Event.WaitUntilT). One deferred event either
+			// way.
 			f.sp = optrace.StartSpan(t, optrace.LayerNet, svc.op)
 			f.sp.SetAttr("to", dst.name)
 			timeoutAt := t.Now().Add(fa.connectTimeout)
@@ -255,7 +253,9 @@ func callT(nd, dst *Node, svc *service, t *sim.Task, req Msg, k func(Msg, error)
 	f.hostReq = tr.hostCost(f.wire)
 
 	// Request legs: sender CPU, TX serialization, wire, RX serialization,
-	// receiver CPU — transfer(), one prebound step at a time.
+	// receiver CPU, one prebound step at a time. A degraded link (ls
+	// non-nil) stretched lat and xmit above; a healthy one costs exactly
+	// what it always has.
 	nd.CPU.AcquireT(t, 1, f.fnReqCPUHeld)
 }
 
@@ -274,8 +274,8 @@ func (f *callFrame) cutTimeout() {
 	f.release()
 }
 
-// Request legs. Schedule consumption mirrors transfer exactly: each
-// Acquire grants inline when uncontended, each hold is one deferred event.
+// Request legs: each Acquire grants inline when uncontended, each hold is
+// one deferred event.
 
 func (f *callFrame) reqCPUHeld() { f.env().Defer(f.hostReq, f.fnReqCPUDone) }
 
@@ -312,8 +312,7 @@ func (f *callFrame) dstCPUDone() {
 }
 
 // afterRequest runs once the request has fully landed: post-transfer
-// deadline and cut checks, then the serve dispatch and the completion wait,
-// in the same order — and with the same schedule consumption — as Call.
+// deadline and cut checks, then the serve dispatch and the completion wait.
 func (f *callFrame) afterRequest() {
 	f.checkLive()
 	t := f.t
@@ -342,14 +341,14 @@ func (f *callFrame) afterRequest() {
 	// Arm the serve side; it holds the second reference until its response
 	// is sent or dropped.
 	f.refs++
+	// The server-side actor inherits the caller's operation context, so
+	// spans it opens (daemon, storage, disk) nest under this call's span.
+	// Either dispatch costs one scheduled event.
 	if f.svc.ht != nil {
-		// Task-native handler: the dispatch costs one scheduled event,
-		// exactly what the handler-process starter costs on the other path.
 		f.env().Defer(0, f.fnServe)
 		optrace.Fork(t, f.srv)
 	} else {
-		hp := serveAndRespond(f.nd, f.dst, f.svc, f.req, f.ls, f.done, f.fnServerDone)
-		optrace.Fork(t, hp)
+		optrace.Fork(t, f.env().Process(f.svc.name, f.fnServeProc))
 	}
 	if f.hasDeadline {
 		// Mirror Event.WaitUntilT: the timeout Defer is armed at
@@ -442,9 +441,8 @@ func (f *callFrame) finishResp(m Msg, err error) {
 	}
 	f.k(m, err)
 	if m != nil {
-		// A delivered response is always the task-native respond's message
-		// (process-backed handlers never set respMsg); clearing the field
-		// keeps recycle from double-freeing it.
+		// Clearing the field keeps recycle from double-freeing the
+		// delivered response.
 		f.respMsg = nil
 		if rc, ok := m.(Recyclable); ok {
 			rc.Recycle()
@@ -459,9 +457,18 @@ func (f *callFrame) serve() {
 	f.svc.ht(f.srv, f.nd, f.req, f.fnRespond)
 }
 
-// respond is the task-native handler's response path: the server-side wire
-// legs of serveAndRespond, leg for leg, on prebound steps, ending with the
-// completion trigger and the server reference drop.
+// serveProc is the body of a blocking Handler's process: services whose
+// bodies block naturally (nested Calls, lock waits) run as one process per
+// request, and hand their response to the same response path.
+func (f *callFrame) serveProc(hp *sim.Proc) {
+	f.checkLive()
+	f.respond(f.svc.h(hp, f.nd, f.req))
+}
+
+// respond is the handler's response path: the server pays its send-side
+// costs (CPU, TX serialization), the response crosses the wire and
+// serializes at the caller's RX port, and only then does the completion
+// trigger; the server reference drops last.
 func (f *callFrame) respond(resp Msg) {
 	f.checkLive()
 	f.respMsg = resp

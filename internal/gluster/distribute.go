@@ -14,7 +14,8 @@ import (
 // owning subvolume; descriptor operations follow the subvolume that issued
 // the descriptor.
 type Distribute struct {
-	subvols []FS
+	Blocking
+	subvols []TaskFS
 	// fdRoute remembers which subvolume issued each descriptor. Local
 	// descriptors are re-numbered so they stay unique across subvolumes.
 	fdRoute map[FD]fdMapping
@@ -28,22 +29,38 @@ type Distribute struct {
 }
 
 type fdMapping struct {
-	sub FS
+	sub TaskFS
 	fd  FD
 }
 
-var _ FS = (*Distribute)(nil)
+var _ TaskFS = (*Distribute)(nil)
 
 // NewDistribute returns a distribute xlator over the given subvolumes.
 func NewDistribute(subvols ...FS) *Distribute {
 	if len(subvols) == 0 {
 		panic("gluster: distribute needs subvolumes")
 	}
-	return &Distribute{
-		subvols: subvols,
+	d := &Distribute{
+		subvols: make([]TaskFS, len(subvols)),
 		fdRoute: make(map[FD]fdMapping),
 		pathOps: make([]uint64, len(subvols)),
 	}
+	for i, sub := range subvols {
+		d.subvols[i] = Lift(sub)
+	}
+	d.T = d
+	return d
+}
+
+// TaskReady implements TaskFS: distribution is task-capable when every
+// subvolume is.
+func (d *Distribute) TaskReady() bool {
+	for _, sub := range d.subvols {
+		if !sub.TaskReady() {
+			return false
+		}
+	}
+	return true
 }
 
 // dhtTable drives the string-keyed routing hash below.
@@ -61,13 +78,13 @@ func crc32Path(s string) uint32 {
 }
 
 // subFor hashes a path to its owning subvolume.
-func (d *Distribute) subFor(path string) FS {
+func (d *Distribute) subFor(path string) TaskFS {
 	i := int(crc32Path(clean(path)) % uint32(len(d.subvols)))
 	d.pathOps[i]++
 	return d.subvols[i]
 }
 
-func (d *Distribute) issue(sub FS, fd FD) FD {
+func (d *Distribute) issue(sub TaskFS, fd FD) FD {
 	d.nextFD++
 	d.fdRoute[d.nextFD] = fdMapping{sub: sub, fd: fd}
 	return d.nextFD
@@ -83,106 +100,129 @@ func (d *Distribute) route(fd FD) (fdMapping, bool) {
 	return m, ok
 }
 
-// Create implements FS.
-func (d *Distribute) Create(p *sim.Proc, path string) (FD, error) {
-	sub := d.subFor(path)
-	fd, err := sub.Create(p, path)
-	if err != nil {
-		return 0, err
+// issued wraps a create/open continuation to re-number the descriptor the
+// subvolume issued.
+func (d *Distribute) issued(sub TaskFS, k func(FD, error)) func(FD, error) {
+	return func(fd FD, err error) {
+		if err != nil {
+			k(0, err)
+			return
+		}
+		k(d.issue(sub, fd), nil)
 	}
-	return d.issue(sub, fd), nil
 }
 
-// Open implements FS.
-func (d *Distribute) Open(p *sim.Proc, path string) (FD, error) {
+// CreateT implements TaskFS.
+func (d *Distribute) CreateT(t *sim.Task, path string, k func(FD, error)) {
 	sub := d.subFor(path)
-	fd, err := sub.Open(p, path)
-	if err != nil {
-		return 0, err
-	}
-	return d.issue(sub, fd), nil
+	sub.CreateT(t, path, d.issued(sub, k))
 }
 
-// Close implements FS.
-func (d *Distribute) Close(p *sim.Proc, fd FD) error {
+// OpenT implements TaskFS.
+func (d *Distribute) OpenT(t *sim.Task, path string, k func(FD, error)) {
+	sub := d.subFor(path)
+	sub.OpenT(t, path, d.issued(sub, k))
+}
+
+// CloseT implements TaskFS.
+func (d *Distribute) CloseT(t *sim.Task, fd FD, k func(error)) {
 	m, ok := d.route(fd)
 	if !ok {
-		return ErrBadFD
+		k(ErrBadFD)
+		return
 	}
 	delete(d.fdRoute, fd)
-	return m.sub.Close(p, m.fd)
+	m.sub.CloseT(t, m.fd, k)
 }
 
-// Read implements FS.
-func (d *Distribute) Read(p *sim.Proc, fd FD, off, size int64) (blob.Blob, error) {
+// ReadT implements TaskFS.
+func (d *Distribute) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
 	m, ok := d.route(fd)
 	if !ok {
-		return blob.Blob{}, ErrBadFD
+		k(blob.Blob{}, ErrBadFD)
+		return
 	}
-	return m.sub.Read(p, m.fd, off, size)
+	m.sub.ReadT(t, m.fd, off, size, k)
 }
 
-// Write implements FS.
-func (d *Distribute) Write(p *sim.Proc, fd FD, off int64, data blob.Blob) (int64, error) {
+// WriteT implements TaskFS.
+func (d *Distribute) WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
 	m, ok := d.route(fd)
 	if !ok {
-		return 0, ErrBadFD
+		k(0, ErrBadFD)
+		return
 	}
-	return m.sub.Write(p, m.fd, off, data)
+	m.sub.WriteT(t, m.fd, off, data, k)
 }
 
-// Stat implements FS.
-func (d *Distribute) Stat(p *sim.Proc, path string) (*Stat, error) {
-	return d.subFor(path).Stat(p, path)
+// StatT implements TaskFS.
+func (d *Distribute) StatT(t *sim.Task, path string, k func(*Stat, error)) {
+	d.subFor(path).StatT(t, path, k)
 }
 
-// Unlink implements FS.
-func (d *Distribute) Unlink(p *sim.Proc, path string) error {
-	return d.subFor(path).Unlink(p, path)
+// UnlinkT implements TaskFS.
+func (d *Distribute) UnlinkT(t *sim.Task, path string, k func(error)) {
+	d.subFor(path).UnlinkT(t, path, k)
 }
 
-// Mkdir implements FS. Directories exist on every subvolume, as in
-// GlusterFS.
-func (d *Distribute) Mkdir(p *sim.Proc, path string) error {
+// MkdirT implements TaskFS. Directories exist on every subvolume, as in
+// GlusterFS; the first error is the one reported.
+func (d *Distribute) MkdirT(t *sim.Task, path string, k func(error)) {
 	d.fanOps++
 	var first error
-	for _, sub := range d.subvols {
-		if err := sub.Mkdir(p, path); err != nil && first == nil {
-			first = err
+	var step func(i int)
+	step = func(i int) {
+		if i == len(d.subvols) {
+			k(first)
+			return
 		}
+		d.subvols[i].MkdirT(t, path, func(err error) {
+			if err != nil && first == nil {
+				first = err
+			}
+			step(i + 1)
+		})
 	}
-	return first
+	step(0)
 }
 
-// Readdir implements FS, merging listings from all subvolumes.
-func (d *Distribute) Readdir(p *sim.Proc, path string) ([]string, error) {
+// ReaddirT implements TaskFS, merging listings from all subvolumes.
+func (d *Distribute) ReaddirT(t *sim.Task, path string, k func([]string, error)) {
 	d.fanOps++
 	seen := make(map[string]struct{})
 	var out []string
 	var lastErr error
 	found := false
-	for _, sub := range d.subvols {
-		names, err := sub.Readdir(p, path)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		found = true
-		for _, n := range names {
-			if _, dup := seen[n]; !dup {
-				seen[n] = struct{}{}
-				out = append(out, n)
+	var step func(i int)
+	step = func(i int) {
+		if i == len(d.subvols) {
+			if !found {
+				k(nil, lastErr)
+				return
 			}
+			sort.Strings(out)
+			k(out, nil)
+			return
 		}
+		d.subvols[i].ReaddirT(t, path, func(names []string, err error) {
+			if err != nil {
+				lastErr = err
+			} else {
+				found = true
+				for _, n := range names {
+					if _, dup := seen[n]; !dup {
+						seen[n] = struct{}{}
+						out = append(out, n)
+					}
+				}
+			}
+			step(i + 1)
+		})
 	}
-	if !found {
-		return nil, lastErr
-	}
-	sort.Strings(out)
-	return out, nil
+	step(0)
 }
 
-// Truncate implements FS.
-func (d *Distribute) Truncate(p *sim.Proc, path string, size int64) error {
-	return d.subFor(path).Truncate(p, path, size)
+// TruncateT implements TaskFS.
+func (d *Distribute) TruncateT(t *sim.Task, path string, size int64, k func(error)) {
+	d.subFor(path).TruncateT(t, path, size, k)
 }

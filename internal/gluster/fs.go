@@ -10,7 +10,12 @@
 // FUSE-crossing cost model (Fuse). The IMCa translators CMCache and SMCache
 // (internal/core) plug into the same stacks.
 //
-// All operations run in simulated-process context and advance virtual time.
+// All operations advance virtual time. The package's own xlators implement
+// each operation once, in continuation style (TaskFS), and derive the
+// blocking FS methods from that (Blocking); blocking-only xlators —
+// read-ahead, write-behind, io-cache, io-stats, and foreign file systems —
+// are ordinary process code on top of FS and are held by the others
+// through Lift.
 package gluster
 
 import (
@@ -80,17 +85,15 @@ type FS interface {
 	Truncate(p *sim.Proc, path string, size int64) error
 }
 
-// TaskFS is the continuation-engine face of an xlator: the subset of
-// operations client workload bodies issue, each taking a sim.Task and a
-// completion callback instead of blocking a process. An xlator implements
-// TaskFS when its whole downward stack does; TaskReady reports whether
-// that is actually the case for this instance (a type may implement the
-// interface while wrapping a child that does not — a CMCache over a
-// foreign file system, say — in which case workloads fall back to the
-// process engine).
+// TaskFS is an xlator written in continuation style: every operation takes
+// a sim.Task and a completion callback instead of blocking a process, and
+// that is the xlator's only implementation — its blocking FS methods are
+// the embedded Blocking adapter awaiting these. The stack's own xlators
+// (Posix, Client, Distribute, Fuse, and IMCa's CMCache and SMCache) are all
+// TaskFS; anything else reaches them through Lift.
 //
-// Every *T operation mirrors its blocking sibling's virtual-time charges
-// and kernel schedule consumption exactly; see sim.Task.
+// Results handed to a continuation are lent, not given: a *Stat may be a
+// pooled frame's scratch, valid until the continuation returns.
 type TaskFS interface {
 	FS
 	CreateT(t *sim.Task, path string, k func(FD, error))
@@ -100,13 +103,20 @@ type TaskFS interface {
 	WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error))
 	StatT(t *sim.Task, path string, k func(*Stat, error))
 	UnlinkT(t *sim.Task, path string, k func(error))
-	// TaskReady reports whether this instance's full stack can serve the
-	// *T operations.
+	MkdirT(t *sim.Task, path string, k func(error))
+	ReaddirT(t *sim.Task, path string, k func([]string, error))
+	TruncateT(t *sim.Task, path string, size int64, k func(error))
+	// TaskReady reports whether this instance's whole downward stack is
+	// continuation-style, so its operations can run on any task — one
+	// started by Env.StartTask, or a fabric frame's server-side actor.
+	// When it is not (a lifted blocking xlator or device sits somewhere
+	// below), the *T operations still work, but only on a task that fronts
+	// a process (sim.Proc.Await).
 	TaskReady() bool
 }
 
-// AsTaskFS returns fs as a usable TaskFS, or nil when fs (or anything
-// below it) cannot serve the continuation engine.
+// AsTaskFS returns fs as a TaskFS whose whole stack is continuation-style,
+// or nil when fs (or anything below it) needs a process to block on.
 func AsTaskFS(fs FS) TaskFS {
 	if tfs, ok := fs.(TaskFS); ok && tfs.TaskReady() {
 		return tfs

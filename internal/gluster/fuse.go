@@ -32,8 +32,9 @@ var DefaultFuseConfig = FuseConfig{
 // Fuse is the top-of-stack client xlator charging the FUSE crossing cost
 // before delegating to its child.
 type Fuse struct {
+	Blocking
 	node  *fabric.Node
-	child FS
+	child TaskFS
 	cfg   FuseConfig
 
 	// End-to-end client-visible latency distributions (the whole stack
@@ -41,11 +42,11 @@ type Fuse struct {
 	// otherwise.
 	readHist, writeHist, statHist *telemetry.Hist
 
-	// statOps pools StatT's per-operation frames (see taskfs.go).
+	// statOps pools StatT's per-operation frames (see fuseStatOp).
 	statOps []*fuseStatOp
 }
 
-var _ FS = (*Fuse)(nil)
+var _ TaskFS = (*Fuse)(nil)
 
 // NewFuse wraps child with the FUSE cost model on the given client node.
 func NewFuse(node *fabric.Node, child FS, cfg FuseConfig) *Fuse {
@@ -55,93 +56,187 @@ func NewFuse(node *fabric.Node, child FS, cfg FuseConfig) *Fuse {
 	if cfg.PerByteCPUNanos == 0 {
 		cfg.PerByteCPUNanos = DefaultFuseConfig.PerByteCPUNanos
 	}
-	return &Fuse{node: node, child: child, cfg: cfg}
+	f := &Fuse{node: node, child: Lift(child), cfg: cfg}
+	f.T = f
+	return f
 }
 
-func (f *Fuse) charge(p *sim.Proc, payload int64) {
-	f.node.CPU.Use(p, f.cfg.OpCPU+sim.Duration(float64(payload)*f.cfg.PerByteCPUNanos))
+// TaskReady implements TaskFS: the FUSE layer is task-capable when its
+// child stack is.
+func (f *Fuse) TaskReady() bool { return f.child.TaskReady() }
+
+func (f *Fuse) chargeT(t *sim.Task, payload int64, k func()) {
+	f.node.CPU.UseT(t, f.cfg.OpCPU+sim.Duration(float64(payload)*f.cfg.PerByteCPUNanos), k)
 }
 
-// Create implements FS.
-func (f *Fuse) Create(p *sim.Proc, path string) (FD, error) {
-	sp := optrace.StartSpan(p, optrace.LayerFuse, "create")
-	defer sp.End(p)
-	f.charge(p, 0)
-	return f.child.Create(p, path)
+// CreateT implements TaskFS.
+func (f *Fuse) CreateT(t *sim.Task, path string, k func(FD, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerFuse, "create")
+	f.chargeT(t, 0, func() {
+		f.child.CreateT(t, path, func(fd FD, err error) {
+			sp.End(t)
+			k(fd, err)
+		})
+	})
 }
 
-// Open implements FS.
-func (f *Fuse) Open(p *sim.Proc, path string) (FD, error) {
-	sp := optrace.StartSpan(p, optrace.LayerFuse, "open")
-	defer sp.End(p)
-	f.charge(p, 0)
-	return f.child.Open(p, path)
+// OpenT implements TaskFS.
+func (f *Fuse) OpenT(t *sim.Task, path string, k func(FD, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerFuse, "open")
+	f.chargeT(t, 0, func() {
+		f.child.OpenT(t, path, func(fd FD, err error) {
+			sp.End(t)
+			k(fd, err)
+		})
+	})
 }
 
-// Close implements FS.
-func (f *Fuse) Close(p *sim.Proc, fd FD) error {
-	sp := optrace.StartSpan(p, optrace.LayerFuse, "close")
-	defer sp.End(p)
-	f.charge(p, 0)
-	return f.child.Close(p, fd)
+// CloseT implements TaskFS.
+func (f *Fuse) CloseT(t *sim.Task, fd FD, k func(error)) {
+	sp := optrace.StartSpan(t, optrace.LayerFuse, "close")
+	f.chargeT(t, 0, func() {
+		f.child.CloseT(t, fd, func(err error) {
+			sp.End(t)
+			k(err)
+		})
+	})
 }
 
-// Read implements FS.
-func (f *Fuse) Read(p *sim.Proc, fd FD, off, size int64) (blob.Blob, error) {
-	sp := optrace.StartSpan(p, optrace.LayerFuse, "read")
-	defer sp.End(p)
-	defer f.readHist.ObserveSince(p, p.Now())
-	data, err := f.child.Read(p, fd, off, size)
-	f.charge(p, data.Len())
-	return data, err
+// ReadT implements TaskFS. The user/kernel copy is charged after the child
+// returns, on the bytes actually read.
+func (f *Fuse) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerFuse, "read")
+	t0 := t.Now()
+	f.child.ReadT(t, fd, off, size, func(data blob.Blob, err error) {
+		f.chargeT(t, data.Len(), func() {
+			sp.End(t)
+			f.readHist.ObserveSince(t, t0)
+			k(data, err)
+		})
+	})
 }
 
-// Write implements FS.
-func (f *Fuse) Write(p *sim.Proc, fd FD, off int64, data blob.Blob) (int64, error) {
-	sp := optrace.StartSpan(p, optrace.LayerFuse, "write")
-	defer sp.End(p)
-	defer f.writeHist.ObserveSince(p, p.Now())
-	f.charge(p, data.Len())
-	return f.child.Write(p, fd, off, data)
+// WriteT implements TaskFS. The copy is charged before the child sees the
+// data.
+func (f *Fuse) WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerFuse, "write")
+	t0 := t.Now()
+	f.chargeT(t, data.Len(), func() {
+		f.child.WriteT(t, fd, off, data, func(n int64, err error) {
+			sp.End(t)
+			f.writeHist.ObserveSince(t, t0)
+			k(n, err)
+		})
+	})
 }
 
-// Stat implements FS.
-func (f *Fuse) Stat(p *sim.Proc, path string) (*Stat, error) {
-	sp := optrace.StartSpan(p, optrace.LayerFuse, "stat")
-	defer sp.End(p)
-	defer f.statHist.ObserveSince(p, p.Now())
-	f.charge(p, 0)
-	return f.child.Stat(p, path)
+// fuseStatOp is StatT's pooled per-operation frame. StatT is the FUSE
+// layer's hottest metadata path (fig5 issues hundreds of thousands per
+// cell), and the closure chain of the generic chargeT — acquire, sleep,
+// release, child callback — costs four heap allocations per call. The op
+// carries those continuations as prebound method values instead, so a
+// steady-state stat allocates nothing at this layer. The decomposition
+// AcquireT(1)+Sleep(OpCPU)+Release(1) consumes exactly the schedules
+// chargeT's Resource.UseT does.
+type fuseStatOp struct {
+	f    *Fuse
+	t    *sim.Task
+	path string
+	k    func(*Stat, error)
+	sp   *optrace.Span
+	t0   sim.Time
+
+	fnHeld, fnCharged func()
+	fnStat            func(*Stat, error)
 }
 
-// Unlink implements FS.
-func (f *Fuse) Unlink(p *sim.Proc, path string) error {
-	sp := optrace.StartSpan(p, optrace.LayerFuse, "unlink")
-	defer sp.End(p)
-	f.charge(p, 0)
-	return f.child.Unlink(p, path)
+func (f *Fuse) takeStatOp() *fuseStatOp {
+	if n := len(f.statOps); n > 0 {
+		op := f.statOps[n-1]
+		f.statOps = f.statOps[:n-1]
+		return op
+	}
+	op := &fuseStatOp{f: f}
+	op.fnHeld = op.held
+	op.fnCharged = op.charged
+	op.fnStat = op.stat
+	return op
 }
 
-// Mkdir implements FS.
-func (f *Fuse) Mkdir(p *sim.Proc, path string) error {
-	sp := optrace.StartSpan(p, optrace.LayerFuse, "mkdir")
-	defer sp.End(p)
-	f.charge(p, 0)
-	return f.child.Mkdir(p, path)
+func (f *Fuse) putStatOp(op *fuseStatOp) {
+	op.t, op.path, op.k, op.sp = nil, "", nil, nil
+	f.statOps = append(f.statOps, op)
 }
 
-// Readdir implements FS.
-func (f *Fuse) Readdir(p *sim.Proc, path string) ([]string, error) {
-	sp := optrace.StartSpan(p, optrace.LayerFuse, "readdir")
-	defer sp.End(p)
-	f.charge(p, 0)
-	return f.child.Readdir(p, path)
+// held runs once the CPU unit is granted: hold it for the crossing cost.
+func (op *fuseStatOp) held() { op.t.Sleep(op.f.cfg.OpCPU, op.fnCharged) }
+
+// charged releases the CPU and forwards the stat down the stack.
+func (op *fuseStatOp) charged() {
+	op.f.node.CPU.Release(1)
+	op.f.child.StatT(op.t, op.path, op.fnStat)
 }
 
-// Truncate implements FS.
-func (f *Fuse) Truncate(p *sim.Proc, path string, size int64) error {
-	sp := optrace.StartSpan(p, optrace.LayerFuse, "truncate")
-	defer sp.End(p)
-	f.charge(p, 0)
-	return f.child.Truncate(p, path, size)
+// stat completes the operation. The frame is recycled before the caller's
+// continuation runs — everything it needs is copied to locals first — so a
+// continuation that immediately issues the next stat reuses this frame.
+func (op *fuseStatOp) stat(st *Stat, err error) {
+	f, t, sp, t0, k := op.f, op.t, op.sp, op.t0, op.k
+	f.putStatOp(op)
+	sp.End(t)
+	f.statHist.ObserveSince(t, t0)
+	k(st, err)
+}
+
+// StatT implements TaskFS.
+func (f *Fuse) StatT(t *sim.Task, path string, k func(*Stat, error)) {
+	op := f.takeStatOp()
+	op.t, op.path, op.k = t, path, k
+	op.sp = optrace.StartSpan(t, optrace.LayerFuse, "stat")
+	op.t0 = t.Now()
+	f.node.CPU.AcquireT(t, 1, op.fnHeld)
+}
+
+// UnlinkT implements TaskFS.
+func (f *Fuse) UnlinkT(t *sim.Task, path string, k func(error)) {
+	sp := optrace.StartSpan(t, optrace.LayerFuse, "unlink")
+	f.chargeT(t, 0, func() {
+		f.child.UnlinkT(t, path, func(err error) {
+			sp.End(t)
+			k(err)
+		})
+	})
+}
+
+// MkdirT implements TaskFS.
+func (f *Fuse) MkdirT(t *sim.Task, path string, k func(error)) {
+	sp := optrace.StartSpan(t, optrace.LayerFuse, "mkdir")
+	f.chargeT(t, 0, func() {
+		f.child.MkdirT(t, path, func(err error) {
+			sp.End(t)
+			k(err)
+		})
+	})
+}
+
+// ReaddirT implements TaskFS.
+func (f *Fuse) ReaddirT(t *sim.Task, path string, k func([]string, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerFuse, "readdir")
+	f.chargeT(t, 0, func() {
+		f.child.ReaddirT(t, path, func(names []string, err error) {
+			sp.End(t)
+			k(names, err)
+		})
+	})
+}
+
+// TruncateT implements TaskFS.
+func (f *Fuse) TruncateT(t *sim.Task, path string, size int64, k func(error)) {
+	sp := optrace.StartSpan(t, optrace.LayerFuse, "truncate")
+	f.chargeT(t, 0, func() {
+		f.child.TruncateT(t, path, size, func(err error) {
+			sp.End(t)
+			k(err)
+		})
+	})
 }

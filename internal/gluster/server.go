@@ -7,7 +7,6 @@ import (
 	"imca/internal/fabric"
 	"imca/internal/optrace"
 	"imca/internal/sim"
-	"imca/internal/telemetry"
 )
 
 // ServerConfig models the glusterfsd daemon's processing costs.
@@ -37,12 +36,12 @@ var DefaultServerConfig = ServerConfig{
 // SMCache wrapping Posix) as the "glusterfsd" fabric service.
 type Server struct {
 	node    *fabric.Node
-	child   FS
+	child   TaskFS
 	cfg     ServerConfig
 	threads *sim.Resource
 	down    bool
 
-	// statOps is the task-served stat frame free list; see serverStatOp.
+	// statOps is the stat frame free list; see serverStatOp.
 	statOps []*serverStatOp
 
 	// Ops counts completed requests by type for experiment reporting.
@@ -62,24 +61,31 @@ func NewServer(node *fabric.Node, child FS, cfg ServerConfig) *Server {
 	}
 	s := &Server{
 		node:    node,
-		child:   child,
+		child:   Lift(child),
 		cfg:     cfg,
 		threads: sim.NewResource(node.Network().Env(), cfg.IOThreads),
 		Ops:     make(map[string]uint64),
 	}
-	if AsDirTaskFS(child) != nil {
+	if s.child.TaskReady() {
 		node.HandleT(ServiceName, s.handleT)
 	} else {
-		node.Handle(ServiceName, s.handle)
+		// Something below needs a process to block on (a lifted xlator or
+		// device): serve each request on a process awaiting handleT.
+		node.Handle(ServiceName, func(p *sim.Proc, from *fabric.Node, req fabric.Msg) (resp fabric.Msg) {
+			p.Await(func(t *sim.Task) {
+				s.handleT(t, from, req, func(m fabric.Msg) {
+					resp = m
+					t.End()
+				})
+			})
+			return resp
+		})
 	}
 	return s
 }
 
 // Node returns the fabric node the daemon runs on.
 func (s *Server) Node() *fabric.Node { return s.node }
-
-// Child returns the served xlator stack.
-func (s *Server) Child() FS { return s.child }
 
 // Fail takes the brick daemon down: every request is refused with
 // ErrServerDown before reaching the translator stack, so neither the disk
@@ -114,11 +120,6 @@ func downResp(req fabric.Msg) fabric.Msg {
 	}
 }
 
-func (s *Server) charge(p *sim.Proc, payload int64) {
-	cpu := s.cfg.OpCPU + sim.Duration(float64(payload)*s.cfg.PerByteCPUNanos)
-	s.node.CPU.Use(p, cpu)
-}
-
 // reqName names a protocol request for stats and spans.
 func reqName(req fabric.Msg) string {
 	switch r := req.(type) {
@@ -143,213 +144,162 @@ func reqName(req fabric.Msg) string {
 	return "?"
 }
 
-func (s *Server) handle(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
-	sp := optrace.StartSpan(p, optrace.LayerServer, reqName(req))
-	defer sp.End(p)
+func (s *Server) chargeT(t *sim.Task, payload int64, k func()) {
+	cpu := s.cfg.OpCPU + sim.Duration(float64(payload)*s.cfg.PerByteCPUNanos)
+	s.node.CPU.UseT(t, cpu, k)
+}
+
+// serverStatOp is the daemon's pooled frame for a stat — the dominant
+// request on the fig5 path. It carries the response message and
+// the grant→charge→serve→respond chain as prebound method values, so the
+// daemon's side of a stat allocates nothing. The op returns to its server's
+// pool when the fabric recycles the delivered response, after the calling
+// client's continuation has read it.
+type serverStatOp struct {
+	s       *Server
+	t       *sim.Task
+	r       *statReq
+	respond func(fabric.Msg)
+	sp      *optrace.Span
+	resp    statResp
+
+	fnGranted func()
+	fnCharged func()
+	fnStat    func(*Stat, error)
+}
+
+func newServerStatOp(s *Server) *serverStatOp {
+	op := &serverStatOp{s: s}
+	op.resp.op = op
+	op.fnGranted = op.granted
+	op.fnCharged = op.charged
+	op.fnStat = op.stat
+	return op
+}
+
+func (s *Server) takeStatOp() *serverStatOp {
+	if n := len(s.statOps); n > 0 {
+		op := s.statOps[n-1]
+		s.statOps[n-1] = nil
+		s.statOps = s.statOps[:n-1]
+		return op
+	}
+	return newServerStatOp(s)
+}
+
+func (op *serverStatOp) release() {
+	op.t, op.r, op.respond, op.sp = nil, nil, nil, nil
+	op.resp.St, op.resp.Code = nil, ""
+	op.s.statOps = append(op.s.statOps, op)
+}
+
+// granted runs once an io-thread is held: count, charge, serve, then
+// release-end-respond, the order of every other request type.
+func (op *serverStatOp) granted() {
+	op.s.Ops["stat"]++
+	op.s.chargeT(op.t, 0, op.fnCharged)
+}
+
+func (op *serverStatOp) charged() {
+	op.s.child.StatT(op.t, op.r.Path, op.fnStat)
+}
+
+func (op *serverStatOp) stat(st *Stat, err error) {
+	op.s.threads.Release(1)
+	op.sp.End(op.t)
+	op.resp.St, op.resp.Code = st, errCode(err)
+	op.respond(&op.resp)
+}
+
+// handleT serves one RPC: take an io-thread, charge the daemon's CPU, run
+// the operation on the child stack, respond.
+func (s *Server) handleT(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
+	sp := optrace.StartSpan(t, optrace.LayerServer, reqName(req))
 	if s.down {
 		// Refused at the listener: no io-thread is taken and no daemon
 		// time is spent, like a connection reset from a dead glusterfsd.
 		sp.SetAttr("down", "true")
-		return downResp(req)
+		sp.End(t)
+		respond(downResp(req))
+		return
 	}
-	s.threads.Acquire(p, 1)
-	defer s.threads.Release(1)
-	switch r := req.(type) {
-	case *openReq:
-		s.charge(p, 0)
-		var fd FD
-		var err error
-		if r.Create {
-			s.Ops["create"]++
-			fd, err = s.child.Create(p, r.Path)
-		} else {
-			s.Ops["open"]++
-			fd, err = s.child.Open(p, r.Path)
+	if r, ok := req.(*statReq); ok {
+		// The dominant request runs on a pooled frame instead of a closure
+		// chain.
+		op := s.takeStatOp()
+		op.t, op.r, op.respond, op.sp = t, r, respond, sp
+		s.threads.AcquireT(t, 1, op.fnGranted)
+		return
+	}
+	s.threads.AcquireT(t, 1, func() {
+		// The io-thread is released before the span ends, and the response
+		// leaves after both.
+		done := func(m fabric.Msg) {
+			s.threads.Release(1)
+			sp.End(t)
+			respond(m)
 		}
-		return &openResp{FD: fd, Code: errCode(err)}
-	case *closeReq:
-		s.Ops["close"]++
-		s.charge(p, 0)
-		err := s.child.Close(p, r.FD)
-		return &simpleResp{Code: errCode(err)}
-	case *readReq:
-		s.Ops["read"]++
-		data, err := s.child.Read(p, r.FD, r.Off, r.Size)
-		s.charge(p, data.Len())
-		return &readResp{Data: data, Code: errCode(err)}
-	case *writeReq:
-		s.Ops["write"]++
-		s.charge(p, r.Data.Len())
-		n, err := s.child.Write(p, r.FD, r.Off, r.Data)
-		return &writeResp{N: n, Code: errCode(err)}
-	case *statReq:
-		s.Ops["stat"]++
-		s.charge(p, 0)
-		st, err := s.child.Stat(p, r.Path)
-		return &statResp{St: st, Code: errCode(err)}
-	case *pathReq:
-		s.Ops[r.Op]++
-		s.charge(p, 0)
-		var err error
-		switch r.Op {
-		case "unlink":
-			err = s.child.Unlink(p, r.Path)
-		case "mkdir":
-			err = s.child.Mkdir(p, r.Path)
-		case "truncate":
-			err = s.child.Truncate(p, r.Path, r.Size)
+		child := s.child
+		switch r := req.(type) {
+		case *openReq:
+			s.chargeT(t, 0, func() {
+				if r.Create {
+					s.Ops["create"]++
+					child.CreateT(t, r.Path, func(fd FD, err error) {
+						done(&openResp{FD: fd, Code: errCode(err)})
+					})
+					return
+				}
+				s.Ops["open"]++
+				child.OpenT(t, r.Path, func(fd FD, err error) {
+					done(&openResp{FD: fd, Code: errCode(err)})
+				})
+			})
+		case *closeReq:
+			s.Ops["close"]++
+			s.chargeT(t, 0, func() {
+				child.CloseT(t, r.FD, func(err error) {
+					done(&simpleResp{Code: errCode(err)})
+				})
+			})
+		case *readReq:
+			s.Ops["read"]++
+			child.ReadT(t, r.FD, r.Off, r.Size, func(data blob.Blob, err error) {
+				s.chargeT(t, data.Len(), func() {
+					done(&readResp{Data: data, Code: errCode(err)})
+				})
+			})
+		case *writeReq:
+			s.Ops["write"]++
+			s.chargeT(t, r.Data.Len(), func() {
+				child.WriteT(t, r.FD, r.Off, r.Data, func(n int64, err error) {
+					done(&writeResp{N: n, Code: errCode(err)})
+				})
+			})
+		case *pathReq:
+			s.Ops[r.Op]++
+			s.chargeT(t, 0, func() {
+				k := func(err error) { done(&simpleResp{Code: errCode(err)}) }
+				switch r.Op {
+				case "unlink":
+					child.UnlinkT(t, r.Path, k)
+				case "mkdir":
+					child.MkdirT(t, r.Path, k)
+				case "truncate":
+					child.TruncateT(t, r.Path, r.Size, k)
+				default:
+					panic("gluster: unknown pathReq op " + r.Op)
+				}
+			})
+		case *readdirReq:
+			s.Ops["readdir"]++
+			s.chargeT(t, 0, func() {
+				child.ReaddirT(t, r.Path, func(names []string, err error) {
+					done(&readdirResp{Names: names, Code: errCode(err)})
+				})
+			})
 		default:
-			panic("gluster: unknown pathReq op " + r.Op)
+			panic("gluster: unknown request type")
 		}
-		return &simpleResp{Code: errCode(err)}
-	case *readdirReq:
-		s.Ops["readdir"]++
-		s.charge(p, 0)
-		names, err := s.child.Readdir(p, r.Path)
-		return &readdirResp{Names: names, Code: errCode(err)}
-	default:
-		panic("gluster: unknown request type")
-	}
-}
-
-// Client is the protocol-client xlator: the client half of the GlusterFS
-// transport, forwarding every operation to one server over the fabric.
-type Client struct {
-	node   *fabric.Node
-	server *fabric.Node
-
-	// statOps is the StatT frame free list; see clientStatOp.
-	statOps []*clientStatOp
-
-	// RPC counters across both engines, registered by Register.
-	rpcs      uint64
-	rpcErrors uint64
-}
-
-var _ FS = (*Client)(nil)
-
-// NewClient returns a protocol client on node talking to the daemon on
-// server.
-func NewClient(node, server *fabric.Node) *Client {
-	return &Client{node: node, server: server}
-}
-
-// call performs one protocol RPC under a protocol-layer span. The server
-// path is authoritative, so callers above it clear any cache-budget
-// deadline first; if one is still armed and expires, the error propagates
-// up like any other FS error.
-func (c *Client) call(p *sim.Proc, name string, req fabric.Msg) (fabric.Msg, error) {
-	sp := optrace.StartSpan(p, optrace.LayerProtocol, name)
-	defer sp.End(p)
-	c.rpcs++
-	m, err := c.node.Call(p, c.server, ServiceName, req)
-	if err != nil {
-		c.rpcErrors++
-		sp.SetAttr("deadline", "expired")
-	}
-	return m, err
-}
-
-// Register exposes the protocol client's RPC counters under prefix
-// (e.g. "client0.protocol"): how many brick RPCs this mount issued and
-// how many were abandoned at an operation deadline.
-func (c *Client) Register(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+".rpcs", func() uint64 { return c.rpcs })
-	reg.Counter(prefix+".rpc_errors", func() uint64 { return c.rpcErrors })
-}
-
-// Create implements FS.
-func (c *Client) Create(p *sim.Proc, path string) (FD, error) {
-	m, err := c.call(p, "create", &openReq{Path: path, Create: true})
-	if err != nil {
-		return 0, err
-	}
-	r := m.(*openResp)
-	return r.FD, codeErr(r.Code)
-}
-
-// Open implements FS.
-func (c *Client) Open(p *sim.Proc, path string) (FD, error) {
-	m, err := c.call(p, "open", &openReq{Path: path})
-	if err != nil {
-		return 0, err
-	}
-	r := m.(*openResp)
-	return r.FD, codeErr(r.Code)
-}
-
-// Close implements FS.
-func (c *Client) Close(p *sim.Proc, fd FD) error {
-	m, err := c.call(p, "close", &closeReq{FD: fd})
-	if err != nil {
-		return err
-	}
-	return codeErr(m.(*simpleResp).Code)
-}
-
-// Read implements FS.
-func (c *Client) Read(p *sim.Proc, fd FD, off, size int64) (blob.Blob, error) {
-	m, err := c.call(p, "read", &readReq{FD: fd, Off: off, Size: size})
-	if err != nil {
-		return blob.Blob{}, err
-	}
-	r := m.(*readResp)
-	return r.Data, codeErr(r.Code)
-}
-
-// Write implements FS.
-func (c *Client) Write(p *sim.Proc, fd FD, off int64, data blob.Blob) (int64, error) {
-	m, err := c.call(p, "write", &writeReq{FD: fd, Off: off, Data: data})
-	if err != nil {
-		return 0, err
-	}
-	r := m.(*writeResp)
-	return r.N, codeErr(r.Code)
-}
-
-// Stat implements FS.
-func (c *Client) Stat(p *sim.Proc, path string) (*Stat, error) {
-	m, err := c.call(p, "stat", &statReq{Path: path})
-	if err != nil {
-		return nil, err
-	}
-	r := m.(*statResp)
-	return r.St, codeErr(r.Code)
-}
-
-// Unlink implements FS.
-func (c *Client) Unlink(p *sim.Proc, path string) error {
-	m, err := c.call(p, "unlink", &pathReq{Op: "unlink", Path: path})
-	if err != nil {
-		return err
-	}
-	return codeErr(m.(*simpleResp).Code)
-}
-
-// Mkdir implements FS.
-func (c *Client) Mkdir(p *sim.Proc, path string) error {
-	m, err := c.call(p, "mkdir", &pathReq{Op: "mkdir", Path: path})
-	if err != nil {
-		return err
-	}
-	return codeErr(m.(*simpleResp).Code)
-}
-
-// Readdir implements FS.
-func (c *Client) Readdir(p *sim.Proc, path string) ([]string, error) {
-	m, err := c.call(p, "readdir", &readdirReq{Path: path})
-	if err != nil {
-		return nil, err
-	}
-	r := m.(*readdirResp)
-	return r.Names, codeErr(r.Code)
-}
-
-// Truncate implements FS.
-func (c *Client) Truncate(p *sim.Proc, path string, size int64) error {
-	m, err := c.call(p, "truncate", &pathReq{Op: "truncate", Path: path, Size: size})
-	if err != nil {
-		return err
-	}
-	return codeErr(m.(*simpleResp).Code)
+	})
 }

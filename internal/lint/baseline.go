@@ -119,7 +119,7 @@ func applyBaseline(findings []Finding, entries map[string]*baselineEntry, baseli
 }
 
 // WriteBaseline runs the analysis without a baseline and writes every
-// finding of the nine checks to path, sorted, one printed finding per
+// finding of the eight checks to path, sorted, one printed finding per
 // line. Suppression bookkeeping findings are excluded — a malformed or
 // unused suppression is a bug in the exception list, not a burn-down
 // item — and must be fixed before a baseline can be recorded.

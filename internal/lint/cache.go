@@ -19,7 +19,7 @@ import (
 // module-internal transitive dependencies' sources — are unchanged since
 // the last run reuses its recorded findings without being parsed or
 // type-checked at all. The dependency closure is in the key because the
-// reachability checks (tickpurity, allocfree, taskparity) walk into
+// reachability checks (tickpurity, allocfree) walk into
 // callees across package boundaries: a package can only reach code it
 // imports, so hashing the import closure makes the reuse sound. The
 // config fingerprint and an analyzer version constant round out the key,
@@ -27,7 +27,7 @@ import (
 
 // cacheVersion invalidates every entry when the checks themselves change.
 // Bump it whenever a check's behavior or a finding message changes.
-const cacheVersion = "imcalint-3"
+const cacheVersion = "imcalint-4"
 
 // cachedFinding and cachedSup are the JSON forms of a finding and a
 // suppression; positions are module-root-relative, so the cache is stable

@@ -91,7 +91,11 @@ func instrDupNames(pkg *pkgInfo, cfg *Config) []Finding {
 // instrRegisterSurface flags a type that has grown a full hot-path
 // operation surface (registerSurface exported methods taking a sim actor
 // first) without a Register(*telemetry.Registry, ...) method: every run
-// through such a layer is invisible to telemetry tables and reports.
+// through such a layer is invisible to telemetry tables and reports. A
+// struct that is nothing but one interface value is exempt: it adapts that
+// interface's methods to another calling convention (gluster.Blocking, the
+// Lift shims) and has no state of its own a Register could expose — the
+// layer it wraps answers for itself.
 func instrRegisterSurface(pkg *pkgInfo, cfg *Config) []Finding {
 	if cfg.SimPath == "" || cfg.TelemetryPath == "" || pkg.path == cfg.SimPath {
 		return nil
@@ -131,7 +135,7 @@ func instrRegisterSurface(pkg *pkgInfo, cfg *Config) []Finding {
 	var out []Finding
 	for _, tname := range typeNames {
 		s := byType[tname]
-		if s.hasRegister || len(s.actorMethods) < registerSurface {
+		if s.hasRegister || len(s.actorMethods) < registerSurface || isInterfaceAdapter(pkg, tname) {
 			continue
 		}
 		sort.Slice(s.actorMethods, func(i, j int) bool {
@@ -145,6 +149,17 @@ func instrRegisterSurface(pkg *pkgInfo, cfg *Config) []Finding {
 		})
 	}
 	return out
+}
+
+// isInterfaceAdapter reports whether the named type is a struct whose only
+// field is an interface value.
+func isInterfaceAdapter(pkg *pkgInfo, tname string) bool {
+	obj := pkg.types.Scope().Lookup(tname)
+	if obj == nil {
+		return false
+	}
+	st, ok := obj.Type().Underlying().(*types.Struct)
+	return ok && st.NumFields() == 1 && types.IsInterface(st.Field(0).Type())
 }
 
 func firstParamIsRegistry(fn *types.Func, telemetryPath string) bool {
@@ -282,4 +297,19 @@ func instrKindStringTotal(pkg *pkgInfo) []Finding {
 		}
 	}
 	return out
+}
+
+// firstParamActor names the sim actor a function's first parameter is
+// ("Proc", "Task"), or "" for anything else.
+func firstParamActor(fn *types.Func, simPath string) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Params() == nil || sig.Params().Len() == 0 {
+		return ""
+	}
+	t := sig.Params().At(0).Type()
+	if !isSimActor(t, simPath) {
+		return ""
+	}
+	named := t.(*types.Pointer).Elem().(*types.Named)
+	return named.Obj().Name()
 }

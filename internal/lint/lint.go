@@ -6,7 +6,7 @@
 // iterated into a report, a closure allocated inside the dispatch loop —
 // so this package makes them machine-checked rather than conventional.
 //
-// Nine checks are implemented, each over the parsed and type-checked
+// Eight checks are implemented, each over the parsed and type-checked
 // source of the packages under analysis (stdlib tooling only: go/parser,
 // go/ast, go/types, go/importer):
 //
@@ -40,12 +40,6 @@
 //     flight.Append into compile-time ones; remaining allocations on the
 //     task completion chains are held in lint.baseline as an explicit
 //     burn-down list.
-//   - taskparity: a type that declares continuation-engine (*sim.Task)
-//     methods is task-ready, and every exported blocking operation
-//     (first parameter *sim.Proc) on it must have a <Name>T sibling
-//     whose call graph reaches the same set of kernel scheduling
-//     primitives (Wait ≡ WaitT, Proc.Sleep ≡ Task.Sleep, …) — the
-//     schedule-count parity that keeps the two engines byte-identical.
 //   - instrcomplete: instrument names registered in one function are
 //     unique (a duplicate panics at wiring time; this catches it at
 //     compile time), a type with a full hot-path operation surface
@@ -83,7 +77,7 @@ import (
 // Checks is the set of valid check names, in reporting order.
 var Checks = []string{
 	"wallclock", "rand", "maprange", "nogoroutine", "tickpurity",
-	"allocfree", "taskparity", "instrcomplete", "errdrop",
+	"allocfree", "instrcomplete", "errdrop",
 }
 
 // Finding is one rule violation.
@@ -113,7 +107,7 @@ type Config struct {
 	// RandAllowed lists the packages that may import math/rand.
 	RandAllowed []string
 	// SimPath is the import path of the simulation kernel, used by the
-	// maprange, tickpurity, allocfree and taskparity checks to recognize
+	// maprange, tickpurity and allocfree checks to recognize
 	// scheduling calls and actor types. Empty disables those recognitions
 	// (the checks still run on syntax).
 	SimPath string
@@ -309,9 +303,6 @@ func checkPackage(ld *loader, pkg *pkgInfo, cfg *Config, enabled map[string]bool
 	}
 	if enabled["allocfree"] {
 		findings = append(findings, checkAllocFree(ld, pkg, cfg)...)
-	}
-	if enabled["taskparity"] {
-		findings = append(findings, checkTaskParity(ld, pkg, cfg)...)
 	}
 	if enabled["instrcomplete"] {
 		findings = append(findings, checkInstrComplete(pkg, cfg)...)

@@ -35,7 +35,7 @@ func TestGolden(t *testing.T) {
 	root := moduleRoot(t)
 	for _, name := range []string{
 		"wallclock", "randpkg", "maprange", "nogoroutine", "hostside", "tickpurity",
-		"allocfree", "taskparity", "instrcomplete", "flightkind", "errdrop", "suppress",
+		"allocfree", "instrcomplete", "flightkind", "errdrop", "suppress",
 	} {
 		t.Run(name, func(t *testing.T) {
 			rel := "internal/lint/testdata/" + name
@@ -175,13 +175,13 @@ func TestSuppressionEnabledFilter(t *testing.T) {
 
 // TestEnabledFilter verifies Config.Enabled end to end: the errdrop
 // fixture is all findings under its own check and silent when only
-// taskparity runs, and an unknown name is an error, not a silent no-op.
+// wallclock runs, and an unknown name is an error, not a silent no-op.
 func TestEnabledFilter(t *testing.T) {
 	root := moduleRoot(t)
 	pat := []string{"./internal/lint/testdata/errdrop"}
 
 	cfg := DefaultConfig("imca")
-	cfg.Enabled = []string{"taskparity"}
+	cfg.Enabled = []string{"wallclock"}
 	findings, err := Run(root, pat, cfg)
 	if err != nil {
 		t.Fatal(err)

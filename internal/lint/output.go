@@ -43,7 +43,6 @@ var checkHelp = map[string]string{
 	"nogoroutine":   "simulated code is single-threaded; concurrency belongs to sim.Chan/sim.Event",
 	"tickpurity":    "tick observers must never schedule or advance the virtual clock",
 	"allocfree":     "annotated hot paths must not reach heap-allocating constructs",
-	"taskparity":    "blocking operations on task-ready types need *T siblings with identical schedule consumption",
 	"instrcomplete": "hot-path layers must register their instruments; flight record kinds must be declared constants",
 	"errdrop":       "module-internal errors and completion callbacks must not be silently dropped",
 	"suppress":      "//imcalint:allow annotations must be well-formed and cover a real finding",

@@ -15,13 +15,16 @@ import (
 // check exists to catch. The callback it arms is a different matter: it
 // runs later, in scheduler context, where scheduling is legal (the fault
 // injector's whole mechanism), so a Defer callback is ordinary sim-side
-// code and is never treated as an observer.
+// code and is never treated as an observer. Proc.Await and Task.Block
+// schedule nothing themselves, but they park and wake a process, which a
+// tick observer — called with no process running — must never do.
 var simSchedMethods = map[string]bool{
 	"Env.Process": true, "Env.Run": true, "Env.RunUntil": true, "Env.Defer": true,
 	"Env.StartTask": true,
 	"Env.schedule":  true, "Env.scheduleProc": true, "Env.wake": true,
 	"Proc.Sleep": true, "Proc.Yield": true, "Proc.Spawn": true, "Proc.park": true,
-	"Task.Sleep": true, "Task.End": true, "Task.Start": true,
+	"Proc.Await": true,
+	"Task.Sleep": true, "Task.End": true, "Task.Start": true, "Task.Block": true,
 	"Event.Wait": true, "Event.WaitUntil": true, "Event.Trigger": true,
 	"Event.WaitT": true, "Event.WaitUntilT": true, "Event.WaitFn": true,
 	"Chan.Send": true, "Chan.TrySend": true, "Chan.Recv": true, "Chan.TryRecv": true,

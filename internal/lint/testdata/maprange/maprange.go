@@ -81,3 +81,11 @@ func TouchAll(t *sim.Task, m map[string]int) {
 		touch(t)
 	}
 }
+
+// AwaitAll drives one blocking operation per entry in map order: Await
+// hands the process to a task and back, so its order is the simulation's.
+func AwaitAll(p *sim.Proc, m map[string]int) {
+	for range m {
+		p.Await(func(t *sim.Task) { t.End() })
+	}
+}

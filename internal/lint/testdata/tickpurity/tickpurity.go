@@ -88,3 +88,19 @@ func observeAndSchedule(env *sim.Env, h *telemetry.Hist) {
 	h.Observe(0)
 	env.Process("drain", func(p *sim.Proc) {})
 }
+
+// InstallAwait hooks an observer that drives a blocking API from its
+// sample: Await parks the calling process and Block wakes one, and a tick
+// observer runs with no process to park — reaching either is flagged, like
+// the End that completes the Await.
+func InstallAwait(env *sim.Env, p *sim.Proc) {
+	env.SetTick(1000, func(at sim.Time) {
+		awaitNothing(p)
+	})
+}
+
+func awaitNothing(p *sim.Proc) {
+	p.Await(func(t *sim.Task) {
+		t.Block(func(*sim.Proc) {}, t.End)
+	})
+}

@@ -247,12 +247,10 @@ func TestGetMultiResultShape(t *testing.T) {
 	}
 }
 
-// TestGetMultiEnginesAgree is the schedule-equality pin the taskparity
-// suppression on GetMultiT points at: on every case of the table the two
-// engines return the same result after the same virtual time, the same
-// number of dispatched events, the same wire messages and the same health
-// accounting. The pooled legs and the hand-rolled join must cost exactly
-// what the worker processes and their events cost.
+// TestGetMultiEnginesAgree: on every case of the table, GetMultiT on a task
+// and blocking GetMulti (the same body awaited by a process) return the
+// same result after the same virtual time, the same number of dispatched
+// events, the same wire messages and the same health accounting.
 func TestGetMultiEnginesAgree(t *testing.T) {
 	for _, mc := range multiCases {
 		mc := mc

@@ -1,17 +1,312 @@
 package memcache
 
 import (
+	"errors"
+
 	"imca/internal/blob"
 	"imca/internal/fabric"
 	"imca/internal/flight"
 	"imca/internal/optrace"
 	"imca/internal/sim"
+	"imca/internal/telemetry"
 )
 
-// Task-engine variants of the SimClient operations. Each mirrors its
-// blocking sibling's wire traffic, health accounting, and schedule
-// consumption exactly, delivering the result to a continuation instead of
-// returning it; see sim.Task for the determinism contract.
+// SimClient accesses a bank of simulated MCDs from one fabric node,
+// distributing keys with a Selector (CRC32 by default, matching
+// libmemcache).
+type SimClient struct {
+	node     *fabric.Node
+	servers  []*SimServer
+	selector Selector
+	// bindings pre-resolve the mcd service on each server, so the per-call
+	// path never repeats the lookup or the cross-network check.
+	bindings []*fabric.Binding
+	// Free lists of pooled per-operation frames (getOp, setOp, ...).
+	getOps   []*getOp
+	setOps   []*setOp
+	delOps   []*delOp
+	multiOps []*multiGetOp
+	legs     []*multiGetLeg
+	// downReplies counts requests that came back with Down set (connection
+	// refused by a failed daemon). Surfaced through BankStats.
+	downReplies uint64
+	// deadlineMisses counts requests abandoned because the calling
+	// operation's virtual-time deadline expired — the paper's "fall back to
+	// the server" path.
+	deadlineMisses uint64
+	// unreachables counts requests that failed because the link to the
+	// server was cut (fabric.ErrUnreachable).
+	unreachables uint64
+
+	// Ejection state, active only after SetEjection (see health.go).
+	ejectAfter                          int
+	probeBackoff                        sim.Duration
+	health                              []serverHealth
+	ejects, probes, readmits, fastFails uint64
+
+	// Replication: replicas >= 2 keeps a second copy of every key on the
+	// selector's replica server (see SetReplication). 0 is the paper's
+	// single-copy bank.
+	replicas  int
+	failovers uint64
+	// Latency suspicion state, active only after SetSuspicion (see
+	// health.go): gray (slow-but-alive) servers are soft-ejected when
+	// their service-time EWMA crosses suspectAfter.
+	suspectAfter            sim.Duration
+	suspectBackoff          sim.Duration
+	suspects, suspectClears uint64
+	// fnGetFailover dispatches GetT's replica retry. It is a stored
+	// function value on purpose: the allocfree walker follows direct
+	// calls only, so the exceptional failover leg stays off the audited
+	// common path (the same sanctioned idiom as the kernel's ev.fn).
+	fnGetFailover func(t *sim.Task, next int, key string, k func(*Item, bool))
+
+	// Per-bank latency distributions (get/set/getmulti entry to exit,
+	// fast-fails included), registered by Register; nil no-ops otherwise.
+	getHist, setHist, multiHist *telemetry.Hist
+	// fr, when attached, records deadline expiries and ejection
+	// transitions for post-mortems; nil (the default) is a no-op.
+	fr *flight.Recorder
+}
+
+// NewSimClient returns a client on node addressing the given MCD bank.
+func NewSimClient(node *fabric.Node, servers []*SimServer) *SimClient {
+	if len(servers) == 0 {
+		panic("memcache: empty MCD bank")
+	}
+	c := &SimClient{node: node, servers: servers, selector: CRC32Selector{}}
+	c.bindings = make([]*fabric.Binding, len(servers))
+	for i, s := range servers {
+		c.bindings[i] = node.Bind(s.node, ServiceName)
+	}
+	c.fnGetFailover = c.failoverGetT
+	return c
+}
+
+// SetSelector replaces the key distribution function.
+func (c *SimClient) SetSelector(s Selector) { c.selector = s }
+
+// SetReplication sets the number of copies kept per key. r >= 2 writes
+// every Set/Delete through to the selector's replica server and lets Get
+// fail over to that copy when the primary is ejected, suspected,
+// unreachable, or answers Down. r <= 1 (the default) is the paper's
+// single-copy bank. Only R=2 is modeled; larger r behaves as 2.
+func (c *SimClient) SetReplication(r int) { c.replicas = r }
+
+// replicaNext returns the replica server for key given its primary, or -1
+// when replication is off, the bank has one node, or the selector mapped
+// both copies to the same daemon.
+func (c *SimClient) replicaNext(key string, primary int) int {
+	if c.replicas < 2 || len(c.servers) < 2 {
+		return -1
+	}
+	n := len(c.servers)
+	r := (primary + 1) % n
+	if rs, ok := c.selector.(ReplicaSelector); ok {
+		r = rs.Replica(key, n)
+	}
+	if r == primary {
+		return -1
+	}
+	return r
+}
+
+// SetFlight attaches a flight recorder: deadline expiries and ejection
+// state transitions append fixed-size records to it. Appending costs no
+// virtual time, so an attached recorder never changes results.
+func (c *SimClient) SetFlight(rec *flight.Recorder) { c.fr = rec }
+
+// Servers returns the MCD bank.
+func (c *SimClient) Servers() []*SimServer { return c.servers }
+
+func (c *SimClient) pick(key string) (int, *SimServer) {
+	i := c.selector.Pick(key, len(c.servers))
+	return i, c.servers[i]
+}
+
+// fail classifies a request error or Down reply into the right counter and
+// feeds the health state machine.
+func (c *SimClient) fail(a sim.Actor, idx int, err error, down bool) string {
+	result := "deadline"
+	switch {
+	case down:
+		c.downReplies++
+		result = "down"
+	case errors.Is(err, fabric.ErrUnreachable):
+		c.unreachables++
+		result = "unreachable"
+	default:
+		c.deadlineMisses++
+		c.fr.Append(a.Now(), flight.KindDeadline, c.node.Name(), c.servers[idx].node.Name(), 0)
+	}
+	c.observe(a, idx, false)
+	return result
+}
+
+// Get fetches one key; ok is false on a miss. A dead daemon, a cut link,
+// or an expired operation deadline also reads as a miss — the bank
+// degrades, it never stalls or fails an operation. An ejected server
+// misses instantly without a wire request (see SetEjection). With
+// replication on, a failed primary leg retries once against the replica.
+// It is GetT awaited; the item GetT lends is copied, so the caller owns it.
+func (c *SimClient) Get(p *sim.Proc, key string) (it *Item, ok bool) {
+	p.Await(func(t *sim.Task) {
+		c.GetT(t, key, func(lent *Item, hit bool) {
+			if hit {
+				cp := *lent
+				it, ok = &cp, true
+			}
+			t.End()
+		})
+	})
+	return it, ok
+}
+
+// GetMulti fetches many keys with one batched request per MCD; requests to
+// distinct MCDs proceed in parallel. The result is aligned with keys:
+// entry i is the item found for keys[i], or nil on a miss. Keys served by a
+// dead daemon, over a cut link, or abandoned because the operation's
+// deadline expired, are simply nil — misses the caller satisfies from the
+// server. Keys on an ejected server are nil without a request serializing
+// onto the NIC. It is GetMultiT awaited, the lent items copied.
+func (c *SimClient) GetMulti(p *sim.Proc, keys []string) []*Item {
+	out := make([]*Item, len(keys))
+	p.Await(func(t *sim.Task) {
+		c.GetMultiT(t, keys, func(lent []*Item) {
+			for i, it := range lent {
+				if it != nil {
+					cp := *it
+					out[i] = &cp
+				}
+			}
+			t.End()
+		})
+	})
+	return out
+}
+
+// Set stores an item on its MCD and waits for the acknowledgement. A dead
+// daemon drops the update (the bank is best-effort; correctness lives at
+// the file server), and so do an expired operation deadline, a cut link,
+// and an ejected server. With replication on, the item is written through
+// to the replica as well; the primary's result is what the caller sees
+// (the replica copy is best-effort, like the bank itself). It is SetT
+// awaited.
+func (c *SimClient) Set(p *sim.Proc, key string, value blob.Blob) (err error) {
+	p.Await(func(t *sim.Task) {
+		c.SetT(t, key, value, func(e error) {
+			err = e
+			t.End()
+		})
+	})
+	return err
+}
+
+// Delete removes a key from its MCD. An ejected server drops the delete
+// without a wire request — sound for crash-ejections (the cache died with
+// its contents), and the documented model boundary for partitions that
+// separate a writer from a cache its readers can still reach (see
+// DESIGN.md, "Fault model"). With replication on, both copies are
+// deleted; found reports whether either copy held the key. It is DeleteT
+// awaited.
+func (c *SimClient) Delete(p *sim.Proc, key string) (found bool) {
+	p.Await(func(t *sim.Task) {
+		c.DeleteT(t, key, func(f bool) {
+			found = f
+			t.End()
+		})
+	})
+	return found
+}
+
+// multiErrResult names a failed multi-get leg for its span.
+func multiErrResult(err error) string {
+	if errors.Is(err, fabric.ErrUnreachable) {
+		return "unreachable"
+	}
+	return "deadline"
+}
+
+// multiRespResult names an answered multi-get leg for its span.
+func multiRespResult(resp *GetResp, asked int) string {
+	switch {
+	case resp.Down:
+		return "down"
+	case len(resp.Items) == asked:
+		return "hit"
+	}
+	return "partial"
+}
+
+// matchItems pairs a daemon's reply with the keys that asked for it. The
+// daemon answers hits in request order and drops misses, so one forward walk
+// pairs them exactly; a key asked twice is answered twice. hit receives the
+// index into keys and the item found for it.
+func matchItems(keys []string, items []*Item, hit func(j int, it *Item)) {
+	n := 0
+	for j, k := range keys {
+		if n == len(items) {
+			return
+		}
+		if items[n].Key == k {
+			hit(j, items[n])
+			n++
+		}
+	}
+}
+
+// routeRead picks the server a batched read for key should go to: the
+// primary, unless it is currently unroutable (ejected or suspected, probe
+// not yet due) and the replica is routable — then the key fails over at
+// scatter time. Unlike admitRead this never counts probes or fast-fails;
+// the per-server admission in the scatter loop does that once per batch.
+func (c *SimClient) routeRead(a sim.Actor, key string) int {
+	i, _ := c.pick(key)
+	r := c.replicaNext(key, i)
+	if r >= 0 && !c.readRoutable(a, i) && c.readRoutable(a, r) {
+		c.failovers++
+		c.fr.Append(a.Now(), flight.KindFailover, c.node.Name(), c.servers[r].node.Name(), 0)
+		return r
+	}
+	return i
+}
+
+// DownReplies returns how many of this client's requests were answered by
+// a dead daemon's connection reset.
+func (c *SimClient) DownReplies() uint64 { return c.downReplies }
+
+// DeadlineMisses returns how many of this client's requests were abandoned
+// at an operation deadline and fell back to the server path.
+func (c *SimClient) DeadlineMisses() uint64 { return c.deadlineMisses }
+
+// BankStats sums Stats across the MCD bank.
+func (c *SimClient) BankStats() Stats {
+	var total Stats
+	for _, s := range c.servers {
+		st := s.store.Stats()
+		total.CmdGet += st.CmdGet
+		total.CmdSet += st.CmdSet
+		total.GetHits += st.GetHits
+		total.GetMisses += st.GetMisses
+		total.Evictions += st.Evictions
+		total.Expired += st.Expired
+		total.CurrItems += st.CurrItems
+		total.TotalItems += st.TotalItems
+		total.Bytes += st.Bytes
+		total.LimitBytes += st.LimitBytes
+	}
+	total.DownReplies = c.downReplies
+	total.DeadlineMisses = c.deadlineMisses
+	total.Unreachables = c.unreachables
+	total.Ejects = c.ejects
+	total.Probes = c.probes
+	total.Readmits = c.readmits
+	total.FastFails = c.fastFails
+	total.Failovers = c.failovers
+	total.Suspects = c.suspects
+	total.SuspectClears = c.suspectClears
+	return total
+}
 
 // getOp is GetT's pooled per-operation frame: the request (whose Keys
 // slice permanently aliases the op's one-element key buffer), the
@@ -102,8 +397,8 @@ func (op *getOp) done(m fabric.Msg, err error) {
 	op.k(resp.Items[0], true)
 }
 
-// GetT is Get for the task engine: k receives (item, true) on a hit and
-// (nil, false) on any flavour of miss. A hit's item aliases pooled response
+// GetT fetches one key: k receives (item, true) on a hit and (nil, false)
+// on any flavour of miss. A hit's item aliases pooled response
 // storage and is valid only until k returns; continuation code copies what
 // it keeps, exactly as it would from a network buffer.
 //
@@ -189,7 +484,7 @@ type multiGetOp struct {
 
 // legResult is one MCD's scatter-gather outcome, parked in the op until the
 // collector reaches it. Health accounting happens at collection, in scatter
-// order, as GetMulti's Wait loop does it — not when the reply lands.
+// order — not when the reply lands.
 type legResult struct {
 	idx  int
 	err  error
@@ -199,8 +494,7 @@ type legResult struct {
 // multiGetLeg is one MCD's share of a multi-get: the pooled request (its
 // Keys slice keeps its capacity), where each of its keys sits in the
 // caller's slice, and a context task that is the leg's actor — the identity
-// the retired "mcd-get" worker process used to provide for span nesting and
-// deadline lookup. A leg outlives its op's interest in it: it returns to
+// its spans nest under and its deadline is looked up on. A leg outlives its op's interest in it: it returns to
 // the pool only when the fabric recycles the request, which for a
 // deadline-abandoned call is after the far daemon has finished reading it.
 type multiGetLeg struct {
@@ -284,8 +578,7 @@ func (l *multiGetLeg) release() {
 	l.c.legs = append(l.c.legs, l)
 }
 
-// start is the leg's first slice, one scheduled event after the scatter, as
-// a worker process's is.
+// start is the leg's first slice, one scheduled event after the scatter.
 func (l *multiGetLeg) start() {
 	c := l.c
 	idx := l.op.res[l.n].idx
@@ -343,12 +636,12 @@ func (op *multiGetOp) collect() {
 	op.finish()
 }
 
-// GetMultiT is GetMulti for the task engine: k receives a slice aligned
-// with keys, nil where a key missed. The items alias pooled storage and are
-// valid only until k returns; continuation code copies what it keeps. Each
-// MCD's batch is a pooled leg issuing one CallT, started and joined with
-// the schedule consumption of GetMulti's worker processes and events, so
-// the two engines replay one event stream.
+// GetMultiT fetches many keys with one batched request per MCD, the legs
+// in parallel: k receives a slice aligned with keys, nil where a key
+// missed. The items alias pooled storage and are valid only until k
+// returns; continuation code copies what it keeps. Each MCD's batch is a
+// pooled leg issuing one CallT: one scheduled event to start it, one to
+// join it.
 func (c *SimClient) GetMultiT(t *sim.Task, keys []string, k func([]*Item)) {
 	op := c.takeMultiOp()
 	op.t, op.k = t, k
@@ -450,11 +743,10 @@ func (op *delOp) done(m fabric.Msg, err error) {
 	op.k(resp.Found)
 }
 
-// DeleteT is Delete for the task engine; k receives Delete's found
-// result. Ejection and failure semantics mirror Delete exactly: an
+// DeleteT removes a key from its MCD; k receives whether it was found. An
 // ejected or unreachable MCD absorbs the delete without a wire request,
 // per the documented fault-model boundary. With replication on, both
-// copies are deleted in sequence, as Delete does.
+// copies are deleted in sequence.
 func (c *SimClient) DeleteT(t *sim.Task, key string, k func(bool)) {
 	idx, _ := c.pick(key)
 	next := c.replicaNext(key, idx)
@@ -554,9 +846,9 @@ func (op *setOp) done(m fabric.Msg, err error) {
 	}
 }
 
-// SetT is Set for the task engine; k receives Set's error result. With
-// replication on, the replica leg runs after the primary leg and the
-// primary's result is what k sees, as in Set.
+// SetT stores an item on its MCD; k receives the acknowledgement's error.
+// With replication on, the replica leg runs after the primary leg and the
+// primary's result is what k sees.
 func (c *SimClient) SetT(t *sim.Task, key string, value blob.Blob, k func(error)) {
 	idx, _ := c.pick(key)
 	next := c.replicaNext(key, idx)

@@ -6,14 +6,105 @@ import (
 	"imca/internal/sim"
 )
 
+// SimServer is a memcached daemon attached to a fabric node inside the
+// simulation. Like memcached 1.2 of the paper's era, the daemon itself is
+// single-threaded: cache operations serialize on one event loop, while
+// kernel TCP processing (the fabric's host overhead) uses the node's other
+// cores.
+type SimServer struct {
+	node   *fabric.Node
+	store  *Store
+	daemon *sim.Resource
+	down   bool
+	// slow > 1 stretches every service-time charge by that factor: the
+	// gray-failure mode where the daemon answers correctly but slowly
+	// (swapping, a sick disk under the slab allocator, a hot neighbor).
+	slow float64
+
+	// ops is the free list of pooled request state machines (see srvOp).
+	ops []*srvOp
+}
+
+// NewSimServer starts an MCD on node with the given memory limit.
+func NewSimServer(node *fabric.Node, limitBytes int64) *SimServer {
+	env := node.Network().Env()
+	s := &SimServer{
+		node:   node,
+		store:  NewStore(limitBytes, func() int64 { return int64(env.Now().Seconds()) }),
+		daemon: sim.NewResource(env, 1),
+	}
+	node.HandleT(ServiceName, s.handleT)
+	return s
+}
+
+// Node returns the fabric node the daemon runs on.
+func (s *SimServer) Node() *fabric.Node { return s.node }
+
+// Store exposes the cache engine for stats inspection.
+func (s *SimServer) Store() *Store { return s.store }
+
+// Fail kills the daemon: its contents are lost and requests are refused
+// until Recover. The paper's §4.4 argues MCD failures never affect
+// correctness because writes are persistent at the server first.
+func (s *SimServer) Fail() {
+	s.down = true
+	s.store.FlushAll()
+}
+
+// Recover restarts the daemon (empty, as a restarted memcached would be).
+func (s *SimServer) Recover() { s.down = false }
+
+// Down reports whether the daemon is failed.
+func (s *SimServer) Down() bool { return s.down }
+
+// SetSlowdown makes the daemon gray: every service-time charge is
+// stretched by f (> 1). The daemon still answers correctly — no errors,
+// no Down replies — which is exactly why consecutive-failure ejection
+// never catches it and latency suspicion exists. f <= 1 restores full
+// speed.
+func (s *SimServer) SetSlowdown(f float64) {
+	if f <= 1 {
+		s.slow = 0
+		return
+	}
+	s.slow = f
+}
+
+// Slowdown returns the current gray stretch factor (1 when healthy).
+func (s *SimServer) Slowdown() float64 {
+	if s.slow > 1 {
+		return s.slow
+	}
+	return 1
+}
+
+// stretch applies the gray slowdown to one service-time charge.
+func (s *SimServer) stretch(d sim.Duration) sim.Duration {
+	if s.slow > 1 {
+		return sim.Duration(float64(d) * s.slow)
+	}
+	return d
+}
+
+// reqName names a request type for spans.
+func reqName(req fabric.Msg) string {
+	switch req.(type) {
+	case *GetReq:
+		return "get"
+	case *SetReq:
+		return "set"
+	case *DelReq:
+		return "delete"
+	}
+	return "?"
+}
+
 // srvOp is the daemon's request state machine, pooled per SimServer. One op
 // carries one request from daemon admission through CPU charges to the
 // response, on continuations prebound at construction, so a steady-state
 // request allocates nothing. The response messages live inside the op and
 // carry a backpointer; when the fabric recycles a delivered (or abandoned)
-// response, the op returns to its server's free list. Responses that escape
-// to blocking callers are never recycled and their ops fall to the
-// collector — correct, just not pooled.
+// response, the op returns to its server's free list.
 type srvOp struct {
 	s       *SimServer
 	t       *sim.Task
@@ -77,11 +168,8 @@ func (op *srvOp) release() {
 	op.s.ops = append(op.s.ops, op)
 }
 
-// handleT serves one request continuation-style. The charge sequence —
-// daemon admission, per-key CPU, storage access, copy CPU — replays the
-// retired process-backed handler leg for leg, so schedule consumption (and
-// therefore results) are identical; only the per-request process spawn and
-// per-response allocations are gone.
+// handleT serves one request continuation-style: daemon admission, per-key
+// CPU, storage access, copy CPU.
 func (s *SimServer) handleT(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 	sp := optrace.StartSpan(t, optrace.LayerMCDSrv, reqName(req))
 	if s.down {
@@ -166,8 +254,7 @@ func (op *srvOp) cpuDone() {
 		op.getResp.Items = ptrs
 		op.moved = moved
 		if moved > 0 {
-			// Copy-out cost for the hit bytes: a second CPU use, exactly
-			// as the blocking handler charged it.
+			// Copy-out cost for the hit bytes: a second CPU use.
 			op.svcTime = s.stretch(copyTime(moved))
 			s.node.CPU.AcquireT(op.t, 1, op.fnCopyHeld)
 			return
@@ -196,8 +283,8 @@ func (op *srvOp) copyDone() {
 	op.finish(&op.getResp)
 }
 
-// finish releases the daemon, closes the span, and sends the response —
-// the same order the blocking handler's defers unwound in.
+// finish releases the daemon, closes the span, and sends the response, in
+// that order.
 func (op *srvOp) finish(resp fabric.Msg) {
 	t, respond := op.t, op.respond
 	op.s.daemon.Release(1)

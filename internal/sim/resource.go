@@ -3,8 +3,9 @@ package sim
 // Resource is a counted server with a FIFO queue: up to Capacity units may
 // be held concurrently; further acquirers wait in arrival order. It models
 // contended hardware such as a NIC, a disk arm, or a pool of server
-// threads. Both engines share one queue: a waiter is a parked process or a
-// pending task continuation, admitted in strict arrival order either way.
+// threads. Processes and tasks share one queue: a waiter is a parked
+// process or a pending task continuation, admitted in strict arrival order
+// either way.
 type Resource struct {
 	env      *Env
 	capacity int

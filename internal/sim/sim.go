@@ -1,23 +1,48 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Simulated activities are written as ordinary Go functions running in
-// goroutines ("processes"), but time is virtual: a process advances the
-// clock only by blocking on one of the kernel's primitives (Sleep, Event,
-// Chan, Resource, Barrier). The kernel runs exactly one process goroutine
-// at a time and orders simultaneous events by creation sequence, so a
-// simulation is fully deterministic and race-free without locks.
+// Time is virtual: the clock advances only when an activity waits on one of
+// the kernel's primitives (a sleep, an Event, a Resource, a Barrier, a
+// Chan). The kernel runs exactly one activity at a time and orders
+// simultaneous events by creation sequence, so a simulation is fully
+// deterministic and race-free without locks.
 //
-// The typical shape of a simulation:
+// A simulated activity is written in one of two styles.
+//
+// A Task is a state machine in continuation-passing style: each waiting
+// point takes the rest of the computation as a callback (Task.Sleep,
+// Event.WaitT, Resource.AcquireT/UseT, Barrier.WaitT) that the kernel
+// dispatches as a plain heap event. It costs no goroutine, so it is the
+// form for anything that runs per operation or in large numbers — and the
+// form every layer of the simulated storage stack is written in:
 //
 //	env := sim.NewEnv()
-//	env.Process("client", func(p *sim.Proc) {
-//		p.Sleep(10 * time.Microsecond)
-//		// ... interact with other processes via Chan/Event/Resource
+//	env.StartTask("client", func(t *sim.Task) {
+//		t.Sleep(10*time.Microsecond, func() {
+//			// ... next step; eventually:
+//			t.End()
+//		})
 //	})
 //	env.Run()
 //
-// All kernel methods that take a *Proc must be called from that process's
-// own goroutine while it is the running process.
+// A Proc is an ordinary Go function running in its own goroutine, which
+// blocks in virtual time (p.Sleep returns when the time has passed). It is
+// the clearest way to write low-cardinality control logic — set-up passes,
+// fault injectors, interactive shells — and all kernel methods that take a
+// *Proc must be called from that process's own goroutine while it is the
+// running process:
+//
+//	env.Process("setup", func(p *sim.Proc) {
+//		p.Sleep(10 * time.Microsecond)
+//	})
+//
+// The two meet in one adapter (await.go). Proc.Await runs continuation
+// code on behalf of a process and returns when it has finished, which is
+// how every blocking API in the tree is derived from its task-style
+// implementation; Task.Block runs blocking code on the process such a task
+// fronts. Neither spends a sequence number, and each *T primitive consumes
+// exactly the sequence numbers its blocking form does, so the same
+// activity replays the same (time, seq) event stream whichever way it is
+// driven.
 //
 // # Dispatch cost
 //

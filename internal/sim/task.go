@@ -6,7 +6,7 @@ import "fmt"
 // (goroutine-backed, blocking primitives) and a *Task (continuation-style,
 // advanced by heap events). Layers that only need the clock and the
 // per-operation context slot — tracing, health accounting, span
-// bookkeeping — accept an Actor so one implementation serves both engines.
+// bookkeeping — accept an Actor so one implementation serves both.
 type Actor interface {
 	Env() *Env
 	Now() Time
@@ -38,17 +38,21 @@ var (
 // deadlock, diagnosed by Run exactly as for parked processes.
 //
 // Determinism: the *T primitives consume sequence numbers identically to
-// their blocking siblings (one schedule per wake-up, zero when the fast
-// path returns inline), so a workload ported from Procs to Tasks replays
-// the exact same (time, seq) event stream and produces byte-identical
-// results.
+// their blocking forms (one schedule per wake-up, zero when the fast path
+// returns inline), so an activity replays the exact same (time, seq) event
+// stream whether it runs as a task or is awaited by a process (Proc.Await).
 type Task struct {
 	env   *Env
 	name  string
-	tid   int
-	done  *Event
+	tid   int32
 	ended bool
+	done  *Event
 	ctx   interface{}
+
+	// front is set only on a task that fronts a process (Proc.Await; see
+	// await.go). Such a task shares the process's context slot and is never
+	// counted live: the process it fronts already is.
+	front *fronting
 }
 
 // StartTask creates a task and schedules its body to run at the current
@@ -57,7 +61,7 @@ type Task struct {
 // continuation before returning.
 func (e *Env) StartTask(name string, fn func(t *Task)) *Task {
 	e.nextTID++
-	t := &Task{env: e, name: name, tid: e.nextTID}
+	t := &Task{env: e, name: name, tid: int32(e.nextTID)}
 	t.done = NewEvent(e)
 	e.tasksLive++
 	e.schedule(e.now, nil, func() { fn(t) })
@@ -74,7 +78,7 @@ func (e *Env) StartTask(name string, fn func(t *Task)) *Task {
 // never call End.
 func (e *Env) ContextTask(name string) *Task {
 	e.nextTID++
-	return &Task{env: e, name: name, tid: e.nextTID}
+	return &Task{env: e, name: name, tid: int32(e.nextTID)}
 }
 
 // Start schedules fn as a context task's first slice at the current virtual
@@ -95,11 +99,24 @@ func (t *Task) Now() Time { return t.env.now }
 // Done returns an event triggered when the task calls End.
 func (t *Task) Done() *Event { return t.done }
 
-// Ctx returns the task's context slot, or nil; see Proc.Ctx.
-func (t *Task) Ctx() interface{} { return t.ctx }
+// Ctx returns the task's context slot, or nil; see Proc.Ctx. A task that
+// fronts a process (Proc.Await) reads the process's slot.
+func (t *Task) Ctx() interface{} {
+	if t.front != nil {
+		return t.front.p.ctx
+	}
+	return t.ctx
+}
 
-// SetCtx stores v in the task's context slot; see Proc.SetCtx.
-func (t *Task) SetCtx(v interface{}) { t.ctx = v }
+// SetCtx stores v in the task's context slot; see Proc.SetCtx. A task that
+// fronts a process (Proc.Await) writes the process's slot.
+func (t *Task) SetCtx(v interface{}) {
+	if t.front != nil {
+		t.front.p.ctx = v
+		return
+	}
+	t.ctx = v
+}
 
 // String identifies the task for diagnostics.
 func (t *Task) String() string { return fmt.Sprintf("task %d (%s)", t.tid, t.name) }
@@ -116,9 +133,16 @@ func (t *Task) Sleep(d Duration, k func()) {
 // End marks the task finished and triggers its Done event. Every task must
 // end exactly once; ending is what lets Run distinguish a completed
 // simulation from one whose continuation chain was dropped.
+//
+// Ending a task that fronts a process completes that process's Await; see
+// Proc.Await.
 func (t *Task) End() {
 	if t.ended {
 		panic(fmt.Sprintf("sim: %v ended twice", t))
+	}
+	if t.front != nil {
+		t.front.end()
+		return
 	}
 	t.ended = true
 	t.env.tasksLive--

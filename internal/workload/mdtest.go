@@ -35,7 +35,6 @@ func MDTest(env *sim.Env, mounts []gluster.FS, opts MDTestOptions) MDTestResult 
 	}
 	nc := len(mounts)
 	n := opts.FilesPerClient
-	tms := taskMounts(mounts)
 
 	clientDir := func(ci int) string { return fmt.Sprintf("%s/c%03d", opts.Dir, ci) }
 
@@ -43,133 +42,84 @@ func MDTest(env *sim.Env, mounts []gluster.FS, opts MDTestOptions) MDTestResult 
 	bar := sim.NewBarrier(env, nc)
 	for ci := 0; ci < nc; ci++ {
 		ci := ci
-		if tms != nil {
-			tfs := tms[ci]
-			env.StartTask("mdtest", func(t *sim.Task) {
-				var t0 sim.Time
-
-				// Phase 3: unlink own files.
-				phase3 := func() {
-					bar.WaitT(t, func() {
-						t0 = t.Now()
-						var unlink func(i int)
-						unlink = func(i int) {
-							if i == n {
-								if d := t.Now().Sub(t0); d > unlinkMax {
-									unlinkMax = d
-								}
-								t.End()
-								return
-							}
-							tfs.UnlinkT(t, FilePath(clientDir(ci), i), func(err error) {
-								if err != nil {
-									panic(fmt.Sprintf("workload: mdtest unlink: %v", err))
-								}
-								unlink(i + 1)
-							})
-						}
-						unlink(0)
-					})
-				}
-
-				// Phase 2: stat every file of every client.
-				phase2 := func() {
-					bar.WaitT(t, func() {
-						t0 = t.Now()
-						var stat func(j int)
-						stat = func(j int) {
-							if j == nc*n {
-								if d := t.Now().Sub(t0); d > statMax {
-									statMax = d
-								}
-								bar.WaitT(t, phase3)
-								return
-							}
-							tfs.StatT(t, FilePath(clientDir(j/n), j%n), func(_ *gluster.Stat, err error) {
-								if err != nil {
-									panic(fmt.Sprintf("workload: mdtest stat: %v", err))
-								}
-								stat(j + 1)
-							})
-						}
-						stat(0)
-					})
-				}
-
-				// Phase 1: create.
-				bar.WaitT(t, func() {
-					t0 = t.Now()
-					var create func(i int)
-					create = func(i int) {
-						if i == n {
-							if d := t.Now().Sub(t0); d > createMax {
-								createMax = d
-							}
-							bar.WaitT(t, phase2)
-							return
-						}
-						tfs.CreateT(t, FilePath(clientDir(ci), i), func(fd gluster.FD, err error) {
-							if err != nil {
-								panic(fmt.Sprintf("workload: mdtest create: %v", err))
-							}
-							tfs.CloseT(t, fd, func(err error) {
-								if err != nil {
-									panic(err)
-								}
-								create(i + 1)
-							})
-						})
-					}
-					create(0)
-				})
-			})
-			continue
-		}
-		fs := mounts[ci]
-		env.Process("mdtest", func(p *sim.Proc) {
-			// Phase 1: create.
-			bar.Wait(p)
-			t0 := p.Now()
-			for i := 0; i < n; i++ {
-				fd, err := fs.Create(p, FilePath(clientDir(ci), i))
-				if err != nil {
-					panic(fmt.Sprintf("workload: mdtest create: %v", err))
-				}
-				if err := fs.Close(p, fd); err != nil {
-					panic(err)
-				}
-			}
-			if d := p.Now().Sub(t0); d > createMax {
-				createMax = d
-			}
-			bar.Wait(p)
-
-			// Phase 2: stat every file of every client.
-			bar.Wait(p)
-			t0 = p.Now()
-			for other := 0; other < nc; other++ {
-				for i := 0; i < n; i++ {
-					if _, err := fs.Stat(p, FilePath(clientDir(other), i)); err != nil {
-						panic(fmt.Sprintf("workload: mdtest stat: %v", err))
-					}
-				}
-			}
-			if d := p.Now().Sub(t0); d > statMax {
-				statMax = d
-			}
-			bar.Wait(p)
+		tfs := gluster.Lift(mounts[ci])
+		startClient(env, "mdtest", tfs, func(t *sim.Task) {
+			var t0 sim.Time
 
 			// Phase 3: unlink own files.
-			bar.Wait(p)
-			t0 = p.Now()
-			for i := 0; i < n; i++ {
-				if err := fs.Unlink(p, FilePath(clientDir(ci), i)); err != nil {
-					panic(fmt.Sprintf("workload: mdtest unlink: %v", err))
+			phase3 := func() {
+				bar.WaitT(t, func() {
+					t0 = t.Now()
+					var unlink func(i int)
+					unlink = func(i int) {
+						if i == n {
+							if d := t.Now().Sub(t0); d > unlinkMax {
+								unlinkMax = d
+							}
+							t.End()
+							return
+						}
+						tfs.UnlinkT(t, FilePath(clientDir(ci), i), func(err error) {
+							if err != nil {
+								panic(fmt.Sprintf("workload: mdtest unlink: %v", err))
+							}
+							unlink(i + 1)
+						})
+					}
+					unlink(0)
+				})
+			}
+
+			// Phase 2: stat every file of every client.
+			phase2 := func() {
+				bar.WaitT(t, func() {
+					t0 = t.Now()
+					var stat func(j int)
+					stat = func(j int) {
+						if j == nc*n {
+							if d := t.Now().Sub(t0); d > statMax {
+								statMax = d
+							}
+							bar.WaitT(t, phase3)
+							return
+						}
+						tfs.StatT(t, FilePath(clientDir(j/n), j%n), func(_ *gluster.Stat, err error) {
+							if err != nil {
+								panic(fmt.Sprintf("workload: mdtest stat: %v", err))
+							}
+							stat(j + 1)
+						})
+					}
+					stat(0)
+				})
+			}
+
+			// Phase 1: create.
+			bar.WaitT(t, func() {
+				t0 = t.Now()
+				var create func(i int)
+				create = func(i int) {
+					if i == n {
+						if d := t.Now().Sub(t0); d > createMax {
+							createMax = d
+						}
+						bar.WaitT(t, phase2)
+						return
+					}
+					tfs.CreateT(t, FilePath(clientDir(ci), i), func(fd gluster.FD, err error) {
+						if err != nil {
+							panic(fmt.Sprintf("workload: mdtest create: %v", err))
+						}
+						tfs.CloseT(t, fd, func(err error) {
+							if err != nil {
+								panic(err)
+							}
+							create(i + 1)
+						})
+					})
 				}
-			}
-			if d := p.Now().Sub(t0); d > unlinkMax {
-				unlinkMax = d
-			}
+				create(0)
+			})
 		})
 	}
 	env.Run()

@@ -66,10 +66,12 @@ type OpenLoopRun struct {
 // run starts executing at the caller's next env.Run; use Run to drive it
 // to completion.
 //
-// The generator requires the continuation engine: an open-loop tenant has
-// several reads in flight at once, which a single blocking process cannot
-// express, and a process per arrival would defeat the point at this
-// cardinality.
+// The generator requires task-ready mounts (gluster.AsTaskFS): an open-loop
+// tenant has several reads in flight at once, which one process awaiting
+// its operations cannot express, and a process per arrival would defeat
+// the point at this cardinality. The set-up passes stay ordinary blocking
+// code: they create, fill and open through the mounts' blocking methods,
+// so a mount value may refine those (warm a cache in Open, say).
 func PrepareOpenLoop(env *sim.Env, mounts []gluster.FS, opts OpenLoopOptions) *OpenLoopRun {
 	if opts.Files <= 0 || opts.FileSize <= 0 || opts.Tenants <= 0 ||
 		opts.ArrivalsPerTenant <= 0 || opts.MeanInterarrival <= 0 {
@@ -78,9 +80,11 @@ func PrepareOpenLoop(env *sim.Env, mounts []gluster.FS, opts OpenLoopOptions) *O
 	if opts.ZipfS == 0 {
 		opts.ZipfS = 1.0
 	}
-	tms := taskMounts(mounts)
-	if tms == nil {
-		panic("workload: open-loop generator requires task-capable mounts")
+	tms := make([]gluster.TaskFS, len(mounts))
+	for i, fs := range mounts {
+		if tms[i] = gluster.AsTaskFS(fs); tms[i] == nil {
+			panic("workload: open-loop generator requires task-capable mounts")
+		}
 	}
 
 	// Working set: create and fill through mounts[0].

@@ -95,8 +95,9 @@ func TestOpenLoopZipfSkew(t *testing.T) {
 	}
 }
 
-// procOnly hides any TaskFS implementation, forcing the process engine:
-// only the embedded interface's blocking methods are promoted.
+// procOnly hides any TaskFS implementation, so the mount is not task-ready
+// and startClient runs its client on a process: only the embedded
+// interface's blocking methods are promoted.
 type procOnly struct{ gluster.FS }
 
 func TestOpenLoopRequiresTaskEngine(t *testing.T) {
@@ -113,52 +114,78 @@ func TestOpenLoopRequiresTaskEngine(t *testing.T) {
 	OpenLoop(c.Env, wrapped, openLoopOpts())
 }
 
-// TestEngineEquivalence is the refactor's core guarantee at workload
-// level: the same closed-loop benchmark on identical deployments produces
-// identical virtual-time results whether the clients run as tasks or as
-// parked processes.
+// TestEngineEquivalence is the adapter's guarantee at workload level. Every
+// driver has one client body; a task-ready mount runs it under StartTask,
+// and the same mount wrapped procOnly runs it under Process+Await, each
+// operation going task → Block → blocking method → Await → the xlator's *T
+// body. Identical deployments must produce identical virtual-time results
+// either way.
 func TestEngineEquivalence(t *testing.T) {
-	newOpts := func() cluster.Options {
-		return cluster.Options{Clients: 4, MCDs: 2, MCDMemBytes: 64 << 20, BlockSize: 2048}
+	// deploy builds a fresh deployment and returns its mounts as they are
+	// (task-ready) or wrapped procOnly.
+	deploy := func(wrap bool) (*cluster.Cluster, []gluster.FS) {
+		c := cluster.New(cluster.Options{Clients: 4, MCDs: 2, MCDMemBytes: 64 << 20, BlockSize: 2048})
+		mounts := c.FSes()
+		for i, fs := range mounts {
+			if gluster.AsTaskFS(fs) == nil {
+				t.Fatal("IMCa mounts should be task-capable")
+			}
+			if wrap {
+				mounts[i] = procOnly{fs}
+				if gluster.AsTaskFS(mounts[i]) != nil {
+					t.Fatal("wrapped mounts should not be task-capable")
+				}
+			}
+		}
+		return c, mounts
 	}
+	// both runs one driver on each kind of mount and returns the results.
+	both := func(run func(c *cluster.Cluster, mounts []gluster.FS) interface{}) (task, proc interface{}) {
+		c, m := deploy(false)
+		task = run(c, m)
+		c, m = deploy(true)
+		return task, run(c, m)
+	}
+
 	latOpts := LatencyOptions{Dir: "/eq", RecordSizes: []int64{256, 2048}, Records: 32}
-
-	taskC := cluster.New(newOpts())
-	if taskMounts(taskC.FSes()) == nil {
-		t.Fatal("IMCa mounts should be task-capable")
-	}
-	taskRes := Latency(taskC.Env, taskC.FSes(), latOpts)
-
-	procC := cluster.New(newOpts())
-	wrapped := make([]gluster.FS, 0, 4)
-	for _, fs := range procC.FSes() {
-		wrapped = append(wrapped, procOnly{fs})
-	}
-	if taskMounts(wrapped) != nil {
-		t.Fatal("wrapped mounts should not be task-capable")
-	}
-	procRes := Latency(procC.Env, wrapped, latOpts)
-
+	taskRes, procRes := both(func(c *cluster.Cluster, m []gluster.FS) interface{} {
+		return Latency(c.Env, m, latOpts)
+	})
 	for _, r := range latOpts.RecordSizes {
-		if taskRes.Write[r] != procRes.Write[r] {
-			t.Errorf("write latency at %d differs: task %v, proc %v", r, taskRes.Write[r], procRes.Write[r])
+		tr, pr := taskRes.(LatencyResult), procRes.(LatencyResult)
+		if tr.Write[r] != pr.Write[r] {
+			t.Errorf("write latency at %d differs: task %v, proc %v", r, tr.Write[r], pr.Write[r])
 		}
-		if taskRes.Read[r] != procRes.Read[r] {
-			t.Errorf("read latency at %d differs: task %v, proc %v", r, taskRes.Read[r], procRes.Read[r])
+		if tr.Read[r] != pr.Read[r] {
+			t.Errorf("read latency at %d differs: task %v, proc %v", r, tr.Read[r], pr.Read[r])
 		}
 	}
 
-	// And the metadata benchmark, which exercises create/stat/unlink and
-	// consecutive barrier generations.
-	mdT := cluster.New(newOpts())
-	mdTRes := MDTest(mdT.Env, mdT.FSes(), MDTestOptions{Dir: "/md", FilesPerClient: 16})
-	mdP := cluster.New(newOpts())
-	wrapped = wrapped[:0]
-	for _, fs := range mdP.FSes() {
-		wrapped = append(wrapped, procOnly{fs})
-	}
-	mdPRes := MDTest(mdP.Env, wrapped, MDTestOptions{Dir: "/md", FilesPerClient: 16})
-	if mdTRes != mdPRes {
-		t.Errorf("mdtest differs across engines: task %+v, proc %+v", mdTRes, mdPRes)
+	for _, d := range []struct {
+		name string
+		run  func(c *cluster.Cluster, m []gluster.FS) interface{}
+	}{
+		// The metadata benchmark exercises create/stat/unlink and
+		// consecutive barrier generations.
+		{"mdtest", func(c *cluster.Cluster, m []gluster.FS) interface{} {
+			return MDTest(c.Env, m, MDTestOptions{Dir: "/md", FilesPerClient: 16})
+		}},
+		// Streaming reads reach the RAID array's helper tasks.
+		{"throughput", func(c *cluster.Cluster, m []gluster.FS) interface{} {
+			return Throughput(c.Env, m, ThroughputOptions{Dir: "/tp", FileSize: 4 << 20, RecordSize: 64 << 10, ReRead: true})
+		}},
+		{"smallfiles", func(c *cluster.Cluster, m []gluster.FS) interface{} {
+			return SmallFiles(c.Env, m, SmallFilesOptions{Dir: "/sf", Files: 32, FileSize: 4096, Accesses: 48, Reopen: true, Seed: 3})
+		}},
+		// statBench over bank hits: the operation whose result is a pooled
+		// borrow, copied by the blocking adapter.
+		{"statbench", func(c *cluster.Cluster, m []gluster.FS) interface{} {
+			CreateFiles(c.Env, m[0], "/st", 64)
+			return [2]interface{}{StatBench(c.Env, m, "/st", 64), c.Env.EventsProcessed}
+		}},
+	} {
+		if task, proc := both(d.run); task != proc {
+			t.Errorf("%s differs across engines: task %+v, proc %+v", d.name, task, proc)
+		}
 	}
 }

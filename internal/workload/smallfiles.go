@@ -61,109 +61,65 @@ func SmallFiles(env *sim.Env, mounts []gluster.FS, opts SmallFilesOptions) Small
 	})
 	env.Run()
 
-	tms := taskMounts(mounts)
 	bar := sim.NewBarrier(env, len(mounts))
 	var total sim.Duration
 	for ci := 0; ci < len(mounts); ci++ {
 		ci := ci
-		if tms != nil {
-			tfs := tms[ci]
-			env.StartTask("smallfiles", func(t *sim.Task) {
-				rng := xrand.New(opts.Seed + uint64(ci)*0x9e3779b97f4a7c15 + 1)
-				zipf := xrand.NewZipf(rng, 1.0, opts.Files)
-				open := make(map[int]gluster.FD)
-				bar.WaitT(t, func() {
-					t0 := t.Now()
-					var access func(a int)
-					access = func(a int) {
-						if a == opts.Accesses {
-							total += t.Now().Sub(t0)
-							t.End()
-							return
-						}
-						idx := zipf.Draw()
-						path := FilePath(opts.Dir, idx)
-						withFD := func(fd gluster.FD) {
-							tfs.ReadT(t, fd, 0, opts.FileSize, func(data blob.Blob, err error) {
-								if err != nil || data.Len() != opts.FileSize {
-									panic(fmt.Sprintf("workload: small read %d bytes, %v", data.Len(), err))
-								}
-								if opts.Reopen {
-									tfs.CloseT(t, fd, func(error) { access(a + 1) })
-									return
-								}
-								access(a + 1)
-							})
-						}
-						if opts.Reopen {
-							tfs.OpenT(t, path, func(fd gluster.FD, err error) {
-								if err != nil {
-									panic(err)
-								}
-								withFD(fd)
-							})
-							return
-						}
-						if fd, ok := open[idx]; ok {
-							withFD(fd)
-							return
-						}
+		tfs := gluster.Lift(mounts[ci])
+		startClient(env, "smallfiles", tfs, func(t *sim.Task) {
+			rng := xrand.New(opts.Seed + uint64(ci)*0x9e3779b97f4a7c15 + 1)
+			zipf := xrand.NewZipf(rng, 1.0, opts.Files)
+			open := make(map[int]gluster.FD)
+			bar.WaitT(t, func() {
+				t0 := t.Now()
+				var access func(a int)
+				access = func(a int) {
+					if a == opts.Accesses {
+						total += t.Now().Sub(t0)
+						t.End()
+						return
+					}
+					idx := zipf.Draw()
+					path := FilePath(opts.Dir, idx)
+					withFD := func(fd gluster.FD) {
+						tfs.ReadT(t, fd, 0, opts.FileSize, func(data blob.Blob, err error) {
+							if err != nil || data.Len() != opts.FileSize {
+								panic(fmt.Sprintf("workload: small read %d bytes, %v", data.Len(), err))
+							}
+							if opts.Reopen {
+								tfs.CloseT(t, fd, func(error) { access(a + 1) })
+								return
+							}
+							access(a + 1)
+						})
+					}
+					if opts.Reopen {
 						tfs.OpenT(t, path, func(fd gluster.FD, err error) {
 							if err != nil {
 								panic(err)
 							}
-							open[idx] = fd
 							withFD(fd)
 						})
+						return
 					}
-					access(0)
-				})
+					if fd, ok := open[idx]; ok {
+						withFD(fd)
+						return
+					}
+					tfs.OpenT(t, path, func(fd gluster.FD, err error) {
+						if err != nil {
+							panic(err)
+						}
+						open[idx] = fd
+						withFD(fd)
+					})
+				}
+				access(0)
 			})
-			continue
-		}
-		fs := mounts[ci]
-		env.Process("smallfiles", func(p *sim.Proc) {
-			rng := xrand.New(opts.Seed + uint64(ci)*0x9e3779b97f4a7c15 + 1)
-			zipf := xrand.NewZipf(rng, 1.0, opts.Files)
-			open := make(map[int]gluster.FD)
-			bar.Wait(p)
-			t0 := p.Now()
-			for a := 0; a < opts.Accesses; a++ {
-				idx := zipf.Draw()
-				path := FilePath(opts.Dir, idx)
-				var fd gluster.FD
-				var err error
-				if opts.Reopen {
-					if fd, err = fs.Open(p, path); err != nil {
-						panic(err)
-					}
-				} else if fd, err = cachedOpen(p, fs, open, idx, path); err != nil {
-					panic(err)
-				}
-				data, err := fs.Read(p, fd, 0, opts.FileSize)
-				if err != nil || data.Len() != opts.FileSize {
-					panic(fmt.Sprintf("workload: small read %d bytes, %v", data.Len(), err))
-				}
-				if opts.Reopen {
-					_ = fs.Close(p, fd)
-				}
-			}
-			total += p.Now().Sub(t0)
 		})
 	}
 	env.Run()
 	return SmallFilesResult{
 		AvgAccess: total / sim.Duration(opts.Accesses*len(mounts)),
 	}
-}
-
-func cachedOpen(p *sim.Proc, fs gluster.FS, open map[int]gluster.FD, idx int, path string) (gluster.FD, error) {
-	if fd, ok := open[idx]; ok {
-		return fd, nil
-	}
-	fd, err := fs.Open(p, path)
-	if err == nil {
-		open[idx] = fd
-	}
-	return fd, err
 }

@@ -4,16 +4,18 @@
 // streaming throughput benchmark (§5.5). Drivers operate on gluster.FS
 // mounts, so the same code measures GlusterFS, IMCa, NFS, and Lustre.
 //
-// # Client engines
+// # Client bodies
 //
-// Each driver has two client representations. When every mount supports
-// the continuation engine (gluster.TaskFS all the way down), client bodies
-// run as sim.Tasks — heap-scheduled state machines with no goroutine per
-// client. Otherwise (Lustre, NFS, or any stack with a non-task xlator)
-// they fall back to sim.Procs. The two bodies of each driver mirror each
-// other operation for operation and consume kernel schedules identically,
-// so results are byte-identical across engines; low-cardinality control
-// processes (setup, file creation) stay Procs under both.
+// Each driver's measured client body is written once, in continuation
+// style against gluster.TaskFS. A mount whose whole stack is
+// continuation-style (TaskReady) runs it as a sim.Task — a heap-scheduled
+// state machine with no goroutine per client. Any other mount (Lustre,
+// NFS, or a stack with a blocking xlator) runs the same body on a process
+// that awaits it (sim.Proc.Await) over the lifted mount (gluster.Lift);
+// see startClient. The two consume kernel schedules identically, so
+// results do not depend on which one a mount gets. Low-cardinality control
+// work (setup, file creation, opens) is ordinary blocking code in a
+// process.
 package workload
 
 import (
@@ -31,18 +33,16 @@ type CacheDropper interface {
 	DropCaches()
 }
 
-// taskMounts returns the mounts as TaskFS instances when every one can
-// serve the continuation engine, or nil to select the process engine.
-func taskMounts(mounts []gluster.FS) []gluster.TaskFS {
-	out := make([]gluster.TaskFS, len(mounts))
-	for i, fs := range mounts {
-		tfs := gluster.AsTaskFS(fs)
-		if tfs == nil {
-			return nil
-		}
-		out[i] = tfs
+// startClient starts one client actor running body, whose operations go to
+// tfs (a mount held through gluster.Lift): as a task when the mount's whole
+// stack is continuation-style, otherwise on a process awaiting the same
+// body.
+func startClient(env *sim.Env, name string, tfs gluster.TaskFS, body func(t *sim.Task)) {
+	if tfs.TaskReady() {
+		env.StartTask(name, body)
+		return
 	}
-	return out
+	env.Process(name, func(p *sim.Proc) { p.Await(body) })
 }
 
 // CreateFiles makes n empty files "<dir>/f<k>" through fs (the stat
@@ -106,8 +106,8 @@ func StatBenchStrided(env *sim.Env, mounts []gluster.FS, dir string, n, stride i
 	return statBench(env, mounts, paths, stride)
 }
 
-// statBench stats every path from every mount. The task-engine client body
-// keeps one continuation pair per client — the per-operation closure a
+// statBench stats every path from every mount. The client body keeps one
+// continuation pair per client — the per-operation closure a
 // naive recursion would allocate is exactly the kind of hot-path garbage
 // the benchmark exists to measure around.
 func statBench(env *sim.Env, mounts []gluster.FS, paths []string, stride int) sim.Duration {
@@ -118,47 +118,31 @@ func statBench(env *sim.Env, mounts []gluster.FS, paths []string, stride int) si
 			maxElapsed = d
 		}
 	}
-	if tms := taskMounts(mounts); tms != nil {
-		for _, tfs := range tms {
-			tfs := tfs
-			env.StartTask("statbench", func(t *sim.Task) {
-				start.WaitT(t, func() {
-					t0 := t.Now()
-					i := 0
-					var step func()
-					onStat := func(_ *gluster.Stat, err error) {
-						if err != nil {
-							panic(fmt.Sprintf("workload: stat %d: %v", i*stride, err))
-						}
-						i++
-						step()
-					}
-					step = func() {
-						if i == len(paths) {
-							record(t0, t.Now())
-							t.End()
-							return
-						}
-						tfs.StatT(t, paths[i], onStat)
-					}
-					step()
-				})
-			})
-		}
-	} else {
-		for _, fs := range mounts {
-			fs := fs
-			env.Process("statbench", func(p *sim.Proc) {
-				start.Wait(p)
-				t0 := p.Now()
-				for i, path := range paths {
-					if _, err := fs.Stat(p, path); err != nil {
+	for _, fs := range mounts {
+		tfs := gluster.Lift(fs)
+		startClient(env, "statbench", tfs, func(t *sim.Task) {
+			start.WaitT(t, func() {
+				t0 := t.Now()
+				i := 0
+				var step func()
+				onStat := func(_ *gluster.Stat, err error) {
+					if err != nil {
 						panic(fmt.Sprintf("workload: stat %d: %v", i*stride, err))
 					}
+					i++
+					step()
 				}
-				record(t0, p.Now())
+				step = func() {
+					if i == len(paths) {
+						record(t0, t.Now())
+						t.End()
+						return
+					}
+					tfs.StatT(t, paths[i], onStat)
+				}
+				step()
 			})
-		}
+		})
 	}
 	env.Run()
 	return maxElapsed
@@ -274,7 +258,6 @@ func Latency(env *sim.Env, mounts []gluster.FS, opts LatencyOptions) LatencyResu
 		panic("workload: no record sizes")
 	}
 	nc := len(mounts)
-	tms := taskMounts(mounts)
 	res := LatencyResult{
 		Write: make(map[int64]sim.Duration, len(opts.RecordSizes)),
 		Read:  make(map[int64]sim.Duration, len(opts.RecordSizes)),
@@ -282,7 +265,7 @@ func Latency(env *sim.Env, mounts []gluster.FS, opts LatencyOptions) LatencyResu
 
 	// Open files on every client up front (the fd↔path database is
 	// populated here; for IMCa this is also where open-purges land,
-	// before any data is written). A control process under both engines.
+	// before any data is written).
 	fds := make([]gluster.FD, nc)
 	env.Process("latency-open", func(p *sim.Proc) {
 		for ci, fs := range mounts {
@@ -314,59 +297,38 @@ func Latency(env *sim.Env, mounts []gluster.FS, opts LatencyOptions) LatencyResu
 	bar := sim.NewBarrier(env, writerCount)
 	for ci := 0; ci < writerCount; ci++ {
 		ci := ci
-		if tms != nil {
-			tfs := tms[ci]
-			env.StartTask("lat-write", func(t *sim.Task) {
-				var bySize func(si int)
-				bySize = func(si int) {
-					if si == len(opts.RecordSizes) {
-						t.End()
-						return
-					}
-					r := opts.RecordSizes[si]
-					bar.WaitT(t, func() {
-						t0 := t.Now()
-						var rec func(n int)
-						rec = func(n int) {
-							if n == opts.Records {
-								writeTotals[si] += t.Now().Sub(t0)
-								bar.WaitT(t, func() { bySize(si + 1) })
-								return
-							}
-							off := int64(n) * r
-							root := traceStart(t, wcols, si, "write")
-							tfs.WriteT(t, fds[ci], off, blob.Synthetic(uint64(ci)+1, off, r), func(_ int64, err error) {
-								traceEnd(t, wcols, si, root)
-								if err != nil {
-									panic(fmt.Sprintf("workload: write: %v", err))
-								}
-								rec(n + 1)
-							})
+		tfs := gluster.Lift(mounts[ci])
+		startClient(env, "lat-write", tfs, func(t *sim.Task) {
+			var bySize func(si int)
+			bySize = func(si int) {
+				if si == len(opts.RecordSizes) {
+					t.End()
+					return
+				}
+				r := opts.RecordSizes[si]
+				bar.WaitT(t, func() {
+					t0 := t.Now()
+					var rec func(n int)
+					rec = func(n int) {
+						if n == opts.Records {
+							writeTotals[si] += t.Now().Sub(t0)
+							bar.WaitT(t, func() { bySize(si + 1) })
+							return
 						}
-						rec(0)
-					})
-				}
-				bySize(0)
-			})
-			continue
-		}
-		fs := mounts[ci]
-		env.Process("lat-write", func(p *sim.Proc) {
-			for si, r := range opts.RecordSizes {
-				bar.Wait(p)
-				t0 := p.Now()
-				for k := 0; k < opts.Records; k++ {
-					off := int64(k) * r
-					root := traceStart(p, wcols, si, "write")
-					_, err := fs.Write(p, fds[ci], off, blob.Synthetic(uint64(ci)+1, off, r))
-					traceEnd(p, wcols, si, root)
-					if err != nil {
-						panic(fmt.Sprintf("workload: write: %v", err))
+						off := int64(n) * r
+						root := traceStart(t, wcols, si, "write")
+						tfs.WriteT(t, fds[ci], off, blob.Synthetic(uint64(ci)+1, off, r), func(_ int64, err error) {
+							traceEnd(t, wcols, si, root)
+							if err != nil {
+								panic(fmt.Sprintf("workload: write: %v", err))
+							}
+							rec(n + 1)
+						})
 					}
-				}
-				writeTotals[si] += p.Now().Sub(t0)
-				bar.Wait(p)
+					rec(0)
+				})
 			}
+			bySize(0)
 		})
 	}
 	env.Run()
@@ -389,81 +351,51 @@ func Latency(env *sim.Env, mounts []gluster.FS, opts LatencyOptions) LatencyResu
 		if opts.Shared {
 			seed = 1
 		}
-		if tms != nil {
-			tfs := tms[ci]
-			env.StartTask("lat-read", func(t *sim.Task) {
-				var bySize func(si int)
-				bySize = func(si int) {
-					if si == len(opts.RecordSizes) {
-						t.End()
-						return
-					}
-					r := opts.RecordSizes[si]
-					measure := func() {
-						t0 := t.Now()
-						var rec func(n int)
-						rec = func(n int) {
-							if n == opts.Records {
-								readTotals[si] += t.Now().Sub(t0)
-								rbar.WaitT(t, func() { bySize(si + 1) })
-								return
-							}
-							off := int64(n) * r
-							root := traceStart(t, rcols, si, "read")
-							tfs.ReadT(t, fds[ci], off, r, func(data blob.Blob, err error) {
-								traceEnd(t, rcols, si, root)
-								if err != nil {
-									panic(fmt.Sprintf("workload: read: %v", err))
-								}
-								if data.Len() > 0 && data.At(0) != blob.Synthetic(seed, off, 1).At(0) {
-									panic("workload: read returned wrong data")
-								}
-								rec(n + 1)
-							})
-						}
-						rec(0)
-					}
-					rbar.WaitT(t, func() {
-						if opts.BeforeReadSize != nil {
-							if ci == 0 {
-								opts.BeforeReadSize(r)
-							}
-							rbar.WaitT(t, measure)
+		tfs := gluster.Lift(mounts[ci])
+		startClient(env, "lat-read", tfs, func(t *sim.Task) {
+			var bySize func(si int)
+			bySize = func(si int) {
+				if si == len(opts.RecordSizes) {
+					t.End()
+					return
+				}
+				r := opts.RecordSizes[si]
+				measure := func() {
+					t0 := t.Now()
+					var rec func(n int)
+					rec = func(n int) {
+						if n == opts.Records {
+							readTotals[si] += t.Now().Sub(t0)
+							rbar.WaitT(t, func() { bySize(si + 1) })
 							return
 						}
-						measure()
-					})
-				}
-				bySize(0)
-			})
-			continue
-		}
-		fs := mounts[ci]
-		env.Process("lat-read", func(p *sim.Proc) {
-			for si, r := range opts.RecordSizes {
-				rbar.Wait(p)
-				if opts.BeforeReadSize != nil {
-					if ci == 0 {
-						opts.BeforeReadSize(r)
+						off := int64(n) * r
+						root := traceStart(t, rcols, si, "read")
+						tfs.ReadT(t, fds[ci], off, r, func(data blob.Blob, err error) {
+							traceEnd(t, rcols, si, root)
+							if err != nil {
+								panic(fmt.Sprintf("workload: read: %v", err))
+							}
+							if data.Len() > 0 && data.At(0) != blob.Synthetic(seed, off, 1).At(0) {
+								panic("workload: read returned wrong data")
+							}
+							rec(n + 1)
+						})
 					}
-					rbar.Wait(p)
+					rec(0)
 				}
-				t0 := p.Now()
-				for k := 0; k < opts.Records; k++ {
-					off := int64(k) * r
-					root := traceStart(p, rcols, si, "read")
-					data, err := fs.Read(p, fds[ci], off, r)
-					traceEnd(p, rcols, si, root)
-					if err != nil {
-						panic(fmt.Sprintf("workload: read: %v", err))
+				rbar.WaitT(t, func() {
+					if opts.BeforeReadSize != nil {
+						if ci == 0 {
+							opts.BeforeReadSize(r)
+						}
+						rbar.WaitT(t, measure)
+						return
 					}
-					if data.Len() > 0 && data.At(0) != blob.Synthetic(seed, off, 1).At(0) {
-						panic("workload: read returned wrong data")
-					}
-				}
-				readTotals[si] += p.Now().Sub(t0)
-				rbar.Wait(p)
+					measure()
+				})
 			}
+			bySize(0)
 		})
 	}
 	env.Run()
@@ -506,7 +438,6 @@ func Throughput(env *sim.Env, mounts []gluster.FS, opts ThroughputOptions) Throu
 		panic("workload: bad throughput geometry")
 	}
 	nc := len(mounts)
-	tms := taskMounts(mounts)
 	fds := make([]gluster.FD, nc)
 
 	var res ThroughputResult
@@ -517,59 +448,36 @@ func Throughput(env *sim.Env, mounts []gluster.FS, opts ThroughputOptions) Throu
 	for ci := 0; ci < nc; ci++ {
 		ci := ci
 		seed := uint64(ci) + 1
-		if tms != nil {
-			tfs := tms[ci]
-			env.StartTask("tput-write", func(t *sim.Task) {
-				tfs.CreateT(t, FilePath(opts.Dir, ci), func(fd gluster.FD, err error) {
-					if err != nil {
-						panic(fmt.Sprintf("workload: create: %v", err))
+		tfs := gluster.Lift(mounts[ci])
+		startClient(env, "tput-write", tfs, func(t *sim.Task) {
+			tfs.CreateT(t, FilePath(opts.Dir, ci), func(fd gluster.FD, err error) {
+				if err != nil {
+					panic(fmt.Sprintf("workload: create: %v", err))
+				}
+				fds[ci] = fd
+				bar.WaitT(t, func() {
+					if wStart == 0 {
+						wStart = t.Now()
 					}
-					fds[ci] = fd
-					bar.WaitT(t, func() {
-						if wStart == 0 {
-							wStart = t.Now()
-						}
-						var rec func(off int64)
-						rec = func(off int64) {
-							if off >= opts.FileSize {
-								if t.Now() > wEnd {
-									wEnd = t.Now()
-								}
-								t.End()
-								return
+					var rec func(off int64)
+					rec = func(off int64) {
+						if off >= opts.FileSize {
+							if t.Now() > wEnd {
+								wEnd = t.Now()
 							}
-							tfs.WriteT(t, fds[ci], off, blob.Synthetic(seed, off, opts.RecordSize), func(_ int64, err error) {
-								if err != nil {
-									panic(fmt.Sprintf("workload: write: %v", err))
-								}
-								rec(off + opts.RecordSize)
-							})
+							t.End()
+							return
 						}
-						rec(0)
-					})
+						tfs.WriteT(t, fds[ci], off, blob.Synthetic(seed, off, opts.RecordSize), func(_ int64, err error) {
+							if err != nil {
+								panic(fmt.Sprintf("workload: write: %v", err))
+							}
+							rec(off + opts.RecordSize)
+						})
+					}
+					rec(0)
 				})
 			})
-			continue
-		}
-		fs := mounts[ci]
-		env.Process("tput-write", func(p *sim.Proc) {
-			var err error
-			fds[ci], err = fs.Create(p, FilePath(opts.Dir, ci))
-			if err != nil {
-				panic(fmt.Sprintf("workload: create: %v", err))
-			}
-			bar.Wait(p)
-			if wStart == 0 {
-				wStart = p.Now()
-			}
-			for off := int64(0); off < opts.FileSize; off += opts.RecordSize {
-				if _, err := fs.Write(p, fds[ci], off, blob.Synthetic(seed, off, opts.RecordSize)); err != nil {
-					panic(fmt.Sprintf("workload: write: %v", err))
-				}
-			}
-			if p.Now() > wEnd {
-				wEnd = p.Now()
-			}
 		})
 	}
 	env.Run()
@@ -585,49 +493,30 @@ func Throughput(env *sim.Env, mounts []gluster.FS, opts ThroughputOptions) Throu
 		var rStart, rEnd sim.Time
 		for ci := 0; ci < nc; ci++ {
 			ci := ci
-			if tms != nil {
-				tfs := tms[ci]
-				env.StartTask(name, func(t *sim.Task) {
-					rbar.WaitT(t, func() {
-						if rStart == 0 {
-							rStart = t.Now()
-						}
-						var rec func(off int64)
-						rec = func(off int64) {
-							if off >= opts.FileSize {
-								if t.Now() > rEnd {
-									rEnd = t.Now()
-								}
-								t.End()
-								return
-							}
-							tfs.ReadT(t, fds[ci], off, opts.RecordSize, func(data blob.Blob, err error) {
-								if err != nil || data.Len() != opts.RecordSize {
-									panic(fmt.Sprintf("workload: read %d bytes at %d: %v", data.Len(), off, err))
-								}
-								rec(off + opts.RecordSize)
-							})
-						}
-						rec(0)
-					})
-				})
-				continue
-			}
-			fs := mounts[ci]
-			env.Process(name, func(p *sim.Proc) {
-				rbar.Wait(p)
-				if rStart == 0 {
-					rStart = p.Now()
-				}
-				for off := int64(0); off < opts.FileSize; off += opts.RecordSize {
-					data, err := fs.Read(p, fds[ci], off, opts.RecordSize)
-					if err != nil || data.Len() != opts.RecordSize {
-						panic(fmt.Sprintf("workload: read %d bytes at %d: %v", data.Len(), off, err))
+			tfs := gluster.Lift(mounts[ci])
+			startClient(env, name, tfs, func(t *sim.Task) {
+				rbar.WaitT(t, func() {
+					if rStart == 0 {
+						rStart = t.Now()
 					}
-				}
-				if p.Now() > rEnd {
-					rEnd = p.Now()
-				}
+					var rec func(off int64)
+					rec = func(off int64) {
+						if off >= opts.FileSize {
+							if t.Now() > rEnd {
+								rEnd = t.Now()
+							}
+							t.End()
+							return
+						}
+						tfs.ReadT(t, fds[ci], off, opts.RecordSize, func(data blob.Blob, err error) {
+							if err != nil || data.Len() != opts.RecordSize {
+								panic(fmt.Sprintf("workload: read %d bytes at %d: %v", data.Len(), off, err))
+							}
+							rec(off + opts.RecordSize)
+						})
+					}
+					rec(0)
+				})
 			})
 		}
 		env.Run()

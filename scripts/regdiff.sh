@@ -1,0 +1,47 @@
+#!/bin/sh
+# regdiff.sh — the behaviour contract as one command: render the whole
+# experiment registry at scale 16, serially and with -parallel 0, and diff
+# both against the committed results_scale16.txt. Everything the simulator
+# prints there is deterministic virtual time except the wall-clock token
+# in each table header ("== fig5 (scale 1/16, 1m3.998s wall) =="), which
+# is stripped from both sides first. Any other difference — one event
+# moved, one sequence number shifted — is a behaviour change and exits
+# non-zero with the diff.
+#
+# Usage:
+#   scripts/regdiff.sh
+#   make regdiff
+set -eu
+cd "$(dirname "$0")/.."
+
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+# ", <duration> wall": Go durations such as 982ms, 53.783s, 1m3.998s, 1h2m3s.
+strip() { sed -E 's/, [0-9][0-9a-zµ.]* wall\)/)/' "$1"; }
+
+go build -o "$out/imcabench" ./cmd/imcabench
+strip results_scale16.txt > "$out/want.txt"
+
+status=0
+for mode in serial parallel; do
+	flag=""
+	if [ "$mode" = parallel ]; then
+		flag="-parallel 0" # one worker per core
+	fi
+	echo "== imcabench -exp all -scale 16 $flag"
+	# shellcheck disable=SC2086
+	"$out/imcabench" -exp all -scale 16 $flag > "$out/$mode.raw"
+	strip "$out/$mode.raw" > "$out/$mode.txt"
+	if diff -u "$out/want.txt" "$out/$mode.txt" > "$out/$mode.diff"; then
+		echo "   $mode: $(grep -c '^== ' "$out/$mode.txt") tables identical to results_scale16.txt"
+	else
+		echo "regdiff: $mode run differs from results_scale16.txt:" >&2
+		cat "$out/$mode.diff" >&2
+		status=1
+	fi
+done
+if [ "$status" -eq 0 ]; then
+	echo "regdiff: OK"
+fi
+exit "$status"

@@ -21,7 +21,7 @@ echo "== go build ./..."
 go build ./...
 
 echo "== imcalint ./..."
-# Runs all nine checks against lint.baseline; stale baseline entries fail
+# Runs all eight checks against lint.baseline; stale baseline entries fail
 # the run too, so the committed burn-down list can only shrink. The
 # .cache/imcalint result cache makes warm runs near-instant.
 go run ./cmd/imcalint ./...

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strconv"
 
 	"imca/internal/blob"
 	"imca/internal/bufpool"
@@ -66,11 +67,7 @@ type binHeader struct {
 	cas       uint64
 }
 
-func readBinHeader(r io.Reader) (binHeader, error) {
-	var buf [24]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return binHeader{}, err
-	}
+func decodeBinHeader(buf []byte) binHeader {
 	return binHeader{
 		magic:     buf[0],
 		opcode:    buf[1],
@@ -80,30 +77,26 @@ func readBinHeader(r io.Reader) (binHeader, error) {
 		bodyLen:   binary.BigEndian.Uint32(buf[8:]),
 		opaque:    binary.BigEndian.Uint32(buf[12:]),
 		cas:       binary.BigEndian.Uint64(buf[16:]),
-	}, nil
+	}
 }
 
-func writeBinResponse(w io.Writer, opcode byte, status uint16, opaque uint32, cas uint64, extras, key, value []byte) error {
-	var buf [24]byte
+// writeBinResponse renders the header in w's scratch, so a response
+// allocates nothing. Write errors latch in w and surface at Flush.
+func writeBinResponse(w *wireWriter, opcode byte, status uint16, opaque uint32, cas uint64, extras, key, value []byte) {
+	buf := w.scratch[:24]
 	buf[0] = binRespMagic
 	buf[1] = opcode
 	binary.BigEndian.PutUint16(buf[2:], uint16(len(key)))
 	buf[4] = uint8(len(extras))
+	buf[5] = 0
 	binary.BigEndian.PutUint16(buf[6:], status)
 	binary.BigEndian.PutUint32(buf[8:], uint32(len(extras)+len(key)+len(value)))
 	binary.BigEndian.PutUint32(buf[12:], opaque)
 	binary.BigEndian.PutUint64(buf[16:], cas)
-	if _, err := w.Write(buf[:]); err != nil {
-		return err
-	}
-	for _, part := range [][]byte{extras, key, value} {
-		if len(part) > 0 {
-			if _, err := w.Write(part); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	_, _ = w.Write(buf)
+	_, _ = w.Write(extras)
+	_, _ = w.Write(key)
+	_, _ = w.Write(value)
 }
 
 func binStatusFor(err error) uint16 {
@@ -130,72 +123,101 @@ func binStatusFor(err error) uint16 {
 // ServeBinaryConn runs the binary protocol on rw against store until the
 // peer quits or the connection errors.
 func ServeBinaryConn(store *Store, rw io.ReadWriter) error {
-	r := bufio.NewReader(rw)
-	w := bufio.NewWriter(rw)
+	return serveBinary(store, bufio.NewReader(rw), bufio.NewWriter(rw))
+}
+
+func serveBinary(store *Store, r *bufio.Reader, bw *bufio.Writer) error {
+	w := &wireWriter{Writer: bw}
 	// Request bodies come from a connection-local free list: everything
 	// that outlives the request (keys, stored values) is copied out below,
 	// so a steady pipeline of same-sized commands reads into one recycled
 	// buffer instead of allocating per message.
 	var bufs bufpool.Pool
 	for {
+		// The text loop's rule: flush when the next read could block.
+		if r.Buffered() == 0 {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+		}
 		quit, err := serveBinaryOne(store, r, w, &bufs)
 		if err != nil {
-			return err
-		}
-		if err := w.Flush(); err != nil {
+			_ = w.Flush() // the read error is the one to report
 			return err
 		}
 		if quit {
-			return nil
+			return w.Flush()
 		}
 	}
 }
 
-func serveBinaryOne(store *Store, r *bufio.Reader, w *bufio.Writer, bufs *bufpool.Pool) (quit bool, err error) {
-	h, err := readBinHeader(r)
+func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, bufs *bufpool.Pool) (quit bool, err error) {
+	// The header is decoded where it sits in the read buffer.
+	hdr, err := r.Peek(24)
 	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return false, err
 	}
+	h := decodeBinHeader(hdr)
+	_, _ = r.Discard(24) // cannot fail: the 24 bytes are buffered
 	if h.magic != binReqMagic {
 		return false, fmt.Errorf("memcache: bad request magic 0x%02x", h.magic)
+	}
+	if int(h.extrasLen)+int(h.keyLen) > int(h.bodyLen) {
+		return false, fmt.Errorf("memcache: inconsistent binary lengths")
+	}
+	if valueLen := int64(h.bodyLen) - int64(h.extrasLen) - int64(h.keyLen); valueLen > MaxValueLen {
+		// As in the text loop: an oversized value is refused, then skipped
+		// without being buffered.
+		writeBinResponse(w, h.opcode, binStatusTooLarge, h.opaque, 0, nil, nil, nil)
+		if err := w.Flush(); err != nil {
+			return false, err
+		}
+		_, err := io.CopyN(io.Discard, r, int64(h.bodyLen))
+		return false, err
 	}
 	body := bufs.Get(int(h.bodyLen))
 	defer bufs.Put(body)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return false, err
 	}
-	if int(h.extrasLen)+int(h.keyLen) > len(body) {
-		return false, fmt.Errorf("memcache: inconsistent binary lengths")
-	}
 	extras := body[:h.extrasLen]
-	key := string(body[h.extrasLen : int(h.extrasLen)+int(h.keyLen)])
+	keyBytes := body[h.extrasLen : int(h.extrasLen)+int(h.keyLen)]
 	value := body[int(h.extrasLen)+int(h.keyLen):]
 
 	quiet := h.opcode == binOpGetQ || h.opcode == binOpGetKQ
-	respond := func(status uint16, cas uint64, rextras, rkey, rvalue []byte) error {
+	respond := func(status uint16, cas uint64, rextras, rkey, rvalue []byte) {
 		if quiet && status == binStatusKeyNotFound {
-			return nil // quiet gets suppress misses
+			return // quiet gets suppress misses
 		}
-		return writeBinResponse(w, h.opcode, status, h.opaque, cas, rextras, rkey, rvalue)
+		writeBinResponse(w, h.opcode, status, h.opaque, cas, rextras, rkey, rvalue)
 	}
 
 	switch h.opcode {
 	case binOpGet, binOpGetK, binOpGetQ, binOpGetKQ:
-		it, gerr := store.Get(key)
-		if gerr != nil {
-			return false, respond(binStatusKeyNotFound, 0, nil, nil, nil)
+		it, ok := store.GetViewBytes(keyBytes)
+		if !ok {
+			respond(binStatusKeyNotFound, 0, nil, nil, nil)
+			return false, nil
 		}
-		fl := make([]byte, 4)
+		fl := w.scratch[24:28]
 		binary.BigEndian.PutUint32(fl, it.Flags)
 		var rkey []byte
 		if h.opcode == binOpGetK || h.opcode == binOpGetKQ {
-			rkey = []byte(key)
+			rkey = keyBytes
 		}
-		return false, respond(binStatusOK, it.CAS, fl, rkey, it.Value.Bytes())
+		respond(binStatusOK, it.CAS, fl, rkey, it.Value.Bytes())
+		return false, nil
+	}
 
+	key := string(keyBytes)
+	switch h.opcode {
 	case binOpSet, binOpAdd, binOpReplace:
 		if len(extras) != 8 {
-			return false, respond(binStatusInvalidArgs, 0, nil, nil, nil)
+			respond(binStatusInvalidArgs, 0, nil, nil, nil)
+			break
 		}
 		item := &Item{
 			Key:        key,
@@ -215,7 +237,7 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *bufio.Writer, bufs *bufpoo
 		default:
 			serr = store.Replace(item)
 		}
-		return false, respond(binStatusFor(serr), item.CAS, nil, nil, nil)
+		respond(binStatusFor(serr), item.CAS, nil, nil, nil)
 
 	case binOpAppend, binOpPrepend:
 		v := blob.FromBytes(append([]byte(nil), value...))
@@ -225,15 +247,15 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *bufio.Writer, bufs *bufpoo
 		} else {
 			serr = store.Prepend(key, v)
 		}
-		return false, respond(binStatusFor(serr), 0, nil, nil, nil)
+		respond(binStatusFor(serr), 0, nil, nil, nil)
 
 	case binOpDelete:
-		derr := store.Delete(key)
-		return false, respond(binStatusFor(derr), 0, nil, nil, nil)
+		respond(binStatusFor(store.Delete(key)), 0, nil, nil, nil)
 
 	case binOpIncr, binOpDecr:
 		if len(extras) != 20 {
-			return false, respond(binStatusInvalidArgs, 0, nil, nil, nil)
+			respond(binStatusInvalidArgs, 0, nil, nil, nil)
+			break
 		}
 		delta := binary.BigEndian.Uint64(extras[0:])
 		initial := binary.BigEndian.Uint64(extras[8:])
@@ -241,29 +263,27 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *bufio.Writer, bufs *bufpoo
 		v, ierr := store.IncrDecr(key, delta, h.opcode == binOpIncr)
 		if ierr == ErrCacheMiss && expiry != 0xffffffff {
 			// Binary protocol: a miss with expiry != -1 seeds the counter.
-			item := &Item{Key: key, Value: blob.FromBytes(formatUint(initial)),
+			item := &Item{Key: key, Value: blob.FromBytes(strconv.AppendUint(nil, initial, 10)),
 				Expiration: normalizeExp(int64(expiry), store.Now())}
-			if serr := store.Set(item); serr != nil {
-				return false, respond(binStatusFor(serr), 0, nil, nil, nil)
-			}
-			v, ierr = initial, nil
+			v, ierr = initial, store.Set(item)
 		}
 		if ierr != nil {
-			return false, respond(binStatusFor(ierr), 0, nil, nil, nil)
+			respond(binStatusFor(ierr), 0, nil, nil, nil)
+			break
 		}
-		num := make([]byte, 8)
+		num := w.scratch[24:32]
 		binary.BigEndian.PutUint64(num, v)
-		return false, respond(binStatusOK, 0, nil, nil, num)
+		respond(binStatusOK, 0, nil, nil, num)
 
 	case binOpFlush:
 		store.FlushAll()
-		return false, respond(binStatusOK, 0, nil, nil, nil)
+		respond(binStatusOK, 0, nil, nil, nil)
 
 	case binOpNoop:
-		return false, respond(binStatusOK, 0, nil, nil, nil)
+		respond(binStatusOK, 0, nil, nil, nil)
 
 	case binOpVersion:
-		return false, respond(binStatusOK, 0, nil, nil, []byte("1.2.8-imca"))
+		respond(binStatusOK, 0, nil, nil, []byte("1.2.8-imca"))
 
 	case binOpStat:
 		st := store.Stats()
@@ -274,37 +294,32 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *bufio.Writer, bufs *bufpoo
 			"bytes": uint64(st.Bytes),
 		}
 		for k, v := range stats {
-			if err := writeBinResponse(w, h.opcode, binStatusOK, h.opaque, 0,
-				nil, []byte(k), []byte(fmt.Sprint(v))); err != nil {
-				return false, err
-			}
+			writeBinResponse(w, h.opcode, binStatusOK, h.opaque, 0, nil, []byte(k), strconv.AppendUint(nil, v, 10))
 		}
 		// Terminating empty stat response.
-		return false, writeBinResponse(w, h.opcode, binStatusOK, h.opaque, 0, nil, nil, nil)
+		writeBinResponse(w, h.opcode, binStatusOK, h.opaque, 0, nil, nil, nil)
 
 	case binOpQuit:
-		_ = respond(binStatusOK, 0, nil, nil, nil)
+		respond(binStatusOK, 0, nil, nil, nil)
 		return true, nil
 
 	default:
-		return false, respond(binStatusUnknownCmd, 0, nil, nil, nil)
+		respond(binStatusUnknownCmd, 0, nil, nil, nil)
 	}
+	return false, nil
 }
 
 // ServeAutoConn sniffs the first byte to select the binary (0x80 magic) or
-// text protocol, as dual-protocol deployments expect.
+// text protocol, as dual-protocol deployments expect. The chosen loop
+// inherits the sniffing reader rather than stacking its own on top.
 func ServeAutoConn(store *Store, rw io.ReadWriter) error {
-	br := bufio.NewReader(rw)
-	first, err := br.Peek(1)
+	r, w := bufio.NewReader(rw), bufio.NewWriter(rw)
+	first, err := r.Peek(1)
 	if err != nil {
 		return err
 	}
-	wrapped := struct {
-		io.Reader
-		io.Writer
-	}{br, rw}
 	if first[0] == binReqMagic {
-		return ServeBinaryConn(store, wrapped)
+		return serveBinary(store, r, w)
 	}
-	return ServeConn(store, wrapped)
+	return serveText(store, r, w)
 }

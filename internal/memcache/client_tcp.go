@@ -2,11 +2,9 @@ package memcache
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
+	"math"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 
 	"imca/internal/blob"
@@ -27,7 +25,8 @@ type clientConn struct {
 	mu   sync.Mutex
 	c    net.Conn
 	r    *bufio.Reader
-	w    *bufio.Writer
+	w    wireWriter
+	gets int // get lines sent whose END has not been read yet
 }
 
 // Dial connects to the given server addresses.
@@ -44,7 +43,7 @@ func Dial(addrs ...string) (*Client, error) {
 		}
 		cl.conns = append(cl.conns, &clientConn{
 			addr: a, c: c,
-			r: bufio.NewReader(c), w: bufio.NewWriter(c),
+			r: bufio.NewReader(c), w: wireWriter{Writer: bufio.NewWriter(c)},
 		})
 	}
 	return cl, nil
@@ -71,141 +70,190 @@ func (cl *Client) pick(key string) *clientConn {
 }
 
 // Set stores item unconditionally.
-func (cl *Client) Set(item *Item) error { return cl.storeCmd("set", item) }
+func (cl *Client) Set(item *Item) error { return cl.storeCmd("set ", item) }
 
 // Add stores item only if absent.
-func (cl *Client) Add(item *Item) error { return cl.storeCmd("add", item) }
+func (cl *Client) Add(item *Item) error { return cl.storeCmd("add ", item) }
 
 // Replace stores item only if present.
-func (cl *Client) Replace(item *Item) error { return cl.storeCmd("replace", item) }
+func (cl *Client) Replace(item *Item) error { return cl.storeCmd("replace ", item) }
 
 // CompareAndSwap stores item only if its CAS token (from Gets) still
 // matches the server's.
-func (cl *Client) CompareAndSwap(item *Item) error { return cl.storeCmd("cas", item) }
+func (cl *Client) CompareAndSwap(item *Item) error { return cl.storeCmd("cas ", item) }
 
+// storeCmd and incrDecr take the verb with its trailing space.
 func (cl *Client) storeCmd(cmd string, item *Item) error {
 	cc := cl.pick(item.Key)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	val := item.Value.Bytes()
-	if cmd == "cas" {
-		fmt.Fprintf(cc.w, "cas %s %d %d %d %d\r\n", item.Key, item.Flags, item.Expiration, len(val), item.CAS)
-	} else {
-		fmt.Fprintf(cc.w, "%s %s %d %d %d\r\n", cmd, item.Key, item.Flags, item.Expiration, len(val))
+	w := &cc.w
+	w.str(cmd)
+	w.str(item.Key)
+	w.field(uint64(item.Flags))
+	w.fieldInt(item.Expiration)
+	w.field(uint64(len(val)))
+	if cmd == "cas " {
+		w.field(item.CAS)
 	}
-	cc.w.Write(val)
-	cc.w.WriteString("\r\n")
-	if err := cc.w.Flush(); err != nil {
-		return err
-	}
-	line, err := readLine(cc.r)
+	w.str("\r\n")
+	_, _ = w.Write(val)
+	w.str("\r\n")
+	line, err := cc.roundTrip()
 	if err != nil {
 		return err
 	}
-	switch string(line) {
-	case "STORED":
-		return nil
-	case "NOT_STORED":
-		return ErrNotStored
-	case "EXISTS":
-		return ErrExists
-	case "NOT_FOUND":
-		return ErrCacheMiss
-	default:
-		return fmt.Errorf("memcache: server answered %q", line)
+	return verdictOf(line)
+}
+
+// roundTrip sends the request written so far and returns the first line of
+// the reply, a borrow that dies at the next read.
+func (cc *clientConn) roundTrip() ([]byte, error) {
+	if err := cc.w.Flush(); err != nil {
+		return nil, err
 	}
+	return readLine(cc.r)
 }
 
 // Get fetches one key.
-func (cl *Client) Get(key string) (*Item, error) {
-	items, err := cl.getFrom(cl.pick(key), []string{key}, false)
-	if err != nil {
-		return nil, err
-	}
-	it, ok := items[key]
-	if !ok {
-		return nil, ErrCacheMiss
-	}
-	return it, nil
-}
+func (cl *Client) Get(key string) (*Item, error) { return cl.get("get", key) }
 
 // Gets fetches one key with its CAS token for a later CompareAndSwap.
-func (cl *Client) Gets(key string) (*Item, error) {
-	items, err := cl.getFrom(cl.pick(key), []string{key}, true)
-	if err != nil {
+func (cl *Client) Gets(key string) (*Item, error) { return cl.get("gets", key) }
+
+func (cl *Client) get(verb, key string) (*Item, error) {
+	cc := cl.pick(key)
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	keys := [1]string{key}
+	if err := cc.sendGet(verb, keys[:]); err != nil {
 		return nil, err
 	}
-	it, ok := items[key]
-	if !ok {
+	var got *Item
+	if err := cc.readValues(keys[:], func(it *Item) { got = it }); err != nil {
+		return nil, err
+	}
+	if got == nil {
 		return nil, ErrCacheMiss
 	}
-	return it, nil
+	return got, nil
 }
 
-// GetMulti fetches many keys, batching one request per server.
+// GetMulti fetches many keys with one request per server, as libmemcache's
+// mget does: every server's request is on the wire before the first reply
+// is awaited, so the call costs the slowest server, not the sum of them.
 func (cl *Client) GetMulti(keys []string) (map[string]*Item, error) {
-	byConn := make(map[*clientConn][]string)
+	byConn := make([][]string, len(cl.conns))
 	for _, k := range keys {
-		cc := cl.pick(k)
-		byConn[cc] = append(byConn[cc], k)
+		i := cl.selector.Pick(k, len(cl.conns))
+		byConn[i] = append(byConn[i], k)
 	}
-	out := make(map[string]*Item, len(keys))
-	for _, cc := range cl.conns { // deterministic order
-		ks, ok := byConn[cc]
-		if !ok {
+	// Connections are locked in index order (so two GetMultis cannot
+	// deadlock) and held until their replies are read.
+	var first error
+	for i, ks := range byConn {
+		if len(ks) == 0 {
 			continue
 		}
-		items, err := cl.getFrom(cc, ks, false)
-		if err != nil {
-			return nil, err
+		cc := cl.conns[i]
+		cc.mu.Lock()
+		defer cc.mu.Unlock()
+		if err := cc.sendGet("get", ks); err != nil && first == nil {
+			first = err
 		}
-		for k, it := range items {
-			out[k] = it
+	}
+	// Every connection written to is read, even after an error elsewhere:
+	// a reply left unread would answer that connection's next request.
+	out := make(map[string]*Item, len(keys))
+	for i, ks := range byConn {
+		if len(ks) == 0 {
+			continue
 		}
+		err := cl.conns[i].readValues(ks, func(it *Item) { out[it.Key] = it })
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		return nil, first
 	}
 	return out, nil
 }
 
-func (cl *Client) getFrom(cc *clientConn, keys []string, withCAS bool) (map[string]*Item, error) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	verb := "get"
-	if withCAS {
-		verb = "gets"
+// sendGet writes and flushes verb for keys, starting another command line
+// wherever one would pass maxLineLen; cc.gets counts the lines, each of
+// which the server answers up to its own END.
+func (cc *clientConn) sendGet(verb string, keys []string) error {
+	cc.gets = 0
+	n := 0
+	for _, k := range keys {
+		if n == 0 || n+1+len(k) > maxLineLen {
+			if n > 0 {
+				cc.w.str("\r\n")
+			}
+			cc.w.str(verb)
+			n = len(verb)
+			cc.gets++
+		}
+		cc.w.str(" ")
+		cc.w.str(k)
+		n += 1 + len(k)
 	}
-	fmt.Fprintf(cc.w, "%s %s\r\n", verb, strings.Join(keys, " "))
-	if err := cc.w.Flush(); err != nil {
-		return nil, err
+	cc.w.str("\r\n")
+	err := cc.w.Flush()
+	if err != nil {
+		cc.gets = 0 // nothing was asked, so nothing is to be read
 	}
-	out := make(map[string]*Item)
-	for {
+	return err
+}
+
+// readValues reads the reply to sendGet — VALUE blocks up to the END of
+// each line sent — and hands every item to emit. A server answers in
+// request order, so each reply key is looked for in keys from the previous
+// match on, and the item takes the caller's string instead of a copy of
+// the reply's.
+func (cc *clientConn) readValues(keys []string, emit func(*Item)) error {
+	for cc.gets > 0 {
 		line, err := readLine(cc.r)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if string(line) == "END" {
-			return out, nil
+			cc.gets--
+			continue
 		}
-		var key string
-		var flags uint32
-		var n int64
-		var cas uint64
-		if withCAS {
-			if _, err := fmt.Sscanf(string(line), "VALUE %s %d %d %d", &key, &flags, &n, &cas); err != nil {
-				return nil, fmt.Errorf("memcache: bad VALUE line %q", line)
-			}
-		} else if _, err := fmt.Sscanf(string(line), "VALUE %s %d %d", &key, &flags, &n); err != nil {
-			return nil, fmt.Errorf("memcache: bad VALUE line %q", line)
+		var f [5][]byte
+		n := splitFields(line, f[:])
+		flags, okFlags := parseUint(f[2])
+		size, okSize := parseUint(f[3])
+		cas, okCAS := uint64(0), true
+		if n == 5 { // a gets reply
+			cas, okCAS = parseUint(f[4])
 		}
-		data := make([]byte, n+2)
-		if _, err := readFull(cc.r, data); err != nil {
-			return nil, err
+		if n < 4 || n > 5 || string(f[0]) != "VALUE" || !okFlags || flags > math.MaxUint32 || !okSize || !okCAS {
+			return fmt.Errorf("memcache: bad VALUE line %q", line)
 		}
-		if !bytes.HasSuffix(data, []byte("\r\n")) {
-			return nil, fmt.Errorf("memcache: bad data terminator")
+		if size > MaxValueLen {
+			return fmt.Errorf("memcache: server announced a %d-byte value: %w", size, ErrTooLarge)
 		}
-		out[key] = &Item{Key: key, Value: blob.FromBytes(data[:n]), Flags: flags, CAS: cas}
+		for len(keys) > 0 && keys[0] != string(f[1]) {
+			keys = keys[1:]
+		}
+		if len(keys) == 0 {
+			return fmt.Errorf("memcache: server sent a key not asked for: %q", f[1])
+		}
+		data, ok, err := readBlock(cc.r, int64(size))
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("memcache: bad data terminator")
+		}
+		emit(&Item{Key: keys[0], Value: blob.FromBytes(data), Flags: uint32(flags), CAS: cas})
+		keys = keys[1:]
 	}
+	return nil
 }
 
 // Delete removes a key.
@@ -213,95 +261,75 @@ func (cl *Client) Delete(key string) error {
 	cc := cl.pick(key)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	fmt.Fprintf(cc.w, "delete %s\r\n", key)
-	if err := cc.w.Flush(); err != nil {
-		return err
-	}
-	line, err := readLine(cc.r)
+	cc.w.str("delete ")
+	cc.w.str(key)
+	cc.w.str("\r\n")
+	line, err := cc.roundTrip()
 	if err != nil {
 		return err
 	}
-	switch string(line) {
-	case "DELETED":
+	if string(line) == "DELETED" {
 		return nil
-	case "NOT_FOUND":
-		return ErrCacheMiss
-	default:
-		return fmt.Errorf("memcache: server answered %q", line)
 	}
+	return verdictOf(line)
 }
 
 // Incr adds delta to a numeric value and returns the result.
 func (cl *Client) Incr(key string, delta uint64) (uint64, error) {
-	return cl.incrDecr("incr", key, delta)
+	return cl.incrDecr("incr ", key, delta)
 }
 
 // Decr subtracts delta (flooring at zero) and returns the result.
 func (cl *Client) Decr(key string, delta uint64) (uint64, error) {
-	return cl.incrDecr("decr", key, delta)
+	return cl.incrDecr("decr ", key, delta)
 }
 
 func (cl *Client) incrDecr(cmd, key string, delta uint64) (uint64, error) {
 	cc := cl.pick(key)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	fmt.Fprintf(cc.w, "%s %s %d\r\n", cmd, key, delta)
-	if err := cc.w.Flush(); err != nil {
-		return 0, err
-	}
-	line, err := readLine(cc.r)
+	cc.w.str(cmd)
+	cc.w.str(key)
+	cc.w.field(delta)
+	cc.w.str("\r\n")
+	line, err := cc.roundTrip()
 	if err != nil {
 		return 0, err
 	}
-	s := string(line)
-	if s == "NOT_FOUND" {
-		return 0, ErrCacheMiss
+	if v, ok := parseUint(line); ok {
+		return v, nil
 	}
-	if strings.HasPrefix(s, "CLIENT_ERROR") {
-		return 0, ErrNotNumeric
-	}
-	return strconv.ParseUint(s, 10, 64)
+	return 0, verdictOf(line)
 }
 
 // ServerStats returns each server's stats keyed by address.
 func (cl *Client) ServerStats() (map[string]map[string]string, error) {
 	out := make(map[string]map[string]string)
 	for _, cc := range cl.conns {
-		cc.mu.Lock()
-		fmt.Fprintf(cc.w, "stats\r\n")
-		if err := cc.w.Flush(); err != nil {
-			cc.mu.Unlock()
+		m, err := cc.stats()
+		if err != nil {
 			return nil, err
 		}
-		m := make(map[string]string)
-		for {
-			line, err := readLine(cc.r)
-			if err != nil {
-				cc.mu.Unlock()
-				return nil, err
-			}
-			if string(line) == "END" {
-				break
-			}
-			parts := strings.SplitN(string(line), " ", 3)
-			if len(parts) == 3 && parts[0] == "STAT" {
-				m[parts[1]] = parts[2]
-			}
-		}
 		out[cc.addr] = m
-		cc.mu.Unlock()
 	}
 	return out, nil
 }
 
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := r.Read(buf[total:])
-		total += n
+func (cc *clientConn) stats() (map[string]string, error) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	cc.w.str("stats\r\n")
+	m := make(map[string]string)
+	for line, err := cc.roundTrip(); ; line, err = readLine(cc.r) {
 		if err != nil {
-			return total, err
+			return nil, err
+		}
+		if string(line) == "END" {
+			return m, nil
+		}
+		var f [3][]byte
+		if splitFields(line, f[:]) == 3 && string(f[0]) == "STAT" {
+			m[string(f[1])] = string(f[2])
 		}
 	}
-	return total, nil
 }

@@ -2,12 +2,10 @@ package memcache
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"imca/internal/blob"
 )
@@ -32,261 +30,259 @@ func normalizeExp(exp int64, now int64) int64 {
 
 // ServeConn runs the memcached text protocol on rw against store until the
 // peer quits or the connection errors. It returns the first I/O error (or
-// nil on a clean "quit").
+// nil on a clean "quit"). A command line longer than 2048 bytes is answered
+// with CLIENT_ERROR and ends the connection; a value longer than
+// MaxValueLen is refused and skipped without being buffered.
 func ServeConn(store *Store, rw io.ReadWriter) error {
-	r := bufio.NewReader(rw)
-	w := bufio.NewWriter(rw)
+	return serveText(store, bufio.NewReader(rw), bufio.NewWriter(rw))
+}
+
+// textConn is the state of one text-protocol connection.
+type textConn struct {
+	store *Store
+	r     *bufio.Reader
+	w     wireWriter
+}
+
+func serveText(store *Store, r *bufio.Reader, w *bufio.Writer) error {
+	c := &textConn{store: store, r: r, w: wireWriter{Writer: w}}
 	for {
+		// Replies leave when the next read could block, not per command: a
+		// pipelined batch that arrived in one read is answered in one write.
+		if r.Buffered() == 0 {
+			if err := c.w.Flush(); err != nil {
+				return err
+			}
+		}
 		line, err := readLine(r)
+		if err == errLineTooLong {
+			c.w.str("CLIENT_ERROR line too long\r\n")
+		}
+		quit := false
+		if err == nil && len(line) > 0 {
+			quit, err = c.dispatch(line)
+		}
 		if err != nil {
-			return err
-		}
-		if len(line) == 0 {
-			continue
-		}
-		quit, err := dispatch(store, r, w, line)
-		if err != nil {
-			return err
-		}
-		if err := w.Flush(); err != nil {
+			_ = c.w.Flush() // the read error is the one to report
 			return err
 		}
 		if quit {
-			return nil
+			return c.w.Flush()
 		}
 	}
-}
-
-func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return nil, err
-	}
-	return bytes.TrimRight(line, "\r\n"), nil
 }
 
 // dispatch handles one command line. It reports whether the peer asked to
-// quit.
-func dispatch(store *Store, r *bufio.Reader, w *bufio.Writer, line []byte) (bool, error) {
-	fields := strings.Fields(string(line))
-	cmd := fields[0]
-	args := fields[1:]
-	switch cmd {
-	case "get", "gets":
-		return false, cmdGet(store, w, args, cmd == "gets")
+// quit; an error is an I/O error reading a data block.
+func (c *textConn) dispatch(line []byte) (quit bool, err error) {
+	verb, args := nextField(line)
+	switch string(verb) {
+	case "get":
+		c.get(args, false)
+	case "gets":
+		c.get(args, true)
 	case "set", "add", "replace", "append", "prepend", "cas":
-		return false, cmdStore(store, r, w, cmd, args)
+		return false, c.storeCmd(string(verb), args)
 	case "delete":
-		return false, cmdDelete(store, w, args)
+		c.delete(args)
 	case "incr", "decr":
-		return false, cmdIncrDecr(store, w, cmd, args)
+		c.incrDecr(verb[0] == 'i', args)
 	case "stats":
-		if len(args) > 0 && args[0] == "slabs" {
-			return false, cmdStatsSlabs(store, w)
+		if sub, _ := nextField(args); string(sub) == "slabs" {
+			c.statsSlabs()
+		} else {
+			c.stats()
 		}
-		return false, cmdStats(store, w)
 	case "flush_all":
-		store.FlushAll()
-		if !hasNoreply(args) {
-			fmt.Fprintf(w, "OK\r\n")
-		}
-		return false, nil
+		c.store.FlushAll()
+		c.ok(args)
 	case "version":
-		fmt.Fprintf(w, "VERSION 1.2.8-imca\r\n")
-		return false, nil
+		c.w.str("VERSION 1.2.8-imca\r\n")
 	case "verbosity":
-		if !hasNoreply(args) {
-			fmt.Fprintf(w, "OK\r\n")
-		}
-		return false, nil
+		c.ok(args)
 	case "quit":
 		return true, nil
-	default:
-		fmt.Fprintf(w, "ERROR\r\n")
-		return false, nil
+	default: // a line of only blanks has no verb and lands here too
+		c.w.str("ERROR\r\n")
+	}
+	return false, nil
+}
+
+// cutNoreply strips a final "noreply" field from args.
+func cutNoreply(args []byte) ([]byte, bool) {
+	for len(args) > 0 && isSpace(args[len(args)-1]) {
+		args = args[:len(args)-1]
+	}
+	if n := len(args) - len("noreply"); n >= 0 && string(args[n:]) == "noreply" && (n == 0 || isSpace(args[n-1])) {
+		return args[:n], true
+	}
+	return args, false
+}
+
+func (c *textConn) ok(args []byte) {
+	if _, noreply := cutNoreply(args); !noreply {
+		c.w.str("OK\r\n")
 	}
 }
 
-func hasNoreply(args []string) bool {
-	return len(args) > 0 && args[len(args)-1] == "noreply"
-}
+const badFormat = "CLIENT_ERROR bad command line format\r\n"
 
-func cmdGet(store *Store, w *bufio.Writer, keys []string, withCAS bool) error {
-	for _, k := range keys {
-		it, err := store.Get(k)
-		if err != nil {
+// get answers from the store's by-bytes view: a hit costs no key string
+// and no item copy, only the bytes written.
+func (c *textConn) get(keys []byte, withCAS bool) {
+	w := &c.w
+	for {
+		var key []byte
+		if key, keys = nextField(keys); key == nil {
+			break
+		}
+		it, ok := c.store.GetViewBytes(key)
+		if !ok {
 			continue
 		}
+		w.str("VALUE ")
+		_, _ = w.Write(key)
+		w.field(uint64(it.Flags))
+		w.field(uint64(it.Value.Len()))
 		if withCAS {
-			fmt.Fprintf(w, "VALUE %s %d %d %d\r\n", it.Key, it.Flags, it.Value.Len(), it.CAS)
-		} else {
-			fmt.Fprintf(w, "VALUE %s %d %d\r\n", it.Key, it.Flags, it.Value.Len())
+			w.field(it.CAS)
 		}
-		if _, err := w.Write(it.Value.Bytes()); err != nil {
-			return err
-		}
-		if _, err := w.WriteString("\r\n"); err != nil {
-			return err
-		}
+		w.str("\r\n")
+		_, _ = w.Write(it.Value.Bytes())
+		w.str("\r\n")
 	}
-	_, err := w.WriteString("END\r\n")
-	return err
+	w.str("END\r\n")
 }
 
-func cmdStore(store *Store, r *bufio.Reader, w *bufio.Writer, cmd string, args []string) error {
-	noreply := hasNoreply(args)
-	if noreply {
-		args = args[:len(args)-1]
-	}
-	want := 4
-	if cmd == "cas" {
+func (c *textConn) storeCmd(op string, args []byte) error {
+	args, noreply := cutNoreply(args)
+	var f [5][]byte
+	n := splitFields(args, f[:])
+	want, casID, okCAS := 4, uint64(0), true
+	if op == "cas" {
 		want = 5
+		casID, okCAS = parseUint(f[4])
 	}
-	if len(args) != want {
-		fmt.Fprintf(w, "CLIENT_ERROR bad command line format\r\n")
+	flags, okFlags := parseUint(f[1])
+	exp, okExp := parseInt(f[2])
+	nbytes, okLen := parseInt(f[3])
+	if n != want || !okFlags || flags > math.MaxUint32 || !okExp || !okLen || nbytes < 0 || !okCAS {
+		c.w.str(badFormat)
 		return nil
 	}
-	key := args[0]
-	flags, err1 := strconv.ParseUint(args[1], 10, 32)
-	exp, err2 := strconv.ParseInt(args[2], 10, 64)
-	nbytes, err3 := strconv.ParseInt(args[3], 10, 64)
-	var casID uint64
-	var err4 error
-	if cmd == "cas" {
-		casID, err4 = strconv.ParseUint(args[4], 10, 64)
-	}
-	if err1 != nil || err2 != nil || err3 != nil || err4 != nil || nbytes < 0 {
-		fmt.Fprintf(w, "CLIENT_ERROR bad command line format\r\n")
-		return nil
-	}
-
-	data := make([]byte, nbytes+2)
-	if _, err := io.ReadFull(r, data); err != nil {
+	if nbytes > MaxValueLen {
+		// memcached's swallow state: refuse now — the peer may never send
+		// all it announced — then skip the block (and its "\r\n", which
+		// nbytes+2 could overflow past) without ever buffering it.
+		c.verdict(noreply, ErrTooLarge)
+		if err := c.w.Flush(); err != nil {
+			return err
+		}
+		if _, err := io.CopyN(io.Discard, c.r, nbytes); err != nil {
+			return err
+		}
+		_, err := c.r.Discard(2)
 		return err
 	}
-	if !bytes.HasSuffix(data, []byte("\r\n")) {
+	// The fields borrow the read buffer, which the data block overwrites:
+	// the key is copied first — the string the store then keeps.
+	key := string(f[0])
+	data, ok, err := readBlock(c.r, nbytes)
+	if err != nil {
+		return err
+	}
+	if !ok {
 		if !noreply {
-			fmt.Fprintf(w, "CLIENT_ERROR bad data chunk\r\n")
+			c.w.str("CLIENT_ERROR bad data chunk\r\n")
 		}
 		return nil
 	}
-	value := blob.FromBytes(data[:nbytes])
-
-	item := &Item{
+	item := Item{
 		Key:        key,
-		Value:      value,
+		Value:      blob.FromBytes(data),
 		Flags:      uint32(flags),
-		Expiration: normalizeExp(exp, store.Now()),
+		Expiration: normalizeExp(exp, c.store.Now()),
 		CAS:        casID,
 	}
-	var err error
-	switch cmd {
-	case "set":
-		err = store.Set(item)
-	case "add":
-		err = store.Add(item)
-	case "replace":
-		err = store.Replace(item)
-	case "cas":
-		err = store.CompareAndSwap(item)
+	switch op {
 	case "append":
-		err = store.Append(key, value)
+		err = c.store.Append(key, item.Value)
 	case "prepend":
-		err = store.Prepend(key, value)
-	}
-	if noreply {
-		return nil
-	}
-	switch err {
-	case nil:
-		fmt.Fprintf(w, "STORED\r\n")
-	case ErrNotStored:
-		fmt.Fprintf(w, "NOT_STORED\r\n")
-	case ErrExists:
-		fmt.Fprintf(w, "EXISTS\r\n")
-	case ErrCacheMiss:
-		fmt.Fprintf(w, "NOT_FOUND\r\n")
-	case ErrTooLarge:
-		fmt.Fprintf(w, "SERVER_ERROR object too large for cache\r\n")
-	case ErrBadKey:
-		fmt.Fprintf(w, "CLIENT_ERROR bad key\r\n")
+		err = c.store.Prepend(key, item.Value)
 	default:
-		fmt.Fprintf(w, "SERVER_ERROR %v\r\n", err)
+		err = c.store.store(&item, op)
 	}
+	c.verdict(noreply, err)
 	return nil
 }
 
-func cmdDelete(store *Store, w *bufio.Writer, args []string) error {
-	noreply := hasNoreply(args)
-	if noreply {
-		args = args[:len(args)-1]
+func (c *textConn) verdict(noreply bool, err error) {
+	if !noreply {
+		c.w.verdict(err)
 	}
-	if len(args) < 1 {
-		fmt.Fprintf(w, "CLIENT_ERROR bad command line format\r\n")
-		return nil
+}
+
+func (c *textConn) delete(args []byte) {
+	args, noreply := cutNoreply(args)
+	key, _ := nextField(args)
+	if key == nil {
+		c.w.str(badFormat)
+		return
 	}
-	err := store.Delete(args[0])
+	err := c.store.Delete(string(key))
 	if noreply {
-		return nil
+		return
 	}
 	if err != nil {
-		fmt.Fprintf(w, "NOT_FOUND\r\n")
+		c.w.str("NOT_FOUND\r\n")
 	} else {
-		fmt.Fprintf(w, "DELETED\r\n")
+		c.w.str("DELETED\r\n")
 	}
-	return nil
 }
 
-func cmdIncrDecr(store *Store, w *bufio.Writer, cmd string, args []string) error {
-	noreply := hasNoreply(args)
-	if noreply {
-		args = args[:len(args)-1]
+func (c *textConn) incrDecr(incr bool, args []byte) {
+	args, noreply := cutNoreply(args)
+	var f [2][]byte
+	if splitFields(args, f[:]) != 2 {
+		c.w.str(badFormat)
+		return
 	}
-	if len(args) != 2 {
-		fmt.Fprintf(w, "CLIENT_ERROR bad command line format\r\n")
-		return nil
+	delta, ok := parseUint(f[1])
+	if !ok {
+		c.w.str("CLIENT_ERROR invalid numeric delta argument\r\n")
+		return
 	}
-	delta, err := strconv.ParseUint(args[1], 10, 64)
-	if err != nil {
-		fmt.Fprintf(w, "CLIENT_ERROR invalid numeric delta argument\r\n")
-		return nil
-	}
-	v, err := store.IncrDecr(args[0], delta, cmd == "incr")
-	if noreply {
-		return nil
-	}
-	switch err {
-	case nil:
-		fmt.Fprintf(w, "%d\r\n", v)
-	case ErrCacheMiss:
-		fmt.Fprintf(w, "NOT_FOUND\r\n")
-	case ErrNotNumeric:
-		fmt.Fprintf(w, "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n")
+	v, err := c.store.IncrDecr(string(f[0]), delta, incr)
+	switch {
+	case noreply:
+	case err != nil:
+		c.w.verdict(err)
 	default:
-		fmt.Fprintf(w, "SERVER_ERROR %v\r\n", err)
+		c.w.uint(v)
+		c.w.str("\r\n")
 	}
-	return nil
 }
 
-func cmdStatsSlabs(store *Store, w *bufio.Writer) error {
-	classes := store.SlabStats()
+func (c *textConn) statsSlabs() {
+	w := c.w.Writer
+	classes := c.store.SlabStats()
 	ids := make([]int, 0, len(classes))
 	for ci := range classes {
 		ids = append(ids, ci)
 	}
 	sort.Ints(ids)
 	for _, ci := range ids {
-		c := classes[ci]
-		fmt.Fprintf(w, "STAT %d:chunk_size %d\r\n", ci+1, c.ChunkSize)
-		fmt.Fprintf(w, "STAT %d:used_chunks %d\r\n", ci+1, c.UsedChunks)
-		fmt.Fprintf(w, "STAT %d:free_chunks %d\r\n", ci+1, c.FreeChunks)
+		cl := classes[ci]
+		fmt.Fprintf(w, "STAT %d:chunk_size %d\r\n", ci+1, cl.ChunkSize)
+		fmt.Fprintf(w, "STAT %d:used_chunks %d\r\n", ci+1, cl.UsedChunks)
+		fmt.Fprintf(w, "STAT %d:free_chunks %d\r\n", ci+1, cl.FreeChunks)
 	}
-	_, err := w.WriteString("END\r\n")
-	return err
+	c.w.str("END\r\n")
 }
 
-func cmdStats(store *Store, w *bufio.Writer) error {
-	st := store.Stats()
+func (c *textConn) stats() {
+	w := c.w.Writer
+	st := c.store.Stats()
 	fmt.Fprintf(w, "STAT cmd_get %d\r\n", st.CmdGet)
 	fmt.Fprintf(w, "STAT cmd_set %d\r\n", st.CmdSet)
 	fmt.Fprintf(w, "STAT get_hits %d\r\n", st.GetHits)
@@ -299,6 +295,5 @@ func cmdStats(store *Store, w *bufio.Writer) error {
 	fmt.Fprintf(w, "STAT total_items %d\r\n", st.TotalItems)
 	fmt.Fprintf(w, "STAT bytes %d\r\n", st.Bytes)
 	fmt.Fprintf(w, "STAT limit_maxbytes %d\r\n", st.LimitBytes)
-	_, err := w.WriteString("END\r\n")
-	return err
+	c.w.str("END\r\n")
 }

@@ -18,6 +18,7 @@ package memcache
 import (
 	"errors"
 	"sort"
+	"strconv"
 	"sync"
 
 	"imca/internal/blob"
@@ -386,38 +387,20 @@ func (s *Store) Get(key string) (*Item, error) {
 }
 
 func (s *Store) getLocked(key string) (*Item, error) {
-	s.stats.CmdGet++
-	it, ok := s.table[key]
+	v, ok := s.viewLocked(s.table[key])
 	if !ok {
-		s.stats.GetMisses++
 		return nil, ErrCacheMiss
 	}
-	now := s.Now()
-	if it.expired(now) {
-		s.stats.Expired++
-		s.stats.GetMisses++
-		s.removeLocked(it)
-		return nil, ErrCacheMiss
-	}
-	s.stats.GetHits++
-	it.lastAccess = now
-	c := &s.classes[it.class]
-	c.lruUnlink(it)
-	c.lruPush(it)
-	return &Item{Key: it.Key, Value: it.Value, Flags: it.Flags, Expiration: it.Expiration, CAS: it.CAS}, nil
+	hit := v // the heap copy is made here, so a miss allocates nothing
+	return &hit, nil
 }
 
-// GetView is Get returning the entry by value: same lookup, same stats,
-// same LRU touch and lazy expiry, but the snapshot lands in the caller's
-// Item instead of a freshly allocated copy — the simulated daemon's hot
-// path reads through it into pooled response buffers. ok is false on a
-// miss.
-func (s *Store) GetView(key string) (Item, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// viewLocked is the one read path: given the table entry for a key (nil
+// when absent) it counts the get, lazily expires, touches the LRU and
+// returns a snapshot of the entry by value.
+func (s *Store) viewLocked(it *Item) (Item, bool) {
 	s.stats.CmdGet++
-	it, ok := s.table[key]
-	if !ok {
+	if it == nil {
 		s.stats.GetMisses++
 		return Item{}, false
 	}
@@ -434,6 +417,25 @@ func (s *Store) GetView(key string) (Item, bool) {
 	c.lruUnlink(it)
 	c.lruPush(it)
 	return Item{Key: it.Key, Value: it.Value, Flags: it.Flags, Expiration: it.Expiration, CAS: it.CAS}, true
+}
+
+// GetView is Get returning the entry by value: same lookup, same stats,
+// same LRU touch and lazy expiry, but the snapshot lands in the caller's
+// Item instead of a freshly allocated copy — the simulated daemon's hot
+// path reads through it into pooled response buffers. ok is false on a
+// miss.
+func (s *Store) GetView(key string) (Item, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.viewLocked(s.table[key])
+}
+
+// GetViewBytes is GetView for a key still sitting in a wire buffer: the
+// lookup converts in place, so the real daemon's get builds no key string.
+func (s *Store) GetViewBytes(key []byte) (Item, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.viewLocked(s.table[string(key)])
 }
 
 // GetMulti returns the present items among keys, keyed by key.
@@ -480,8 +482,8 @@ func (s *Store) IncrDecr(key string, delta uint64, incr bool) (uint64, error) {
 		}
 		return 0, ErrCacheMiss
 	}
-	cur, err := parseUint(it.Value.Bytes())
-	if err != nil {
+	cur, ok := parseUint(it.Value.Bytes())
+	if !ok {
 		return 0, ErrNotNumeric
 	}
 	var next uint64
@@ -492,7 +494,7 @@ func (s *Store) IncrDecr(key string, delta uint64, incr bool) (uint64, error) {
 	} else {
 		next = cur - delta
 	}
-	nv := blob.FromBytes(formatUint(next))
+	nv := blob.FromBytes(strconv.AppendUint(nil, next, 10))
 	item := &Item{Key: key, Value: nv, Flags: it.Flags, Expiration: it.Expiration}
 	if err := s.insertLocked(item, it, true, s.Now()); err != nil {
 		return 0, err
@@ -581,32 +583,4 @@ func (s *Store) Peek(key string) (blob.Blob, bool) {
 		return blob.Blob{}, false
 	}
 	return it.Value, true
-}
-
-func parseUint(b []byte) (uint64, error) {
-	if len(b) == 0 {
-		return 0, ErrNotNumeric
-	}
-	var v uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, ErrNotNumeric
-		}
-		v = v*10 + uint64(c-'0')
-	}
-	return v, nil
-}
-
-func formatUint(v uint64) []byte {
-	if v == 0 {
-		return []byte{'0'}
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return buf[i:]
 }

@@ -1,0 +1,205 @@
+package memcache
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+
+	"imca/internal/blob"
+)
+
+// feed is a warmed connection seen from the daemon's side: each next call
+// queues one more copy of a request on the read side and discards what is
+// written, so testing.AllocsPerRun can drive a serve loop one request at a
+// time over an in-memory io.ReadWriter.
+type feed struct {
+	req, pending []byte
+	more         chan struct{}
+	done         chan struct{}
+}
+
+func newFeed(req string) *feed {
+	return &feed{req: []byte(req), more: make(chan struct{}), done: make(chan struct{})}
+}
+
+func (f *feed) Read(p []byte) (int, error) {
+	if len(f.pending) == 0 {
+		f.done <- struct{}{} // the previous request is fully served
+		if _, ok := <-f.more; !ok {
+			return 0, io.EOF
+		}
+		f.pending = f.req
+	}
+	n := copy(p, f.pending)
+	f.pending = f.pending[n:]
+	return n, nil
+}
+
+func (f *feed) Write(p []byte) (int, error) { return len(p), nil }
+
+// next serves one more request and returns when the loop is back at its
+// blocking read.
+func (f *feed) next() {
+	f.more <- struct{}{}
+	<-f.done
+}
+
+// serveAllocs reports the allocations serve makes per request req.
+func serveAllocs(t *testing.T, st *Store, req string, serve func(*Store, io.ReadWriter) error) float64 {
+	t.Helper()
+	f := newFeed(req)
+	finished := make(chan error, 1)
+	go func() { finished <- serve(st, f) }()
+	<-f.done // the loop reached its first read
+	f.next() // warm: bufio buffers, the store's table
+	allocs := testing.AllocsPerRun(200, f.next)
+	close(f.more)
+	if err := <-finished; err != io.EOF {
+		t.Fatalf("serve loop ended with %v, want EOF", err)
+	}
+	return allocs
+}
+
+func allocStore(t *testing.T) *Store {
+	t.Helper()
+	st := NewStore(16<<20, func() int64 { return 0 })
+	if err := st.Set(&Item{Key: "/bench/file0000001:stat", Value: blob.FromBytes(bytes.Repeat([]byte("v"), 2048)), Flags: 7}); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestServerAllocContracts pins what each verb of the real daemon
+// allocates per request (DESIGN.md "Real daemon wire path").
+func TestServerAllocContracts(t *testing.T) {
+	const key = "/bench/file0000001:stat"
+	binGet := func(op byte) string {
+		var h [24]byte
+		h[0], h[1] = binReqMagic, op
+		binary.BigEndian.PutUint16(h[2:], uint16(len(key)))
+		binary.BigEndian.PutUint32(h[8:], uint32(len(key)))
+		return string(h[:]) + key
+	}
+	for _, tc := range []struct {
+		name  string
+		req   string
+		serve func(*Store, io.ReadWriter) error
+		max   float64
+	}{
+		{"text get hit", "get " + key + "\r\n", ServeConn, 0},
+		{"text gets hit", "gets " + key + "\r\n", ServeConn, 0},
+		{"text get miss", "get /bench/absent\r\n", ServeConn, 0},
+		{"text get hit via sniffing", "get " + key + "\r\n", ServeAutoConn, 0},
+		// The value buffer, the key string and the stored entry: what must
+		// outlive the request.
+		{"text set", "set /bench/file0000002:stat 3 0 100\r\n" + strings.Repeat("x", 100) + "\r\n", ServeConn, 3},
+		{"text pipelined batch", strings.Repeat("get "+key+" /bench/absent\r\n", 8), ServeConn, 0},
+		{"binary get hit", binGet(binOpGet), ServeBinaryConn, 0},
+		{"binary getk hit via sniffing", binGet(binOpGetK), ServeAutoConn, 0},
+	} {
+		if got := serveAllocs(t, allocStore(t), tc.req, tc.serve); got > tc.max {
+			t.Errorf("%s: %.0f allocs per request, want at most %.0f", tc.name, got, tc.max)
+		}
+	}
+}
+
+// The three getters share one read path; only Get's hit pays for a copy.
+func TestStoreGetAllocContracts(t *testing.T) {
+	const key = "/bench/file0000001:stat"
+	st := allocStore(t)
+	kb := []byte(key)
+	for _, tc := range []struct {
+		name string
+		op   func()
+		want float64
+	}{
+		{"Get hit", func() { _, _ = st.Get(key) }, 1},
+		{"Get miss", func() { _, _ = st.Get("absent") }, 0},
+		{"GetView hit", func() { _, _ = st.GetView(key) }, 0},
+		{"GetViewBytes hit", func() { _, _ = st.GetViewBytes(kb) }, 0},
+		{"GetViewBytes miss", func() { _, _ = st.GetViewBytes(kb[:4]) }, 0},
+	} {
+		if got := testing.AllocsPerRun(200, tc.op); got != tc.want {
+			t.Errorf("%s: %.0f allocs, want %.0f", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestClientAllocContracts pins the client's side of a round trip against
+// a scripted peer: a Get hit keeps the value buffer and the Item, a miss
+// and a Set keep nothing.
+func TestClientAllocContracts(t *testing.T) {
+	const key = "/bench/file0000001:stat"
+	value := strings.Repeat("v", 2048)
+	item := &Item{Key: key, Value: blob.FromString(value), Flags: 7} // the caller's, not the round trip's
+	hit := func(it *Item, err error) error {
+		if err == nil && (it.Key != key || it.Flags != 7 || string(it.Value.Bytes()) != value) {
+			return fmt.Errorf("got %+v", it)
+		}
+		return err
+	}
+	for _, tc := range []struct {
+		name  string
+		reply string
+		op    func(*Client) error
+		max   float64
+	}{
+		{"get hit", "VALUE " + key + " 7 2048\r\n" + value + "\r\nEND\r\n", func(cl *Client) error { return hit(cl.Get(key)) }, 2},
+		{"gets hit", "VALUE " + key + " 7 2048 99\r\n" + value + "\r\nEND\r\n", func(cl *Client) error { return hit(cl.Gets(key)) }, 2},
+		{"get miss", "END\r\n", func(cl *Client) error {
+			if _, err := cl.Get(key); err != ErrCacheMiss {
+				return fmt.Errorf("miss returned %v", err)
+			}
+			return nil
+		}, 0},
+		{"set", "STORED\r\n", func(cl *Client) error { return cl.Set(item) }, 0},
+	} {
+		cl := scriptedClient(tc.reply)
+		var err error
+		op := func() {
+			if e := tc.op(cl); e != nil {
+				err = e
+			}
+		}
+		op() // warm
+		got := testing.AllocsPerRun(200, op)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got > tc.max {
+			t.Errorf("%s: %.0f allocs per call, want at most %.0f", tc.name, got, tc.max)
+		}
+	}
+}
+
+// scriptedClient is a one-server Client whose server answers every request
+// with reply.
+func scriptedClient(reply string) *Client {
+	peer := &scriptedPeer{reply: []byte(reply)}
+	return &Client{selector: CRC32Selector{}, conns: []*clientConn{{
+		r: bufio.NewReader(peer), w: wireWriter{Writer: bufio.NewWriter(peer)},
+	}}}
+}
+
+// scriptedPeer answers every flushed request with the same reply.
+type scriptedPeer struct {
+	reply, pending []byte
+}
+
+func (p *scriptedPeer) Write(b []byte) (int, error) {
+	p.pending = p.reply
+	return len(b), nil
+}
+
+func (p *scriptedPeer) Read(b []byte) (int, error) {
+	if len(p.pending) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(b, p.pending)
+	p.pending = p.pending[n:]
+	return n, nil
+}

@@ -48,7 +48,8 @@ benchrec:
 
 # Paired parent/change runs of one benchmark workload — the "Claiming a
 # gain" procedure of benchmark/README.md: medians, quartiles, pairs won,
-# virt_digest equality. WORKLOAD is required.
+# virt_digest equality, then one traced pass per side with the per-layer
+# CPU shares side by side. WORKLOAD is required.
 PARENT ?= HEAD~1
 PAIRS ?= 10
 SEED ?= 1

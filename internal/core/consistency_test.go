@@ -165,6 +165,14 @@ func TestIMCaMultiClientRandomSharedReads(t *testing.T) {
 // MCD bank (helper for multi-client core tests).
 func newMultiRig(t *testing.T, clients, nMCD int, cfg Config) (*sim.Env, []gluster.FS, []*memcache.SimServer) {
 	t.Helper()
+	env, mounts, mcds, _ := newMultiRigSM(t, clients, nMCD, cfg)
+	return env, mounts, mcds
+}
+
+// newMultiRigSM is newMultiRig for tests that also inspect the server
+// translator.
+func newMultiRigSM(t *testing.T, clients, nMCD int, cfg Config) (*sim.Env, []gluster.FS, []*memcache.SimServer, *SMCache) {
+	t.Helper()
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
 	srvNode := net.NewNode("server", 8)
@@ -182,7 +190,7 @@ func newMultiRig(t *testing.T, clients, nMCD int, cfg Config) (*sim.Env, []glust
 		cm := NewCMCache(gluster.NewClient(node, srvNode), memcache.NewSimClient(node, mcds), cfg)
 		mounts[i] = gluster.NewFuse(node, cm, gluster.DefaultFuseConfig)
 	}
-	return env, mounts, mcds
+	return env, mounts, mcds, sm
 }
 
 // xorshift RNG for deterministic fuzzing without math/rand's global state.

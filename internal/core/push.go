@@ -1,18 +1,72 @@
 package core
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
+
 	"imca/internal/blob"
 	"imca/internal/memcache"
 	"imca/internal/sim"
 )
 
+// blockSet is a set of block numbers — those one path has resident in the
+// bank — as a bitmap in chunks of 512 blocks, sorted by chunk number and
+// never empty: a block costs a bit, a sparse file its touched chunks, and
+// the members come out in order with no sort.
+type blockSet struct{ chunks []setChunk }
+
+type setChunk struct {
+	num  int64 // block number >> 9
+	bits [8]uint64
+}
+
+// find returns the position of chunk num, or where it would be inserted.
+func (b *blockSet) find(num int64) (int, bool) {
+	return slices.BinarySearchFunc(b.chunks, num, func(c setChunk, num int64) int { return cmp.Compare(c.num, num) })
+}
+
+// add records block number bn.
+func (b *blockSet) add(bn int64) {
+	i, found := b.find(bn >> 9)
+	if !found {
+		b.chunks = slices.Insert(b.chunks, i, setChunk{num: bn >> 9})
+	}
+	b.chunks[i].bits[bn>>6&7] |= 1 << (bn & 63)
+}
+
+// remove forgets block number bn, if recorded.
+func (b *blockSet) remove(bn int64) {
+	if i, found := b.find(bn >> 9); found {
+		c := &b.chunks[i]
+		if c.bits[bn>>6&7] &^= 1 << (bn & 63); c.bits == [8]uint64{} {
+			b.chunks = slices.Delete(b.chunks, i, i+1)
+		}
+	}
+}
+
+// take removes and returns the smallest member, if there is one.
+func (b *blockSet) take() (bn int64, ok bool) {
+	for len(b.chunks) > 0 {
+		c := &b.chunks[0]
+		for w, word := range c.bits {
+			if word != 0 {
+				c.bits[w] = word & (word - 1)
+				return c.num<<9 | int64(w<<6|bits.TrailingZeros64(word)), true
+			}
+		}
+		b.chunks = b.chunks[1:]
+	}
+	return 0, false
+}
+
 // pushOp is one block push: aligned data split into blocks and stored in
 // the bank sequentially. It is the frame both translators' pushBlocksT run
 // on — the position, the
 // completion continuation, and the store continuation prebound once — so a
-// push allocates what it stores (one key string per block; the bank makes
-// the item) and nothing for its own bookkeeping. The op returns to its pool
-// before k runs, so k may start the next push on it.
+// push allocates one key string per block (the bank recycles the entry of
+// what the block displaces) and nothing for its own bookkeeping. The op
+// returns to its pool before k runs, so k may start the next push on it.
 type pushOp struct {
 	pool *pushPool
 	t    *sim.Task
@@ -22,25 +76,25 @@ type pushOp struct {
 	bs   int64
 	data blob.Blob
 	k    func()
-	// set is handed to the pool's landed hook with each block's offset.
-	set map[int64]struct{}
+	// set, unless nil, records each block as it lands.
+	set *blockSet
 
 	fnStored func(error)
 }
 
 // pushPool is a translator's free list of push frames, bound to its bank
-// client. landed, when set, runs as each block lands: SMCache binds it once
-// to its resident-block bookkeeping; CMCache keeps none and leaves it nil.
+// client. landed counts the blocks recorded into a push's set: SMCache's
+// resident-block bookkeeping; CMCache keeps none and passes no set.
 type pushPool struct {
 	mcd    *memcache.SimClient
-	landed func(set map[int64]struct{}, blockOff int64)
+	landed *uint64
 	free   []*pushOp
 }
 
 // push stores data (starting at the aligned offset base of path) block by
 // block, then runs k.
 func (pp *pushPool) push(t *sim.Task, path string, base int64, data blob.Blob, bs int64,
-	set map[int64]struct{}, k func()) {
+	set *blockSet, k func()) {
 	var op *pushOp
 	if n := len(pp.free); n > 0 {
 		op = pp.free[n-1]
@@ -71,8 +125,9 @@ func (op *pushOp) step() {
 }
 
 func (op *pushOp) stored(error) {
-	if landed := op.pool.landed; landed != nil {
-		landed(op.set, op.base+op.pos)
+	if op.set != nil {
+		op.set.add((op.base + op.pos) / op.bs)
+		*op.pool.landed++
 	}
 	op.pos += op.bs
 	op.step()

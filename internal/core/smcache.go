@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"imca/internal/blob"
 	"imca/internal/gluster"
@@ -35,9 +35,11 @@ type SMCache struct {
 	cfg   Config
 
 	fdPaths map[gluster.FD]string
-	// pushed tracks which block keys each path currently has in the MCD
-	// bank, so purges delete exactly the resident keys.
-	pushed map[string]map[int64]struct{}
+	// pushed records which blocks each path may have in the MCD bank, so a
+	// purge deletes those keys and no others: a block is recorded when its
+	// set lands and forgotten when a purge issues its delete. A path's set is
+	// never replaced or dropped — an in-flight push holds it.
+	pushed map[string]*blockSet
 	// skeys interns stat keys for the push/purge paths; shared with the
 	// deployment's CMCaches via ShareStatKeys.
 	skeys *KeyInterner
@@ -61,9 +63,9 @@ func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Con
 		mcd:     mcd,
 		cfg:     cfg,
 		fdPaths: make(map[gluster.FD]string),
-		pushed:  make(map[string]map[int64]struct{}),
+		pushed:  make(map[string]*blockSet),
 	}
-	s.pushes = pushPool{mcd: mcd, landed: s.blockLanded}
+	s.pushes = pushPool{mcd: mcd, landed: &s.Stats.BlockPushes}
 	s.T = s
 	return s
 }
@@ -95,28 +97,30 @@ func setPurged(sp *optrace.Span, n int) {
 	}
 }
 
-// purgeDataT deletes the data blocks recorded for path and hands k how many
-// keys it removed. The stat entry stays valid (open/close do not change
-// file contents' metadata beyond what the fresh stat push provides).
+// purgeDataT deletes the data blocks recorded for path as it starts, in
+// block order, and hands k how many keys it removed; one a concurrent push
+// lands meanwhile stays recorded for the next purge. The stat entry stays
+// valid (open/close do not change file contents' metadata beyond what the
+// fresh stat push provides).
 func (s *SMCache) purgeDataT(t *sim.Task, path string, k func(n int)) {
-	// Delete in sorted block order: each delete is a simulated RPC, so
-	// map-order iteration would reorder bank traffic between runs.
-	blocks := make([]int64, 0, len(s.pushed[path]))
-	for bo := range s.pushed[path] {
-		blocks = append(blocks, bo)
+	set, bs, n := s.pushed[path], s.cfg.blockSize(), 0
+	var todo blockSet
+	if set != nil {
+		todo.chunks = slices.Clone(set.chunks)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	var step func(i int)
-	step = func(i int) {
-		if i == len(blocks) {
-			delete(s.pushed, path)
-			k(len(blocks))
+	var step func(bool)
+	step = func(bool) {
+		bn, ok := todo.take()
+		if !ok {
+			k(n)
 			return
 		}
+		n++
 		s.Stats.Purges++
-		s.mcd.DeleteT(t, blockKey(path, blocks[i]), func(bool) { step(i + 1) })
+		set.remove(bn)
+		s.mcd.DeleteT(t, blockKey(path, bn*bs), step)
 	}
-	step(0)
+	step(false)
 }
 
 // purgeAllT additionally removes the stat entry — used for deletes and
@@ -142,16 +146,10 @@ func (s *SMCache) pushStatT(t *sim.Task, st *gluster.Stat, k func()) {
 func (s *SMCache) pushBlocksT(t *sim.Task, path string, alignedOff int64, data blob.Blob, k func()) {
 	set := s.pushed[path]
 	if set == nil {
-		set = make(map[int64]struct{})
+		set = new(blockSet)
 		s.pushed[path] = set
 	}
 	s.pushes.push(t, path, alignedOff, data, s.cfg.blockSize(), set, k)
-}
-
-// blockLanded is the push pool's per-block hook: the block is resident.
-func (s *SMCache) blockLanded(set map[int64]struct{}, blockOff int64) {
-	set[blockOff] = struct{}{}
-	s.Stats.BlockPushes++
 }
 
 // deferIfT runs the bank update fn and then k. In Threaded mode the update

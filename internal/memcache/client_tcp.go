@@ -65,8 +65,15 @@ func (cl *Client) Close() error {
 	return first
 }
 
-func (cl *Client) pick(key string) *clientConn {
-	return cl.conns[cl.selector.Pick(key, len(cl.conns))]
+// lock returns key's connection, locked — or, before a verb has written
+// anything, ErrBadKey: a space would make two keys, a CRLF a second command.
+func (cl *Client) lock(key string) (*clientConn, error) {
+	if !validKey(key) {
+		return nil, ErrBadKey
+	}
+	cc := cl.conns[cl.selector.Pick(key, len(cl.conns))]
+	cc.mu.Lock()
+	return cc, nil
 }
 
 // Set stores item unconditionally.
@@ -84,8 +91,10 @@ func (cl *Client) CompareAndSwap(item *Item) error { return cl.storeCmd("cas ", 
 
 // storeCmd and incrDecr take the verb with its trailing space.
 func (cl *Client) storeCmd(cmd string, item *Item) error {
-	cc := cl.pick(item.Key)
-	cc.mu.Lock()
+	cc, err := cl.lock(item.Key)
+	if err != nil {
+		return err
+	}
 	defer cc.mu.Unlock()
 	val := item.Value.Bytes()
 	w := &cc.w
@@ -123,8 +132,10 @@ func (cl *Client) Get(key string) (*Item, error) { return cl.get("get", key) }
 func (cl *Client) Gets(key string) (*Item, error) { return cl.get("gets", key) }
 
 func (cl *Client) get(verb, key string) (*Item, error) {
-	cc := cl.pick(key)
-	cc.mu.Lock()
+	cc, err := cl.lock(key)
+	if err != nil {
+		return nil, err
+	}
 	defer cc.mu.Unlock()
 	keys := [1]string{key}
 	if err := cc.sendGet(verb, keys[:]); err != nil {
@@ -146,6 +157,9 @@ func (cl *Client) get(verb, key string) (*Item, error) {
 func (cl *Client) GetMulti(keys []string) (map[string]*Item, error) {
 	byConn := make([][]string, len(cl.conns))
 	for _, k := range keys {
+		if !validKey(k) {
+			return nil, ErrBadKey
+		}
 		i := cl.selector.Pick(k, len(cl.conns))
 		byConn[i] = append(byConn[i], k)
 	}
@@ -258,8 +272,10 @@ func (cc *clientConn) readValues(keys []string, emit func(*Item)) error {
 
 // Delete removes a key.
 func (cl *Client) Delete(key string) error {
-	cc := cl.pick(key)
-	cc.mu.Lock()
+	cc, err := cl.lock(key)
+	if err != nil {
+		return err
+	}
 	defer cc.mu.Unlock()
 	cc.w.str("delete ")
 	cc.w.str(key)
@@ -285,8 +301,10 @@ func (cl *Client) Decr(key string, delta uint64) (uint64, error) {
 }
 
 func (cl *Client) incrDecr(cmd, key string, delta uint64) (uint64, error) {
-	cc := cl.pick(key)
-	cc.mu.Lock()
+	cc, err := cl.lock(key)
+	if err != nil {
+		return 0, err
+	}
 	defer cc.mu.Unlock()
 	cc.w.str(cmd)
 	cc.w.str(key)

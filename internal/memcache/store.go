@@ -123,7 +123,10 @@ type Store struct {
 	alloced int64 // slab pages handed out
 	classes []slabClass
 	table   map[string]*Item
-	cas     uint64
+	// free chains removed entries (through lruNext) for the next insert.
+	// No *Item of the table leaves the store — every read copies.
+	free *Item
+	cas  uint64
 	// Now returns the current time in seconds; the simulation supplies
 	// virtual time, the TCP server supplies wall time.
 	Now func() int64
@@ -219,8 +222,8 @@ func (it *Item) expired(now int64) bool {
 	return it.Expiration != 0 && it.Expiration <= now
 }
 
-// removeLocked deletes an item from the table and returns its chunk to the
-// class free list.
+// removeLocked deletes an item from the table, returns its chunk to the
+// class free list, and its entry, cleared, to the store's.
 func (s *Store) removeLocked(it *Item) {
 	delete(s.table, it.Key)
 	c := &s.classes[it.class]
@@ -228,6 +231,8 @@ func (s *Store) removeLocked(it *Item) {
 	c.freeChunks++
 	s.stats.CurrItems--
 	s.stats.Bytes -= itemSize(it.Key, it.Value)
+	*it = Item{lruNext: s.free}
+	s.free = it
 }
 
 // reserveChunkLocked obtains a chunk in class ci, growing the class by a
@@ -332,15 +337,16 @@ func (s *Store) insertLocked(item *Item, old *Item, exists bool, now int64) erro
 		return err
 	}
 	s.cas++
-	stored := &Item{
-		Key:        item.Key,
-		Value:      item.Value,
-		Flags:      item.Flags,
-		Expiration: item.Expiration,
-		CAS:        s.cas,
-		class:      ci,
-		lastAccess: now,
+	stored := s.free
+	if stored != nil {
+		s.free = stored.lruNext
+	} else {
+		stored = new(Item)
 	}
+	// Entries come zeroed (removeLocked cleared a recycled one), and
+	// lruPush sets both links.
+	stored.Key, stored.Value, stored.Flags, stored.Expiration = item.Key, item.Value, item.Flags, item.Expiration
+	stored.CAS, stored.class, stored.lastAccess = s.cas, ci, now
 	s.table[item.Key] = stored
 	s.classes[ci].lruPush(stored)
 	s.stats.CurrItems++
@@ -502,13 +508,14 @@ func (s *Store) IncrDecr(key string, delta uint64, incr bool) (uint64, error) {
 	return next, nil
 }
 
-// FlushAll invalidates every item immediately.
+// FlushAll invalidates every item immediately and lets their entries go.
 func (s *Store) FlushAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, it := range s.table {
 		s.removeLocked(it)
 	}
+	s.free = nil
 }
 
 // Stats returns a snapshot of the counters.

@@ -3,6 +3,7 @@ package memcache
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -377,4 +378,65 @@ func TestSlabStats(t *testing.T) {
 	if !sawTiny || !sawBig {
 		t.Errorf("classes missing occupancy: %+v", classes)
 	}
+}
+
+// TestRecycledEntryDoesNotAlias is the guard for entry recycling: what Get
+// and GetView hand out are copies, so they keep their key and value after
+// the key is evicted and its entry reused for another key. The second half
+// runs readers against an evicting writer, so that under -race a store
+// pointer escaping through either getter is reported as the race it is.
+func TestRecycledEntryDoesNotAlias(t *testing.T) {
+	s := NewStore(1<<20, func() int64 { return 0 })
+	val := func(i int) blob.Blob { return blob.Synthetic(uint64(i+1), 0, 100<<10) }
+	if err := s.Set(&Item{Key: "victim", Value: val(0), Flags: 42}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get("victim")
+	view, ok := s.GetView("victim")
+	if err != nil || !ok {
+		t.Fatalf("victim not stored: %v, %v", err, ok)
+	}
+	for i := 1; s.Stats().Evictions == 0; i++ {
+		if err := s.Set(&Item{Key: fmt.Sprintf("usurper%d", i), Value: val(i), Flags: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Get("victim"); err != ErrCacheMiss {
+		t.Fatalf("victim survived the eviction: %v", err)
+	}
+	for name, it := range map[string]Item{"Get": *got, "GetView": view} {
+		if it.Key != "victim" || it.Flags != 42 || !it.Value.Equal(val(0)) {
+			t.Errorf("the item %s returned changed when its entry was reused: key %q flags %d", name, it.Key, it.Flags)
+		}
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := fmt.Sprintf("churn%d", i%16)
+				if it, err := s.Get(key); err == nil && (it.Key != key || it.Value.Len() != 100<<10) {
+					t.Errorf("Get(%s) returned %q, %d bytes", key, it.Key, it.Value.Len())
+				}
+				if it, ok := s.GetView(key); ok && (it.Key != key || it.Value.Len() != 100<<10) {
+					t.Errorf("GetView(%s) returned %q, %d bytes", key, it.Key, it.Value.Len())
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		if err := s.Set(&Item{Key: fmt.Sprintf("churn%d", i%16), Value: val(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

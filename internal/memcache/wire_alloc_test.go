@@ -94,9 +94,9 @@ func TestServerAllocContracts(t *testing.T) {
 		{"text gets hit", "gets " + key + "\r\n", ServeConn, 0},
 		{"text get miss", "get /bench/absent\r\n", ServeConn, 0},
 		{"text get hit via sniffing", "get " + key + "\r\n", ServeAutoConn, 0},
-		// The value buffer, the key string and the stored entry: what must
-		// outlive the request.
-		{"text set", "set /bench/file0000002:stat 3 0 100\r\n" + strings.Repeat("x", 100) + "\r\n", ServeConn, 3},
+		// The value buffer and the key string: what must outlive the request.
+		// The stored entry is the one the replaced (or evicted) item gave up.
+		{"text set", "set /bench/file0000002:stat 3 0 100\r\n" + strings.Repeat("x", 100) + "\r\n", ServeConn, 2},
 		{"text pipelined batch", strings.Repeat("get "+key+" /bench/absent\r\n", 8), ServeConn, 0},
 		{"binary get hit", binGet(binOpGet), ServeBinaryConn, 0},
 		{"binary getk hit via sniffing", binGet(binOpGetK), ServeAutoConn, 0},
@@ -126,6 +126,43 @@ func TestStoreGetAllocContracts(t *testing.T) {
 		if got := testing.AllocsPerRun(200, tc.op); got != tc.want {
 			t.Errorf("%s: %.0f allocs, want %.0f", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestStoreSetEvictAllocFree: a store at its memory limit takes fresh keys
+// by evicting, and the evicted item's entry becomes the new item's — the
+// bank itself allocates nothing per block in the streaming regime. (The
+// keys and the request item are the caller's and are made beforehand; the
+// table's own rare regrowth under key churn amortises below one per set.)
+func TestStoreSetEvictAllocFree(t *testing.T) {
+	const sets = 10000
+	st := NewStore(2<<20, func() int64 { return 0 })
+	keys := make([]string, 2*sets)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("/scan/f:%d", i*2048)
+	}
+	req := &Item{Value: blob.Synthetic(1, 0, 2048)}
+	next := 0
+	set := func() {
+		req.Key = keys[next]
+		next++
+		if err := st.Set(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < sets; i++ {
+		set() // fill to the limit, then churn the table to its steady size
+	}
+	before := st.Stats()
+	if before.Evictions == 0 {
+		t.Fatal("the store never reached its limit")
+	}
+	if got := testing.AllocsPerRun(sets-1, set); got != 0 { // AllocsPerRun adds a warm-up call
+		t.Errorf("a set of a fresh key into a full store allocated %.2f times, want 0", got)
+	}
+	if after := st.Stats(); after.Evictions-before.Evictions != sets || after.CurrItems != before.CurrItems {
+		t.Errorf("%d sets evicted %d items and moved the population %d -> %d; want one eviction each",
+			sets, after.Evictions-before.Evictions, before.CurrItems, after.CurrItems)
 	}
 }
 
@@ -185,13 +222,16 @@ func scriptedClient(reply string) *Client {
 	}}}
 }
 
-// scriptedPeer answers every flushed request with the same reply.
+// scriptedPeer answers every flushed request with the same reply, and
+// counts the bytes it was sent.
 type scriptedPeer struct {
 	reply, pending []byte
+	wrote          int
 }
 
 func (p *scriptedPeer) Write(b []byte) (int, error) {
 	p.pending = p.reply
+	p.wrote += len(b)
 	return len(b), nil
 }
 

@@ -249,6 +249,43 @@ func TestClientRejectsOversizedReply(t *testing.T) {
 }
 
 // The typed errors a server can answer with come back as themselves.
+// TestClientRefusesInvalidKeys: a key with a space would be read as two
+// keys and one with CRLF would inject a command, so every client verb —
+// each key of a GetMulti included — returns ErrBadKey with not one byte
+// written, flushed or left in the connection's buffer.
+func TestClientRefusesInvalidKeys(t *testing.T) {
+	bad := []string{"", "a b", "k\r\nflush_all", "tab\there", "nul\x00", "del\x7f", strings.Repeat("k", MaxKeyLen+1)}
+	verbs := map[string]func(*Client, string) error{
+		"Get":  func(cl *Client, k string) error { _, err := cl.Get(k); return err },
+		"Gets": func(cl *Client, k string) error { _, err := cl.Gets(k); return err },
+		"GetMulti": func(cl *Client, k string) error {
+			_, err := cl.GetMulti([]string{"good1", k, "good2"})
+			return err
+		},
+		"Set":            func(cl *Client, k string) error { return cl.Set(&Item{Key: k, Value: blob.FromString("v")}) },
+		"Add":            func(cl *Client, k string) error { return cl.Add(&Item{Key: k, Value: blob.FromString("v")}) },
+		"Replace":        func(cl *Client, k string) error { return cl.Replace(&Item{Key: k, Value: blob.FromString("v")}) },
+		"CompareAndSwap": func(cl *Client, k string) error { return cl.CompareAndSwap(&Item{Key: k, CAS: 1}) },
+		"Delete":         func(cl *Client, k string) error { return cl.Delete(k) },
+		"Incr":           func(cl *Client, k string) error { _, err := cl.Incr(k, 1); return err },
+		"Decr":           func(cl *Client, k string) error { _, err := cl.Decr(k, 1); return err },
+	}
+	for name, verb := range verbs {
+		for _, k := range bad {
+			peer := &scriptedPeer{reply: []byte("END\r\n")}
+			cc := &clientConn{r: bufio.NewReader(peer), w: wireWriter{Writer: bufio.NewWriter(peer)}}
+			cl := &Client{selector: CRC32Selector{}, conns: []*clientConn{cc}}
+			if err := verb(cl, k); err != ErrBadKey {
+				t.Errorf("%s(%q) = %v, want ErrBadKey", name, k, err)
+			}
+			if cc.w.Buffered() != 0 || peer.wrote != 0 {
+				t.Errorf("%s(%q) left %d bytes in the buffer and put %d on the wire, want none",
+					name, k, cc.w.Buffered(), peer.wrote)
+			}
+		}
+	}
+}
+
 func TestClientDecodesVerdicts(t *testing.T) {
 	_, addr := startServer(t)
 	cl, err := Dial(addr)

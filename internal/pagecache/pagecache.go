@@ -18,19 +18,42 @@ type Range struct {
 // End returns the first byte past the range.
 func (r Range) End() int64 { return r.Off + r.Len }
 
-type key struct {
-	ino uint64
-	idx int64
+// The cache is indexed as the kernel indexes its own — per inode, by page
+// number — one level deep: a map entry per file leads to the file's chunks,
+// each the slots of chunkPages consecutive pages. chunkPages is small: most
+// files the posix layer caches are one-page metadata pseudo-files, and a
+// file, a chunk and a page are all such a file costs.
+const (
+	chunkShift = 3
+	chunkPages = 1 << chunkShift
+)
+
+// page is one cached page: its index, its chunk, and the links of the
+// intrusive LRU ring. Evicted and invalidated pages, and the chunks and
+// files they leave empty, go onto free lists the next insert draws from, so
+// a cache running at capacity — the steady state of every streaming
+// workload — inserts without allocating.
+type page struct {
+	idx        int64
+	chunk      *chunk
+	prev, next *page
 }
 
-// page is one cached page: its key plus the links of the intrusive LRU
-// ring. Evicted and invalidated pages go onto the cache's free list (linked
-// through next) and are reused by the next insert, so a cache running at
-// capacity — the steady state of every streaming workload — inserts without
-// allocating.
-type page struct {
-	key        key
-	prev, next *page
+// chunk holds the resident pages among chunkPages consecutive indexes of
+// one file; it exists only while one of them is resident.
+type chunk struct {
+	file  *file
+	num   int64 // page index >> chunkShift
+	slots [chunkPages]*page
+}
+
+// file is one inode's index. last is the chunk used most recently. chunks
+// maps every chunk by number once a second chunk has made that necessary;
+// until then last is the only chunk and the file costs no hash table.
+type file struct {
+	ino    uint64
+	last   *chunk
+	chunks map[int64]*chunk
 }
 
 // Cache is a bounded LRU page cache. It is not safe for concurrent use; in
@@ -42,10 +65,11 @@ type Cache struct {
 	used     int64
 	// root is the sentinel of the LRU ring: root.next is the most recently
 	// used page, root.prev the eviction victim.
-	root    page
-	free    *page
-	pages   map[key]*page
-	perFile map[uint64]map[int64]struct{}
+	root       page
+	files      map[uint64]*file
+	freePages  []*page
+	freeChunks []*chunk
+	freeFiles  []*file
 
 	Hits, Misses, Evictions uint64
 
@@ -60,12 +84,7 @@ func New(capacity, pageSize int64) *Cache {
 	if pageSize <= 0 || capacity < 0 {
 		panic("pagecache: bad geometry")
 	}
-	c := &Cache{
-		pageSize: pageSize,
-		capacity: capacity,
-		pages:    make(map[key]*page),
-		perFile:  make(map[uint64]map[int64]struct{}),
-	}
+	c := &Cache{pageSize: pageSize, capacity: capacity, files: make(map[uint64]*file)}
 	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }
@@ -91,6 +110,57 @@ func (c *Cache) touch(pg *page) {
 	}
 }
 
+// pop takes a node off a free list, or makes one.
+func pop[T any](free *[]*T) (x *T) {
+	if n := len(*free); n > 0 {
+		x, *free = (*free)[n-1], (*free)[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+// chunkOf returns the chunk holding page idx of ino: nil if none of its
+// pages is resident, unless create says to make it (and the file). A
+// sequential scan stays on the file's last chunk and hashes only the inode.
+func (c *Cache) chunkOf(ino uint64, idx int64, create bool) *chunk {
+	f := c.files[ino]
+	if f == nil {
+		if !create {
+			return nil
+		}
+		f = pop(&c.freeFiles)
+		f.ino, c.files[ino] = ino, f
+	}
+	num, ch := idx>>chunkShift, f.last
+	if ch == nil || ch.num != num {
+		if ch = f.chunks[num]; ch == nil {
+			if !create {
+				return nil
+			}
+			ch = pop(&c.freeChunks)
+			ch.file, ch.num = f, num
+			// A recycled file keeps its emptied map, so the map can be
+			// there before the second chunk; when there it holds them all.
+			if f.chunks == nil && f.last != nil {
+				f.chunks = map[int64]*chunk{f.last.num: f.last}
+			}
+			if f.chunks != nil {
+				f.chunks[num] = ch
+			}
+		}
+		f.last = ch
+	}
+	return ch
+}
+
+// find returns the resident page idx of ino, or nil.
+func (c *Cache) find(ino uint64, idx int64) *page {
+	if ch := c.chunkOf(ino, idx, false); ch != nil {
+		return ch.slots[idx&(chunkPages-1)]
+	}
+	return nil
+}
+
 // PageSize returns the page size.
 func (c *Cache) PageSize() int64 { return c.pageSize }
 
@@ -98,7 +168,7 @@ func (c *Cache) PageSize() int64 { return c.pageSize }
 func (c *Cache) Used() int64 { return c.used }
 
 // Len returns the number of cached pages.
-func (c *Cache) Len() int { return len(c.pages) }
+func (c *Cache) Len() int { return int(c.used / c.pageSize) }
 
 // pageSpan returns the page index range [lo, hi) covering [off, off+size).
 func (c *Cache) pageSpan(off, size int64) (lo, hi int64) {
@@ -118,7 +188,7 @@ func (c *Cache) Lookup(ino uint64, off, size int64) []Range {
 	lo, hi := c.pageSpan(off, size)
 	var missing []Range
 	for idx := lo; idx < hi; idx++ {
-		if pg, ok := c.pages[key{ino, idx}]; ok {
+		if pg := c.find(ino, idx); pg != nil {
 			c.Hits++
 			c.touch(pg)
 			continue
@@ -142,7 +212,7 @@ func (c *Cache) Contains(ino uint64, off, size int64) bool {
 	}
 	lo, hi := c.pageSpan(off, size)
 	for idx := lo; idx < hi; idx++ {
-		if _, ok := c.pages[key{ino, idx}]; !ok {
+		if c.find(ino, idx) == nil {
 			return false
 		}
 	}
@@ -157,8 +227,7 @@ func (c *Cache) Insert(ino uint64, off, size int64) {
 	}
 	lo, hi := c.pageSpan(off, size)
 	for idx := lo; idx < hi; idx++ {
-		k := key{ino, idx}
-		if pg, ok := c.pages[k]; ok {
+		if pg := c.find(ino, idx); pg != nil {
 			c.touch(pg)
 			continue
 		}
@@ -168,22 +237,13 @@ func (c *Cache) Insert(ino uint64, off, size int64) {
 		for c.used+c.pageSize > c.capacity {
 			c.evictOldest()
 		}
-		pg := c.free
-		if pg != nil {
-			c.free = pg.next
-		} else {
-			pg = new(page)
-		}
-		pg.key = k
+		// Looked up after the evictions, which may have emptied and
+		// recycled the very chunk (or file) idx belongs to.
+		pg, ch := pop(&c.freePages), c.chunkOf(ino, idx, true)
+		pg.idx, pg.chunk = idx, ch
+		ch.slots[idx&(chunkPages-1)] = pg
 		c.pushFront(pg)
-		c.pages[k] = pg
 		c.used += c.pageSize
-		f := c.perFile[ino]
-		if f == nil {
-			f = make(map[int64]struct{})
-			c.perFile[ino] = f
-		}
-		f[idx] = struct{}{}
 	}
 }
 
@@ -196,28 +256,41 @@ func (c *Cache) evictOldest() {
 	c.Evictions++
 }
 
-// removePage drops pg from the cache and parks it on the free list.
+// removePage drops pg from the cache and recycles it, and through its
+// back-pointers the chunk it leaves empty and the file that leaves empty.
 func (c *Cache) removePage(pg *page) {
-	k := pg.key
+	ch := pg.chunk
+	ch.slots[pg.idx&(chunkPages-1)] = nil
 	c.unlink(pg)
-	pg.prev, pg.next = nil, c.free
-	c.free = pg
-	delete(c.pages, k)
+	c.freePages = append(c.freePages, pg)
 	c.used -= c.pageSize
-	if f := c.perFile[k.ino]; f != nil {
-		delete(f, k.idx)
-		if len(f) == 0 {
-			delete(c.perFile, k.ino)
-		}
+	if ch.slots != ([chunkPages]*page{}) {
+		return
 	}
+	f := ch.file
+	delete(f.chunks, ch.num)
+	if f.last == ch {
+		f.last = nil
+	}
+	c.freeChunks = append(c.freeChunks, ch)
+	if len(f.chunks) > 0 {
+		return
+	}
+	delete(c.files, f.ino)
+	c.freeFiles = append(c.freeFiles, f)
 }
 
-// InvalidateFile drops every cached page of ino.
+// InvalidateFile drops every cached page of ino, a chunk at a time.
 func (c *Cache) InvalidateFile(ino uint64) {
-	f := c.perFile[ino]
-	for idx := range f {
-		if pg, ok := c.pages[key{ino, idx}]; ok {
-			c.removePage(pg)
+	for f := c.files[ino]; f != nil; f = c.files[ino] {
+		ch := f.last
+		for _, ch = range f.chunks {
+			break
+		}
+		for _, pg := range ch.slots {
+			if pg != nil {
+				c.removePage(pg)
+			}
 		}
 	}
 }
@@ -229,7 +302,7 @@ func (c *Cache) InvalidateRange(ino uint64, off, size int64) {
 	}
 	lo, hi := c.pageSpan(off, size)
 	for idx := lo; idx < hi; idx++ {
-		if pg, ok := c.pages[key{ino, idx}]; ok {
+		if pg := c.find(ino, idx); pg != nil {
 			c.removePage(pg)
 		}
 	}
@@ -238,9 +311,8 @@ func (c *Cache) InvalidateRange(ino uint64, off, size int64) {
 // Clear empties the cache (e.g. an unmount/remount for a cold-cache run).
 func (c *Cache) Clear() {
 	c.root.prev, c.root.next = &c.root, &c.root
-	c.free = nil
-	c.pages = make(map[key]*page)
-	c.perFile = make(map[uint64]map[int64]struct{})
+	c.files = make(map[uint64]*file)
+	c.freePages, c.freeChunks, c.freeFiles = nil, nil, nil
 	c.used = 0
 }
 

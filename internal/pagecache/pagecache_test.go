@@ -3,6 +3,7 @@ package pagecache
 import (
 	"container/list"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -266,6 +267,14 @@ func TestWarmVsColdPasses(t *testing.T) {
 	}
 }
 
+// key names a page as the reference structures hold it.
+type key struct {
+	ino uint64
+	idx int64
+}
+
+func (pg *page) key() key { return key{pg.chunk.file.ino, pg.idx} }
+
 // listLRU is the cache as it was before the LRU became intrusive: a
 // container/list of keys plus a map of elements, presence only. It is the
 // reference the eviction-order test replays the same accesses against.
@@ -303,10 +312,16 @@ func (m *listLRU) remove(el *list.Element) {
 
 // TestEvictionOrderMatchesListLRU replays one seeded access string —
 // lookups, inserts, range and whole-file invalidations over a working set
-// four times the cache — against the cache and against the container/list
+// several times the cache — against the cache and against the container/list
 // LRU it replaced. Residency after every step, the hit/miss/eviction
-// counters, and the order pages leave in must all agree: the free list and
-// the ring change how pages are held, not which page goes next.
+// counters, and the order pages leave in must all agree: the free lists,
+// the ring and the per-inode index change how pages are held, not which
+// page goes next. The accesses mix the populations the index treats
+// differently: four dense files, 4,096 one-page files (the posix layer's
+// metadata pseudo-inodes), a file living above page index 2^40, and a file
+// touched only at its two ends; invalidations empty chunks and whole files
+// that later accesses re-insert. The index's own bookkeeping (files,
+// chunks, slots) is recounted against the reference as it goes.
 func TestEvictionOrderMatchesListLRU(t *testing.T) {
 	const pageSize, capPages, files, pagesPerFile = 4096, 64, 4, 64
 	c := New(capPages*pageSize, pageSize)
@@ -318,14 +333,28 @@ func TestEvictionOrderMatchesListLRU(t *testing.T) {
 	victims := func() []key {
 		var out []key
 		for c.Len() > 0 {
-			out = append(out, c.root.prev.key)
+			out = append(out, c.root.prev.key())
 			c.evictOldest()
 		}
 		return out
 	}
-	for step := 0; step < 20000; step++ {
-		ino := uint64(1 + rng.Intn(files))
-		idx := int64(rng.Intn(pagesPerFile))
+	// pick draws the next (file, page) from the mixed population.
+	pick := func() (uint64, int64) {
+		switch p := rng.Intn(100); {
+		case p < 60:
+			return uint64(1 + rng.Intn(files)), int64(rng.Intn(pagesPerFile))
+		case p < 80:
+			return uint64(1000 + rng.Intn(4096)), 0
+		case p < 92:
+			return 5, 1<<40 + int64(rng.Intn(pagesPerFile))
+		default:
+			return 6, int64(rng.Intn(2))<<44 + int64(rng.Intn(4))
+		}
+	}
+	refilled := 0 // inserts into a file an invalidation had emptied
+	emptied := map[uint64]bool{}
+	for step := 0; step < 40000; step++ {
+		ino, idx := pick()
 		k := key{ino, idx}
 		switch op := rng.Intn(100); {
 		case op < 45:
@@ -340,6 +369,10 @@ func TestEvictionOrderMatchesListLRU(t *testing.T) {
 			}
 		case op < 95:
 			evBefore, nBefore := c.Evictions, len(ref.evicted)
+			if emptied[ino] {
+				refilled++
+				delete(emptied, ino)
+			}
 			c.Insert(ino, idx*pageSize, pageSize)
 			ref.insert(k)
 			if int(c.Evictions-evBefore) != len(ref.evicted)-nBefore {
@@ -360,8 +393,8 @@ func TestEvictionOrderMatchesListLRU(t *testing.T) {
 			}
 		default:
 			c.InvalidateFile(ino)
-			for i := int64(0); i < pagesPerFile; i++ {
-				if el, ok := ref.pages[key{ino, i}]; ok {
+			for rk, el := range ref.pages {
+				if rk.ino == ino {
 					ref.remove(el)
 				}
 			}
@@ -369,6 +402,16 @@ func TestEvictionOrderMatchesListLRU(t *testing.T) {
 		if c.Len() != ref.lru.Len() {
 			t.Fatalf("step %d: %d pages cached, the list LRU holds %d", step, c.Len(), ref.lru.Len())
 		}
+		if c.files[ino] == nil {
+			emptied[ino] = true
+		}
+		if step%97 == 0 {
+			checkIndex(t, c, ref.pages)
+		}
+	}
+	checkIndex(t, c, ref.pages)
+	if refilled < 100 {
+		t.Fatalf("only %d inserts re-created an emptied file; that path was not exercised", refilled)
 	}
 	if c.Hits != hits || c.Misses != misses {
 		t.Errorf("hits/misses = %d/%d, the list LRU saw %d/%d", c.Hits, c.Misses, hits, misses)
@@ -392,17 +435,92 @@ func TestEvictionOrderMatchesListLRU(t *testing.T) {
 	}
 }
 
+// checkIndex recounts the per-inode index against the pages that should be
+// resident: one file per inode with a resident page and none besides, one
+// chunk per occupied run of chunkPages indexes, each page in its slot with
+// its back-pointers right, and the counts on every node agreeing.
+func checkIndex(t *testing.T, c *Cache, want map[key]*list.Element) {
+	t.Helper()
+	type chunkKey struct {
+		ino uint64
+		num int64
+	}
+	inos, chunks := map[uint64]int{}, map[chunkKey]int{}
+	for k := range want {
+		pg := c.find(k.ino, k.idx)
+		if pg == nil || pg.key() != k || pg.chunk.slots[k.idx&(chunkPages-1)] != pg {
+			t.Fatalf("page %v is resident in the reference but not indexed (found %v)", k, pg)
+		}
+		ck := chunkKey{k.ino, k.idx >> chunkShift}
+		if chunks[ck] == 0 {
+			inos[k.ino]++ // a chunk seen for the first time
+		}
+		chunks[ck]++
+	}
+	if len(c.files) != len(inos) {
+		t.Fatalf("the index holds %d files, %d inodes have resident pages", len(c.files), len(inos))
+	}
+	for ino, f := range c.files {
+		if f.ino != ino || (f.chunks != nil && len(f.chunks) != inos[ino]) || (f.chunks == nil && (inos[ino] != 1 || f.last == nil)) {
+			t.Fatalf("file %d: ino %d, %d chunks mapped (last %v), want %d", ino, f.ino, len(f.chunks), f.last, inos[ino])
+		}
+	}
+	for ck, n := range chunks {
+		if ch := c.chunkOf(ck.ino, ck.num<<chunkShift, false); ch == nil || resident(ch) != n || ch.num != ck.num || ch.file != c.files[ck.ino] {
+			t.Fatalf("chunk %v: %+v, want %d pages", ck, ch, n)
+		}
+	}
+}
+
+func resident(ch *chunk) (n int) {
+	for _, pg := range ch.slots {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSparsePageCostsOneChunk: a page a terabyte into a file costs what a
+// page at offset 0 costs — a file, a chunk and a page — not an index
+// proportional to the offset.
+func TestSparsePageCostsOneChunk(t *testing.T) {
+	var c *Cache
+	at := func(off int64) (allocs float64, bytes uint64) {
+		var before, after runtime.MemStats
+		allocs = testing.AllocsPerRun(10, func() {
+			c = New(1<<20, 4096)
+			runtime.ReadMemStats(&before)
+			c.Insert(1, off, 4096)
+			runtime.ReadMemStats(&after)
+		})
+		return allocs, after.TotalAlloc - before.TotalAlloc
+	}
+	nearAllocs, nearBytes := at(0)
+	farAllocs, farBytes := at(1 << 40)
+	if !c.Contains(1, 1<<40, 4096) || c.Contains(1, 0, 4096) || c.Len() != 1 {
+		t.Fatal("the page at 1 TB is not the one resident page")
+	}
+	if farAllocs != nearAllocs || farBytes != nearBytes || farBytes > 1024 {
+		t.Errorf("a page at 1 TB cost %.0f allocations and %d bytes, one at 0 cost %.0f and %d; want the same, under 1 KB",
+			farAllocs, farBytes, nearAllocs, nearBytes)
+	}
+}
+
 // TestInsertAtCapacityAllocFree: once the cache is full, an insert reuses
-// the page it evicts — the steady state of a streaming scan allocates
-// nothing, pass after pass.
+// the page it evicts, and with it the chunk and the file that eviction
+// emptied — the steady state of a streaming scan allocates nothing, pass
+// after pass. The scan streams six 100-page files in turn through a
+// 256-page cache, so chunks (100 is no multiple of chunkPages) and whole
+// files die and are born in every pass.
 func TestInsertAtCapacityAllocFree(t *testing.T) {
-	const pageSize, capPages = 4096, 256
+	const pageSize, capPages, files, pagesPerFile = 4096, 256, 6, 100
 	c := New(capPages*pageSize, pageSize)
 	next := int64(0)
 	scan := func() {
 		for i := 0; i < capPages; i++ {
-			c.Insert(1, next*pageSize, pageSize)
-			next = (next + 1) % (4 * capPages)
+			c.Insert(uint64(1+next/pagesPerFile), next%pagesPerFile*pageSize, pageSize)
+			next = (next + 1) % (files * pagesPerFile)
 		}
 	}
 	for i := 0; i < 8; i++ {

@@ -9,7 +9,11 @@
 # median and quartiles of the four end-to-end metrics, the change/parent
 # ratio of the medians with its base, how many pairs the change won (ties
 # count for neither), whether the gap exceeds the parent's interquartile
-# spread, and whether virt_digest was the same on every run.
+# spread, and whether virt_digest was the same on every run. Then (step 5
+# of that procedure: "use the trace to show where the saving appears") it
+# runs one traced pass per side and prints the per-layer CPU shares and the
+# layer drives the change could have moved, parent beside change with the
+# difference.
 #
 # Usage:
 #   scripts/benchpairs.sh WORKLOAD [PARENT [PAIRS [SEED]]]
@@ -47,6 +51,9 @@ metrics="host_ops_per_sec allocs_per_op peak_rss_mb setup_s"
 runs="$work/runs.tsv"
 : >"$runs"
 
+# metric_of JSON NAME: the value of metric NAME in a pass's last line.
+metric_of() { printf '%s' "$1" | sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p"; }
+
 # run_one SIDE PAIR: one untraced pass; appends "pair side digest failed m1 m2 m3 m4".
 run_one() {
 	local side=$1 pair=$2 dir=$root out line digest failed vals=""
@@ -56,7 +63,7 @@ run_one() {
 	digest=$(printf '%s\n' "$out" | awk '$1 == "virt_digest" {print $2; exit}')
 	failed=$(printf '%s' "$line" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p')
 	for m in $metrics; do
-		vals="$vals $(printf '%s' "$line" | sed -n "s/.*\"$m\":{\"value\":\([^,}]*\).*/\1/p")"
+		vals="$vals $(metric_of "$line" "$m")"
 	done
 	printf '%s\t%s\t%s\t%s%s\n' "$pair" "$side" "${digest:-none}" "${failed:-?}" "$(printf '%s' "$vals" | tr ' ' '\t')" >>"$runs"
 	printf '   pair %2d %-6s digest %s failed %s %s\n' "$pair" "$side" "${digest:-none}" "${failed:-?}" "$vals"
@@ -73,6 +80,7 @@ for ((i = 1; i <= pairs; i++)); do
 	fi
 done
 
+status=0
 echo "== summary ($workload, seed $seed, seconds 10, parent $parent_rev, $pairs pairs)"
 awk -F'\t' -v names="$metrics" '
 function quantile(a, n, q,    h, lo) {
@@ -114,4 +122,16 @@ END {
 	printf "virt_digest: %s\n", (mismatch ? "DIFFERS between runs" : "identical on all " (n["parent"] + n["change"]) " runs (" digest ")")
 	printf "failed passes: %d\n", failures + 0
 	if (mismatch || failures) exit 1
-}' "$runs"
+}' "$runs" || status=$?
+
+# One traced pass per side: its last line carries every per_layer metric.
+echo "== traced pass per side (-trace 1): where the difference landed"
+ptrace=$(cd "$work/parent-src" && "$work/parent" -workload "$workload" -seed "$seed" -seconds 10 -trace 1 | tail -n 1)
+ctrace=$("$work/change" -workload "$workload" -seed "$seed" -seconds 10 -trace 1 | tail -n 1)
+layers=$(printf '%s' "$ptrace" | grep -o '"cpu\.[a-z]*_pct"' | tr -d '"')
+printf '%-36s %12s %12s %12s\n' metric parent change delta
+for m in $layers drive.pagecache.insert_ns drive.pagecache.lookup_ns drive.memcache.store_set_evict_ns; do
+	awk -v m="$m" -v p="$(metric_of "$ptrace" "$m")" -v c="$(metric_of "$ctrace" "$m")" \
+		'BEGIN { printf "%-36s %12.4g %12.4g %+12.4g\n", m, p, c, c - p }'
+done
+exit "$status"

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-baseline test race verify regdiff bench benchrec benchpairs
+.PHONY: all build vet lint lint-baseline test race verify regdiff bench benchrec benchpairs allocsites
 
 all: verify
 
@@ -55,3 +55,8 @@ PAIRS ?= 10
 SEED ?= 1
 benchpairs:
 	bash scripts/benchpairs.sh "$(WORKLOAD)" "$(PARENT)" "$(PAIRS)" "$(SEED)"
+
+# Where one root bench_test.go figure allocates: alloc_objects by function,
+# flat and cumulative (every allocation sampled). BENCH is a -bench regex.
+allocsites:
+	sh scripts/allocsites.sh "$(BENCH)"

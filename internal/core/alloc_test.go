@@ -1,6 +1,8 @@
 package core
 
 import (
+	"imca/internal/disk"
+	"imca/internal/memcache"
 	"testing"
 	"time"
 
@@ -54,6 +56,8 @@ func (r *rig) writtenFile(t *testing.T, path string, data blob.Blob) gluster.FD 
 // the read's one key string (every covering key is a substring of it) and,
 // when the blocks do not coalesce, the result blob's one spill slice —
 // whether it is the single-key fast path or an 8-key scatter over 2 MCDs.
+// Issued at Fuse.ReadT, the top of the client stack, it costs the same: the
+// FUSE crossing runs on a pooled frame.
 func TestReadTBankHitAllocations(t *testing.T) {
 	const bs, readsPerRun = 2048, 64
 	raw := make([]byte, 8*bs)
@@ -77,31 +81,36 @@ func TestReadTBankHitAllocations(t *testing.T) {
 				r := newRig(t, 2, Config{BlockSize: bs})
 				fd := r.writtenFile(t, "/alloc/f", tc.data)
 				ct := r.env.ContextTask("reader")
-				reads := 0
-				k := func(got blob.Blob, err error) {
-					if err != nil || got.Len() != tc.size {
-						t.Fatalf("read = %d bytes, %v", got.Len(), err)
+				for _, entry := range []struct {
+					name string
+					fs   gluster.TaskFS
+				}{{"CMCache.ReadT", r.cmcache}, {"Fuse.ReadT", gluster.Lift(r.client)}} {
+					reads := 0
+					k := func(got blob.Blob, err error) {
+						if err != nil || got.Len() != tc.size {
+							t.Fatalf("%s = %d bytes, %v", entry.name, got.Len(), err)
+						}
+						reads++
 					}
-					reads++
-				}
-				run := func() {
-					for i := 0; i < readsPerRun; i++ {
-						r.cmcache.ReadT(ct, fd, 0, tc.size, k)
+					run := func() {
+						for i := 0; i < readsPerRun; i++ {
+							entry.fs.ReadT(ct, fd, 0, tc.size, k)
+						}
+						r.env.Run()
 					}
-					r.env.Run()
-				}
-				run() // warm every pool along the path
-				misses := r.cmcache.Stats.ReadMisses
-				avg := testing.AllocsPerRun(20, run)
-				if max := tc.perRead*readsPerRun + 1; avg > max {
-					t.Errorf("batch of %d bank-hit reads allocated %.0f times, want <= %.0f (%.0f per read)",
-						readsPerRun, avg, max, tc.perRead)
-				}
-				if r.cmcache.Stats.ReadMisses != misses {
-					t.Errorf("%d reads missed the bank; the contract is about hits", r.cmcache.Stats.ReadMisses-misses)
-				}
-				if reads != 22*readsPerRun {
-					t.Errorf("completed %d reads, want %d", reads, 22*readsPerRun)
+					run() // warm every pool along the path
+					misses := r.cmcache.Stats.ReadMisses
+					avg := testing.AllocsPerRun(20, run)
+					if max := tc.perRead*readsPerRun + 1; avg > max {
+						t.Errorf("batch of %d bank-hit reads at %s allocated %.0f times, want <= %.0f (%.0f per read)",
+							readsPerRun, entry.name, avg, max, tc.perRead)
+					}
+					if r.cmcache.Stats.ReadMisses != misses {
+						t.Errorf("%d reads missed the bank; the contract is about hits", r.cmcache.Stats.ReadMisses-misses)
+					}
+					if reads != 22*readsPerRun {
+						t.Errorf("completed %d reads at %s, want %d", reads, entry.name, 22*readsPerRun)
+					}
 				}
 				if len(r.mcds[0].Store().Keys()) == 0 || len(r.mcds[1].Store().Keys()) == 0 {
 					t.Error("the file's blocks sit on one MCD; the scatter was not exercised")
@@ -128,7 +137,7 @@ func TestPushBlocksTAllocations(t *testing.T) {
 		k := func() { pushes++ }
 		run := func() {
 			for i := 0; i < pushesPerRun; i++ {
-				r.smcache.pushBlocksT(ct, "/alloc/p", 0, data, k)
+				r.smcache.pushes.push(ct, "/alloc/p", 0, data, k)
 			}
 			r.env.Run()
 		}
@@ -200,5 +209,158 @@ func TestReadTAbandonedLookupThenReuse(t *testing.T) {
 	}
 	if len(r.cmcache.readOps) != 1 {
 		t.Errorf("%d readOps pooled after both reads, want the one op reused", len(r.cmcache.readOps))
+	}
+}
+
+// newPopulateRig is newRig without the server translator: CMCache in
+// client-populate mode over a brick that is plain Posix, so what feeds the
+// bank is the client's write-back alone.
+func newPopulateRig(t *testing.T, cfg Config) *rig {
+	t.Helper()
+	env := sim.NewEnv()
+	net := fabric.NewNetwork(env, fabric.IPoIB)
+	srvNode, cliNode := net.NewNode("server", 8), net.NewNode("client0", 8)
+	mcds := []*memcache.SimServer{memcache.NewSimServer(net.NewNode("mcd0", 8), 6<<30)}
+	px := gluster.NewPosix(env, gluster.PosixConfig{Dev: disk.NewArray(env, 8, 64<<10, disk.HighPoint2008), CacheBytes: 6 << 30})
+	gluster.NewServer(srvNode, px, gluster.DefaultServerConfig)
+	cm := NewCMCache(gluster.NewClient(cliNode, srvNode), memcache.NewSimClient(cliNode, mcds), cfg)
+	return &rig{env: env, net: net, posix: px, cmcache: cm, client: gluster.NewFuse(cliNode, cm, gluster.DefaultFuseConfig), mcds: mcds}
+}
+
+// TestWriteTAllocations: a steady-state tracked write issued at Fuse.WriteT —
+// through CMCache, the protocol client, the fabric, the daemon, the
+// translator that feeds the bank, and Posix — allocates what the modelled
+// system retains and nothing for the stack's own bookkeeping. The bound is
+// that sum, term by term; it is tight to the two extent-slice copies a batch
+// skips at the ends of the file.
+func TestWriteTAllocations(t *testing.T) {
+	// 4 KB writes at 4 KB offsets never straddle a RAID stripe, whose
+	// fan-out to member disks is not part of this contract.
+	const bs, blocks, writesPerRun = 2048, 2, 16
+	const (
+		keyStrings  = blocks // one per block pushed: a stored key must not pin its neighbours' bytes
+		statValue   = 1      // encodeStat's bytes, which the bank keeps
+		stats       = 2      // Posix's *Stat for the stat before the write and the one after; each escapes into a protocol response
+		extents     = 2      // extentMap.write rebuilds the inode's extent slice: the copy, then its growth
+		bankEntries = 0      // a rewritten block replaces its entry, and the store recycles the old one
+		retained    = keyStrings + statValue + stats + extents + bankEntries
+		helperActor = 3 // Threaded: the write-back's helper — its Task, its Done event, its first slice
+	)
+	modes := []struct {
+		name     string
+		rig      func(t *testing.T) *rig
+		perWrite float64
+	}{
+		{"smcache", func(t *testing.T) *rig { return newRig(t, 2, Config{BlockSize: bs}) }, retained},
+		{"client-populate", func(t *testing.T) *rig { return newPopulateRig(t, Config{BlockSize: bs, ClientPopulate: true}) }, retained},
+		{"threaded", func(t *testing.T) *rig { return newRig(t, 2, Config{BlockSize: bs, Threaded: true}) }, retained + helperActor},
+	}
+	for _, mode := range modes {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			eachPoison(t, func(t *testing.T) {
+				r := mode.rig(t)
+				fd := r.writtenFile(t, "/alloc/w", blob.Synthetic(3, 0, writesPerRun*blocks*bs))
+				top, ct := gluster.Lift(r.client), r.env.ContextTask("writer")
+				writes := 0
+				k := func(n int64, err error) {
+					if err != nil || n != blocks*bs {
+						t.Fatalf("write = %d, %v", n, err)
+					}
+					writes++
+				}
+				run := func() {
+					for i := int64(0); i < writesPerRun; i++ {
+						top.WriteT(ct, fd, i*blocks*bs, blob.Synthetic(3, i*blocks*bs, blocks*bs), k)
+					}
+					r.env.Run()
+				}
+				run() // warm every pool along the path
+				avg := testing.AllocsPerRun(20, run)
+				if want := mode.perWrite * writesPerRun; avg < want-2 || avg > want+1 {
+					t.Errorf("batch of %d writes allocated %.0f times, want %.0f (%.0f per write)",
+						writesPerRun, avg, want, mode.perWrite)
+				}
+				if writes != 22*writesPerRun {
+					t.Errorf("completed %d writes, want %d", writes, 22*writesPerRun)
+				}
+				if keys := len(r.mcds[0].Store().Keys()); keys < writesPerRun*blocks/2 {
+					t.Errorf("bank holds %d keys; the writes were not pushed", keys)
+				}
+			})
+		})
+	}
+}
+
+// TestThreadedWriteBackOutlivesItsWrite: in Threaded mode a write completes
+// while its read-back and pushes are still running on a helper actor. The
+// writer's continuation issues the next write on the same descriptor at once,
+// and that one's continuation closes it — so a second write-back starts, and
+// a close's purge runs, while the first write-back is in flight. Its frame
+// must stay out of the pool until it ends, the file must hold both writes,
+// and everything the helpers leave in the bank must be recorded for the next
+// purge.
+func TestThreadedWriteBackOutlivesItsWrite(t *testing.T) {
+	fabric.SetFramePoison(true)
+	defer fabric.SetFramePoison(false)
+	const bs, path = 2048, "/alloc/t"
+	r := newRig(t, 2, Config{BlockSize: bs, Threaded: true})
+	ref := &refFile{}
+	seed := blob.Synthetic(5, 0, 600*bs)
+	fd := r.writtenFile(t, path, seed)
+	ref.write(0, seed.Bytes())
+	r.env.Run() // let the setup write's helper finish
+
+	top, ct := gluster.Lift(r.client), r.env.ContextTask("writer")
+	first, second := blob.Synthetic(6, 3*bs, 512*bs), blob.Synthetic(7, 10*bs+100, 9*bs)
+	pushesAtClose := uint64(0) // blocks landed when the close is issued
+	top.WriteT(ct, fd, 3*bs, first, func(_ int64, err error) {
+		if err != nil {
+			t.Fatalf("first write: %v", err)
+		}
+		if n := len(r.smcache.writes.free); n != 0 {
+			t.Fatalf("%d write-back frames pooled while the first write's helper has yet to run", n)
+		}
+		top.WriteT(ct, fd, 10*bs+100, second, func(_ int64, err error) {
+			if err != nil {
+				t.Fatalf("second write: %v", err)
+			}
+			if n := len(r.smcache.writes.free); n != 0 {
+				t.Fatalf("%d write-back frames pooled with both helpers in flight", n)
+			}
+			pushesAtClose = r.smcache.Stats.BlockPushes
+			top.CloseT(ct, fd, func(err error) {
+				if err != nil {
+					t.Fatalf("close: %v", err)
+				}
+			})
+		})
+	})
+	r.env.Run()
+	ref.write(3*bs, first.Bytes())
+	ref.write(10*bs+100, second.Bytes())
+
+	if n := len(r.smcache.writes.free); n != 2 {
+		t.Errorf("%d write-back frames pooled after the drain, want the 2 that overlapped", n)
+	}
+	if r.smcache.Stats.BlockPushes == pushesAtClose {
+		t.Error("no block landed after the close was issued; the overlap was not exercised")
+	}
+	checkResidentRecorded(t, r.smcache, r.mcds, path)
+	r.run(t, func(p *sim.Proc) {
+		fd, err := r.client.Open(p, path) // purges what the helpers left
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ { // from the brick, then from the bank
+			got, err := r.client.Read(p, fd, 0, int64(len(ref.data)))
+			if err != nil || !got.Equal(blob.FromBytes(ref.data)) {
+				t.Fatalf("pass %d: read back %d bytes, err %v; want the reference's %d", pass, got.Len(), err, len(ref.data))
+			}
+			p.Sleep(100 * time.Millisecond) // the read's pushes are on a helper too
+		}
+	})
+	if r.cmcache.Stats.ReadHits == 0 {
+		t.Error("the second pass did not come from the bank")
 	}
 }

@@ -41,10 +41,12 @@ type CMCache struct {
 	// share one table across all translators via ShareStatKeys.
 	skeys *KeyInterner
 	// statOps and readOps pool StatT's and ReadT's per-operation frames;
-	// pushes pools the block-push frames of client-populate mode.
+	// writes pools WriteT's, and pushes the block-push frames of
+	// client-populate mode.
 	statOps []*statOp
 	readOps []*readOp
 	pushes  pushPool
+	writes  writeBacks
 
 	Stats CMCacheStats
 
@@ -67,8 +69,9 @@ func NewCMCache(child gluster.FS, mcd *memcache.SimClient, cfg Config) *CMCache 
 		mcd:     mcd,
 		cfg:     cfg,
 		fdPaths: make(map[gluster.FD]string),
-		pushes:  pushPool{mcd: mcd},
+		pushes:  pushPool{mcd: mcd, bs: cfg.blockSize()},
 	}
+	c.writes = writeBacks{child: c.child, pushes: &c.pushes, statKey: c.statKey}
 	c.T = c
 	return c
 }
@@ -360,7 +363,7 @@ func (op *readOp) filled(data blob.Blob, err error) {
 		return
 	}
 	op.data = data
-	op.c.pushBlocksT(op.t, op.path, op.alignedOff, data, op.fnPushed)
+	op.c.pushes.push(op.t, op.path, op.alignedOff, data, op.fnPushed)
 }
 
 // pushed slices the caller's range out of the pushed aligned read.
@@ -372,86 +375,12 @@ func (op *readOp) pushed() {
 // they must be persistent, so they go straight to the server (paper
 // §4.3.2). In client-populate mode the completed write's aligned span is
 // re-read and pushed to the MCD bank, mirroring what SMCache does
-// server-side.
+// server-side: both run the shared writeBack frame.
 func (c *CMCache) WriteT(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
 	sp := optrace.StartSpan(t, optrace.LayerCMCache, "write")
 	sp.SetAttrInt("bytes", data.Len())
-	if !c.cfg.ClientPopulate {
-		c.child.WriteT(t, fd, off, data, func(n int64, err error) {
-			sp.End(t)
-			k(n, err)
-		})
-		return
-	}
 	path, tracked := c.fdPaths[fd]
-	statBefore := func(k2 func(oldSize int64)) {
-		if !tracked {
-			k2(-1)
-			return
-		}
-		c.child.StatT(t, path, func(st *gluster.Stat, serr error) {
-			if serr == nil {
-				k2(st.Size)
-				return
-			}
-			k2(-1)
-		})
-	}
-	statBefore(func(oldSize int64) {
-		c.child.WriteT(t, fd, off, data, func(n int64, err error) {
-			if err != nil || n == 0 || !tracked {
-				sp.End(t)
-				k(n, err)
-				return
-			}
-			bs := c.cfg.blockSize()
-			alignedOff, alignedSize := alignSpan(off, n, bs)
-			c.child.ReadT(t, fd, alignedOff, alignedSize, func(back blob.Blob, rerr error) {
-				if rerr != nil {
-					sp.End(t)
-					k(n, nil)
-					return
-				}
-				c.pushBlocksT(t, path, alignedOff, back, func() {
-					refreshTail := func(k2 func()) {
-						// Refresh the old tail block when the file grows
-						// past it (see SMCache.writeBackT).
-						oldTail := oldSize - oldSize%bs
-						if !(oldSize > 0 && oldSize%bs != 0 && off+n > oldSize && alignedOff > oldTail) {
-							k2()
-							return
-						}
-						c.child.ReadT(t, fd, oldTail, bs, func(tb blob.Blob, terr error) {
-							if terr != nil {
-								k2()
-								return
-							}
-							c.pushBlocksT(t, path, oldTail, tb, k2)
-						})
-					}
-					refreshTail(func() {
-						c.child.StatT(t, path, func(st *gluster.Stat, serr error) {
-							if serr != nil {
-								sp.End(t)
-								k(n, nil)
-								return
-							}
-							c.mcd.SetT(t, c.statKey(path), encodeStat(st), func(error) {
-								sp.End(t)
-								k(n, nil)
-							})
-						})
-					})
-				})
-			})
-		})
-	})
-}
-
-// pushBlocksT splits aligned data into blocks and stores each in the bank,
-// one after another.
-func (c *CMCache) pushBlocksT(t *sim.Task, path string, alignedOff int64, data blob.Blob, k func()) {
-	c.pushes.push(t, path, alignedOff, data, c.cfg.blockSize(), nil, k)
+	c.writes.run(t, sp, fd, path, tracked && c.cfg.ClientPopulate, off, data, k)
 }
 
 // UnlinkT implements gluster.TaskFS; deletes are forwarded without

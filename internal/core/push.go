@@ -1,3 +1,7 @@
+// The bank-feeding frames both translators share: pushOp (this file) stores
+// one aligned span block by block; its sibling writeBack (writeback.go) is
+// the whole write sequence that ends in such pushes.
+
 package core
 
 import (
@@ -61,19 +65,18 @@ func (b *blockSet) take() (bn int64, ok bool) {
 }
 
 // pushOp is one block push: aligned data split into blocks and stored in
-// the bank sequentially. It is the frame both translators' pushBlocksT run
-// on — the position, the
-// completion continuation, and the store continuation prebound once — so a
-// push allocates one key string per block (the bank recycles the entry of
-// what the block displaces) and nothing for its own bookkeeping. The op
-// returns to its pool before k runs, so k may start the next push on it.
+// the bank sequentially. It is the frame both translators' pushes run on —
+// the position, the completion continuation, and the store continuation
+// prebound once — so a push allocates one key string per block (the bank
+// recycles the entry of what the block displaces) and nothing for its own
+// bookkeeping. The op returns to its pool before k runs, so k may start the
+// next push on it.
 type pushOp struct {
 	pool *pushPool
 	t    *sim.Task
 	path string
 	base int64 // aligned file offset of data's first byte
 	pos  int64
-	bs   int64
 	data blob.Blob
 	k    func()
 	// set, unless nil, records each block as it lands.
@@ -83,18 +86,28 @@ type pushOp struct {
 }
 
 // pushPool is a translator's free list of push frames, bound to its bank
-// client. landed counts the blocks recorded into a push's set: SMCache's
-// resident-block bookkeeping; CMCache keeps none and passes no set.
+// client and block size. resident, unless nil, holds each path's set of
+// blocks that may be in the bank, and landed counts the blocks recorded into
+// them: SMCache's resident-block bookkeeping; CMCache keeps none.
 type pushPool struct {
-	mcd    *memcache.SimClient
-	landed *uint64
-	free   []*pushOp
+	mcd      *memcache.SimClient
+	bs       int64
+	resident map[string]*blockSet
+	landed   *uint64
+	free     []*pushOp
 }
 
-// push stores data (starting at the aligned offset base of path) block by
-// block, then runs k.
-func (pp *pushPool) push(t *sim.Task, path string, base int64, data blob.Blob, bs int64,
-	set *blockSet, k func()) {
+// push splits data (starting at the aligned offset base of path) into
+// fixed-size blocks and stores each in the bank, one after another, each
+// recorded as resident once it lands; then it runs k.
+func (pp *pushPool) push(t *sim.Task, path string, base int64, data blob.Blob, k func()) {
+	var set *blockSet
+	if pp.resident != nil {
+		if set = pp.resident[path]; set == nil {
+			set = new(blockSet)
+			pp.resident[path] = set
+		}
+	}
 	var op *pushOp
 	if n := len(pp.free); n > 0 {
 		op = pp.free[n-1]
@@ -104,7 +117,7 @@ func (pp *pushPool) push(t *sim.Task, path string, base int64, data blob.Blob, b
 		op = &pushOp{pool: pp}
 		op.fnStored = op.stored
 	}
-	op.t, op.path, op.base, op.pos, op.bs, op.data, op.set, op.k = t, path, base, 0, bs, data, set, k
+	op.t, op.path, op.base, op.pos, op.data, op.set, op.k = t, path, base, 0, data, set, k
 	op.step()
 }
 
@@ -117,7 +130,7 @@ func (op *pushOp) step() {
 		k()
 		return
 	}
-	end := op.pos + op.bs
+	end := op.pos + op.pool.bs
 	if end > n {
 		end = n
 	}
@@ -126,9 +139,9 @@ func (op *pushOp) step() {
 
 func (op *pushOp) stored(error) {
 	if op.set != nil {
-		op.set.add((op.base + op.pos) / op.bs)
+		op.set.add((op.base + op.pos) / op.pool.bs)
 		*op.pool.landed++
 	}
-	op.pos += op.bs
+	op.pos += op.pool.bs
 	op.step()
 }

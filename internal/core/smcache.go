@@ -43,10 +43,11 @@ type SMCache struct {
 	// skeys interns stat keys for the push/purge paths; shared with the
 	// deployment's CMCaches via ShareStatKeys.
 	skeys *KeyInterner
-	// readOps and pushes pool the per-read and per-push frames (see
-	// smReadOp, pushOp).
+	// readOps, pushes and writes pool the per-read, per-push and per-write
+	// frames (see smReadOp, pushOp, writeBack).
 	readOps []*smReadOp
 	pushes  pushPool
+	writes  writeBacks
 
 	Stats SMCacheStats
 }
@@ -65,7 +66,11 @@ func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Con
 		fdPaths: make(map[gluster.FD]string),
 		pushed:  make(map[string]*blockSet),
 	}
-	s.pushes = pushPool{mcd: mcd, landed: &s.Stats.BlockPushes}
+	s.pushes = pushPool{mcd: mcd, bs: cfg.blockSize(), resident: s.pushed, landed: &s.Stats.BlockPushes}
+	s.writes = writeBacks{child: s.child, pushes: &s.pushes, statKey: s.statKey, stats: &s.Stats}
+	if cfg.Threaded {
+		s.writes.spawn = s.startHelper
+	}
 	s.T = s
 	return s
 }
@@ -140,34 +145,26 @@ func (s *SMCache) pushStatT(t *sim.Task, st *gluster.Stat, k func()) {
 	})
 }
 
-// pushBlocksT splits data (starting at the aligned offset alignedOff) into
-// fixed-size blocks and stores each in the MCD bank, one after another,
-// each recorded as resident once it lands.
-func (s *SMCache) pushBlocksT(t *sim.Task, path string, alignedOff int64, data blob.Blob, k func()) {
-	set := s.pushed[path]
-	if set == nil {
-		set = new(blockSet)
-		s.pushed[path] = set
+// startHelper starts body on a helper actor of its own: a task, or — when
+// the storage stack needs a process to block on — a process awaiting it.
+func (s *SMCache) startHelper(name string, body func(h *sim.Task)) {
+	if s.child.TaskReady() {
+		s.env.StartTask(name, body)
+	} else {
+		s.env.Process(name, func(p *sim.Proc) { p.Await(body) })
 	}
-	s.pushes.push(t, path, alignedOff, data, s.cfg.blockSize(), set, k)
 }
 
 // deferIfT runs the bank update fn and then k. In Threaded mode the update
 // runs on a helper actor of its own (removing it from the request's
 // critical path) and k continues immediately; otherwise it runs inline on
-// the request's task before k. The helper is a task, or — when the storage
-// stack needs a process to block on — a process awaiting the same body.
+// the request's task before k.
 func (s *SMCache) deferIfT(t *sim.Task, name string, fn func(t *sim.Task, k func()), k func()) {
 	if !s.cfg.Threaded {
 		fn(t, k)
 		return
 	}
-	helper := func(h *sim.Task) { fn(h, h.End) }
-	if s.child.TaskReady() {
-		s.env.StartTask(name, helper)
-	} else {
-		s.env.Process(name, func(p *sim.Proc) { p.Await(helper) })
-	}
+	s.startHelper(name, func(h *sim.Task) { fn(h, h.End) })
 	k()
 }
 
@@ -308,14 +305,14 @@ func (op *smReadOp) aligned(data blob.Blob, err error) {
 	push := op.fnPush
 	if s.cfg.Threaded {
 		path, alignedOff := op.path, op.alignedOff
-		push = func(h *sim.Task, k func()) { s.pushBlocksT(h, path, alignedOff, data, k) }
+		push = func(h *sim.Task, k func()) { s.pushes.push(h, path, alignedOff, data, k) }
 	}
 	s.deferIfT(op.t, "smcache-read-push", push, op.fnPushed)
 }
 
 // push is the inline form of aligned's bank update.
 func (op *smReadOp) push(t *sim.Task, k func()) {
-	op.s.pushBlocksT(t, op.path, op.alignedOff, op.data, k)
+	op.s.pushes.push(t, op.path, op.alignedOff, op.data, k)
 }
 
 // pushed slices the caller's range out of the aligned read.
@@ -323,88 +320,13 @@ func (op *smReadOp) pushed() {
 	op.done(cutRange(op.data, op.alignedOff, op.off, op.size), nil)
 }
 
-// WriteT implements gluster.TaskFS. The write goes to the file system first
-// (persistence), then SMCache re-reads the covering aligned span and feeds
-// those blocks plus the updated stat to the MCDs. Overlapping writes and
-// the fixed block size are why the written buffer cannot be pushed
-// directly (paper §4.3.2). In Threaded mode the read-back and pushes leave
-// the critical path.
+// WriteT implements gluster.TaskFS: the write, then the read-back and the
+// block and stat pushes, on the shared writeBack frame. In Threaded mode the
+// read-back and pushes leave the critical path.
 func (s *SMCache) WriteT(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
 	sp := optrace.StartSpan(t, optrace.LayerSMCache, "write")
 	path, tracked := s.fdPaths[fd]
-	statBefore := func(k2 func(oldSize int64)) {
-		// The pre-write size decides whether this write grows the file
-		// past a partially-filled tail block, whose cached copy would
-		// otherwise keep claiming end-of-file.
-		if !tracked {
-			k2(-1)
-			return
-		}
-		s.child.StatT(t, path, func(st *gluster.Stat, serr error) {
-			if serr == nil {
-				k2(st.Size)
-				return
-			}
-			k2(-1)
-		})
-	}
-	statBefore(func(oldSize int64) {
-		s.child.WriteT(t, fd, off, data, func(n int64, err error) {
-			if err != nil || !tracked || n == 0 {
-				sp.End(t)
-				k(n, err)
-				return
-			}
-			bs := s.cfg.blockSize()
-			alignedOff, alignedSize := alignSpan(off, n, bs)
-			s.deferIfT(t, "smcache-write-push",
-				func(h *sim.Task, k2 func()) {
-					s.writeBackT(h, fd, path, alignedOff, alignedSize, oldSize, off, n, bs, k2)
-				},
-				func() {
-					sp.End(t)
-					k(n, nil)
-				})
-		})
-	})
-}
-
-// writeBackT is WriteT's read-back-and-push: re-read the covering aligned
-// span, push its blocks, refresh the old tail block if the file grew past
-// it, and push the updated stat.
-func (s *SMCache) writeBackT(t *sim.Task, fd gluster.FD, path string, alignedOff, alignedSize, oldSize, off, n, bs int64, k func()) {
-	s.child.ReadT(t, fd, alignedOff, alignedSize, func(back blob.Blob, rerr error) {
-		if rerr != nil {
-			k()
-			return
-		}
-		s.Stats.ReadBacks++
-		s.pushBlocksT(t, path, alignedOff, back, func() {
-			refreshTail := func(k2 func()) {
-				oldTail := oldSize - oldSize%bs
-				if !(oldSize > 0 && oldSize%bs != 0 && off+n > oldSize && alignedOff > oldTail) {
-					k2()
-					return
-				}
-				s.child.ReadT(t, fd, oldTail, bs, func(tb blob.Blob, terr error) {
-					if terr != nil {
-						k2()
-						return
-					}
-					s.pushBlocksT(t, path, oldTail, tb, k2)
-				})
-			}
-			refreshTail(func() {
-				s.child.StatT(t, path, func(st *gluster.Stat, serr error) {
-					if serr != nil {
-						k()
-						return
-					}
-					s.pushStatT(t, st, k)
-				})
-			})
-		})
-	})
+	s.writes.run(t, sp, fd, path, tracked, off, data, k)
 }
 
 // StatT implements gluster.TaskFS, feeding the completed stat structure to

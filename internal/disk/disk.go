@@ -253,9 +253,9 @@ type chunk struct {
 	addr, size int64
 }
 
-// mapRequest splits [addr, addr+size) into per-disk chunks.
-func (a *Array) mapRequest(addr, size int64) []chunk {
-	var out []chunk
+// mapRequest splits [addr, addr+size) into per-disk chunks, appended to out
+// (the caller's scratch).
+func (a *Array) mapRequest(out []chunk, addr, size int64) []chunk {
 	n := int64(len(a.disks))
 	for size > 0 {
 		stripe := addr / a.stripeSize
@@ -287,7 +287,9 @@ func (a *Array) AccessT(t *sim.Task, addr, size int64, write bool, k func()) {
 		k()
 		return
 	}
-	chunks := a.mapRequest(addr, size)
+	// The common request maps to a chunk or a few: they stay on the stack.
+	var scratch [4]chunk
+	chunks := a.mapRequest(scratch[:0], addr, size)
 	if len(chunks) == 1 {
 		chunks[0].disk.AccessT(t, chunks[0].addr, chunks[0].size, write, k)
 		return

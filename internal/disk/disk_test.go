@@ -108,7 +108,7 @@ func TestWriteAccounting(t *testing.T) {
 func TestArrayMapRequestSplitsAtStripes(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 4, 64<<10, HighPoint2008)
-	chunks := a.mapRequest(60<<10, 16<<10) // crosses the 64K boundary
+	chunks := a.mapRequest(nil, 60<<10, 16<<10) // crosses the 64K boundary
 	if len(chunks) != 2 {
 		t.Fatalf("chunks = %d, want 2", len(chunks))
 	}
@@ -123,7 +123,7 @@ func TestArrayMapRequestSplitsAtStripes(t *testing.T) {
 func TestArrayMapRequestRoundRobins(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 2, 1024, HighPoint2008)
-	chunks := a.mapRequest(0, 4096)
+	chunks := a.mapRequest(nil, 0, 4096)
 	want := []int{0, 1, 0, 1}
 	for i, c := range chunks {
 		if c.disk != a.disks[want[i]] {

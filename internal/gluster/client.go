@@ -15,8 +15,8 @@ type Client struct {
 	node   *fabric.Node
 	server *fabric.Node
 
-	// statOps is the StatT frame free list; see clientStatOp.
-	statOps []*clientStatOp
+	// ops is the free list of stat/read/write frames; see clientOp.
+	ops []*clientOp
 
 	// RPC counters, registered by Register.
 	rpcs      uint64
@@ -89,92 +89,118 @@ func (c *Client) CloseT(t *sim.Task, fd FD, k func(error)) {
 	c.simpleT(t, "close", &closeReq{FD: fd}, k)
 }
 
+// clientOp is the pooled per-operation frame of StatT, ReadT and WriteT: the
+// request message, the protocol span, and the completion continuation
+// prebound as a method value, replacing the closures and request allocation
+// of the generic callT path. The op returns to its client's pool when the
+// fabric recycles the request — after both the continuation and the brick
+// daemon are done with it, which is what makes reuse safe even for
+// deadline-abandoned calls whose request is still being served.
+type clientOp struct {
+	c    *Client
+	verb verb
+	t    *sim.Task
+	sp   *optrace.Span
+
+	kStat  func(*Stat, error)
+	kRead  func(blob.Blob, error)
+	kWrite func(int64, error)
+
+	// The request of whichever operation the frame is serving.
+	stat  statReq
+	read  readReq
+	write writeReq
+
+	fnDone func(fabric.Msg, error)
+}
+
+func (c *Client) takeOp(t *sim.Task, v verb) *clientOp {
+	var op *clientOp
+	if n := len(c.ops); n > 0 {
+		op = c.ops[n-1]
+		c.ops[n-1] = nil
+		c.ops = c.ops[:n-1]
+	} else {
+		op = &clientOp{c: c}
+		op.stat.owner, op.read.owner, op.write.owner = op, op, op
+		op.fnDone = op.done
+	}
+	op.verb, op.t = v, t
+	return op
+}
+
+// call issues the frame's request under a protocol-layer span, like callT.
+func (op *clientOp) call(req fabric.Msg) {
+	c := op.c
+	op.sp = optrace.StartSpan(op.t, optrace.LayerProtocol, op.verb.String())
+	c.rpcs++
+	c.node.CallT(op.t, c.server, ServiceName, req, op.fnDone)
+}
+
+// release is the requests' Recycle: the call's frame retired, so nothing
+// reads the request now.
+func (op *clientOp) release() {
+	op.t, op.sp, op.kStat, op.kRead, op.kWrite = nil, nil, nil, nil, nil
+	op.stat.Path, op.write.Data = "", blob.Blob{}
+	op.c.ops = append(op.c.ops, op)
+}
+
+// done is callT's span handling plus the response decode. A readResp's Data
+// reaches k as a value: the response is recycled when this returns, and k
+// keeps what it copies.
+func (op *clientOp) done(m fabric.Msg, err error) {
+	if err != nil {
+		op.c.rpcErrors++
+		op.sp.SetAttr("deadline", "expired")
+	}
+	op.sp.End(op.t)
+	switch op.verb {
+	case verbStat:
+		if err != nil {
+			op.kStat(nil, err)
+		} else {
+			r := m.(*statResp)
+			op.kStat(r.St, codeErr(r.Code))
+		}
+	case verbRead:
+		if err != nil {
+			op.kRead(blob.Blob{}, err)
+		} else {
+			r := m.(*readResp)
+			op.kRead(r.Data, codeErr(r.Code))
+		}
+	default:
+		if err != nil {
+			op.kWrite(0, err)
+		} else {
+			r := m.(*writeResp)
+			op.kWrite(r.N, codeErr(r.Code))
+		}
+	}
+}
+
 // ReadT implements TaskFS.
 func (c *Client) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
-	c.callT(t, "read", &readReq{FD: fd, Off: off, Size: size}, func(m fabric.Msg, err error) {
-		if err != nil {
-			k(blob.Blob{}, err)
-			return
-		}
-		r := m.(*readResp)
-		k(r.Data, codeErr(r.Code))
-	})
+	op := c.takeOp(t, verbRead)
+	op.kRead = k
+	op.read.FD, op.read.Off, op.read.Size = fd, off, size
+	op.call(&op.read)
 }
 
 // WriteT implements TaskFS.
 func (c *Client) WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
-	c.callT(t, "write", &writeReq{FD: fd, Off: off, Data: data}, func(m fabric.Msg, err error) {
-		if err != nil {
-			k(0, err)
-			return
-		}
-		r := m.(*writeResp)
-		k(r.N, codeErr(r.Code))
-	})
+	op := c.takeOp(t, verbWrite)
+	op.kWrite = k
+	op.write.FD, op.write.Off, op.write.Data = fd, off, data
+	op.call(&op.write)
 }
 
 // StatT implements TaskFS.
 func (c *Client) StatT(t *sim.Task, path string, k func(*Stat, error)) {
-	op := c.takeStatOp()
-	op.t, op.k = t, k
-	op.sp = optrace.StartSpan(t, optrace.LayerProtocol, "stat")
-	op.req.Path = path
-	c.rpcs++
-	c.node.CallT(t, c.server, ServiceName, &op.req, op.fnDone)
-}
-
-// clientStatOp is Client.StatT's pooled per-operation frame: the request,
-// the protocol span, and the completion continuation prebound as a method
-// value, replacing the closures and request allocation of the generic callT
-// path. The op returns to its client's pool when the fabric recycles the
-// request — after both the continuation and the brick daemon are done with
-// it, which is what makes reuse safe even for deadline-abandoned calls
-// whose request is still being served.
-type clientStatOp struct {
-	c      *Client
-	t      *sim.Task
-	k      func(*Stat, error)
-	sp     *optrace.Span
-	req    statReq
-	fnDone func(fabric.Msg, error)
-}
-
-func newClientStatOp(c *Client) *clientStatOp {
-	op := &clientStatOp{c: c}
-	op.req.op = op
-	op.fnDone = op.done
-	return op
-}
-
-func (c *Client) takeStatOp() *clientStatOp {
-	if n := len(c.statOps); n > 0 {
-		op := c.statOps[n-1]
-		c.statOps[n-1] = nil
-		c.statOps = c.statOps[:n-1]
-		return op
-	}
-	return newClientStatOp(c)
-}
-
-func (op *clientStatOp) release() {
-	op.t, op.k, op.sp = nil, nil, nil
-	op.req.Path = ""
-	op.c.statOps = append(op.c.statOps, op)
-}
-
-// done is callT's span handling plus the stat decode.
-func (op *clientStatOp) done(m fabric.Msg, err error) {
-	t, sp, k := op.t, op.sp, op.k
-	if err != nil {
-		op.c.rpcErrors++
-		sp.SetAttr("deadline", "expired")
-		sp.End(t)
-		k(nil, err)
-		return
-	}
-	sp.End(t)
-	r := m.(*statResp)
-	k(r.St, codeErr(r.Code))
+	op := c.takeOp(t, verbStat)
+	op.kStat = k
+	op.stat.Path = path
+	op.call(&op.stat)
 }
 
 // UnlinkT implements TaskFS.

@@ -68,12 +68,14 @@ func (m *extentMap) write(off int64, data blob.Blob) {
 }
 
 // read returns the contents of [off, off+size), with zeros in the gaps.
-func (m *extentMap) read(off, size int64) blob.Blob {
+// scratch collects the pieces; a pooled caller passes a slice that keeps its
+// capacity.
+func (m *extentMap) read(scratch *[]blob.Blob, off, size int64) blob.Blob {
 	if size <= 0 {
 		return blob.Blob{}
 	}
 	end := off + size
-	var parts []blob.Blob
+	parts := (*scratch)[:0]
 	pos := off
 	i := sort.Search(len(m.exts), func(i int) bool { return m.exts[i].end() > off })
 	for ; i < len(m.exts) && m.exts[i].off < end; i++ {
@@ -93,6 +95,7 @@ func (m *extentMap) read(off, size int64) blob.Blob {
 	if pos < end {
 		parts = append(parts, blob.Zeros(end-pos))
 	}
+	*scratch = parts
 	return blob.Concat(parts...)
 }
 

@@ -42,8 +42,9 @@ type Fuse struct {
 	// otherwise.
 	readHist, writeHist, statHist *telemetry.Hist
 
-	// statOps pools StatT's per-operation frames (see fuseStatOp).
-	statOps []*fuseStatOp
+	// ops pools the per-operation frames of StatT, ReadT and WriteT (see
+	// fuseOp).
+	ops []*fuseOp
 }
 
 var _ TaskFS = (*Fuse)(nil)
@@ -102,99 +103,149 @@ func (f *Fuse) CloseT(t *sim.Task, fd FD, k func(error)) {
 	})
 }
 
+// fuseOp is the FUSE layer's pooled per-operation frame, serving StatT,
+// ReadT and WriteT — the operations a benchmark issues by the hundred
+// thousand. The closure chain of the generic chargeT — acquire, sleep,
+// release, child callback — costs four heap allocations per call; the op
+// carries those continuations as prebound method values instead, so a
+// steady-state operation allocates nothing at this layer. The decomposition
+// AcquireT(1)+Sleep(d)+Release(1) consumes exactly the schedules chargeT's
+// Resource.UseT does. The frame returns to the pool before the caller's
+// continuation runs — everything it needs is copied to locals first — so a
+// continuation that immediately issues the next operation reuses it.
+type fuseOp struct {
+	f    *Fuse
+	verb verb
+	t    *sim.Task
+	sp   *optrace.Span
+	t0   sim.Time
+	d    sim.Duration // the crossing (and copy) cost being charged
+
+	path string // stat
+	fd   FD
+	off  int64
+	// data is a write's payload until the child has it, and a read's result
+	// while its copy is charged (with err, the child's verdict).
+	data blob.Blob
+	err  error
+
+	kStat  func(*Stat, error)
+	kRead  func(blob.Blob, error)
+	kWrite func(int64, error)
+
+	// Each verb's child continuation is bound when the frame first serves
+	// that verb, so a mount that only stats binds only fnStat.
+	fnHeld, fnCharged func()
+	fnStat            func(*Stat, error)
+	fnRead            func(blob.Blob, error)
+	fnWrite           func(int64, error)
+}
+
+// start draws a frame for one operation and opens its span.
+func (f *Fuse) start(t *sim.Task, v verb) *fuseOp {
+	var op *fuseOp
+	if n := len(f.ops); n > 0 {
+		op = f.ops[n-1]
+		f.ops[n-1] = nil
+		f.ops = f.ops[:n-1]
+	} else {
+		op = &fuseOp{f: f}
+		op.fnHeld, op.fnCharged = op.held, op.charged
+	}
+	op.verb, op.t = v, t
+	op.sp = optrace.StartSpan(t, optrace.LayerFuse, v.String())
+	op.t0 = t.Now()
+	return op
+}
+
+// end closes the operation's span and latency sample and returns the frame
+// to the pool; the caller has copied out what its continuation needs.
+func (op *fuseOp) end(h *telemetry.Hist) {
+	op.sp.End(op.t)
+	h.ObserveSince(op.t, op.t0)
+	op.t, op.sp, op.path, op.data, op.err = nil, nil, "", blob.Blob{}, nil
+	op.kStat, op.kRead, op.kWrite = nil, nil, nil
+	op.f.ops = append(op.f.ops, op)
+}
+
+// charge takes the client CPU for the crossing plus the copy of payload
+// bytes; charged continues.
+func (op *fuseOp) charge(payload int64) {
+	cfg := &op.f.cfg
+	op.d = cfg.OpCPU + sim.Duration(float64(payload)*cfg.PerByteCPUNanos)
+	op.f.node.CPU.AcquireT(op.t, 1, op.fnHeld)
+}
+
+// held runs once the CPU unit is granted: hold it for the charge.
+func (op *fuseOp) held() { op.t.Sleep(op.d, op.fnCharged) }
+
+// charged releases the CPU. A stat or a write now goes down the stack; a
+// read, charged on the bytes it returned, is complete.
+func (op *fuseOp) charged() {
+	f := op.f
+	f.node.CPU.Release(1)
+	switch op.verb {
+	case verbStat:
+		if op.fnStat == nil {
+			op.fnStat = op.stat
+		}
+		f.child.StatT(op.t, op.path, op.fnStat)
+	case verbWrite:
+		if op.fnWrite == nil {
+			op.fnWrite = op.wrote
+		}
+		f.child.WriteT(op.t, op.fd, op.off, op.data, op.fnWrite)
+	default:
+		k, data, err := op.kRead, op.data, op.err
+		op.end(f.readHist)
+		k(data, err)
+	}
+}
+
 // ReadT implements TaskFS. The user/kernel copy is charged after the child
 // returns, on the bytes actually read.
 func (f *Fuse) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
-	sp := optrace.StartSpan(t, optrace.LayerFuse, "read")
-	t0 := t.Now()
-	f.child.ReadT(t, fd, off, size, func(data blob.Blob, err error) {
-		f.chargeT(t, data.Len(), func() {
-			sp.End(t)
-			f.readHist.ObserveSince(t, t0)
-			k(data, err)
-		})
-	})
+	op := f.start(t, verbRead)
+	if op.fnRead == nil {
+		op.fnRead = op.read
+	}
+	op.kRead = k
+	f.child.ReadT(t, fd, off, size, op.fnRead)
+}
+
+// read receives the child's result. data may be lent by a protocol response
+// that is recycled when this returns; the frame keeps its own copy of the
+// value.
+func (op *fuseOp) read(data blob.Blob, err error) {
+	op.data, op.err = data, err
+	op.charge(data.Len())
 }
 
 // WriteT implements TaskFS. The copy is charged before the child sees the
 // data.
 func (f *Fuse) WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
-	sp := optrace.StartSpan(t, optrace.LayerFuse, "write")
-	t0 := t.Now()
-	f.chargeT(t, data.Len(), func() {
-		f.child.WriteT(t, fd, off, data, func(n int64, err error) {
-			sp.End(t)
-			f.writeHist.ObserveSince(t, t0)
-			k(n, err)
-		})
-	})
+	op := f.start(t, verbWrite)
+	op.fd, op.off, op.data, op.kWrite = fd, off, data, k
+	op.charge(data.Len())
 }
 
-// fuseStatOp is StatT's pooled per-operation frame. StatT is the FUSE
-// layer's hottest metadata path (fig5 issues hundreds of thousands per
-// cell), and the closure chain of the generic chargeT — acquire, sleep,
-// release, child callback — costs four heap allocations per call. The op
-// carries those continuations as prebound method values instead, so a
-// steady-state stat allocates nothing at this layer. The decomposition
-// AcquireT(1)+Sleep(OpCPU)+Release(1) consumes exactly the schedules
-// chargeT's Resource.UseT does.
-type fuseStatOp struct {
-	f    *Fuse
-	t    *sim.Task
-	path string
-	k    func(*Stat, error)
-	sp   *optrace.Span
-	t0   sim.Time
-
-	fnHeld, fnCharged func()
-	fnStat            func(*Stat, error)
-}
-
-func (f *Fuse) takeStatOp() *fuseStatOp {
-	if n := len(f.statOps); n > 0 {
-		op := f.statOps[n-1]
-		f.statOps = f.statOps[:n-1]
-		return op
-	}
-	op := &fuseStatOp{f: f}
-	op.fnHeld = op.held
-	op.fnCharged = op.charged
-	op.fnStat = op.stat
-	return op
-}
-
-func (f *Fuse) putStatOp(op *fuseStatOp) {
-	op.t, op.path, op.k, op.sp = nil, "", nil, nil
-	f.statOps = append(f.statOps, op)
-}
-
-// held runs once the CPU unit is granted: hold it for the crossing cost.
-func (op *fuseStatOp) held() { op.t.Sleep(op.f.cfg.OpCPU, op.fnCharged) }
-
-// charged releases the CPU and forwards the stat down the stack.
-func (op *fuseStatOp) charged() {
-	op.f.node.CPU.Release(1)
-	op.f.child.StatT(op.t, op.path, op.fnStat)
-}
-
-// stat completes the operation. The frame is recycled before the caller's
-// continuation runs — everything it needs is copied to locals first — so a
-// continuation that immediately issues the next stat reuses this frame.
-func (op *fuseStatOp) stat(st *Stat, err error) {
-	f, t, sp, t0, k := op.f, op.t, op.sp, op.t0, op.k
-	f.putStatOp(op)
-	sp.End(t)
-	f.statHist.ObserveSince(t, t0)
-	k(st, err)
+func (op *fuseOp) wrote(n int64, err error) {
+	k := op.kWrite
+	op.end(op.f.writeHist)
+	k(n, err)
 }
 
 // StatT implements TaskFS.
 func (f *Fuse) StatT(t *sim.Task, path string, k func(*Stat, error)) {
-	op := f.takeStatOp()
-	op.t, op.path, op.k = t, path, k
-	op.sp = optrace.StartSpan(t, optrace.LayerFuse, "stat")
-	op.t0 = t.Now()
-	f.node.CPU.AcquireT(t, 1, op.fnHeld)
+	op := f.start(t, verbStat)
+	op.path, op.kStat = path, k
+	op.charge(0)
+}
+
+func (op *fuseOp) stat(st *Stat, err error) {
+	k := op.kStat
+	op.end(op.f.statHist)
+	k(st, err)
 }
 
 // UnlinkT implements TaskFS.

@@ -88,8 +88,8 @@ type Posix struct {
 	nextOff    int64
 	journalOff int64
 
-	// statOps is the StatT frame free list; see posixStatOp.
-	statOps []*posixStatOp
+	// ops is the free list of stat/read/write frames; see posixOp.
+	ops []*posixOp
 
 	// Stats
 	DiskReads, DiskWrites uint64
@@ -271,6 +271,76 @@ func (px *Posix) CloseT(t *sim.Task, fd FD, k func(error)) {
 	k(nil)
 }
 
+// posixOp is the storage xlator's pooled frame for StatT, ReadT and WriteT,
+// replacing their device-access continuation closures (and ReadT's
+// self-referential miss-repair loop) with prebound method values. The frame
+// returns to the pool before k runs (release-before-continue).
+type posixOp struct {
+	px   *Posix
+	verb verb
+	t    *sim.Task
+	sp   *optrace.Span
+	in   *inode
+
+	path      string    // stat
+	off, size int64     // read: the range, clipped to the file size; write: off
+	data      blob.Blob // write
+
+	// ReadT's miss repair: the page-cache misses, the one being read from
+	// the device, and when the repair began.
+	missing          []pagecache.Range
+	i                int
+	missOff, missLen int64
+	fillStart        sim.Time
+	// parts is extentMap.read's scratch; it keeps its capacity.
+	parts []blob.Blob
+
+	kStat  func(*Stat, error)
+	kRead  func(blob.Blob, error)
+	kWrite func(int64, error)
+
+	fnDev func() // the device-access continuation; see devDone
+}
+
+func (px *Posix) takeOp(v verb, t *sim.Task, sp *optrace.Span, in *inode) *posixOp {
+	var op *posixOp
+	if n := len(px.ops); n > 0 {
+		op = px.ops[n-1]
+		px.ops[n-1] = nil
+		px.ops = px.ops[:n-1]
+	} else {
+		op = &posixOp{px: px}
+		op.fnDev = op.devDone
+	}
+	op.verb, op.t, op.sp, op.in = v, t, sp, in
+	return op
+}
+
+// devDone continues the operation after its device (or metadata) access.
+func (op *posixOp) devDone() {
+	switch op.verb {
+	case verbStat:
+		op.meta()
+	case verbRead:
+		op.filled()
+	default:
+		op.written()
+	}
+}
+
+// end closes the span and returns the frame to the pool; the caller has
+// copied out what its continuation needs.
+func (op *posixOp) end() {
+	op.sp.End(op.t)
+	op.t, op.sp, op.in, op.path, op.data, op.missing = nil, nil, nil, "", blob.Blob{}, nil
+	op.kStat, op.kRead, op.kWrite = nil, nil, nil
+	for i := range op.parts {
+		op.parts[i] = blob.Blob{}
+	}
+	op.parts = op.parts[:0]
+	op.px.ops = append(op.px.ops, op)
+}
+
 // ReadT implements TaskFS. Page-cache misses are repaired from the device
 // in order, one access at a time.
 func (px *Posix) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
@@ -290,24 +360,21 @@ func (px *Posix) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, er
 	if off+size > in.size {
 		size = in.size - off
 	}
-	dataBase := in.base + metaRegion
-	missing := px.cache.Lookup(in.ino, off, size)
-	fillStart := px.env.Now()
-	var step func(i int)
-	step = func(i int) {
-		if i == len(missing) {
-			if len(missing) > 0 {
-				// Time spent repairing the page-cache misses from disk.
-				px.cache.FillHist.Observe(px.env.Now().Sub(fillStart))
-			}
-			in.atime = px.env.Now()
-			sp.End(t)
-			k(in.data.read(off, size), nil)
-			return
-		}
-		r := missing[i]
+	op := px.takeOp(verbRead, t, sp, in)
+	op.off, op.size, op.kRead = off, size, k
+	op.missing, op.i = px.cache.Lookup(in.ino, off, size), 0
+	op.fillStart = px.env.Now()
+	op.repair()
+}
+
+// repair reads the next page-cache miss from the device, or — none left —
+// completes the read from the extent map.
+func (op *posixOp) repair() {
+	px, in := op.px, op.in
+	for ; op.i < len(op.missing); op.i++ {
+		r := op.missing[op.i]
 		n := r.Len
-		if i == len(missing)-1 && r.End() >= off+size {
+		if op.i == len(op.missing)-1 && r.End() >= op.off+op.size {
 			// The miss reaches the end of the request: read ahead.
 			n += px.readahead
 		}
@@ -316,17 +383,27 @@ func (px *Posix) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, er
 		if r.Off+n > in.size {
 			n = in.size - r.Off
 		}
-		if n <= 0 {
-			step(i + 1)
+		if n > 0 {
+			op.missOff, op.missLen = r.Off, n
+			px.dev.AccessT(op.t, in.base+metaRegion+r.Off, n, false, op.fnDev)
 			return
 		}
-		px.dev.AccessT(t, dataBase+r.Off, n, false, func() {
-			px.DiskReads++
-			px.cache.Insert(in.ino, r.Off, n)
-			step(i + 1)
-		})
 	}
-	step(0)
+	if len(op.missing) > 0 {
+		// Time spent repairing the page-cache misses from disk.
+		px.cache.FillHist.Observe(px.env.Now().Sub(op.fillStart))
+	}
+	in.atime = px.env.Now()
+	k, data := op.kRead, in.data.read(&op.parts, op.off, op.size)
+	op.end()
+	k(data, nil)
+}
+
+func (op *posixOp) filled() {
+	op.px.DiskReads++
+	op.px.cache.Insert(op.in.ino, op.missOff, op.missLen)
+	op.i++
+	op.repair()
 }
 
 // WriteT implements TaskFS. Writes are write-through: they reach the device
@@ -339,59 +416,36 @@ func (px *Posix) WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(in
 		k(0, ErrBadFD)
 		return
 	}
-	in := of.ino
-	size := data.Len()
-	if size == 0 {
+	if data.Len() == 0 {
 		sp.End(t)
 		k(0, nil)
 		return
 	}
-	px.dev.AccessT(t, in.base+metaRegion+off, size, true, func() {
-		px.DiskWrites++
-		px.cache.Insert(in.ino, off, size)
-		in.data.write(off, data)
-		if off+size > in.size {
-			in.size = off + size
-		}
-		in.mtime = px.env.Now()
-		sp.End(t)
-		k(size, nil)
-	})
+	op := px.takeOp(verbWrite, t, sp, of.ino)
+	op.off, op.data, op.kWrite = off, data, k
+	px.dev.AccessT(t, op.in.base+metaRegion+off, data.Len(), true, op.fnDev)
 }
 
-// posixStatOp is StatT's pooled frame for the existing-file path, replacing
-// the touchMetaT continuation closure with a prebound method value. The
-// frame returns to the pool before k runs (release-before-continue); the
-// *Stat handed to k is freshly allocated — it escapes into the protocol
-// response, whose lifetime the storage xlator cannot see.
-type posixStatOp struct {
-	px   *Posix
-	t    *sim.Task
-	path string
-	in   *inode
-	sp   *optrace.Span
-	k    func(*Stat, error)
-
-	fnMeta func()
-}
-
-func (px *Posix) takeStatOp() *posixStatOp {
-	if n := len(px.statOps); n > 0 {
-		op := px.statOps[n-1]
-		px.statOps[n-1] = nil
-		px.statOps = px.statOps[:n-1]
-		return op
+func (op *posixOp) written() {
+	px, in, off, size := op.px, op.in, op.off, op.data.Len()
+	px.DiskWrites++
+	px.cache.Insert(in.ino, off, size)
+	in.data.write(off, op.data)
+	if off+size > in.size {
+		in.size = off + size
 	}
-	op := &posixStatOp{px: px}
-	op.fnMeta = op.meta
-	return op
+	in.mtime = px.env.Now()
+	k := op.kWrite
+	op.end()
+	k(size, nil)
 }
 
-func (op *posixStatOp) meta() {
-	px, t, sp, path, in, k := op.px, op.t, op.sp, op.path, op.in, op.k
-	op.t, op.path, op.in, op.sp, op.k = nil, "", nil, nil, nil
-	px.statOps = append(px.statOps, op)
-	sp.End(t)
+// meta completes a stat of an existing file. The *Stat handed to k is
+// freshly allocated — it escapes into the protocol response, whose lifetime
+// the storage xlator cannot see.
+func (op *posixOp) meta() {
+	path, in, k := op.path, op.in, op.kStat
+	op.end()
 	k(&Stat{
 		Path: path, Ino: in.ino, Size: in.size,
 		Atime: in.atime, Mtime: in.mtime, Ctime: in.ctime,
@@ -413,9 +467,9 @@ func (px *Posix) StatT(t *sim.Task, path string, k func(*Stat, error)) {
 		k(nil, ErrNotExist)
 		return
 	}
-	op := px.takeStatOp()
-	op.t, op.path, op.in, op.sp, op.k = t, path, in, sp, k
-	px.touchMetaT(t, in, false, op.fnMeta)
+	op := px.takeOp(verbStat, t, sp, in)
+	op.path, op.kStat = path, k
+	px.touchMetaT(t, in, false, op.fnDev)
 }
 
 // MkdirT implements TaskFS (pure namespace work; no device access).

@@ -308,6 +308,7 @@ func TestExtentMapRandomizedAgainstReference(t *testing.T) {
 	// Compare the extent map against a simple byte-array reference under
 	// random writes.
 	var m extentMap
+	var scratch []blob.Blob // reused across reads, as a pooled frame's is
 	ref := make([]byte, 4096)
 	rng := newRand(42)
 	for op := 0; op < 500; op++ {
@@ -319,7 +320,7 @@ func TestExtentMapRandomizedAgainstReference(t *testing.T) {
 		// Random probe.
 		po := int64(rng.next() % 4000)
 		pl := int64(rng.next()%96) + 1
-		got := m.read(po, pl).Bytes()
+		got := m.read(&scratch, po, pl).Bytes()
 		for i := range got {
 			if got[i] != ref[po+int64(i)] {
 				t.Fatalf("op %d: mismatch at %d+%d", op, po, i)

@@ -9,8 +9,39 @@ import (
 // daemon (glusterfsd).
 const ServiceName = "glusterfsd"
 
+// verb names the three operations every layer runs on a pooled frame — the
+// ones workloads issue by the hundred thousand. The rest (open, close,
+// unlink, mkdir, readdir, truncate) stay on closures.
+type verb uint8
+
+const (
+	verbStat verb = iota
+	verbRead
+	verbWrite
+)
+
+var verbNames = [...]string{verbStat: "stat", verbRead: "read", verbWrite: "write"}
+
+func (v verb) String() string { return verbNames[v] }
+
 // Wire messages for the GlusterFS protocol. Sizes approximate the real
 // protocol's per-op headers.
+
+// pooledMsg is embedded by the messages that live inside a pooled frame: a
+// stat, read or write request in its clientOp, the response in its
+// serverOp. The fabric recycles a request when the call's frame retires —
+// for a deadline-abandoned call, after the daemon has finished reading it —
+// and a delivered response after the caller's continuation returns; either
+// returns the owning frame to its pool. Messages built outside a frame (a
+// refused request's response) leave owner nil.
+type pooledMsg struct{ owner interface{ release() } }
+
+// Recycle implements fabric.Recyclable.
+func (m *pooledMsg) Recycle() {
+	if m.owner != nil {
+		m.owner.release()
+	}
+}
 
 type openReq struct {
 	Path   string
@@ -33,13 +64,17 @@ func (r *closeReq) WireSize() int64 { return 16 }
 type readReq struct {
 	FD        FD
 	Off, Size int64
+	pooledMsg
 }
 
 func (r *readReq) WireSize() int64 { return 32 }
 
+// readResp lends Data to the caller's continuation: copy the value out
+// before returning.
 type readResp struct {
 	Data blob.Blob
 	Code string
+	pooledMsg
 }
 
 func (r *readResp) WireSize() int64 { return 16 + r.Data.Len() + int64(len(r.Code)) }
@@ -48,6 +83,7 @@ type writeReq struct {
 	FD   FD
 	Off  int64
 	Data blob.Blob
+	pooledMsg
 }
 
 func (r *writeReq) WireSize() int64 { return 32 + r.Data.Len() }
@@ -55,43 +91,22 @@ func (r *writeReq) WireSize() int64 { return 32 + r.Data.Len() }
 type writeResp struct {
 	N    int64
 	Code string
+	pooledMsg
 }
 
 func (r *writeResp) WireSize() int64 { return 16 + int64(len(r.Code)) }
 
-// statReq carries its client-side stat op when issued from the pooled task
-// path; the fabric recycles it when the call's frame retires, which is what
-// returns the op to its pool. Blocking callers leave op nil.
 type statReq struct {
 	Path string
-
-	op *clientStatOp
+	pooledMsg
 }
 
 func (r *statReq) WireSize() int64 { return 16 + int64(len(r.Path)) }
 
-// Recycle implements fabric.Recyclable.
-func (r *statReq) Recycle() {
-	if r.op != nil {
-		r.op.release()
-	}
-}
-
-// statResp carries the task-native daemon's stat op; the fabric recycles a
-// delivered response after the caller's continuation returns. Blocking
-// handlers leave op nil.
 type statResp struct {
 	St   *Stat
 	Code string
-
-	op *serverStatOp
-}
-
-// Recycle implements fabric.Recyclable.
-func (r *statResp) Recycle() {
-	if r.op != nil {
-		r.op.release()
-	}
+	pooledMsg
 }
 
 func (r *statResp) WireSize() int64 {

@@ -41,8 +41,8 @@ type Server struct {
 	threads *sim.Resource
 	down    bool
 
-	// statOps is the stat frame free list; see serverStatOp.
-	statOps []*serverStatOp
+	// ops is the free list of stat/read/write frames; see serverOp.
+	ops []*serverOp
 
 	// Ops counts completed requests by type for experiment reporting.
 	Ops map[string]uint64
@@ -149,66 +149,114 @@ func (s *Server) chargeT(t *sim.Task, payload int64, k func()) {
 	s.node.CPU.UseT(t, cpu, k)
 }
 
-// serverStatOp is the daemon's pooled frame for a stat — the dominant
-// request on the fig5 path. It carries the response message and
-// the grant→charge→serve→respond chain as prebound method values, so the
-// daemon's side of a stat allocates nothing. The op returns to its server's
-// pool when the fabric recycles the delivered response, after the calling
-// client's continuation has read it.
-type serverStatOp struct {
+// serverOp is the daemon's pooled frame for a stat, read or write — the
+// requests workloads issue by the hundred thousand. It carries the response
+// message and the grant→charge→serve→respond chain as prebound method values,
+// so the daemon's side of those requests allocates nothing. The op returns to
+// its server's pool when the fabric recycles the response: after the calling
+// client's continuation has read it, or with the call's frame when it was
+// never delivered (a deadline, a cut link).
+type serverOp struct {
 	s       *Server
 	t       *sim.Task
-	r       *statReq
+	req     fabric.Msg // *statReq, *readReq or *writeReq
 	respond func(fabric.Msg)
 	sp      *optrace.Span
-	resp    statResp
 
-	fnGranted func()
-	fnCharged func()
-	fnStat    func(*Stat, error)
+	// The response of whichever request the frame is serving.
+	stat  statResp
+	read  readResp
+	write writeResp
+
+	// Each verb's child continuation is bound when the frame first serves
+	// that verb, so a brick that only stats binds only fnStat.
+	fnGranted, fnCharged func()
+	fnStat               func(*Stat, error)
+	fnRead               func(blob.Blob, error)
+	fnWrite              func(int64, error)
 }
 
-func newServerStatOp(s *Server) *serverStatOp {
-	op := &serverStatOp{s: s}
-	op.resp.op = op
-	op.fnGranted = op.granted
-	op.fnCharged = op.charged
-	op.fnStat = op.stat
+func (s *Server) takeOp() *serverOp {
+	if n := len(s.ops); n > 0 {
+		op := s.ops[n-1]
+		s.ops[n-1] = nil
+		s.ops = s.ops[:n-1]
+		return op
+	}
+	op := &serverOp{s: s}
+	op.stat.owner, op.read.owner, op.write.owner = op, op, op
+	op.fnGranted, op.fnCharged = op.granted, op.charged
 	return op
 }
 
-func (s *Server) takeStatOp() *serverStatOp {
-	if n := len(s.statOps); n > 0 {
-		op := s.statOps[n-1]
-		s.statOps[n-1] = nil
-		s.statOps = s.statOps[:n-1]
-		return op
+// release is the responses' Recycle.
+func (op *serverOp) release() {
+	op.t, op.req, op.respond, op.sp = nil, nil, nil, nil
+	op.stat.St, op.stat.Code = nil, ""
+	op.read.Data, op.read.Code = blob.Blob{}, ""
+	op.write.Code = ""
+	op.s.ops = append(op.s.ops, op)
+}
+
+// granted runs once an io-thread is held: count the request, then charge the
+// daemon's CPU — before serving a stat or a write (on the bytes received),
+// after serving a read (on the bytes it returns).
+func (op *serverOp) granted() {
+	s := op.s
+	switch r := op.req.(type) {
+	case *statReq:
+		s.Ops["stat"]++
+		s.chargeT(op.t, 0, op.fnCharged)
+	case *writeReq:
+		s.Ops["write"]++
+		s.chargeT(op.t, r.Data.Len(), op.fnCharged)
+	case *readReq:
+		s.Ops["read"]++
+		if op.fnRead == nil {
+			op.fnRead = op.readDone
+		}
+		s.child.ReadT(op.t, r.FD, r.Off, r.Size, op.fnRead)
 	}
-	return newServerStatOp(s)
 }
 
-func (op *serverStatOp) release() {
-	op.t, op.r, op.respond, op.sp = nil, nil, nil, nil
-	op.resp.St, op.resp.Code = nil, ""
-	op.s.statOps = append(op.s.statOps, op)
+func (op *serverOp) charged() {
+	switch r := op.req.(type) {
+	case *statReq:
+		if op.fnStat == nil {
+			op.fnStat = op.statDone
+		}
+		op.s.child.StatT(op.t, r.Path, op.fnStat)
+	case *writeReq:
+		if op.fnWrite == nil {
+			op.fnWrite = op.writeDone
+		}
+		op.s.child.WriteT(op.t, r.FD, r.Off, r.Data, op.fnWrite)
+	case *readReq:
+		op.reply(&op.read)
+	}
 }
 
-// granted runs once an io-thread is held: count, charge, serve, then
-// release-end-respond, the order of every other request type.
-func (op *serverStatOp) granted() {
-	op.s.Ops["stat"]++
-	op.s.chargeT(op.t, 0, op.fnCharged)
+func (op *serverOp) statDone(st *Stat, err error) {
+	op.stat.St, op.stat.Code = st, errCode(err)
+	op.reply(&op.stat)
 }
 
-func (op *serverStatOp) charged() {
-	op.s.child.StatT(op.t, op.r.Path, op.fnStat)
+func (op *serverOp) readDone(data blob.Blob, err error) {
+	op.read.Data, op.read.Code = data, errCode(err)
+	op.s.chargeT(op.t, data.Len(), op.fnCharged)
 }
 
-func (op *serverStatOp) stat(st *Stat, err error) {
+func (op *serverOp) writeDone(n int64, err error) {
+	op.write.N, op.write.Code = n, errCode(err)
+	op.reply(&op.write)
+}
+
+// reply releases the io-thread before the span ends; the response leaves
+// after both — the order of every request type.
+func (op *serverOp) reply(m fabric.Msg) {
 	op.s.threads.Release(1)
 	op.sp.End(op.t)
-	op.resp.St, op.resp.Code = st, errCode(err)
-	op.respond(&op.resp)
+	op.respond(m)
 }
 
 // handleT serves one RPC: take an io-thread, charge the daemon's CPU, run
@@ -223,11 +271,12 @@ func (s *Server) handleT(t *sim.Task, from *fabric.Node, req fabric.Msg, respond
 		respond(downResp(req))
 		return
 	}
-	if r, ok := req.(*statReq); ok {
-		// The dominant request runs on a pooled frame instead of a closure
+	switch req.(type) {
+	case *statReq, *readReq, *writeReq:
+		// The data-path requests run on a pooled frame instead of a closure
 		// chain.
-		op := s.takeStatOp()
-		op.t, op.r, op.respond, op.sp = t, r, respond, sp
+		op := s.takeOp()
+		op.t, op.req, op.respond, op.sp = t, req, respond, sp
 		s.threads.AcquireT(t, 1, op.fnGranted)
 		return
 	}
@@ -260,20 +309,6 @@ func (s *Server) handleT(t *sim.Task, from *fabric.Node, req fabric.Msg, respond
 			s.chargeT(t, 0, func() {
 				child.CloseT(t, r.FD, func(err error) {
 					done(&simpleResp{Code: errCode(err)})
-				})
-			})
-		case *readReq:
-			s.Ops["read"]++
-			child.ReadT(t, r.FD, r.Off, r.Size, func(data blob.Blob, err error) {
-				s.chargeT(t, data.Len(), func() {
-					done(&readResp{Data: data, Code: errCode(err)})
-				})
-			})
-		case *writeReq:
-			s.Ops["write"]++
-			s.chargeT(t, r.Data.Len(), func() {
-				child.WriteT(t, r.FD, r.Off, r.Data, func(n int64, err error) {
-					done(&writeResp{N: n, Code: errCode(err)})
 				})
 			})
 		case *pathReq:

@@ -307,25 +307,30 @@ func Latency(env *sim.Env, mounts []gluster.FS, opts LatencyOptions) LatencyResu
 				}
 				r := opts.RecordSizes[si]
 				bar.WaitT(t, func() {
-					t0 := t.Now()
-					var rec func(n int)
-					rec = func(n int) {
+					// One continuation pair per record size, as in statBench:
+					// the record counter and root span live beside it.
+					t0, n := t.Now(), 0
+					var root *optrace.Span
+					var rec func()
+					onWrite := func(_ int64, err error) {
+						traceEnd(t, wcols, si, root)
+						if err != nil {
+							panic(fmt.Sprintf("workload: write: %v", err))
+						}
+						n++
+						rec()
+					}
+					rec = func() {
 						if n == opts.Records {
 							writeTotals[si] += t.Now().Sub(t0)
 							bar.WaitT(t, func() { bySize(si + 1) })
 							return
 						}
 						off := int64(n) * r
-						root := traceStart(t, wcols, si, "write")
-						tfs.WriteT(t, fds[ci], off, blob.Synthetic(uint64(ci)+1, off, r), func(_ int64, err error) {
-							traceEnd(t, wcols, si, root)
-							if err != nil {
-								panic(fmt.Sprintf("workload: write: %v", err))
-							}
-							rec(n + 1)
-						})
+						root = traceStart(t, wcols, si, "write")
+						tfs.WriteT(t, fds[ci], off, blob.Synthetic(uint64(ci)+1, off, r), onWrite)
 					}
-					rec(0)
+					rec()
 				})
 			}
 			bySize(0)
@@ -361,28 +366,30 @@ func Latency(env *sim.Env, mounts []gluster.FS, opts LatencyOptions) LatencyResu
 				}
 				r := opts.RecordSizes[si]
 				measure := func() {
-					t0 := t.Now()
-					var rec func(n int)
-					rec = func(n int) {
+					t0, n := t.Now(), 0
+					var root *optrace.Span
+					var rec func()
+					onRead := func(data blob.Blob, err error) {
+						traceEnd(t, rcols, si, root)
+						if err != nil {
+							panic(fmt.Sprintf("workload: read: %v", err))
+						}
+						if off := int64(n) * r; data.Len() > 0 && data.At(0) != blob.Synthetic(seed, off, 1).At(0) {
+							panic("workload: read returned wrong data")
+						}
+						n++
+						rec()
+					}
+					rec = func() {
 						if n == opts.Records {
 							readTotals[si] += t.Now().Sub(t0)
 							rbar.WaitT(t, func() { bySize(si + 1) })
 							return
 						}
-						off := int64(n) * r
-						root := traceStart(t, rcols, si, "read")
-						tfs.ReadT(t, fds[ci], off, r, func(data blob.Blob, err error) {
-							traceEnd(t, rcols, si, root)
-							if err != nil {
-								panic(fmt.Sprintf("workload: read: %v", err))
-							}
-							if data.Len() > 0 && data.At(0) != blob.Synthetic(seed, off, 1).At(0) {
-								panic("workload: read returned wrong data")
-							}
-							rec(n + 1)
-						})
+						root = traceStart(t, rcols, si, "read")
+						tfs.ReadT(t, fds[ci], int64(n)*r, r, onRead)
 					}
-					rec(0)
+					rec()
 				}
 				rbar.WaitT(t, func() {
 					if opts.BeforeReadSize != nil {
@@ -459,8 +466,16 @@ func Throughput(env *sim.Env, mounts []gluster.FS, opts ThroughputOptions) Throu
 					if wStart == 0 {
 						wStart = t.Now()
 					}
-					var rec func(off int64)
-					rec = func(off int64) {
+					off := int64(0)
+					var rec func()
+					onWrite := func(_ int64, err error) {
+						if err != nil {
+							panic(fmt.Sprintf("workload: write: %v", err))
+						}
+						off += opts.RecordSize
+						rec()
+					}
+					rec = func() {
 						if off >= opts.FileSize {
 							if t.Now() > wEnd {
 								wEnd = t.Now()
@@ -468,14 +483,9 @@ func Throughput(env *sim.Env, mounts []gluster.FS, opts ThroughputOptions) Throu
 							t.End()
 							return
 						}
-						tfs.WriteT(t, fds[ci], off, blob.Synthetic(seed, off, opts.RecordSize), func(_ int64, err error) {
-							if err != nil {
-								panic(fmt.Sprintf("workload: write: %v", err))
-							}
-							rec(off + opts.RecordSize)
-						})
+						tfs.WriteT(t, fds[ci], off, blob.Synthetic(seed, off, opts.RecordSize), onWrite)
 					}
-					rec(0)
+					rec()
 				})
 			})
 		})
@@ -499,8 +509,16 @@ func Throughput(env *sim.Env, mounts []gluster.FS, opts ThroughputOptions) Throu
 					if rStart == 0 {
 						rStart = t.Now()
 					}
-					var rec func(off int64)
-					rec = func(off int64) {
+					off := int64(0)
+					var rec func()
+					onRead := func(data blob.Blob, err error) {
+						if err != nil || data.Len() != opts.RecordSize {
+							panic(fmt.Sprintf("workload: read %d bytes at %d: %v", data.Len(), off, err))
+						}
+						off += opts.RecordSize
+						rec()
+					}
+					rec = func() {
 						if off >= opts.FileSize {
 							if t.Now() > rEnd {
 								rEnd = t.Now()
@@ -508,14 +526,9 @@ func Throughput(env *sim.Env, mounts []gluster.FS, opts ThroughputOptions) Throu
 							t.End()
 							return
 						}
-						tfs.ReadT(t, fds[ci], off, opts.RecordSize, func(data blob.Blob, err error) {
-							if err != nil || data.Len() != opts.RecordSize {
-								panic(fmt.Sprintf("workload: read %d bytes at %d: %v", data.Len(), off, err))
-							}
-							rec(off + opts.RecordSize)
-						})
+						tfs.ReadT(t, fds[ci], off, opts.RecordSize, onRead)
 					}
-					rec(0)
+					rec()
 				})
 			})
 		}

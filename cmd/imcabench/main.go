@@ -8,7 +8,6 @@
 //	imcabench -exp fig6a -breakdown
 //	imcabench -exp fig6a -telemetry -trace-out fig6a.json
 //	imcabench -exp all  [-scale 64] [-parallel 4]
-//	imcabench -exp all  -benchjson BENCH.json
 //
 // Scale divides the paper's full workload parameters (262144 files, 1 GB
 // files, 6 GB MCDs); -scale 1 runs the full-size experiment. Results are
@@ -40,16 +39,14 @@
 // never change the tables — cmd/imcareport renders the same surfaces as
 // HTML.
 //
-// -benchjson FILE records per-figure wall time, dispatched kernel events,
-// events/sec, and heap allocations per event as JSON — the format
-// scripts/bench.sh uses for BENCH_baseline.json / BENCH_after.json.
-// -cpuprofile / -memprofile write pprof profiles of the whole run.
+// -cpuprofile / -memprofile write pprof profiles of the whole run. Host-side
+// performance is measured by benchmark/ (make benchpairs), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -62,69 +59,52 @@ import (
 	"imca/internal/telemetry"
 )
 
-// benchRecord is one figure's harness-performance sample in -benchjson
-// output. Virtual results are deterministic; these host-side numbers are
-// what the kernel and sweep-engine optimizations move.
-type benchRecord struct {
-	Name         string  `json:"name"`
-	WallMs       float64 `json:"wall_ms"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	AllocsPerEvt float64 `json:"allocs_per_event"`
-}
-
-type benchFile struct {
-	Scale       int           `json:"scale"`
-	Workers     int           `json:"workers"`
-	TotalWallMs float64       `json:"total_wall_ms"`
-	Figures     []benchRecord `json:"figures"`
-}
-
-func mallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
-
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its environment abstracted: argv after the program
+// name, the two output streams, and the exit code as the return value.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("imcabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list    = flag.Bool("list", false, "list available experiments")
-		exp     = flag.String("exp", "", "experiment to run (figure id, or 'all')")
-		scale   = flag.Int("scale", 64, "divide the paper's workload parameters by this factor (1 = full scale)")
-		workers = flag.Int("parallel", 1, "run up to N experiment points concurrently (0 = one per core)")
-		csv     = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-		plot    = flag.Bool("plot", false, "render an ASCII chart as well")
-		brk     = flag.Bool("breakdown", false, "print per-layer latency decompositions (experiments that support tracing)")
-		hists   = flag.Bool("hists", false, "print per-interval latency percentile timelines (streaming histograms)")
-		flight  = flag.Bool("flight", false, "print flight-recorder dumps of instrumented configurations")
-		tele    = flag.Bool("telemetry", false, "print final telemetry counters of instrumented configurations")
-		trOut   = flag.String("trace-out", "", "write retained operations as Chrome trace-event JSON (open in Perfetto)")
-		bjOut   = flag.String("benchjson", "", "record per-figure wall time, events/sec, and allocs/event as JSON")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run (inspect with go tool pprof)")
-		memProf = flag.String("memprofile", "", "write a heap profile at exit (inspect with go tool pprof)")
+		list    = fs.Bool("list", false, "list available experiments")
+		exp     = fs.String("exp", "", "experiment to run (figure id, or 'all')")
+		scale   = fs.Int("scale", 64, "divide the paper's workload parameters by this factor (1 = full scale)")
+		workers = fs.Int("parallel", 1, "run up to N experiment points concurrently (0 = one per core)")
+		csv     = fs.Bool("csv", false, "emit CSV instead of an aligned table")
+		plot    = fs.Bool("plot", false, "render an ASCII chart as well")
+		brk     = fs.Bool("breakdown", false, "print per-layer latency decompositions (experiments that support tracing)")
+		hists   = fs.Bool("hists", false, "print per-interval latency percentile timelines (streaming histograms)")
+		flight  = fs.Bool("flight", false, "print flight-recorder dumps of instrumented configurations")
+		tele    = fs.Bool("telemetry", false, "print final telemetry counters of instrumented configurations")
+		trOut   = fs.String("trace-out", "", "write retained operations as Chrome trace-event JSON (open in Perfetto)")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run (inspect with go tool pprof)")
+		memProf = fs.String("memprofile", "", "write a heap profile at exit (inspect with go tool pprof)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list || *exp == "" {
-		fmt.Println("experiments:")
+		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range experiments.Registry {
-			fmt.Printf("  %-7s %s\n", e.Name, e.Description)
+			fmt.Fprintf(stdout, "  %-7s %s\n", e.Name, e.Description)
 		}
-		if *exp == "" && !*list {
-			os.Exit(2)
+		if !*list {
+			return 2
 		}
-		return
+		return 0
 	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "imcabench: %v\n", err)
-			os.Exit(1)
+			return fatal(stderr, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "imcabench: %v\n", err)
-			os.Exit(1)
+			return fatal(stderr, err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -138,118 +118,90 @@ func main() {
 		Hists: *hists, Flight: *flight,
 		Workers: nWorkers,
 	}
-	bench := &benchFile{Scale: *scale, Workers: nWorkers}
 	var tracedOps []*optrace.Op
 	var tracks []telemetry.CounterTrack
-	run := func(e experiments.Experiment) {
-		ev0, al0 := sim.TotalEvents(), mallocs()
+	runExp := func(e experiments.Experiment) {
 		start := time.Now() //imcalint:allow wallclock host-side: reports how long the simulation took to execute
 		res := e.Run(opts)
 		//imcalint:allow wallclock host-side: wall duration of the run, printed next to virtual results
 		wall := time.Since(start)
-		ev, al := sim.TotalEvents()-ev0, mallocs()-al0
-		rec := benchRecord{Name: e.Name, WallMs: float64(wall) / 1e6, Events: ev}
-		if s := wall.Seconds(); s > 0 {
-			rec.EventsPerSec = float64(ev) / s
-		}
-		if ev > 0 {
-			rec.AllocsPerEvt = float64(al) / float64(ev)
-		}
-		bench.Figures = append(bench.Figures, rec)
-		bench.TotalWallMs += rec.WallMs
-
 		tracedOps = append(tracedOps, res.Ops...)
 		tracks = append(tracks, res.Tracks...)
-		fmt.Printf("\n== %s (scale 1/%d, %s wall) ==\n", e.Name, *scale, wall.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "\n== %s (scale 1/%d, %s wall) ==\n", e.Name, *scale, wall.Round(time.Millisecond))
 		if *csv {
-			res.Table.CSV(os.Stdout)
+			res.Table.CSV(stdout)
 		} else {
-			res.Table.Render(os.Stdout)
+			res.Table.Render(stdout)
 		}
 		if *plot {
-			fmt.Println()
-			res.Table.Plot(os.Stdout, 16)
+			fmt.Fprintln(stdout)
+			res.Table.Plot(stdout, 16)
 		}
 		for _, n := range res.Notes {
-			fmt.Printf("note: %s\n", n)
+			fmt.Fprintf(stdout, "note: %s\n", n)
 		}
 		if *brk {
 			for _, nb := range res.Breakdowns {
-				fmt.Printf("\n-- %s --\n", nb.Title)
-				nb.Breakdown.Report(os.Stdout)
+				fmt.Fprintf(stdout, "\n-- %s --\n", nb.Title)
+				nb.Breakdown.Report(stdout)
 			}
 		}
 		if *tele {
 			for _, d := range res.Telemetry {
-				fmt.Printf("\n-- %s --\n%s", d.Title, d.Text)
+				fmt.Fprintf(stdout, "\n-- %s --\n%s", d.Title, d.Text)
 			}
 		}
 		if *hists {
 			for _, tl := range res.Timelines {
-				printTimeline(tl)
+				printTimeline(stdout, tl)
 			}
 		}
 		if *flight {
 			for _, d := range res.Flight {
-				fmt.Printf("\n-- %s --\n%s", d.Title, d.Text)
+				fmt.Fprintf(stdout, "\n-- %s --\n%s", d.Title, d.Text)
 			}
 		}
 	}
 
 	if *exp == "all" {
 		for _, e := range experiments.Registry {
-			run(e)
+			runExp(e)
 		}
 	} else {
 		e, ok := experiments.Find(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "imcabench: unknown experiment %q (try -list)\n", *exp)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "imcabench: unknown experiment %q (try -list)\n", *exp)
+			return 2
 		}
-		run(e)
+		runExp(e)
 	}
 
 	if *tele {
 		// Host-side throughput of the harness itself; lives on its own
 		// registry so experiment dumps stay byte-identical across runs.
-		fmt.Printf("\n-- harness --\n")
-		harness.Dump(os.Stdout)
-	}
-
-	if *bjOut != "" {
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*bjOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "imcabench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote benchmark records for %d figure(s) to %s\n", len(bench.Figures), *bjOut)
+		fmt.Fprintf(stdout, "\n-- harness --\n")
+		harness.Dump(stdout)
 	}
 
 	if *trOut != "" {
 		f, err := os.Create(*trOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "imcabench: %v\n", err)
-			os.Exit(1)
+			return fatal(stderr, err)
 		}
 		werr := telemetry.WriteChromeTraceTracks(f, tracedOps, tracks)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			fmt.Fprintf(os.Stderr, "imcabench: %v\n", werr)
-			os.Exit(1)
+			return fatal(stderr, werr)
 		}
-		fmt.Printf("\nwrote %d traced op(s) and %d counter track(s) to %s\n", len(tracedOps), len(tracks), *trOut)
+		fmt.Fprintf(stdout, "\nwrote %d traced op(s) and %d counter track(s) to %s\n", len(tracedOps), len(tracks), *trOut)
 	}
 
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "imcabench: %v\n", err)
-			os.Exit(1)
+			return fatal(stderr, err)
 		}
 		runtime.GC()
 		werr := pprof.WriteHeapProfile(f)
@@ -257,30 +209,35 @@ func main() {
 			werr = cerr
 		}
 		if werr != nil {
-			fmt.Fprintf(os.Stderr, "imcabench: %v\n", werr)
-			os.Exit(1)
+			return fatal(stderr, werr)
 		}
 	}
+	return 0
+}
+
+func fatal(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "imcabench: %v\n", err)
+	return 1
 }
 
 // printTimeline renders one percentile timeline as aligned text, one row
 // per sampler interval.
-func printTimeline(tl experiments.Timeline) {
-	fmt.Printf("\n-- %s --\n", tl.Title)
-	fmt.Printf("%14s", "t")
+func printTimeline(w io.Writer, tl experiments.Timeline) {
+	fmt.Fprintf(w, "\n-- %s --\n", tl.Title)
+	fmt.Fprintf(w, "%14s", "t")
 	for _, s := range tl.Series {
-		fmt.Printf("  %10s", s.Label)
+		fmt.Fprintf(w, "  %10s", s.Label)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for i, tNs := range tl.TimesNs {
-		fmt.Printf("%14v", sim.Duration(tNs))
+		fmt.Fprintf(w, "%14v", sim.Duration(tNs))
 		for _, s := range tl.Series {
 			v := 0.0
 			if i < len(s.Values) {
 				v = s.Values[i]
 			}
-			fmt.Printf("  %10.1f", v)
+			fmt.Fprintf(w, "  %10.1f", v)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -21,7 +18,7 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 const fixture = "./internal/lint/testdata/errdrop"
 
 func TestCheckFilter(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-no-cache", "-baseline", "", "-check", "errdrop", fixture)
+	code, stdout, _ := runCLI(t, "-check", "errdrop", fixture)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
@@ -29,89 +26,13 @@ func TestCheckFilter(t *testing.T) {
 		t.Errorf("got %d errdrop findings, want 2:\n%s", n, stdout)
 	}
 
-	code, stdout, _ = runCLI(t, "-no-cache", "-baseline", "", "-check", "wallclock", fixture)
+	code, stdout, _ = runCLI(t, "-check", "wallclock", fixture)
 	if code != 0 || stdout != "" {
 		t.Errorf("filtered run: exit %d with output %q, want clean", code, stdout)
 	}
 
-	code, _, stderr := runCLI(t, "-no-cache", "-baseline", "", "-check", "warpdrive", fixture)
+	code, _, stderr := runCLI(t, "-check", "warpdrive", fixture)
 	if code != 2 || !strings.Contains(stderr, "unknown check") {
 		t.Errorf("unknown check: exit %d, stderr %q", code, stderr)
-	}
-}
-
-func TestJSONOutput(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-no-cache", "-baseline", "", "-json", fixture)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	var findings []struct {
-		File  string `json:"file"`
-		Line  int    `json:"line"`
-		Check string `json:"check"`
-		Msg   string `json:"msg"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &findings); err != nil {
-		t.Fatalf("output is not a JSON array: %v\n%s", err, stdout)
-	}
-	if len(findings) != 2 || findings[0].Check != "errdrop" || findings[0].Line == 0 {
-		t.Errorf("unexpected JSON findings: %+v", findings)
-	}
-}
-
-func TestSARIFFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "lint.sarif")
-	code, _, _ := runCLI(t, "-no-cache", "-baseline", "", "-sarif-file", path, fixture)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Results []json.RawMessage `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &log); err != nil {
-		t.Fatalf("SARIF file does not parse: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 || len(log.Runs[0].Results) != 2 {
-		t.Errorf("unexpected SARIF shape: version %q, %d runs", log.Version, len(log.Runs))
-	}
-}
-
-func TestFixBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "base.txt")
-	code, stdout, stderr := runCLI(t, "-no-cache", "-baseline", path, "-fix-baseline", fixture)
-	if code != 0 {
-		t.Fatalf("exit %d, want 0 (stderr: %s)", code, stderr)
-	}
-	if !strings.Contains(stdout, "wrote 2 finding(s)") {
-		t.Errorf("unexpected output: %q", stdout)
-	}
-
-	// A run against the freshly written baseline is clean.
-	code, stdout, _ = runCLI(t, "-no-cache", "-baseline", path, fixture)
-	if code != 0 || stdout != "" {
-		t.Errorf("baselined run: exit %d with output %q, want clean", code, stdout)
-	}
-
-	// -fix-baseline with the baseline disabled is a usage error.
-	code, _, _ = runCLI(t, "-no-cache", "-baseline", "", "-fix-baseline", fixture)
-	if code != 2 {
-		t.Errorf("fix-baseline without a path: exit %d, want 2", code)
-	}
-}
-
-func TestRootsListing(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-roots", "./internal/sim")
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	if !strings.Contains(stdout, "internal/sim.Env.RunUntil") {
-		t.Errorf("roots listing missing the dispatch loop:\n%s", stdout)
 	}
 }

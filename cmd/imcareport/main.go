@@ -11,8 +11,6 @@
 // The page is deterministic: the same experiments at the same scale always
 // render the same bytes (no timestamps, no map iteration, fixed number
 // formatting), so reports from two commits can be diffed directly.
-// scripts/bench.sh records one next to its BENCH_*.json files and CI
-// uploads it as an artifact.
 //
 // -plain disables the streaming histograms, timelines, and flight
 // recorders and reports only the legacy surfaces (tables, notes,

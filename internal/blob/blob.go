@@ -12,7 +12,6 @@ package blob
 
 import (
 	"fmt"
-	"io"
 )
 
 // segment is a contiguous run of payload, either byte-backed (data != nil)
@@ -263,28 +262,6 @@ func (b Blob) Checksum() uint64 {
 		}
 	}
 	return h
-}
-
-// Reader returns an io.Reader over the contents.
-func (b Blob) Reader() io.Reader { return &reader{b: b} }
-
-type reader struct {
-	b   Blob
-	pos int64
-}
-
-func (r *reader) Read(p []byte) (int, error) {
-	if r.pos >= r.b.n {
-		return 0, io.EOF
-	}
-	n := int64(len(p))
-	if rem := r.b.n - r.pos; n > rem {
-		n = rem
-	}
-	chunk := r.b.Slice(r.pos, r.pos+n).Bytes()
-	copy(p, chunk)
-	r.pos += n
-	return int(n), nil
 }
 
 // String describes the blob shape for diagnostics (not its contents).

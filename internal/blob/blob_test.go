@@ -2,7 +2,6 @@ package blob
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -174,34 +173,6 @@ func TestEqualMixedRepresentations(t *testing.T) {
 	}
 }
 
-func TestReader(t *testing.T) {
-	b := Concat(FromString("abc"), Synthetic(1, 0, 5), FromString("xyz"))
-	got, err := io.ReadAll(b.Reader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, b.Bytes()) {
-		t.Error("Reader content differs from Bytes")
-	}
-	// Small reads exercise partial-chunk paths.
-	r := b.Reader()
-	buf := make([]byte, 2)
-	var acc []byte
-	for {
-		n, err := r.Read(buf)
-		acc = append(acc, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(acc, b.Bytes()) {
-		t.Error("2-byte Reader chunks reassemble incorrectly")
-	}
-}
-
 // Property: for any split points, slicing then concatenating reproduces the
 // original content.
 func TestPropertySliceConcatIdentity(t *testing.T) {
@@ -328,9 +299,6 @@ func TestPropertyMixedBlobsAgreeWithBytes(t *testing.T) {
 		}
 		if a.Checksum() != FromBytes(am).Checksum() {
 			t.Fatalf("trial %d: Checksum of %v differs from its bytes'", trial, a)
-		}
-		if got, err := io.ReadAll(a.Reader()); err != nil || !bytes.Equal(got, am) {
-			t.Fatalf("trial %d: Reader of %v differs from the bytes (%v)", trial, a, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"imca/internal/blob"
@@ -58,9 +59,15 @@ var _ gluster.TaskFS = (*SMCache)(nil)
 // on the server's own node — its traffic models the extra server-side load
 // the paper attributes to IMCa.
 func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Config) *SMCache {
+	// The translator runs on the brick daemon's request task and on helper
+	// tasks of its own, so the storage stack must be continuation-style.
+	tfs := gluster.AsTaskFS(child)
+	if tfs == nil {
+		panic(fmt.Sprintf("core: NewSMCache: child %T is not task-ready", child))
+	}
 	s := &SMCache{
 		env:     env,
-		child:   gluster.Lift(child),
+		child:   tfs,
 		mcd:     mcd,
 		cfg:     cfg,
 		fdPaths: make(map[gluster.FD]string),
@@ -69,15 +76,15 @@ func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Con
 	s.pushes = pushPool{mcd: mcd, bs: cfg.blockSize(), resident: s.pushed, landed: &s.Stats.BlockPushes}
 	s.writes = writeBacks{child: s.child, pushes: &s.pushes, statKey: s.statKey, stats: &s.Stats}
 	if cfg.Threaded {
-		s.writes.spawn = s.startHelper
+		s.writes.spawn = env.StartTask
 	}
 	s.T = s
 	return s
 }
 
-// TaskReady implements gluster.TaskFS: the translator is task-capable when
-// its storage stack is (the MCD bank client always is).
-func (s *SMCache) TaskReady() bool { return s.child.TaskReady() }
+// TaskReady implements gluster.TaskFS: NewSMCache accepts only a task-ready
+// storage stack, and the MCD bank client always is.
+func (s *SMCache) TaskReady() bool { return true }
 
 // ShareStatKeys replaces the translator's private stat-key intern table
 // with a deployment-wide one; see KeyInterner.
@@ -145,16 +152,6 @@ func (s *SMCache) pushStatT(t *sim.Task, st *gluster.Stat, k func()) {
 	})
 }
 
-// startHelper starts body on a helper actor of its own: a task, or — when
-// the storage stack needs a process to block on — a process awaiting it.
-func (s *SMCache) startHelper(name string, body func(h *sim.Task)) {
-	if s.child.TaskReady() {
-		s.env.StartTask(name, body)
-	} else {
-		s.env.Process(name, func(p *sim.Proc) { p.Await(body) })
-	}
-}
-
 // deferIfT runs the bank update fn and then k. In Threaded mode the update
 // runs on a helper actor of its own (removing it from the request's
 // critical path) and k continues immediately; otherwise it runs inline on
@@ -164,7 +161,7 @@ func (s *SMCache) deferIfT(t *sim.Task, name string, fn func(t *sim.Task, k func
 		fn(t, k)
 		return
 	}
-	s.startHelper(name, func(h *sim.Task) { fn(h, h.End) })
+	s.env.StartTask(name, func(h *sim.Task) { fn(h, h.End) })
 	k()
 }
 

@@ -1,36 +1,54 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
-	"time"
 
 	"imca/internal/blob"
-	"imca/internal/disk"
-	"imca/internal/fabric"
 	"imca/internal/gluster"
 	"imca/internal/memcache"
 	"imca/internal/sim"
 )
 
-// TestFullTranslatorStackComposition stacks every client translator the
-// repository provides — FUSE cost model, write-behind, read-ahead, and
-// CMCache — over the protocol client, against a server running SMCache
-// over Posix, and checks data integrity under a mixed workload. This is
-// the "maximal GlusterFS configuration" the translator architecture is
-// supposed to allow.
-func TestFullTranslatorStackComposition(t *testing.T) {
-	r := newRig(t, 2, Config{BlockSize: 2048})
-	// newRig's stack is fuse(cmcache(protocol)); rebuild a taller one on
-	// the same deployment: fuse(wb(ra(cmcache(protocol)))).
+// procOnly hides any TaskFS implementation behind the ten blocking FS
+// methods — the shape of the tree's blocking-only file systems (the Lustre
+// and NFS clients, fault.Oracle, trace.Recorder).
+type procOnly struct{ gluster.FS }
+
+// newLiftedMount builds a second mount on the rig's client node with a
+// blocking-only layer between CMCache and the protocol client and another
+// above Fuse: Lift(procOnly(fuse(cmcache(procOnly(protocol))))). Nothing in
+// it is task-ready, so every operation nests Await → Block → Await twice
+// over: the caller awaits the top shim's *T, which blocks into Fuse's
+// blocking method, which awaits Fuse's and CMCache's *T, which blocks into
+// the protocol client's blocking method, which awaits its *T.
+func newLiftedMount(t *testing.T, r *rig, cfg Config) (gluster.FS, *CMCache) {
+	t.Helper()
 	node := r.net.Node("client0")
-	base := r.cmcache // cmcache(protocol-client), already wired to the rig
-	ra := gluster.NewReadAhead(base, 64<<10)
-	wb := gluster.NewWriteBehind(ra, 32<<10)
-	full := gluster.NewFuse(node, wb, gluster.DefaultFuseConfig)
+	below := procOnly{gluster.NewClient(node, r.net.Node("server"))}
+	cm := NewCMCache(below, memcache.NewSimClient(node, r.mcds), cfg)
+	fuse := gluster.NewFuse(node, cm, gluster.DefaultFuseConfig)
+	top := gluster.Lift(procOnly{fuse})
+	if cm.TaskReady() || fuse.TaskReady() || top.TaskReady() || gluster.AsTaskFS(fuse) != nil {
+		t.Fatal("a stack over a blocking-only layer must not report task-ready")
+	}
+	return gluster.Blocking{T: top}, cm
+}
+
+// TestFullTranslatorStackComposition puts a blocking-only layer above and
+// below the task-style client translators, against a server running
+// SMCache over Posix, and checks data integrity under a mixed workload:
+// the translator architecture composes whichever style each layer is
+// written in.
+func TestFullTranslatorStackComposition(t *testing.T) {
+	cfg := Config{BlockSize: 2048}
+	r := newRig(t, 2, cfg)
+	full, cm := newLiftedMount(t, r, cfg)
 
 	ref := &refFile{}
 	rng := newRand(2024)
-	r.env.Process("stack", func(p *sim.Proc) {
+	r.run(t, func(p *sim.Proc) {
 		fd, err := full.Create(p, "/stack/f")
 		if err != nil {
 			t.Fatal(err)
@@ -57,8 +75,7 @@ func TestFullTranslatorStackComposition(t *testing.T) {
 				}
 			}
 		}
-		// Close flushes write-behind and purges; a reopen reads back the
-		// full reference content.
+		// Close purges; a reopen reads back the full reference content.
 		if err := full.Close(p, fd); err != nil {
 			t.Fatal(err)
 		}
@@ -75,76 +92,69 @@ func TestFullTranslatorStackComposition(t *testing.T) {
 			t.Fatalf("stat = %+v, %v; want size %d", st, err, len(ref.data))
 		}
 	})
-	r.env.Run()
+	if cm.Stats.ReadHits == 0 || cm.Stats.StatHits == 0 {
+		t.Errorf("bank not consulted through the lifted stack: %+v", cm.Stats)
+	}
 }
 
-// TestStackedStatStaysCoherent checks the stat path through the same tall
-// stack: write-behind must flush before stat so sizes are never stale.
+// TestStackedStatStaysCoherent checks the stat path through the same
+// stack: the structure comes back through two Block hand-offs as the
+// caller's own copy, and a write through another mount is seen at once.
 func TestStackedStatStaysCoherent(t *testing.T) {
-	r := newRig(t, 1, Config{BlockSize: 2048})
-	node := r.net.Node("client0")
-	wb := gluster.NewWriteBehind(r.cmcache, 1<<20) // large buffer: writes linger
-	full := gluster.NewFuse(node, wb, gluster.DefaultFuseConfig)
-	r.env.Process("t", func(p *sim.Proc) {
+	cfg := Config{BlockSize: 2048}
+	r := newRig(t, 1, cfg)
+	full, cm := newLiftedMount(t, r, cfg)
+	r.run(t, func(p *sim.Proc) {
 		fd, _ := full.Create(p, "/sc/f")
 		full.Write(p, fd, 0, blob.Synthetic(1, 0, 5000))
+		first, err := full.Stat(p, "/sc/f")
+		if err != nil || first.Size != 5000 {
+			t.Fatalf("stat through the lifted stack = %+v, %v", first, err)
+		}
+		other, err := r.client.Open(p, "/sc/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.client.Write(p, other, 5000, blob.Synthetic(2, 0, 3000)); err != nil {
+			t.Fatal(err)
+		}
 		st, err := full.Stat(p, "/sc/f")
-		if err != nil || st.Size != 5000 {
-			t.Fatalf("stat through buffered stack = %+v, %v", st, err)
+		if err != nil || st.Size != 8000 {
+			t.Fatalf("stat after another mount's write = %+v, %v; want size 8000", st, err)
+		}
+		if first.Size != 5000 {
+			t.Errorf("the first stat's result changed under its caller: %+v", first)
 		}
 	})
-	r.env.Run()
+	if cm.Stats.StatHits != 2 {
+		t.Errorf("stat hits = %d, want 2 (both served from the bank)", cm.Stats.StatHits)
+	}
 }
 
-// TestBlockingDeviceUnderTaskStack puts a device that exists only in
-// blocking form (disk.SchedDisk) under the brick: Posix holds it through
-// disk.Lift, nothing above it is task-ready any more, so the daemon serves
-// each request on a process awaiting its handler and SMCache's Threaded
-// helpers become processes awaiting theirs — the same *T bodies throughout.
-// The client stack is unaffected: its stack ends at the fabric.
-func TestBlockingDeviceUnderTaskStack(t *testing.T) {
-	for _, threaded := range []bool{false, true} {
-		env := sim.NewEnv()
-		net := fabric.NewNetwork(env, fabric.IPoIB)
-		srvNode, cliNode := net.NewNode("server", 8), net.NewNode("client0", 8)
-		mcds := []*memcache.SimServer{memcache.NewSimServer(net.NewNode("mcd0", 8), 1<<30)}
-		cfg := Config{BlockSize: 2048, Threaded: threaded}
-
-		px := gluster.NewPosix(env, gluster.PosixConfig{
-			Dev: disk.NewSched(env, disk.HighPoint2008, disk.Elevator), CacheBytes: 4096}) // tiny page cache: read-backs reach the device
-		sm := NewSMCache(env, px, memcache.NewSimClient(srvNode, mcds), cfg)
-		if px.TaskReady() || sm.TaskReady() {
-			t.Fatal("a stack over a blocking-only device must not report task-ready")
-		}
-		gluster.NewServer(srvNode, sm, gluster.DefaultServerConfig)
-		cm := NewCMCache(gluster.NewClient(cliNode, srvNode), memcache.NewSimClient(cliNode, mcds), cfg)
-		top := gluster.NewFuse(cliNode, cm, gluster.DefaultFuseConfig)
-		if !top.TaskReady() {
-			t.Fatal("the client stack ends at the fabric and stays task-ready")
-		}
-
-		payload := blob.Synthetic(9, 0, 6000)
-		env.Process("client", func(p *sim.Proc) {
-			fd, err := top.Create(p, "/sched/f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := top.Write(p, fd, 0, payload); err != nil {
-				t.Fatal(err)
-			}
-			p.Sleep(10 * time.Millisecond) // let Threaded helpers land their pushes
-			got, err := top.Read(p, fd, 0, 6000)
-			if err != nil || !got.Equal(payload) {
-				t.Fatalf("threaded=%v: read back %d bytes, err %v", threaded, got.Len(), err)
-			}
-			st, err := top.Stat(p, "/sched/f")
-			if err != nil || st.Size != 6000 {
-				t.Fatalf("threaded=%v: stat %+v, err %v", threaded, st, err)
-			}
-		})
-		env.Run()
-		if cm.Stats.ReadHits != 1 || cm.Stats.StatHits != 1 || sm.Stats.BlockPushes == 0 {
-			t.Errorf("threaded=%v: bank not fed through the lifted stack: cm %+v, sm %+v", threaded, cm.Stats, sm.Stats)
-		}
+// TestBrickRejectsBlockingChild: the brick side is task-native by
+// construction — the daemon serves on the fabric frame's task and SMCache
+// runs helpers as tasks — so both constructors refuse a storage stack that
+// needs a process to block on, naming it.
+func TestBrickRejectsBlockingChild(t *testing.T) {
+	r := newRig(t, 1, Config{BlockSize: 2048})
+	node := r.net.Node("server")
+	for _, c := range []struct {
+		name  string
+		build func(child gluster.FS)
+	}{
+		{"NewServer", func(child gluster.FS) { gluster.NewServer(node, child, gluster.DefaultServerConfig) }},
+		{"NewSMCache", func(child gluster.FS) {
+			NewSMCache(r.env, child, memcache.NewSimClient(node, r.mcds), Config{BlockSize: 2048})
+		}},
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, c.name) || !strings.Contains(msg, "core.procOnly") {
+					t.Errorf("%s over a blocking-only child: panic %q, want one naming %s and core.procOnly", c.name, msg, c.name)
+				}
+			}()
+			c.build(procOnly{r.posix})
+		}()
 	}
 }

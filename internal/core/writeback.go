@@ -61,7 +61,7 @@ type writeBacks struct {
 	statKey func(path string) string
 	// spawn, set in Threaded mode, starts the read-back and pushes on a
 	// helper actor of their own, off the write's critical path.
-	spawn func(name string, body func(*sim.Task))
+	spawn func(name string, body func(*sim.Task)) *sim.Task
 	// stats, unless nil, counts the read-backs and stat pushes (SMCache).
 	stats *SMCacheStats
 	free  []*writeBack

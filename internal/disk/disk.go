@@ -28,50 +28,26 @@ type Params struct {
 // array (7200rpm SATA of the period).
 var HighPoint2008 = Params{SeekTime: 8 * time.Millisecond, TransferRate: 70e6}
 
-// Device is anything that can serve byte-addressed accesses in virtual time.
+// Device is anything that can serve byte-addressed accesses in virtual
+// time. The access path is written once, in continuation style; the
+// blocking Access is derived from AccessT (see access).
 type Device interface {
 	// Access performs a read or write of size bytes at addr, blocking p
 	// for the simulated duration.
 	Access(p *sim.Proc, addr, size int64, write bool)
-}
-
-// TaskDevice is a Device whose access path is written in continuation
-// style; its blocking Access is derived from AccessT (see access). Disk
-// and Array are TaskDevices; a device that exists only in blocking form
-// (SchedDisk) becomes one through Lift.
-type TaskDevice interface {
-	Device
 	// AccessT performs a read or write of size bytes at addr and runs k
 	// when the simulated transfer completes.
 	AccessT(t *sim.Task, addr, size int64, write bool, k func())
 }
 
 var (
-	_ TaskDevice = (*Disk)(nil)
-	_ TaskDevice = (*Array)(nil)
+	_ Device = (*Disk)(nil)
+	_ Device = (*Array)(nil)
 )
 
-// access is the blocking face of a TaskDevice: the process awaits AccessT.
-func access(p *sim.Proc, dev TaskDevice, addr, size int64, write bool) {
+// access is the blocking face of a Device: the process awaits AccessT.
+func access(p *sim.Proc, dev Device, addr, size int64, write bool) {
 	p.Await(func(t *sim.Task) { dev.AccessT(t, addr, size, write, t.End) })
-}
-
-// Lift returns dev as a TaskDevice: dev itself when it already is one,
-// otherwise a shim whose AccessT runs the blocking Access on the process
-// its task fronts (sim.Task.Block) — so it serves only stacks driven by
-// Process+Await, which is what the layers above arrange when a device is
-// not task-native.
-func Lift(dev Device) TaskDevice {
-	if td, ok := dev.(TaskDevice); ok {
-		return td
-	}
-	return lifted{dev}
-}
-
-type lifted struct{ Device }
-
-func (l lifted) AccessT(t *sim.Task, addr, size int64, write bool, k func()) {
-	t.Block(func(p *sim.Proc) { l.Access(p, addr, size, write) }, k)
 }
 
 // Disk is a single spindle. Concurrent requests queue FIFO at the arm.
@@ -106,7 +82,7 @@ func New(env *sim.Env, params Params) *Disk {
 // Access implements Device.
 func (d *Disk) Access(p *sim.Proc, addr, size int64, write bool) { access(p, d, addr, size, write) }
 
-// AccessT implements TaskDevice: requests queue FIFO at the arm, pay a
+// AccessT implements Device: requests queue FIFO at the arm, pay a
 // seek unless they continue the previous access, then transfer.
 func (d *Disk) AccessT(t *sim.Task, addr, size int64, write bool, k func()) {
 	op := d.takeOp()
@@ -276,7 +252,7 @@ func (a *Array) mapRequest(out []chunk, addr, size int64) []chunk {
 // Access implements Device.
 func (a *Array) Access(p *sim.Proc, addr, size int64, write bool) { access(p, a, addr, size, write) }
 
-// AccessT implements TaskDevice, striping the request across members: one
+// AccessT implements Device, striping the request across members: one
 // helper task per member disk serves that disk's chunks in order, and the
 // request completes when the last helper has.
 func (a *Array) AccessT(t *sim.Task, addr, size int64, write bool, k func()) {

@@ -18,7 +18,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"imca/internal/cluster"
@@ -302,15 +301,6 @@ func powersOfTwo(from, to int64) []int64 {
 }
 
 func usPerOp(d sim.Duration) float64 { return float64(d) / 1e3 }
-
-func sortedKeys(m map[int64]sim.Duration) []int64 {
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 func fmtSize(n int64) string {
 	switch {

@@ -15,8 +15,9 @@ import (
 // already in flight when the cut lands fails at the cut instant, like a
 // connection reset. When the caller also carries an operation deadline that
 // expires no later than the connect timeout would, the deadline wins and
-// Call returns ErrDeadline instead, matching Event.WaitUntil's
-// timeout-wins tie rule.
+// Call returns ErrDeadline instead: the same timeout-wins tie rule a call's
+// completion wait follows (a trigger landing exactly on the deadline loses
+// to the timeout, whose Defer was armed at call time).
 var ErrUnreachable = errors.New("fabric: destination unreachable")
 
 // DefaultConnectTimeout is how long a call to a partitioned destination
@@ -148,7 +149,8 @@ func (n *Network) CutLink(a, b string) {
 	ls.cut = true
 	// Abort in-flight calls in call-start order. Trigger is first-value-
 	// wins, so a call that races a deadline at this same instant still
-	// resolves by WaitUntil's rule (the deadline wins the tie).
+	// resolves by the frame's tie rule (the deadline wins; see
+	// callFrame.deadlineFired).
 	aborted := ls.inflight
 	ls.inflight = nil
 	for _, ev := range aborted {

@@ -157,8 +157,8 @@ func TestCutLinkAbortsInFlight(t *testing.T) {
 }
 
 // TestCutRacesDeadlineTie: a deadline and a link cut landing at the same
-// virtual instant resolve in the deadline's favour — the same timeout-wins
-// rule Event.WaitUntil applies.
+// virtual instant resolve in the deadline's favour — the frame's
+// timeout-wins tie rule (callFrame.deadlineFired).
 func TestCutRacesDeadlineTie(t *testing.T) {
 	env := sim.NewEnv()
 	net := NewNetwork(env, IPoIB)

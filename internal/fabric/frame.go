@@ -226,7 +226,7 @@ func callT(nd, dst *Node, svc *service, t *sim.Task, req Msg, k func(Msg, error)
 		if f.ls.cut {
 			// Connect against a partitioned peer: hang for the connect
 			// timeout unless the deadline expires first (ties go to the
-			// deadline, as in Event.WaitUntilT). One deferred event either
+			// deadline, as in deadlineFired). One deferred event either
 			// way.
 			f.sp = optrace.StartSpan(t, optrace.LayerNet, svc.op)
 			f.sp.SetAttr("to", dst.name)
@@ -351,9 +351,10 @@ func (f *callFrame) afterRequest() {
 		optrace.Fork(t, f.env().Process(f.svc.name, f.fnServeProc))
 	}
 	if f.hasDeadline {
-		// Mirror Event.WaitUntilT: the timeout Defer is armed at
-		// registration and a trigger landing exactly on the deadline
-		// instant loses to it. The Defer holds its own reference — it
+		// The tie rule: the timeout Defer is armed here, at call time,
+		// so it is scheduled before any completion that lands on the
+		// deadline instant, and such a trigger loses to it (see
+		// deadlineFired). The Defer holds its own reference — it
 		// carries a prebound method on this frame, so the frame must not
 		// recycle (and be reissued) before the Defer has fired, even when
 		// the call itself completes early.
@@ -363,15 +364,17 @@ func (f *callFrame) afterRequest() {
 	f.wid = f.done.WaitFn(f.fnRespReady)
 }
 
-// deadlineFired is the timeout side of the completion wait; its logic is
-// WaitUntilT's, transplanted onto the frame. Whatever the outcome, it drops
-// the reference the deadline Defer held.
+// deadlineFired is the timeout side of the completion wait. A completion
+// that triggered strictly before the deadline has already been delivered;
+// one that triggered exactly on the deadline instant loses to the timeout;
+// one still pending is withdrawn and the timeout delivered in its place.
+// Whatever the outcome, it drops the reference the deadline Defer held.
 func (f *callFrame) deadlineFired() {
 	if f.done.Triggered() {
 		// Fired strictly earlier: respReady delivered long ago; nothing to
 		// do. Fired at this very instant: respReady is already scheduled
 		// and reads timedOut to deliver the timeout instead — ties go to
-		// the deadline, as in WaitUntilT.
+		// the deadline.
 		if f.done.TriggeredAt() >= f.deadline {
 			f.timedOut = true
 		}

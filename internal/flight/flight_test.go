@@ -1,6 +1,9 @@
 package flight_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 	"time"
@@ -120,5 +123,43 @@ func BenchmarkFlightAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Append(at(int64(i)), flight.KindForward, "client0", "read", int64(i))
+	}
+}
+
+// TestEveryKindIsNamed: each Kind constant flight.go declares has its own
+// name in Kind.String, so a dump never prints "?" for a record some layer
+// can append. The constants are read from the source, so adding one without
+// its String case fails here.
+func TestEveryKindIsNamed(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "flight.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		if vs, ok := n.(*ast.ValueSpec); ok {
+			for _, name := range vs.Names {
+				if strings.HasPrefix(name.Name, "Kind") {
+					declared++
+				}
+			}
+		}
+		return true
+	})
+	if declared == 0 {
+		t.Fatal("found no Kind constants in flight.go")
+	}
+	seen := make(map[string]flight.Kind)
+	for k := flight.Kind(0); int(k) < declared; k++ {
+		name := k.String()
+		if name == "?" {
+			t.Errorf("Kind %d is declared but Kind.String does not name it", k)
+		} else if prev, dup := seen[name]; dup {
+			t.Errorf("Kinds %d and %d share the name %q", prev, k, name)
+		}
+		seen[name] = k
+	}
+	if got := flight.Kind(declared).String(); got != "?" {
+		t.Errorf("Kind %d is named %q but not declared", declared, got)
 	}
 }

@@ -114,8 +114,8 @@ func Lift(fs FS) TaskFS {
 	return lifted{fs}
 }
 
-// lifted is Lift's shim over a blocking-only xlator (the Lustre client,
-// write-behind, io-cache, a fault oracle, ...).
+// lifted is Lift's shim over a blocking-only file system (the Lustre and
+// NFS clients, the fault oracle, the trace recorder).
 type lifted struct{ FS }
 
 func (l lifted) TaskReady() bool { return false }

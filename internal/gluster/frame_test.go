@@ -31,20 +31,14 @@ type frameVolume struct {
 
 const framePath = "/frames/f"
 
-// A sched volume keeps the file on a disk.SchedDisk, which exists only in
-// blocking form.
-func newFrameVolume(t *testing.T, sched bool) *frameVolume {
+func newFrameVolume(t *testing.T) *frameVolume {
 	t.Helper()
 	fabric.SetFramePoison(true)
 	t.Cleanup(func() { fabric.SetFramePoison(false) })
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
 	srvNode, cliNode := net.NewNode("server", 8), net.NewNode("client0", 8)
-	params := disk.Params{SeekTime: 10 * time.Millisecond, TransferRate: 100e6}
-	var dev disk.Device = disk.New(env, params)
-	if sched {
-		dev = disk.NewSched(env, params, disk.Elevator)
-	}
+	dev := disk.New(env, disk.Params{SeekTime: 10 * time.Millisecond, TransferRate: 100e6})
 	v := &frameVolume{env: env, ref: blob.Synthetic(7, 0, 64<<10).Bytes()}
 	v.px = NewPosix(env, PosixConfig{Dev: dev, CacheBytes: 1 << 30, ReadaheadBytes: -1})
 	v.srv = NewServer(srvNode, v.px, ServerConfig{IOThreads: 1})
@@ -114,7 +108,7 @@ func (v *frameVolume) churn(t *testing.T, n int) {
 // further operations over the same pools must read what the reference holds,
 // the abandoned write included.
 func TestAbandonedRPCsThenReuse(t *testing.T) {
-	v := newFrameVolume(t, false)
+	v := newFrameVolume(t)
 	v.holdThread(t)
 	col := optrace.NewCollector()
 	payload := blob.Synthetic(11, 8192, 3000)
@@ -157,7 +151,7 @@ func TestAbandonedRPCsThenReuse(t *testing.T) {
 // Either way the pools survive, and after Recover the mount reads what the
 // reference holds.
 func TestServerFailBetweenRequestAndResponse(t *testing.T) {
-	v := newFrameVolume(t, false)
+	v := newFrameVolume(t)
 	issue := func(wantErr error, payload blob.Blob) {
 		t.Helper()
 		done := 0
@@ -192,22 +186,4 @@ func TestServerFailBetweenRequestAndResponse(t *testing.T) {
 	copy(v.ref[20000:], accepted.Bytes())
 
 	v.churn(t, 200)
-}
-
-// TestFramesUnderAwaitedDaemon puts a blocking-only device under the brick:
-// the storage stack is not task-ready, so the daemon serves each request on a
-// process awaiting handleT and the same pooled frames run on a task that
-// fronts a process.
-func TestFramesUnderAwaitedDaemon(t *testing.T) {
-	v := newFrameVolume(t, true)
-	if v.px.TaskReady() {
-		t.Fatal("posix over a blocking-only device must not report task-ready")
-	}
-	v.churn(t, 1000)
-	// The churn process resumes inside its continuation, before the fabric
-	// retires the call, so its next request draws a second client frame.
-	if len(v.srv.ops) != 1 || len(v.px.ops) != 1 || len(v.cli.ops) != 2 {
-		t.Errorf("serial operations pooled %d daemon, %d posix and %d client frames, want 1, 1 and 2",
-			len(v.srv.ops), len(v.px.ops), len(v.cli.ops))
-	}
 }

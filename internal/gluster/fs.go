@@ -12,10 +12,10 @@
 //
 // All operations advance virtual time. The package's own xlators implement
 // each operation once, in continuation style (TaskFS), and derive the
-// blocking FS methods from that (Blocking); blocking-only xlators —
-// read-ahead, write-behind, io-cache, io-stats, and foreign file systems —
-// are ordinary process code on top of FS and are held by the others
-// through Lift.
+// blocking FS methods from that (Blocking); blocking-only file systems —
+// the Lustre and NFS clients, the fault oracle, the trace recorder — are
+// ordinary process code on top of FS and are held by the others through
+// Lift.
 package gluster
 
 import (
@@ -109,9 +109,9 @@ type TaskFS interface {
 	// TaskReady reports whether this instance's whole downward stack is
 	// continuation-style, so its operations can run on any task — one
 	// started by Env.StartTask, or a fabric frame's server-side actor.
-	// When it is not (a lifted blocking xlator or device sits somewhere
-	// below), the *T operations still work, but only on a task that fronts
-	// a process (sim.Proc.Await).
+	// When it is not (a lifted blocking xlator sits somewhere below), the
+	// *T operations still work, but only on a task that fronts a process
+	// (sim.Proc.Await).
 	TaskReady() bool
 }
 

@@ -71,11 +71,8 @@ type openFile struct {
 // GlusterFS server ("brick").
 type Posix struct {
 	Blocking
-	env *sim.Env
-	// dev is the backing device; devReady records whether it is natively
-	// continuation-style or a lifted blocking device (see TaskReady).
-	dev       disk.TaskDevice
-	devReady  bool
+	env       *sim.Env
+	dev       disk.Device
 	cache     *pagecache.Cache
 	pageSize  int64
 	readahead int64
@@ -113,11 +110,9 @@ func NewPosix(env *sim.Env, cfg PosixConfig) *Posix {
 	case ra < 0:
 		ra = 0
 	}
-	_, ready := cfg.Dev.(disk.TaskDevice)
 	p := &Posix{
 		env:       env,
-		dev:       disk.Lift(cfg.Dev),
-		devReady:  ready,
+		dev:       cfg.Dev,
 		cache:     pagecache.New(cfg.CacheBytes, ps),
 		pageSize:  ps,
 		readahead: ra,
@@ -130,9 +125,9 @@ func NewPosix(env *sim.Env, cfg PosixConfig) *Posix {
 	return p
 }
 
-// TaskReady implements TaskFS: the storage xlator is task-capable when its
-// device can serve accesses on any task.
-func (px *Posix) TaskReady() bool { return px.devReady }
+// TaskReady implements TaskFS: every disk.Device serves accesses on any
+// task, so the storage xlator always does.
+func (px *Posix) TaskReady() bool { return true }
 
 // Cache exposes the buffer cache (for stats and cold-cache experiments).
 func (px *Posix) Cache() *pagecache.Cache { return px.cache }

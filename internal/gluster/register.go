@@ -33,29 +33,6 @@ func (s *Server) Register(reg *telemetry.Registry, prefix string) {
 	reg.Gauge(prefix+".threads_util", func() float64 { return s.threads.Utilization() })
 }
 
-// Register exposes io-cache effectiveness under prefix.
-func (io *IOCache) Register(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+".hits", func() uint64 { return io.Hits })
-	reg.Counter(prefix+".misses", func() uint64 { return io.Misses })
-	reg.Counter(prefix+".revalidations", func() uint64 { return io.Revalidations })
-	reg.Counter(prefix+".stale", func() uint64 { return io.Stale })
-	reg.Rate(prefix+".hit_rate",
-		func() uint64 { return io.Hits },
-		func() uint64 { return io.Hits + io.Misses })
-}
-
-// Register exposes read-ahead effectiveness under prefix.
-func (ra *ReadAhead) Register(reg *telemetry.Registry, prefix string) {
-	reg.IntCounter(prefix+".prefetched_bytes", func() int64 { return ra.PrefetchedBytes })
-	reg.IntCounter(prefix+".served_bytes", func() int64 { return ra.ServedFromRA })
-}
-
-// Register exposes write-behind effectiveness under prefix.
-func (wb *WriteBehind) Register(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+".flushes", func() uint64 { return wb.Flushes })
-	reg.IntCounter(prefix+".aggregated_bytes", func() int64 { return wb.AggregatedBytes })
-}
-
 // Register exposes the distribute xlator's routing counters under prefix:
 // how path operations hashed across subvolumes, how descriptor operations
 // followed their issuing brick, and how many namespace operations fanned to
@@ -81,13 +58,4 @@ func (f *Fuse) Register(reg *telemetry.Registry, prefix string) {
 	f.readHist = reg.Hist(prefix + ".read_lat")
 	f.writeHist = reg.Hist(prefix + ".write_lat")
 	f.statHist = reg.Hist(prefix + ".stat_lat")
-}
-
-// Register exposes the io-stats layer's byte counters under prefix. The
-// per-operation latency histograms stay pull-only (Op, Dump): they are
-// keyed by whichever operation names the workload happens to issue, and
-// instrument registration must be deterministic.
-func (s *IOStats) Register(reg *telemetry.Registry, prefix string) {
-	reg.IntCounter(prefix+".read_bytes", func() int64 { return s.ReadB })
-	reg.IntCounter(prefix+".write_bytes", func() int64 { return s.WriteB })
 }

@@ -1,6 +1,7 @@
 package gluster
 
 import (
+	"fmt"
 	"time"
 
 	"imca/internal/blob"
@@ -59,28 +60,20 @@ func NewServer(node *fabric.Node, child FS, cfg ServerConfig) *Server {
 	if cfg.PerByteCPUNanos == 0 {
 		cfg.PerByteCPUNanos = DefaultServerConfig.PerByteCPUNanos
 	}
+	// Requests are served on the fabric frame's own task, so the whole
+	// brick stack must be continuation-style.
+	tfs := AsTaskFS(child)
+	if tfs == nil {
+		panic(fmt.Sprintf("gluster: NewServer: child %T is not task-ready", child))
+	}
 	s := &Server{
 		node:    node,
-		child:   Lift(child),
+		child:   tfs,
 		cfg:     cfg,
 		threads: sim.NewResource(node.Network().Env(), cfg.IOThreads),
 		Ops:     make(map[string]uint64),
 	}
-	if s.child.TaskReady() {
-		node.HandleT(ServiceName, s.handleT)
-	} else {
-		// Something below needs a process to block on (a lifted xlator or
-		// device): serve each request on a process awaiting handleT.
-		node.Handle(ServiceName, func(p *sim.Proc, from *fabric.Node, req fabric.Msg) (resp fabric.Msg) {
-			p.Await(func(t *sim.Task) {
-				s.handleT(t, from, req, func(m fabric.Msg) {
-					resp = m
-					t.End()
-				})
-			})
-			return resp
-		})
-	}
+	node.HandleT(ServiceName, s.handleT)
 	return s
 }
 

@@ -2,12 +2,8 @@ package lint
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -299,87 +295,4 @@ func isByteOrRuneSlice(t types.Type) bool {
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8 || b.Kind() == types.Rune || b.Kind() == types.Int32)
-}
-
-// Root is one hot-path annotation, as reported by HotPathRoots: the
-// function's qualified name ("internal/sim.Env.RunUntil"), where it is,
-// and the annotation's note.
-type Root struct {
-	Name string
-	File string
-	Line int
-	Note string
-}
-
-// HotPathRoots scans the packages matched by patterns for
-// //imcalint:hotpath annotations without type-checking anything — a
-// parse-only pass cheap enough for other tools (cmd/benchdiff) to
-// cross-check their hot-path coverage against the lint roots.
-func HotPathRoots(root string, patterns []string) ([]Root, error) {
-	dirs, err := expandPatterns(root, patterns)
-	if err != nil {
-		return nil, err
-	}
-	var out []Root
-	fset := token.NewFileSet()
-	for _, dir := range dirs {
-		files, err := goFilesIn(dir)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return nil, err
-		}
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return nil, err
-		}
-		rel = filepath.ToSlash(rel)
-		for _, name := range files {
-			path := filepath.Join(dir, name)
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
-					continue
-				}
-				for _, c := range fd.Doc.List {
-					rest, ok := strings.CutPrefix(c.Text, hotpathPrefix)
-					if !ok {
-						continue
-					}
-					qual := fd.Name.Name
-					if fd.Recv != nil && len(fd.Recv.List) > 0 {
-						qual = recvTypeName(fd.Recv.List[0].Type) + "." + qual
-					}
-					out = append(out, Root{
-						Name: rel + "." + qual,
-						File: rel + "/" + name,
-						Line: fset.Position(c.Pos()).Line,
-						Note: strings.TrimSpace(rest),
-					})
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
-
-// recvTypeName renders a receiver type expression as its base type name.
-func recvTypeName(expr ast.Expr) string {
-	switch t := ast.Unparen(expr).(type) {
-	case *ast.StarExpr:
-		return recvTypeName(t.X)
-	case *ast.IndexExpr:
-		return recvTypeName(t.X)
-	case *ast.IndexListExpr:
-		return recvTypeName(t.X)
-	case *ast.Ident:
-		return t.Name
-	}
-	return "?"
 }

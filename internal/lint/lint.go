@@ -6,7 +6,7 @@
 // iterated into a report, a closure allocated inside the dispatch loop —
 // so this package makes them machine-checked rather than conventional.
 //
-// Eight checks are implemented, each over the parsed and type-checked
+// Seven checks are implemented, each over the parsed and type-checked
 // source of the packages under analysis (stdlib tooling only: go/parser,
 // go/ast, go/types, go/importer):
 //
@@ -25,7 +25,7 @@
 //   - nogoroutine: no go statements, channel operations, or sync
 //     primitives anywhere except an explicit host-side allowlist
 //     (Config.HostSide); the kernel runs exactly one goroutine at a time
-//     and concurrency belongs to sim.Chan/sim.Event. Host-side packages
+//     and concurrency belongs to sim.Event/sim.Resource. Host-side packages
 //     (the parallel sweep engine, the real memcached daemon) are exempt
 //     as whole packages rather than line by line, so a new go statement
 //     in simulated code can never hide behind a stale suppression.
@@ -37,15 +37,9 @@
 //     string concatenation, interface boxing — reachable from a function
 //     annotated //imcalint:hotpath. The annotation turns the runtime
 //     AllocsPerRun guarantees of the dispatch loop, Hist.Observe and
-//     flight.Append into compile-time ones; remaining allocations on the
-//     task completion chains are held in lint.baseline as an explicit
-//     burn-down list.
-//   - instrcomplete: instrument names registered in one function are
-//     unique (a duplicate panics at wiring time; this catches it at
-//     compile time), a type with a full hot-path operation surface
-//     registers telemetry instruments, every flight.Recorder.Append site
-//     passes a declared flight.Kind constant, and every flight.Kind
-//     constant is named by Kind.String.
+//     flight.Append into compile-time ones; the bounded allocations
+//     left on the task completion chains (pool refills, amortised
+//     growth) each carry an allow annotation saying why.
 //   - errdrop: no module-internal error result silently dropped in an
 //     expression statement, and no completion-callback parameter a
 //     function accepts but never calls or forwards — a dropped
@@ -58,11 +52,8 @@
 //
 // on the offending line or the line immediately above it. The reason is
 // mandatory, and a suppression that matches no finding is itself reported,
-// so the set of exceptions stays exact and self-documenting. Known
-// findings that are tracked for burn-down rather than suppressed line by
-// line live in a committed baseline file (see Config.BaselinePath and
-// WriteBaseline); a baseline entry that no longer matches any finding is
-// reported as stale so the file can only shrink by regeneration.
+// so the set of exceptions stays exact and self-documenting, and can only
+// shrink when the finding under it goes.
 package lint
 
 import (
@@ -77,7 +68,7 @@ import (
 // Checks is the set of valid check names, in reporting order.
 var Checks = []string{
 	"wallclock", "rand", "maprange", "nogoroutine", "tickpurity",
-	"allocfree", "instrcomplete", "errdrop",
+	"allocfree", "errdrop",
 }
 
 // Finding is one rule violation.
@@ -111,29 +102,11 @@ type Config struct {
 	// scheduling calls and actor types. Empty disables those recognitions
 	// (the checks still run on syntax).
 	SimPath string
-	// TelemetryPath is the import path of the telemetry package, used by
-	// instrcomplete to recognize Registry registration calls.
-	TelemetryPath string
-	// FlightPath is the import path of the flight-recorder package, used
-	// by instrcomplete to validate Append record kinds.
-	FlightPath string
-
 	// Enabled restricts the run to the named checks (nil or empty runs
 	// all of them). Suppression validation is restricted to the enabled
 	// set so filtering a check out never reports its suppressions as
 	// stale.
 	Enabled []string
-	// BaselinePath, when non-empty, names the committed baseline file
-	// (relative paths resolve against the module root). Findings matching
-	// a baseline entry are dropped; entries matching no finding are
-	// reported as stale so the baseline can only shrink by regeneration.
-	// A missing file is simply an empty baseline.
-	BaselinePath string
-	// CacheDir, when non-empty, enables per-package result caching keyed
-	// on the content hashes of the package's files and its module-internal
-	// transitive dependencies. Cached packages skip parsing and
-	// type-checking entirely.
-	CacheDir string
 }
 
 // DefaultConfig returns the repository's own policy for the given module
@@ -150,10 +123,8 @@ func DefaultConfig(module string) *Config {
 			sub("memcache"),
 			module + "/cmd/memcached",
 		},
-		RandAllowed:   []string{sub("xrand")},
-		SimPath:       sub("sim"),
-		TelemetryPath: sub("telemetry"),
-		FlightPath:    sub("flight"),
+		RandAllowed: []string{sub("xrand")},
+		SimPath:     sub("sim"),
 	}
 }
 
@@ -191,9 +162,8 @@ func contains(xs []string, s string) bool {
 // Run analyzes the packages matched by patterns (import-path-relative
 // directory patterns such as "./...", "./internal/...", or a single
 // directory) under the module rooted at root, and returns the surviving
-// findings sorted by position. Suppressed and baselined findings are
-// dropped; malformed or unused suppressions and stale baseline entries
-// are reported as findings themselves.
+// findings sorted by position. Suppressed findings are dropped; malformed
+// or unused suppressions are reported as findings themselves.
 func Run(root string, patterns []string, cfg *Config) ([]Finding, error) {
 	enabled, err := cfg.enabledSet()
 	if err != nil {
@@ -203,22 +173,9 @@ func Run(root string, patterns []string, cfg *Config) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	module, err := modulePath(filepath.Join(root, "go.mod"))
+	ld, err := newLoader(root)
 	if err != nil {
 		return nil, err
-	}
-
-	cache := openCache(root, cfg)
-	hasher := newDepHasher(root, module)
-
-	// The loader is built lazily: when every target package hits the
-	// cache, nothing is parsed or type-checked at all.
-	var ld *loader
-	loaderFor := func() (*loader, error) {
-		if ld == nil {
-			ld, err = newLoader(root)
-		}
-		return ld, err
 	}
 
 	var findings []Finding
@@ -229,61 +186,27 @@ func Run(root string, patterns []string, cfg *Config) ([]Finding, error) {
 		} else if !ok {
 			continue
 		}
-		path, err := importPathIn(root, module, dir)
-		if err != nil {
-			return nil, err
-		}
-		key := ""
-		if cache != nil {
-			key, err = hasher.key(dir, cfg, enabled)
-			if err != nil {
-				return nil, err
-			}
-			if ent, ok := cache.get(path, key); ok {
-				findings = append(findings, ent.findings()...)
-				sups = append(sups, ent.suppressions()...)
-				continue
-			}
-		}
-		l, err := loaderFor()
-		if err != nil {
-			return nil, err
-		}
-		pkg, err := l.loadDir(dir)
+		pkg, err := ld.loadDir(dir)
 		if err != nil {
 			return nil, err
 		}
 		if pkg == nil {
 			continue
 		}
-		pf, ps := checkPackage(l, pkg, cfg, enabled)
-		relativize(root, pf, ps)
-		if cache != nil {
-			cache.put(path, key, pf, ps)
-		}
+		pf, ps := checkPackage(ld, pkg, cfg, enabled)
 		findings = append(findings, pf...)
 		sups = append(sups, ps...)
 	}
-	if cache != nil {
-		cache.save() // best-effort; a read-only tree just runs uncached
-	}
+	relativize(root, findings, sups)
 
 	findings = applySuppressions(findings, sups, enabled)
-	if cfg.BaselinePath != "" {
-		base, err := readBaseline(resolvePath(root, cfg.BaselinePath))
-		if err != nil {
-			return nil, err
-		}
-		findings = applyBaseline(findings, base, cfg.BaselinePath)
-	}
 	sortFindings(findings)
 	return dedupFindings(findings), nil
 }
 
 // checkPackage runs every enabled check over one package and collects its
-// suppressions. Findings may be positioned in dependency packages (the
-// reachability checks walk across package boundaries) but are attributed
-// to the analysis of pkg, which is what the cache keys on.
+// suppressions. Findings may be positioned in dependency packages: the
+// reachability checks walk across package boundaries.
 func checkPackage(ld *loader, pkg *pkgInfo, cfg *Config, enabled map[string]bool) ([]Finding, []*suppression) {
 	var findings []Finding
 	if enabled["wallclock"] {
@@ -304,9 +227,6 @@ func checkPackage(ld *loader, pkg *pkgInfo, cfg *Config, enabled map[string]bool
 	if enabled["allocfree"] {
 		findings = append(findings, checkAllocFree(ld, pkg, cfg)...)
 	}
-	if enabled["instrcomplete"] {
-		findings = append(findings, checkInstrComplete(pkg, cfg)...)
-	}
 	if enabled["errdrop"] {
 		findings = append(findings, checkErrDrop(ld, pkg, cfg)...)
 	}
@@ -316,8 +236,8 @@ func checkPackage(ld *loader, pkg *pkgInfo, cfg *Config, enabled map[string]bool
 }
 
 // relativize rewrites finding and suppression positions relative to the
-// module root so output — and the cache, and the baseline — is stable no
-// matter where the analyzer was invoked from.
+// module root so output is stable no matter where the analyzer was invoked
+// from.
 func relativize(root string, findings []Finding, sups []*suppression) {
 	rel := func(name string) string {
 		if r, err := filepath.Rel(root, name); err == nil && !strings.HasPrefix(r, "..") {
@@ -331,13 +251,6 @@ func relativize(root string, findings []Finding, sups []*suppression) {
 	for _, s := range sups {
 		s.file = rel(s.file)
 	}
-}
-
-func resolvePath(root, path string) string {
-	if filepath.IsAbs(path) {
-		return path
-	}
-	return filepath.Join(root, path)
 }
 
 func sortFindings(findings []Finding) {
@@ -396,22 +309,6 @@ func FindModuleRoot(dir string) (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// importPathIn maps a directory inside the module to its import path
-// without needing a loader.
-func importPathIn(root, module, dir string) (string, error) {
-	rel, err := filepath.Rel(root, dir)
-	if err != nil {
-		return "", err
-	}
-	if rel == "." {
-		return module, nil
-	}
-	if strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("lint: %s is outside module root %s", dir, root)
-	}
-	return module + "/" + filepath.ToSlash(rel), nil
 }
 
 // expandPatterns resolves "./..." style patterns to package directories

@@ -20,13 +20,6 @@ func moduleRoot(t *testing.T) string {
 	return root
 }
 
-// goldenConfig tweaks the default config for fixtures that exercise a
-// path-dependent rule (the flight-recorder package is pointed at the
-// fixture itself so the Kind.String totality rule runs there).
-var goldenConfig = map[string]func(*Config){
-	"flightkind": func(cfg *Config) { cfg.FlightPath = "imca/internal/lint/testdata/flightkind" },
-}
-
 // TestGolden runs the analyzer over each fixture package and compares the
 // findings against its expected.txt, byte for byte. Each fixture
 // exercises one check (plus one for the suppression machinery), so a
@@ -35,15 +28,11 @@ func TestGolden(t *testing.T) {
 	root := moduleRoot(t)
 	for _, name := range []string{
 		"wallclock", "randpkg", "maprange", "nogoroutine", "hostside", "tickpurity",
-		"allocfree", "instrcomplete", "flightkind", "errdrop", "suppress",
+		"allocfree", "errdrop", "suppress",
 	} {
 		t.Run(name, func(t *testing.T) {
 			rel := "internal/lint/testdata/" + name
-			cfg := DefaultConfig("imca")
-			if tweak, ok := goldenConfig[name]; ok {
-				tweak(cfg)
-			}
-			findings, err := Run(root, []string{"./" + rel}, cfg)
+			findings, err := Run(root, []string{"./" + rel}, DefaultConfig("imca"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,15 +56,12 @@ func TestGolden(t *testing.T) {
 }
 
 // TestRepoClean is the acceptance invariant: the analyzer comes up clean
-// on its own repository under the committed baseline. Any new finding
-// either needs a fix, an explicit //imcalint:allow annotation, or a
-// deliberate, reviewed regeneration of lint.baseline; a baseline entry
-// outliving its finding fails here too, as a stale report.
+// on its own repository. Any new finding needs a fix or an explicit
+// //imcalint:allow annotation with its reason; an annotation outliving its
+// finding fails here too, as an unused suppression.
 func TestRepoClean(t *testing.T) {
 	root := moduleRoot(t)
-	cfg := DefaultConfig("imca")
-	cfg.BaselinePath = "lint.baseline"
-	findings, err := Run(root, []string{"./..."}, cfg)
+	findings, err := Run(root, []string{"./..."}, DefaultConfig("imca"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,270 +183,38 @@ func TestEnabledFilter(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip pins the burn-down workflow: WriteBaseline
-// records a fixture's findings, and a run against that baseline is
-// clean — with line-number drift tolerated, since matching is on
-// (file, check, message) only.
-func TestBaselineRoundTrip(t *testing.T) {
-	root := moduleRoot(t)
-	pat := []string{"./internal/lint/testdata/errdrop"}
-	base := filepath.Join(t.TempDir(), "base.txt")
-
-	n, err := WriteBaseline(root, pat, DefaultConfig("imca"), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("WriteBaseline recorded %d findings, want 2", n)
-	}
-
-	cfg := DefaultConfig("imca")
-	cfg.BaselinePath = base
-	findings, err := Run(root, pat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
-		t.Errorf("baselined run not clean: %v", findings)
-	}
-
-	// Shift every recorded line number: still clean.
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shifted := strings.ReplaceAll(string(data), ".go:1", ".go:99")
-	if shifted == string(data) {
-		t.Fatal("test premise broken: no line numbers to shift")
-	}
-	if err := os.WriteFile(base, []byte(shifted), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	findings, err = Run(root, pat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
-		t.Errorf("line-shifted baseline stopped matching: %v", findings)
-	}
-}
-
-// TestBaselineStale verifies the shrink-only property: an entry matching
-// no finding surfaces as a "baseline" finding pointing into the baseline
-// file itself, and malformed entries are hard errors.
-func TestBaselineStale(t *testing.T) {
-	root := moduleRoot(t)
-	pat := []string{"./internal/lint/testdata/errdrop"}
-	base := filepath.Join(t.TempDir(), "base.txt")
-	entry := "internal/lint/testdata/errdrop/errdrop.go:1: [errdrop] no such finding\n"
-	if err := os.WriteFile(base, []byte("# header\n"+entry), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := DefaultConfig("imca")
-	cfg.BaselinePath = base
-	findings, err := Run(root, pat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stale int
-	for _, f := range findings {
-		if f.Check == "baseline" {
-			stale++
-			if f.Pos.Filename != base || f.Pos.Line != 2 {
-				t.Errorf("stale report points at %s:%d, want %s:2", f.Pos.Filename, f.Pos.Line, base)
-			}
-		}
-	}
-	if stale != 1 {
-		t.Errorf("got %d stale baseline findings, want 1 (all: %v)", stale, findings)
-	}
-
-	if err := os.WriteFile(base, []byte("not a finding line\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(root, pat, cfg); err == nil {
-		t.Error("malformed baseline entry accepted")
-	}
-}
-
-// TestBaselineSuppressionPrecedence pins the interaction of the two
-// exception mechanisms: suppressions apply first, so a finding covered by
-// both consumes its //imcalint:allow annotation and leaves the baseline
-// entry stale. One finding cannot justify two exceptions.
-func TestBaselineSuppressionPrecedence(t *testing.T) {
-	root := moduleRoot(t)
-	pat := []string{"./internal/lint/testdata/errdrop"}
-	// The fixture's Allowed function suppresses exactly this finding.
-	entry := "internal/lint/testdata/errdrop/errdrop.go:27: [errdrop] callback parameter k of Allowed is never invoked or forwarded — a stranded completion surfaces only as a deadlock; name it _ to declare the drop\n"
-	base := filepath.Join(t.TempDir(), "base.txt")
-	if err := os.WriteFile(base, []byte(entry), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := DefaultConfig("imca")
-	cfg.BaselinePath = base
-	findings, err := Run(root, pat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stale, errdrop int
-	for _, f := range findings {
-		switch f.Check {
-		case "baseline":
-			stale++
-		case "errdrop":
-			errdrop++
-		}
-	}
-	if stale != 1 {
-		t.Errorf("suppressed finding absorbed the baseline entry: %v", findings)
-	}
-	if errdrop != 2 {
-		t.Errorf("got %d errdrop findings, want the fixture's 2: %v", errdrop, findings)
-	}
-}
-
-// TestCacheReuse verifies the result cache end to end on the fixture
-// whose findings exercise the most machinery (suppress: cached
-// suppression state must be revalidated, not replayed): a second run
-// reuses the cache file and reproduces the first run's findings exactly.
-func TestCacheReuse(t *testing.T) {
-	root := moduleRoot(t)
-	for _, name := range []string{"suppress", "errdrop"} {
-		t.Run(name, func(t *testing.T) {
-			pat := []string{"./internal/lint/testdata/" + name}
-			cfg := DefaultConfig("imca")
-			cfg.CacheDir = t.TempDir()
-
-			first, err := Run(root, pat, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(filepath.Join(cfg.CacheDir, "imcalint.json")); err != nil {
-				t.Fatalf("cache file not written: %v", err)
-			}
-			second, err := Run(root, pat, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(first) == 0 || len(first) != len(second) {
-				t.Fatalf("cached run differs: %d vs %d findings", len(first), len(second))
-			}
-			for i := range first {
-				if first[i].String() != second[i].String() {
-					t.Errorf("finding %d differs: %q vs %q", i, first[i], second[i])
-				}
-			}
-		})
-	}
-}
-
-// TestCacheKeyFingerprint verifies that policy changes invalidate cache
-// keys: the same package hashes differently under a different enabled-
-// check set or host-side allowlist, so stale results can never be reused
-// across config changes.
-func TestCacheKeyFingerprint(t *testing.T) {
-	root := moduleRoot(t)
-	module, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(root, "internal/lint/testdata/errdrop")
-	h := newDepHasher(root, module)
-	cfg := DefaultConfig("imca")
-
-	all := map[string]bool{}
-	for _, c := range Checks {
-		all[c] = true
-	}
-	base, err := h.key(dir, cfg, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := h.key(dir, cfg, map[string]bool{"errdrop": true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base == one {
-		t.Error("enabled-check set not in the cache key")
-	}
-	cfg2 := DefaultConfig("imca")
-	cfg2.HostSide = append(cfg2.HostSide, "imca/internal/lint/testdata/errdrop")
-	host, err := h.key(dir, cfg2, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base == host {
-		t.Error("host-side allowlist not in the cache key")
-	}
-	again, err := newDepHasher(root, module).key(dir, cfg, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base != again {
-		t.Error("cache key not deterministic across hasher instances")
-	}
-}
-
-// TestHotPathRoots verifies the parse-only root listing that cmd/benchdiff
-// cross-checks benchmark coverage against: the repo's annotated roots are
-// found without type-checking, with their notes.
+// TestHotPathRoots: the functions whose allocation contracts are pinned at
+// run time by AllocsPerRun tests (and the bank client's GetT, which the
+// stat path rides) each carry //imcalint:hotpath with its note, so
+// allocfree guards the same paths statically. A missing annotation fails
+// by name.
 func TestHotPathRoots(t *testing.T) {
 	root := moduleRoot(t)
-	roots, err := HotPathRoots(root, []string{"./internal/sim", "./internal/flight", "./internal/telemetry"})
+	ld, err := newLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{
-		"internal/sim.Env.RunUntil":       false,
-		"internal/flight.Recorder.Append": false,
-		"internal/telemetry.Hist.Observe": false,
-	}
-	for _, r := range roots {
-		if _, ok := want[r.Name]; ok {
-			want[r.Name] = true
+	for _, want := range []struct{ dir, fn string }{
+		{"internal/sim", "Env.RunUntil"},
+		{"internal/telemetry", "Hist.Observe"},
+		{"internal/metrics", "Histogram.Observe"},
+		{"internal/flight", "Recorder.Append"},
+		{"internal/memcache", "SimClient.GetT"},
+	} {
+		pkg, err := ld.loadDir(filepath.Join(root, want.dir))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Note == "" {
-			t.Errorf("root %s has an empty note", r.Name)
+		roots, bad := collectHotpathRoots(pkg)
+		for _, f := range bad {
+			t.Errorf("%s", f)
 		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("annotated root %s not listed (got %v)", name, roots)
+		found := false
+		for _, r := range roots {
+			found = found || funcKey(r.fn) == want.fn
 		}
-	}
-}
-
-// TestOutputForms verifies that the JSON and SARIF encodings agree with
-// the text form on count and content.
-func TestOutputForms(t *testing.T) {
-	root := moduleRoot(t)
-	findings, err := Run(root, []string{"./internal/lint/testdata/errdrop"}, DefaultConfig("imca"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jsonBuf, sarifBuf strings.Builder
-	if err := WriteJSON(&jsonBuf, findings); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSARIF(&sarifBuf, findings); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		if !strings.Contains(jsonBuf.String(), f.Msg) {
-			t.Errorf("JSON output missing finding %q", f.Msg)
-		}
-		if !strings.Contains(sarifBuf.String(), f.Msg) {
-			t.Errorf("SARIF output missing finding %q", f.Msg)
-		}
-	}
-	if !strings.Contains(sarifBuf.String(), `"version": "2.1.0"`) {
-		t.Error("SARIF output missing version")
-	}
-	for _, check := range Checks {
-		if !strings.Contains(sarifBuf.String(), `"id": "`+check+`"`) {
-			t.Errorf("SARIF rules missing check %s", check)
+		if !found {
+			t.Errorf("%s.%s is not annotated //imcalint:hotpath", want.dir, want.fn)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // time, so go statements, native channels, and sync primitives in
 // simulated code either deadlock, race, or — worst — silently reorder
 // events between runs. Concurrency in simulated code is expressed with
-// sim.Chan, sim.Event, and sim.Resource. The kernel's own goroutine
+// sim.Event, sim.Resource, and sim.Barrier. The kernel's own goroutine
 // handshake carries explicit suppressions; packages that are genuinely
 // host-side (worker pools, real daemons) are exempted as whole packages
 // via Config.HostSide.
@@ -38,15 +38,15 @@ func checkNoGoroutine(pkg *pkgInfo, cfg *Config) []Finding {
 			case *ast.GoStmt:
 				flag(n.Pos(), "go statement in a sim-side package — spawn sim processes (Env.Process) instead")
 			case *ast.SendStmt:
-				flag(n.Pos(), "native channel send in a sim-side package — use sim.Chan for virtual-time messaging")
+				flag(n.Pos(), "native channel send in a sim-side package — use sim.Event for virtual-time signalling")
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW {
-					flag(n.Pos(), "native channel receive in a sim-side package — use sim.Chan for virtual-time messaging")
+					flag(n.Pos(), "native channel receive in a sim-side package — use sim.Event for virtual-time signalling")
 				}
 			case *ast.SelectStmt:
-				flag(n.Pos(), "select statement in a sim-side package — use sim.Event/sim.Chan for virtual-time choice")
+				flag(n.Pos(), "select statement in a sim-side package — use sim.Event for virtual-time choice")
 			case *ast.ChanType:
-				flag(n.Pos(), "native channel type in a sim-side package — use sim.Chan for virtual-time messaging")
+				flag(n.Pos(), "native channel type in a sim-side package — use sim.Event for virtual-time signalling")
 				return false // make(chan T) holds the ChanType; one finding is enough
 			}
 			return true

@@ -25,9 +25,8 @@ var simSchedMethods = map[string]bool{
 	"Proc.Sleep": true, "Proc.Yield": true, "Proc.Spawn": true, "Proc.park": true,
 	"Proc.Await": true,
 	"Task.Sleep": true, "Task.End": true, "Task.Start": true, "Task.Block": true,
-	"Event.Wait": true, "Event.WaitUntil": true, "Event.Trigger": true,
-	"Event.WaitT": true, "Event.WaitUntilT": true, "Event.WaitFn": true,
-	"Chan.Send": true, "Chan.TrySend": true, "Chan.Recv": true, "Chan.TryRecv": true,
+	"Event.Wait": true, "Event.Trigger": true,
+	"Event.WaitT": true, "Event.WaitFn": true,
 	"Resource.Acquire": true, "Resource.Release": true, "Resource.Use": true,
 	"Resource.AcquireT": true, "Resource.UseT": true,
 	"Barrier.Wait": true, "Barrier.WaitT": true,

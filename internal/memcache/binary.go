@@ -134,8 +134,9 @@ func serveBinary(store *Store, r *bufio.Reader, bw *bufio.Writer) error {
 	// buffer instead of allocating per message.
 	var bufs bufpool.Pool
 	for {
-		// The text loop's rule: flush when the next read could block.
-		if r.Buffered() == 0 {
+		// The text loop's rule: flush when the next read could block — here,
+		// when less than a whole header is buffered.
+		if r.Buffered() < 24 {
 			if err := w.Flush(); err != nil {
 				return err
 			}
@@ -177,6 +178,12 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, bufs *bufpool.
 		}
 		_, err := io.CopyN(io.Discard, r, int64(h.bodyLen))
 		return false, err
+	}
+	if r.Buffered() < int(h.bodyLen) {
+		// The body is still in flight: earlier replies leave first.
+		if err := w.Flush(); err != nil {
+			return false, err
+		}
 	}
 	body := bufs.Get(int(h.bodyLen))
 	defer bufs.Put(body)

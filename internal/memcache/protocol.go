@@ -2,6 +2,7 @@ package memcache
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -48,8 +49,9 @@ func serveText(store *Store, r *bufio.Reader, w *bufio.Writer) error {
 	c := &textConn{store: store, r: r, w: wireWriter{Writer: w}}
 	for {
 		// Replies leave when the next read could block, not per command: a
-		// pipelined batch that arrived in one read is answered in one write.
-		if r.Buffered() == 0 {
+		// pipelined batch that arrived in one read is answered in one write,
+		// but no reply waits behind a command whose end has yet to arrive.
+		if n := r.Buffered(); n == 0 || !holdsLine(r, n) {
 			if err := c.w.Flush(); err != nil {
 				return err
 			}
@@ -70,6 +72,13 @@ func serveText(store *Store, r *bufio.Reader, w *bufio.Writer) error {
 			return c.w.Flush()
 		}
 	}
+}
+
+// holdsLine reports whether the n bytes r has buffered include a line end,
+// so that reading the next line cannot block.
+func holdsLine(r *bufio.Reader, n int) bool {
+	buf, _ := r.Peek(n) // cannot fail: n bytes are buffered
+	return bytes.IndexByte(buf, '\n') >= 0
 }
 
 // dispatch handles one command line. It reports whether the peer asked to
@@ -187,6 +196,12 @@ func (c *textConn) storeCmd(op string, args []byte) error {
 	// The fields borrow the read buffer, which the data block overwrites:
 	// the key is copied first — the string the store then keeps.
 	key := string(f[0])
+	if int64(c.r.Buffered()) < nbytes+2 {
+		// The block is still in flight: earlier replies leave first.
+		if err := c.w.Flush(); err != nil {
+			return err
+		}
+	}
 	data, ok, err := readBlock(c.r, nbytes)
 	if err != nil {
 		return err

@@ -331,6 +331,7 @@ type getOp struct {
 }
 
 func newGetOp(c *SimClient) *getOp {
+	//imcalint:allow allocfree pool refill: takeGetOp builds a frame only when the free list is empty, so the count is bounded by the gets in flight at once
 	op := &getOp{c: c}
 	op.req.Keys = op.key[:1]
 	op.req.op = op

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"time"
@@ -93,43 +91,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		}
 	}
 	return h.max
-}
-
-// Render writes a compact textual distribution: one line per non-empty
-// bucket with a proportional bar.
-func (h *Histogram) Render(w io.Writer) {
-	if h.count == 0 {
-		fmt.Fprintln(w, "(no observations)")
-		return
-	}
-	var peak uint64
-	for _, c := range h.buckets {
-		if c > peak {
-			peak = c
-		}
-	}
-	fmt.Fprintf(w, "count=%d mean=%v min=%v max=%v p50=%v p99=%v\n",
-		h.count, h.Mean(), h.min, h.max, h.Quantile(0.5), h.Quantile(0.99))
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		lo := time.Duration(uint64(1)<<uint(i)) * time.Microsecond
-		if i == 0 {
-			lo = 0
-		}
-		hi := time.Duration(uint64(1)<<(uint(i)+1)) * time.Microsecond
-		bar := int(c * 40 / peak)
-		fmt.Fprintf(w, "%10v-%-10v %8d %s\n", lo, hi, c, stringsRepeat('#', bar))
-	}
-}
-
-func stringsRepeat(c byte, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = c
-	}
-	return string(b)
 }
 
 // Snapshot returns a copy of the histogram's current state. Snapshots

@@ -71,8 +71,8 @@ func TestNilSafety(t *testing.T) {
 		if sp.Dur() != 0 || sp.Self() != 0 || sp.Attr("k") != "" {
 			t.Error("nil span accessors should return zero values")
 		}
-		if Expired(p) {
-			t.Error("Expired without op")
+		if _, ok := Deadline(p); ok {
+			t.Error("Deadline armed without op")
 		}
 		ClearDeadline(p)
 		if op := Detach(p); op != nil {
@@ -146,8 +146,7 @@ func TestForkNesting(t *testing.T) {
 	env.Run()
 }
 
-// TestDeadlineAccessors covers arm/expire/clear through the proc-level
-// helpers.
+// TestDeadlineAccessors covers arm/clear through the proc-level helpers.
 func TestDeadlineAccessors(t *testing.T) {
 	env := sim.NewEnv()
 	col := NewCollector()
@@ -156,17 +155,14 @@ func TestDeadlineAccessors(t *testing.T) {
 		if _, ok := Deadline(p); ok {
 			t.Error("deadline armed before SetDeadline")
 		}
-		op.SetDeadline(p.Now().Add(10 * time.Microsecond))
-		if Expired(p) {
-			t.Error("expired immediately after arming")
-		}
-		p.Sleep(10 * time.Microsecond)
-		if !Expired(p) {
-			t.Error("not expired at deadline")
+		want := p.Now().Add(10 * time.Microsecond)
+		op.SetDeadline(want)
+		if dl, ok := Deadline(p); !ok || dl != want {
+			t.Errorf("Deadline = %v, %v after arming, want %v", dl, ok, want)
 		}
 		ClearDeadline(p)
-		if Expired(p) {
-			t.Error("expired after clear")
+		if _, ok := Deadline(p); ok {
+			t.Error("deadline still armed after clear")
 		}
 		col.End(p)
 	})

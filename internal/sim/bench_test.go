@@ -39,19 +39,16 @@ func BenchmarkTaskDispatch(b *testing.B) {
 	env.Run()
 }
 
-// BenchmarkDeferredEvent measures the deferred-function fast path plus the
-// deadline-guarded wait built on it: each iteration runs one Defer and one
-// WaitUntil that times out, the shape fabric.Call pays per deadline-carrying
-// RPC. Before the kernel rewrite each timed-out wait cost two helper
-// goroutines, four handshakes, and their event allocations.
+// BenchmarkDeferredEvent measures the deferred-function fast path, the
+// primitive fabric.Call arms once per deadline-carrying RPC: each iteration
+// runs one Defer and sleeps past it.
 func BenchmarkDeferredEvent(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()
 	env.Process("waiter", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			env.Defer(1, func() {})
-			never := NewEvent(env)
-			never.WaitUntil(p, p.Now().Add(2))
+			p.Sleep(2)
 		}
 	})
 	b.ResetTimer()

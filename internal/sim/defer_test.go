@@ -64,49 +64,6 @@ func TestDeferChained(t *testing.T) {
 	}
 }
 
-// TestWaitUntilTimeoutWinsTie pins the documented tie-break: an event
-// triggered exactly at the deadline instant loses to the timeout.
-func TestWaitUntilTimeoutWinsTie(t *testing.T) {
-	env := NewEnv()
-	ev := NewEvent(env)
-	env.Process("trigger", func(p *Proc) {
-		p.Sleep(10)
-		ev.Trigger("late")
-	})
-	var v interface{}
-	var ok bool
-	env.Process("waiter", func(p *Proc) {
-		v, ok = ev.WaitUntil(p, Time(10))
-	})
-	env.Run()
-	if ok || v != nil {
-		t.Errorf("WaitUntil = (%v, %v), want (nil, false): timeout wins the tie", v, ok)
-	}
-}
-
-// TestWaitUntilNoStaleWake verifies a timed-out waiter is withdrawn from
-// the event: a later trigger must not wake it a second time.
-func TestWaitUntilNoStaleWake(t *testing.T) {
-	env := NewEnv()
-	ev := NewEvent(env)
-	var after Time
-	env.Process("late-trigger", func(p *Proc) {
-		p.Sleep(20)
-		ev.Trigger("v")
-	})
-	env.Process("waiter", func(p *Proc) {
-		if _, ok := ev.WaitUntil(p, Time(5)); ok {
-			t.Error("WaitUntil fired before the trigger existed")
-		}
-		p.Sleep(100) // would be cut short by a stale wake-up
-		after = p.Now()
-	})
-	env.Run()
-	if want := Time(105); after != want {
-		t.Errorf("waiter resumed at %v, want %v (stale wake-up delivered?)", after, want)
-	}
-}
-
 // TestHeapOrderLargeFanIn pushes many same-instant events through the
 // 4-ary heap and checks strict creation-order dispatch.
 func TestHeapOrderLargeFanIn(t *testing.T) {

@@ -2,8 +2,8 @@ package sim
 
 // Event is a one-shot notification in virtual time. Processes wait on it;
 // once triggered, all current and future waiters proceed immediately and
-// receive the trigger value. Tasks wait with WaitT/WaitUntilT, receiving
-// the value through a continuation instead of a resumed goroutine.
+// receive the trigger value. Tasks wait with WaitT, receiving the value
+// through a continuation instead of a resumed goroutine.
 type Event struct {
 	env         *Env
 	triggered   bool
@@ -35,9 +35,9 @@ func NewEvent(env *Env) *Event {
 func (ev *Event) Triggered() bool { return ev.triggered }
 
 // TriggeredAt returns the instant Trigger ran; meaningful only once
-// Triggered reports true. External deadline machinery (pooled RPC frames)
-// needs it to replay WaitUntilT's tie rule — a trigger landing exactly on
-// the deadline instant loses to the timeout.
+// Triggered reports true. Deadline machinery built on Defer (the fabric's
+// pooled RPC frames) needs it for its tie rule — a trigger landing exactly
+// on the deadline instant loses to the timeout.
 func (ev *Event) TriggeredAt() Time { return ev.triggeredAt }
 
 // Value returns the value passed to Trigger, or nil before triggering.
@@ -104,96 +104,6 @@ func WaitAll(p *Proc, evs ...*Event) {
 	}
 }
 
-// WaitUntil parks p until the event triggers or the virtual clock reaches
-// deadline, whichever happens first. It returns (value, true) when the
-// event fired in time and (nil, false) on timeout. If both land on the same
-// instant the timeout wins (it was scheduled first).
-//
-// The timeout side is a deferred function, not a helper process, so a
-// deadline-guarded wait costs no extra goroutines or handshakes: on
-// timeout the deferred function withdraws p from the waiter list before
-// waking it, and if the event fired first the deferred function finds it
-// triggered and does nothing. Either way no stale wake-up is left behind.
-func (ev *Event) WaitUntil(p *Proc, deadline Time) (interface{}, bool) {
-	if ev.triggered {
-		return ev.value, true
-	}
-	if deadline <= p.env.now {
-		return nil, false
-	}
-	timedOut := false
-	p.env.Defer(deadline.Sub(p.env.now), func() {
-		if ev.triggered {
-			if ev.triggeredAt < deadline {
-				return // fired strictly earlier; p resumed long ago
-			}
-			// Fired at the deadline instant: the tie goes to the timeout.
-			// p already holds a pending wake-up from Trigger, so only the
-			// outcome flag changes here.
-			timedOut = true
-			return
-		}
-		for i := range ev.waiters {
-			if ev.waiters[i].p == p {
-				ev.waiters = append(ev.waiters[:i], ev.waiters[i+1:]...)
-				break
-			}
-		}
-		timedOut = true
-		ev.env.scheduleProc(p, 0)
-	})
-	ev.waiters = append(ev.waiters, eventWaiter{p: p})
-	p.park()
-	if timedOut {
-		return nil, false
-	}
-	return ev.value, true
-}
-
-// WaitUntilT is WaitUntil for tasks: k receives (value, true) when the
-// event fires before deadline and (nil, false) on timeout. The schedule
-// consumption and the tie rule (timeout wins at the deadline instant)
-// mirror WaitUntil exactly.
-func (ev *Event) WaitUntilT(t *Task, deadline Time, k func(v interface{}, ok bool)) {
-	if ev.triggered {
-		k(ev.value, true)
-		return
-	}
-	if deadline <= t.env.now {
-		k(nil, false)
-		return
-	}
-	ev.nextWID++
-	id := ev.nextWID
-	timedOut := false
-	t.env.Defer(deadline.Sub(t.env.now), func() {
-		if ev.triggered {
-			if ev.triggeredAt < deadline {
-				return // fired strictly earlier; k already ran
-			}
-			// Fired at the deadline instant: Trigger has already scheduled
-			// the continuation wrapper, which reads this flag.
-			timedOut = true
-			return
-		}
-		for i := range ev.waiters {
-			if ev.waiters[i].id == id {
-				ev.waiters = append(ev.waiters[:i], ev.waiters[i+1:]...)
-				break
-			}
-		}
-		timedOut = true
-		t.env.schedule(t.env.now, nil, func() { k(nil, false) })
-	})
-	ev.waiters = append(ev.waiters, eventWaiter{id: id, fn: func(v interface{}) {
-		if timedOut {
-			k(nil, false)
-			return
-		}
-		k(v, true)
-	}})
-}
-
 // WaitFn arranges for k to run when the event triggers. It is the pooled
 // caller's WaitT: k takes no value (the owner reads Value itself), so the
 // registration and the eventual dispatch allocate nothing — k is typically
@@ -215,8 +125,7 @@ func (ev *Event) WaitFn(k func()) uint64 {
 // Withdraw removes a pending continuation registered by WaitFn before the
 // event triggers, reporting whether it was found. After Trigger has run
 // (or for id 0) there is nothing to withdraw. It is how a pooled frame's
-// deadline path abandons its completion continuation, mirroring the
-// withdrawal WaitUntilT's timeout performs.
+// deadline path abandons its completion continuation.
 func (ev *Event) Withdraw(id uint64) bool {
 	if id == 0 {
 		return false

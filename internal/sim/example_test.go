@@ -7,18 +7,18 @@ import (
 	"imca/internal/sim"
 )
 
-// Two processes rendezvous over a virtual-time channel; the whole exchange
-// takes exactly the modeled durations, not wall time.
+// Two processes meet at a virtual-time event; the whole exchange takes
+// exactly the modeled durations, not wall time.
 func Example() {
 	env := sim.NewEnv()
-	ch := sim.NewChan[string](env, 0)
+	ready := sim.NewEvent(env)
 
 	env.Process("producer", func(p *sim.Proc) {
 		p.Sleep(3 * time.Millisecond) // modeled work
-		ch.Send(p, "payload")
+		ready.Trigger("payload")
 	})
 	env.Process("consumer", func(p *sim.Proc) {
-		v := ch.Recv(p)
+		v := ready.Wait(p)
 		fmt.Printf("received %q at t=%v\n", v, sim.Duration(p.Now()))
 	})
 

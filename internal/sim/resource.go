@@ -95,6 +95,7 @@ func (r *Resource) AcquireT(t *Task, n int, k func()) {
 		k()
 		return
 	}
+	//imcalint:allow allocfree amortised growth: the waiter queue's backing array is reused, so it grows only to the deepest queue seen
 	r.waiters = append(r.waiters, resWaiter{fn: k, n: n, t: r.env.now})
 	if q := r.QueueLen(); q > r.maxQueue {
 		r.maxQueue = q

@@ -1,10 +1,10 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // Time is virtual: the clock advances only when an activity waits on one of
-// the kernel's primitives (a sleep, an Event, a Resource, a Barrier, a
-// Chan). The kernel runs exactly one activity at a time and orders
-// simultaneous events by creation sequence, so a simulation is fully
-// deterministic and race-free without locks.
+// the kernel's primitives (a sleep, an Event, a Resource, a Barrier). The
+// kernel runs exactly one activity at a time and orders simultaneous events
+// by creation sequence, so a simulation is fully deterministic and
+// race-free without locks.
 //
 // A simulated activity is written in one of two styles.
 //
@@ -113,6 +113,7 @@ func before(a, b *event) bool {
 
 // push adds ev, restoring the heap property by sifting up.
 func (h *eventHeap) push(ev event) {
+	//imcalint:allow allocfree amortised growth: the heap's backing array grows only to the most events ever pending at once
 	a := append(*h, ev)
 	i := len(a) - 1
 	for i > 0 {

@@ -140,82 +140,6 @@ func TestEventSecondTriggerIgnored(t *testing.T) {
 	env.Run()
 }
 
-func TestChanRendezvous(t *testing.T) {
-	env := NewEnv()
-	ch := NewChan[int](env, 0)
-	var got int
-	var sendDone, recvDone Time
-	env.Process("sender", func(p *Proc) {
-		ch.Send(p, 99)
-		sendDone = p.Now()
-	})
-	env.Process("receiver", func(p *Proc) {
-		p.Sleep(5 * time.Microsecond)
-		got = ch.Recv(p)
-		recvDone = p.Now()
-	})
-	env.Run()
-	if got != 99 {
-		t.Errorf("got %d, want 99", got)
-	}
-	if sendDone < recvDone-Time(time.Microsecond) {
-		// sender must have blocked until the receiver arrived
-	}
-	if sendDone != Time(5*time.Microsecond) {
-		t.Errorf("sender finished at %v, want 5µs (blocked on rendezvous)", sendDone)
-	}
-}
-
-func TestChanBufferedDoesNotBlockUntilFull(t *testing.T) {
-	env := NewEnv()
-	ch := NewChan[int](env, 2)
-	var t1, t2, t3 Time
-	env.Process("sender", func(p *Proc) {
-		ch.Send(p, 1)
-		t1 = p.Now()
-		ch.Send(p, 2)
-		t2 = p.Now()
-		ch.Send(p, 3) // blocks: buffer full
-		t3 = p.Now()
-	})
-	env.Process("receiver", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		for i := 1; i <= 3; i++ {
-			if got := ch.Recv(p); got != i {
-				t.Errorf("recv %d, want %d (FIFO)", got, i)
-			}
-		}
-	})
-	env.Run()
-	if t1 != 0 || t2 != 0 {
-		t.Errorf("buffered sends blocked: t1=%v t2=%v", t1, t2)
-	}
-	if t3 != Time(time.Millisecond) {
-		t.Errorf("third send completed at %v, want 1ms", t3)
-	}
-}
-
-func TestChanTrySendTryRecv(t *testing.T) {
-	env := NewEnv()
-	ch := NewChan[string](env, 1)
-	env.Process("p", func(p *Proc) {
-		if _, ok := ch.TryRecv(); ok {
-			t.Error("TryRecv on empty chan succeeded")
-		}
-		if !ch.TrySend("x") {
-			t.Error("TrySend into empty buffer failed")
-		}
-		if ch.TrySend("y") {
-			t.Error("TrySend into full buffer succeeded")
-		}
-		v, ok := ch.TryRecv()
-		if !ok || v != "x" {
-			t.Errorf("TryRecv = %q,%v; want x,true", v, ok)
-		}
-	})
-	env.Run()
-}
-
 func TestResourceSerializes(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, 1)
@@ -386,9 +310,9 @@ func TestDeadlockPanics(t *testing.T) {
 		}
 	}()
 	env := NewEnv()
-	ch := NewChan[int](env, 0)
+	ev := NewEvent(env)
 	env.Process("stuck", func(p *Proc) {
-		ch.Recv(p) // nobody will ever send
+		ev.Wait(p) // nobody will ever trigger it
 	})
 	env.Run()
 }

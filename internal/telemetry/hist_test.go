@@ -152,26 +152,6 @@ func TestSamplerHistIntervals(t *testing.T) {
 	}
 }
 
-func TestSamplerWriteCSV(t *testing.T) {
-	smp := samplerHistRun(t)
-	var sb strings.Builder
-	smp.WriteCSV(&sb, "lat")
-	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
-	if lines[0] != "t_ns,lat.count,lat.p50_us,lat.p95_us,lat.p99_us" {
-		t.Fatalf("CSV header = %q", lines[0])
-	}
-	if len(lines)-1 != smp.Len() {
-		t.Fatalf("%d CSV rows, want %d", len(lines)-1, smp.Len())
-	}
-	first := strings.Split(lines[1], ",")
-	if first[0] != "100000" { // first boundary at 100µs
-		t.Errorf("first t_ns = %s, want 100000", first[0])
-	}
-	if first[1] != "13" || first[2] != "16.0" {
-		t.Errorf("first row = %q, want count 13, p50 16.0", lines[1])
-	}
-}
-
 func TestSamplerCounterTracksForHists(t *testing.T) {
 	smp := samplerHistRun(t)
 	tracks := smp.CounterTracks("lat")

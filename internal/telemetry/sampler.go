@@ -1,10 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
-	"strconv"
-
 	"imca/internal/metrics"
 	"imca/internal/sim"
 )
@@ -159,8 +155,7 @@ func (s *Sampler) QuantileSeries(name string, q float64) []float64 {
 	return out
 }
 
-// kindsFor resolves each name's kind once (unregistered names render as
-// gauges), hoisted out of the per-sample loops of Dump and WriteCSV.
+// kindsFor resolves each name's kind (unregistered names count as gauges).
 func (s *Sampler) kindsFor(names []string) []Kind {
 	kinds := make([]Kind, len(names))
 	for i, n := range names {
@@ -201,85 +196,4 @@ func (s *Sampler) CounterTracks(names ...string) []CounterTrack {
 		out = append(out, CounterTrack{Name: n, Times: times, Values: s.Series(n)})
 	}
 	return out
-}
-
-// Dump writes the named instruments as an aligned time-series table, one
-// row per sample.
-func (s *Sampler) Dump(w io.Writer, names ...string) {
-	if len(s.times) == 0 {
-		fmt.Fprintln(w, "(no samples)")
-		return
-	}
-	fmt.Fprintf(w, "%12s", "t")
-	for _, n := range names {
-		fmt.Fprintf(w, "  %*s", len(n), n)
-	}
-	fmt.Fprintln(w)
-	cols := make([][]float64, len(names))
-	kinds := s.kindsFor(names)
-	for i, n := range names {
-		cols[i] = s.Series(n)
-	}
-	for ti, at := range s.times {
-		fmt.Fprintf(w, "%12v", at)
-		for i, n := range names {
-			fmt.Fprintf(w, "  %*s", len(n), formatValue(kinds[i], cols[i][ti]))
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// WriteCSV writes the named instruments (every registered instrument when
-// names is empty) as a timeline CSV: a t_ns column, one column per scalar
-// instrument, and count/p50_us/p95_us/p99_us per-interval columns per
-// hist instrument. The output is deterministic: column order is the given
-// (or registration) order and values use fixed formatting.
-func (s *Sampler) WriteCSV(w io.Writer, names ...string) {
-	if len(names) == 0 {
-		names = s.reg.Names()
-	}
-	kinds := s.kindsFor(names)
-	fmt.Fprint(w, "t_ns")
-	for i, n := range names {
-		if kinds[i] == KindHist {
-			fmt.Fprintf(w, ",%s.count,%s.p50_us,%s.p95_us,%s.p99_us", n, n, n, n)
-			continue
-		}
-		fmt.Fprintf(w, ",%s", n)
-	}
-	fmt.Fprintln(w)
-
-	cols := make([][]float64, len(names))
-	quants := make([][3][]float64, len(names))
-	for i, n := range names {
-		if kinds[i] == KindHist {
-			ivs := s.HistIntervals(n)
-			cols[i] = make([]float64, len(ivs))
-			for j := range ivs {
-				cols[i][j] = float64(ivs[j].Count())
-			}
-			quants[i] = [3][]float64{
-				s.QuantileSeries(n, 0.50),
-				s.QuantileSeries(n, 0.95),
-				s.QuantileSeries(n, 0.99),
-			}
-			continue
-		}
-		cols[i] = s.Series(n)
-	}
-	for ti, at := range s.times {
-		fmt.Fprintf(w, "%d", int64(at))
-		for i := range names {
-			if kinds[i] == KindHist {
-				fmt.Fprintf(w, ",%s,%s,%s,%s",
-					strconv.FormatFloat(cols[i][ti], 'f', 0, 64),
-					strconv.FormatFloat(quants[i][0][ti], 'f', 1, 64),
-					strconv.FormatFloat(quants[i][1][ti], 'f', 1, 64),
-					strconv.FormatFloat(quants[i][2][ti], 'f', 1, 64))
-				continue
-			}
-			fmt.Fprintf(w, ",%s", formatValue(kinds[i], cols[i][ti]))
-		}
-		fmt.Fprintln(w)
-	}
 }

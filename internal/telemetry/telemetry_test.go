@@ -3,6 +3,7 @@ package telemetry_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -293,9 +294,9 @@ func telemetryRun(t *testing.T) (string, string, []byte) {
 	smp.Sample(c.Env.Now())
 	smp.Stop()
 
-	var dump, series strings.Builder
+	var dump strings.Builder
 	reg.Dump(&dump)
-	smp.Dump(&series, "bank.gets", "bank.hits", "brick0.pagecache.hits")
+	series := fmt.Sprint(smp.Times(), smp.Series("bank.gets"), smp.Series("bank.hits"), smp.Series("brick0.pagecache.hits"))
 	var trace bytes.Buffer
 	if err := telemetry.WriteChromeTrace(&trace, res.Ops); err != nil {
 		t.Fatal(err)
@@ -303,7 +304,7 @@ func telemetryRun(t *testing.T) (string, string, []byte) {
 	if len(res.Ops) == 0 {
 		t.Fatal("KeepOps retained no operations")
 	}
-	return dump.String(), series.String(), trace.Bytes()
+	return dump.String(), series, trace.Bytes()
 }
 
 // Two runs of the same seeded workload must produce byte-identical

@@ -181,13 +181,6 @@ func (r *OpenLoopRun) Run() {
 	r.Elapsed = r.env.Now().Sub(r.started)
 }
 
-// OpenLoop prepares and runs the generator in one step.
-func OpenLoop(env *sim.Env, mounts []gluster.FS, opts OpenLoopOptions) *OpenLoopRun {
-	run := PrepareOpenLoop(env, mounts, opts)
-	run.Run()
-	return run
-}
-
 // expInterarrival draws an exponential interarrival gap by inversion.
 func expInterarrival(r *xrand.Rand, mean sim.Duration) sim.Duration {
 	u := r.Float64()

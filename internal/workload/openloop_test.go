@@ -23,10 +23,17 @@ func openLoopCluster() *cluster.Cluster {
 	return cluster.New(cluster.Options{Clients: 4, MCDs: 2, MCDMemBytes: 64 << 20, BlockSize: 2048})
 }
 
+// openLoop prepares and runs the generator in one step.
+func openLoop(c *cluster.Cluster, mounts []gluster.FS, opts OpenLoopOptions) *OpenLoopRun {
+	run := PrepareOpenLoop(c.Env, mounts, opts)
+	run.Run()
+	return run
+}
+
 func TestOpenLoopCompletes(t *testing.T) {
 	c := openLoopCluster()
 	opts := openLoopOpts()
-	run := OpenLoop(c.Env, c.FSes(), opts)
+	run := openLoop(c, c.FSes(), opts)
 	want := uint64(opts.Tenants * opts.ArrivalsPerTenant)
 	if run.Issued != want || run.Completed != want {
 		t.Fatalf("issued %d completed %d, want %d each", run.Issued, run.Completed, want)
@@ -52,7 +59,7 @@ func TestOpenLoopCompletes(t *testing.T) {
 func TestOpenLoopDeterministic(t *testing.T) {
 	runOnce := func() *OpenLoopRun {
 		c := openLoopCluster()
-		return OpenLoop(c.Env, c.FSes(), openLoopOpts())
+		return openLoop(c, c.FSes(), openLoopOpts())
 	}
 	a, b := runOnce(), runOnce()
 	if a.Issued != b.Issued || a.Completed != b.Completed {
@@ -80,7 +87,7 @@ func TestOpenLoopZipfSkew(t *testing.T) {
 	opts := openLoopOpts()
 	opts.Tenants = 500
 	opts.ArrivalsPerTenant = 8
-	run := OpenLoop(c.Env, c.FSes(), opts)
+	run := openLoop(c, c.FSes(), opts)
 	uniform := float64(run.Issued) / float64(opts.Files)
 	if head := float64(run.KeyReads[0]); head < 3*uniform {
 		t.Errorf("hottest file drew %v reads, want ≥ 3× the uniform share %v", head, uniform)
@@ -111,7 +118,7 @@ func TestOpenLoopRequiresTaskEngine(t *testing.T) {
 			t.Fatal("open-loop generator accepted proc-only mounts")
 		}
 	}()
-	OpenLoop(c.Env, wrapped, openLoopOpts())
+	openLoop(c, wrapped, openLoopOpts())
 }
 
 // TestEngineEquivalence is the adapter's guarantee at workload level. Every

@@ -27,12 +27,6 @@ import (
 	"imca/internal/sim"
 )
 
-// CacheDropper is implemented by clients whose local cache can be dropped
-// (Lustre's unmount/remount "cold cache" configuration).
-type CacheDropper interface {
-	DropCaches()
-}
-
 // startClient starts one client actor running body, whose operations go to
 // tfs (a mount held through gluster.Lift): as a task when the mount's whole
 // stack is continuation-style, otherwise on a process awaiting the same

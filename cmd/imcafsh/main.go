@@ -42,7 +42,7 @@
 //
 // The flight recorder (-flight N, default 1024 records) keeps a bounded
 // ring of structured events — layer forwards, ejections, probes,
-// readmissions, deadline expiries, fault arm/fire — and "flight" dumps it
+// readmissions, replica failovers, fault arm/fire — and "flight" dumps it
 // oldest-first, so after an experiment goes sideways you can read back
 // what the cluster actually did.
 package main

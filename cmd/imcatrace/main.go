@@ -7,8 +7,8 @@
 //	imcatrace replay -in t.trace -mcds 0            # NoCache baseline
 //
 // After an IMCa replay the tool prints the cache bank's statistics (gets,
-// hits, misses, evictions, down replies, deadline misses) so replays are
-// comparable beyond elapsed virtual time.
+// hits, misses, evictions, down replies) so replays are comparable beyond
+// elapsed virtual time.
 package main
 
 import (
@@ -45,7 +45,7 @@ func usage() {
   imcatrace replay -in FILE [-clients N] [-mcds N] [-block BYTES] [-threaded]
 
 replay prints per-op-kind averages, and with MCDs also the cache bank's
-stats (gets/hits/misses, sets, evictions, down replies, deadline misses).`)
+stats (gets/hits/misses, sets, evictions, down replies).`)
 	os.Exit(2)
 }
 
@@ -155,8 +155,7 @@ func writeReplayReport(w io.Writer, opCount, clients, mcds int, res *trace.Resul
 	if bank != nil {
 		fmt.Fprintf(w, "bank: %d gets (%d hits, %d misses), %d sets, %d items, %d evictions\n",
 			bank.CmdGet, bank.GetHits, bank.GetMisses, bank.CmdSet, bank.CurrItems, bank.Evictions)
-		fmt.Fprintf(w, "bank: %d down replies, %d deadline misses\n",
-			bank.DownReplies, bank.DeadlineMisses)
+		fmt.Fprintf(w, "bank: %d down replies\n", bank.DownReplies)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"imca/internal/blob"
-	"imca/internal/fabric"
 	"imca/internal/gluster"
 	"imca/internal/sim"
 )
@@ -14,13 +13,10 @@ import (
 // hit into a pooled frame's scratch, the bank client's items alias a pooled
 // response the fabric recycles when the continuation returns — so the
 // adapters must copy before ending the Await. The test takes results from
-// blocking Stat, Get, GetMulti and Read with frame poisoning on, issues
-// further operations that reuse every pool involved, and only then looks
-// at what it was given first.
+// blocking Stat, Get, GetMulti and Read with frame poisoning on (TestMain),
+// issues further operations that reuse every pool involved, and only then
+// looks at what it was given first.
 func TestBlockingResultsAreOwned(t *testing.T) {
-	fabric.SetFramePoison(true)
-	defer fabric.SetFramePoison(false)
-
 	c := New(Options{Clients: 1, MCDs: 2, MCDMemBytes: 64 << 20, BlockSize: 2048})
 	fs, cm := c.Mounts[0].FS, c.Mounts[0].CMCache
 	bank := cm.Bank()

@@ -41,10 +41,6 @@ type Options struct {
 	MCDMemBytes int64
 	// ServerCacheBytes bounds the server's OS page cache.
 	ServerCacheBytes int64
-	// Disks and DiskParams describe the server's RAID-0 array (paper:
-	// 8 HighPoint disks).
-	Disks      int
-	DiskParams disk.Params
 	// BlockSize is the IMCa block size; Threaded enables SMCache's
 	// helper-thread updates.
 	BlockSize int64
@@ -57,9 +53,6 @@ type Options struct {
 	// probe readmits it. Zero (the default) keeps the paper's
 	// no-failover client. See memcache.SimClient.SetEjection.
 	EjectAfter int
-	// ProbeBackoff is the initial readmission-probe delay for ejected
-	// daemons (default memcache.DefaultProbeBackoff).
-	ProbeBackoff sim.Duration
 	// Replicas sets the MCD copy count per key on every bank client:
 	// 2 writes each block/stat twice and fails reads over to the
 	// successor copy when the primary is ejected or suspected. Zero or
@@ -72,10 +65,6 @@ type Options struct {
 	// observes it fast again. Zero (the default) disables suspicion. See
 	// memcache.SimClient.SetSuspicion.
 	SuspectAfter sim.Duration
-	// ServerConfig tunes the glusterfsd cost model.
-	ServerConfig gluster.ServerConfig
-	// FuseConfig tunes the client FUSE cost model.
-	FuseConfig gluster.FuseConfig
 }
 
 func (o Options) withDefaults() Options {
@@ -93,12 +82,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Bricks <= 0 {
 		o.Bricks = 1
-	}
-	if o.Disks == 0 {
-		o.Disks = 8
-	}
-	if o.DiskParams.TransferRate == 0 {
-		o.DiskParams = disk.HighPoint2008
 	}
 	if o.BlockSize == 0 {
 		o.BlockSize = core.DefaultBlockSize
@@ -157,11 +140,27 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 	// N clients statting one namespace build each "<path>:stat" key once,
 	// not once per client (see core.KeyInterner).
 	interner := core.NewKeyInterner()
-	if opts.MCDs > 0 {
-		for i := 0; i < opts.MCDs; i++ {
-			node := net.NewNode(fmt.Sprintf("mcd%d", i), 8)
-			c.MCDs = append(c.MCDs, memcache.NewSimServer(node, opts.MCDMemBytes))
+	for i := 0; i < opts.MCDs; i++ {
+		node := net.NewNode(fmt.Sprintf("mcd%d", i), 8)
+		c.MCDs = append(c.MCDs, memcache.NewSimServer(node, opts.MCDMemBytes))
+	}
+	// bankClient is a translator's client of the bank, on its node; probes
+	// of ejected and suspected daemons back off from the default delay.
+	bankClient := func(node *fabric.Node) *memcache.SimClient {
+		mc := memcache.NewSimClient(node, c.MCDs)
+		if opts.Selector != nil {
+			mc.SetSelector(opts.Selector)
 		}
+		if opts.EjectAfter > 0 {
+			mc.SetEjection(opts.EjectAfter, memcache.DefaultProbeBackoff)
+		}
+		if opts.Replicas > 1 {
+			mc.SetReplication(opts.Replicas)
+		}
+		if opts.SuspectAfter > 0 {
+			mc.SetSuspicion(opts.SuspectAfter, memcache.DefaultProbeBackoff)
+		}
+		return mc
 	}
 
 	for b := 0; b < opts.Bricks; b++ {
@@ -170,29 +169,17 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 			name = fmt.Sprintf("gfs-brick%d", b)
 		}
 		srvNode := net.NewNode(name, 8)
-		arr := disk.NewArray(env, opts.Disks, 1<<20, opts.DiskParams)
+		// The paper's server: a RAID-0 array of 8 HighPoint disks.
+		arr := disk.NewArray(env, 8, 1<<20, disk.HighPoint2008)
 		px := gluster.NewPosix(env, gluster.PosixConfig{Dev: arr, CacheBytes: opts.ServerCacheBytes})
 		brick := &Brick{Node: srvNode, Array: arr, Posix: px}
 		var serverChild gluster.FS = px
 		if opts.MCDs > 0 {
-			smClient := memcache.NewSimClient(srvNode, c.MCDs)
-			if opts.Selector != nil {
-				smClient.SetSelector(opts.Selector)
-			}
-			if opts.EjectAfter > 0 {
-				smClient.SetEjection(opts.EjectAfter, opts.ProbeBackoff)
-			}
-			if opts.Replicas > 1 {
-				smClient.SetReplication(opts.Replicas)
-			}
-			if opts.SuspectAfter > 0 {
-				smClient.SetSuspicion(opts.SuspectAfter, opts.ProbeBackoff)
-			}
-			brick.SMCache = core.NewSMCache(env, px, smClient, imcaCfg)
+			brick.SMCache = core.NewSMCache(env, px, bankClient(srvNode), imcaCfg)
 			brick.SMCache.ShareStatKeys(interner)
 			serverChild = brick.SMCache
 		}
-		brick.Server = gluster.NewServer(srvNode, serverChild, opts.ServerConfig)
+		brick.Server = gluster.NewServer(srvNode, serverChild, gluster.DefaultServerConfig)
 		c.Bricks = append(c.Bricks, brick)
 	}
 	c.Posix = c.Bricks[0].Posix
@@ -215,24 +202,11 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 		}
 		var cm *core.CMCache
 		if opts.MCDs > 0 {
-			mc := memcache.NewSimClient(node, c.MCDs)
-			if opts.Selector != nil {
-				mc.SetSelector(opts.Selector)
-			}
-			if opts.EjectAfter > 0 {
-				mc.SetEjection(opts.EjectAfter, opts.ProbeBackoff)
-			}
-			if opts.Replicas > 1 {
-				mc.SetReplication(opts.Replicas)
-			}
-			if opts.SuspectAfter > 0 {
-				mc.SetSuspicion(opts.SuspectAfter, opts.ProbeBackoff)
-			}
-			cm = core.NewCMCache(stack, mc, imcaCfg)
+			cm = core.NewCMCache(stack, bankClient(node), imcaCfg)
 			cm.ShareStatKeys(interner)
 			stack = cm
 		}
-		stack = gluster.NewFuse(node, stack, opts.FuseConfig)
+		stack = gluster.NewFuse(node, stack, gluster.DefaultFuseConfig)
 		c.Mounts = append(c.Mounts, Mount{FS: stack, Node: node, CMCache: cm, Distribute: dht})
 	}
 	return c
@@ -266,7 +240,6 @@ func (c *Cluster) BankStats() memcache.Stats {
 	}
 	addClient := func(cl *memcache.SimClient) {
 		total.DownReplies += cl.DownReplies()
-		total.DeadlineMisses += cl.DeadlineMisses()
 		total.Unreachables += cl.Unreachables()
 		total.Ejects += cl.Ejects()
 		total.Probes += cl.Probes()

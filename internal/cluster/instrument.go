@@ -54,7 +54,6 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 		reg.Counter("bank.misses", bank(func(st memcache.Stats) uint64 { return st.GetMisses }))
 		reg.Counter("bank.evictions", bank(func(st memcache.Stats) uint64 { return st.Evictions }))
 		reg.Counter("bank.down_replies", bank(func(st memcache.Stats) uint64 { return st.DownReplies }))
-		reg.Counter("bank.deadline_misses", bank(func(st memcache.Stats) uint64 { return st.DeadlineMisses }))
 		reg.Counter("bank.unreachables", bank(func(st memcache.Stats) uint64 { return st.Unreachables }))
 		reg.Counter("bank.ejects", bank(func(st memcache.Stats) uint64 { return st.Ejects }))
 		reg.Counter("bank.probes", bank(func(st memcache.Stats) uint64 { return st.Probes }))

@@ -9,7 +9,6 @@ import (
 	"imca/internal/blob"
 	"imca/internal/fabric"
 	"imca/internal/gluster"
-	"imca/internal/optrace"
 	"imca/internal/sim"
 )
 
@@ -29,7 +28,7 @@ func eachPoison(t *testing.T, fn func(t *testing.T)) {
 		}
 		t.Run(name, func(t *testing.T) {
 			fabric.SetFramePoison(on)
-			defer fabric.SetFramePoison(false)
+			defer fabric.SetFramePoison(true) // the package's default; see TestMain
 			fn(t)
 		})
 	}
@@ -158,15 +157,14 @@ func TestPushBlocksTAllocations(t *testing.T) {
 }
 
 // TestReadTAbandonedLookupThenReuse drives the two lifetimes pooling makes
-// delicate, with frame poisoning on. The bank is slow, so a read whose
-// deadline outlasts the request but not the service abandons its multi-get
-// mid-flight and falls back to the server; its continuation immediately
-// issues the next read on the very readOp it was handed back — released
-// before the continuation ran — while the abandoned legs' replies are still
-// on their way.
+// delicate, with frame poisoning on. The bank is slow, so a partition that
+// lands after the requests arrived but before they are served abandons the
+// read's multi-get mid-flight, and the read falls back to the server. The
+// links heal at once, so later reads reach the bank: the read's continuation
+// immediately issues the next read on the very readOp it was handed back —
+// released before the continuation ran — while the abandoned legs' replies
+// are still on their way.
 func TestReadTAbandonedLookupThenReuse(t *testing.T) {
-	fabric.SetFramePoison(true)
-	defer fabric.SetFramePoison(false)
 	const bs = 2048
 	r := newRig(t, 2, Config{BlockSize: bs})
 	payload := blob.Synthetic(9, 0, 8*bs)
@@ -174,16 +172,20 @@ func TestReadTAbandonedLookupThenReuse(t *testing.T) {
 	for _, m := range r.mcds {
 		m.SetSlowdown(1000)
 	}
-	col := optrace.NewCollector()
+	r.net.EnableFaults()
+	r.env.Defer(time.Millisecond, func() {
+		for _, m := range r.mcds {
+			r.net.CutLink("client0", m.Node().Name())
+			r.net.HealLink("client0", m.Node().Name())
+		}
+	})
 	ct := r.env.ContextTask("reader")
 	var first, second blob.Blob
-	col.Begin(ct, "read").SetDeadline(ct.Now().Add(time.Millisecond))
 	r.cmcache.ReadT(ct, fd, 0, 8*bs, func(got blob.Blob, err error) {
 		if err != nil {
 			t.Fatalf("first read: %v", err)
 		}
 		first = got
-		col.End(ct)
 		if len(r.cmcache.readOps) != 1 {
 			t.Fatalf("readOp not back in its pool when the continuation runs (%d pooled)", len(r.cmcache.readOps))
 		}
@@ -196,7 +198,7 @@ func TestReadTAbandonedLookupThenReuse(t *testing.T) {
 	})
 	r.env.Run()
 	if !first.Equal(payload) {
-		t.Error("deadline-abandoned read returned wrong data from the server fallback")
+		t.Error("abandoned read returned wrong data from the server fallback")
 	}
 	if !second.Equal(payload.Slice(bs, 5*bs)) {
 		t.Error("read issued from inside the continuation returned wrong data")
@@ -204,8 +206,8 @@ func TestReadTAbandonedLookupThenReuse(t *testing.T) {
 	if r.cmcache.Stats.ReadMisses != 1 || r.cmcache.Stats.ReadHits != 1 {
 		t.Errorf("ReadMisses=%d ReadHits=%d, want 1 and 1", r.cmcache.Stats.ReadMisses, r.cmcache.Stats.ReadHits)
 	}
-	if got := r.cmcache.Bank().DeadlineMisses(); got != 2 {
-		t.Errorf("bank deadline misses = %d, want 2 (one per abandoned leg)", got)
+	if got := r.cmcache.Bank().Unreachables(); got != 2 {
+		t.Errorf("bank unreachables = %d, want 2 (one per abandoned leg)", got)
 	}
 	if len(r.cmcache.readOps) != 1 {
 		t.Errorf("%d readOps pooled after both reads, want the one op reused", len(r.cmcache.readOps))
@@ -301,8 +303,6 @@ func TestWriteTAllocations(t *testing.T) {
 // and everything the helpers leave in the bank must be recorded for the next
 // purge.
 func TestThreadedWriteBackOutlivesItsWrite(t *testing.T) {
-	fabric.SetFramePoison(true)
-	defer fabric.SetFramePoison(false)
 	const bs, path = 2048, "/alloc/t"
 	r := newRig(t, 2, Config{BlockSize: bs, Threaded: true})
 	ref := &refFile{}

@@ -98,7 +98,7 @@ func (c *CMCache) Bank() *memcache.SimClient { return c.mcd }
 
 // SetFlight attaches a flight recorder under the given actor name: every
 // miss this translator forwards down to the server appends one record.
-// The bank client records its own deadline/ejection transitions, so it is
+// The bank client records its own ejection transitions, so it is
 // wired here too.
 func (c *CMCache) SetFlight(rec *flight.Recorder, name string) {
 	c.fr = rec
@@ -180,8 +180,7 @@ func (op *statOp) release() {
 }
 
 // got is the bank-lookup continuation: serve the hit or fall back to the
-// server. Any cache-budget deadline is spent once the bank answers (or
-// fails to): the server fallback must complete.
+// server.
 func (op *statOp) got(it *memcache.Item, ok bool) {
 	c, t, sp := op.c, op.t, op.sp
 	if ok {
@@ -200,7 +199,6 @@ func (op *statOp) got(it *memcache.Item, ok bool) {
 	c.Stats.StatMisses++
 	sp.SetAttr("result", "miss")
 	c.fr.Append(t.Now(), flight.KindForward, c.frName, "stat", 0)
-	optrace.ClearDeadline(t)
 	c.child.StatT(t, op.path, op.fnFwd)
 }
 
@@ -337,13 +335,10 @@ func (op *readOp) done(data blob.Blob, err error) {
 }
 
 // forward satisfies a read from the server after the MCD bank could not.
-// The cache-budget deadline (if any) is spent: the server path is
-// authoritative and must complete.
 func (op *readOp) forward() {
 	c, t := op.c, op.t
 	c.Stats.ReadMisses++
 	c.fr.Append(t.Now(), flight.KindForward, c.frName, "read", op.size)
-	optrace.ClearDeadline(t)
 	if !c.cfg.ClientPopulate {
 		c.child.ReadT(t, op.fd, op.off, op.size, op.fnDone)
 		return

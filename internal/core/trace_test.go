@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"imca/internal/blob"
 	"imca/internal/memcache"
@@ -71,49 +70,6 @@ func TestLegitimateEOFShortReadStillWorks(t *testing.T) {
 	if r.cmcache.Stats.ReadHits != 1 || r.cmcache.Stats.ReadMisses != 0 {
 		t.Errorf("hits/misses = %d/%d, want 1/0",
 			r.cmcache.Stats.ReadHits, r.cmcache.Stats.ReadMisses)
-	}
-}
-
-// TestDeadlineFallsBackToServer: an operation deadline far below one MCD
-// round trip turns the bank lookup into a miss; CMCache clears the budget
-// and the server path returns complete, correct data.
-func TestDeadlineFallsBackToServer(t *testing.T) {
-	r := newRig(t, 1, Config{BlockSize: 2048})
-	col := optrace.NewCollector()
-	payload := blob.Synthetic(11, 0, 8192)
-	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/d")
-		r.client.Write(p, fd, 0, payload)
-		op := col.Begin(p, "read")
-		op.SetDeadline(p.Now().Add(5 * time.Microsecond))
-		got, err := r.client.Read(p, fd, 0, 8192)
-		if err != nil {
-			t.Fatalf("read failed under an expired deadline: %v", err)
-		}
-		if !got.Equal(payload) {
-			t.Error("data mismatch after deadline fallback")
-		}
-		if _, armed := optrace.Deadline(p); armed {
-			t.Error("deadline still armed after the server fallback")
-		}
-		col.End(p)
-	})
-	if r.cmcache.Stats.ReadMisses != 1 {
-		t.Errorf("ReadMisses = %d, want 1 (deadline-abandoned lookup)", r.cmcache.Stats.ReadMisses)
-	}
-	// The trace must show the expired MCD attempt and the server fallback.
-	op := col.Last
-	var sawDeadline, sawServer bool
-	for _, s := range op.Spans {
-		if s.Layer == optrace.LayerMCD && s.Attr("result") == "deadline" {
-			sawDeadline = true
-		}
-		if s.Layer == optrace.LayerServer {
-			sawServer = true
-		}
-	}
-	if !sawDeadline || !sawServer {
-		t.Errorf("trace missing evidence: deadline-miss=%v server=%v", sawDeadline, sawServer)
 	}
 }
 

@@ -17,16 +17,9 @@ import (
 	"fmt"
 	"time"
 
-	"imca/internal/optrace"
 	"imca/internal/sim"
 	"imca/internal/telemetry"
 )
-
-// ErrDeadline is the result of a call when the calling actor's operation
-// context (see optrace) has a virtual-time deadline that the call would
-// pass. Cache layers treat it as a miss; the wire and the far daemon may
-// still carry the abandoned request and response.
-var ErrDeadline = optrace.ErrDeadline
 
 // Transport describes a network technology's first-order performance model.
 type Transport struct {
@@ -256,25 +249,19 @@ func (t Transport) hostCost(wire int64) sim.Duration {
 // CPU — the service's handler runs on dst, the response crosses back the
 // same way, and k receives the result.
 //
-// When the calling actor carries an operation context with a deadline (see
-// optrace), CallT honors it: if the deadline has already passed, or passes
-// while the request serializes, or passes before the response arrives, the
-// RPC is abandoned and k receives ErrDeadline at the deadline instant. The
-// far side is unaware — the handler still runs to completion and its
-// response still crosses the wire, exactly as a real timed-out RPC leaves
-// work behind. Tracing and deadline checks cost no virtual time.
-//
 // When the network carries fault state (see fault.go), a call on a cut
 // link fails with ErrUnreachable — after the connect timeout if the link
 // was already down, or at the cut instant if the cut lands mid-flight —
-// and degraded links stretch each wire leg. A deadline expiring at or
-// before the failure instant wins and turns the result into ErrDeadline.
+// and degraded links stretch each wire leg. It is the only error k can
+// receive. The far side of a call cut mid-flight is unaware: the handler
+// still runs to completion, and its response is dropped unless the link has
+// healed by then. Tracing costs no virtual time.
 //
 // The call's entire state machine lives in a pooled per-node frame (see
-// frame.go): wire legs, deadline bookkeeping, and completion delivery are
-// preallocated method values on a recycled struct, so a steady-state CallT
-// allocates nothing. A response that is Recyclable is lent to k and goes
-// back to its pool when k returns.
+// frame.go): wire legs and completion delivery are preallocated method
+// values on a recycled struct, so a steady-state CallT allocates nothing.
+// A response that is Recyclable is lent to k and goes back to its pool when
+// k returns.
 func (nd *Node) CallT(t *sim.Task, dst *Node, service string, req Msg, k func(Msg, error)) {
 	callT(nd, dst, nd.resolve(dst, service), t, req, k)
 }

@@ -13,11 +13,7 @@ import (
 // link fails after the network's connect timeout — the simulated analogue
 // of a TCP connect timing out against a partitioned peer — and a call
 // already in flight when the cut lands fails at the cut instant, like a
-// connection reset. When the caller also carries an operation deadline that
-// expires no later than the connect timeout would, the deadline wins and
-// Call returns ErrDeadline instead: the same timeout-wins tie rule a call's
-// completion wait follows (a trigger landing exactly on the deadline loses
-// to the timeout, whose Defer was armed at call time).
+// connection reset.
 var ErrUnreachable = errors.New("fabric: destination unreachable")
 
 // DefaultConnectTimeout is how long a call to a partitioned destination
@@ -148,9 +144,7 @@ func (n *Network) CutLink(a, b string) {
 	}
 	ls.cut = true
 	// Abort in-flight calls in call-start order. Trigger is first-value-
-	// wins, so a call that races a deadline at this same instant still
-	// resolves by the frame's tie rule (the deadline wins; see
-	// callFrame.deadlineFired).
+	// wins, so a response that landed earlier in this same instant stands.
 	aborted := ls.inflight
 	ls.inflight = nil
 	for _, ev := range aborted {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"imca/internal/optrace"
 	"imca/internal/sim"
 )
 
@@ -153,62 +152,6 @@ func TestCutLinkAbortsInFlight(t *testing.T) {
 	}
 	if a.UnreachableCalls != 1 {
 		t.Errorf("UnreachableCalls = %d, want 1", a.UnreachableCalls)
-	}
-}
-
-// TestCutRacesDeadlineTie: a deadline and a link cut landing at the same
-// virtual instant resolve in the deadline's favour — the frame's
-// timeout-wins tie rule (callFrame.deadlineFired).
-func TestCutRacesDeadlineTie(t *testing.T) {
-	env := sim.NewEnv()
-	net := NewNetwork(env, IPoIB)
-	a := net.NewNode("a", 8)
-	b := net.NewNode("b", 8)
-	b.Handle("slow", func(hp *sim.Proc, from *Node, req Msg) Msg {
-		hp.Sleep(time.Millisecond)
-		return req
-	})
-	tieAt := 200 * time.Microsecond
-	net.enableFaults()
-	env.Defer(tieAt, func() { net.CutLink("a", "b") })
-
-	col := optrace.NewCollector()
-	env.Process("client", func(p *sim.Proc) {
-		op := col.Begin(p, "rpc")
-		op.SetDeadline(sim.Time(0).Add(tieAt))
-		_, err := a.Call(p, b, "slow", Bytes(0))
-		if !errors.Is(err, ErrDeadline) {
-			t.Errorf("err = %v, want ErrDeadline (deadline wins the tie)", err)
-		}
-		if got := p.Now(); got != sim.Time(0).Add(tieAt) {
-			t.Errorf("caller resumed at %v, want %v", got, tieAt)
-		}
-		col.End(p)
-	})
-	env.Run()
-}
-
-// TestCutConnectDeadlineTie: the same tie at the connect-refused path — a
-// deadline expiring exactly when the connect timeout would fire wins.
-func TestCutConnectDeadlineTie(t *testing.T) {
-	env, a, b := newPair(t, IPoIB)
-	a.net.CutLink("a", "b")
-	col := optrace.NewCollector()
-	env.Process("client", func(p *sim.Proc) {
-		op := col.Begin(p, "rpc")
-		op.SetDeadline(p.Now().Add(DefaultConnectTimeout))
-		_, err := a.Call(p, b, "echo", Bytes(0))
-		if !errors.Is(err, ErrDeadline) {
-			t.Errorf("err = %v, want ErrDeadline (deadline wins the tie)", err)
-		}
-		if got := p.Now(); got != sim.Time(0).Add(DefaultConnectTimeout) {
-			t.Errorf("caller resumed at %v, want the deadline instant", got)
-		}
-		col.End(p)
-	})
-	env.Run()
-	if a.UnreachableCalls != 0 {
-		t.Errorf("UnreachableCalls = %d, want 0 — the deadline won", a.UnreachableCalls)
 	}
 }
 

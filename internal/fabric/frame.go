@@ -6,9 +6,9 @@ import (
 )
 
 // callFrame is the complete state machine of one CallT, preallocated and
-// pooled per caller node. Every step of the RPC — request wire legs,
-// deadline bookkeeping, the serve dispatch, response wire legs, completion
-// delivery — is a method on the frame, bound once into the fn* fields at
+// pooled per caller node. Every step of the RPC — request wire legs, the
+// serve dispatch, response wire legs, completion delivery — is a method on
+// the frame, bound once into the fn* fields at
 // construction, so advancing the call schedules recycled method values
 // instead of minting ~15 closures per operation.
 //
@@ -19,10 +19,10 @@ import (
 // the server's (dropped when the response has been sent, or dropped on the
 // floor by a cut). The last reference recycles: pooled messages are
 // returned, the done event is Reset, and the frame rejoins the node's free
-// list. Refcounting is what lets a deadline-abandoned call retire safely
-// while its request is still being served — the server's reference keeps
-// the frame (and the request message) alive until the far side is done
-// with it.
+// list. Refcounting is what lets a call abandoned by a cut link retire
+// safely while its request is still being served — the server's reference
+// keeps the frame (and the request message) alive until the far side is
+// done with it.
 type callFrame struct {
 	nd *Node // owner; immortal fields below are bound to it
 
@@ -37,12 +37,8 @@ type callFrame struct {
 	rq   *optrace.Span // request-transfer span
 	resp interface{}   // done-event value as seen by the caller
 
-	deadline    sim.Time
-	hasDeadline bool
-	timedOut    bool
-	callStart   sim.Time
-	wid         uint64 // WaitFn registration, for deadline withdrawal
-	refs        int
+	callStart sim.Time
+	refs      int
 
 	// Request-leg wire parameters.
 	wire       int64
@@ -84,9 +80,6 @@ type callFrame struct {
 	fnRespReady     func()
 	fnCallerCPUHeld func()
 	fnCallerCPUDone func()
-	fnDeadline      func()
-	fnTimeoutFire   func()
-	fnCutDeadline   func()
 	fnCutTimeout    func()
 }
 
@@ -117,9 +110,6 @@ func newCallFrame(nd *Node) *callFrame {
 	f.fnRespReady = f.respReady
 	f.fnCallerCPUHeld = f.callerCPUHeld
 	f.fnCallerCPUDone = f.callerCPUDone
-	f.fnDeadline = f.deadlineFired
-	f.fnTimeoutFire = f.deliverDeadline
-	f.fnCutDeadline = f.cutDeadline
 	f.fnCutTimeout = f.cutTimeout
 	return f
 }
@@ -178,11 +168,11 @@ func (f *callFrame) release() {
 
 // recycle returns pooled messages, resets the completion event, clears the
 // per-call fields, and pushes the frame back on its node's free list. By
-// the time the last reference drops, every waiter on done has either run or
-// been withdrawn, so Reset cannot strand anyone. The request is recycled
-// here — not when the caller's continuation returns — because a
-// deadline-abandoned call's request is still being read by the far side
-// until the server reference drops.
+// the time the last reference drops the waiter on done has run, so Reset
+// cannot strand anyone. The request is recycled here — not when the
+// caller's continuation returns — because the request of a call abandoned
+// by a cut is still being read by the far side until the server reference
+// drops.
 func (f *callFrame) recycle() {
 	if rc, ok := f.req.(Recyclable); ok {
 		rc.Recycle()
@@ -190,7 +180,7 @@ func (f *callFrame) recycle() {
 	if rc, ok := f.respMsg.(Recyclable); ok {
 		// Responses delivered to k were recycled by finishResp already and
 		// cleared from respMsg there; anything still here was never
-		// delivered (timeout, cut) and goes back to its pool now.
+		// delivered (a cut) and goes back to its pool now.
 		rc.Recycle()
 	}
 	f.done.Reset()
@@ -198,7 +188,6 @@ func (f *callFrame) recycle() {
 	f.dst, f.svc, f.req, f.k, f.t, f.ls = nil, nil, nil, nil, nil, nil
 	f.sp, f.rq = nil, nil
 	f.resp, f.respMsg = nil, nil
-	f.wid = 0
 	if poisonFrames {
 		f.refs = framePoisonRefs
 	}
@@ -207,16 +196,8 @@ func (f *callFrame) recycle() {
 
 // callT starts one pooled-frame RPC; see Node.CallT for semantics.
 func callT(nd, dst *Node, svc *service, t *sim.Task, req Msg, k func(Msg, error)) {
-	deadline, hasDeadline := optrace.Deadline(t)
-	if hasDeadline && t.Now() >= deadline {
-		k(nil, ErrDeadline)
-		return
-	}
-
 	f := nd.getFrame()
 	f.dst, f.svc, f.req, f.k, f.t = dst, svc, req, k, t
-	f.deadline, f.hasDeadline = deadline, hasDeadline
-	f.timedOut = false
 	f.callStart = t.Now()
 	f.refs = 1 // the caller's reference
 	f.ls = nil
@@ -225,16 +206,9 @@ func callT(nd, dst *Node, svc *service, t *sim.Task, req Msg, k func(Msg, error)
 		f.ls = fa.link(nd.name, dst.name)
 		if f.ls.cut {
 			// Connect against a partitioned peer: hang for the connect
-			// timeout unless the deadline expires first (ties go to the
-			// deadline, as in deadlineFired). One deferred event either
-			// way.
+			// timeout. One deferred event.
 			f.sp = optrace.StartSpan(t, optrace.LayerNet, svc.op)
 			f.sp.SetAttr("to", dst.name)
-			timeoutAt := t.Now().Add(fa.connectTimeout)
-			if hasDeadline && deadline <= timeoutAt {
-				f.env().Defer(deadline.Sub(t.Now()), f.fnCutDeadline)
-				return
-			}
 			f.env().Defer(fa.connectTimeout, f.fnCutTimeout)
 			return
 		}
@@ -257,13 +231,6 @@ func callT(nd, dst *Node, svc *service, t *sim.Task, req Msg, k func(Msg, error)
 	// non-nil) stretched lat and xmit above; a healthy one costs exactly
 	// what it always has.
 	nd.CPU.AcquireT(t, 1, f.fnReqCPUHeld)
-}
-
-func (f *callFrame) cutDeadline() {
-	f.sp.SetAttr("deadline", "expired")
-	f.sp.End(f.t)
-	f.k(nil, ErrDeadline)
-	f.release()
 }
 
 func (f *callFrame) cutTimeout() {
@@ -311,21 +278,12 @@ func (f *callFrame) dstCPUDone() {
 	f.afterRequest()
 }
 
-// afterRequest runs once the request has fully landed: post-transfer
-// deadline and cut checks, then the serve dispatch and the completion wait.
+// afterRequest runs once the request has fully landed: the post-transfer
+// cut check, then the serve dispatch and the completion wait.
 func (f *callFrame) afterRequest() {
 	f.checkLive()
 	t := f.t
 	f.rq.End(t)
-	if f.hasDeadline && t.Now() >= f.deadline {
-		// Expired during serialization: the request is on the wire but the
-		// caller gives up before waiting for service.
-		f.sp.SetAttr("deadline", "expired")
-		f.sp.End(t)
-		f.k(nil, ErrDeadline)
-		f.release()
-		return
-	}
 	if f.ls != nil && f.ls.cut {
 		// The link was cut while the request serialized.
 		f.sp.SetAttr("result", "unreachable")
@@ -350,57 +308,13 @@ func (f *callFrame) afterRequest() {
 	} else {
 		optrace.Fork(t, f.env().Process(f.svc.name, f.fnServeProc))
 	}
-	if f.hasDeadline {
-		// The tie rule: the timeout Defer is armed here, at call time,
-		// so it is scheduled before any completion that lands on the
-		// deadline instant, and such a trigger loses to it (see
-		// deadlineFired). The Defer holds its own reference — it
-		// carries a prebound method on this frame, so the frame must not
-		// recycle (and be reissued) before the Defer has fired, even when
-		// the call itself completes early.
-		f.refs++
-		f.env().Defer(f.deadline.Sub(t.Now()), f.fnDeadline)
-	}
-	f.wid = f.done.WaitFn(f.fnRespReady)
-}
-
-// deadlineFired is the timeout side of the completion wait. A completion
-// that triggered strictly before the deadline has already been delivered;
-// one that triggered exactly on the deadline instant loses to the timeout;
-// one still pending is withdrawn and the timeout delivered in its place.
-// Whatever the outcome, it drops the reference the deadline Defer held.
-func (f *callFrame) deadlineFired() {
-	if f.done.Triggered() {
-		// Fired strictly earlier: respReady delivered long ago; nothing to
-		// do. Fired at this very instant: respReady is already scheduled
-		// and reads timedOut to deliver the timeout instead — ties go to
-		// the deadline.
-		if f.done.TriggeredAt() >= f.deadline {
-			f.timedOut = true
-		}
-		f.release()
-		return
-	}
-	f.done.Withdraw(f.wid)
-	f.timedOut = true
-	f.env().Defer(0, f.fnTimeoutFire)
-	f.release()
-}
-
-func (f *callFrame) deliverDeadline() {
-	f.sp.SetAttr("deadline", "expired")
-	f.sp.End(f.t)
-	f.finishResp(nil, ErrDeadline)
+	f.done.WaitFn(f.fnRespReady)
 }
 
 // respReady runs when done triggers (scheduled by Trigger, one event).
 func (f *callFrame) respReady() {
 	f.checkLive()
 	t := f.t
-	if f.timedOut {
-		f.deliverDeadline()
-		return
-	}
 	resp := f.done.Value()
 	if _, aborted := resp.(unreachableMark); aborted {
 		f.sp.SetAttr("result", "unreachable")

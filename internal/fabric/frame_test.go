@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"imca/internal/optrace"
 	"imca/internal/sim"
 )
 
@@ -83,10 +82,10 @@ func TestCallTNameResolutionAllocFree(t *testing.T) {
 }
 
 // TestFramePoisonLifecycle runs the pool's hardest lifecycle — concurrent
-// calls, a deadline-abandoned call whose response arrives after the caller
-// gave up, then reuse of the recycled frames — with poison mode on, so any
-// premature recycle or use-after-release panics instead of corrupting a
-// later call.
+// calls, a call abandoned by a cut link whose response arrives (over the
+// healed link) after the caller gave up, then reuse of the recycled frames —
+// with poison mode on, so any premature recycle or use-after-release panics
+// instead of corrupting a later call.
 func TestFramePoisonLifecycle(t *testing.T) {
 	SetFramePoison(true)
 	defer SetFramePoison(false)
@@ -107,23 +106,28 @@ func TestFramePoisonLifecycle(t *testing.T) {
 		})
 	}
 
-	// A deadline-abandoned call: the handler answers at +1ms, the caller's
-	// budget expires at +10µs. The caller must see ErrDeadline while the
-	// server reference keeps the frame alive until the orphaned response
-	// finishes its wire legs.
-	dl := env.ContextTask("deadline-client")
-	op := &optrace.Op{}
-	op.SetDeadline(env.Now().Add(sim.Duration(10 * time.Microsecond)))
-	optrace.Attach(dl, op)
-	var dlErr error
-	a.CallT(dl, b, "slow", Bytes(64), func(m Msg, err error) { dlErr = err })
+	// An abandoned call: the handler answers at +1ms, the link is cut at
+	// +200µs and healed at +500µs. The caller must see ErrUnreachable at the
+	// cut while the server reference keeps the frame alive until the
+	// orphaned response finishes its wire legs.
+	a.net.EnableFaults()
+	env.Defer(200*time.Microsecond, func() { a.net.CutLink("a", "b") })
+	env.Defer(500*time.Microsecond, func() { a.net.HealLink("a", "b") })
+	var cutErr error
+	var cutAt sim.Time
+	a.CallT(env.ContextTask("cut-client"), b, "slow", Bytes(64), func(m Msg, err error) {
+		cutErr, cutAt = err, env.Now()
+	})
 
 	env.Run()
 	if ok != 8 {
 		t.Errorf("%d of 8 concurrent calls completed", ok)
 	}
-	if dlErr != optrace.ErrDeadline {
-		t.Errorf("abandoned call returned %v, want ErrDeadline", dlErr)
+	if cutErr != ErrUnreachable || cutAt != sim.Time(0).Add(200*time.Microsecond) {
+		t.Errorf("abandoned call returned %v at %v, want ErrUnreachable at the cut", cutErr, cutAt)
+	}
+	if a.RxMsgs != 9 {
+		t.Errorf("caller received %d messages, want 9: the orphaned response crosses the healed link", a.RxMsgs)
 	}
 	if len(a.frames) == 0 {
 		t.Fatal("no frames returned to the pool")

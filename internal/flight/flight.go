@@ -1,8 +1,8 @@
 // Package flight is the post-mortem layer of the observability stack: a
 // bounded ring of fixed-size structured records capturing the rare,
 // interesting transitions — a cache miss forwarded down a layer, an MCD
-// ejected, probed or readmitted, a fault armed or fired, a bank request
-// abandoned at its deadline, an oracle violation. Counters say how often
+// ejected, probed or readmitted, a fault armed or fired, a read failed over
+// to its replica, an oracle violation. Counters say how often
 // those happened; the flight recorder says in what order, when, and to
 // whom, which is what a fault-run post-mortem actually needs.
 //
@@ -29,8 +29,6 @@ type Kind uint8
 const (
 	// KindForward is a cache layer forwarding a miss to the layer below.
 	KindForward Kind = iota
-	// KindDeadline is a bank request abandoned at its operation deadline.
-	KindDeadline
 	// KindEject is a client ejecting an MCD after consecutive failures.
 	KindEject
 	// KindProbe is a client piggybacking a probe onto an ejected MCD.
@@ -59,8 +57,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindForward:
 		return "forward"
-	case KindDeadline:
-		return "deadline"
 	case KindEject:
 		return "eject"
 	case KindProbe:

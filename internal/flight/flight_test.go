@@ -79,7 +79,7 @@ func TestRecorderDumpDeterministic(t *testing.T) {
 		r := flight.New(3)
 		r.Append(at(5), flight.KindFaultArmed, "mcd-crash", "mcd0", 42)
 		r.Append(at(6), flight.KindFaultFired, "mcd-crash", "mcd0", 0)
-		r.Append(at(7), flight.KindDeadline, "client0", "mcd0", 0)
+		r.Append(at(7), flight.KindEject, "client0", "mcd0", 0)
 		r.Append(at(8), flight.KindViolation, "oracle", "stale read", 1)
 		var sb strings.Builder
 		r.Dump(&sb)
@@ -89,7 +89,7 @@ func TestRecorderDumpDeterministic(t *testing.T) {
 	if a != b {
 		t.Errorf("dumps differ:\n%s\nvs\n%s", a, b)
 	}
-	for _, want := range []string{"fault-fired", "deadline", "violation", "stale read"} {
+	for _, want := range []string{"fault-fired", "eject", "violation", "stale read"} {
 		if !strings.Contains(a, want) {
 			t.Errorf("dump missing %q:\n%s", want, a)
 		}
@@ -100,7 +100,7 @@ func TestRecorderDumpDeterministic(t *testing.T) {
 }
 
 // The acceptance bar: appending is a preallocated ring-slot write, so hot
-// paths (deadline expiry, ejection) can append unconditionally.
+// paths (a forwarded miss, ejection) can append unconditionally.
 func TestFlightAppendZeroAlloc(t *testing.T) {
 	r := flight.New(64)
 	actor, note := "client0", "mcd0"

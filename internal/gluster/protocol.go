@@ -2,38 +2,64 @@ package gluster
 
 import (
 	"imca/internal/blob"
-	"imca/internal/fabric"
+	"imca/internal/sim"
 )
 
 // ServiceName is the fabric service registered by the GlusterFS server
 // daemon (glusterfsd).
 const ServiceName = "glusterfsd"
 
-// verb names the three operations every layer runs on a pooled frame — the
-// ones workloads issue by the hundred thousand. The rest (open, close,
-// unlink, mkdir, readdir, truncate) stay on closures.
+// verb names an operation of the xlator interface. The RPC layers — Fuse,
+// Client and Server, which treat every operation alike: charge, forward,
+// answer — run all ten on their layer's one pooled frame. Posix runs stat,
+// read and write on a frame and the rest inline, and CMCache and SMCache
+// keep closures for the verbs they give logic of their own (purges, pushes,
+// stat refreshes): there is no shared skeleton there for a frame to carry.
 type verb uint8
 
 const (
-	verbStat verb = iota
+	verbCreate verb = iota
+	verbOpen
+	verbClose
 	verbRead
 	verbWrite
+	verbStat
+	verbUnlink
+	verbMkdir
+	verbTruncate
+	verbReaddir
+	numVerbs
 )
 
-var verbNames = [...]string{verbStat: "stat", verbRead: "read", verbWrite: "write"}
+// verbNames are the span names, the Server.Ops keys and, in this order, the
+// daemon's registered counters.
+var verbNames = [numVerbs]string{
+	"create", "open", "close", "read", "write",
+	"stat", "unlink", "mkdir", "truncate", "readdir",
+}
 
 func (v verb) String() string { return verbNames[v] }
 
-// Wire messages for the GlusterFS protocol. Sizes approximate the real
-// protocol's per-op headers.
+// Fixed header bytes of each verb's request and response, approximating the
+// real protocol's per-op headers.
+var (
+	reqHeader = [numVerbs]int64{
+		verbCreate: 32, verbOpen: 32, verbClose: 16, verbRead: 32, verbWrite: 32,
+		verbStat: 16, verbUnlink: 32, verbMkdir: 32, verbTruncate: 32, verbReaddir: 16,
+	}
+	respHeader = [numVerbs]int64{
+		verbCreate: 16, verbOpen: 16, verbClose: 8, verbRead: 16, verbWrite: 16,
+		verbStat: 16, verbUnlink: 8, verbMkdir: 8, verbTruncate: 8, verbReaddir: 16,
+	}
+)
 
-// pooledMsg is embedded by the messages that live inside a pooled frame: a
-// stat, read or write request in its clientOp, the response in its
-// serverOp. The fabric recycles a request when the call's frame retires —
-// for a deadline-abandoned call, after the daemon has finished reading it —
-// and a delivered response after the caller's continuation returns; either
-// returns the owning frame to its pool. Messages built outside a frame (a
-// refused request's response) leave owner nil.
+// pooledMsg is embedded by both wire messages: a request lives in its
+// clientOp, a response in its serverOp. The fabric recycles a request when
+// the call's frame retires — for a call a cut link abandoned, after the
+// daemon has finished reading it — and a delivered response after the
+// caller's continuation returns; either returns the owning frame to its
+// pool. A refused request's response is built outside any frame and leaves
+// owner nil.
 type pooledMsg struct{ owner interface{ release() } }
 
 // Recycle implements fabric.Recyclable.
@@ -43,110 +69,118 @@ func (m *pooledMsg) Recycle() {
 	}
 }
 
-type openReq struct {
-	Path   string
-	Create bool
-}
-
-func (r *openReq) WireSize() int64 { return 32 + int64(len(r.Path)) }
-
-type openResp struct {
-	FD   FD
-	Code string
-}
-
-func (r *openResp) WireSize() int64 { return 16 + int64(len(r.Code)) }
-
-type closeReq struct{ FD FD }
-
-func (r *closeReq) WireSize() int64 { return 16 }
-
-type readReq struct {
-	FD        FD
-	Off, Size int64
+// request is the protocol's one request message, and what Fuse and Server
+// keep an operation's operands in: a verb and whichever of the fields below
+// it takes.
+type request struct {
+	verb verb
+	path string    // create, open, stat, unlink, mkdir, truncate, readdir
+	fd   FD        // close, read, write
+	off  int64     // read, write
+	size int64     // read, truncate
+	data blob.Blob // write
 	pooledMsg
 }
 
-func (r *readReq) WireSize() int64 { return 32 }
+// WireSize implements fabric.Msg.
+func (r *request) WireSize() int64 {
+	return reqHeader[r.verb] + int64(len(r.path)) + r.data.Len()
+}
 
-// readResp lends Data to the caller's continuation: copy the value out
-// before returning.
-type readResp struct {
-	Data blob.Blob
-	Code string
+// response is the protocol's one response message: an error code and
+// whichever result the verb has. data, st and names are lent to the caller's
+// continuation: copy out what outlives it.
+type response struct {
+	verb  verb
+	code  string
+	fd    FD        // create, open
+	n     int64     // write
+	data  blob.Blob // read
+	st    *Stat     // stat
+	names []string  // readdir
 	pooledMsg
 }
 
-func (r *readResp) WireSize() int64 { return 16 + r.Data.Len() + int64(len(r.Code)) }
-
-type writeReq struct {
-	FD   FD
-	Off  int64
-	Data blob.Blob
-	pooledMsg
-}
-
-func (r *writeReq) WireSize() int64 { return 32 + r.Data.Len() }
-
-type writeResp struct {
-	N    int64
-	Code string
-	pooledMsg
-}
-
-func (r *writeResp) WireSize() int64 { return 16 + int64(len(r.Code)) }
-
-type statReq struct {
-	Path string
-	pooledMsg
-}
-
-func (r *statReq) WireSize() int64 { return 16 + int64(len(r.Path)) }
-
-type statResp struct {
-	St   *Stat
-	Code string
-	pooledMsg
-}
-
-func (r *statResp) WireSize() int64 {
-	n := int64(16 + len(r.Code))
-	if r.St != nil {
-		n += r.St.WireSize()
+// WireSize implements fabric.Msg.
+func (r *response) WireSize() int64 {
+	n := respHeader[r.verb] + int64(len(r.code)) + r.data.Len()
+	if r.st != nil {
+		n += r.st.WireSize()
 	}
-	return n
-}
-
-type pathReq struct {
-	Op   string // "unlink" | "mkdir" | "truncate"
-	Path string
-	Size int64 // truncate only
-}
-
-func (r *pathReq) WireSize() int64 { return 32 + int64(len(r.Path)) }
-
-type simpleResp struct{ Code string }
-
-func (r *simpleResp) WireSize() int64 { return 8 + int64(len(r.Code)) }
-
-type readdirReq struct{ Path string }
-
-func (r *readdirReq) WireSize() int64 { return 16 + int64(len(r.Path)) }
-
-type readdirResp struct {
-	Names []string
-	Code  string
-}
-
-func (r *readdirResp) WireSize() int64 {
-	n := int64(16 + len(r.Code))
-	for _, s := range r.Names {
+	for _, s := range r.names {
 		n += int64(len(s)) + 8
 	}
 	return n
 }
 
-var (
-	_ fabric.Msg = (*openReq)(nil)
-	_ fabric.Msg = (*readResp)(nil)
-)
+// conts holds one continuation per result shape an operation can have.
+type conts struct {
+	fd    func(FD, error)        // create, open
+	err   func(error)            // close, unlink, mkdir, truncate
+	data  func(blob.Blob, error) // read
+	n     func(int64, error)     // write
+	stat  func(*Stat, error)     // stat
+	names func([]string, error)  // readdir
+}
+
+// sink is a frame that runs operations on a child xlator and receives their
+// results: one method per result shape.
+type sink interface {
+	gotFD(FD, error)
+	gotErr(error)
+	gotData(blob.Blob, error)
+	gotN(int64, error)
+	gotStat(*Stat, error)
+	gotNames([]string, error)
+}
+
+// down runs r on child with s receiving the result. fn is s's own set of
+// method values, each bound the first time the frame serves a verb of that
+// shape, so a mount that only stats binds one.
+func (fn *conts) down(s sink, child TaskFS, t *sim.Task, r *request) {
+	switch r.verb {
+	case verbCreate, verbOpen:
+		if fn.fd == nil {
+			fn.fd = s.gotFD
+		}
+		if r.verb == verbCreate {
+			child.CreateT(t, r.path, fn.fd)
+		} else {
+			child.OpenT(t, r.path, fn.fd)
+		}
+	case verbRead:
+		if fn.data == nil {
+			fn.data = s.gotData
+		}
+		child.ReadT(t, r.fd, r.off, r.size, fn.data)
+	case verbWrite:
+		if fn.n == nil {
+			fn.n = s.gotN
+		}
+		child.WriteT(t, r.fd, r.off, r.data, fn.n)
+	case verbStat:
+		if fn.stat == nil {
+			fn.stat = s.gotStat
+		}
+		child.StatT(t, r.path, fn.stat)
+	case verbReaddir:
+		if fn.names == nil {
+			fn.names = s.gotNames
+		}
+		child.ReaddirT(t, r.path, fn.names)
+	default:
+		if fn.err == nil {
+			fn.err = s.gotErr
+		}
+		switch r.verb {
+		case verbClose:
+			child.CloseT(t, r.fd, fn.err)
+		case verbUnlink:
+			child.UnlinkT(t, r.path, fn.err)
+		case verbMkdir:
+			child.MkdirT(t, r.path, fn.err)
+		default:
+			child.TruncateT(t, r.path, r.size, fn.err)
+		}
+	}
+}

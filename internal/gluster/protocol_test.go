@@ -280,3 +280,38 @@ func TestFuseAddsClientCPUCost(t *testing.T) {
 		t.Errorf("fuse stat (%v) not slower than raw (%v)", fusedTime, rawTime)
 	}
 }
+
+// TestWireSizes pins every verb's request and response size to the literal
+// byte count of the protocol's per-op header plus its variable parts, so a
+// drifted header fails here and not as a moved virtual-time table.
+func TestWireSizes(t *testing.T) {
+	const path = "/dir/file" // 9 bytes
+	data := blob.Synthetic(1, 0, 1000)
+	st := &Stat{Path: path}
+	names := []string{"a", "bcd"} // Σ(len + 8) = 20
+	for _, tc := range []struct {
+		req      request
+		wantReq  int64
+		resp     response
+		wantResp int64
+	}{
+		{request{verb: verbCreate, path: path}, 32 + 9, response{verb: verbCreate, fd: 3, code: "EEXIST"}, 16 + 6},
+		{request{verb: verbOpen, path: path}, 32 + 9, response{verb: verbOpen, fd: 3}, 16},
+		{request{verb: verbClose, fd: 3}, 16, response{verb: verbClose, code: "EBADF"}, 8 + 5},
+		{request{verb: verbRead, fd: 3, off: 4096, size: 1000}, 32, response{verb: verbRead, data: data, code: "EBADF"}, 16 + 1000 + 5},
+		{request{verb: verbWrite, fd: 3, off: 4096, data: data}, 32 + 1000, response{verb: verbWrite, n: 1000, code: "EBADF"}, 16 + 5},
+		{request{verb: verbStat, path: path}, 16 + 9, response{verb: verbStat, st: st}, 16 + 96 + 9},
+		{request{verb: verbStat, path: path}, 16 + 9, response{verb: verbStat, code: "ENOENT"}, 16 + 6},
+		{request{verb: verbUnlink, path: path}, 32 + 9, response{verb: verbUnlink, code: "ENOENT"}, 8 + 6},
+		{request{verb: verbMkdir, path: path}, 32 + 9, response{verb: verbMkdir}, 8},
+		{request{verb: verbTruncate, path: path, size: 1 << 20}, 32 + 9, response{verb: verbTruncate}, 8},
+		{request{verb: verbReaddir, path: path}, 16 + 9, response{verb: verbReaddir, names: names, code: "ENOTDIR"}, 16 + 7 + 20},
+	} {
+		if got := tc.req.WireSize(); got != tc.wantReq {
+			t.Errorf("%v request: %d bytes, want %d", tc.req.verb, got, tc.wantReq)
+		}
+		if got := tc.resp.WireSize(); got != tc.wantResp {
+			t.Errorf("%v response: %d bytes, want %d", tc.resp.verb, got, tc.wantResp)
+		}
+	}
+}

@@ -6,13 +6,6 @@ import (
 	"imca/internal/telemetry"
 )
 
-// serverOps is the fixed, ordered list of protocol request names, so server
-// instrument registration is deterministic regardless of map iteration.
-var serverOps = []string{
-	"create", "open", "close", "read", "write",
-	"stat", "unlink", "mkdir", "truncate", "readdir",
-}
-
 // Register exposes the storage xlator's disk traffic under prefix; its
 // buffer cache registers separately (see cluster wiring) so the pagecache
 // instruments carry their own prefix.
@@ -24,7 +17,7 @@ func (px *Posix) Register(reg *telemetry.Registry, prefix string) {
 // Register exposes the daemon's per-op counters and io-thread pressure
 // under prefix.
 func (s *Server) Register(reg *telemetry.Registry, prefix string) {
-	for _, op := range serverOps {
+	for _, op := range verbNames { // a fixed order, whatever the map's
 		op := op
 		reg.Counter(prefix+".ops."+op, func() uint64 { return s.Ops[op] })
 	}
@@ -55,7 +48,7 @@ func (d *Distribute) Register(reg *telemetry.Registry, prefix string) {
 // read/write/stat times the paper's figures plot, measured where the
 // application would measure them.
 func (f *Fuse) Register(reg *telemetry.Registry, prefix string) {
-	f.readHist = reg.Hist(prefix + ".read_lat")
-	f.writeHist = reg.Hist(prefix + ".write_lat")
-	f.statHist = reg.Hist(prefix + ".stat_lat")
+	f.hists[verbRead] = reg.Hist(prefix + ".read_lat")
+	f.hists[verbWrite] = reg.Hist(prefix + ".write_lat")
+	f.hists[verbStat] = reg.Hist(prefix + ".stat_lat")
 }

@@ -42,7 +42,7 @@ type Server struct {
 	threads *sim.Resource
 	down    bool
 
-	// ops is the free list of stat/read/write frames; see serverOp.
+	// ops is the free list of per-request frames; see serverOp.
 	ops []*serverOp
 
 	// Ops counts completed requests by type for experiment reporting.
@@ -92,81 +92,23 @@ func (s *Server) Recover() { s.down = false }
 // Down reports whether the daemon is failed.
 func (s *Server) Down() bool { return s.down }
 
-// downResp builds the refused-request response for req's type.
-func downResp(req fabric.Msg) fabric.Msg {
-	code := errCode(ErrServerDown)
-	switch req.(type) {
-	case *openReq:
-		return &openResp{Code: code}
-	case *closeReq, *pathReq:
-		return &simpleResp{Code: code}
-	case *readReq:
-		return &readResp{Code: code}
-	case *writeReq:
-		return &writeResp{Code: code}
-	case *statReq:
-		return &statResp{Code: code}
-	case *readdirReq:
-		return &readdirResp{Code: code}
-	default:
-		panic("gluster: unknown request type")
-	}
-}
-
-// reqName names a protocol request for stats and spans.
-func reqName(req fabric.Msg) string {
-	switch r := req.(type) {
-	case *openReq:
-		if r.Create {
-			return "create"
-		}
-		return "open"
-	case *closeReq:
-		return "close"
-	case *readReq:
-		return "read"
-	case *writeReq:
-		return "write"
-	case *statReq:
-		return "stat"
-	case *pathReq:
-		return r.Op
-	case *readdirReq:
-		return "readdir"
-	}
-	return "?"
-}
-
-func (s *Server) chargeT(t *sim.Task, payload int64, k func()) {
-	cpu := s.cfg.OpCPU + sim.Duration(float64(payload)*s.cfg.PerByteCPUNanos)
-	s.node.CPU.UseT(t, cpu, k)
-}
-
-// serverOp is the daemon's pooled frame for a stat, read or write — the
-// requests workloads issue by the hundred thousand. It carries the response
-// message and the grant→charge→serve→respond chain as prebound method values,
-// so the daemon's side of those requests allocates nothing. The op returns to
-// its server's pool when the fabric recycles the response: after the calling
-// client's continuation has read it, or with the call's frame when it was
-// never delivered (a deadline, a cut link).
+// serverOp is the daemon's pooled per-request frame. It carries the response
+// message and the grant→charge→serve→respond chain as prebound method
+// values, so the daemon's side of a request allocates nothing. The op
+// returns to its server's pool when the fabric recycles the response: after
+// the calling client's continuation has read it, or with the call's frame
+// when a cut link kept it from being delivered.
 type serverOp struct {
 	s       *Server
 	t       *sim.Task
-	req     fabric.Msg // *statReq, *readReq or *writeReq
+	req     *request
 	respond func(fabric.Msg)
 	sp      *optrace.Span
 
-	// The response of whichever request the frame is serving.
-	stat  statResp
-	read  readResp
-	write writeResp
+	resp response
 
-	// Each verb's child continuation is bound when the frame first serves
-	// that verb, so a brick that only stats binds only fnStat.
 	fnGranted, fnCharged func()
-	fnStat               func(*Stat, error)
-	fnRead               func(blob.Blob, error)
-	fnWrite              func(int64, error)
+	fn                   conts // the frame's own continuations; see conts.down
 }
 
 func (s *Server) takeOp() *serverOp {
@@ -177,157 +119,100 @@ func (s *Server) takeOp() *serverOp {
 		return op
 	}
 	op := &serverOp{s: s}
-	op.stat.owner, op.read.owner, op.write.owner = op, op, op
+	op.resp.owner = op
 	op.fnGranted, op.fnCharged = op.granted, op.charged
 	return op
 }
 
-// release is the responses' Recycle.
+// release is the response's Recycle.
 func (op *serverOp) release() {
 	op.t, op.req, op.respond, op.sp = nil, nil, nil, nil
-	op.stat.St, op.stat.Code = nil, ""
-	op.read.Data, op.read.Code = blob.Blob{}, ""
-	op.write.Code = ""
+	op.resp = response{pooledMsg: op.resp.pooledMsg}
 	op.s.ops = append(op.s.ops, op)
-}
-
-// granted runs once an io-thread is held: count the request, then charge the
-// daemon's CPU — before serving a stat or a write (on the bytes received),
-// after serving a read (on the bytes it returns).
-func (op *serverOp) granted() {
-	s := op.s
-	switch r := op.req.(type) {
-	case *statReq:
-		s.Ops["stat"]++
-		s.chargeT(op.t, 0, op.fnCharged)
-	case *writeReq:
-		s.Ops["write"]++
-		s.chargeT(op.t, r.Data.Len(), op.fnCharged)
-	case *readReq:
-		s.Ops["read"]++
-		if op.fnRead == nil {
-			op.fnRead = op.readDone
-		}
-		s.child.ReadT(op.t, r.FD, r.Off, r.Size, op.fnRead)
-	}
-}
-
-func (op *serverOp) charged() {
-	switch r := op.req.(type) {
-	case *statReq:
-		if op.fnStat == nil {
-			op.fnStat = op.statDone
-		}
-		op.s.child.StatT(op.t, r.Path, op.fnStat)
-	case *writeReq:
-		if op.fnWrite == nil {
-			op.fnWrite = op.writeDone
-		}
-		op.s.child.WriteT(op.t, r.FD, r.Off, r.Data, op.fnWrite)
-	case *readReq:
-		op.reply(&op.read)
-	}
-}
-
-func (op *serverOp) statDone(st *Stat, err error) {
-	op.stat.St, op.stat.Code = st, errCode(err)
-	op.reply(&op.stat)
-}
-
-func (op *serverOp) readDone(data blob.Blob, err error) {
-	op.read.Data, op.read.Code = data, errCode(err)
-	op.s.chargeT(op.t, data.Len(), op.fnCharged)
-}
-
-func (op *serverOp) writeDone(n int64, err error) {
-	op.write.N, op.write.Code = n, errCode(err)
-	op.reply(&op.write)
-}
-
-// reply releases the io-thread before the span ends; the response leaves
-// after both — the order of every request type.
-func (op *serverOp) reply(m fabric.Msg) {
-	op.s.threads.Release(1)
-	op.sp.End(op.t)
-	op.respond(m)
 }
 
 // handleT serves one RPC: take an io-thread, charge the daemon's CPU, run
 // the operation on the child stack, respond.
 func (s *Server) handleT(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
-	sp := optrace.StartSpan(t, optrace.LayerServer, reqName(req))
+	r := req.(*request)
+	sp := optrace.StartSpan(t, optrace.LayerServer, r.verb.String())
 	if s.down {
 		// Refused at the listener: no io-thread is taken and no daemon
 		// time is spent, like a connection reset from a dead glusterfsd.
 		sp.SetAttr("down", "true")
 		sp.End(t)
-		respond(downResp(req))
+		respond(&response{verb: r.verb, code: errCode(ErrServerDown)})
 		return
 	}
-	switch req.(type) {
-	case *statReq, *readReq, *writeReq:
-		// The data-path requests run on a pooled frame instead of a closure
-		// chain.
-		op := s.takeOp()
-		op.t, op.req, op.respond, op.sp = t, req, respond, sp
-		s.threads.AcquireT(t, 1, op.fnGranted)
+	op := s.takeOp()
+	op.t, op.req, op.respond, op.sp = t, r, respond, sp
+	op.resp.verb = r.verb
+	s.threads.AcquireT(t, 1, op.fnGranted)
+}
+
+// granted runs once an io-thread is held: count the request, then charge the
+// daemon's CPU — before serving (a write, on the bytes received), except
+// that a read is charged after it is served, on the bytes it returns.
+func (op *serverOp) granted() {
+	s, r := op.s, op.req
+	s.Ops[r.verb.String()]++
+	if r.verb == verbRead {
+		op.fn.down(op, s.child, op.t, r)
 		return
 	}
-	s.threads.AcquireT(t, 1, func() {
-		// The io-thread is released before the span ends, and the response
-		// leaves after both.
-		done := func(m fabric.Msg) {
-			s.threads.Release(1)
-			sp.End(t)
-			respond(m)
-		}
-		child := s.child
-		switch r := req.(type) {
-		case *openReq:
-			s.chargeT(t, 0, func() {
-				if r.Create {
-					s.Ops["create"]++
-					child.CreateT(t, r.Path, func(fd FD, err error) {
-						done(&openResp{FD: fd, Code: errCode(err)})
-					})
-					return
-				}
-				s.Ops["open"]++
-				child.OpenT(t, r.Path, func(fd FD, err error) {
-					done(&openResp{FD: fd, Code: errCode(err)})
-				})
-			})
-		case *closeReq:
-			s.Ops["close"]++
-			s.chargeT(t, 0, func() {
-				child.CloseT(t, r.FD, func(err error) {
-					done(&simpleResp{Code: errCode(err)})
-				})
-			})
-		case *pathReq:
-			s.Ops[r.Op]++
-			s.chargeT(t, 0, func() {
-				k := func(err error) { done(&simpleResp{Code: errCode(err)}) }
-				switch r.Op {
-				case "unlink":
-					child.UnlinkT(t, r.Path, k)
-				case "mkdir":
-					child.MkdirT(t, r.Path, k)
-				case "truncate":
-					child.TruncateT(t, r.Path, r.Size, k)
-				default:
-					panic("gluster: unknown pathReq op " + r.Op)
-				}
-			})
-		case *readdirReq:
-			s.Ops["readdir"]++
-			s.chargeT(t, 0, func() {
-				child.ReaddirT(t, r.Path, func(names []string, err error) {
-					done(&readdirResp{Names: names, Code: errCode(err)})
-				})
-			})
-		default:
-			panic("gluster: unknown request type")
-		}
-	})
+	op.charge(r.data.Len())
+}
+
+func (op *serverOp) charge(payload int64) {
+	cfg := &op.s.cfg
+	op.s.node.CPU.UseT(op.t, cfg.OpCPU+sim.Duration(float64(payload)*cfg.PerByteCPUNanos), op.fnCharged)
+}
+
+func (op *serverOp) charged() {
+	if op.req.verb == verbRead {
+		op.reply()
+		return
+	}
+	op.fn.down(op, op.s.child, op.t, op.req)
+}
+
+// reply releases the io-thread before the span ends; the response leaves
+// after both.
+func (op *serverOp) reply() {
+	op.s.threads.Release(1)
+	op.sp.End(op.t)
+	op.respond(&op.resp)
+}
+
+// The child's results (serverOp is a sink): each fills in the response, and
+// all but a read's reply at once.
+
+func (op *serverOp) gotData(data blob.Blob, err error) {
+	op.resp.data, op.resp.code = data, errCode(err)
+	op.charge(data.Len())
+}
+
+func (op *serverOp) gotFD(fd FD, err error) {
+	op.resp.fd, op.resp.code = fd, errCode(err)
+	op.reply()
+}
+
+func (op *serverOp) gotErr(err error) {
+	op.resp.code = errCode(err)
+	op.reply()
+}
+
+func (op *serverOp) gotN(n int64, err error) {
+	op.resp.n, op.resp.code = n, errCode(err)
+	op.reply()
+}
+
+func (op *serverOp) gotStat(st *Stat, err error) {
+	op.resp.st, op.resp.code = st, errCode(err)
+	op.reply()
+}
+
+func (op *serverOp) gotNames(names []string, err error) {
+	op.resp.names, op.resp.code = names, errCode(err)
+	op.reply()
 }

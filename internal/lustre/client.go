@@ -155,8 +155,8 @@ func (cl *Client) DropCaches() {
 
 func (cl *Client) mds(p *sim.Proc, req *mdsReq) *mdsResp {
 	req.Client = cl.id
-	// Lustre's RPCs do not participate in optrace deadlines; a nil reply
-	// here would mean a deadline leaked onto a Lustre operation.
+	// No experiment cuts a Lustre cluster's links, and a cut link is the only
+	// way a call fails; a nil reply here would mean one did.
 	resp, _ := cl.node.Call(p, cl.cluster.mdsNode, "mds", req)
 	return resp.(*mdsResp)
 }

@@ -294,14 +294,9 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, bufs *bufpool.
 
 	case binOpStat:
 		st := store.Stats()
-		stats := map[string]uint64{
-			"cmd_get": st.CmdGet, "cmd_set": st.CmdSet,
-			"get_hits": st.GetHits, "get_misses": st.GetMisses,
-			"evictions": st.Evictions, "curr_items": st.CurrItems,
-			"bytes": uint64(st.Bytes),
-		}
-		for k, v := range stats {
-			writeBinResponse(w, h.opcode, binStatusOK, h.opaque, 0, nil, []byte(k), strconv.AppendUint(nil, v, 10))
+		var num [20]byte
+		for _, row := range statRows {
+			writeBinResponse(w, h.opcode, binStatusOK, h.opaque, 0, nil, []byte(row.name), strconv.AppendUint(num[:0], row.get(&st), 10))
 		}
 		// Terminating empty stat response.
 		writeBinResponse(w, h.opcode, binStatusOK, h.opaque, 0, nil, nil, nil)

@@ -3,8 +3,10 @@ package memcache
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 )
 
@@ -238,23 +240,27 @@ func TestBinaryVersionNoopFlush(t *testing.T) {
 	_ = resps
 }
 
+// TestBinaryStatStreams: stat emits one key/value frame per row of the text
+// protocol's "stats" reply — the same names with the same values, in the
+// same order — then an empty terminator.
 func TestBinaryStatStreams(t *testing.T) {
-	resps := binExchange(t,
+	store := newTestStore(16)
+	resps := binExchangeOn(t, store,
 		binFrame(binOpSet, "s", setExtras(0, 0), []byte("v"), 0),
+		binFrame(binOpGet, "s", nil, nil, 0),
+		binFrame(binOpGet, "absent", nil, nil, 0),
 		binFrame(binOpStat, "", nil, nil, 0),
 	)
-	// Stat emits N key/value frames plus an empty terminator.
-	var sawItems, sawTerminator bool
-	for _, r := range resps[1:] {
-		if len(r.key) == 0 && len(r.value) == 0 {
-			sawTerminator = true
-		}
-		if string(r.key) == "curr_items" && string(r.value) == "1" {
-			sawItems = true
-		}
+	var got strings.Builder
+	for _, r := range resps[3 : len(resps)-1] {
+		fmt.Fprintf(&got, "STAT %s %s\r\n", r.key, r.value)
 	}
-	if !sawItems || !sawTerminator {
-		t.Errorf("stat stream incomplete (items=%v terminator=%v)", sawItems, sawTerminator)
+	if last := resps[len(resps)-1]; len(last.key) != 0 || len(last.value) != 0 {
+		t.Errorf("stat stream ends with %q=%q, want the empty terminator", last.key, last.value)
+	}
+	want := strings.TrimSuffix(talkTo(t, store, "stats\r\n"), "END\r\n")
+	if got.String() != want || strings.Count(want, "STAT ") != 12 {
+		t.Errorf("binary stat rows:\n%s\ntext stats rows (want 12):\n%s", got.String(), want)
 	}
 }
 

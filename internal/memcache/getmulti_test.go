@@ -8,7 +8,6 @@ import (
 
 	"imca/internal/blob"
 	"imca/internal/fabric"
-	"imca/internal/optrace"
 	"imca/internal/sim"
 )
 
@@ -292,19 +291,19 @@ func TestGetMultiTBorrowEndsAtReturn(t *testing.T) {
 	}
 }
 
-// TestGetMultiTLateRepliesAfterDeadline: both daemons are slow, so an
-// operation deadline that outlasts the request but not the service abandons
-// both legs mid-service; every key reads as a miss at the deadline instant,
-// and the replies that land later find their frames and legs still intact
-// (poison mode would panic on a use after release) and return everything to
-// the pools.
-func TestGetMultiTLateRepliesAfterDeadline(t *testing.T) {
-	fabric.SetFramePoison(true)
-	defer fabric.SetFramePoison(false)
+// TestGetMultiTLateRepliesAfterCut: both daemons are slow, so a partition
+// that lands after the requests arrived but before they are served abandons
+// both legs mid-service; every key reads as a miss at the cut instant, and
+// the replies that land later — over links healed in the meantime — find
+// their frames and legs still intact (poison mode would panic on a use after
+// release) and return everything to the pools.
+func TestGetMultiTLateRepliesAfterCut(t *testing.T) {
 	env, cl := simBank(2, 64)
 	on := keysByServer(cl, 2)
 	keys := []string{on[0][0], on[1][0], on[0][1], on[1][1]}
-	col := optrace.NewCollector()
+	net := cl.node.Network()
+	net.EnableFaults()
+	const cutAfter = time.Millisecond
 	var elapsed sim.Duration
 	env.Process("t", func(p *sim.Proc) {
 		for _, k := range keys {
@@ -313,23 +312,24 @@ func TestGetMultiTLateRepliesAfterDeadline(t *testing.T) {
 		for _, s := range cl.servers {
 			s.SetSlowdown(1000) // 12 ms of service per two-key batch
 		}
+		// The partition is over the instant it has aborted the calls in
+		// flight, so the reissued multi-get below reaches the daemons.
+		env.Defer(cutAfter, func() {
+			for _, s := range cl.servers {
+				net.CutLink("client", s.node.Name())
+				net.HealLink("client", s.node.Name())
+			}
+		})
 		env.StartTask("t", func(tk *sim.Task) {
 			round := 0
 			var issue func()
 			issue = func() {
-				op := col.Begin(tk, "read")
-				budget := time.Millisecond
-				if round == 1 {
-					budget = time.Second
-				}
-				op.SetDeadline(tk.Now().Add(budget))
 				t0 := tk.Now()
 				cl.GetMultiT(tk, keys, func(items []*Item) {
-					col.End(tk)
 					if round == 0 {
 						elapsed = tk.Now().Sub(t0)
 						if n := hitCount(items); n != 0 {
-							t.Errorf("deadline-abandoned multi-get returned %d items", n)
+							t.Errorf("abandoned multi-get returned %d items", n)
 						}
 						// Reissue from inside the continuation while the
 						// abandoned requests are still in flight: the second
@@ -348,11 +348,11 @@ func TestGetMultiTLateRepliesAfterDeadline(t *testing.T) {
 		})
 	})
 	env.Run()
-	if elapsed != time.Millisecond {
-		t.Errorf("abandoned multi-get took %v, want the 1ms budget exactly", elapsed)
+	if elapsed != cutAfter {
+		t.Errorf("abandoned multi-get took %v, want to end at the cut, %v in", elapsed, cutAfter)
 	}
-	if cl.DeadlineMisses() != 2 {
-		t.Errorf("deadlineMisses = %d, want 2 (one per leg)", cl.DeadlineMisses())
+	if cl.Unreachables() != 2 {
+		t.Errorf("unreachables = %d, want 2 (one per leg)", cl.Unreachables())
 	}
 	if len(cl.legs) != 4 || len(cl.multiOps) != 2 {
 		t.Errorf("pools hold %d legs and %d ops after the late replies drained, want 4 and 2",

@@ -19,8 +19,8 @@ const maxBackoffMult = 64
 // per-client view (as in real memcache clients): each translator's client
 // discovers and forgives failures on its own.
 type serverHealth struct {
-	// fails counts consecutive failed requests (Down reply, deadline
-	// expiry, or unreachable link); any success resets it.
+	// fails counts consecutive failed requests (down reply or unreachable
+	// link); any success resets it.
 	fails int
 	// ejected marks the server out of rotation: requests to it fast-fail
 	// without touching the NIC until a probe readmits it.
@@ -53,8 +53,8 @@ const (
 )
 
 // SetEjection enables client-side server health tracking: after k
-// consecutive failures (Down replies, deadline expiries, unreachable
-// links) a server is ejected and requests to it fail fast — no request
+// consecutive failures (down replies, unreachable links) a server is
+// ejected and requests to it fail fast — no request
 // serializes onto the NIC — until a probe readmits it. While ejected, one
 // real request is let through each time the backoff expires; a success
 // readmits the server immediately, a failure doubles the backoff (capped).

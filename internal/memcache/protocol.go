@@ -295,20 +295,33 @@ func (c *textConn) statsSlabs() {
 	c.w.str("END\r\n")
 }
 
+// statRows is what "stats" reports, in order, on both protocols.
+var statRows = [...]struct {
+	name string
+	get  func(*Stats) uint64
+}{
+	{"cmd_get", func(st *Stats) uint64 { return st.CmdGet }},
+	{"cmd_set", func(st *Stats) uint64 { return st.CmdSet }},
+	{"get_hits", func(st *Stats) uint64 { return st.GetHits }},
+	{"get_misses", func(st *Stats) uint64 { return st.GetMisses }},
+	{"delete_hits", func(st *Stats) uint64 { return st.DeleteHits }},
+	{"delete_misses", func(st *Stats) uint64 { return st.DeleteMiss }},
+	{"evictions", func(st *Stats) uint64 { return st.Evictions }},
+	{"expired", func(st *Stats) uint64 { return st.Expired }},
+	{"curr_items", func(st *Stats) uint64 { return st.CurrItems }},
+	{"total_items", func(st *Stats) uint64 { return st.TotalItems }},
+	{"bytes", func(st *Stats) uint64 { return uint64(st.Bytes) }},
+	{"limit_maxbytes", func(st *Stats) uint64 { return uint64(st.LimitBytes) }},
+}
+
 func (c *textConn) stats() {
-	w := c.w.Writer
 	st := c.store.Stats()
-	fmt.Fprintf(w, "STAT cmd_get %d\r\n", st.CmdGet)
-	fmt.Fprintf(w, "STAT cmd_set %d\r\n", st.CmdSet)
-	fmt.Fprintf(w, "STAT get_hits %d\r\n", st.GetHits)
-	fmt.Fprintf(w, "STAT get_misses %d\r\n", st.GetMisses)
-	fmt.Fprintf(w, "STAT delete_hits %d\r\n", st.DeleteHits)
-	fmt.Fprintf(w, "STAT delete_misses %d\r\n", st.DeleteMiss)
-	fmt.Fprintf(w, "STAT evictions %d\r\n", st.Evictions)
-	fmt.Fprintf(w, "STAT expired %d\r\n", st.Expired)
-	fmt.Fprintf(w, "STAT curr_items %d\r\n", st.CurrItems)
-	fmt.Fprintf(w, "STAT total_items %d\r\n", st.TotalItems)
-	fmt.Fprintf(w, "STAT bytes %d\r\n", st.Bytes)
-	fmt.Fprintf(w, "STAT limit_maxbytes %d\r\n", st.LimitBytes)
+	for _, row := range statRows {
+		c.w.str("STAT ")
+		c.w.str(row.name)
+		c.w.str(" ")
+		c.w.uint(row.get(&st))
+		c.w.str("\r\n")
+	}
 	c.w.str("END\r\n")
 }

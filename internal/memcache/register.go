@@ -26,7 +26,6 @@ func (s *SimServer) Register(reg *telemetry.Registry, prefix string) {
 // enabled).
 func (c *SimClient) Register(reg *telemetry.Registry, prefix string) {
 	reg.Counter(prefix+".down_replies", func() uint64 { return c.downReplies })
-	reg.Counter(prefix+".deadline_misses", func() uint64 { return c.deadlineMisses })
 	reg.Counter(prefix+".unreachables", func() uint64 { return c.unreachables })
 	reg.Counter(prefix+".ejects", func() uint64 { return c.ejects })
 	reg.Counter(prefix+".probes", func() uint64 { return c.probes })

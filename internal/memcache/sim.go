@@ -22,133 +22,80 @@ func copyTime(n int64) sim.Duration {
 	return sim.Duration(float64(n) * perByteCopyNanos)
 }
 
-// Wire message types for the simulated memcached protocol. WireSize values
-// approximate the text protocol's framing.
+// verb names the three requests of the simulated memcached protocol.
+type verb uint8
 
-// GetReq requests one or more keys. A pooled request (op non-nil) belongs
-// to a client-side frame — a getOp, or one leg of a multi-key get; the
-// fabric recycles it when the call's frame retires, which is what returns
-// the frame to its pool.
-type GetReq struct {
-	Keys []string
+const (
+	verbGet verb = iota
+	verbSet
+	verbDelete
+)
 
-	op interface{ release() }
+var verbNames = [...]string{verbGet: "get", verbSet: "set", verbDelete: "delete"}
+
+func (v verb) String() string { return verbNames[v] }
+
+// request is the protocol's one request message: a get of keys, a set of
+// item (always unconditional, as IMCa uses), or a delete of keys[0]. It
+// lives inside a client-side frame — a bankOp, or one leg of a multi-key
+// get — and the fabric recycles it when the call's frame retires, which is
+// what returns the owner to its pool. WireSize values approximate the text
+// protocol's framing.
+type request struct {
+	verb verb
+	keys []string
+	item Item
+
+	owner interface{ release() }
 }
 
 // Recycle implements fabric.Recyclable.
-func (r *GetReq) Recycle() {
-	if r.op != nil {
-		r.op.release()
-	}
-}
+func (r *request) Recycle() { r.owner.release() }
 
 // WireSize implements fabric.Msg.
-func (r *GetReq) WireSize() int64 {
+func (r *request) WireSize() int64 {
+	switch r.verb {
+	case verbSet:
+		return int64(len(r.item.Key)) + r.item.Value.Len() + 40
+	case verbDelete:
+		return 8 + int64(len(r.keys[0]))
+	}
 	n := int64(8)
-	for _, k := range r.Keys {
+	for _, k := range r.keys {
 		n += int64(len(k)) + 1
 	}
 	return n
 }
 
-// GetResp carries the found items. Down reports that the daemon is dead
-// (connection refused); the caller treats every key as a miss. A pooled
-// response (op non-nil) belongs to a server-side srvOp and its Items point
+// response is the protocol's one response message: the items a get found,
+// the store's refusal of a set ("" when stored), or whether a delete found
+// its key. down reports that the daemon is dead (connection refused); the
+// caller treats a get as all misses and a mutation as dropped. A pooled
+// response (op non-nil) belongs to a server-side srvOp and its items point
 // into that op's buffers: valid through the continuation that receives it,
 // reclaimed when the fabric recycles the response.
-type GetResp struct {
-	Items []*Item
-	Down  bool
+type response struct {
+	items []*Item
+	err   string
+	found bool
+	down  bool
 
 	op *srvOp
 }
 
 // Recycle implements fabric.Recyclable.
-func (r *GetResp) Recycle() {
+func (r *response) Recycle() {
 	if r.op != nil {
 		r.op.release()
 	}
 }
 
-// WireSize implements fabric.Msg.
-func (r *GetResp) WireSize() int64 {
-	n := int64(8)
-	for _, it := range r.Items {
+// WireSize implements fabric.Msg: a fixed header, each item found, and the
+// refusal text — a verb's reply carries only its own part.
+func (r *response) WireSize() int64 {
+	n := 8 + int64(len(r.err))
+	for _, it := range r.items {
 		n += int64(len(it.Key)) + it.Value.Len() + 40
 	}
 	return n
 }
-
-// SetReq stores one item (always an unconditional set, as IMCa uses).
-// Pooled requests carry their client-side setOp, as GetReq does.
-type SetReq struct {
-	Item *Item
-
-	op *setOp
-}
-
-// Recycle implements fabric.Recyclable.
-func (r *SetReq) Recycle() {
-	if r.op != nil {
-		r.op.release()
-	}
-}
-
-// WireSize implements fabric.Msg.
-func (r *SetReq) WireSize() int64 {
-	return int64(len(r.Item.Key)) + r.Item.Value.Len() + 40
-}
-
-// SetResp acknowledges a store. Pooled responses carry their srvOp, as
-// GetResp does.
-type SetResp struct {
-	Err  string
-	Down bool
-
-	op *srvOp
-}
-
-// Recycle implements fabric.Recyclable.
-func (r *SetResp) Recycle() {
-	if r.op != nil {
-		r.op.release()
-	}
-}
-
-// WireSize implements fabric.Msg.
-func (r *SetResp) WireSize() int64 { return 8 + int64(len(r.Err)) }
-
-// DelReq deletes one key. Pooled requests carry their client-side delOp.
-type DelReq struct {
-	Key string
-
-	op *delOp
-}
-
-// Recycle implements fabric.Recyclable.
-func (r *DelReq) Recycle() {
-	if r.op != nil {
-		r.op.release()
-	}
-}
-
-// WireSize implements fabric.Msg.
-func (r *DelReq) WireSize() int64 { return 8 + int64(len(r.Key)) }
-
-// DelResp acknowledges a delete. Pooled responses carry their srvOp.
-type DelResp struct {
-	Found bool
-	Down  bool
-
-	op *srvOp
-}
-
-// Recycle implements fabric.Recyclable.
-func (r *DelResp) Recycle() {
-	if r.op != nil {
-		r.op.release()
-	}
-}
-
-// WireSize implements fabric.Msg.
-func (r *DelResp) WireSize() int64 { return 8 }

@@ -308,34 +308,65 @@ func TestSimGetFromDownMCDIsAMiss(t *testing.T) {
 	}
 }
 
-func TestSimGetDeadlineIsAMiss(t *testing.T) {
-	// An operation deadline shorter than the MCD round trip turns the get
-	// into a miss without failing it — and must not count as a down reply.
+// TestWireSizes pins each verb's request and response size to the literal
+// byte count of the simulated protocol's framing, so a drifted header fails
+// here and not as a moved virtual-time table.
+func TestWireSizes(t *testing.T) {
+	item := Item{Key: "block:7", Value: blob.Synthetic(1, 0, 2048)} // 7-byte key
+	for _, tc := range []struct {
+		req      request
+		wantReq  int64
+		resp     response
+		wantResp int64
+	}{
+		{request{verb: verbGet, keys: []string{"block:7", "k"}}, 8 + (7 + 1) + (1 + 1),
+			response{items: []*Item{&item, &item}}, 8 + 2*(7+2048+40)},
+		{request{verb: verbGet, keys: []string{"k"}}, 8 + (1 + 1), response{down: true}, 8},
+		{request{verb: verbSet, item: item}, 7 + 2048 + 40, response{err: "too large"}, 8 + 9},
+		{request{verb: verbSet, item: item}, 7 + 2048 + 40, response{}, 8},
+		{request{verb: verbDelete, keys: []string{"block:7"}}, 8 + 7, response{found: true}, 8},
+	} {
+		if got := tc.req.WireSize(); got != tc.wantReq {
+			t.Errorf("%v request: %d bytes, want %d", tc.req.verb, got, tc.wantReq)
+		}
+		if got := tc.resp.WireSize(); got != tc.wantResp {
+			t.Errorf("%v response %+v: %d bytes, want %d", tc.req.verb, tc.resp, got, tc.wantResp)
+		}
+	}
+}
+
+// TestSimUnreachableIsAMiss: the wire's one failure — a cut link — turns a
+// get into a miss, drops a set and a delete, and counts as unreachable, not
+// as a down reply; the span says which.
+func TestSimUnreachableIsAMiss(t *testing.T) {
 	env, cl := simBank(1, 64)
 	col := optrace.NewCollector()
 	env.Process("t", func(p *sim.Proc) {
 		cl.Set(p, "k", blob.FromString("v"))
-		op := col.Begin(p, "get")
-		op.SetDeadline(p.Now().Add(time.Microsecond)) // far below one RTT
-		deadline, _ := op.DeadlineTime()
+		cl.node.Network().CutLink("client", "mcd0")
+		col.Begin(p, "get")
 		start := p.Now()
 		if _, ok := cl.Get(p, "k"); ok {
-			t.Error("hit despite an expired deadline")
+			t.Error("hit across a cut link")
 		}
-		// The deadline expires while the request is still serializing; the
-		// caller resumes once the send completes (a send in flight cannot be
-		// aborted), past the deadline but well short of a full round trip.
-		if p.Now() < deadline {
-			t.Errorf("caller resumed at %v, before the deadline %v", p.Now(), deadline)
-		}
-		if rtt := p.Now().Sub(start); rtt > 60*time.Microsecond {
-			t.Errorf("abandoned get took %v, should not wait for the response", rtt)
+		if waited := p.Now().Sub(start); waited != fabric.DefaultConnectTimeout {
+			t.Errorf("get on a cut link took %v, want the connect timeout", waited)
 		}
 		col.End(p)
+		if err := cl.Set(p, "k", blob.FromString("w")); err != fabric.ErrUnreachable {
+			t.Errorf("Set across a cut link: err = %v, want ErrUnreachable", err)
+		}
+		if cl.Delete(p, "k") {
+			t.Error("Delete across a cut link reported the key found")
+		}
+		cl.node.Network().HealLink("client", "mcd0")
+		if it, ok := cl.Get(p, "k"); !ok || string(it.Value.Bytes()) != "v" {
+			t.Errorf("after the heal: get = %v, %v; want the value the cut-off set and delete never reached", it, ok)
+		}
 	})
 	env.Run()
-	if got := cl.DownReplies(); got != 0 {
-		t.Errorf("DownReplies = %d, want 0 (deadline is not a down reply)", got)
+	if down, cut := cl.DownReplies(), cl.Unreachables(); down != 0 || cut != 3 {
+		t.Errorf("DownReplies = %d, Unreachables = %d; want 0 and 3", down, cut)
 	}
 	var mcd *optrace.Span
 	for _, s := range col.Last.Spans {
@@ -343,7 +374,7 @@ func TestSimGetDeadlineIsAMiss(t *testing.T) {
 			mcd = s
 		}
 	}
-	if mcd.Attr("result") != "deadline" {
-		t.Errorf("mcd span result = %q, want deadline", mcd.Attr("result"))
+	if mcd.Attr("result") != "unreachable" {
+		t.Errorf("mcd span result = %q, want unreachable", mcd.Attr("result"))
 	}
 }

@@ -1,8 +1,6 @@
 package memcache
 
 import (
-	"errors"
-
 	"imca/internal/blob"
 	"imca/internal/fabric"
 	"imca/internal/flight"
@@ -21,19 +19,13 @@ type SimClient struct {
 	// bindings pre-resolve the mcd service on each server, so the per-call
 	// path never repeats the lookup or the cross-network check.
 	bindings []*fabric.Binding
-	// Free lists of pooled per-operation frames (getOp, setOp, ...).
-	getOps   []*getOp
-	setOps   []*setOp
-	delOps   []*delOp
+	// Free lists of pooled per-operation frames.
+	ops      []*bankOp
 	multiOps []*multiGetOp
 	legs     []*multiGetLeg
-	// downReplies counts requests that came back with Down set (connection
+	// downReplies counts requests that came back with down set (connection
 	// refused by a failed daemon). Surfaced through BankStats.
 	downReplies uint64
-	// deadlineMisses counts requests abandoned because the calling
-	// operation's virtual-time deadline expired — the paper's "fall back to
-	// the server" path.
-	deadlineMisses uint64
 	// unreachables counts requests that failed because the link to the
 	// server was cut (fabric.ErrUnreachable).
 	unreachables uint64
@@ -55,17 +47,12 @@ type SimClient struct {
 	suspectAfter            sim.Duration
 	suspectBackoff          sim.Duration
 	suspects, suspectClears uint64
-	// fnGetFailover dispatches GetT's replica retry. It is a stored
-	// function value on purpose: the allocfree walker follows direct
-	// calls only, so the exceptional failover leg stays off the audited
-	// common path (the same sanctioned idiom as the kernel's ev.fn).
-	fnGetFailover func(t *sim.Task, next int, key string, k func(*Item, bool))
 
 	// Per-bank latency distributions (get/set/getmulti entry to exit,
 	// fast-fails included), registered by Register; nil no-ops otherwise.
 	getHist, setHist, multiHist *telemetry.Hist
-	// fr, when attached, records deadline expiries and ejection
-	// transitions for post-mortems; nil (the default) is a no-op.
+	// fr, when attached, records failovers and ejection transitions for
+	// post-mortems; nil (the default) is a no-op.
 	fr *flight.Recorder
 }
 
@@ -79,7 +66,6 @@ func NewSimClient(node *fabric.Node, servers []*SimServer) *SimClient {
 	for i, s := range servers {
 		c.bindings[i] = node.Bind(s.node, ServiceName)
 	}
-	c.fnGetFailover = c.failoverGetT
 	return c
 }
 
@@ -111,8 +97,8 @@ func (c *SimClient) replicaNext(key string, primary int) int {
 	return r
 }
 
-// SetFlight attaches a flight recorder: deadline expiries and ejection
-// state transitions append fixed-size records to it. Appending costs no
+// SetFlight attaches a flight recorder: failovers and ejection state
+// transitions append fixed-size records to it. Appending costs no
 // virtual time, so an attached recorder never changes results.
 func (c *SimClient) SetFlight(rec *flight.Recorder) { c.fr = rec }
 
@@ -124,31 +110,27 @@ func (c *SimClient) pick(key string) (int, *SimServer) {
 	return i, c.servers[i]
 }
 
-// fail classifies a request error or Down reply into the right counter and
-// feeds the health state machine.
-func (c *SimClient) fail(a sim.Actor, idx int, err error, down bool) string {
-	result := "deadline"
-	switch {
-	case down:
-		c.downReplies++
-		result = "down"
-	case errors.Is(err, fabric.ErrUnreachable):
+// fail counts a request that got no answer from a live daemon — err is the
+// wire's one failure, a cut link; nil means a down reply — and feeds the
+// health state machine. It returns the span's result label.
+func (c *SimClient) fail(a sim.Actor, idx int, err error) string {
+	result := "down"
+	if err != nil {
 		c.unreachables++
 		result = "unreachable"
-	default:
-		c.deadlineMisses++
-		c.fr.Append(a.Now(), flight.KindDeadline, c.node.Name(), c.servers[idx].node.Name(), 0)
+	} else {
+		c.downReplies++
 	}
 	c.observe(a, idx, false)
 	return result
 }
 
-// Get fetches one key; ok is false on a miss. A dead daemon, a cut link,
-// or an expired operation deadline also reads as a miss — the bank
-// degrades, it never stalls or fails an operation. An ejected server
-// misses instantly without a wire request (see SetEjection). With
-// replication on, a failed primary leg retries once against the replica.
-// It is GetT awaited; the item GetT lends is copied, so the caller owns it.
+// Get fetches one key; ok is false on a miss. A dead daemon or a cut link
+// also reads as a miss — the bank degrades, it never stalls or fails an
+// operation. An ejected server misses instantly without a wire request (see
+// SetEjection). With replication on, a failed primary leg retries once
+// against the replica. It is GetT awaited; the item GetT lends is copied, so
+// the caller owns it.
 func (c *SimClient) Get(p *sim.Proc, key string) (it *Item, ok bool) {
 	p.Await(func(t *sim.Task) {
 		c.GetT(t, key, func(lent *Item, hit bool) {
@@ -165,10 +147,10 @@ func (c *SimClient) Get(p *sim.Proc, key string) (it *Item, ok bool) {
 // GetMulti fetches many keys with one batched request per MCD; requests to
 // distinct MCDs proceed in parallel. The result is aligned with keys:
 // entry i is the item found for keys[i], or nil on a miss. Keys served by a
-// dead daemon, over a cut link, or abandoned because the operation's
-// deadline expired, are simply nil — misses the caller satisfies from the
-// server. Keys on an ejected server are nil without a request serializing
-// onto the NIC. It is GetMultiT awaited, the lent items copied.
+// dead daemon or over a cut link are simply nil — misses the caller
+// satisfies from the server. Keys on an ejected server are nil without a
+// request serializing onto the NIC. It is GetMultiT awaited, the lent items
+// copied.
 func (c *SimClient) GetMulti(p *sim.Proc, keys []string) []*Item {
 	out := make([]*Item, len(keys))
 	p.Await(func(t *sim.Task) {
@@ -187,11 +169,10 @@ func (c *SimClient) GetMulti(p *sim.Proc, keys []string) []*Item {
 
 // Set stores an item on its MCD and waits for the acknowledgement. A dead
 // daemon drops the update (the bank is best-effort; correctness lives at
-// the file server), and so do an expired operation deadline, a cut link,
-// and an ejected server. With replication on, the item is written through
-// to the replica as well; the primary's result is what the caller sees
-// (the replica copy is best-effort, like the bank itself). It is SetT
-// awaited.
+// the file server), and so do a cut link and an ejected server. With
+// replication on, the item is written through to the replica as well; the
+// primary's result is what the caller sees (the replica copy is best-effort,
+// like the bank itself). It is SetT awaited.
 func (c *SimClient) Set(p *sim.Proc, key string, value blob.Blob) (err error) {
 	p.Await(func(t *sim.Task) {
 		c.SetT(t, key, value, func(e error) {
@@ -219,20 +200,12 @@ func (c *SimClient) Delete(p *sim.Proc, key string) (found bool) {
 	return found
 }
 
-// multiErrResult names a failed multi-get leg for its span.
-func multiErrResult(err error) string {
-	if errors.Is(err, fabric.ErrUnreachable) {
-		return "unreachable"
-	}
-	return "deadline"
-}
-
 // multiRespResult names an answered multi-get leg for its span.
-func multiRespResult(resp *GetResp, asked int) string {
+func multiRespResult(resp *response, asked int) string {
 	switch {
-	case resp.Down:
+	case resp.down:
 		return "down"
-	case len(resp.Items) == asked:
+	case len(resp.items) == asked:
 		return "hit"
 	}
 	return "partial"
@@ -275,10 +248,6 @@ func (c *SimClient) routeRead(a sim.Actor, key string) int {
 // a dead daemon's connection reset.
 func (c *SimClient) DownReplies() uint64 { return c.downReplies }
 
-// DeadlineMisses returns how many of this client's requests were abandoned
-// at an operation deadline and fell back to the server path.
-func (c *SimClient) DeadlineMisses() uint64 { return c.deadlineMisses }
-
 // BankStats sums Stats across the MCD bank.
 func (c *SimClient) BankStats() Stats {
 	var total Stats
@@ -296,7 +265,6 @@ func (c *SimClient) BankStats() Stats {
 		total.LimitBytes += st.LimitBytes
 	}
 	total.DownReplies = c.downReplies
-	total.DeadlineMisses = c.deadlineMisses
 	total.Unreachables = c.unreachables
 	total.Ejects = c.ejects
 	total.Probes = c.probes
@@ -308,150 +276,153 @@ func (c *SimClient) BankStats() Stats {
 	return total
 }
 
-// getOp is GetT's pooled per-operation frame: the request (whose Keys
-// slice permanently aliases the op's one-element key buffer), the
-// completion continuation prebound as a method value, and the span/latency
-// bookkeeping the closure used to capture. The op returns to its client's
-// pool when the fabric recycles the request — after both the continuation
-// and the far daemon are done with it, which is what makes reuse safe even
-// for deadline-abandoned calls whose request is still being served.
-type getOp struct {
+// bankOp is the pooled per-operation frame of GetT and of one SetT or
+// DeleteT leg: the request (whose keys slice permanently aliases the op's
+// one-element key buffer), the completion continuation prebound as a method
+// value, and the span and latency bookkeeping. The op returns to its
+// client's pool when the fabric recycles the request — after both the
+// continuation and the far daemon are done with it, which is what makes
+// reuse safe even for a call a cut link abandoned while its request was
+// still being served.
+type bankOp struct {
 	c   *SimClient
 	t   *sim.Task
-	k   func(*Item, bool)
 	sp  *optrace.Span
 	idx int
-	// next is the replica index to fail over to on a failed leg, -1 for
-	// none; the failover leg itself always carries -1.
-	next   int
-	t0     sim.Time
-	req    GetReq
-	key    [1]string
+	// next is the replica a failed get fails over to, -1 for none; the
+	// failover leg itself always carries -1.
+	next int
+	t0   sim.Time
+	req  request
+	key  [1]string
+
+	kGet func(*Item, bool)
+	kSet func(error)
+	kDel func(bool)
+
 	fnDone func(fabric.Msg, error)
 }
 
-func newGetOp(c *SimClient) *getOp {
-	//imcalint:allow allocfree pool refill: takeGetOp builds a frame only when the free list is empty, so the count is bounded by the gets in flight at once
-	op := &getOp{c: c}
-	op.req.Keys = op.key[:1]
-	op.req.op = op
-	op.fnDone = op.done
+// takeOp draws a frame for one v request to server idx under span sp.
+func (c *SimClient) takeOp(t *sim.Task, v verb, idx int, sp *optrace.Span) *bankOp {
+	var op *bankOp
+	if n := len(c.ops); n > 0 {
+		op = c.ops[n-1]
+		c.ops[n-1] = nil
+		c.ops = c.ops[:n-1]
+	} else {
+		//imcalint:allow allocfree pool refill: a frame is built only when the free list is empty, so the count is bounded by the single-key requests in flight at once
+		op = &bankOp{c: c}
+		op.req.keys = op.key[:1]
+		op.req.owner = op
+		op.fnDone = op.done
+	}
+	op.t, op.req.verb, op.idx, op.sp = t, v, idx, sp
 	return op
 }
 
-func (c *SimClient) takeGetOp() *getOp {
-	if n := len(c.getOps); n > 0 {
-		op := c.getOps[n-1]
-		c.getOps[n-1] = nil
-		c.getOps = c.getOps[:n-1]
-		return op
-	}
-	return newGetOp(c)
+func (op *bankOp) release() {
+	op.t, op.sp, op.kGet, op.kSet, op.kDel = nil, nil, nil, nil, nil
+	op.key[0], op.req.item = "", Item{}
+	op.c.ops = append(op.c.ops, op)
 }
 
-func (op *getOp) release() {
-	op.t, op.k, op.sp = nil, nil, nil
-	op.key[0] = ""
-	op.c.getOps = append(op.c.getOps, op)
-}
-
-func (op *getOp) done(m fabric.Msg, err error) {
+// done receives the MCD's reply: the health and span bookkeeping every verb
+// shares, then the verb's own decode.
+func (op *bankOp) done(m fabric.Msg, err error) {
 	c, t, sp := op.c, op.t, op.sp
-	if err != nil {
-		sp.SetAttr("result", c.fail(t, op.idx, err, false))
+	resp, _ := m.(*response)
+	failed := err != nil || resp.down
+	if failed {
+		sp.SetAttr("result", c.fail(t, op.idx, err))
+	} else {
+		c.observe(t, op.idx, true)
+	}
+	switch op.req.verb {
+	case verbGet:
+		// A hit points into the pooled response: valid through kGet,
+		// reclaimed when the fabric recycles the response after it returns.
+		var hit *Item
+		if !failed {
+			c.observeLatency(t, op.idx, t.Now().Sub(op.t0))
+			if len(resp.items) == 0 {
+				sp.SetAttr("result", "miss")
+			} else {
+				hit = resp.items[0]
+				sp.SetAttr("result", "hit")
+				sp.SetAttrInt("bytes", hit.Value.Len())
+			}
+		}
 		sp.End(t)
 		c.getHist.ObserveSince(t, op.t0)
-		if op.next >= 0 {
-			c.failoverGetT(t, op.next, op.key[0], op.k)
+		if failed && op.next >= 0 {
+			c.retryGetT(t, op.next, op.key[0], op.kGet)
 			return
 		}
-		op.k(nil, false)
-		return
-	}
-	resp := m.(*GetResp)
-	if resp.Down {
-		sp.SetAttr("result", c.fail(t, op.idx, nil, true))
-		sp.End(t)
-		c.getHist.ObserveSince(t, op.t0)
-		if op.next >= 0 {
-			c.failoverGetT(t, op.next, op.key[0], op.k)
-			return
+		op.kGet(hit, hit != nil)
+	case verbSet:
+		switch {
+		case failed:
+			if err == nil {
+				err = ErrServerDown
+			}
+		case resp.err != "":
+			sp.SetAttr("result", "error")
+			err = ErrNotStored
+		default:
+			sp.SetAttr("result", "stored")
 		}
-		op.k(nil, false)
-		return
-	}
-	c.observe(t, op.idx, true)
-	c.observeLatency(t, op.idx, t.Now().Sub(op.t0))
-	if len(resp.Items) == 0 {
-		sp.SetAttr("result", "miss")
 		sp.End(t)
-		c.getHist.ObserveSince(t, op.t0)
-		op.k(nil, false)
-		return
+		c.setHist.ObserveSince(t, op.t0)
+		op.kSet(err)
+	default:
+		sp.End(t)
+		op.kDel(!failed && resp.found)
 	}
-	sp.SetAttr("result", "hit")
-	sp.SetAttrInt("bytes", resp.Items[0].Value.Len())
-	sp.End(t)
-	c.getHist.ObserveSince(t, op.t0)
-	// The item points into the pooled response: valid through k, reclaimed
-	// when the fabric recycles the response after k returns.
-	op.k(resp.Items[0], true)
 }
 
 // GetT fetches one key: k receives (item, true) on a hit and (nil, false)
-// on any flavour of miss. A hit's item aliases pooled response
-// storage and is valid only until k returns; continuation code copies what
-// it keeps, exactly as it would from a network buffer.
+// on any flavour of miss. A hit's item aliases pooled response storage and
+// is valid only until k returns; continuation code copies what it keeps,
+// exactly as it would from a network buffer. With replication on, a leg that
+// fails — ejected server, cut link, down reply — retries once against the
+// replica.
 //
 //imcalint:hotpath 10k-tenant open-loop experiment: per-op allocations on this chain are the marginal cost (ROADMAP item 2); known ones are baselined for burn-down
 func (c *SimClient) GetT(t *sim.Task, key string, k func(*Item, bool)) {
-	idx, srv := c.pick(key)
-	next := c.replicaNext(key, idx)
+	idx, _ := c.pick(key)
+	c.getOnT(t, idx, c.replicaNext(key, idx), key, k)
+}
+
+// getOnT runs one GetT leg against server idx; next is the replica to retry
+// on if the leg fails, -1 for none.
+func (c *SimClient) getOnT(t *sim.Task, idx, next int, key string, k func(*Item, bool)) {
 	sp := optrace.StartSpan(t, optrace.LayerMCD, "get")
-	sp.SetAttr("server", srv.node.Name())
+	sp.SetAttr("server", c.servers[idx].node.Name())
 	t0 := t.Now()
 	if !c.admitRead(t, idx) {
 		sp.SetAttr("result", "ejected")
 		sp.End(t)
 		c.getHist.ObserveSince(t, t0)
 		if next >= 0 {
-			// Dispatched through the stored function value: the failover
-			// leg is exceptional by construction and stays off the
-			// statically-audited hot chain.
-			c.fnGetFailover(t, next, key, k)
+			c.retryGetT(t, next, key, k)
 			return
 		}
 		k(nil, false)
 		return
 	}
-	op := c.takeGetOp()
-	op.t, op.k, op.sp, op.idx, op.next, op.t0 = t, k, sp, idx, next, t0
+	op := c.takeOp(t, verbGet, idx, sp)
+	op.kGet, op.next, op.t0 = k, next, t0
 	op.key[0] = key
 	c.bindings[idx].CallT(t, &op.req, op.fnDone)
 }
 
-// failoverGetT records the replica retry and runs GetT's second leg,
-// which itself has no further failover target. Reached only through the
-// fnGetFailover function value (from GetT's admission gate) or from
-// getOp.done (off the static hot chain by the same stored-value idiom).
-func (c *SimClient) failoverGetT(t *sim.Task, next int, key string, k func(*Item, bool)) {
+// retryGetT records a failover and runs GetT's second leg, which has no
+// further failover target.
+func (c *SimClient) retryGetT(t *sim.Task, next int, key string, k func(*Item, bool)) {
 	c.failovers++
 	c.fr.Append(t.Now(), flight.KindFailover, c.node.Name(), c.servers[next].node.Name(), 0)
-	srv := c.servers[next]
-	sp := optrace.StartSpan(t, optrace.LayerMCD, "get")
-	sp.SetAttr("server", srv.node.Name())
-	t0 := t.Now()
-	if !c.admitRead(t, next) {
-		sp.SetAttr("result", "ejected")
-		sp.End(t)
-		c.getHist.ObserveSince(t, t0)
-		k(nil, false)
-		return
-	}
-	op := c.takeGetOp()
-	op.t, op.k, op.sp, op.idx, op.next, op.t0 = t, k, sp, next, -1, t0
-	op.key[0] = key
-	c.bindings[next].CallT(t, &op.req, op.fnDone)
+	c.getOnT(t, next, -1, key, k)
 }
 
 // multiGetOp is GetMultiT's pooled per-operation frame: the caller's
@@ -493,18 +464,18 @@ type legResult struct {
 }
 
 // multiGetLeg is one MCD's share of a multi-get: the pooled request (its
-// Keys slice keeps its capacity), where each of its keys sits in the
+// keys slice keeps its capacity), where each of its keys sits in the
 // caller's slice, and a context task that is the leg's actor — the identity
-// its spans nest under and its deadline is looked up on. A leg outlives its op's interest in it: it returns to
-// the pool only when the fabric recycles the request, which for a
-// deadline-abandoned call is after the far daemon has finished reading it.
+// its spans nest under. A leg outlives its op's interest in it: it returns
+// to the pool only when the fabric recycles the request, which for a call a
+// cut link abandoned is after the far daemon has finished reading it.
 type multiGetLeg struct {
 	c   *SimClient
 	op  *multiGetOp
 	n   int // index into op.res
 	t   *sim.Task
 	sp  *optrace.Span
-	req GetReq
+	req request
 	pos []int
 
 	fnStart func()
@@ -561,7 +532,7 @@ func (c *SimClient) takeLeg() *multiGetLeg {
 		return l
 	}
 	l := &multiGetLeg{c: c, t: c.node.Network().Env().ContextTask("mcd-get")}
-	l.req.op = l
+	l.req.verb, l.req.owner = verbGet, l
 	l.fnStart = l.start
 	l.fnDone = l.done
 	return l
@@ -570,10 +541,10 @@ func (c *SimClient) takeLeg() *multiGetLeg {
 // release returns the leg to its client's pool; reached through the pooled
 // request's Recycle, or directly for a leg whose server refused admission.
 func (l *multiGetLeg) release() {
-	for i := range l.req.Keys {
-		l.req.Keys[i] = ""
+	for i := range l.req.keys {
+		l.req.keys[i] = ""
 	}
-	l.req.Keys, l.pos = l.req.Keys[:0], l.pos[:0]
+	l.req.keys, l.pos = l.req.keys[:0], l.pos[:0]
 	l.op, l.sp = nil, nil
 	l.t.SetCtx(nil)
 	l.c.legs = append(l.c.legs, l)
@@ -585,7 +556,7 @@ func (l *multiGetLeg) start() {
 	idx := l.op.res[l.n].idx
 	l.sp = optrace.StartSpan(l.t, optrace.LayerMCD, "getmulti")
 	l.sp.SetAttr("server", c.servers[idx].node.Name())
-	l.sp.SetAttrInt("keys", int64(len(l.req.Keys)))
+	l.sp.SetAttrInt("keys", int64(len(l.req.keys)))
 	c.bindings[idx].CallT(l.t, &l.req, l.fnDone)
 }
 
@@ -596,14 +567,14 @@ func (l *multiGetLeg) done(m fabric.Msg, err error) {
 	op := l.op
 	r := &op.res[l.n]
 	if err != nil {
-		l.sp.SetAttr("result", multiErrResult(err))
+		l.sp.SetAttr("result", "unreachable")
 		r.err = err
 	} else {
-		resp := m.(*GetResp)
-		l.sp.SetAttr("result", multiRespResult(resp, len(l.req.Keys)))
-		r.down = resp.Down
-		if !resp.Down {
-			matchItems(l.req.Keys, resp.Items, func(j int, it *Item) {
+		resp := m.(*response)
+		l.sp.SetAttr("result", multiRespResult(resp, len(l.req.keys)))
+		r.down = resp.down
+		if !resp.down {
+			matchItems(l.req.keys, resp.items, func(j int, it *Item) {
 				op.items = append(op.items, *it)
 				op.out[l.pos[j]] = &op.items[len(op.items)-1]
 			})
@@ -622,13 +593,9 @@ func (op *multiGetOp) collect() {
 			ev.WaitFn(op.fnCollect)
 			return
 		}
-		r := &op.res[op.next]
-		switch {
-		case r.err != nil:
-			c.fail(t, r.idx, r.err, false)
-		case r.down:
-			c.fail(t, r.idx, nil, true)
-		default:
+		if r := &op.res[op.next]; r.err != nil || r.down {
+			c.fail(t, r.idx, r.err)
+		} else {
 			c.observe(t, r.idx, true)
 		}
 		op.next++
@@ -665,7 +632,7 @@ func (c *SimClient) GetMultiT(t *sim.Task, keys []string, k func([]*Item)) {
 			l = c.takeLeg()
 			op.byServer[i] = l
 		}
-		l.req.Keys = append(l.req.Keys, key)
+		l.req.keys = append(l.req.keys, key)
 		l.pos = append(l.pos, j)
 	}
 	for i, l := range op.byServer { // deterministic order
@@ -688,60 +655,6 @@ func (c *SimClient) GetMultiT(t *sim.Task, keys []string, k func([]*Item)) {
 		optrace.Fork(t, l.t)
 	}
 	op.collect()
-}
-
-// delOp is DeleteT's pooled per-operation frame; see getOp.
-type delOp struct {
-	c      *SimClient
-	t      *sim.Task
-	k      func(bool)
-	sp     *optrace.Span
-	idx    int
-	req    DelReq
-	fnDone func(fabric.Msg, error)
-}
-
-func newDelOp(c *SimClient) *delOp {
-	op := &delOp{c: c}
-	op.req.op = op
-	op.fnDone = op.done
-	return op
-}
-
-func (c *SimClient) takeDelOp() *delOp {
-	if n := len(c.delOps); n > 0 {
-		op := c.delOps[n-1]
-		c.delOps[n-1] = nil
-		c.delOps = c.delOps[:n-1]
-		return op
-	}
-	return newDelOp(c)
-}
-
-func (op *delOp) release() {
-	op.t, op.k, op.sp = nil, nil, nil
-	op.req.Key = ""
-	op.c.delOps = append(op.c.delOps, op)
-}
-
-func (op *delOp) done(m fabric.Msg, err error) {
-	c, t, sp := op.c, op.t, op.sp
-	if err != nil {
-		sp.SetAttr("result", c.fail(t, op.idx, err, false))
-		sp.End(t)
-		op.k(false)
-		return
-	}
-	resp := m.(*DelResp)
-	if resp.Down {
-		sp.SetAttr("result", c.fail(t, op.idx, nil, true))
-		sp.End(t)
-		op.k(false)
-		return
-	}
-	c.observe(t, op.idx, true)
-	sp.End(t)
-	op.k(resp.Found)
 }
 
 // DeleteT removes a key from its MCD; k receives whether it was found. An
@@ -771,80 +684,10 @@ func (c *SimClient) delOnT(t *sim.Task, idx int, key string, k func(bool)) {
 		k(false)
 		return
 	}
-	op := c.takeDelOp()
-	op.t, op.k, op.sp, op.idx = t, k, sp, idx
-	op.req.Key = key
+	op := c.takeOp(t, verbDelete, idx, sp)
+	op.kDel = k
+	op.key[0] = key
 	c.bindings[idx].CallT(t, &op.req, op.fnDone)
-}
-
-// setOp is SetT's pooled per-operation frame; the request's Item
-// permanently points at the op's embedded item, rebuilt per call (the
-// store copies on insert, so reuse is safe the moment Set returns).
-type setOp struct {
-	c      *SimClient
-	t      *sim.Task
-	k      func(error)
-	sp     *optrace.Span
-	idx    int
-	t0     sim.Time
-	item   Item
-	req    SetReq
-	fnDone func(fabric.Msg, error)
-}
-
-func newSetOp(c *SimClient) *setOp {
-	op := &setOp{c: c}
-	op.req.Item = &op.item
-	op.req.op = op
-	op.fnDone = op.done
-	return op
-}
-
-func (c *SimClient) takeSetOp() *setOp {
-	if n := len(c.setOps); n > 0 {
-		op := c.setOps[n-1]
-		c.setOps[n-1] = nil
-		c.setOps = c.setOps[:n-1]
-		return op
-	}
-	return newSetOp(c)
-}
-
-func (op *setOp) release() {
-	op.t, op.k, op.sp = nil, nil, nil
-	op.item = Item{}
-	op.c.setOps = append(op.c.setOps, op)
-}
-
-func (op *setOp) done(m fabric.Msg, err error) {
-	c, t, sp := op.c, op.t, op.sp
-	if err != nil {
-		sp.SetAttr("result", c.fail(t, op.idx, err, false))
-		sp.End(t)
-		c.setHist.ObserveSince(t, op.t0)
-		op.k(err)
-		return
-	}
-	resp := m.(*SetResp)
-	switch {
-	case resp.Down:
-		sp.SetAttr("result", c.fail(t, op.idx, nil, true))
-		sp.End(t)
-		c.setHist.ObserveSince(t, op.t0)
-		op.k(ErrServerDown)
-	case resp.Err != "":
-		c.observe(t, op.idx, true)
-		sp.SetAttr("result", "error")
-		sp.End(t)
-		c.setHist.ObserveSince(t, op.t0)
-		op.k(ErrNotStored)
-	default:
-		c.observe(t, op.idx, true)
-		sp.SetAttr("result", "stored")
-		sp.End(t)
-		c.setHist.ObserveSince(t, op.t0)
-		op.k(nil)
-	}
 }
 
 // SetT stores an item on its MCD; k receives the acknowledgement's error.
@@ -876,8 +719,10 @@ func (c *SimClient) setOnT(t *sim.Task, idx int, key string, value blob.Blob, k 
 		k(ErrServerDown)
 		return
 	}
-	op := c.takeSetOp()
-	op.t, op.k, op.sp, op.idx, op.t0 = t, k, sp, idx, t0
-	op.item = Item{Key: key, Value: value}
+	op := c.takeOp(t, verbSet, idx, sp)
+	op.kSet, op.t0 = k, t0
+	// The store copies on insert, so the frame's item is reusable the moment
+	// the daemon's Set returns.
+	op.req.item = Item{Key: key, Value: value}
 	c.bindings[idx].CallT(t, &op.req, op.fnDone)
 }

@@ -86,39 +86,23 @@ func (s *SimServer) stretch(d sim.Duration) sim.Duration {
 	return d
 }
 
-// reqName names a request type for spans.
-func reqName(req fabric.Msg) string {
-	switch req.(type) {
-	case *GetReq:
-		return "get"
-	case *SetReq:
-		return "set"
-	case *DelReq:
-		return "delete"
-	}
-	return "?"
-}
-
 // srvOp is the daemon's request state machine, pooled per SimServer. One op
 // carries one request from daemon admission through CPU charges to the
 // response, on continuations prebound at construction, so a steady-state
-// request allocates nothing. The response messages live inside the op and
-// carry a backpointer; when the fabric recycles a delivered (or abandoned)
+// request allocates nothing. The response message lives inside the op and
+// carries a backpointer; when the fabric recycles a delivered (or abandoned)
 // response, the op returns to its server's free list.
 type srvOp struct {
 	s       *SimServer
 	t       *sim.Task
-	req     fabric.Msg
+	req     *request
 	respond func(fabric.Msg)
 	sp      *optrace.Span
 	svcTime sim.Duration
-	moved   int64
 
-	getResp GetResp
-	setResp SetResp
-	delResp DelResp
-	// items holds hit snapshots by value; ptrs aliases into it for
-	// GetResp.Items. Both keep their capacity across reuses.
+	resp response
+	// items holds a get's hit snapshots by value; ptrs aliases into it for
+	// resp.items. Both keep their capacity across reuses.
 	items []Item
 	ptrs  []*Item
 
@@ -131,9 +115,7 @@ type srvOp struct {
 
 func newSrvOp(s *SimServer) *srvOp {
 	op := &srvOp{s: s}
-	op.getResp.op = op
-	op.setResp.op = op
-	op.delResp.op = op
+	op.resp.op = op
 	op.fnDaemonHeld = op.daemonHeld
 	op.fnCPUHeld = op.cpuHeld
 	op.fnCPUDone = op.cpuDone
@@ -153,12 +135,10 @@ func (s *SimServer) getOp() *srvOp {
 }
 
 // release returns the op to its server's pool; called by the pooled
-// responses' Recycle when the fabric retires the call.
+// response's Recycle when the fabric retires the call.
 func (op *srvOp) release() {
 	op.t, op.req, op.respond, op.sp = nil, nil, nil, nil
-	op.getResp.Items = nil
-	op.setResp.Err = ""
-	op.getResp.Down, op.setResp.Down, op.delResp.Down = false, false, false
+	op.resp = response{op: op}
 	for i := range op.ptrs {
 		op.ptrs[i] = nil
 	}
@@ -171,48 +151,39 @@ func (op *srvOp) release() {
 // handleT serves one request continuation-style: daemon admission, per-key
 // CPU, storage access, copy CPU.
 func (s *SimServer) handleT(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
-	sp := optrace.StartSpan(t, optrace.LayerMCDSrv, reqName(req))
+	r := req.(*request)
+	sp := optrace.StartSpan(t, optrace.LayerMCDSrv, r.verb.String())
 	if s.down {
 		sp.SetAttr("down", "true")
 		sp.End(t)
 		// Connection refused: the kernel answers with a reset after one
 		// wire round trip; no daemon time is spent. Down replies are rare
 		// (failure experiments), so they are not pooled.
-		switch req.(type) {
-		case *GetReq:
-			respond(&GetResp{Down: true})
-		case *SetReq:
-			respond(&SetResp{Down: true})
-		case *DelReq:
-			respond(&DelResp{Down: true})
-		default:
-			panic("memcache: unknown request type")
-		}
+		respond(&response{down: true})
 		return
 	}
 	op := s.getOp()
-	op.t, op.req, op.respond, op.sp = t, req, respond, sp
+	op.t, op.req, op.respond, op.sp = t, r, respond, sp
 	s.daemon.AcquireT(t, 1, op.fnDaemonHeld)
 }
 
 func (op *srvOp) daemonHeld() {
-	switch r := op.req.(type) {
-	case *GetReq:
-		op.svcTime = op.s.stretch(sim.Duration(len(r.Keys)) * perKeyServiceTime)
-	case *SetReq:
-		op.svcTime = op.s.stretch(perKeyServiceTime + copyTime(r.Item.Value.Len()))
-	case *DelReq:
-		op.svcTime = op.s.stretch(perKeyServiceTime)
-	default:
-		panic("memcache: unknown request type")
+	r := op.req
+	d := perKeyServiceTime
+	switch r.verb {
+	case verbGet:
+		d = sim.Duration(len(r.keys)) * perKeyServiceTime
+	case verbSet:
+		d += copyTime(r.item.Value.Len())
 	}
+	op.svcTime = op.s.stretch(d)
 	op.s.node.CPU.AcquireT(op.t, 1, op.fnCPUHeld)
 }
 
 func (op *srvOp) cpuHeld() { op.t.Sleep(op.svcTime, op.fnCPUDone) }
 
 func (op *srvOp) cpuDone() {
-	s := op.s
+	s, r := op.s, op.req
 	s.node.CPU.Release(1)
 	if s.down {
 		// The daemon crashed while this request was in service: the store
@@ -220,26 +191,15 @@ func (op *srvOp) cpuDone() {
 		// snapshot) would resurrect pre-crash state — the divergence the
 		// replica-coherence audit exists to catch. Answer like a
 		// connection reset instead; nothing is applied.
-		switch op.req.(type) {
-		case *GetReq:
-			op.getResp.Down = true
-			op.finish(&op.getResp)
-		case *SetReq:
-			op.setResp.Down = true
-			op.finish(&op.setResp)
-		case *DelReq:
-			op.delResp.Down = true
-			op.finish(&op.delResp)
-		default:
-			panic("memcache: unknown request type")
-		}
+		op.resp.down = true
+		op.finish()
 		return
 	}
-	switch r := op.req.(type) {
-	case *GetReq:
+	switch r.verb {
+	case verbGet:
 		items := op.items[:0]
 		var moved int64
-		for _, k := range r.Keys {
+		for _, k := range r.keys {
 			if it, ok := s.store.GetView(k); ok {
 				items = append(items, it)
 				moved += it.Value.Len()
@@ -251,43 +211,35 @@ func (op *srvOp) cpuDone() {
 			ptrs = append(ptrs, &items[i])
 		}
 		op.ptrs = ptrs
-		op.getResp.Items = ptrs
-		op.moved = moved
+		op.resp.items = ptrs
 		if moved > 0 {
 			// Copy-out cost for the hit bytes: a second CPU use.
 			op.svcTime = s.stretch(copyTime(moved))
 			s.node.CPU.AcquireT(op.t, 1, op.fnCopyHeld)
 			return
 		}
-		op.finish(&op.getResp)
-	case *SetReq:
-		if err := s.store.Set(r.Item); err != nil {
-			op.setResp.Err = err.Error()
-		} else {
-			op.setResp.Err = ""
+	case verbSet:
+		if err := s.store.Set(&r.item); err != nil {
+			op.resp.err = err.Error()
 		}
-		op.finish(&op.setResp)
-	case *DelReq:
-		err := s.store.Delete(r.Key)
-		op.delResp.Found = err == nil
-		op.finish(&op.delResp)
-	default:
-		panic("memcache: unknown request type")
+	case verbDelete:
+		op.resp.found = s.store.Delete(r.keys[0]) == nil
 	}
+	op.finish()
 }
 
 func (op *srvOp) copyHeld() { op.t.Sleep(op.svcTime, op.fnCopyDone) }
 
 func (op *srvOp) copyDone() {
 	op.s.node.CPU.Release(1)
-	op.finish(&op.getResp)
+	op.finish()
 }
 
 // finish releases the daemon, closes the span, and sends the response, in
 // that order.
-func (op *srvOp) finish(resp fabric.Msg) {
+func (op *srvOp) finish() {
 	t, respond := op.t, op.respond
 	op.s.daemon.Release(1)
 	op.sp.End(t)
-	respond(resp)
+	respond(&op.resp)
 }

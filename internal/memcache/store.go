@@ -88,9 +88,6 @@ type Stats struct {
 	// reset. The store never increments it — it is a client-side
 	// observation, summed into BankStats by SimClient.
 	DownReplies uint64
-	// DeadlineMisses counts requests abandoned at an operation deadline.
-	// Also client-side only, summed into BankStats by SimClient.
-	DeadlineMisses uint64
 	// Unreachables counts requests dropped on a cut link, and Ejects,
 	// Probes, Readmits, and FastFails trace the client-side ejection state
 	// machine (see SimClient.SetEjection). All client-side only.

@@ -1,8 +1,8 @@
 // Package optrace threads a per-operation context through the simulated
-// storage stack: an operation ID, a virtual-time deadline, and a stack of
-// spans recording where the operation's virtual time went (FUSE crossing,
-// cache-bank RPC, server daemon, disk, …) — the latency-breakdown evidence
-// the paper's §5–6 analysis argues from.
+// storage stack: an operation ID and a stack of spans recording where the
+// operation's virtual time went (FUSE crossing, cache-bank RPC, server
+// daemon, disk, …) — the latency-breakdown evidence the paper's §5–6
+// analysis argues from.
 //
 // The context rides in the actor's (sim.Proc or sim.Task) opaque context
 // slot, so xlator signatures need no extra parameter. Layers open spans
@@ -10,28 +10,14 @@
 // close them with End; both are nil-safe no-ops when no operation is
 // attached, and neither advances virtual time, so tracing never perturbs a
 // simulation's results.
-//
-// Deadlines model a latency budget for the cache fast path: fabric.Node.Call
-// returns ErrDeadline when the virtual clock would pass the attached
-// operation's deadline, and the cache layers convert that into a miss so a
-// slow or dead MCD degrades service instead of stalling it. The
-// authoritative server path clears the deadline — reads must eventually
-// return correct data.
 package optrace
 
 import (
-	"errors"
 	"sort"
 	"strconv"
 
 	"imca/internal/sim"
 )
-
-// ErrDeadline reports that an operation's virtual-time deadline expired
-// before or during a remote call. Layers between the caller and the wire
-// translate it into degraded-but-correct behaviour (a cache miss, a server
-// fallback) rather than an operation failure.
-var ErrDeadline = errors.New("optrace: operation deadline exceeded")
 
 // Canonical layer names, ordered top of stack to bottom. Breakdown reports
 // follow this order so tables read like the request path.
@@ -176,8 +162,7 @@ func (s *Span) End(a sim.Actor) {
 	}
 }
 
-// Op is the per-operation context: identity, deadline, and the recorded
-// spans. One Op may span several processes (RPC handlers, scatter-gather
+// Op is the per-operation context: identity and the recorded spans. One Op may span several processes (RPC handlers, scatter-gather
 // workers) — Fork hands it to a helper process.
 type Op struct {
 	ID   uint64
@@ -187,23 +172,10 @@ type Op struct {
 	Finish sim.Time
 	// Spans lists completed spans in completion order.
 	Spans []*Span
-
-	deadline    sim.Time
-	hasDeadline bool
 }
 
 // Dur returns the operation's end-to-end virtual duration.
 func (o *Op) Dur() sim.Duration { return o.Finish.Sub(o.Start) }
-
-// SetDeadline arms the operation's virtual-time deadline.
-func (o *Op) SetDeadline(t sim.Time) { o.deadline, o.hasDeadline = t, true }
-
-// ClearDeadline disarms the deadline (the server fallback path does this:
-// the authoritative read must complete regardless of the cache budget).
-func (o *Op) ClearDeadline() { o.deadline, o.hasDeadline = 0, false }
-
-// DeadlineTime returns the armed deadline, if any.
-func (o *Op) DeadlineTime() (sim.Time, bool) { return o.deadline, o.hasDeadline }
 
 // LayerTime is a layer's summed exclusive time within one operation.
 type LayerTime struct {
@@ -300,15 +272,6 @@ func Detach(a sim.Actor) *Op {
 	return st.op
 }
 
-// FromProc returns the operation attached to the actor, or nil. (The name
-// predates the task engine; it accepts either execution style.)
-func FromProc(a sim.Actor) *Op {
-	if st, ok := a.Ctx().(*state); ok {
-		return st.op
-	}
-	return nil
-}
-
 // Fork copies the parent's operation context onto a child actor, so spans
 // the child opens nest under the parent's current span. Layers that spawn
 // helpers on the operation's critical path (RPC handlers, scatter-gather
@@ -344,20 +307,4 @@ func StartSpan(a sim.Actor, layer, name string) *Span {
 	}
 	st.cur = s
 	return s
-}
-
-// Deadline returns the deadline of a's operation, if one is armed.
-func Deadline(a sim.Actor) (sim.Time, bool) {
-	if op := FromProc(a); op != nil {
-		return op.DeadlineTime()
-	}
-	return 0, false
-}
-
-// ClearDeadline disarms the deadline on a's operation, if any. Cache
-// layers call it when falling back to the authoritative server path.
-func ClearDeadline(a sim.Actor) {
-	if op := FromProc(a); op != nil {
-		op.ClearDeadline()
-	}
 }

@@ -71,10 +71,6 @@ func TestNilSafety(t *testing.T) {
 		if sp.Dur() != 0 || sp.Self() != 0 || sp.Attr("k") != "" {
 			t.Error("nil span accessors should return zero values")
 		}
-		if _, ok := Deadline(p); ok {
-			t.Error("Deadline armed without op")
-		}
-		ClearDeadline(p)
 		if op := Detach(p); op != nil {
 			t.Errorf("Detach without op = %v", op)
 		}
@@ -142,29 +138,6 @@ func TestForkNesting(t *testing.T) {
 		if root.Self() != 0 || mcd.Self() != 20*time.Microsecond {
 			t.Errorf("self times: root %v (want 0), mcd %v (want 20µs)", root.Self(), mcd.Self())
 		}
-	})
-	env.Run()
-}
-
-// TestDeadlineAccessors covers arm/clear through the proc-level helpers.
-func TestDeadlineAccessors(t *testing.T) {
-	env := sim.NewEnv()
-	col := NewCollector()
-	env.Process("op", func(p *sim.Proc) {
-		op := col.Begin(p, "read")
-		if _, ok := Deadline(p); ok {
-			t.Error("deadline armed before SetDeadline")
-		}
-		want := p.Now().Add(10 * time.Microsecond)
-		op.SetDeadline(want)
-		if dl, ok := Deadline(p); !ok || dl != want {
-			t.Errorf("Deadline = %v, %v after arming, want %v", dl, ok, want)
-		}
-		ClearDeadline(p)
-		if _, ok := Deadline(p); ok {
-			t.Error("deadline still armed after clear")
-		}
-		col.End(p)
 	})
 	env.Run()
 }

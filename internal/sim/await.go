@@ -40,8 +40,7 @@ const (
 
 // Await runs body on a task that fronts the calling process and returns
 // once that task has ended. The task shares the process's context slot
-// (Ctx/SetCtx), so spans and deadlines set on either side are seen by
-// both.
+// (Ctx/SetCtx), so spans opened on either side are seen by both.
 //
 // body runs inline, on the process's own goroutine. If it ends the task
 // before returning — the operation hit a fast path — Await returns without

@@ -5,25 +5,20 @@ package sim
 // receive the trigger value. Tasks wait with WaitT, receiving the value
 // through a continuation instead of a resumed goroutine.
 type Event struct {
-	env         *Env
-	triggered   bool
-	triggeredAt Time // instant Trigger ran; meaningful only when triggered
-	value       interface{}
-	waiters     []eventWaiter
-	nextWID     uint64
+	env       *Env
+	triggered bool
+	value     interface{}
+	waiters   []eventWaiter
 }
 
 // eventWaiter is one parked process or one pending task continuation.
-// Exactly one of p, fn, and fn0 is set. id identifies a continuation for
-// withdrawal (closures are not comparable, so the token stands in for the
-// pointer identity a *Proc provides). fn0 is the niladic variant used by
+// Exactly one of p, fn, and fn0 is set. fn0 is the niladic variant used by
 // pooled callers (see WaitFn): because it takes no value, Trigger can
 // schedule it directly instead of wrapping it in a fresh closure.
 type eventWaiter struct {
 	p   *Proc
 	fn  func(v interface{})
 	fn0 func()
-	id  uint64
 }
 
 // NewEvent returns an untriggered event.
@@ -33,12 +28,6 @@ func NewEvent(env *Env) *Event {
 
 // Triggered reports whether the event has fired.
 func (ev *Event) Triggered() bool { return ev.triggered }
-
-// TriggeredAt returns the instant Trigger ran; meaningful only once
-// Triggered reports true. Deadline machinery built on Defer (the fabric's
-// pooled RPC frames) needs it for its tie rule — a trigger landing exactly
-// on the deadline instant loses to the timeout.
-func (ev *Event) TriggeredAt() Time { return ev.triggeredAt }
 
 // Value returns the value passed to Trigger, or nil before triggering.
 func (ev *Event) Value() interface{} { return ev.value }
@@ -53,7 +42,6 @@ func (ev *Event) Trigger(v interface{}) {
 		return
 	}
 	ev.triggered = true
-	ev.triggeredAt = ev.env.now
 	ev.value = v
 	for i := range ev.waiters {
 		w := &ev.waiters[i]
@@ -110,33 +98,13 @@ func WaitAll(p *Proc, evs ...*Event) {
 // a method value bound once on a recycled frame. If the event has already
 // triggered, k runs inline, consuming no sequence number, exactly like
 // WaitT's fast path; otherwise Trigger schedules k directly (one event, as
-// for any waiter). The returned id withdraws the registration via Withdraw
-// and is 0 when k already ran inline.
-func (ev *Event) WaitFn(k func()) uint64 {
+// for any waiter).
+func (ev *Event) WaitFn(k func()) {
 	if ev.triggered {
 		k()
-		return 0
+		return
 	}
-	ev.nextWID++
-	ev.waiters = append(ev.waiters, eventWaiter{id: ev.nextWID, fn0: k})
-	return ev.nextWID
-}
-
-// Withdraw removes a pending continuation registered by WaitFn before the
-// event triggers, reporting whether it was found. After Trigger has run
-// (or for id 0) there is nothing to withdraw. It is how a pooled frame's
-// deadline path abandons its completion continuation.
-func (ev *Event) Withdraw(id uint64) bool {
-	if id == 0 {
-		return false
-	}
-	for i := range ev.waiters {
-		if ev.waiters[i].id == id {
-			ev.waiters = append(ev.waiters[:i], ev.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
+	ev.waiters = append(ev.waiters, eventWaiter{fn0: k})
 }
 
 // Reset returns a triggered (or idle) event to its untriggered state so an
@@ -148,6 +116,5 @@ func (ev *Event) Reset() {
 		panic("sim: Reset of an event with pending waiters")
 	}
 	ev.triggered = false
-	ev.triggeredAt = 0
 	ev.value = nil
 }

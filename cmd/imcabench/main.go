@@ -18,26 +18,23 @@
 // core. Tables, notes, and traces are byte-identical to a serial run —
 // only the wall clock changes.
 //
-// -breakdown additionally traces selected configurations through the
-// per-operation context (internal/optrace) and prints per-layer latency
-// decompositions after the figure's table. Tracing costs no virtual time,
-// so the tables are identical with or without it.
+// Five flags select what is printed after each figure's table, and any of
+// them makes the run an observed one (experiments.Options.Observe: selected
+// configurations traced through the per-operation context, instrumented
+// with the telemetry registry and its streaming histograms, and watched by
+// a bounded flight recorder). Observation costs no virtual time, so the
+// tables are byte-identical with or without it, and each flag prints the
+// same section whichever others are given:
 //
-// -telemetry instruments selected configurations with the telemetry
-// registry (internal/telemetry) and prints their final counters after the
-// table, plus a final harness dump (wall-clock events/sec of the run
-// itself); -trace-out FILE writes the retained operations as a Chrome
-// trace-event JSON file, openable in Perfetto, with the sampler's counter
-// tracks (hit rates, percentile traces) merged in as Perfetto counter
-// tracks. Both share tracing's guarantee: the tables are byte-identical
-// with them on or off.
+//	-breakdown   per-layer latency decompositions (internal/optrace)
+//	-telemetry   final counters of the instrumented configurations
+//	-hists       per-interval p50/p95/p99 latency timelines
+//	-flight      the flight recorder's post-mortem dump
+//	-trace-out FILE  the retained operations as Chrome trace-event JSON,
+//	             openable in Perfetto, with the sampler's counter tracks
+//	             (hit rates, percentile traces) merged in
 //
-// -hists registers streaming latency histograms on selected
-// configurations and prints their per-interval p50/p95/p99 timelines
-// after the table; -flight attaches a bounded flight recorder and prints
-// its post-mortem dump. Both are constant-memory (no retained ops) and
-// never change the tables — cmd/imcareport renders the same surfaces as
-// HTML.
+// cmd/imcareport renders the same surfaces as HTML.
 //
 // -cpuprofile / -memprofile write pprof profiles of the whole run. Host-side
 // performance is measured by benchmark/ (make benchpairs), not here.
@@ -109,14 +106,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	harness := telemetry.NewRegistry()
-	telemetry.RegisterHarness(harness)
-
-	nWorkers := parallel.Workers(*workers)
 	opts := experiments.Options{
-		Scale: *scale, Breakdown: *brk, Telemetry: *tele, TraceOps: *trOut != "",
-		Hists: *hists, Flight: *flight,
-		Workers: nWorkers,
+		Scale:   *scale,
+		Observe: *brk || *tele || *hists || *flight || *trOut != "",
+		Workers: parallel.Workers(*workers),
 	}
 	var tracedOps []*optrace.Op
 	var tracks []telemetry.CounterTrack
@@ -125,8 +118,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res := e.Run(opts)
 		//imcalint:allow wallclock host-side: wall duration of the run, printed next to virtual results
 		wall := time.Since(start)
-		tracedOps = append(tracedOps, res.Ops...)
-		tracks = append(tracks, res.Tracks...)
+		if *trOut != "" { // kept until the file is written, after the last experiment
+			tracedOps = append(tracedOps, res.Ops...)
+			tracks = append(tracks, res.Tracks...)
+		}
 		fmt.Fprintf(stdout, "\n== %s (scale 1/%d, %s wall) ==\n", e.Name, *scale, wall.Round(time.Millisecond))
 		if *csv {
 			res.Table.CSV(stdout)
@@ -174,13 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		runExp(e)
-	}
-
-	if *tele {
-		// Host-side throughput of the harness itself; lives on its own
-		// registry so experiment dumps stay byte-identical across runs.
-		fmt.Fprintf(stdout, "\n-- harness --\n")
-		harness.Dump(stdout)
 	}
 
 	if *trOut != "" {

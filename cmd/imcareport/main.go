@@ -11,17 +11,13 @@
 // The page is deterministic: the same experiments at the same scale always
 // render the same bytes (no timestamps, no map iteration, fixed number
 // formatting), so reports from two commits can be diffed directly.
-//
-// -plain disables the streaming histograms, timelines, and flight
-// recorders and reports only the legacy surfaces (tables, notes,
-// breakdowns, telemetry); the shared surfaces are byte-identical either
-// way, which TestHistFlightByteIdentical pins.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"imca/internal/experiments"
@@ -30,66 +26,69 @@ import (
 )
 
 func main() {
-	var (
-		exp     = flag.String("exp", "all", "experiment to render (figure id, or 'all')")
-		scale   = flag.Int("scale", 64, "divide the paper's workload parameters by this factor (1 = full scale)")
-		workers = flag.Int("parallel", 1, "run up to N experiment points concurrently (0 = one per core)")
-		out     = flag.String("o", "report.html", "output HTML file ('-' for stdout)")
-		plain   = flag.Bool("plain", false, "legacy surfaces only: no histograms, timelines, or flight recorders")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	opts := experiments.Options{
-		Scale:     *scale,
-		Workers:   parallel.Workers(*workers),
-		Breakdown: true,
-		Telemetry: true,
-		Hists:     !*plain,
-		Flight:    !*plain,
+// run is main with its environment abstracted: argv after the program
+// name, the two output streams, and the exit code as the return value.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("imcareport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp     = fs.String("exp", "all", "experiment to render (figure id, or 'all')")
+		scale   = fs.Int("scale", 64, "divide the paper's workload parameters by this factor (1 = full scale)")
+		workers = fs.Int("parallel", 1, "run up to N experiment points concurrently (0 = one per core)")
+		out     = fs.String("o", "report.html", "output HTML file ('-' for stdout)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
-	var list []experiments.Experiment
-	if *exp == "all" {
-		list = experiments.Registry
-	} else {
+	list := experiments.Registry
+	if *exp != "all" {
 		e, ok := experiments.Find(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "imcareport: unknown experiment %q\n", *exp)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "imcareport: unknown experiment %q\n", *exp)
+			return 2
 		}
 		list = []experiments.Experiment{e}
 	}
-
+	opts := experiments.Options{Scale: *scale, Observe: true, Workers: parallel.Workers(*workers)}
 	var results []*experiments.Result
 	for _, e := range list {
 		results = append(results, e.Run(opts))
 	}
 
-	f := os.Stdout
+	page := stdout
+	var f *os.File
 	if *out != "-" {
 		var err error
-		f, err = os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "imcareport: %v\n", err)
-			os.Exit(1)
+		if f, err = os.Create(*out); err != nil {
+			return fatal(stderr, err)
 		}
+		page = f
 	}
-	w := bufio.NewWriter(f)
+	w := bufio.NewWriter(page)
 	title := fmt.Sprintf("IMCa experiment report — %s, scale 1/%d", *exp, *scale)
 	err := report.Write(w, title, results)
 	if err == nil {
 		err = w.Flush()
 	}
-	if f != os.Stdout {
+	if f != nil {
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "imcareport: %v\n", err)
-		os.Exit(1)
+		return fatal(stderr, err)
 	}
-	if f != os.Stdout {
-		fmt.Printf("wrote %d experiment(s) to %s\n", len(results), *out)
+	if f != nil {
+		fmt.Fprintf(stdout, "wrote %d experiment(s) to %s\n", len(results), *out)
 	}
+	return 0
+}
+
+func fatal(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "imcareport: %v\n", err)
+	return 1
 }

@@ -1,6 +1,7 @@
 // Command memcached is a memcached-compatible cache daemon speaking the
-// standard text protocol over TCP — the same engine that backs IMCa's
-// simulated MCD bank, deployable for real.
+// standard text and binary protocols over TCP (each connection's first
+// byte says which) — the same engine that backs IMCa's simulated MCD
+// bank, deployable for real.
 //
 // Usage:
 //

@@ -14,10 +14,10 @@ import (
 
 // Allocation contracts of the block data path, in the style of
 // fabric/frame_test.go: batch-amortised testing.AllocsPerRun over warm
-// pools, so a bound of "n per operation" reads as n·batch (+1 for
-// RunUntil's bookkeeping closure). Each contract also runs with the
-// fabric's frame-poison mode on, where a pooled frame touched after its
-// release panics instead of quietly corrupting a later call.
+// pools, so a bound of "n per operation" reads as n·batch. Each contract
+// also runs with the fabric's frame-poison mode on, where a pooled frame
+// touched after its release panics instead of quietly corrupting a later
+// call.
 
 // eachPoison runs fn with frame poisoning off and on.
 func eachPoison(t *testing.T, fn func(t *testing.T)) {
@@ -100,7 +100,7 @@ func TestReadTBankHitAllocations(t *testing.T) {
 					run() // warm every pool along the path
 					misses := r.cmcache.Stats.ReadMisses
 					avg := testing.AllocsPerRun(20, run)
-					if max := tc.perRead*readsPerRun + 1; avg > max {
+					if max := tc.perRead * readsPerRun; avg > max {
 						t.Errorf("batch of %d bank-hit reads at %s allocated %.0f times, want <= %.0f (%.0f per read)",
 							readsPerRun, entry.name, avg, max, tc.perRead)
 					}
@@ -143,7 +143,7 @@ func TestPushBlocksTAllocations(t *testing.T) {
 		run()
 		avg := testing.AllocsPerRun(20, run)
 		want := float64(pushesPerRun * blocks)
-		if avg < want || avg > want+1 {
+		if avg != want {
 			t.Errorf("batch of %d 16-block pushes allocated %.0f times, want %.0f (one key string per block)",
 				pushesPerRun, avg, want)
 		}
@@ -279,7 +279,7 @@ func TestWriteTAllocations(t *testing.T) {
 				}
 				run() // warm every pool along the path
 				avg := testing.AllocsPerRun(20, run)
-				if want := mode.perWrite * writesPerRun; avg < want-2 || avg > want+1 {
+				if want := mode.perWrite * writesPerRun; avg < want-2 || avg > want {
 					t.Errorf("batch of %d writes allocated %.0f times, want %.0f (%.0f per write)",
 						writesPerRun, avg, want, mode.perWrite)
 				}

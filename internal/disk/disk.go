@@ -300,7 +300,7 @@ func (a *Array) AccessT(t *sim.Task, addr, size int64, write bool, k func()) {
 			k()
 			return
 		}
-		events[i].WaitT(t, func(interface{}) { join(i + 1) })
+		events[i].WaitFn(func() { join(i + 1) })
 	}
 	join(0)
 }

@@ -18,11 +18,11 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"imca/internal/cluster"
 	"imca/internal/fabric"
-	"imca/internal/flight"
 	"imca/internal/gluster"
 	"imca/internal/lustre"
 	"imca/internal/metrics"
@@ -32,34 +32,20 @@ import (
 	"imca/internal/telemetry"
 )
 
-// Options controls experiment size.
+// Options controls experiment size and observation.
 type Options struct {
 	// Scale divides the paper's workload parameters. 1 = full paper
 	// scale; the default 64 finishes each experiment in seconds.
 	Scale int
-	// Breakdown additionally traces selected configurations and attaches
-	// per-layer latency decompositions to the result (imcabench
-	// -breakdown). Tracing costs no virtual time: the tables are
-	// identical with it on or off.
-	Breakdown bool
-	// Telemetry instruments selected configurations with the telemetry
-	// registry and attaches their final counter dumps to the result
-	// (imcabench -telemetry). Like tracing, it costs no virtual time.
-	Telemetry bool
-	// TraceOps retains every traced operation of selected configurations
-	// so the run can be exported as a Perfetto trace file (imcabench
-	// -trace-out).
-	TraceOps bool
-	// Hists additionally registers streaming latency histograms on
-	// selected configurations and attaches per-interval percentile
-	// timelines to the result (imcabench -hists, imcareport). Histogram
-	// observation is a pure memory write: tables and notes are
-	// byte-identical with it on or off.
-	Hists bool
-	// Flight attaches a bounded flight recorder to selected
-	// configurations and includes its post-mortem dump in the result
-	// (imcabench -flight). Like Hists, it never perturbs the simulation.
-	Flight bool
+	// Observe watches selected configurations with everything the tree
+	// has — per-layer span tracing with retained operations, the telemetry
+	// registry and its sampler, streaming latency histograms, a bounded
+	// flight recorder — and attaches what they saw to the Result
+	// (Breakdowns, Telemetry, Ops, Timelines, Flight, Tracks). imcareport
+	// always sets it; imcabench sets it when any of its print flags is
+	// given. Observation costs no virtual time and schedules nothing:
+	// tables and notes are byte-identical with it on or off.
+	Observe bool
 	// Workers bounds how many experiment points (figure cells — each an
 	// isolated sim.Env with its own cluster and workload) run
 	// concurrently on the host. 0 or 1 runs serially; results are
@@ -121,28 +107,26 @@ type Result struct {
 	// Notes are headline observations computed from the table, mirroring
 	// the claims the paper makes about the figure.
 	Notes []string
-	// Breakdowns are per-layer latency decompositions, present when
-	// Options.Breakdown was set and the experiment supports tracing.
+	// The remaining fields are what Options.Observe attaches, each present
+	// on the experiments that support it (ext-breakdown's Breakdowns are
+	// its subject and always present).
+	//
+	// Breakdowns are per-layer latency decompositions.
 	Breakdowns []NamedBreakdown
 	// Telemetry holds final counter dumps of the instrumented
-	// configurations, present when Options.Telemetry was set.
+	// configurations.
 	Telemetry []NamedDump
 	// Ops lists the retained operations of the instrumented
-	// configurations, present when Options.TraceOps was set; export with
-	// telemetry.WriteChromeTrace.
+	// configurations; export with telemetry.WriteChromeTrace.
 	Ops []*optrace.Op
 	// Timelines are per-interval percentile series from the streaming
-	// histograms, present when Options.Hists was set. They are extra
-	// result surfaces: the legacy table/notes output never includes them,
-	// preserving byte-identity of instrumented runs.
+	// histograms.
 	Timelines []Timeline
-	// Flight holds post-mortem flight-recorder dumps, present when
-	// Options.Flight was set.
+	// Flight holds post-mortem flight-recorder dumps.
 	Flight []NamedDump
 	// Tracks are sampler counter tracks (per-interval hit rates and
-	// percentile traces), present when Options.TraceOps was set on an
-	// experiment that samples; imcabench merges them into the Chrome
-	// trace next to the spans.
+	// percentile traces); imcabench merges them into the Chrome trace
+	// next to the spans.
 	Tracks []telemetry.CounterTrack
 }
 
@@ -335,9 +319,10 @@ func timelineFrom(smp *telemetry.Sampler, start sim.Time, title, name string) Ti
 	return tl
 }
 
-// flightText renders a recorder's dump for attachment to a Result.
-func flightText(fr *flight.Recorder) string {
+// textOf renders a registry's or a flight recorder's Dump for attachment
+// to a Result.
+func textOf(dump func(w io.Writer)) string {
 	var sb strings.Builder
-	fr.Dump(&sb)
+	dump(&sb)
 	return sb.String()
 }

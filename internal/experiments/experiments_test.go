@@ -230,7 +230,7 @@ func TestExtBreakdownShape(t *testing.T) {
 
 func TestBreakdownOptionKeepsTablesIdentical(t *testing.T) {
 	plain := Fig6a(tiny)
-	traced := Fig6a(Options{Scale: tiny.Scale, Breakdown: true})
+	traced := Fig6a(Options{Scale: tiny.Scale, Observe: true})
 	for i := 0; i < plain.Table.Rows(); i++ {
 		for _, col := range []string{"NoCache", "IMCa-2K"} {
 			if plain.Table.Value(i, col) != traced.Table.Value(i, col) {
@@ -280,7 +280,7 @@ func TestExtTelemetryShape(t *testing.T) {
 
 func TestTelemetryOptionKeepsTablesIdentical(t *testing.T) {
 	plain := Fig6a(tiny)
-	teled := Fig6a(Options{Scale: tiny.Scale, Telemetry: true, TraceOps: true})
+	teled := Fig6a(Options{Scale: tiny.Scale, Observe: true})
 	for i := 0; i < plain.Table.Rows(); i++ {
 		for _, col := range []string{"NoCache", "IMCa-256", "IMCa-2K", "IMCa-8K"} {
 			if plain.Table.Value(i, col) != teled.Table.Value(i, col) {
@@ -293,7 +293,7 @@ func TestTelemetryOptionKeepsTablesIdentical(t *testing.T) {
 		t.Error("instrumented run attached no counter dumps")
 	}
 	if len(teled.Ops) == 0 {
-		t.Error("TraceOps run retained no operations")
+		t.Error("observed run retained no operations")
 	}
 	if len(plain.Telemetry) != 0 || len(plain.Ops) != 0 {
 		t.Error("plain run attached telemetry artifacts")
@@ -360,7 +360,7 @@ func TestExtScaleShape(t *testing.T) {
 }
 
 func TestExtFaultShape(t *testing.T) {
-	res := ExtFault(Options{Scale: tiny.Scale, Telemetry: true})
+	res := ExtFault(Options{Scale: tiny.Scale, Observe: true})
 	rows := res.Table.Rows()
 	if rows < 8 {
 		t.Fatalf("rows = %d, want several sampling intervals", rows)

@@ -2,18 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"imca/internal/blob"
 	"imca/internal/cluster"
 	"imca/internal/fault"
-	"imca/internal/flight"
 	"imca/internal/gluster"
-	"imca/internal/memcache"
 	"imca/internal/metrics"
 	"imca/internal/sim"
-	"imca/internal/telemetry"
 )
 
 // ExtDegrade measures how R=2 replication changes the degradation envelope
@@ -32,9 +27,6 @@ import (
 // the brick, which is exactly the load IMCa exists to absorb).
 func ExtDegrade(o Options) *Result {
 	const (
-		recSize  = int64(2048)
-		fileSize = int64(128 << 10)
-		interval = 5 * time.Millisecond
 		// Three fault windows on one timeline, each healed before the next.
 		crashAt    = 30 * time.Millisecond
 		crashHeal  = 60 * time.Millisecond
@@ -49,76 +41,15 @@ func ExtDegrade(o Options) *Result {
 		// block size (mostly wire time); a 20× service stretch pushes them
 		// past 200 µs, so 150 µs separates the two cleanly.
 		suspectAfter = 150 * time.Microsecond
+		path         = "/degrade/f0"
 	)
 
 	type point struct {
-		times     []sim.Duration
+		faulted
 		p99Us     []float64 // per-interval fuse read p99 (µs)
-		hitRate   []float64 // per-interval bank hit rate
 		brickRate []float64 // per-interval brick-daemon reads
-		bank      memcache.Stats
-		reads     uint64
-		dump      string
-		timeline  Timeline
-		flight    string
-		tracks    []telemetry.CounterTrack
 	}
-
-	runName := func(replicas int) string {
-		if replicas > 1 {
-			return "replicated"
-		}
-		return "single-copy"
-	}
-
-	run := func(replicas int) point {
-		c := cluster.New(cluster.Options{
-			Clients:          1,
-			MCDs:             2,
-			MCDMemBytes:      64 << 20,
-			BlockSize:        recSize,
-			ServerCacheBytes: scaled(6<<30, o.scale()),
-			EjectAfter:       ejectK,
-			SuspectAfter:     suspectAfter,
-			Replicas:         replicas,
-		})
-		env := c.Env
-		fs := c.Mounts[0].FS
-		reg := telemetry.NewRegistry()
-		c.Instrument(reg)
-		var reads uint64
-		reg.Counter("reader.ops", func() uint64 { return reads })
-
-		// Produce the dataset and warm the bank (one full pass), untimed.
-		var fd gluster.FD
-		env.Process("ext-degrade-warm", func(p *sim.Proc) {
-			var err error
-			fd, err = fs.Create(p, "/degrade/f0")
-			if err != nil {
-				panic(fmt.Sprintf("ext-degrade: create: %v", err))
-			}
-			for off := int64(0); off < fileSize; off += recSize {
-				if _, err := fs.Write(p, fd, off, blob.Synthetic(1, off, recSize)); err != nil {
-					panic(fmt.Sprintf("ext-degrade: write: %v", err))
-				}
-			}
-			for off := int64(0); off < fileSize; off += recSize {
-				if _, err := fs.Read(p, fd, off, recSize); err != nil {
-					panic(fmt.Sprintf("ext-degrade: warm read: %v", err))
-				}
-			}
-		})
-		env.Run()
-
-		start := env.Now()
-		in := fault.NewInjector(c)
-		in.Register(reg, "fault")
-		var fr *flight.Recorder
-		if o.Flight {
-			fr = flight.New(4096)
-			c.SetFlight(fr)
-			in.SetFlight(fr)
-		}
+	run := func(name string, replicas int) point {
 		plan := &fault.Plan{Name: "mcd0 crash, partition, gray", Events: []fault.Event{
 			{At: crashAt, Kind: fault.MCDCrash, Target: "mcd0"},
 			{At: crashHeal, Kind: fault.MCDRecover, Target: "mcd0"},
@@ -127,74 +58,27 @@ func ExtDegrade(o Options) *Result {
 			{At: grayAt, Kind: fault.GrayNode, Target: "mcd0", Factor: grayFactor},
 			{At: grayHeal, Kind: fault.GrayNode, Target: "mcd0", Factor: 1},
 		}}
-		if err := in.Arm(plan); err != nil {
-			panic(fmt.Sprintf("ext-degrade: arm: %v", err))
-		}
-		smp := telemetry.NewSampler(env, reg, interval)
-		env.Process("ext-degrade-read", func(p *sim.Proc) {
-			end := start.Add(window)
-			off := int64(0)
-			for p.Now() < end {
-				if _, err := fs.Read(p, fd, off, recSize); err != nil {
+		copts := cluster.Options{EjectAfter: ejectK, SuspectAfter: suspectAfter, Replicas: replicas}
+		f := faultedReads(o, "ext-degrade", name, path, copts, plan, window, nil,
+			func(p *sim.Proc, fs gluster.FS, fd gluster.FD, off int64) {
+				if _, err := fs.Read(p, fd, off, faultRecSize); err != nil {
 					panic(fmt.Sprintf("ext-degrade: read: %v", err))
 				}
 				// The stat keeps single-key bank traffic flowing, which is
 				// what feeds the latency-suspicion EWMA (an open/stat mix is
 				// also what real clients issue).
-				if _, err := fs.Stat(p, "/degrade/f0"); err != nil {
+				if _, err := fs.Stat(p, path); err != nil {
 					panic(fmt.Sprintf("ext-degrade: stat: %v", err))
 				}
-				reads++
-				off += recSize
-				if off >= fileSize {
-					off = 0
-				}
-			}
-		})
-		env.Run()
-		smp.Stop()
-
-		hits := delta(smp.Series("bank.hits"))
-		gets := delta(smp.Series("bank.gets"))
-		brick := delta(smp.Series("brick0.server.ops.read"))
-		p99 := smp.QuantileSeries("client0.fuse.read_lat", 0.99)
-		pt := point{bank: c.BankStats(), reads: reads}
-		for i, at := range smp.Times() {
-			pt.times = append(pt.times, at.Sub(start))
-			if p99 != nil {
-				pt.p99Us = append(pt.p99Us, p99[i])
-			} else {
-				pt.p99Us = append(pt.p99Us, 0)
-			}
-			if gets[i] > 0 {
-				pt.hitRate = append(pt.hitRate, hits[i]/gets[i])
-			} else {
-				pt.hitRate = append(pt.hitRate, 0)
-			}
-			pt.brickRate = append(pt.brickRate, brick[i])
-		}
-		if o.Telemetry {
-			var sb strings.Builder
-			reg.Dump(&sb)
-			pt.dump = sb.String()
-		}
-		if o.Hists {
-			pt.timeline = timelineFrom(smp, start,
-				"ext-degrade "+runName(replicas)+": client0.fuse.read_lat",
-				"client0.fuse.read_lat")
-		}
-		if o.Flight {
-			pt.flight = flightText(fr)
-		}
-		if o.TraceOps {
-			pt.tracks = smp.CounterTracks("bank.hit_rate", "client0.fuse.read_lat")
-		}
-		return pt
+			})
+		return point{faulted: f,
+			p99Us:     f.smp.QuantileSeries("client0.fuse.read_lat", 0.99),
+			brickRate: delta(f.smp.Series("brick0.server.ops.read"))}
 	}
 
 	pts := runAll(o, []func() point{
-		func() point { return run(0) },
-		func() point { return run(2) },
+		func() point { return run("single-copy", 0) },
+		func() point { return run("replicated", 2) },
 	})
 	single, repl := pts[0], pts[1]
 
@@ -256,21 +140,9 @@ func ExtDegrade(o Options) *Result {
 	res.Notes = append(res.Notes, note(
 		"reads completed in the window: single-copy %d, replicated %d",
 		single.reads, repl.reads))
-	if o.Telemetry {
-		res.Telemetry = append(res.Telemetry,
-			NamedDump{Title: "ext-degrade single-copy final counters", Text: single.dump},
-			NamedDump{Title: "ext-degrade replicated final counters", Text: repl.dump})
-	}
-	if o.Hists {
-		res.Timelines = append(res.Timelines, single.timeline, repl.timeline)
-	}
-	if o.Flight {
-		res.Flight = append(res.Flight,
-			NamedDump{Title: "ext-degrade single-copy flight recorder", Text: single.flight},
-			NamedDump{Title: "ext-degrade replicated flight recorder", Text: repl.flight})
-	}
-	if o.TraceOps {
-		res.Tracks = append(res.Tracks, repl.tracks...)
+	if o.Observe {
+		single.attach(res, "ext-degrade single-copy", false)
+		repl.attach(res, "ext-degrade replicated", true)
 	}
 	return res
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"imca/internal/cluster"
@@ -119,7 +118,7 @@ func ExtScale(o Options) *Result {
 			completed: run.Completed,
 			samples:   len(smp.Times()),
 		}
-		if o.Hists {
+		if o.Observe {
 			cl.timeline = timelineFrom(smp, start,
 				"ext-scale "+rates[i].label+": openloop.lat", "openloop.lat")
 		}
@@ -143,16 +142,13 @@ func ExtScale(o Options) *Result {
 		note("hottest file drew %.1f%% of arrivals; hottest daemon served %.2fx the bank mean",
 			last.top*100, last.skew),
 		note("tail sampled on the telemetry tick: %d samples at the 2x rate", last.samples))
-	if o.Telemetry {
-		var sb strings.Builder
+	if o.Observe {
 		// Rebuilding the dump here would need the last cell's registry;
 		// report the bank totals instead, which is what the figure is
 		// about.
-		fmt.Fprintf(&sb, "bank.get_hits_skew %.3f\nopenloop.issued %d\nopenloop.completed %d\n",
-			last.skew, last.issued, last.completed)
-		res.Telemetry = append(res.Telemetry, NamedDump{Title: "ext-scale summary", Text: sb.String()})
-	}
-	if o.Hists {
+		res.Telemetry = append(res.Telemetry, NamedDump{Title: "ext-scale summary", Text: fmt.Sprintf(
+			"bank.get_hits_skew %.3f\nopenloop.issued %d\nopenloop.completed %d\n",
+			last.skew, last.issued, last.completed)})
 		for _, c := range cells {
 			res.Timelines = append(res.Timelines, c.timeline)
 		}

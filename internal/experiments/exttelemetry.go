@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"imca/internal/blob"
@@ -117,16 +116,10 @@ func ExtTelemetry(o Options) *Result {
 	res.Notes = append(res.Notes,
 		note("final cumulative hit rates: bank %.3f (→ %d/%d passes warm), pagecache %.3f",
 			bankRate[len(bankRate)-1], passes-1, passes, pageRate[len(pageRate)-1]))
-	if o.Telemetry {
-		var sb strings.Builder
-		reg.Dump(&sb)
-		res.Telemetry = append(res.Telemetry, NamedDump{Title: "ext-telemetry final counters", Text: sb.String()})
-	}
-	if o.Hists {
+	if o.Observe {
+		res.Telemetry = append(res.Telemetry, NamedDump{Title: "ext-telemetry final counters", Text: textOf(reg.Dump)})
 		res.Timelines = append(res.Timelines, timelineFrom(smp, start,
 			"ext-telemetry: client0.fuse.read_lat", "client0.fuse.read_lat"))
-	}
-	if o.TraceOps {
 		res.Tracks = append(res.Tracks,
 			smp.CounterTracks("bank.hit_rate", "brick0.pagecache.hit_rate", "client0.fuse.read_lat")...)
 	}

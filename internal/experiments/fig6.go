@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"imca/internal/cluster"
 	"imca/internal/gluster"
@@ -13,50 +12,23 @@ import (
 )
 
 // latencyRun executes the single/multi-client latency benchmark on a fresh
-// GlusterFS/IMCa deployment and returns the per-record-size averages.
-func latencyRun(o Options, opts cluster.Options, sizes []int64) workload.LatencyResult {
-	return latencyRunTrace(o, opts, sizes, false)
-}
-
-// latencyRunTrace is latencyRun with optional per-operation tracing; the
-// latencies are identical either way (tracing costs no virtual time), but
-// the traced result additionally carries per-layer breakdowns.
-func latencyRunTrace(o Options, opts cluster.Options, sizes []int64, trace bool) workload.LatencyResult {
+// GlusterFS/IMCa deployment and returns the per-record-size averages. With
+// trace set every measured operation is traced and the result carries
+// per-layer breakdowns; with a registry the deployment is instrumented on
+// it as well and the traced operations are retained for export. Neither
+// costs virtual time, so the latencies are the same either way.
+func latencyRun(o Options, opts cluster.Options, sizes []int64, trace bool, reg *telemetry.Registry) workload.LatencyResult {
 	c, mounts := glusterMounts(gOpts(o, opts))
+	if reg != nil {
+		c.Instrument(reg)
+	}
 	return workload.Latency(c.Env, mounts, workload.LatencyOptions{
 		Dir:         "/lat",
 		RecordSizes: sizes,
 		Records:     o.records(),
 		Trace:       trace,
+		KeepOps:     reg != nil,
 	})
-}
-
-// latencyRunFull is latencyRunTrace with the full observability kit: when
-// Options.Telemetry is set the deployment is instrumented and its final
-// counters dumped under title, and when Options.TraceOps is set every
-// traced operation is retained for trace export. Neither costs virtual
-// time, so the latencies match latencyRun exactly.
-func latencyRunFull(o Options, opts cluster.Options, sizes []int64, trace bool, title string) (workload.LatencyResult, []NamedDump, []*optrace.Op) {
-	c, mounts := glusterMounts(gOpts(o, opts))
-	var reg *telemetry.Registry
-	if o.Telemetry {
-		reg = telemetry.NewRegistry()
-		c.Instrument(reg)
-	}
-	lr := workload.Latency(c.Env, mounts, workload.LatencyOptions{
-		Dir:         "/lat",
-		RecordSizes: sizes,
-		Records:     o.records(),
-		Trace:       trace,
-		KeepOps:     o.TraceOps,
-	})
-	var dumps []NamedDump
-	if reg != nil {
-		var sb strings.Builder
-		reg.Dump(&sb)
-		dumps = append(dumps, NamedDump{Title: title, Text: sb.String()})
-	}
-	return lr, dumps, lr.Ops
 }
 
 // breakdownSet titles one per-record-size breakdown map for display.
@@ -100,34 +72,31 @@ func lustreLatencyRun(o Options, clients, osts int, sizes []int64, cold bool) wo
 func fig6Read(o Options, name, title string, sizes []int64) *Result {
 	mcdMem := o.mcdMemForLatency()
 
-	// Seven independent deployments, one per table column. The IMCa-2K
-	// point carries the optional telemetry dump and retained ops along in
-	// its result so nothing is written from inside a worker.
-	type runOut struct {
-		lr    workload.LatencyResult
-		dumps []NamedDump
-		ops   []*optrace.Op
+	// Seven independent deployments, one per table column. Under Observe
+	// the NoCache and IMCa-2K columns are traced, and IMCa-2K is also
+	// instrumented on its own registry, dumped once the points are back so
+	// nothing is written from inside a worker.
+	var reg *telemetry.Registry
+	if o.Observe {
+		reg = telemetry.NewRegistry()
 	}
-	plain := func(lr workload.LatencyResult) runOut { return runOut{lr: lr} }
-	outs := runAll(o, []func() runOut{
-		func() runOut { return plain(latencyRunTrace(o, cluster.Options{Clients: 1}, sizes, o.Breakdown)) },
-		func() runOut {
-			return plain(latencyRun(o, cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: mcdMem, BlockSize: 256}, sizes))
+	imca := func(blockSize int64, trace bool, reg *telemetry.Registry) func() workload.LatencyResult {
+		opts := cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: mcdMem, BlockSize: blockSize}
+		return func() workload.LatencyResult { return latencyRun(o, opts, sizes, trace, reg) }
+	}
+	outs := runAll(o, []func() workload.LatencyResult{
+		func() workload.LatencyResult {
+			return latencyRun(o, cluster.Options{Clients: 1}, sizes, o.Observe, nil)
 		},
-		func() runOut {
-			lr, dumps, ops := latencyRunFull(o, cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: mcdMem, BlockSize: 2048}, sizes, o.Breakdown, "IMCa-2K final counters ("+name+")")
-			return runOut{lr: lr, dumps: dumps, ops: ops}
-		},
-		func() runOut {
-			return plain(latencyRun(o, cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: mcdMem, BlockSize: 8192}, sizes))
-		},
-		func() runOut { return plain(lustreLatencyRun(o, 1, 1, sizes, true)) },
-		func() runOut { return plain(lustreLatencyRun(o, 1, 4, sizes, true)) },
-		func() runOut { return plain(lustreLatencyRun(o, 1, 4, sizes, false)) },
+		imca(256, false, nil),
+		imca(2048, o.Observe, reg),
+		imca(8192, false, nil),
+		func() workload.LatencyResult { return lustreLatencyRun(o, 1, 1, sizes, true) },
+		func() workload.LatencyResult { return lustreLatencyRun(o, 1, 4, sizes, true) },
+		func() workload.LatencyResult { return lustreLatencyRun(o, 1, 4, sizes, false) },
 	})
-	noCache, imca256, imca8k := outs[0].lr, outs[1].lr, outs[3].lr
-	imca2k, dumps, ops := outs[2].lr, outs[2].dumps, outs[2].ops
-	lus1Cold, lus4Cold, lus4Warm := outs[4].lr, outs[5].lr, outs[6].lr
+	noCache, imca256, imca2k, imca8k := outs[0], outs[1], outs[2], outs[3]
+	lus1Cold, lus4Cold, lus4Warm := outs[4], outs[5], outs[6]
 
 	tb := metrics.NewTable(title, "record size", "read latency (µs/op)",
 		"NoCache", "IMCa-256", "IMCa-2K", "IMCa-8K",
@@ -138,8 +107,9 @@ func fig6Read(o Options, name, title string, sizes []int64) *Result {
 			usPerOp(imca2k.Read[r]), usPerOp(imca8k.Read[r]),
 			usPerOp(lus1Cold.Read[r]), usPerOp(lus4Cold.Read[r]), usPerOp(lus4Warm.Read[r]))
 	}
-	res := &Result{Name: name, Table: tb, Telemetry: dumps, Ops: ops}
-	if o.Breakdown {
+	res := &Result{Name: name, Table: tb, Ops: imca2k.Ops}
+	if o.Observe {
+		res.Telemetry = []NamedDump{{Title: "IMCa-2K final counters (" + name + ")", Text: textOf(reg.Dump)}}
 		res.Breakdowns = append(res.Breakdowns,
 			breakdownSet("IMCa-2K read", sizes, imca2k.ReadBreakdowns)...)
 		res.Breakdowns = append(res.Breakdowns,
@@ -190,12 +160,12 @@ func Fig6c(o Options) *Result {
 	sizes := []int64{1, 16, 256, 2048, 8192, 65536}
 
 	outs := runAll(o, []func() workload.LatencyResult{
-		func() workload.LatencyResult { return latencyRun(o, cluster.Options{Clients: 1}, sizes) },
+		func() workload.LatencyResult { return latencyRun(o, cluster.Options{Clients: 1}, sizes, false, nil) },
 		func() workload.LatencyResult {
-			return latencyRunTrace(o, cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: mcdMem, BlockSize: 2048}, sizes, o.Breakdown)
+			return latencyRun(o, cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: mcdMem, BlockSize: 2048}, sizes, o.Observe, nil)
 		},
 		func() workload.LatencyResult {
-			return latencyRunTrace(o, cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: mcdMem, BlockSize: 2048, Threaded: true}, sizes, o.Breakdown)
+			return latencyRun(o, cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: mcdMem, BlockSize: 2048, Threaded: true}, sizes, o.Observe, nil)
 		},
 	})
 	noCache, inline, threaded := outs[0], outs[1], outs[2]
@@ -215,7 +185,7 @@ func Fig6c(o Options) *Result {
 		note("2K writes: threaded %.0f µs vs NoCache %.0f µs (paper: threaded ≈ NoCache)",
 			tb.Value(mid, "IMCa(threaded)"), tb.Value(mid, "NoCache")),
 	}
-	if o.Breakdown {
+	if o.Observe {
 		res.Breakdowns = append(res.Breakdowns,
 			breakdownSet("IMCa(inline) write", sizes, inline.WriteBreakdowns)...)
 		res.Breakdowns = append(res.Breakdowns,

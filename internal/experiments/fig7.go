@@ -43,15 +43,17 @@ func fig7(o Options, name, title string, sizes []int64) *Result {
 	mcdMem := o.mcdMemForLatency()
 
 	outs := runAll(o, []func() workload.LatencyResult{
-		func() workload.LatencyResult { return latencyRun(o, cluster.Options{Clients: clients}, sizes) },
 		func() workload.LatencyResult {
-			return latencyRun(o, cluster.Options{Clients: clients, MCDs: 1, MCDMemBytes: mcdMem}, sizes)
+			return latencyRun(o, cluster.Options{Clients: clients}, sizes, false, nil)
 		},
 		func() workload.LatencyResult {
-			return latencyRun(o, cluster.Options{Clients: clients, MCDs: 2, MCDMemBytes: mcdMem}, sizes)
+			return latencyRun(o, cluster.Options{Clients: clients, MCDs: 1, MCDMemBytes: mcdMem}, sizes, false, nil)
 		},
 		func() workload.LatencyResult {
-			return latencyRun(o, cluster.Options{Clients: clients, MCDs: 4, MCDMemBytes: mcdMem}, sizes)
+			return latencyRun(o, cluster.Options{Clients: clients, MCDs: 2, MCDMemBytes: mcdMem}, sizes, false, nil)
+		},
+		func() workload.LatencyResult {
+			return latencyRun(o, cluster.Options{Clients: clients, MCDs: 4, MCDMemBytes: mcdMem}, sizes, false, nil)
 		},
 		func() workload.LatencyResult { return lustreLatencyRun(o, clients, 4, sizes, true) },
 		func() workload.LatencyResult { return lustreLatencyRun(o, clients, 4, sizes, false) },

@@ -40,7 +40,7 @@ func fig8(o Options, name string, record int64) *Result {
 	}
 	rows := points(o, len(clientCounts), func(i int) row {
 		nc := clientCounts[i]
-		noCache := latencyRun(o, cluster.Options{Clients: nc}, sizes)
+		noCache := latencyRun(o, cluster.Options{Clients: nc}, sizes, false, nil)
 
 		c, mounts := glusterMounts(gOpts(o, cluster.Options{Clients: nc, MCDs: 1, MCDMemBytes: mcdMem}))
 		imca := latencyRunOn(o, c, mounts, sizes)

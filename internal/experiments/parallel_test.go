@@ -9,10 +9,10 @@ import (
 )
 
 // renderAll runs every experiment in the registry with the given options
-// and renders everything a user can see — tables, notes, breakdowns,
-// telemetry dumps, and the Chrome-trace export of retained operations —
-// into one byte stream.
-func renderAll(t *testing.T, o Options) []byte {
+// and renders into one byte stream the tables and notes and, with observed
+// set, everything else a user can see — breakdowns, telemetry dumps, and
+// the Chrome-trace export of retained operations.
+func renderAll(t *testing.T, o Options, observed bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, e := range Registry {
@@ -21,6 +21,9 @@ func renderAll(t *testing.T, o Options) []byte {
 		res.Table.Render(&buf)
 		for _, n := range res.Notes {
 			fmt.Fprintf(&buf, "note: %s\n", n)
+		}
+		if !observed {
+			continue
 		}
 		for _, nb := range res.Breakdowns {
 			fmt.Fprintf(&buf, "-- %s --\n", nb.Title)
@@ -44,10 +47,10 @@ func renderAll(t *testing.T, o Options) []byte {
 // Perfetto trace exports alike. Experiment points share nothing and are
 // assembled in declaration order, so host scheduling must be invisible.
 func TestParallelByteIdentical(t *testing.T) {
-	o := Options{Scale: 4096, Breakdown: true, Telemetry: true, TraceOps: true}
-	serial := renderAll(t, o)
+	o := Options{Scale: 4096, Observe: true}
+	serial := renderAll(t, o, true)
 	o.Workers = 4
-	par := renderAll(t, o)
+	par := renderAll(t, o, true)
 	if !bytes.Equal(serial, par) {
 		line := 1
 		n := len(serial)
@@ -67,22 +70,17 @@ func TestParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHistFlightByteIdentical is the observability counterpart: turning on
-// latency histograms and the flight recorder must not move a single byte of
-// the legacy surfaces — tables, notes, breakdowns, telemetry dumps, trace
-// exports — whether the registry runs serially or with four workers. Hists
-// and flight appends are pure memory writes that schedule nothing, so the
-// virtual-time history of every run is unchanged.
+// TestHistFlightByteIdentical is the observability counterpart: observing
+// a run — span tracing, the registry and sampler, latency histograms, the
+// flight recorder — must not move a single byte of what an unobserved run
+// prints, its tables and notes, whether the registry runs serially or with
+// four workers. Span, histogram and flight appends are pure memory writes
+// that schedule nothing, so the virtual-time history of every run is
+// unchanged.
 func TestHistFlightByteIdentical(t *testing.T) {
-	base := Options{Scale: 4096, Breakdown: true, Telemetry: true, TraceOps: true}
-	plain := renderAll(t, base)
-
-	inst := base
-	inst.Hists, inst.Flight = true, true
-	diffBytes(t, plain, renderAll(t, inst), "hists+flight serial")
-
-	inst.Workers = 4
-	diffBytes(t, plain, renderAll(t, inst), "hists+flight parallel")
+	plain := renderAll(t, Options{Scale: 4096}, false)
+	diffBytes(t, plain, renderAll(t, Options{Scale: 4096, Observe: true}, false), "observed serial")
+	diffBytes(t, plain, renderAll(t, Options{Scale: 4096, Observe: true, Workers: 4}, false), "observed parallel")
 }
 
 // diffBytes fails with a located excerpt when two renderings diverge.

@@ -21,10 +21,8 @@ func newTaskPair(t *testing.T) (*sim.Env, *Node, *Node) {
 
 // TestCallTSteadyStateAllocFree pins the pooled frame's zero-alloc
 // contract: once the frame pool, event heap, and waiter arrays are warm, a
-// CallT round trip against a task-native handler allocates nothing. The
-// only allocation per batch is RunUntil's single bookkeeping closure,
-// amortized here over a batch of calls — so a whole-batch average above 1
-// means some per-call step started allocating.
+// CallT round trip against a task-native handler allocates nothing, and
+// neither does the dispatch loop that carries it.
 func TestCallTSteadyStateAllocFree(t *testing.T) {
 	env, a, b := newTaskPair(t)
 	bind := a.Bind(b, "echo")
@@ -46,9 +44,8 @@ func TestCallTSteadyStateAllocFree(t *testing.T) {
 	run() // grow the frame pool, event heap, and waiter deques once
 	calls = 0
 	const runs = 50
-	if avg := testing.AllocsPerRun(runs, run); avg > 1 {
-		t.Errorf("batch of %d pooled calls allocated %.2f times (want <= 1, RunUntil's amortized closure)",
-			callsPerRun, avg)
+	if avg := testing.AllocsPerRun(runs, run); avg != 0 {
+		t.Errorf("batch of %d pooled calls allocated %.2f times, want 0", callsPerRun, avg)
 	}
 	// AllocsPerRun invokes run once to warm up, then runs times measured.
 	if want := (runs + 1) * callsPerRun; calls != want {

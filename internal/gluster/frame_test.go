@@ -373,8 +373,7 @@ func (stubFS) WriteT(_ *sim.Task, _ FD, _ int64, data blob.Blob, k func(int64, e
 
 // TestNamespaceVerbsAllocFree: once the pools are warm, an open + close and
 // an unlink through Fuse → Client → fabric → Server allocate nothing — they
-// ride the same pooled frames as stat, read and write. (The only allocation
-// per batch is RunUntil's bookkeeping closure.)
+// ride the same pooled frames as stat, read and write.
 func TestNamespaceVerbsAllocFree(t *testing.T) {
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
@@ -403,8 +402,8 @@ func TestNamespaceVerbsAllocFree(t *testing.T) {
 	run()
 	finished = 0
 	const runs = 20
-	if avg := testing.AllocsPerRun(runs, run); avg > 1 {
-		t.Errorf("batch of %d open+close+unlink sequences allocated %.2f times, want <= 1", perRun, avg)
+	if avg := testing.AllocsPerRun(runs, run); avg != 0 {
+		t.Errorf("batch of %d open+close+unlink sequences allocated %.2f times, want 0", perRun, avg)
 	}
 	if want := (runs + 1) * perRun; finished != want {
 		t.Errorf("finished %d sequences, want %d", finished, want)

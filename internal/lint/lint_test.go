@@ -195,7 +195,7 @@ func TestHotPathRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []struct{ dir, fn string }{
-		{"internal/sim", "Env.RunUntil"},
+		{"internal/sim", "Env.Run"},
 		{"internal/telemetry", "Hist.Observe"},
 		{"internal/metrics", "Histogram.Observe"},
 		{"internal/flight", "Recorder.Append"},

@@ -19,18 +19,15 @@ import (
 // schedule nothing themselves, but they park and wake a process, which a
 // tick observer — called with no process running — must never do.
 var simSchedMethods = map[string]bool{
-	"Env.Process": true, "Env.Run": true, "Env.RunUntil": true, "Env.Defer": true,
+	"Env.Process": true, "Env.Run": true, "Env.Defer": true,
 	"Env.StartTask": true,
-	"Env.schedule":  true, "Env.scheduleProc": true, "Env.wake": true,
-	"Proc.Sleep": true, "Proc.Yield": true, "Proc.Spawn": true, "Proc.park": true,
-	"Proc.Await": true,
+	"Env.schedule":  true, "Env.wake": true,
+	"Proc.Sleep": true, "Proc.park": true, "Proc.Await": true,
 	"Task.Sleep": true, "Task.End": true, "Task.Start": true, "Task.Block": true,
-	"Event.Wait": true, "Event.Trigger": true,
-	"Event.WaitT": true, "Event.WaitFn": true,
+	"Event.Wait": true, "Event.Trigger": true, "Event.WaitFn": true,
 	"Resource.Acquire": true, "Resource.Release": true, "Resource.Use": true,
 	"Resource.AcquireT": true, "Resource.UseT": true,
 	"Barrier.Wait": true, "Barrier.WaitT": true,
-	"WaitAll": true,
 }
 
 // calleeFunc resolves a call expression to the function or method object

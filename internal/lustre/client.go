@@ -237,13 +237,15 @@ func (cl *Client) ostIO(p *sim.Proc, path string, off int64, data blob.Blob, siz
 		for i, pc := range pieces {
 			i, pc := i, pc
 			ev := sim.NewEvent(p.Env())
-			p.Spawn("lustre-stripe", func(q *sim.Proc) {
+			p.Env().Process("lustre-stripe", func(q *sim.Proc) {
 				results[i] = cl.onePieceIO(q, path, pc.ost, pc.objOff, pc.logicalOff-off, pc.size, data, write)
 				ev.Trigger(nil)
 			})
 			events[i] = ev
 		}
-		sim.WaitAll(p, events...)
+		for _, ev := range events {
+			ev.Wait(p)
+		}
 	}
 	if write {
 		return blob.Blob{}

@@ -2,7 +2,9 @@ package memcache
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"sync"
@@ -23,10 +25,38 @@ type Client struct {
 type clientConn struct {
 	addr string
 	mu   sync.Mutex
-	c    net.Conn
+	c    io.Closer
 	r    *bufio.Reader
 	w    wireWriter
 	gets int // get lines sent whose END has not been read yet
+	// err is the failure that left a reply unread or unparseable (see
+	// fail); once set, every call on the connection returns it.
+	err error
+}
+
+func newClientConn(addr string, c io.ReadWriteCloser) *clientConn {
+	return &clientConn{addr: addr, c: c, r: bufio.NewReader(c), w: wireWriter{Writer: bufio.NewWriter(c)}}
+}
+
+// acquire locks the connection for one call, unless an earlier call failed
+// it.
+func (cc *clientConn) acquire() error {
+	cc.mu.Lock()
+	if cc.err != nil {
+		cc.mu.Unlock()
+	}
+	return cc.err
+}
+
+// fail takes the connection out of service: err cut a request or a reply
+// short, or the reply could not be parsed, so whatever the server sends
+// next would be read as the answer to the next call. The socket is closed
+// and err latched. A one-line verdict the client does not know is a
+// complete reply and does not come here.
+func (cc *clientConn) fail(err error) error {
+	cc.err = err
+	cc.c.Close()
+	return err
 }
 
 // Dial connects to the given server addresses.
@@ -41,10 +71,7 @@ func Dial(addrs ...string) (*Client, error) {
 			cl.Close()
 			return nil, err
 		}
-		cl.conns = append(cl.conns, &clientConn{
-			addr: a, c: c,
-			r: bufio.NewReader(c), w: wireWriter{Writer: bufio.NewWriter(c)},
-		})
+		cl.conns = append(cl.conns, newClientConn(a, c))
 	}
 	return cl, nil
 }
@@ -56,10 +83,9 @@ func (cl *Client) SetSelector(s Selector) { cl.selector = s }
 func (cl *Client) Close() error {
 	var first error
 	for _, cc := range cl.conns {
-		if cc.c != nil {
-			if err := cc.c.Close(); err != nil && first == nil {
-				first = err
-			}
+		// A failed connection is closed already.
+		if err := cc.c.Close(); err != nil && !errors.Is(err, net.ErrClosed) && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -72,8 +98,7 @@ func (cl *Client) lock(key string) (*clientConn, error) {
 		return nil, ErrBadKey
 	}
 	cc := cl.conns[cl.selector.Pick(key, len(cl.conns))]
-	cc.mu.Lock()
-	return cc, nil
+	return cc, cc.acquire()
 }
 
 // Set stores item unconditionally.
@@ -120,9 +145,17 @@ func (cl *Client) storeCmd(cmd string, item *Item) error {
 // the reply, a borrow that dies at the next read.
 func (cc *clientConn) roundTrip() ([]byte, error) {
 	if err := cc.w.Flush(); err != nil {
-		return nil, err
+		return nil, cc.fail(err)
 	}
-	return readLine(cc.r)
+	return cc.readLine()
+}
+
+func (cc *clientConn) readLine() ([]byte, error) {
+	line, err := readLine(cc.r)
+	if err != nil {
+		return nil, cc.fail(err)
+	}
+	return line, nil
 }
 
 // Get fetches one key.
@@ -171,10 +204,16 @@ func (cl *Client) GetMulti(keys []string) (map[string]*Item, error) {
 			continue
 		}
 		cc := cl.conns[i]
-		cc.mu.Lock()
-		defer cc.mu.Unlock()
-		if err := cc.sendGet("get", ks); err != nil && first == nil {
-			first = err
+		err := cc.acquire()
+		if err == nil {
+			defer cc.mu.Unlock()
+			err = cc.sendGet("get", ks)
+		}
+		if err != nil {
+			byConn[i] = nil // nothing was asked of it, so nothing is to be read
+			if first == nil {
+				first = err
+			}
 		}
 	}
 	// Every connection written to is read, even after an error elsewhere:
@@ -215,11 +254,10 @@ func (cc *clientConn) sendGet(verb string, keys []string) error {
 		n += 1 + len(k)
 	}
 	cc.w.str("\r\n")
-	err := cc.w.Flush()
-	if err != nil {
-		cc.gets = 0 // nothing was asked, so nothing is to be read
+	if err := cc.w.Flush(); err != nil {
+		return cc.fail(err)
 	}
-	return err
+	return nil
 }
 
 // readValues reads the reply to sendGet — VALUE blocks up to the END of
@@ -227,7 +265,12 @@ func (cc *clientConn) sendGet(verb string, keys []string) error {
 // request order, so each reply key is looked for in keys from the previous
 // match on, and the item takes the caller's string instead of a copy of
 // the reply's.
-func (cc *clientConn) readValues(keys []string, emit func(*Item)) error {
+func (cc *clientConn) readValues(keys []string, emit func(*Item)) (err error) {
+	defer func() {
+		if err != nil {
+			cc.fail(err)
+		}
+	}()
 	for cc.gets > 0 {
 		line, err := readLine(cc.r)
 		if err != nil {
@@ -334,11 +377,13 @@ func (cl *Client) ServerStats() (map[string]map[string]string, error) {
 }
 
 func (cc *clientConn) stats() (map[string]string, error) {
-	cc.mu.Lock()
+	if err := cc.acquire(); err != nil {
+		return nil, err
+	}
 	defer cc.mu.Unlock()
 	cc.w.str("stats\r\n")
 	m := make(map[string]string)
-	for line, err := cc.roundTrip(); ; line, err = readLine(cc.r) {
+	for line, err := cc.roundTrip(); ; line, err = cc.readLine() {
 		if err != nil {
 			return nil, err
 		}

@@ -1,57 +1,88 @@
 package memcache
 
 import (
+	"context"
 	"net"
 	"sync"
 	"time"
 )
 
-// Server is a memcached-compatible TCP daemon speaking the text protocol.
+// Server is a memcached-compatible TCP daemon speaking the text and the
+// binary protocol, told apart by each connection's first byte.
 type Server struct {
 	store *Store
-	ln    net.Listener
+	// ctx ends when Close is called.
+	ctx  context.Context
+	stop context.CancelFunc
 
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[net.Conn]struct{}
+	wg    sync.WaitGroup
 }
 
 // NewServer returns a daemon bounded to limit bytes using wall-clock time
 // for expirations.
 func NewServer(limit int64) *Server {
-	return &Server{
+	s := &Server{
 		//imcalint:allow wallclock real TCP daemon: expirations follow the host clock by design
 		store: NewStore(limit, func() int64 { return time.Now().Unix() }),
 		conns: make(map[net.Conn]struct{}),
 	}
+	s.ctx, s.stop = context.WithCancel(context.Background())
+	return s
 }
 
 // Store exposes the underlying cache engine (for stats and tests).
 func (s *Server) Store() *Store { return s.store }
 
-// Listen binds addr (e.g. "127.0.0.1:11211") and begins accepting
-// connections in the background. It returns the bound address.
+// Listen binds addr (e.g. "127.0.0.1:11211") and serves it in the
+// background. It returns the bound address.
 func (s *Server) Listen(addr string) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s.ln = ln
 	s.wg.Add(1)
-	go s.acceptLoop()
+	go func() {
+		defer s.wg.Done()
+		s.Serve(ln)
+	}()
 	return ln.Addr(), nil
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
+// Serve accepts connections on ln, the server's one listener, and returns
+// only once Close has been called. Any other Accept failure — descriptors
+// exhausted under load, a connection aborted in the queue — is taken to be
+// temporary: Serve tries again after a pause that doubles from 5 ms up to
+// 1 s and starts over at the next success, as net/http does.
+func (s *Server) Serve(ln net.Listener) {
+	s.mu.Lock()
+	s.ln = ln
+	if s.ctx.Err() != nil {
+		ln.Close() // Close came first
+	}
+	s.mu.Unlock()
+	var pause time.Duration
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
-			return // listener closed
+			if s.ctx.Err() != nil {
+				return
+			}
+			if pause = 2 * pause; pause == 0 {
+				pause = 5 * time.Millisecond
+			} else if pause > time.Second {
+				pause = time.Second
+			}
+			wait, cancel := context.WithTimeout(s.ctx, pause)
+			<-wait.Done()
+			cancel()
+			continue
 		}
+		pause = 0
 		s.mu.Lock()
-		if s.closed {
+		if s.ctx.Err() != nil {
 			s.mu.Unlock()
 			conn.Close()
 			return
@@ -75,15 +106,15 @@ func (s *Server) acceptLoop() {
 // Close stops accepting, drops live connections, and waits for handlers.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	s.closed = true
+	s.stop()
 	for c := range s.conns {
 		c.Close()
 	}
-	s.mu.Unlock()
 	var err error
 	if s.ln != nil {
 		err = s.ln.Close()
 	}
+	s.mu.Unlock()
 	s.wg.Wait()
 	return err
 }

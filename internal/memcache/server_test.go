@@ -1,7 +1,10 @@
 package memcache
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 
@@ -204,5 +207,59 @@ func TestTCPClientGetsAndCAS(t *testing.T) {
 	got, _ := cl.Get("cc")
 	if string(got.Value.Bytes()) != "v2" {
 		t.Errorf("value = %q, want v2", got.Value.Bytes())
+	}
+}
+
+// flakyListener fails its first Accepts, then hands out whatever arrives
+// on conns until it is closed.
+type flakyListener struct {
+	fails  int
+	conns  chan net.Conn
+	closed chan struct{}
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails > 0 {
+		l.fails--
+		return nil, errors.New("accept: too many open files")
+	}
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *flakyListener) Close() error   { close(l.closed); return nil }
+func (l *flakyListener) Addr() net.Addr { return nil }
+
+// TestServeSurvivesFailedAccepts: an Accept error that is not the server's
+// own Close does not end the accept loop — the connection that arrives
+// after two failures is served — and Close still stops Serve.
+func TestServeSurvivesFailedAccepts(t *testing.T) {
+	srv := NewServer(1 << 20)
+	ln := &flakyListener{fails: 2, conns: make(chan net.Conn), closed: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		srv.Serve(ln)
+		close(served)
+	}()
+	cli, peer := net.Pipe()
+	ln.conns <- peer
+	if _, err := io.WriteString(cli, "set k 0 0 2\r\nhi\r\nget k\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	want := "STORED\r\nVALUE k 0 2\r\nhi\r\nEND\r\n"
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(cli, got); err != nil || string(got) != want {
+		t.Fatalf("third connection answered %q, %v; want %q", got, err, want)
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	<-served
+	if ln.fails != 0 {
+		t.Errorf("%d scripted Accept failures never happened", ln.fails)
 	}
 }

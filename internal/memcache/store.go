@@ -6,7 +6,8 @@
 // The same Store backs two deployments:
 //
 //   - a real TCP daemon (Server / cmd/memcached) speaking the memcached
-//     text protocol over net.Conn, usable with any memcached client, and
+//     text and binary protocols over net.Conn, usable with any memcached
+//     client, and
 //   - simulated MCD nodes (SimServer) attached to fabric nodes inside the
 //     discrete-event simulation, used by the IMCa experiments.
 //

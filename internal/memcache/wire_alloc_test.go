@@ -1,7 +1,6 @@
 package memcache
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -217,9 +216,7 @@ func TestClientAllocContracts(t *testing.T) {
 // with reply.
 func scriptedClient(reply string) *Client {
 	peer := &scriptedPeer{reply: []byte(reply)}
-	return &Client{selector: CRC32Selector{}, conns: []*clientConn{{
-		r: bufio.NewReader(peer), w: wireWriter{Writer: bufio.NewWriter(peer)},
-	}}}
+	return &Client{selector: CRC32Selector{}, conns: []*clientConn{newClientConn("", peer)}}
 }
 
 // scriptedPeer answers every flushed request with the same reply, and
@@ -227,6 +224,12 @@ func scriptedClient(reply string) *Client {
 type scriptedPeer struct {
 	reply, pending []byte
 	wrote          int
+	closed         bool
+}
+
+func (p *scriptedPeer) Close() error {
+	p.closed = true
+	return nil
 }
 
 func (p *scriptedPeer) Write(b []byte) (int, error) {

@@ -248,6 +248,33 @@ func TestClientRejectsOversizedReply(t *testing.T) {
 	}
 }
 
+// TestClientLatchesFailedReply: a reply the client gives up on part-way
+// leaves bytes on the connection that would answer the next call, so the
+// first such failure takes the connection out of service and every later
+// call returns it again; a one-line verdict the client does not know is a
+// complete reply and the connection stays in.
+func TestClientLatchesFailedReply(t *testing.T) {
+	for _, stream := range staleReplies {
+		cl := pipeClient(t, []byte(stream))
+		_, first := cl.Get("k")
+		if first == nil || first == ErrCacheMiss {
+			t.Errorf("%.30q: Get returned %v, want a protocol error", stream, first)
+		}
+		if it, err := cl.Get("k"); it != nil || err != first {
+			t.Errorf("%.30q: the next Get returned %+v, %v; want the first failure again: %v", stream, it, err, first)
+		}
+	}
+	peer := &scriptedPeer{reply: []byte("BUSY\r\n")}
+	cl := &Client{selector: CRC32Selector{}, conns: []*clientConn{newClientConn("", peer)}}
+	if err := cl.Delete("k"); err == nil || !strings.Contains(err.Error(), "BUSY") {
+		t.Errorf("Delete answered BUSY returned %v", err)
+	}
+	peer.reply = []byte("VALUE k 0 2\r\nok\r\nEND\r\n")
+	if it, err := cl.Get("k"); err != nil || string(it.Value.Bytes()) != "ok" || peer.closed {
+		t.Errorf("after an unknown verdict the next Get returned %+v, %v; the connection should still be in service", it, err)
+	}
+}
+
 // The typed errors a server can answer with come back as themselves.
 // TestClientRefusesInvalidKeys: a key with a space would be read as two
 // keys and one with CRLF would inject a command, so every client verb —
@@ -273,7 +300,7 @@ func TestClientRefusesInvalidKeys(t *testing.T) {
 	for name, verb := range verbs {
 		for _, k := range bad {
 			peer := &scriptedPeer{reply: []byte("END\r\n")}
-			cc := &clientConn{r: bufio.NewReader(peer), w: wireWriter{Writer: bufio.NewWriter(peer)}}
+			cc := newClientConn("", peer)
 			cl := &Client{selector: CRC32Selector{}, conns: []*clientConn{cc}}
 			if err := verb(cl, k); err != ErrBadKey {
 				t.Errorf("%s(%q) = %v, want ErrBadKey", name, k, err)

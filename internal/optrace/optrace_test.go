@@ -118,7 +118,7 @@ func TestForkNesting(t *testing.T) {
 		col.Begin(p, "read")
 		root := StartSpan(p, LayerCMCache, "read")
 		done := sim.NewEvent(env)
-		child := p.Spawn("worker", func(q *sim.Proc) {
+		child := env.Process("worker", func(q *sim.Proc) {
 			sp := StartSpan(q, LayerMCD, "get")
 			q.Sleep(20 * time.Microsecond)
 			sp.End(q)

@@ -2,21 +2,28 @@ package sim
 
 import "fmt"
 
-// The adapter between the kernel's two execution styles. Every layer's
-// operations are written once, in continuation style, against a *Task; a
-// process reaches them through Await, and continuation code reaches a
-// layer that only exists in blocking form through Block. Neither spends a
-// sequence number of its own, so a stack driven by StartTask and the same
-// stack driven by Process+Await replay one (time, seq) event stream.
+// The adapter between the kernel's two execution styles. Every operation —
+// each layer's, and the kernel's own sleep, wait, acquire and barrier — is
+// written once, in continuation style, against a *Task; a process reaches
+// it through Await, which is the only place a process parks, and
+// continuation code reaches a layer that only exists in blocking form
+// through Block. Neither spends a sequence number of its own, so a stack
+// driven by StartTask and the same stack driven by Process+Await replay one
+// (time, seq) event stream.
 
 // fronting is one Await: the task handed to its body, the process that task
-// fronts, and where that process currently is. It is allocated per Await —
-// a Task itself carries only the pointer back, so tasks that front nothing
+// fronts, and where that process currently is. Awaits nest and unwind
+// LIFO, so a process keeps its frontings as a stack (Proc.fronts) and the
+// Await at each depth reuses the one it finds there: the kernel's own
+// blocking primitives — one Await each — allocate nothing, nested or not.
+// A Task itself carries only the pointer back, so tasks that front nothing
 // pay nothing for the adapter.
 type fronting struct {
 	t     Task
 	p     *Proc
 	state awaitState
+	// fnEnd is t.End, bound once for the kernel's primitives to wait with.
+	fnEnd func()
 	// blockFn and blockK carry Block's arguments across the wake handshake
 	// to the process parked in Await.
 	blockFn func(p *Proc)
@@ -61,7 +68,13 @@ const (
 // task is never ended leaves the process parked and is reported by Run's
 // deadlock check.
 func (p *Proc) Await(body func(t *Task)) {
-	f := &fronting{p: p}
+	if p.depth == len(p.fronts) {
+		f := &fronting{p: p}
+		f.fnEnd = f.t.End
+		p.fronts = append(p.fronts, f)
+	}
+	f := p.fronts[p.depth]
+	p.depth++
 	f.t = Task{env: p.env, name: p.name, front: f}
 	body(&f.t)
 	for !f.t.ended {
@@ -74,6 +87,7 @@ func (p *Proc) Await(body func(t *Task)) {
 			f.runBlocked(fn, k)
 		}
 	}
+	p.depth--
 }
 
 // end completes the Await.

@@ -1,61 +1,213 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
-// useChain is one operation in continuation style: three contended
-// resource uses and a sleep, the shape of an RPC leg.
-func useChain(t *Task, r *Resource, k func()) {
-	r.UseT(t, 3*time.Microsecond, func() {
-		t.Sleep(5*time.Microsecond, func() {
-			r.UseT(t, 2*time.Microsecond, k)
-		})
-	})
+// spelling is the kernel's waiting primitives in one of the forms an
+// activity can use them: continuation style on a task, or blocking on a
+// process with the continuation run when the call returns. A scenario is
+// written once against it.
+type spelling struct {
+	sleep   func(d Duration, k func())
+	wait    func(ev *Event, k func())
+	acquire func(r *Resource, n int, k func())
+	use     func(r *Resource, d Duration, k func())
+	arrive  func(b *Barrier, k func())
+	end     func()
 }
 
-// TestAwaitReplaysStartTask is the adapter's contract: an operation run
-// under StartTask and the same operation under Process+Await dispatch the
-// same number of events and finish at the same (time, seq).
-func TestAwaitReplaysStartTask(t *testing.T) {
-	type outcome struct {
-		events uint64
-		now    Time
-		seq    uint64
-		ends   [3]Time
+func taskSpelling(tk *Task) spelling {
+	return spelling{
+		sleep:   tk.Sleep,
+		wait:    func(ev *Event, k func()) { ev.WaitFn(k) },
+		acquire: func(r *Resource, n int, k func()) { r.AcquireT(tk, n, k) },
+		use:     func(r *Resource, d Duration, k func()) { r.UseT(tk, d, k) },
+		arrive:  func(b *Barrier, k func()) { b.WaitT(tk, k) },
+		end:     tk.End,
 	}
-	run := func(await bool) outcome {
-		env := NewEnv()
-		r := NewResource(env, 1) // contended: grants go through the queue
-		var out outcome
-		for i := 0; i < 3; i++ {
-			i := i
-			body := func(tk *Task) {
-				useChain(tk, r, func() {
-					useChain(tk, r, func() {
-						out.ends[i] = tk.Now()
-						tk.End()
+}
+
+func procSpelling(p *Proc) spelling {
+	return spelling{
+		sleep:   func(d Duration, k func()) { p.Sleep(d); k() },
+		wait:    func(ev *Event, k func()) { ev.Wait(p); k() },
+		acquire: func(r *Resource, n int, k func()) { r.Acquire(p, n); k() },
+		use:     func(r *Resource, d Duration, k func()) { r.Use(p, d); k() },
+		arrive:  func(b *Barrier, k func()) { b.Wait(p); k() },
+		end:     func() {},
+	}
+}
+
+// TestAwaitReplaysStartTask is the adapter's contract, for operations of
+// several continuations under one Await and for each kernel primitive's
+// blocking form: six activities run as tasks (StartTask), as awaited tasks
+// (Process+Await), as processes using the blocking primitives, and as a
+// mix of the three sharing one queue are admitted in the same order at the
+// same (time, seq), and dispatch the same number of events.
+func TestAwaitReplaysStartTask(t *testing.T) {
+	const us = time.Microsecond
+	scenarios := []struct {
+		name string
+		// setup builds the shared primitive and returns activity i's body,
+		// which calls note each time it is admitted.
+		setup func(env *Env) func(i int, a spelling, note func())
+		order []int // who is admitted, in order
+	}{
+		{"rpc leg", func(env *Env) func(int, spelling, func()) {
+			r := NewResource(env, 1) // contended: grants go through the queue
+			return func(i int, a spelling, note func()) {
+				a.use(r, 3*us, func() {
+					a.sleep(5*us, func() {
+						a.use(r, 2*us, func() { note(); a.end() })
 					})
 				})
 			}
-			if await {
-				env.Process("client", func(p *Proc) { p.Await(body) })
-			} else {
-				env.StartTask("client", body)
+		}, []int{0, 1, 2, 3, 4, 5}},
+		{"event", func(env *Env) func(int, spelling, func()) {
+			ev := NewEvent(env)
+			env.Defer(10*us, func() { ev.Trigger(nil) })
+			return func(i int, a spelling, note func()) { // 0–3 park, 4 and 5 find it triggered
+				a.sleep(Duration(i)*3*us, func() {
+					a.wait(ev, func() { note(); a.end() })
+				})
+			}
+		}, []int{0, 1, 2, 3, 4, 5}},
+		{"resource", func(env *Env) func(int, spelling, func()) {
+			r := NewResource(env, 2)
+			return func(i int, a spelling, note func()) {
+				n := 1 + i%2
+				a.sleep(Duration(i)*us, func() {
+					a.acquire(r, n, func() {
+						note()
+						a.sleep(5*us, func() { r.Release(n); a.end() })
+					})
+				})
+			}
+		}, []int{0, 1, 2, 3, 4, 5}},
+		{"barrier", func(env *Env) func(int, spelling, func()) {
+			b := NewBarrier(env, 6)
+			return func(i int, a spelling, note func()) { // two generations, arriving 0…5 then 5…0
+				a.sleep(Duration(i)*us, func() {
+					a.arrive(b, func() {
+						note()
+						a.sleep(Duration(6-i)*us, func() {
+							a.arrive(b, func() { note(); a.end() })
+						})
+					})
+				})
+			}
+		}, []int{5, 0, 1, 2, 3, 4, 0, 5, 4, 3, 2, 1}}, // the last arriver continues inline, the rest in arrival order
+	}
+	type admission struct {
+		who int
+		now Time
+		seq uint64
+	}
+	type outcome struct {
+		trace  []admission
+		events uint64
+		now    Time
+		seq    uint64
+	}
+	const asTask, asAwaited, asProc, mixed = 0, 1, 2, 3
+	for _, sc := range scenarios {
+		run := func(mode int) outcome {
+			env := NewEnv()
+			var out outcome
+			body := sc.setup(env)
+			for i := 0; i < 6; i++ {
+				i := i
+				note := func() { out.trace = append(out.trace, admission{i, env.now, env.seq}) }
+				form := mode
+				if mode == mixed {
+					form = i % 3
+				}
+				switch form {
+				case asTask:
+					env.StartTask("a", func(tk *Task) { body(i, taskSpelling(tk), note) })
+				case asAwaited:
+					env.Process("a", func(p *Proc) {
+						p.Await(func(tk *Task) { body(i, taskSpelling(tk), note) })
+					})
+				case asProc:
+					env.Process("a", func(p *Proc) { body(i, procSpelling(p), note) })
+				}
+			}
+			out.now = env.Run()
+			out.events, out.seq = env.EventsProcessed, env.seq
+			return out
+		}
+		want := run(asTask)
+		var order []int
+		for _, a := range want.trace {
+			order = append(order, a.who)
+		}
+		if !reflect.DeepEqual(order, sc.order) {
+			t.Errorf("%s: admitted in order %v, want %v", sc.name, order, sc.order)
+		}
+		for mode, name := range map[int]string{asAwaited: "Process+Await", asProc: "blocking primitives", mixed: "mixed queue"} {
+			if got := run(mode); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s ran %+v, StartTask ran %+v", sc.name, name, got, want)
 			}
 		}
-		out.now = env.Run()
-		out.events, out.seq = env.EventsProcessed, env.seq
-		return out
 	}
-	task, proc := run(false), run(true)
-	if task != proc {
-		t.Fatalf("StartTask %+v, Process+Await %+v", task, proc)
+}
+
+// TestBlockingPrimitivesAllocFree: in steady state — event heap, waiter
+// queues, process pool and each process's frontings warm — the blocking
+// form of every kernel primitive allocates nothing, on its inline path and
+// on its parking path, directly under the process and nested in an Await.
+func TestBlockingPrimitivesAllocFree(t *testing.T) {
+	env := NewEnv()
+	free, busy := NewResource(env, 2), NewResource(env, 1)
+	bar := NewBarrier(env, 2)
+	fired, pending := NewEvent(env), NewEvent(env)
+	fired.Trigger(nil)
+	trigger := func() { pending.Trigger(nil) }
+	nested := func(q *Proc) { q.Sleep(1) }
+	var queued int
+	body := func(p *Proc) { // run by two processes at once
+		p.Sleep(1)
+		p.Await(func(tk *Task) { tk.Block(nested, tk.front.fnEnd) })
+		before := env.parked
+		fired.Wait(p) // triggered: inline
+		free.Acquire(p, 1)
+		free.Use(p, 0) // second unit: granted inline, then a zero sleep
+		free.Release(1)
+		if env.parked != before {
+			t.Error("inline paths parked")
+		}
+		bar.Wait(p) // first arriver parks, second releases it
+		env.Defer(1, trigger)
+		pending.Wait(p)    // both park
+		busy.Acquire(p, 1) // one holds, the other queues
+		p.Sleep(1)
+		queued += busy.QueueLen()
+		busy.Release(1)
+		bar.Wait(p)
+		pending.Reset()
+		busy.Use(p, 1) // one holds, the other queues
 	}
-	if task.events == 0 || task.now == 0 {
-		t.Fatalf("vacuous run: %+v", task)
+	pass := func(body func(*Proc)) func() {
+		return func() {
+			env.Process("a", body)
+			env.Process("b", body)
+			env.Run()
+		}
+	}
+	pass(body)()
+	if queued != 1 {
+		t.Fatalf("the holder released with %d acquirers queued, want 1: the contended path did not run", queued)
+	}
+	// Starting a pooled process costs its go statement; anything above that
+	// would be the primitives'.
+	spawn := testing.AllocsPerRun(50, pass(func(*Proc) {}))
+	if avg := testing.AllocsPerRun(50, pass(body)); avg != spawn {
+		t.Errorf("one pass over every blocking primitive by two processes allocated %.2f times, want the %.2f of starting them", avg, spawn)
 	}
 }
 
@@ -112,15 +264,17 @@ func TestAwaitSharesContextSlot(t *testing.T) {
 
 // TestAwaitBlockAwaitUnwindsLIFO is the CMCache-over-Lustre shape: a
 // task-style layer (outer Await) calls a blocking layer (Block) that itself
-// awaits a task-style layer (inner Await). Both Block entry paths are
-// covered: from the Await body (process running) and from a continuation
-// in scheduler context (process parked).
+// sleeps (a kernel primitive, so a nested Await of its own) and then awaits
+// a task-style layer (inner Await). Both Block entry paths are covered:
+// from the Await body (process running) and from a continuation in
+// scheduler context (process parked).
 func TestAwaitBlockAwaitUnwindsLIFO(t *testing.T) {
 	env := NewEnv()
 	var log []string
 	note := func(s string) { log = append(log, s) }
 	blocking := func(p *Proc) { // the blocking layer: sleeps, then awaits
 		p.Sleep(time.Microsecond)
+		note("slept")
 		p.Await(func(in *Task) {
 			note("inner-start")
 			in.Sleep(time.Microsecond, func() {
@@ -146,8 +300,8 @@ func TestAwaitBlockAwaitUnwindsLIFO(t *testing.T) {
 		note("outer-returned")
 	})
 	env.Run()
-	want := "outer-start inner-start inner-end inner-returned k1 " +
-		"inner-start inner-end inner-returned k2 outer-returned"
+	want := "outer-start slept inner-start inner-end inner-returned k1 " +
+		"slept inner-start inner-end inner-returned k2 outer-returned"
 	if got := strings.Join(log, " "); got != want {
 		t.Fatalf("order:\n got %s\nwant %s", got, want)
 	}
@@ -245,8 +399,8 @@ func TestBlockPanics(t *testing.T) {
 }
 
 // TestPooledProcCleanAfterAwait: a Proc recycled after a life that used
-// Await (including one abandoned mid-Block state) starts its next life with
-// no trace of it.
+// Await starts its next life with no trace of it but its frontings, which
+// the next life's Awaits reuse depth for depth.
 func TestPooledProcCleanAfterAwait(t *testing.T) {
 	env := NewEnv()
 	var first *Proc
@@ -258,6 +412,7 @@ func TestPooledProcCleanAfterAwait(t *testing.T) {
 				tk.Sleep(time.Microsecond, tk.End)
 			})
 		})
+		p.Sleep(time.Microsecond)
 	})
 	env.Run()
 	reused := false
@@ -271,9 +426,19 @@ func TestPooledProcCleanAfterAwait(t *testing.T) {
 			if tk.Ctx() != nil {
 				t.Errorf("fresh Await sees ctx %v", tk.Ctx())
 			}
-			tk.Sleep(time.Microsecond, func() {
-				done = true
-				tk.End()
+			tk.Block(func(q *Proc) {
+				q.Await(func(in *Task) {
+					if len(p.fronts) != 2 || tk.front != p.fronts[0] || in.front != p.fronts[1] {
+						t.Errorf("Await and nested Await of a recycled process run on %p and %p, want its pooled %v",
+							tk.front, in.front, p.fronts)
+					}
+					in.End()
+				})
+			}, func() {
+				tk.Sleep(time.Microsecond, func() {
+					done = true
+					tk.End()
+				})
 			})
 		})
 		if !done {

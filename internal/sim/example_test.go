@@ -18,8 +18,8 @@ func Example() {
 		ready.Trigger("payload")
 	})
 	env.Process("consumer", func(p *sim.Proc) {
-		v := ready.Wait(p)
-		fmt.Printf("received %q at t=%v\n", v, sim.Duration(p.Now()))
+		ready.Wait(p)
+		fmt.Printf("received %q at t=%v\n", ready.Value(), sim.Duration(p.Now()))
 	})
 
 	env.Run()

@@ -1,11 +1,10 @@
 package sim
 
-// Resource is a counted server with a FIFO queue: up to Capacity units may
-// be held concurrently; further acquirers wait in arrival order. It models
-// contended hardware such as a NIC, a disk arm, or a pool of server
-// threads. Processes and tasks share one queue: a waiter is a parked
-// process or a pending task continuation, admitted in strict arrival order
-// either way.
+// Resource is a counted server with a FIFO queue: up to its capacity in
+// units may be held concurrently; further acquirers wait in arrival order.
+// It models contended hardware such as a NIC, a disk arm, or a pool of
+// server threads. A waiter is a continuation — a task's, or the one that
+// ends a process's Await — so both share one queue in strict arrival order.
 type Resource struct {
 	env      *Env
 	capacity int
@@ -21,21 +20,15 @@ type Resource struct {
 	// Utilization accounting.
 	busyTime Duration
 	lastBusy Time
-	acquires uint64
-	waitTime Duration
-	maxQueue int
 
 	// useOps is the UseT frame free list; see useOp.
 	useOps []*useOp
 }
 
-// resWaiter is one queued acquirer: a parked process (p) or a task
-// continuation (fn); exactly one is set.
+// resWaiter is one queued acquirer: its continuation and its unit count.
 type resWaiter struct {
-	p  *Proc
 	fn func()
 	n  int
-	t  Time
 }
 
 // NewResource returns a resource with the given concurrent capacity.
@@ -45,9 +38,6 @@ func NewResource(env *Env, capacity int) *Resource {
 	}
 	return &Resource{env: env, capacity: capacity}
 }
-
-// Capacity returns the configured concurrency.
-func (r *Resource) Capacity() int { return r.capacity }
 
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
@@ -64,31 +54,17 @@ func (r *Resource) accountBusy() {
 
 // Acquire blocks p until n units are available and takes them.
 func (r *Resource) Acquire(p *Proc, n int) {
-	if n <= 0 || n > r.capacity {
-		panic("sim: bad acquire count")
-	}
-	r.acquires++
-	if r.head == len(r.waiters) && r.inUse+n <= r.capacity {
-		r.accountBusy()
-		r.inUse += n
-		return
-	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n, t: r.env.now})
-	if q := r.QueueLen(); q > r.maxQueue {
-		r.maxQueue = q
-	}
-	p.park()
+	p.Await(func(t *Task) { r.AcquireT(t, n, t.front.fnEnd) })
 }
 
 // AcquireT takes n units and runs k. When the units are free the grant is
-// immediate: k runs inline and no event is scheduled, mirroring Acquire's
-// uncontended fast path. Otherwise the continuation queues FIFO behind
-// earlier acquirers and is dispatched by Release.
+// immediate: k runs inline and no event is scheduled. Otherwise the
+// continuation queues FIFO behind earlier acquirers and is dispatched by
+// Release.
 func (r *Resource) AcquireT(t *Task, n int, k func()) {
 	if n <= 0 || n > r.capacity {
 		panic("sim: bad acquire count")
 	}
-	r.acquires++
 	if r.head == len(r.waiters) && r.inUse+n <= r.capacity {
 		r.accountBusy()
 		r.inUse += n
@@ -96,15 +72,11 @@ func (r *Resource) AcquireT(t *Task, n int, k func()) {
 		return
 	}
 	//imcalint:allow allocfree amortised growth: the waiter queue's backing array is reused, so it grows only to the deepest queue seen
-	r.waiters = append(r.waiters, resWaiter{fn: k, n: n, t: r.env.now})
-	if q := r.QueueLen(); q > r.maxQueue {
-		r.maxQueue = q
-	}
+	r.waiters = append(r.waiters, resWaiter{fn: k, n: n})
 }
 
-// Release returns n units and wakes as many FIFO waiters as now fit. Each
-// admitted waiter costs one scheduled event — a process wake-up or a task
-// continuation dispatch.
+// Release returns n units and admits as many FIFO waiters as now fit, each
+// costing one scheduled event.
 func (r *Resource) Release(n int) {
 	if n <= 0 || n > r.inUse {
 		panic("sim: bad release count")
@@ -113,16 +85,11 @@ func (r *Resource) Release(n int) {
 	r.inUse -= n
 	for r.head < len(r.waiters) && r.inUse+r.waiters[r.head].n <= r.capacity {
 		w := r.waiters[r.head]
-		r.waiters[r.head] = resWaiter{} // drop the Proc/closure reference
+		r.waiters[r.head] = resWaiter{} // drop the closure reference
 		r.head++
 		r.accountBusy()
 		r.inUse += w.n
-		r.waitTime += r.env.now.Sub(w.t)
-		if w.p != nil {
-			r.env.scheduleProc(w.p, 0)
-		} else {
-			r.env.schedule(r.env.now, nil, w.fn)
-		}
+		r.env.schedule(r.env.now, w.fn)
 	}
 	// Reclaim the dead prefix so steady-state contention reuses one
 	// backing array instead of growing it per admission. Host-side only:
@@ -143,9 +110,7 @@ func (r *Resource) Release(n int) {
 // Use acquires one unit, holds it for d, and releases it: the common
 // "serve one request" pattern.
 func (r *Resource) Use(p *Proc, d Duration) {
-	r.Acquire(p, 1)
-	p.Sleep(d)
-	r.Release(1)
+	p.Await(func(t *Task) { r.UseT(t, d, t.front.fnEnd) })
 }
 
 // useOp is one in-flight UseT: the acquire→hold→release chain as a pooled
@@ -187,7 +152,7 @@ func (op *useOp) charged() {
 }
 
 // UseT is Use for tasks: acquire one unit, hold it for d, release, then
-// run k. Schedule consumption matches Use exactly.
+// run k.
 func (r *Resource) UseT(t *Task, d Duration, k func()) {
 	op := r.takeUseOp()
 	op.t, op.d, op.k = t, d, k
@@ -204,30 +169,14 @@ func (r *Resource) Utilization() float64 {
 	return float64(r.busyTime) / float64(r.env.now)
 }
 
-// Stats summarizes contention seen so far.
-func (r *Resource) Stats() (acquires uint64, avgWait Duration, maxQueue int) {
-	acquires = r.acquires
-	if r.acquires > 0 {
-		avgWait = r.waitTime / Duration(r.acquires)
-	}
-	return acquires, avgWait, r.maxQueue
-}
-
-// Barrier blocks processes until a fixed number have arrived, then releases
+// Barrier holds arrivals until a fixed number have arrived, then releases
 // them all at the same instant. It is reusable: after releasing a
 // generation it resets for the next. Processes and tasks may share one
 // barrier: the last arriver — either kind — releases the generation.
 type Barrier struct {
 	env     *Env
 	parties int
-	waiting []barrierWaiter
-}
-
-// barrierWaiter is one arrived party: a parked process or a task
-// continuation; exactly one is set.
-type barrierWaiter struct {
-	p  *Proc
-	fn func()
+	waiting []func()
 }
 
 // NewBarrier returns a barrier for the given number of parties.
@@ -240,35 +189,20 @@ func NewBarrier(env *Env, parties int) *Barrier {
 
 // Wait blocks p until all parties have arrived.
 func (b *Barrier) Wait(p *Proc) {
-	if len(b.waiting)+1 == b.parties {
-		b.release()
-		return
-	}
-	b.waiting = append(b.waiting, barrierWaiter{p: p})
-	p.park()
+	p.Await(func(t *Task) { b.WaitT(t, t.front.fnEnd) })
 }
 
-// WaitT runs k when all parties have arrived. The last arriver's k runs
-// inline — consuming no sequence number, exactly as the last Wait caller
-// continues without parking — after the earlier arrivals are scheduled.
+// WaitT runs k when all parties have arrived. The last arriver schedules
+// every earlier arrival at the current instant, resets the barrier for the
+// next generation, and runs its own k inline, consuming no sequence number.
 func (b *Barrier) WaitT(t *Task, k func()) {
-	if len(b.waiting)+1 == b.parties {
-		b.release()
-		k()
+	if len(b.waiting)+1 < b.parties {
+		b.waiting = append(b.waiting, k)
 		return
 	}
-	b.waiting = append(b.waiting, barrierWaiter{fn: k})
-}
-
-// release schedules every waiting party at the current instant and resets
-// the barrier for the next generation.
-func (b *Barrier) release() {
 	for _, w := range b.waiting {
-		if w.p != nil {
-			b.env.scheduleProc(w.p, 0)
-		} else {
-			b.env.schedule(b.env.now, nil, w.fn)
-		}
+		b.env.schedule(b.env.now, w)
 	}
 	b.waiting = b.waiting[:0]
+	k()
 }

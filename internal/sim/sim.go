@@ -37,32 +37,31 @@
 //
 // The two meet in one adapter (await.go). Proc.Await runs continuation
 // code on behalf of a process and returns when it has finished, which is
-// how every blocking API in the tree is derived from its task-style
-// implementation; Task.Block runs blocking code on the process such a task
-// fronts. Neither spends a sequence number, and each *T primitive consumes
-// exactly the sequence numbers its blocking form does, so the same
-// activity replays the same (time, seq) event stream whichever way it is
-// driven.
+// how every blocking call in the tree — the kernel's own Proc.Sleep,
+// Event.Wait, Resource.Acquire/Use and Barrier.Wait included — is derived
+// from its task-style implementation; Task.Block runs blocking code on the
+// process such a task fronts. Neither spends a sequence number, so the
+// same activity replays the same (time, seq) event stream whichever way it
+// is driven.
 //
 // # Dispatch cost
 //
-// Two kinds of events exist, with very different host-side price tags.
-// Waking a parked process costs a goroutine park/wake handshake (two
-// channel operations); running a deferred function (Env.Defer) is a plain
-// call in scheduler context and pays no handshake at all. Timeouts and
-// other bookkeeping that does not need a process of its own should use
-// Defer. The pending-event queue is a 4-ary min-heap of event values in a
-// single backing array: scheduling allocates nothing (vacated slots are
-// recycled in place, serving as the event free list), and the shallow wide
-// heap keeps comparisons inside one cache line per level.
+// One kind of event exists: a function the dispatch loop calls in
+// scheduler context, and a continuation is the only thing that waits. A
+// process is woken by the continuation that ends its Await, which hands
+// control over with a goroutine park/wake handshake (two channel
+// operations) inside that event; a task's continuation or a deferred
+// function (Env.Defer) is a plain call and pays no handshake at all, so
+// timeouts and other bookkeeping that does not need a process of its own
+// should use Defer. The pending-event queue is a 4-ary min-heap of event
+// values in a single backing array: scheduling allocates nothing (vacated
+// slots are recycled in place, serving as the event free list), and the
+// shallow wide heap keeps comparisons inside one cache line per level.
 package sim
 
 import (
 	"fmt"
 	"time"
-
-	//imcalint:allow nogoroutine host-side dispatch total: one atomic add per Run, read only by harness telemetry
-	"sync/atomic"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -85,14 +84,13 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // String formats the time as a duration since simulation start.
 func (t Time) String() string { return Duration(t).String() }
 
-// event is a scheduled wake-up of a process or a deferred function call.
-// Events are stored by value in the heap's backing array, so scheduling
-// one allocates nothing.
+// event is a function scheduled to run in scheduler context. Events are
+// stored by value in the heap's backing array, so scheduling one allocates
+// nothing.
 type event struct {
-	at   Time
-	seq  uint64
-	proc *Proc  // process to resume, or nil
-	fn   func() // function to run in scheduler context, or nil
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // eventHeap is a 4-ary min-heap of events ordered by (at, seq). A wide
@@ -130,7 +128,7 @@ func (h *eventHeap) push(ev event) {
 
 // pop removes and returns the minimum event. The vacated tail slot is
 // zeroed so the backing array (the kernel's event free list) does not pin
-// dead Proc or closure references.
+// dead closure references.
 func (h *eventHeap) pop() event {
 	a := *h
 	top := a[0]
@@ -169,17 +167,6 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// totalEvents accumulates dispatched events across every environment in
-// the process, updated once per Run/RunUntil return. Harness telemetry
-// reads it to report host-side throughput (events per wall second); the
-// hot dispatch loop itself never touches it.
-var totalEvents atomic.Uint64
-
-// TotalEvents returns the number of events dispatched by all environments
-// in this process since it started — the numerator of the harness's
-// events-per-second gauge. It is safe to call from any goroutine.
-func TotalEvents() uint64 { return totalEvents.Load() }
-
 // Env is a simulation environment: a virtual clock plus the set of
 // processes and pending events that advance it.
 type Env struct {
@@ -198,9 +185,9 @@ type Env struct {
 	// procFree recycles finished Procs — struct, handshake channel, and
 	// prebound starter — so spawning a process in steady state allocates
 	// nothing but the goroutine itself (whose stack the Go runtime also
-	// recycles). A Proc is pooled only when no stale wake-up event still
-	// references it (see pendingWakes), so a recycled identity can never
-	// be woken by its previous life's events.
+	// recycles). No heap event references a Proc — one is woken only from
+	// inside its own Await — so a recycled identity cannot be woken by its
+	// previous life's events.
 	procFree []*Proc
 
 	// EventsProcessed counts dispatched events — a cheap measure of how
@@ -224,26 +211,17 @@ func NewEnv() *Env {
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
-// schedule enqueues an event at absolute time at.
-func (e *Env) schedule(at Time, proc *Proc, fn func()) {
+// schedule enqueues fn to run at absolute time at.
+func (e *Env) schedule(at Time, fn func()) {
 	e.seq++
-	e.heap.push(event{at: at, seq: e.seq, proc: proc, fn: fn})
-}
-
-// scheduleProc enqueues a wake-up for p after delay d.
-func (e *Env) scheduleProc(p *Proc, d Duration) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	p.pendingWakes++
-	e.schedule(e.now.Add(d), p, nil)
+	e.heap.push(event{at: at, seq: e.seq, fn: fn})
 }
 
 // Defer schedules fn to run in scheduler context at the current time plus
-// d. Unlike a process wake-up, dispatching a deferred function pays no
-// goroutine park/wake handshake — it is a plain call between events — so
-// it is the cheap way to express timeouts, sensors, and other bookkeeping
-// that does not need a blocking process of its own.
+// d. Dispatching it pays no goroutine park/wake handshake — it is a plain
+// call between events — so it is the cheap way to express timeouts,
+// sensors, and other bookkeeping that does not need a blocking process of
+// its own.
 //
 // fn runs between event dispatches, when no process is mid-action. It may
 // schedule further work (trigger events, call Defer, create processes) but
@@ -256,7 +234,7 @@ func (e *Env) Defer(d Duration, fn func()) {
 	if fn == nil {
 		panic("sim: nil deferred function")
 	}
-	e.schedule(e.now.Add(d), nil, fn)
+	e.schedule(e.now.Add(d), fn)
 }
 
 // Proc is a simulated process. Its methods must be called only from its own
@@ -267,8 +245,6 @@ type Proc struct {
 	pid  int
 	//imcalint:allow nogoroutine kernel handshake: scheduler wakes the parked process
 	resume chan struct{}
-	done   *Event
-	ended  bool
 	ctx    interface{}
 
 	// body holds the process function between Process and the starter
@@ -277,11 +253,10 @@ type Proc struct {
 	// without allocating.
 	body  func(p *Proc)
 	start func()
-	// pendingWakes counts scheduled wake-up events that reference this
-	// Proc and have not yet dispatched. A Proc that ends while one is
-	// still in the heap is not recycled (the dispatch loop skips wake-ups
-	// for ended processes, exactly as before pooling).
-	pendingWakes int
+	// fronts[:depth] are the Awaits the process is inside, outermost first;
+	// the rest wait to be reused (see fronting).
+	fronts []*fronting
+	depth  int
 }
 
 // Name returns the name given at creation.
@@ -292,20 +267,6 @@ func (p *Proc) Env() *Env { return p.env }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
-
-// Done returns an event triggered when the process function returns. The
-// event is created on first use — most processes are never watched, and
-// the lazy event is what lets a finished Proc return to the free list
-// without resetting state an observer might still hold.
-func (p *Proc) Done() *Event {
-	if p.done == nil {
-		p.done = NewEvent(p.env)
-		if p.ended {
-			p.done.Trigger(nil)
-		}
-	}
-	return p.done
-}
 
 // Ctx returns the process's context slot, or nil. The slot is opaque to the
 // kernel; higher layers (e.g. optrace) use it to attach per-operation state
@@ -333,12 +294,7 @@ func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
 		e.procFree = e.procFree[:n-1]
 		p.name = name
 		p.pid = e.nextPID
-		p.ended = false
 		p.ctx = nil
-		// The previous life's done event, if anyone asked for one, stays
-		// with whoever holds it (already triggered); this life starts
-		// with none and creates its own lazily.
-		p.done = nil
 	} else {
 		p = &Proc{
 			env:    e,
@@ -355,14 +311,8 @@ func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
 	}
 	p.body = fn
 	e.living++
-	e.schedule(e.now, nil, p.start)
+	e.schedule(e.now, p.start)
 	return p
-}
-
-// Spawn creates a child process; identical to Env.Process but callable in
-// process context for symmetry.
-func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
-	return p.env.Process(name, fn)
 }
 
 func (p *Proc) run(fn func(p *Proc)) {
@@ -370,24 +320,18 @@ func (p *Proc) run(fn func(p *Proc)) {
 	fn(p)
 }
 
-// finish ends the process: it flips the lifecycle state, notifies any
-// Done watcher, recycles the Proc when no stale wake-up still points at
-// it, and yields to the scheduler one last time. The goroutine exits
-// right after; a pooled restart spawns a fresh one on the same struct.
+// finish ends the process: it recycles the Proc and yields to the
+// scheduler one last time. The goroutine exits right after; a pooled
+// restart spawns a fresh one on the same struct.
 func (p *Proc) finish() {
-	p.ended = true
 	p.env.living--
-	if p.done != nil {
-		p.done.Trigger(nil)
-	}
-	if p.pendingWakes == 0 {
-		p.env.procFree = append(p.env.procFree, p)
-	}
+	p.env.procFree = append(p.env.procFree, p)
 	p.env.yielded <- struct{}{} //imcalint:allow nogoroutine kernel handshake: final yield on process exit
 }
 
 // park blocks the calling process goroutine and returns control to the
-// scheduler; the process resumes when a scheduled event wakes it.
+// scheduler; the process resumes when a continuation of the Await it is
+// parked in wakes it.
 func (p *Proc) park() {
 	p.env.parked++
 	p.env.yielded <- struct{}{} //imcalint:allow nogoroutine kernel handshake: hand control to the scheduler
@@ -395,18 +339,11 @@ func (p *Proc) park() {
 	p.env.parked--
 }
 
-// Sleep advances the process by d of virtual time.
+// Sleep advances the process by d of virtual time. A zero sleep lets any
+// other activity scheduled for the current instant run first.
 func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		panic("sim: negative sleep")
-	}
-	p.env.scheduleProc(p, d)
-	p.park()
+	p.Await(func(t *Task) { t.Sleep(d, t.front.fnEnd) })
 }
-
-// Yield lets any other process scheduled for the current instant run before
-// this one continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // wake delivers a resume to p and waits for it to yield again. Must be
 // called in scheduler context only.
@@ -454,39 +391,17 @@ func (e *Env) fireTicks() {
 // time. If processes remain parked with no pending events, the simulation
 // is deadlocked and Run panics with a diagnostic, since that always
 // indicates a modelling bug.
-func (e *Env) Run() Time {
-	return e.RunUntil(Time(1<<62 - 1))
-}
-
-// RunUntil processes events with timestamps <= limit and returns the
-// current virtual time afterwards.
 //
 //imcalint:hotpath dispatch loop: ~1.29 allocs/event budget for fig5 scale-16 rests on this body staying allocation-free
-func (e *Env) RunUntil(limit Time) Time {
-	start := e.EventsProcessed
-	defer func() { totalEvents.Add(e.EventsProcessed - start) }() //imcalint:allow allocfree one closure per RunUntil call, amortized over every event it dispatches
+func (e *Env) Run() Time {
 	for len(e.heap) > 0 {
-		if e.heap[0].at > limit {
-			e.now = limit
-			e.fireTicks()
-			return e.now
-		}
 		ev := e.heap.pop()
 		e.now = ev.at
 		if e.tickFn != nil {
 			e.fireTicks()
 		}
 		e.EventsProcessed++
-		switch {
-		case ev.fn != nil:
-			// Deferred functions dispatch inline: no goroutine handshake.
-			ev.fn()
-		case ev.proc != nil:
-			ev.proc.pendingWakes--
-			if !ev.proc.ended {
-				e.wake(ev.proc)
-			}
-		}
+		ev.fn()
 	}
 	if e.living > 0 && e.parked == e.living {
 		panic(fmt.Sprintf("sim: deadlock at %v: %d process(es) parked with no pending events", e.now, e.parked))

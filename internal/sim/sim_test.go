@@ -26,7 +26,7 @@ func TestZeroSleepYields(t *testing.T) {
 	var order []string
 	env.Process("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	env.Process("b", func(p *Proc) {
@@ -92,8 +92,9 @@ func TestEventWakesAllWaiters(t *testing.T) {
 	woke := 0
 	for i := 0; i < 5; i++ {
 		env.Process("waiter", func(p *Proc) {
-			if got := ev.Wait(p); got != "go" {
-				t.Errorf("Wait returned %v, want go", got)
+			ev.Wait(p)
+			if got := ev.Value(); got != "go" {
+				t.Errorf("after Wait the value is %v, want go", got)
 			}
 			woke++
 		})
@@ -117,7 +118,8 @@ func TestEventWaitAfterTriggerReturnsImmediately(t *testing.T) {
 	env.Process("p", func(p *Proc) {
 		ev.Trigger(7)
 		before := p.Now()
-		if got := ev.Wait(p); got != 7 {
+		ev.Wait(p)
+		if got := ev.Value(); got != 7 {
 			t.Errorf("got %v, want 7", got)
 		}
 		if p.Now() != before {
@@ -242,64 +244,28 @@ func TestBarrierReleasesTogetherAndIsReusable(t *testing.T) {
 	}
 }
 
-func TestProcDoneEvent(t *testing.T) {
-	env := NewEnv()
-	child := env.Process("child", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-	})
-	var sawDone Time
-	env.Process("parent", func(p *Proc) {
-		child.Done().Wait(p)
-		sawDone = p.Now()
-	})
-	env.Run()
-	if sawDone != Time(time.Millisecond) {
-		t.Errorf("parent saw done at %v, want 1ms", sawDone)
-	}
-}
-
 func TestSpawnFromProcess(t *testing.T) {
 	env := NewEnv()
 	total := 0
 	env.Process("root", func(p *Proc) {
-		kids := make([]*Proc, 4)
+		kids := make([]*Event, 4)
 		for i := range kids {
-			kids[i] = p.Spawn("kid", func(q *Proc) {
+			done := NewEvent(env)
+			kids[i] = done
+			p.Env().Process("kid", func(q *Proc) {
 				q.Sleep(time.Microsecond)
 				total++
+				done.Trigger(nil)
 			})
 		}
-		for _, k := range kids {
-			k.Done().Wait(p)
+		for _, done := range kids {
+			done.Wait(p)
 		}
 		total *= 10
 	})
 	env.Run()
 	if total != 40 {
 		t.Errorf("total = %d, want 40", total)
-	}
-}
-
-func TestRunUntilStopsEarly(t *testing.T) {
-	env := NewEnv()
-	steps := 0
-	env.Process("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(time.Millisecond)
-			steps++
-		}
-	})
-	now := env.RunUntil(Time(5500 * time.Microsecond))
-	if steps != 5 {
-		t.Errorf("steps = %d, want 5", steps)
-	}
-	if now != Time(5500*time.Microsecond) {
-		t.Errorf("now = %v, want 5.5ms", now)
-	}
-	// Resuming completes the remainder.
-	env.Run()
-	if steps != 100 {
-		t.Errorf("after resume steps = %d, want 100", steps)
 	}
 }
 

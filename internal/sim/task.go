@@ -29,18 +29,18 @@ var (
 // concurrent clients cost ten thousand pending closures, not ten thousand
 // goroutines.
 //
-// A Task never blocks. Each kernel primitive has a *T variant
-// (Event.WaitT, Resource.AcquireT/UseT, Barrier.WaitT, Task.Sleep) that
-// takes the rest of the computation as a callback and returns immediately.
+// A Task never blocks. Each kernel primitive (Task.Sleep, Event.WaitFn,
+// Resource.AcquireT/UseT, Barrier.WaitT) takes the rest of the computation
+// as a callback and returns immediately.
 // The continuation runs in scheduler context when the awaited instant or
 // condition arrives. A Task's body must call End exactly once, after its
 // last continuation has run; a drained event heap with un-ended Tasks is a
 // deadlock, diagnosed by Run exactly as for parked processes.
 //
-// Determinism: the *T primitives consume sequence numbers identically to
-// their blocking forms (one schedule per wake-up, zero when the fast path
-// returns inline), so an activity replays the exact same (time, seq) event
-// stream whether it runs as a task or is awaited by a process (Proc.Await).
+// Determinism: the blocking forms are these primitives under Proc.Await,
+// which spends no sequence number (one schedule per wake-up, zero when the
+// fast path returns inline), so an activity replays the exact same (time,
+// seq) event stream whether it runs as a task or is awaited by a process.
 type Task struct {
 	env   *Env
 	name  string
@@ -64,7 +64,7 @@ func (e *Env) StartTask(name string, fn func(t *Task)) *Task {
 	t := &Task{env: e, name: name, tid: int32(e.nextTID)}
 	t.done = NewEvent(e)
 	e.tasksLive++
-	e.schedule(e.now, nil, func() { fn(t) })
+	e.schedule(e.now, func() { fn(t) })
 	return t
 }
 
@@ -85,7 +85,7 @@ func (e *Env) ContextTask(name string) *Task {
 // time: the one sequence number StartTask and Env.Process spend on a new
 // actor's first slice, for an owner that pools its actors and therefore
 // cannot create one per activity.
-func (t *Task) Start(fn func()) { t.env.schedule(t.env.now, nil, fn) }
+func (t *Task) Start(fn func()) { t.env.schedule(t.env.now, fn) }
 
 // Name returns the name given at creation.
 func (t *Task) Name() string { return t.name }
@@ -122,12 +122,12 @@ func (t *Task) SetCtx(v interface{}) {
 func (t *Task) String() string { return fmt.Sprintf("task %d (%s)", t.tid, t.name) }
 
 // Sleep schedules k to run after d of virtual time. It consumes one
-// sequence number, exactly like Proc.Sleep.
+// sequence number.
 func (t *Task) Sleep(d Duration, k func()) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	t.env.schedule(t.env.now.Add(d), nil, k)
+	t.env.schedule(t.env.now.Add(d), k)
 }
 
 // End marks the task finished and triggers its Done event. Every task must

@@ -89,20 +89,6 @@ func TestTickDoesNotPerturbSimulation(t *testing.T) {
 	}
 }
 
-func TestTickFiresInRunUntilClamp(t *testing.T) {
-	env := NewEnv()
-	var fired []Time
-	env.SetTick(10*time.Microsecond, func(at Time) { fired = append(fired, at) })
-	env.Process("far", func(p *Proc) {
-		p.Sleep(100 * time.Microsecond)
-	})
-	env.RunUntil(Time(25 * time.Microsecond))
-	// The next event is past the limit, but boundaries inside it still fire.
-	if len(fired) != 2 || fired[0] != Time(10*time.Microsecond) || fired[1] != Time(20*time.Microsecond) {
-		t.Errorf("fired at %v, want [10µs 20µs]", fired)
-	}
-}
-
 func TestTickRemoveAndBadInterval(t *testing.T) {
 	env := NewEnv()
 	count := 0

@@ -63,28 +63,3 @@ func TestDeferChained(t *testing.T) {
 		t.Errorf("run ended at %v, want 3ns", end)
 	}
 }
-
-// TestHeapOrderLargeFanIn pushes many same-instant events through the
-// 4-ary heap and checks strict creation-order dispatch.
-func TestHeapOrderLargeFanIn(t *testing.T) {
-	env := NewEnv()
-	const n = 1000
-	var got []int
-	for i := 0; i < n; i++ {
-		i := i
-		env.Defer(Duration(i%7), func() { got = append(got, i) })
-	}
-	env.Run()
-	if len(got) != n {
-		t.Fatalf("dispatched %d events, want %d", len(got), n)
-	}
-	// Within each instant, creation order; across instants, time order.
-	seen := make(map[int]int) // delay -> last index seen
-	for _, i := range got {
-		d := i % 7
-		if last, ok := seen[d]; ok && i < last {
-			t.Fatalf("event %d dispatched after %d at the same instant", i, last)
-		}
-		seen[d] = i
-	}
-}

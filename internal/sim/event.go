@@ -32,7 +32,7 @@ func (ev *Event) Trigger(v interface{}) {
 	ev.triggered = true
 	ev.value = v
 	for i, k := range ev.waiters {
-		ev.env.schedule(ev.env.now, k)
+		ev.env.schedule(0, k)
 		ev.waiters[i] = nil
 	}
 	// Keep the backing array: pooled events (see Reset) re-arm waiters

@@ -89,7 +89,7 @@ func (r *Resource) Release(n int) {
 		r.head++
 		r.accountBusy()
 		r.inUse += w.n
-		r.env.schedule(r.env.now, w.fn)
+		r.env.schedule(0, w.fn)
 	}
 	// Reclaim the dead prefix so steady-state contention reuses one
 	// backing array instead of growing it per admission. Host-side only:
@@ -201,7 +201,7 @@ func (b *Barrier) WaitT(t *Task, k func()) {
 		return
 	}
 	for _, w := range b.waiting {
-		b.env.schedule(b.env.now, w)
+		b.env.schedule(0, w)
 	}
 	b.waiting = b.waiting[:0]
 	k()

@@ -10,8 +10,8 @@
 //
 // A Task is a state machine in continuation-passing style: each waiting
 // point takes the rest of the computation as a callback (Task.Sleep,
-// Event.WaitT, Resource.AcquireT/UseT, Barrier.WaitT) that the kernel
-// dispatches as a plain heap event. It costs no goroutine, so it is the
+// Event.WaitFn, Resource.AcquireT/UseT, Barrier.WaitT) that the kernel
+// dispatches as a plain event. It costs no goroutine, so it is the
 // form for anything that runs per operation or in large numbers — and the
 // form every layer of the simulated storage stack is written in:
 //
@@ -53,14 +53,41 @@
 // operations) inside that event; a task's continuation or a deferred
 // function (Env.Defer) is a plain call and pays no handshake at all, so
 // timeouts and other bookkeeping that does not need a process of its own
-// should use Defer. The pending-event queue is a 4-ary min-heap of event
-// values in a single backing array: scheduling allocates nothing (vacated
-// slots are recycled in place, serving as the event free list), and the
-// shallow wide heap keeps comparisons inside one cache line per level.
+// should use Defer.
+//
+// Env.Run reaches pending work through one function, next(), over a queue
+// in three parts shaped like the traffic simulations put on it, whose
+// union pops in exactly (at, seq) order:
+//
+//   - due, a FIFO of the functions scheduled for the current instant
+//     (Event.Trigger, Resource.Release, a new actor's first slice,
+//     Defer(0)) — about one event in six. It stores no timestamp and no
+//     sequence number, and sifts nothing, because its order is already
+//     right: (1) anything in a heap for the instant now was scheduled
+//     while the clock was earlier, so it precedes everything in due;
+//     (2) due is appended in schedule order, which is seq order; (3) due
+//     drains before the clock moves, so nothing in it is ever late. Hence
+//     next() takes the heaps' top while it is at now, then due front to
+//     back, then the heaps' top at a later instant.
+//   - near and far, two 4-ary min-heaps of {at, seq, fn} values ordered by
+//     (at, seq), chosen when an event is scheduled by its delay against
+//     one constant, nearHorizon. The microsecond steps of the operations
+//     in flight then sift through a heap of their own size instead of
+//     through every think-time and arrival timer in the simulation.
+//     next() compares the two tops, so the constant decides where an event
+//     waits and cannot change when it runs.
+//
+// Scheduling allocates nothing: heap events live by value in a backing
+// array whose vacated slots are recycled in place, and due is reused from
+// its start every time it empties. A heap's pop picks the smallest of four
+// children without a data-dependent branch (lessMask) — at the sixty-odd
+// events a closed-loop run keeps pending, mispredicted child selection,
+// not depth, was the cost of a pop.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -84,9 +111,9 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // String formats the time as a duration since simulation start.
 func (t Time) String() string { return Duration(t).String() }
 
-// event is a function scheduled to run in scheduler context. Events are
-// stored by value in the heap's backing array, so scheduling one allocates
-// nothing.
+// event is a function scheduled to run in scheduler context at a later
+// instant. Events are stored by value in a heap's backing array, so
+// scheduling one allocates nothing.
 type event struct {
 	at  Time
 	seq uint64
@@ -107,6 +134,19 @@ func before(a, b *event) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// lessMask is before as a mask: all ones when a sorts before b, zero
+// otherwise. It compares (at, seq) as one 128-bit unsigned number — the
+// borrow out of seq's subtraction carried into at's — which agrees with
+// before because no event's time is negative (schedule refuses an instant
+// before now, and the clock starts at zero). pop selects the smallest of
+// four children with it, where a compare-and-branch on what is in effect
+// random data mispredicts every other time.
+func lessMask(a, b *event) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return -int(borrow)
 }
 
 // push adds ev, restoring the heap property by sifting up.
@@ -148,13 +188,16 @@ func (h *eventHeap) pop() event {
 			break
 		}
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if before(&a[c], &a[best]) {
-				best = c
+		if first+4 <= n {
+			// A full group, as every level but the last has: the
+			// smallest of four with no data-dependent branch, by two
+			// independent comparisons and one between their winners.
+			lo := first + 1&lessMask(&a[first+1], &a[first])
+			hi := first + 2 + 1&lessMask(&a[first+3], &a[first+2])
+			best = lo + (hi-lo)&lessMask(&a[hi], &a[lo])
+		} else {
+			for c := first + 1; c < n; c++ {
+				best += (c - best) & lessMask(&a[c], &a[best])
 			}
 		}
 		if !before(&a[best], &last) {
@@ -170,9 +213,14 @@ func (h *eventHeap) pop() event {
 // Env is a simulation environment: a virtual clock plus the set of
 // processes and pending events that advance it.
 type Env struct {
-	now  Time
-	seq  uint64
-	heap eventHeap
+	now Time
+	seq uint64
+
+	// The pending events, in three parts whose union next() drains in
+	// (at, seq) order; see schedule and next.
+	due       []func() // due[dueHead:] run at now, in scheduling order
+	dueHead   int
+	near, far eventHeap // later instants, split by delay at nearHorizon
 	//imcalint:allow nogoroutine kernel handshake: running process signals the scheduler
 	yielded chan struct{}
 	living  int // processes started and not yet finished
@@ -185,7 +233,7 @@ type Env struct {
 	// procFree recycles finished Procs — struct, handshake channel, and
 	// prebound starter — so spawning a process in steady state allocates
 	// nothing but the goroutine itself (whose stack the Go runtime also
-	// recycles). No heap event references a Proc — one is woken only from
+	// recycles). No pending event references a Proc — one is woken only from
 	// inside its own Await — so a recycled identity cannot be woken by its
 	// previous life's events.
 	procFree []*Proc
@@ -196,7 +244,7 @@ type Env struct {
 	EventsProcessed uint64
 
 	// Tick hook: an observer callback fired at fixed virtual intervals
-	// (see SetTick). It lives outside the event heap so installing it
+	// (see SetTick). It lives outside the event queue so installing it
 	// never perturbs event ordering, sequence numbers, or the clock.
 	tickInterval Duration
 	tickNext     Time
@@ -211,10 +259,60 @@ func NewEnv() *Env {
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
-// schedule enqueues fn to run at absolute time at.
-func (e *Env) schedule(at Time, fn func()) {
+// nearHorizon is the delay at which a scheduled event goes to the far heap
+// instead of the near one. It decides only where an event waits — next()
+// compares the two tops — so no value of it can change the order events
+// run in. It sits in the gap of the delays the stack produces: the steps of
+// an operation in flight (wire, CPU and service times) are tens of
+// microseconds at most, think times and timers a millisecond and up, so
+// the steps sift through a heap the size of the operations in flight, not
+// of the clients that exist.
+const nearHorizon = 64 * time.Microsecond
+
+// schedule enqueues fn to run d from now, after everything already
+// scheduled for that instant.
+func (e *Env) schedule(d Duration, fn func()) {
+	at := e.now.Add(d)
+	if at < e.now {
+		panic(fmt.Sprintf("sim: delay %d ns at %v is negative or overflows virtual time", int64(d), e.now))
+	}
 	e.seq++
-	e.heap.push(event{at: at, seq: e.seq, fn: fn})
+	switch {
+	case d == 0:
+		//imcalint:allow allocfree amortised growth: due empties before the clock moves, so its backing array grows only to the most events ever scheduled within one instant
+		e.due = append(e.due, fn)
+	case d < nearHorizon:
+		e.near.push(event{at: at, seq: e.seq, fn: fn})
+	default:
+		e.far.push(event{at: at, seq: e.seq, fn: fn})
+	}
+}
+
+// next removes and returns the pending function that is first in (at, seq)
+// order, moving the clock to its instant; nil when nothing is pending. The
+// rule — the heaps' top while it is at now, then due front to back, and
+// only then the heaps' top and a later clock — is argued in the package
+// comment ("Dispatch cost").
+func (e *Env) next() func() {
+	h := &e.near
+	if len(e.far) > 0 && (len(e.near) == 0 || before(&e.far[0], &e.near[0])) {
+		h = &e.far
+	}
+	if e.dueHead < len(e.due) && (len(*h) == 0 || (*h)[0].at != e.now) {
+		fn := e.due[e.dueHead]
+		e.due[e.dueHead] = nil
+		e.dueHead++
+		if e.dueHead == len(e.due) {
+			e.due, e.dueHead = e.due[:0], 0
+		}
+		return fn
+	}
+	if len(*h) == 0 {
+		return nil
+	}
+	ev := h.pop()
+	e.now = ev.at
+	return ev.fn
 }
 
 // Defer schedules fn to run in scheduler context at the current time plus
@@ -228,13 +326,10 @@ func (e *Env) schedule(at Time, fn func()) {
 // must not call process primitives (Sleep, Acquire, Wait, …): there is no
 // process to block.
 func (e *Env) Defer(d Duration, fn func()) {
-	if d < 0 {
-		panic("sim: negative defer delay")
-	}
 	if fn == nil {
 		panic("sim: nil deferred function")
 	}
-	e.schedule(e.now.Add(d), fn)
+	e.schedule(d, fn)
 }
 
 // Proc is a simulated process. Its methods must be called only from its own
@@ -311,7 +406,7 @@ func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
 	}
 	p.body = fn
 	e.living++
-	e.schedule(e.now, p.start)
+	e.schedule(0, p.start)
 	return p
 }
 
@@ -392,16 +487,14 @@ func (e *Env) fireTicks() {
 // is deadlocked and Run panics with a diagnostic, since that always
 // indicates a modelling bug.
 //
-//imcalint:hotpath dispatch loop: ~1.29 allocs/event budget for fig5 scale-16 rests on this body staying allocation-free
+//imcalint:hotpath dispatch loop: every event of every run passes through this body, so it and next() stay allocation-free
 func (e *Env) Run() Time {
-	for len(e.heap) > 0 {
-		ev := e.heap.pop()
-		e.now = ev.at
+	for fn := e.next(); fn != nil; fn = e.next() {
 		if e.tickFn != nil {
 			e.fireTicks()
 		}
 		e.EventsProcessed++
-		ev.fn()
+		fn()
 	}
 	if e.living > 0 && e.parked == e.living {
 		panic(fmt.Sprintf("sim: deadlock at %v: %d process(es) parked with no pending events", e.now, e.parked))

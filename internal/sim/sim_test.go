@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -294,6 +295,26 @@ func TestNegativeSleepPanics(t *testing.T) {
 		p.Sleep(-1)
 	})
 	env.Run()
+}
+
+// A delay that overflows virtual time would wrap to an instant before now,
+// sort first, and set the clock backwards; schedule refuses it.
+func TestOverflowingDelayPanics(t *testing.T) {
+	for name, arm := range map[string]func(env *Env, tk *Task){
+		"Defer":      func(env *Env, _ *Task) { env.Defer(math.MaxInt64, func() {}) },
+		"Task.Sleep": func(_ *Env, tk *Task) { tk.Sleep(math.MaxInt64, func() {}) },
+	} {
+		env := NewEnv()
+		tk := env.ContextTask("t")
+		panicked := false
+		env.Defer(1, func() {
+			defer func() { panicked = recover() != nil }()
+			arm(env, tk)
+		})
+		if end := env.Run(); !panicked || end != 1 {
+			t.Errorf("%s(MaxInt64) at 1ns: panicked %v, run ended at %v; want a panic and nothing scheduled", name, panicked, end)
+		}
+	}
 }
 
 func TestManyProcessesThroughput(t *testing.T) {

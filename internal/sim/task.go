@@ -4,7 +4,7 @@ import "fmt"
 
 // Actor is the common face of the kernel's two execution styles: a *Proc
 // (goroutine-backed, blocking primitives) and a *Task (continuation-style,
-// advanced by heap events). Layers that only need the clock and the
+// advanced by queued events). Layers that only need the clock and the
 // per-operation context slot — tracing, health accounting, span
 // bookkeeping — accept an Actor so one implementation serves both.
 type Actor interface {
@@ -22,7 +22,7 @@ var (
 )
 
 // Task is a simulated activity written in continuation-passing style: a
-// state machine advanced by plain heap events instead of a parked
+// state machine advanced by plain queued events instead of a parked
 // goroutine. Where a Proc pays a goroutine park/wake handshake (two channel
 // operations) per blocking primitive, a Task's continuation is dispatched
 // inline in scheduler context like any deferred function, so ten thousand
@@ -34,7 +34,7 @@ var (
 // as a callback and returns immediately.
 // The continuation runs in scheduler context when the awaited instant or
 // condition arrives. A Task's body must call End exactly once, after its
-// last continuation has run; a drained event heap with un-ended Tasks is a
+// last continuation has run; a drained event queue with un-ended Tasks is a
 // deadlock, diagnosed by Run exactly as for parked processes.
 //
 // Determinism: the blocking forms are these primitives under Proc.Await,
@@ -64,7 +64,7 @@ func (e *Env) StartTask(name string, fn func(t *Task)) *Task {
 	t := &Task{env: e, name: name, tid: int32(e.nextTID)}
 	t.done = NewEvent(e)
 	e.tasksLive++
-	e.schedule(e.now, func() { fn(t) })
+	e.schedule(0, func() { fn(t) })
 	return t
 }
 
@@ -85,7 +85,7 @@ func (e *Env) ContextTask(name string) *Task {
 // time: the one sequence number StartTask and Env.Process spend on a new
 // actor's first slice, for an owner that pools its actors and therefore
 // cannot create one per activity.
-func (t *Task) Start(fn func()) { t.env.schedule(t.env.now, fn) }
+func (t *Task) Start(fn func()) { t.env.schedule(0, fn) }
 
 // Name returns the name given at creation.
 func (t *Task) Name() string { return t.name }
@@ -124,10 +124,7 @@ func (t *Task) String() string { return fmt.Sprintf("task %d (%s)", t.tid, t.nam
 // Sleep schedules k to run after d of virtual time. It consumes one
 // sequence number.
 func (t *Task) Sleep(d Duration, k func()) {
-	if d < 0 {
-		panic("sim: negative sleep")
-	}
-	t.env.schedule(t.env.now.Add(d), k)
+	t.env.schedule(d, k)
 }
 
 // End marks the task finished and triggers its Done event. Every task must

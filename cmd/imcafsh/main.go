@@ -51,6 +51,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -75,17 +76,29 @@ type shell struct {
 	inj   *fault.Injector
 	fr    *flight.Recorder
 	trace bool
+	out   io.Writer
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is main with its environment abstracted: argv after the program
+// name, the command stream, the two output streams, and the exit code as
+// the return value.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("imcafsh", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		clients = flag.Int("clients", 1, "client nodes")
-		mcds    = flag.Int("mcds", 2, "memcached daemons (0 = plain GlusterFS)")
-		block   = flag.Int64("block", 2048, "IMCa block size")
-		eject   = flag.Int("eject", 0, "eject an MCD after this many consecutive client-side failures (0 = no failover)")
-		flightN = flag.Int("flight", 1024, "flight-recorder capacity in records (0 = off)")
+		clients = fs.Int("clients", 1, "client nodes")
+		mcds    = fs.Int("mcds", 2, "memcached daemons (0 = plain GlusterFS)")
+		block   = fs.Int64("block", 2048, "IMCa block size")
+		eject   = fs.Int("eject", 0, "eject an MCD after this many consecutive client-side failures (0 = no failover)")
+		flightN = fs.Int("flight", 1024, "flight-recorder capacity in records (0 = off)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	c := cluster.New(cluster.Options{
 		Clients: *clients, MCDs: *mcds, MCDMemBytes: 256 << 20, BlockSize: *block,
@@ -93,7 +106,7 @@ func main() {
 	})
 	reg := telemetry.NewRegistry()
 	c.Instrument(reg)
-	sh := &shell{c: c, fs: c.Mounts[0].FS, fds: make(map[string]gluster.FD), col: optrace.NewCollector(), reg: reg}
+	sh := &shell{c: c, fs: c.Mounts[0].FS, fds: make(map[string]gluster.FD), col: optrace.NewCollector(), reg: reg, out: stdout}
 	sh.inj = fault.NewInjector(c)
 	sh.inj.Register(reg, "fault")
 	if *flightN > 0 {
@@ -102,20 +115,20 @@ func main() {
 		sh.inj.SetFlight(sh.fr)
 	}
 
-	fmt.Printf("imcafsh: %d client(s), %d MCD(s), block %d — type 'help'\n", *clients, *mcds, *block)
-	in := bufio.NewScanner(os.Stdin)
+	fmt.Fprintf(stdout, "imcafsh: %d client(s), %d MCD(s), block %d — type 'help'\n", *clients, *mcds, *block)
+	in := bufio.NewScanner(stdin)
 	for {
-		fmt.Print("imca> ")
+		fmt.Fprint(stdout, "imca> ")
 		if !in.Scan() {
-			fmt.Println()
-			return
+			fmt.Fprintln(stdout)
+			return 0
 		}
 		line := strings.TrimSpace(in.Text())
 		if line == "" {
 			continue
 		}
 		if line == "quit" || line == "exit" {
-			return
+			return 0
 		}
 		sh.dispatch(strings.Fields(line))
 	}
@@ -148,20 +161,20 @@ func (sh *shell) printTrace() {
 		return
 	}
 	for _, lt := range sh.col.Last.ByLayer() {
-		fmt.Printf("  %-9s %12v\n", lt.Layer, lt.Self)
+		fmt.Fprintf(sh.out, "  %-9s %12v\n", lt.Layer, lt.Self)
 	}
 }
 
 func (sh *shell) dispatch(args []string) {
 	defer func() {
 		if r := recover(); r != nil {
-			fmt.Printf("error: %v\n", r)
+			fmt.Fprintf(sh.out, "error: %v\n", r)
 		}
 	}()
 	cmd := args[0]
 	switch cmd {
 	case "help":
-		fmt.Println("create|open|close|rm|stat|ls PATH; write|read PATH OFF SIZE; flush; fault CMD; stats; telemetry [SUBSTR]; trace [on|off]; breakdown; time; quit")
+		fmt.Fprintln(sh.out, "create|open|close|rm|stat|ls PATH; write|read PATH OFF SIZE; flush; fault CMD; stats; telemetry [SUBSTR]; trace [on|off]; breakdown; time; quit")
 	case "trace":
 		switch {
 		case len(args) == 1:
@@ -171,19 +184,19 @@ func (sh *shell) dispatch(args []string) {
 		case args[1] == "off":
 			sh.trace = false
 		default:
-			fmt.Println("usage: trace [on|off]")
+			fmt.Fprintln(sh.out, "usage: trace [on|off]")
 			return
 		}
-		fmt.Printf("tracing %v\n", map[bool]string{true: "on", false: "off"}[sh.trace])
+		fmt.Fprintf(sh.out, "tracing %v\n", map[bool]string{true: "on", false: "off"}[sh.trace])
 	case "breakdown":
-		sh.col.Breakdown().Report(os.Stdout)
+		sh.col.Breakdown().Report(sh.out)
 	case "time":
-		fmt.Printf("virtual time: %v\n", sim.Duration(sh.c.Env.Now()))
+		fmt.Fprintf(sh.out, "virtual time: %v\n", sim.Duration(sh.c.Env.Now()))
 	case "flush":
 		for _, m := range sh.c.MCDs {
 			m.Store().FlushAll()
 		}
-		fmt.Println("bank flushed")
+		fmt.Fprintln(sh.out, "bank flushed")
 	case "fault":
 		sh.faultCmd(args[1:])
 	case "stats":
@@ -193,37 +206,37 @@ func (sh *shell) dispatch(args []string) {
 		if len(args) > 1 {
 			substr = args[1]
 		}
-		sh.reg.DumpFilter(os.Stdout, substr)
+		sh.reg.DumpFilter(sh.out, substr)
 	case "openmetrics":
-		telemetry.WriteOpenMetrics(os.Stdout, sh.reg)
+		telemetry.WriteOpenMetrics(sh.out, sh.reg)
 	case "hists":
-		sh.reg.DumpHists(os.Stdout)
+		sh.reg.DumpHists(sh.out)
 	case "flight":
 		if sh.fr == nil {
-			fmt.Println("flight recorder off (restart with -flight N)")
+			fmt.Fprintln(sh.out, "flight recorder off (restart with -flight N)")
 			return
 		}
-		sh.fr.Dump(os.Stdout)
+		sh.fr.Dump(sh.out)
 	case "create", "open", "close", "rm", "stat", "ls":
 		if len(args) != 2 {
-			fmt.Printf("usage: %s PATH\n", cmd)
+			fmt.Fprintf(sh.out, "usage: %s PATH\n", cmd)
 			return
 		}
 		sh.pathCmd(cmd, args[1])
 	case "write", "read":
 		if len(args) != 4 {
-			fmt.Printf("usage: %s PATH OFF SIZE\n", cmd)
+			fmt.Fprintf(sh.out, "usage: %s PATH OFF SIZE\n", cmd)
 			return
 		}
 		off, err1 := strconv.ParseInt(args[2], 10, 64)
 		size, err2 := strconv.ParseInt(args[3], 10, 64)
 		if err1 != nil || err2 != nil || size <= 0 || off < 0 {
-			fmt.Println("bad OFF/SIZE")
+			fmt.Fprintln(sh.out, "bad OFF/SIZE")
 			return
 		}
 		sh.ioCmd(cmd, args[1], off, size)
 	default:
-		fmt.Printf("unknown command %q (try help)\n", cmd)
+		fmt.Fprintf(sh.out, "unknown command %q (try help)\n", cmd)
 	}
 }
 
@@ -260,25 +273,25 @@ func (sh *shell) pathCmd(cmd, path string) {
 		case "stat":
 			var st *gluster.Stat
 			if st, err = sh.fs.Stat(p, path); err == nil {
-				fmt.Printf("  ino=%d size=%d dir=%v mtime=%v\n", st.Ino, st.Size, st.IsDir, sim.Duration(st.Mtime))
+				fmt.Fprintf(sh.out, "  ino=%d size=%d dir=%v mtime=%v\n", st.Ino, st.Size, st.IsDir, sim.Duration(st.Mtime))
 			}
 		case "ls":
 			var names []string
 			if names, err = sh.fs.Readdir(p, path); err == nil {
 				for _, n := range names {
-					fmt.Printf("  %s\n", n)
+					fmt.Fprintf(sh.out, "  %s\n", n)
 				}
 			}
 		}
 	})
-	report(cmd, took, err)
+	sh.report(cmd, took, err)
 	sh.printTrace()
 }
 
 func (sh *shell) ioCmd(cmd, path string, off, size int64) {
 	fd, ok := sh.fdFor(path)
 	if !ok {
-		fmt.Println("error: not open (use create/open first)")
+		fmt.Fprintln(sh.out, "error: not open (use create/open first)")
 		return
 	}
 	var err error
@@ -307,33 +320,33 @@ func (sh *shell) ioCmd(cmd, path string, off, size int64) {
 			}
 		}
 	})
-	report(cmd+hit, took, err)
+	sh.report(cmd+hit, took, err)
 	sh.printTrace()
 }
 
-func report(what string, took sim.Duration, err error) {
+func (sh *shell) report(what string, took sim.Duration, err error) {
 	if err != nil {
-		fmt.Printf("error: %v\n", err)
+		fmt.Fprintf(sh.out, "error: %v\n", err)
 		return
 	}
-	fmt.Printf("ok: %s in %v (virtual)\n", what, took)
+	fmt.Fprintf(sh.out, "ok: %s in %v (virtual)\n", what, took)
 }
 
 func (sh *shell) printStats() {
 	if cm := sh.c.Mounts[0].CMCache; cm != nil {
-		fmt.Printf("cmcache: stat %d hit / %d miss; read %d hit / %d miss; blocks %d/%d hit\n",
+		fmt.Fprintf(sh.out, "cmcache: stat %d hit / %d miss; read %d hit / %d miss; blocks %d/%d hit\n",
 			cm.Stats.StatHits, cm.Stats.StatMisses,
 			cm.Stats.ReadHits, cm.Stats.ReadMisses,
 			cm.Stats.BlockHits, cm.Stats.BlockLookups)
 	}
 	if sm := sh.c.SMCache; sm != nil {
-		fmt.Printf("smcache: %d block pushes, %d stat pushes, %d purges, %d read-backs\n",
+		fmt.Fprintf(sh.out, "smcache: %d block pushes, %d stat pushes, %d purges, %d read-backs\n",
 			sm.Stats.BlockPushes, sm.Stats.StatPushes, sm.Stats.Purges, sm.Stats.ReadBacks)
 	}
 	bank := sh.c.BankStats()
-	fmt.Printf("bank:    %d items, %d bytes; get %d (%d hit / %d miss); set %d; evictions %d\n",
+	fmt.Fprintf(sh.out, "bank:    %d items, %d bytes; get %d (%d hit / %d miss); set %d; evictions %d\n",
 		bank.CurrItems, bank.Bytes, bank.CmdGet, bank.GetHits, bank.GetMisses, bank.CmdSet, bank.Evictions)
-	fmt.Printf("server:  ops %v\n", sh.c.Server.Ops)
+	fmt.Fprintf(sh.out, "server:  ops %v\n", sh.c.Server.Ops)
 }
 
 const faultUsage = `fault subcommands:
@@ -449,7 +462,7 @@ func parseFaultEvent(args []string) (fault.Event, error) {
 
 func (sh *shell) faultCmd(args []string) {
 	if len(args) == 0 || args[0] == "help" {
-		fmt.Println(faultUsage)
+		fmt.Fprintln(sh.out, faultUsage)
 		return
 	}
 	if args[0] == "status" {
@@ -460,42 +473,42 @@ func (sh *shell) faultCmd(args []string) {
 	var at sim.Duration
 	if args[0] == "at" {
 		if len(args) < 3 {
-			fmt.Println("usage: fault at DUR CMD ...")
+			fmt.Fprintln(sh.out, "usage: fault at DUR CMD ...")
 			return
 		}
 		d, err := time.ParseDuration(args[1])
 		if err != nil || d < 0 {
-			fmt.Printf("bad duration %q\n", args[1])
+			fmt.Fprintf(sh.out, "bad duration %q\n", args[1])
 			return
 		}
 		at, immediate, args = d, false, args[2:]
 	}
 	ev, err := parseFaultEvent(args)
 	if err != nil {
-		fmt.Printf("error: %v\n", err)
+		fmt.Fprintf(sh.out, "error: %v\n", err)
 		return
 	}
 	ev.At = at
 	if err := sh.inj.Arm(&fault.Plan{Name: "imcafsh", Events: []fault.Event{ev}}); err != nil {
-		fmt.Printf("error: %v\n", err)
+		fmt.Fprintf(sh.out, "error: %v\n", err)
 		return
 	}
 	if immediate {
 		sh.c.Env.Run() // fire the zero-offset timer now
-		fmt.Printf("fault applied: %s\n", ev)
+		fmt.Fprintf(sh.out, "fault applied: %s\n", ev)
 	} else {
-		fmt.Printf("fault armed: %s (fires during later commands)\n", ev)
+		fmt.Fprintf(sh.out, "fault armed: %s (fires during later commands)\n", ev)
 	}
 }
 
 func (sh *shell) faultStatus() {
-	fmt.Printf("injector: %d armed, %d fired\n", sh.inj.Armed(), sh.inj.Fired())
+	fmt.Fprintf(sh.out, "injector: %d armed, %d fired\n", sh.inj.Armed(), sh.inj.Fired())
 	for _, m := range sh.c.MCDs {
 		state := "up"
 		if m.Down() {
 			state = "DOWN"
 		}
-		fmt.Printf("  %-12s %s\n", m.Node().Name(), state)
+		fmt.Fprintf(sh.out, "  %-12s %s\n", m.Node().Name(), state)
 	}
 	for _, b := range sh.c.Bricks {
 		state := "up"
@@ -507,7 +520,7 @@ func (sh *shell) faultStatus() {
 		if slow > 1 {
 			extra = fmt.Sprintf(", disk %gx slow", slow)
 		}
-		fmt.Printf("  %-12s %s%s\n", b.Node.Name(), state, extra)
+		fmt.Fprintf(sh.out, "  %-12s %s%s\n", b.Node.Name(), state, extra)
 	}
 	for i, m := range sh.c.Mounts {
 		if m.CMCache == nil {
@@ -521,12 +534,12 @@ func (sh *shell) faultStatus() {
 			}
 		}
 		if len(ejected) > 0 {
-			fmt.Printf("  client%d has ejected: %s\n", i, strings.Join(ejected, ", "))
+			fmt.Fprintf(sh.out, "  client%d has ejected: %s\n", i, strings.Join(ejected, ", "))
 		}
 	}
 	bank := sh.c.BankStats()
 	if bank.Ejects+bank.FastFails+bank.Unreachables+bank.DownReplies > 0 {
-		fmt.Printf("  failover: %d ejects, %d fast-fails, %d probes, %d readmits, %d unreachable, %d down replies\n",
+		fmt.Fprintf(sh.out, "  failover: %d ejects, %d fast-fails, %d probes, %d readmits, %d unreachable, %d down replies\n",
 			bank.Ejects, bank.FastFails, bank.Probes, bank.Readmits, bank.Unreachables, bank.DownReplies)
 	}
 }

@@ -119,13 +119,11 @@ func TestReadTBankHitAllocations(t *testing.T) {
 	}
 }
 
-// TestPushBlocksTAllocations: an SMCache push allocates exactly one key
-// string per block and nothing else — not for walking the blocks, not for
-// recording them resident (a bit each), and not for the bank's entry, which
-// the store recycles from the block this one displaces. The key stays one
-// string per block by choice: a stored key must not pin its neighbours'
-// bytes (see blockKeys in imca.go), and sharing one backing string per push
-// is not worth giving that up.
+// TestPushBlocksTAllocations: an SMCache push allocates exactly one string,
+// the one its blocks' keys are cut from (see blockKeys in imca.go), and
+// nothing else — not for walking the blocks, not for recording them resident
+// (a bit each), and not for the bank's entries, which the store recycles
+// from the blocks these displace.
 func TestPushBlocksTAllocations(t *testing.T) {
 	const bs, blocks, pushesPerRun = 2048, 16, 4
 	eachPoison(t, func(t *testing.T) {
@@ -142,10 +140,9 @@ func TestPushBlocksTAllocations(t *testing.T) {
 		}
 		run()
 		avg := testing.AllocsPerRun(20, run)
-		want := float64(pushesPerRun * blocks)
-		if avg != want {
-			t.Errorf("batch of %d 16-block pushes allocated %.0f times, want %.0f (one key string per block)",
-				pushesPerRun, avg, want)
+		if avg != pushesPerRun {
+			t.Errorf("batch of %d 16-block pushes allocated %.0f times, want %d (one key string per push)",
+				pushesPerRun, avg, pushesPerRun)
 		}
 		if pushes != 22*pushesPerRun {
 			t.Errorf("completed %d pushes, want %d", pushes, 22*pushesPerRun)
@@ -232,19 +229,18 @@ func newPopulateRig(t *testing.T, cfg Config) *rig {
 // TestWriteTAllocations: a steady-state tracked write issued at Fuse.WriteT —
 // through CMCache, the protocol client, the fabric, the daemon, the
 // translator that feeds the bank, and Posix — allocates what the modelled
-// system retains and nothing for the stack's own bookkeeping. The bound is
-// that sum, term by term; it is tight to the two extent-slice copies a batch
-// skips at the ends of the file.
+// system retains and nothing for the stack's own bookkeeping: the count is
+// that sum, term by term, exactly.
 func TestWriteTAllocations(t *testing.T) {
 	// 4 KB writes at 4 KB offsets never straddle a RAID stripe, whose
 	// fan-out to member disks is not part of this contract.
 	const bs, blocks, writesPerRun = 2048, 2, 16
 	const (
-		keyStrings  = blocks // one per block pushed: a stored key must not pin its neighbours' bytes
-		statValue   = 1      // encodeStat's bytes, which the bank keeps
-		stats       = 2      // Posix's *Stat for the stat before the write and the one after; each escapes into a protocol response
-		extents     = 2      // extentMap.write rebuilds the inode's extent slice: the copy, then its growth
-		bankEntries = 0      // a rewritten block replaces its entry, and the store recycles the old one
+		keyStrings  = 1 // the write-back's one push: its blocks' keys share a backing string
+		statValue   = 1 // encodeStat's bytes, which the bank keeps
+		stats       = 0 // Posix lends the stat before the write and the one after from its frame
+		extents     = 0 // extentMap.write splices an overwrite into the inode's extent slice in place
+		bankEntries = 0 // a rewritten block replaces its entry, and the store recycles the old one
 		retained    = keyStrings + statValue + stats + extents + bankEntries
 		helperActor = 3 // Threaded: the write-back's helper — its Task, its Done event, its first slice
 	)
@@ -279,7 +275,7 @@ func TestWriteTAllocations(t *testing.T) {
 				}
 				run() // warm every pool along the path
 				avg := testing.AllocsPerRun(20, run)
-				if want := mode.perWrite * writesPerRun; avg < want-2 || avg > want {
+				if want := mode.perWrite * writesPerRun; avg != want {
 					t.Errorf("batch of %d writes allocated %.0f times, want %.0f (%.0f per write)",
 						writesPerRun, avg, want, mode.perWrite)
 				}

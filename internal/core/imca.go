@@ -72,12 +72,13 @@ func appendBlockKey(dst []byte, path string, blockOff int64) []byte {
 	return strconv.AppendInt(dst, blockOff, 10)
 }
 
-// blockKey returns the MCD key for the data block at the given aligned
-// byte offset. The key is assembled in stack scratch and costs its one
-// string allocation (a path too long for the scratch spills to the heap
-// first). Block keys are deliberately not interned the way stat keys are: a
-// streaming workload pushes each distinct key once, and a table retaining
-// them would grow with the bytes streamed, not with the namespace.
+// blockKey returns the MCD key for the one data block at the given aligned
+// byte offset — what a purge deletes by; reads and pushes build theirs a
+// span at a time (blockKeys). The key is assembled in stack scratch and
+// costs its one string allocation (a path too long for the scratch spills
+// to the heap first). Block keys are deliberately not interned the way stat
+// keys are: a streaming workload pushes each distinct key once, and a table
+// retaining them would grow with the bytes streamed, not with the namespace.
 func blockKey(path string, blockOff int64) string {
 	var scratch [128]byte
 	return string(appendBlockKey(scratch[:0], path, blockOff))
@@ -112,12 +113,15 @@ func cutRange(data blob.Blob, alignedOff, off, size int64) blob.Blob {
 	return data.Slice(lo, hi)
 }
 
-// blockKeys is the scratch a read builds its covering block keys in: the
-// aligned block offsets covering the range, and the keys as substrings of one backing string, so a read of
-// any width costs one string allocation. The keys are transient — the bank
-// client and the daemons look them up and let go — which is what makes
-// sharing a backing string safe; keys that get *stored* (pushes) are built
-// one by one with blockKey so no stored item pins a neighbour's bytes.
+// blockKeys is the scratch a read or a push builds its span's block keys in:
+// the aligned block offsets covering the range, and the keys as substrings
+// of one backing string, so a span of any width costs one string allocation.
+// A read's keys are transient — the bank client and the daemons look them up
+// and let go. A push's keys are stored, so every block of one push pins the
+// whole push's key bytes until the last of them leaves the bank. That pin is
+// bounded: a push's blocks are one size, so one slab class, and are inserted
+// consecutively, so the class's LRU evicts them together (DESIGN.md, "Block
+// keys").
 type blockKeys struct {
 	offsets []int64
 	keys    []string

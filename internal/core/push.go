@@ -66,17 +66,16 @@ func (b *blockSet) take() (bn int64, ok bool) {
 
 // pushOp is one block push: aligned data split into blocks and stored in
 // the bank sequentially. It is the frame both translators' pushes run on —
-// the position, the completion continuation, and the store continuation
-// prebound once — so a push allocates one key string per block (the bank
-// recycles the entry of what the block displaces) and nothing for its own
-// bookkeeping. The op returns to its pool before k runs, so k may start the
-// next push on it.
+// the block keys, the position, the completion continuation, and the store
+// continuation prebound once — so a push allocates the one string its keys
+// are cut from (the bank takes its entries from arenas) and nothing for its
+// own bookkeeping. The op returns to its pool before k runs, so k may start
+// the next push on it.
 type pushOp struct {
 	pool *pushPool
 	t    *sim.Task
-	path string
-	base int64 // aligned file offset of data's first byte
-	pos  int64
+	bk   blockKeys // the keys of data's blocks, built once per push
+	i    int       // the block being stored
 	data blob.Blob
 	k    func()
 	// set, unless nil, records each block as it lands.
@@ -117,31 +116,29 @@ func (pp *pushPool) push(t *sim.Task, path string, base int64, data blob.Blob, k
 		op = &pushOp{pool: pp}
 		op.fnStored = op.stored
 	}
-	op.t, op.path, op.base, op.pos, op.data, op.set, op.k = t, path, base, 0, data, set, k
+	op.t, op.i, op.data, op.set, op.k = t, 0, data, set, k
+	op.bk.build(path, base, data.Len(), pp.bs)
 	op.step()
 }
 
 func (op *pushOp) step() {
-	n := op.data.Len()
-	if op.pos >= n {
+	if op.i == len(op.bk.keys) {
 		k := op.k
-		op.t, op.path, op.data, op.set, op.k = nil, "", blob.Blob{}, nil, nil
+		op.t, op.data, op.set, op.k = nil, blob.Blob{}, nil, nil
+		op.bk.drop()
 		op.pool.free = append(op.pool.free, op)
 		k()
 		return
 	}
-	end := op.pos + op.pool.bs
-	if end > n {
-		end = n
-	}
-	op.pool.mcd.SetT(op.t, blockKey(op.path, op.base+op.pos), op.data.Slice(op.pos, end), op.fnStored)
+	pos := int64(op.i) * op.pool.bs
+	op.pool.mcd.SetT(op.t, op.bk.keys[op.i], op.data.Slice(pos, min(pos+op.pool.bs, op.data.Len())), op.fnStored)
 }
 
 func (op *pushOp) stored(error) {
 	if op.set != nil {
-		op.set.add((op.base + op.pos) / op.pool.bs)
+		op.set.add(op.bk.offsets[op.i] / op.pool.bs)
 		*op.pool.landed++
 	}
-	op.pos += op.pool.bs
+	op.i++
 	op.step()
 }

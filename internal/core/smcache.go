@@ -341,6 +341,8 @@ func (s *SMCache) StatT(t *sim.Task, path string, k func(*gluster.Stat, error)) 
 			k(st, nil)
 			return
 		}
+		own := *st // st is lent; the push and k outlive this continuation
+		st = &own
 		s.deferIfT(t, "smcache-stat-push",
 			func(h *sim.Task, k2 func()) { s.pushStatT(h, st, k2) },
 			func() {

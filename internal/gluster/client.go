@@ -119,7 +119,11 @@ func (op *clientOp) done(m fabric.Msg, err error) {
 	case verbWrite:
 		op.k.n(r.n, err)
 	case verbStat:
-		op.k.stat(r.st, err)
+		if err != nil {
+			op.k.stat(nil, err)
+		} else {
+			op.k.stat(&r.st, nil)
+		}
 	case verbReaddir:
 		op.k.names(r.names, err)
 	default:

@@ -1,6 +1,7 @@
 package gluster
 
 import (
+	"slices"
 	"sort"
 
 	"imca/internal/blob"
@@ -21,7 +22,10 @@ type extentMap struct {
 	exts []extent
 }
 
-// write inserts data at off, replacing any overlapped content.
+// write inserts data at off, replacing any overlapped content. The extents
+// it touches become one, spliced into the slice in place: an append or an
+// overwrite allocates nothing here, and a new extent only the slice's
+// amortised growth.
 func (m *extentMap) write(off int64, data blob.Blob) {
 	if data.Len() == 0 {
 		return
@@ -29,42 +33,25 @@ func (m *extentMap) write(off int64, data blob.Blob) {
 	end := off + data.Len()
 	// Locate the first extent whose end is beyond our start.
 	i := sort.Search(len(m.exts), func(i int) bool { return m.exts[i].end() > off })
-	var out []extent
-	out = append(out, m.exts[:i]...)
-
-	// Keep the left remainder of a partially-overlapped extent.
-	j := i
-	if i < len(m.exts) && m.exts[i].off < off {
+	j, merged := i, extent{off, data}
+	switch {
+	case i < len(m.exts) && m.exts[i].off < off:
+		// Keep the left remainder of a partially-overlapped extent.
 		e := m.exts[i]
-		out = append(out, extent{e.off, e.data.Slice(0, off-e.off)})
-		// The right remainder (if any) is handled below with the tail scan.
+		merged = extent{e.off, blob.Concat(e.data.Slice(0, off-e.off), data)}
+	case i > 0 && m.exts[i-1].end() == off:
+		// Coalesce with the previous extent when contiguous (sequential writes).
+		i--
+		merged = extent{m.exts[i].off, blob.Concat(m.exts[i].data, data)}
 	}
-
-	// Skip all extents fully covered; find the one straddling our end.
-	var right *extent
+	// Skip all extents fully covered; keep the right remainder of the one
+	// straddling our end.
 	for ; j < len(m.exts) && m.exts[j].off < end; j++ {
-		e := m.exts[j]
-		if e.end() > end {
-			r := extent{end, e.data.Slice(end-e.off, e.data.Len())}
-			right = &r
+		if e := m.exts[j]; e.end() > end {
+			merged.data = blob.Concat(merged.data, e.data.Slice(end-e.off, e.data.Len()))
 		}
 	}
-
-	// Coalesce with the previous extent when contiguous (sequential writes).
-	if n := len(out); n > 0 && out[n-1].end() == off {
-		out[n-1].data = blob.Concat(out[n-1].data, data)
-	} else {
-		out = append(out, extent{off, data})
-	}
-	if right != nil {
-		if n := len(out); out[n-1].end() == right.off {
-			out[n-1].data = blob.Concat(out[n-1].data, right.data)
-		} else {
-			out = append(out, *right)
-		}
-	}
-	out = append(out, m.exts[j:]...)
-	m.exts = out
+	m.exts = slices.Replace(m.exts, i, j, merged)
 }
 
 // read returns the contents of [off, off+size), with zeros in the gaps.

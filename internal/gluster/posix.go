@@ -289,6 +289,9 @@ type posixOp struct {
 	fillStart        sim.Time
 	// parts is extentMap.read's scratch; it keeps its capacity.
 	parts []blob.Blob
+	// st is the structure a stat lends its continuation: valid until the
+	// continuation returns or runs another operation on this Posix.
+	st Stat
 
 	kStat  func(*Stat, error)
 	kRead  func(blob.Blob, error)
@@ -435,16 +438,18 @@ func (op *posixOp) written() {
 	k(size, nil)
 }
 
-// meta completes a stat of an existing file. The *Stat handed to k is
-// freshly allocated — it escapes into the protocol response, whose lifetime
-// the storage xlator cannot see.
+// meta completes a stat of an existing file. The *Stat handed to k is the
+// frame's scratch, lent as TaskFS says a stat may be: the frame is back in
+// the pool when k runs, so k copies what it keeps before it runs another
+// operation here.
 func (op *posixOp) meta() {
-	path, in, k := op.path, op.in, op.kStat
-	op.end()
-	k(&Stat{
-		Path: path, Ino: in.ino, Size: in.size,
+	in, k := op.in, op.kStat
+	op.st = Stat{
+		Path: op.path, Ino: in.ino, Size: in.size,
 		Atime: in.atime, Mtime: in.mtime, Ctime: in.ctime,
-	}, nil)
+	}
+	op.end()
+	k(&op.st, nil)
 }
 
 // StatT implements TaskFS.

@@ -340,3 +340,42 @@ func (x *xorshift) next() uint64 {
 	x.s ^= x.s << 17
 	return x.s
 }
+
+// TestPosixStatAndExtentWriteAllocFree pins what the storage xlator keeps
+// for itself off the heap: a warm stat lends the frame's own structure, and
+// a write splices the inode's extent slice in place, whether it appends to
+// the last extent or overwrites inside one.
+func TestPosixStatAndExtentWriteAllocFree(t *testing.T) {
+	env := sim.NewEnv()
+	px := newPosix(env, 64<<20)
+	inProc(t, env, func(p *sim.Proc) {
+		fd, _ := px.Create(p, "/f")
+		px.Write(p, fd, 0, blob.Synthetic(7, 0, 1<<20))
+	})
+	ct := env.ContextTask("stat")
+	var lent *Stat
+	k := func(st *Stat, err error) {
+		if err != nil || st.Size < 1<<20 || st.Path != "/f" {
+			t.Fatalf("stat = %+v, %v", st, err)
+		}
+		lent = st
+	}
+	stat := func() { px.StatT(ct, "/f", k) }
+	stat() // the metadata page is cached and the frame pooled from here on
+	if first := lent; testing.AllocsPerRun(200, stat) != 0 || lent != first {
+		t.Errorf("a warm Posix.StatT allocated, or lent a structure other than its frame's (%p, then %p)", first, lent)
+	}
+
+	m, end := &px.files["/f"].data, int64(1<<20)
+	for _, tc := range []struct {
+		name  string
+		write func()
+	}{
+		{"append", func() { m.write(end, blob.Synthetic(7, end, 4096)); end += 4096 }},
+		{"overwrite", func() { m.write(8192, blob.Synthetic(7, 8192, 4096)) }},
+	} {
+		if got := testing.AllocsPerRun(200, tc.write); got != 0 || m.extentCount() != 1 {
+			t.Errorf("extentMap.write, %s: %.0f allocs and %d extents, want 0 and 1", tc.name, got, m.extentCount())
+		}
+	}
+}

@@ -96,7 +96,7 @@ type response struct {
 	fd    FD        // create, open
 	n     int64     // write
 	data  blob.Blob // read
-	st    *Stat     // stat
+	st    Stat      // stat, when code is empty: the daemon's copy of what its stack lent it
 	names []string  // readdir
 	pooledMsg
 }
@@ -104,7 +104,7 @@ type response struct {
 // WireSize implements fabric.Msg.
 func (r *response) WireSize() int64 {
 	n := respHeader[r.verb] + int64(len(r.code)) + r.data.Len()
-	if r.st != nil {
+	if r.verb == verbStat && r.code == "" {
 		n += r.st.WireSize()
 	}
 	for _, s := range r.names {

@@ -287,7 +287,7 @@ func TestFuseAddsClientCPUCost(t *testing.T) {
 func TestWireSizes(t *testing.T) {
 	const path = "/dir/file" // 9 bytes
 	data := blob.Synthetic(1, 0, 1000)
-	st := &Stat{Path: path}
+	st := Stat{Path: path}
 	names := []string{"a", "bcd"} // Σ(len + 8) = 20
 	for _, tc := range []struct {
 		req      request

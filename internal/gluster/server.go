@@ -208,7 +208,9 @@ func (op *serverOp) gotN(n int64, err error) {
 }
 
 func (op *serverOp) gotStat(st *Stat, err error) {
-	op.resp.st, op.resp.code = st, errCode(err)
+	if op.resp.code = errCode(err); err == nil {
+		op.resp.st = *st
+	}
 	op.reply()
 }
 

@@ -41,6 +41,13 @@ const (
 	minChunkSize = 88
 	// growthFactor is the chunk-size ratio between consecutive classes.
 	growthFactor = 1.25
+	// minBuckets is the hash table's initial size, and minArena and
+	// maxArena bound an entry arena: each arena doubles the last between
+	// them (see entryLocked). A full arena is 608 KB, the most a store
+	// holds in entries it has no item for.
+	minBuckets = 16
+	minArena   = 16
+	maxArena   = 1 << 12
 )
 
 // Store errors.
@@ -64,10 +71,13 @@ type Item struct {
 	Expiration int64
 	CAS        uint64
 
-	class      int
-	lruPrev    *Item
-	lruNext    *Item
-	lastAccess int64
+	// The store's own links: the key's table hash and chain, the slab
+	// class, and the class's LRU list (lruNext also chains free entries).
+	hash    uint32
+	class   int
+	hnext   *Item
+	lruPrev *Item
+	lruNext *Item
 }
 
 // Stats mirrors the counters reported by memcached's "stats" command that
@@ -120,11 +130,22 @@ type Store struct {
 	limit   int64
 	alloced int64 // slab pages handed out
 	classes []slabClass
-	table   map[string]*Item
-	// free chains removed entries (through lruNext) for the next insert.
-	// No *Item of the table leaves the store — every read copies.
-	free *Item
-	cas  uint64
+	// buckets is the hash table, in the shape of memcached's assoc: a
+	// power-of-two array of chains threaded through Item.hnext, doubled when
+	// it holds more than 1.5 items per bucket. An item keeps its hash, so
+	// growing, evicting and deleting never rehash a key. The hash is FNV-1a,
+	// deliberately not the client selector's CRC32: CRC32Selector picks the
+	// daemon from bits 16-30, so every key one daemon of a two-daemon bank
+	// receives has the same bit 16, and a CRC32-indexed table past 65,536
+	// buckets would fill half of them.
+	buckets []*Item
+	// free chains entries (through lruNext) for the next insert: the ones
+	// removeLocked cleared, and behind them the unused rest of the newest
+	// arena. arena is that arena's length. No *Item of the table leaves the
+	// store — every read copies.
+	free  *Item
+	arena int
+	cas   uint64
 	// Now returns the current time in seconds; the simulation supplies
 	// virtual time, the TCP server supplies wall time.
 	Now func() int64
@@ -138,7 +159,7 @@ func NewStore(limit int64, now func() int64) *Store {
 	if now == nil {
 		panic("memcache: nil clock")
 	}
-	s := &Store{limit: limit, table: make(map[string]*Item), Now: now}
+	s := &Store{limit: limit, buckets: make([]*Item, minBuckets), Now: now}
 	s.stats.LimitBytes = limit
 	for size := int64(minChunkSize); ; {
 		s.classes = append(s.classes, slabClass{chunkSize: size})
@@ -220,10 +241,70 @@ func (it *Item) expired(now int64) bool {
 	return it.Expiration != 0 && it.Expiration <= now
 }
 
+// hashKey is the table's hash of a key, 32-bit FNV-1a, for a key held as a
+// string or still sitting in a wire buffer.
+func hashKey[K string | []byte](key K) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return h
+}
+
+// bucket returns the head of the chain a key hashing to h belongs in.
+func (s *Store) bucket(h uint32) **Item { return &s.buckets[h&uint32(len(s.buckets)-1)] }
+
+// findLocked returns key's entry (nil when absent) and key's hash. The
+// comparison converts a []byte key in place, so a lookup builds no string.
+func findLocked[K string | []byte](s *Store, key K) (*Item, uint32) {
+	h := hashKey(key)
+	for it := *s.bucket(h); it != nil; it = it.hnext {
+		if it.hash == h && it.Key == string(key) {
+			return it, h
+		}
+	}
+	return nil, h
+}
+
+// growLocked doubles the table, moving each item by the hash it keeps.
+func (s *Store) growLocked() {
+	old := s.buckets
+	s.buckets = make([]*Item, 2*len(old))
+	for _, it := range old {
+		for it != nil {
+			next, b := it.hnext, s.bucket(it.hash)
+			it.hnext, *b = *b, it
+			it = next
+		}
+	}
+}
+
+// entryLocked takes a cleared entry off the free list. When the list is
+// empty it is refilled with a new arena, each double the last from minArena
+// to maxArena entries: the store allocates per slab of entries, as memcached
+// cuts items from slab pages, not per item.
+func (s *Store) entryLocked() *Item {
+	if s.free == nil {
+		s.arena = min(max(2*s.arena, minArena), maxArena)
+		arena := make([]Item, s.arena)
+		for i := range arena[1:] {
+			arena[i].lruNext = &arena[i+1]
+		}
+		s.free = &arena[0]
+	}
+	it := s.free
+	s.free, it.lruNext = it.lruNext, nil
+	return it
+}
+
 // removeLocked deletes an item from the table, returns its chunk to the
 // class free list, and its entry, cleared, to the store's.
 func (s *Store) removeLocked(it *Item) {
-	delete(s.table, it.Key)
+	b := s.bucket(it.hash)
+	for *b != it {
+		b = &(*b).hnext
+	}
+	*b = it.hnext
 	c := &s.classes[it.class]
 	c.lruUnlink(it)
 	c.freeChunks++
@@ -295,62 +376,62 @@ func (s *Store) store(item *Item, op string) error {
 	s.stats.CmdSet++
 	now := s.Now()
 
-	old, exists := s.table[item.Key]
-	if exists && old.expired(now) {
+	old, hash := findLocked(s, item.Key)
+	if old != nil && old.expired(now) {
 		s.stats.Expired++
 		s.removeLocked(old)
-		exists = false
+		old = nil
 	}
 	switch op {
 	case "add":
-		if exists {
+		if old != nil {
 			return ErrNotStored
 		}
 	case "replace":
-		if !exists {
+		if old == nil {
 			return ErrNotStored
 		}
 	case "cas":
-		if !exists {
+		if old == nil {
 			return ErrCacheMiss
 		}
 		if old.CAS != item.CAS {
 			return ErrExists
 		}
 	}
-	return s.insertLocked(item, old, exists, now)
+	return s.insertLocked(item, hash, old)
 }
 
-// insertLocked places item in the table, replacing old if exists.
-func (s *Store) insertLocked(item *Item, old *Item, exists bool, now int64) error {
+// insertLocked places item, whose key hashes to hash, in the table,
+// replacing old unless nil.
+func (s *Store) insertLocked(item *Item, hash uint32, old *Item) error {
 	size := itemSize(item.Key, item.Value)
 	ci := s.classFor(size)
 	if ci < 0 {
 		return ErrTooLarge
 	}
-	if exists {
+	if old != nil {
 		s.removeLocked(old)
 	}
 	if err := s.reserveChunkLocked(ci); err != nil {
 		return err
 	}
 	s.cas++
-	stored := s.free
-	if stored != nil {
-		s.free = stored.lruNext
-	} else {
-		stored = new(Item)
-	}
 	// Entries come zeroed (removeLocked cleared a recycled one), and
 	// lruPush sets both links.
+	stored := s.entryLocked()
 	stored.Key, stored.Value, stored.Flags, stored.Expiration = item.Key, item.Value, item.Flags, item.Expiration
-	stored.CAS, stored.class, stored.lastAccess = s.cas, ci, now
-	s.table[item.Key] = stored
+	stored.CAS, stored.hash, stored.class = s.cas, hash, ci
+	b := s.bucket(hash)
+	stored.hnext, *b = *b, stored
 	s.classes[ci].lruPush(stored)
 	s.stats.CurrItems++
 	s.stats.TotalItems++
 	s.stats.Bytes += size
 	item.CAS = s.cas
+	if s.stats.CurrItems > uint64(len(s.buckets))*3/2 {
+		s.growLocked()
+	}
 	return nil
 }
 
@@ -361,10 +442,9 @@ func (s *Store) concat(key string, v blob.Blob, front bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.CmdSet++
-	now := s.Now()
-	old, ok := s.table[key]
-	if !ok || old.expired(now) {
-		if ok {
+	old, hash := findLocked(s, key)
+	if old == nil || old.expired(s.Now()) {
+		if old != nil {
 			s.stats.Expired++
 			s.removeLocked(old)
 		}
@@ -380,7 +460,7 @@ func (s *Store) concat(key string, v blob.Blob, front bool) error {
 		return ErrTooLarge
 	}
 	it := &Item{Key: key, Value: nv, Flags: old.Flags, Expiration: old.Expiration}
-	return s.insertLocked(it, old, true, now)
+	return s.insertLocked(it, hash, old)
 }
 
 // Get returns the item for key, or ErrCacheMiss.
@@ -391,7 +471,8 @@ func (s *Store) Get(key string) (*Item, error) {
 }
 
 func (s *Store) getLocked(key string) (*Item, error) {
-	v, ok := s.viewLocked(s.table[key])
+	it, _ := findLocked(s, key)
+	v, ok := s.viewLocked(it)
 	if !ok {
 		return nil, ErrCacheMiss
 	}
@@ -416,7 +497,6 @@ func (s *Store) viewLocked(it *Item) (Item, bool) {
 		return Item{}, false
 	}
 	s.stats.GetHits++
-	it.lastAccess = now
 	c := &s.classes[it.class]
 	c.lruUnlink(it)
 	c.lruPush(it)
@@ -431,15 +511,17 @@ func (s *Store) viewLocked(it *Item) (Item, bool) {
 func (s *Store) GetView(key string) (Item, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.viewLocked(s.table[key])
+	it, _ := findLocked(s, key)
+	return s.viewLocked(it)
 }
 
 // GetViewBytes is GetView for a key still sitting in a wire buffer: the
-// lookup converts in place, so the real daemon's get builds no key string.
+// lookup compares in place, so the real daemon's get builds no key string.
 func (s *Store) GetViewBytes(key []byte) (Item, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.viewLocked(s.table[string(key)])
+	it, _ := findLocked(s, key)
+	return s.viewLocked(it)
 }
 
 // GetMulti returns the present items among keys, keyed by key.
@@ -459,9 +541,9 @@ func (s *Store) GetMulti(keys []string) map[string]*Item {
 func (s *Store) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, ok := s.table[key]
-	if !ok || it.expired(s.Now()) {
-		if ok {
+	it, _ := findLocked(s, key)
+	if it == nil || it.expired(s.Now()) {
+		if it != nil {
 			s.stats.Expired++
 			s.removeLocked(it)
 		}
@@ -478,9 +560,9 @@ func (s *Store) Delete(key string) error {
 func (s *Store) IncrDecr(key string, delta uint64, incr bool) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, ok := s.table[key]
-	if !ok || it.expired(s.Now()) {
-		if ok {
+	it, hash := findLocked(s, key)
+	if it == nil || it.expired(s.Now()) {
+		if it != nil {
 			s.stats.Expired++
 			s.removeLocked(it)
 		}
@@ -500,20 +582,23 @@ func (s *Store) IncrDecr(key string, delta uint64, incr bool) (uint64, error) {
 	}
 	nv := blob.FromBytes(strconv.AppendUint(nil, next, 10))
 	item := &Item{Key: key, Value: nv, Flags: it.Flags, Expiration: it.Expiration}
-	if err := s.insertLocked(item, it, true, s.Now()); err != nil {
+	if err := s.insertLocked(item, hash, it); err != nil {
 		return 0, err
 	}
 	return next, nil
 }
 
-// FlushAll invalidates every item immediately and lets their entries go.
+// FlushAll invalidates every item immediately and lets their entries, the
+// arenas and the grown table go.
 func (s *Store) FlushAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, it := range s.table {
-		s.removeLocked(it)
+	for ci := range s.classes {
+		for c := &s.classes[ci]; c.tail != nil; {
+			s.removeLocked(c.tail)
+		}
 	}
-	s.free = nil
+	s.buckets, s.free, s.arena = make([]*Item, minBuckets), nil, 0
 }
 
 // Stats returns a snapshot of the counters.
@@ -535,19 +620,19 @@ type ClassStat struct {
 func (s *Store) SlabStats() map[int]ClassStat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	used := make(map[int]int64)
-	for _, it := range s.table {
-		used[it.class]++
-	}
 	out := make(map[int]ClassStat)
 	for ci := range s.classes {
 		c := &s.classes[ci]
-		if used[ci] == 0 && c.freeChunks == 0 {
+		used := int64(0)
+		for it := c.head; it != nil; it = it.lruNext {
+			used++
+		}
+		if used == 0 && c.freeChunks == 0 {
 			continue
 		}
 		out[ci] = ClassStat{
 			ChunkSize:  c.chunkSize,
-			UsedChunks: used[ci],
+			UsedChunks: used,
 			FreeChunks: c.freeChunks,
 		}
 	}
@@ -558,7 +643,7 @@ func (s *Store) SlabStats() map[int]ClassStat {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.table)
+	return int(s.stats.CurrItems)
 }
 
 // Keys returns every resident key in sorted order. It is an audit
@@ -568,9 +653,11 @@ func (s *Store) Len() int {
 func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.table))
-	for k := range s.table {
-		out = append(out, k)
+	out := make([]string, 0, s.stats.CurrItems)
+	for _, it := range s.buckets {
+		for ; it != nil; it = it.hnext {
+			out = append(out, it.Key)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -583,8 +670,8 @@ func (s *Store) Keys() []string {
 func (s *Store) Peek(key string) (blob.Blob, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, ok := s.table[key]
-	if !ok {
+	it, _ := findLocked(s, key)
+	if it == nil {
 		return blob.Blob{}, false
 	}
 	return it.Value, true

@@ -329,7 +329,7 @@ func TestPropertyMemoryBounded(t *testing.T) {
 			if s.alloced > limit {
 				return false
 			}
-			if int(s.stats.CurrItems) != len(s.table) {
+			if int(s.stats.CurrItems) != len(s.Keys()) {
 				return false
 			}
 		}

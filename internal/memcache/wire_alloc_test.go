@@ -128,11 +128,45 @@ func TestStoreGetAllocContracts(t *testing.T) {
 	}
 }
 
+// TestStoreSetAllocContracts: the store allocates per arena of entries and
+// per doubling of its table, never per item. Setting a key again gives the
+// new item the entry the old one gave up; fresh keys into a store with room
+// cost at most one allocation per 16 sets — the first arena's size, which
+// later arenas and the doublings amortise far below. (The row for a store
+// at its limit is TestStoreSetEvictAllocFree.)
+func TestStoreSetAllocContracts(t *testing.T) {
+	const batch, runs = 256, 15
+	st := NewStore(64<<20, func() int64 { return 0 })
+	req := &Item{Key: "/bench/f:0", Value: blob.Synthetic(1, 0, 2048)}
+	if got := testing.AllocsPerRun(200, func() { _ = st.Set(req) }); got != 0 {
+		t.Errorf("replacing set: %.0f allocs, want 0", got)
+	}
+	keys := make([]string, (runs+1)*batch) // AllocsPerRun adds a warm-up call
+	for i := range keys {
+		keys[i] = fmt.Sprintf("/bench/f:%d", (i+1)*2048)
+	}
+	next := 0
+	fresh := func() {
+		for i := 0; i < batch; i++ {
+			req.Key = keys[next]
+			next++
+			if err := st.Set(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(runs, fresh); got > batch/16 {
+		t.Errorf("%d fresh sets: %.0f allocs, want at most %d (1 per 16)", batch, got, batch/16)
+	}
+	if st.Len() != len(keys)+1 || st.Stats().Evictions != 0 {
+		t.Errorf("the store holds %d of %d keys after %d evictions; the sets were not all fresh", st.Len(), len(keys)+1, st.Stats().Evictions)
+	}
+}
+
 // TestStoreSetEvictAllocFree: a store at its memory limit takes fresh keys
 // by evicting, and the evicted item's entry becomes the new item's — the
 // bank itself allocates nothing per block in the streaming regime. (The
-// keys and the request item are the caller's and are made beforehand; the
-// table's own rare regrowth under key churn amortises below one per set.)
+// keys and the request item are the caller's and are made beforehand.)
 func TestStoreSetEvictAllocFree(t *testing.T) {
 	const sets = 10000
 	st := NewStore(2<<20, func() int64 { return 0 })

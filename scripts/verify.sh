@@ -14,6 +14,15 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+echo "== tracked files over 1 MB"
+# A build output committed by accident (a 5.3 MB imcabench once was).
+big=$(git ls-files -z | xargs -0 sh -c 'find "$@" -maxdepth 0 -type f -size +1024k -exec wc -c {} \; 2>/dev/null' sh)
+if [ -n "$big" ]; then
+	echo "tracked files over 1 MB (bytes, path):" >&2
+	echo "$big" >&2
+	exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 

@@ -45,6 +45,13 @@
 // readmissions, replica failovers, fault arm/fire — and "flight" dumps it
 // oldest-first, so after an experiment goes sideways you can read back
 // what the cluster actually did.
+//
+// An operation the file system refuses (a missing file, an offset or size
+// no file can hold) is reported as that command's error and the session
+// goes on. A command that panics — a bug in the shell or the model — is
+// reported too, but ends the session with exit status 2: the panic may
+// have stranded a simulated process mid-operation, and the state every
+// later command would run on is lost.
 package main
 
 import (
@@ -116,11 +123,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "imcafsh: %d client(s), %d MCD(s), block %d — type 'help'\n", *clients, *mcds, *block)
+	return sh.loop(stdin, stderr)
+}
+
+// loop runs commands from stdin until quit or end of input (exit code 0),
+// or until one panics (2; see the package comment).
+func (sh *shell) loop(stdin io.Reader, stderr io.Writer) int {
 	in := bufio.NewScanner(stdin)
 	for {
-		fmt.Fprint(stdout, "imca> ")
+		fmt.Fprint(sh.out, "imca> ")
 		if !in.Scan() {
-			fmt.Fprintln(stdout)
+			fmt.Fprintln(sh.out)
 			return 0
 		}
 		line := strings.TrimSpace(in.Text())
@@ -130,7 +143,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if line == "quit" || line == "exit" {
 			return 0
 		}
-		sh.dispatch(strings.Fields(line))
+		if sh.dispatch(strings.Fields(line)) {
+			fmt.Fprintln(stderr, "imcafsh: the command panicked and the simulation state is lost; exiting")
+			return 2
+		}
 	}
 }
 
@@ -165,10 +181,14 @@ func (sh *shell) printTrace() {
 	}
 }
 
-func (sh *shell) dispatch(args []string) {
+// dispatch runs one command. A panic — the command's own, or one in the body
+// of the process it ran, which surfaces from Env.Run — is printed as the
+// command's error and reported as lost.
+func (sh *shell) dispatch(args []string) (lost bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			fmt.Fprintf(sh.out, "error: %v\n", r)
+			lost = true
 		}
 	}()
 	cmd := args[0]
@@ -238,6 +258,7 @@ func (sh *shell) dispatch(args []string) {
 	default:
 		fmt.Fprintf(sh.out, "unknown command %q (try help)\n", cmd)
 	}
+	return false
 }
 
 func (sh *shell) fdFor(path string) (gluster.FD, bool) {

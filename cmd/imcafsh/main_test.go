@@ -5,6 +5,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"imca/internal/cluster"
+	"imca/internal/gluster"
+	"imca/internal/optrace"
+	"imca/internal/sim"
+	"imca/internal/telemetry"
 )
 
 // TestGoldenSession replays a recorded session: a file created, written,
@@ -43,5 +49,30 @@ func TestEndOfInputAndBadFlag(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, strings.NewReader(""), &stdout, &stderr); code != 2 || stdout.Len() != 0 ||
 		!strings.Contains(stderr.String(), "no-such-flag") {
 		t.Errorf("bad flag: exit %d, stdout %q, stderr %q; want 2 and the flag named", code, stdout.String(), stderr.String())
+	}
+}
+
+// panicFS is a mount whose Stat panics inside the shell's process body.
+type panicFS struct{ gluster.FS }
+
+func (panicFS) Stat(*sim.Proc, string) (*gluster.Stat, error) { panic("injected: stat blew up") }
+
+// TestPanickingCommandEndsTheSession: a panic in a command — here in the
+// body of the process it runs, which surfaces from Env.Run — is printed as
+// that command's error, and the shell then says the simulation state is
+// lost and exits 2 without running another command. It used to carry on,
+// and answer everything after with a deadlock report for the process the
+// panic had stranded.
+func TestPanickingCommandEndsTheSession(t *testing.T) {
+	c := cluster.New(cluster.Options{})
+	var stdout, stderr strings.Builder
+	sh := &shell{c: c, fs: panicFS{c.Mounts[0].FS}, fds: make(map[string]gluster.FD),
+		col: optrace.NewCollector(), reg: telemetry.NewRegistry(), out: &stdout}
+	code := sh.loop(strings.NewReader("create /a\nstat /a\ntime\nquit\n"), &stderr)
+	if code != 2 || !strings.Contains(stderr.String(), "simulation state is lost") {
+		t.Errorf("exit %d, stderr %q; want 2 and the state reported lost", code, stderr.String())
+	}
+	if out := stdout.String(); !strings.HasSuffix(out, "imca> error: injected: stat blew up\n") || strings.Contains(out, "virtual time") {
+		t.Errorf("stdout %q; want the panic as the last command's error and no command after it", out)
 	}
 }

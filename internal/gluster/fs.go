@@ -51,10 +51,30 @@ var (
 	ErrBadFD    = errors.New("gluster: bad file descriptor")
 	ErrIsDir    = errors.New("gluster: is a directory")
 	ErrNotDir   = errors.New("gluster: not a directory")
+	// ErrInvalid reports a byte range no file can hold (see CheckRange):
+	// pread, pwrite and ftruncate's EINVAL and EFBIG.
+	ErrInvalid = errors.New("gluster: invalid offset or size")
 	// ErrServerDown reports a brick whose daemon is failed (see
 	// Server.Fail); the request was refused before touching storage.
 	ErrServerDown = errors.New("gluster: server is down")
 )
+
+// MaxFileSize is the largest size a file can have, and so the end of the
+// last byte range a client may name. It leaves the layers below headroom
+// to add a file's device base to an offset, or round one up to a block or
+// a page, inside an int64.
+const MaxFileSize = 1 << 60
+
+// CheckRange returns ErrInvalid unless [off, off+n) is a byte range a file
+// can hold: neither negative nor ending past MaxFileSize. Every client's
+// front door (Fuse, the Lustre and NFS clients) asks it before an operation
+// spends an event, so the layers below see only valid ranges.
+func CheckRange(off, n int64) error {
+	if off < 0 || n < 0 || off > MaxFileSize-n {
+		return ErrInvalid
+	}
+	return nil
+}
 
 // FS is the xlator interface: the operation set every translator
 // implements. Methods must be called in simulated-process context; they

@@ -165,8 +165,13 @@ func (f *Fuse) CloseT(t *sim.Task, fd FD, k func(error)) {
 }
 
 // ReadT implements TaskFS. The user/kernel copy is charged after the child
-// returns, on the bytes actually read.
+// returns, on the bytes actually read. Like WriteT and TruncateT it refuses
+// an invalid range (CheckRange) before anything is charged or sent.
 func (f *Fuse) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
+	if err := CheckRange(off, size); err != nil {
+		k(blob.Blob{}, err)
+		return
+	}
 	op := f.start(t, verbRead)
 	op.req.fd, op.req.off, op.req.size, op.k.data = fd, off, size, k
 	op.fn.down(op, f.child, t, &op.req)
@@ -175,6 +180,10 @@ func (f *Fuse) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, erro
 // WriteT implements TaskFS. The copy is charged before the child sees the
 // data.
 func (f *Fuse) WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
+	if err := CheckRange(off, data.Len()); err != nil {
+		k(0, err)
+		return
+	}
 	op := f.start(t, verbWrite)
 	op.req.fd, op.req.off, op.req.data, op.k.n = fd, off, data, k
 	op.charge(data.Len())
@@ -210,6 +219,10 @@ func (f *Fuse) ReaddirT(t *sim.Task, path string, k func([]string, error)) {
 
 // TruncateT implements TaskFS.
 func (f *Fuse) TruncateT(t *sim.Task, path string, size int64, k func(error)) {
+	if err := CheckRange(0, size); err != nil {
+		k(err)
+		return
+	}
 	op := f.start(t, verbTruncate)
 	op.req.path, op.req.size, op.k.err = path, size, k
 	op.charge(0)

@@ -22,10 +22,11 @@
 //     appends to a slice the function returns, registers instruments, or
 //     drives simulated activity — unless the keys are collected and
 //     sorted first.
-//   - nogoroutine: no go statements, channel operations, or sync
-//     primitives anywhere except an explicit host-side allowlist
-//     (Config.HostSide); the kernel runs exactly one goroutine at a time
-//     and concurrency belongs to sim.Event/sim.Resource. Host-side packages
+//   - nogoroutine: no go statements, channel operations, sync
+//     primitives, or coroutines (iter.Pull, iter.Pull2) anywhere except an
+//     explicit host-side allowlist (Config.HostSide); the kernel runs
+//     exactly one process at a time, on the one coroutine it starts, and
+//     concurrency belongs to sim.Event/sim.Resource. Host-side packages
 //     (the parallel sweep engine, the real memcached daemon) are exempt
 //     as whole packages rather than line by line, so a new go statement
 //     in simulated code can never hide behind a stale suppression.

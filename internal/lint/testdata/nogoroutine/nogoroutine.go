@@ -3,6 +3,7 @@
 package nogoroutine
 
 import (
+	"iter"
 	"sync"
 
 	"imca/internal/flight"
@@ -38,4 +39,20 @@ func ArmFault(env *sim.Env) {
 // contract.
 func RecordAsync(rec *flight.Recorder, at sim.Time) {
 	go rec.Append(at, flight.KindProbe, "async", "bad", 0)
+}
+
+// Drain pulls values from a coroutine of its own: iter.Pull starts a
+// goroutine the kernel does not schedule, exactly as a go statement would.
+// Ranging over the same sequence runs on the caller's stack and is fine.
+func Drain(seq iter.Seq[int], pairs iter.Seq2[int, int]) int {
+	next, stop := iter.Pull(seq)
+	defer stop()
+	next2, stop2 := iter.Pull2[int, int](pairs)
+	defer stop2()
+	sum, _ := next()
+	k, v, _ := next2()
+	for x := range seq {
+		sum += x
+	}
+	return sum + k + v
 }

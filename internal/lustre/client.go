@@ -271,6 +271,9 @@ func (cl *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, 
 	if !ok {
 		return blob.Blob{}, gluster.ErrBadFD
 	}
+	if err := gluster.CheckRange(off, size); err != nil {
+		return blob.Blob{}, err
+	}
 	cl.node.CPU.Use(p, clientOpCPU+sim.Duration(float64(size)*clientPerByteNanos))
 	st := cl.mdsStatCached(p, path)
 	if st == nil {
@@ -377,6 +380,9 @@ func (cl *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (
 	if !ok {
 		return 0, gluster.ErrBadFD
 	}
+	if err := gluster.CheckRange(off, data.Len()); err != nil {
+		return 0, err
+	}
 	cl.node.CPU.Use(p, clientOpCPU+sim.Duration(float64(data.Len())*clientPerByteNanos))
 	m := cl.cluster.files[path]
 	if m == nil {
@@ -447,6 +453,9 @@ func (cl *Client) Readdir(p *sim.Proc, path string) ([]string, error) {
 
 // Truncate implements gluster.FS (metadata-only in this model).
 func (cl *Client) Truncate(p *sim.Proc, path string, size int64) error {
+	if err := gluster.CheckRange(0, size); err != nil {
+		return err
+	}
 	m := cl.cluster.files[path]
 	if m == nil {
 		return gluster.ErrNotExist

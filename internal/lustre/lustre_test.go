@@ -1,7 +1,9 @@
 package lustre
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -249,6 +251,24 @@ func TestLustreTruncate(t *testing.T) {
 		st, _ := c.Stat(p, "/t")
 		if st.Size != 100 {
 			t.Errorf("size after truncate = %d", st.Size)
+		}
+		// The front door's range check (gluster.CheckRange), before any
+		// CPU charge or RPC.
+		at := p.Now()
+		if err := c.Truncate(p, "/t", -1); !errors.Is(err, gluster.ErrInvalid) {
+			t.Errorf("truncate to -1: err = %v, want gluster.ErrInvalid", err)
+		}
+		if _, err := c.Write(p, fd, math.MaxInt64, blob.Synthetic(1, 0, 10)); !errors.Is(err, gluster.ErrInvalid) {
+			t.Errorf("write ending past MaxInt64: err = %v, want gluster.ErrInvalid", err)
+		}
+		if _, err := c.Read(p, fd, -5, 10); !errors.Is(err, gluster.ErrInvalid) {
+			t.Errorf("read at -5: err = %v, want gluster.ErrInvalid", err)
+		}
+		if p.Now() != at {
+			t.Errorf("refused calls took %v of virtual time", p.Now().Sub(at))
+		}
+		if st, _ := c.Stat(p, "/t"); st.Size != 100 {
+			t.Errorf("size after the refused calls = %d, want 100", st.Size)
 		}
 	})
 	env.Run()

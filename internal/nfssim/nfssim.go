@@ -216,6 +216,9 @@ func (c *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, e
 	if !ok {
 		return blob.Blob{}, gluster.ErrBadFD
 	}
+	if err := gluster.CheckRange(off, size); err != nil {
+		return blob.Blob{}, err
+	}
 	r := c.call(p, &nfsReq{Op: "read", Path: path, Off: off, Size: size})
 	if r.Code != "" {
 		return blob.Blob{}, gluster.ErrNotExist
@@ -228,6 +231,9 @@ func (c *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (i
 	path, ok := c.fdPaths[fd]
 	if !ok {
 		return 0, gluster.ErrBadFD
+	}
+	if err := gluster.CheckRange(off, data.Len()); err != nil {
+		return 0, err
 	}
 	r := c.call(p, &nfsReq{Op: "write", Path: path, Off: off, Data: data})
 	if r.Code != "" {

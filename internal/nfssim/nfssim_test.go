@@ -1,11 +1,14 @@
 package nfssim
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"imca/internal/blob"
 	"imca/internal/fabric"
+	"imca/internal/gluster"
 	"imca/internal/sim"
 )
 
@@ -54,6 +57,18 @@ func TestNFSErrors(t *testing.T) {
 		}
 		if err := c.Unlink(p, "/missing"); err == nil {
 			t.Error("unlink of missing file succeeded")
+		}
+		// The front door's range check (gluster.CheckRange), before any RPC.
+		fd, _ := c.Create(p, "/f")
+		at := p.Now()
+		if _, err := c.Write(p, fd, -5, blob.Synthetic(1, 0, 10)); !errors.Is(err, gluster.ErrInvalid) {
+			t.Errorf("write at -5: err = %v, want gluster.ErrInvalid", err)
+		}
+		if _, err := c.Read(p, fd, math.MaxInt64, 10); !errors.Is(err, gluster.ErrInvalid) {
+			t.Errorf("read ending past MaxInt64: err = %v, want gluster.ErrInvalid", err)
+		}
+		if p.Now() != at {
+			t.Errorf("refused calls took %v of virtual time", p.Now().Sub(at))
 		}
 	})
 	env.Run()

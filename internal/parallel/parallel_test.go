@@ -3,6 +3,8 @@ package parallel
 import (
 	"sync/atomic"
 	"testing"
+
+	"imca/internal/sim"
 )
 
 func TestMapOrderMatchesSerial(t *testing.T) {
@@ -57,6 +59,28 @@ func TestDoPropagatesPanic(t *testing.T) {
 		if i == 7 {
 			panic("boom")
 		}
+	})
+}
+
+// TestDoPropagatesSimProcessPanic: a panic in the body of a simulated
+// process surfaces from Env.Run on the worker that called it, so Do
+// re-raises it like any other — it used to kill the binary from the
+// process's own goroutine, where no recover of Do's could reach it.
+func TestDoPropagatesSimProcessPanic(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "boom in a process" {
+			t.Errorf("recovered %v, want \"boom in a process\"", r)
+		}
+	}()
+	Do(4, 16, func(i int) {
+		env := sim.NewEnv()
+		env.Process("point", func(p *sim.Proc) {
+			p.Sleep(sim.Duration(i))
+			if i == 7 {
+				panic("boom in a process")
+			}
+		})
+		env.Run()
 	})
 }
 

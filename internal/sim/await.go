@@ -24,8 +24,8 @@ type fronting struct {
 	state awaitState
 	// fnEnd is t.End, bound once for the kernel's primitives to wait with.
 	fnEnd func()
-	// blockFn and blockK carry Block's arguments across the wake handshake
-	// to the process parked in Await.
+	// blockFn and blockK carry Block's arguments across the wake to the
+	// process parked in Await.
 	blockFn func(p *Proc)
 	blockK  func()
 }
@@ -35,7 +35,7 @@ type awaitState uint8
 
 const (
 	// awaitInline: the process is running the task's code on its own
-	// goroutine — Await's body, or a continuation after a Block.
+	// coroutine — Await's body, or a continuation after a Block.
 	awaitInline awaitState = iota
 	// awaitParked: the process is parked in Await; the task's
 	// continuations run in scheduler context.
@@ -49,12 +49,12 @@ const (
 // once that task has ended. The task shares the process's context slot
 // (Ctx/SetCtx), so spans opened on either side are seen by both.
 //
-// body runs inline, on the process's own goroutine. If it ends the task
+// body runs inline, on the process's own coroutine. If it ends the task
 // before returning — the operation hit a fast path — Await returns without
 // parking. Otherwise the process parks and the task's continuations run in
 // scheduler context, like any task's; the continuation that calls End
 // hands control straight to the parked process with the kernel's ordinary
-// wake handshake, inside the event being dispatched. No event is scheduled
+// wake (a coroutine switch), inside the event being dispatched. No event is scheduled
 // for the hand-off, so the operation consumes exactly the sequence numbers
 // its continuations do.
 //
@@ -110,12 +110,12 @@ func (f *fronting) end() {
 // When the process is itself running the calling code (an Await body or a
 // continuation reached inline from it), fn and k simply run. When the
 // process is parked in Await and the caller is a continuation in scheduler
-// context, Block wakes the process to run fn and k on its own goroutine
+// context, Block wakes the process to run fn and k on its own coroutine
 // and returns when it next parks. Like End's hand-off this schedules
 // nothing: the only sequence numbers spent are fn's own.
 //
 // Block panics if t fronts no process (it was created by StartTask or
-// ContextTask: there is no goroutine to block), if its Await has already
+// ContextTask: there is no process to block), if its Await has already
 // ended, or if the process is already inside a Block on t — one process
 // runs one blocking call at a time.
 func (t *Task) Block(fn func(p *Proc), k func()) {
@@ -137,7 +137,7 @@ func (t *Task) Block(fn func(p *Proc), k func()) {
 	}
 }
 
-// runBlocked runs fn then k on the fronted process's goroutine.
+// runBlocked runs fn then k on the fronted process's coroutine.
 func (f *fronting) runBlocked(fn func(p *Proc), k func()) {
 	f.state = awaitBlocked
 	fn(f.p)

@@ -203,8 +203,9 @@ func TestBlockingPrimitivesAllocFree(t *testing.T) {
 	if queued != 1 {
 		t.Fatalf("the holder released with %d acquirers queued, want 1: the contended path did not run", queued)
 	}
-	// Starting a pooled process costs its go statement; anything above that
-	// would be the primitives'.
+	// Each pass is a Run of its own, and the last one's drain stopped the
+	// pooled coroutines: starting the two processes costs two new ones
+	// (iter.Pull's allocations); anything above that would be the primitives'.
 	spawn := testing.AllocsPerRun(50, pass(func(*Proc) {}))
 	if avg := testing.AllocsPerRun(50, pass(body)); avg != spawn {
 		t.Errorf("one pass over every blocking primitive by two processes allocated %.2f times, want the %.2f of starting them", avg, spawn)

@@ -6,14 +6,39 @@ import (
 )
 
 // BenchmarkDispatch measures the process wake path: one process sleeping
-// repeatedly, so every iteration is a schedule + dispatch + park/wake
-// handshake. This is the price of a real process wake-up.
+// repeatedly, so every iteration is a schedule + dispatch + the two
+// coroutine switches of a park and a wake. This is the price of a real
+// process wake-up.
 func BenchmarkDispatch(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()
 	env.Process("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	env.Run()
+}
+
+// BenchmarkSpawn measures a pooled process life, the shape of a blocking
+// RPC handler: each iteration the parent spawns a child that sleeps once and
+// triggers it — the child's start, park, wake and finish and the parent's
+// park and wake, on a pooled Proc that kept its coroutine. The kernel
+// allocates nothing for it.
+func BenchmarkSpawn(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	done := NewEvent(env)
+	child := func(c *Proc) {
+		c.Sleep(1)
+		done.Trigger(nil)
+	}
+	env.Process("parent", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			done.Reset()
+			env.Process("child", child)
+			done.Wait(p)
 		}
 	})
 	b.ResetTimer()
@@ -50,7 +75,7 @@ func startChains(env *Env, n int, base, stride Duration, left *int) {
 
 // BenchmarkTaskDispatch is BenchmarkDispatch on the continuation engine:
 // one task sleeping repeatedly, so every iteration is a schedule + dispatch
-// + plain call with no goroutine handshake and one pending event. Comparing
+// + plain call with no coroutine switch and one pending event. Comparing
 // the two gives the per-client-operation saving of the task engine.
 func BenchmarkTaskDispatch(b *testing.B) {
 	b.ReportAllocs()

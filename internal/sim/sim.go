@@ -11,9 +11,9 @@
 // A Task is a state machine in continuation-passing style: each waiting
 // point takes the rest of the computation as a callback (Task.Sleep,
 // Event.WaitFn, Resource.AcquireT/UseT, Barrier.WaitT) that the kernel
-// dispatches as a plain event. It costs no goroutine, so it is the
-// form for anything that runs per operation or in large numbers — and the
-// form every layer of the simulated storage stack is written in:
+// dispatches as a plain event. It costs no coroutine and no stack, so it is
+// the form for anything that runs per operation or in large numbers — and
+// the form every layer of the simulated storage stack is written in:
 //
 //	env := sim.NewEnv()
 //	env.StartTask("client", func(t *sim.Task) {
@@ -24,12 +24,12 @@
 //	})
 //	env.Run()
 //
-// A Proc is an ordinary Go function running in its own goroutine, which
+// A Proc is an ordinary Go function running on a coroutine of its own, which
 // blocks in virtual time (p.Sleep returns when the time has passed). It is
 // the clearest way to write low-cardinality control logic — set-up passes,
-// fault injectors, interactive shells — and all kernel methods that take a
-// *Proc must be called from that process's own goroutine while it is the
-// running process:
+// fault injectors, interactive shells, the comparison systems' clients — and
+// all kernel methods that take a *Proc must be called from that process's
+// own body while it is the running process:
 //
 //	env.Process("setup", func(p *sim.Proc) {
 //		p.Sleep(10 * time.Microsecond)
@@ -49,11 +49,25 @@
 // One kind of event exists: a function the dispatch loop calls in
 // scheduler context, and a continuation is the only thing that waits. A
 // process is woken by the continuation that ends its Await, which hands
-// control over with a goroutine park/wake handshake (two channel
-// operations) inside that event; a task's continuation or a deferred
-// function (Env.Defer) is a plain call and pays no handshake at all, so
-// timeouts and other bookkeeping that does not need a process of its own
-// should use Defer.
+// control over inside that event with two switches of the Go runtime's
+// coroutines (iter.Pull: into the process, and back when it next parks) —
+// about 230 ns a wake (BenchmarkDispatch) against 20–50 ns for a task's
+// continuation or a deferred function (Env.Defer), which are plain calls;
+// so anything that runs per operation is a task, and timeouts and other
+// bookkeeping that needs no process of its own should use Defer. A switch
+// runs on the caller's OS thread and schedules nothing, so which engine
+// carries an activity cannot move an (at, seq).
+//
+// A process keeps its coroutine, and the stack it has grown, across pooled
+// lives: spawning one in steady state (a blocking RPC handler, a stripe
+// helper) is one switch and no allocation (BenchmarkSpawn). When Run
+// drains it stops every idle coroutine, so no goroutine outlives a
+// finished run. A panic in a process body — or runtime.Goexit, which is
+// what t.FailNow is — surfaces from Env.Run on its caller's goroutine with
+// its value intact, where a recover (or the testing package) can see it.
+// The traceback is Run's, not the body's, and the simulation is lost — other
+// processes may be stranded mid-operation — though the kernel stays usable:
+// a Proc whose coroutine died is never pooled.
 //
 // Env.Run reaches pending work through one function, next(), over a queue
 // in three parts shaped like the traffic simulations put on it, whose
@@ -87,6 +101,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"time"
 )
@@ -221,21 +236,22 @@ type Env struct {
 	due       []func() // due[dueHead:] run at now, in scheduling order
 	dueHead   int
 	near, far eventHeap // later instants, split by delay at nearHorizon
-	//imcalint:allow nogoroutine kernel handshake: running process signals the scheduler
-	yielded chan struct{}
-	living  int // processes started and not yet finished
-	parked  int // processes blocked on a primitive
-	nextPID int
+	living    int       // processes started and not yet finished
+	parked    int       // processes blocked on a primitive
+	nextPID   int
 
 	tasksLive int // tasks started and not yet ended
 	nextTID   int
 
-	// procFree recycles finished Procs — struct, handshake channel, and
-	// prebound starter — so spawning a process in steady state allocates
-	// nothing but the goroutine itself (whose stack the Go runtime also
-	// recycles). No pending event references a Proc — one is woken only from
-	// inside its own Await — so a recycled identity cannot be woken by its
-	// previous life's events.
+	// procFree holds the Procs between lives — struct, prebound starter,
+	// frontings, and the coroutine with the stack it has grown, idle in lives
+	// — so spawning a process in steady state is one coroutine switch and
+	// allocates nothing. Only a live coroutine puts its Proc here, so one
+	// that ended in a panic or Goexit is never handed out again; a drained
+	// Run stops the coroutines (next == nil) and the next life of each Proc
+	// starts a new one. No pending event references a Proc — one is woken
+	// only from inside its own Await — so a recycled identity cannot be woken
+	// by its previous life's events.
 	procFree []*Proc
 
 	// EventsProcessed counts dispatched events — a cheap measure of how
@@ -253,7 +269,7 @@ type Env struct {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{yielded: make(chan struct{})} //imcalint:allow nogoroutine kernel handshake channel
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -316,10 +332,9 @@ func (e *Env) next() func() {
 }
 
 // Defer schedules fn to run in scheduler context at the current time plus
-// d. Dispatching it pays no goroutine park/wake handshake — it is a plain
-// call between events — so it is the cheap way to express timeouts,
-// sensors, and other bookkeeping that does not need a blocking process of
-// its own.
+// d. Dispatching it pays no coroutine switch — it is a plain call between
+// events — so it is the cheap way to express timeouts, sensors, and other
+// bookkeeping that does not need a blocking process of its own.
 //
 // fn runs between event dispatches, when no process is mid-action. It may
 // schedule further work (trigger events, call Defer, create processes) but
@@ -332,15 +347,16 @@ func (e *Env) Defer(d Duration, fn func()) {
 	e.schedule(d, fn)
 }
 
-// Proc is a simulated process. Its methods must be called only from its own
-// goroutine while it is the running process.
+// Proc is a simulated process: a function running on a coroutine of its own
+// (iter.Pull), which the scheduler switches into and which switches back
+// whenever the process parks or finishes. Its methods must be called only
+// from its own body while it is the running process. A panic or
+// runtime.Goexit in the body surfaces from Env.Run; see the package comment.
 type Proc struct {
 	env  *Env
 	name string
 	pid  int
-	//imcalint:allow nogoroutine kernel handshake: scheduler wakes the parked process
-	resume chan struct{}
-	ctx    interface{}
+	ctx  interface{}
 
 	// body holds the process function between Process and the starter
 	// event firing; start is the prebound starter closure, created once
@@ -348,6 +364,12 @@ type Proc struct {
 	// without allocating.
 	body  func(p *Proc)
 	start func()
+	// The coroutine, running lives: next switches into it and returns when
+	// it next parks or finishes a life, yield — called on the coroutine — is
+	// that switch back, and stop ends an idle one.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 	// fronts[:depth] are the Awaits the process is inside, outermost first;
 	// the rest wait to be reused (see fronting).
 	fronts []*fronting
@@ -371,7 +393,7 @@ func (p *Proc) Ctx() interface{} { return p.ctx }
 // SetCtx stores v in the process's context slot. It may be called by the
 // process itself, or by its creator before the new process first runs
 // (e.g. to hand an RPC handler the caller's operation context); the kernel
-// runs one goroutine at a time, so the slot needs no locking.
+// runs one activity at a time, so the slot needs no locking.
 func (p *Proc) SetCtx(v interface{}) { p.ctx = v }
 
 // String identifies the process for diagnostics.
@@ -387,50 +409,43 @@ func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
 		p = e.procFree[n-1]
 		e.procFree[n-1] = nil
 		e.procFree = e.procFree[:n-1]
-		p.name = name
-		p.pid = e.nextPID
 		p.ctx = nil
 	} else {
-		p = &Proc{
-			env:    e,
-			name:   name,
-			pid:    e.nextPID,
-			resume: make(chan struct{}), //imcalint:allow nogoroutine kernel handshake channel
-		}
-		p.start = func() {
-			body := p.body
-			p.body = nil
-			go p.run(body)  //imcalint:allow nogoroutine the kernel itself multiplexes process goroutines one at a time
-			<-p.env.yielded //imcalint:allow nogoroutine kernel handshake: wait for the new process to yield
-		}
+		p = &Proc{env: e}
+		p.start = func() { p.next() }
 	}
-	p.body = fn
+	if p.next == nil {
+		//imcalint:allow nogoroutine the kernel itself multiplexes process coroutines, one running at a time
+		p.next, p.stop = iter.Pull(p.lives)
+	}
+	p.name, p.pid, p.body = name, e.nextPID, fn
 	e.living++
 	e.schedule(0, p.start)
 	return p
 }
 
-func (p *Proc) run(fn func(p *Proc)) {
-	defer p.finish()
-	fn(p)
+// lives is the body of p's coroutine: one process life per switch into it
+// while idle, each ending with the Proc back in the pool and a switch out.
+// It returns, ending the coroutine, when Run stops it.
+func (p *Proc) lives(yield func(struct{}) bool) {
+	p.yield = yield
+	for {
+		body := p.body
+		p.body = nil
+		body(p)
+		p.env.living--
+		p.env.procFree = append(p.env.procFree, p)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
 }
 
-// finish ends the process: it recycles the Proc and yields to the
-// scheduler one last time. The goroutine exits right after; a pooled
-// restart spawns a fresh one on the same struct.
-func (p *Proc) finish() {
-	p.env.living--
-	p.env.procFree = append(p.env.procFree, p)
-	p.env.yielded <- struct{}{} //imcalint:allow nogoroutine kernel handshake: final yield on process exit
-}
-
-// park blocks the calling process goroutine and returns control to the
-// scheduler; the process resumes when a continuation of the Await it is
-// parked in wakes it.
+// park switches from the calling process back to the scheduler; the process
+// resumes when a continuation of the Await it is parked in wakes it.
 func (p *Proc) park() {
 	p.env.parked++
-	p.env.yielded <- struct{}{} //imcalint:allow nogoroutine kernel handshake: hand control to the scheduler
-	<-p.resume                  //imcalint:allow nogoroutine kernel handshake: block until rescheduled
+	p.yield(struct{}{})
 	p.env.parked--
 }
 
@@ -440,12 +455,9 @@ func (p *Proc) Sleep(d Duration) {
 	p.Await(func(t *Task) { t.Sleep(d, t.front.fnEnd) })
 }
 
-// wake delivers a resume to p and waits for it to yield again. Must be
-// called in scheduler context only.
-func (e *Env) wake(p *Proc) {
-	p.resume <- struct{}{} //imcalint:allow nogoroutine kernel handshake: resume the woken process
-	<-e.yielded            //imcalint:allow nogoroutine kernel handshake: wait for it to yield again
-}
+// wake switches to the parked process p and returns when it next parks or
+// finishes. Must be called in scheduler context only.
+func (e *Env) wake(p *Proc) { p.next() }
 
 // SetTick installs fn as the environment's tick observer: it is invoked
 // with each boundary time now, now+interval, now+2·interval, … as the
@@ -485,7 +497,9 @@ func (e *Env) fireTicks() {
 // Run processes events until none remain. It returns the final virtual
 // time. If processes remain parked with no pending events, the simulation
 // is deadlocked and Run panics with a diagnostic, since that always
-// indicates a modelling bug.
+// indicates a modelling bug. A panic or runtime.Goexit in a process body
+// unwinds Run on its caller's goroutine. On the way out Run stops the idle
+// process coroutines, so a finished run leaves no goroutine behind.
 //
 //imcalint:hotpath dispatch loop: every event of every run passes through this body, so it and next() stay allocation-free
 func (e *Env) Run() Time {
@@ -495,6 +509,10 @@ func (e *Env) Run() Time {
 		}
 		e.EventsProcessed++
 		fn()
+	}
+	for _, p := range e.procFree {
+		p.stop()
+		p.next = nil
 	}
 	if e.living > 0 && e.parked == e.living {
 		panic(fmt.Sprintf("sim: deadlock at %v: %d process(es) parked with no pending events", e.now, e.parked))

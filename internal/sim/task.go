@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // Actor is the common face of the kernel's two execution styles: a *Proc
-// (goroutine-backed, blocking primitives) and a *Task (continuation-style,
+// (coroutine-backed, blocking primitives) and a *Task (continuation-style,
 // advanced by queued events). Layers that only need the clock and the
 // per-operation context slot — tracing, health accounting, span
 // bookkeeping — accept an Actor so one implementation serves both.
@@ -23,11 +23,10 @@ var (
 
 // Task is a simulated activity written in continuation-passing style: a
 // state machine advanced by plain queued events instead of a parked
-// goroutine. Where a Proc pays a goroutine park/wake handshake (two channel
-// operations) per blocking primitive, a Task's continuation is dispatched
-// inline in scheduler context like any deferred function, so ten thousand
-// concurrent clients cost ten thousand pending closures, not ten thousand
-// goroutines.
+// coroutine. Where a Proc pays two coroutine switches (≈ 230 ns) per blocking
+// primitive, a Task's continuation is dispatched inline in scheduler context
+// like any deferred function (≈ 20–50 ns), so ten thousand concurrent
+// clients cost ten thousand pending closures, not ten thousand stacks.
 //
 // A Task never blocks. Each kernel primitive (Task.Sleep, Event.WaitFn,
 // Resource.AcquireT/UseT, Barrier.WaitT) takes the rest of the computation

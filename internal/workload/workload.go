@@ -9,7 +9,7 @@
 // Each driver's measured client body is written once, in continuation
 // style against gluster.TaskFS. A mount whose whole stack is
 // continuation-style (TaskReady) runs it as a sim.Task — a heap-scheduled
-// state machine with no goroutine per client. Any other mount (Lustre,
+// state machine with no coroutine per client. Any other mount (Lustre,
 // NFS, or a stack with a blocking xlator) runs the same body on a process
 // that awaits it (sim.Proc.Await) over the lifted mount (gluster.Lift);
 // see startClient. The two consume kernel schedules identically, so

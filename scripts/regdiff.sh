@@ -8,6 +8,11 @@
 # moved, one sequence number shifted — is a behaviour change and exits
 # non-zero with the diff.
 #
+# After each mode's diff it prints what the render cost — real, user and
+# system seconds ("   serial cost: real 157 s, user 116 s, sys 54 s") — so
+# the registry's wall time is a logged number where the contract is
+# checked. It is a record, not a gate: a shared runner is not a quiet box.
+#
 # Usage:
 #   scripts/regdiff.sh
 #   make regdiff
@@ -30,8 +35,17 @@ for mode in serial parallel; do
 		flag="-parallel 0" # one worker per core
 	fi
 	echo "== imcabench -exp all -scale 16 $flag"
+	# `times` (second line: the children waited for so far) must run in this
+	# shell, not in a pipeline or $(...), whose subshell has no children.
+	times > "$out/before"
+	start=$(date +%s)
 	# shellcheck disable=SC2086
 	"$out/imcabench" -exp all -scale 16 $flag > "$out/$mode.raw"
+	times > "$out/after"
+	cost=$(awk -v real=$(($(date +%s) - start)) '
+		function secs(t) { split(t, a, /[ms]/); return a[1] * 60 + a[2] }
+		FNR == 2 { user = secs($1) - user; sys = secs($2) - sys }
+		END { printf "real %d s, user %.1f s, sys %.1f s", real, user, sys }' "$out/before" "$out/after")
 	strip "$out/$mode.raw" > "$out/$mode.txt"
 	if diff -u "$out/want.txt" "$out/$mode.txt" > "$out/$mode.diff"; then
 		echo "   $mode: $(grep -c '^== ' "$out/$mode.txt") tables identical to results_scale16.txt"
@@ -40,6 +54,7 @@ for mode in serial parallel; do
 		cat "$out/$mode.diff" >&2
 		status=1
 	fi
+	echo "   $mode cost: $cost"
 done
 if [ "$status" -eq 0 ]; then
 	echo "regdiff: OK"

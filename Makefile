@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race verify regdiff bench benchpairs allocsites
+.PHONY: all build vet lint test race verify regdiff sizes bench benchpairs allocsites
 
 all: verify
 
@@ -31,6 +31,11 @@ verify:
 # parallel, byte-identical to results_scale16.txt (wall times stripped).
 regdiff:
 	sh scripts/regdiff.sh
+
+# Lines and code lines (not blank, not comment) of the tracked non-test
+# .go files, per package and in total. A record, not a gate.
+sizes:
+	sh scripts/sizes.sh
 
 bench:
 	$(GO) test -bench . -benchtime=1x

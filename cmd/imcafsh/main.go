@@ -16,6 +16,7 @@
 //	read PATH OFF SIZE       read (reports whether the bank served it)
 //	stat PATH                stat (cache-first)
 //	rm PATH                  delete
+//	truncate PATH SIZE       set the file's size (cached blocks are purged)
 //	ls PATH                  list a directory
 //	flush                    flush every MCD (cold bank)
 //	fault CMD ...            inject failures (fault help for the list)
@@ -194,7 +195,7 @@ func (sh *shell) dispatch(args []string) (lost bool) {
 	cmd := args[0]
 	switch cmd {
 	case "help":
-		fmt.Fprintln(sh.out, "create|open|close|rm|stat|ls PATH; write|read PATH OFF SIZE; flush; fault CMD; stats; telemetry [SUBSTR]; trace [on|off]; breakdown; time; quit")
+		fmt.Fprintln(sh.out, "create|open|close|rm|stat|ls PATH; write|read PATH OFF SIZE; truncate PATH SIZE; flush; fault CMD; stats; telemetry [SUBSTR]; trace [on|off]; breakdown; time; quit")
 	case "trace":
 		switch {
 		case len(args) == 1:
@@ -255,6 +256,19 @@ func (sh *shell) dispatch(args []string) (lost bool) {
 			return
 		}
 		sh.ioCmd(cmd, args[1], off, size)
+	case "truncate":
+		if len(args) != 3 {
+			fmt.Fprintln(sh.out, "usage: truncate PATH SIZE")
+			return
+		}
+		size, err := strconv.ParseInt(args[2], 10, 64)
+		if err != nil {
+			fmt.Fprintln(sh.out, "bad SIZE")
+			return
+		}
+		took := sh.inSim(cmd, func(p *sim.Proc) { err = sh.fs.Truncate(p, args[1], size) })
+		sh.report(cmd, took, err)
+		sh.printTrace()
 	default:
 		fmt.Fprintf(sh.out, "unknown command %q (try help)\n", cmd)
 	}

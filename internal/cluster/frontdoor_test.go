@@ -102,3 +102,34 @@ func TestFrontDoorRefusesInvalidRanges(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontDoorAcceptsTheLargestFile is the bound from the inside: ten
+// bytes ending exactly at gluster.MaxFileSize are written, and truncating
+// that file to nothing costs what its one resident page costs — the page
+// cache used to probe every page index of the truncated range, 2^51 of
+// them here, and this test would not have returned.
+func TestFrontDoorAcceptsTheLargestFile(t *testing.T) {
+	for _, opts := range []Options{{MCDs: 2, MCDMemBytes: 64 << 20}, {}} {
+		c := New(opts)
+		c.Env.Process("t", func(p *sim.Proc) {
+			fs := c.Mounts[0].FS
+			fd, err := fs.Create(p, "/sparse")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Write(p, fd, gluster.MaxFileSize-10, blob.Synthetic(1, 0, 10)); err != nil {
+				t.Fatalf("write ending at MaxFileSize: %v", err)
+			}
+			if st, err := fs.Stat(p, "/sparse"); err != nil || st.Size != gluster.MaxFileSize {
+				t.Errorf("stat after the write = %+v, %v; want size MaxFileSize", st, err)
+			}
+			if err := fs.Truncate(p, "/sparse", 0); err != nil {
+				t.Fatalf("truncate to 0: %v", err)
+			}
+			if st, err := fs.Stat(p, "/sparse"); err != nil || st.Size != 0 {
+				t.Errorf("stat after the truncate = %+v, %v; want size 0", st, err)
+			}
+		})
+		c.Env.Run()
+	}
+}

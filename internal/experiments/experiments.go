@@ -9,6 +9,12 @@
 // time, so scaling shrinks the workload without changing who wins or where
 // crossovers fall — only absolute magnitudes.
 //
+// Declarations: a table-shaped figure is a value (grid.go) — rows crossed
+// with systems, each system a column name plus the one recipe that deploys
+// it, a shared cell or whole-column measurement, and notes computed from
+// the finished table. Observation is declared per column. To add a column,
+// add one system value. The five time-series experiments keep their drivers.
+//
 // Workers: each experiment declares its figure cells as a list of
 // independent points, every one building its own sim.Env and deployment;
 // Options.Workers > 1 executes them across a host-side worker pool
@@ -21,10 +27,6 @@ import (
 	"io"
 	"strings"
 
-	"imca/internal/cluster"
-	"imca/internal/fabric"
-	"imca/internal/gluster"
-	"imca/internal/lustre"
 	"imca/internal/metrics"
 	"imca/internal/optrace"
 	"imca/internal/parallel"
@@ -61,26 +63,12 @@ func (o Options) scale() int {
 	return o.Scale
 }
 
-func (o Options) workers() int {
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
-}
-
 // points runs n experiment points across the option's worker pool. Each
 // point is identified by its index; fn must build everything the point
 // needs (environment, cluster, workload) locally so points stay isolated.
 // Results land in declaration order regardless of worker count.
 func points[T any](o Options, n int, fn func(i int) T) []T {
-	return parallel.Map(o.workers(), n, fn)
-}
-
-// runAll executes a declarative list of experiment points — one closure
-// per figure cell — across the worker pool and returns their results in
-// declaration order. The closures must not share mutable state.
-func runAll[T any](o Options, fns []func() T) []T {
-	return parallel.Map(o.workers(), len(fns), func(i int) T { return fns[i]() })
+	return parallel.Map(o.Workers, n, fn)
 }
 
 // records returns the per-measurement record count (paper: 1024).
@@ -211,43 +199,6 @@ func Find(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// --- shared builders ---
-
-// glusterMounts deploys a GlusterFS (or IMCa) cluster and returns its
-// client mounts plus the cluster handle.
-func glusterMounts(opts cluster.Options) (*cluster.Cluster, []gluster.FS) {
-	c := cluster.New(opts)
-	return c, c.FSes()
-}
-
-// gOpts applies scale-dependent defaults: the server page cache shrinks
-// with the workload so cache-vs-disk behaviour is preserved.
-func gOpts(o Options, base cluster.Options) cluster.Options {
-	if base.ServerCacheBytes == 0 {
-		base.ServerCacheBytes = scaled(6<<30, o.scale())
-	}
-	return base
-}
-
-// lustreMounts deploys a Lustre cluster with the given number of clients
-// and data servers.
-func lustreMounts(clients, osts int, scale int) (*sim.Env, *lustre.Cluster, []gluster.FS, []*lustre.Client) {
-	env := sim.NewEnv()
-	net := fabric.NewNetwork(env, fabric.IPoIB)
-	cfg := lustre.DefaultConfig(osts)
-	cfg.OSTCacheBytes = scaled(6<<30, scale)
-	cfg.ClientCacheBytes = scaled(2<<30, scale)
-	cl := lustre.New(env, net, "lustre", cfg)
-	var mounts []gluster.FS
-	var lclients []*lustre.Client
-	for i := 0; i < clients; i++ {
-		lc := cl.NewClient(net.NewNode(fmt.Sprintf("lc%d", i), 8))
-		mounts = append(mounts, lc)
-		lclients = append(lclients, lc)
-	}
-	return env, cl, mounts, lclients
-}
-
 // mcdMemForLatency sizes each MCD for the latency benchmarks so the
 // memory-to-working-set ratio matches the paper's full-scale run: the
 // data volume scales with the record count (paper: 1024 records), so the
@@ -258,22 +209,7 @@ func (o Options) mcdMemForLatency() int64 {
 
 // scaled divides a full-scale byte count by the scale factor with a sane
 // floor.
-func scaled(full int64, scale int) int64 {
-	v := full / int64(scale)
-	if v < 1<<20 {
-		v = 1 << 20
-	}
-	return v
-}
-
-// dropAll drops every Lustre client cache (the cold-cache remount).
-func dropAll(lclients []*lustre.Client) func() {
-	return func() {
-		for _, lc := range lclients {
-			lc.DropCaches()
-		}
-	}
-}
+func scaled(full int64, scale int) int64 { return max(full/int64(scale), 1<<20) }
 
 // powersOfTwo returns {from, from*2, ..., to}.
 func powersOfTwo(from, to int64) []int64 {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"imca/internal/blob"
 	"imca/internal/cluster"
 	"imca/internal/metrics"
 	"imca/internal/optrace"
@@ -27,20 +26,11 @@ func ExtBreakdown(o Options) *Result {
 	// One point per block size, each with its own cluster and collector.
 	runs := points(o, len(blockSizes), func(i int) run {
 		bs := blockSizes[i]
-		c := cluster.New(cluster.Options{
-			Clients: 1, MCDs: 1, MCDMemBytes: 256 << 20, BlockSize: bs,
-			ServerCacheBytes: scaled(6<<30, o.scale()),
-		})
+		c := glusterSys("ext-breakdown", cluster.Options{MCDs: 1, MCDMemBytes: 256 << 20, BlockSize: bs}).deploy(o, 1).cluster
 		col := optrace.NewCollector()
 		fs := c.Mounts[0].FS
 		c.Env.Process("ext-breakdown", func(p *sim.Proc) {
-			fd, err := fs.Create(p, "/b")
-			if err != nil {
-				panic(fmt.Sprintf("ext-breakdown: create: %v", err))
-			}
-			if _, err := fs.Write(p, fd, 0, blob.Synthetic(1, 0, 65536)); err != nil {
-				panic(fmt.Sprintf("ext-breakdown: write: %v", err))
-			}
+			fd := writeFile(p, fs, "ext-breakdown", "/b", 65536, 65536)
 			col.Begin(p, "read")
 			root := optrace.StartSpan(p, optrace.LayerOp, "read")
 			data, err := fs.Read(p, fd, 0, record)

@@ -76,16 +76,11 @@ func ExtDegrade(o Options) *Result {
 			brickRate: delta(f.smp.Series("brick0.server.ops.read"))}
 	}
 
-	pts := runAll(o, []func() point{
-		func() point { return run("single-copy", 0) },
-		func() point { return run("replicated", 2) },
-	})
+	names, replicas := []string{"single-copy", "replicated"}, []int{0, 2}
+	pts := points(o, 2, func(i int) point { return run(names[i], replicas[i]) })
 	single, repl := pts[0], pts[1]
 
-	rows := len(single.times)
-	if n := len(repl.times); n < rows {
-		rows = n
-	}
+	rows := min(len(single.times), len(repl.times))
 	tb := metrics.NewTable(
 		fmt.Sprintf("Ext: replicated bank through crash (%v), partition (%v), gray node ×%g (%v) on mcd0",
 			crashAt, partAt, grayFactor, grayAt),

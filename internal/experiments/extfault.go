@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"imca/internal/cluster"
@@ -62,16 +63,11 @@ func ExtFault(o Options) *Result {
 		return pt
 	}
 
-	pts := runAll(o, []func() point{
-		func() point { return run("plain", 0) },
-		func() point { return run("failover", ejectK) },
-	})
+	names, ejects := []string{"plain", "failover"}, []int{0, ejectK}
+	pts := points(o, 2, func(i int) point { return run(names[i], ejects[i]) })
 	plain, failover := pts[0], pts[1]
 
-	rows := len(plain.times)
-	if n := len(failover.times); n < rows {
-		rows = n
-	}
+	rows := min(len(plain.times), len(failover.times))
 	tb := metrics.NewTable(
 		fmt.Sprintf("Ext: graceful degradation — mcd0 node crash at %v, reboot at %v (%s blocks, eject after %d failures)",
 			crashAt, recoverAt, fmtSize(faultRecSize), ejectK),
@@ -82,16 +78,7 @@ func ExtFault(o Options) *Result {
 	}
 
 	res := &Result{Name: "ext-fault", Table: tb}
-	peak := func(p point) float64 {
-		max := 0.0
-		for _, v := range p.latUs {
-			if v > max {
-				max = v
-			}
-		}
-		return max
-	}
-	pp, pf := peak(plain), peak(failover)
+	pp, pf := slices.Max(plain.latUs), slices.Max(failover.latUs)
 	res.Notes = append(res.Notes, note(
 		"peak interval latency during the outage: plain %.0f µs vs failover %.0f µs (%.1f× improvement)",
 		pp, pf, pp/pf))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"imca/internal/cluster"
@@ -30,10 +31,7 @@ func ExtScale(o Options) *Result {
 	)
 	// Arrivals per tenant shrink with scale like the record counts do, so
 	// smoke tests stay cheap while documented runs see a longer stream.
-	arrivals := o.records() / 8
-	if arrivals < 2 {
-		arrivals = 2
-	}
+	arrivals := max(o.records()/8, 2)
 
 	type cell struct {
 		label              string
@@ -49,13 +47,9 @@ func ExtScale(o Options) *Result {
 	}{{"0.5x", 1}, {"1x", 2}, {"2x", 4}}
 
 	cells := points(o, len(rates), func(i int) cell {
-		c := cluster.New(cluster.Options{
-			Clients:          mounts,
-			MCDs:             mcds,
-			MCDMemBytes:      scaled(6<<30, o.scale()),
-			BlockSize:        fileSize,
-			ServerCacheBytes: scaled(6<<30, o.scale()),
-		})
+		c := glusterSys("ext-scale", cluster.Options{
+			MCDs: mcds, MCDMemBytes: scaled(6<<30, o.scale()), BlockSize: fileSize,
+		}).deploy(o, mounts).cluster
 		reg := telemetry.NewRegistry()
 		c.Instrument(reg)
 
@@ -92,20 +86,13 @@ func ExtScale(o Options) *Result {
 		for _, s := range c.MCDs {
 			h := s.Store().Stats().GetHits
 			sumHits += h
-			if h > maxHits {
-				maxHits = h
-			}
+			maxHits = max(maxHits, h)
 		}
 		skew := 0.0
 		if sumHits > 0 {
 			skew = float64(maxHits) / (float64(sumHits) / float64(mcds))
 		}
-		var topKey uint64
-		for _, n := range run.KeyReads {
-			if n > topKey {
-				topKey = n
-			}
-		}
+		topKey := slices.Max(run.KeyReads)
 		cl := cell{
 			label:     rates[i].label,
 			p50:       usPerOp(run.Latency.Quantile(0.50)),

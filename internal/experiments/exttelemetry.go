@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"imca/internal/blob"
 	"imca/internal/cluster"
 	"imca/internal/gluster"
 	"imca/internal/metrics"
@@ -29,13 +28,7 @@ func ExtTelemetry(o Options) *Result {
 	)
 	records := int(fileSize / recSize)
 
-	c := cluster.New(cluster.Options{
-		Clients:          1,
-		MCDs:             1,
-		MCDMemBytes:      256 << 20,
-		BlockSize:        recSize,
-		ServerCacheBytes: scaled(6<<30, o.scale()),
-	})
+	c := glusterSys("ext-telemetry", cluster.Options{MCDs: 1, MCDMemBytes: 256 << 20, BlockSize: recSize}).deploy(o, 1).cluster
 	reg := telemetry.NewRegistry()
 	c.Instrument(reg)
 	env := c.Env
@@ -44,16 +37,7 @@ func ExtTelemetry(o Options) *Result {
 	// Produce the dataset (untimed, unsampled).
 	var fd gluster.FD
 	env.Process("ext-telemetry-write", func(p *sim.Proc) {
-		var err error
-		fd, err = fs.Create(p, "/warm/f0")
-		if err != nil {
-			panic(fmt.Sprintf("ext-telemetry: create: %v", err))
-		}
-		for off := int64(0); off < fileSize; off += recSize {
-			if _, err := fs.Write(p, fd, off, blob.Synthetic(1, off, recSize)); err != nil {
-				panic(fmt.Sprintf("ext-telemetry: write: %v", err))
-			}
-		}
+		fd = writeFile(p, fs, "ext-telemetry", "/warm/f0", fileSize, recSize)
 	})
 	env.Run()
 

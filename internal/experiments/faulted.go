@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"imca/internal/blob"
 	"imca/internal/cluster"
 	"imca/internal/fault"
 	"imca/internal/flight"
@@ -47,9 +46,8 @@ type faulted struct {
 // reader.ops.
 func faultedReads(o Options, name, run, path string, copts cluster.Options, plan *fault.Plan, window sim.Duration,
 	counters func(reg *telemetry.Registry), each func(p *sim.Proc, fs gluster.FS, fd gluster.FD, off int64)) faulted {
-	copts.Clients, copts.MCDs, copts.MCDMemBytes = 1, 2, 64<<20
-	copts.BlockSize, copts.ServerCacheBytes = faultRecSize, scaled(6<<30, o.scale())
-	c := cluster.New(copts)
+	copts.MCDs, copts.MCDMemBytes, copts.BlockSize = 2, 64<<20, faultRecSize
+	c := glusterSys(name, copts).deploy(o, 1).cluster
 	env, fs := c.Env, c.Mounts[0].FS
 	reg := telemetry.NewRegistry()
 	c.Instrument(reg)
@@ -67,13 +65,7 @@ func faultedReads(o Options, name, run, path string, copts cluster.Options, plan
 	// Produce the dataset and warm the bank (one full pass), untimed.
 	var fd gluster.FD
 	env.Process(name+"-warm", func(p *sim.Proc) {
-		var err error
-		fd, err = fs.Create(p, path)
-		check("create", err)
-		for off := int64(0); off < faultFileSize; off += faultRecSize {
-			_, err := fs.Write(p, fd, off, blob.Synthetic(1, off, faultRecSize))
-			check("write", err)
-		}
+		fd = writeFile(p, fs, name, path, faultFileSize, faultRecSize)
 		for off := int64(0); off < faultFileSize; off += faultRecSize {
 			_, err := fs.Read(p, fd, off, faultRecSize)
 			check("warm read", err)

@@ -77,8 +77,7 @@ type unreachableMark struct{}
 // unfaulted network schedules exactly the same events as one built before
 // this file existed (zero-cost abstention).
 type netFaults struct {
-	links          map[linkKey]*linkState
-	connectTimeout sim.Duration
+	links map[linkKey]*linkState
 	// newLink constructs a healthy linkState. It is a stored function
 	// value so the construction stays off the statically-audited hot
 	// chain: link() runs on every faults-enabled call, but constructs
@@ -97,9 +96,8 @@ func healthyLink() *linkState { return &linkState{latFactor: 1, bwFactor: 1} }
 func (n *Network) enableFaults() *netFaults {
 	if n.faults == nil {
 		n.faults = &netFaults{
-			links:          make(map[linkKey]*linkState),
-			connectTimeout: DefaultConnectTimeout,
-			newLink:        healthyLink,
+			links:   make(map[linkKey]*linkState),
+			newLink: healthyLink,
 		}
 	}
 	return n.faults
@@ -121,15 +119,6 @@ func (fa *netFaults) link(a, b string) *linkState {
 		fa.links[k] = ls
 	}
 	return ls
-}
-
-// SetConnectTimeout sets how long calls on a cut link wait before
-// returning ErrUnreachable.
-func (n *Network) SetConnectTimeout(d sim.Duration) {
-	if d <= 0 {
-		panic("fabric: connect timeout must be positive")
-	}
-	n.enableFaults().connectTimeout = d
 }
 
 // CutLink partitions the a↔b node pair. New calls between the pair fail

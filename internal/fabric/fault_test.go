@@ -154,21 +154,3 @@ func TestCutLinkAbortsInFlight(t *testing.T) {
 		t.Errorf("UnreachableCalls = %d, want 1", a.UnreachableCalls)
 	}
 }
-
-// TestSetConnectTimeout: the refusal delay follows the configured timeout.
-func TestSetConnectTimeout(t *testing.T) {
-	env, a, b := newPair(t, IPoIB)
-	const timeout = 3 * time.Millisecond
-	a.net.SetConnectTimeout(timeout)
-	a.net.CutLink("a", "b")
-	env.Process("client", func(p *sim.Proc) {
-		start := p.Now()
-		if _, err := a.Call(p, b, "echo", Bytes(0)); !errors.Is(err, ErrUnreachable) {
-			t.Errorf("err = %v, want ErrUnreachable", err)
-		}
-		if got := p.Now().Sub(start); got != timeout {
-			t.Errorf("refusal took %v, want %v", got, timeout)
-		}
-	})
-	env.Run()
-}

@@ -209,7 +209,7 @@ func callT(nd, dst *Node, svc *service, t *sim.Task, req Msg, k func(Msg, error)
 			// timeout. One deferred event.
 			f.sp = optrace.StartSpan(t, optrace.LayerNet, svc.op)
 			f.sp.SetAttr("to", dst.name)
-			f.env().Defer(fa.connectTimeout, f.fnCutTimeout)
+			f.env().Defer(DefaultConnectTimeout, f.fnCutTimeout)
 			return
 		}
 	}

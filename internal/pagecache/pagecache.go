@@ -296,15 +296,29 @@ func (c *Cache) InvalidateFile(ino uint64) {
 }
 
 // InvalidateRange drops cached pages overlapping [off, off+size) of ino.
+// It walks the file's resident chunks, not the range's page indexes: a
+// truncate of a sparse file covers up to 2^51 pages and holds a handful.
+// Which chunk goes first shows nowhere — the pages that stay keep their
+// LRU order, and recycled nodes are interchangeable.
 func (c *Cache) InvalidateRange(ino uint64, off, size int64) {
-	if size <= 0 {
+	f := c.files[ino]
+	if size <= 0 || f == nil {
 		return
 	}
 	lo, hi := c.pageSpan(off, size)
-	for idx := lo; idx < hi; idx++ {
-		if pg := c.find(ino, idx); pg != nil {
-			c.removePage(pg)
+	drop := func(ch *chunk) {
+		for _, pg := range ch.slots {
+			if pg != nil && lo <= pg.idx && pg.idx < hi {
+				c.removePage(pg)
+			}
 		}
+	}
+	if len(f.chunks) == 0 {
+		drop(f.last) // a file with no chunk map has exactly this chunk
+		return
+	}
+	for _, ch := range f.chunks {
+		drop(ch)
 	}
 }
 

@@ -125,6 +125,27 @@ func TestInvalidateRange(t *testing.T) {
 	}
 }
 
+// TestInvalidateRangeSparse: the cost follows the resident pages, not the
+// range — probing 2^47 absent page indexes one by one would not return.
+func TestInvalidateRangeSparse(t *testing.T) {
+	c := New(1<<20, 4096)
+	const idx = int64(1) << 47
+	c.Insert(1, idx*4096, 4096)
+	c.Insert(2, 0, 4096)
+	c.InvalidateRange(1, 10, idx*4096+4096-10)
+	if c.Contains(1, idx*4096, 4096) {
+		t.Error("page at index 2^47 survived the invalidation of its range")
+	}
+	c.InvalidateRange(2, 4096, 1<<60)
+	if !c.Contains(2, 0, 4096) {
+		t.Error("page below the range lost")
+	}
+	c.InvalidateRange(2, 0, 1<<60)
+	if c.Used() != 0 {
+		t.Errorf("used = %d, want 0", c.Used())
+	}
+}
+
 func TestClear(t *testing.T) {
 	c := New(1<<20, 4096)
 	c.Insert(1, 0, 64*4096)

@@ -15,8 +15,13 @@
 //
 // -parallel N runs up to N experiment points (figure cells, each its own
 // isolated simulation) concurrently on the host; 0 means one worker per
-// core. Tables, notes, and traces are byte-identical to a serial run —
+// core. Tables, claims, and traces are byte-identical to a serial run —
 // only the wall clock changes.
+//
+// Under each table the figure's claims print one per line, each with the
+// status the run gives it (reproduced, deviates citing a known deviation,
+// or UNEXPLAINED), and the output ends with the scorecard of every claim
+// printed.
 //
 // Five flags select what is printed after each figure's table, and any of
 // them makes the run an observed one (experiments.Options.Observe: selected
@@ -113,6 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var tracedOps []*optrace.Op
 	var tracks []telemetry.CounterTrack
+	var claims []experiments.Claim
 	runExp := func(e experiments.Experiment) {
 		start := time.Now() //imcalint:allow wallclock host-side: reports how long the simulation took to execute
 		res := e.Run(opts)
@@ -132,9 +138,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout)
 			res.Table.Plot(stdout, 16)
 		}
-		for _, n := range res.Notes {
-			fmt.Fprintf(stdout, "note: %s\n", n)
+		for _, c := range res.Claims {
+			fmt.Fprintln(stdout, c)
 		}
+		claims = append(claims, res.Claims...)
 		if *brk {
 			for _, nb := range res.Breakdowns {
 				fmt.Fprintf(stdout, "\n-- %s --\n", nb.Title)
@@ -185,6 +192,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "\nwrote %d traced op(s) and %d counter track(s) to %s\n", len(tracedOps), len(tracks), *trOut)
 	}
+	fmt.Fprintf(stdout, "\n== scorecard ==\n%s\n", experiments.Scorecard(claims))
 
 	if *memProf != "" {
 		f, err := os.Create(*memProf)

@@ -1,5 +1,5 @@
 // Command imcareport runs experiments and renders the full result — every
-// table, note, per-layer breakdown, telemetry dump, latency timeline, and
+// table, claim, per-layer breakdown, telemetry dump, latency timeline, and
 // flight-recorder dump — into one static, self-contained HTML page.
 //
 // Usage:

@@ -1,19 +1,32 @@
 // Package experiments regenerates every table and figure in the paper's
-// evaluation (§5). Each experiment builds fresh simulated deployments,
-// drives them with the workload package, and reports a metrics.Table whose
-// rows and series match the corresponding figure.
+// evaluation (§5) and the extensions beyond it, and judges each against what
+// is claimed about it. Each experiment builds fresh simulated deployments,
+// drives them with the workload package, and returns a metrics.Table whose
+// rows and series match the figure, with the figure's claims.
+//
+// Claims: each statement about a figure is one Claim, declared once beside
+// the figure and computed from its finished table (claims.go). An ordering
+// reproduces iff it holds; a number iff it is within ±25 % of the paper's,
+// the one tolerance. A claim known to deviate carries a Why citing an entry
+// of EXPERIMENTS.md's Known deviations. Scorecard sums a run into claims
+// reproduced, deviating and unexplained, and the simulation error
+// Σ|ln(measured/paper)|.
 //
 // Scale: the paper's full parameters (262144 files, 64 clients, 1 GB
 // files, 6 GB MCDs) are divided by the Scale option so quick runs finish
-// in seconds; Scale 1 reproduces the full workload. Results are virtual
-// time, so scaling shrinks the workload without changing who wins or where
-// crossovers fall — only absolute magnitudes.
+// in seconds; Scale 1 reproduces the full workload. Scaling keeps the
+// memory:working-set ratios but not every ordering: fig6b's "NoCache beats
+// IMCa-256 at 128K" holds at scale 16 and fails at 1024, and fig9's and
+// fig10's headline orderings fail at 4096. Scale 16 is the reference run
+// (results_scale16.txt); the claims that flip cite deviation 8, and ROADMAP
+// [scale] is where scale invariance becomes a tested property.
 //
 // Declarations: a table-shaped figure is a value (grid.go) — rows crossed
 // with systems, each system a column name plus the one recipe that deploys
-// it, a shared cell or whole-column measurement, and notes computed from
-// the finished table. Observation is declared per column. To add a column,
-// add one system value. The five time-series experiments keep their drivers.
+// it, a shared cell or whole-column measurement, and claims computed from
+// the finished table. Its registry entry holds the declaration. Observation
+// is declared per column. To add a column, add one system value. The five
+// time-series experiments keep their drivers and state their claims there.
 //
 // Workers: each experiment declares its figure cells as a list of
 // independent points, every one building its own sim.Env and deployment;
@@ -46,7 +59,7 @@ type Options struct {
 	// (Breakdowns, Telemetry, Ops, Timelines, Flight, Tracks). imcareport
 	// always sets it; imcabench sets it when any of its print flags is
 	// given. Observation costs no virtual time and schedules nothing:
-	// tables and notes are byte-identical with it on or off.
+	// tables and claims are byte-identical with it on or off.
 	Observe bool
 	// Workers bounds how many experiment points (figure cells — each an
 	// isolated sim.Env with its own cluster and workload) run
@@ -92,9 +105,8 @@ func (o Options) records() int {
 type Result struct {
 	Name  string
 	Table *metrics.Table
-	// Notes are headline observations computed from the table, mirroring
-	// the claims the paper makes about the figure.
-	Notes []string
+	// Claims are the statements made about the figure, judged against Table.
+	Claims []Claim
 	// The remaining fields are what Options.Observe attaches, each present
 	// on the experiments that support it (ext-breakdown's Breakdowns are
 	// its subject and always present).
@@ -155,38 +167,44 @@ type Experiment struct {
 	Name        string
 	Description string
 	Run         Runner
+	decl        func(Options) figure // what Run runs; nil for the five time-series experiments
+}
+
+// grid is the registry entry of a declared figure.
+func grid(name, description string, decl func(Options) figure) Experiment {
+	return Experiment{name, description, func(o Options) *Result { return decl(o).run(o) }, decl}
 }
 
 // Registry lists every reproducible figure in paper order.
 var Registry = []Experiment{
-	{"fig1a", "NFS multi-client IOzone read bandwidth, 4 GB server memory (motivation)", Fig1a},
-	{"fig1b", "NFS multi-client IOzone read bandwidth, 8 GB server memory (motivation)", Fig1b},
-	{"fig5", "Stat time vs. clients: NoCache, MCD(1/2/4/6), Lustre-4DS", Fig5},
-	{"fig6a", "Single-client read latency vs. record size (small), IMCa block sizes + Lustre", Fig6a},
-	{"fig6b", "Single-client read latency vs. record size (large)", Fig6b},
-	{"fig6c", "Single-client write latency: NoCache vs. IMCa inline vs. threaded", Fig6c},
-	{"fig7a", "32-client read latency (small records), 1/2/4 MCDs vs. Lustre", Fig7a},
-	{"fig7b", "32-client read latency (medium records), 1/2/4 MCDs vs. Lustre", Fig7b},
-	{"fig8a", "Read latency vs. clients, 1 MCD, 64 B records", Fig8a},
-	{"fig8b", "Read latency vs. clients, 1 MCD, 1 KB records", Fig8b},
-	{"fig8c", "Read latency vs. clients, 1 MCD, 8 KB records", Fig8c},
-	{"fig8d", "Read latency vs. clients, 1 MCD, 64 KB records", Fig8d},
-	{"fig9", "IOzone read throughput vs. threads, 1/2/4 MCDs (round-robin) vs. NoCache and Lustre-1DS", Fig9},
-	{"fig10", "Shared-file read latency vs. clients, 1 MCD vs. NoCache and Lustre-1DS cold", Fig10},
+	grid("fig1a", "NFS multi-client IOzone read bandwidth, 4 GB server memory (motivation)", fig1a),
+	grid("fig1b", "NFS multi-client IOzone read bandwidth, 8 GB server memory (motivation)", fig1b),
+	grid("fig5", "Stat time vs. clients: NoCache, MCD(1/2/4/6), Lustre-4DS", fig5Full),
+	grid("fig6a", "Single-client read latency vs. record size (small), IMCa block sizes + Lustre", fig6a),
+	grid("fig6b", "Single-client read latency vs. record size (large)", fig6b),
+	grid("fig6c", "Single-client write latency: NoCache vs. IMCa inline vs. threaded", fig6c),
+	grid("fig7a", "32-client read latency (small records), 1/2/4 MCDs vs. Lustre", fig7a),
+	grid("fig7b", "32-client read latency (medium records), 1/2/4 MCDs vs. Lustre", fig7b),
+	grid("fig8a", "Read latency vs. clients, 1 MCD, 64 B records", fig8a),
+	grid("fig8b", "Read latency vs. clients, 1 MCD, 1 KB records", fig8b),
+	grid("fig8c", "Read latency vs. clients, 1 MCD, 8 KB records", fig8c),
+	grid("fig8d", "Read latency vs. clients, 1 MCD, 64 KB records", fig8d),
+	grid("fig9", "IOzone read throughput vs. threads, 1/2/4 MCDs (round-robin) vs. NoCache and Lustre-1DS", fig9),
+	grid("fig10", "Shared-file read latency vs. clients, 1 MCD vs. NoCache and Lustre-1DS cold", fig10),
 	// The paper's §7 future-work directions, implemented as extensions.
-	{"ext-rdma", "Extension (§7): RDMA transport for the cache bank vs IPoIB", ExtRDMA},
-	{"ext-hash", "Extension (§7): key distribution — CRC32 vs modulo vs ketama consistent hashing", ExtHash},
-	{"ext-lustre", "Extension (§7): cache bank on Lustre via client-populated CMCache", ExtLustre},
-	{"ext-sharing", "Extension (§7): coherent client cache vs cache bank under write/read sharing", ExtSharing},
-	{"ext-smallfile", "Extension (§3): small-file workload; the purge-on-open trade-off", ExtSmallFiles},
-	{"ext-mdtest", "Extension (§5.2): mdtest-style create/stat/unlink metadata rates", ExtMDTest},
-	{"ext-bricks", "Extension (§2.1): scaling by storage bricks vs scaling by cache nodes", ExtBricks},
-	{"ext-breakdown", "Extension (§6): per-layer latency decomposition of one warm read at each block size", ExtBreakdown},
-	{"ext-telemetry", "Extension (§6): MCD-bank vs server-pagecache hit rate over virtual time during warm-up", ExtTelemetry},
-	{"ext-fault", "Extension (§4.4): graceful degradation through a cache-node crash, with and without client failover", ExtFault},
-	{"ext-scale", "Extension: 10k open-loop tenants on the task engine — tail latency, bank hit rate, hot-key skew", ExtScale},
-	{"ext-degrade", "Extension: R=2 bank replication through an MCD crash, partition, and gray node, vs the single-copy bank", ExtDegrade},
-	{"fig5-short", "Stat benchmark, stratified 1/8 sample: the full fig5 matrix at ~1/8 the events", Fig5Short},
+	grid("ext-rdma", "Extension (§7): RDMA transport for the cache bank vs IPoIB", extRDMA),
+	grid("ext-hash", "Extension (§7): key distribution — CRC32 vs modulo vs ketama consistent hashing", extHash),
+	grid("ext-lustre", "Extension (§7): cache bank on Lustre via client-populated CMCache", extLustre),
+	grid("ext-sharing", "Extension (§7): coherent client cache vs cache bank under write/read sharing", extSharing),
+	grid("ext-smallfile", "Extension (§3): small-file workload; the purge-on-open trade-off", extSmallFiles),
+	grid("ext-mdtest", "Extension (§5.2): mdtest-style create/stat/unlink metadata rates", extMDTest),
+	grid("ext-bricks", "Extension (§2.1): scaling by storage bricks vs scaling by cache nodes", extBricks),
+	{"ext-breakdown", "Extension (§6): per-layer latency decomposition of one warm read at each block size", ExtBreakdown, nil},
+	{"ext-telemetry", "Extension (§6): MCD-bank vs server-pagecache hit rate over virtual time during warm-up", ExtTelemetry, nil},
+	{"ext-fault", "Extension (§4.4): graceful degradation through a cache-node crash, with and without client failover", ExtFault, nil},
+	{"ext-scale", "Extension: 10k open-loop tenants on the task engine — tail latency, bank hit rate, hot-key skew", ExtScale, nil},
+	{"ext-degrade", "Extension: R=2 bank replication through an MCD crash, partition, and gray node, vs the single-copy bank", ExtDegrade, nil},
+	grid("fig5-short", "Stat benchmark, stratified 1/8 sample: the full fig5 matrix at ~1/8 the events", fig5Short),
 }
 
 // Find returns the experiment with the given name.
@@ -232,8 +250,6 @@ func fmtSize(n int64) string {
 		return fmt.Sprintf("%d", n)
 	}
 }
-
-func note(format string, args ...interface{}) string { return fmt.Sprintf(format, args...) }
 
 // timelineQuantiles are the percentile traces every experiment timeline
 // carries, matching the paper's tail-latency presentation.

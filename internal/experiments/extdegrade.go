@@ -122,19 +122,18 @@ func ExtDegrade(o Options) *Result {
 		}
 		return total
 	}
-	res.Notes = append(res.Notes, note(
-		"bank hit rate inside the fault windows: single-copy %.3f vs replicated %.3f",
-		faultWindow(single), faultWindow(repl)))
-	res.Notes = append(res.Notes, note(
-		"brick daemon absorbed %d reads single-copy vs %d replicated over the %v window",
-		int64(brickTotal(single)), int64(brickTotal(repl)), window))
-	res.Notes = append(res.Notes, note(
+	res.order("before the first fault both banks behave alike", single.p99Us[0] == repl.p99Us[0],
+		"first interval read p99: R=1 %.0f µs, R=2 %.0f µs", single.p99Us[0], repl.p99Us[0])
+	res.order("a second copy keeps the bank answering through the faults", faultWindow(repl) > faultWindow(single),
+		"bank hit rate inside the fault windows: single-copy %.3f vs replicated %.3f", faultWindow(single), faultWindow(repl))
+	res.order("the replicated bank sheds less load to the brick", brickTotal(repl) < brickTotal(single),
+		"brick daemon absorbed %.0f reads single-copy vs %.0f replicated over the %v window", brickTotal(single), brickTotal(repl), window)
+	rb := repl.bank
+	res.order("reads fail over to the copy, and suspicion catches the gray node", rb.Failovers > 0 && rb.Suspects > 0,
 		"replicated client: %d failovers, %d suspects, %d suspect clears, %d ejects; single-copy client: %d ejects, %d suspects",
-		repl.bank.Failovers, repl.bank.Suspects, repl.bank.SuspectClears, repl.bank.Ejects,
-		single.bank.Ejects, single.bank.Suspects))
-	res.Notes = append(res.Notes, note(
-		"reads completed in the window: single-copy %d, replicated %d",
-		single.reads, repl.reads))
+		rb.Failovers, rb.Suspects, rb.SuspectClears, rb.Ejects, single.bank.Ejects, single.bank.Suspects)
+	res.order("the replicated client completes more reads", repl.reads > single.reads,
+		"reads completed in the window: single-copy %d, replicated %d", single.reads, repl.reads)
 	if o.Observe {
 		single.attach(res, "ext-degrade single-copy", false)
 		repl.attach(res, "ext-degrade replicated", true)

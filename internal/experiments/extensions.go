@@ -17,12 +17,10 @@ import (
 // testbed. ext-smallfile, ext-mdtest and ext-bricks extend §3, §5.2 and
 // §2.1. All seven are declarations (see grid.go).
 
-// ExtRDMA measures single-client read latency of the full IMCa stack when
+// extRDMA measures single-client read latency of the full IMCa stack when
 // the interconnect is native RDMA rather than IPoIB — quantifying the
 // paper's conjecture that RDMA "can help reduce the overhead of the cache
 // bank".
-func ExtRDMA(o Options) *Result { return extRDMA(o).run(o) }
-
 func extRDMA(o Options) figure {
 	over := func(name string, tr fabric.Transport) system {
 		return glusterSys(name, cluster.Options{Transport: tr, MCDs: 2, MCDMemBytes: o.mcdMemForLatency()})
@@ -34,21 +32,19 @@ func extRDMA(o Options) figure {
 		clients: 1,
 		systems: []system{over("IMCa/IPoIB", fabric.IPoIB), over("IMCa/RDMA", fabric.RDMA)},
 		column:  readLatency,
-		notes: func(f *filled) {
-			f.note("1-byte read: RDMA cuts %.0f%% off the IPoIB cache-bank latency",
-				f.cut(0, "IMCa/IPoIB", "IMCa/RDMA"))
-			f.note("64K read: RDMA cuts %.0f%% (bandwidth + per-byte host CPU both improve)",
-				f.cut(f.end(), "IMCa/IPoIB", "IMCa/RDMA"))
+		claims: func(f *filled) {
+			f.order("RDMA can help reduce the overhead of the cache bank (§7)",
+				f.everyRow(func(i int) bool { return f.Value(i, "IMCa/RDMA") < f.Value(i, "IMCa/IPoIB") }),
+				"RDMA below IPoIB at every record size: %.0f%% off at 1 byte, %.0f%% at %s",
+				f.cut(0, "IMCa/IPoIB", "IMCa/RDMA"), f.cut(f.end(), "IMCa/IPoIB", "IMCa/RDMA"), f.lastX())
 		},
 	}
 }
 
-// ExtHash compares key-distribution algorithms for the bank: the default
+// extHash compares key-distribution algorithms for the bank: the default
 // CRC32, the static block modulo, and ketama consistent hashing — plus the
 // resize stability (fraction of keys that move when the bank grows by one
 // daemon), which is consistent hashing's raison d'être.
-func ExtHash(o Options) *Result { return extHash(o).run(o) }
-
 func extHash(o Options) figure {
 	fileSize := scaled(256<<20, o.scale())
 	keys := make([]string, 4096)
@@ -80,21 +76,20 @@ func extHash(o Options) figure {
 				100 * memcache.MovedKeys(tb.cluster.Opts.Selector, keys, 4),
 			}, traces{}
 		},
-		notes: func(f *filled) {
-			f.note("throughput is distribution-insensitive once batches span the bank: %.0f / %.0f / %.0f MB/s",
-				f.Value(tput, "CRC32"), f.Value(tput, "Modulo"), f.Value(tput, "Ketama"))
-			f.note("resize stability: ketama moves %.0f%% of keys vs %.0f%% for CRC32 modulo",
-				f.Value(moved, "Ketama"), f.Value(moved, "CRC32"))
+		claims: func(f *filled) {
+			crc, mod, ket := f.Value(tput, "CRC32"), f.Value(tput, "Modulo"), f.Value(tput, "Ketama")
+			f.order("read throughput does not depend on the key distribution once batches span the bank",
+				near(max(crc, mod, ket), min(crc, mod, ket)), "read MB/s: CRC32 %.0f, Modulo %.0f, Ketama %.0f", crc, mod, ket)
+			f.order("consistent hashing moves under half the keys a modulo hash moves when the bank grows", f.Value(moved, "Ketama") < f.Value(moved, "CRC32")/2,
+				"bank grow 4->5: ketama moves %.0f%% of keys vs %.0f%% for CRC32 modulo", f.Value(moved, "Ketama"), f.Value(moved, "CRC32"))
 		},
 	}
 }
 
-// ExtLustre attaches the cache bank to Lustre with the client-populated
+// extLustre attaches the cache bank to Lustre with the client-populated
 // CMCache and repeats the shared-file experiment (Fig 10's workload):
 // readers of a just-written file are served by the bank instead of the
 // OSTs.
-func ExtLustre(o Options) *Result { return extLustre(o).run(o) }
-
 func extLustre(o Options) figure {
 	return figure{
 		name: "ext-lustre", title: "Extension: cache bank on Lustre (client-populated CMCache), shared file",
@@ -102,19 +97,16 @@ func extLustre(o Options) figure {
 		rows:    []int64{2, 4, 8, 16, 32},
 		systems: []system{lustreSys("Lustre-1DS(Cold)", 1, true), bankOnLustreSys("Lustre+IMCa(2MCD)")},
 		cell:    recordRead(4096, true),
-		notes: func(f *filled) {
-			f.note("at %s clients the bank cuts Lustre cold shared-read latency %.0f%%",
-				f.lastX(), f.cut(f.end(), "Lustre-1DS(Cold)", "Lustre+IMCa(2MCD)"))
+		claims: func(f *filled) {
+			f.rising("the cache servers may be integrated into a file system such as Lustre (§7)", f.end(), "Lustre+IMCa(2MCD)", "Lustre-1DS(Cold)")
 		},
 	}
 }
 
-// ExtSharing compares the two caching strategies the paper's §7 asks
+// extSharing compares the two caching strategies the paper's §7 asks
 // about under repeated read/write sharing: Lustre's coherent client cache
 // pays a revocation per writer update and a refetch per reader, while the
 // intermediate bank absorbs both.
-func ExtSharing(o Options) *Result { return extSharing(o).run(o) }
-
 func extSharing(o Options) figure {
 	const lus, imca = "Lustre(coherent client cache)", "IMCa(2MCD)"
 	return figure{
@@ -126,14 +118,8 @@ func extSharing(o Options) figure {
 			glusterSys(imca, cluster.Options{MCDs: 2, MCDMemBytes: o.mcdMemForLatency()}),
 		},
 		cell: sharingRounds,
-		notes: func(f *filled) {
-			a, b := f.last(lus), f.last(imca)
-			ratio, word := b/a, "slower"
-			if b < a {
-				ratio, word = a/b, "faster"
-			}
-			f.note("at %s clients, bank reads are %.1fx %s than the coherent client cache's", f.lastX(), ratio, word)
-			f.note("every writer round revokes all reader caches in Lustre; the bank absorbs the update instead")
+		claims: func(f *filled) {
+			f.rising("under write/read sharing the bank outscales a coherent client cache (§7)", f.end(), imca, lus)
 		},
 	}
 }
@@ -181,14 +167,12 @@ func sharingRounds(_ Options, tb testbed, _ int64) float64 {
 	return usPerOp(readTime / sim.Duration(rounds*nc))
 }
 
-// ExtSmallFiles evaluates the paper's §3 small-file motivation and, in the
+// extSmallFiles evaluates the paper's §3 small-file motivation and, in the
 // process, quantifies a consequence of IMCa's purge-on-open rule: with
 // per-access open/read/close (the classic web-object pattern), every open
 // purges the file's cached blocks, so the bank cannot help — it even adds
 // the miss round trip. With persistent handles, the hot set is served
 // almost entirely by the bank.
-func ExtSmallFiles(o Options) *Result { return extSmallFiles(o).run(o) }
-
 func extSmallFiles(o Options) figure {
 	files := max(4096/o.scale(), 64)
 	accesses := max(131072/o.scale(), 512)
@@ -211,22 +195,18 @@ func extSmallFiles(o Options) figure {
 			})
 			return usPerOp(res.AvgAccess)
 		},
-		notes: func(f *filled) {
-			f.note("persistent handles: the bank cuts small-file access latency %.0f%%",
-				f.cut(kept, "NoCache", "IMCa(4MCD)"))
-			f.note("open-per-access: purge-on-open defeats the bank (%.0f vs %.0f µs) — the cost of IMCa's conservative open-coherency rule",
-				f.Value(reopen, "IMCa(4MCD)"), f.Value(reopen, "NoCache"))
+		claims: func(f *filled) {
+			f.rising("the bank serves a hot set of small files (§3)", kept, "IMCa(4MCD)", "NoCache")
+			f.rising("open purges a file's cached blocks (§4.4), so open-per-access defeats the bank", reopen, "NoCache", "IMCa(4MCD)")
 		},
 	}
 }
 
-// ExtMDTest extends the paper's stat benchmark (§5.2) to the full metadata
+// extMDTest extends the paper's stat benchmark (§5.2) to the full metadata
 // life cycle with an mdtest-style create/stat/unlink sweep: stat is where
 // the bank shines; create and unlink pass through to the server (the paper
 // sees "not much potential for cache based optimizations" there) and gain
 // nothing — but must not regress either, beyond the purge bookkeeping.
-func ExtMDTest(o Options) *Result { return extMDTest(o).run(o) }
-
 func extMDTest(o Options) figure {
 	files := max(16384/o.scale(), 64)
 	const clients = 16
@@ -250,22 +230,20 @@ func extMDTest(o Options) figure {
 			})
 			return []float64{res.CreatePerSec, res.StatPerSec, res.UnlinkPerSec}, traces{}
 		},
-		notes: func(f *filled) {
-			f.note("stat: the bank multiplies rate %.1fx over NoCache (creates pre-populate the stat keys)",
-				ratio(f, stat))
-			f.note("create: %.2fx of NoCache; unlink: %.2fx (pass-through ops, purge bookkeeping only)",
-				ratio(f, create), ratio(f, unlink))
+		claims: func(f *filled) {
+			f.order("stat is where the bank helps (§5.2)", ratio(f, stat) > 1,
+				"stat: the bank multiplies rate %.1fx over NoCache (creates pre-populate the stat keys)", ratio(f, stat))
+			f.order("not much potential for cache based optimizations in create and unlink (§5.2)", near(ratio(f, create), 1) && near(ratio(f, unlink), 1),
+				"create: %.2fx of NoCache; unlink: %.2fx (pass-through ops, purge bookkeeping only)", ratio(f, create), ratio(f, unlink))
 		},
 	}
 }
 
-// ExtBricks contrasts the two ways of scaling a GlusterFS deployment's
+// extBricks contrasts the two ways of scaling a GlusterFS deployment's
 // read bandwidth: adding storage bricks (the §2.1 design: distribute the
 // namespace over more servers) versus adding cache nodes in front of one
 // server (the paper's proposal). Both multiply aggregate bandwidth; the
 // bank does it without re-provisioning storage.
-func ExtBricks(o Options) *Result { return extBricks(o).run(o) }
-
 func extBricks(o Options) figure {
 	fileSize := scaled(256<<20, o.scale())
 	return figure{
@@ -281,11 +259,9 @@ func extBricks(o Options) figure {
 			}),
 		},
 		cell: streamRead(fileSize, fileSize/16),
-		notes: func(f *filled) {
-			f.note("at %s threads: 4 bricks reach %.0f MB/s; 4 MCDs in front of one brick reach %.0f MB/s",
-				f.lastX(), f.last("4 bricks"), f.last("1 brick + 4 MCDs"))
-			f.note("brick scaling 1->4 at %s threads: %.1fx; cache-node scaling achieves %.1fx without new storage",
-				f.lastX(), f.last("4 bricks")/f.last("1 brick"), f.last("1 brick + 4 MCDs")/f.last("1 brick"))
+		claims: func(f *filled) {
+			f.rising("cache nodes scale read bandwidth past what more bricks give, without new storage (§2.1)",
+				f.end(), "1 brick", "4 bricks", "1 brick + 4 MCDs")
 		},
 	}
 }

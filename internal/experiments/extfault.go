@@ -79,16 +79,16 @@ func ExtFault(o Options) *Result {
 
 	res := &Result{Name: "ext-fault", Table: tb}
 	pp, pf := slices.Max(plain.latUs), slices.Max(failover.latUs)
-	res.Notes = append(res.Notes, note(
-		"peak interval latency during the outage: plain %.0f µs vs failover %.0f µs (%.1f× improvement)",
-		pp, pf, pp/pf))
-	res.Notes = append(res.Notes, note(
+	res.order("before the crash both clients behave alike", plain.latUs[0] == failover.latUs[0],
+		"first interval: plain %.0f µs, failover %.0f µs", plain.latUs[0], failover.latUs[0])
+	res.order("a dead cache node costs a client only the way to the file system directly (§4.4)", pp > pf,
+		"peak interval latency during the outage: plain %.0f µs vs failover %.0f µs (%.1f× improvement)", pp, pf, pp/pf)
+	fb := failover.bank
+	res.order("the failover client ejects the dead daemon and readmits it after the reboot", fb.Ejects > 0 && fb.Readmits > 0,
 		"failover client: %d ejects, %d fast-fails, %d probes, %d readmits; plain client: %d unreachable calls",
-		failover.bank.Ejects, failover.bank.FastFails, failover.bank.Probes, failover.bank.Readmits,
-		plain.bank.Unreachables))
-	res.Notes = append(res.Notes, note(
-		"reads completed in the %v window: plain %d, failover %d",
-		window, plain.reads, failover.reads))
+		fb.Ejects, fb.FastFails, fb.Probes, fb.Readmits, plain.bank.Unreachables)
+	res.order("failover completes more reads through the outage", failover.reads > plain.reads,
+		"reads completed in the %v window: plain %d, failover %d", window, plain.reads, failover.reads)
 	if o.Observe {
 		plain.attach(res, "ext-fault plain client", false)
 		failover.attach(res, "ext-fault failover client", true)

@@ -38,7 +38,6 @@ func ExtScale(o Options) *Result {
 		p50, p95, p99      float64
 		hitRate, skew, top float64
 		issued, completed  uint64
-		samples            int
 		timeline           Timeline
 	}
 	rates := []struct {
@@ -103,7 +102,6 @@ func ExtScale(o Options) *Result {
 			top:       float64(topKey) / float64(run.Issued),
 			issued:    run.Issued,
 			completed: run.Completed,
-			samples:   len(smp.Times()),
 		}
 		if o.Observe {
 			cl.timeline = timelineFrom(smp, start,
@@ -123,12 +121,21 @@ func ExtScale(o Options) *Result {
 
 	res := &Result{Name: "ext-scale", Table: tb}
 	last := cells[len(cells)-1]
-	res.Notes = append(res.Notes,
-		note("%d tenants × %d arrivals per rate; every arrival completed (%d issued = %d completed at 2x)",
-			tenants, arrivals, last.issued, last.completed),
-		note("hottest file drew %.1f%% of arrivals; hottest daemon served %.2fx the bank mean",
-			last.top*100, last.skew),
-		note("tail sampled on the telemetry tick: %d samples at the 2x rate", last.samples))
+	complete, tail, falling, skewed := true, true, true, true
+	for i, c := range cells {
+		complete = complete && c.issued == uint64(tenants*arrivals) && c.completed == c.issued
+		tail = tail && 0 < c.p50 && c.p50 <= c.p95 && c.p95 <= c.p99 && (i == 0 || c.p50 > cells[i-1].p50)
+		falling = falling && 0 < c.hitRate && c.hitRate <= 1 && (i == 0 || c.hitRate < cells[i-1].hitRate)
+		skewed = skewed && c.skew > 1
+	}
+	res.order("an open loop offers every arrival whatever the service time, and each completes", complete,
+		"%d tenants × %d arrivals per rate: %d issued, %d completed at 2x", tenants, arrivals, last.issued, last.completed)
+	res.order("offered load past capacity grows the tail instead of throttling the generator", tail,
+		"p50 grows with the offered rate, %.0f -> %.0f µs, and p50 ≤ p95 ≤ p99 at every rate", cells[0].p50, last.p50)
+	res.order("the bank hit rate falls as concurrent misses outrun SMCache's pushes", falling,
+		"bank hit rate %.3f at 0.5x -> %.3f at 2x", cells[0].hitRate, last.hitRate)
+	res.order("uniform key distribution does not make traffic uniform", skewed,
+		"hottest file drew %.1f%% of arrivals; hottest daemon served %.2fx the bank mean at 2x", last.top*100, last.skew)
 	if o.Observe {
 		// Rebuilding the dump here would need the last cell's registry;
 		// report the bank totals instead, which is what the figure is

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"imca/internal/cluster"
@@ -83,6 +84,7 @@ func ExtTelemetry(o Options) *Result {
 	}
 
 	res := &Result{Name: "ext-telemetry", Table: tb}
+	last := len(times) - 1
 	cross := -1
 	for i := range times {
 		if bankServed[i] > pageLookups[i] && bankServed[i] > 0 {
@@ -90,16 +92,18 @@ func ExtTelemetry(o Options) *Result {
 			break
 		}
 	}
+	handoff, after := "it never overtakes the server within the run", 0.0
 	if cross >= 0 {
-		res.Notes = append(res.Notes, note(
-			"bank overtakes the server at %v: %.0f bank hits vs %.0f pagecache lookups in that interval",
-			times[cross], bankServed[cross], pageLookups[cross]))
-	} else {
-		res.Notes = append(res.Notes, note("bank never overtakes the server within the run"))
+		for _, v := range pageLookups[cross+1:] {
+			after += v
+		}
+		handoff = fmt.Sprintf("it overtakes the server at %v: %.0f bank hits vs %.0f pagecache lookups in that interval, %.0f after",
+			times[cross], bankServed[cross], pageLookups[cross], after)
 	}
-	res.Notes = append(res.Notes,
-		note("final cumulative hit rates: bank %.3f (→ %d/%d passes warm), pagecache %.3f",
-			bankRate[len(bankRate)-1], passes-1, passes, pageRate[len(pageRate)-1]))
+	res.order("early reads fall through to the server; as SMCache pushes blocks, the bank takes over and server traffic stops (§6)",
+		bankRate[0] == 0 && cross >= 0 && after == 0, "bank hit rate %.3f in the first interval; %s", bankRate[0], handoff)
+	res.order("every pass after the first is served by the bank", slices.IsSorted(bankRate) && near(bankRate[last], float64(passes-1)/passes),
+		"cumulative bank hit rate climbs monotonically to %.3f (%d/%d passes warm); pagecache %.3f", bankRate[last], passes-1, passes, pageRate[last])
 	if o.Observe {
 		res.Telemetry = append(res.Telemetry, NamedDump{Title: "ext-telemetry final counters", Text: textOf(reg.Dump)})
 		res.Timelines = append(res.Timelines, timelineFrom(smp, start,

@@ -9,31 +9,36 @@ import (
 )
 
 // Fig1a reproduces the motivation figure with 4 GB of server memory.
-func Fig1a(o Options) *Result { return fig1(o, 4<<30, "fig1a").run(o) }
+func Fig1a(o Options) *Result { return fig1a(o).run(o) }
 
 // Fig1b reproduces the motivation figure with 8 GB of server memory.
-func Fig1b(o Options) *Result { return fig1(o, 8<<30, "fig1b").run(o) }
+func Fig1b(o Options) *Result { return fig1b(o).run(o) }
+
+func fig1a(o Options) figure { return fig1(o, 4<<30, "fig1a", "") }
+func fig1b(o Options) figure { return fig1(o, 8<<30, "fig1b", devScale) }
 
 // fig1 measures multi-client IOzone read bandwidth against a single NFS
 // server for each transport. Every client streams its own 1 GB file; as
 // the aggregate working set outgrows the server's page cache, reads fall
 // back to the disk array and bandwidth collapses — the paper's case for an
-// intermediate cache tier.
-func fig1(o Options, serverMem int64, name string) figure {
+// intermediate cache tier. why is the known deviation of its cliff claim.
+func fig1(o Options, serverMem int64, name, why string) figure {
 	fileSize := scaled(1<<30, o.scale())
 	mem := scaled(serverMem, o.scale())
+	const maxClients = 8
 	return figure{
 		name:  name,
 		title: fmt.Sprintf("Fig 1 (%s): NFS IOzone read bandwidth, server memory %s", name, fmtSize(serverMem)),
 		x:     "clients", y: "aggregate MB/s",
-		rows:    []int64{1, 2, 4, 8},
+		rows:    []int64{1, 2, 4, maxClients},
 		systems: []system{nfsSys(fabric.RDMA, mem), nfsSys(fabric.IPoIB, mem), nfsSys(fabric.GigE, mem)},
 		cell:    streamRead(fileSize, fileSize/16),
-		notes: func(f *filled) {
-			f.note("at %s clients: RDMA %.0f MB/s, IPoIB %.0f MB/s, GigE %.0f MB/s",
-				f.lastX(), f.last("RDMA"), f.last("IPoIB"), f.last("GigE"))
-			f.note("working set at max clients = %s x %s vs server memory %s",
-				f.lastX(), fmtSize(fileSize), fmtSize(mem))
+		claims: func(f *filled) {
+			f.rising("NFS/RDMA ≫ IPoIB ≫ GigE while the working set fits server RAM", 0, "GigE", "IPoIB", "RDMA")
+			lead := f.last("RDMA") / f.last("IPoIB")
+			f.order("RDMA's advantage collapses toward disk speed once the working set outgrows server RAM; more RAM delays the cliff",
+				(maxClients*fileSize > mem) == near(lead, 1), "at %d clients, a %d x %s working set vs %s of server memory: RDMA/IPoIB %.2fx",
+				maxClients, maxClients, fmtSize(fileSize), fmtSize(mem), lead).Why = why
 		},
 	}
 }
@@ -46,7 +51,7 @@ func fig1(o Options, serverMem int64, name string) figure {
 // Per-MCD memory is calibrated so one MCD cannot hold the full stat
 // working set (reproducing the paper's observation that the miss rate only
 // reaches zero beyond 2 MCDs) while two or more can.
-func Fig5(o Options) *Result { return fig5(o, 1, "fig5").run(o) }
+func Fig5(o Options) *Result { return fig5Full(o).run(o) }
 
 // Fig5Short is the stat benchmark's reduced-event variant: the same point
 // list (every client count × every column) over the same created namespace,
@@ -56,9 +61,10 @@ func Fig5(o Options) *Result { return fig5(o, 1, "fig5").run(o) }
 // and absolute times scale by the sampling factor. It exists so CI-grade
 // sweeps can exercise the full fig5 matrix cheaply; the headline numbers
 // still come from fig5.
-func Fig5Short(o Options) *Result { return fig5(o, fig5ShortStride, "fig5-short").run(o) }
+func Fig5Short(o Options) *Result { return fig5Short(o).run(o) }
 
-const fig5ShortStride = 8
+func fig5Full(o Options) figure  { return fig5(o, 1, "fig5") }
+func fig5Short(o Options) figure { return fig5(o, 8, "fig5-short") }
 
 func fig5(o Options, stride int, name string) figure {
 	nFiles := max(262144/o.scale(), 256)
@@ -83,17 +89,18 @@ func fig5(o Options, stride int, name string) figure {
 		rows:    []int64{1, 2, 4, 8, 16, 32, 64},
 		systems: systems,
 		cell:    statAll(nFiles, stride),
-		notes: func(f *filled) {
-			f.note("at %s clients, 1 MCD cuts stat time %.0f%% vs NoCache (paper: 82%%)",
-				f.lastX(), f.cut(f.end(), "NoCache", "MCD(1)"))
-			f.note("at %s clients, 6 MCDs are %.0f%% below Lustre-4DS (paper: 86%%)",
-				f.lastX(), f.cut(f.end(), "Lustre-4DS", "MCD(6)"))
-			f.note("at %s clients, 1 MCD is %.0f%% below Lustre-4DS (paper: 56%%)",
-				f.lastX(), f.cut(f.end(), "Lustre-4DS", "MCD(1)"))
-			f.note("MCD miss rates at %s clients: 1 MCD %.1f%%, 2 MCDs %.1f%%, 4 MCDs %.1f%% (paper: zero beyond 2)",
-				f.lastX(), 100*f.missRate("MCD(1)"), 100*f.missRate("MCD(2)"), 100*f.missRate("MCD(4)"))
-			f.note("4->6 MCD improvement at %s clients: %.0f%% (paper: 23%%)",
-				f.lastX(), f.cut(f.end(), "MCD(4)", "MCD(6)"))
+		claims: func(f *filled) {
+			grow := func(col string) float64 { return f.last(col) / f.first(col) }
+			mcds := max(grow("MCD(1)"), grow("MCD(2)"), grow("MCD(4)"), grow("MCD(6)"))
+			f.order("NoCache grows much faster with clients than the MCD configurations", grow("NoCache") > mcds,
+				"from 1 to %s clients NoCache's stat time grows %.1fx, an MCD column's at most %.1fx", f.lastX(), grow("NoCache"), mcds)
+			f.cuts("1 MCD cuts stat time 82% at 64 clients", 82, f.end(), "NoCache", "MCD(1)")
+			f.cuts("6 MCDs are 86% below Lustre-4DS at 64 clients", 86, f.end(), "Lustre-4DS", "MCD(6)")
+			f.cuts("1 MCD is 56% below Lustre-4DS at 64 clients", 56, f.end(), "Lustre-4DS", "MCD(1)")
+			m1, m2, m4 := 100*f.missRate("MCD(1)"), 100*f.missRate("MCD(2)"), 100*f.missRate("MCD(4)")
+			f.order("misses with 1 MCD, zero beyond 2 MCDs", m1 > 0 && m2 == 0 && m4 == 0,
+				"MCD miss rates at %s clients: 1 MCD %.1f%%, 2 MCDs %.1f%%, 4 MCDs %.1f%%", f.lastX(), m1, m2, m4).Why = devMissRate
+			f.cuts("diminishing returns: 23% from 4 to 6 MCDs", 23, f.end(), "MCD(4)", "MCD(6)").Why = devMCD4to6
 		},
 	}
 }
@@ -102,7 +109,7 @@ func fig5(o Options, stride int, name string) figure {
 // record-size window: seven deployments, one per column. Under Observe the
 // NoCache and IMCa-2K columns are traced, and IMCa-2K is also instrumented
 // on its own registry with its operations retained for export.
-func fig6Read(o Options, name, title string, window []int64, notes func(*filled)) figure {
+func fig6Read(o Options, name, title string, window []int64, claims func(*filled)) figure {
 	mem := o.mcdMemForLatency()
 	return figure{
 		name: name, title: title, x: "record size", y: "read latency (µs/op)",
@@ -118,7 +125,7 @@ func fig6Read(o Options, name, title string, window []int64, notes func(*filled)
 			lustreSys("Lustre-4DS(Warm)", 4, false),
 		},
 		column: readLatency,
-		notes:  notes,
+		claims: claims,
 	}
 }
 
@@ -130,11 +137,13 @@ func Fig6a(o Options) *Result { return fig6a(o).run(o) }
 func fig6a(o Options) figure {
 	return fig6Read(o, "fig6a", "Fig 6(a): single-client read latency, small records", powersOfTwo(1, 2048),
 		func(f *filled) {
-			f.note("1-byte read: IMCa-256 cuts %.0f%% vs NoCache (paper: 59%%)", f.cut(0, "NoCache", "IMCa-256"))
-			f.note("1-byte read: IMCa-2K cuts %.0f%% vs NoCache (paper: 45%%)", f.cut(0, "NoCache", "IMCa-2K"))
-			f.note("1-byte read: IMCa-8K cuts %.0f%% vs NoCache (paper: 31%%)", f.cut(0, "NoCache", "IMCa-8K"))
-			f.note("Lustre-4DS(Warm) lowest at small records: %v",
-				f.first("Lustre-4DS(Warm)") < f.first("IMCa-256"))
+			f.cuts("the 256 B block cuts 1-byte read latency 59%", 59, 0, "NoCache", "IMCa-256")
+			f.cuts("the 2 KB block cuts 1-byte read latency 45%", 45, 0, "NoCache", "IMCa-2K")
+			f.cuts("the 8 KB block cuts 1-byte read latency 31%", 31, 0, "NoCache", "IMCa-8K")
+			f.rising("smaller blocks win at small records", 0, "IMCa-256", "IMCa-2K", "IMCa-8K")
+			warm := f.first("Lustre-4DS(Warm)")
+			next := min(f.first("NoCache"), f.first("IMCa-256"), f.first("IMCa-2K"), f.first("IMCa-8K"), f.first("Lustre-1DS(Cold)"), f.first("Lustre-4DS(Cold)"))
+			f.order("Lustre warm lowest at small records", warm < next, "at %s: Lustre-4DS(Warm) %s, the next lowest %s", f.at(0), cell(warm), cell(next))
 		})
 }
 
@@ -145,10 +154,11 @@ func Fig6b(o Options) *Result { return fig6b(o).run(o) }
 func fig6b(o Options) figure {
 	return fig6Read(o, "fig6b", "Fig 6(b): single-client read latency, large records", powersOfTwo(4096, 131072),
 		func(f *filled) {
-			f.note("at %s records NoCache beats IMCa-256: %v (paper: NoCache lowest overall at large records)",
-				f.lastX(), f.last("NoCache") < f.last("IMCa-256"))
-			f.note("at %s records NoCache vs IMCa-2K: %.0f vs %.0f µs",
-				f.lastX(), f.last("NoCache"), f.last("IMCa-2K"))
+			f.rising("NoCache overtakes the 256 B block at large records", f.end(), "NoCache", "IMCa-256").Why = devScale
+			f.order("NoCache lowest of the GlusterFS configurations at large records",
+				f.last("NoCache") < min(f.last("IMCa-256"), f.last("IMCa-2K"), f.last("IMCa-8K")),
+				"at %s: NoCache %s vs IMCa-8K %s", f.at(f.end()), cell(f.last("NoCache")), cell(f.last("IMCa-8K"))).Why = devBlock8K
+			f.rising("smaller blocks lose at large records", f.end(), "IMCa-8K", "IMCa-2K", "IMCa-256")
 		})
 }
 
@@ -172,11 +182,13 @@ func fig6c(o Options) figure {
 			glusterSys("IMCa(threaded)", cluster.Options{MCDs: 1, MCDMemBytes: mem, BlockSize: 2048, Threaded: true}).watched(traced),
 		},
 		column: writeLatency,
-		notes: func(f *filled) {
-			f.note("2K writes: inline %.0f µs vs NoCache %.0f µs (paper: inline worse — extra read + MCD update)",
-				f.Value(mid, "IMCa(inline)"), f.Value(mid, "NoCache"))
-			f.note("2K writes: threaded %.0f µs vs NoCache %.0f µs (paper: threaded ≈ NoCache)",
-				f.Value(mid, "IMCa(threaded)"), f.Value(mid, "NoCache"))
+		claims: func(f *filled) {
+			f.order("inline update worse than NoCache: a read-back and an MCD update on the critical path",
+				f.everyRow(func(i int) bool { return f.Value(i, "IMCa(inline)") > f.Value(i, "NoCache") }),
+				"inline above NoCache at every record size; 2K writes: %.0f vs %.0f µs", f.Value(mid, "IMCa(inline)"), f.Value(mid, "NoCache"))
+			f.order("threaded update ≈ NoCache",
+				f.everyRow(func(i int) bool { return near(f.Value(i, "IMCa(threaded)"), f.Value(i, "NoCache")) }),
+				"threaded ≈ NoCache at every record size; 2K writes: %.0f vs %.0f µs", f.Value(mid, "IMCa(threaded)"), f.Value(mid, "NoCache"))
 		},
 	}
 }
@@ -190,9 +202,10 @@ func Fig7a(o Options) *Result { return fig7a(o).run(o) }
 func fig7a(o Options) figure {
 	return fig7(o, "fig7a", "Fig 7(a): 32-client read latency, small records", powersOfTwo(1, 128),
 		func(f *filled) {
-			f.note("1-byte read: 4 MCDs cut %.0f%% vs NoCache (paper: 82%%)", f.cut(0, "NoCache", "IMCa(4MCD)"))
-			f.note("1-byte read: Lustre(Cold) %.0f µs vs IMCa(4MCD) %.0f µs (paper: Lustre ahead below 32 B)",
-				f.first("Lustre-4DS(Cold)"), f.first("IMCa(4MCD)"))
+			f.cuts("4 MCDs cut 1-byte read latency 82% at 32 clients", 82, 0, "NoCache", "IMCa(4MCD)")
+			f.rising("more MCDs help more with many clients", 0, "IMCa(4MCD)", "IMCa(1MCD)")
+			f.rising("Lustre cold ahead below 32 B", 0, "Lustre-4DS(Cold)", "IMCa(4MCD)")
+			f.rising("IMCa(4MCD) ahead of Lustre cold past 32 B", f.end(), "IMCa(4MCD)", "Lustre-4DS(Cold)").Why = devLustreCold
 		})
 }
 
@@ -204,14 +217,12 @@ func Fig7b(o Options) *Result { return fig7b(o).run(o) }
 func fig7b(o Options) figure {
 	return fig7(o, "fig7b", "Fig 7(b): 32-client read latency, medium records", powersOfTwo(512, 65536),
 		func(f *filled) {
-			f.note("at %s records: IMCa(4MCD) %.0f µs vs Lustre(Cold) %.0f µs",
-				f.lastX(), f.last("IMCa(4MCD)"), f.last("Lustre-4DS(Cold)"))
-			f.note("at %s records: IMCa(4MCD) %.0f µs vs Lustre(Warm) %.0f µs (paper: IMCa lower at 64K)",
-				f.lastX(), f.last("IMCa(4MCD)"), f.last("Lustre-4DS(Warm)"))
+			f.rising("IMCa(4MCD) below Lustre cold past the small-record crossover", f.end(), "IMCa(4MCD)", "Lustre-4DS(Cold)")
+			f.rising("IMCa(4MCD) beats Lustre warm by 64 K", f.end(), "IMCa(4MCD)", "Lustre-4DS(Warm)").Why = devLustreWarm
 		})
 }
 
-func fig7(o Options, name, title string, window []int64, notes func(*filled)) figure {
+func fig7(o Options, name, title string, window []int64, claims func(*filled)) figure {
 	systems := []system{glusterSys("NoCache", cluster.Options{})}
 	for _, m := range []int{1, 2, 4} {
 		systems = append(systems, glusterSys(fmt.Sprintf("IMCa(%dMCD)", m),
@@ -223,7 +234,7 @@ func fig7(o Options, name, title string, window []int64, notes func(*filled)) fi
 		clients: 32,
 		systems: append(systems, lustreSys("Lustre-4DS(Cold)", 4, true), lustreSys("Lustre-4DS(Warm)", 4, false)),
 		column:  readLatency,
-		notes:   notes,
+		claims:  claims,
 	}
 }
 
@@ -231,18 +242,25 @@ func fig7(o Options, name, title string, window []int64, notes func(*filled)) fi
 // record sizes. The paper's observation: with one MCD, read latency rises
 // with client count as capacity misses appear, yet IMCa still beats
 // NoCache; Lustre warm stays lowest.
-func Fig8a(o Options) *Result { return fig8(o, "fig8a", 64).run(o) }
+func Fig8a(o Options) *Result { return fig8a(o).run(o) }
 
 // Fig8b is the 1 KB variant.
-func Fig8b(o Options) *Result { return fig8(o, "fig8b", 1024).run(o) }
+func Fig8b(o Options) *Result { return fig8b(o).run(o) }
 
 // Fig8c is the 8 KB variant.
-func Fig8c(o Options) *Result { return fig8(o, "fig8c", 8192).run(o) }
+func Fig8c(o Options) *Result { return fig8c(o).run(o) }
 
 // Fig8d is the 64 KB variant.
-func Fig8d(o Options) *Result { return fig8(o, "fig8d", 65536).run(o) }
+func Fig8d(o Options) *Result { return fig8d(o).run(o) }
 
-func fig8(o Options, name string, record int64) figure {
+func fig8a(o Options) figure { return fig8(o, "fig8a", 64, "") }
+func fig8b(o Options) figure { return fig8(o, "fig8b", 1024, "") }
+func fig8c(o Options) figure { return fig8(o, "fig8c", 8192, devFig8c) }
+func fig8d(o Options) figure { return fig8(o, "fig8d", 65536, "") }
+
+// fig8 declares one record size's sweep; why is the known deviation of its
+// IMCa-below-NoCache claim.
+func fig8(o Options, name string, record int64, why string) figure {
 	return figure{
 		name:  name,
 		title: fmt.Sprintf("Fig 8 (%s): read latency vs clients, %s records, 1 MCD", name, fmtSize(record)),
@@ -255,12 +273,12 @@ func fig8(o Options, name string, record int64) figure {
 			lustreSys("Lustre-4DS(Warm)", 4, false),
 		},
 		cell: recordRead(record, false),
-		notes: func(f *filled) {
-			f.note("latency growth for IMCa(1MCD), 1 -> %s clients: %.0f -> %.0f µs (paper: rises with clients)",
-				f.lastX(), f.first("IMCa(1MCD)"), f.last("IMCa(1MCD)"))
-			f.note("at %s clients IMCa(1MCD) cuts %.0f%% vs NoCache",
-				f.lastX(), f.cut(f.end(), "NoCache", "IMCa(1MCD)"))
-			f.note("MCD misses at max clients: %d", f.bank["IMCa(1MCD)"].GetMisses)
+		claims: func(f *filled) {
+			f.order("read latency rises with client count", f.last("IMCa(1MCD)") > f.first("IMCa(1MCD)"),
+				"IMCa(1MCD), 1 -> %s clients: %.0f -> %.0f µs", f.lastX(), f.first("IMCa(1MCD)"), f.last("IMCa(1MCD)"))
+			f.rising("IMCa still below NoCache", f.end(), "IMCa(1MCD)", "NoCache").Why = why
+			misses := f.bank["IMCa(1MCD)"].GetMisses
+			f.order("capacity misses appear as clients grow", misses > 0, "MCD misses at %s clients: %d", f.lastX(), misses).Why = devMissRate
 		},
 	}
 }
@@ -295,13 +313,15 @@ func fig9(o Options) figure {
 		rows:    []int64{1, 2, 4, 8},
 		systems: append(systems, lustreSys("Lustre-1DS(Cold)", 1, true)),
 		cell:    streamRead(fileSize, record),
-		notes: func(f *filled) {
-			f.note("at 8 threads: IMCa(4MCD) %.0f MB/s vs NoCache %.0f MB/s — ratio %.2fx (paper: 868 vs 417, ~2.1x)",
-				f.last("IMCa(4MCD)"), f.last("NoCache"), f.last("IMCa(4MCD)")/f.last("NoCache"))
-			f.note("at 8 threads: IMCa(4MCD) %.0f MB/s vs Lustre-1DS(Cold) %.0f MB/s (paper: 868 vs 325)",
-				f.last("IMCa(4MCD)"), f.last("Lustre-1DS(Cold)"))
-			f.note("MCD scaling at 8 threads: 1/2/4 MCDs = %.0f / %.0f / %.0f MB/s",
-				f.last("IMCa(1MCD)"), f.last("IMCa(2MCD)"), f.last("IMCa(4MCD)"))
+		claims: func(f *filled) {
+			imca, nc, lus := f.last("IMCa(4MCD)"), f.last("NoCache"), f.last("Lustre-1DS(Cold)")
+			f.number("IMCa(4MCD) ≈ 2x NoCache at 8 threads: 868 vs 417 MB/s", 868.0/417, imca/nc,
+				"at %s threads: IMCa(4MCD) %.0f MB/s vs NoCache %.0f MB/s, %.2fx", f.lastX(), imca, nc, imca/nc).Why = devFig9Ceiling
+			f.number("IMCa(4MCD) well above Lustre-1DS cold: 868 vs 325 MB/s", 868.0/325, imca/lus,
+				"at %s threads: IMCa(4MCD) %.0f MB/s vs Lustre-1DS(Cold) %.0f MB/s, %.2fx", f.lastX(), imca, lus, imca/lus).Why = devFig9Ceiling
+			f.order("IMCa(4MCD) above both single-server systems", imca > max(nc, lus),
+				"at %s threads: IMCa(4MCD) %.0f MB/s, NoCache %.0f, Lustre-1DS(Cold) %.0f", f.lastX(), imca, nc, lus)
+			f.rising("more MCDs, more aggregate bandwidth", f.end(), "IMCa(1MCD)", "IMCa(2MCD)", "IMCa(4MCD)")
 		},
 	}
 }
@@ -324,11 +344,14 @@ func fig10(o Options) figure {
 			lustreSys("Lustre-1DS(Cold)", 1, true),
 		},
 		cell: recordRead(4096, true),
-		notes: func(f *filled) {
-			f.note("at %s nodes IMCa(1MCD) cuts %.0f%% vs NoCache (paper: 45%%)",
-				f.lastX(), f.cut(f.end(), "NoCache", "IMCa(1MCD)"))
-			f.note("IMCa benefit grows with nodes: %.0f%% at %s -> %.0f%% at %s",
-				f.cut(0, "NoCache", "IMCa(1MCD)"), f.X(0), f.cut(f.end(), "NoCache", "IMCa(1MCD)"), f.lastX())
+		claims: func(f *filled) {
+			f.cuts("1 MCD cuts shared-file read latency 45% at 32 nodes", 45, f.end(), "NoCache", "IMCa(1MCD)")
+			c0, c := f.cut(0, "NoCache", "IMCa(1MCD)"), f.cut(f.end(), "NoCache", "IMCa(1MCD)")
+			f.order("the benefit grows with node count", c > c0, "IMCa(1MCD)'s cut grows from %.1f%% at %s nodes to %.1f%% at %s", c0, f.X(0), c, f.lastX())
+			f.order("latency still grows with nodes: one MCD serializes the readers",
+				f.last("NoCache") > f.first("NoCache") && f.last("IMCa(1MCD)") > f.first("IMCa(1MCD)"),
+				"from %s to %s nodes: NoCache %.0f -> %.0f µs, IMCa(1MCD) %.0f -> %.0f µs",
+				f.X(0), f.lastX(), f.first("NoCache"), f.last("NoCache"), f.first("IMCa(1MCD)"), f.last("IMCa(1MCD)"))
 		},
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"imca/internal/blob"
 	"imca/internal/cluster"
@@ -154,7 +155,7 @@ type figure struct {
 	systems     []system
 	cell        func(o Options, tb testbed, row int64) float64
 	column      func(o Options, tb testbed, ns []int64) ([]float64, traces)
-	notes       func(f *filled) // adds the headline observations with f.note
+	claims      func(f *filled) // states what is claimed about the finished table
 }
 
 // label is the printed name of row i.
@@ -165,15 +166,12 @@ func (f figure) label(i int) string {
 	return fmtSize(f.rows[i])
 }
 
-// filled is a finished figure as its notes read it.
+// filled is a finished figure as its claims read it: the table, and the
+// Result the claims are added to.
 type filled struct {
 	*metrics.Table
-	bank  map[string]memcache.Stats // per IMCa column, the bank's totals after the last row
-	notes []string
-}
-
-func (f *filled) note(format string, args ...interface{}) {
-	f.notes = append(f.notes, fmt.Sprintf(format, args...))
+	*Result
+	bank map[string]memcache.Stats // per IMCa column, the bank's totals after the last row
 }
 
 func (f *filled) end() int                 { return f.Rows() - 1 }
@@ -184,6 +182,37 @@ func (f *filled) lastX() string            { return f.X(f.end()) }
 // cut is the percentage by which column to undercuts column from at row i.
 func (f *filled) cut(i int, from, to string) float64 {
 	return 100 * metrics.Reduction(f.Value(i, from), f.Value(i, to))
+}
+
+// everyRow reports whether ok holds at every row.
+func (f *filled) everyRow(ok func(i int) bool) bool {
+	for i := 0; i < f.Rows(); i++ {
+		if !ok(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// at names row i for a claim's text: "clients = 64".
+func (f *filled) at(i int) string { return f.XLabel + " = " + f.X(i) }
+
+// cuts adds the numeric claim that column to is paper percent below column
+// from at row i.
+func (f *filled) cuts(quote string, paper float64, i int, from, to string) *Claim {
+	c := f.cut(i, from, to)
+	return f.number(quote, paper, c, "at %s: %s is %.0f%% below %s", f.at(i), to, c, from)
+}
+
+// rising adds the ordering claim that the columns cols increase, in the
+// order given, at row i.
+func (f *filled) rising(quote string, i int, cols ...string) *Claim {
+	holds, vals := true, make([]string, len(cols))
+	for k, c := range cols {
+		holds = holds && (k == 0 || f.Value(i, cols[k-1]) < f.Value(i, c))
+		vals[k] = c + " " + cell(f.Value(i, c))
+	}
+	return f.order(quote, holds, "at %s: %s", f.at(i), strings.Join(vals, " vs "))
 }
 
 // missRate is the bank miss rate of the named column at the last row.
@@ -251,7 +280,7 @@ func (f figure) run(o Options) *Result {
 		tb.Columns = append(tb.Columns, s.name)
 	}
 	res := &Result{Name: f.name, Table: tb}
-	fl := &filled{Table: tb, bank: make(map[string]memcache.Stats)}
+	fl := &filled{Table: tb, Result: res, bank: make(map[string]memcache.Stats)}
 	for ri := range f.rows {
 		vals := make([]float64, n)
 		for c, s := range f.systems {
@@ -270,8 +299,7 @@ func (f figure) run(o Options) *Result {
 			}
 		}
 	}
-	f.notes(fl)
-	res.Notes = fl.notes
+	f.claims(fl)
 	return res
 }
 

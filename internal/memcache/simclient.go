@@ -388,7 +388,7 @@ func (op *bankOp) done(m fabric.Msg, err error) {
 // fails — ejected server, cut link, down reply — retries once against the
 // replica.
 //
-//imcalint:hotpath 10k-tenant open-loop experiment: per-op allocations on this chain are the marginal cost (ROADMAP item 2); known ones are baselined for burn-down
+//imcalint:hotpath 10k-tenant open-loop experiment: per-op allocations on this chain are the marginal cost (ROADMAP [perf]); known ones are baselined for burn-down
 func (c *SimClient) GetT(t *sim.Task, key string, k func(*Item, bool)) {
 	idx, _ := c.pick(key)
 	c.getOnT(t, idx, c.replicaNext(key, idx), key, k)

@@ -1,4 +1,4 @@
-// Package report renders a full experiment run — tables, notes, latency
+// Package report renders a full experiment run — tables, claims, latency
 // timelines, per-layer breakdowns, telemetry and flight-recorder dumps —
 // into one static, self-contained HTML page. The page embeds no external
 // assets and no timestamps, and every number is formatted with explicit
@@ -47,9 +47,13 @@ func Write(w io.Writer, title string, results []*experiments.Result) error {
 	}
 	p("</ul></nav>\n")
 
+	var claims []experiments.Claim
 	for _, r := range results {
 		writeResult(ew, r)
+		claims = append(claims, r.Claims...)
 	}
+	p("<section id=\"scorecard\">\n<h2>scorecard</h2>\n<p class=\"note\">%s</p>\n</section>\n",
+		html.EscapeString(experiments.Scorecard(claims)))
 	p("</body>\n</html>\n")
 	return ew.err
 }
@@ -76,8 +80,8 @@ func writeResult(w io.Writer, r *experiments.Result) {
 		p("<p class=\"axis\">y: %s</p>\n", html.EscapeString(t.YLabel))
 	}
 
-	for _, n := range r.Notes {
-		p("<p class=\"note\">%s</p>\n", html.EscapeString(n))
+	for _, c := range r.Claims {
+		p("<p class=\"note\">%s</p>\n", html.EscapeString(c.String()))
 	}
 
 	for _, tl := range r.Timelines {

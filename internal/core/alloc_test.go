@@ -51,12 +51,12 @@ func (r *rig) writtenFile(t *testing.T, path string, data blob.Blob) gluster.FD 
 	return fd
 }
 
-// TestReadTBankHitAllocations: a CMCache read served from the bank costs
-// the read's one key string (every covering key is a substring of it) and,
-// when the blocks do not coalesce, the result blob's one spill slice —
-// whether it is the single-key fast path or an 8-key scatter over 2 MCDs.
-// Issued at Fuse.ReadT, the top of the client stack, it costs the same: the
-// FUSE crossing runs on a pooled frame.
+// TestReadTBankHitAllocations: a CMCache read served from the bank
+// allocates nothing — the bank borrows the read's key bytes, copying them
+// into its pooled requests — except, when the blocks do not coalesce, the
+// result blob's one spill slice; whether it is the single-key fast path or
+// an 8-key scatter over 2 MCDs. Issued at Fuse.ReadT, the top of the client
+// stack, it costs the same: the FUSE crossing runs on a pooled frame.
 func TestReadTBankHitAllocations(t *testing.T) {
 	const bs, readsPerRun = 2048, 64
 	raw := make([]byte, 8*bs)
@@ -69,9 +69,9 @@ func TestReadTBankHitAllocations(t *testing.T) {
 		size    int64
 		perRead float64
 	}{
-		{"1 key synthetic", blob.Synthetic(3, 0, 8*bs), bs, 1},
-		{"8 keys synthetic", blob.Synthetic(3, 0, 8*bs), 8 * bs, 1},
-		{"8 keys bytes", blob.FromBytes(raw), 8 * bs, 2},
+		{"1 key synthetic", blob.Synthetic(3, 0, 8*bs), bs, 0},
+		{"8 keys synthetic", blob.Synthetic(3, 0, 8*bs), 8 * bs, 0},
+		{"8 keys bytes", blob.FromBytes(raw), 8 * bs, 1},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -208,6 +208,62 @@ func TestReadTAbandonedLookupThenReuse(t *testing.T) {
 	}
 	if len(r.cmcache.readOps) != 1 {
 		t.Errorf("%d readOps pooled after both reads, want the one op reused", len(r.cmcache.readOps))
+	}
+}
+
+// TestReadTAbandonedLegLooksUpItsOwnKeys: a multi-get leg a cut abandoned is
+// served only after its read's op has been reused for the next read — the
+// fallback reads a brick with no server translator, so it is back long
+// before the slow daemon reaches the leg — and the daemon must still look up
+// the keys the leg asked for: every one hits. The leg's request owns a copy
+// of those keys, and frame poisoning (on in this package) overwrites a
+// recycled request's key bytes, so a leg reading keys it no longer owned
+// would miss.
+func TestReadTAbandonedLegLooksUpItsOwnKeys(t *testing.T) {
+	const bs, path = 2048, "/alloc/l"
+	r := newPopulateRig(t, Config{BlockSize: bs})
+	payload := blob.Synthetic(9, 0, 8*bs)
+	fd := r.writtenFile(t, path, payload)
+	r.run(t, func(p *sim.Proc) {
+		for off := int64(0); off < payload.Len(); off += bs {
+			if err := r.cmcache.Bank().Set(p, blockKey(path, off), payload.Slice(off, off+bs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	mcd := r.mcds[0]
+	mcd.SetSlowdown(1000)
+	r.net.EnableFaults()
+	r.env.Defer(time.Millisecond, func() {
+		r.net.CutLink("client0", mcd.Node().Name())
+		r.net.HealLink("client0", mcd.Node().Name())
+	})
+	ct := r.env.ContextTask("reader")
+	var second blob.Blob
+	r.cmcache.ReadT(ct, fd, 0, 8*bs, func(_ blob.Blob, err error) {
+		if err != nil {
+			t.Fatalf("first read: %v", err)
+		}
+		if st := mcd.Store().Stats(); st.CmdGet != 0 {
+			t.Fatal("the abandoned leg was served before its read's op was reused; the late lookup is not exercised")
+		}
+		r.cmcache.ReadT(ct, fd, bs, 4*bs, func(got blob.Blob, err error) {
+			if err != nil {
+				t.Fatalf("second read: %v", err)
+			}
+			second = got
+		})
+	})
+	r.env.Run()
+	if !second.Equal(payload.Slice(bs, 5*bs)) {
+		t.Error("read issued from inside the continuation returned wrong data")
+	}
+	if r.cmcache.Stats.ReadMisses != 1 || r.cmcache.Stats.ReadHits != 1 {
+		t.Errorf("ReadMisses=%d ReadHits=%d, want 1 and 1", r.cmcache.Stats.ReadMisses, r.cmcache.Stats.ReadHits)
+	}
+	if st := mcd.Store().Stats(); st.GetHits != 8+4 || st.GetMisses != 0 {
+		t.Errorf("daemon looked up %d hits and %d misses, want all hits: the abandoned leg's 8 keys and the second read's 4",
+			st.GetHits, st.GetMisses)
 	}
 }
 

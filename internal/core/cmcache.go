@@ -224,9 +224,10 @@ func (c *CMCache) StatT(t *sim.Task, path string, k func(*gluster.Stat, error)) 
 // readOp is ReadT's pooled per-operation frame: the request, the covering
 // block keys and assembly scratch (which keep their capacity), and every
 // continuation of the read — bank answer, server fallback, client-populate
-// fill and push — prebound as method values. A bank hit therefore costs the
-// read's one key string and, for data that does not coalesce, the result
-// blob's spill. Like statOp, the op returns to its pool before k runs.
+// fill and push — prebound as method values. The bank borrows the keys'
+// bytes, so a bank hit allocates nothing but, for data that does not
+// coalesce, the result blob's spill. Like statOp, the op returns to its pool
+// before k runs.
 type readOp struct {
 	c         *CMCache
 	t         *sim.Task
@@ -267,7 +268,6 @@ func (c *CMCache) takeReadOp() *readOp {
 func (op *readOp) release() {
 	op.t, op.k, op.sp = nil, nil, nil
 	op.path, op.data = "", blob.Blob{}
-	op.bk.drop()
 	for i := range op.parts {
 		op.parts[i] = blob.Blob{}
 	}
@@ -297,8 +297,8 @@ func (c *CMCache) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob
 	op.sp.SetAttrInt("bytes", size)
 	op.t0 = t.Now()
 	op.bk.build(path, off, size, c.cfg.blockSize())
-	c.Stats.BlockLookups += uint64(len(op.bk.keys))
-	c.mcd.GetMultiT(t, op.bk.keys, op.fnGot)
+	c.Stats.BlockLookups += uint64(len(op.bk.ends))
+	c.mcd.GetMultiT(t, op.bk.buf, op.bk.ends, op.fnGot)
 }
 
 // got is the bank-lookup continuation: assemble the hit or fall back to the

@@ -114,19 +114,21 @@ func cutRange(data blob.Blob, alignedOff, off, size int64) blob.Blob {
 }
 
 // blockKeys is the scratch a read or a push builds its span's block keys in:
-// the aligned block offsets covering the range, and the keys as substrings
-// of one backing string, so a span of any width costs one string allocation.
-// A read's keys are transient — the bank client and the daemons look them up
-// and let go. A push's keys are stored, so every block of one push pins the
-// whole push's key bytes until the last of them leaves the bank. That pin is
-// bounded: a push's blocks are one size, so one slab class, and are inserted
-// consecutively, so the class's LRU evicts them together (DESIGN.md, "Block
-// keys").
+// the aligned block offsets covering the range, and the keys back to back in
+// buf, key i ending at ends[i]. All of it keeps its capacity across the
+// owning frame's lives. A read's keys are transient — the bank client copies
+// them into its pooled requests, the daemons look them up in place and let
+// go — so a read lends buf and ends and costs no string. A push's keys are
+// stored, so a push cuts them (cut) as substrings of one string: every block
+// of one push pins the whole push's key bytes until the last of them leaves
+// the bank. That pin is bounded: a push's blocks are one size, so one slab
+// class, and are inserted consecutively, so the class's LRU evicts them
+// together (DESIGN.md, "Block keys").
 type blockKeys struct {
 	offsets []int64
-	keys    []string
 	buf     []byte
 	ends    []int
+	keys    []string
 }
 
 // build fills the scratch for the blocks covering [off, off+size) of path.
@@ -139,9 +141,14 @@ func (bk *blockKeys) build(path string, off, size, bs int64) {
 		ends = append(ends, len(buf))
 	}
 	bk.offsets, bk.buf, bk.ends = offsets, buf, ends
-	all := string(buf)
+}
+
+// cut sets keys to the built keys as substrings of one string, the one
+// allocation a push's keys cost.
+func (bk *blockKeys) cut() {
+	all := string(bk.buf)
 	keys, from := bk.keys[:0], 0
-	for _, e := range ends {
+	for _, e := range bk.ends {
 		keys = append(keys, all[from:e])
 		from = e
 	}

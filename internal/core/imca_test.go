@@ -397,21 +397,28 @@ func TestAlignSpan(t *testing.T) {
 
 func TestBlockOffsets(t *testing.T) {
 	var bk blockKeys
-	bk.build("/a/f", 2047, 2, 2048)
+	build := func(path string, off, size int64) {
+		bk.build(path, off, size, 2048)
+		bk.cut() // the strings a push stores, cut from the bytes a read lends
+	}
+	build("/a/f", 2047, 2)
 	if got := bk.offsets; len(got) != 2 || got[0] != 0 || got[1] != 2048 {
 		t.Errorf("offsets = %v, want [0 2048]", got)
+	}
+	if string(bk.buf) != "/a/f:0/a/f:2048" || len(bk.ends) != 2 || bk.ends[0] != len("/a/f:0") {
+		t.Errorf("lent keys = %q cut at %v, want the two covering block keys", bk.buf, bk.ends)
 	}
 	if got := bk.keys; len(got) != 2 || got[0] != "/a/f:0" || got[1] != "/a/f:2048" {
 		t.Errorf("keys = %q, want the two covering block keys", got)
 	}
 	// The scratch is reused: a narrower read must not see the wider one's
 	// leftovers.
-	bk.build("/b", 4096, 100, 2048)
+	build("/b", 4096, 100)
 	if len(bk.offsets) != 1 || bk.offsets[0] != 4096 || len(bk.keys) != 1 || bk.keys[0] != blockKey("/b", 4096) {
 		t.Errorf("rebuilt scratch = %v %q, want [4096] [/b:4096]", bk.offsets, bk.keys)
 	}
-	bk.build("/b", 0, 0, 2048)
-	if len(bk.offsets) != 0 || len(bk.keys) != 0 {
+	build("/b", 0, 0)
+	if len(bk.offsets) != 0 || len(bk.ends) != 0 || len(bk.keys) != 0 {
 		t.Error("zero-size span returned blocks")
 	}
 }

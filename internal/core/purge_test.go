@@ -13,15 +13,6 @@ import (
 	"imca/internal/sim"
 )
 
-// has reports membership without disturbing the set.
-func (b *blockSet) has(bn int64) bool {
-	if b == nil {
-		return false
-	}
-	i, found := b.find(bn >> 9)
-	return found && b.chunks[i].bits[bn>>6&7]&(1<<(bn&63)) != 0
-}
-
 // residentBlocks lists the block offsets of path's data keys held by any
 // daemon of the bank.
 func residentBlocks(t *testing.T, mcds []*memcache.SimServer, path string) []int64 {
@@ -51,7 +42,7 @@ func checkResidentRecorded(t *testing.T, sm *SMCache, mcds []*memcache.SimServer
 	resident := residentBlocks(t, mcds, path)
 	untracked := 0
 	for _, off := range resident {
-		if !sm.pushed[path].has(off / sm.cfg.blockSize()) {
+		if !sm.Recorded(path, off) {
 			untracked++
 		}
 	}

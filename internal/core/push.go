@@ -49,6 +49,15 @@ func (b *blockSet) remove(bn int64) {
 	}
 }
 
+// has reports membership without disturbing the set.
+func (b *blockSet) has(bn int64) bool {
+	if b == nil {
+		return false
+	}
+	i, found := b.find(bn >> 9)
+	return found && b.chunks[i].bits[bn>>6&7]&(1<<(bn&63)) != 0
+}
+
 // take removes and returns the smallest member, if there is one.
 func (b *blockSet) take() (bn int64, ok bool) {
 	for len(b.chunks) > 0 {
@@ -118,6 +127,7 @@ func (pp *pushPool) push(t *sim.Task, path string, base int64, data blob.Blob, k
 	}
 	op.t, op.i, op.data, op.set, op.k = t, 0, data, set, k
 	op.bk.build(path, base, data.Len(), pp.bs)
+	op.bk.cut()
 	op.step()
 }
 

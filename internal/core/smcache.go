@@ -102,6 +102,25 @@ func (s *SMCache) statKey(path string) string {
 // Bank returns the MCD bank client (for stats inspection).
 func (s *SMCache) Bank() *memcache.SimClient { return s.mcd }
 
+// Recorded reports whether the data block at aligned offset blockOff of
+// path is recorded as possibly in the bank — what a later purge of path
+// will delete. Like Store.Keys it is an audit surface and changes nothing.
+func (s *SMCache) Recorded(path string, blockOff int64) bool {
+	return s.pushed[path].has(blockOff / s.cfg.blockSize())
+}
+
+// Opened reports whether a descriptor the brick holds open was opened by
+// path. An unlinked file's open descriptors keep its blocks recorded, and
+// resident, until the last close purges them. An audit surface.
+func (s *SMCache) Opened(path string) bool {
+	for _, p := range s.fdPaths {
+		if p == path {
+			return true
+		}
+	}
+	return false
+}
+
 // setPurged annotates a span with the number of purged keys.
 func setPurged(sp *optrace.Span, n int) {
 	if n > 0 {

@@ -131,6 +131,10 @@ var poisonFrames bool
 // the hot path and nothing more.
 func SetFramePoison(on bool) { poisonFrames = on }
 
+// FramePoison reports whether poison mode is on, for pools outside the
+// fabric that stamp what they recycle the same way.
+func FramePoison() bool { return poisonFrames }
+
 func (f *callFrame) checkLive() {
 	if poisonFrames && f.refs <= 0 {
 		panic("fabric: use of a released call frame")

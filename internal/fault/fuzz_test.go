@@ -166,8 +166,10 @@ func genPlan(r *xrand.Rand, name string, nMCDs int, span sim.Duration) *Plan {
 
 // fuzzWorkload drives a mixed create/write/read/stat/truncate/unlink
 // stream through the oracle on one client, sleeping between operations so
-// the plan's faults land at varied points inside operations.
-func fuzzWorkload(t *testing.T, p *sim.Proc, o *Oracle, r *xrand.Rand, ops int) {
+// the plan's faults land at varied points inside operations. It returns the
+// descriptors still open, in path order: a close purges, so the caller
+// audits the bank's resident set before closing them.
+func fuzzWorkload(t *testing.T, p *sim.Proc, o *Oracle, r *xrand.Rand, ops int) (open []gluster.FD) {
 	t.Helper()
 	paths := []string{"/fz/a", "/fz/b", "/fz/c", "/fz/d", "/fz/e", "/fz/f"}
 	fds := map[string]gluster.FD{}
@@ -235,9 +237,10 @@ func fuzzWorkload(t *testing.T, p *sim.Proc, o *Oracle, r *xrand.Rand, ops int) 
 	}
 	for _, path := range paths {
 		if fd, ok := fds[path]; ok {
-			o.Close(p, fd)
+			open = append(open, fd)
 		}
 	}
+	return open
 }
 
 // TestFuzzPlansUpholdSection44 is the mechanized §4.4 argument: random
@@ -274,8 +277,17 @@ func TestFuzzPlansUpholdSection44(t *testing.T) {
 		}
 		o := NewOracle(c.Mounts[0].FS)
 		o.SetFlight(fr)
+		fail := func(what string, v []string) {
+			t.Helper()
+			if len(v) != 0 {
+				writeFuzzArtifacts(t, seed, pl, fr)
+				t.Fatalf("seed %#x: %d %s violations:\n%s\nreplay with:\n%s\nflight recorder:\n%s",
+					seed, len(v), what, strings.Join(v, "\n"), pl, flightDump(fr))
+			}
+		}
+		var open []gluster.FD
 		c.Env.Process("workload", func(p *sim.Proc) {
-			fuzzWorkload(t, p, o, r, 120)
+			open = fuzzWorkload(t, p, o, r, 120)
 		})
 		c.Env.Run() // workload + every fault timer, including the closing heals
 		if got, want := in.Fired(), in.Armed(); got != want {
@@ -283,18 +295,19 @@ func TestFuzzPlansUpholdSection44(t *testing.T) {
 			t.Fatalf("seed %#x: fired %d of %d armed events\n%s\nflight recorder:\n%s",
 				seed, got, want, pl, flightDump(fr))
 		}
-		c.Env.Process("audit", func(p *sim.Proc) { o.VerifyAll(p) })
+		// With the workload's files still open their blocks are resident:
+		// each must be one their next purge deletes.
+		fail("resident-set", AuditResident(c))
+		c.Env.Process("audit", func(p *sim.Proc) {
+			for _, fd := range open {
+				_ = o.Close(p, fd)
+			}
+			o.VerifyAll(p)
+		})
 		c.Env.Run()
-		if v := o.Violations(); len(v) != 0 {
-			writeFuzzArtifacts(t, seed, pl, fr)
-			t.Fatalf("seed %#x: %d invariant violations:\n%s\nreplay with:\n%s\nflight recorder:\n%s",
-				seed, len(v), strings.Join(v, "\n"), pl, flightDump(fr))
-		}
-		if v := AuditReplicas(c); len(v) != 0 {
-			writeFuzzArtifacts(t, seed, pl, fr)
-			t.Fatalf("seed %#x: %d replica-coherence violations:\n%s\nreplay with:\n%s\nflight recorder:\n%s",
-				seed, len(v), strings.Join(v, "\n"), pl, flightDump(fr))
-		}
+		fail("invariant", o.Violations())
+		fail("replica-coherence", AuditReplicas(c))
+		fail("resident-set", AuditResident(c))
 		st := c.BankStats()
 		disturbed += st.DownReplies + st.Unreachables + st.Ejects
 	}

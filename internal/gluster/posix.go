@@ -567,5 +567,14 @@ func (px *Posix) UnlinkT(t *sim.Task, path string, k func(error)) {
 	})
 }
 
+// Size returns the size of the regular file at path, ok false when there is
+// none, without charging any time (an audit surface).
+func (px *Posix) Size(path string) (size int64, ok bool) {
+	if ino := px.files[path]; ino != nil {
+		return ino.size, true
+	}
+	return 0, false
+}
+
 // FileCount returns the number of regular files (for tests).
 func (px *Posix) FileCount() int { return len(px.files) }

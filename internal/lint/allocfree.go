@@ -254,8 +254,8 @@ func (w *allocWalker) boxing(pkg *pkgInfo, call *ast.CallExpr, f *types.Func, ch
 		default:
 			continue
 		}
-		if pt == nil || !types.IsInterface(pt.Underlying()) {
-			continue
+		if _, generic := pt.(*types.TypeParam); generic || pt == nil || !types.IsInterface(pt.Underlying()) {
+			continue // a type parameter's constraint is an interface, but an instantiation passes the value as is
 		}
 		tv, ok := pkg.info.Types[arg]
 		if !ok || !boxes(tv.Type, tv) {

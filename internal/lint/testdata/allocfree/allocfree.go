@@ -26,6 +26,7 @@ func Root(xs []int, s, t string) []int {
 	sink(42)
 	_ = escape()
 	_ = make([]int, 4)
+	_ = keyLen(s) // a type parameter is not an interface: never flagged
 	panic(s + t + "cold diagnostic: never flagged")
 }
 
@@ -44,3 +45,6 @@ func NoteMissing() {}
 
 //imcalint:hotpath fixture: a stray annotation binds to nothing
 var stray = 0
+
+// keyLen is generic: its instantiation for a string passes the string as is.
+func keyLen[K string | []byte](k K) int { return len(k) }

@@ -204,7 +204,7 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, bufs *bufpool.
 
 	switch h.opcode {
 	case binOpGet, binOpGetK, binOpGetQ, binOpGetKQ:
-		it, ok := store.GetViewBytes(keyBytes)
+		it, ok := store.GetView(keyBytes)
 		if !ok {
 			respond(binStatusKeyNotFound, 0, nil, nil, nil)
 			return false, nil

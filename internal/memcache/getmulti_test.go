@@ -167,6 +167,7 @@ func runMultiCase(t *testing.T, mc multiCase, task bool) (o multiOutcome, want [
 	cl.SetReplication(mc.replicas)
 	on := keysByServer(cl, 2)
 	keys := mc.keys(on)
+	buf, ends := flatKeys(keys)
 	var start sim.Time
 	var ev0 uint64
 	var tx0 int64
@@ -211,7 +212,7 @@ func runMultiCase(t *testing.T, mc multiCase, task bool) (o multiOutcome, want [
 		// StartTask's own starter event is the one thing the task engine
 		// adds, and it is subtracted below.
 		env.StartTask("t", func(tk *sim.Task) {
-			cl.GetMultiT(tk, keys, func(items []*Item) {
+			cl.GetMultiT(tk, buf, ends, func(items []*Item) {
 				snapshot(items, tk.Now())
 				tk.End()
 			})
@@ -271,13 +272,14 @@ func TestGetMultiTBorrowEndsAtReturn(t *testing.T) {
 	env, cl := simBank(2, 64)
 	on := keysByServer(cl, 1)
 	keys := []string{on[0][0], on[1][0]}
+	buf, ends := flatKeys(keys)
 	var kept []*Item
 	env.Process("t", func(p *sim.Proc) {
 		for _, k := range keys {
 			cl.Set(p, k, blob.FromString(k))
 		}
 		env.StartTask("t", func(tk *sim.Task) {
-			cl.GetMultiT(tk, keys, func(items []*Item) {
+			cl.GetMultiT(tk, buf, ends, func(items []*Item) {
 				kept = append(kept, items...)
 				tk.End()
 			})
@@ -301,6 +303,7 @@ func TestGetMultiTLateRepliesAfterCut(t *testing.T) {
 	env, cl := simBank(2, 64)
 	on := keysByServer(cl, 2)
 	keys := []string{on[0][0], on[1][0], on[0][1], on[1][1]}
+	buf, ends := flatKeys(keys)
 	net := cl.node.Network()
 	net.EnableFaults()
 	const cutAfter = time.Millisecond
@@ -325,7 +328,7 @@ func TestGetMultiTLateRepliesAfterCut(t *testing.T) {
 			var issue func()
 			issue = func() {
 				t0 := tk.Now()
-				cl.GetMultiT(tk, keys, func(items []*Item) {
+				cl.GetMultiT(tk, buf, ends, func(items []*Item) {
 					if round == 0 {
 						elapsed = tk.Now().Sub(t0)
 						if n := hitCount(items); n != 0 {

@@ -145,7 +145,7 @@ func (c *textConn) get(keys []byte, withCAS bool) {
 		if key, keys = nextField(keys); key == nil {
 			break
 		}
-		it, ok := c.store.GetViewBytes(key)
+		it, ok := c.store.GetView(key)
 		if !ok {
 			continue
 		}

@@ -410,7 +410,7 @@ func runStoreScript(t testing.TB, data []byte) (cov scriptCoverage) {
 				tokens[key] = want.CAS
 			}
 		case 11:
-			got, gok := s.GetViewBytes([]byte(key))
+			got, gok := s.GetView([]byte(key))
 			want, ok := r.get(key)
 			if sameItem(step, what, got, gok, want, ok); ok {
 				tokens[key] = want.CAS

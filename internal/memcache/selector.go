@@ -1,10 +1,8 @@
 package memcache
 
 import (
-	"errors"
 	"hash/crc32"
-	"strconv"
-	"strings"
+	"math"
 )
 
 // Selector maps a key to one of n cache servers.
@@ -31,42 +29,64 @@ type ReplicaSelector interface {
 // the hash-successor convention (primary+1 mod n) for selectors that do
 // not implement ReplicaSelector. With n < 2 it returns the primary: there
 // is nowhere else to put a copy.
-func ReplicaFor(sel Selector, key string, n int) int {
-	p := sel.Pick(key, n)
+func ReplicaFor(sel Selector, key string, n int) int { return replicaKey(sel, key, n) }
+
+// selectKey is sel.Pick for a key held as a string or as borrowed bytes —
+// the simulated bank routes the bytes of its requests. The paper's two
+// distributions hash either in place, through the one body their Pick
+// calls; any other selector (consistent hashing included) is handed a
+// string, a copy per key only the hashing comparison pays.
+func selectKey[K string | []byte](sel Selector, key K, n int) int {
+	switch s := sel.(type) {
+	case CRC32Selector:
+		return crc32Pick(key, n)
+	case BlockModuloSelector:
+		return blockModuloPick(s.BlockSize, key, n)
+	}
+	return sel.Pick(string(key), n)
+}
+
+// replicaKey is ReplicaFor for a key held as a string or as bytes.
+func replicaKey[K string | []byte](sel Selector, key K, n int) int {
 	if n < 2 {
-		return p
+		return selectKey(sel, key, n)
 	}
-	if rs, ok := sel.(ReplicaSelector); ok {
-		return rs.Replica(key, n)
+	switch s := sel.(type) {
+	case CRC32Selector, BlockModuloSelector:
+		// The successor, below.
+	case ReplicaSelector:
+		return s.Replica(string(key), n)
 	}
-	return (p + 1) % n
+	return (selectKey(sel, key, n) + 1) % n
 }
 
 // CRC32Selector distributes keys by CRC32, following libmemcache's default
 // hashing: the checksum is folded to 15 bits before the modulo.
 type CRC32Selector struct{}
 
-// ieeeTable drives the string-keyed checksum below.
+// ieeeTable drives the checksum below.
 var ieeeTable = crc32.MakeTable(crc32.IEEE)
 
-// crc32String is crc32.ChecksumIEEE over a string, byte by byte, so the
-// per-operation key hash needs no []byte conversion (which the compiler
-// cannot always keep off the heap). The table-walk recurrence is the
-// canonical CRC32 definition, so the checksum is identical.
-func crc32String(s string) uint32 {
+// crc32Key is crc32.ChecksumIEEE over a key, byte by byte, so hashing a
+// string key needs no []byte conversion (which the compiler cannot always
+// keep off the heap). The table-walk recurrence is the canonical CRC32
+// definition, so the checksum is identical.
+func crc32Key[K string | []byte](key K) uint32 {
 	h := ^uint32(0)
-	for i := 0; i < len(s); i++ {
-		h = ieeeTable[byte(h)^s[i]] ^ (h >> 8)
+	for i := 0; i < len(key); i++ {
+		h = ieeeTable[byte(h)^key[i]] ^ (h >> 8)
 	}
 	return ^h
 }
 
 // Pick implements Selector.
-func (CRC32Selector) Pick(key string, n int) int {
+func (CRC32Selector) Pick(key string, n int) int { return crc32Pick(key, n) }
+
+func crc32Pick[K string | []byte](key K, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := (crc32String(key) >> 16) & 0x7fff
+	h := (crc32Key(key) >> 16) & 0x7fff
 	return int(h % uint32(n))
 }
 
@@ -88,28 +108,56 @@ type BlockModuloSelector struct {
 }
 
 // Pick implements Selector.
-func (s BlockModuloSelector) Pick(key string, n int) int {
+func (s BlockModuloSelector) Pick(key string, n int) int { return blockModuloPick(s.BlockSize, key, n) }
+
+func blockModuloPick[K string | []byte](bs int64, key K, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	i := strings.LastIndexByte(key, ':')
-	if i >= 0 && s.BlockSize > 0 {
-		off, err := strconv.ParseInt(key[i+1:], 10, 64)
-		switch {
-		case err == nil || errors.Is(err, strconv.ErrRange):
-			// An overflowing offset still parses to the saturated boundary
-			// value, so it maps like a huge offset instead of silently
-			// rehashing the block to a CRC32-chosen server. A negative
-			// offset (corrupt key) clamps to block zero rather than
-			// producing a negative server index.
-			if off < 0 {
-				off = 0
-			}
-			return int((off / s.BlockSize) % int64(n))
+	i := len(key) - 1
+	for i >= 0 && key[i] != ':' {
+		i--
+	}
+	if i >= 0 && bs > 0 {
+		if off, ok := parseOffset(key[i+1:]); ok {
+			return int((off / bs) % int64(n))
 		}
 	}
 	// Non-numeric suffixes (":stat" keys) hash like libmemcache would.
-	return CRC32Selector{}.Pick(key, n)
+	return crc32Pick(key, n)
+}
+
+// parseOffset reads s as strconv.ParseInt(s, 10, 64) does, in place. An
+// overflowing offset still reads as the saturated boundary value, so it maps
+// like a huge offset instead of silently rehashing the block to a
+// CRC32-chosen server; a negative one (corrupt key) clamps to block zero
+// rather than producing a negative server index. ok is false where ParseInt
+// reports a syntax error.
+func parseOffset[K string | []byte](s K) (off int64, ok bool) {
+	neg := len(s) > 0 && s[0] == '-'
+	if len(s) > 0 && (s[0] == '+' || neg) {
+		s = s[1:]
+	}
+	if len(s) == 0 {
+		return 0, false
+	}
+	var u uint64
+	for i := 0; i < len(s); i++ {
+		d := uint64(s[i]) - '0'
+		if d > 9 {
+			return 0, false
+		}
+		if u > (math.MaxUint64-d)/10 {
+			// ParseInt stops at the first overflowing digit too.
+			u = math.MaxUint64
+			break
+		}
+		u = u*10 + d
+	}
+	if neg {
+		return 0, true
+	}
+	return int64(min(u, math.MaxInt64)), true
 }
 
 // Replica implements ReplicaSelector: the successor server in index

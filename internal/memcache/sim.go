@@ -3,6 +3,7 @@ package memcache
 import (
 	"time"
 
+	"imca/internal/fabric"
 	"imca/internal/sim"
 )
 
@@ -36,14 +37,14 @@ var verbNames = [...]string{verbGet: "get", verbSet: "set", verbDelete: "delete"
 func (v verb) String() string { return verbNames[v] }
 
 // request is the protocol's one request message: a get of keys, a set of
-// item (always unconditional, as IMCa uses), or a delete of keys[0]. It
+// item (always unconditional, as IMCa uses), or a delete of item.Key. It
 // lives inside a client-side frame — a bankOp, or one leg of a multi-key
 // get — and the fabric recycles it when the call's frame retires, which is
 // what returns the owner to its pool. WireSize values approximate the text
 // protocol's framing.
 type request struct {
 	verb verb
-	keys []string
+	keys keyList
 	item Item
 
 	owner interface{ release() }
@@ -58,13 +59,63 @@ func (r *request) WireSize() int64 {
 	case verbSet:
 		return int64(len(r.item.Key)) + r.item.Value.Len() + 40
 	case verbDelete:
-		return 8 + int64(len(r.keys[0]))
+		return 8 + int64(len(r.item.Key))
 	}
-	n := int64(8)
-	for _, k := range r.keys {
-		n += int64(len(k)) + 1
+	return 8 + int64(len(r.keys.buf)+len(r.keys.ends))
+}
+
+// keyList is a get's keys back to back in one byte buffer, with the end of
+// each key in it. A request owns its list: the client copies the caller's
+// keys in, the daemon hashes and looks up the bytes in place, and both
+// slices keep their capacity across the pooled request's lives. Because a
+// request returns to its pool only when the fabric recycles it, the bytes
+// cannot be rewritten while a daemon — or a leg a cut link abandoned — can
+// still read them.
+type keyList struct {
+	buf  []byte
+	ends []int
+}
+
+// appendKey adds key, held as a string or as bytes, to l.
+func appendKey[K string | []byte](l *keyList, key K) {
+	//imcalint:allow allocfree amortised growth: a pooled request's key list keeps its capacity, so it grows only to the longest key list that request has carried
+	l.buf = append(l.buf, key...)
+	//imcalint:allow allocfree amortised growth, as above
+	l.ends = append(l.ends, len(l.buf))
+}
+
+func (l *keyList) len() int { return len(l.ends) }
+
+// at returns key i, a borrow of the list's buffer.
+func (l *keyList) at(i int) []byte {
+	from := 0
+	if i > 0 {
+		from = l.ends[i-1]
 	}
-	return n
+	return l.buf[from:l.ends[i]]
+}
+
+// reset empties the list for its request's next life. Under
+// fabric.SetFramePoison the old bytes are overwritten first, so a reader
+// that outlived the request looks up keys no one stored instead of quietly
+// reading the next call's.
+func (l *keyList) reset() {
+	if fabric.FramePoison() {
+		for i := range l.buf {
+			l.buf[i] = 0xff
+		}
+	}
+	l.buf, l.ends = l.buf[:0], l.ends[:0]
+}
+
+// flatKeys lays keys out the way GetMultiT takes them: back to back, with
+// the end of each.
+func flatKeys(keys []string) ([]byte, []int) {
+	var l keyList
+	for _, k := range keys {
+		appendKey(&l, k)
+	}
+	return l.buf, l.ends
 }
 
 // response is the protocol's one response message: the items a get found,

@@ -312,6 +312,10 @@ func TestSimGetFromDownMCDIsAMiss(t *testing.T) {
 // byte count of the simulated protocol's framing, so a drifted header fails
 // here and not as a moved virtual-time table.
 func TestWireSizes(t *testing.T) {
+	testKeys := func(keys ...string) keyList {
+		buf, ends := flatKeys(keys)
+		return keyList{buf, ends}
+	}
 	item := Item{Key: "block:7", Value: blob.Synthetic(1, 0, 2048)} // 7-byte key
 	for _, tc := range []struct {
 		req      request
@@ -319,12 +323,12 @@ func TestWireSizes(t *testing.T) {
 		resp     response
 		wantResp int64
 	}{
-		{request{verb: verbGet, keys: []string{"block:7", "k"}}, 8 + (7 + 1) + (1 + 1),
+		{request{verb: verbGet, keys: testKeys("block:7", "k")}, 8 + (7 + 1) + (1 + 1),
 			response{items: []*Item{&item, &item}}, 8 + 2*(7+2048+40)},
-		{request{verb: verbGet, keys: []string{"k"}}, 8 + (1 + 1), response{down: true}, 8},
+		{request{verb: verbGet, keys: testKeys("k")}, 8 + (1 + 1), response{down: true}, 8},
 		{request{verb: verbSet, item: item}, 7 + 2048 + 40, response{err: "too large"}, 8 + 9},
 		{request{verb: verbSet, item: item}, 7 + 2048 + 40, response{}, 8},
-		{request{verb: verbDelete, keys: []string{"block:7"}}, 8 + 7, response{found: true}, 8},
+		{request{verb: verbDelete, item: Item{Key: "block:7"}}, 8 + 7, response{found: true}, 8},
 	} {
 		if got := tc.req.WireSize(); got != tc.wantReq {
 			t.Errorf("%v request: %d bytes, want %d", tc.req.verb, got, tc.wantReq)

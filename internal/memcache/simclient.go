@@ -79,22 +79,17 @@ func (c *SimClient) SetSelector(s Selector) { c.selector = s }
 // single-copy bank. Only R=2 is modeled; larger r behaves as 2.
 func (c *SimClient) SetReplication(r int) { c.replicas = r }
 
-// replicaNext returns the replica server for key given its primary, or -1
+// replicaNext returns c's replica server for key given its primary, or -1
 // when replication is off, the bank has one node, or the selector mapped
 // both copies to the same daemon.
-func (c *SimClient) replicaNext(key string, primary int) int {
+func replicaNext[K string | []byte](c *SimClient, key K, primary int) int {
 	if c.replicas < 2 || len(c.servers) < 2 {
 		return -1
 	}
-	n := len(c.servers)
-	r := (primary + 1) % n
-	if rs, ok := c.selector.(ReplicaSelector); ok {
-		r = rs.Replica(key, n)
+	if r := replicaKey(c.selector, key, len(c.servers)); r != primary {
+		return r
 	}
-	if r == primary {
-		return -1
-	}
-	return r
+	return -1
 }
 
 // SetFlight attaches a flight recorder: failovers and ejection state
@@ -105,9 +100,9 @@ func (c *SimClient) SetFlight(rec *flight.Recorder) { c.fr = rec }
 // Servers returns the MCD bank.
 func (c *SimClient) Servers() []*SimServer { return c.servers }
 
-func (c *SimClient) pick(key string) (int, *SimServer) {
-	i := c.selector.Pick(key, len(c.servers))
-	return i, c.servers[i]
+// pick returns the server key maps to.
+func pick[K string | []byte](c *SimClient, key K) int {
+	return selectKey(c.selector, key, len(c.servers))
 }
 
 // fail counts a request that got no answer from a live daemon — err is the
@@ -153,8 +148,9 @@ func (c *SimClient) Get(p *sim.Proc, key string) (it *Item, ok bool) {
 // copied.
 func (c *SimClient) GetMulti(p *sim.Proc, keys []string) []*Item {
 	out := make([]*Item, len(keys))
+	buf, ends := flatKeys(keys)
 	p.Await(func(t *sim.Task) {
-		c.GetMultiT(t, keys, func(lent []*Item) {
+		c.GetMultiT(t, buf, ends, func(lent []*Item) {
 			for i, it := range lent {
 				if it != nil {
 					cp := *it
@@ -215,13 +211,13 @@ func multiRespResult(resp *response, asked int) string {
 // daemon answers hits in request order and drops misses, so one forward walk
 // pairs them exactly; a key asked twice is answered twice. hit receives the
 // index into keys and the item found for it.
-func matchItems(keys []string, items []*Item, hit func(j int, it *Item)) {
+func matchItems(keys *keyList, items []*Item, hit func(j int, it *Item)) {
 	n := 0
-	for j, k := range keys {
+	for j := range keys.len() {
 		if n == len(items) {
 			return
 		}
-		if items[n].Key == k {
+		if items[n].Key == string(keys.at(j)) {
 			hit(j, items[n])
 			n++
 		}
@@ -233,15 +229,20 @@ func matchItems(keys []string, items []*Item, hit func(j int, it *Item)) {
 // not yet due) and the replica is routable — then the key fails over at
 // scatter time. Unlike admitRead this never counts probes or fast-fails;
 // the per-server admission in the scatter loop does that once per batch.
-func (c *SimClient) routeRead(a sim.Actor, key string) int {
-	i, _ := c.pick(key)
-	r := c.replicaNext(key, i)
+func (c *SimClient) routeRead(a sim.Actor, key []byte) int {
+	i := pick(c, key)
+	r := replicaNext(c, key, i)
 	if r >= 0 && !c.readRoutable(a, i) && c.readRoutable(a, r) {
-		c.failovers++
-		c.fr.Append(a.Now(), flight.KindFailover, c.node.Name(), c.servers[r].node.Name(), 0)
+		c.failover(a, r)
 		return r
 	}
 	return i
+}
+
+// failover records a read moving to replica server r.
+func (c *SimClient) failover(a sim.Actor, r int) {
+	c.failovers++
+	c.fr.Append(a.Now(), flight.KindFailover, c.node.Name(), c.servers[r].node.Name(), 0)
 }
 
 // DownReplies returns how many of this client's requests were answered by
@@ -276,14 +277,13 @@ func (c *SimClient) BankStats() Stats {
 	return total
 }
 
-// bankOp is the pooled per-operation frame of GetT and of one SetT or
-// DeleteT leg: the request (whose keys slice permanently aliases the op's
-// one-element key buffer), the completion continuation prebound as a method
-// value, and the span and latency bookkeeping. The op returns to its
-// client's pool when the fabric recycles the request — after both the
-// continuation and the far daemon are done with it, which is what makes
-// reuse safe even for a call a cut link abandoned while its request was
-// still being served.
+// bankOp is the pooled per-operation frame of one GetT, SetT or DeleteT
+// leg: the request (a get's key copied into its key list, which keeps its
+// capacity), the completion continuation prebound as a method value, and the
+// span and latency bookkeeping. The op returns to its client's pool when the
+// fabric recycles the request — after both the continuation and the far
+// daemon are done with it, which is what makes reuse safe even for a call a
+// cut link abandoned while its request was still being served.
 type bankOp struct {
 	c   *SimClient
 	t   *sim.Task
@@ -294,7 +294,6 @@ type bankOp struct {
 	next int
 	t0   sim.Time
 	req  request
-	key  [1]string
 
 	kGet func(*Item, bool)
 	kSet func(error)
@@ -303,8 +302,8 @@ type bankOp struct {
 	fnDone func(fabric.Msg, error)
 }
 
-// takeOp draws a frame for one v request to server idx under span sp.
-func (c *SimClient) takeOp(t *sim.Task, v verb, idx int, sp *optrace.Span) *bankOp {
+// takeOp draws a frame for one v request.
+func (c *SimClient) takeOp(t *sim.Task, v verb) *bankOp {
 	var op *bankOp
 	if n := len(c.ops); n > 0 {
 		op = c.ops[n-1]
@@ -313,17 +312,24 @@ func (c *SimClient) takeOp(t *sim.Task, v verb, idx int, sp *optrace.Span) *bank
 	} else {
 		//imcalint:allow allocfree pool refill: a frame is built only when the free list is empty, so the count is bounded by the single-key requests in flight at once
 		op = &bankOp{c: c}
-		op.req.keys = op.key[:1]
 		op.req.owner = op
 		op.fnDone = op.done
 	}
-	op.t, op.req.verb, op.idx, op.sp = t, v, idx, sp
+	op.t, op.req.verb = t, v
 	return op
+}
+
+// send issues op's request to server idx under span sp.
+func (op *bankOp) send(idx int, sp *optrace.Span) {
+	op.idx, op.sp = idx, sp
+	op.c.bindings[idx].CallT(op.t, &op.req, op.fnDone)
 }
 
 func (op *bankOp) release() {
 	op.t, op.sp, op.kGet, op.kSet, op.kDel = nil, nil, nil, nil, nil
-	op.key[0], op.req.item = "", Item{}
+	op.req.item = Item{}
+	op.req.keys.reset()
+	//imcalint:allow allocfree amortised growth: the free list holds only ops already drawn, so its backing array grows to the most single-key requests ever in flight at once
 	op.c.ops = append(op.c.ops, op)
 }
 
@@ -356,7 +362,13 @@ func (op *bankOp) done(m fabric.Msg, err error) {
 		sp.End(t)
 		c.getHist.ObserveSince(t, op.t0)
 		if failed && op.next >= 0 {
-			c.retryGetT(t, op.next, op.key[0], op.kGet)
+			// This request stays the fabric's until the call retires, so the
+			// failover leg gets its own copy of the key.
+			retry := c.takeOp(t, verbGet)
+			appendKey(&retry.req.keys, op.req.keys.at(0))
+			retry.kGet = op.kGet
+			c.failover(t, op.next)
+			c.getOnT(retry, op.next, -1)
 			return
 		}
 		op.kGet(hit, hit != nil)
@@ -388,41 +400,43 @@ func (op *bankOp) done(m fabric.Msg, err error) {
 // fails — ejected server, cut link, down reply — retries once against the
 // replica.
 //
-//imcalint:hotpath 10k-tenant open-loop experiment: per-op allocations on this chain are the marginal cost (ROADMAP [perf]); known ones are baselined for burn-down
-func (c *SimClient) GetT(t *sim.Task, key string, k func(*Item, bool)) {
-	idx, _ := c.pick(key)
-	c.getOnT(t, idx, c.replicaNext(key, idx), key, k)
+//imcalint:hotpath 10k-tenant open-loop experiment: per-op allocations on this chain are the marginal cost (ROADMAP [perf]); each one allocfree reports is fixed or carries an imcalint:allow annotation at its line saying why it is bounded
+func (c *SimClient) GetT(t *sim.Task, key string, k func(*Item, bool)) { getKeyT(c, t, key, k) }
+
+// getKeyT is GetT for a key held as a string or as borrowed bytes: the key
+// is copied into a pooled op's request and asked of its primary, with its
+// replica as the failover.
+func getKeyT[K string | []byte](c *SimClient, t *sim.Task, key K, k func(*Item, bool)) {
+	op := c.takeOp(t, verbGet)
+	appendKey(&op.req.keys, key)
+	op.kGet = k
+	idx := pick(c, key)
+	c.getOnT(op, idx, replicaNext(c, key, idx))
 }
 
-// getOnT runs one GetT leg against server idx; next is the replica to retry
+// getOnT runs one get leg against server idx; next is the replica to retry
 // on if the leg fails, -1 for none.
-func (c *SimClient) getOnT(t *sim.Task, idx, next int, key string, k func(*Item, bool)) {
+func (c *SimClient) getOnT(op *bankOp, idx, next int) {
+	t := op.t
+	op.next = next
 	sp := optrace.StartSpan(t, optrace.LayerMCD, "get")
 	sp.SetAttr("server", c.servers[idx].node.Name())
-	t0 := t.Now()
+	op.t0 = t.Now()
 	if !c.admitRead(t, idx) {
 		sp.SetAttr("result", "ejected")
 		sp.End(t)
-		c.getHist.ObserveSince(t, t0)
+		c.getHist.ObserveSince(t, op.t0)
 		if next >= 0 {
-			c.retryGetT(t, next, key, k)
+			c.failover(t, next)
+			c.getOnT(op, next, -1)
 			return
 		}
+		k := op.kGet
+		op.release()
 		k(nil, false)
 		return
 	}
-	op := c.takeOp(t, verbGet, idx, sp)
-	op.kGet, op.next, op.t0 = k, next, t0
-	op.key[0] = key
-	c.bindings[idx].CallT(t, &op.req, op.fnDone)
-}
-
-// retryGetT records a failover and runs GetT's second leg, which has no
-// further failover target.
-func (c *SimClient) retryGetT(t *sim.Task, next int, key string, k func(*Item, bool)) {
-	c.failovers++
-	c.fr.Append(t.Now(), flight.KindFailover, c.node.Name(), c.servers[next].node.Name(), 0)
-	c.getOnT(t, next, -1, key, k)
+	op.send(idx, sp)
 }
 
 // multiGetOp is GetMultiT's pooled per-operation frame: the caller's
@@ -464,9 +478,9 @@ type legResult struct {
 }
 
 // multiGetLeg is one MCD's share of a multi-get: the pooled request (its
-// keys slice keeps its capacity), where each of its keys sits in the
-// caller's slice, and a context task that is the leg's actor — the identity
-// its spans nest under. A leg outlives its op's interest in it: it returns
+// key list, a copy of those keys, keeps its capacity), where each of its
+// keys sits in the caller's list, and a context task that is the leg's
+// actor — the identity its spans nest under. A leg outlives its op's interest in it: it returns
 // to the pool only when the fabric recycles the request, which for a call a
 // cut link abandoned is after the far daemon has finished reading it.
 type multiGetLeg struct {
@@ -541,10 +555,8 @@ func (c *SimClient) takeLeg() *multiGetLeg {
 // release returns the leg to its client's pool; reached through the pooled
 // request's Recycle, or directly for a leg whose server refused admission.
 func (l *multiGetLeg) release() {
-	for i := range l.req.keys {
-		l.req.keys[i] = ""
-	}
-	l.req.keys, l.pos = l.req.keys[:0], l.pos[:0]
+	l.req.keys.reset()
+	l.pos = l.pos[:0]
 	l.op, l.sp = nil, nil
 	l.t.SetCtx(nil)
 	l.c.legs = append(l.c.legs, l)
@@ -556,7 +568,7 @@ func (l *multiGetLeg) start() {
 	idx := l.op.res[l.n].idx
 	l.sp = optrace.StartSpan(l.t, optrace.LayerMCD, "getmulti")
 	l.sp.SetAttr("server", c.servers[idx].node.Name())
-	l.sp.SetAttrInt("keys", int64(len(l.req.keys)))
+	l.sp.SetAttrInt("keys", int64(l.req.keys.len()))
 	c.bindings[idx].CallT(l.t, &l.req, l.fnDone)
 }
 
@@ -571,10 +583,10 @@ func (l *multiGetLeg) done(m fabric.Msg, err error) {
 		r.err = err
 	} else {
 		resp := m.(*response)
-		l.sp.SetAttr("result", multiRespResult(resp, len(l.req.keys)))
+		l.sp.SetAttr("result", multiRespResult(resp, l.req.keys.len()))
 		r.down = resp.down
 		if !resp.down {
-			matchItems(l.req.keys, resp.items, func(j int, it *Item) {
+			matchItems(&l.req.keys, resp.items, func(j int, it *Item) {
 				op.items = append(op.items, *it)
 				op.out[l.pos[j]] = &op.items[len(op.items)-1]
 			})
@@ -605,34 +617,38 @@ func (op *multiGetOp) collect() {
 }
 
 // GetMultiT fetches many keys with one batched request per MCD, the legs
-// in parallel: k receives a slice aligned with keys, nil where a key
-// missed. The items alias pooled storage and are valid only until k
-// returns; continuation code copies what it keeps. Each MCD's batch is a
-// pooled leg issuing one CallT: one scheduled event to start it, one to
-// join it.
-func (c *SimClient) GetMultiT(t *sim.Task, keys []string, k func([]*Item)) {
+// in parallel. The keys are back to back in keys, key i ending at ends[i] —
+// a borrow: each leg copies its share into its own request. k receives a
+// slice aligned with ends, nil where a key missed. The items alias pooled
+// storage and are valid only until k returns; continuation code copies what
+// it keeps. Each MCD's batch is a pooled leg issuing one CallT: one
+// scheduled event to start it, one to join it.
+func (c *SimClient) GetMultiT(t *sim.Task, keys []byte, ends []int, k func([]*Item)) {
 	op := c.takeMultiOp()
 	op.t, op.k = t, k
-	if cap(op.out) < len(keys) {
-		op.out = make([]*Item, len(keys))
+	if cap(op.out) < len(ends) {
+		op.out = make([]*Item, len(ends))
 		// Snapshots are pointed into: the backing array must never move
 		// while a gather is appending to it.
-		op.items = make([]Item, 0, len(keys))
+		op.items = make([]Item, 0, len(ends))
 	}
-	op.out = op.out[:len(keys)]
-	if len(keys) == 1 {
-		c.GetT(t, keys[0], op.fnGot1)
+	op.out = op.out[:len(ends)]
+	if len(ends) == 1 {
+		getKeyT(c, t, keys[:ends[0]], op.fnGot1)
 		return
 	}
 	op.t0 = t.Now()
-	for j, key := range keys {
+	from := 0
+	for j, end := range ends {
+		key := keys[from:end]
+		from = end
 		i := c.routeRead(t, key)
 		l := op.byServer[i]
 		if l == nil {
 			l = c.takeLeg()
 			op.byServer[i] = l
 		}
-		l.req.keys = append(l.req.keys, key)
+		appendKey(&l.req.keys, key)
 		l.pos = append(l.pos, j)
 	}
 	for i, l := range op.byServer { // deterministic order
@@ -662,8 +678,8 @@ func (c *SimClient) GetMultiT(t *sim.Task, keys []string, k func([]*Item)) {
 // per the documented fault-model boundary. With replication on, both
 // copies are deleted in sequence.
 func (c *SimClient) DeleteT(t *sim.Task, key string, k func(bool)) {
-	idx, _ := c.pick(key)
-	next := c.replicaNext(key, idx)
+	idx := pick(c, key)
+	next := replicaNext(c, key, idx)
 	if next < 0 {
 		c.delOnT(t, idx, key, k)
 		return
@@ -684,18 +700,18 @@ func (c *SimClient) delOnT(t *sim.Task, idx int, key string, k func(bool)) {
 		k(false)
 		return
 	}
-	op := c.takeOp(t, verbDelete, idx, sp)
+	op := c.takeOp(t, verbDelete)
 	op.kDel = k
-	op.key[0] = key
-	c.bindings[idx].CallT(t, &op.req, op.fnDone)
+	op.req.item.Key = key
+	op.send(idx, sp)
 }
 
 // SetT stores an item on its MCD; k receives the acknowledgement's error.
 // With replication on, the replica leg runs after the primary leg and the
 // primary's result is what k sees.
 func (c *SimClient) SetT(t *sim.Task, key string, value blob.Blob, k func(error)) {
-	idx, _ := c.pick(key)
-	next := c.replicaNext(key, idx)
+	idx := pick(c, key)
+	next := replicaNext(c, key, idx)
 	if next < 0 {
 		c.setOnT(t, idx, key, value, k)
 		return
@@ -719,10 +735,10 @@ func (c *SimClient) setOnT(t *sim.Task, idx int, key string, value blob.Blob, k 
 		k(ErrServerDown)
 		return
 	}
-	op := c.takeOp(t, verbSet, idx, sp)
+	op := c.takeOp(t, verbSet)
 	op.kSet, op.t0 = k, t0
 	// The store copies on insert, so the frame's item is reusable the moment
 	// the daemon's Set returns.
 	op.req.item = Item{Key: key, Value: value}
-	c.bindings[idx].CallT(t, &op.req, op.fnDone)
+	op.send(idx, sp)
 }

@@ -172,7 +172,7 @@ func (op *srvOp) daemonHeld() {
 	d := perKeyServiceTime
 	switch r.verb {
 	case verbGet:
-		d = sim.Duration(len(r.keys)) * perKeyServiceTime
+		d = sim.Duration(r.keys.len()) * perKeyServiceTime
 	case verbSet:
 		d += copyTime(r.item.Value.Len())
 	}
@@ -199,8 +199,8 @@ func (op *srvOp) cpuDone() {
 	case verbGet:
 		items := op.items[:0]
 		var moved int64
-		for _, k := range r.keys {
-			if it, ok := s.store.GetView(k); ok {
+		for i := range r.keys.len() {
+			if it, ok := s.store.GetView(r.keys.at(i)); ok {
 				items = append(items, it)
 				moved += it.Value.Len()
 			}
@@ -223,7 +223,7 @@ func (op *srvOp) cpuDone() {
 			op.resp.err = err.Error()
 		}
 	case verbDelete:
-		op.resp.found = s.store.Delete(r.keys[0]) == nil
+		op.resp.found = s.store.Delete(r.item.Key) == nil
 	}
 	op.finish()
 }

@@ -505,19 +505,11 @@ func (s *Store) viewLocked(it *Item) (Item, bool) {
 
 // GetView is Get returning the entry by value: same lookup, same stats,
 // same LRU touch and lazy expiry, but the snapshot lands in the caller's
-// Item instead of a freshly allocated copy — the simulated daemon's hot
-// path reads through it into pooled response buffers. ok is false on a
-// miss.
-func (s *Store) GetView(key string) (Item, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	it, _ := findLocked(s, key)
-	return s.viewLocked(it)
-}
-
-// GetViewBytes is GetView for a key still sitting in a wire buffer: the
-// lookup compares in place, so the real daemon's get builds no key string.
-func (s *Store) GetViewBytes(key []byte) (Item, bool) {
+// Item instead of a freshly allocated copy. The key is bytes the caller
+// lends — a simulated request's key list or the real daemon's wire buffer —
+// and the lookup compares in place, so a get builds no key string. ok is
+// false on a miss.
+func (s *Store) GetView(key []byte) (Item, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	it, _ := findLocked(s, key)

@@ -392,7 +392,7 @@ func TestRecycledEntryDoesNotAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := s.Get("victim")
-	view, ok := s.GetView("victim")
+	view, ok := s.GetView([]byte("victim"))
 	if err != nil || !ok {
 		t.Fatalf("victim not stored: %v, %v", err, ok)
 	}
@@ -426,7 +426,7 @@ func TestRecycledEntryDoesNotAlias(t *testing.T) {
 				if it, err := s.Get(key); err == nil && (it.Key != key || it.Value.Len() != 100<<10) {
 					t.Errorf("Get(%s) returned %q, %d bytes", key, it.Key, it.Value.Len())
 				}
-				if it, ok := s.GetView(key); ok && (it.Key != key || it.Value.Len() != 100<<10) {
+				if it, ok := s.GetView([]byte(key)); ok && (it.Key != key || it.Value.Len() != 100<<10) {
 					t.Errorf("GetView(%s) returned %q, %d bytes", key, it.Key, it.Value.Len())
 				}
 			}

@@ -118,9 +118,8 @@ func TestStoreGetAllocContracts(t *testing.T) {
 	}{
 		{"Get hit", func() { _, _ = st.Get(key) }, 1},
 		{"Get miss", func() { _, _ = st.Get("absent") }, 0},
-		{"GetView hit", func() { _, _ = st.GetView(key) }, 0},
-		{"GetViewBytes hit", func() { _, _ = st.GetViewBytes(kb) }, 0},
-		{"GetViewBytes miss", func() { _, _ = st.GetViewBytes(kb[:4]) }, 0},
+		{"GetView hit", func() { _, _ = st.GetView(kb) }, 0},
+		{"GetView miss", func() { _, _ = st.GetView(kb[:4]) }, 0},
 	} {
 		if got := testing.AllocsPerRun(200, tc.op); got != tc.want {
 			t.Errorf("%s: %.0f allocs, want %.0f", tc.name, got, tc.want)

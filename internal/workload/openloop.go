@@ -59,6 +59,8 @@ type OpenLoopRun struct {
 
 	env     *sim.Env
 	started sim.Time
+	opts    OpenLoopOptions
+	zipf    *xrand.Zipf
 }
 
 // PrepareOpenLoop builds the working set (create + write + one open per
@@ -127,52 +129,89 @@ func PrepareOpenLoop(env *sim.Env, mounts []gluster.FS, opts OpenLoopOptions) *O
 		KeyReads: make([]uint64, opts.Files),
 		env:      env,
 		started:  env.Now(),
+		opts:     opts,
+		// One CDF table shared by every tenant: per-tenant tables would cost
+		// O(Files) memory times ten thousand tenants. Draws consume only the
+		// tenant's own stream.
+		zipf: xrand.NewZipf(xrand.New(opts.Seed), opts.ZipfS, opts.Files),
 	}
-
-	// One CDF table shared by every tenant: per-tenant tables would cost
-	// O(Files) memory times ten thousand tenants. Draws consume only the
-	// tenant's own stream.
-	zipf := xrand.NewZipf(xrand.New(opts.Seed), opts.ZipfS, opts.Files)
-
 	for ci := 0; ci < opts.Tenants; ci++ {
-		ci := ci
-		tfs := tms[ci%len(tms)]
-		mfds := fds[ci%len(tms)]
-		env.StartTask("openloop", func(t *sim.Task) {
-			rng := xrand.New(opts.Seed + uint64(ci)*0x9e3779b97f4a7c15 + 1)
-			fired, pending := 0, 0
-			maybeEnd := func() {
-				if fired == opts.ArrivalsPerTenant && pending == 0 {
-					t.End()
-				}
-			}
-			var arrival func()
-			arrival = func() {
-				fired++
-				idx := zipf.DrawFrom(rng)
-				run.KeyReads[idx]++
-				run.Issued++
-				pending++
-				start := t.Now()
-				tfs.ReadT(t, mfds[idx], 0, opts.FileSize, func(data blob.Blob, err error) {
-					if err != nil || data.Len() != opts.FileSize {
-						panic(fmt.Sprintf("workload: open-loop read %d bytes, %v", data.Len(), err))
-					}
-					run.Latency.Observe(t.Now().Sub(start))
-					run.Completed++
-					pending--
-					maybeEnd()
-				})
-				// Open loop: the next arrival is scheduled now, not when
-				// the read above completes.
-				if fired < opts.ArrivalsPerTenant {
-					t.Sleep(expInterarrival(rng, opts.MeanInterarrival), arrival)
-				}
-			}
-			t.Sleep(expInterarrival(rng, opts.MeanInterarrival), arrival)
-		})
+		tn := &tenant{run: run, seed: opts.Seed + uint64(ci)*0x9e3779b97f4a7c15 + 1,
+			fs: tms[ci%len(tms)], fds: fds[ci%len(tms)]}
+		tn.fnArrive = tn.arrive
+		env.StartTask("openloop", tn.begin)
 	}
 	return run
+}
+
+// tenant is one open-loop client: its task, its arrival and key stream, its
+// mount's descriptors, and the free list of its arrival frames, which grows
+// to the most reads the tenant has had in flight at once and no further.
+type tenant struct {
+	run            *OpenLoopRun
+	seed           uint64
+	fs             gluster.TaskFS
+	fds            []gluster.FD
+	t              *sim.Task
+	rng            *xrand.Rand
+	fired, pending int
+	free           []*arrival
+	fnArrive       func()
+}
+
+// arrival is one read in flight, with its completion prebound as a method
+// value, so a steady-state arrival allocates nothing. It returns to its
+// tenant's free list when the read completes.
+type arrival struct {
+	tn     *tenant
+	start  sim.Time
+	fnDone func(blob.Blob, error)
+}
+
+// begin is the tenant task's body: it schedules the first arrival.
+func (tn *tenant) begin(t *sim.Task) {
+	tn.t = t
+	tn.rng = xrand.New(tn.seed)
+	t.Sleep(expInterarrival(tn.rng, tn.run.opts.MeanInterarrival), tn.fnArrive)
+}
+
+// arrive fires one read and, open loop, schedules the next arrival now, not
+// when the read completes.
+func (tn *tenant) arrive() {
+	run, t := tn.run, tn.t
+	tn.fired++
+	idx := run.zipf.DrawFrom(tn.rng)
+	run.KeyReads[idx]++
+	run.Issued++
+	tn.pending++
+	var a *arrival
+	if n := len(tn.free); n > 0 {
+		a = tn.free[n-1]
+		tn.free = tn.free[:n-1]
+	} else {
+		a = &arrival{tn: tn}
+		a.fnDone = a.done
+	}
+	a.start = t.Now()
+	tn.fs.ReadT(t, tn.fds[idx], 0, run.opts.FileSize, a.fnDone)
+	if tn.fired < run.opts.ArrivalsPerTenant {
+		t.Sleep(expInterarrival(tn.rng, run.opts.MeanInterarrival), tn.fnArrive)
+	}
+}
+
+func (a *arrival) done(data blob.Blob, err error) {
+	tn := a.tn
+	run := tn.run
+	if err != nil || data.Len() != run.opts.FileSize {
+		panic(fmt.Sprintf("workload: open-loop read %d bytes, %v", data.Len(), err))
+	}
+	run.Latency.Observe(tn.t.Now().Sub(a.start))
+	run.Completed++
+	tn.pending--
+	tn.free = append(tn.free, a)
+	if tn.fired == run.opts.ArrivalsPerTenant && tn.pending == 0 {
+		tn.t.End()
+	}
 }
 
 // Run drives a prepared open-loop workload to completion.

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"imca/internal/cluster"
 	"imca/internal/gluster"
+	"imca/internal/sim"
 )
 
 func openLoopOpts() OpenLoopOptions {
@@ -194,5 +196,39 @@ func TestEngineEquivalence(t *testing.T) {
 		if task, proc := both(d.run); task != proc {
 			t.Errorf("%s differs across engines: task %+v, proc %+v", d.name, task, proc)
 		}
+	}
+}
+
+// TestOpenLoopSteadyStateAllocFree: once every pool along the read path has
+// grown to the run's concurrency and every file's blocks are in the bank, an
+// arrival allocates nothing — not its completion (a pooled frame of its
+// tenant), not the read's block keys (bytes the bank borrows), not the bank
+// or fabric frames. Counted, batch-amortised, over the second half of one
+// long run: what it allocates is pool refills at a new peak of reads in
+// flight, a count that grows with the run's rare concurrency records, not
+// with its arrivals (≈ 180 here, against the ≈ 61,000 a cost of one per
+// arrival would show).
+func TestOpenLoopSteadyStateAllocFree(t *testing.T) {
+	c := openLoopCluster()
+	opts := openLoopOpts()
+	opts.Files, opts.ArrivalsPerTenant = 8, 640 // every file hot long before the window
+	run := PrepareOpenLoop(c.Env, c.FSes(), opts)
+	span := sim.Duration(opts.ArrivalsPerTenant) * opts.MeanInterarrival
+	var ms runtime.MemStats
+	var mallocs, issued [2]uint64
+	for i, at := range []sim.Duration{span / 2, span} {
+		c.Env.Defer(at, func() {
+			runtime.ReadMemStats(&ms)
+			mallocs[i], issued[i] = ms.Mallocs, run.Issued
+		})
+	}
+	run.Run()
+	arrivals, n := issued[1]-issued[0], mallocs[1]-mallocs[0]
+	if arrivals < 50000 {
+		t.Fatalf("only %d arrivals between the probes; the window is too short to mean anything", arrivals)
+	}
+	if n*100 > arrivals {
+		t.Errorf("%d steady-state arrivals allocated %d times (%.4f per arrival), want pool refills only, under 0.01 per arrival",
+			arrivals, n, float64(n)/float64(arrivals))
 	}
 }

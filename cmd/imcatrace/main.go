@@ -33,7 +33,9 @@ func main() {
 	case "record":
 		record(os.Args[2:])
 	case "replay":
-		replay(os.Args[2:])
+		if err := replay(os.Args[2:], os.Stdout); err != nil {
+			fatal(err)
+		}
 	default:
 		usage()
 	}
@@ -100,7 +102,8 @@ func record(args []string) {
 		len(tr.Ops), *wl, *clients, *out)
 }
 
-func replay(args []string) {
+// replay runs the replay subcommand with args and writes its report to w.
+func replay(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("in", "", "input trace file (required)")
 	clients := fs.Int("clients", 4, "client mounts to replay onto")
@@ -114,12 +117,12 @@ func replay(args []string) {
 
 	f, err := os.Open(*in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	tr, err := trace.Decode(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	c := cluster.New(cluster.Options{
@@ -133,7 +136,8 @@ func replay(args []string) {
 		b := c.BankStats()
 		bank = &b
 	}
-	writeReplayReport(os.Stdout, len(tr.Ops), *clients, *mcds, res, bank)
+	writeReplayReport(w, len(tr.Ops), *clients, *mcds, res, bank)
+	return nil
 }
 
 // writeReplayReport formats the replay summary: the headline, per-kind

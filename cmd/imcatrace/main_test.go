@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"imca/internal/cluster"
 	"imca/internal/gluster"
@@ -72,6 +75,36 @@ func TestReplayReportDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(pfA, "traceEvents") {
 		t.Error("Perfetto export missing traceEvents array")
+	}
+}
+
+// A trace's sleep records are think times: client 1 idles 40 ms before its
+// stat, past the ~17 ms client 0's operations take, so the replay's elapsed
+// time is the sleep's; the sleeps are counted and averaged as their own kind.
+func TestReplayWithSleeps(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "sleeps.trace")
+	const text = `0 create /s/f 0 0 0
+0 write /s/f 0 4096 3
+0 sleep - 0 2000000 0
+0 read /s/f 0 4096 0
+1 sleep - 0 40000000 0
+1 stat /s/f 0 0 0
+`
+	if err := os.WriteFile(in, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var rep bytes.Buffer
+	if err := replay([]string{"-in", in, "-clients", "2", "-mcds", "1"}, &rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"replayed 6 ops on 2 clients, 1 MCDs: ", " 0 errors\n", "  sleep          2 ops, avg 21ms\n"} {
+		if !strings.Contains(rep.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, rep.String())
+		}
+	}
+	head, _, _ := strings.Cut(strings.TrimPrefix(rep.String(), "replayed 6 ops on 2 clients, 1 MCDs: "), " elapsed")
+	if elapsed, err := time.ParseDuration(head); err != nil || elapsed < 40*time.Millisecond {
+		t.Errorf("elapsed %q (%v): want at least client 1's 40ms sleep", head, err)
 	}
 }
 

@@ -6,10 +6,13 @@
 // Injector arms a plan against a cluster by registering sim.Env timers, so
 // the faults land at exact, reproducible instants regardless of host
 // scheduling: the same plan over the same workload produces byte-identical
-// runs. An Oracle wraps a mount and shadows every acknowledged write in
-// host memory, mechanizing the paper's §4.4 correctness argument (cache
-// loss must never lose a write or surface a stale read) as an executable
-// invariant.
+// runs. An Oracle wraps every mount of a deployment and keeps one history
+// of the mutations they issue, with the virtual interval each ran over; it
+// judges every read, stat and open by the regular-register rule,
+// mechanizing the paper's §4.4 correctness argument (cache loss must never
+// lose a write or surface a stale read) as an executable invariant across
+// any number of clients. AuditReplicas and AuditResident check the bank
+// itself once a run has drained.
 package fault
 
 import (
@@ -142,8 +145,8 @@ type Plan struct {
 	Events []Event
 }
 
-// String renders the whole plan, one event per line, so a failing fuzz
-// case can be pasted back into a regression test verbatim.
+// String renders the whole plan, one event per line; a failing fuzz case
+// prints it beside the decoded trace.
 func (pl *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan %q:\n", pl.Name)

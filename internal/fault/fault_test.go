@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -275,20 +276,21 @@ func TestInjectorRegister(t *testing.T) {
 func TestOracleTracksHappyPath(t *testing.T) {
 	c := cluster.New(cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: 8 << 20, BlockSize: 1024})
 	o := NewOracle(c.Mounts[0].FS)
+	fs := o.Mount(0)
 	c.Env.Process("t", func(p *sim.Proc) {
-		fd, err := o.Create(p, "/h/f")
+		fd, err := fs.Create(p, "/h/f")
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		o.Write(p, fd, 0, blob.Synthetic(3, 0, 3000))
-		o.Write(p, fd, 1500, blob.Synthetic(4, 0, 100)) // overlap
-		o.Write(p, fd, 5000, blob.Synthetic(5, 0, 10))  // hole
-		o.Read(p, fd, 0, 8192)                          // short read at EOF
-		o.Truncate(p, "/h/f", 2000)
-		o.Stat(p, "/h/f")
-		o.Truncate(p, "/h/f", 4000) // zero-extend
-		o.Read(p, fd, 1000, 3000)
-		o.Close(p, fd)
+		fs.Write(p, fd, 0, blob.Synthetic(3, 0, 3000))
+		fs.Write(p, fd, 1500, blob.Synthetic(4, 0, 100)) // overlap
+		fs.Write(p, fd, 5000, blob.Synthetic(5, 0, 10))  // hole
+		fs.Read(p, fd, 0, 8192)                          // short read at EOF
+		fs.Truncate(p, "/h/f", 2000)
+		fs.Stat(p, "/h/f")
+		fs.Truncate(p, "/h/f", 4000) // zero-extend
+		fs.Read(p, fd, 1000, 3000)
+		fs.Close(p, fd)
 		o.VerifyAll(p)
 	})
 	c.Env.Run()
@@ -306,19 +308,20 @@ func TestOracleTracksHappyPath(t *testing.T) {
 func TestOracleOrphanedDescriptorWrite(t *testing.T) {
 	c := cluster.New(cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: 8 << 20, BlockSize: 1024})
 	o := NewOracle(c.Mounts[0].FS)
+	fs := o.Mount(0)
 	c.Env.Process("t", func(p *sim.Proc) {
-		fd, err := o.Create(p, "/u/f")
+		fd, err := fs.Create(p, "/u/f")
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		o.Write(p, fd, 0, blob.Synthetic(1, 0, 512))
-		if err := o.Unlink(p, "/u/f"); err != nil {
+		fs.Write(p, fd, 0, blob.Synthetic(1, 0, 512))
+		if err := fs.Unlink(p, "/u/f"); err != nil {
 			t.Fatalf("unlink: %v", err)
 		}
-		if _, err := o.Write(p, fd, 512, blob.Synthetic(2, 0, 512)); err != nil {
+		if _, err := fs.Write(p, fd, 512, blob.Synthetic(2, 0, 512)); err != nil {
 			t.Errorf("write through orphaned descriptor: %v", err)
 		}
-		o.Close(p, fd)
+		fs.Close(p, fd)
 		o.VerifyAll(p)
 	})
 	c.Env.Run()
@@ -333,31 +336,41 @@ func TestOracleOrphanedDescriptorWrite(t *testing.T) {
 // daemon, so a later read serves the stale cached block. The §4.4 argument
 // explicitly excludes this case (it assumes the server can always reach
 // the bank it populated) — the oracle must flag it, proving the harness
-// can see real staleness, not just pass healthy runs.
+// can see real staleness, not just pass healthy runs. With two mounts the
+// reader is not the writer: the write completed before the read started,
+// so the reader must see it.
 func TestOracleCatchesStaleRead(t *testing.T) {
-	c := cluster.New(cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: 8 << 20, BlockSize: 1024})
-	o := NewOracle(c.Mounts[0].FS)
-	c.Env.Process("t", func(p *sim.Proc) {
-		fd, err := o.Create(p, "/s/f")
-		if err != nil {
-			t.Fatalf("create: %v", err)
+	for _, mounts := range []int{1, 2} {
+		c := cluster.New(cluster.Options{Clients: mounts, MCDs: 1, MCDMemBytes: 8 << 20, BlockSize: 1024})
+		o := NewOracle(c.FSes()...)
+		w, r := o.Mount(0), o.Mount(mounts-1) // the writer and the reader
+		c.Env.Process("t", func(p *sim.Proc) {
+			wfd, err := w.Create(p, "/s/f")
+			if err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			w.Write(p, wfd, 0, blob.Synthetic(11, 0, 1024)) // block cached in mcd0
+			rfd := wfd
+			if mounts > 1 {
+				if rfd, err = r.Open(p, "/s/f"); err != nil {
+					t.Fatalf("open: %v", err)
+				}
+			}
+			r.Read(p, rfd, 0, 1024)                         // ensure it is in the bank
+			c.Net.CutLink("gfs-server", "mcd0")             // server loses the bank...
+			w.Write(p, wfd, 0, blob.Synthetic(12, 0, 1024)) // ...so this push/purge fails
+			r.Read(p, rfd, 0, 1024)                         // the reader still hits the stale block
+		})
+		c.Env.Run()
+		found := false
+		for _, v := range o.Violations() {
+			if strings.Contains(v, fmt.Sprintf("stale read \"/s/f\" [0,+1024) on mount %d", mounts-1)) {
+				found = true
+			}
 		}
-		o.Write(p, fd, 0, blob.Synthetic(11, 0, 1024)) // block cached in mcd0
-		o.Read(p, fd, 0, 1024)                         // ensure it is in the bank
-		c.Net.CutLink("gfs-server", "mcd0")            // server loses the bank...
-		o.Write(p, fd, 0, blob.Synthetic(12, 0, 1024)) // ...so this push/purge fails
-		o.Read(p, fd, 0, 1024)                         // client still hits the stale block
-		o.Close(p, fd)
-	})
-	c.Env.Run()
-	found := false
-	for _, v := range o.Violations() {
-		if strings.Contains(v, "stale read") {
-			found = true
+		if !found {
+			t.Fatalf("%d mounts: oracle missed the staleness an asymmetric server<->MCD cut creates; violations: %v",
+				mounts, o.Violations())
 		}
-	}
-	if !found {
-		t.Fatalf("oracle missed the staleness an asymmetric server<->MCD cut creates; violations: %v",
-			o.Violations())
 	}
 }

@@ -14,8 +14,9 @@ import (
 // the next open, close, truncate or unlink of the path deletes it; and it
 // must start inside the file as the brick holds it now, since a truncate
 // purges what it cut off. No key at all — data or stat — of a path no brick
-// holds may be resident once no descriptor of it is open: an unlinked file
-// leaves nothing a re-created one could be served. Run it once the
+// holds may be resident: an unlinked file leaves nothing a re-created one
+// could be served, and descriptors still open on it no longer feed the
+// bank. Run it once the
 // simulation has drained; like AuditReplicas it is side-effect-free and
 // returns one line per violation, nil for a deployment without IMCa.
 func AuditResident(c *cluster.Cluster) []string {
@@ -37,20 +38,19 @@ func AuditResident(c *cluster.Cluster) []string {
 			off, err := strconv.ParseInt(key[cut+1:], 10, 64)
 			data := err == nil
 			var size int64
-			exists, opened, recorded := false, false, false
+			exists, recorded := false, false
 			for _, b := range bricks {
 				if sz, ok := b.Posix.Size(path); ok {
 					size, exists = sz, true
 				}
-				opened = opened || b.SMCache.Opened(path)
 				recorded = recorded || (data && b.SMCache.Recorded(path, off))
 			}
 			switch {
-			case !exists && !opened:
+			case !exists:
 				violations = append(violations, fmt.Sprintf("key %q resident on mcd%d, but %s no longer exists", key, i, path))
 			case data && !recorded:
 				violations = append(violations, fmt.Sprintf("data key %q resident on mcd%d is not recorded for %s: no later purge deletes it", key, i, path))
-			case data && exists && off >= size:
+			case data && off >= size:
 				violations = append(violations, fmt.Sprintf("data key %q resident on mcd%d lies past %s's end of file at %d", key, i, path, size))
 			}
 		}

@@ -710,6 +710,15 @@ func (c *SimClient) delOnT(t *sim.Task, idx int, key string, k func(bool)) {
 // With replication on, the replica leg runs after the primary leg and the
 // primary's result is what k sees.
 func (c *SimClient) SetT(t *sim.Task, key string, value blob.Blob, k func(error)) {
+	c.SetFreshT(t, key, value, nil, k)
+}
+
+// SetFreshT is SetT for a value that can go stale while the primary leg
+// runs: unless fresh, when not nil, still holds as the primary leg
+// returns, the replica leg deletes the key instead of storing it. A delete
+// issued meanwhile has reached the replica already, so a later store would
+// outlive it, and the copy the replica holds is older still.
+func (c *SimClient) SetFreshT(t *sim.Task, key string, value blob.Blob, fresh func() bool, k func(error)) {
 	idx := pick(c, key)
 	next := replicaNext(c, key, idx)
 	if next < 0 {
@@ -717,6 +726,10 @@ func (c *SimClient) SetT(t *sim.Task, key string, value blob.Blob, k func(error)
 		return
 	}
 	c.setOnT(t, idx, key, value, func(err error) {
+		if fresh != nil && !fresh() {
+			c.delOnT(t, next, key, func(bool) { k(err) })
+			return
+		}
 		c.setOnT(t, next, key, value, func(error) { k(err) })
 	})
 }

@@ -6,8 +6,13 @@
 // are not representative.
 //
 // A trace is client-partitioned: per-client operation order is preserved
-// exactly on replay; cross-client interleaving is reproduced approximately
-// (all clients start together and run at their natural speeds).
+// exactly on replay, and all clients start together. A recorded trace
+// carries no think times, so its cross-client interleaving is reproduced
+// only approximately: each client issues its next operation the instant the
+// previous one completes, at the replay deployment's speed. A trace that
+// carries sleep records fixes each client's think times, so its interleaving
+// on a given deployment is exact (replay is deterministic); the fault
+// package's fuzz builds its multi-client schedules that way.
 package trace
 
 import (
@@ -38,6 +43,8 @@ const (
 	OpMkdir    Kind = "mkdir"
 	OpReaddir  Kind = "readdir"
 	OpTruncate Kind = "truncate"
+	// OpSleep is think time: the client idles for Size nanoseconds.
+	OpSleep Kind = "sleep"
 )
 
 // Op is one recorded operation. Reads and writes are positional; file
@@ -69,14 +76,20 @@ func (t *Trace) PerClient() map[int][]Op {
 // Encode writes the trace in a line-oriented text format:
 //
 //	<client> <kind> <path> <off> <size> <seed>
+//
+// An empty path (a sleep's) is written as "-".
 func (t *Trace) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, op := range t.Ops {
 		if strings.ContainsAny(op.Path, " \n") {
 			return fmt.Errorf("trace: path %q contains separators", op.Path)
 		}
+		path := op.Path
+		if path == "" {
+			path = "-"
+		}
 		if _, err := fmt.Fprintf(bw, "%d %s %s %d %d %d\n",
-			op.Client, op.Kind, op.Path, op.Off, op.Size, op.Seed); err != nil {
+			op.Client, op.Kind, path, op.Off, op.Size, op.Seed); err != nil {
 			return err
 		}
 	}
@@ -106,8 +119,12 @@ func Decode(r io.Reader) (*Trace, error) {
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return nil, fmt.Errorf("trace: line %d: bad numbers", lineNo)
 		}
+		path := f[2]
+		if path == "-" {
+			path = ""
+		}
 		t.Ops = append(t.Ops, Op{
-			Client: client, Kind: Kind(f[1]), Path: f[2],
+			Client: client, Kind: Kind(f[1]), Path: path,
 			Off: off, Size: size, Seed: seed,
 		})
 	}
@@ -367,6 +384,9 @@ func applyOp(p *sim.Proc, fs gluster.FS, fds map[string]gluster.FD, op Op) error
 		return err
 	case OpTruncate:
 		return fs.Truncate(p, op.Path, op.Size)
+	case OpSleep:
+		p.Sleep(sim.Duration(op.Size))
+		return nil
 	default:
 		return fmt.Errorf("trace: unknown op kind %q", op.Kind)
 	}

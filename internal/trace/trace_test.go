@@ -57,6 +57,7 @@ func TestRecorderCapturesOps(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr := record(t)
+	tr.Ops = append(tr.Ops, Op{Client: 1, Kind: OpSleep, Size: 1500000})
 	var sb strings.Builder
 	if err := tr.Encode(&sb); err != nil {
 		t.Fatal(err)
@@ -64,6 +65,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	got, err := Decode(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "\n1 sleep - 0 1500000 0\n") {
+		t.Errorf("sleep encoded as something other than %q:\n%s", "1 sleep - 0 1500000 0", sb.String())
 	}
 	if len(got.Ops) != len(tr.Ops) {
 		t.Fatalf("decoded %d ops, want %d", len(got.Ops), len(tr.Ops))

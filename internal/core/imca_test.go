@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -484,5 +485,80 @@ func TestIMCaGrowthRefreshesStaleTailBlock(t *testing.T) {
 	})
 	if r.cmcache.Stats.ReadMisses != 0 {
 		t.Errorf("the tail-block read should have been a cache hit (misses=%d)", r.cmcache.Stats.ReadMisses)
+	}
+}
+
+// heldWrites is Posix whose writes, once hold is set, wait at the door
+// until release: a held write's stat-before has run and its data has not
+// applied, so other operations can be slotted in between.
+type heldWrites struct {
+	*gluster.Posix
+	hold bool
+	held []func()
+}
+
+func (h *heldWrites) WriteT(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
+	if !h.hold {
+		h.Posix.WriteT(t, fd, off, data, k)
+		return
+	}
+	h.held = append(h.held, func() { h.Posix.WriteT(t, fd, off, data, k) })
+}
+
+func (h *heldWrites) release() {
+	h.hold = false
+	for _, w := range h.held {
+		w()
+	}
+	h.held = nil
+}
+
+// TestIMCaWriteOvertakenByTruncatePurges: a write whose stat-before saw an
+// 8 KB file applies only after a truncate to 100 bytes and a read that
+// pushed the new, short tail block. The write lands inside the end it saw
+// but past the real one, so that short block no longer ends the file: the
+// write must not push as if only writes had overtaken it.
+func TestIMCaWriteOvertakenByTruncatePurges(t *testing.T) {
+	const bs, path = 2048, "/overtaken"
+	env := sim.NewEnv()
+	net := fabric.NewNetwork(env, fabric.IPoIB)
+	mcds := []*memcache.SimServer{memcache.NewSimServer(net.NewNode("mcd0", 8), 6<<30)}
+	px := &heldWrites{Posix: gluster.NewPosix(env, gluster.PosixConfig{Dev: disk.NewArray(env, 8, 64<<10, disk.HighPoint2008), CacheBytes: 6 << 30})}
+	sm := NewSMCache(env, px, memcache.NewSimClient(net.NewNode("server", 8), mcds), Config{BlockSize: bs})
+	ct := env.ContextTask("client")
+	check := func(what string) func(error) {
+		return func(err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+	}
+	var fd gluster.FD
+	sm.CreateT(ct, path, func(f gluster.FD, err error) { fd = f; check("create")(err) })
+	env.Run()
+	sm.WriteT(ct, fd, 0, blob.Synthetic(1, 0, 4*bs), func(_ int64, err error) { check("first write")(err) })
+	env.Run()
+
+	px.hold = true
+	sm.WriteT(ct, fd, 2*bs, blob.Synthetic(2, 2*bs, bs), func(_ int64, err error) { check("held write")(err) })
+	env.Run()
+	sm.TruncateT(ct, path, 100, check("truncate"))
+	env.Run()
+	sm.ReadT(ct, fd, 0, bs, func(got blob.Blob, err error) {
+		if err != nil || got.Len() != 100 {
+			t.Fatalf("read after the truncate = %d bytes, %v; want 100", got.Len(), err)
+		}
+	})
+	env.Run()
+	if it, err := mcds[0].Store().Get(blockKey(path, 0)); err != nil || it.Value.Len() != 100 {
+		t.Fatal("the read left no short tail block in the bank; the case is not exercised")
+	}
+	px.release()
+	env.Run()
+
+	want := blob.Synthetic(1, 0, 100).Bytes()
+	want = append(want, make([]byte, bs-100)...)
+	if it, err := mcds[0].Store().Get(blockKey(path, 0)); err == nil && !bytes.Equal(it.Value.Bytes(), want) {
+		t.Errorf("the bank serves block 0 as %d bytes; the file holds %d there", it.Value.Len(), bs)
 	}
 }

@@ -10,10 +10,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Whole-program static analysis, seven checks: determinism invariants
-# (wallclock, rand, maprange, nogoroutine, tickpurity) plus hot-path
-# allocation and error-drop checks. An accepted finding is annotated at its
-# site (//imcalint:allow <check> <reason>). See DESIGN.md "Static analysis".
+# Whole-program static analysis, six checks: determinism invariants
+# (wallclock, rand, maprange, nogoroutine, tickpurity) plus the error-drop
+# check. An accepted finding is annotated at its site
+# (//imcalint:allow <check> <reason>). See DESIGN.md "Static analysis".
 lint:
 	$(GO) run ./cmd/imcalint ./...
 

@@ -2,7 +2,7 @@
 // (internal/lint) over the given package patterns.
 //
 //	imcalint ./...
-//	imcalint -check allocfree,errdrop ./internal/...
+//	imcalint -check maprange,errdrop ./internal/...
 //
 // Findings print one per line as "file:line: [check] message" and the
 // exit status is 1 when any are found (2 on usage or analysis errors).
@@ -11,7 +11,7 @@
 //	//imcalint:allow <check> <reason>
 //
 // An annotation with no finding under it is itself a finding. See
-// internal/lint's package documentation for the seven checks and the
+// internal/lint's package documentation for the six checks and the
 // invariants behind them.
 package main
 

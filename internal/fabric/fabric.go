@@ -135,13 +135,8 @@ type Node struct {
 	services map[string]*service
 
 	// frames is the node's free list of outgoing call frames (see
-	// frame.go); newFrame grows it. Growth goes through a stored function
-	// value deliberately: the per-call path reads it off the free list,
-	// and the amortized construction cost stays off the static hot chain
-	// the allocfree check walks — the same reasoning that keeps the
-	// dispatch loop's ev.fn() indirection tractable.
-	frames   []*callFrame
-	newFrame func(*Node) *callFrame
+	// frame.go).
+	frames []*callFrame
 
 	// Traffic accounting.
 	TxBytes, RxBytes int64
@@ -169,7 +164,6 @@ func (n *Network) NewNode(name string, cores int) *Node {
 		tx:       sim.NewResource(n.env, 1),
 		rx:       sim.NewResource(n.env, 1),
 		services: make(map[string]*service),
-		newFrame: newCallFrame,
 	}
 	n.nodes[name] = node
 	return node

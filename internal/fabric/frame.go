@@ -155,7 +155,7 @@ func (nd *Node) getFrame() *callFrame {
 		}
 		return f
 	}
-	return nd.newFrame(nd)
+	return newCallFrame(nd)
 }
 
 // release drops one reference; the last one recycles the frame.

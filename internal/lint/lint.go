@@ -1,12 +1,13 @@
 // Package lint implements imcalint, a whole-program static analyzer for
-// the simulator stack. The reproduction rests on two properties: two
-// identical runs produce byte-identical tables and traces on a virtual
-// clock, and the per-event hot paths stay allocation-free. Both are easy
-// to break silently — a stray time.Now in a simulated layer, a map
-// iterated into a report, a closure allocated inside the dispatch loop —
-// so this package makes them machine-checked rather than conventional.
+// the simulator stack. The reproduction rests on two identical runs
+// producing byte-identical tables and traces on a virtual clock. That is
+// easy to break silently — a stray time.Now in a simulated layer, a map
+// iterated into a report, a goroutine racing the kernel — so this package
+// makes it machine-checked rather than conventional. (Allocation
+// contracts are not checked here: the AllocsPerRun tests and the
+// benchmark's allocs_per_op pin them where the code runs.)
 //
-// Seven checks are implemented, each over the parsed and type-checked
+// Six checks are implemented, each over the parsed and type-checked
 // source of the packages under analysis (stdlib tooling only: go/parser,
 // go/ast, go/types, go/importer):
 //
@@ -33,14 +34,6 @@
 //   - tickpurity: functions reachable from a sim.Env.SetTick observer
 //     must not call scheduling methods; sampling can never advance the
 //     clock.
-//   - allocfree: no heap-allocating constructs — closures, append
-//     growth, make/new, address-taken composite literals, non-constant
-//     string concatenation, interface boxing — reachable from a function
-//     annotated //imcalint:hotpath. The annotation turns the runtime
-//     AllocsPerRun guarantees of the dispatch loop, Hist.Observe and
-//     flight.Append into compile-time ones; the bounded allocations
-//     left on the task completion chains (pool refills, amortised
-//     growth) each carry an allow annotation saying why.
 //   - errdrop: no module-internal error result silently dropped in an
 //     expression statement, and no completion-callback parameter a
 //     function accepts but never calls or forwards — a dropped
@@ -68,8 +61,7 @@ import (
 
 // Checks is the set of valid check names, in reporting order.
 var Checks = []string{
-	"wallclock", "rand", "maprange", "nogoroutine", "tickpurity",
-	"allocfree", "errdrop",
+	"wallclock", "rand", "maprange", "nogoroutine", "tickpurity", "errdrop",
 }
 
 // Finding is one rule violation.
@@ -99,7 +91,7 @@ type Config struct {
 	// RandAllowed lists the packages that may import math/rand.
 	RandAllowed []string
 	// SimPath is the import path of the simulation kernel, used by the
-	// maprange, tickpurity and allocfree checks to recognize
+	// maprange and tickpurity checks to recognize
 	// scheduling calls and actor types. Empty disables those recognitions
 	// (the checks still run on syntax).
 	SimPath string
@@ -225,9 +217,6 @@ func checkPackage(ld *loader, pkg *pkgInfo, cfg *Config, enabled map[string]bool
 	if enabled["tickpurity"] {
 		findings = append(findings, checkTickPurity(ld, pkg, cfg)...)
 	}
-	if enabled["allocfree"] {
-		findings = append(findings, checkAllocFree(ld, pkg, cfg)...)
-	}
 	if enabled["errdrop"] {
 		findings = append(findings, checkErrDrop(ld, pkg, cfg)...)
 	}
@@ -274,8 +263,8 @@ func sortFindings(findings []Finding) {
 }
 
 // dedupFindings drops findings identical in position and check: the
-// cross-package reachability walks (allocfree, tickpurity) can reach the
-// same construct from roots in different packages, and one report per
+// cross-package reachability walk (tickpurity) can reach the same
+// construct from observers in different packages, and one report per
 // site is enough. Input must be sorted, so which message survives is
 // deterministic.
 func dedupFindings(findings []Finding) []Finding {

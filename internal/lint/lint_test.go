@@ -28,7 +28,7 @@ func TestGolden(t *testing.T) {
 	root := moduleRoot(t)
 	for _, name := range []string{
 		"wallclock", "randpkg", "maprange", "nogoroutine", "hostside", "tickpurity",
-		"allocfree", "errdrop", "suppress",
+		"errdrop", "suppress",
 	} {
 		t.Run(name, func(t *testing.T) {
 			rel := "internal/lint/testdata/" + name
@@ -180,41 +180,5 @@ func TestEnabledFilter(t *testing.T) {
 	cfg.Enabled = []string{"warpdrive"}
 	if _, err := Run(root, pat, cfg); err == nil {
 		t.Error("unknown check name accepted")
-	}
-}
-
-// TestHotPathRoots: the functions whose allocation contracts are pinned at
-// run time by AllocsPerRun tests (and the bank client's GetT, which the
-// stat path rides) each carry //imcalint:hotpath with its note, so
-// allocfree guards the same paths statically. A missing annotation fails
-// by name.
-func TestHotPathRoots(t *testing.T) {
-	root := moduleRoot(t)
-	ld, err := newLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []struct{ dir, fn string }{
-		{"internal/sim", "Env.Run"},
-		{"internal/telemetry", "Hist.Observe"},
-		{"internal/metrics", "Histogram.Observe"},
-		{"internal/flight", "Recorder.Append"},
-		{"internal/memcache", "SimClient.GetT"},
-	} {
-		pkg, err := ld.loadDir(filepath.Join(root, want.dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		roots, bad := collectHotpathRoots(pkg)
-		for _, f := range bad {
-			t.Errorf("%s", f)
-		}
-		found := false
-		for _, r := range roots {
-			found = found || funcKey(r.fn) == want.fn
-		}
-		if !found {
-			t.Errorf("%s.%s is not annotated //imcalint:hotpath", want.dir, want.fn)
-		}
 	}
 }

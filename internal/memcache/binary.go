@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"imca/internal/blob"
-	"imca/internal/bufpool"
 )
 
 // The memcached binary protocol: fixed 24-byte headers, binary-safe keys
@@ -126,13 +125,18 @@ func ServeBinaryConn(store *Store, rw io.ReadWriter) error {
 	return serveBinary(store, bufio.NewReader(rw), bufio.NewWriter(rw))
 }
 
+// maxKeptBody bounds the body buffer a connection keeps between requests.
+// A larger body is read into a buffer of its own that is dropped after the
+// request, so one oversized message cannot pin its size for the life of
+// the connection.
+const maxKeptBody = 64 << 10
+
 func serveBinary(store *Store, r *bufio.Reader, bw *bufio.Writer) error {
 	w := &wireWriter{Writer: bw}
-	// Request bodies come from a connection-local free list: everything
-	// that outlives the request (keys, stored values) is copied out below,
-	// so a steady pipeline of same-sized commands reads into one recycled
-	// buffer instead of allocating per message.
-	var bufs bufpool.Pool
+	// The connection holds one request body at a time, and everything that
+	// outlives the request (keys, stored values) is copied out of it, so
+	// every body up to maxKeptBody is read into this one reused buffer.
+	var body []byte
 	for {
 		// The text loop's rule: flush when the next read could block — here,
 		// when less than a whole header is buffered.
@@ -141,7 +145,7 @@ func serveBinary(store *Store, r *bufio.Reader, bw *bufio.Writer) error {
 				return err
 			}
 		}
-		quit, err := serveBinaryOne(store, r, w, &bufs)
+		quit, err := serveBinaryOne(store, r, w, &body)
 		if err != nil {
 			_ = w.Flush() // the read error is the one to report
 			return err
@@ -152,7 +156,22 @@ func serveBinary(store *Store, r *bufio.Reader, bw *bufio.Writer) error {
 	}
 }
 
-func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, bufs *bufpool.Pool) (quit bool, err error) {
+// bodyBuffer returns a length-n buffer for a request body: *kept, grown as
+// needed, when n is at most maxKeptBody, and otherwise one of its own that
+// *kept never holds. Contents are unspecified; the caller reads over them.
+func bodyBuffer(kept *[]byte, n int) []byte {
+	if n > maxKeptBody {
+		return make([]byte, n)
+	}
+	if n > cap(*kept) {
+		*kept = make([]byte, min(max(n, 2*cap(*kept)), maxKeptBody))
+	}
+	return (*kept)[:n]
+}
+
+// serveBinaryOne serves one request, reading its body into *kept when it
+// fits (see bodyBuffer).
+func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, kept *[]byte) (quit bool, err error) {
 	// The header is decoded where it sits in the read buffer.
 	hdr, err := r.Peek(24)
 	if err != nil {
@@ -185,8 +204,7 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, bufs *bufpool.
 			return false, err
 		}
 	}
-	body := bufs.Get(int(h.bodyLen))
-	defer bufs.Put(body)
+	body := bodyBuffer(kept, int(h.bodyLen))
 	if _, err := io.ReadFull(r, body); err != nil {
 		return false, err
 	}

@@ -78,9 +78,9 @@ type keyList struct {
 
 // appendKey adds key, held as a string or as bytes, to l.
 func appendKey[K string | []byte](l *keyList, key K) {
-	//imcalint:allow allocfree amortised growth: a pooled request's key list keeps its capacity, so it grows only to the longest key list that request has carried
+	// Amortised growth: a pooled request's key list keeps its capacity, so
+	// it grows only to the longest key list that request has carried.
 	l.buf = append(l.buf, key...)
-	//imcalint:allow allocfree amortised growth, as above
 	l.ends = append(l.ends, len(l.buf))
 }
 

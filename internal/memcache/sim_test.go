@@ -308,6 +308,81 @@ func TestSimGetFromDownMCDIsAMiss(t *testing.T) {
 	}
 }
 
+// TestGetTAllocations pins what one SimClient.GetT allocates in steady
+// state, batch-amortised over warm pools as in fabric/frame_test.go: a hit,
+// a miss, a fast-fail against an ejected server and a failover from an
+// ejected primary to its replica allocate nothing; a get a down daemon
+// answers allocates its reply, which handleT deliberately does not pool.
+func TestGetTAllocations(t *testing.T) {
+	const getsPerRun, runs = 64, 20
+	for _, tc := range []struct {
+		name string
+		// setup readies the two-MCD bank for key, whose primary is mcd0 and
+		// whose replica is mcd1.
+		setup  func(cl *SimClient, key string)
+		hit    bool
+		perGet float64
+	}{
+		{"hit", func(cl *SimClient, key string) { storeOn(t, cl, 0, key) }, true, 0},
+		{"miss", func(*SimClient, string) {}, false, 0},
+		{"ejected fast-fail", func(cl *SimClient, _ string) {
+			cl.SetEjection(1, time.Hour)
+			cl.servers[0].Fail()
+		}, false, 0},
+		{"ejected with replica failover", func(cl *SimClient, key string) {
+			cl.SetReplication(2)
+			cl.SetEjection(1, time.Hour)
+			storeOn(t, cl, 1, key)
+			cl.servers[0].Fail()
+		}, true, 0},
+		{"down daemon", func(cl *SimClient, _ string) { cl.servers[0].Fail() }, false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, cl := simBank(2, 64)
+			key := keysFor(cl)[0]
+			if replicaKey(cl.selector, key, 2) != 1 {
+				t.Fatalf("key %q has no replica on mcd1", key)
+			}
+			tc.setup(cl, key)
+			ct := env.ContextTask("bench")
+			gets, hits := 0, 0
+			k := func(_ *Item, hit bool) {
+				gets++
+				if hit {
+					hits++
+				}
+			}
+			run := func() {
+				for i := 0; i < getsPerRun; i++ {
+					cl.GetT(ct, key, k)
+				}
+				env.Run()
+			}
+			run() // warm the pools; an ejecting case ejects mcd0 here
+			gets, hits = 0, 0
+			if avg, want := testing.AllocsPerRun(runs, run), tc.perGet*getsPerRun; avg != want {
+				t.Errorf("batch of %d gets allocated %.0f times, want %.0f (%.0f per get)", getsPerRun, avg, want, tc.perGet)
+			}
+			// AllocsPerRun invokes run once to warm up, then runs times measured.
+			wantHits := 0
+			if tc.hit {
+				wantHits = (runs + 1) * getsPerRun
+			}
+			if want := (runs + 1) * getsPerRun; gets != want || hits != wantHits {
+				t.Errorf("%d gets completed with %d hits, want %d with %d", gets, hits, want, wantHits)
+			}
+		})
+	}
+}
+
+// storeOn puts key straight into server i's store.
+func storeOn(t *testing.T, cl *SimClient, i int, key string) {
+	t.Helper()
+	if err := cl.servers[i].Store().Set(&Item{Key: key, Value: blob.FromString("v")}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWireSizes pins each verb's request and response size to the literal
 // byte count of the simulated protocol's framing, so a drifted header fails
 // here and not as a moved virtual-time table.

@@ -310,7 +310,8 @@ func (c *SimClient) takeOp(t *sim.Task, v verb) *bankOp {
 		c.ops[n-1] = nil
 		c.ops = c.ops[:n-1]
 	} else {
-		//imcalint:allow allocfree pool refill: a frame is built only when the free list is empty, so the count is bounded by the single-key requests in flight at once
+		// Pool refill: a frame is built only when the free list is empty, so
+		// the count is bounded by the single-key requests in flight at once.
 		op = &bankOp{c: c}
 		op.req.owner = op
 		op.fnDone = op.done
@@ -329,7 +330,9 @@ func (op *bankOp) release() {
 	op.t, op.sp, op.kGet, op.kSet, op.kDel = nil, nil, nil, nil, nil
 	op.req.item = Item{}
 	op.req.keys.reset()
-	//imcalint:allow allocfree amortised growth: the free list holds only ops already drawn, so its backing array grows to the most single-key requests ever in flight at once
+	// Amortised growth: the free list holds only ops already drawn, so its
+	// backing array grows to the most single-key requests ever in flight at
+	// once.
 	op.c.ops = append(op.c.ops, op)
 }
 
@@ -399,8 +402,6 @@ func (op *bankOp) done(m fabric.Msg, err error) {
 // exactly as it would from a network buffer. With replication on, a leg that
 // fails — ejected server, cut link, down reply — retries once against the
 // replica.
-//
-//imcalint:hotpath 10k-tenant open-loop experiment: per-op allocations on this chain are the marginal cost (ROADMAP [perf]); each one allocfree reports is fixed or carries an imcalint:allow annotation at its line saying why it is bounded
 func (c *SimClient) GetT(t *sim.Task, key string, k func(*Item, bool)) { getKeyT(c, t, key, k) }
 
 // getKeyT is GetT for a key held as a string or as borrowed bytes: the key

@@ -76,13 +76,14 @@ func allocStore(t *testing.T) *Store {
 // allocates per request (DESIGN.md "Real daemon wire path").
 func TestServerAllocContracts(t *testing.T) {
 	const key = "/bench/file0000001:stat"
-	binGet := func(op byte) string {
+	binReq := func(op byte, key string, extras, value int) string {
 		var h [24]byte
-		h[0], h[1] = binReqMagic, op
+		h[0], h[1], h[4] = binReqMagic, op, byte(extras)
 		binary.BigEndian.PutUint16(h[2:], uint16(len(key)))
-		binary.BigEndian.PutUint32(h[8:], uint32(len(key)))
-		return string(h[:]) + key
+		binary.BigEndian.PutUint32(h[8:], uint32(extras+len(key)+value))
+		return string(h[:]) + strings.Repeat("\x00", extras) + key + strings.Repeat("x", value)
 	}
+	binGet := func(op byte) string { return binReq(op, key, 0, 0) }
 	for _, tc := range []struct {
 		name  string
 		req   string
@@ -99,10 +100,64 @@ func TestServerAllocContracts(t *testing.T) {
 		{"text pipelined batch", strings.Repeat("get "+key+" /bench/absent\r\n", 8), ServeConn, 0},
 		{"binary get hit", binGet(binOpGet), ServeBinaryConn, 0},
 		{"binary getk hit via sniffing", binGet(binOpGetK), ServeAutoConn, 0},
+		// As for text: the value copy and the key string. The body is read
+		// into the connection's kept buffer...
+		{"binary set", binReq(binOpSet, "/bench/file0000002:stat", 8, 100), ServeBinaryConn, 2},
+		// ...unless it is larger than the buffer may grow, when it is read
+		// into one of its own.
+		{"binary set of a 100 KB value", binReq(binOpSet, "/bench/file0000002:stat", 8, 100<<10), ServeBinaryConn, 3},
 	} {
 		if got := serveAllocs(t, allocStore(t), tc.req, tc.serve); got > tc.max {
 			t.Errorf("%s: %.0f allocs per request, want at most %.0f", tc.name, got, tc.max)
 		}
+	}
+}
+
+// TestBodyBufferReuse: a binary connection reads each body up to
+// maxKeptBody into the one buffer it keeps, growing it when a body does
+// not fit and never shrinking it.
+func TestBodyBufferReuse(t *testing.T) {
+	var kept []byte
+	b := bodyBuffer(&kept, 100)
+	if len(b) != 100 || &b[0] != &kept[:1][0] {
+		t.Fatalf("a 100-byte body got len %d, not the kept buffer", len(b))
+	}
+	c := bodyBuffer(&kept, 70)
+	if len(c) != 70 || &c[0] != &b[0] {
+		t.Error("a smaller body did not reuse the kept buffer")
+	}
+	grown := bodyBuffer(&kept, 5000)
+	if len(grown) != 5000 || cap(kept) < 5000 || &grown[0] != &kept[:1][0] {
+		t.Errorf("a 5000-byte body got len %d; kept buffer cap %d", len(grown), cap(kept))
+	}
+	if d := bodyBuffer(&kept, 100); &d[0] != &grown[0] {
+		t.Error("the kept buffer shrank after a larger body")
+	}
+	if full := bodyBuffer(&kept, maxKeptBody); len(full) != maxKeptBody || cap(kept) != maxKeptBody {
+		t.Errorf("a body of maxKeptBody bytes got len %d; kept buffer cap %d, want %d", len(full), cap(kept), maxKeptBody)
+	}
+}
+
+// TestBodyBufferOversizedFallsThrough: a body over maxKeptBody gets a
+// buffer of its own, and the connection's kept buffer is left as it was.
+func TestBodyBufferOversizedFallsThrough(t *testing.T) {
+	kept := make([]byte, 512)
+	b := bodyBuffer(&kept, maxKeptBody+1)
+	if len(b) != maxKeptBody+1 {
+		t.Fatalf("oversized body got len %d", len(b))
+	}
+	if cap(kept) != 512 || &b[0] == &kept[0] {
+		t.Errorf("oversized body was kept: kept buffer cap %d", cap(kept))
+	}
+}
+
+// TestBodyBufferSteadyStateAllocFree: once the kept buffer has grown to a
+// connection's body size, reading further bodies allocates nothing.
+func TestBodyBufferSteadyStateAllocFree(t *testing.T) {
+	var kept []byte
+	bodyBuffer(&kept, 512)
+	if avg := testing.AllocsPerRun(1000, func() { _ = bodyBuffer(&kept, 512) }); avg != 0 {
+		t.Errorf("steady-state body buffer allocates %.2f per request, want 0", avg)
 	}
 }
 

@@ -32,8 +32,6 @@ func bucketFor(d time.Duration) int {
 }
 
 // Observe records one duration.
-//
-//imcalint:hotpath fixed-bucket increment on every latency sample; streaming hists depend on it staying 0-alloc
 func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0

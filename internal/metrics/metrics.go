@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -80,7 +81,7 @@ func (t *Table) Render(w io.Writer) {
 			widths[0] = len(r.x)
 		}
 		for j, v := range r.values {
-			s := formatValue(v)
+			s := FormatValue(v)
 			cells[i][j+1] = s
 			if len(s) > widths[j+1] {
 				widths[j+1] = len(s)
@@ -123,7 +124,11 @@ func (t *Table) CSV(w io.Writer) {
 	}
 }
 
-func formatValue(v float64) string {
+// FormatValue renders a table cell or axis label: three significant
+// digits from a million up, whole numbers from 100, two decimals from 1,
+// four below. Every view of a table — text, plot, HTML report — formats
+// through it, so they agree digit for digit.
+func FormatValue(v float64) string {
 	av := v
 	if av < 0 {
 		av = -av
@@ -132,13 +137,13 @@ func formatValue(v float64) string {
 	case v == 0:
 		return "0"
 	case av >= 1e6:
-		return fmt.Sprintf("%.3g", v)
+		return strconv.FormatFloat(v, 'g', 3, 64)
 	case av >= 100:
-		return fmt.Sprintf("%.0f", v)
+		return strconv.FormatFloat(v, 'f', 0, 64)
 	case av >= 1:
-		return fmt.Sprintf("%.2f", v)
+		return strconv.FormatFloat(v, 'f', 2, 64)
 	default:
-		return fmt.Sprintf("%.4f", v)
+		return strconv.FormatFloat(v, 'f', 4, 64)
 	}
 }
 

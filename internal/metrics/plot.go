@@ -74,14 +74,14 @@ func (t *Table) Plot(w io.Writer, height int) {
 	if logScale {
 		scaleName = "log10"
 	}
-	fmt.Fprintf(w, "# y: %s (%s scale, %s .. %s)\n", t.YLabel, scaleName, formatValue(lo), formatValue(hi))
+	fmt.Fprintf(w, "# y: %s (%s scale, %s .. %s)\n", t.YLabel, scaleName, FormatValue(lo), FormatValue(hi))
 	for i, line := range grid {
 		label := "        "
 		switch i {
 		case 0:
-			label = fmt.Sprintf("%8s", formatValue(hi))
+			label = fmt.Sprintf("%8s", FormatValue(hi))
 		case height - 1:
-			label = fmt.Sprintf("%8s", formatValue(lo))
+			label = fmt.Sprintf("%8s", FormatValue(lo))
 		}
 		fmt.Fprintf(w, "%s |%s\n", label, string(line))
 	}

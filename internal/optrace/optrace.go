@@ -116,7 +116,8 @@ func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
-	//imcalint:allow allocfree tracing-on only (s is nil otherwise); amortised growth of a span's few attributes
+	// Tracing on only (s is nil otherwise); amortised growth of a span's
+	// few attributes.
 	s.Attrs = append(s.Attrs, Attr{key, value})
 }
 
@@ -155,7 +156,7 @@ func (s *Span) End(a sim.Actor) {
 	if s.parent != nil {
 		s.parent.childDur += s.Dur()
 	}
-	//imcalint:allow allocfree tracing-on only; amortised growth of the operation's span list
+	// Tracing on only; amortised growth of the operation's span list.
 	s.op.Spans = append(s.op.Spans, s)
 	if st, ok := a.Ctx().(*state); ok && st.cur == s {
 		st.cur = s.parent
@@ -294,7 +295,8 @@ func StartSpan(a sim.Actor, layer, name string) *Span {
 	if !ok {
 		return nil
 	}
-	//imcalint:allow allocfree tracing-on only: reached once an operation is attached; untraced actors returned nil above
+	// Tracing on only: reached once an operation is attached; untraced
+	// actors returned nil above.
 	s := &Span{
 		Layer:  layer,
 		Name:   name,

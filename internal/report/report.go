@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"imca/internal/experiments"
+	"imca/internal/metrics"
 )
 
 // seriesColors are the fixed stroke colors for timeline percentile
@@ -72,7 +73,7 @@ func writeResult(w io.Writer, r *experiments.Result) {
 		for i := 0; i < t.Rows(); i++ {
 			p("<tr><td>%s</td>", html.EscapeString(t.X(i)))
 			for _, c := range t.Columns {
-				p("<td>%s</td>", formatCell(t.Value(i, c)))
+				p("<td>%s</td>", metrics.FormatValue(t.Value(i, c)))
 			}
 			p("</tr>\n")
 		}
@@ -148,11 +149,11 @@ func writeTimeline(w io.Writer, tl experiments.Timeline) {
 		marginLeft, marginTop, marginLeft, fcoord(marginTop+plotH))
 	// Axis extents.
 	p("<text class=\"lab\" x=\"%d\" y=\"%d\" text-anchor=\"end\">%s µs</text>\n",
-		marginLeft-4, marginTop+8, formatCell(maxV))
+		marginLeft-4, marginTop+8, metrics.FormatValue(maxV))
 	p("<text class=\"lab\" x=\"%d\" y=\"%s\" text-anchor=\"end\">0</text>\n",
 		marginLeft-4, fcoord(marginTop+plotH))
 	p("<text class=\"lab\" x=\"%d\" y=\"%d\" text-anchor=\"end\">%s ms</text>\n",
-		svgW-10, svgH-6, formatCell(float64(maxT)/1e6))
+		svgW-10, svgH-6, metrics.FormatValue(float64(maxT)/1e6))
 	// One polyline per series.
 	for si, s := range tl.Series {
 		color := seriesColors[si%len(seriesColors)]
@@ -175,28 +176,6 @@ func writeTimeline(w io.Writer, tl experiments.Timeline) {
 		p("<text class=\"lab\" x=\"%d\" y=\"%d\">%s</text>\n", lx+14, marginTop+9, html.EscapeString(s.Label))
 	}
 	p("</svg>\n")
-}
-
-// formatCell renders a table or label value with the same rules as the
-// text renderer in internal/metrics, so the HTML and terminal views of one
-// figure agree digit for digit.
-func formatCell(v float64) string {
-	av := v
-	if av < 0 {
-		av = -av
-	}
-	switch {
-	case v == 0:
-		return "0"
-	case av >= 1e6:
-		return strconv.FormatFloat(v, 'g', 3, 64)
-	case av >= 100:
-		return strconv.FormatFloat(v, 'f', 0, 64)
-	case av >= 1:
-		return strconv.FormatFloat(v, 'f', 2, 64)
-	default:
-		return strconv.FormatFloat(v, 'f', 4, 64)
-	}
 }
 
 // fcoord formats an SVG coordinate with fixed precision so layout is

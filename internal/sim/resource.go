@@ -71,7 +71,8 @@ func (r *Resource) AcquireT(t *Task, n int, k func()) {
 		k()
 		return
 	}
-	//imcalint:allow allocfree amortised growth: the waiter queue's backing array is reused, so it grows only to the deepest queue seen
+	// Amortised growth: the waiter queue's backing array is reused, so it
+	// grows only to the deepest queue seen.
 	r.waiters = append(r.waiters, resWaiter{fn: k, n: n})
 }
 

@@ -166,7 +166,8 @@ func lessMask(a, b *event) int {
 
 // push adds ev, restoring the heap property by sifting up.
 func (h *eventHeap) push(ev event) {
-	//imcalint:allow allocfree amortised growth: the heap's backing array grows only to the most events ever pending at once
+	// Amortised growth: the heap's backing array grows only to the most
+	// events ever pending at once.
 	a := append(*h, ev)
 	i := len(a) - 1
 	for i > 0 {
@@ -295,7 +296,9 @@ func (e *Env) schedule(d Duration, fn func()) {
 	e.seq++
 	switch {
 	case d == 0:
-		//imcalint:allow allocfree amortised growth: due empties before the clock moves, so its backing array grows only to the most events ever scheduled within one instant
+		// Amortised growth: due empties before the clock moves, so its
+		// backing array grows only to the most events ever scheduled within
+		// one instant.
 		e.due = append(e.due, fn)
 	case d < nearHorizon:
 		e.near.push(event{at: at, seq: e.seq, fn: fn})
@@ -500,8 +503,6 @@ func (e *Env) fireTicks() {
 // indicates a modelling bug. A panic or runtime.Goexit in a process body
 // unwinds Run on its caller's goroutine. On the way out Run stops the idle
 // process coroutines, so a finished run leaves no goroutine behind.
-//
-//imcalint:hotpath dispatch loop: every event of every run passes through this body, so it and next() stay allocation-free
 func (e *Env) Run() Time {
 	for fn := e.next(); fn != nil; fn = e.next() {
 		if e.tickFn != nil {

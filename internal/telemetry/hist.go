@@ -26,8 +26,6 @@ type Hist struct {
 }
 
 // Observe records one duration. Safe on a nil receiver.
-//
-//imcalint:hotpath called per simulated op by every layer; the type's 0-alloc contract is documented above
 func (h *Hist) Observe(d sim.Duration) {
 	if h == nil {
 		return
@@ -39,8 +37,6 @@ func (h *Hist) Observe(d sim.Duration) {
 // for the deferred-call idiom — `defer h.ObserveSince(p, t0)` evaluates
 // its arguments at the defer site but reads Now at return, capturing the
 // full span of the surrounding operation without a closure allocation.
-//
-//imcalint:hotpath the defer-site idiom exists precisely to avoid allocation; the callee must hold the line
 func (h *Hist) ObserveSince(a sim.Actor, t0 sim.Time) {
 	if h == nil {
 		return

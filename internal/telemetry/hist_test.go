@@ -221,20 +221,26 @@ func TestMetricsDelta(t *testing.T) {
 }
 
 // The acceptance bar: observing into a hist allocates nothing, so hot
-// paths can observe unconditionally.
+// paths can observe unconditionally — directly, through the deferred
+// ObserveSince idiom, or on a nil hist.
 func TestHistObserveZeroAlloc(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.Hist("lat")
-	if n := testing.AllocsPerRun(1000, func() {
-		h.Observe(123 * time.Microsecond)
-	}); n != 0 {
-		t.Errorf("Hist.Observe allocates %v/op, want 0", n)
-	}
 	var nilH *telemetry.Hist
-	if n := testing.AllocsPerRun(1000, func() {
-		nilH.Observe(123 * time.Microsecond)
-	}); n != 0 {
-		t.Errorf("nil Hist.Observe allocates %v/op, want 0", n)
+	var bare metrics.Histogram
+	task := sim.NewEnv().ContextTask("observer")
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Hist.Observe", func() { h.Observe(123 * time.Microsecond) }},
+		{"nil Hist.Observe", func() { nilH.Observe(123 * time.Microsecond) }},
+		{"Hist.ObserveSince", func() { h.ObserveSince(task, 0) }},
+		{"metrics.Histogram.Observe", func() { bare.Observe(123 * time.Microsecond) }},
+	} {
+		if n := testing.AllocsPerRun(1000, tc.op); n != 0 {
+			t.Errorf("%s allocates %v/op, want 0", tc.name, n)
+		}
 	}
 }
 

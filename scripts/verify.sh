@@ -30,7 +30,7 @@ echo "== go build ./..."
 go build ./...
 
 echo "== imcalint ./..."
-# Runs all seven checks; an //imcalint:allow annotation with no finding
+# Runs all six checks; an //imcalint:allow annotation with no finding
 # under it fails the run too, so the accepted exceptions can only shrink.
 go run ./cmd/imcalint ./...
 

@@ -195,7 +195,7 @@ func (sh *shell) dispatch(args []string) (lost bool) {
 	cmd := args[0]
 	switch cmd {
 	case "help":
-		fmt.Fprintln(sh.out, "create|open|close|rm|stat|ls PATH; write|read PATH OFF SIZE; truncate PATH SIZE; flush; fault CMD; stats; telemetry [SUBSTR]; trace [on|off]; breakdown; time; quit")
+		fmt.Fprintln(sh.out, "create|open|close|rm|stat|ls PATH; write|read PATH OFF SIZE; truncate PATH SIZE; flush; fault CMD; stats; telemetry [SUBSTR]; openmetrics; hists; flight; trace [on|off]; breakdown; time; help; quit")
 	case "trace":
 		switch {
 		case len(args) == 1:

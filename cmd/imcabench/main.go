@@ -4,9 +4,7 @@
 // Usage:
 //
 //	imcabench -list
-//	imcabench -exp fig5 [-scale 64] [-csv]
-//	imcabench -exp fig6a -breakdown
-//	imcabench -exp fig6a -telemetry -trace-out fig6a.json
+//	imcabench -exp fig5 [-scale 64] [-csv] [-plot]
 //	imcabench -exp all  [-scale 64] [-parallel 4]
 //
 // Scale divides the paper's full workload parameters (262144 files, 1 GB
@@ -15,31 +13,17 @@
 //
 // -parallel N runs up to N experiment points (figure cells, each its own
 // isolated simulation) concurrently on the host; 0 means one worker per
-// core. Tables, claims, and traces are byte-identical to a serial run —
-// only the wall clock changes.
+// core. Tables and claims are byte-identical to a serial run — only the
+// wall clock changes.
 //
 // Under each table the figure's claims print one per line, each with the
 // status the run gives it (reproduced, deviates citing a known deviation,
 // or UNEXPLAINED), and the output ends with the scorecard of every claim
 // printed.
 //
-// Five flags select what is printed after each figure's table, and any of
-// them makes the run an observed one (experiments.Options.Observe: selected
-// configurations traced through the per-operation context, instrumented
-// with the telemetry registry and its streaming histograms, and watched by
-// a bounded flight recorder). Observation costs no virtual time, so the
-// tables are byte-identical with or without it, and each flag prints the
-// same section whichever others are given:
-//
-//	-breakdown   per-layer latency decompositions (internal/optrace)
-//	-telemetry   final counters of the instrumented configurations
-//	-hists       per-interval p50/p95/p99 latency timelines
-//	-flight      the flight recorder's post-mortem dump
-//	-trace-out FILE  the retained operations as Chrome trace-event JSON,
-//	             openable in Perfetto, with the sampler's counter tracks
-//	             (hit rates, percentile traces) merged in
-//
-// cmd/imcareport renders the same surfaces as HTML.
+// imcabench prints what a run measures. What observing the run saw —
+// per-layer breakdowns, telemetry and flight-recorder dumps, latency
+// timelines, and the Perfetto trace — is cmd/imcareport's to render.
 //
 // -cpuprofile / -memprofile write pprof profiles of the whole run. Host-side
 // performance is measured by benchmark/ (make benchpairs), not here.
@@ -55,10 +39,7 @@ import (
 	"time"
 
 	"imca/internal/experiments"
-	"imca/internal/optrace"
 	"imca/internal/parallel"
-	"imca/internal/sim"
-	"imca/internal/telemetry"
 )
 
 func main() {
@@ -77,11 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers = fs.Int("parallel", 1, "run up to N experiment points concurrently (0 = one per core)")
 		csv     = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 		plot    = fs.Bool("plot", false, "render an ASCII chart as well")
-		brk     = fs.Bool("breakdown", false, "print per-layer latency decompositions (experiments that support tracing)")
-		hists   = fs.Bool("hists", false, "print per-interval latency percentile timelines (streaming histograms)")
-		flight  = fs.Bool("flight", false, "print flight-recorder dumps of instrumented configurations")
-		tele    = fs.Bool("telemetry", false, "print final telemetry counters of instrumented configurations")
-		trOut   = fs.String("trace-out", "", "write retained operations as Chrome trace-event JSON (open in Perfetto)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run (inspect with go tool pprof)")
 		memProf = fs.String("memprofile", "", "write a heap profile at exit (inspect with go tool pprof)")
 	)
@@ -111,23 +87,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	opts := experiments.Options{
-		Scale:   *scale,
-		Observe: *brk || *tele || *hists || *flight || *trOut != "",
-		Workers: parallel.Workers(*workers),
-	}
-	var tracedOps []*optrace.Op
-	var tracks []telemetry.CounterTrack
+	opts := experiments.Options{Scale: *scale, Workers: parallel.Workers(*workers)}
 	var claims []experiments.Claim
 	runExp := func(e experiments.Experiment) {
 		start := time.Now() //imcalint:allow wallclock host-side: reports how long the simulation took to execute
 		res := e.Run(opts)
 		//imcalint:allow wallclock host-side: wall duration of the run, printed next to virtual results
 		wall := time.Since(start)
-		if *trOut != "" { // kept until the file is written, after the last experiment
-			tracedOps = append(tracedOps, res.Ops...)
-			tracks = append(tracks, res.Tracks...)
-		}
 		fmt.Fprintf(stdout, "\n== %s (scale 1/%d, %s wall) ==\n", e.Name, *scale, wall.Round(time.Millisecond))
 		if *csv {
 			res.Table.CSV(stdout)
@@ -142,27 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, c)
 		}
 		claims = append(claims, res.Claims...)
-		if *brk {
-			for _, nb := range res.Breakdowns {
-				fmt.Fprintf(stdout, "\n-- %s --\n", nb.Title)
-				nb.Breakdown.Report(stdout)
-			}
-		}
-		if *tele {
-			for _, d := range res.Telemetry {
-				fmt.Fprintf(stdout, "\n-- %s --\n%s", d.Title, d.Text)
-			}
-		}
-		if *hists {
-			for _, tl := range res.Timelines {
-				printTimeline(stdout, tl)
-			}
-		}
-		if *flight {
-			for _, d := range res.Flight {
-				fmt.Fprintf(stdout, "\n-- %s --\n%s", d.Title, d.Text)
-			}
-		}
 	}
 
 	if *exp == "all" {
@@ -176,21 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		runExp(e)
-	}
-
-	if *trOut != "" {
-		f, err := os.Create(*trOut)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		werr := telemetry.WriteChromeTraceTracks(f, tracedOps, tracks)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fatal(stderr, werr)
-		}
-		fmt.Fprintf(stdout, "\nwrote %d traced op(s) and %d counter track(s) to %s\n", len(tracedOps), len(tracks), *trOut)
 	}
 	fmt.Fprintf(stdout, "\n== scorecard ==\n%s\n", experiments.Scorecard(claims))
 
@@ -214,26 +144,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 func fatal(stderr io.Writer, err error) int {
 	fmt.Fprintf(stderr, "imcabench: %v\n", err)
 	return 1
-}
-
-// printTimeline renders one percentile timeline as aligned text, one row
-// per sampler interval.
-func printTimeline(w io.Writer, tl experiments.Timeline) {
-	fmt.Fprintf(w, "\n-- %s --\n", tl.Title)
-	fmt.Fprintf(w, "%14s", "t")
-	for _, s := range tl.Series {
-		fmt.Fprintf(w, "  %10s", s.Label)
-	}
-	fmt.Fprintln(w)
-	for i, tNs := range tl.TimesNs {
-		fmt.Fprintf(w, "%14v", sim.Duration(tNs))
-		for _, s := range tl.Series {
-			v := 0.0
-			if i < len(s.Values) {
-				v = s.Values[i]
-			}
-			fmt.Fprintf(w, "  %10.1f", v)
-		}
-		fmt.Fprintln(w)
-	}
 }

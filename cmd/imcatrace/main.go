@@ -20,8 +20,8 @@ import (
 
 	"imca/internal/cluster"
 	"imca/internal/gluster"
+	"imca/internal/iotrace"
 	"imca/internal/memcache"
-	"imca/internal/trace"
 	"imca/internal/workload"
 )
 
@@ -64,10 +64,10 @@ func record(args []string) {
 	// Record against a plain (NoCache) deployment: the trace captures the
 	// operation stream, not the configuration.
 	c := cluster.New(cluster.Options{Clients: *clients})
-	tr := &trace.Trace{}
+	tr := &iotrace.Trace{}
 	mounts := make([]gluster.FS, *clients)
 	for i := range mounts {
-		mounts[i] = trace.NewRecorder(c.Mounts[i].FS, tr, i)
+		mounts[i] = iotrace.NewRecorder(c.Mounts[i].FS, tr, i)
 	}
 
 	switch *wl {
@@ -119,7 +119,7 @@ func replay(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tr, err := trace.Decode(f)
+	tr, err := iotrace.Decode(f)
 	f.Close()
 	if err != nil {
 		return err
@@ -129,7 +129,7 @@ func replay(args []string, w io.Writer) error {
 		Clients: *clients, MCDs: *mcds, MCDMemBytes: 512 << 20,
 		BlockSize: *block, Threaded: *threaded,
 	})
-	res := trace.Replay(c.Env, c.FSes(), tr)
+	res := iotrace.Replay(c.Env, c.FSes(), tr)
 
 	var bank *memcache.Stats
 	if *mcds > 0 {
@@ -144,7 +144,7 @@ func replay(args []string, w io.Writer) error {
 // averages in sorted kind order, and the bank's statistics when one
 // exists. It is a pure function of its inputs so the determinism test can
 // hold two replays of the same trace to byte-identical output.
-func writeReplayReport(w io.Writer, opCount, clients, mcds int, res *trace.Result, bank *memcache.Stats) {
+func writeReplayReport(w io.Writer, opCount, clients, mcds int, res *iotrace.Result, bank *memcache.Stats) {
 	fmt.Fprintf(w, "replayed %d ops on %d clients, %d MCDs: %v elapsed (virtual), %d errors\n",
 		opCount, clients, mcds, res.Elapsed, res.Errors)
 	kinds := make([]string, 0, len(res.OpCounts))
@@ -153,7 +153,7 @@ func writeReplayReport(w io.Writer, opCount, clients, mcds int, res *trace.Resul
 	}
 	sort.Strings(kinds)
 	for _, k := range kinds {
-		kind := trace.Kind(k)
+		kind := iotrace.Kind(k)
 		fmt.Fprintf(w, "  %-9s %6d ops, avg %v\n", k, res.OpCounts[kind], res.AvgOp(kind))
 	}
 	if bank != nil {

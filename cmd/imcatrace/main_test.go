@@ -10,9 +10,9 @@ import (
 
 	"imca/internal/cluster"
 	"imca/internal/gluster"
+	"imca/internal/iotrace"
 	"imca/internal/sim"
 	"imca/internal/telemetry"
-	"imca/internal/trace"
 	"imca/internal/workload"
 )
 
@@ -23,10 +23,10 @@ func cycle(t *testing.T) (enc, report, perfetto string) {
 	t.Helper()
 
 	rc := cluster.New(cluster.Options{Clients: 2})
-	tr := &trace.Trace{}
+	tr := &iotrace.Trace{}
 	mounts := make([]gluster.FS, 2)
 	for i := range mounts {
-		mounts[i] = trace.NewRecorder(rc.Mounts[i].FS, tr, i)
+		mounts[i] = iotrace.NewRecorder(rc.Mounts[i].FS, tr, i)
 	}
 	res := workload.Latency(rc.Env, mounts, workload.LatencyOptions{
 		Dir:         "/det",
@@ -39,12 +39,12 @@ func cycle(t *testing.T) (enc, report, perfetto string) {
 		t.Fatal(err)
 	}
 	var pf bytes.Buffer
-	if err := telemetry.WriteChromeTrace(&pf, res.Ops); err != nil {
+	if err := telemetry.WriteChromeTrace(&pf, res.Ops, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	pc := cluster.New(cluster.Options{Clients: 2, MCDs: 2, MCDMemBytes: 64 << 20, BlockSize: 2048})
-	rres := trace.Replay(pc.Env, pc.FSes(), tr)
+	rres := iotrace.Replay(pc.Env, pc.FSes(), tr)
 	bank := pc.BankStats()
 	var rep bytes.Buffer
 	writeReplayReport(&rep, len(tr.Ops), 2, 2, rres, &bank)
@@ -111,9 +111,9 @@ func TestReplayWithSleeps(t *testing.T) {
 // writeReplayReport with no bank (a NoCache replay) must omit the bank
 // lines rather than print zeros that suggest a cache was present.
 func TestReplayReportNoBank(t *testing.T) {
-	res := &trace.Result{
-		OpCounts: map[trace.Kind]int{trace.OpStat: 1},
-		OpTime:   map[trace.Kind]sim.Duration{},
+	res := &iotrace.Result{
+		OpCounts: map[iotrace.Kind]int{iotrace.OpStat: 1},
+		OpTime:   map[iotrace.Kind]sim.Duration{},
 	}
 	var rep bytes.Buffer
 	writeReplayReport(&rep, 1, 1, 0, res, nil)

@@ -5,9 +5,9 @@ import (
 	"imca/internal/flight"
 	"imca/internal/gluster"
 	"imca/internal/memcache"
+	"imca/internal/metrics"
 	"imca/internal/optrace"
 	"imca/internal/sim"
-	"imca/internal/telemetry"
 )
 
 // CMCacheStats counts cache interactions at the client translator.
@@ -52,7 +52,7 @@ type CMCache struct {
 
 	// Stat/Read latency distributions, registered by Register; nil no-ops
 	// otherwise.
-	statHist, readHist *telemetry.Hist
+	statHist, readHist *metrics.Histogram
 	// fr records layer transitions (stat and read misses forwarded to the
 	// server) under frName when attached via SetFlight.
 	fr     *flight.Recorder
@@ -189,7 +189,7 @@ func (op *statOp) got(it *memcache.Item, ok bool) {
 			c.Stats.StatHits++
 			sp.SetAttr("result", "hit")
 			sp.End(t)
-			c.statHist.ObserveSince(t, op.t0)
+			c.statHist.Observe(t.Now().Sub(op.t0))
 			k := op.k
 			op.release()
 			k(st, nil)
@@ -206,7 +206,7 @@ func (op *statOp) got(it *memcache.Item, ok bool) {
 func (op *statOp) fwd(st *gluster.Stat, err error) {
 	t, sp, k := op.t, op.sp, op.k
 	sp.End(t)
-	op.c.statHist.ObserveSince(t, op.t0)
+	op.c.statHist.Observe(t.Now().Sub(op.t0))
 	op.release()
 	k(st, err)
 }
@@ -329,7 +329,7 @@ func (op *readOp) got(items []*memcache.Item) {
 func (op *readOp) done(data blob.Blob, err error) {
 	t, k := op.t, op.k
 	op.sp.End(t)
-	op.c.readHist.ObserveSince(t, op.t0)
+	op.c.readHist.Observe(t.Now().Sub(op.t0))
 	op.release()
 	k(data, err)
 }

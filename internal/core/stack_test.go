@@ -13,7 +13,7 @@ import (
 
 // procOnly hides any TaskFS implementation behind the ten blocking FS
 // methods — the shape of the tree's blocking-only file systems (the Lustre
-// and NFS clients, fault.Oracle, trace.Recorder).
+// and NFS clients, fault.Oracle, iotrace.Recorder).
 type procOnly struct{ gluster.FS }
 
 // newLiftedMount builds a second mount on the rig's client node with a

@@ -57,9 +57,9 @@ type Options struct {
 	// registry and its sampler, streaming latency histograms, a bounded
 	// flight recorder — and attaches what they saw to the Result
 	// (Breakdowns, Telemetry, Ops, Timelines, Flight, Tracks). imcareport
-	// always sets it; imcabench sets it when any of its print flags is
-	// given. Observation costs no virtual time and schedules nothing:
-	// tables and claims are byte-identical with it on or off.
+	// sets it; imcabench never does. Observation costs no virtual time and
+	// schedules nothing: tables and claims are byte-identical with it on or
+	// off.
 	Observe bool
 	// Workers bounds how many experiment points (figure cells — each an
 	// isolated sim.Env with its own cluster and workload) run
@@ -109,15 +109,16 @@ type Result struct {
 	Claims []Claim
 	// The remaining fields are what Options.Observe attaches, each present
 	// on the experiments that support it (ext-breakdown's Breakdowns are
-	// its subject and always present).
+	// its subject and always present). imcareport renders them: the dumps
+	// and timelines into its page, Ops and Tracks into its -trace-out file.
 	//
-	// Breakdowns are per-layer latency decompositions.
-	Breakdowns []NamedBreakdown
+	// Breakdowns are rendered per-layer latency decompositions
+	// (optrace.Breakdown.Report).
+	Breakdowns []NamedDump
 	// Telemetry holds final counter dumps of the instrumented
 	// configurations.
 	Telemetry []NamedDump
-	// Ops lists the retained operations of the instrumented
-	// configurations; export with telemetry.WriteChromeTrace.
+	// Ops lists the retained operations of the instrumented configurations.
 	Ops []*optrace.Op
 	// Timelines are per-interval percentile series from the streaming
 	// histograms.
@@ -125,8 +126,7 @@ type Result struct {
 	// Flight holds post-mortem flight-recorder dumps.
 	Flight []NamedDump
 	// Tracks are sampler counter tracks (per-interval hit rates and
-	// percentile traces); imcabench merges them into the Chrome trace
-	// next to the spans.
+	// percentile traces), merged into the Chrome trace beside the spans.
 	Tracks []telemetry.CounterTrack
 }
 
@@ -147,13 +147,8 @@ type TimelineSeries struct {
 	Values []float64
 }
 
-// NamedBreakdown titles one latency decomposition for display.
-type NamedBreakdown struct {
-	Title     string
-	Breakdown *optrace.Breakdown
-}
-
-// NamedDump titles one rendered telemetry dump for display.
+// NamedDump titles one rendered breakdown, telemetry or flight dump for
+// display.
 type NamedDump struct {
 	Title string
 	Text  string
@@ -251,28 +246,22 @@ func fmtSize(n int64) string {
 	}
 }
 
-// timelineQuantiles are the percentile traces every experiment timeline
-// carries, matching the paper's tail-latency presentation.
-var timelineQuantiles = []struct {
-	Label string
-	Q     float64
-}{{"p50_us", 0.50}, {"p95_us", 0.95}, {"p99_us", 0.99}}
-
 // timelineFrom builds the percentile timeline of one histogram instrument
-// from a finished sampler run; sample times are reported relative to start.
+// from a finished sampler run, one trace per rung of telemetry.Quantiles;
+// sample times are reported relative to start.
 func timelineFrom(smp *telemetry.Sampler, start sim.Time, title, name string) Timeline {
 	tl := Timeline{Title: title}
 	for _, at := range smp.Times() {
 		tl.TimesNs = append(tl.TimesNs, int64(at.Sub(start)))
 	}
-	for _, q := range timelineQuantiles {
+	for _, q := range telemetry.Quantiles {
 		tl.Series = append(tl.Series, TimelineSeries{Label: q.Label, Values: smp.QuantileSeries(name, q.Q)})
 	}
 	return tl
 }
 
-// textOf renders a registry's or a flight recorder's Dump for attachment
-// to a Result.
+// textOf renders a registry's or a flight recorder's Dump, or a
+// breakdown's Report, for attachment to a Result.
 func textOf(dump func(w io.Writer)) string {
 	var sb strings.Builder
 	dump(&sb)

@@ -79,7 +79,7 @@ func ExtBreakdown(o Options) *Result {
 
 	res := &Result{Name: "ext-breakdown", Table: tb}
 	for _, r := range runs {
-		res.Breakdowns = append(res.Breakdowns, NamedBreakdown{r.name + " warm 2 KB read", r.b})
+		res.Breakdowns = append(res.Breakdowns, NamedDump{r.name + " warm 2 KB read", textOf(r.b.Report)})
 	}
 
 	// The decomposition is a partition: at every block size the layer

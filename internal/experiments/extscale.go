@@ -61,12 +61,12 @@ func ExtScale(o Options) *Result {
 			MeanInterarrival:  baseMean * 2 / time.Duration(rates[i].mul),
 			Seed:              42,
 		})
-		// The workload's completion histogram rides the telemetry tick as
-		// a streaming instrument: the sampler snapshots its buckets every
-		// interval (giving the per-interval percentile timeline), and the
-		// row reports the run-total quantiles.
+		// The workload observes its completions into a registered hist, so
+		// the sampler snapshots its buckets every interval (giving the
+		// per-interval percentile timeline), and the row reports the
+		// run-total quantiles.
 		start := c.Env.Now()
-		reg.HistFrom("openloop.lat", run.Latency)
+		run.Latency = reg.Hist("openloop.lat")
 		smp := telemetry.NewSampler(c.Env, reg, interval)
 		run.Run()
 		smp.Sample(c.Env.Now())

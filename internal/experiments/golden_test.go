@@ -1,4 +1,4 @@
-package experiments
+package experiments_test
 
 import (
 	"bytes"
@@ -10,53 +10,47 @@ import (
 	"sync"
 	"testing"
 
-	"imca/internal/telemetry"
+	"imca/internal/experiments"
+	"imca/internal/report"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/registry_scale4096.* from this run")
 
 // rendering is one run of the whole registry. shown is what an unobserved
 // run prints: every table and claim and the closing scorecard. observed is
-// the same stream with everything observation attached to each experiment
-// after its claims — breakdowns, telemetry dumps, the Chrome-trace export of
-// its retained operations.
+// what the front door writes for the same run, `imcareport -exp all -o -
+// -trace-out`: the HTML page (tables, claims, timelines, breakdowns,
+// telemetry and flight dumps, scorecard) followed by the Chrome trace of
+// every retained operation with the counter tracks merged in.
 type rendering struct {
-	results         []*Result
+	results         []*experiments.Result
 	shown, observed []byte
 	err             error
 }
 
-func render(o Options) rendering {
+func render(o experiments.Options) rendering {
 	var r rendering
 	var sb, ob bytes.Buffer
-	var claims []Claim
-	for _, e := range Registry {
+	var claims []experiments.Claim
+	for _, e := range experiments.Registry {
 		res := e.Run(o)
 		r.results, claims = append(r.results, res), append(claims, res.Claims...)
-		start := sb.Len()
 		fmt.Fprintf(&sb, "== %s ==\n", res.Name)
 		res.Table.Render(&sb)
 		for _, c := range res.Claims {
 			fmt.Fprintln(&sb, c)
 		}
-		ob.Write(sb.Bytes()[start:])
-		for _, nb := range res.Breakdowns {
-			fmt.Fprintf(&ob, "-- %s --\n", nb.Title)
-			nb.Breakdown.Report(&ob)
-		}
-		for _, d := range res.Telemetry {
-			fmt.Fprintf(&ob, "-- %s --\n%s", d.Title, d.Text)
-		}
-		if len(res.Ops) > 0 {
-			if err := telemetry.WriteChromeTrace(&ob, res.Ops); err != nil {
-				r.err = fmt.Errorf("%s: trace export: %w", res.Name, err)
-				return r
-			}
-		}
 	}
-	card := fmt.Sprintf("== scorecard ==\n%s\n", Scorecard(claims))
-	sb.WriteString(card)
-	ob.WriteString(card)
+	fmt.Fprintf(&sb, "== scorecard ==\n%s\n", experiments.Scorecard(claims))
+	title := fmt.Sprintf("IMCa experiment report — all, scale 1/%d", o.Scale)
+	if err := report.Write(&ob, title, r.results); err != nil {
+		r.err = fmt.Errorf("report page: %w", err)
+		return r
+	}
+	if _, _, err := report.WriteTrace(&ob, r.results); err != nil {
+		r.err = fmt.Errorf("trace export: %w", err)
+		return r
+	}
 	r.shown, r.observed = sb.Bytes(), ob.Bytes()
 	return r
 }
@@ -65,11 +59,11 @@ func render(o Options) rendering {
 // run, whichever of the tests below ask for it: plain and serial, observed
 // and serial, observed with four workers.
 var (
-	registryScale = Options{Scale: 4096}
+	registryScale = experiments.Options{Scale: 4096}
 	plainRender   = sync.OnceValue(func() rendering { return render(registryScale) })
-	serialRender  = sync.OnceValue(func() rendering { return render(Options{Scale: registryScale.Scale, Observe: true}) })
+	serialRender  = sync.OnceValue(func() rendering { return render(experiments.Options{Scale: registryScale.Scale, Observe: true}) })
 	workersRender = sync.OnceValue(func() rendering {
-		return render(Options{Scale: registryScale.Scale, Observe: true, Workers: 4})
+		return render(experiments.Options{Scale: registryScale.Scale, Observe: true, Workers: 4})
 	})
 )
 
@@ -110,14 +104,14 @@ func TestRegistryGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(wantSum) != hash {
-		t.Errorf("observed stream SHA-256:\n got %swant %sif TestHistFlightByteIdentical passes, a breakdown, telemetry dump or trace export moved",
+		t.Errorf("observed stream SHA-256:\n got %swant %sif TestHistFlightByteIdentical passes, the report page or trace export moved",
 			hash, wantSum)
 	}
 }
 
 // TestDeclarationIsTheTable runs the declaration checks on the plain render.
 func TestDeclarationIsTheTable(t *testing.T) {
-	checkDeclarations(t, registryScale, rendered(t, plainRender).results)
+	experiments.CheckDeclarations(t, registryScale, rendered(t, plainRender).results)
 }
 
 // TestHistFlightByteIdentical: observing a run — span tracing, the registry
@@ -133,66 +127,11 @@ func TestHistFlightByteIdentical(t *testing.T) {
 
 // TestParallelByteIdentical is the engine's core guarantee: the observed
 // registry rendered with four workers is byte for byte the serial one —
-// tables, claims, breakdowns, telemetry dumps and trace exports alike.
+// the report page and the trace export alike.
 // Points share nothing and are assembled in declaration order, so host
 // scheduling is invisible.
 func TestParallelByteIdentical(t *testing.T) {
 	diffBytes(t, rendered(t, serialRender).observed, rendered(t, workersRender).observed, "observed with four workers")
-}
-
-// checkDeclarations: what a registry entry renders is what its figure
-// declares — the systems' names as the columns, in order, the sweep as the
-// rows — and no two systems of a figure share a name (Table.Value would
-// silently read the first). Only the five time-series experiments have no
-// declaration, and an unobserved run attaches nothing observation would,
-// beyond ext-breakdown's decompositions, which are its subject.
-func checkDeclarations(t *testing.T, o Options, results []*Result) {
-	t.Helper()
-	series := map[string]bool{"ext-breakdown": true, "ext-telemetry": true, "ext-fault": true, "ext-scale": true, "ext-degrade": true}
-	for i, e := range Registry {
-		res := results[i]
-		if len(res.Telemetry)+len(res.Ops)+len(res.Timelines)+len(res.Flight)+len(res.Tracks) > 0 ||
-			len(res.Breakdowns) > 0 && e.Name != "ext-breakdown" {
-			t.Errorf("%s: an unobserved run attached observations", e.Name)
-		}
-		if e.decl == nil {
-			if !series[e.Name] {
-				t.Errorf("%s: a table-shaped entry with no declaration", e.Name)
-			}
-			continue
-		}
-		fig := e.decl(o)
-		if fig.name != e.Name || res.Name != e.Name || res.Table.Title != fig.title {
-			t.Errorf("%s: declared as %q (%q), rendered as %q (%q)", e.Name, fig.name, fig.title, res.Name, res.Table.Title)
-		}
-		if fig.labels != nil && len(fig.labels) != len(fig.rows) {
-			t.Errorf("%s: %d labels for %d rows", e.Name, len(fig.labels), len(fig.rows))
-		}
-		if (fig.cell == nil) == (fig.column == nil) {
-			t.Errorf("%s: exactly one of cell and column must be set", e.Name)
-		}
-		seen := make(map[string]bool)
-		for i, s := range fig.systems {
-			if seen[s.name] {
-				t.Errorf("%s: two systems named %q", e.Name, s.name)
-			}
-			seen[s.name] = true
-			if i >= len(res.Table.Columns) || res.Table.Columns[i] != s.name {
-				t.Errorf("%s: column %d: declared %q, rendered %v", e.Name, i, s.name, res.Table.Columns)
-			}
-		}
-		if len(res.Table.Columns) != len(fig.systems) {
-			t.Errorf("%s: %d columns rendered, %d systems declared", e.Name, len(res.Table.Columns), len(fig.systems))
-		}
-		if res.Table.Rows() != len(fig.rows) {
-			t.Fatalf("%s: %d rows rendered, %d declared", e.Name, res.Table.Rows(), len(fig.rows))
-		}
-		for i := range fig.rows {
-			if res.Table.X(i) != fig.label(i) {
-				t.Errorf("%s: row %d: declared %q, rendered %q", e.Name, i, fig.label(i), res.Table.X(i))
-			}
-		}
-	}
 }
 
 // diffBytes fails with a located excerpt when two renderings diverge.

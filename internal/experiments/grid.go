@@ -266,7 +266,7 @@ func (f figure) run(o Options) *Result {
 		for k, r := range rows {
 			if b := tr.by[r]; b != nil && b.Count() > 0 {
 				pt.seen.Breakdowns = append(pt.seen.Breakdowns,
-					NamedBreakdown{fmt.Sprintf("%s %s, %s records", s.name, tr.verb, f.label(first+k)), b})
+					NamedDump{fmt.Sprintf("%s %s, %s records", s.name, tr.verb, f.label(first+k)), textOf(b.Report)})
 			}
 		}
 		if bed.reg != nil {

@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"time"
 
+	"imca/internal/metrics"
 	"imca/internal/sim"
-	"imca/internal/telemetry"
 )
 
 // Transport describes a network technology's first-order performance model.
@@ -149,7 +149,7 @@ type Node struct {
 	// successful Call/CallT from this node — request serialization,
 	// service, response — as a latency distribution. Nil (a no-op) until
 	// Register runs.
-	rtt *telemetry.Hist
+	rtt *metrics.Histogram
 }
 
 // NewNode adds a host with the given number of CPU cores.

@@ -11,8 +11,8 @@ import (
 	"imca/internal/cluster"
 	"imca/internal/flight"
 	"imca/internal/gluster"
+	"imca/internal/iotrace"
 	"imca/internal/sim"
-	"imca/internal/trace"
 	"imca/internal/xrand"
 )
 
@@ -40,19 +40,19 @@ var fuzzPaths = [...]string{"/fz/a", "/fz/b", "/fz/c"}
 
 // verbs maps an op record's selector to its kind, weighted toward the
 // reads and writes whose pushes and purges interleave.
-var verbs = [...]trace.Kind{
-	trace.OpCreate, trace.OpCreate, trace.OpCreate, trace.OpOpen, trace.OpOpen,
-	trace.OpClose, trace.OpClose, trace.OpClose, trace.OpStat, trace.OpStat, trace.OpStat,
-	trace.OpTruncate, trace.OpTruncate, trace.OpUnlink, trace.OpUnlink, trace.OpUnlink,
-	trace.OpRead, trace.OpRead, trace.OpRead, trace.OpRead, trace.OpRead, trace.OpRead,
-	trace.OpWrite, trace.OpWrite, trace.OpWrite, trace.OpWrite, trace.OpWrite, trace.OpWrite,
+var verbs = [...]iotrace.Kind{
+	iotrace.OpCreate, iotrace.OpCreate, iotrace.OpCreate, iotrace.OpOpen, iotrace.OpOpen,
+	iotrace.OpClose, iotrace.OpClose, iotrace.OpClose, iotrace.OpStat, iotrace.OpStat, iotrace.OpStat,
+	iotrace.OpTruncate, iotrace.OpTruncate, iotrace.OpUnlink, iotrace.OpUnlink, iotrace.OpUnlink,
+	iotrace.OpRead, iotrace.OpRead, iotrace.OpRead, iotrace.OpRead, iotrace.OpRead, iotrace.OpRead,
+	iotrace.OpWrite, iotrace.OpWrite, iotrace.OpWrite, iotrace.OpWrite, iotrace.OpWrite, iotrace.OpWrite,
 }
 
 // schedule is what an input decodes to: each client's ops, each preceded
 // by its think time, and a fault plan that heals itself.
 type schedule struct {
 	clients, ops int
-	trace        trace.Trace
+	trace        iotrace.Trace
 	plan         *Plan
 }
 
@@ -84,17 +84,17 @@ func decodeSchedule(data []byte, nMCDs int) *schedule {
 		}
 		s.clients = len(ids)
 		s.ops++
-		op := trace.Op{Client: client, Kind: verbs[sel], Path: fuzzPaths[int(rec[2])%len(fuzzPaths)]}
+		op := iotrace.Op{Client: client, Kind: verbs[sel], Path: fuzzPaths[int(rec[2])%len(fuzzPaths)]}
 		switch op.Kind {
-		case trace.OpRead:
+		case iotrace.OpRead:
 			op.Off, op.Size = int64(rec[3])*32, 1+int64(rec[4])*16
-		case trace.OpWrite:
+		case iotrace.OpWrite:
 			// Distinct odd seeds: no two writes carry the same bytes.
 			op.Off, op.Size, op.Seed = int64(rec[3])*32, 1+int64(rec[4])*16, uint64(2*i+1)
-		case trace.OpTruncate:
+		case iotrace.OpTruncate:
 			op.Size = int64(rec[3]) * 32
 		}
-		s.trace.Ops = append(s.trace.Ops, trace.Op{Client: client, Kind: trace.OpSleep, Size: int64(thinkTime(rec[5], rec[6]))}, op)
+		s.trace.Ops = append(s.trace.Ops, iotrace.Op{Client: client, Kind: iotrace.OpSleep, Size: int64(thinkTime(rec[5], rec[6]))}, op)
 	}
 	var events []Event
 	for _, rec := range faults {
@@ -267,7 +267,7 @@ func runSection44(t *testing.T, data []byte) coverage {
 	for i := range mounts {
 		mounts[i] = o.Mount(i)
 	}
-	trace.Replay(c.Env, mounts, &s.trace)
+	iotrace.Replay(c.Env, mounts, &s.trace)
 	c.Env.Run() // a schedule with no ops still fires its plan
 	if got, want := in.Fired(), in.Armed(); got != want {
 		t.Fatalf("fired %d of %d armed events\n%s\nflight recorder:\n%s", got, want, s, flightDump(fr))

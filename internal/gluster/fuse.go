@@ -5,9 +5,9 @@ import (
 
 	"imca/internal/blob"
 	"imca/internal/fabric"
+	"imca/internal/metrics"
 	"imca/internal/optrace"
 	"imca/internal/sim"
-	"imca/internal/telemetry"
 )
 
 // FuseConfig models the kernel VFS → FUSE → userspace crossing that every
@@ -40,7 +40,7 @@ type Fuse struct {
 	// End-to-end client-visible latency distributions (the whole stack
 	// below the VFS boundary) of read, write and stat, registered by
 	// Register; nil no-ops otherwise.
-	hists [numVerbs]*telemetry.Hist
+	hists [numVerbs]*metrics.Histogram
 
 	// ops pools the per-operation frames; see fuseOp.
 	ops []*fuseOp
@@ -112,7 +112,7 @@ func (f *Fuse) start(t *sim.Task, v verb) *fuseOp {
 // to the pool; the caller has copied out what its continuation needs.
 func (op *fuseOp) end() {
 	op.sp.End(op.t)
-	op.f.hists[op.req.verb].ObserveSince(op.t, op.t0)
+	op.f.hists[op.req.verb].Observe(op.t.Now().Sub(op.t0))
 	op.t, op.sp, op.data, op.err = nil, nil, blob.Blob{}, nil
 	op.req, op.k = request{}, conts{}
 	op.f.ops = append(op.f.ops, op)

@@ -4,8 +4,8 @@ package tickpurity
 
 import (
 	"imca/internal/flight"
+	"imca/internal/metrics"
 	"imca/internal/sim"
-	"imca/internal/telemetry"
 )
 
 // Install hooks a literal observer that schedules a process.
@@ -67,8 +67,8 @@ func ArmFault(env *sim.Env) {
 // InstallInstrumented hooks the shape every instrumented layer uses: a
 // tick observer that observes into a hist and appends a flight record.
 // Both are pure memory writes that schedule nothing, so the walk reaches
-// into telemetry and flight and flags nothing.
-func InstallInstrumented(env *sim.Env, h *telemetry.Hist, rec *flight.Recorder) {
+// into metrics and flight and flags nothing.
+func InstallInstrumented(env *sim.Env, h *metrics.Histogram, rec *flight.Recorder) {
 	env.SetTick(1000, func(at sim.Time) {
 		h.Observe(0)
 		rec.Append(at, flight.KindProbe, "sampler", "tick", 0)
@@ -78,13 +78,13 @@ func InstallInstrumented(env *sim.Env, h *telemetry.Hist, rec *flight.Recorder) 
 // InstallMixed hooks an observer whose helper observes and then schedules:
 // the observe is legal, but the Process call two hops down the chain is
 // flagged like a direct one.
-func InstallMixed(env *sim.Env, h *telemetry.Hist) {
+func InstallMixed(env *sim.Env, h *metrics.Histogram) {
 	env.SetTick(1000, func(at sim.Time) {
 		observeAndSchedule(env, h)
 	})
 }
 
-func observeAndSchedule(env *sim.Env, h *telemetry.Hist) {
+func observeAndSchedule(env *sim.Env, h *metrics.Histogram) {
 	h.Observe(0)
 	env.Process("drain", func(p *sim.Proc) {})
 }

@@ -4,9 +4,9 @@ import (
 	"imca/internal/blob"
 	"imca/internal/fabric"
 	"imca/internal/flight"
+	"imca/internal/metrics"
 	"imca/internal/optrace"
 	"imca/internal/sim"
-	"imca/internal/telemetry"
 )
 
 // SimClient accesses a bank of simulated MCDs from one fabric node,
@@ -50,7 +50,7 @@ type SimClient struct {
 
 	// Per-bank latency distributions (get/set/getmulti entry to exit,
 	// fast-fails included), registered by Register; nil no-ops otherwise.
-	getHist, setHist, multiHist *telemetry.Hist
+	getHist, setHist, multiHist *metrics.Histogram
 	// fr, when attached, records failovers and ejection transitions for
 	// post-mortems; nil (the default) is a no-op.
 	fr *flight.Recorder
@@ -363,7 +363,7 @@ func (op *bankOp) done(m fabric.Msg, err error) {
 			}
 		}
 		sp.End(t)
-		c.getHist.ObserveSince(t, op.t0)
+		c.getHist.Observe(t.Now().Sub(op.t0))
 		if failed && op.next >= 0 {
 			// This request stays the fabric's until the call retires, so the
 			// failover leg gets its own copy of the key.
@@ -388,7 +388,7 @@ func (op *bankOp) done(m fabric.Msg, err error) {
 			sp.SetAttr("result", "stored")
 		}
 		sp.End(t)
-		c.setHist.ObserveSince(t, op.t0)
+		c.setHist.Observe(t.Now().Sub(op.t0))
 		op.kSet(err)
 	default:
 		sp.End(t)
@@ -426,7 +426,7 @@ func (c *SimClient) getOnT(op *bankOp, idx, next int) {
 	if !c.admitRead(t, idx) {
 		sp.SetAttr("result", "ejected")
 		sp.End(t)
-		c.getHist.ObserveSince(t, op.t0)
+		c.getHist.Observe(t.Now().Sub(op.t0))
 		if next >= 0 {
 			c.failover(t, next)
 			c.getOnT(op, next, -1)
@@ -613,7 +613,7 @@ func (op *multiGetOp) collect() {
 		}
 		op.next++
 	}
-	c.multiHist.ObserveSince(t, op.t0)
+	c.multiHist.Observe(t.Now().Sub(op.t0))
 	op.finish()
 }
 
@@ -745,7 +745,7 @@ func (c *SimClient) setOnT(t *sim.Task, idx int, key string, value blob.Blob, k 
 	if !c.admit(t, idx) {
 		sp.SetAttr("result", "ejected")
 		sp.End(t)
-		c.setHist.ObserveSince(t, t0)
+		c.setHist.Observe(t.Now().Sub(t0))
 		k(ErrServerDown)
 		return
 	}

@@ -31,8 +31,13 @@ func bucketFor(d time.Duration) int {
 	return b
 }
 
-// Observe records one duration.
+// Observe records one duration. A nil histogram records nothing, so a
+// layer observes unconditionally whether or not its histogram was
+// registered.
 func (h *Histogram) Observe(d time.Duration) {
+	if h == nil {
+		return
+	}
 	if d < 0 {
 		d = 0
 	}

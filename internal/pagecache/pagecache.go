@@ -8,7 +8,7 @@
 // local cache.
 package pagecache
 
-import "imca/internal/telemetry"
+import "imca/internal/metrics"
 
 // Range is a byte extent within a file.
 type Range struct {
@@ -76,7 +76,7 @@ type Cache struct {
 	// FillHist, when registered, receives the disk-fill latency of each
 	// miss repaired by the cache's owner (the posix xlator observes into
 	// it — the cache itself has no clock). Nil is a no-op.
-	FillHist *telemetry.Hist
+	FillHist *metrics.Histogram
 }
 
 // New returns a cache bounded to capacity bytes of pageSize pages.

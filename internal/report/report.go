@@ -1,9 +1,10 @@
 // Package report renders a full experiment run — tables, claims, latency
 // timelines, per-layer breakdowns, telemetry and flight-recorder dumps —
-// into one static, self-contained HTML page. The page embeds no external
-// assets and no timestamps, and every number is formatted with explicit
-// strconv verbs, so the same inputs always produce the same bytes: CI can
-// diff two reports the way it diffs two benchmark JSON files.
+// into one static, self-contained HTML page, and what the run traced into
+// one Chrome trace-event file. The page embeds no external assets and no
+// timestamps, and every number is formatted with explicit strconv verbs, so
+// the same inputs always produce the same bytes: CI can diff two reports
+// the way it diffs two benchmark JSON files.
 package report
 
 import (
@@ -15,6 +16,8 @@ import (
 
 	"imca/internal/experiments"
 	"imca/internal/metrics"
+	"imca/internal/optrace"
+	"imca/internal/telemetry"
 )
 
 // seriesColors are the fixed stroke colors for timeline percentile
@@ -59,6 +62,19 @@ func Write(w io.Writer, title string, results []*experiments.Result) error {
 	return ew.err
 }
 
+// WriteTrace writes the retained operations of every result, with the
+// results' counter tracks merged in, as one Chrome trace-event file
+// (telemetry.WriteChromeTrace), and returns how many of each it wrote.
+func WriteTrace(w io.Writer, results []*experiments.Result) (ops, tracks int, err error) {
+	var all []*optrace.Op
+	var trs []telemetry.CounterTrack
+	for _, r := range results {
+		all = append(all, r.Ops...)
+		trs = append(trs, r.Tracks...)
+	}
+	return len(all), len(trs), telemetry.WriteChromeTrace(w, all, trs)
+}
+
 func writeResult(w io.Writer, r *experiments.Result) {
 	p := func(format string, args ...interface{}) { fmt.Fprintf(w, format, args...) }
 	p("<section id=\"%s\">\n<h2>%s</h2>\n", html.EscapeString(r.Name), html.EscapeString(r.Name))
@@ -89,19 +105,11 @@ func writeResult(w io.Writer, r *experiments.Result) {
 		writeTimeline(w, tl)
 	}
 
-	for _, nb := range r.Breakdowns {
-		p("<h3>%s</h3>\n", html.EscapeString(nb.Title))
-		var sb strings.Builder
-		nb.Breakdown.Report(&sb)
-		p("<pre>%s</pre>\n", html.EscapeString(sb.String()))
-	}
-	for _, d := range r.Telemetry {
-		p("<h3>%s</h3>\n", html.EscapeString(d.Title))
-		p("<pre>%s</pre>\n", html.EscapeString(d.Text))
-	}
-	for _, d := range r.Flight {
-		p("<h3>%s</h3>\n", html.EscapeString(d.Title))
-		p("<pre>%s</pre>\n", html.EscapeString(d.Text))
+	for _, dumps := range [][]experiments.NamedDump{r.Breakdowns, r.Telemetry, r.Flight} {
+		for _, d := range dumps {
+			p("<h3>%s</h3>\n", html.EscapeString(d.Title))
+			p("<pre>%s</pre>\n", html.EscapeString(d.Text))
+		}
 	}
 	p("</section>\n")
 }

@@ -13,8 +13,7 @@ import (
 // Perfetto (and chrome://tracing) open directly. Timestamps and durations
 // are microseconds; ours carry virtual time. Args is an interface so span
 // events can carry string attributes and counter events numeric values; a
-// map[string]string marshals through it byte-identically to the typed
-// field it replaced.
+// map[string]string marshals through it as a typed field would.
 type traceEvent struct {
 	Name string      `json:"name"`
 	Cat  string      `json:"cat,omitempty"`
@@ -44,26 +43,20 @@ type traceFile struct {
 // usOf converts a virtual duration in nanoseconds to trace microseconds.
 func usOf(ns int64) float64 { return float64(ns) / 1e3 }
 
-// WriteChromeTrace serializes traced operations as Chrome trace-event JSON.
-// Each operation becomes one thread (tid = position in ops, 1-based) under
-// pid 1, named after the operation; each recorded span becomes a complete
-// ("X") event with its layer as the category and its attributes as args.
-// Events on a tid are emitted in non-decreasing ts order, so the file loads
-// cleanly in Perfetto and diffing two runs compares like with like.
+// WriteChromeTrace serializes traced operations, and counter tracks beside
+// them, as Chrome trace-event JSON. Each operation becomes one thread (tid =
+// position in ops, 1-based) under pid 1, named after the operation; each
+// recorded span becomes a complete ("X") event with its layer as the
+// category and its attributes as args. Events on a tid are emitted in
+// non-decreasing ts order, so the file loads cleanly in Perfetto and
+// diffing two runs compares like with like. Each track becomes a sequence
+// of "C" (counter) events under pid 2, one per sample, emitted after all
+// span events in the given track order.
 //
 // The output is deterministic: field order is fixed by the structs,
 // encoding/json sorts args keys, and span order is a total order on
 // (start, depth, -finish, layer, name).
-func WriteChromeTrace(w io.Writer, ops []*optrace.Op) error {
-	return WriteChromeTraceTracks(w, ops, nil)
-}
-
-// WriteChromeTraceTracks is WriteChromeTrace with counter tracks merged
-// into the same file: each track becomes a sequence of "C" (counter)
-// events under pid 2, one per sample, emitted after all span events in
-// the given track order. With no tracks the output is byte-identical to
-// WriteChromeTrace.
-func WriteChromeTraceTracks(w io.Writer, ops []*optrace.Op, tracks []CounterTrack) error {
+func WriteChromeTrace(w io.Writer, ops []*optrace.Op, tracks []CounterTrack) error {
 	var events []traceEvent
 	for i, op := range ops {
 		tid := i + 1

@@ -36,15 +36,11 @@ func TestHistObserveAndQuantiles(t *testing.T) {
 	}
 }
 
+// An unregistered layer's histogram is nil, and observing into it is a
+// no-op.
 func TestHistNilSafe(t *testing.T) {
-	var h *telemetry.Hist
+	var h *metrics.Histogram
 	h.Observe(time.Millisecond) // must not panic
-	if h.Count() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("nil hist reported observations")
-	}
-	if s := h.Snapshot(); s.Count() != 0 {
-		t.Error("nil hist snapshot non-empty")
-	}
 }
 
 // Registering hists must not change the bytes of the scalar dumps: every
@@ -103,12 +99,12 @@ func samplerHistRun(t *testing.T) *telemetry.Sampler {
 		for i := 0; i < 10; i++ { // first interval: 9µs ops, ending by 90µs
 			t0 := p.Now()
 			p.Sleep(9 * time.Microsecond)
-			h.ObserveSince(p, t0)
+			h.Observe(p.Now().Sub(t0))
 		}
 		for i := 0; i < 30; i++ { // 3µs ops, ending at 93..180µs
 			t0 := p.Now()
 			p.Sleep(3 * time.Microsecond)
-			h.ObserveSince(p, t0)
+			h.Observe(p.Now().Sub(t0))
 		}
 	})
 	env.Run()
@@ -221,22 +217,18 @@ func TestMetricsDelta(t *testing.T) {
 }
 
 // The acceptance bar: observing into a hist allocates nothing, so hot
-// paths can observe unconditionally — directly, through the deferred
-// ObserveSince idiom, or on a nil hist.
+// paths can observe unconditionally — into a registered hist or an
+// unregistered (nil) one.
 func TestHistObserveZeroAlloc(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.Hist("lat")
-	var nilH *telemetry.Hist
-	var bare metrics.Histogram
-	task := sim.NewEnv().ContextTask("observer")
+	var nilH *metrics.Histogram
 	for _, tc := range []struct {
 		name string
 		op   func()
 	}{
-		{"Hist.Observe", func() { h.Observe(123 * time.Microsecond) }},
-		{"nil Hist.Observe", func() { nilH.Observe(123 * time.Microsecond) }},
-		{"Hist.ObserveSince", func() { h.ObserveSince(task, 0) }},
-		{"metrics.Histogram.Observe", func() { bare.Observe(123 * time.Microsecond) }},
+		{"Observe", func() { h.Observe(123 * time.Microsecond) }},
+		{"nil Observe", func() { nilH.Observe(123 * time.Microsecond) }},
 	} {
 		if n := testing.AllocsPerRun(1000, tc.op); n != 0 {
 			t.Errorf("%s allocates %v/op, want 0", tc.name, n)

@@ -22,28 +22,24 @@ import (
 // deltas — the constant-memory replacement for retaining whole ops via
 // optrace KeepOps when all an experiment wants is a percentile timeline.
 type Sampler struct {
-	env      *sim.Env
-	reg      *Registry
-	interval sim.Duration
-	times    []sim.Time
-	series   map[string][]float64
-	hists    map[string][]metrics.Histogram
+	env    *sim.Env
+	reg    *Registry
+	times  []sim.Time
+	series map[string][]float64
+	hists  map[string][]metrics.Histogram
 }
 
 // NewSampler installs a sampler on env reading reg every interval of
 // virtual time. It replaces any previously installed tick observer.
 func NewSampler(env *sim.Env, reg *Registry, interval sim.Duration) *Sampler {
 	s := &Sampler{
-		env: env, reg: reg, interval: interval,
+		env: env, reg: reg,
 		series: make(map[string][]float64),
 		hists:  make(map[string][]metrics.Histogram),
 	}
 	env.SetTick(interval, s.Sample)
 	return s
 }
-
-// Interval returns the sampling interval.
-func (s *Sampler) Interval() sim.Duration { return s.interval }
 
 // Sample records one snapshot stamped at. The kernel calls it at each
 // boundary; callers may also invoke it directly (e.g. once after the final
@@ -167,28 +163,21 @@ func (s *Sampler) kindsFor(names []string) []Kind {
 	return kinds
 }
 
-// CounterTracks converts the recorded series of the named instruments
-// (every registered instrument when names is empty) into Perfetto counter
-// tracks for WriteChromeTraceTracks. Scalar instruments contribute one
-// track of their sampled values; hist instruments expand into p50/p95/p99
-// per-interval microsecond tracks.
+// CounterTracks converts the recorded series of the named instruments into
+// Perfetto counter tracks for WriteChromeTrace. Scalar instruments
+// contribute one track of their sampled values; hist instruments expand into
+// one per-interval microsecond track per rung of Quantiles.
 func (s *Sampler) CounterTracks(names ...string) []CounterTrack {
-	if len(names) == 0 {
-		names = s.reg.Names()
-	}
 	kinds := s.kindsFor(names)
 	times := s.Times()
 	var out []CounterTrack
 	for i, n := range names {
 		if kinds[i] == KindHist {
-			for _, q := range []struct {
-				suffix string
-				q      float64
-			}{{".p50_us", 0.50}, {".p95_us", 0.95}, {".p99_us", 0.99}} {
+			for _, q := range Quantiles {
 				out = append(out, CounterTrack{
-					Name:   n + q.suffix,
+					Name:   n + "." + q.Label,
 					Times:  times,
-					Values: s.QuantileSeries(n, q.q),
+					Values: s.QuantileSeries(n, q.Q),
 				})
 			}
 			continue

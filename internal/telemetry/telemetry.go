@@ -37,7 +37,7 @@ const (
 	// KindRate is a ratio in [0, 1] derived from two counters
 	// (hits / lookups).
 	KindRate
-	// KindHist is a push-based latency distribution (see Hist). Its
+	// KindHist is a push-based latency distribution (see Registry.Hist). Its
 	// scalar value is the observation count; the full distribution is
 	// reached through Instrument.Hist and the sampler's interval
 	// snapshots.
@@ -141,15 +141,6 @@ func (r *Registry) Rate(name string, num, den func() uint64) {
 
 // Len returns the number of registered instruments.
 func (r *Registry) Len() int { return len(r.order) }
-
-// Names returns the instrument names in registration order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.order))
-	for i, in := range r.order {
-		out[i] = in.name
-	}
-	return out
-}
 
 // Instruments returns the instruments in registration order.
 func (r *Registry) Instruments() []*Instrument {

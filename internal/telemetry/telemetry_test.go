@@ -28,9 +28,9 @@ func TestRegistryKindsAndOrder(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", reg.Len())
 	}
 	want := []string{"reads", "tx_bytes", "util", "hit_rate"}
-	for i, n := range reg.Names() {
-		if n != want[i] {
-			t.Errorf("Names[%d] = %s, want %s (registration order)", i, n, want[i])
+	for i, in := range reg.Instruments() {
+		if in.Name() != want[i] {
+			t.Errorf("Instruments[%d] = %s, want %s (registration order)", i, in.Name(), want[i])
 		}
 	}
 	if in := reg.Get("reads"); in == nil || in.Kind() != telemetry.KindCounter {
@@ -230,7 +230,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	env.Run()
 
 	var buf bytes.Buffer
-	if err := telemetry.WriteChromeTrace(&buf, col.Ops()); err != nil {
+	if err := telemetry.WriteChromeTrace(&buf, col.Ops(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var f chromeFile
@@ -298,7 +298,7 @@ func telemetryRun(t *testing.T) (string, string, []byte) {
 	reg.Dump(&dump)
 	series := fmt.Sprint(smp.Times(), smp.Series("bank.gets"), smp.Series("bank.hits"), smp.Series("brick0.pagecache.hits"))
 	var trace bytes.Buffer
-	if err := telemetry.WriteChromeTrace(&trace, res.Ops); err != nil {
+	if err := telemetry.WriteChromeTrace(&trace, res.Ops, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Ops) == 0 {

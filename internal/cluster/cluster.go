@@ -144,21 +144,20 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 		node := net.NewNode(fmt.Sprintf("mcd%d", i), 8)
 		c.MCDs = append(c.MCDs, memcache.NewSimServer(node, opts.MCDMemBytes))
 	}
-	// bankClient is a translator's client of the bank, on its node; probes
-	// of ejected and suspected daemons back off from the default delay.
+	// bankClient is a translator's client of the bank, on its node.
 	bankClient := func(node *fabric.Node) *memcache.SimClient {
 		mc := memcache.NewSimClient(node, c.MCDs)
 		if opts.Selector != nil {
 			mc.SetSelector(opts.Selector)
 		}
 		if opts.EjectAfter > 0 {
-			mc.SetEjection(opts.EjectAfter, memcache.DefaultProbeBackoff)
+			mc.SetEjection(opts.EjectAfter)
 		}
 		if opts.Replicas > 1 {
 			mc.SetReplication(opts.Replicas)
 		}
 		if opts.SuspectAfter > 0 {
-			mc.SetSuspicion(opts.SuspectAfter, memcache.DefaultProbeBackoff)
+			mc.SetSuspicion(opts.SuspectAfter)
 		}
 		return mc
 	}
@@ -221,42 +220,22 @@ func (c *Cluster) FSes() []gluster.FS {
 	return out
 }
 
-// BankStats sums memcached statistics across the MCD bank. DownReplies is
-// a client-side observation, so it sums over every translator's bank
-// client (all mounts' CMCaches and all bricks' SMCaches).
+// BankStats sums memcached statistics across the MCD bank: every daemon's
+// store and every translator's bank client (all mounts' CMCaches and all
+// bricks' SMCaches), whose failure counters are client-side observations.
 func (c *Cluster) BankStats() memcache.Stats {
 	var total memcache.Stats
 	for _, s := range c.MCDs {
-		st := s.Store().Stats()
-		total.CmdGet += st.CmdGet
-		total.CmdSet += st.CmdSet
-		total.GetHits += st.GetHits
-		total.GetMisses += st.GetMisses
-		total.Evictions += st.Evictions
-		total.Expired += st.Expired
-		total.CurrItems += st.CurrItems
-		total.TotalItems += st.TotalItems
-		total.Bytes += st.Bytes
-	}
-	addClient := func(cl *memcache.SimClient) {
-		total.DownReplies += cl.DownReplies()
-		total.Unreachables += cl.Unreachables()
-		total.Ejects += cl.Ejects()
-		total.Probes += cl.Probes()
-		total.Readmits += cl.Readmits()
-		total.FastFails += cl.FastFails()
-		total.Failovers += cl.Failovers()
-		total.Suspects += cl.Suspects()
-		total.SuspectClears += cl.SuspectClears()
+		total.Add(s.Store().Stats())
 	}
 	for _, m := range c.Mounts {
 		if m.CMCache != nil {
-			addClient(m.CMCache.Bank())
+			total.Add(m.CMCache.Bank().Stats())
 		}
 	}
 	for _, b := range c.Bricks {
 		if b.SMCache != nil {
-			addClient(b.SMCache.Bank())
+			total.Add(b.SMCache.Bank().Stats())
 		}
 	}
 	return total

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
 	"imca/internal/blob"
@@ -145,5 +146,50 @@ func TestBankStatsAggregates(t *testing.T) {
 	st := c.BankStats()
 	if st.CmdSet == 0 || st.CmdGet == 0 {
 		t.Errorf("bank stats empty: %+v", st)
+	}
+}
+
+// TestBankStatsSumsEveryField: each field of BankStats is its daemons'
+// values plus its bank clients', after a run that moves daemon and client
+// counters alike — open purges blocks (deletes), and a failed daemon costs
+// down replies and an ejection.
+func TestBankStatsSumsEveryField(t *testing.T) {
+	c := New(Options{Clients: 2, MCDs: 2, MCDMemBytes: 32 << 20, EjectAfter: 1})
+	c.Env.Process("t", func(p *sim.Proc) {
+		w, r := c.Mounts[0].FS, c.Mounts[1].FS
+		fd, _ := w.Create(p, "/bs/f")
+		w.Write(p, fd, 0, blob.Synthetic(1, 0, 8192))
+		rfd, _ := r.Open(p, "/bs/f")
+		r.Read(p, rfd, 0, 8192)
+		c.MCDs[1].Fail()
+		r.Read(p, rfd, 0, 8192)
+		r.Stat(p, "/bs/f")
+	})
+	c.Env.Run()
+	parts := []memcache.Stats{}
+	for _, s := range c.MCDs {
+		parts = append(parts, s.Store().Stats())
+	}
+	for _, m := range c.Mounts {
+		parts = append(parts, m.CMCache.Bank().Stats())
+	}
+	parts = append(parts, c.SMCache.Bank().Stats())
+	total := reflect.ValueOf(c.BankStats())
+	for f := 0; f < total.NumField(); f++ {
+		var want int64
+		for _, st := range parts {
+			if v := reflect.ValueOf(st).Field(f); v.CanInt() {
+				want += v.Int()
+			} else {
+				want += int64(v.Uint())
+			}
+		}
+		name, got := total.Type().Field(f).Name, total.Field(f)
+		if got.CanInt() && got.Int() != want || !got.CanInt() && int64(got.Uint()) != want {
+			t.Errorf("BankStats().%s = %v, want %d", name, got, want)
+		}
+	}
+	if st := c.BankStats(); st.DeleteHits+st.DeleteMiss == 0 || st.LimitBytes == 0 || st.DownReplies == 0 || st.Ejects == 0 {
+		t.Errorf("the run left a counter the test relies on at zero: %+v", st)
 	}
 }

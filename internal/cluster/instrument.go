@@ -53,15 +53,10 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 		reg.Counter("bank.hits", bank(func(st memcache.Stats) uint64 { return st.GetHits }))
 		reg.Counter("bank.misses", bank(func(st memcache.Stats) uint64 { return st.GetMisses }))
 		reg.Counter("bank.evictions", bank(func(st memcache.Stats) uint64 { return st.Evictions }))
-		reg.Counter("bank.down_replies", bank(func(st memcache.Stats) uint64 { return st.DownReplies }))
-		reg.Counter("bank.unreachables", bank(func(st memcache.Stats) uint64 { return st.Unreachables }))
-		reg.Counter("bank.ejects", bank(func(st memcache.Stats) uint64 { return st.Ejects }))
-		reg.Counter("bank.probes", bank(func(st memcache.Stats) uint64 { return st.Probes }))
-		reg.Counter("bank.readmits", bank(func(st memcache.Stats) uint64 { return st.Readmits }))
-		reg.Counter("bank.fast_fails", bank(func(st memcache.Stats) uint64 { return st.FastFails }))
-		reg.Counter("bank.failovers", bank(func(st memcache.Stats) uint64 { return st.Failovers }))
-		reg.Counter("bank.suspects", bank(func(st memcache.Stats) uint64 { return st.Suspects }))
-		reg.Counter("bank.suspect_clears", bank(func(st memcache.Stats) uint64 { return st.SuspectClears }))
+		for _, ctr := range memcache.ClientCounters {
+			field := ctr.Field
+			reg.Counter("bank."+ctr.Name, bank(func(st memcache.Stats) uint64 { return *field(&st) }))
+		}
 		reg.Gauge("bank.stored_bytes", func() float64 { return float64(c.BankStats().Bytes) })
 		reg.Rate("bank.hit_rate",
 			bank(func(st memcache.Stats) uint64 { return st.GetHits }),

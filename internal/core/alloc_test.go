@@ -203,7 +203,7 @@ func TestReadTAbandonedLookupThenReuse(t *testing.T) {
 	if r.cmcache.Stats.ReadMisses != 1 || r.cmcache.Stats.ReadHits != 1 {
 		t.Errorf("ReadMisses=%d ReadHits=%d, want 1 and 1", r.cmcache.Stats.ReadMisses, r.cmcache.Stats.ReadHits)
 	}
-	if got := r.cmcache.Bank().Unreachables(); got != 2 {
+	if got := r.cmcache.Bank().Stats().Unreachables; got != 2 {
 		t.Errorf("bank unreachables = %d, want 2 (one per abandoned leg)", got)
 	}
 	if len(r.cmcache.readOps) != 1 {

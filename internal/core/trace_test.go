@@ -94,7 +94,7 @@ func TestReadWithOneMCDDownCompletes(t *testing.T) {
 	if r.cmcache.Stats.ReadMisses != 1 {
 		t.Errorf("ReadMisses = %d, want 1", r.cmcache.Stats.ReadMisses)
 	}
-	if got := r.cmcache.Bank().BankStats().DownReplies; got == 0 {
+	if got := r.cmcache.Bank().Stats().DownReplies; got == 0 {
 		t.Error("DownReplies = 0, want > 0 (one scatter batch hit the dead MCD)")
 	}
 }

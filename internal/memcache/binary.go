@@ -12,34 +12,12 @@ import (
 
 // The memcached binary protocol: fixed 24-byte headers, binary-safe keys
 // and values, quiet variants for pipelining. This implementation covers
-// the core command set (get/set/add/replace/delete/incr/decr/append/
-// prepend/version/noop/flush/quit/stat) and interoperates with standard
-// binary-protocol clients.
+// the core command set — every verb with an opcode in the verb table — and
+// interoperates with standard binary-protocol clients.
 
 const (
 	binReqMagic  = 0x80
 	binRespMagic = 0x81
-)
-
-// Binary opcodes.
-const (
-	binOpGet     = 0x00
-	binOpSet     = 0x01
-	binOpAdd     = 0x02
-	binOpReplace = 0x03
-	binOpDelete  = 0x04
-	binOpIncr    = 0x05
-	binOpDecr    = 0x06
-	binOpQuit    = 0x07
-	binOpFlush   = 0x08
-	binOpGetQ    = 0x09
-	binOpNoop    = 0x0a
-	binOpVersion = 0x0b
-	binOpGetK    = 0x0c
-	binOpGetKQ   = 0x0d
-	binOpAppend  = 0x0e
-	binOpPrepend = 0x0f
-	binOpStat    = 0x10
 )
 
 // Binary response status codes.
@@ -98,25 +76,14 @@ func writeBinResponse(w *wireWriter, opcode byte, status uint16, opaque uint32, 
 	_, _ = w.Write(value)
 }
 
+// binStatusFor is the binary reply status of a verdict (see verdicts).
 func binStatusFor(err error) uint16 {
-	switch err {
-	case nil:
-		return binStatusOK
-	case ErrCacheMiss:
-		return binStatusKeyNotFound
-	case ErrExists:
-		return binStatusKeyExists
-	case ErrTooLarge:
-		return binStatusTooLarge
-	case ErrNotStored:
-		return binStatusNotStored
-	case ErrNotNumeric:
-		return binStatusNonNumeric
-	case ErrBadKey:
-		return binStatusInvalidArgs
-	default:
-		return binStatusInvalidArgs
+	for _, v := range verdicts {
+		if v.err == err {
+			return v.status
+		}
 	}
+	return binStatusInvalidArgs
 }
 
 // ServeBinaryConn runs the binary protocol on rw against store until the
@@ -212,16 +179,19 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, kept *[]byte) 
 	keyBytes := body[h.extrasLen : int(h.extrasLen)+int(h.keyLen)]
 	value := body[int(h.extrasLen)+int(h.keyLen):]
 
-	quiet := h.opcode == binOpGetQ || h.opcode == binOpGetKQ
+	v, op, known := binaryVerb(h.opcode)
 	respond := func(status uint16, cas uint64, rextras, rkey, rvalue []byte) {
-		if quiet && status == binStatusKeyNotFound {
+		if op.quiet && status == binStatusKeyNotFound {
 			return // quiet gets suppress misses
 		}
 		writeBinResponse(w, h.opcode, status, h.opaque, cas, rextras, rkey, rvalue)
 	}
+	if !known {
+		respond(binStatusUnknownCmd, 0, nil, nil, nil)
+		return false, nil
+	}
 
-	switch h.opcode {
-	case binOpGet, binOpGetK, binOpGetQ, binOpGetKQ:
+	if v == verbGet {
 		it, ok := store.GetView(keyBytes)
 		if !ok {
 			respond(binStatusKeyNotFound, 0, nil, nil, nil)
@@ -230,7 +200,7 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, kept *[]byte) 
 		fl := w.scratch[24:28]
 		binary.BigEndian.PutUint32(fl, it.Flags)
 		var rkey []byte
-		if h.opcode == binOpGetK || h.opcode == binOpGetKQ {
+		if op.key {
 			rkey = keyBytes
 		}
 		respond(binStatusOK, it.CAS, fl, rkey, it.Value.Bytes())
@@ -238,46 +208,33 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, kept *[]byte) 
 	}
 
 	key := string(keyBytes)
-	switch h.opcode {
-	case binOpSet, binOpAdd, binOpReplace:
+	switch v {
+	case verbSet, verbAdd, verbReplace:
 		if len(extras) != 8 {
 			respond(binStatusInvalidArgs, 0, nil, nil, nil)
 			break
 		}
-		item := &Item{
+		item := Item{
 			Key:        key,
 			Value:      blob.FromBytes(append([]byte(nil), value...)),
 			Flags:      binary.BigEndian.Uint32(extras[0:]),
 			Expiration: normalizeExp(int64(binary.BigEndian.Uint32(extras[4:])), store.Now()),
 			CAS:        h.cas,
 		}
-		var serr error
-		switch {
-		case h.cas != 0:
-			serr = store.CompareAndSwap(item)
-		case h.opcode == binOpSet:
-			serr = store.Set(item)
-		case h.opcode == binOpAdd:
-			serr = store.Add(item)
-		default:
-			serr = store.Replace(item)
+		if h.cas != 0 {
+			v = verbCAS
 		}
+		serr := store.apply(v, &item)
 		respond(binStatusFor(serr), item.CAS, nil, nil, nil)
 
-	case binOpAppend, binOpPrepend:
-		v := blob.FromBytes(append([]byte(nil), value...))
-		var serr error
-		if h.opcode == binOpAppend {
-			serr = store.Append(key, v)
-		} else {
-			serr = store.Prepend(key, v)
-		}
-		respond(binStatusFor(serr), 0, nil, nil, nil)
+	case verbAppend, verbPrepend:
+		item := Item{Key: key, Value: blob.FromBytes(append([]byte(nil), value...))}
+		respond(binStatusFor(store.apply(v, &item)), 0, nil, nil, nil)
 
-	case binOpDelete:
+	case verbDelete:
 		respond(binStatusFor(store.Delete(key)), 0, nil, nil, nil)
 
-	case binOpIncr, binOpDecr:
+	case verbIncr, verbDecr:
 		if len(extras) != 20 {
 			respond(binStatusInvalidArgs, 0, nil, nil, nil)
 			break
@@ -285,32 +242,29 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, kept *[]byte) 
 		delta := binary.BigEndian.Uint64(extras[0:])
 		initial := binary.BigEndian.Uint64(extras[8:])
 		expiry := binary.BigEndian.Uint32(extras[16:])
-		v, ierr := store.IncrDecr(key, delta, h.opcode == binOpIncr)
+		n, ierr := store.IncrDecr(key, delta, v == verbIncr)
 		if ierr == ErrCacheMiss && expiry != 0xffffffff {
 			// Binary protocol: a miss with expiry != -1 seeds the counter.
 			item := &Item{Key: key, Value: blob.FromBytes(strconv.AppendUint(nil, initial, 10)),
 				Expiration: normalizeExp(int64(expiry), store.Now())}
-			v, ierr = initial, store.Set(item)
+			n, ierr = initial, store.Set(item)
 		}
 		if ierr != nil {
 			respond(binStatusFor(ierr), 0, nil, nil, nil)
 			break
 		}
 		num := w.scratch[24:32]
-		binary.BigEndian.PutUint64(num, v)
+		binary.BigEndian.PutUint64(num, n)
 		respond(binStatusOK, 0, nil, nil, num)
 
-	case binOpFlush:
+	case verbFlush:
 		store.FlushAll()
 		respond(binStatusOK, 0, nil, nil, nil)
 
-	case binOpNoop:
-		respond(binStatusOK, 0, nil, nil, nil)
+	case verbVersion:
+		respond(binStatusOK, 0, nil, nil, []byte(version))
 
-	case binOpVersion:
-		respond(binStatusOK, 0, nil, nil, []byte("1.2.8-imca"))
-
-	case binOpStat:
+	case verbStats:
 		st := store.Stats()
 		var num [20]byte
 		for _, row := range statRows {
@@ -319,12 +273,12 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, kept *[]byte) 
 		// Terminating empty stat response.
 		writeBinResponse(w, h.opcode, binStatusOK, h.opaque, 0, nil, nil, nil)
 
-	case binOpQuit:
+	case verbQuit:
 		respond(binStatusOK, 0, nil, nil, nil)
 		return true, nil
 
-	default:
-		respond(binStatusUnknownCmd, 0, nil, nil, nil)
+	default: // noop
+		respond(binStatusOK, 0, nil, nil, nil)
 	}
 	return false, nil
 }

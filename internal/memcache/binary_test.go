@@ -10,6 +10,28 @@ import (
 	"testing"
 )
 
+// The binary opcodes as the protocol defines them, kept apart from the
+// verb table so that the tests built on them check the table too.
+const (
+	binOpGet     = 0x00
+	binOpSet     = 0x01
+	binOpAdd     = 0x02
+	binOpReplace = 0x03
+	binOpDelete  = 0x04
+	binOpIncr    = 0x05
+	binOpDecr    = 0x06
+	binOpQuit    = 0x07
+	binOpFlush   = 0x08
+	binOpGetQ    = 0x09
+	binOpNoop    = 0x0a
+	binOpVersion = 0x0b
+	binOpGetK    = 0x0c
+	binOpGetKQ   = 0x0d
+	binOpAppend  = 0x0e
+	binOpPrepend = 0x0f
+	binOpStat    = 0x10
+)
+
 // binFrame builds a binary-protocol request frame.
 func binFrame(opcode byte, key string, extras, value []byte, cas uint64) []byte {
 	buf := make([]byte, 24, 24+len(extras)+len(key)+len(value))

@@ -102,20 +102,19 @@ func (cl *Client) lock(key string) (*clientConn, error) {
 }
 
 // Set stores item unconditionally.
-func (cl *Client) Set(item *Item) error { return cl.storeCmd("set ", item) }
+func (cl *Client) Set(item *Item) error { return cl.storeCmd(verbSet, item) }
 
 // Add stores item only if absent.
-func (cl *Client) Add(item *Item) error { return cl.storeCmd("add ", item) }
+func (cl *Client) Add(item *Item) error { return cl.storeCmd(verbAdd, item) }
 
 // Replace stores item only if present.
-func (cl *Client) Replace(item *Item) error { return cl.storeCmd("replace ", item) }
+func (cl *Client) Replace(item *Item) error { return cl.storeCmd(verbReplace, item) }
 
 // CompareAndSwap stores item only if its CAS token (from Gets) still
 // matches the server's.
-func (cl *Client) CompareAndSwap(item *Item) error { return cl.storeCmd("cas ", item) }
+func (cl *Client) CompareAndSwap(item *Item) error { return cl.storeCmd(verbCAS, item) }
 
-// storeCmd and incrDecr take the verb with its trailing space.
-func (cl *Client) storeCmd(cmd string, item *Item) error {
+func (cl *Client) storeCmd(v verb, item *Item) error {
 	cc, err := cl.lock(item.Key)
 	if err != nil {
 		return err
@@ -123,12 +122,11 @@ func (cl *Client) storeCmd(cmd string, item *Item) error {
 	defer cc.mu.Unlock()
 	val := item.Value.Bytes()
 	w := &cc.w
-	w.str(cmd)
-	w.str(item.Key)
+	w.command(v, item.Key)
 	w.field(uint64(item.Flags))
 	w.fieldInt(item.Expiration)
 	w.field(uint64(len(val)))
-	if cmd == "cas " {
+	if v == verbCAS {
 		w.field(item.CAS)
 	}
 	w.str("\r\n")
@@ -139,6 +137,13 @@ func (cl *Client) storeCmd(cmd string, item *Item) error {
 		return err
 	}
 	return verdictOf(line)
+}
+
+// command starts a request line: verb v and its key.
+func (w *wireWriter) command(v verb, key string) {
+	w.str(v.String())
+	w.str(" ")
+	w.str(key)
 }
 
 // roundTrip sends the request written so far and returns the first line of
@@ -159,19 +164,19 @@ func (cc *clientConn) readLine() ([]byte, error) {
 }
 
 // Get fetches one key.
-func (cl *Client) Get(key string) (*Item, error) { return cl.get("get", key) }
+func (cl *Client) Get(key string) (*Item, error) { return cl.get(verbGet, key) }
 
 // Gets fetches one key with its CAS token for a later CompareAndSwap.
-func (cl *Client) Gets(key string) (*Item, error) { return cl.get("gets", key) }
+func (cl *Client) Gets(key string) (*Item, error) { return cl.get(verbGets, key) }
 
-func (cl *Client) get(verb, key string) (*Item, error) {
+func (cl *Client) get(v verb, key string) (*Item, error) {
 	cc, err := cl.lock(key)
 	if err != nil {
 		return nil, err
 	}
 	defer cc.mu.Unlock()
 	keys := [1]string{key}
-	if err := cc.sendGet(verb, keys[:]); err != nil {
+	if err := cc.sendGet(v, keys[:]); err != nil {
 		return nil, err
 	}
 	var got *Item
@@ -207,7 +212,7 @@ func (cl *Client) GetMulti(keys []string) (map[string]*Item, error) {
 		err := cc.acquire()
 		if err == nil {
 			defer cc.mu.Unlock()
-			err = cc.sendGet("get", ks)
+			err = cc.sendGet(verbGet, ks)
 		}
 		if err != nil {
 			byConn[i] = nil // nothing was asked of it, so nothing is to be read
@@ -234,10 +239,10 @@ func (cl *Client) GetMulti(keys []string) (map[string]*Item, error) {
 	return out, nil
 }
 
-// sendGet writes and flushes verb for keys, starting another command line
-// wherever one would pass maxLineLen; cc.gets counts the lines, each of
-// which the server answers up to its own END.
-func (cc *clientConn) sendGet(verb string, keys []string) error {
+// sendGet writes and flushes get or gets v for keys, starting another
+// command line wherever one would pass maxLineLen; cc.gets counts the
+// lines, each of which the server answers up to its own END.
+func (cc *clientConn) sendGet(v verb, keys []string) error {
 	cc.gets = 0
 	n := 0
 	for _, k := range keys {
@@ -245,8 +250,8 @@ func (cc *clientConn) sendGet(verb string, keys []string) error {
 			if n > 0 {
 				cc.w.str("\r\n")
 			}
-			cc.w.str(verb)
-			n = len(verb)
+			cc.w.str(v.String())
+			n = len(v.String())
 			cc.gets++
 		}
 		cc.w.str(" ")
@@ -320,8 +325,7 @@ func (cl *Client) Delete(key string) error {
 		return err
 	}
 	defer cc.mu.Unlock()
-	cc.w.str("delete ")
-	cc.w.str(key)
+	cc.w.command(verbDelete, key)
 	cc.w.str("\r\n")
 	line, err := cc.roundTrip()
 	if err != nil {
@@ -335,22 +339,21 @@ func (cl *Client) Delete(key string) error {
 
 // Incr adds delta to a numeric value and returns the result.
 func (cl *Client) Incr(key string, delta uint64) (uint64, error) {
-	return cl.incrDecr("incr ", key, delta)
+	return cl.incrDecr(verbIncr, key, delta)
 }
 
 // Decr subtracts delta (flooring at zero) and returns the result.
 func (cl *Client) Decr(key string, delta uint64) (uint64, error) {
-	return cl.incrDecr("decr ", key, delta)
+	return cl.incrDecr(verbDecr, key, delta)
 }
 
-func (cl *Client) incrDecr(cmd, key string, delta uint64) (uint64, error) {
+func (cl *Client) incrDecr(v verb, key string, delta uint64) (uint64, error) {
 	cc, err := cl.lock(key)
 	if err != nil {
 		return 0, err
 	}
 	defer cc.mu.Unlock()
-	cc.w.str(cmd)
-	cc.w.str(key)
+	cc.w.command(v, key)
 	cc.w.field(delta)
 	cc.w.str("\r\n")
 	line, err := cc.roundTrip()
@@ -381,7 +384,8 @@ func (cc *clientConn) stats() (map[string]string, error) {
 		return nil, err
 	}
 	defer cc.mu.Unlock()
-	cc.w.str("stats\r\n")
+	cc.w.str(verbStats.String())
+	cc.w.str("\r\n")
 	m := make(map[string]string)
 	for line, err := cc.roundTrip(); ; line, err = cc.readLine() {
 		if err != nil {

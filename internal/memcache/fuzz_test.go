@@ -12,12 +12,18 @@ import (
 // handler — protocol sniffing, then the text or the binary loop — against
 // a store of one slab page. Whatever arrives, the handler must return
 // without panicking and leave the store within its memory limit and
-// consistent with its own counters. The seeds are the transcript table's
-// requests plus testdata/fuzz/FuzzServeAutoConn (the two crashers this
-// target was written after, over-long lines, binary frames); ordinary
-// `go test` replays them all.
+// consistent with its own counters. The seeds are the requests of both
+// transcript tables — every text verb and every binary opcode — plus
+// testdata/fuzz/FuzzServeAutoConn (the two crashers this target was written
+// after, over-long lines, malformed binary frames); ordinary `go test`
+// replays them all.
 func FuzzServeAutoConn(f *testing.F) {
 	for _, tc := range transcripts {
+		if len(tc.in) < 64<<10 {
+			f.Add([]byte(tc.in))
+		}
+	}
+	for _, tc := range binaryTranscripts {
 		if len(tc.in) < 64<<10 {
 			f.Add([]byte(tc.in))
 		}

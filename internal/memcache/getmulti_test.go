@@ -90,7 +90,7 @@ var multiCases = []multiCase{
 	{
 		name: "server ejected at scatter time", servers: 2,
 		prepare: func(t *testing.T, env *sim.Env, cl *SimClient, p *sim.Proc, on [][]string) {
-			cl.SetEjection(1, 5*time.Millisecond)
+			cl.SetEjection(1)
 			cl.servers[0].Fail()
 			cl.Get(p, on[0][0]) // the down reply ejects server 0
 			if !cl.Ejected(0) {
@@ -111,7 +111,7 @@ var multiCases = []multiCase{
 	{
 		name: "R=2 scatter-time failover", servers: 2, replicas: 2,
 		prepare: func(t *testing.T, env *sim.Env, cl *SimClient, p *sim.Proc, on [][]string) {
-			cl.SetEjection(1, 5*time.Millisecond)
+			cl.SetEjection(1)
 			cl.servers[0].Fail()
 			cl.Get(p, on[0][0]) // ejects server 0; the get itself fails over
 			if !cl.Ejected(0) {
@@ -202,7 +202,7 @@ func runMultiCase(t *testing.T, mc multiCase, task bool) (o multiOutcome, want [
 		if mc.prepare != nil {
 			mc.prepare(t, env, cl, p, on)
 		}
-		o.Failovers, o.Downs, o.FastFails = cl.failovers, cl.downReplies, cl.fastFails
+		o.Failovers, o.Downs, o.FastFails = cl.stats.Failovers, cl.stats.DownReplies, cl.stats.FastFails
 		start, ev0, tx0 = p.Now(), env.EventsProcessed, cl.node.TxMsgs
 		if !task {
 			snapshot(cl.GetMulti(p, keys), p.Now())
@@ -222,9 +222,9 @@ func runMultiCase(t *testing.T, mc multiCase, task bool) (o multiOutcome, want [
 	if task {
 		o.Events-- // StartTask's starter
 	}
-	o.Failovers = cl.failovers - o.Failovers
-	o.Downs = cl.downReplies - o.Downs
-	o.FastFails = cl.fastFails - o.FastFails
+	o.Failovers = cl.stats.Failovers - o.Failovers
+	o.Downs = cl.stats.DownReplies - o.Downs
+	o.FastFails = cl.stats.FastFails - o.FastFails
 	return o, mc.want(on)
 }
 
@@ -354,8 +354,8 @@ func TestGetMultiTLateRepliesAfterCut(t *testing.T) {
 	if elapsed != cutAfter {
 		t.Errorf("abandoned multi-get took %v, want to end at the cut, %v in", elapsed, cutAfter)
 	}
-	if cl.Unreachables() != 2 {
-		t.Errorf("unreachables = %d, want 2 (one per leg)", cl.Unreachables())
+	if cl.Stats().Unreachables != 2 {
+		t.Errorf("unreachables = %d, want 2 (one per leg)", cl.Stats().Unreachables)
 	}
 	if len(cl.legs) != 4 || len(cl.multiOps) != 2 {
 		t.Errorf("pools hold %d legs and %d ops after the late replies drained, want 4 and 2",

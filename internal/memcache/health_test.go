@@ -30,7 +30,7 @@ func keysFor(cl *SimClient) []string {
 // the next request fast-fails in zero virtual time without a wire message.
 func TestEjectionAfterKFailures(t *testing.T) {
 	env, cl := simBank(1, 64)
-	cl.SetEjection(3, 2*time.Millisecond)
+	cl.SetEjection(3)
 	cl.servers[0].Fail()
 	env.Process("t", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -53,9 +53,9 @@ func TestEjectionAfterKFailures(t *testing.T) {
 		}
 	})
 	env.Run()
-	if cl.Ejects() != 1 || cl.FastFails() != 1 || cl.DownReplies() != 3 {
+	if cl.Stats().Ejects != 1 || cl.Stats().FastFails != 1 || cl.Stats().DownReplies != 3 {
 		t.Errorf("ejects=%d fastFails=%d downReplies=%d, want 1, 1, 3",
-			cl.Ejects(), cl.FastFails(), cl.DownReplies())
+			cl.Stats().Ejects, cl.Stats().FastFails, cl.Stats().DownReplies)
 	}
 }
 
@@ -64,7 +64,7 @@ func TestEjectionAfterKFailures(t *testing.T) {
 // immediately.
 func TestEjectionProbeReadmits(t *testing.T) {
 	env, cl := simBank(1, 64)
-	cl.SetEjection(2, 2*time.Millisecond)
+	cl.SetEjection(2)
 	cl.servers[0].Fail()
 	env.Process("t", func(p *sim.Proc) {
 		cl.Get(p, "k")
@@ -73,7 +73,7 @@ func TestEjectionProbeReadmits(t *testing.T) {
 			t.Fatal("server not ejected")
 		}
 		cl.servers[0].Recover()
-		p.Sleep(2 * time.Millisecond)
+		p.Sleep(DefaultProbeBackoff)
 		if err := cl.Set(p, "k", blob.FromString("v")); err != nil {
 			t.Errorf("probe set failed: %v", err)
 		}
@@ -85,8 +85,8 @@ func TestEjectionProbeReadmits(t *testing.T) {
 		}
 	})
 	env.Run()
-	if cl.Probes() != 1 || cl.Readmits() != 1 {
-		t.Errorf("probes=%d readmits=%d, want 1, 1", cl.Probes(), cl.Readmits())
+	if cl.Stats().Probes != 1 || cl.Stats().Readmits != 1 {
+		t.Errorf("probes=%d readmits=%d, want 1, 1", cl.Stats().Probes, cl.Stats().Readmits)
 	}
 }
 
@@ -94,28 +94,28 @@ func TestEjectionProbeReadmits(t *testing.T) {
 // the next one.
 func TestEjectionProbeBackoffDoubles(t *testing.T) {
 	env, cl := simBank(1, 64)
-	const backoff = 2 * time.Millisecond
-	cl.SetEjection(1, backoff)
+	const backoff = DefaultProbeBackoff
+	cl.SetEjection(1)
 	cl.servers[0].Fail()
 	env.Process("t", func(p *sim.Proc) {
-		cl.Get(p, "k") // down reply: ejected, next probe in 2ms
+		cl.Get(p, "k") // down reply: ejected, next probe in 5ms
 		if !cl.Ejected(0) {
 			t.Fatal("server not ejected")
 		}
 		p.Sleep(backoff)
-		cl.Get(p, "k") // probe, fails: next probe in 4ms
-		if cl.Probes() != 1 {
-			t.Fatalf("probes = %d, want 1", cl.Probes())
+		cl.Get(p, "k") // probe, fails: next probe in 10ms
+		if cl.Stats().Probes != 1 {
+			t.Fatalf("probes = %d, want 1", cl.Stats().Probes)
 		}
-		p.Sleep(2 * time.Millisecond)
-		cl.Get(p, "k") // only ~2ms into the 4ms backoff: fast-fail
-		if cl.Probes() != 1 {
+		p.Sleep(backoff)
+		cl.Get(p, "k") // only 5ms into the 10ms backoff: fast-fail
+		if cl.Stats().Probes != 1 {
 			t.Errorf("probe went out before the doubled backoff expired")
 		}
-		p.Sleep(2 * time.Millisecond)
-		cl.Get(p, "k") // past the 4ms backoff: probe
-		if cl.Probes() != 2 {
-			t.Errorf("probes = %d after doubled backoff, want 2", cl.Probes())
+		p.Sleep(backoff)
+		cl.Get(p, "k") // past the 10ms backoff: probe
+		if cl.Stats().Probes != 2 {
+			t.Errorf("probes = %d after doubled backoff, want 2", cl.Stats().Probes)
 		}
 	})
 	env.Run()
@@ -126,7 +126,7 @@ func TestEjectionProbeBackoffDoubles(t *testing.T) {
 // answers in the same batch.
 func TestGetMultiSkipsEjectedServers(t *testing.T) {
 	env, cl := simBank(2, 64)
-	cl.SetEjection(1, 5*time.Millisecond)
+	cl.SetEjection(1)
 	keys := keysFor(cl)
 	env.Process("t", func(p *sim.Proc) {
 		for i, k := range keys {
@@ -153,8 +153,8 @@ func TestGetMultiSkipsEjectedServers(t *testing.T) {
 		}
 	})
 	env.Run()
-	if cl.FastFails() != 1 {
-		t.Errorf("fastFails = %d, want 1", cl.FastFails())
+	if cl.Stats().FastFails != 1 {
+		t.Errorf("fastFails = %d, want 1", cl.Stats().FastFails)
 	}
 }
 
@@ -165,7 +165,7 @@ func TestGetMultiSkipsEjectedServers(t *testing.T) {
 // the server without spawning a worker.
 func TestEjectionMidGetMulti(t *testing.T) {
 	env, cl := simBank(2, 64)
-	cl.SetEjection(1, 5*time.Millisecond)
+	cl.SetEjection(1)
 	keys := keysFor(cl)
 	env.Process("t", func(p *sim.Proc) {
 		for i, k := range keys {
@@ -202,8 +202,8 @@ func TestEjectionMidGetMulti(t *testing.T) {
 		}
 	})
 	env.Run()
-	if cl.Ejects() != 1 || cl.DownReplies() != 1 {
-		t.Errorf("ejects=%d downReplies=%d, want 1, 1", cl.Ejects(), cl.DownReplies())
+	if cl.Stats().Ejects != 1 || cl.Stats().DownReplies != 1 {
+		t.Errorf("ejects=%d downReplies=%d, want 1, 1", cl.Stats().Ejects, cl.Stats().DownReplies)
 	}
 }
 
@@ -212,29 +212,29 @@ func TestEjectionMidGetMulti(t *testing.T) {
 // still gets probed at a steady rate instead of a vanishing one.
 func TestEjectionProbeBackoffCaps(t *testing.T) {
 	env, cl := simBank(1, 64)
-	const backoff = time.Millisecond
-	cl.SetEjection(1, backoff)
+	const backoff = DefaultProbeBackoff
+	cl.SetEjection(1)
 	cl.servers[0].Fail()
 	var probeAt []sim.Time
 	env.Process("t", func(p *sim.Proc) {
-		cl.Get(p, "k") // down reply: ejected, first probe due in 1ms
+		cl.Get(p, "k") // down reply: ejected, first probe due in 5ms
 		if !cl.Ejected(0) {
 			t.Fatal("server not ejected")
 		}
 		// Nine failed probes against a daemon that stays dead: the gap
 		// doubles 1, 2, 4, ... then pins at the ×64 cap.
 		for i := 0; i < 9; i++ {
-			p.Sleep(cl.health[0].probeAt.Sub(p.Now()))
+			p.Sleep(cl.health[0].eject.probeAt.Sub(p.Now()))
 			probeAt = append(probeAt, p.Now())
 			cl.Get(p, "k")
 		}
 	})
 	env.Run()
-	if cl.Probes() != 9 {
-		t.Fatalf("probes = %d, want 9", cl.Probes())
+	if cl.Stats().Probes != 9 {
+		t.Fatalf("probes = %d, want 9", cl.Stats().Probes)
 	}
 	cap := sim.Duration(maxBackoffMult) * backoff
-	if got := cl.health[0].backoff; got != cap {
+	if got := cl.health[0].eject.backoff; got != cap {
 		t.Errorf("backoff after 9 failed probes = %v, want capped at %v", got, cap)
 	}
 	// Probe 7 onward is paced by the cap (2^6 = 64): each gap is the cap
@@ -267,12 +267,12 @@ func TestEjectionDisabledByDefault(t *testing.T) {
 		}
 	})
 	env.Run()
-	if cl.DownReplies() != 5 {
-		t.Errorf("downReplies = %d, want 5", cl.DownReplies())
+	if cl.Stats().DownReplies != 5 {
+		t.Errorf("downReplies = %d, want 5", cl.Stats().DownReplies)
 	}
-	if cl.Ejects() != 0 || cl.Probes() != 0 || cl.FastFails() != 0 {
+	if cl.Stats().Ejects != 0 || cl.Stats().Probes != 0 || cl.Stats().FastFails != 0 {
 		t.Errorf("ejection counters moved while disabled: ejects=%d probes=%d fastFails=%d",
-			cl.Ejects(), cl.Probes(), cl.FastFails())
+			cl.Stats().Ejects, cl.Stats().Probes, cl.Stats().FastFails)
 	}
 }
 
@@ -280,7 +280,7 @@ func TestEjectionDisabledByDefault(t *testing.T) {
 // consecutive — a success in between starts the count over.
 func TestEjectionSuccessResetsFailStreak(t *testing.T) {
 	env, cl := simBank(1, 64)
-	cl.SetEjection(2, 2*time.Millisecond)
+	cl.SetEjection(2)
 	env.Process("t", func(p *sim.Proc) {
 		cl.Set(p, "k", blob.FromString("v"))
 		cl.servers[0].Fail()
@@ -298,4 +298,179 @@ func TestEjectionSuccessResetsFailStreak(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// TestSuspicion drives the latency-suspicion state machine against a gray
+// daemon: mcd0 answers every request correctly but slowdown times slower.
+// Each case runs in a fresh two-MCD bank with suspicion at threshold and
+// the default probe backoff; k0 is a key on mcd0.
+func TestSuspicion(t *testing.T) {
+	const (
+		threshold = time.Millisecond
+		slowdown  = 1000 // a get's 6 µs of service becomes 6 ms
+	)
+	// timedGet gets key and returns whether it hit and how long it took.
+	timedGet := func(p *sim.Proc, cl *SimClient, key string) (bool, sim.Duration) {
+		start := p.Now()
+		_, ok := cl.Get(p, key)
+		return ok, p.Now().Sub(start)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, p *sim.Proc, cl *SimClient, k0 string)
+	}{
+		{"no suspicion before 8 samples", func(t *testing.T, p *sim.Proc, cl *SimClient, k0 string) {
+			cl.servers[0].SetSlowdown(slowdown)
+			for i := 1; i < suspectMinSamples; i++ {
+				if _, took := timedGet(p, cl, k0); took <= threshold {
+					t.Fatalf("get %d took %v, not over the %v threshold", i, took, threshold)
+				}
+				if cl.Suspected(0) {
+					t.Fatalf("suspected after %d samples, want %d first", i, suspectMinSamples)
+				}
+			}
+			timedGet(p, cl, k0)
+			if !cl.Suspected(0) || cl.Stats().Suspects != 1 {
+				t.Errorf("after %d slow samples: suspected %v, suspects %d; want true, 1", suspectMinSamples, cl.Suspected(0), cl.Stats().Suspects)
+			}
+		}},
+		{"suspected once the EWMA crosses the threshold", func(t *testing.T, p *sim.Proc, cl *SimClient, k0 string) {
+			var ewma float64
+			observe := func(took sim.Duration, n int) {
+				if n == 0 {
+					ewma = float64(took)
+				} else {
+					ewma += suspectAlpha * (float64(took) - ewma)
+				}
+			}
+			n := 0
+			for ; n < 2*suspectMinSamples; n++ { // healthy: well under the threshold
+				_, took := timedGet(p, cl, k0)
+				observe(took, n)
+			}
+			if cl.Suspected(0) {
+				t.Fatalf("suspected at healthy speed (EWMA %v)", sim.Duration(ewma))
+			}
+			cl.servers[0].SetSlowdown(slowdown)
+			for ; !cl.Suspected(0); n++ {
+				if sim.Duration(ewma) > threshold {
+					t.Fatalf("EWMA %v is over the threshold and mcd0 is not suspected", sim.Duration(ewma))
+				}
+				_, took := timedGet(p, cl, k0)
+				observe(took, n)
+			}
+			if sim.Duration(ewma) <= threshold {
+				t.Errorf("suspected with the EWMA at %v, under the threshold", sim.Duration(ewma))
+			}
+			if cl.Suspected(1) {
+				t.Error("the healthy daemon is suspected too")
+			}
+		}},
+		{"reads fast-fail or fail over while sets and deletes reach the daemon", func(t *testing.T, p *sim.Proc, cl *SimClient, k0 string) {
+			if err := cl.Set(p, k0, blob.FromString("v")); err != nil {
+				t.Fatal(err)
+			}
+			cl.servers[0].SetSlowdown(slowdown)
+			for !cl.Suspected(0) {
+				timedGet(p, cl, k0)
+			}
+			mcd0 := cl.servers[0].Store()
+			tx, gets := cl.node.TxMsgs, mcd0.Stats().CmdGet
+			if ok, took := timedGet(p, cl, k0); ok || took != 0 {
+				t.Errorf("get of a suspected server: hit %v after %v; want an instant miss", ok, took)
+			}
+			if got := cl.GetMulti(p, []string{k0, k0}); got[0] != nil || got[1] != nil {
+				t.Error("batched get returned a key from a suspected server")
+			}
+			if cl.node.TxMsgs != tx || mcd0.Stats().CmdGet != gets {
+				t.Errorf("reads of a suspected server sent %d messages", cl.node.TxMsgs-tx)
+			}
+			if cl.Stats().FastFails != 2 {
+				t.Errorf("fastFails = %d, want 2 (one get, one batch)", cl.Stats().FastFails)
+			}
+			// With a replica the read fails over instead, to the copy on mcd1.
+			storeOn(t, cl, 1, k0)
+			cl.SetReplication(2)
+			if it, ok := cl.Get(p, k0); !ok || string(it.Value.Bytes()) != "v" {
+				t.Errorf("replicated get of a suspected primary = %v, %v; want the replica's copy", it, ok)
+			}
+			if cl.Stats().Failovers != 1 {
+				t.Errorf("failovers = %d, want 1", cl.Stats().Failovers)
+			}
+			sets := mcd0.Stats().CmdSet
+			if err := cl.Set(p, k0, blob.FromString("w")); err != nil {
+				t.Errorf("set to a suspected server: %v", err)
+			}
+			if !cl.Delete(p, k0) {
+				t.Error("delete to a suspected server did not find the key")
+			}
+			if st := mcd0.Stats(); st.CmdSet != sets+1 || st.DeleteHits != 1 {
+				t.Errorf("the suspected daemon saw %d sets and %d deletes, want 1 and 1", st.CmdSet-sets, st.DeleteHits)
+			}
+		}},
+		{"one probe per backoff, doubling up to the cap", func(t *testing.T, p *sim.Proc, cl *SimClient, k0 string) {
+			cl.servers[0].SetSlowdown(slowdown)
+			for !cl.Suspected(0) {
+				timedGet(p, cl, k0)
+			}
+			want := DefaultProbeBackoff
+			for probe := 1; probe <= 9; probe++ {
+				g := cl.health[0].suspect
+				if g.backoff != want {
+					t.Fatalf("before probe %d: backoff %v, want %v", probe, g.backoff, want)
+				}
+				p.Sleep(g.probeAt.Sub(p.Now()) - 1)
+				probes := cl.Stats().Probes
+				if _, took := timedGet(p, cl, k0); took != 0 || cl.Stats().Probes != probes {
+					t.Fatalf("a read 1 ns before probe %d went out", probe)
+				}
+				p.Sleep(1)
+				if _, took := timedGet(p, cl, k0); took <= threshold || cl.Stats().Probes != probes+1 {
+					t.Fatalf("probe %d: took %v, probes %d; want a slow read and one probe", probe, took, cl.Stats().Probes-probes)
+				}
+				want = min(2*want, maxBackoffMult*DefaultProbeBackoff)
+			}
+			if got := cl.health[0].suspect.backoff; got != maxBackoffMult*DefaultProbeBackoff {
+				t.Errorf("backoff after 9 slow probes = %v, want capped at %v", got, maxBackoffMult*DefaultProbeBackoff)
+			}
+			if !cl.Suspected(0) || cl.Stats().Suspects != 1 || cl.Stats().SuspectClears != 0 {
+				t.Errorf("slow probes moved the suspicion: suspected %v, suspects %d, clears %d", cl.Suspected(0), cl.Stats().Suspects, cl.Stats().SuspectClears)
+			}
+		}},
+		{"a fast probe clears the suspicion and restarts the EWMA", func(t *testing.T, p *sim.Proc, cl *SimClient, k0 string) {
+			cl.servers[0].SetSlowdown(slowdown)
+			for !cl.Suspected(0) {
+				timedGet(p, cl, k0)
+			}
+			cl.servers[0].SetSlowdown(1)
+			p.Sleep(cl.health[0].suspect.probeAt.Sub(p.Now()))
+			if _, took := timedGet(p, cl, k0); took == 0 || took > threshold {
+				t.Fatalf("probe took %v, want a healthy read", took)
+			}
+			if cl.Suspected(0) || cl.Stats().SuspectClears != 1 {
+				t.Fatalf("after a fast probe: suspected %v, clears %d; want false, 1", cl.Suspected(0), cl.Stats().SuspectClears)
+			}
+			// The estimator restarted from the probe's one sample: slow
+			// samples must build up to eight again before it judges.
+			cl.servers[0].SetSlowdown(slowdown)
+			for i := 2; i < suspectMinSamples; i++ {
+				timedGet(p, cl, k0)
+				if cl.Suspected(0) {
+					t.Fatalf("re-suspected at sample %d of the restarted estimator", i)
+				}
+			}
+			timedGet(p, cl, k0)
+			if !cl.Suspected(0) || cl.Stats().Suspects != 2 {
+				t.Errorf("after 8 samples of the restarted estimator: suspected %v, suspects %d; want true, 2", cl.Suspected(0), cl.Stats().Suspects)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, cl := simBank(2, 64)
+			cl.SetSuspicion(threshold)
+			k0 := keysFor(cl)[0]
+			env.Process("t", func(p *sim.Proc) { tc.run(t, p, cl, k0) })
+			env.Run()
+		})
+	}
 }

@@ -15,6 +15,9 @@ import (
 // larger values are absolute unix timestamps (memcached convention).
 const relativeTTLCutoff = 60 * 60 * 24 * 30
 
+// version is the release the daemon reports on both protocols.
+const version = "1.2.8-imca"
+
 // normalizeExp converts a protocol exptime to an absolute second count.
 func normalizeExp(exp int64, now int64) int64 {
 	switch {
@@ -84,35 +87,36 @@ func holdsLine(r *bufio.Reader, n int) bool {
 // dispatch handles one command line. It reports whether the peer asked to
 // quit; an error is an I/O error reading a data block.
 func (c *textConn) dispatch(line []byte) (quit bool, err error) {
-	verb, args := nextField(line)
-	switch string(verb) {
-	case "get":
-		c.get(args, false)
-	case "gets":
-		c.get(args, true)
-	case "set", "add", "replace", "append", "prepend", "cas":
-		return false, c.storeCmd(string(verb), args)
-	case "delete":
+	name, args := nextField(line)
+	v, ok := textVerb(name)
+	if !ok { // a line of only blanks has no verb and lands here too
+		c.w.str("ERROR\r\n")
+		return false, nil
+	}
+	switch v {
+	case verbGet, verbGets:
+		c.get(args, v == verbGets)
+	case verbDelete:
 		c.delete(args)
-	case "incr", "decr":
-		c.incrDecr(verb[0] == 'i', args)
-	case "stats":
+	case verbIncr, verbDecr:
+		c.incrDecr(v == verbIncr, args)
+	case verbStats:
 		if sub, _ := nextField(args); string(sub) == "slabs" {
 			c.statsSlabs()
 		} else {
 			c.stats()
 		}
-	case "flush_all":
+	case verbFlush:
 		c.store.FlushAll()
 		c.ok(args)
-	case "version":
-		c.w.str("VERSION 1.2.8-imca\r\n")
-	case "verbosity":
+	case verbVersion:
+		c.w.str("VERSION " + version + "\r\n")
+	case verbVerbosity:
 		c.ok(args)
-	case "quit":
+	case verbQuit:
 		return true, nil
-	default: // a line of only blanks has no verb and lands here too
-		c.w.str("ERROR\r\n")
+	default: // the storage verbs
+		return false, c.storeCmd(v, args)
 	}
 	return false, nil
 }
@@ -163,12 +167,12 @@ func (c *textConn) get(keys []byte, withCAS bool) {
 	w.str("END\r\n")
 }
 
-func (c *textConn) storeCmd(op string, args []byte) error {
+func (c *textConn) storeCmd(v verb, args []byte) error {
 	args, noreply := cutNoreply(args)
 	var f [5][]byte
 	n := splitFields(args, f[:])
 	want, casID, okCAS := 4, uint64(0), true
-	if op == "cas" {
+	if v == verbCAS {
 		want = 5
 		casID, okCAS = parseUint(f[4])
 	}
@@ -219,15 +223,7 @@ func (c *textConn) storeCmd(op string, args []byte) error {
 		Expiration: normalizeExp(exp, c.store.Now()),
 		CAS:        casID,
 	}
-	switch op {
-	case "append":
-		err = c.store.Append(key, item.Value)
-	case "prepend":
-		err = c.store.Prepend(key, item.Value)
-	default:
-		err = c.store.store(&item, op)
-	}
-	c.verdict(noreply, err)
+	c.verdict(noreply, c.store.apply(v, &item))
 	return nil
 }
 

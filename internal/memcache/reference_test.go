@@ -147,7 +147,7 @@ func (r *refStore) insert(item *Item, old *refItem) error {
 	return nil
 }
 
-func (r *refStore) store(item *Item, op string) error {
+func (r *refStore) store(item *Item, op verb) error {
 	if !validKey(item.Key) {
 		return ErrBadKey
 	}
@@ -157,11 +157,11 @@ func (r *refStore) store(item *Item, op string) error {
 	r.stats.CmdSet++
 	old := r.live(item.Key)
 	switch {
-	case op == "add" && old != nil, op == "replace" && old == nil:
+	case op == verbAdd && old != nil, op == verbReplace && old == nil:
 		return ErrNotStored
-	case op == "cas" && old == nil:
+	case op == verbCAS && old == nil:
 		return ErrCacheMiss
-	case op == "cas" && old.CAS != item.CAS:
+	case op == verbCAS && old.CAS != item.CAS:
 		return ErrExists
 	}
 	return r.insert(item, old)
@@ -375,18 +375,18 @@ func runStoreScript(t testing.TB, data []byte) (cov scriptCoverage) {
 		switch verb {
 		case 0, 1, 2:
 			si, ri := item()
-			sameErr(step, what, s.Set(si), r.store(ri, "set"))
+			sameErr(step, what, s.Set(si), r.store(ri, verbSet))
 			sameItem(step, what+" (CAS handed back)", *si, true, *ri, true)
 		case 3:
 			si, ri := item()
-			sameErr(step, what, s.Add(si), r.store(ri, "add"))
+			sameErr(step, what, s.Add(si), r.store(ri, verbAdd))
 		case 4:
 			si, ri := item()
-			sameErr(step, what, s.Replace(si), r.store(ri, "replace"))
+			sameErr(step, what, s.Replace(si), r.store(ri, verbReplace))
 		case 5:
 			si, ri := item()
 			si.CAS, ri.CAS = tokens[key], tokens[key]
-			sameErr(step, what, s.CompareAndSwap(si), r.store(ri, "cas"))
+			sameErr(step, what, s.CompareAndSwap(si), r.store(ri, verbCAS))
 		case 6:
 			sameErr(step, what, s.Append(key, scriptValue(a, b)), r.concat(key, scriptValue(a, b), false))
 		case 7:

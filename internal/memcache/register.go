@@ -20,20 +20,33 @@ func (s *SimServer) Register(reg *telemetry.Registry, prefix string) {
 		stat(func(st Stats) uint64 { return st.CmdGet }))
 }
 
-// Register exposes the client's failure counters under prefix — the ways
-// a bank request degrades to the server path instead of answering — and
-// the ejection state machine's transitions (zero unless SetEjection is
-// enabled).
+// ClientCounters are a bank client's failure counters — the ways a bank
+// request degrades to the server path instead of answering, and the
+// ejection and suspicion state machines' transitions — by telemetry name
+// and Stats field, in the order every registration lists them and
+// Stats.Add sums them.
+var ClientCounters = [...]struct {
+	Name  string
+	Field func(*Stats) *uint64
+}{
+	{"down_replies", func(st *Stats) *uint64 { return &st.DownReplies }},
+	{"unreachables", func(st *Stats) *uint64 { return &st.Unreachables }},
+	{"ejects", func(st *Stats) *uint64 { return &st.Ejects }},
+	{"probes", func(st *Stats) *uint64 { return &st.Probes }},
+	{"readmits", func(st *Stats) *uint64 { return &st.Readmits }},
+	{"fast_fails", func(st *Stats) *uint64 { return &st.FastFails }},
+	{"failovers", func(st *Stats) *uint64 { return &st.Failovers }},
+	{"suspects", func(st *Stats) *uint64 { return &st.Suspects }},
+	{"suspect_clears", func(st *Stats) *uint64 { return &st.SuspectClears }},
+}
+
+// Register exposes the client's failure counters (ClientCounters) under
+// prefix.
 func (c *SimClient) Register(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+".down_replies", func() uint64 { return c.downReplies })
-	reg.Counter(prefix+".unreachables", func() uint64 { return c.unreachables })
-	reg.Counter(prefix+".ejects", func() uint64 { return c.ejects })
-	reg.Counter(prefix+".probes", func() uint64 { return c.probes })
-	reg.Counter(prefix+".readmits", func() uint64 { return c.readmits })
-	reg.Counter(prefix+".fast_fails", func() uint64 { return c.fastFails })
-	reg.Counter(prefix+".failovers", func() uint64 { return c.failovers })
-	reg.Counter(prefix+".suspects", func() uint64 { return c.suspects })
-	reg.Counter(prefix+".suspect_clears", func() uint64 { return c.suspectClears })
+	for _, ctr := range ClientCounters {
+		field := ctr.Field
+		reg.Counter(prefix+"."+ctr.Name, func() uint64 { return *field(&c.stats) })
+	}
 	// Per-bank latency distributions (entry to exit, fast-fails included).
 	// Hists are excluded from scalar dumps, so these change no existing
 	// output bytes.

@@ -23,25 +23,12 @@ func copyTime(n int64) sim.Duration {
 	return sim.Duration(float64(n) * perByteCopyNanos)
 }
 
-// verb names the three requests of the simulated memcached protocol.
-type verb uint8
-
-const (
-	verbGet verb = iota
-	verbSet
-	verbDelete
-)
-
-var verbNames = [...]string{verbGet: "get", verbSet: "set", verbDelete: "delete"}
-
-func (v verb) String() string { return verbNames[v] }
-
-// request is the protocol's one request message: a get of keys, a set of
-// item (always unconditional, as IMCa uses), or a delete of item.Key. It
-// lives inside a client-side frame — a bankOp, or one leg of a multi-key
-// get — and the fabric recycles it when the call's frame retires, which is
-// what returns the owner to its pool. WireSize values approximate the text
-// protocol's framing.
+// request is the simulated protocol's one request message, of one of three
+// verbs: a get of keys, a set of item (always unconditional, as IMCa uses),
+// or a delete of item.Key. It lives inside a client-side frame — a bankOp,
+// or one leg of a multi-key get — and the fabric recycles it when the
+// call's frame retires, which is what returns the owner to its pool.
+// WireSize values approximate the text protocol's framing.
 type request struct {
 	verb verb
 	keys keyList

@@ -88,9 +88,18 @@ func TestSimKeysSpreadAcrossBank(t *testing.T) {
 			t.Errorf("mcd%d received no keys (bad CRC32 spread)", i)
 		}
 	}
-	if cl.BankStats().CurrItems != 200 {
-		t.Errorf("bank total = %d, want 200", cl.BankStats().CurrItems)
+	if got := daemonTotal(cl).CurrItems; got != 200 {
+		t.Errorf("bank total = %d, want 200", got)
 	}
+}
+
+// daemonTotal sums the Stats of cl's daemons.
+func daemonTotal(cl *SimClient) Stats {
+	var total Stats
+	for _, s := range cl.servers {
+		total.Add(s.Store().Stats())
+	}
+	return total
 }
 
 // hitCount counts the present entries of a multi-get result.
@@ -191,7 +200,7 @@ func TestSimCapacityEvictions(t *testing.T) {
 		}
 	})
 	env.Run()
-	if cl.BankStats().Evictions == 0 {
+	if daemonTotal(cl).Evictions == 0 {
 		t.Error("no evictions recorded")
 	}
 }
@@ -281,7 +290,7 @@ func TestSimGetMultiWithOneMCDDown(t *testing.T) {
 		}
 	})
 	env.Run()
-	if got := cl.BankStats().DownReplies; got != 1 {
+	if got := cl.Stats().DownReplies; got != 1 {
 		t.Errorf("DownReplies = %d, want 1 (one batched request hit the dead MCD)", got)
 	}
 }
@@ -303,7 +312,7 @@ func TestSimGetFromDownMCDIsAMiss(t *testing.T) {
 		}
 	})
 	env.Run()
-	if got := cl.DownReplies(); got != 2 {
+	if got := cl.Stats().DownReplies; got != 2 {
 		t.Errorf("DownReplies = %d, want 2 (one get + one set refused)", got)
 	}
 }
@@ -326,12 +335,12 @@ func TestGetTAllocations(t *testing.T) {
 		{"hit", func(cl *SimClient, key string) { storeOn(t, cl, 0, key) }, true, 0},
 		{"miss", func(*SimClient, string) {}, false, 0},
 		{"ejected fast-fail", func(cl *SimClient, _ string) {
-			cl.SetEjection(1, time.Hour)
+			cl.SetEjection(1)
 			cl.servers[0].Fail()
 		}, false, 0},
 		{"ejected with replica failover", func(cl *SimClient, key string) {
 			cl.SetReplication(2)
-			cl.SetEjection(1, time.Hour)
+			cl.SetEjection(1)
 			storeOn(t, cl, 1, key)
 			cl.servers[0].Fail()
 		}, true, 0},
@@ -444,7 +453,7 @@ func TestSimUnreachableIsAMiss(t *testing.T) {
 		}
 	})
 	env.Run()
-	if down, cut := cl.DownReplies(), cl.Unreachables(); down != 0 || cut != 3 {
+	if down, cut := cl.Stats().DownReplies, cl.Stats().Unreachables; down != 0 || cut != 3 {
 		t.Errorf("DownReplies = %d, Unreachables = %d; want 0 and 3", down, cut)
 	}
 	var mcd *optrace.Span

@@ -23,30 +23,21 @@ type SimClient struct {
 	ops      []*bankOp
 	multiOps []*multiGetOp
 	legs     []*multiGetLeg
-	// downReplies counts requests that came back with down set (connection
-	// refused by a failed daemon). Surfaced through BankStats.
-	downReplies uint64
-	// unreachables counts requests that failed because the link to the
-	// server was cut (fabric.ErrUnreachable).
-	unreachables uint64
+	// stats holds the client's failure counters, the client-side fields of
+	// Stats (see ClientCounters); its daemon fields stay zero.
+	stats Stats
 
-	// Ejection state, active only after SetEjection (see health.go).
-	ejectAfter                          int
-	probeBackoff                        sim.Duration
-	health                              []serverHealth
-	ejects, probes, readmits, fastFails uint64
+	// Failure detection, active only after SetEjection or SetSuspicion (see
+	// health.go): a server is ejected after ejectAfter consecutive failures,
+	// and suspected while its get service-time EWMA is over suspectAfter.
+	ejectAfter   int
+	suspectAfter sim.Duration
+	health       []serverHealth
 
 	// Replication: replicas >= 2 keeps a second copy of every key on the
 	// selector's replica server (see SetReplication). 0 is the paper's
 	// single-copy bank.
-	replicas  int
-	failovers uint64
-	// Latency suspicion state, active only after SetSuspicion (see
-	// health.go): gray (slow-but-alive) servers are soft-ejected when
-	// their service-time EWMA crosses suspectAfter.
-	suspectAfter            sim.Duration
-	suspectBackoff          sim.Duration
-	suspects, suspectClears uint64
+	replicas int
 
 	// Per-bank latency distributions (get/set/getmulti entry to exit,
 	// fast-fails included), registered by Register; nil no-ops otherwise.
@@ -111,10 +102,10 @@ func pick[K string | []byte](c *SimClient, key K) int {
 func (c *SimClient) fail(a sim.Actor, idx int, err error) string {
 	result := "down"
 	if err != nil {
-		c.unreachables++
+		c.stats.Unreachables++
 		result = "unreachable"
 	} else {
-		c.downReplies++
+		c.stats.DownReplies++
 	}
 	c.observe(a, idx, false)
 	return result
@@ -241,41 +232,13 @@ func (c *SimClient) routeRead(a sim.Actor, key []byte) int {
 
 // failover records a read moving to replica server r.
 func (c *SimClient) failover(a sim.Actor, r int) {
-	c.failovers++
+	c.stats.Failovers++
 	c.fr.Append(a.Now(), flight.KindFailover, c.node.Name(), c.servers[r].node.Name(), 0)
 }
 
-// DownReplies returns how many of this client's requests were answered by
-// a dead daemon's connection reset.
-func (c *SimClient) DownReplies() uint64 { return c.downReplies }
-
-// BankStats sums Stats across the MCD bank.
-func (c *SimClient) BankStats() Stats {
-	var total Stats
-	for _, s := range c.servers {
-		st := s.store.Stats()
-		total.CmdGet += st.CmdGet
-		total.CmdSet += st.CmdSet
-		total.GetHits += st.GetHits
-		total.GetMisses += st.GetMisses
-		total.Evictions += st.Evictions
-		total.Expired += st.Expired
-		total.CurrItems += st.CurrItems
-		total.TotalItems += st.TotalItems
-		total.Bytes += st.Bytes
-		total.LimitBytes += st.LimitBytes
-	}
-	total.DownReplies = c.downReplies
-	total.Unreachables = c.unreachables
-	total.Ejects = c.ejects
-	total.Probes = c.probes
-	total.Readmits = c.readmits
-	total.FastFails = c.fastFails
-	total.Failovers = c.failovers
-	total.Suspects = c.suspects
-	total.SuspectClears = c.suspectClears
-	return total
-}
+// Stats returns the client's failure counters: the client-side fields of
+// Stats, the daemon fields zero.
+func (c *SimClient) Stats() Stats { return c.stats }
 
 // bankOp is the pooled per-operation frame of one GetT, SetT or DeleteT
 // leg: the request (a get's key copied into its key list, which keeps its
@@ -420,7 +383,7 @@ func getKeyT[K string | []byte](c *SimClient, t *sim.Task, key K, k func(*Item, 
 func (c *SimClient) getOnT(op *bankOp, idx, next int) {
 	t := op.t
 	op.next = next
-	sp := optrace.StartSpan(t, optrace.LayerMCD, "get")
+	sp := optrace.StartSpan(t, optrace.LayerMCD, verbGet.String())
 	sp.SetAttr("server", c.servers[idx].node.Name())
 	op.t0 = t.Now()
 	if !c.admitRead(t, idx) {
@@ -693,7 +656,7 @@ func (c *SimClient) DeleteT(t *sim.Task, key string, k func(bool)) {
 // delOnT runs one DeleteT leg against server idx.
 func (c *SimClient) delOnT(t *sim.Task, idx int, key string, k func(bool)) {
 	srv := c.servers[idx]
-	sp := optrace.StartSpan(t, optrace.LayerMCD, "delete")
+	sp := optrace.StartSpan(t, optrace.LayerMCD, verbDelete.String())
 	sp.SetAttr("server", srv.node.Name())
 	if !c.admit(t, idx) {
 		sp.SetAttr("result", "ejected")
@@ -738,7 +701,7 @@ func (c *SimClient) SetFreshT(t *sim.Task, key string, value blob.Blob, fresh fu
 // setOnT runs one SetT leg against server idx.
 func (c *SimClient) setOnT(t *sim.Task, idx int, key string, value blob.Blob, k func(error)) {
 	srv := c.servers[idx]
-	sp := optrace.StartSpan(t, optrace.LayerMCD, "set")
+	sp := optrace.StartSpan(t, optrace.LayerMCD, verbSet.String())
 	sp.SetAttr("server", srv.node.Name())
 	sp.SetAttrInt("bytes", value.Len())
 	t0 := t.Now()

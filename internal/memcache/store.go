@@ -95,24 +95,43 @@ type Stats struct {
 	TotalItems uint64
 	Bytes      int64
 	LimitBytes int64
-	// DownReplies counts requests answered by a dead daemon's connection
-	// reset. The store never increments it — it is a client-side
-	// observation, summed into BankStats by SimClient.
-	DownReplies uint64
-	// Unreachables counts requests dropped on a cut link, and Ejects,
-	// Probes, Readmits, and FastFails trace the client-side ejection state
-	// machine (see SimClient.SetEjection). All client-side only.
-	Unreachables uint64
-	Ejects       uint64
-	Probes       uint64
-	Readmits     uint64
-	FastFails    uint64
-	// Failovers counts reads retried against (or routed to) the replica
-	// copy; Suspects and SuspectClears trace the latency-suspicion state
-	// machine (see SimClient.SetSuspicion). All client-side only.
+	// The rest are a bank client's failure counters (SimClient.Stats,
+	// ClientCounters); a store never moves them. DownReplies counts
+	// requests answered by a dead daemon's connection reset, Unreachables
+	// requests dropped on a cut link, and Failovers reads retried against
+	// (or routed to) the replica copy. Ejects, Probes, Readmits and
+	// FastFails trace the ejection state machine (SimClient.SetEjection),
+	// Suspects and SuspectClears the latency-suspicion one
+	// (SimClient.SetSuspicion); Probes and FastFails count for both.
+	DownReplies   uint64
+	Unreachables  uint64
+	Ejects        uint64
+	Probes        uint64
+	Readmits      uint64
+	FastFails     uint64
 	Failovers     uint64
 	Suspects      uint64
 	SuspectClears uint64
+}
+
+// Add sums o into st, every field: a bank's total is its daemons' Stats
+// plus its clients'.
+func (st *Stats) Add(o Stats) {
+	st.CmdGet += o.CmdGet
+	st.CmdSet += o.CmdSet
+	st.GetHits += o.GetHits
+	st.GetMisses += o.GetMisses
+	st.DeleteHits += o.DeleteHits
+	st.DeleteMiss += o.DeleteMiss
+	st.Evictions += o.Evictions
+	st.Expired += o.Expired
+	st.CurrItems += o.CurrItems
+	st.TotalItems += o.TotalItems
+	st.Bytes += o.Bytes
+	st.LimitBytes += o.LimitBytes
+	for _, ctr := range ClientCounters {
+		*ctr.Field(st) += *ctr.Field(&o)
+	}
 }
 
 // slabClass is one chunk-size class: items whose total size fits chunkSize
@@ -347,57 +366,65 @@ func (s *Store) reserveChunkLocked(ci int) error {
 }
 
 // Set unconditionally stores item.
-func (s *Store) Set(item *Item) error { return s.store(item, "set") }
+func (s *Store) Set(item *Item) error { return s.apply(verbSet, item) }
 
 // Add stores item only if the key is absent.
-func (s *Store) Add(item *Item) error { return s.store(item, "add") }
+func (s *Store) Add(item *Item) error { return s.apply(verbAdd, item) }
 
 // Replace stores item only if the key is present.
-func (s *Store) Replace(item *Item) error { return s.store(item, "replace") }
+func (s *Store) Replace(item *Item) error { return s.apply(verbReplace, item) }
 
 // CompareAndSwap stores item only if its CAS matches the stored item's.
-func (s *Store) CompareAndSwap(item *Item) error { return s.store(item, "cas") }
+func (s *Store) CompareAndSwap(item *Item) error { return s.apply(verbCAS, item) }
 
 // Append appends value bytes to an existing item.
-func (s *Store) Append(key string, v blob.Blob) error { return s.concat(key, v, false) }
+func (s *Store) Append(key string, v blob.Blob) error {
+	return s.apply(verbAppend, &Item{Key: key, Value: v})
+}
 
 // Prepend prepends value bytes to an existing item.
-func (s *Store) Prepend(key string, v blob.Blob) error { return s.concat(key, v, true) }
+func (s *Store) Prepend(key string, v blob.Blob) error {
+	return s.apply(verbPrepend, &Item{Key: key, Value: v})
+}
 
-func (s *Store) store(item *Item, op string) error {
+// apply runs storage verb v — set, add, replace, cas, append or prepend —
+// for item. An append or prepend joins item.Value to the stored value and
+// keeps the stored flags and expiry; the others store item whole. On
+// success item.CAS is the stored item's new CAS.
+func (s *Store) apply(v verb, item *Item) error {
 	if !validKey(item.Key) {
 		return ErrBadKey
 	}
-	if item.Value.Len() > MaxValueLen {
+	join := v == verbAppend || v == verbPrepend
+	if !join && item.Value.Len() > MaxValueLen { // a join is judged joined
 		return ErrTooLarge
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.CmdSet++
-	now := s.Now()
-
 	old, hash := findLocked(s, item.Key)
-	if old != nil && old.expired(now) {
+	if old != nil && old.expired(s.Now()) {
 		s.stats.Expired++
 		s.removeLocked(old)
 		old = nil
 	}
-	switch op {
-	case "add":
-		if old != nil {
-			return ErrNotStored
+	switch {
+	case v == verbAdd && old != nil, (v == verbReplace || join) && old == nil:
+		return ErrNotStored
+	case v == verbCAS && old == nil:
+		return ErrCacheMiss
+	case v == verbCAS && old.CAS != item.CAS:
+		return ErrExists
+	case join:
+		if v == verbAppend {
+			item.Value = blob.Concat(old.Value, item.Value)
+		} else {
+			item.Value = blob.Concat(item.Value, old.Value)
 		}
-	case "replace":
-		if old == nil {
-			return ErrNotStored
+		if item.Value.Len() > MaxValueLen {
+			return ErrTooLarge
 		}
-	case "cas":
-		if old == nil {
-			return ErrCacheMiss
-		}
-		if old.CAS != item.CAS {
-			return ErrExists
-		}
+		item.Flags, item.Expiration = old.Flags, old.Expiration
 	}
 	return s.insertLocked(item, hash, old)
 }
@@ -435,42 +462,10 @@ func (s *Store) insertLocked(item *Item, hash uint32, old *Item) error {
 	return nil
 }
 
-func (s *Store) concat(key string, v blob.Blob, front bool) error {
-	if !validKey(key) {
-		return ErrBadKey
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.CmdSet++
-	old, hash := findLocked(s, key)
-	if old == nil || old.expired(s.Now()) {
-		if old != nil {
-			s.stats.Expired++
-			s.removeLocked(old)
-		}
-		return ErrNotStored
-	}
-	var nv blob.Blob
-	if front {
-		nv = blob.Concat(v, old.Value)
-	} else {
-		nv = blob.Concat(old.Value, v)
-	}
-	if nv.Len() > MaxValueLen {
-		return ErrTooLarge
-	}
-	it := &Item{Key: key, Value: nv, Flags: old.Flags, Expiration: old.Expiration}
-	return s.insertLocked(it, hash, old)
-}
-
 // Get returns the item for key, or ErrCacheMiss.
 func (s *Store) Get(key string) (*Item, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.getLocked(key)
-}
-
-func (s *Store) getLocked(key string) (*Item, error) {
 	it, _ := findLocked(s, key)
 	v, ok := s.viewLocked(it)
 	if !ok {
@@ -514,19 +509,6 @@ func (s *Store) GetView(key []byte) (Item, bool) {
 	defer s.mu.Unlock()
 	it, _ := findLocked(s, key)
 	return s.viewLocked(it)
-}
-
-// GetMulti returns the present items among keys, keyed by key.
-func (s *Store) GetMulti(keys []string) map[string]*Item {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]*Item, len(keys))
-	for _, k := range keys {
-		if it, err := s.getLocked(k); err == nil {
-			out[k] = it
-		}
-	}
-	return out
 }
 
 // Delete removes key, returning ErrCacheMiss if absent.

@@ -264,13 +264,17 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
+// TestGetMulti: a get of several keys, the daemons' one multi-key read,
+// answers the present keys in request order and counts every key asked.
 func TestGetMulti(t *testing.T) {
 	s := newTestStore(4)
 	s.Set(&Item{Key: "a", Value: bval("1")})
 	s.Set(&Item{Key: "c", Value: bval("3")})
-	got := s.GetMulti([]string{"a", "b", "c"})
-	if len(got) != 2 || got["a"] == nil || got["c"] == nil {
-		t.Errorf("GetMulti = %v", got)
+	if got, want := talkTo(t, s, "get c b a\r\n"), "VALUE c 0 1\r\n3\r\nVALUE a 0 1\r\n1\r\nEND\r\n"; got != want {
+		t.Errorf("get c b a = %q, want %q", got, want)
+	}
+	if st := s.Stats(); st.CmdGet != 3 || st.GetHits != 2 || st.GetMisses != 1 {
+		t.Errorf("stats after a 3-key get: %d gets, %d hits, %d misses; want 3, 2, 1", st.CmdGet, st.GetHits, st.GetMisses)
 	}
 }
 

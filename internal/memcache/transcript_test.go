@@ -1,6 +1,8 @@
 package memcache
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -107,6 +109,186 @@ func TestTranscripts(t *testing.T) {
 	for _, tc := range transcripts {
 		store := NewStore(4<<20, func() int64 { return transcriptClock })
 		if got := talkTo(t, store, tc.in); got != tc.out {
+			t.Errorf("%s:\n  in   %.300q\n  got  %.300q\n  want %.300q", tc.name, tc.in, got, tc.out)
+		}
+	}
+}
+
+// frames joins request frames into one stream.
+func frames(fs ...[]byte) string { return string(bytes.Join(fs, nil)) }
+
+// res is one binary response frame with binFrame's opaque echoed.
+func res(opcode byte, status uint16, cas uint64, extras, key, value string) string {
+	h := make([]byte, 24)
+	h[0], h[1], h[4] = binRespMagic, opcode, byte(len(extras))
+	binary.BigEndian.PutUint16(h[2:], uint16(len(key)))
+	binary.BigEndian.PutUint16(h[6:], status)
+	binary.BigEndian.PutUint32(h[8:], uint32(len(extras)+len(key)+len(value)))
+	binary.BigEndian.PutUint32(h[12:], 0xdeadbeef)
+	binary.BigEndian.PutUint64(h[16:], cas)
+	return string(h) + extras + key + value
+}
+
+// be32 and be64 are big-endian numbers as a frame carries them.
+func be32(v uint32) string { return string(binary.BigEndian.AppendUint32(nil, v)) }
+func be64(v uint64) string { return string(binary.BigEndian.AppendUint64(nil, v)) }
+
+// extrasPastBody is a header whose extras overrun its body.
+var extrasPastBody = func() []byte {
+	f := binFrame(binOpNoop, "", nil, nil, 0)
+	f[4] = 5
+	return f
+}()
+
+// binaryTranscripts is the binary protocol's behaviour contract, as
+// transcripts is the text protocol's: request frames and the exact reply
+// bytes, each case against a fresh 4 MB store on transcriptClock. The
+// replies were recorded from the serve loop that switched on each opcode
+// before the verb table replaced it. Reply statuses: 0 OK, 1 key not
+// found, 2 key exists, 3 too large, 4 invalid arguments, 5 not stored,
+// 6 non-numeric, 0x81 unknown command.
+var binaryTranscripts = []struct {
+	name, in, out string
+}{
+	{"set then get", frames(binFrame(binOpSet, "k", setExtras(5, 0), []byte("hello"), 0), binFrame(binOpGet, "k", nil, nil, 0)),
+		res(binOpSet, 0, 1, "", "", "") +
+			res(binOpGet, 0, 1, be32(5), "", "hello")},
+	{"get miss", frames(binFrame(binOpGet, "nothing", nil, nil, 0)),
+		res(binOpGet, 1, 0, "", "", "")},
+	{"quiet get suppresses only a miss", frames(binFrame(binOpGetQ, "absent", nil, nil, 0), binFrame(binOpSet, "k", setExtras(0, 0), []byte("v"), 0),
+		binFrame(binOpGetQ, "k", nil, nil, 0), binFrame(binOpNoop, "", nil, nil, 0)),
+		res(binOpSet, 0, 1, "", "", "") +
+			res(binOpGetQ, 0, 1, be32(0), "", "v") +
+			res(binOpNoop, 0, 0, "", "", "")},
+	{"getk and getkq echo the key", frames(binFrame(binOpSet, "kk", setExtras(9, 0), []byte("v"), 0), binFrame(binOpGetK, "kk", nil, nil, 0),
+		binFrame(binOpGetK, "absent", nil, nil, 0), binFrame(binOpGetKQ, "absent", nil, nil, 0), binFrame(binOpGetKQ, "kk", nil, nil, 0),
+		binFrame(binOpNoop, "", nil, nil, 0)),
+		res(binOpSet, 0, 1, "", "", "") +
+			res(binOpGetK, 0, 1, be32(9), "kk", "v") +
+			res(binOpGetK, 1, 0, "", "", "") +
+			res(binOpGetKQ, 0, 1, be32(9), "kk", "v") +
+			res(binOpNoop, 0, 0, "", "", "")},
+	{"add and replace", frames(binFrame(binOpReplace, "r", setExtras(0, 0), []byte("x"), 0), binFrame(binOpAdd, "r", setExtras(1, 0), []byte("x"), 0),
+		binFrame(binOpAdd, "r", setExtras(2, 0), []byte("y"), 0), binFrame(binOpReplace, "r", setExtras(3, 0), []byte("z"), 0),
+		binFrame(binOpGet, "r", nil, nil, 0)),
+		res(binOpReplace, 5, 0, "", "", "") +
+			res(binOpAdd, 0, 1, "", "", "") +
+			res(binOpAdd, 5, 0, "", "", "") +
+			res(binOpReplace, 0, 2, "", "", "") +
+			res(binOpGet, 0, 2, be32(3), "", "z")},
+	{"cas carried in the header", frames(binFrame(binOpSet, "c", setExtras(0, 0), []byte("v1"), 0), binFrame(binOpSet, "c", setExtras(0, 0), []byte("v2"), 1),
+		binFrame(binOpSet, "c", setExtras(0, 0), []byte("v3"), 1), binFrame(binOpAdd, "c", setExtras(4, 0), []byte("v4"), 2),
+		binFrame(binOpReplace, "c", setExtras(0, 0), []byte("v5"), 99), binFrame(binOpSet, "absent", setExtras(0, 0), []byte("v"), 5),
+		binFrame(binOpGet, "c", nil, nil, 0)),
+		res(binOpSet, 0, 1, "", "", "") +
+			res(binOpSet, 0, 2, "", "", "") +
+			res(binOpSet, 2, 1, "", "", "") +
+			res(binOpAdd, 0, 3, "", "", "") +
+			res(binOpReplace, 2, 99, "", "", "") +
+			res(binOpSet, 1, 5, "", "", "") +
+			res(binOpGet, 0, 3, be32(4), "", "v4")},
+	{"set refuses bad extras", frames(binFrame(binOpSet, "k", nil, []byte("v"), 0), binFrame(binOpAdd, "k", []byte{0, 0, 0, 0}, []byte("v"), 0),
+		binFrame(binOpGet, "k", nil, nil, 0)),
+		res(binOpSet, 4, 0, "", "", "") +
+			res(binOpAdd, 4, 0, "", "", "") +
+			res(binOpGet, 1, 0, "", "", "")},
+	{"append and prepend", frames(binFrame(binOpAppend, "ap", nil, []byte("x"), 0), binFrame(binOpSet, "ap", setExtras(3, 0), []byte("mid"), 0),
+		binFrame(binOpAppend, "ap", nil, []byte("-end"), 0), binFrame(binOpPrepend, "ap", nil, []byte("start-"), 0),
+		binFrame(binOpPrepend, "absent", nil, []byte("x"), 0), binFrame(binOpGet, "ap", nil, nil, 0)),
+		res(binOpAppend, 5, 0, "", "", "") +
+			res(binOpSet, 0, 1, "", "", "") +
+			res(binOpAppend, 0, 0, "", "", "") +
+			res(binOpPrepend, 0, 0, "", "", "") +
+			res(binOpPrepend, 5, 0, "", "", "") +
+			res(binOpGet, 0, 3, be32(3), "", "start-mid-end")},
+	{"delete", frames(binFrame(binOpSet, "d", setExtras(0, 0), []byte("v"), 0), binFrame(binOpDelete, "d", nil, nil, 0),
+		binFrame(binOpDelete, "d", nil, nil, 0), binFrame(binOpGet, "d", nil, nil, 0)),
+		res(binOpSet, 0, 1, "", "", "") +
+			res(binOpDelete, 0, 0, "", "", "") +
+			res(binOpDelete, 1, 0, "", "", "") +
+			res(binOpGet, 1, 0, "", "", "")},
+	{"incr seeds when expiry is not 0xffffffff", frames(binFrame(binOpIncr, "n", incrExtras(5, 100, 0), nil, 0), binFrame(binOpIncr, "n", incrExtras(5, 0, 0), nil, 0),
+		binFrame(binOpDecr, "n", incrExtras(6, 0, 0), nil, 0), binFrame(binOpDecr, "n", incrExtras(1000, 0, 0), nil, 0),
+		binFrame(binOpDecr, "m", incrExtras(1, 7, 60), nil, 0), binFrame(binOpGet, "n", nil, nil, 0), binFrame(binOpGet, "m", nil, nil, 0)),
+		res(binOpIncr, 0, 0, "", "", be64(100)) +
+			res(binOpIncr, 0, 0, "", "", be64(105)) +
+			res(binOpDecr, 0, 0, "", "", be64(99)) +
+			res(binOpDecr, 0, 0, "", "", be64(0)) +
+			res(binOpDecr, 0, 0, "", "", be64(7)) +
+			res(binOpGet, 0, 4, be32(0), "", "0") +
+			res(binOpGet, 0, 5, be32(0), "", "7")},
+	{"no seed when expiry is 0xffffffff", frames(binFrame(binOpIncr, "n", incrExtras(1, 7, 0xffffffff), nil, 0),
+		binFrame(binOpDecr, "n", incrExtras(1, 7, 0xffffffff), nil, 0), binFrame(binOpGet, "n", nil, nil, 0)),
+		res(binOpIncr, 1, 0, "", "", "") +
+			res(binOpDecr, 1, 0, "", "", "") +
+			res(binOpGet, 1, 0, "", "", "")},
+	{"incr refuses bad extras and text values", frames(binFrame(binOpIncr, "n", nil, nil, 0), binFrame(binOpSet, "s", setExtras(0, 0), []byte("abc"), 0),
+		binFrame(binOpIncr, "s", incrExtras(1, 0, 0), nil, 0)),
+		res(binOpIncr, 4, 0, "", "", "") +
+			res(binOpSet, 0, 1, "", "", "") +
+			res(binOpIncr, 6, 0, "", "", "")},
+	{"stat stream", frames(binFrame(binOpSet, "s", setExtras(0, 0), []byte("v"), 0), binFrame(binOpGet, "s", nil, nil, 0),
+		binFrame(binOpGet, "absent", nil, nil, 0), binFrame(binOpDelete, "absent", nil, nil, 0), binFrame(binOpStat, "", nil, nil, 0)),
+		res(binOpSet, 0, 1, "", "", "") +
+			res(binOpGet, 0, 1, be32(0), "", "v") +
+			res(binOpGet, 1, 0, "", "", "") +
+			res(binOpDelete, 1, 0, "", "", "") +
+			res(binOpStat, 0, 0, "", "cmd_get", "2") +
+			res(binOpStat, 0, 0, "", "cmd_set", "1") +
+			res(binOpStat, 0, 0, "", "get_hits", "1") +
+			res(binOpStat, 0, 0, "", "get_misses", "1") +
+			res(binOpStat, 0, 0, "", "delete_hits", "0") +
+			res(binOpStat, 0, 0, "", "delete_misses", "1") +
+			res(binOpStat, 0, 0, "", "evictions", "0") +
+			res(binOpStat, 0, 0, "", "expired", "0") +
+			res(binOpStat, 0, 0, "", "curr_items", "1") +
+			res(binOpStat, 0, 0, "", "total_items", "1") +
+			res(binOpStat, 0, 0, "", "bytes", "50") +
+			res(binOpStat, 0, 0, "", "limit_maxbytes", "4194304") +
+			res(binOpStat, 0, 0, "", "", "")},
+	{"flush version noop", frames(binFrame(binOpSet, "f", setExtras(0, 0), []byte("v"), 0), binFrame(binOpFlush, "", nil, nil, 0),
+		binFrame(binOpGet, "f", nil, nil, 0), binFrame(binOpVersion, "", nil, nil, 0), binFrame(binOpNoop, "", nil, nil, 0)),
+		res(binOpSet, 0, 1, "", "", "") +
+			res(binOpFlush, 0, 0, "", "", "") +
+			res(binOpGet, 1, 0, "", "", "") +
+			res(binOpVersion, 0, 0, "", "", "1.2.8-imca") +
+			res(binOpNoop, 0, 0, "", "", "")},
+	{"quit stops the loop", frames(binFrame(binOpNoop, "", nil, nil, 0), binFrame(binOpQuit, "", nil, nil, 0), binFrame(binOpNoop, "", nil, nil, 0)),
+		res(binOpNoop, 0, 0, "", "", "") +
+			res(binOpQuit, 0, 0, "", "", "")},
+	{"unknown opcode", frames(binFrame(0x7f, "k", nil, []byte("v"), 0), binFrame(0x11, "", nil, nil, 0), binFrame(binOpNoop, "", nil, nil, 0)),
+		res(0x7f, 0x81, 0, "", "", "") +
+			res(0x11, 0x81, 0, "", "", "") +
+			res(binOpNoop, 0, 0, "", "", "")},
+	{"bad key", frames(binFrame(binOpSet, "a b", setExtras(0, 0), []byte("v"), 0), binFrame(binOpSet, strings.Repeat("k", MaxKeyLen+1), setExtras(0, 0), []byte("v"), 0),
+		binFrame(binOpAppend, "a\x01b", nil, []byte("v"), 0), binFrame(binOpDelete, "", nil, nil, 0)),
+		res(binOpSet, 4, 0, "", "", "") +
+			res(binOpSet, 4, 0, "", "", "") +
+			res(binOpAppend, 4, 0, "", "", "") +
+			res(binOpDelete, 1, 0, "", "", "")},
+	{"expiry", frames(binFrame(binOpSet, "k", setExtras(0, 2592001), []byte("x"), 0), binFrame(binOpGet, "k", nil, nil, 0),
+		binFrame(binOpSet, "j", setExtras(0, 60), []byte("y"), 0), binFrame(binOpGet, "j", nil, nil, 0)),
+		res(binOpSet, 0, 1, "", "", "") +
+			res(binOpGet, 1, 0, "", "", "") +
+			res(binOpSet, 0, 2, "", "", "") +
+			res(binOpGet, 0, 2, be32(0), "", "y")},
+	{"too large value is refused and skipped", frames(binFrame(binOpSet, "big", setExtras(0, 0), []byte(bigValue), 0), binFrame(binOpGet, "big", nil, nil, 0)),
+		res(binOpSet, 3, 0, "", "", "") +
+			res(binOpGet, 1, 0, "", "", "")},
+	{"bad magic ends the connection", frames(binFrame(binOpNoop, "", nil, nil, 0), append([]byte{binRespMagic}, binFrame(binOpNoop, "", nil, nil, 0)[1:]...),
+		binFrame(binOpNoop, "", nil, nil, 0)),
+		res(binOpNoop, 0, 0, "", "", "")},
+	{"inconsistent lengths end the connection", frames(binFrame(binOpNoop, "", nil, nil, 0), extrasPastBody,
+		binFrame(binOpNoop, "", nil, nil, 0)),
+		res(binOpNoop, 0, 0, "", "", "")},
+}
+
+func TestBinaryTranscripts(t *testing.T) {
+	for _, tc := range binaryTranscripts {
+		store := NewStore(4<<20, func() int64 { return transcriptClock })
+		var out bytes.Buffer
+		_ = ServeBinaryConn(store, readWriter{strings.NewReader(tc.in), &out}) // every case ends at EOF or on a refused frame
+		if got := out.String(); got != tc.out {
 			t.Errorf("%s:\n  in   %.300q\n  got  %.300q\n  want %.300q", tc.name, tc.in, got, tc.out)
 		}
 	}

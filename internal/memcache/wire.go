@@ -133,19 +133,21 @@ func (w *wireWriter) fieldInt(v int64) {
 	_, _ = w.Write(strconv.AppendInt(w.scratch[:1], v, 10))
 }
 
-// verdicts pairs each outcome of a store, delete or incr with its reply
-// line: the server encodes with it, the client decodes.
+// verdicts pairs each outcome of a store, delete or incr with its text
+// reply line — the server encodes with it, the client decodes — and its
+// binary reply status.
 var verdicts = [...]struct {
-	err  error
-	line string
+	err    error
+	line   string
+	status uint16
 }{
-	{nil, "STORED"},
-	{ErrNotStored, "NOT_STORED"},
-	{ErrExists, "EXISTS"},
-	{ErrCacheMiss, "NOT_FOUND"},
-	{ErrTooLarge, "SERVER_ERROR object too large for cache"},
-	{ErrBadKey, "CLIENT_ERROR bad key"},
-	{ErrNotNumeric, "CLIENT_ERROR cannot increment or decrement non-numeric value"},
+	{nil, "STORED", binStatusOK},
+	{ErrNotStored, "NOT_STORED", binStatusNotStored},
+	{ErrExists, "EXISTS", binStatusKeyExists},
+	{ErrCacheMiss, "NOT_FOUND", binStatusKeyNotFound},
+	{ErrTooLarge, "SERVER_ERROR object too large for cache", binStatusTooLarge},
+	{ErrBadKey, "CLIENT_ERROR bad key", binStatusInvalidArgs},
+	{ErrNotNumeric, "CLIENT_ERROR cannot increment or decrement non-numeric value", binStatusNonNumeric},
 }
 
 func (w *wireWriter) verdict(err error) {

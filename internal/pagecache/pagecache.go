@@ -3,9 +3,9 @@
 //
 // It tracks only presence, not contents — in the simulation, data contents
 // travel as blobs while the cache decides whether an access hits memory or
-// must go to the disk model. The same structure serves as the server's
-// buffer cache (GlusterFS/NFS experiments) and as each Lustre client's
-// local cache.
+// must go to the disk model. It is the buffer cache of every server's
+// storage (GlusterFS bricks, the NFS server, Lustre OSTs); a Lustre client
+// keeps a cache of contents of its own.
 package pagecache
 
 import "imca/internal/metrics"

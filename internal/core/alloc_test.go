@@ -1,10 +1,13 @@
 package core
 
 import (
-	"imca/internal/disk"
-	"imca/internal/memcache"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
+
+	"imca/internal/disk"
+	"imca/internal/memcache"
 
 	"imca/internal/blob"
 	"imca/internal/fabric"
@@ -454,4 +457,210 @@ func TestThreadedWriteBackOutlivesItsWrite(t *testing.T) {
 	if r.cmcache.Stats.ReadHits == 0 {
 		t.Error("the second pass did not come from the bank")
 	}
+}
+
+// TestMetadataVerbsAllocations: the metadata verbs issued at Fuse — through
+// CMCache, the protocol client, the fabric, the daemon, SMCache and Posix —
+// allocate the state the operation creates and nothing for the stack's own
+// bookkeeping. A batch runs its operations one after another, as the stat
+// benchmark's set-up does, each on a path of its own; its event count and
+// the keys its purges delete are pinned exactly: pooling the frames must
+// not move a single event.
+func TestMetadataVerbsAllocations(t *testing.T) {
+	const (
+		bs    = 2048
+		batch = 64
+		runs  = 4
+		// What one operation keeps, by name.
+		statValue  = 1 // encodeStat's bytes, which the bank keeps
+		inode      = 1 // Posix's inode of a new file
+		statKey    = 1 // the interned "<path>:stat" key of a new path
+		metaPages  = 3 // the page cache's records of the new file's metadata page
+		changesRec = 1 // SMCache's record of what applied to a path, made by its first unlink or truncate
+		pushKey    = 1 // the key string of the push that leaves blocks resident (TestPushBlocksTAllocations)
+		growth     = 1 // the maps a new path enters, their growth amortised over a batch
+	)
+	created := func(m *metaRig, first int) { m.created(first, batch) }
+	cases := []struct {
+		name string
+		// prepare, unless nil, runs before each batch, unmeasured, with the
+		// batch's first path.
+		prepare func(m *metaRig, first int)
+		// op runs the operation on path i, then k.
+		op    func(m *metaRig, i int, k func())
+		perOp float64
+		// Per operation: events processed, keys purged.
+		events, purges uint64
+	}{
+		{"create+close", nil, (*metaRig).createClose, statValue + inode + statKey + metaPages + growth, 42, 0},
+		{"open+close", created, (*metaRig).openClose, statValue, 41, 0},
+		{"open+close resident", created, (*metaRig).pushOpenClose, pushKey + statValue, 145, 4},
+		{"truncate", created, (*metaRig).truncate, changesRec + statValue + growth, 41, 1},
+		{"unlink", created, (*metaRig).unlink, changesRec + growth, 28, 1},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			eachPoison(t, func(t *testing.T) {
+				m := newMetaRig(t, Config{BlockSize: bs}, (warmRuns+runs)*batch)
+				m.op = tc.op
+				var events, purges uint64
+				prepare := func() {
+					if tc.prepare != nil {
+						tc.prepare(m, m.next)
+					}
+				}
+				run := func() {
+					from, purged := m.env.EventsProcessed, m.smcache.Stats.Purges
+					m.end = m.next + batch
+					m.step()
+					m.env.Run()
+					events, purges = m.env.EventsProcessed-from, m.smcache.Stats.Purges-purged
+				}
+				avg := allocsAround(runs, prepare, run)
+				t.Logf("%.2f allocations and %.2f events per operation", avg/batch, float64(events)/batch)
+				if max := tc.perOp * batch; avg > max {
+					t.Errorf("batch of %d allocated %.0f times, want <= %.0f (%.0f per operation)", batch, avg, max, tc.perOp)
+				}
+				if events != tc.events*batch {
+					t.Errorf("batch of %d processed %d events, want %d per operation", batch, events, tc.events)
+				}
+				if purges != tc.purges*batch {
+					t.Errorf("batch of %d purged %d keys, want %d per operation", batch, purges, tc.purges)
+				}
+				if want := (warmRuns + runs) * batch; m.done != want {
+					t.Errorf("completed %d operations, want %d", m.done, want)
+				}
+			})
+		})
+	}
+}
+
+// warmRuns is how many runs allocsAround leaves unmeasured: enough to grow
+// every pool and free list along the path.
+const warmRuns = 2
+
+// allocsAround is testing.AllocsPerRun with an unmeasured prepare before
+// each run: warmRuns runs, then the mean mallocs of runs more, truncated to
+// an integer as AllocsPerRun's is.
+func allocsAround(runs int, prepare, run func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	var total uint64
+	for i := 0; i < warmRuns+runs; i++ {
+		prepare()
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if i >= warmRuns {
+			total += after.Mallocs - before.Mallocs
+		}
+	}
+	return float64(total / uint64(runs))
+}
+
+// metaRig drives a rig's full client stack in continuation style, over
+// paths named up front so naming them is not measured. A batch runs op on
+// paths next through end-1, one after another, with every continuation
+// bound once: the rig allocates nothing of its own.
+type metaRig struct {
+	*rig
+	top   gluster.TaskFS
+	ct    *sim.Task
+	paths []string
+	data  blob.Blob // what a push leaves resident
+
+	op              func(m *metaRig, i int, k func())
+	next, end, done int
+	// The current operation's continuation, and those of its steps.
+	k                func()
+	fnFinished       func()
+	fnOpened         func(gluster.FD, error)
+	fnClosed, fnDone func(error)
+	fnPushed         func()
+	t                *testing.T
+}
+
+func newMetaRig(t *testing.T, cfg Config, n int) *metaRig {
+	r := newRig(t, 2, cfg)
+	m := &metaRig{rig: r, top: gluster.Lift(r.client), ct: r.env.ContextTask("meta"), t: t}
+	for i := 0; i < n; i++ {
+		m.paths = append(m.paths, fmt.Sprintf("/meta/f%06d", i))
+	}
+	m.fnFinished, m.fnOpened, m.fnClosed, m.fnDone, m.fnPushed = m.finished, m.opened, m.closed, m.closed, m.pushed
+	m.data = blob.Synthetic(7, 0, 4*int64(cfg.BlockSize))
+	return m
+}
+
+// step runs the batch's next operation, if any is left.
+func (m *metaRig) step() {
+	if m.next == m.end {
+		return
+	}
+	i := m.next
+	m.next++
+	m.op(m, i, m.fnFinished)
+}
+
+// finished counts an operation done and runs the next.
+func (m *metaRig) finished() {
+	m.done++
+	m.step()
+}
+
+func (m *metaRig) opened(fd gluster.FD, err error) {
+	if err != nil {
+		m.t.Fatalf("open: %v", err)
+	}
+	m.top.CloseT(m.ct, fd, m.fnClosed)
+}
+
+func (m *metaRig) closed(err error) {
+	if err != nil {
+		m.t.Fatalf("metadata operation: %v", err)
+	}
+	m.k()
+}
+
+func (m *metaRig) createClose(i int, k func()) {
+	m.k = k
+	m.top.CreateT(m.ct, m.paths[i], m.fnOpened)
+}
+
+func (m *metaRig) openClose(i int, k func()) {
+	m.k = k
+	m.top.OpenT(m.ct, m.paths[i], m.fnOpened)
+}
+
+// pushOpenClose leaves four blocks of the first path resident, then opens
+// and closes it, purging them. It is one file each time, whose resident set
+// keeps its capacity: the push costs its key string alone.
+func (m *metaRig) pushOpenClose(_ int, k func()) {
+	m.k = k
+	m.smcache.pushes.push(m.ct, m.paths[0], 0, m.data, 0, m.fnPushed)
+}
+
+func (m *metaRig) pushed() { m.openClose(0, m.k) }
+
+func (m *metaRig) truncate(i int, k func()) {
+	m.k = k
+	m.top.TruncateT(m.ct, m.paths[i], 0, m.fnDone)
+}
+
+func (m *metaRig) unlink(i int, k func()) {
+	m.k = k
+	m.top.UnlinkT(m.ct, m.paths[i], m.fnDone)
+}
+
+// created makes files first through first+n-1.
+func (m *metaRig) created(first, n int) {
+	i, end := first, first+n
+	var next func()
+	next = func() {
+		if i++; i < end {
+			m.createClose(i, next)
+		}
+	}
+	m.createClose(i, next)
+	m.env.Run()
 }

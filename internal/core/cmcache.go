@@ -40,9 +40,10 @@ type CMCache struct {
 	// rebuild "<path>:stat" per operation. Private by default; deployments
 	// share one table across all translators via ShareStatKeys.
 	skeys *KeyInterner
-	// statOps and readOps pool StatT's and ReadT's per-operation frames;
-	// writes pools WriteT's, and pushes the block-push frames of
-	// client-populate mode.
+	// openOps, statOps and readOps pool the per-operation frames of
+	// CreateT and OpenT, StatT and ReadT; writes pools WriteT's, and pushes
+	// the block-push frames of client-populate mode.
+	openOps []*openOp
 	statOps []*statOp
 	readOps []*readOp
 	pushes  pushPool
@@ -72,7 +73,7 @@ func NewCMCache(child gluster.FS, mcd *memcache.SimClient, cfg Config) *CMCache 
 	}
 	c.pushes = pushPool{mcd: mcd, bs: cfg.blockSize(), statKey: c.statKey}
 	c.writes = writeBacks{child: c.child, pushes: &c.pushes}
-	c.T = c
+	c.Blocking = gluster.NewBlocking(c)
 	return c
 }
 
@@ -106,15 +107,40 @@ func (c *CMCache) SetFlight(rec *flight.Recorder, name string) {
 	c.mcd.SetFlight(rec)
 }
 
-// tracked wraps a create/open continuation to record the path↔fd
-// association on success.
+// openOp is CreateT's and OpenT's pooled frame: it records the path↔fd
+// association when the child's create or open succeeds. Like statOp, it
+// returns to its pool before k runs.
+type openOp struct {
+	c        *CMCache
+	path     string
+	k        func(gluster.FD, error)
+	fnOpened func(gluster.FD, error)
+}
+
+// tracked returns a create/open continuation that records the path↔fd
+// association on success, then runs k.
 func (c *CMCache) tracked(path string, k func(gluster.FD, error)) func(gluster.FD, error) {
-	return func(fd gluster.FD, err error) {
-		if err == nil {
-			c.fdPaths[fd] = path
-		}
-		k(fd, err)
+	var op *openOp
+	if n := len(c.openOps); n > 0 {
+		op = c.openOps[n-1]
+		c.openOps[n-1] = nil
+		c.openOps = c.openOps[:n-1]
+	} else {
+		op = &openOp{c: c}
+		op.fnOpened = op.opened
 	}
+	op.path, op.k = path, k
+	return op.fnOpened
+}
+
+func (op *openOp) opened(fd gluster.FD, err error) {
+	c, k := op.c, op.k
+	if err == nil {
+		c.fdPaths[fd] = op.path
+	}
+	op.path, op.k = "", nil
+	c.openOps = append(c.openOps, op)
+	k(fd, err)
 }
 
 // CreateT implements gluster.TaskFS; create operations offer no caching

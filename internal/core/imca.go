@@ -72,18 +72,6 @@ func appendBlockKey(dst []byte, path string, blockOff int64) []byte {
 	return strconv.AppendInt(dst, blockOff, 10)
 }
 
-// blockKey returns the MCD key for the one data block at the given aligned
-// byte offset — what a purge deletes by; reads and pushes build theirs a
-// span at a time (blockKeys). The key is assembled in stack scratch and
-// costs its one string allocation (a path too long for the scratch spills
-// to the heap first). Block keys are deliberately not interned the way stat
-// keys are: a streaming workload pushes each distinct key once, and a table
-// retaining them would grow with the bytes streamed, not with the namespace.
-func blockKey(path string, blockOff int64) string {
-	var scratch [128]byte
-	return string(appendBlockKey(scratch[:0], path, blockOff))
-}
-
 // alignSpan widens [off, off+size) to block boundaries, returning the
 // covering aligned span.
 func alignSpan(off, size, bs int64) (alignedOff, alignedSize int64) {

@@ -441,6 +441,12 @@ func TestStatCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// blockKey returns the MCD key for the one data block at the given aligned
+// byte offset, as the translators build it (appendBlockKey).
+func blockKey(path string, blockOff int64) string {
+	return string(appendBlockKey(nil, path, blockOff))
+}
+
 func TestKeyScheme(t *testing.T) {
 	if statKey("/a/f") != "/a/f:stat" {
 		t.Errorf("statKey = %q", statKey("/a/f"))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"imca/internal/blob"
 	"imca/internal/gluster"
@@ -44,8 +43,10 @@ type SMCache struct {
 	// skeys interns stat keys for the push/purge paths; shared with the
 	// deployment's CMCaches via ShareStatKeys.
 	skeys *KeyInterner
-	// readOps, pushes and writes pool the per-read, per-push and per-write
-	// frames (see smReadOp, pushOp, writeBack).
+	// metaOps, readOps, pushes and writes pool the frames of the namespace
+	// verbs and purges, reads, pushes and writes (see metaOp, smReadOp,
+	// pushOp, writeBack).
+	metaOps []*metaOp
 	readOps []*smReadOp
 	pushes  pushPool
 	writes  writeBacks
@@ -79,7 +80,7 @@ func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Con
 	if cfg.Threaded {
 		s.writes.spawn = env.StartTask
 	}
-	s.T = s
+	s.Blocking = gluster.NewBlocking(s)
 	return s
 }
 
@@ -117,47 +118,14 @@ func setPurged(sp *optrace.Span, n int) {
 	}
 }
 
-// purgeDataT deletes the data blocks recorded for path as it starts, in
-// block order, and hands k how many keys it removed; one a concurrent push
-// lands meanwhile stays recorded for the next purge. The stat entry stays
-// valid (open/close do not change file contents' metadata beyond what the
-// fresh stat push provides). A purge for a change of contents (inflight)
-// deletes the blocks whose store is on its way too: each delete follows its
-// store to the daemon, and what was read before the change must not stay.
-func (s *SMCache) purgeDataT(t *sim.Task, path string, inflight bool, k func(n int)) {
-	set, bs, n := s.pushed[path], s.cfg.blockSize(), 0
-	var todo blockSet
-	if set != nil {
-		todo.chunks = slices.Clone(set.chunks)
-		if inflight {
-			for _, bn := range set.inflight {
-				todo.add(bn)
-			}
-		}
-	}
-	var step func(bool)
-	step = func(bool) {
-		bn, ok := todo.take()
-		if !ok {
-			k(n)
-			return
-		}
-		n++
-		s.Stats.Purges++
-		set.remove(bn)
-		s.mcd.DeleteT(t, blockKey(path, bn*bs), step)
-	}
-	step(false)
-}
-
-// purgeAllT additionally removes the stat entry and blocks on their way —
-// used for deletes, truncates and writes whose old end of file another
-// mutation made unknown, where a stale stat would be a false positive.
+// purgeAllT removes path's stat entry, then the data blocks recorded for it
+// and those on their way, and hands k how many keys it removed: the purge a
+// write-back runs when another mutation made the file's old end unknown. See
+// metaOp.purgeAll.
 func (s *SMCache) purgeAllT(t *sim.Task, path string, k func(n int)) {
-	s.Stats.Purges++
-	s.mcd.DeleteT(t, s.statKey(path), func(bool) {
-		s.purgeDataT(t, path, true, func(n int) { k(1 + n) })
-	})
+	op := s.takeMeta(metaPurge, t, nil)
+	op.path, op.kN = path, k
+	op.purgeAll()
 }
 
 // deferIfT runs the bank update fn and then k. In Threaded mode the update
@@ -173,73 +141,238 @@ func (s *SMCache) deferIfT(t *sim.Task, name string, fn func(t *sim.Task, k func
 	k()
 }
 
-// opened is the completion CreateT and OpenT share: record the descriptor
-// (unless the path was unlinked since the storage opened it), purge the
-// MCDs of data for the file (a re-created or re-opened path must not serve
-// stale blocks), then push the fresh stat structure (paper §4.3.2 and
-// §4.2).
-func (s *SMCache) opened(t *sim.Task, sp *optrace.Span, path string, k func(gluster.FD, error)) func(gluster.FD, error) {
-	unlinks := s.pushes.seen(path).unlinks
-	return func(fd gluster.FD, err error) {
-		if err != nil {
-			sp.End(t)
-			k(fd, err)
-			return
-		}
-		if s.pushes.seen(path).unlinks == unlinks {
-			s.fdPaths[fd] = path
-		}
-		s.purgeDataT(t, path, false, func(n int) {
-			setPurged(sp, n)
-			stamp := s.pushes.stamp(path)
-			s.child.StatT(t, path, func(st *gluster.Stat, serr error) {
-				if serr != nil {
-					sp.End(t)
-					k(fd, nil)
-					return
-				}
-				s.pushes.pushStat(t, path, st, stamp, func() {
-					sp.End(t)
-					k(fd, nil)
-				})
-			})
-		})
+// metaVerb names an operation that runs on a metaOp.
+type metaVerb uint8
+
+const (
+	metaCreate metaVerb = iota
+	metaOpen
+	metaClose
+	metaTruncate
+	metaUnlink
+	metaPurge // a write-back's purgeAllT
+)
+
+// metaOp is the pooled frame of SMCache's namespace verbs — create, open,
+// close, truncate and unlink — and of the purges they and the write-backs
+// run: the request, the purge's snapshot of the blocks still to delete, and
+// every continuation, prebound, so what such a verb allocates is the state
+// it creates. A path with nothing resident purges at no cost. Like smReadOp,
+// the op returns to its pool before k runs.
+type metaOp struct {
+	s    *SMCache
+	verb metaVerb
+	t    *sim.Task
+	sp   *optrace.Span
+	path string
+	fd   gluster.FD
+	// unlinks is the path's unlink count as a create or open reached the
+	// storage; stamp its applied count as the re-stat started.
+	unlinks, stamp uint64
+
+	// The purge: the path's set, the blocks still to delete (a snapshot
+	// whose backing array todoBuf keeps), how many keys went, and the key
+	// being deleted.
+	set     *blockSet
+	todo    blockSet
+	todoBuf []setChunk
+	n       int
+	key     []byte
+
+	// The caller's continuation, by result shape.
+	kFD  func(gluster.FD, error)
+	kErr func(error)
+	kN   func(int)
+
+	fnFD                  func(gluster.FD, error)
+	fnErr                 func(error)
+	fnStat                func(*gluster.Stat, error)
+	fnPushed              func()
+	fnDeleted, fnStatGone func(bool)
+}
+
+// takeMeta draws a frame for one operation under span sp.
+func (s *SMCache) takeMeta(v metaVerb, t *sim.Task, sp *optrace.Span) *metaOp {
+	var op *metaOp
+	if n := len(s.metaOps); n > 0 {
+		op = s.metaOps[n-1]
+		s.metaOps[n-1] = nil
+		s.metaOps = s.metaOps[:n-1]
+	} else {
+		op = &metaOp{s: s}
+		op.fnFD, op.fnErr, op.fnStat, op.fnPushed = op.gotFD, op.gotErr, op.gotStat, op.pushed
+		op.fnDeleted, op.fnStatGone = op.deleted, op.statGone
+	}
+	op.verb, op.t, op.sp = v, t, sp
+	return op
+}
+
+// finish closes the span, returns the frame to the pool, and hands the
+// caller its result.
+func (op *metaOp) finish(err error) {
+	op.sp.End(op.t)
+	kFD, kErr, kN, fd, n := op.kFD, op.kErr, op.kN, op.fd, op.n
+	op.t, op.sp, op.path, op.set, op.fd, op.n = nil, nil, "", nil, 0, 0
+	op.kFD, op.kErr, op.kN = nil, nil, nil
+	op.s.metaOps = append(op.s.metaOps, op)
+	switch {
+	case kFD != nil:
+		kFD(fd, err)
+	case kErr != nil:
+		kErr(err)
+	default:
+		kN(n)
 	}
 }
 
 // CreateT implements gluster.TaskFS.
 func (s *SMCache) CreateT(t *sim.Task, path string, k func(gluster.FD, error)) {
-	sp := optrace.StartSpan(t, optrace.LayerSMCache, "create")
-	s.child.CreateT(t, path, s.opened(t, sp, path, k))
+	s.openT(metaCreate, t, path, k)
 }
 
 // OpenT implements gluster.TaskFS.
 func (s *SMCache) OpenT(t *sim.Task, path string, k func(gluster.FD, error)) {
-	sp := optrace.StartSpan(t, optrace.LayerSMCache, "open")
-	s.child.OpenT(t, path, s.opened(t, sp, path, k))
+	s.openT(metaOpen, t, path, k)
+}
+
+// openT runs a create or an open on the storage; gotFD completes it.
+func (s *SMCache) openT(v metaVerb, t *sim.Task, path string, k func(gluster.FD, error)) {
+	name := "open"
+	if v == metaCreate {
+		name = "create"
+	}
+	op := s.takeMeta(v, t, optrace.StartSpan(t, optrace.LayerSMCache, name))
+	op.path, op.kFD = path, k
+	op.unlinks = s.pushes.seen(path).unlinks
+	if v == metaCreate {
+		s.child.CreateT(t, path, op.fnFD)
+	} else {
+		s.child.OpenT(t, path, op.fnFD)
+	}
+}
+
+// gotFD is the completion CreateT and OpenT share: record the descriptor
+// (unless the path was unlinked since the storage opened it), purge the
+// MCDs of data for the file (a re-created or re-opened path must not serve
+// stale blocks), then push the fresh stat structure (paper §4.3.2 and
+// §4.2).
+func (op *metaOp) gotFD(fd gluster.FD, err error) {
+	op.fd = fd
+	if err != nil {
+		op.finish(err)
+		return
+	}
+	s := op.s
+	if s.pushes.seen(op.path).unlinks == op.unlinks {
+		s.fdPaths[fd] = op.path
+	}
+	op.purgeData(false)
 }
 
 // CloseT implements gluster.TaskFS: SMCache discards the file's data (not
 // its stat entry) from the MCDs when the close arrives.
 func (s *SMCache) CloseT(t *sim.Task, fd gluster.FD, k func(error)) {
-	sp := optrace.StartSpan(t, optrace.LayerSMCache, "close")
+	op := s.takeMeta(metaClose, t, optrace.StartSpan(t, optrace.LayerSMCache, "close"))
+	op.fd, op.kErr = fd, k
 	path, ok := s.fdPaths[fd]
 	if !ok {
-		s.child.CloseT(t, fd, func(err error) {
-			sp.End(t)
-			k(err)
-		})
+		s.child.CloseT(t, fd, op.fnErr)
 		return
 	}
-	s.purgeDataT(t, path, false, func(n int) {
-		setPurged(sp, n)
-		delete(s.fdPaths, fd)
-		s.child.CloseT(t, fd, func(err error) {
-			sp.End(t)
-			k(err)
-		})
-	})
+	op.path = path
+	op.purgeData(false)
 }
+
+// gotErr receives the storage's close, truncate or unlink.
+func (op *metaOp) gotErr(err error) {
+	if err != nil || op.verb == metaClose {
+		op.finish(err)
+		return
+	}
+	op.purgeAll()
+}
+
+// purgeAll removes the stat entry, then the data blocks and those on their
+// way — for deletes, truncates and writes whose old end of file another
+// mutation made unknown, where a stale stat would be a false positive.
+func (op *metaOp) purgeAll() {
+	op.s.Stats.Purges++
+	op.s.mcd.DeleteT(op.t, op.s.statKey(op.path), op.fnStatGone)
+}
+
+func (op *metaOp) statGone(bool) {
+	op.n = 1
+	op.purgeData(true)
+}
+
+// purgeData deletes the data blocks recorded for the path as it starts, in
+// block order, counting them in n; one a concurrent push lands meanwhile
+// stays recorded for the next purge. The stat entry stays valid (open/close
+// do not change file contents' metadata beyond what the fresh stat push
+// provides). A purge for a change of contents (inflight) deletes the blocks
+// whose store is on its way too: each delete follows its store to the
+// daemon, and what was read before the change must not stay.
+func (op *metaOp) purgeData(inflight bool) {
+	set := op.s.pushed[op.path]
+	if set == nil || len(set.chunks) == 0 && (!inflight || len(set.inflight) == 0) {
+		op.purged()
+		return
+	}
+	op.set = set
+	op.todo.chunks = append(op.todoBuf[:0], set.chunks...)
+	if inflight {
+		for _, bn := range set.inflight {
+			op.todo.add(bn)
+		}
+	}
+	op.todoBuf = op.todo.chunks
+	op.deleted(false)
+}
+
+// deleted deletes the next block of the snapshot, or — none left — moves on.
+func (op *metaOp) deleted(bool) {
+	bn, ok := op.todo.take()
+	if !ok {
+		op.purged()
+		return
+	}
+	s := op.s
+	op.n++
+	s.Stats.Purges++
+	op.set.remove(bn)
+	op.key = appendBlockKey(op.key[:0], op.path, bn*s.cfg.blockSize())
+	s.mcd.DeleteKeyT(op.t, op.key, op.fnDeleted)
+}
+
+// purged continues an operation past its purge.
+func (op *metaOp) purged() {
+	s := op.s
+	if op.verb != metaPurge {
+		setPurged(op.sp, op.n)
+	}
+	switch op.verb {
+	case metaCreate, metaOpen, metaTruncate:
+		op.stamp = s.pushes.stamp(op.path)
+		s.child.StatT(op.t, op.path, op.fnStat)
+	case metaClose:
+		delete(s.fdPaths, op.fd)
+		s.child.CloseT(op.t, op.fd, op.fnErr)
+	default: // unlink, a write-back's purge
+		op.finish(nil)
+	}
+}
+
+// gotStat pushes the re-read stat structure; an operation whose re-stat
+// failed has succeeded all the same, with nothing pushed.
+func (op *metaOp) gotStat(st *gluster.Stat, err error) {
+	if err != nil {
+		op.finish(nil)
+		return
+	}
+	op.s.pushes.pushStat(op.t, op.path, st, op.stamp, op.fnPushed)
+}
+
+func (op *metaOp) pushed() { op.finish(nil) }
 
 // smReadOp is ReadT's pooled per-operation frame; see CMCache's readOp. The
 // aligned data rides in the op from the storage read to the slice-out
@@ -378,38 +511,19 @@ func (s *SMCache) ReaddirT(t *sim.Task, path string, k func([]string, error)) {
 }
 
 // TruncateT implements gluster.TaskFS, purging cached blocks that may now
-// lie past end of file.
+// lie past end of file, then pushing the new stat structure.
 func (s *SMCache) TruncateT(t *sim.Task, path string, size int64, k func(error)) {
-	sp := optrace.StartSpan(t, optrace.LayerSMCache, "truncate")
+	op := s.takeMeta(metaTruncate, t, optrace.StartSpan(t, optrace.LayerSMCache, "truncate"))
+	op.path, op.kErr = path, k
 	s.pushes.changed(path).truncates++ // the storage truncates as the call arrives
-	s.child.TruncateT(t, path, size, func(err error) {
-		if err != nil {
-			sp.End(t)
-			k(err)
-			return
-		}
-		s.purgeAllT(t, path, func(n int) {
-			setPurged(sp, n)
-			stamp := s.pushes.stamp(path)
-			s.child.StatT(t, path, func(st *gluster.Stat, serr error) {
-				if serr != nil {
-					sp.End(t)
-					k(nil)
-					return
-				}
-				s.pushes.pushStat(t, path, st, stamp, func() {
-					sp.End(t)
-					k(nil)
-				})
-			})
-		})
-	})
+	s.child.TruncateT(t, path, size, op.fnErr)
 }
 
 // UnlinkT implements gluster.TaskFS: the file's cache entries are removed
 // so clients cannot see false positives for a deleted file (paper §4.2).
 func (s *SMCache) UnlinkT(t *sim.Task, path string, k func(error)) {
-	sp := optrace.StartSpan(t, optrace.LayerSMCache, "unlink")
+	op := s.takeMeta(metaUnlink, t, optrace.StartSpan(t, optrace.LayerSMCache, "unlink"))
+	op.path, op.kErr = path, k
 	// The storage unlinks as the call arrives. The descriptors open on the
 	// path keep the file they name, which is no longer the path's: what is
 	// read or written through them is not the path's to push or purge.
@@ -419,16 +533,5 @@ func (s *SMCache) UnlinkT(t *sim.Task, path string, k func(error)) {
 			delete(s.fdPaths, fd)
 		}
 	}
-	s.child.UnlinkT(t, path, func(err error) {
-		if err != nil {
-			sp.End(t)
-			k(err)
-			return
-		}
-		s.purgeAllT(t, path, func(n int) {
-			setPurged(sp, n)
-			sp.End(t)
-			k(nil)
-		})
-	})
+	s.child.UnlinkT(t, path, op.fnErr)
 }

@@ -33,7 +33,8 @@ func newLiftedMount(t *testing.T, r *rig, cfg Config) (gluster.FS, *CMCache) {
 	if cm.TaskReady() || fuse.TaskReady() || top.TaskReady() || gluster.AsTaskFS(fuse) != nil {
 		t.Fatal("a stack over a blocking-only layer must not report task-ready")
 	}
-	return gluster.Blocking{T: top}, cm
+	b := gluster.NewBlocking(top)
+	return &b, cm
 }
 
 // TestFullTranslatorStackComposition puts a blocking-only layer above and

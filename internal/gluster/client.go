@@ -29,7 +29,7 @@ var _ TaskFS = (*Client)(nil)
 // server.
 func NewClient(node, server *fabric.Node) *Client {
 	c := &Client{node: node, server: server}
-	c.T = c
+	c.Blocking = NewBlocking(c)
 	return c
 }
 

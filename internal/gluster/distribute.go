@@ -48,7 +48,7 @@ func NewDistribute(subvols ...FS) *Distribute {
 	for i, sub := range subvols {
 		d.subvols[i] = Lift(sub)
 	}
-	d.T = d
+	d.Blocking = NewBlocking(d)
 	return d
 }
 

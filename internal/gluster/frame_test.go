@@ -2,6 +2,7 @@ package gluster
 
 import (
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -352,14 +353,23 @@ func TestServerFailBetweenRequestAndResponse(t *testing.T) {
 }
 
 // stubFS completes every operation inline and allocates nothing: what is
-// left is the cost of the layers above it.
-type stubFS struct{ Blocking }
+// left is the cost of the layers above it. A stat lends its own structure.
+type stubFS struct {
+	Blocking
+	st Stat
+}
+
+func newStubFS() *stubFS {
+	s := &stubFS{}
+	s.Blocking = NewBlocking(s)
+	return s
+}
 
 func (stubFS) TaskReady() bool                                         { return true }
 func (stubFS) CreateT(_ *sim.Task, _ string, k func(FD, error))        { k(1, nil) }
 func (stubFS) OpenT(_ *sim.Task, _ string, k func(FD, error))          { k(1, nil) }
 func (stubFS) CloseT(_ *sim.Task, _ FD, k func(error))                 { k(nil) }
-func (stubFS) StatT(_ *sim.Task, _ string, k func(*Stat, error))       { k(nil, ErrNotExist) }
+func (s *stubFS) StatT(_ *sim.Task, _ string, k func(*Stat, error))    { k(&s.st, nil) }
 func (stubFS) UnlinkT(_ *sim.Task, _ string, k func(error))            { k(nil) }
 func (stubFS) MkdirT(_ *sim.Task, _ string, k func(error))             { k(nil) }
 func (stubFS) TruncateT(_ *sim.Task, _ string, _ int64, k func(error)) { k(nil) }
@@ -378,7 +388,7 @@ func TestNamespaceVerbsAllocFree(t *testing.T) {
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
 	srvNode, cliNode := net.NewNode("server", 8), net.NewNode("client0", 8)
-	NewServer(srvNode, stubFS{}, DefaultServerConfig)
+	NewServer(srvNode, newStubFS(), DefaultServerConfig)
 	fuse := NewFuse(cliNode, NewClient(cliNode, srvNode), DefaultFuseConfig)
 	ct := env.ContextTask("bench")
 	const perRun = 32
@@ -408,4 +418,76 @@ func TestNamespaceVerbsAllocFree(t *testing.T) {
 	if want := (runs + 1) * perRun; finished != want {
 		t.Errorf("finished %d sequences, want %d", finished, want)
 	}
+}
+
+// blockingVerbs calls each of the ten blocking methods once per entry, in
+// FS order, checking what each returns.
+var blockingVerbs = []struct {
+	name  string
+	call  func(p *sim.Proc, fs FS) bool // reports whether the results are right
+	perOp float64
+}{
+	{"create", func(p *sim.Proc, fs FS) bool { fd, err := fs.Create(p, "/f"); return fd == 1 && err == nil }, 0},
+	{"open", func(p *sim.Proc, fs FS) bool { fd, err := fs.Open(p, "/f"); return fd == 1 && err == nil }, 0},
+	{"close", func(p *sim.Proc, fs FS) bool { return fs.Close(p, 1) == nil }, 0},
+	{"read", func(p *sim.Proc, fs FS) bool { _, err := fs.Read(p, 1, 0, 8); return err == nil }, 0},
+	{"write", func(p *sim.Proc, fs FS) bool {
+		n, err := fs.Write(p, 1, 0, blob.Synthetic(1, 0, 8))
+		return n == 8 && err == nil
+	}, 0},
+	// The caller's own copy of the structure the stack lent.
+	{"stat", func(p *sim.Proc, fs FS) bool { st, err := fs.Stat(p, "/f"); return st != nil && err == nil }, 1},
+	{"unlink", func(p *sim.Proc, fs FS) bool { return fs.Unlink(p, "/f") == nil }, 0},
+	{"mkdir", func(p *sim.Proc, fs FS) bool { return fs.Mkdir(p, "/d") == nil }, 0},
+	{"readdir", func(p *sim.Proc, fs FS) bool { _, err := fs.Readdir(p, "/d"); return err == nil }, 0},
+	{"truncate", func(p *sim.Proc, fs FS) bool { return fs.Truncate(p, "/f", 0) == nil }, 0},
+}
+
+// TestBlockingVerbsAllocFree: once its pool is warm, each of the Blocking
+// adapter's ten methods allocates nothing but what it gives its caller —
+// Stat's copy of the lent structure. A batch runs on one process, whose own
+// cost is measured on an empty batch and taken off. Two simulations on two
+// goroutines then use adapters of their own at once: under -race a pool
+// shared between them would show.
+func TestBlockingVerbsAllocFree(t *testing.T) {
+	const perRun, runs = 64, 20
+	env, fs := sim.NewEnv(), newStubFS()
+	batch := func(n int, call func(p *sim.Proc, fs FS) bool) func() {
+		return func() {
+			env.Process("blocking", func(p *sim.Proc) {
+				for i := 0; i < n; i++ {
+					if !call(p, fs) {
+						t.Errorf("a blocking call returned the wrong results")
+					}
+				}
+			})
+			env.Run()
+		}
+	}
+	empty := testing.AllocsPerRun(runs, batch(0, nil))
+	for _, v := range blockingVerbs {
+		if got := (testing.AllocsPerRun(runs, batch(perRun, v.call)) - empty) / perRun; got != v.perOp {
+			t.Errorf("%s: %.2f allocations per call once warm, want %.0f", v.name, got, v.perOp)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env, fs := sim.NewEnv(), newStubFS()
+			env.Process("blocking", func(p *sim.Proc) {
+				for i := 0; i < 200; i++ {
+					for _, v := range blockingVerbs {
+						if !v.call(p, fs) {
+							t.Errorf("%s returned the wrong results", v.name)
+						}
+					}
+				}
+			})
+			env.Run()
+		}()
+	}
+	wg.Wait()
 }

@@ -57,7 +57,7 @@ func NewFuse(node *fabric.Node, child FS, cfg FuseConfig) *Fuse {
 		cfg.PerByteCPUNanos = DefaultFuseConfig.PerByteCPUNanos
 	}
 	f := &Fuse{node: node, child: Lift(child), cfg: cfg}
-	f.T = f
+	f.Blocking = NewBlocking(f)
 	return f
 }
 

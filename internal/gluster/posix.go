@@ -60,11 +60,6 @@ type inode struct {
 	data  extentMap
 }
 
-type openFile struct {
-	ino  *inode
-	path string
-}
-
 // Posix is the storage xlator: it keeps the namespace and file contents in
 // memory (extent maps of blobs) while charging virtual time to the disk
 // model through an LRU buffer cache, like a local file system on the
@@ -79,13 +74,13 @@ type Posix struct {
 
 	files      map[string]*inode
 	dirs       map[string]map[string]struct{}
-	fds        map[FD]*openFile
+	fds        map[FD]*inode // each open descriptor's file
 	nextFD     FD
 	nextIno    uint64
 	nextOff    int64
 	journalOff int64
 
-	// ops is the free list of stat/read/write frames; see posixOp.
+	// ops is the free list of operation frames; see posixOp.
 	ops []*posixOp
 
 	// Stats
@@ -118,10 +113,10 @@ func NewPosix(env *sim.Env, cfg PosixConfig) *Posix {
 		readahead: ra,
 		files:     make(map[string]*inode),
 		dirs:      make(map[string]map[string]struct{}),
-		fds:       make(map[FD]*openFile),
+		fds:       make(map[FD]*inode),
 	}
 	p.dirs["/"] = make(map[string]struct{})
-	p.T = p
+	p.Blocking = NewBlocking(p)
 	return p
 }
 
@@ -169,30 +164,69 @@ func (px *Posix) ensureDir(path string) map[string]struct{} {
 
 func (px *Posix) metaKey(ino uint64) uint64 { return ino | metaInoBit }
 
-// touchMetaT accounts a metadata-page access: a buffer-cache hit is free,
-// a miss reads the inode block from disk; an update is journaled.
-func (px *Posix) touchMetaT(t *sim.Task, in *inode, write bool, k func()) {
-	if write {
+// touchMeta accounts op's metadata-page access: a buffer-cache hit is
+// free, a miss reads the inode block from disk; an update (metaUpdate) is
+// journaled. op.touched continues.
+func (px *Posix) touchMeta(op *posixOp) {
+	if metaUpdate(op.verb) {
 		// Reserve the journal slot before queueing at the disk, so
 		// concurrent metadata updates append in order.
 		off := px.journalOff
 		px.journalOff += metaRegion
-		px.dev.AccessT(t, journalBase+off, metaRegion, true, func() {
-			px.DiskWrites++
-			px.cache.Insert(px.metaKey(in.ino), 0, metaRegion)
-			k()
-		})
+		px.dev.AccessT(op.t, journalBase+off, metaRegion, true, op.fnDev)
 		return
 	}
-	if missing := px.cache.Lookup(px.metaKey(in.ino), 0, metaRegion); len(missing) > 0 {
-		px.dev.AccessT(t, in.base, metaRegion, false, func() {
-			px.DiskReads++
-			px.cache.Insert(px.metaKey(in.ino), 0, metaRegion)
-			k()
-		})
+	if missing := px.cache.Lookup(px.metaKey(op.in.ino), 0, metaRegion); len(missing) > 0 {
+		px.dev.AccessT(op.t, op.in.base, metaRegion, false, op.fnDev)
 		return
 	}
-	k()
+	op.touched()
+}
+
+// metaUpdate reports whether v's metadata access is an update, journaled,
+// rather than a read of the inode block.
+func metaUpdate(v verb) bool { return v == verbCreate || v == verbTruncate }
+
+// metaLoaded accounts the device access touchMeta queued for, then continues.
+func (op *posixOp) metaLoaded() {
+	px := op.px
+	if metaUpdate(op.verb) {
+		px.DiskWrites++
+	} else {
+		px.DiskReads++
+	}
+	px.cache.Insert(px.metaKey(op.in.ino), 0, metaRegion)
+	op.touched()
+}
+
+// touched continues an operation past its metadata access.
+func (op *posixOp) touched() {
+	switch op.verb {
+	case verbStat:
+		op.meta()
+	case verbCreate, verbOpen:
+		op.opened()
+	default: // truncate
+		op.finish(nil)
+	}
+}
+
+// opened issues the descriptor of a created or opened file.
+func (op *posixOp) opened() {
+	px := op.px
+	px.nextFD++
+	fd := px.nextFD
+	px.fds[fd] = op.in
+	k := op.k.fd
+	op.end()
+	k(fd, nil)
+}
+
+// finish ends an operation whose result is an error alone.
+func (op *posixOp) finish(err error) {
+	k := op.k.err
+	op.end()
+	k(err)
 }
 
 // CreateT implements TaskFS.
@@ -221,13 +255,9 @@ func (px *Posix) CreateT(t *sim.Task, path string, k func(FD, error)) {
 	}
 	px.nextOff += fileRegion
 	px.files[path] = in
-	px.touchMetaT(t, in, true, func() {
-		px.nextFD++
-		fd := px.nextFD
-		px.fds[fd] = &openFile{ino: in, path: path}
-		sp.End(t)
-		k(fd, nil)
-	})
+	op := px.takeOp(verbCreate, t, sp, in)
+	op.k.fd = k
+	px.touchMeta(op)
 }
 
 // OpenT implements TaskFS.
@@ -244,13 +274,9 @@ func (px *Posix) OpenT(t *sim.Task, path string, k func(FD, error)) {
 		k(0, ErrNotExist)
 		return
 	}
-	px.touchMetaT(t, in, false, func() {
-		px.nextFD++
-		fd := px.nextFD
-		px.fds[fd] = &openFile{ino: in, path: path}
-		sp.End(t)
-		k(fd, nil)
-	})
+	op := px.takeOp(verbOpen, t, sp, in)
+	op.k.fd = k
+	px.touchMeta(op)
 }
 
 // CloseT implements TaskFS.
@@ -266,8 +292,9 @@ func (px *Posix) CloseT(t *sim.Task, fd FD, k func(error)) {
 	k(nil)
 }
 
-// posixOp is the storage xlator's pooled frame for StatT, ReadT and WriteT,
-// replacing their device-access continuation closures (and ReadT's
+// posixOp is the storage xlator's pooled frame for every operation that
+// waits on the device — create, open, stat, read, write, truncate and
+// unlink — replacing their device-access continuation closures (and ReadT's
 // self-referential miss-repair loop) with prebound method values. The frame
 // returns to the pool before k runs (release-before-continue).
 type posixOp struct {
@@ -293,9 +320,7 @@ type posixOp struct {
 	// continuation returns or runs another operation on this Posix.
 	st Stat
 
-	kStat  func(*Stat, error)
-	kRead  func(blob.Blob, error)
-	kWrite func(int64, error)
+	k conts // the caller's continuation, by result shape
 
 	fnDev func() // the device-access continuation; see devDone
 }
@@ -314,15 +339,18 @@ func (px *Posix) takeOp(v verb, t *sim.Task, sp *optrace.Span, in *inode) *posix
 	return op
 }
 
-// devDone continues the operation after its device (or metadata) access.
+// devDone continues the operation after its device access.
 func (op *posixOp) devDone() {
 	switch op.verb {
-	case verbStat:
-		op.meta()
 	case verbRead:
 		op.filled()
-	default:
+	case verbWrite:
 		op.written()
+	case verbUnlink:
+		op.px.DiskWrites++
+		op.finish(nil)
+	default:
+		op.metaLoaded()
 	}
 }
 
@@ -331,7 +359,7 @@ func (op *posixOp) devDone() {
 func (op *posixOp) end() {
 	op.sp.End(op.t)
 	op.t, op.sp, op.in, op.path, op.data, op.missing = nil, nil, nil, "", blob.Blob{}, nil
-	op.kStat, op.kRead, op.kWrite = nil, nil, nil
+	op.k = conts{}
 	for i := range op.parts {
 		op.parts[i] = blob.Blob{}
 	}
@@ -343,13 +371,12 @@ func (op *posixOp) end() {
 // in order, one access at a time.
 func (px *Posix) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
 	sp := optrace.StartSpan(t, optrace.LayerPosix, "read")
-	of, ok := px.fds[fd]
+	in, ok := px.fds[fd]
 	if !ok {
 		sp.End(t)
 		k(blob.Blob{}, ErrBadFD)
 		return
 	}
-	in := of.ino
 	if off >= in.size {
 		sp.End(t)
 		k(blob.Blob{}, nil)
@@ -359,7 +386,7 @@ func (px *Posix) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, er
 		size = in.size - off
 	}
 	op := px.takeOp(verbRead, t, sp, in)
-	op.off, op.size, op.kRead = off, size, k
+	op.off, op.size, op.k.data = off, size, k
 	op.missing, op.i = px.cache.Lookup(in.ino, off, size), 0
 	op.fillStart = px.env.Now()
 	op.repair()
@@ -392,7 +419,7 @@ func (op *posixOp) repair() {
 		px.cache.FillHist.Observe(px.env.Now().Sub(op.fillStart))
 	}
 	in.atime = px.env.Now()
-	k, data := op.kRead, in.data.read(&op.parts, op.off, op.size)
+	k, data := op.k.data, in.data.read(&op.parts, op.off, op.size)
 	op.end()
 	k(data, nil)
 }
@@ -408,7 +435,7 @@ func (op *posixOp) filled() {
 // before completing (the paper's "Writes are always persistent").
 func (px *Posix) WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
 	sp := optrace.StartSpan(t, optrace.LayerPosix, "write")
-	of, ok := px.fds[fd]
+	in, ok := px.fds[fd]
 	if !ok {
 		sp.End(t)
 		k(0, ErrBadFD)
@@ -419,8 +446,8 @@ func (px *Posix) WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(in
 		k(0, nil)
 		return
 	}
-	op := px.takeOp(verbWrite, t, sp, of.ino)
-	op.off, op.data, op.kWrite = off, data, k
+	op := px.takeOp(verbWrite, t, sp, in)
+	op.off, op.data, op.k.n = off, data, k
 	px.dev.AccessT(t, op.in.base+metaRegion+off, data.Len(), true, op.fnDev)
 }
 
@@ -433,7 +460,7 @@ func (op *posixOp) written() {
 		in.size = off + size
 	}
 	in.mtime = px.env.Now()
-	k := op.kWrite
+	k := op.k.n
 	op.end()
 	k(size, nil)
 }
@@ -443,7 +470,7 @@ func (op *posixOp) written() {
 // the pool when k runs, so k copies what it keeps before it runs another
 // operation here.
 func (op *posixOp) meta() {
-	in, k := op.in, op.kStat
+	in, k := op.in, op.k.stat
 	op.st = Stat{
 		Path: op.path, Ino: in.ino, Size: in.size,
 		Atime: in.atime, Mtime: in.mtime, Ctime: in.ctime,
@@ -468,8 +495,8 @@ func (px *Posix) StatT(t *sim.Task, path string, k func(*Stat, error)) {
 		return
 	}
 	op := px.takeOp(verbStat, t, sp, in)
-	op.path, op.kStat = path, k
-	px.touchMetaT(t, in, false, op.fnDev)
+	op.path, op.k.stat = path, k
+	px.touchMeta(op)
 }
 
 // MkdirT implements TaskFS (pure namespace work; no device access).
@@ -530,10 +557,9 @@ func (px *Posix) TruncateT(t *sim.Task, path string, size int64, k func(error)) 
 	}
 	in.size = size
 	in.mtime = px.env.Now()
-	px.touchMetaT(t, in, true, func() {
-		sp.End(t)
-		k(nil)
-	})
+	op := px.takeOp(verbTruncate, t, sp, in)
+	op.k.err = k
+	px.touchMeta(op)
 }
 
 // UnlinkT implements TaskFS.
@@ -560,11 +586,9 @@ func (px *Posix) UnlinkT(t *sim.Task, path string, k func(error)) {
 	// The deallocation record is journaled like any metadata update.
 	off := px.journalOff
 	px.journalOff += metaRegion
-	px.dev.AccessT(t, journalBase+off, metaRegion, true, func() {
-		px.DiskWrites++
-		sp.End(t)
-		k(nil)
-	})
+	op := px.takeOp(verbUnlink, t, sp, in)
+	op.k.err = k
+	px.dev.AccessT(t, journalBase+off, metaRegion, true, op.fnDev)
 }
 
 // Size returns the size of the regular file at path, ok false when there is

@@ -25,9 +25,9 @@ func copyTime(n int64) sim.Duration {
 
 // request is the simulated protocol's one request message, of one of three
 // verbs: a get of keys, a set of item (always unconditional, as IMCa uses),
-// or a delete of item.Key. It lives inside a client-side frame — a bankOp,
-// or one leg of a multi-key get — and the fabric recycles it when the
-// call's frame retires, which is what returns the owner to its pool.
+// or a delete of the one key in keys. It lives inside a client-side frame —
+// a bankOp, or one leg of a multi-key get — and the fabric recycles it when
+// the call's frame retires, which is what returns the owner to its pool.
 // WireSize values approximate the text protocol's framing.
 type request struct {
 	verb verb
@@ -46,7 +46,7 @@ func (r *request) WireSize() int64 {
 	case verbSet:
 		return int64(len(r.item.Key)) + r.item.Value.Len() + 40
 	case verbDelete:
-		return 8 + int64(len(r.item.Key))
+		return 8 + int64(len(r.keys.buf))
 	}
 	return 8 + int64(len(r.keys.buf)+len(r.keys.ends))
 }

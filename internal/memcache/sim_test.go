@@ -412,7 +412,7 @@ func TestWireSizes(t *testing.T) {
 		{request{verb: verbGet, keys: testKeys("k")}, 8 + (1 + 1), response{down: true}, 8},
 		{request{verb: verbSet, item: item}, 7 + 2048 + 40, response{err: "too large"}, 8 + 9},
 		{request{verb: verbSet, item: item}, 7 + 2048 + 40, response{}, 8},
-		{request{verb: verbDelete, item: Item{Key: "block:7"}}, 8 + 7, response{found: true}, 8},
+		{request{verb: verbDelete, keys: testKeys("block:7")}, 8 + 7, response{found: true}, 8},
 	} {
 		if got := tc.req.WireSize(); got != tc.wantReq {
 			t.Errorf("%v request: %d bytes, want %d", tc.req.verb, got, tc.wantReq)

@@ -641,20 +641,26 @@ func (c *SimClient) GetMultiT(t *sim.Task, keys []byte, ends []int, k func([]*It
 // ejected or unreachable MCD absorbs the delete without a wire request,
 // per the documented fault-model boundary. With replication on, both
 // copies are deleted in sequence.
-func (c *SimClient) DeleteT(t *sim.Task, key string, k func(bool)) {
+func (c *SimClient) DeleteT(t *sim.Task, key string, k func(bool)) { deleteKeyT(c, t, key, k) }
+
+// DeleteKeyT is DeleteT for a key lent as bytes, valid until k runs: each
+// leg copies it into its request.
+func (c *SimClient) DeleteKeyT(t *sim.Task, key []byte, k func(bool)) { deleteKeyT(c, t, key, k) }
+
+func deleteKeyT[K string | []byte](c *SimClient, t *sim.Task, key K, k func(bool)) {
 	idx := pick(c, key)
 	next := replicaNext(c, key, idx)
 	if next < 0 {
-		c.delOnT(t, idx, key, k)
+		delOnT(c, t, idx, key, k)
 		return
 	}
-	c.delOnT(t, idx, key, func(found bool) {
-		c.delOnT(t, next, key, func(found2 bool) { k(found || found2) })
+	delOnT(c, t, idx, key, func(found bool) {
+		delOnT(c, t, next, key, func(found2 bool) { k(found || found2) })
 	})
 }
 
 // delOnT runs one DeleteT leg against server idx.
-func (c *SimClient) delOnT(t *sim.Task, idx int, key string, k func(bool)) {
+func delOnT[K string | []byte](c *SimClient, t *sim.Task, idx int, key K, k func(bool)) {
 	srv := c.servers[idx]
 	sp := optrace.StartSpan(t, optrace.LayerMCD, verbDelete.String())
 	sp.SetAttr("server", srv.node.Name())
@@ -666,7 +672,7 @@ func (c *SimClient) delOnT(t *sim.Task, idx int, key string, k func(bool)) {
 	}
 	op := c.takeOp(t, verbDelete)
 	op.kDel = k
-	op.req.item.Key = key
+	appendKey(&op.req.keys, key)
 	op.send(idx, sp)
 }
 
@@ -691,7 +697,7 @@ func (c *SimClient) SetFreshT(t *sim.Task, key string, value blob.Blob, fresh fu
 	}
 	c.setOnT(t, idx, key, value, func(err error) {
 		if fresh != nil && !fresh() {
-			c.delOnT(t, next, key, func(bool) { k(err) })
+			delOnT(c, t, next, key, func(bool) { k(err) })
 			return
 		}
 		c.setOnT(t, next, key, value, func(error) { k(err) })

@@ -223,7 +223,7 @@ func (op *srvOp) cpuDone() {
 			op.resp.err = err.Error()
 		}
 	case verbDelete:
-		op.resp.found = s.store.Delete(r.item.Key) == nil
+		op.resp.found = deleteKey(s.store, r.keys.at(0)) == nil
 	}
 	op.finish()
 }

@@ -512,7 +512,10 @@ func (s *Store) GetView(key []byte) (Item, bool) {
 }
 
 // Delete removes key, returning ErrCacheMiss if absent.
-func (s *Store) Delete(key string) error {
+func (s *Store) Delete(key string) error { return deleteKey(s, key) }
+
+// deleteKey is Delete for a key held as a string or as bytes.
+func deleteKey[K string | []byte](s *Store, key K) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	it, _ := findLocked(s, key)

@@ -20,6 +20,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"imca/internal/blob"
 	"imca/internal/gluster"
@@ -57,9 +58,24 @@ func CreateFiles(env *sim.Env, fs gluster.FS, dir string, n int) {
 	env.Run()
 }
 
-// FilePath names the i'th benchmark file in dir.
+// FilePath names the i'th benchmark file in dir: the bytes of
+// fmt.Sprintf("%s/f%06d", dir, i), built without fmt's boxing and parsing
+// (the stat benchmark names every file it creates and stats).
 func FilePath(dir string, i int) string {
-	return fmt.Sprintf("%s/f%06d", dir, i)
+	var scratch [64]byte
+	b := append(scratch[:0], dir...)
+	b = append(b, "/f"...)
+	u, width := uint64(i), 6
+	if i < 0 {
+		b = append(b, '-')
+		u, width = -u, width-1
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for n := len(d); n < width; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // FilePaths names the first n benchmark files in dir, formatted once up

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"imca/internal/cluster"
@@ -244,5 +245,17 @@ func TestThroughputReRead(t *testing.T) {
 	// first read pass.
 	if res.ReReadBps < res.ReadBps*9/10 {
 		t.Errorf("re-read %.0f MB/s below first read %.0f MB/s", res.ReReadBps/1e6, res.ReadBps/1e6)
+	}
+}
+
+// TestFilePathMatchesSprintf: FilePath produces fmt's bytes, widths past the
+// padding and the sign included.
+func TestFilePathMatchesSprintf(t *testing.T) {
+	for _, dir := range []string{"/bench", "/", ""} {
+		for _, i := range []int{0, 9, 999999, 1000000, 123456789, -42} {
+			if got, want := FilePath(dir, i), fmt.Sprintf("%s/f%06d", dir, i); got != want {
+				t.Errorf("FilePath(%q, %d) = %q, want %q", dir, i, got, want)
+			}
+		}
 	}
 }

@@ -40,10 +40,11 @@ sizes:
 bench:
 	$(GO) test -bench . -benchtime=1x
 
-# Paired parent/change runs of one benchmark workload — the "Claiming a
-# gain" procedure of benchmark/README.md: medians, quartiles, pairs won,
-# virt_digest equality, then one traced pass per side with the per-layer
-# CPU shares side by side. WORKLOAD is required.
+# Paired parent/change runs of each benchmark workload in WORKLOAD (one
+# name or a quoted space-separated list; both sides are built once) — the
+# "Claiming a gain" procedure of benchmark/README.md: medians, quartiles,
+# pairs won, virt_digest equality, then one traced pass per side with the
+# per-layer CPU shares side by side. WORKLOAD is required.
 PARENT ?= HEAD~1
 PAIRS ?= 10
 SEED ?= 1

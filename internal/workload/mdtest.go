@@ -40,85 +40,39 @@ func MDTest(env *sim.Env, mounts []gluster.FS, opts MDTestOptions) MDTestResult 
 
 	var createMax, statMax, unlinkMax sim.Duration
 	bar := sim.NewBarrier(env, nc)
-	for ci := 0; ci < nc; ci++ {
-		ci := ci
-		tfs := gluster.Lift(mounts[ci])
-		startClient(env, "mdtest", tfs, func(t *sim.Task) {
-			var t0 sim.Time
-
-			// Phase 3: unlink own files.
-			phase3 := func() {
-				bar.WaitT(t, func() {
-					t0 = t.Now()
-					var unlink func(i int)
-					unlink = func(i int) {
-						if i == n {
-							if d := t.Now().Sub(t0); d > unlinkMax {
-								unlinkMax = d
-							}
-							t.End()
-							return
-						}
-						tfs.UnlinkT(t, FilePath(clientDir(ci), i), func(err error) {
-							if err != nil {
-								panic(fmt.Sprintf("workload: mdtest unlink: %v", err))
-							}
-							unlink(i + 1)
-						})
+	for ci, fs := range mounts {
+		env.Process("mdtest", func(p *sim.Proc) {
+			// phase waits for every client, runs op ops times, and keeps the
+			// slowest client's time in *slowest. A second barrier closes each
+			// phase but the last.
+			phase := func(slowest *sim.Duration, ops int, verb string, op func(i int) error) {
+				bar.Wait(p)
+				t0 := p.Now()
+				for i := 0; i < ops; i++ {
+					if err := op(i); err != nil {
+						panic(fmt.Sprintf("workload: mdtest %s: %v", verb, err))
 					}
-					unlink(0)
-				})
-			}
-
-			// Phase 2: stat every file of every client.
-			phase2 := func() {
-				bar.WaitT(t, func() {
-					t0 = t.Now()
-					var stat func(j int)
-					stat = func(j int) {
-						if j == nc*n {
-							if d := t.Now().Sub(t0); d > statMax {
-								statMax = d
-							}
-							bar.WaitT(t, phase3)
-							return
-						}
-						tfs.StatT(t, FilePath(clientDir(j/n), j%n), func(_ *gluster.Stat, err error) {
-							if err != nil {
-								panic(fmt.Sprintf("workload: mdtest stat: %v", err))
-							}
-							stat(j + 1)
-						})
-					}
-					stat(0)
-				})
-			}
-
-			// Phase 1: create.
-			bar.WaitT(t, func() {
-				t0 = t.Now()
-				var create func(i int)
-				create = func(i int) {
-					if i == n {
-						if d := t.Now().Sub(t0); d > createMax {
-							createMax = d
-						}
-						bar.WaitT(t, phase2)
-						return
-					}
-					tfs.CreateT(t, FilePath(clientDir(ci), i), func(fd gluster.FD, err error) {
-						if err != nil {
-							panic(fmt.Sprintf("workload: mdtest create: %v", err))
-						}
-						tfs.CloseT(t, fd, func(err error) {
-							if err != nil {
-								panic(err)
-							}
-							create(i + 1)
-						})
-					})
 				}
-				create(0)
+				*slowest = max(*slowest, p.Now().Sub(t0))
+			}
+			// Phase 1: create own files.
+			phase(&createMax, n, "create", func(i int) error {
+				fd, err := fs.Create(p, FilePath(clientDir(ci), i))
+				if err != nil {
+					return err
+				}
+				return fs.Close(p, fd)
+			})
+			bar.Wait(p)
+			// Phase 2: stat every file of every client.
+			phase(&statMax, nc*n, "stat", func(j int) error {
+				_, err := fs.Stat(p, FilePath(clientDir(j/n), j%n))
+				return err
+			})
+			bar.Wait(p)
+			// Phase 3: unlink own files.
+			phase(&unlinkMax, n, "unlink", func(i int) error {
+				return fs.Unlink(p, FilePath(clientDir(ci), i))
 			})
 		})
 	}

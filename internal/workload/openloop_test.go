@@ -104,9 +104,10 @@ func TestOpenLoopZipfSkew(t *testing.T) {
 	}
 }
 
-// procOnly hides any TaskFS implementation, so the mount is not task-ready
-// and startClient runs its client on a process: only the embedded
-// interface's blocking methods are promoted.
+// procOnly hides any TaskFS implementation, so the mount is not task-ready:
+// only the embedded interface's blocking methods are promoted. startClient
+// runs a statBench client over it on a process awaiting the task body, and
+// the open-loop generator refuses it.
 type procOnly struct{ gluster.FS }
 
 func TestOpenLoopRequiresTaskEngine(t *testing.T) {
@@ -123,16 +124,19 @@ func TestOpenLoopRequiresTaskEngine(t *testing.T) {
 	openLoop(c, wrapped, openLoopOpts())
 }
 
-// TestEngineEquivalence is the adapter's guarantee at workload level. Every
-// driver has one client body; a task-ready mount runs it under StartTask,
-// and the same mount wrapped procOnly runs it under Process+Await, each
-// operation going task → Block → blocking method → Await → the xlator's *T
-// body. Identical deployments must produce identical virtual-time results
-// either way.
+// TestEngineEquivalence is the adapter's guarantee at workload level for the
+// one closed-loop body still written in continuation style: statBench runs
+// under StartTask on task-ready mounts, and on the same mounts wrapped
+// procOnly under Process+Await, each stat going task → Block → blocking
+// method → Await → the xlator's *T body. Identical deployments must give the
+// same result from the same number of events either way. The other drivers
+// are straight-line processes on both kinds of mount; TestDriversPinned pins
+// them.
 func TestEngineEquivalence(t *testing.T) {
-	// deploy builds a fresh deployment and returns its mounts as they are
-	// (task-ready) or wrapped procOnly.
-	deploy := func(wrap bool) (*cluster.Cluster, []gluster.FS) {
+	// run builds a fresh deployment, wraps its mounts procOnly if asked, and
+	// stats bank hits through them: the operation whose result is a pooled
+	// borrow, copied by the blocking adapter.
+	run := func(wrap bool) [2]interface{} {
 		c := cluster.New(cluster.Options{Clients: 4, MCDs: 2, MCDMemBytes: 64 << 20, BlockSize: 2048})
 		mounts := c.FSes()
 		for i, fs := range mounts {
@@ -146,56 +150,11 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 			}
 		}
-		return c, mounts
+		CreateFiles(c.Env, mounts[0], "/st", 64)
+		return [2]interface{}{StatBench(c.Env, mounts, "/st", 64), c.Env.EventsProcessed}
 	}
-	// both runs one driver on each kind of mount and returns the results.
-	both := func(run func(c *cluster.Cluster, mounts []gluster.FS) interface{}) (task, proc interface{}) {
-		c, m := deploy(false)
-		task = run(c, m)
-		c, m = deploy(true)
-		return task, run(c, m)
-	}
-
-	latOpts := LatencyOptions{Dir: "/eq", RecordSizes: []int64{256, 2048}, Records: 32}
-	taskRes, procRes := both(func(c *cluster.Cluster, m []gluster.FS) interface{} {
-		return Latency(c.Env, m, latOpts)
-	})
-	for _, r := range latOpts.RecordSizes {
-		tr, pr := taskRes.(LatencyResult), procRes.(LatencyResult)
-		if tr.Write[r] != pr.Write[r] {
-			t.Errorf("write latency at %d differs: task %v, proc %v", r, tr.Write[r], pr.Write[r])
-		}
-		if tr.Read[r] != pr.Read[r] {
-			t.Errorf("read latency at %d differs: task %v, proc %v", r, tr.Read[r], pr.Read[r])
-		}
-	}
-
-	for _, d := range []struct {
-		name string
-		run  func(c *cluster.Cluster, m []gluster.FS) interface{}
-	}{
-		// The metadata benchmark exercises create/stat/unlink and
-		// consecutive barrier generations.
-		{"mdtest", func(c *cluster.Cluster, m []gluster.FS) interface{} {
-			return MDTest(c.Env, m, MDTestOptions{Dir: "/md", FilesPerClient: 16})
-		}},
-		// Streaming reads reach the RAID array's helper tasks.
-		{"throughput", func(c *cluster.Cluster, m []gluster.FS) interface{} {
-			return Throughput(c.Env, m, ThroughputOptions{Dir: "/tp", FileSize: 4 << 20, RecordSize: 64 << 10, ReRead: true})
-		}},
-		{"smallfiles", func(c *cluster.Cluster, m []gluster.FS) interface{} {
-			return SmallFiles(c.Env, m, SmallFilesOptions{Dir: "/sf", Files: 32, FileSize: 4096, Accesses: 48, Reopen: true, Seed: 3})
-		}},
-		// statBench over bank hits: the operation whose result is a pooled
-		// borrow, copied by the blocking adapter.
-		{"statbench", func(c *cluster.Cluster, m []gluster.FS) interface{} {
-			CreateFiles(c.Env, m[0], "/st", 64)
-			return [2]interface{}{StatBench(c.Env, m, "/st", 64), c.Env.EventsProcessed}
-		}},
-	} {
-		if task, proc := both(d.run); task != proc {
-			t.Errorf("%s differs across engines: task %+v, proc %+v", d.name, task, proc)
-		}
+	if task, proc := run(false), run(true); task != proc {
+		t.Errorf("statbench differs across engines: task %+v, proc %+v", task, proc)
 	}
 }
 

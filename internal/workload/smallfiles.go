@@ -63,59 +63,36 @@ func SmallFiles(env *sim.Env, mounts []gluster.FS, opts SmallFilesOptions) Small
 
 	bar := sim.NewBarrier(env, len(mounts))
 	var total sim.Duration
-	for ci := 0; ci < len(mounts); ci++ {
-		ci := ci
-		tfs := gluster.Lift(mounts[ci])
-		startClient(env, "smallfiles", tfs, func(t *sim.Task) {
+	for ci, fs := range mounts {
+		env.Process("smallfiles", func(p *sim.Proc) {
 			rng := xrand.New(opts.Seed + uint64(ci)*0x9e3779b97f4a7c15 + 1)
 			zipf := xrand.NewZipf(rng, 1.0, opts.Files)
 			open := make(map[int]gluster.FD)
-			bar.WaitT(t, func() {
-				t0 := t.Now()
-				var access func(a int)
-				access = func(a int) {
-					if a == opts.Accesses {
-						total += t.Now().Sub(t0)
-						t.End()
-						return
+			bar.Wait(p)
+			t0 := p.Now()
+			for a := 0; a < opts.Accesses; a++ {
+				idx := zipf.Draw()
+				fd, ok := open[idx]
+				if !ok {
+					var err error
+					if fd, err = fs.Open(p, FilePath(opts.Dir, idx)); err != nil {
+						panic(fmt.Sprintf("workload: small open: %v", err))
 					}
-					idx := zipf.Draw()
-					path := FilePath(opts.Dir, idx)
-					withFD := func(fd gluster.FD) {
-						tfs.ReadT(t, fd, 0, opts.FileSize, func(data blob.Blob, err error) {
-							if err != nil || data.Len() != opts.FileSize {
-								panic(fmt.Sprintf("workload: small read %d bytes, %v", data.Len(), err))
-							}
-							if opts.Reopen {
-								tfs.CloseT(t, fd, func(error) { access(a + 1) })
-								return
-							}
-							access(a + 1)
-						})
-					}
-					if opts.Reopen {
-						tfs.OpenT(t, path, func(fd gluster.FD, err error) {
-							if err != nil {
-								panic(err)
-							}
-							withFD(fd)
-						})
-						return
-					}
-					if fd, ok := open[idx]; ok {
-						withFD(fd)
-						return
-					}
-					tfs.OpenT(t, path, func(fd gluster.FD, err error) {
-						if err != nil {
-							panic(err)
-						}
+					if !opts.Reopen {
 						open[idx] = fd
-						withFD(fd)
-					})
+					}
 				}
-				access(0)
-			})
+				data, err := fs.Read(p, fd, 0, opts.FileSize)
+				if err != nil || data.Len() != opts.FileSize {
+					panic(fmt.Sprintf("workload: small read %d bytes, %v", data.Len(), err))
+				}
+				if opts.Reopen {
+					if err := fs.Close(p, fd); err != nil {
+						panic(fmt.Sprintf("workload: small close: %v", err))
+					}
+				}
+			}
+			total += p.Now().Sub(t0)
 		})
 	}
 	env.Run()

@@ -6,16 +6,15 @@
 //
 // # Client bodies
 //
-// Each driver's measured client body is written once, in continuation
-// style against gluster.TaskFS. A mount whose whole stack is
-// continuation-style (TaskReady) runs it as a sim.Task — a heap-scheduled
-// state machine with no coroutine per client. Any other mount (Lustre,
-// NFS, or a stack with a blocking xlator) runs the same body on a process
-// that awaits it (sim.Proc.Await) over the lifted mount (gluster.Lift);
-// see startClient. The two consume kernel schedules identically, so
-// results do not depend on which one a mount gets. Low-cardinality control
-// work (setup, file creation, opens) is ordinary blocking code in a
-// process.
+// A closed-loop driver's client is a process (sim.Proc) running a
+// straight-line loop of blocking gluster.FS calls, with barriers between
+// stages — the form the paper gives its benchmarks in. Two bodies stay in
+// continuation style against gluster.TaskFS: statBench, whose stat hits run
+// on the zero-alloc task path (a blocking Stat copies the lent *Stat, one
+// allocation per stat), and PrepareOpenLoop's tenants, each of which keeps
+// several reads in flight. startClient runs statBench's body as a sim.Task
+// on a task-ready mount and on a process awaiting it otherwise; the two
+// consume kernel schedules identically.
 package workload
 
 import (
@@ -28,10 +27,10 @@ import (
 	"imca/internal/sim"
 )
 
-// startClient starts one client actor running body, whose operations go to
-// tfs (a mount held through gluster.Lift): as a task when the mount's whole
-// stack is continuation-style, otherwise on a process awaiting the same
-// body.
+// startClient starts one statBench client running body, whose operations go
+// to tfs (a mount held through gluster.Lift): as a task when the mount's
+// whole stack is continuation-style, otherwise on a process awaiting the
+// same body.
 func startClient(env *sim.Env, name string, tfs gluster.TaskFS, body func(t *sim.Task)) {
 	if tfs.TaskReady() {
 		env.StartTask(name, body)
@@ -201,25 +200,26 @@ type LatencyResult struct {
 	Ops []*optrace.Op
 }
 
-// traceStart begins a traced operation on the client actor when tracing is
-// enabled and opens its root span; both helpers are no-ops with a nil
-// collector slice.
-func traceStart(a sim.Actor, cols []*optrace.Collector, si int, name string) *optrace.Span {
+// traceStart begins a traced operation on the client process when tracing
+// is enabled and opens its root span; both helpers are no-ops with a nil
+// collector slice. The task a blocking call awaits shares the process's
+// context slot, so the layers' spans nest under this root.
+func traceStart(p *sim.Proc, cols []*optrace.Collector, si int, name string) *optrace.Span {
 	if cols == nil {
 		return nil
 	}
-	cols[si].Begin(a, name)
-	return optrace.StartSpan(a, optrace.LayerOp, name)
+	cols[si].Begin(p, name)
+	return optrace.StartSpan(p, optrace.LayerOp, name)
 }
 
 // traceEnd closes the root span and folds the finished operation into its
 // record size's breakdown.
-func traceEnd(a sim.Actor, cols []*optrace.Collector, si int, root *optrace.Span) {
+func traceEnd(p *sim.Proc, cols []*optrace.Collector, si int, root *optrace.Span) {
 	if cols == nil {
 		return
 	}
-	root.End(a)
-	cols[si].End(a)
+	root.End(p)
+	cols[si].End(p)
 }
 
 // newCollectors returns one collector per record size (nil unless traced).
@@ -268,10 +268,6 @@ func Latency(env *sim.Env, mounts []gluster.FS, opts LatencyOptions) LatencyResu
 		panic("workload: no record sizes")
 	}
 	nc := len(mounts)
-	res := LatencyResult{
-		Write: make(map[int64]sim.Duration, len(opts.RecordSizes)),
-		Read:  make(map[int64]sim.Duration, len(opts.RecordSizes)),
-	}
 
 	// Open files on every client up front (the fd↔path database is
 	// populated here; for IMCa this is also where open-purges land,
@@ -296,129 +292,74 @@ func Latency(env *sim.Env, mounts []gluster.FS, opts LatencyOptions) LatencyResu
 	})
 	env.Run()
 
-	writerCount := nc
-	if opts.Shared {
-		writerCount = 1
-	}
-
-	// Write stage: one barrier generation per record size.
-	writeTotals := make([]sim.Duration, len(opts.RecordSizes))
-	wcols := newCollectors(opts.Trace, opts.KeepOps, len(opts.RecordSizes))
-	bar := sim.NewBarrier(env, writerCount)
-	for ci := 0; ci < writerCount; ci++ {
-		ci := ci
-		tfs := gluster.Lift(mounts[ci])
-		startClient(env, "lat-write", tfs, func(t *sim.Task) {
-			var bySize func(si int)
-			bySize = func(si int) {
-				if si == len(opts.RecordSizes) {
-					t.End()
-					return
-				}
-				r := opts.RecordSizes[si]
-				bar.WaitT(t, func() {
-					// One continuation pair per record size, as in statBench:
-					// the record counter and root span live beside it.
-					t0, n := t.Now(), 0
-					var root *optrace.Span
-					var rec func()
-					onWrite := func(_ int64, err error) {
-						traceEnd(t, wcols, si, root)
-						if err != nil {
-							panic(fmt.Sprintf("workload: write: %v", err))
-						}
-						n++
-						rec()
-					}
-					rec = func() {
-						if n == opts.Records {
-							writeTotals[si] += t.Now().Sub(t0)
-							bar.WaitT(t, func() { bySize(si + 1) })
-							return
-						}
-						off := int64(n) * r
-						root = traceStart(t, wcols, si, "write")
-						tfs.WriteT(t, fds[ci], off, blob.Synthetic(uint64(ci)+1, off, r), onWrite)
-					}
-					rec()
-				})
+	// stage sweeps the record sizes on the first clients mounts: for each
+	// size a barrier (then, before reads, BeforeReadSize on client 0 and a
+	// second barrier, every client held), the records, a barrier. It returns
+	// the mean time per record by size and the stage's collectors.
+	stage := func(verb string, clients int) (map[int64]sim.Duration, []*optrace.Collector) {
+		name, write := "lat-"+verb, verb == "write"
+		totals := make([]sim.Duration, len(opts.RecordSizes))
+		cols := newCollectors(opts.Trace, opts.KeepOps, len(opts.RecordSizes))
+		bar := sim.NewBarrier(env, clients)
+		for ci, fs := range mounts[:clients] {
+			seed := uint64(ci) + 1
+			if opts.Shared {
+				seed = 1
 			}
-			bySize(0)
-		})
-	}
-	env.Run()
-	for si, r := range opts.RecordSizes {
-		res.Write[r] = writeTotals[si] / sim.Duration(opts.Records*writerCount)
-	}
-	res.WriteBreakdowns = breakdownMap(wcols, opts.RecordSizes)
-
-	if opts.AfterWrite != nil {
-		opts.AfterWrite()
-	}
-
-	// Read stage: all clients participate.
-	readTotals := make([]sim.Duration, len(opts.RecordSizes))
-	rcols := newCollectors(opts.Trace, opts.KeepOps, len(opts.RecordSizes))
-	rbar := sim.NewBarrier(env, nc)
-	for ci := 0; ci < nc; ci++ {
-		ci := ci
-		seed := uint64(ci) + 1
-		if opts.Shared {
-			seed = 1
-		}
-		tfs := gluster.Lift(mounts[ci])
-		startClient(env, "lat-read", tfs, func(t *sim.Task) {
-			var bySize func(si int)
-			bySize = func(si int) {
-				if si == len(opts.RecordSizes) {
-					t.End()
-					return
-				}
-				r := opts.RecordSizes[si]
-				measure := func() {
-					t0, n := t.Now(), 0
-					var root *optrace.Span
-					var rec func()
-					onRead := func(data blob.Blob, err error) {
-						traceEnd(t, rcols, si, root)
-						if err != nil {
-							panic(fmt.Sprintf("workload: read: %v", err))
-						}
-						if off := int64(n) * r; data.Len() > 0 && data.At(0) != blob.Synthetic(seed, off, 1).At(0) {
-							panic("workload: read returned wrong data")
-						}
-						n++
-						rec()
-					}
-					rec = func() {
-						if n == opts.Records {
-							readTotals[si] += t.Now().Sub(t0)
-							rbar.WaitT(t, func() { bySize(si + 1) })
-							return
-						}
-						root = traceStart(t, rcols, si, "read")
-						tfs.ReadT(t, fds[ci], int64(n)*r, r, onRead)
-					}
-					rec()
-				}
-				rbar.WaitT(t, func() {
-					if opts.BeforeReadSize != nil {
+			env.Process(name, func(p *sim.Proc) {
+				for si, r := range opts.RecordSizes {
+					bar.Wait(p)
+					if !write && opts.BeforeReadSize != nil {
 						if ci == 0 {
 							opts.BeforeReadSize(r)
 						}
-						rbar.WaitT(t, measure)
-						return
+						bar.Wait(p)
 					}
-					measure()
-				})
-			}
-			bySize(0)
-		})
+					t0 := p.Now()
+					for n := 0; n < opts.Records; n++ {
+						off := int64(n) * r
+						root := traceStart(p, cols, si, verb)
+						var data blob.Blob
+						var err error
+						if write {
+							_, err = fs.Write(p, fds[ci], off, blob.Synthetic(seed, off, r))
+						} else {
+							data, err = fs.Read(p, fds[ci], off, r)
+						}
+						traceEnd(p, cols, si, root)
+						if err != nil {
+							panic(fmt.Sprintf("workload: %s: %v", verb, err))
+						}
+						if data.Len() > 0 && data.At(0) != blob.Synthetic(seed, off, 1).At(0) {
+							panic("workload: read returned wrong data")
+						}
+					}
+					totals[si] += p.Now().Sub(t0)
+					bar.Wait(p)
+				}
+			})
+		}
+		env.Run()
+		means := make(map[int64]sim.Duration, len(opts.RecordSizes))
+		for si, r := range opts.RecordSizes {
+			means[r] = totals[si] / sim.Duration(opts.Records*clients)
+		}
+		return means, cols
 	}
-	env.Run()
-	for si, r := range opts.RecordSizes {
-		res.Read[r] = readTotals[si] / sim.Duration(opts.Records*nc)
+
+	// Only client 0 writes the shared file; every client reads.
+	writers := nc
+	if opts.Shared {
+		writers = 1
 	}
+	var res LatencyResult
+	var wcols, rcols []*optrace.Collector
+	res.Write, wcols = stage("write", writers)
+	if opts.AfterWrite != nil {
+		opts.AfterWrite()
+	}
+	res.Read, rcols = stage("read", nc)
+	res.WriteBreakdowns = breakdownMap(wcols, opts.RecordSizes)
 	res.ReadBreakdowns = breakdownMap(rcols, opts.RecordSizes)
 	if opts.KeepOps {
 		res.Ops = collectOps(collectOps(nil, wcols), rcols)
@@ -457,97 +398,46 @@ func Throughput(env *sim.Env, mounts []gluster.FS, opts ThroughputOptions) Throu
 	nc := len(mounts)
 	fds := make([]gluster.FD, nc)
 
-	var res ThroughputResult
-
-	// Write pass.
-	bar := sim.NewBarrier(env, nc)
-	var wStart, wEnd sim.Time
-	for ci := 0; ci < nc; ci++ {
-		ci := ci
-		seed := uint64(ci) + 1
-		tfs := gluster.Lift(mounts[ci])
-		startClient(env, "tput-write", tfs, func(t *sim.Task) {
-			tfs.CreateT(t, FilePath(opts.Dir, ci), func(fd gluster.FD, err error) {
-				if err != nil {
-					panic(fmt.Sprintf("workload: create: %v", err))
-				}
-				fds[ci] = fd
-				bar.WaitT(t, func() {
-					if wStart == 0 {
-						wStart = t.Now()
+	// pass runs one timed stream over every client's file and returns its
+	// aggregate bandwidth; the write pass creates the files first.
+	pass := func(name string, write bool) float64 {
+		bar := sim.NewBarrier(env, nc)
+		var start, end sim.Time
+		for ci, fs := range mounts {
+			env.Process(name, func(p *sim.Proc) {
+				if write {
+					fd, err := fs.Create(p, FilePath(opts.Dir, ci))
+					if err != nil {
+						panic(fmt.Sprintf("workload: create: %v", err))
 					}
-					off := int64(0)
-					var rec func()
-					onWrite := func(_ int64, err error) {
-						if err != nil {
+					fds[ci] = fd
+				}
+				bar.Wait(p)
+				if start == 0 {
+					start = p.Now()
+				}
+				for off := int64(0); off < opts.FileSize; off += opts.RecordSize {
+					if write {
+						if _, err := fs.Write(p, fds[ci], off, blob.Synthetic(uint64(ci)+1, off, opts.RecordSize)); err != nil {
 							panic(fmt.Sprintf("workload: write: %v", err))
 						}
-						off += opts.RecordSize
-						rec()
+					} else if data, err := fs.Read(p, fds[ci], off, opts.RecordSize); err != nil || data.Len() != opts.RecordSize {
+						panic(fmt.Sprintf("workload: read %d bytes at %d: %v", data.Len(), off, err))
 					}
-					rec = func() {
-						if off >= opts.FileSize {
-							if t.Now() > wEnd {
-								wEnd = t.Now()
-							}
-							t.End()
-							return
-						}
-						tfs.WriteT(t, fds[ci], off, blob.Synthetic(seed, off, opts.RecordSize), onWrite)
-					}
-					rec()
-				})
-			})
-		})
-	}
-	env.Run()
-	res.WriteBps = float64(opts.FileSize*int64(nc)) / wEnd.Sub(wStart).Seconds()
-
-	if opts.AfterWrite != nil {
-		opts.AfterWrite()
-	}
-
-	// Read pass (and optionally a re-read pass over the warm caches).
-	readPass := func(name string) float64 {
-		rbar := sim.NewBarrier(env, nc)
-		var rStart, rEnd sim.Time
-		for ci := 0; ci < nc; ci++ {
-			ci := ci
-			tfs := gluster.Lift(mounts[ci])
-			startClient(env, name, tfs, func(t *sim.Task) {
-				rbar.WaitT(t, func() {
-					if rStart == 0 {
-						rStart = t.Now()
-					}
-					off := int64(0)
-					var rec func()
-					onRead := func(data blob.Blob, err error) {
-						if err != nil || data.Len() != opts.RecordSize {
-							panic(fmt.Sprintf("workload: read %d bytes at %d: %v", data.Len(), off, err))
-						}
-						off += opts.RecordSize
-						rec()
-					}
-					rec = func() {
-						if off >= opts.FileSize {
-							if t.Now() > rEnd {
-								rEnd = t.Now()
-							}
-							t.End()
-							return
-						}
-						tfs.ReadT(t, fds[ci], off, opts.RecordSize, onRead)
-					}
-					rec()
-				})
+				}
+				end = max(end, p.Now())
 			})
 		}
 		env.Run()
-		return float64(opts.FileSize*int64(nc)) / rEnd.Sub(rStart).Seconds()
+		return float64(opts.FileSize*int64(nc)) / end.Sub(start).Seconds()
 	}
-	res.ReadBps = readPass("tput-read")
+	res := ThroughputResult{WriteBps: pass("tput-write", true)}
+	if opts.AfterWrite != nil {
+		opts.AfterWrite()
+	}
+	res.ReadBps = pass("tput-read", false)
 	if opts.ReRead {
-		res.ReReadBps = readPass("tput-reread")
+		res.ReReadBps = pass("tput-reread", false)
 	}
 	return res
 }

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"imca/internal/cluster"
+	"imca/internal/gluster"
 	"imca/internal/sim"
 	"imca/internal/xrand"
 )
@@ -257,5 +259,47 @@ func TestFilePathMatchesSprintf(t *testing.T) {
 				t.Errorf("FilePath(%q, %d) = %q, want %q", dir, i, got, want)
 			}
 		}
+	}
+}
+
+// failingFS refuses every Open or every Close on the mount it wraps.
+type failingFS struct {
+	gluster.FS
+	verb string
+}
+
+func (f failingFS) Open(p *sim.Proc, path string) (gluster.FD, error) {
+	if f.verb == "open" {
+		return 0, errors.New("open refused")
+	}
+	return f.FS.Open(p, path)
+}
+
+func (f failingFS) Close(p *sim.Proc, fd gluster.FD) error {
+	if f.verb == "close" {
+		return errors.New("close refused")
+	}
+	return f.FS.Close(p, fd)
+}
+
+// TestSmallFilesReportsFailures: an access whose open or close fails stops
+// the run with the driver's own message, the mount's error in it. Only
+// client 1's mount fails, so the set-up on client 0 completes.
+func TestSmallFilesReportsFailures(t *testing.T) {
+	for _, verb := range []string{"open", "close"} {
+		t.Run(verb, func(t *testing.T) {
+			c := cluster.New(cluster.Options{Clients: 2})
+			mounts := c.FSes()
+			mounts[1] = failingFS{mounts[1], verb}
+			defer func() {
+				msg, _ := recover().(string)
+				if want := "workload: small " + verb + ": " + verb + " refused"; msg != want {
+					t.Errorf("panic %q, want %q", msg, want)
+				}
+			}()
+			SmallFiles(c.Env, mounts, SmallFilesOptions{
+				Dir: "/sf", Files: 4, FileSize: 512, Accesses: 8, Reopen: true, Seed: 1,
+			})
+		})
 	}
 }

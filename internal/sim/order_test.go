@@ -22,6 +22,12 @@ import (
 // far), the exact instant of an event already pending in either heap, and
 // the next tick boundary (the observer runs every nearHorizon) — so the
 // three parts tie with one another, and with a tick, in every combination.
+// Four more choices aim at a queue that files near events by delay in a
+// table of laneSlots slots keyed by laneSlot: reuse a recent near delay;
+// a new delay in the slot, or the slot after it, of one still pending; a
+// burst of distinct delays, one per slot and then some, so every slot is
+// taken at once; and a new delay in the slot of one whose events have all
+// run.
 
 const tickID = -1
 
@@ -35,6 +41,7 @@ const (
 
 type scheduled struct {
 	at    Time
+	d     Duration
 	id    int
 	class delayClass
 }
@@ -58,6 +65,39 @@ type orderScript struct {
 	sched   []scheduled  // every kernel schedule, in call order
 	log     []dispatched // everything that ran, in run order
 	pending [3][]Time    // instants scheduled so far, by class, for ties
+
+	// The near delays in play: how many events of each are pending, the
+	// last few scheduled, and the last few whose events have all run.
+	nearPending map[Duration]int
+	recentNear  []Duration
+	drainedNear []Duration
+}
+
+// laneSlots and laneSlot are the per-delay table the near choices aim at:
+// a multiplicative (Fibonacci) hash of the delay onto 64 slots.
+const laneSlots = 64
+
+func laneSlot(d Duration) int { return int(uint64(d) * 0x9E3779B97F4A7C15 >> 58) }
+
+// delayInSlot returns the first near delay from from upward, wrapping
+// below nearHorizon, that is not not and hashes to slot (mod laneSlots).
+func delayInSlot(slot int, from, not Duration) Duration {
+	for d := from; ; d++ {
+		if d <= 0 || d >= nearHorizon {
+			d = 1
+		}
+		if d != not && laneSlot(d) == slot%laneSlots {
+			return d
+		}
+	}
+}
+
+// lastFew appends d to list, keeping the eight most recent.
+func lastFew(list []Duration, d Duration) []Duration {
+	if len(list) == 8 {
+		list = list[1:]
+	}
+	return append(list, d)
 }
 
 func (s *orderScript) choice(n int) int {
@@ -70,7 +110,7 @@ func (s *orderScript) choice(n int) int {
 }
 
 func (s *orderScript) delay() Duration {
-	switch s.choice(10) {
+	switch s.choice(14) {
 	case 0:
 		return 0
 	case 1:
@@ -89,9 +129,39 @@ func (s *orderScript) delay() Duration {
 		return s.tieWith(classNear)
 	case 8:
 		return s.tieWith(classFar)
-	default: // to the next tick boundary: near, or far from a boundary itself
+	case 9: // to the next tick boundary: near, or far from a boundary itself
 		return nearHorizon - Duration(int64(s.env.now)%int64(nearHorizon))
+	case 10: // a recent near delay, whose events may still be pending
+		return s.pick(s.recentNear)
+	case 11: // a new delay in a pending delay's slot, or the one after it
+		d := s.pick(s.recentNear)
+		for _, r := range s.recentNear {
+			if s.nearPending[r] > 0 {
+				d = r
+				break
+			}
+		}
+		return delayInSlot(laneSlot(d)+s.choice(2), d+1, d)
+	case 12: // a new delay in the slot of one whose events have all run
+		d := s.pick(s.drainedNear)
+		return delayInSlot(laneSlot(d), d+1, d)
+	default: // every slot taken at once: one delay per slot, then a few more
+		from := Duration(1+s.choice(256)) * 100 * time.Nanosecond
+		for slot := 0; slot < laneSlots+8; slot++ {
+			d := delayInSlot(slot, from+Duration(slot/laneSlots)*nearHorizon/2, 0)
+			id := s.expect(d)
+			s.env.Defer(d, func() { s.mark(id) })
+		}
+		return delayInSlot(s.choice(laneSlots), from, 0)
 	}
+}
+
+// pick returns one of list's delays, or one nanosecond when it is empty.
+func (s *orderScript) pick(list []Duration) Duration {
+	if len(list) == 0 {
+		return 1
+	}
+	return list[s.choice(len(list))]
 }
 
 // tieWith returns the delay to the instant of an event scheduled through
@@ -122,15 +192,29 @@ func (s *orderScript) expect(d Duration) int {
 	}
 	id := len(s.sched)
 	at := s.env.now.Add(d)
-	s.sched = append(s.sched, scheduled{at: at, id: id, class: class})
+	s.sched = append(s.sched, scheduled{at: at, d: d, id: id, class: class})
 	s.pending[class] = append(s.pending[class], at)
+	if class == classNear {
+		s.nearPending[d]++
+		s.recentNear = lastFew(s.recentNear, d)
+	}
 	return id
 }
 
 // fire is the body of every scripted event.
 func (s *orderScript) fire(id int) {
-	s.log = append(s.log, dispatched{now: s.env.now, id: id})
+	s.mark(id)
 	s.act()
+}
+
+// mark logs that event id ran, and nothing more.
+func (s *orderScript) mark(id int) {
+	s.log = append(s.log, dispatched{now: s.env.now, id: id})
+	if ev := s.sched[id]; ev.class == classNear {
+		if s.nearPending[ev.d]--; s.nearPending[ev.d] == 0 {
+			s.drainedNear = lastFew(s.drainedNear, ev.d)
+		}
+	}
 }
 
 func (s *orderScript) act() {
@@ -207,7 +291,7 @@ func (s *orderScript) release() {
 // how many tick boundaries coincided with a due, a near and a far event at
 // once, so a caller can tell the hardest tie was reached.
 func runOrderScript(t testing.TB, data []byte) (tripleTies int) {
-	s := &orderScript{env: NewEnv()}
+	s := &orderScript{env: NewEnv(), nearPending: map[Duration]int{}}
 	s.ctx = s.env.ContextTask("script")
 	s.res = NewResource(s.env, 1)
 	s.env.SetTick(nearHorizon, func(at Time) { s.log = append(s.log, dispatched{now: at, id: tickID}) })

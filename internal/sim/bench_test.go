@@ -50,10 +50,11 @@ func BenchmarkSpawn(b *testing.B) {
 // re-arming when it is spent: a run dispatches one start per chain plus
 // exactly the budget.
 type benchChain struct {
-	t      *Task
-	period Duration
-	left   *int
-	fn     func()
+	t       *Task
+	periods []Duration // slept in turn, one per step
+	turn    int
+	left    *int
+	fn      func()
 }
 
 func (c *benchChain) step() {
@@ -61,15 +62,21 @@ func (c *benchChain) step() {
 		return
 	}
 	*c.left--
-	c.t.Sleep(c.period, c.fn)
+	d := c.periods[c.turn]
+	c.turn = (c.turn + 1) % len(c.periods)
+	c.t.Sleep(d, c.fn)
+}
+
+func startChain(env *Env, periods []Duration, left *int) {
+	c := &benchChain{t: env.ContextTask("chain"), periods: periods, left: left}
+	c.fn = c.step
+	c.t.Start(c.fn)
 }
 
 // startChains arms n chains, chain i sleeping base+i·stride per step.
 func startChains(env *Env, n int, base, stride Duration, left *int) {
 	for i := 0; i < n; i++ {
-		c := &benchChain{t: env.ContextTask("chain"), period: base + Duration(i)*stride, left: left}
-		c.fn = c.step
-		c.t.Start(c.fn)
+		startChain(env, []Duration{base + Duration(i)*stride}, left)
 	}
 }
 
@@ -86,14 +93,32 @@ func BenchmarkTaskDispatch(b *testing.B) {
 	env.Run()
 }
 
-// BenchmarkDispatchShallow is the closed-loop regime (stat_hit: tens of
-// pending events, all a few microseconds out): 64 chains with distinct
-// periods, so the queue's order keeps changing.
+// BenchmarkDispatchShallow is a closed loop of tens of pending events, all
+// a few microseconds out, with every delay distinct: 64 chains with
+// distinct periods, so the queue's order keeps changing and no two events
+// share a lane.
 func BenchmarkDispatchShallow(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()
 	left := b.N
 	startChains(env, 64, time.Microsecond, 1, &left)
+	b.ResetTimer()
+	env.Run()
+}
+
+// BenchmarkDispatchLanes is the closed-loop regime stat_hit measures: 64
+// chains, each cycling through the eight distinct delays of a stat's near
+// events (a FUSE crossing, wire and service times of one IPoIB round trip
+// to an MCD), starting at staggered points of the cycle.
+func BenchmarkDispatchLanes(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	left := b.N
+	stat := []Duration{28, 354, 628, 6000, 10124, 10220, 22000, 25000}
+	for i := 0; i < 64; i++ {
+		periods := append(append([]Duration(nil), stat[i%len(stat):]...), stat[:i%len(stat)]...)
+		startChain(env, periods, &left)
+	}
 	b.ResetTimer()
 	env.Run()
 }

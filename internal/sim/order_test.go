@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -22,12 +23,12 @@ import (
 // far), the exact instant of an event already pending in either heap, and
 // the next tick boundary (the observer runs every nearHorizon) — so the
 // three parts tie with one another, and with a tick, in every combination.
-// Four more choices aim at a queue that files near events by delay in a
-// table of laneSlots slots keyed by laneSlot: reuse a recent near delay;
-// a new delay in the slot, or the slot after it, of one still pending; a
-// burst of distinct delays, one per slot and then some, so every slot is
-// taken at once; and a new delay in the slot of one whose events have all
-// run.
+// Four more choices aim at near's delay lanes: reuse a recent near delay
+// (a lane append); a new delay in the slot, or the slot after it, of one
+// still pending (second choice, then near on its own); a burst of distinct
+// delays, one per slot and then some, so every lane is busy at once; and a
+// new delay in the slot of one whose events have all run (a drained lane
+// re-keyed). Each of those paths is counted as the kernel takes it.
 
 const tickID = -1
 
@@ -71,22 +72,65 @@ type orderScript struct {
 	nearPending map[Duration]int
 	recentNear  []Duration
 	drainedNear []Duration
+
+	cover   coverage
+	keyedTo [nLanes]Duration // the delay each lane was last opened for
 }
 
-// laneSlots and laneSlot are the per-delay table the near choices aim at:
-// a multiplicative (Fibonacci) hash of the delay onto 64 slots.
-const laneSlots = 64
+// coverage counts the hardest cases a script reached: tick boundaries
+// where a due, a near and a far event tie, and each path a near schedule
+// can take through the lane table.
+type coverage struct {
+	tripleTies int
+	appends    int // joined a busy lane of its delay
+	second     int // filed in the slot after its own
+	alone      int // both slots busy with other delays: near on its own
+	rekeys     int // opened a drained lane last opened for another delay
+	full       int // scheduled while every lane was busy
+}
 
-func laneSlot(d Duration) int { return int(uint64(d) * 0x9E3779B97F4A7C15 >> 58) }
+func (c *coverage) add(o coverage) {
+	c.tripleTies += o.tripleTies
+	c.appends += o.appends
+	c.second += o.second
+	c.alone += o.alone
+	c.rekeys += o.rekeys
+	c.full += o.full
+}
+
+// countLanePath records which path the schedule of a near delay d about to
+// be made takes through the lane table.
+func (s *orderScript) countLanePath(d Duration) {
+	e, c := s.env, &s.cover
+	if !slices.Contains(e.laneDelay[:], 0) {
+		c.full++
+	}
+	i := e.laneOf(d)
+	switch {
+	case i < 0:
+		c.alone++
+		return
+	case e.laneDelay[i] == d:
+		c.appends++
+	default:
+		if s.keyedTo[i] != 0 && s.keyedTo[i] != d {
+			c.rekeys++
+		}
+		s.keyedTo[i] = d
+	}
+	if i != laneSlot(d) {
+		c.second++
+	}
+}
 
 // delayInSlot returns the first near delay from from upward, wrapping
-// below nearHorizon, that is not not and hashes to slot (mod laneSlots).
+// below nearHorizon, that is not not and hashes to slot (mod nLanes).
 func delayInSlot(slot int, from, not Duration) Duration {
 	for d := from; ; d++ {
 		if d <= 0 || d >= nearHorizon {
 			d = 1
 		}
-		if d != not && laneSlot(d) == slot%laneSlots {
+		if d != not && laneSlot(d) == slot%nLanes {
 			return d
 		}
 	}
@@ -147,12 +191,12 @@ func (s *orderScript) delay() Duration {
 		return delayInSlot(laneSlot(d), d+1, d)
 	default: // every slot taken at once: one delay per slot, then a few more
 		from := Duration(1+s.choice(256)) * 100 * time.Nanosecond
-		for slot := 0; slot < laneSlots+8; slot++ {
-			d := delayInSlot(slot, from+Duration(slot/laneSlots)*nearHorizon/2, 0)
+		for slot := 0; slot < nLanes+8; slot++ {
+			d := delayInSlot(slot, from+Duration(slot/nLanes)*nearHorizon/2, 0)
 			id := s.expect(d)
 			s.env.Defer(d, func() { s.mark(id) })
 		}
-		return delayInSlot(s.choice(laneSlots), from, 0)
+		return delayInSlot(s.choice(nLanes), from, 0)
 	}
 }
 
@@ -195,6 +239,7 @@ func (s *orderScript) expect(d Duration) int {
 	s.sched = append(s.sched, scheduled{at: at, d: d, id: id, class: class})
 	s.pending[class] = append(s.pending[class], at)
 	if class == classNear {
+		s.countLanePath(d)
 		s.nearPending[d]++
 		s.recentNear = lastFew(s.recentNear, d)
 	}
@@ -288,9 +333,9 @@ func (s *orderScript) release() {
 // runOrderScript plays data as two successive Runs of one environment —
 // each half scheduling first from outside Run, then from inside running
 // events — and checks the whole dispatch log against the model. It returns
-// how many tick boundaries coincided with a due, a near and a far event at
-// once, so a caller can tell the hardest tie was reached.
-func runOrderScript(t testing.TB, data []byte) (tripleTies int) {
+// what the script covered, so a caller can tell the hardest cases were
+// reached.
+func runOrderScript(t testing.TB, data []byte) coverage {
 	s := &orderScript{env: NewEnv(), nearPending: map[Duration]int{}}
 	s.ctx = s.env.ContextTask("script")
 	s.res = NewResource(s.env, 1)
@@ -348,10 +393,10 @@ func runOrderScript(t testing.TB, data []byte) (tripleTies int) {
 	}
 	for _, classes := range classesAt {
 		if classes == 1<<classDue|1<<classNear|1<<classFar {
-			tripleTies++
+			s.cover.tripleTies++
 		}
 	}
-	return tripleTies
+	return s.cover
 }
 
 // orderScriptBytes is the property test's script for one seed.
@@ -363,12 +408,25 @@ func orderScriptBytes(seed int64) []byte {
 }
 
 func TestScheduleOrderMatchesReference(t *testing.T) {
-	tripleTies := 0
+	var c coverage
 	for seed := int64(1); seed <= 1000; seed++ {
-		tripleTies += runOrderScript(t, orderScriptBytes(seed))
+		c.add(runOrderScript(t, orderScriptBytes(seed)))
 	}
-	if tripleTies == 0 {
-		t.Error("no script put a due, a near and a far event on one tick boundary: the hardest tie went unchecked")
+	t.Logf("coverage over 1,000 scripts: %+v", c)
+	for _, miss := range []struct {
+		n    int
+		what string
+	}{
+		{c.tripleTies, "put a due, a near and a far event on one tick boundary"},
+		{c.appends, "appended to a busy lane"},
+		{c.second, "filed a delay in the slot after its own"},
+		{c.alone, "left a near event out of the lanes, both its slots busy"},
+		{c.rekeys, "re-keyed a drained lane to another delay"},
+		{c.full, "scheduled with every lane busy"},
+	} {
+		if miss.n == 0 {
+			t.Errorf("no script %s: that case went unchecked", miss.what)
+		}
 	}
 }
 

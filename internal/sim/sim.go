@@ -83,20 +83,28 @@
 //     drains before the clock moves, so nothing in it is ever late. Hence
 //     next() takes the heaps' top while it is at now, then due front to
 //     back, then the heaps' top at a later instant.
-//   - near and far, two 4-ary min-heaps of {at, seq, fn} values ordered by
-//     (at, seq), chosen when an event is scheduled by its delay against
-//     one constant, nearHorizon. The microsecond steps of the operations
-//     in flight then sift through a heap of their own size instead of
-//     through every think-time and arrival timer in the simulation.
-//     next() compares the two tops, so the constant decides where an event
-//     waits and cannot change when it runs.
+//   - near, delay lanes behind a heap of their heads, for delays below one
+//     constant, nearHorizon: the microsecond steps of the operations in
+//     flight. A lane is a FIFO of the pending events of one delay, found
+//     by a hash of the delay in a table of nLanes. Its first event waits
+//     in the heap as its head; later ones append to the lane, and
+//     dispatching a head puts the lane's next event in its place with one
+//     sift-down. Events of one delay scheduled at a clock that never goes
+//     back are already in (at, seq) order, so a lane needs no sorting, and
+//     the heap orders a stat's eight delays, not its thirteen steps times
+//     the operations in flight. A delay whose two slots hold other delays'
+//     busy lanes waits in the heap on its own.
+//   - far, a heap of everything later: think times and arrival timers,
+//     which the steps of near then never sift through.
 //
-// Scheduling allocates nothing: heap events live by value in a backing
-// array whose vacated slots are recycled in place, and due is reused from
-// its start every time it empties. A heap's pop picks the smallest of four
-// children without a data-dependent branch (lessMask) — at the sixty-odd
-// events a closed-loop run keeps pending, mispredicted child selection,
-// not depth, was the cost of a pop.
+// next() compares the two heaps' tops. nearHorizon and the lane table
+// decide only where an event waits, never when it runs. Both heaps are
+// 4-ary min-heaps of {at, seq, fn} values ordered by (at, seq), whose pop
+// picks the smallest of four children without a data-dependent branch
+// (lessMask). Scheduling allocates nothing: heap events live by value in a
+// backing array whose vacated slots are recycled in place, a lane's ring
+// grows to the most events ever waiting in it, and due is reused from its
+// start every time it empties.
 package sim
 
 import (
@@ -130,10 +138,17 @@ func (t Time) String() string { return Duration(t).String() }
 // instant. Events are stored by value in a heap's backing array, so
 // scheduling one allocates nothing.
 type event struct {
-	at  Time
+	at Time
+	// seq is the schedule's sequence number shifted left by laneBits; an
+	// event heading a lane in near carries 1 + the lane's index in the bits
+	// below. Sequence numbers are unique, so the tag never decides an
+	// order, and 2^57 schedules (centuries at the kernel's rate) fit.
 	seq uint64
 	fn  func()
 }
+
+// laneBits is the width of a lane tag in event.seq.
+const laneBits = 7
 
 // eventHeap is a 4-ary min-heap of events ordered by (at, seq). A wide
 // shallow heap does fewer, cache-friendlier levels than a binary one for
@@ -182,21 +197,25 @@ func (h *eventHeap) push(ev event) {
 	*h = a
 }
 
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the backing array (the kernel's event free list) does not pin
-// dead closure references.
-func (h *eventHeap) pop() event {
+// pop removes the minimum event. The vacated tail slot is zeroed so the
+// backing array (the kernel's event free list) does not pin dead closure
+// references.
+func (h *eventHeap) pop() {
 	a := *h
-	top := a[0]
 	n := len(a) - 1
 	last := a[n]
 	a[n] = event{}
-	a = a[:n]
-	*h = a
-	if n == 0 {
-		return top
+	*h = a[:n]
+	if n > 0 {
+		h.replaceTop(last)
 	}
-	// Sift last down from the root.
+}
+
+// replaceTop puts last in the minimum's place, restoring the heap property
+// by sifting it down from the root.
+func (h *eventHeap) replaceTop(last event) {
+	a := *h
+	n := len(a)
 	i := 0
 	for {
 		first := 4*i + 1
@@ -223,7 +242,42 @@ func (h *eventHeap) pop() event {
 		i = best
 	}
 	a[i] = last
-	return top
+}
+
+// lane is a FIFO of the near events of one delay behind its head, which
+// waits in near (see the package comment). ring is a power-of-two ring
+// holding n events from head; it grows to the most ever waiting behind one
+// head and is never shrunk.
+type lane struct {
+	ring    []event
+	head, n int
+}
+
+// nLanes is the size of the lane table: a delay is filed in the lane of its
+// hash slot or the next one, whichever is idle or already holds it.
+const nLanes = 64
+
+// laneSlot is the table slot of delay d: a multiplicative (Fibonacci) hash.
+func laneSlot(d Duration) int { return int(uint64(d) * 0x9E3779B97F4A7C15 >> 58) }
+
+func (l *lane) push(ev event) {
+	if l.n == len(l.ring) {
+		grown := make([]event, max(4, 2*l.n))
+		for i := range l.n {
+			grown[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+		}
+		l.ring, l.head = grown, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = ev
+	l.n++
+}
+
+func (l *lane) pop() event {
+	ev := l.ring[l.head]
+	l.ring[l.head] = event{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return ev
 }
 
 // Env is a simulation environment: a virtual clock plus the set of
@@ -266,6 +320,11 @@ type Env struct {
 	tickInterval Duration
 	tickNext     Time
 	tickFn       func(at Time)
+
+	// The near events behind a lane head, by delay: laneDelay[i] is the
+	// delay lanes[i] holds while its head is in near, 0 while it is idle.
+	laneDelay [nLanes]Duration
+	lanes     [nLanes]lane
 }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -294,16 +353,26 @@ func (e *Env) schedule(d Duration, fn func()) {
 		panic(fmt.Sprintf("sim: delay %d ns at %v is negative or overflows virtual time", int64(d), e.now))
 	}
 	e.seq++
+	ev := event{at: at, seq: e.seq << laneBits, fn: fn}
 	switch {
 	case d == 0:
 		// Amortised growth: due empties before the clock moves, so its
 		// backing array grows only to the most events ever scheduled within
 		// one instant.
 		e.due = append(e.due, fn)
-	case d < nearHorizon:
-		e.near.push(event{at: at, seq: e.seq, fn: fn})
+	case d >= nearHorizon:
+		e.far.push(ev)
 	default:
-		e.far.push(event{at: at, seq: e.seq, fn: fn})
+		i := e.laneOf(d)
+		if i >= 0 && e.laneDelay[i] == d {
+			e.lanes[i].push(ev)
+			break
+		}
+		if i >= 0 {
+			e.laneDelay[i] = d
+			ev.seq |= uint64(i + 1)
+		}
+		e.near.push(ev)
 	}
 }
 
@@ -329,9 +398,41 @@ func (e *Env) next() func() {
 	if len(*h) == 0 {
 		return nil
 	}
-	ev := h.pop()
+	a := *h
+	ev := a[0]
+	tag := ev.seq & (1<<laneBits - 1)
+	var last event
+	if l := &e.lanes[(tag-1)%nLanes]; tag != 0 && l.n > 0 {
+		// The lane's next event takes its head's place.
+		last = l.pop()
+		last.seq |= tag
+	} else {
+		if tag != 0 {
+			e.laneDelay[(tag-1)%nLanes] = 0 // drained: idle until a delay claims it
+		}
+		n := len(a) - 1
+		last, a[n] = a[n], event{}
+		*h = a[:n]
+	}
+	if len(*h) > 0 {
+		h.replaceTop(last)
+	}
 	e.now = ev.at
 	return ev.fn
+}
+
+// laneOf returns the index of the lane an event of delay d joins — the one
+// at d's slot or the next that is idle or busy with d — or -1 when both are
+// busy with other delays and the event waits in near on its own.
+func (e *Env) laneOf(d Duration) int {
+	i := laneSlot(d)
+	if k := e.laneDelay[i]; k != d && k != 0 {
+		i = (i + 1) % nLanes
+		if k := e.laneDelay[i]; k != d && k != 0 {
+			return -1
+		}
+	}
+	return i
 }
 
 // Defer schedules fn to run in scheduler context at the current time plus

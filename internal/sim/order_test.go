@@ -177,14 +177,8 @@ func (s *orderScript) delay() Duration {
 		return nearHorizon - Duration(int64(s.env.now)%int64(nearHorizon))
 	case 10: // a recent near delay, whose events may still be pending
 		return s.pick(s.recentNear)
-	case 11: // a new delay in a pending delay's slot, or the one after it
+	case 11: // a new delay in a recent one's slot, or the one after it
 		d := s.pick(s.recentNear)
-		for _, r := range s.recentNear {
-			if s.nearPending[r] > 0 {
-				d = r
-				break
-			}
-		}
 		return delayInSlot(laneSlot(d)+s.choice(2), d+1, d)
 	case 12: // a new delay in the slot of one whose events have all run
 		d := s.pick(s.drainedNear)

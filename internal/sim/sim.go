@@ -170,9 +170,9 @@ func before(a, b *event) bool {
 // otherwise. It compares (at, seq) as one 128-bit unsigned number — the
 // borrow out of seq's subtraction carried into at's — which agrees with
 // before because no event's time is negative (schedule refuses an instant
-// before now, and the clock starts at zero). pop selects the smallest of
-// four children with it, where a compare-and-branch on what is in effect
-// random data mispredicts every other time.
+// before now, and the clock starts at zero). The sift-down selects the
+// smallest of four children with it, where a compare-and-branch on what is
+// in effect random data mispredicts every other time.
 func lessMask(a, b *event) int {
 	_, borrow := bits.Sub64(a.seq, b.seq, 0)
 	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
@@ -195,20 +195,6 @@ func (h *eventHeap) push(ev event) {
 	}
 	a[i] = ev
 	*h = a
-}
-
-// pop removes the minimum event. The vacated tail slot is zeroed so the
-// backing array (the kernel's event free list) does not pin dead closure
-// references.
-func (h *eventHeap) pop() {
-	a := *h
-	n := len(a) - 1
-	last := a[n]
-	a[n] = event{}
-	*h = a[:n]
-	if n > 0 {
-		h.replaceTop(last)
-	}
 }
 
 // replaceTop puts last in the minimum's place, restoring the heap property
@@ -410,6 +396,9 @@ func (e *Env) next() func() {
 		if tag != 0 {
 			e.laneDelay[(tag-1)%nLanes] = 0 // drained: idle until a delay claims it
 		}
+		// The heap's last event takes it. Its vacated slot is zeroed so the
+		// backing array (the kernel's event free list) does not pin dead
+		// closure references.
 		n := len(a) - 1
 		last, a[n] = a[n], event{}
 		*h = a[:n]

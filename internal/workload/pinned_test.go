@@ -11,6 +11,7 @@ import (
 	"imca/internal/fabric"
 	"imca/internal/gluster"
 	"imca/internal/lustre"
+	"imca/internal/nfssim"
 	"imca/internal/optrace"
 	"imca/internal/sim"
 )
@@ -47,6 +48,19 @@ func pinLustre() pinDeployment {
 		for _, lc := range lcs {
 			lc.DropCaches()
 		}
+	}
+	return d
+}
+
+// pinNFS is a two-client NFS deployment over IPoIB: blocking-only clients
+// with no cache of their own, one server with 64 MB of page cache.
+func pinNFS() pinDeployment {
+	env := sim.NewEnv()
+	net := fabric.NewNetwork(env, fabric.IPoIB)
+	srv := nfssim.NewServer(env, net.NewNode("nfs", 8), nfssim.DefaultConfig(64<<20))
+	d := pinDeployment{env: env, drop: func() {}}
+	for i := 0; i < 2; i++ {
+		d.mounts = append(d.mounts, nfssim.NewClient(net.NewNode(fmt.Sprintf("c%d", i), 8), srv))
 	}
 	return d
 }
@@ -92,7 +106,7 @@ func renderLatency(res LatencyResult) string {
 }
 
 // TestDriversPinned pins what each closed-loop driver measures, on a
-// continuation-style deployment and on a blocking-only one: every result
+// continuation-style deployment and on two blocking-only ones: every result
 // field and the number of kernel events the run dispatched. How a driver's
 // client bodies are written is free; the events they cause are not.
 func TestDriversPinned(t *testing.T) {
@@ -143,6 +157,7 @@ func TestDriversPinned(t *testing.T) {
 	}{
 		{"imca4", pinIMCa},
 		{"lustre2", pinLustre},
+		{"nfs2", pinNFS},
 	}
 	for _, dr := range drivers {
 		for _, dep := range deployments {
@@ -157,22 +172,31 @@ func TestDriversPinned(t *testing.T) {
 }
 
 // pinnedResults holds what TestDriversPinned's runs produced when the
-// drivers' client bodies were continuation closures started by startClient.
+// drivers' client bodies were continuation closures started by startClient;
+// the nfs2 rows were recorded with the drivers as straight-line processes.
 var pinnedResults = map[string]string{
 	"latency/imca4":             "w256=971365 r256=134895 w4096=1177880 r4096=151618  ops=0/cbf29ce484222325 events=9122",
 	"latency/lustre2":           "w256=1343994 r256=11081 w4096=923037 r4096=133071  ops=0/cbf29ce484222325 events=3202",
+	"latency/nfs2":              "w256=601735 r256=98072 w4096=686557 r4096=128037  ops=0/cbf29ce484222325 events=1835",
 	"latency-shared/imca4":      "w256=970683 r256=134880 w4096=1176717 r4096=151063  ops=0/cbf29ce484222325 events=4508",
 	"latency-shared/lustre2":    "w256=1340268 r256=14201 w4096=922626 r4096=133064  ops=0/cbf29ce484222325 events=1856",
+	"latency-shared/nfs2":       "w256=601691 r256=98064 w4096=686170 r4096=128029  ops=0/cbf29ce484222325 events=1349",
 	"latency-trace/imca4":       "w256=971365 r256=134895 w4096=1177880 r4096=151618  W256[n=64 sum=62167376 fuse=1616384 net=17228640 mcdsrv=841776 server=10246528 posix=32234048] W4096[n=64 sum=75384352 fuse=1862144 net=26147680 mcdsrv=1284800 server=10344832 posix=35744896] R256[n=64 sum=8633312 fuse=1616384 net=6527288 mcdsrv=489640] R4096[n=64 sum=9703610 fuse=1862144 net=7140722 mcdsrv=700744] ops=256/747116f684a3ce86 events=9122",
 	"latency-trace/lustre2":     "w256=1343994 r256=11081 w4096=923037 r4096=133071  W256[n=32 sum=43007809 op=67264 net=10590642 posix=32349903] W4096[n=32 sum=29537204 op=116416 net=11548340 posix=17872448] R256[n=32 sum=354610 op=67264 net=287346] R4096[n=32 sum=4258298 op=116416 net=4141882] ops=128/96f3ca6e86a2382 events=3202",
+	"latency-trace/nfs2":        "w256=601735 r256=98072 w4096=686557 r4096=128037  W256[n=32 sum=19255545 net=3138521 posix=16117024] W4096[n=32 sum=21969844 net=4097396 posix=17872448] R256[n=32 sum=3138331 net=3138331] R4096[n=32 sum=4097206 net=4097206] ops=128/e03fbb44af0af5a8 events=1835",
 	"latency-cold/imca4":        "w256=971365 r256=134895 w4096=1177880 r4096=151739  ops=0/cbf29ce484222325 hooks=[256 4096] events=9132",
 	"latency-cold/lustre2":      "w256=1343994 r256=18075 w4096=923037 r4096=148669  ops=0/cbf29ce484222325 hooks=[256 4096] events=3285",
+	"latency-cold/nfs2":         "w256=601735 r256=98072 w4096=686557 r4096=128037  ops=0/cbf29ce484222325 hooks=[256 4096] events=1837",
 	"throughput-reread/imca4":   "{WriteBps:3.728497942305437e+07 ReadBps:3.9218987196779674e+08 ReReadBps:3.9218987196779674e+08} events=33397",
 	"throughput-reread/lustre2": "{WriteBps:3.964434960568357e+07 ReadBps:2.0116741546616858e+08 ReReadBps:4.645636917842206e+09} events=1852",
+	"throughput-reread/nfs2":    "{WriteBps:5.164686644206711e+07 ReadBps:2.1370104504159328e+08 ReReadBps:2.1370104504159328e+08} events=1335",
 	"mdtest/imca4":              "{CreatePerSec:2332.914137824193 StatPerSec:33813.993974240606 UnlinkPerSec:9026.599696819083} events=4239",
 	"mdtest/lustre2":            "{CreatePerSec:17850.44893879081 StatPerSec:17856.823985285977 UnlinkPerSec:17992.87257335188} events=873",
+	"mdtest/nfs2":               "{CreatePerSec:1721.2796423180903 StatPerSec:20618.131584915773 UnlinkPerSec:12351.301904416361} events=892",
 	"smallfiles-keep/imca4":     "AvgAccess=508062 events=8319",
 	"smallfiles-keep/lustre2":   "AvgAccess=118294 events=1731",
+	"smallfiles-keep/nfs2":      "AvgAccess=164172 events=1622",
 	"smallfiles-reopen/imca4":   "AvgAccess=1431794 events=17768",
 	"smallfiles-reopen/lustre2": "AvgAccess=188127 events=2250",
+	"smallfiles-reopen/nfs2":    "AvgAccess=224723 events=2150",
 }

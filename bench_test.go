@@ -22,11 +22,18 @@ import (
 // benchScale keeps each iteration fast; cmd/imcabench runs finer scales.
 const benchScale = 256
 
-func benchOpts() experiments.Options { return experiments.Options{Scale: benchScale} }
+// runFig runs the registry's figure name at benchScale.
+func runFig(b *testing.B, name string) *experiments.Result {
+	e, ok := experiments.Find(name)
+	if !ok {
+		b.Fatalf("no %s in the registry", name)
+	}
+	return e.Run(experiments.Options{Scale: benchScale})
+}
 
 func BenchmarkFig1NFSBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig1a(benchOpts())
+		res := runFig(b, "fig1a")
 		last := res.Table.LastRow()
 		b.ReportMetric(last["RDMA"], "RDMA-MB/s")
 		b.ReportMetric(last["GigE"], "GigE-MB/s")
@@ -35,7 +42,7 @@ func BenchmarkFig1NFSBandwidth(b *testing.B) {
 
 func BenchmarkFig5Stat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig5(benchOpts())
+		res := runFig(b, "fig5")
 		last := res.Table.LastRow()
 		b.ReportMetric(100*metrics.Reduction(last["NoCache"], last["MCD(1)"]), "%cut-1mcd")
 		b.ReportMetric(100*metrics.Reduction(last["Lustre-4DS"], last["MCD(6)"]), "%below-lustre")
@@ -44,7 +51,7 @@ func BenchmarkFig5Stat(b *testing.B) {
 
 func BenchmarkFig6aReadLatencySmall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig6a(benchOpts())
+		res := runFig(b, "fig6a")
 		b.ReportMetric(res.Table.Value(0, "NoCache"), "nocache-1B-µs")
 		b.ReportMetric(res.Table.Value(0, "IMCa-2K"), "imca2k-1B-µs")
 	}
@@ -52,7 +59,7 @@ func BenchmarkFig6aReadLatencySmall(b *testing.B) {
 
 func BenchmarkFig6bReadLatencyLarge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig6b(benchOpts())
+		res := runFig(b, "fig6b")
 		last := res.Table.Rows() - 1
 		b.ReportMetric(res.Table.Value(last, "NoCache"), "nocache-µs")
 		b.ReportMetric(res.Table.Value(last, "IMCa-256"), "imca256-µs")
@@ -61,7 +68,7 @@ func BenchmarkFig6bReadLatencyLarge(b *testing.B) {
 
 func BenchmarkFig6cWriteLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig6c(benchOpts())
+		res := runFig(b, "fig6c")
 		b.ReportMetric(res.Table.Value(3, "IMCa(inline)"), "inline-2K-µs")
 		b.ReportMetric(res.Table.Value(3, "IMCa(threaded)"), "threaded-2K-µs")
 	}
@@ -69,7 +76,7 @@ func BenchmarkFig6cWriteLatency(b *testing.B) {
 
 func BenchmarkFig7MultiClientLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig7a(benchOpts())
+		res := runFig(b, "fig7a")
 		b.ReportMetric(res.Table.Value(0, "NoCache"), "nocache-1B-µs")
 		b.ReportMetric(res.Table.Value(0, "IMCa(4MCD)"), "imca4-1B-µs")
 	}
@@ -77,7 +84,7 @@ func BenchmarkFig7MultiClientLatency(b *testing.B) {
 
 func BenchmarkFig8ClientSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig8b(benchOpts())
+		res := runFig(b, "fig8b")
 		last := res.Table.Rows() - 1
 		b.ReportMetric(res.Table.Value(last, "IMCa(1MCD)"), "imca-32c-µs")
 		b.ReportMetric(res.Table.Value(last, "NoCache"), "nocache-32c-µs")
@@ -86,7 +93,7 @@ func BenchmarkFig8ClientSweep(b *testing.B) {
 
 func BenchmarkFig9Throughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig9(benchOpts())
+		res := runFig(b, "fig9")
 		last := res.Table.LastRow()
 		b.ReportMetric(last["IMCa(4MCD)"], "imca4-MB/s")
 		b.ReportMetric(last["NoCache"], "nocache-MB/s")
@@ -95,7 +102,7 @@ func BenchmarkFig9Throughput(b *testing.B) {
 
 func BenchmarkFig10SharedFile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig10(benchOpts())
+		res := runFig(b, "fig10")
 		last := res.Table.Rows() - 1
 		b.ReportMetric(100*metrics.Reduction(
 			res.Table.Value(last, "NoCache"), res.Table.Value(last, "IMCa(1MCD)")), "%cut")

@@ -67,6 +67,7 @@ import (
 
 	"imca/internal/blob"
 	"imca/internal/cluster"
+	"imca/internal/core"
 	"imca/internal/fault"
 	"imca/internal/flight"
 	"imca/internal/gluster"
@@ -105,6 +106,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		flightN = fs.Int("flight", 1024, "flight-recorder capacity in records (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := core.CheckBlockSize(*block); err != nil {
+		fmt.Fprintln(stderr, "imcafsh: -block:", err)
+		fs.Usage()
 		return 2
 	}
 

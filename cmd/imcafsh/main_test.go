@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"imca/internal/cluster"
 	"imca/internal/gluster"
+	"imca/internal/memcache"
 	"imca/internal/optrace"
 	"imca/internal/sim"
 	"imca/internal/telemetry"
@@ -38,7 +40,8 @@ func TestGoldenSession(t *testing.T) {
 }
 
 // A session that ends without "quit" (end of input) exits 0 on a fresh
-// line, and an unknown flag is a usage error before any cluster is built.
+// line, and an unknown flag or a block size the bank cannot hold is a usage
+// error before any cluster is built.
 func TestEndOfInputAndBadFlag(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-mcds", "0"}, strings.NewReader("time\n"), &stdout, &stderr); code != 0 ||
@@ -49,6 +52,13 @@ func TestEndOfInputAndBadFlag(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, strings.NewReader(""), &stdout, &stderr); code != 2 || stdout.Len() != 0 ||
 		!strings.Contains(stderr.String(), "no-such-flag") {
 		t.Errorf("bad flag: exit %d, stdout %q, stderr %q; want 2 and the flag named", code, stdout.String(), stderr.String())
+	}
+	for _, block := range []string{"0", fmt.Sprint(memcache.MaxItemValueLen + 1)} {
+		stderr.Reset()
+		if code := run([]string{"-block", block}, strings.NewReader(""), &stdout, &stderr); code != 2 || stdout.Len() != 0 ||
+			!strings.Contains(stderr.String(), "-block") {
+			t.Errorf("-block %s: exit %d, stdout %q, stderr %q; want 2 and the flag named", block, code, stdout.String(), stderr.String())
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"imca/internal/cluster"
+	"imca/internal/core"
 	"imca/internal/gluster"
 	"imca/internal/iotrace"
 	"imca/internal/memcache"
@@ -112,6 +113,10 @@ func replay(args []string, w io.Writer) error {
 	threaded := fs.Bool("threaded", false, "threaded SMCache updates")
 	fs.Parse(args)
 	if *in == "" {
+		usage()
+	}
+	if err := core.CheckBlockSize(*block); err != nil {
+		fmt.Fprintln(os.Stderr, "imcatrace: -block:", err)
 		usage()
 	}
 

@@ -168,8 +168,7 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 			name = fmt.Sprintf("gfs-brick%d", b)
 		}
 		srvNode := net.NewNode(name, 8)
-		// The paper's server: a RAID-0 array of 8 HighPoint disks.
-		arr := disk.NewArray(env, 8, 1<<20, disk.HighPoint2008)
+		arr := disk.NewHighPoint(env, disk.HighPointDisks)
 		px := gluster.NewPosix(env, gluster.PosixConfig{Dev: arr, CacheBytes: opts.ServerCacheBytes})
 		brick := &Brick{Node: srvNode, Array: arr, Posix: px}
 		var serverChild gluster.FS = px
@@ -178,7 +177,7 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 			brick.SMCache.ShareStatKeys(interner)
 			serverChild = brick.SMCache
 		}
-		brick.Server = gluster.NewServer(srvNode, serverChild, gluster.DefaultServerConfig)
+		brick.Server = gluster.NewServer(srvNode, serverChild)
 		c.Bricks = append(c.Bricks, brick)
 	}
 	c.Posix = c.Bricks[0].Posix
@@ -205,7 +204,7 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 			cm.ShareStatKeys(interner)
 			stack = cm
 		}
-		stack = gluster.NewFuse(node, stack, gluster.DefaultFuseConfig)
+		stack = gluster.NewFuse(node, stack)
 		c.Mounts = append(c.Mounts, Mount{FS: stack, Node: node, CMCache: cm, Distribute: dht})
 	}
 	return c

@@ -280,9 +280,9 @@ func newPopulateRig(t *testing.T, cfg Config) *rig {
 	srvNode, cliNode := net.NewNode("server", 8), net.NewNode("client0", 8)
 	mcds := []*memcache.SimServer{memcache.NewSimServer(net.NewNode("mcd0", 8), 6<<30)}
 	px := gluster.NewPosix(env, gluster.PosixConfig{Dev: disk.NewArray(env, 8, 64<<10, disk.HighPoint2008), CacheBytes: 6 << 30})
-	gluster.NewServer(srvNode, px, gluster.DefaultServerConfig)
+	gluster.NewServer(srvNode, px)
 	cm := NewCMCache(gluster.NewClient(cliNode, srvNode), memcache.NewSimClient(cliNode, mcds), cfg)
-	return &rig{env: env, net: net, posix: px, cmcache: cm, client: gluster.NewFuse(cliNode, cm, gluster.DefaultFuseConfig), mcds: mcds}
+	return &rig{env: env, net: net, posix: px, cmcache: cm, client: gluster.NewFuse(cliNode, cm), mcds: mcds}
 }
 
 // TestWriteTAllocations: a steady-state tracked write issued at Fuse.WriteT —

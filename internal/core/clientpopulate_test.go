@@ -28,7 +28,7 @@ func newLustreIMCaRig(t *testing.T, clients, mcds int) *lustreIMCaRig {
 	t.Helper()
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
-	lus := lustre.New(env, net, "lus", lustre.DefaultConfig(1))
+	lus := lustre.New(env, net, "lus", lustre.Config{OSTs: 1, OSTCacheBytes: 6 << 30, ClientCacheBytes: 2 << 30})
 	r := &lustreIMCaRig{env: env, lus: lus}
 	for i := 0; i < mcds; i++ {
 		r.mcds = append(r.mcds, memcache.NewSimServer(net.NewNode(fmt.Sprintf("mcd%d", i), 8), 256<<20))

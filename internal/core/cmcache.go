@@ -63,15 +63,16 @@ type CMCache struct {
 var _ gluster.TaskFS = (*CMCache)(nil)
 
 // NewCMCache wraps child with the client translator using the given MCD
-// bank client.
+// bank client. It panics on a block size CheckBlockSize refuses.
 func NewCMCache(child gluster.FS, mcd *memcache.SimClient, cfg Config) *CMCache {
+	cfg.mustCheck()
 	c := &CMCache{
 		child:   gluster.Lift(child),
 		mcd:     mcd,
 		cfg:     cfg,
 		fdPaths: make(map[gluster.FD]string),
 	}
-	c.pushes = pushPool{mcd: mcd, bs: cfg.blockSize(), statKey: c.statKey}
+	c.pushes = pushPool{mcd: mcd, bs: cfg.BlockSize, statKey: c.statKey}
 	c.writes = writeBacks{child: c.child, pushes: &c.pushes}
 	c.Blocking = gluster.NewBlocking(c)
 	return c
@@ -322,7 +323,7 @@ func (c *CMCache) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob
 	op.sp = optrace.StartSpan(t, optrace.LayerCMCache, "read")
 	op.sp.SetAttrInt("bytes", size)
 	op.t0 = t.Now()
-	op.bk.build(path, off, size, c.cfg.blockSize())
+	op.bk.build(path, off, size, c.cfg.BlockSize)
 	c.Stats.BlockLookups += uint64(len(op.bk.ends))
 	c.mcd.GetMultiT(t, op.bk.buf, op.bk.ends, op.fnGot)
 }
@@ -339,7 +340,7 @@ func (op *readOp) got(items []*memcache.Item) {
 		op.forward()
 		return
 	}
-	data, ok := assembleBlocks(&op.parts, items, op.bk.offsets, op.off, op.size, c.cfg.blockSize())
+	data, ok := assembleBlocks(&op.parts, items, op.bk.offsets, op.off, op.size, c.cfg.BlockSize)
 	if !ok {
 		// Mid-range EOF claim contradicted by the blocks after it.
 		op.sp.SetAttr("result", "short-miss")
@@ -371,7 +372,7 @@ func (op *readOp) forward() {
 	}
 	// Client-populate mode: widen to block alignment, push the fetched
 	// blocks ourselves, and return the requested slice.
-	alignedOff, alignedSize := alignSpan(op.off, op.size, c.cfg.blockSize())
+	alignedOff, alignedSize := alignSpan(op.off, op.size, c.cfg.BlockSize)
 	op.alignedOff = alignedOff
 	c.child.ReadT(t, op.fd, alignedOff, alignedSize, op.fnFilled)
 }

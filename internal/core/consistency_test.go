@@ -183,12 +183,12 @@ func newMultiRigSM(t *testing.T, clients, nMCD int, cfg Config) (*sim.Env, []glu
 	dev := disk.NewArray(env, 8, 64<<10, disk.HighPoint2008)
 	px := gluster.NewPosix(env, gluster.PosixConfig{Dev: dev, CacheBytes: 1 << 30})
 	sm := NewSMCache(env, px, memcache.NewSimClient(srvNode, mcds), cfg)
-	gluster.NewServer(srvNode, sm, gluster.DefaultServerConfig)
+	gluster.NewServer(srvNode, sm)
 	mounts := make([]gluster.FS, clients)
 	for i := range mounts {
 		node := net.NewNode(fmt.Sprintf("client%d", i), 8)
 		cm := NewCMCache(gluster.NewClient(node, srvNode), memcache.NewSimClient(node, mcds), cfg)
-		mounts[i] = gluster.NewFuse(node, cm, gluster.DefaultFuseConfig)
+		mounts[i] = gluster.NewFuse(node, cm)
 	}
 	return env, mounts, mcds, sm
 }

@@ -25,16 +25,20 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 
 	"imca/internal/blob"
+	"imca/internal/memcache"
 )
 
 // Config carries the IMCa tuning knobs shared by both translators.
 type Config struct {
-	// BlockSize is the fixed cache block size. Must be positive and at
-	// most the MCD's 1 MB object bound. The paper evaluates 256 B, 2 KB
-	// (the default), and 8 KB.
+	// BlockSize is the fixed cache block size: positive, and at most
+	// memcache.MaxItemValueLen (1 MB less a longest key and the item
+	// header), the largest block one bank item can hold. NewCMCache and
+	// NewSMCache refuse any other (CheckBlockSize). The paper evaluates
+	// 256 B, 2 KB (DefaultBlockSize), and 8 KB.
 	BlockSize int64
 	// Threaded moves SMCache's MCD updates off the request critical path
 	// onto a helper process (the paper's proposed optimization for Write
@@ -54,11 +58,20 @@ type Config struct {
 // experiments.
 const DefaultBlockSize = 2048
 
-func (c Config) blockSize() int64 {
-	if c.BlockSize <= 0 {
-		return DefaultBlockSize
+// CheckBlockSize reports an error unless bs is a block size one bank item
+// can hold, 1 to memcache.MaxItemValueLen bytes.
+func CheckBlockSize(bs int64) error {
+	if bs <= 0 || bs > memcache.MaxItemValueLen {
+		return fmt.Errorf("core: block size %d outside 1..%d, the largest block one bank item holds", bs, memcache.MaxItemValueLen)
 	}
-	return c.BlockSize
+	return nil
+}
+
+// mustCheck panics unless cfg's block size passes CheckBlockSize.
+func (c Config) mustCheck() {
+	if err := CheckBlockSize(c.BlockSize); err != nil {
+		panic(err)
+	}
 }
 
 // statKey returns the MCD key for a file's stat structure.

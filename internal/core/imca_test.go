@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -43,10 +44,10 @@ func newRig(t *testing.T, nMCD int, cfg Config) *rig {
 	dev := disk.NewArray(env, 8, 64<<10, disk.HighPoint2008)
 	px := gluster.NewPosix(env, gluster.PosixConfig{Dev: dev, CacheBytes: 6 << 30})
 	sm := NewSMCache(env, px, memcache.NewSimClient(srvNode, mcds), cfg)
-	gluster.NewServer(srvNode, sm, gluster.DefaultServerConfig)
+	gluster.NewServer(srvNode, sm)
 
 	cm := NewCMCache(gluster.NewClient(cliNode, srvNode), memcache.NewSimClient(cliNode, mcds), cfg)
-	top := gluster.NewFuse(cliNode, cm, gluster.DefaultFuseConfig)
+	top := gluster.NewFuse(cliNode, cm)
 	return &rig{env: env, net: net, posix: px, smcache: sm, cmcache: cm, client: top, mcds: mcds}
 }
 
@@ -146,7 +147,7 @@ func TestIMCaReadTailShortBlock(t *testing.T) {
 }
 
 func TestIMCaStatServedFromCache(t *testing.T) {
-	r := newRig(t, 1, Config{})
+	r := newRig(t, 1, Config{BlockSize: DefaultBlockSize})
 	r.run(t, func(p *sim.Proc) {
 		fd, _ := r.client.Create(p, "/s")
 		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 1234))
@@ -163,7 +164,7 @@ func TestIMCaStatServedFromCache(t *testing.T) {
 }
 
 func TestIMCaStatMissFallsBackAndPopulates(t *testing.T) {
-	r := newRig(t, 1, Config{})
+	r := newRig(t, 1, Config{BlockSize: DefaultBlockSize})
 	r.run(t, func(p *sim.Proc) {
 		fd, _ := r.client.Create(p, "/pop")
 		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 10))
@@ -186,7 +187,7 @@ func TestIMCaStatMissFallsBackAndPopulates(t *testing.T) {
 func TestIMCaStatReflectsWriteUpdates(t *testing.T) {
 	// Producer-consumer pattern: after a write, a consumer's stat must
 	// see the new size/mtime through the cache.
-	r := newRig(t, 1, Config{})
+	r := newRig(t, 1, Config{BlockSize: DefaultBlockSize})
 	r.run(t, func(p *sim.Proc) {
 		fd, _ := r.client.Create(p, "/feed")
 		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 100))
@@ -279,6 +280,56 @@ func TestIMCaWriteLatencyThreadedVsInline(t *testing.T) {
 	}
 }
 
+// TestLargestBlockSizeCaches: a block of memcache.MaxItemValueLen bytes
+// fits one bank item even under a longest key, so a written file's reads
+// hit the bank; one byte more, or no block size at all, and both
+// translators refuse to be built.
+func TestLargestBlockSizeCaches(t *testing.T) {
+	bs := int64(memcache.MaxItemValueLen)
+	// The second block's key, path + ":" + bs, is memcache.MaxKeyLen long.
+	path := "/" + strings.Repeat("d", memcache.MaxKeyLen-2-len(strconv.FormatInt(bs, 10)))
+	r := newRig(t, 1, Config{BlockSize: bs})
+	r.run(t, func(p *sim.Proc) {
+		fd, _ := r.client.Create(p, path)
+		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 2*bs))
+		for i := 0; i < 2; i++ {
+			if data, err := r.client.Read(p, fd, 0, 2*bs); err != nil || data.Len() != 2*bs {
+				t.Fatalf("read %d: %d bytes, %v", i, data.Len(), err)
+			}
+		}
+	})
+	if st := r.cmcache.Stats; st.ReadHits != 2 || st.BlockLookups != 4 || st.BlockHits != 4 {
+		t.Errorf("block size %d: %d read hits, %d/%d blocks hit; want 2 and 4/4", bs, st.ReadHits, st.BlockHits, st.BlockLookups)
+	}
+
+	env := sim.NewEnv()
+	net := fabric.NewNetwork(env, fabric.IPoIB)
+	node := net.NewNode("n", 8)
+	px := gluster.NewPosix(env, gluster.PosixConfig{Dev: disk.New(env, disk.HighPoint2008), CacheBytes: 1 << 20})
+	for _, size := range []int64{bs + 1, 0, -1} {
+		cfg := Config{BlockSize: size}
+		if CheckBlockSize(size) == nil {
+			t.Errorf("CheckBlockSize(%d) = nil", size)
+		}
+		for _, build := range []struct {
+			name string
+			f    func()
+		}{
+			{"NewCMCache", func() { NewCMCache(px, memcache.NewSimClient(node, r.mcds), cfg) }},
+			{"NewSMCache", func() { NewSMCache(env, px, memcache.NewSimClient(node, r.mcds), cfg) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s built with block size %d", build.name, size)
+					}
+				}()
+				build.f()
+			}()
+		}
+	}
+}
+
 func TestIMCaSmallReadLatencyBeatsNoCache(t *testing.T) {
 	// 1-byte reads: IMCa (warm) must beat the plain GlusterFS stack,
 	// and smaller blocks must beat larger ones (paper Fig 6(a)).
@@ -307,8 +358,8 @@ func TestIMCaSmallReadLatencyBeatsNoCache(t *testing.T) {
 		cliNode := net.NewNode("client0", 8)
 		dev := disk.NewArray(env, 8, 64<<10, disk.HighPoint2008)
 		px := gluster.NewPosix(env, gluster.PosixConfig{Dev: dev, CacheBytes: 6 << 30})
-		gluster.NewServer(srvNode, px, gluster.DefaultServerConfig)
-		top := gluster.NewFuse(cliNode, gluster.NewClient(cliNode, srvNode), gluster.DefaultFuseConfig)
+		gluster.NewServer(srvNode, px)
+		top := gluster.NewFuse(cliNode, gluster.NewClient(cliNode, srvNode))
 		var total sim.Duration
 		env.Process("client", func(p *sim.Proc) {
 			fd, _ := top.Create(p, "/lat")
@@ -355,8 +406,8 @@ func TestIMCaLargeReadFavorsNoCacheWithTinyBlocks(t *testing.T) {
 	cliNode := net.NewNode("client0", 8)
 	dev := disk.NewArray(env, 8, 64<<10, disk.HighPoint2008)
 	px := gluster.NewPosix(env, gluster.PosixConfig{Dev: dev, CacheBytes: 6 << 30})
-	gluster.NewServer(srvNode, px, gluster.DefaultServerConfig)
-	top := gluster.NewFuse(cliNode, gluster.NewClient(cliNode, srvNode), gluster.DefaultFuseConfig)
+	gluster.NewServer(srvNode, px)
+	top := gluster.NewFuse(cliNode, gluster.NewClient(cliNode, srvNode))
 	var noCacheTime sim.Duration
 	env.Process("client", func(p *sim.Proc) {
 		fd, _ := top.Create(p, "/big")

@@ -58,8 +58,10 @@ var _ gluster.TaskFS = (*SMCache)(nil)
 
 // NewSMCache wraps child with the server translator. mcd must be a client
 // on the server's own node — its traffic models the extra server-side load
-// the paper attributes to IMCa.
+// the paper attributes to IMCa. It panics on a block size CheckBlockSize
+// refuses.
 func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Config) *SMCache {
+	cfg.mustCheck()
 	// The translator runs on the brick daemon's request task and on helper
 	// tasks of its own, so the storage stack must be continuation-style.
 	tfs := gluster.AsTaskFS(child)
@@ -74,7 +76,7 @@ func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Con
 		fdPaths: make(map[gluster.FD]string),
 		pushed:  make(map[string]*blockSet),
 	}
-	s.pushes = pushPool{mcd: mcd, bs: cfg.blockSize(), statKey: s.statKey, resident: s.pushed, stats: &s.Stats,
+	s.pushes = pushPool{mcd: mcd, bs: cfg.BlockSize, statKey: s.statKey, resident: s.pushed, stats: &s.Stats,
 		changes: make(map[string]*changes), judged: !cfg.Threaded}
 	s.writes = writeBacks{child: s.child, pushes: &s.pushes, purge: s.purgeAllT}
 	if cfg.Threaded {
@@ -108,7 +110,7 @@ func (s *SMCache) Bank() *memcache.SimClient { return s.mcd }
 // path is recorded as possibly in the bank — what a later purge of path
 // will delete. Like Store.Keys it is an audit surface and changes nothing.
 func (s *SMCache) Recorded(path string, blockOff int64) bool {
-	return s.pushed[path].has(blockOff / s.cfg.blockSize())
+	return s.pushed[path].has(blockOff / s.cfg.BlockSize)
 }
 
 // setPurged annotates a span with the number of purged keys.
@@ -340,7 +342,7 @@ func (op *metaOp) deleted(bool) {
 	op.n++
 	s.Stats.Purges++
 	op.set.remove(bn)
-	op.key = appendBlockKey(op.key[:0], op.path, bn*s.cfg.blockSize())
+	op.key = appendBlockKey(op.key[:0], op.path, bn*s.cfg.BlockSize)
 	s.mcd.DeleteKeyT(op.t, op.key, op.fnDeleted)
 }
 
@@ -432,7 +434,7 @@ func (s *SMCache) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob
 		s.child.ReadT(t, fd, off, size, op.fnDone)
 		return
 	}
-	alignedOff, alignedSize := alignSpan(off, size, s.cfg.blockSize())
+	alignedOff, alignedSize := alignSpan(off, size, s.cfg.BlockSize)
 	op.path, op.alignedOff, op.stamp = path, alignedOff, s.pushes.stamp(path)
 	s.child.ReadT(t, fd, alignedOff, alignedSize, op.fnAligned)
 }

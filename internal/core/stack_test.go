@@ -28,7 +28,7 @@ func newLiftedMount(t *testing.T, r *rig, cfg Config) (gluster.FS, *CMCache) {
 	node := r.net.Node("client0")
 	below := procOnly{gluster.NewClient(node, r.net.Node("server"))}
 	cm := NewCMCache(below, memcache.NewSimClient(node, r.mcds), cfg)
-	fuse := gluster.NewFuse(node, cm, gluster.DefaultFuseConfig)
+	fuse := gluster.NewFuse(node, cm)
 	top := gluster.Lift(procOnly{fuse})
 	if cm.TaskReady() || fuse.TaskReady() || top.TaskReady() || gluster.AsTaskFS(fuse) != nil {
 		t.Fatal("a stack over a blocking-only layer must not report task-ready")
@@ -143,7 +143,7 @@ func TestBrickRejectsBlockingChild(t *testing.T) {
 		name  string
 		build func(child gluster.FS)
 	}{
-		{"NewServer", func(child gluster.FS) { gluster.NewServer(node, child, gluster.DefaultServerConfig) }},
+		{"NewServer", func(child gluster.FS) { gluster.NewServer(node, child) }},
 		{"NewSMCache", func(child gluster.FS) {
 			NewSMCache(r.env, child, memcache.NewSimClient(node, r.mcds), Config{BlockSize: 2048})
 		}},

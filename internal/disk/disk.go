@@ -28,6 +28,14 @@ type Params struct {
 // array (7200rpm SATA of the period).
 var HighPoint2008 = Params{SeekTime: 8 * time.Millisecond, TransferRate: 70e6}
 
+// The paper's server array: HighPointDisks HighPoint2008 disks striped in
+// HighPointStripe chunks, which keep a sequential stream sequential on each
+// member. NewHighPoint builds it, or a smaller array of the same disks.
+const (
+	HighPointDisks        = 8
+	HighPointStripe int64 = 1 << 20
+)
+
 // Device is anything that can serve byte-addressed accesses in virtual
 // time. The access path is written once, in continuation style; the
 // blocking Access is derived from AccessT (see access).
@@ -209,6 +217,12 @@ func NewArray(env *sim.Env, n int, stripeSize int64, params Params) *Array {
 		a.disks = append(a.disks, New(env, params))
 	}
 	return a
+}
+
+// NewHighPoint builds a RAID-0 array of n HighPoint2008 disks striped in
+// HighPointStripe chunks; n = HighPointDisks is the paper's server array.
+func NewHighPoint(env *sim.Env, n int) *Array {
+	return NewArray(env, n, HighPointStripe, HighPoint2008)
 }
 
 // Disks exposes the member disks (for stats).

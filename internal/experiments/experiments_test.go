@@ -216,7 +216,8 @@ func TestFig6cShape(t *testing.T) {
 }
 
 func TestDeterministicExperiment(t *testing.T) {
-	sameTables(t, tinyResult(t, "fig6c"), Fig6c(tiny))
+	e, _ := Find("fig6c")
+	sameTables(t, tinyResult(t, "fig6c"), e.Run(tiny))
 }
 
 func TestFig9Shape(t *testing.T) {
@@ -286,7 +287,10 @@ func TestExtBreakdownShape(t *testing.T) {
 
 // observedFig6a is fig6a at the tiny scale with observation on, shared by
 // the two tests that compare it with the plain run.
-var observedFig6a = sync.OnceValue(func() *Result { return Fig6a(Options{Scale: tiny.Scale, Observe: true}) })
+var observedFig6a = sync.OnceValue(func() *Result {
+	e, _ := Find("fig6a")
+	return e.Run(Options{Scale: tiny.Scale, Observe: true})
+})
 
 func TestBreakdownOptionKeepsTablesIdentical(t *testing.T) {
 	plain, traced := tinyResult(t, "fig6a"), observedFig6a()

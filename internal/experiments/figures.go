@@ -8,12 +8,8 @@ import (
 	"imca/internal/memcache"
 )
 
-// Fig1a reproduces the motivation figure with 4 GB of server memory.
-func Fig1a(o Options) *Result { return fig1a(o).run(o) }
-
-// Fig1b reproduces the motivation figure with 8 GB of server memory.
-func Fig1b(o Options) *Result { return fig1b(o).run(o) }
-
+// fig1a and fig1b reproduce the motivation figure with 4 GB and 8 GB of
+// server memory.
 func fig1a(o Options) figure { return fig1(o, 4<<30, "fig1a", "") }
 func fig1b(o Options) figure { return fig1(o, 8<<30, "fig1b", devScale) }
 
@@ -43,7 +39,7 @@ func fig1(o Options, serverMem int64, name, why string) figure {
 	}
 }
 
-// Fig5 reproduces the stat benchmark: 262144 files are created (untimed),
+// fig5Full reproduces the stat benchmark: 262144 files are created (untimed),
 // then every client stats every file; the maximum per-client completion
 // time is reported for GlusterFS without the cache, with 1/2/4/6 MCDs, and
 // for Lustre with 4 data servers.
@@ -51,9 +47,8 @@ func fig1(o Options, serverMem int64, name, why string) figure {
 // Per-MCD memory is calibrated so one MCD cannot hold the full stat
 // working set (reproducing the paper's observation that the miss rate only
 // reaches zero beyond 2 MCDs) while two or more can.
-func Fig5(o Options) *Result { return fig5Full(o).run(o) }
-
-// Fig5Short is the stat benchmark's reduced-event variant: the same point
+//
+// fig5Short is the stat benchmark's reduced-event variant: the same point
 // list (every client count × every column) over the same created namespace,
 // but each client stats a stratified sample — every 8th file in scan order —
 // instead of all of them. Event count per point drops ~8×, relative
@@ -61,8 +56,6 @@ func Fig5(o Options) *Result { return fig5Full(o).run(o) }
 // and absolute times scale by the sampling factor. It exists so CI-grade
 // sweeps can exercise the full fig5 matrix cheaply; the headline numbers
 // still come from fig5.
-func Fig5Short(o Options) *Result { return fig5Short(o).run(o) }
-
 func fig5Full(o Options) figure  { return fig5(o, 1, "fig5") }
 func fig5Short(o Options) figure { return fig5(o, 8, "fig5-short") }
 
@@ -129,11 +122,9 @@ func fig6Read(o Options, name, title string, window []int64, claims func(*filled
 	}
 }
 
-// Fig6a is the small-record read latency sweep (1 B – 2 KB): IMCa wins at
+// fig6a is the small-record read latency sweep (1 B – 2 KB): IMCa wins at
 // small records, with smaller blocks winning bigger margins (paper: 59% /
 // 45% / 31% cuts at 1 byte for 256 B / 2 KB / 8 KB blocks).
-func Fig6a(o Options) *Result { return fig6a(o).run(o) }
-
 func fig6a(o Options) figure {
 	return fig6Read(o, "fig6a", "Fig 6(a): single-client read latency, small records", powersOfTwo(1, 2048),
 		func(f *filled) {
@@ -147,10 +138,8 @@ func fig6a(o Options) figure {
 		})
 }
 
-// Fig6b is the large-record window (4 KB – 128 KB): NoCache overtakes the
+// fig6b is the large-record window (4 KB – 128 KB): NoCache overtakes the
 // 256-byte-block configuration and eventually all IMCa block sizes.
-func Fig6b(o Options) *Result { return fig6b(o).run(o) }
-
 func fig6b(o Options) figure {
 	return fig6Read(o, "fig6b", "Fig 6(b): single-client read latency, large records", powersOfTwo(4096, 131072),
 		func(f *filled) {
@@ -162,12 +151,10 @@ func fig6b(o Options) figure {
 		})
 }
 
-// Fig6c is the write-latency comparison: the inline SMCache update puts a
+// fig6c is the write-latency comparison: the inline SMCache update puts a
 // read-back on the critical path (worse than NoCache); the threaded update
 // removes it (paper: threaded ≈ NoCache). Under Observe both IMCa columns
 // are traced.
-func Fig6c(o Options) *Result { return fig6c(o).run(o) }
-
 func fig6c(o Options) figure {
 	mem := o.mcdMemForLatency()
 	const mid = 3 // the 2K row
@@ -193,12 +180,10 @@ func fig6c(o Options) figure {
 	}
 }
 
-// Fig7a reproduces the 32-client read-latency sweep for small records
+// fig7a reproduces the 32-client read-latency sweep for small records
 // (1–128 bytes) with 1, 2, and 4 MCDs, against GlusterFS NoCache and
 // Lustre-4DS cold/warm. The paper's headlines: 82% latency cut at 1 byte
 // with 4 MCDs; Lustre cold is ahead below 32 bytes, IMCa-4MCD after.
-func Fig7a(o Options) *Result { return fig7a(o).run(o) }
-
 func fig7a(o Options) figure {
 	return fig7(o, "fig7a", "Fig 7(a): 32-client read latency, small records", powersOfTwo(1, 128),
 		func(f *filled) {
@@ -209,11 +194,9 @@ func fig7a(o Options) figure {
 		})
 }
 
-// Fig7b is the medium-record window (512 B – 64 KB); the paper reports
+// fig7b is the medium-record window (512 B – 64 KB); the paper reports
 // IMCa(4MCD) overtaking Lustre cold past 32 bytes and approaching — then
 // beating — Lustre warm by 64 KB.
-func Fig7b(o Options) *Result { return fig7b(o).run(o) }
-
 func fig7b(o Options) figure {
 	return fig7(o, "fig7b", "Fig 7(b): 32-client read latency, medium records", powersOfTwo(512, 65536),
 		func(f *filled) {
@@ -238,21 +221,11 @@ func fig7(o Options, name, title string, window []int64, claims func(*filled)) f
 	}
 }
 
-// Fig8a–Fig8d reproduce the client-count sweeps with a single MCD at four
+// fig8a–fig8d reproduce the client-count sweeps with a single MCD at four
 // record sizes. The paper's observation: with one MCD, read latency rises
 // with client count as capacity misses appear, yet IMCa still beats
-// NoCache; Lustre warm stays lowest.
-func Fig8a(o Options) *Result { return fig8a(o).run(o) }
-
-// Fig8b is the 1 KB variant.
-func Fig8b(o Options) *Result { return fig8b(o).run(o) }
-
-// Fig8c is the 8 KB variant.
-func Fig8c(o Options) *Result { return fig8c(o).run(o) }
-
-// Fig8d is the 64 KB variant.
-func Fig8d(o Options) *Result { return fig8d(o).run(o) }
-
+// NoCache; Lustre warm stays lowest. The record sizes are 64 B, 1 KB, 8 KB
+// and 64 KB.
 func fig8a(o Options) figure { return fig8(o, "fig8a", 64, "") }
 func fig8b(o Options) figure { return fig8(o, "fig8b", 1024, "") }
 func fig8c(o Options) figure { return fig8(o, "fig8c", 8192, devFig8c) }
@@ -283,14 +256,12 @@ func fig8(o Options, name string, record int64, why string) figure {
 	}
 }
 
-// Fig9 reproduces the IOzone read-throughput experiment: each thread
+// fig9 reproduces the IOzone read-throughput experiment: each thread
 // streams a 1 GB file in large records through an IMCa block size of 2 KB,
 // with the CRC32 hash replaced by a static modulo (round-robin) so
 // consecutive blocks spread across all MCDs. The paper reports 868 MB/s
 // with 8 threads and 4 MCDs — roughly 2x NoCache (417 MB/s) and well above
 // Lustre-1DS cold (325 MB/s).
-func Fig9(o Options) *Result { return fig9(o).run(o) }
-
 func fig9(o Options) figure {
 	fileSize := scaled(1<<30, o.scale())
 	record := min(fileSize/16, 1<<20)
@@ -326,13 +297,11 @@ func fig9(o Options) figure {
 	}
 }
 
-// Fig10 reproduces the read/write-sharing experiment: all nodes use one
+// fig10 reproduces the read/write-sharing experiment: all nodes use one
 // file; the root node writes it, then every node reads it back, with
 // barriers between phases and record sizes. The paper reports a 45%
 // latency cut at 32 nodes with one MCD, growing with node count but still
 // linear because a single MCD serializes the readers.
-func Fig10(o Options) *Result { return fig10(o).run(o) }
-
 func fig10(o Options) figure {
 	return figure{
 		name: "fig10", title: "Fig 10: read latency to a shared file (root writes, all read)",

@@ -73,10 +73,11 @@ func lustreSys(name string, osts int, cold bool) system {
 	return system{name: name, deploy: func(o Options, clients int) testbed {
 		env := sim.NewEnv()
 		net := fabric.NewNetwork(env, fabric.IPoIB)
-		cfg := lustre.DefaultConfig(osts)
-		cfg.OSTCacheBytes = scaled(6<<30, o.scale())
-		cfg.ClientCacheBytes = scaled(2<<30, o.scale())
-		cl := lustre.New(env, net, "lustre", cfg)
+		cl := lustre.New(env, net, "lustre", lustre.Config{
+			OSTs:             osts,
+			OSTCacheBytes:    scaled(6<<30, o.scale()),
+			ClientCacheBytes: scaled(2<<30, o.scale()),
+		})
 		tb := testbed{env: env}
 		var lclients []*lustre.Client
 		for i := 0; i < clients; i++ {
@@ -120,7 +121,7 @@ func nfsSys(tr fabric.Transport, mem int64) system {
 	return system{name: tr.Name, deploy: func(o Options, clients int) testbed {
 		env := sim.NewEnv()
 		net := fabric.NewNetwork(env, tr)
-		srv := nfssim.NewServer(env, net.NewNode("nfs", 8), nfssim.DefaultConfig(mem))
+		srv := nfssim.NewServer(env, net.NewNode("nfs", 8), mem)
 		tb := testbed{env: env}
 		for i := 0; i < clients; i++ {
 			tb.mounts = append(tb.mounts, nfssim.NewClient(net.NewNode(fmt.Sprintf("c%d", i), 8), srv))

@@ -58,9 +58,9 @@ func (t Transport) xmitTime(n int64) sim.Duration {
 	return sim.Duration(float64(n) / t.Bandwidth * 1e9)
 }
 
-// headerBytes is the fixed per-message framing cost (transport + RPC
+// HeaderBytes is the fixed per-message framing cost (transport + RPC
 // headers).
-const headerBytes = 96
+const HeaderBytes = 96
 
 // Msg is any RPC payload that can report its wire size (excluding framing).
 type Msg interface {

@@ -156,11 +156,11 @@ func TestTrafficAccounting(t *testing.T) {
 	if a.TxMsgs != 1 || a.RxMsgs != 1 || b.TxMsgs != 1 || b.RxMsgs != 1 {
 		t.Errorf("message counts wrong: a tx/rx=%d/%d b tx/rx=%d/%d", a.TxMsgs, a.RxMsgs, b.TxMsgs, b.RxMsgs)
 	}
-	if a.TxBytes != 1000+headerBytes {
-		t.Errorf("a.TxBytes = %d, want %d", a.TxBytes, 1000+headerBytes)
+	if a.TxBytes != 1000+HeaderBytes {
+		t.Errorf("a.TxBytes = %d, want %d", a.TxBytes, 1000+HeaderBytes)
 	}
-	if b.TxBytes != 1000+headerBytes { // echo returns same payload
-		t.Errorf("b.TxBytes = %d, want %d", b.TxBytes, 1000+headerBytes)
+	if b.TxBytes != 1000+HeaderBytes { // echo returns same payload
+		t.Errorf("b.TxBytes = %d, want %d", b.TxBytes, 1000+HeaderBytes)
 	}
 }
 

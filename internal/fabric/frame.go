@@ -223,7 +223,7 @@ func callT(nd, dst *Node, svc *service, t *sim.Task, req Msg, k func(Msg, error)
 	f.rq = optrace.StartSpan(t, optrace.LayerNet, "request")
 
 	tr := nd.net.transport
-	f.wire = req.WireSize() + headerBytes
+	f.wire = req.WireSize() + HeaderBytes
 	f.lat, f.xmit = tr.Latency, tr.xmitTime(f.wire)
 	if f.ls != nil {
 		f.lat, f.xmit = f.ls.scaled(f.lat, f.xmit)
@@ -333,7 +333,7 @@ func (f *callFrame) respReady() {
 		respSize = m.WireSize()
 	}
 	// Caller-side protocol processing for the response.
-	f.hostCaller = f.nd.net.transport.hostCost(respSize + headerBytes)
+	f.hostCaller = f.nd.net.transport.hostCost(respSize + HeaderBytes)
 	f.nd.CPU.AcquireT(t, 1, f.fnCallerCPUHeld)
 }
 
@@ -404,7 +404,7 @@ func (f *callFrame) respond(resp Msg) {
 		respSize = resp.WireSize()
 	}
 	tr := f.dst.net.transport
-	f.rwire = respSize + headerBytes
+	f.rwire = respSize + HeaderBytes
 	f.rlat, f.rxmit = tr.Latency, tr.xmitTime(f.rwire)
 	if f.ls != nil {
 		f.rlat, f.rxmit = f.ls.scaled(f.rlat, f.rxmit)

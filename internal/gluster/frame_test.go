@@ -46,10 +46,14 @@ func newFrameVolume(t *testing.T) *frameVolume {
 	srvNode, cliNode := net.NewNode("server", 8), net.NewNode("client0", 8)
 	dev := disk.New(env, disk.Params{SeekTime: 10 * time.Millisecond, TransferRate: 100e6})
 	v := &frameVolume{env: env, net: net, ref: blob.Synthetic(7, 0, 64<<10).Bytes(), names: []string{"f"}}
-	v.px = NewPosix(env, PosixConfig{Dev: dev, CacheBytes: 1 << 30, ReadaheadBytes: -1})
-	v.srv = NewServer(srvNode, v.px, ServerConfig{IOThreads: 1})
+	// Readahead off and one io-thread, so each request's disk and daemon
+	// waits are its own.
+	v.px = NewPosix(env, PosixConfig{Dev: dev, CacheBytes: 1 << 30})
+	v.px.readahead = 0
+	v.srv = NewServer(srvNode, v.px)
+	v.srv.threads = sim.NewResource(env, 1)
 	v.cli = NewClient(cliNode, srvNode)
-	v.fuse = NewFuse(cliNode, v.cli, DefaultFuseConfig)
+	v.fuse = NewFuse(cliNode, v.cli)
 	env.Process("setup", func(p *sim.Proc) {
 		var err error
 		if v.fd, err = v.fuse.Create(p, framePath); err != nil {
@@ -388,8 +392,8 @@ func TestNamespaceVerbsAllocFree(t *testing.T) {
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
 	srvNode, cliNode := net.NewNode("server", 8), net.NewNode("client0", 8)
-	NewServer(srvNode, newStubFS(), DefaultServerConfig)
-	fuse := NewFuse(cliNode, NewClient(cliNode, srvNode), DefaultFuseConfig)
+	NewServer(srvNode, newStubFS())
+	fuse := NewFuse(cliNode, NewClient(cliNode, srvNode))
 	ct := env.ContextTask("bench")
 	const perRun = 32
 	finished := 0

@@ -10,6 +10,12 @@
 // FUSE-crossing cost model (Fuse). The IMCa translators CMCache and SMCache
 // (internal/core) plug into the same stacks.
 //
+// The 2008 calibration of these xlators is a set of package constants —
+// FuseOpCPU and FusePerByteCPUNanos for the FUSE crossing, ServerIOThreads,
+// ServerOpCPU and ServerPerByteCPUNanos for glusterfsd, PageSize,
+// ReadaheadBytes and MetaRegion for the brick file system — each charged
+// where it is declared and listed in MODEL.md.
+//
 // All operations advance virtual time. The package's own xlators implement
 // each operation once, in continuation style (TaskFS), and derive the
 // blocking FS methods from that (Blocking); blocking-only file systems —

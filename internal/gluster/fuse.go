@@ -10,24 +10,17 @@ import (
 	"imca/internal/sim"
 )
 
-// FuseConfig models the kernel VFS → FUSE → userspace crossing that every
-// GlusterFS client operation pays (the paper: "calls are translated from
-// the kernel VFS to the userspace daemon through FUSE").
-type FuseConfig struct {
-	// OpCPU is the fixed crossing cost per operation (two context
-	// switches plus request marshaling).
-	OpCPU sim.Duration
-	// PerByteCPUNanos is the user/kernel copy cost for read/write data.
-	PerByteCPUNanos float64
-}
-
-// DefaultFuseConfig matches 2008-era FUSE on the paper's client nodes:
-// two kernel/user crossings plus the glusterfs client daemon's own
-// translator work per operation.
-var DefaultFuseConfig = FuseConfig{
-	OpCPU:           25 * time.Microsecond,
-	PerByteCPUNanos: 1.0,
-}
+// The kernel VFS → FUSE → userspace crossing that every GlusterFS client
+// operation pays (the paper: "calls are translated from the kernel VFS to
+// the userspace daemon through FUSE"), as on the paper's 2008 client nodes.
+const (
+	// FuseOpCPU is the fixed crossing cost per operation: two kernel/user
+	// crossings plus the glusterfs client daemon's own translator work.
+	FuseOpCPU sim.Duration = 25 * time.Microsecond
+	// FusePerByteCPUNanos is the user/kernel copy cost (ns/byte) for read
+	// and write data.
+	FusePerByteCPUNanos = 1.0
+)
 
 // Fuse is the top-of-stack client xlator charging the FUSE crossing cost
 // before delegating to its child.
@@ -35,7 +28,6 @@ type Fuse struct {
 	Blocking
 	node  *fabric.Node
 	child TaskFS
-	cfg   FuseConfig
 
 	// End-to-end client-visible latency distributions (the whole stack
 	// below the VFS boundary) of read, write and stat, registered by
@@ -49,14 +41,8 @@ type Fuse struct {
 var _ TaskFS = (*Fuse)(nil)
 
 // NewFuse wraps child with the FUSE cost model on the given client node.
-func NewFuse(node *fabric.Node, child FS, cfg FuseConfig) *Fuse {
-	if cfg.OpCPU == 0 {
-		cfg.OpCPU = DefaultFuseConfig.OpCPU
-	}
-	if cfg.PerByteCPUNanos == 0 {
-		cfg.PerByteCPUNanos = DefaultFuseConfig.PerByteCPUNanos
-	}
-	f := &Fuse{node: node, child: Lift(child), cfg: cfg}
+func NewFuse(node *fabric.Node, child FS) *Fuse {
+	f := &Fuse{node: node, child: Lift(child)}
 	f.Blocking = NewBlocking(f)
 	return f
 }
@@ -121,8 +107,7 @@ func (op *fuseOp) end() {
 // charge takes the client CPU for the crossing plus the copy of payload
 // bytes; charged continues.
 func (op *fuseOp) charge(payload int64) {
-	cfg := &op.f.cfg
-	op.d = cfg.OpCPU + sim.Duration(float64(payload)*cfg.PerByteCPUNanos)
+	op.d = FuseOpCPU + sim.Duration(float64(payload)*FusePerByteCPUNanos)
 	op.f.node.CPU.AcquireT(op.t, 1, op.fnHeld)
 }
 

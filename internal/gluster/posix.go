@@ -18,27 +18,27 @@ type PosixConfig struct {
 	// CacheBytes bounds the OS buffer cache (the server's RAM available
 	// for file data + metadata pages).
 	CacheBytes int64
-	// PageSize is the buffer-cache page size (default 4096).
-	PageSize int64
-	// ReadaheadBytes extends the last missing extent of a read by this
-	// much (clipped to EOF), modeling the kernel's sequential readahead;
-	// it is what lets streaming reads approach the platter rate instead
-	// of paying a seek per request. Default 4 MB; negative disables.
-	ReadaheadBytes int64
 }
 
 const (
-	defaultPageSize = 4096
-	// metaRegion reserves space at each file's base address for its
-	// on-disk inode/indirect blocks; data starts after it.
-	metaRegion = 4096
+	// PageSize is the buffer-cache page size, Linux's 4 KB.
+	PageSize = 4096
+	// ReadaheadBytes (8 MB) extends the last missing extent of a read
+	// (clipped to EOF), modeling the kernel's sequential readahead plus
+	// array-level prefetch: it is what lets streaming reads approach the
+	// platter rate instead of paying a seek per request.
+	ReadaheadBytes = 8 << 20
+	// MetaRegion reserves space at each file's base address for its
+	// on-disk inode/indirect blocks (data starts after it), and is the
+	// size of one journaled metadata update.
+	MetaRegion = 4096
 	// fileRegion is the virtual address space reserved per file. The
 	// device address space is abstract, so generous spacing costs
 	// nothing and keeps files disjoint. The extra stripe of stagger
 	// spreads files' starting addresses across RAID members, as a real
 	// allocator would, so concurrent streams do not convoy on one disk.
 	fileRegion  = 4<<30 + fileStagger
-	fileStagger = 1 << 20
+	fileStagger = disk.HighPointStripe
 	// metaInoBit marks buffer-cache entries holding metadata pages so
 	// they never collide with data pages of the same inode.
 	metaInoBit = uint64(1) << 63
@@ -69,8 +69,7 @@ type Posix struct {
 	env       *sim.Env
 	dev       disk.Device
 	cache     *pagecache.Cache
-	pageSize  int64
-	readahead int64
+	readahead int64 // ReadaheadBytes; a test may turn it off
 
 	files      map[string]*inode
 	dirs       map[string]map[string]struct{}
@@ -91,26 +90,14 @@ var _ TaskFS = (*Posix)(nil)
 
 // NewPosix returns a storage xlator over the given device and cache size.
 func NewPosix(env *sim.Env, cfg PosixConfig) *Posix {
-	ps := cfg.PageSize
-	if ps == 0 {
-		ps = defaultPageSize
-	}
 	if cfg.Dev == nil {
 		panic("gluster: posix needs a device")
-	}
-	ra := cfg.ReadaheadBytes
-	switch {
-	case ra == 0:
-		ra = 8 << 20
-	case ra < 0:
-		ra = 0
 	}
 	p := &Posix{
 		env:       env,
 		dev:       cfg.Dev,
-		cache:     pagecache.New(cfg.CacheBytes, ps),
-		pageSize:  ps,
-		readahead: ra,
+		cache:     pagecache.New(cfg.CacheBytes, PageSize),
+		readahead: ReadaheadBytes,
 		files:     make(map[string]*inode),
 		dirs:      make(map[string]map[string]struct{}),
 		fds:       make(map[FD]*inode),
@@ -172,12 +159,12 @@ func (px *Posix) touchMeta(op *posixOp) {
 		// Reserve the journal slot before queueing at the disk, so
 		// concurrent metadata updates append in order.
 		off := px.journalOff
-		px.journalOff += metaRegion
-		px.dev.AccessT(op.t, journalBase+off, metaRegion, true, op.fnDev)
+		px.journalOff += MetaRegion
+		px.dev.AccessT(op.t, journalBase+off, MetaRegion, true, op.fnDev)
 		return
 	}
-	if missing := px.cache.Lookup(px.metaKey(op.in.ino), 0, metaRegion); len(missing) > 0 {
-		px.dev.AccessT(op.t, op.in.base, metaRegion, false, op.fnDev)
+	if missing := px.cache.Lookup(px.metaKey(op.in.ino), 0, MetaRegion); len(missing) > 0 {
+		px.dev.AccessT(op.t, op.in.base, MetaRegion, false, op.fnDev)
 		return
 	}
 	op.touched()
@@ -195,7 +182,7 @@ func (op *posixOp) metaLoaded() {
 	} else {
 		px.DiskReads++
 	}
-	px.cache.Insert(px.metaKey(op.in.ino), 0, metaRegion)
+	px.cache.Insert(px.metaKey(op.in.ino), 0, MetaRegion)
 	op.touched()
 }
 
@@ -410,7 +397,7 @@ func (op *posixOp) repair() {
 		}
 		if n > 0 {
 			op.missOff, op.missLen = r.Off, n
-			px.dev.AccessT(op.t, in.base+metaRegion+r.Off, n, false, op.fnDev)
+			px.dev.AccessT(op.t, in.base+MetaRegion+r.Off, n, false, op.fnDev)
 			return
 		}
 	}
@@ -448,7 +435,7 @@ func (px *Posix) WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(in
 	}
 	op := px.takeOp(verbWrite, t, sp, in)
 	op.off, op.data, op.k.n = off, data, k
-	px.dev.AccessT(t, op.in.base+metaRegion+off, data.Len(), true, op.fnDev)
+	px.dev.AccessT(t, op.in.base+MetaRegion+off, data.Len(), true, op.fnDev)
 }
 
 func (op *posixOp) written() {
@@ -585,10 +572,10 @@ func (px *Posix) UnlinkT(t *sim.Task, path string, k func(error)) {
 	px.cache.InvalidateFile(px.metaKey(in.ino))
 	// The deallocation record is journaled like any metadata update.
 	off := px.journalOff
-	px.journalOff += metaRegion
+	px.journalOff += MetaRegion
 	op := px.takeOp(verbUnlink, t, sp, in)
 	op.k.err = k
-	px.dev.AccessT(t, journalBase+off, metaRegion, true, op.fnDev)
+	px.dev.AccessT(t, journalBase+off, MetaRegion, true, op.fnDev)
 }
 
 // Size returns the size of the regular file at path, ok false when there is

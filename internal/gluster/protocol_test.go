@@ -29,8 +29,8 @@ func newTestVolume(t *testing.T) *testVolume {
 
 	arr := disk.NewArray(env, 8, 64<<10, disk.HighPoint2008)
 	px := NewPosix(env, PosixConfig{Dev: arr, CacheBytes: 6 << 30})
-	srv := NewServer(srvNode, px, DefaultServerConfig)
-	cli := NewFuse(cliNode, NewClient(cliNode, srvNode), DefaultFuseConfig)
+	srv := NewServer(srvNode, px)
+	cli := NewFuse(cliNode, NewClient(cliNode, srvNode))
 	return &testVolume{env: env, net: net, posix: px, server: srv, client: cli}
 }
 
@@ -128,7 +128,7 @@ func TestProtocolIOThreadsThrottleConcurrency(t *testing.T) {
 		srvNode := net.NewNode("server", 8)
 		dev := disk.New(env, disk.Params{SeekTime: 10 * time.Millisecond, TransferRate: 100e6})
 		px := NewPosix(env, PosixConfig{Dev: dev, CacheBytes: 1 << 30})
-		NewServer(srvNode, px, ServerConfig{IOThreads: threads, OpCPU: time.Microsecond, PerByteCPUNanos: 0.1})
+		NewServer(srvNode, px).threads = sim.NewResource(env, threads)
 
 		// Create two far-apart files, then drop the cache.
 		setup := net.NewNode("setup", 8)
@@ -260,9 +260,9 @@ func TestFuseAddsClientCPUCost(t *testing.T) {
 	cliNode := net.NewNode("client", 8)
 	dev := disk.New(env, disk.Params{SeekTime: time.Millisecond, TransferRate: 100e6})
 	px := NewPosix(env, PosixConfig{Dev: dev, CacheBytes: 1 << 30})
-	NewServer(srvNode, px, DefaultServerConfig)
+	NewServer(srvNode, px)
 	raw := NewClient(cliNode, srvNode)
-	fused := NewFuse(cliNode, raw, DefaultFuseConfig)
+	fused := NewFuse(cliNode, raw)
 
 	var rawTime, fusedTime sim.Duration
 	env.Process("t", func(p *sim.Proc) {

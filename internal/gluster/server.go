@@ -10,35 +10,28 @@ import (
 	"imca/internal/sim"
 )
 
-// ServerConfig models the glusterfsd daemon's processing costs.
-type ServerConfig struct {
-	// IOThreads bounds how many requests the daemon services
+// The glusterfsd daemon's processing costs, as a 2008-era glusterfsd
+// (GlusterFS 1.3) on an 8-core node: a userspace daemon whose per-operation
+// path — event loop, protocol decode, translator stack, VFS calls into the
+// brick file system, and completion callbacks — costs far more than a
+// kernel server would.
+const (
+	// ServerIOThreads bounds how many requests the daemon services
 	// concurrently (the io-threads translator; requests beyond it queue).
-	IOThreads int
-	// OpCPU is the daemon + VFS processing cost per operation.
-	OpCPU sim.Duration
-	// PerByteCPUNanos is the copy cost (ns/byte) for data moved through
-	// the daemon (FUSE-less on the server, but the brick still copies
-	// between the network stack and the file system).
-	PerByteCPUNanos float64
-}
-
-// DefaultServerConfig matches a 2008-era glusterfsd (GlusterFS 1.3) on an
-// 8-core node: a userspace daemon whose per-operation path — event loop,
-// protocol decode, translator stack, VFS calls into the brick file system,
-// and completion callbacks — costs far more than a kernel server would.
-var DefaultServerConfig = ServerConfig{
-	IOThreads:       6,
-	OpCPU:           160 * time.Microsecond,
-	PerByteCPUNanos: 0.4,
-}
+	ServerIOThreads = 6
+	// ServerOpCPU is the daemon + VFS processing cost per operation.
+	ServerOpCPU sim.Duration = 160 * time.Microsecond
+	// ServerPerByteCPUNanos is the copy cost (ns/byte) for data moved
+	// through the daemon (FUSE-less on the server, but the brick still
+	// copies between the network stack and the file system).
+	ServerPerByteCPUNanos = 0.4
+)
 
 // Server is the protocol-server xlator: it exposes a child FS (typically
 // SMCache wrapping Posix) as the "glusterfsd" fabric service.
 type Server struct {
 	node    *fabric.Node
 	child   TaskFS
-	cfg     ServerConfig
 	threads *sim.Resource
 	down    bool
 
@@ -50,16 +43,7 @@ type Server struct {
 }
 
 // NewServer attaches a GlusterFS daemon to node serving child.
-func NewServer(node *fabric.Node, child FS, cfg ServerConfig) *Server {
-	if cfg.IOThreads <= 0 {
-		cfg.IOThreads = DefaultServerConfig.IOThreads
-	}
-	if cfg.OpCPU == 0 {
-		cfg.OpCPU = DefaultServerConfig.OpCPU
-	}
-	if cfg.PerByteCPUNanos == 0 {
-		cfg.PerByteCPUNanos = DefaultServerConfig.PerByteCPUNanos
-	}
+func NewServer(node *fabric.Node, child FS) *Server {
 	// Requests are served on the fabric frame's own task, so the whole
 	// brick stack must be continuation-style.
 	tfs := AsTaskFS(child)
@@ -69,8 +53,7 @@ func NewServer(node *fabric.Node, child FS, cfg ServerConfig) *Server {
 	s := &Server{
 		node:    node,
 		child:   tfs,
-		cfg:     cfg,
-		threads: sim.NewResource(node.Network().Env(), cfg.IOThreads),
+		threads: sim.NewResource(node.Network().Env(), ServerIOThreads),
 		Ops:     make(map[string]uint64),
 	}
 	node.HandleT(ServiceName, s.handleT)
@@ -164,8 +147,7 @@ func (op *serverOp) granted() {
 }
 
 func (op *serverOp) charge(payload int64) {
-	cfg := &op.s.cfg
-	op.s.node.CPU.UseT(op.t, cfg.OpCPU+sim.Duration(float64(payload)*cfg.PerByteCPUNanos), op.fnCharged)
+	op.s.node.CPU.UseT(op.t, ServerOpCPU+sim.Duration(float64(payload)*ServerPerByteCPUNanos), op.fnCharged)
 }
 
 func (op *serverOp) charged() {

@@ -11,14 +11,14 @@ import (
 	"imca/internal/telemetry"
 )
 
-// clientPageSize is the client cache granularity.
-const clientPageSize = 4096
+// ClientPageSize is the client cache granularity.
+const ClientPageSize = 4096
 
 // Local kernel-client costs per operation: Lustre has no FUSE crossing,
 // so a cached read pays only VFS work and a memory copy.
 const (
-	clientOpCPU        = 2 * time.Microsecond
-	clientPerByteNanos = 0.4
+	ClientOpCPU        = 2 * time.Microsecond
+	ClientPerByteNanos = 0.4
 )
 
 // contentCache is a byte-bounded LRU of page contents, the client-side
@@ -195,7 +195,7 @@ func (cl *Client) Close(p *sim.Proc, fd gluster.FD) error {
 
 // stripeFor maps a logical file offset to its OST and object-local offset.
 func (cl *Client) stripeFor(off int64) (ostIdx int, objOff int64) {
-	ss := cl.cluster.cfg.StripeSize
+	ss := StripeSize
 	n := int64(len(cl.cluster.osts))
 	stripe := off / ss
 	within := off % ss
@@ -205,7 +205,7 @@ func (cl *Client) stripeFor(off int64) (ostIdx int, objOff int64) {
 // ostIO performs a striped read or write of [off, off+size), splitting at
 // stripe boundaries and issuing per-OST requests in parallel.
 func (cl *Client) ostIO(p *sim.Proc, path string, off int64, data blob.Blob, size int64, write bool) blob.Blob {
-	ss := cl.cluster.cfg.StripeSize
+	ss := StripeSize
 	type piece struct {
 		ost        int
 		objOff     int64
@@ -274,7 +274,7 @@ func (cl *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, 
 	if err := gluster.CheckRange(off, size); err != nil {
 		return blob.Blob{}, err
 	}
-	cl.node.CPU.Use(p, clientOpCPU+sim.Duration(float64(size)*clientPerByteNanos))
+	cl.node.CPU.Use(p, ClientOpCPU+sim.Duration(float64(size)*ClientPerByteNanos))
 	st := cl.mdsStatCached(p, path)
 	if st == nil {
 		return blob.Blob{}, gluster.ErrNotExist
@@ -291,8 +291,8 @@ func (cl *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, 
 		m.holders[cl.id] = cl
 	}
 
-	firstPage := off / clientPageSize
-	lastPage := (off + size - 1) / clientPageSize
+	firstPage := off / ClientPageSize
+	lastPage := (off + size - 1) / ClientPageSize
 	var parts []blob.Blob
 	// Fetch contiguous runs of missing pages in single OST requests.
 	runStart := int64(-1)
@@ -300,15 +300,15 @@ func (cl *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, 
 		if runStart < 0 {
 			return
 		}
-		lo := runStart * clientPageSize
-		hi := (endPage + 1) * clientPageSize
+		lo := runStart * ClientPageSize
+		hi := (endPage + 1) * ClientPageSize
 		if hi > st.Size {
 			hi = st.Size
 		}
 		data := cl.ostIO(p, path, lo, blob.Blob{}, hi-lo, false)
 		for pg := runStart; pg <= endPage; pg++ {
-			plo := pg*clientPageSize - lo
-			phi := plo + clientPageSize
+			plo := pg*ClientPageSize - lo
+			phi := plo + ClientPageSize
 			if phi > data.Len() {
 				phi = data.Len()
 			}
@@ -340,10 +340,10 @@ func (cl *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, 
 		}
 		lo := int64(0)
 		if pg == firstPage {
-			lo = off - pg*clientPageSize
+			lo = off - pg*ClientPageSize
 		}
 		hi := page.Len()
-		if end := off + size - pg*clientPageSize; end < hi {
+		if end := off + size - pg*ClientPageSize; end < hi {
 			hi = end
 		}
 		if lo >= hi {
@@ -383,7 +383,7 @@ func (cl *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (
 	if err := gluster.CheckRange(off, data.Len()); err != nil {
 		return 0, err
 	}
-	cl.node.CPU.Use(p, clientOpCPU+sim.Duration(float64(data.Len())*clientPerByteNanos))
+	cl.node.CPU.Use(p, ClientOpCPU+sim.Duration(float64(data.Len())*ClientPerByteNanos))
 	m := cl.cluster.files[path]
 	if m == nil {
 		return 0, gluster.ErrNotExist
@@ -394,12 +394,12 @@ func (cl *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (
 	cl.ostIO(p, path, off, data, 0, true)
 
 	// Update our own cached pages covering the write.
-	first := off / clientPageSize
-	last := (off + data.Len() - 1) / clientPageSize
+	first := off / ClientPageSize
+	last := (off + data.Len() - 1) / ClientPageSize
 	for pg := first; pg <= last; pg++ {
 		if e, okc := cl.cache.pages[cacheKey{path, pg}]; okc && e != nil {
-			lo := pg * clientPageSize
-			hi := lo + clientPageSize
+			lo := pg * ClientPageSize
+			hi := lo + ClientPageSize
 			plo, phi := maxI(off, lo), minI(off+data.Len(), hi)
 			if plo < phi {
 				// Patch the cached page with the written range.

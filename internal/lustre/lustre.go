@@ -7,6 +7,10 @@
 // 4 data servers, warm or cold client cache). Clients implement gluster.FS,
 // so every workload driver runs unchanged against GlusterFS, IMCa, and
 // Lustre.
+//
+// The testbed's service costs, thread counts, stripe and client page size
+// are package constants (MODEL.md lists them); a deployment's Config sets
+// only what an experiment varies: the OST count and the cache sizes.
 package lustre
 
 import (
@@ -21,45 +25,31 @@ import (
 	"imca/internal/sim"
 )
 
-// Config sizes a Lustre deployment.
+// Config sizes a Lustre deployment: the data servers and the caches. The
+// rest of the paper's Lustre 1.6.4.3 testbed is the package's constants.
 type Config struct {
-	// OSTs is the number of data servers (the paper's "DS" count).
+	// OSTs is the number of data servers (the paper's "DS" count). Each
+	// has disk.HighPointDisks / OSTs HighPoint disks (at least one), so
+	// the deployment's spindle count matches the GlusterFS server's array.
 	OSTs int
-	// StripeSize is the striping unit across OSTs (Lustre default 1 MB).
-	StripeSize int64
-	// DisksPerOST sizes each OST's RAID-0 array. The default keeps the
-	// deployment's total spindle count at 8, comparable to the paper's
-	// GlusterFS server hardware.
-	DisksPerOST int
 	// OSTCacheBytes bounds each OST's server-side page cache.
 	OSTCacheBytes int64
 	// ClientCacheBytes bounds each client's local page cache.
 	ClientCacheBytes int64
-	// DiskParams describes each OST's backing disk.
-	DiskParams disk.Params
-	// MDSOpCPU and OSTOpCPU are per-request service costs. Lustre's
-	// kernel-level servers are leaner than a FUSE+userspace daemon.
-	MDSOpCPU sim.Duration
-	OSTOpCPU sim.Duration
 }
 
-// DefaultConfig mirrors the paper's Lustre 1.6.4.3 testbed defaults.
-func DefaultConfig(osts int) Config {
-	disksPer := 8 / osts
-	if disksPer < 1 {
-		disksPer = 1
-	}
-	return Config{
-		OSTs:             osts,
-		DisksPerOST:      disksPer,
-		StripeSize:       1 << 20,
-		OSTCacheBytes:    6 << 30,
-		ClientCacheBytes: 2 << 30,
-		DiskParams:       disk.HighPoint2008,
-		MDSOpCPU:         25 * time.Microsecond,
-		OSTOpCPU:         20 * time.Microsecond,
-	}
-}
+// Per-request service costs and limits of Lustre's kernel-level servers,
+// which are leaner than a FUSE+userspace daemon.
+const (
+	// StripeSize is the striping unit across OSTs (Lustre's default).
+	StripeSize int64 = 1 << 20
+	// MDSOpCPU is the metadata server's cost per request; MDSThreads
+	// bounds how many it serves at once.
+	MDSOpCPU   sim.Duration = 25 * time.Microsecond
+	MDSThreads              = 2
+	// OSTOpCPU is an object server's cost per request.
+	OSTOpCPU sim.Duration = 20 * time.Microsecond
+)
 
 // meta is the MDS-side record of one file.
 type meta struct {
@@ -107,7 +97,7 @@ func New(env *sim.Env, net *fabric.Network, prefix string, cfg Config) *Cluster 
 		env:        env,
 		cfg:        cfg,
 		mdsNode:    net.NewNode(prefix+"-mds", 8),
-		mdsThreads: sim.NewResource(env, 2),
+		mdsThreads: sim.NewResource(env, MDSThreads),
 		files:      make(map[string]*meta),
 		dirs:       map[string]map[string]struct{}{"/": {}},
 	}
@@ -115,11 +105,7 @@ func New(env *sim.Env, net *fabric.Network, prefix string, cfg Config) *Cluster 
 	c.mdsNode.Handle("mds-lock", c.handleLock)
 	for i := 0; i < cfg.OSTs; i++ {
 		node := net.NewNode(fmt.Sprintf("%s-ost%d", prefix, i), 8)
-		nd := cfg.DisksPerOST
-		if nd <= 0 {
-			nd = 2
-		}
-		dev := disk.NewArray(env, nd, 1<<20, cfg.DiskParams)
+		dev := disk.NewHighPoint(env, max(1, disk.HighPointDisks/cfg.OSTs))
 		store := gluster.NewPosix(env, gluster.PosixConfig{Dev: dev, CacheBytes: cfg.OSTCacheBytes})
 		o := &ost{node: node, store: store}
 		node.Handle("ost", c.makeOSTHandler(o))
@@ -170,7 +156,7 @@ func (c *Cluster) handleMDS(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabr
 	c.MDSOps++
 	c.mdsThreads.Acquire(p, 1)
 	defer c.mdsThreads.Release(1)
-	c.mdsNode.CPU.Use(p, c.cfg.MDSOpCPU)
+	c.mdsNode.CPU.Use(p, MDSOpCPU)
 	switch r.Op {
 	case "create":
 		if _, ok := c.files[r.Path]; ok {
@@ -245,7 +231,7 @@ func (c *Cluster) handleLock(p *sim.Proc, from *fabric.Node, req fabric.Msg) fab
 	r := req.(*lockReq)
 	c.mdsThreads.Acquire(p, 1)
 	defer c.mdsThreads.Release(1)
-	c.mdsNode.CPU.Use(p, c.cfg.MDSOpCPU)
+	c.mdsNode.CPU.Use(p, MDSOpCPU)
 	if m, ok := c.files[r.Path]; ok && r.Write {
 		c.revokeLocked(p, r.Path, m, r.Client)
 	}
@@ -297,7 +283,7 @@ func (r *ostResp) WireSize() int64 { return 16 + r.Data.Len() + int64(len(r.Code
 func (c *Cluster) makeOSTHandler(o *ost) fabric.Handler {
 	return func(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
 		r := req.(*ostReq)
-		o.node.CPU.Use(p, c.cfg.OSTOpCPU)
+		o.node.CPU.Use(p, OSTOpCPU)
 		fd, err := o.store.Open(p, r.Path)
 		if err != nil {
 			if fd, err = o.store.Create(p, r.Path); err != nil {

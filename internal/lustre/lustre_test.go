@@ -13,11 +13,17 @@ import (
 	"imca/internal/sim"
 )
 
+// paperConfig is a deployment of osts data servers with the paper's caches:
+// 6 GB per OST, 2 GB per client.
+func paperConfig(osts int) Config {
+	return Config{OSTs: osts, OSTCacheBytes: 6 << 30, ClientCacheBytes: 2 << 30}
+}
+
 func deploy(t *testing.T, osts int) (*sim.Env, *Cluster, []*Client) {
 	t.Helper()
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
-	cl := New(env, net, "lustre", DefaultConfig(osts))
+	cl := New(env, net, "lustre", paperConfig(osts))
 	clients := make([]*Client, 2)
 	for i := range clients {
 		clients[i] = cl.NewClient(net.NewNode(fmt.Sprintf("lc%d", i), 8))
@@ -156,7 +162,7 @@ func TestLustreMoreOSTsImproveLargeReadBandwidth(t *testing.T) {
 	elapsed := func(osts int) sim.Duration {
 		env := sim.NewEnv()
 		net := fabric.NewNetwork(env, fabric.IPoIB)
-		cfg := DefaultConfig(osts)
+		cfg := paperConfig(osts)
 		cl := New(env, net, "l", cfg)
 		c := cl.NewClient(net.NewNode("c", 8))
 		var d sim.Duration
@@ -219,7 +225,7 @@ func TestLustreMkdirReaddir(t *testing.T) {
 func TestLustreClientCacheBounded(t *testing.T) {
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
-	cfg := DefaultConfig(1)
+	cfg := paperConfig(1)
 	cfg.ClientCacheBytes = 1 << 20 // tiny client cache
 	cl := New(env, net, "l", cfg)
 	c := cl.NewClient(net.NewNode("c", 8))

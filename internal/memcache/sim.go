@@ -12,15 +12,18 @@ const ServiceName = "mcd"
 
 // Simulated per-operation service costs for a 2008-era memcached: command
 // parsing + hash lookup + slab bookkeeping per key, plus a copy cost per
-// byte moved in or out of the cache.
+// byte moved in or out of the cache, served by one event loop.
 const (
-	perKeyServiceTime = 6 * time.Microsecond
-	// perByteCopyNanos models ~2 GB/s memory copies (0.5 ns/byte).
-	perByteCopyNanos = 0.5
+	PerKeyServiceTime sim.Duration = 6 * time.Microsecond
+	// PerByteCopyNanos models ~2 GB/s memory copies (0.5 ns/byte).
+	PerByteCopyNanos = 0.5
+	// DaemonThreads is how many requests a daemon serves at once:
+	// memcached 1.2 ran a single event loop.
+	DaemonThreads = 1
 )
 
 func copyTime(n int64) sim.Duration {
-	return sim.Duration(float64(n) * perByteCopyNanos)
+	return sim.Duration(float64(n) * PerByteCopyNanos)
 }
 
 // request is the simulated protocol's one request message, of one of three

@@ -31,7 +31,7 @@ func NewSimServer(node *fabric.Node, limitBytes int64) *SimServer {
 	s := &SimServer{
 		node:   node,
 		store:  NewStore(limitBytes, func() int64 { return int64(env.Now().Seconds()) }),
-		daemon: sim.NewResource(env, 1),
+		daemon: sim.NewResource(env, DaemonThreads),
 	}
 	node.HandleT(ServiceName, s.handleT)
 	return s
@@ -169,10 +169,10 @@ func (s *SimServer) handleT(t *sim.Task, from *fabric.Node, req fabric.Msg, resp
 
 func (op *srvOp) daemonHeld() {
 	r := op.req
-	d := perKeyServiceTime
+	d := PerKeyServiceTime
 	switch r.verb {
 	case verbGet:
-		d = sim.Duration(r.keys.len()) * perKeyServiceTime
+		d = sim.Duration(r.keys.len()) * PerKeyServiceTime
 	case verbSet:
 		d += copyTime(r.item.Value.Len())
 	}

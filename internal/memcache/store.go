@@ -30,9 +30,14 @@ const (
 	// MaxKeyLen is the longest permitted key (the paper quotes 256; real
 	// memcached enforces 250 printable bytes, which we follow).
 	MaxKeyLen = 250
-	// MaxValueLen is the largest storable object (1 MB), which the paper
-	// notes places a natural upper bound on the IMCa block size.
+	// MaxValueLen is the largest value the protocol accepts (1 MB), which
+	// the paper notes places a natural upper bound on the IMCa block size.
 	MaxValueLen = 1 << 20
+	// MaxItemValueLen is the largest value an item with a MaxKeyLen key
+	// can hold: one slab page less the key and the item header, 1,048,278
+	// bytes. A larger value is refused as too large, so it, not
+	// MaxValueLen, is the bound on the IMCa block size.
+	MaxItemValueLen = slabPageSize - MaxKeyLen - itemOverhead
 	// slabPageSize is the allocation unit handed to a slab class.
 	slabPageSize = 1 << 20
 	// itemOverhead approximates memcached's per-item header + pointers.

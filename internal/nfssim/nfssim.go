@@ -7,6 +7,10 @@
 // The protocol is stateless (NFSv3-style): clients address files by path
 // and offset. Clients implement gluster.FS so the common workload drivers
 // run unchanged.
+//
+// The server is calibrated by two constants, OpCPU and Threads, over the
+// paper's 8-disk HighPoint array (disk.NewHighPoint); a deployment sets only
+// its page cache, the 4 GB / 8 GB knob of Fig. 1.
 package nfssim
 
 import (
@@ -20,50 +24,28 @@ import (
 	"imca/internal/telemetry"
 )
 
-// Config sizes the NFS server.
-type Config struct {
-	// ServerMemBytes bounds the server's page cache (the 4 GB / 8 GB
-	// knob of Fig. 1).
-	ServerMemBytes int64
-	// Disks and DiskParams describe the backing RAID-0 array.
-	Disks      int
-	DiskParams disk.Params
-	// Threads bounds nfsd concurrency.
-	Threads int
+// The paper's NFS server: a kernel nfsd.
+const (
 	// OpCPU is the per-request server cost (kernel nfsd is lean).
-	OpCPU sim.Duration
-}
-
-// DefaultConfig matches the paper's NFS server with the given RAM.
-func DefaultConfig(memBytes int64) Config {
-	return Config{
-		ServerMemBytes: memBytes,
-		Disks:          8,
-		DiskParams:     disk.HighPoint2008,
-		Threads:        8,
-		OpCPU:          10 * time.Microsecond,
-	}
-}
+	OpCPU sim.Duration = 10 * time.Microsecond
+	// Threads bounds nfsd concurrency.
+	Threads = 8
+)
 
 // Server is an NFS server attached to a fabric node.
 type Server struct {
 	node    *fabric.Node
 	store   *gluster.Posix
 	threads *sim.Resource
-	cfg     Config
 }
 
-// NewServer deploys an NFS server on node.
-func NewServer(env *sim.Env, node *fabric.Node, cfg Config) *Server {
-	if cfg.Threads <= 0 {
-		cfg.Threads = 8
-	}
-	arr := disk.NewArray(env, cfg.Disks, 1<<20, cfg.DiskParams)
+// NewServer deploys an NFS server on node with memBytes of page cache.
+func NewServer(env *sim.Env, node *fabric.Node, memBytes int64) *Server {
+	arr := disk.NewHighPoint(env, disk.HighPointDisks)
 	s := &Server{
 		node:    node,
-		store:   gluster.NewPosix(env, gluster.PosixConfig{Dev: arr, CacheBytes: cfg.ServerMemBytes}),
-		threads: sim.NewResource(env, cfg.Threads),
-		cfg:     cfg,
+		store:   gluster.NewPosix(env, gluster.PosixConfig{Dev: arr, CacheBytes: memBytes}),
+		threads: sim.NewResource(env, Threads),
 	}
 	node.Handle("nfsd", s.handle)
 	return s
@@ -100,7 +82,7 @@ func (s *Server) handle(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.M
 	r := req.(*nfsReq)
 	s.threads.Acquire(p, 1)
 	defer s.threads.Release(1)
-	s.node.CPU.Use(p, s.cfg.OpCPU)
+	s.node.CPU.Use(p, OpCPU)
 	switch r.Op {
 	case "create":
 		fd, err := s.store.Create(p, r.Path)

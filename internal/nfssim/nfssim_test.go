@@ -16,7 +16,7 @@ func deploy(t *testing.T, tr fabric.Transport, memBytes int64, clients int) (*si
 	t.Helper()
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, tr)
-	srv := NewServer(env, net.NewNode("nfs-server", 8), DefaultConfig(memBytes))
+	srv := NewServer(env, net.NewNode("nfs-server", 8), memBytes)
 	cls := make([]*Client, clients)
 	for i := range cls {
 		cls[i] = NewClient(net.NewNode(fmt.Sprintf("nc%d", i), 8), srv)

@@ -36,7 +36,7 @@ func pinIMCa() pinDeployment {
 func pinLustre() pinDeployment {
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
-	cl := lustre.New(env, net, "lustre", lustre.DefaultConfig(2))
+	cl := lustre.New(env, net, "lustre", lustre.Config{OSTs: 2, OSTCacheBytes: 6 << 30, ClientCacheBytes: 2 << 30})
 	d := pinDeployment{env: env}
 	var lcs []*lustre.Client
 	for i := 0; i < 2; i++ {
@@ -57,7 +57,7 @@ func pinLustre() pinDeployment {
 func pinNFS() pinDeployment {
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
-	srv := nfssim.NewServer(env, net.NewNode("nfs", 8), nfssim.DefaultConfig(64<<20))
+	srv := nfssim.NewServer(env, net.NewNode("nfs", 8), 64<<20)
 	d := pinDeployment{env: env, drop: func() {}}
 	for i := 0; i < 2; i++ {
 		d.mounts = append(d.mounts, nfssim.NewClient(net.NewNode(fmt.Sprintf("c%d", i), 8), srv))

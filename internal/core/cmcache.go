@@ -65,7 +65,9 @@ var _ gluster.TaskFS = (*CMCache)(nil)
 // NewCMCache wraps child with the client translator using the given MCD
 // bank client. It panics on a block size CheckBlockSize refuses.
 func NewCMCache(child gluster.FS, mcd *memcache.SimClient, cfg Config) *CMCache {
-	cfg.mustCheck()
+	if err := CheckBlockSize(cfg.BlockSize); err != nil {
+		panic(err)
+	}
 	c := &CMCache{
 		child:   gluster.Lift(child),
 		mcd:     mcd,

@@ -67,13 +67,6 @@ func CheckBlockSize(bs int64) error {
 	return nil
 }
 
-// mustCheck panics unless cfg's block size passes CheckBlockSize.
-func (c Config) mustCheck() {
-	if err := CheckBlockSize(c.BlockSize); err != nil {
-		panic(err)
-	}
-}
-
 // statKey returns the MCD key for a file's stat structure.
 func statKey(path string) string { return path + ":stat" }
 

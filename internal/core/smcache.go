@@ -61,7 +61,9 @@ var _ gluster.TaskFS = (*SMCache)(nil)
 // the paper attributes to IMCa. It panics on a block size CheckBlockSize
 // refuses.
 func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Config) *SMCache {
-	cfg.mustCheck()
+	if err := CheckBlockSize(cfg.BlockSize); err != nil {
+		panic(err)
+	}
 	// The translator runs on the brick daemon's request task and on helper
 	// tasks of its own, so the storage stack must be continuation-style.
 	tfs := gluster.AsTaskFS(child)

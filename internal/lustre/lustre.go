@@ -25,8 +25,7 @@ import (
 	"imca/internal/sim"
 )
 
-// Config sizes a Lustre deployment: the data servers and the caches. The
-// rest of the paper's Lustre 1.6.4.3 testbed is the package's constants.
+// Config sizes a Lustre deployment: the data servers and the caches.
 type Config struct {
 	// OSTs is the number of data servers (the paper's "DS" count). Each
 	// has disk.HighPointDisks / OSTs HighPoint disks (at least one), so
@@ -38,8 +37,9 @@ type Config struct {
 	ClientCacheBytes int64
 }
 
-// Per-request service costs and limits of Lustre's kernel-level servers,
-// which are leaner than a FUSE+userspace daemon.
+// The paper's Lustre 1.6.4.3 servers: the stripe unit, and the per-request
+// costs and thread limit of kernel-level servers, which are leaner than a
+// FUSE+userspace daemon.
 const (
 	// StripeSize is the striping unit across OSTs (Lustre's default).
 	StripeSize int64 = 1 << 20

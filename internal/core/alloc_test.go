@@ -18,11 +18,11 @@ import (
 // Allocation contracts of the block data path, in the style of
 // fabric/frame_test.go: batch-amortised testing.AllocsPerRun over warm
 // pools, so a bound of "n per operation" reads as n·batch. Each contract
-// also runs with the fabric's frame-poison mode on, where a pooled frame
+// also runs with poison mode on, where a pooled frame released twice or
 // touched after its release panics instead of quietly corrupting a later
 // call.
 
-// eachPoison runs fn with frame poisoning off and on.
+// eachPoison runs fn with poison mode off and on.
 func eachPoison(t *testing.T, fn func(t *testing.T)) {
 	for _, on := range []bool{false, true} {
 		name := "poison off"
@@ -30,8 +30,8 @@ func eachPoison(t *testing.T, fn func(t *testing.T)) {
 			name = "poison on"
 		}
 		t.Run(name, func(t *testing.T) {
-			fabric.SetFramePoison(on)
-			defer fabric.SetFramePoison(true) // the package's default; see TestMain
+			sim.SetPoison(on)
+			defer sim.SetPoison(true) // the package's default; see TestMain
 			fn(t)
 		})
 	}

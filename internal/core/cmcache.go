@@ -43,9 +43,9 @@ type CMCache struct {
 	// openOps, statOps and readOps pool the per-operation frames of
 	// CreateT and OpenT, StatT and ReadT; writes pools WriteT's, and pushes
 	// the block-push frames of client-populate mode.
-	openOps []*openOp
-	statOps []*statOp
-	readOps []*readOp
+	openOps sim.Free[openOp]
+	statOps sim.Free[statOp]
+	readOps sim.Free[readOp]
 	pushes  pushPool
 	writes  writeBacks
 
@@ -123,12 +123,8 @@ type openOp struct {
 // tracked returns a create/open continuation that records the path↔fd
 // association on success, then runs k.
 func (c *CMCache) tracked(path string, k func(gluster.FD, error)) func(gluster.FD, error) {
-	var op *openOp
-	if n := len(c.openOps); n > 0 {
-		op = c.openOps[n-1]
-		c.openOps[n-1] = nil
-		c.openOps = c.openOps[:n-1]
-	} else {
+	op := c.openOps.Pop()
+	if op == nil {
 		op = &openOp{c: c}
 		op.fnOpened = op.opened
 	}
@@ -142,7 +138,7 @@ func (op *openOp) opened(fd gluster.FD, err error) {
 		c.fdPaths[fd] = op.path
 	}
 	op.path, op.k = "", nil
-	c.openOps = append(c.openOps, op)
+	c.openOps.Push(op)
 	k(fd, err)
 }
 
@@ -185,27 +181,10 @@ type statOp struct {
 	st gluster.Stat
 }
 
-func newStatOp(c *CMCache) *statOp {
-	op := &statOp{c: c}
-	op.fnGot = op.got
-	op.fnFwd = op.fwd
-	return op
-}
-
-func (c *CMCache) takeStatOp() *statOp {
-	if n := len(c.statOps); n > 0 {
-		op := c.statOps[n-1]
-		c.statOps[n-1] = nil
-		c.statOps = c.statOps[:n-1]
-		return op
-	}
-	return newStatOp(c)
-}
-
 func (op *statOp) release() {
 	op.t, op.k, op.sp = nil, nil, nil
 	op.path = ""
-	op.c.statOps = append(op.c.statOps, op)
+	op.c.statOps.Push(op)
 }
 
 // got is the bank-lookup continuation: serve the hit or fall back to the
@@ -243,7 +222,12 @@ func (op *statOp) fwd(st *gluster.Stat, err error) {
 // StatT implements gluster.TaskFS: it first attempts to fetch the stat
 // structure from the MCD bank and falls back to the server on a miss.
 func (c *CMCache) StatT(t *sim.Task, path string, k func(*gluster.Stat, error)) {
-	op := c.takeStatOp()
+	op := c.statOps.Pop()
+	if op == nil {
+		op = &statOp{c: c}
+		op.fnGot = op.got
+		op.fnFwd = op.fwd
+	}
 	op.t, op.path, op.k = t, path, k
 	op.sp = optrace.StartSpan(t, optrace.LayerCMCache, "stat")
 	op.t0 = t.Now()
@@ -279,21 +263,6 @@ type readOp struct {
 	fnPushed func()
 }
 
-func (c *CMCache) takeReadOp() *readOp {
-	if n := len(c.readOps); n > 0 {
-		op := c.readOps[n-1]
-		c.readOps[n-1] = nil
-		c.readOps = c.readOps[:n-1]
-		return op
-	}
-	op := &readOp{c: c}
-	op.fnGot = op.got
-	op.fnDone = op.done
-	op.fnFilled = op.filled
-	op.fnPushed = op.pushed
-	return op
-}
-
 func (op *readOp) release() {
 	op.t, op.k, op.sp = nil, nil, nil
 	op.path, op.data = "", blob.Blob{}
@@ -301,7 +270,7 @@ func (op *readOp) release() {
 		op.parts[i] = blob.Blob{}
 	}
 	op.parts = op.parts[:0]
-	op.c.readOps = append(op.c.readOps, op)
+	op.c.readOps.Push(op)
 }
 
 // ReadT implements gluster.TaskFS. The path stored at Open plus each
@@ -320,7 +289,14 @@ func (c *CMCache) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob
 		c.child.ReadT(t, fd, off, size, k)
 		return
 	}
-	op := c.takeReadOp()
+	op := c.readOps.Pop()
+	if op == nil {
+		op = &readOp{c: c}
+		op.fnGot = op.got
+		op.fnDone = op.done
+		op.fnFilled = op.filled
+		op.fnPushed = op.pushed
+	}
 	op.t, op.fd, op.path, op.off, op.size, op.k = t, fd, path, off, size, k
 	op.sp = optrace.StartSpan(t, optrace.LayerCMCache, "read")
 	op.sp.SetAttrInt("bytes", size)

@@ -117,7 +117,7 @@ func cutRange(data blob.Blob, alignedOff, off, size int64) blob.Blob {
 // of one push pins the whole push's key bytes until the last of them leaves
 // the bank. That pin is bounded: a push's blocks are one size, so one slab
 // class, and are inserted consecutively, so the class's LRU evicts them
-// together (DESIGN.md, "Block keys").
+// together (DESIGN.md, "Memory discipline").
 type blockKeys struct {
 	offsets []int64
 	buf     []byte

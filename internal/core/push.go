@@ -149,7 +149,7 @@ type pushPool struct {
 	// the write they refresh by design, so they are not judged stale against
 	// the writes that follow.
 	judged bool
-	free   []*pushOp
+	free   sim.Free[pushOp]
 }
 
 // changed returns path's record, made on first use, for a mutation to count
@@ -176,10 +176,7 @@ func (pp *pushPool) seen(path string) changes {
 func (pp *pushPool) stamp(path string) uint64 { return pp.seen(path).applied() }
 
 func (pp *pushPool) take() *pushOp {
-	if n := len(pp.free); n > 0 {
-		op := pp.free[n-1]
-		pp.free[n-1] = nil
-		pp.free = pp.free[:n-1]
+	if op := pp.free.Pop(); op != nil {
 		return op
 	}
 	op := &pushOp{pool: pp}
@@ -228,7 +225,7 @@ func (op *pushOp) step() {
 		k := op.k
 		op.t, op.data, op.stat, op.set, op.k, op.path, op.ctr = nil, blob.Blob{}, false, nil, nil, "", nil
 		op.bk.drop()
-		op.pool.free = append(op.pool.free, op)
+		op.pool.free.Push(op)
 		k()
 		return
 	}

@@ -46,8 +46,8 @@ type SMCache struct {
 	// metaOps, readOps, pushes and writes pool the frames of the namespace
 	// verbs and purges, reads, pushes and writes (see metaOp, smReadOp,
 	// pushOp, writeBack).
-	metaOps []*metaOp
-	readOps []*smReadOp
+	metaOps sim.Free[metaOp]
+	readOps sim.Free[smReadOp]
 	pushes  pushPool
 	writes  writeBacks
 
@@ -197,12 +197,8 @@ type metaOp struct {
 
 // takeMeta draws a frame for one operation under span sp.
 func (s *SMCache) takeMeta(v metaVerb, t *sim.Task, sp *optrace.Span) *metaOp {
-	var op *metaOp
-	if n := len(s.metaOps); n > 0 {
-		op = s.metaOps[n-1]
-		s.metaOps[n-1] = nil
-		s.metaOps = s.metaOps[:n-1]
-	} else {
+	op := s.metaOps.Pop()
+	if op == nil {
 		op = &metaOp{s: s}
 		op.fnFD, op.fnErr, op.fnStat, op.fnPushed = op.gotFD, op.gotErr, op.gotStat, op.pushed
 		op.fnDeleted, op.fnStatGone = op.deleted, op.statGone
@@ -218,7 +214,7 @@ func (op *metaOp) finish(err error) {
 	kFD, kErr, kN, fd, n := op.kFD, op.kErr, op.kN, op.fd, op.n
 	op.t, op.sp, op.path, op.set, op.fd, op.n = nil, nil, "", nil, 0, 0
 	op.kFD, op.kErr, op.kN = nil, nil, nil
-	op.s.metaOps = append(op.s.metaOps, op)
+	op.s.metaOps.Push(op)
 	switch {
 	case kFD != nil:
 		kFD(fd, err)
@@ -399,28 +395,13 @@ type smReadOp struct {
 	fnPushed  func()
 }
 
-func (s *SMCache) takeReadOp() *smReadOp {
-	if n := len(s.readOps); n > 0 {
-		op := s.readOps[n-1]
-		s.readOps[n-1] = nil
-		s.readOps = s.readOps[:n-1]
-		return op
-	}
-	op := &smReadOp{s: s}
-	op.fnDone = op.done
-	op.fnAligned = op.aligned
-	op.fnPush = op.push
-	op.fnPushed = op.pushed
-	return op
-}
-
 // done closes the span, recycles the op, and delivers the result.
 func (op *smReadOp) done(data blob.Blob, err error) {
 	t, k := op.t, op.k
 	op.sp.End(t)
 	op.t, op.k, op.sp = nil, nil, nil
 	op.path, op.data = "", blob.Blob{}
-	op.s.readOps = append(op.s.readOps, op)
+	op.s.readOps.Push(op)
 	k(data, err)
 }
 
@@ -428,7 +409,14 @@ func (op *smReadOp) done(data blob.Blob, err error) {
 // so the completed data can be fed to the MCDs as whole blocks; the
 // client's requested range is sliced out of the aligned result.
 func (s *SMCache) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.Blob, error)) {
-	op := s.takeReadOp()
+	op := s.readOps.Pop()
+	if op == nil {
+		op = &smReadOp{s: s}
+		op.fnDone = op.done
+		op.fnAligned = op.aligned
+		op.fnPush = op.push
+		op.fnPushed = op.pushed
+	}
 	op.t, op.off, op.size, op.k = t, off, size, k
 	op.sp = optrace.StartSpan(t, optrace.LayerSMCache, "read")
 	path, tracked := s.fdPaths[fd]

@@ -69,7 +69,7 @@ type writeBacks struct {
 	// spawn, set in Threaded mode, starts the read-back and pushes on a
 	// helper actor of their own, off the write's critical path.
 	spawn func(name string, body func(*sim.Task)) *sim.Task
-	free  []*writeBack
+	free  sim.Free[writeBack]
 }
 
 // run performs one write under the translator's span sp. An untracked
@@ -77,12 +77,8 @@ type writeBacks struct {
 // write is forwarded and nothing is fed to the bank.
 func (w *writeBacks) run(t *sim.Task, sp *optrace.Span, fd gluster.FD, path string, tracked bool,
 	off int64, data blob.Blob, k func(int64, error)) {
-	var wb *writeBack
-	if n := len(w.free); n > 0 {
-		wb = w.free[n-1]
-		w.free[n-1] = nil
-		w.free = w.free[:n-1]
-	} else {
+	wb := w.free.Pop()
+	if wb == nil {
 		wb = &writeBack{w: w}
 		wb.fnBefore, wb.fnRestatted, wb.fnWritten, wb.fnHelper = wb.before, wb.restatted, wb.written, wb.helper
 		wb.fnBack, wb.fnTail, wb.fnPushed, wb.fnRestat = wb.back, wb.tail, wb.pushed, wb.restat
@@ -206,7 +202,7 @@ func (wb *writeBack) purged(int) { wb.finish(nil) }
 func (wb *writeBack) finish(err error) {
 	t, sp, k, n := wb.t, wb.sp, wb.k, wb.n
 	wb.t, wb.sp, wb.k, wb.path, wb.data = nil, nil, nil, "", blob.Blob{}
-	wb.w.free = append(wb.w.free, wb)
+	wb.w.free.Push(wb)
 	if k == nil {
 		t.End()
 		return

@@ -70,7 +70,7 @@ type Disk struct {
 	slow float64
 
 	// ops is the free list of request frames; see diskOp.
-	ops []*diskOp
+	ops sim.Free[diskOp]
 
 	// Stats
 	Reads, Writes uint64
@@ -115,9 +115,7 @@ type diskOp struct {
 }
 
 func (d *Disk) takeOp() *diskOp {
-	if n := len(d.ops); n > 0 {
-		op := d.ops[n-1]
-		d.ops = d.ops[:n-1]
+	if op := d.ops.Pop(); op != nil {
 		return op
 	}
 	op := &diskOp{d: d}
@@ -135,7 +133,7 @@ func (op *diskOp) next() {
 	if op.i == len(op.chunks) {
 		k := op.k
 		op.t, op.chunks, op.k = nil, nil, nil
-		op.d.ops = append(op.d.ops, op)
+		op.d.ops.Push(op)
 		k()
 		return
 	}

@@ -136,7 +136,7 @@ type Node struct {
 
 	// frames is the node's free list of outgoing call frames (see
 	// frame.go).
-	frames []*callFrame
+	frames sim.Free[callFrame]
 
 	// Traffic accounting.
 	TxBytes, RxBytes int64

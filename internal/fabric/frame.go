@@ -116,38 +116,23 @@ func newCallFrame(nd *Node) *callFrame {
 
 func (f *callFrame) env() *sim.Env { return f.nd.net.env }
 
-// framePoisonRefs marks a recycled frame while poison mode is on; any step
-// observing it (or getFrame missing it) has caught a pool-lifetime bug.
+// framePoisonRefs marks a recycled frame while poison mode (sim.SetPoison)
+// is on: the externally-reachable steps (serve, respond, completion
+// delivery) panic if they run on a frame so stamped, and getFrame panics if
+// it pops one without the stamp. The refcount catches a stale step the free
+// list's double-push check cannot.
 const framePoisonRefs = -0x5150
 
-var poisonFrames bool
-
-// SetFramePoison toggles the pool's debug mode: recycled frames are stamped
-// with a sentinel refcount, getFrame verifies the stamp on every pop, and
-// the externally-reachable steps (serve, respond, completion delivery)
-// panic if they run on a frame that has already been released. It exists
-// for tests that want use-after-release to fail loudly instead of
-// corrupting a later call; the stamped checks cost a package-var read on
-// the hot path and nothing more.
-func SetFramePoison(on bool) { poisonFrames = on }
-
-// FramePoison reports whether poison mode is on, for pools outside the
-// fabric that stamp what they recycle the same way.
-func FramePoison() bool { return poisonFrames }
-
 func (f *callFrame) checkLive() {
-	if poisonFrames && f.refs <= 0 {
+	if sim.Poison() && f.refs <= 0 {
 		panic("fabric: use of a released call frame")
 	}
 }
 
 // getFrame pops a free frame or grows the pool.
 func (nd *Node) getFrame() *callFrame {
-	if n := len(nd.frames); n > 0 {
-		f := nd.frames[n-1]
-		nd.frames[n-1] = nil
-		nd.frames = nd.frames[:n-1]
-		if poisonFrames {
+	if f := nd.frames.Pop(); f != nil {
+		if sim.Poison() {
 			if f.refs != framePoisonRefs {
 				panic("fabric: live frame on the free list")
 			}
@@ -192,10 +177,10 @@ func (f *callFrame) recycle() {
 	f.dst, f.svc, f.req, f.k, f.t, f.ls = nil, nil, nil, nil, nil, nil
 	f.sp, f.rq = nil, nil
 	f.resp, f.respMsg = nil, nil
-	if poisonFrames {
+	if sim.Poison() {
 		f.refs = framePoisonRefs
 	}
-	f.nd.frames = append(f.nd.frames, f)
+	f.nd.frames.Push(f)
 }
 
 // callT starts one pooled-frame RPC; see Node.CallT for semantics.

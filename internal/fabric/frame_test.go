@@ -84,8 +84,8 @@ func TestCallTNameResolutionAllocFree(t *testing.T) {
 // with poison mode on, so any premature recycle or use-after-release panics
 // instead of corrupting a later call.
 func TestFramePoisonLifecycle(t *testing.T) {
-	SetFramePoison(true)
-	defer SetFramePoison(false)
+	sim.SetPoison(true)
+	defer sim.SetPoison(false)
 
 	env, a, b := newTaskPair(t)
 	b.HandleT("slow", func(srv *sim.Task, _ *Node, req Msg, respond func(Msg)) {
@@ -153,8 +153,8 @@ func TestFramePoisonLifecycle(t *testing.T) {
 // frame step invoked after release, and a still-live frame pushed onto the
 // free list.
 func TestFramePoisonCatchesMisuse(t *testing.T) {
-	SetFramePoison(true)
-	defer SetFramePoison(false)
+	sim.SetPoison(true)
+	defer sim.SetPoison(false)
 
 	mustPanic := func(name string, fn func()) {
 		t.Helper()

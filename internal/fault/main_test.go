@@ -4,12 +4,12 @@ import (
 	"os"
 	"testing"
 
-	"imca/internal/fabric"
+	"imca/internal/sim"
 )
 
-// TestMain turns the fabric's frame-poison mode on for the whole package:
-// every test is a use-after-release detector for the pooled frames.
+// TestMain turns poison mode on for the whole package: every test is a
+// use-after-release detector for the pooled frames.
 func TestMain(m *testing.M) {
-	fabric.SetFramePoison(true)
+	sim.SetPoison(true)
 	os.Exit(m.Run())
 }

@@ -20,7 +20,7 @@ import (
 // point — so what a blocking caller receives is its own.
 type Blocking struct {
 	top   TaskFS
-	calls []*blockingCall // free frames; grows on first use
+	calls sim.Free[blockingCall] // free frames; grows on first use
 }
 
 // NewBlocking returns the blocking adapter over top's *T operations.
@@ -50,12 +50,8 @@ type blockingCall struct {
 // await runs r on b's xlator for p and returns the frame holding what the
 // operation handed its continuation; the caller releases it.
 func (b *Blocking) await(p *sim.Proc, r request) *blockingCall {
-	var c *blockingCall
-	if n := len(b.calls); n > 0 {
-		c = b.calls[n-1]
-		b.calls[n-1] = nil
-		b.calls = b.calls[:n-1]
-	} else {
+	c := b.calls.Pop()
+	if c == nil {
 		c = &blockingCall{b: b}
 		c.fnBody = c.body
 	}
@@ -71,7 +67,7 @@ func (c *blockingCall) body(t *sim.Task) {
 
 func (c *blockingCall) release() {
 	c.t, c.req, c.err, c.data, c.st, c.names = nil, request{}, nil, blob.Blob{}, nil, nil
-	c.b.calls = append(c.b.calls, c)
+	c.b.calls.Push(c)
 }
 
 // The operation's results (blockingCall is a sink): each is kept and the

@@ -16,7 +16,7 @@ type Client struct {
 	server *fabric.Node
 
 	// ops is the free list of per-operation frames; see clientOp.
-	ops []*clientOp
+	ops sim.Free[clientOp]
 
 	// RPC counters, registered by Register.
 	rpcs      uint64
@@ -65,12 +65,8 @@ type clientOp struct {
 // start draws a frame for one v request; the caller fills in the operands
 // and its continuation, then calls.
 func (c *Client) start(t *sim.Task, v verb) *clientOp {
-	var op *clientOp
-	if n := len(c.ops); n > 0 {
-		op = c.ops[n-1]
-		c.ops[n-1] = nil
-		c.ops = c.ops[:n-1]
-	} else {
+	op := c.ops.Pop()
+	if op == nil {
 		op = &clientOp{c: c}
 		op.req.owner = op
 		op.fnDone = op.done
@@ -93,7 +89,7 @@ func (op *clientOp) release() {
 	op.t, op.sp, op.k = nil, nil, conts{}
 	// The operands that pin memory, and that every verb's WireSize counts.
 	op.req.path, op.req.data = "", blob.Blob{}
-	op.c.ops = append(op.c.ops, op)
+	op.c.ops.Push(op)
 }
 
 // done closes the span and decodes the response for the caller. The server

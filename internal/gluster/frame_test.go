@@ -14,9 +14,9 @@ import (
 )
 
 // Lifetimes of the per-layer op frames (fuseOp, clientOp, serverOp,
-// posixOp), driven with the fabric's frame-poison mode on (TestMain) so a
-// pooled frame touched after its release panics instead of quietly
-// corrupting a later call.
+// posixOp), driven with poison mode on (TestMain) so a pooled frame
+// touched after its release panics instead of quietly corrupting a later
+// call.
 
 // frameVolume is fuse → protocol client → daemon → posix, with one io-thread
 // and a slow disk so a cold read holds the daemon for milliseconds. ref and

@@ -35,7 +35,7 @@ type Fuse struct {
 	hists [numVerbs]*metrics.Histogram
 
 	// ops pools the per-operation frames; see fuseOp.
-	ops []*fuseOp
+	ops sim.Free[fuseOp]
 }
 
 var _ TaskFS = (*Fuse)(nil)
@@ -79,12 +79,8 @@ type fuseOp struct {
 
 // start draws a frame for one operation and opens its span.
 func (f *Fuse) start(t *sim.Task, v verb) *fuseOp {
-	var op *fuseOp
-	if n := len(f.ops); n > 0 {
-		op = f.ops[n-1]
-		f.ops[n-1] = nil
-		f.ops = f.ops[:n-1]
-	} else {
+	op := f.ops.Pop()
+	if op == nil {
 		op = &fuseOp{f: f}
 		op.fnHeld, op.fnCharged = op.held, op.charged
 	}
@@ -101,7 +97,7 @@ func (op *fuseOp) end() {
 	op.f.hists[op.req.verb].Observe(op.t.Now().Sub(op.t0))
 	op.t, op.sp, op.data, op.err = nil, nil, blob.Blob{}, nil
 	op.req, op.k = request{}, conts{}
-	op.f.ops = append(op.f.ops, op)
+	op.f.ops.Push(op)
 }
 
 // charge takes the client CPU for the crossing plus the copy of payload

@@ -80,7 +80,7 @@ type Posix struct {
 	journalOff int64
 
 	// ops is the free list of operation frames; see posixOp.
-	ops []*posixOp
+	ops sim.Free[posixOp]
 
 	// Stats
 	DiskReads, DiskWrites uint64
@@ -313,12 +313,8 @@ type posixOp struct {
 }
 
 func (px *Posix) takeOp(v verb, t *sim.Task, sp *optrace.Span, in *inode) *posixOp {
-	var op *posixOp
-	if n := len(px.ops); n > 0 {
-		op = px.ops[n-1]
-		px.ops[n-1] = nil
-		px.ops = px.ops[:n-1]
-	} else {
+	op := px.ops.Pop()
+	if op == nil {
 		op = &posixOp{px: px}
 		op.fnDev = op.devDone
 	}
@@ -351,7 +347,7 @@ func (op *posixOp) end() {
 		op.parts[i] = blob.Blob{}
 	}
 	op.parts = op.parts[:0]
-	op.px.ops = append(op.px.ops, op)
+	op.px.ops.Push(op)
 }
 
 // ReadT implements TaskFS. Page-cache misses are repaired from the device

@@ -36,7 +36,7 @@ type Server struct {
 	down    bool
 
 	// ops is the free list of per-request frames; see serverOp.
-	ops []*serverOp
+	ops sim.Free[serverOp]
 
 	// Ops counts completed requests by type for experiment reporting.
 	Ops map[string]uint64
@@ -94,24 +94,11 @@ type serverOp struct {
 	fn                   conts // the frame's own continuations; see conts.down
 }
 
-func (s *Server) takeOp() *serverOp {
-	if n := len(s.ops); n > 0 {
-		op := s.ops[n-1]
-		s.ops[n-1] = nil
-		s.ops = s.ops[:n-1]
-		return op
-	}
-	op := &serverOp{s: s}
-	op.resp.owner = op
-	op.fnGranted, op.fnCharged = op.granted, op.charged
-	return op
-}
-
 // release is the response's Recycle.
 func (op *serverOp) release() {
 	op.t, op.req, op.respond, op.sp = nil, nil, nil, nil
 	op.resp = response{pooledMsg: op.resp.pooledMsg}
-	op.s.ops = append(op.s.ops, op)
+	op.s.ops.Push(op)
 }
 
 // handleT serves one RPC: take an io-thread, charge the daemon's CPU, run
@@ -127,7 +114,12 @@ func (s *Server) handleT(t *sim.Task, from *fabric.Node, req fabric.Msg, respond
 		respond(&response{verb: r.verb, code: errCode(ErrServerDown)})
 		return
 	}
-	op := s.takeOp()
+	op := s.ops.Pop()
+	if op == nil {
+		op = &serverOp{s: s}
+		op.resp.owner = op
+		op.fnGranted, op.fnCharged = op.granted, op.charged
+	}
 	op.t, op.req, op.respond, op.sp = t, r, respond, sp
 	op.resp.verb = r.verb
 	s.threads.AcquireT(t, 1, op.fnGranted)

@@ -3,7 +3,6 @@ package memcache
 import (
 	"time"
 
-	"imca/internal/fabric"
 	"imca/internal/sim"
 )
 
@@ -85,12 +84,12 @@ func (l *keyList) at(i int) []byte {
 	return l.buf[from:l.ends[i]]
 }
 
-// reset empties the list for its request's next life. Under
-// fabric.SetFramePoison the old bytes are overwritten first, so a reader
-// that outlived the request looks up keys no one stored instead of quietly
-// reading the next call's.
+// reset empties the list for its request's next life. Under sim.SetPoison
+// the old bytes are overwritten first, so a reader that outlived the
+// request looks up keys no one stored instead of quietly reading the next
+// call's.
 func (l *keyList) reset() {
-	if fabric.FramePoison() {
+	if sim.Poison() {
 		for i := range l.buf {
 			l.buf[i] = 0xff
 		}

@@ -20,9 +20,9 @@ type SimClient struct {
 	// path never repeats the lookup or the cross-network check.
 	bindings []*fabric.Binding
 	// Free lists of pooled per-operation frames.
-	ops      []*bankOp
-	multiOps []*multiGetOp
-	legs     []*multiGetLeg
+	ops      sim.Free[bankOp]
+	multiOps sim.Free[multiGetOp]
+	legs     sim.Free[multiGetLeg]
 	// stats holds the client's failure counters, the client-side fields of
 	// Stats (see ClientCounters); its daemon fields stay zero.
 	stats Stats
@@ -267,12 +267,8 @@ type bankOp struct {
 
 // takeOp draws a frame for one v request.
 func (c *SimClient) takeOp(t *sim.Task, v verb) *bankOp {
-	var op *bankOp
-	if n := len(c.ops); n > 0 {
-		op = c.ops[n-1]
-		c.ops[n-1] = nil
-		c.ops = c.ops[:n-1]
-	} else {
+	op := c.ops.Pop()
+	if op == nil {
 		// Pool refill: a frame is built only when the free list is empty, so
 		// the count is bounded by the single-key requests in flight at once.
 		op = &bankOp{c: c}
@@ -296,7 +292,7 @@ func (op *bankOp) release() {
 	// Amortised growth: the free list holds only ops already drawn, so its
 	// backing array grows to the most single-key requests ever in flight at
 	// once.
-	op.c.ops = append(op.c.ops, op)
+	op.c.ops.Push(op)
 }
 
 // done receives the MCD's reply: the health and span bookkeeping every verb
@@ -460,19 +456,6 @@ type multiGetLeg struct {
 	fnDone  func(fabric.Msg, error)
 }
 
-func (c *SimClient) takeMultiOp() *multiGetOp {
-	if n := len(c.multiOps); n > 0 {
-		op := c.multiOps[n-1]
-		c.multiOps[n-1] = nil
-		c.multiOps = c.multiOps[:n-1]
-		return op
-	}
-	op := &multiGetOp{c: c, byServer: make([]*multiGetLeg, len(c.servers))}
-	op.fnCollect = op.collect
-	op.fnGot1 = op.got1
-	return op
-}
-
 // finish hands the result to the caller and recycles the op. The borrow of
 // op.out ends when k returns.
 func (op *multiGetOp) finish() {
@@ -490,7 +473,7 @@ func (op *multiGetOp) finish() {
 	}
 	op.out, op.items, op.res = op.out[:0], op.items[:0], op.res[:0]
 	op.next = 0
-	op.c.multiOps = append(op.c.multiOps, op)
+	op.c.multiOps.Push(op)
 }
 
 // got1 completes the one-key fast path: GetT's item is valid through this
@@ -502,20 +485,6 @@ func (op *multiGetOp) got1(it *Item, ok bool) {
 	op.finish()
 }
 
-func (c *SimClient) takeLeg() *multiGetLeg {
-	if n := len(c.legs); n > 0 {
-		l := c.legs[n-1]
-		c.legs[n-1] = nil
-		c.legs = c.legs[:n-1]
-		return l
-	}
-	l := &multiGetLeg{c: c, t: c.node.Network().Env().ContextTask("mcd-get")}
-	l.req.verb, l.req.owner = verbGet, l
-	l.fnStart = l.start
-	l.fnDone = l.done
-	return l
-}
-
 // release returns the leg to its client's pool; reached through the pooled
 // request's Recycle, or directly for a leg whose server refused admission.
 func (l *multiGetLeg) release() {
@@ -523,7 +492,7 @@ func (l *multiGetLeg) release() {
 	l.pos = l.pos[:0]
 	l.op, l.sp = nil, nil
 	l.t.SetCtx(nil)
-	l.c.legs = append(l.c.legs, l)
+	l.c.legs.Push(l)
 }
 
 // start is the leg's first slice, one scheduled event after the scatter.
@@ -588,7 +557,12 @@ func (op *multiGetOp) collect() {
 // it keeps. Each MCD's batch is a pooled leg issuing one CallT: one
 // scheduled event to start it, one to join it.
 func (c *SimClient) GetMultiT(t *sim.Task, keys []byte, ends []int, k func([]*Item)) {
-	op := c.takeMultiOp()
+	op := c.multiOps.Pop()
+	if op == nil {
+		op = &multiGetOp{c: c, byServer: make([]*multiGetLeg, len(c.servers))}
+		op.fnCollect = op.collect
+		op.fnGot1 = op.got1
+	}
 	op.t, op.k = t, k
 	if cap(op.out) < len(ends) {
 		op.out = make([]*Item, len(ends))
@@ -609,7 +583,12 @@ func (c *SimClient) GetMultiT(t *sim.Task, keys []byte, ends []int, k func([]*It
 		i := c.routeRead(t, key)
 		l := op.byServer[i]
 		if l == nil {
-			l = c.takeLeg()
+			if l = c.legs.Pop(); l == nil {
+				l = &multiGetLeg{c: c, t: c.node.Network().Env().ContextTask("mcd-get")}
+				l.req.verb, l.req.owner = verbGet, l
+				l.fnStart = l.start
+				l.fnDone = l.done
+			}
 			op.byServer[i] = l
 		}
 		appendKey(&l.req.keys, key)

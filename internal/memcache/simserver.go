@@ -22,7 +22,7 @@ type SimServer struct {
 	slow float64
 
 	// ops is the free list of pooled request state machines (see srvOp).
-	ops []*srvOp
+	ops sim.Free[srvOp]
 }
 
 // NewSimServer starts an MCD on node with the given memory limit.
@@ -113,27 +113,6 @@ type srvOp struct {
 	fnCopyDone   func()
 }
 
-func newSrvOp(s *SimServer) *srvOp {
-	op := &srvOp{s: s}
-	op.resp.op = op
-	op.fnDaemonHeld = op.daemonHeld
-	op.fnCPUHeld = op.cpuHeld
-	op.fnCPUDone = op.cpuDone
-	op.fnCopyHeld = op.copyHeld
-	op.fnCopyDone = op.copyDone
-	return op
-}
-
-func (s *SimServer) getOp() *srvOp {
-	if n := len(s.ops); n > 0 {
-		op := s.ops[n-1]
-		s.ops[n-1] = nil
-		s.ops = s.ops[:n-1]
-		return op
-	}
-	return newSrvOp(s)
-}
-
 // release returns the op to its server's pool; called by the pooled
 // response's Recycle when the fabric retires the call.
 func (op *srvOp) release() {
@@ -145,7 +124,7 @@ func (op *srvOp) release() {
 	for i := range op.items {
 		op.items[i] = Item{}
 	}
-	op.s.ops = append(op.s.ops, op)
+	op.s.ops.Push(op)
 }
 
 // handleT serves one request continuation-style: daemon admission, per-key
@@ -162,7 +141,16 @@ func (s *SimServer) handleT(t *sim.Task, from *fabric.Node, req fabric.Msg, resp
 		respond(&response{down: true})
 		return
 	}
-	op := s.getOp()
+	op := s.ops.Pop()
+	if op == nil {
+		op = &srvOp{s: s}
+		op.resp.op = op
+		op.fnDaemonHeld = op.daemonHeld
+		op.fnCPUHeld = op.cpuHeld
+		op.fnCPUDone = op.cpuDone
+		op.fnCopyHeld = op.copyHeld
+		op.fnCopyDone = op.copyDone
+	}
 	op.t, op.req, op.respond, op.sp = t, r, respond, sp
 	s.daemon.AcquireT(t, 1, op.fnDaemonHeld)
 }

@@ -73,7 +73,7 @@ func allocStore(t *testing.T) *Store {
 }
 
 // TestServerAllocContracts pins what each verb of the real daemon
-// allocates per request (DESIGN.md "Real daemon wire path").
+// allocates per request (DESIGN.md "Memory discipline").
 func TestServerAllocContracts(t *testing.T) {
 	const key = "/bench/file0000001:stat"
 	binReq := func(op byte, key string, extras, value int) string {

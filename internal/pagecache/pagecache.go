@@ -8,7 +8,10 @@
 // keeps a cache of contents of its own.
 package pagecache
 
-import "imca/internal/metrics"
+import (
+	"imca/internal/metrics"
+	"imca/internal/sim"
+)
 
 // Range is a byte extent within a file.
 type Range struct {
@@ -67,9 +70,9 @@ type Cache struct {
 	// used page, root.prev the eviction victim.
 	root       page
 	files      map[uint64]*file
-	freePages  []*page
-	freeChunks []*chunk
-	freeFiles  []*file
+	freePages  sim.Free[page]
+	freeChunks sim.Free[chunk]
+	freeFiles  sim.Free[file]
 
 	Hits, Misses, Evictions uint64
 
@@ -110,15 +113,6 @@ func (c *Cache) touch(pg *page) {
 	}
 }
 
-// pop takes a node off a free list, or makes one.
-func pop[T any](free *[]*T) (x *T) {
-	if n := len(*free); n > 0 {
-		x, *free = (*free)[n-1], (*free)[:n-1]
-		return x
-	}
-	return new(T)
-}
-
 // chunkOf returns the chunk holding page idx of ino: nil if none of its
 // pages is resident, unless create says to make it (and the file). A
 // sequential scan stays on the file's last chunk and hashes only the inode.
@@ -128,7 +122,9 @@ func (c *Cache) chunkOf(ino uint64, idx int64, create bool) *chunk {
 		if !create {
 			return nil
 		}
-		f = pop(&c.freeFiles)
+		if f = c.freeFiles.Pop(); f == nil {
+			f = new(file)
+		}
 		f.ino, c.files[ino] = ino, f
 	}
 	num, ch := idx>>chunkShift, f.last
@@ -137,7 +133,9 @@ func (c *Cache) chunkOf(ino uint64, idx int64, create bool) *chunk {
 			if !create {
 				return nil
 			}
-			ch = pop(&c.freeChunks)
+			if ch = c.freeChunks.Pop(); ch == nil {
+				ch = new(chunk)
+			}
 			ch.file, ch.num = f, num
 			// A recycled file keeps its emptied map, so the map can be
 			// there before the second chunk; when there it holds them all.
@@ -239,7 +237,10 @@ func (c *Cache) Insert(ino uint64, off, size int64) {
 		}
 		// Looked up after the evictions, which may have emptied and
 		// recycled the very chunk (or file) idx belongs to.
-		pg, ch := pop(&c.freePages), c.chunkOf(ino, idx, true)
+		pg, ch := c.freePages.Pop(), c.chunkOf(ino, idx, true)
+		if pg == nil {
+			pg = new(page)
+		}
 		pg.idx, pg.chunk = idx, ch
 		ch.slots[idx&(chunkPages-1)] = pg
 		c.pushFront(pg)
@@ -262,7 +263,7 @@ func (c *Cache) removePage(pg *page) {
 	ch := pg.chunk
 	ch.slots[pg.idx&(chunkPages-1)] = nil
 	c.unlink(pg)
-	c.freePages = append(c.freePages, pg)
+	c.freePages.Push(pg)
 	c.used -= c.pageSize
 	if ch.slots != ([chunkPages]*page{}) {
 		return
@@ -272,12 +273,12 @@ func (c *Cache) removePage(pg *page) {
 	if f.last == ch {
 		f.last = nil
 	}
-	c.freeChunks = append(c.freeChunks, ch)
+	c.freeChunks.Push(ch)
 	if len(f.chunks) > 0 {
 		return
 	}
 	delete(c.files, f.ino)
-	c.freeFiles = append(c.freeFiles, f)
+	c.freeFiles.Push(f)
 }
 
 // InvalidateFile drops every cached page of ino, a chunk at a time.

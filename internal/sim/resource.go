@@ -22,7 +22,7 @@ type Resource struct {
 	lastBusy Time
 
 	// useOps is the UseT frame free list; see useOp.
-	useOps []*useOp
+	useOps Free[useOp]
 }
 
 // resWaiter is one queued acquirer: its continuation and its unit count.
@@ -129,25 +129,12 @@ type useOp struct {
 	fnCharged func()
 }
 
-func (r *Resource) takeUseOp() *useOp {
-	if n := len(r.useOps); n > 0 {
-		op := r.useOps[n-1]
-		r.useOps[n-1] = nil
-		r.useOps = r.useOps[:n-1]
-		return op
-	}
-	op := &useOp{r: r}
-	op.fnHeld = op.held
-	op.fnCharged = op.charged
-	return op
-}
-
 func (op *useOp) held() { op.t.Sleep(op.d, op.fnCharged) }
 
 func (op *useOp) charged() {
 	r, k := op.r, op.k
 	op.t, op.k = nil, nil
-	r.useOps = append(r.useOps, op)
+	r.useOps.Push(op)
 	r.Release(1)
 	k()
 }
@@ -155,7 +142,12 @@ func (op *useOp) charged() {
 // UseT is Use for tasks: acquire one unit, hold it for d, release, then
 // run k.
 func (r *Resource) UseT(t *Task, d Duration, k func()) {
-	op := r.takeUseOp()
+	op := r.useOps.Pop()
+	if op == nil {
+		op = &useOp{r: r}
+		op.fnHeld = op.held
+		op.fnCharged = op.charged
+	}
 	op.t, op.d, op.k = t, d, k
 	r.AcquireT(t, 1, op.fnHeld)
 }

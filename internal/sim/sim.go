@@ -293,7 +293,7 @@ type Env struct {
 	// starts a new one. No pending event references a Proc — one is woken
 	// only from inside its own Await — so a recycled identity cannot be woken
 	// by its previous life's events.
-	procFree []*Proc
+	procFree Free[Proc]
 
 	// EventsProcessed counts dispatched events — a cheap measure of how
 	// much simulated activity a run performed, useful when comparing the
@@ -497,16 +497,12 @@ func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s)", p.pid, p.nam
 // a running process.
 func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
 	e.nextPID++
-	var p *Proc
-	if n := len(e.procFree); n > 0 {
-		p = e.procFree[n-1]
-		e.procFree[n-1] = nil
-		e.procFree = e.procFree[:n-1]
-		p.ctx = nil
-	} else {
+	p := e.procFree.Pop()
+	if p == nil {
 		p = &Proc{env: e}
 		p.start = func() { p.next() }
 	}
+	p.ctx = nil
 	if p.next == nil {
 		//imcalint:allow nogoroutine the kernel itself multiplexes process coroutines, one running at a time
 		p.next, p.stop = iter.Pull(p.lives)
@@ -527,7 +523,7 @@ func (p *Proc) lives(yield func(struct{}) bool) {
 		p.body = nil
 		body(p)
 		p.env.living--
-		p.env.procFree = append(p.env.procFree, p)
+		p.env.procFree.Push(p)
 		if !yield(struct{}{}) {
 			return
 		}

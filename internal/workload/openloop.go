@@ -155,7 +155,7 @@ type tenant struct {
 	t              *sim.Task
 	rng            *xrand.Rand
 	fired, pending int
-	free           []*arrival
+	free           sim.Free[arrival]
 	fnArrive       func()
 }
 
@@ -184,11 +184,8 @@ func (tn *tenant) arrive() {
 	run.KeyReads[idx]++
 	run.Issued++
 	tn.pending++
-	var a *arrival
-	if n := len(tn.free); n > 0 {
-		a = tn.free[n-1]
-		tn.free = tn.free[:n-1]
-	} else {
+	a := tn.free.Pop()
+	if a == nil {
 		a = &arrival{tn: tn}
 		a.fnDone = a.done
 	}
@@ -208,7 +205,7 @@ func (a *arrival) done(data blob.Blob, err error) {
 	run.Latency.Observe(tn.t.Now().Sub(a.start))
 	run.Completed++
 	tn.pending--
-	tn.free = append(tn.free, a)
+	tn.free.Push(a)
 	if tn.fired == run.opts.ArrivalsPerTenant && tn.pending == 0 {
 		tn.t.End()
 	}

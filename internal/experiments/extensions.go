@@ -23,7 +23,7 @@ import (
 // bank".
 func extRDMA(o Options) figure {
 	over := func(name string, tr fabric.Transport) system {
-		return glusterSys(name, cluster.Options{Transport: tr, MCDs: 2, MCDMemBytes: o.mcdMemForLatency()})
+		return glusterSys(name, cluster.Options{Transport: tr, MCDs: 2, MCDMemBytes: o.sized().latencyMCD})
 	}
 	return figure{
 		name: "ext-rdma", title: "Extension: IMCa read latency, IPoIB vs native RDMA transport",
@@ -46,14 +46,14 @@ func extRDMA(o Options) figure {
 // resize stability (fraction of keys that move when the bank grows by one
 // daemon), which is consistent hashing's raison d'être.
 func extHash(o Options) figure {
-	fileSize := scaled(256<<20, o.scale())
+	fileSize := o.sized().stream
 	keys := make([]string, 4096)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("/io/f%06d:%d", i%64, int64(i)*2048)
 	}
 	with := func(name string, sel memcache.Selector) system {
 		return glusterSys(name, cluster.Options{
-			MCDs: 4, MCDMemBytes: scaled(6<<30, o.scale()), BlockSize: 2048, Selector: sel,
+			MCDs: 4, MCDMemBytes: o.sized().mcd, BlockSize: 2048, Selector: sel,
 		})
 	}
 	const tput, moved = 0, 1 // the rows
@@ -115,7 +115,7 @@ func extSharing(o Options) figure {
 		rows: []int64{2, 4, 8, 16, 32},
 		systems: []system{
 			lustreSys(lus, 1, false),
-			glusterSys(imca, cluster.Options{MCDs: 2, MCDMemBytes: o.mcdMemForLatency()}),
+			glusterSys(imca, cluster.Options{MCDs: 2, MCDMemBytes: o.sized().latencyMCD}),
 		},
 		cell: sharingRounds,
 		claims: func(f *filled) {
@@ -174,8 +174,7 @@ func sharingRounds(_ Options, tb testbed, _ int64) float64 {
 // the miss round trip. With persistent handles, the hot set is served
 // almost entirely by the bank.
 func extSmallFiles(o Options) figure {
-	files := max(4096/o.scale(), 64)
-	accesses := max(131072/o.scale(), 512)
+	files, accesses := o.sized().smallFiles, o.sized().accesses
 	const fileSize = 8 << 10  // "small" files: 8 KB
 	const kept, reopen = 0, 1 // the rows
 	return figure{
@@ -186,7 +185,7 @@ func extSmallFiles(o Options) figure {
 		clients: 32,
 		systems: []system{
 			glusterSys("NoCache", cluster.Options{}),
-			glusterSys("IMCa(4MCD)", cluster.Options{MCDs: 4, MCDMemBytes: scaled(6<<30, o.scale())}),
+			glusterSys("IMCa(4MCD)", cluster.Options{MCDs: 4, MCDMemBytes: o.sized().mcd}),
 		},
 		cell: func(o Options, tb testbed, pattern int64) float64 {
 			res := workload.SmallFiles(tb.env, tb.mounts, workload.SmallFilesOptions{
@@ -208,7 +207,7 @@ func extSmallFiles(o Options) figure {
 // sees "not much potential for cache based optimizations" there) and gain
 // nothing — but must not regress either, beyond the purge bookkeeping.
 func extMDTest(o Options) figure {
-	files := max(16384/o.scale(), 64)
+	files := o.sized().mdFiles
 	const clients = 16
 	const create, stat, unlink = 0, 1, 2 // the rows
 	ratio := func(f *filled, phase int) float64 { return f.Value(phase, "IMCa(2MCD)") / f.Value(phase, "NoCache") }
@@ -221,7 +220,7 @@ func extMDTest(o Options) figure {
 		clients: clients,
 		systems: []system{
 			glusterSys("NoCache", cluster.Options{}),
-			glusterSys("IMCa(2MCD)", cluster.Options{MCDs: 2, MCDMemBytes: scaled(6<<30, o.scale())}),
+			glusterSys("IMCa(2MCD)", cluster.Options{MCDs: 2, MCDMemBytes: o.sized().mcd}),
 			lustreSys("Lustre-4DS", 4, false),
 		},
 		column: func(o Options, tb testbed, _ []int64) ([]float64, traces) {
@@ -245,7 +244,7 @@ func extMDTest(o Options) figure {
 // server (the paper's proposal). Both multiply aggregate bandwidth; the
 // bank does it without re-provisioning storage.
 func extBricks(o Options) figure {
-	fileSize := scaled(256<<20, o.scale())
+	fileSize := o.sized().stream
 	return figure{
 		name: "ext-bricks", title: "Extension: scaling by bricks vs scaling by cache nodes (read throughput)",
 		x: "threads", y: "aggregate MB/s",
@@ -255,7 +254,7 @@ func extBricks(o Options) figure {
 			glusterSys("2 bricks", cluster.Options{Bricks: 2}),
 			glusterSys("4 bricks", cluster.Options{Bricks: 4}),
 			glusterSys("1 brick + 4 MCDs", cluster.Options{
-				Bricks: 1, MCDs: 4, MCDMemBytes: scaled(6<<30, o.scale()), BlockSize: 2048,
+				Bricks: 1, MCDs: 4, MCDMemBytes: o.sized().mcd, BlockSize: 2048,
 			}),
 		},
 		cell: streamRead(fileSize, fileSize/16),

@@ -31,7 +31,7 @@ func ExtScale(o Options) *Result {
 	)
 	// Arrivals per tenant shrink with scale like the record counts do, so
 	// smoke tests stay cheap while documented runs see a longer stream.
-	arrivals := max(o.records()/8, 2)
+	arrivals := o.sized().arrivals
 
 	type cell struct {
 		label              string
@@ -47,7 +47,7 @@ func ExtScale(o Options) *Result {
 
 	cells := points(o, len(rates), func(i int) cell {
 		c := glusterSys("ext-scale", cluster.Options{
-			MCDs: mcds, MCDMemBytes: scaled(6<<30, o.scale()), BlockSize: fileSize,
+			MCDs: mcds, MCDMemBytes: o.sized().mcd, BlockSize: fileSize,
 		}).deploy(o, mounts).cluster
 		reg := telemetry.NewRegistry()
 		c.Instrument(reg)

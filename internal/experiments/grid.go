@@ -60,7 +60,7 @@ func glusterSys(name string, opts cluster.Options) system {
 	return system{name: name, deploy: func(o Options, clients int) testbed {
 		opts := opts
 		opts.Clients = clients
-		opts.ServerCacheBytes = scaled(6<<30, o.scale())
+		opts.ServerCacheBytes = o.sized().server
 		c := cluster.New(opts)
 		return testbed{env: c.Env, mounts: c.FSes(), cluster: c}
 	}}
@@ -75,8 +75,8 @@ func lustreSys(name string, osts int, cold bool) system {
 		net := fabric.NewNetwork(env, fabric.IPoIB)
 		cl := lustre.New(env, net, "lustre", lustre.Config{
 			OSTs:             osts,
-			OSTCacheBytes:    scaled(6<<30, o.scale()),
-			ClientCacheBytes: scaled(2<<30, o.scale()),
+			OSTCacheBytes:    o.sized().server,
+			ClientCacheBytes: o.sized().lustre,
 		})
 		tb := testbed{env: env}
 		var lclients []*lustre.Client
@@ -103,8 +103,8 @@ func bankOnLustreSys(name string) system {
 		tb := lustreSys(name, 1, true).deploy(o, clients)
 		net := tb.mounts[0].(*lustre.Client).Node().Network()
 		bank := []*memcache.SimServer{
-			memcache.NewSimServer(net.NewNode("mcd0", 8), o.mcdMemForLatency()),
-			memcache.NewSimServer(net.NewNode("mcd1", 8), o.mcdMemForLatency()),
+			memcache.NewSimServer(net.NewNode("mcd0", 8), o.sized().latencyMCD),
+			memcache.NewSimServer(net.NewNode("mcd1", 8), o.sized().latencyMCD),
 		}
 		cfg := core.Config{BlockSize: 2048, ClientPopulate: true}
 		for i, m := range tb.mounts {
@@ -309,7 +309,7 @@ func (f figure) run(o Options) *Result {
 // its client caches after the write stage and before each record size.
 func recordLatency(o Options, tb testbed, shared bool, ns []int64) workload.LatencyResult {
 	opts := workload.LatencyOptions{
-		Dir: "/lat", RecordSizes: ns, Records: o.records(), Shared: shared,
+		Dir: "/lat", RecordSizes: ns, Records: o.sized().records, Shared: shared,
 		AfterWrite: tb.drop, Trace: tb.trace, KeepOps: tb.reg != nil,
 	}
 	if shared {

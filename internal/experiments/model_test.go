@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"os"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -99,6 +100,72 @@ var modelValues = map[string]string{
 	"nfssim.Threads": count(nfssim.Threads, "thread"),
 }
 
+// scalingRules is every field of sizes, keyed by the identifier the Scaling
+// rules table's Code column cites.
+var scalingRules = map[string]scalingRule{
+	"sizes.records":    {func(z sizes) int64 { return int64(z.records) }, false},
+	"sizes.arrivals":   {func(z sizes) int64 { return int64(z.arrivals) }, false},
+	"sizes.latencyMCD": {func(z sizes) int64 { return z.latencyMCD }, true},
+	"sizes.mcd":        {func(z sizes) int64 { return z.mcd }, true},
+	"sizes.server":     {func(z sizes) int64 { return z.server }, true},
+	"sizes.lustre":     {func(z sizes) int64 { return z.lustre }, true},
+	"sizes.file":       {func(z sizes) int64 { return z.file }, true},
+	"sizes.nfs4G":      {func(z sizes) int64 { return z.nfs4G }, true},
+	"sizes.nfs8G":      {func(z sizes) int64 { return z.nfs8G }, true},
+	"sizes.stream":     {func(z sizes) int64 { return z.stream }, true},
+	"sizes.statFiles":  {func(z sizes) int64 { return int64(z.statFiles) }, false},
+	"sizes.smallFiles": {func(z sizes) int64 { return int64(z.smallFiles) }, false},
+	"sizes.accesses":   {func(z sizes) int64 { return int64(z.accesses) }, false},
+	"sizes.mdFiles":    {func(z sizes) int64 { return int64(z.mdFiles) }, false},
+}
+
+// scalingRule reads one field of sizes, a byte size or a count.
+type scalingRule struct {
+	field func(sizes) int64
+	bytes bool
+}
+
+// cells is how the Scaling rules table writes r: its value at scale 1, its
+// divisor, and its value far beyond any scale run. The divisor is "scale"
+// when the field is max(paper/scale, floor) at every power-of-two scale;
+// otherwise it lists the runs of equal paper/value, as "1 to scale 2, 4 to
+// 16, 16 to 2048, then 64".
+func (r scalingRule) cells() (paper, divisor, floor string) {
+	const beyond = 1 << 30
+	at := func(s int) int64 { return r.field(Options{Scale: s}.sized()) }
+	write := func(n int64) string {
+		if r.bytes {
+			return size(n)
+		}
+		return strconv.FormatInt(n, 10)
+	}
+	p, f := at(1), at(beyond)
+	byScale := true
+	type run struct {
+		d  int64
+		to int
+	}
+	var runs []run // paper/value is d up to scale to
+	for s := 1; s <= beyond; s *= 2 {
+		byScale = byScale && at(s) == max(p/int64(s), f)
+		if d, n := p/at(s), len(runs); n > 0 && runs[n-1].d == d {
+			runs[n-1].to = s
+		} else {
+			runs = append(runs, run{d, s})
+		}
+	}
+	if byScale {
+		return write(p), "scale", write(f)
+	}
+	parts := make([]string, len(runs))
+	for i, rn := range runs {
+		parts[i] = fmt.Sprintf("%d to %d", rn.d, rn.to)
+	}
+	parts[0] = fmt.Sprintf("%d to scale %d", runs[0].d, runs[0].to)
+	parts[len(runs)-1] = fmt.Sprintf("then %d", runs[len(runs)-1].d)
+	return write(p), strings.Join(parts, ", "), write(f)
+}
+
 // states reports whether cell contains want as a whole quantity: not the
 // tail of a longer number, nor followed by more of a number or a unit.
 func states(cell, want string) bool {
@@ -120,10 +187,14 @@ func states(cell, want string) bool {
 
 func numeric(r rune) bool { return unicode.IsDigit(r) || r == '.' }
 
-// TestModelMatchesCode holds MODEL.md to the code: each table row's Value
-// cell states, in the row's unit, the value of every identifier its Code
-// column names, every identifier a row names is one the test knows, and
-// every one it knows is named by some row.
+// TestModelMatchesCode holds MODEL.md to the code. In a constants table
+// (first header cell "Constant") each row's Value cell states, in the row's
+// unit, the value of every identifier its Code column names. In the Scaling
+// rules table (first header cell "Quantity") each row's Paper, Divisor and
+// Floor cells are what scalingRule.cells writes for the one field of sizes
+// its Code column names. Every identifier a row names is one the test
+// knows, every one it knows is named by some row, and every field of sizes
+// has a rule.
 func TestModelMatchesCode(t *testing.T) {
 	doc, err := os.ReadFile("../../MODEL.md")
 	if err != nil {
@@ -131,11 +202,11 @@ func TestModelMatchesCode(t *testing.T) {
 	}
 	ident := regexp.MustCompile("`([^`]+)`")
 	named := make(map[string]bool)
-	var valueCol, codeCol int
+	var col map[string]int // the current table's columns by header name
 	rows := 0
 	for n, line := range strings.Split(string(doc), "\n") {
 		if !strings.HasPrefix(line, "|") {
-			valueCol, codeCol = 0, 0 // a table ends at its first non-row line
+			col = nil // a table ends at its first non-row line
 			continue
 		}
 		cells := strings.Split(strings.Trim(line, "|"), "|")
@@ -143,24 +214,26 @@ func TestModelMatchesCode(t *testing.T) {
 			cells[i] = strings.TrimSpace(cells[i])
 		}
 		switch {
-		case cells[0] == "Constant": // a table's header
+		case cells[0] == "Constant" || cells[0] == "Quantity": // a table's header
+			col = make(map[string]int)
 			for i, c := range cells {
-				switch c {
-				case "Value":
-					valueCol = i
-				case "Code":
-					codeCol = i
+				col[c] = i
+			}
+			need := []string{"Value", "Code"}
+			if cells[0] == "Quantity" {
+				need = []string{"Paper", "Divisor", "Floor", "Code"}
+			}
+			for _, c := range need {
+				if col[c] == 0 {
+					t.Errorf("MODEL.md:%d: table header %q lacks a %s column", n+1, line, c)
 				}
 			}
-			if valueCol == 0 || codeCol == 0 {
-				t.Errorf("MODEL.md:%d: table header %q lacks a Value or a Code column", n+1, line)
-			}
 			continue
-		case strings.HasPrefix(cells[0], "---"), valueCol == 0 || codeCol == 0:
+		case strings.HasPrefix(cells[0], "---"), col == nil:
 			continue
 		}
 		rows++
-		value, code := cells[valueCol], cells[codeCol]
+		code := cells[col["Code"]]
 		ids := ident.FindAllStringSubmatch(code, -1)
 		if len(ids) == 0 && code != "—" {
 			t.Errorf("MODEL.md:%d: %q names no identifier (— marks a row with none)", n+1, cells[0])
@@ -168,6 +241,21 @@ func TestModelMatchesCode(t *testing.T) {
 		for _, m := range ids {
 			id := m[1]
 			named[id] = true
+			if _, scaling := col["Divisor"]; scaling {
+				rule, ok := scalingRules[id]
+				if !ok {
+					t.Errorf("MODEL.md:%d: %q names %s, which scalingRules lacks", n+1, cells[0], id)
+					continue
+				}
+				paper, divisor, floor := rule.cells()
+				for _, c := range []struct{ name, want string }{{"Paper", paper}, {"Divisor", divisor}, {"Floor", floor}} {
+					if got := cells[col[c.name]]; got != c.want {
+						t.Errorf("MODEL.md:%d: %q's %s cell says %q, but sized gives %q", n+1, cells[0], c.name, got, c.want)
+					}
+				}
+				continue
+			}
+			value := cells[col["Value"]]
 			want, ok := modelValues[id]
 			switch {
 			case !ok:
@@ -184,5 +272,13 @@ func TestModelMatchesCode(t *testing.T) {
 		if !named[id] {
 			t.Errorf("no MODEL.md row names %s (%s)", id, modelValues[id])
 		}
+	}
+	for _, id := range slices.Sorted(maps.Keys(scalingRules)) {
+		if !named[id] {
+			t.Errorf("no MODEL.md Scaling rules row names %s", id)
+		}
+	}
+	if n := reflect.TypeOf(sizes{}).NumField(); n != len(scalingRules) {
+		t.Errorf("sizes has %d fields, scalingRules %d: each field needs a rule and a MODEL.md row", n, len(scalingRules))
 	}
 }

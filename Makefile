@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race verify regdiff sizes bench benchpairs allocsites
+.PHONY: all build vet lint test race verify regdiff scales sizes bench benchpairs allocsites
 
 all: verify
 
@@ -31,6 +31,12 @@ verify:
 # parallel, byte-identical to results_scale16.txt (wall times stripped).
 regdiff:
 	sh scripts/regdiff.sh
+
+# The claims at every scale: the registry at scales 4096 down to 4, each
+# scale's scorecard and wall time, and every claim whose verdict differs
+# from the scale before. A record, not a gate.
+scales:
+	sh scripts/scales.sh
 
 # Lines and code lines (not blank, not comment) of the tracked non-test
 # .go files, per package and in total. A record, not a gate.

@@ -33,7 +33,7 @@ const (
 	devBlock8K     = "deviation 5: at 128 K records the 8 K block edges NoCache"
 	devLustreWarm  = "deviation 6: at 64 K records, 32 clients, Lustre warm edges IMCa(4MCD)"
 	devFig8c       = "deviation 7: at 8 K records one MCD saturates with the server"
-	devScale       = "deviation 8: the ordering flips at the test scales"
+	devScale       = "deviation 8: the claim fails at the scales the entry names"
 )
 
 // near reports whether a is within the tolerance of b.

@@ -4,8 +4,9 @@
 // It tracks only presence, not contents — in the simulation, data contents
 // travel as blobs while the cache decides whether an access hits memory or
 // must go to the disk model. It is the buffer cache of every server's
-// storage (GlusterFS bricks, the NFS server, Lustre OSTs); a Lustre client
-// keeps a cache of contents of its own.
+// storage (GlusterFS bricks, the NFS server, Lustre OSTs) and the page
+// cache of every Lustre client, which keeps each resident page's contents
+// beside it and drops them as OnRemove reports the page gone.
 package pagecache
 
 import (
@@ -75,6 +76,11 @@ type Cache struct {
 	freeFiles  sim.Free[file]
 
 	Hits, Misses, Evictions uint64
+
+	// OnRemove, when set, is told each page the cache evicts or
+	// invalidates, once, as it goes; Clear reports none. An owner keeping
+	// contents beside the cache drops them here.
+	OnRemove func(ino uint64, idx int64)
 
 	// FillHist, when registered, receives the disk-fill latency of each
 	// miss repaired by the cache's owner (the posix xlator observes into
@@ -261,6 +267,9 @@ func (c *Cache) evictOldest() {
 // back-pointers the chunk it leaves empty and the file that leaves empty.
 func (c *Cache) removePage(pg *page) {
 	ch := pg.chunk
+	if c.OnRemove != nil {
+		c.OnRemove(ch.file.ino, pg.idx)
+	}
 	ch.slots[pg.idx&(chunkPages-1)] = nil
 	c.unlink(pg)
 	c.freePages.Push(pg)

@@ -1,9 +1,11 @@
 package pagecache
 
 import (
+	"cmp"
 	"container/list"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -552,5 +554,45 @@ func TestInsertAtCapacityAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, scan); avg != 0 {
 		t.Errorf("a %d-insert scan of a full cache allocated %.0f times, want 0", capPages, avg)
+	}
+}
+
+// TestOnRemoveReportsEachPageOnce: every page that leaves the cache by
+// eviction, InvalidateRange or InvalidateFile is reported to OnRemove
+// exactly once, as it goes, and no other; Clear, an unmount, reports none.
+func TestOnRemoveReportsEachPageOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(c *Cache)
+		want []key
+	}{
+		{"eviction", func(c *Cache) { c.Insert(3, 0, 2*4096) }, []key{{1, 0}, {1, 1}}},
+		{"InvalidateRange", func(c *Cache) { c.InvalidateRange(1, 4096, 2*4096) }, []key{{1, 1}, {1, 2}}},
+		{"InvalidateFile", func(c *Cache) { c.InvalidateFile(2) }, []key{{2, 0}, {2, 9}}},
+		{"Clear", func(c *Cache) { c.Clear() }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(6*4096, 4096)
+			c.Insert(1, 0, 4*4096) // pages 0-3 of file 1, oldest first
+			c.Insert(2, 0, 4096)
+			c.Insert(2, 9*4096, 4096) // a second chunk of file 2
+			var got []key
+			c.OnRemove = func(ino uint64, idx int64) {
+				if c.find(ino, idx) == nil {
+					t.Errorf("page %v reported after it left the index", key{ino, idx})
+				}
+				got = append(got, key{ino, idx})
+			}
+			tc.op(c)
+			slices.SortFunc(got, func(a, b key) int { return cmp.Or(cmp.Compare(a.ino, b.ino), cmp.Compare(a.idx, b.idx)) })
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("reported %v, want %v", got, tc.want)
+			}
+			for _, k := range got {
+				if c.Contains(k.ino, k.idx*4096, 4096) {
+					t.Errorf("page %v reported removed but still cached", k)
+				}
+			}
+		})
 	}
 }

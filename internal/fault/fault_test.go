@@ -8,7 +8,9 @@ import (
 
 	"imca/internal/blob"
 	"imca/internal/cluster"
+	"imca/internal/fabric"
 	"imca/internal/gluster"
+	"imca/internal/lustre"
 	"imca/internal/sim"
 	"imca/internal/telemetry"
 )
@@ -296,6 +298,44 @@ func TestOracleTracksHappyPath(t *testing.T) {
 	c.Env.Run()
 	if v := o.Violations(); len(v) != 0 {
 		t.Fatalf("violations on a healthy stack:\n%s", strings.Join(v, "\n"))
+	}
+}
+
+// TestOracleOverLustre puts the oracle over two mounts of one Lustre
+// cluster, the comparison system's coherence (locks revoked by the MDS)
+// judged by the same rule as IMCa's. The script shrinks and zero-extends a
+// file another mount has cached, then unlinks it and recreates it with a
+// hole: no mount may see a byte the truncate or the unlink removed.
+func TestOracleOverLustre(t *testing.T) {
+	env := sim.NewEnv()
+	net := fabric.NewNetwork(env, fabric.IPoIB)
+	lc := lustre.New(env, net, "lustre", lustre.Config{OSTs: 2, OSTCacheBytes: 64 << 20, ClientCacheBytes: 16 << 20})
+	o := NewOracle(lc.NewClient(net.NewNode("lc0", 8)), lc.NewClient(net.NewNode("lc1", 8)))
+	a, b := o.Mount(0), o.Mount(1)
+	env.Process("t", func(p *sim.Proc) {
+		fa, _ := a.Create(p, "/f")
+		a.Write(p, fa, 0, blob.Synthetic(1, 0, 3000))
+		fb, _ := b.Open(p, "/f")
+		b.Read(p, fb, 0, 3000)
+		a.Truncate(p, "/f", 1000)
+		a.Truncate(p, "/f", 3000)
+		a.Read(p, fa, 0, 3000)
+		b.Read(p, fb, 0, 3000)
+		a.Close(p, fa)
+		b.Close(p, fb)
+		a.Unlink(p, "/f")
+		fa, _ = a.Create(p, "/f")
+		a.Write(p, fa, 2000, blob.Synthetic(2, 0, 100))
+		fb, _ = b.Open(p, "/f")
+		b.Read(p, fb, 0, 3000)
+		o.VerifyAll(p)
+	})
+	env.Run()
+	if v := o.Violations(); len(v) != 0 {
+		t.Fatalf("%d violations over Lustre:\n%s", len(v), strings.Join(v, "\n"))
+	}
+	if o.readChecks < 4 {
+		t.Fatalf("the oracle judged %d reads, want at least 4", o.readChecks)
 	}
 }
 

@@ -1,12 +1,12 @@
 package lustre
 
 import (
-	"container/list"
 	"time"
 
 	"imca/internal/blob"
 	"imca/internal/fabric"
 	"imca/internal/gluster"
+	"imca/internal/pagecache"
 	"imca/internal/sim"
 	"imca/internal/telemetry"
 )
@@ -21,75 +21,11 @@ const (
 	ClientPerByteNanos = 0.4
 )
 
-// contentCache is a byte-bounded LRU of page contents, the client-side
-// counterpart of the kernel page cache (it stores data, unlike
-// pagecache.Cache which tracks presence for servers that also hold the
-// authoritative extents).
-type contentCache struct {
-	capacity int64
-	used     int64
-	lru      *list.List // of cacheKey
-	pages    map[cacheKey]*cacheEntry
-}
-
-type cacheKey struct {
-	path string
-	idx  int64
-}
-
-type cacheEntry struct {
-	el   *list.Element
-	data blob.Blob // exactly one page, possibly short at EOF
-}
-
-func newContentCache(capacity int64) *contentCache {
-	return &contentCache{capacity: capacity, lru: list.New(), pages: make(map[cacheKey]*cacheEntry)}
-}
-
-func (c *contentCache) get(path string, idx int64) (blob.Blob, bool) {
-	e, ok := c.pages[cacheKey{path, idx}]
-	if !ok {
-		return blob.Blob{}, false
-	}
-	c.lru.MoveToFront(e.el)
-	return e.data, true
-}
-
-func (c *contentCache) put(path string, idx int64, data blob.Blob) {
-	k := cacheKey{path, idx}
-	if e, ok := c.pages[k]; ok {
-		c.used += data.Len() - e.data.Len()
-		e.data = data
-		c.lru.MoveToFront(e.el)
-	} else {
-		e := &cacheEntry{data: data}
-		e.el = c.lru.PushFront(k)
-		c.pages[k] = e
-		c.used += data.Len()
-	}
-	for c.used > c.capacity && c.lru.Len() > 0 {
-		back := c.lru.Back()
-		bk := back.Value.(cacheKey)
-		c.used -= c.pages[bk].data.Len()
-		delete(c.pages, bk)
-		c.lru.Remove(back)
-	}
-}
-
-func (c *contentCache) dropFile(path string) {
-	for k, e := range c.pages {
-		if k.path == path {
-			c.used -= e.data.Len()
-			c.lru.Remove(e.el)
-			delete(c.pages, k)
-		}
-	}
-}
-
-func (c *contentCache) clear() {
-	c.lru.Init()
-	c.pages = make(map[cacheKey]*cacheEntry)
-	c.used = 0
+// pageKey names one page of the client cache: the file's MDS inode and the
+// page's index.
+type pageKey struct {
+	ino uint64
+	idx int64
 }
 
 // Client is a Lustre client: a kernel-level file system client (no FUSE
@@ -98,13 +34,18 @@ type Client struct {
 	cluster *Cluster
 	node    *fabric.Node
 	id      int
-	cache   *contentCache
+	// cache decides which pages are resident and which goes next, like
+	// every server's; pages holds the contents of exactly the resident
+	// ones. A page at EOF may be short: past its end the file reads as
+	// zeros.
+	cache *pagecache.Cache
+	pages map[pageKey]blob.Blob
+	// revokes counts the callbacks served: a fetch a revoke overtook
+	// returns its bytes but caches none of them.
+	revokes uint64
 
 	fdPaths map[gluster.FD]string
 	nextFD  gluster.FD
-
-	// Stats
-	CacheHits, CacheMisses uint64
 }
 
 var _ gluster.FS = (*Client)(nil)
@@ -116,11 +57,11 @@ func (cl *Client) Node() *fabric.Node { return cl.node }
 // (e.g. "lc0.cache"), the client-side tier the paper compares the MCD
 // bank against.
 func (cl *Client) Register(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+".hits", func() uint64 { return cl.CacheHits })
-	reg.Counter(prefix+".misses", func() uint64 { return cl.CacheMisses })
+	reg.Counter(prefix+".hits", func() uint64 { return cl.cache.Hits })
+	reg.Counter(prefix+".misses", func() uint64 { return cl.cache.Misses })
 	reg.Rate(prefix+".hit_rate",
-		func() uint64 { return cl.CacheHits },
-		func() uint64 { return cl.CacheHits + cl.CacheMisses })
+		func() uint64 { return cl.cache.Hits },
+		func() uint64 { return cl.cache.Hits + cl.cache.Misses })
 }
 
 // NewClient attaches a client on the given node.
@@ -129,9 +70,11 @@ func (c *Cluster) NewClient(node *fabric.Node) *Client {
 		cluster: c,
 		node:    node,
 		id:      len(c.clients),
-		cache:   newContentCache(c.cfg.ClientCacheBytes),
+		cache:   pagecache.New(c.cfg.ClientCacheBytes, ClientPageSize),
+		pages:   make(map[pageKey]blob.Blob),
 		fdPaths: make(map[gluster.FD]string),
 	}
+	cl.cache.OnRemove = func(ino uint64, idx int64) { delete(cl.pages, pageKey{ino, idx}) }
 	node.Handle("lustre-client", cl.handleCallback)
 	c.clients = append(c.clients, cl)
 	return cl
@@ -139,15 +82,16 @@ func (c *Cluster) NewClient(node *fabric.Node) *Client {
 
 // handleCallback processes MDS lock-revocation callbacks.
 func (cl *Client) handleCallback(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
-	r := req.(*revokeMsg)
-	cl.cache.dropFile(r.Path)
-	return &revokeMsg{Path: ""}
+	cl.revokes++
+	cl.cache.InvalidateFile(req.(*revokeMsg).Ino)
+	return &revokeMsg{}
 }
 
 // DropCaches simulates unmount/remount: the cold-cache configuration of
 // the paper's experiments.
 func (cl *Client) DropCaches() {
-	cl.cache.clear()
+	cl.cache.Clear()
+	clear(cl.pages)
 	for _, m := range cl.cluster.files {
 		delete(m.holders, cl.id)
 	}
@@ -163,19 +107,17 @@ func (cl *Client) mds(p *sim.Proc, req *mdsReq) *mdsResp {
 
 // Create implements gluster.FS.
 func (cl *Client) Create(p *sim.Proc, path string) (gluster.FD, error) {
-	r := cl.mds(p, &mdsReq{Op: "create", Path: path})
-	if r.Code != "" {
-		return 0, mapCode(r.Code)
-	}
-	cl.nextFD++
-	cl.fdPaths[cl.nextFD] = path
-	return cl.nextFD, nil
+	return cl.open(p, "create", path)
 }
 
 // Open implements gluster.FS.
 func (cl *Client) Open(p *sim.Proc, path string) (gluster.FD, error) {
-	r := cl.mds(p, &mdsReq{Op: "open", Path: path})
-	if r.Code != "" {
+	return cl.open(p, "open", path)
+}
+
+// open asks the MDS to create or open path and hands out a descriptor.
+func (cl *Client) open(p *sim.Proc, op, path string) (gluster.FD, error) {
+	if r := cl.mds(p, &mdsReq{Op: op, Path: path}); r.Code != "" {
 		return 0, mapCode(r.Code)
 	}
 	cl.nextFD++
@@ -195,73 +137,72 @@ func (cl *Client) Close(p *sim.Proc, fd gluster.FD) error {
 
 // stripeFor maps a logical file offset to its OST and object-local offset.
 func (cl *Client) stripeFor(off int64) (ostIdx int, objOff int64) {
-	ss := StripeSize
-	n := int64(len(cl.cluster.osts))
-	stripe := off / ss
-	within := off % ss
-	return int(stripe % n), (stripe/n)*ss + within
+	n, stripe := int64(len(cl.cluster.osts)), off/StripeSize
+	return int(stripe % n), stripe/n*StripeSize + off%StripeSize
 }
 
-// ostIO performs a striped read or write of [off, off+size), splitting at
-// stripe boundaries and issuing per-OST requests in parallel.
-func (cl *Client) ostIO(p *sim.Proc, path string, off int64, data blob.Blob, size int64, write bool) blob.Blob {
-	ss := StripeSize
-	type piece struct {
-		ost        int
-		objOff     int64
-		logicalOff int64
-		size       int64
-	}
-	var pieces []piece
-	remaining := size
+// ostCall is one request to the OST it names.
+type ostCall struct {
+	ost int
+	req *ostReq
+}
+
+// ostIO performs a striped read or write of [off, off+size) of file ino,
+// splitting at stripe boundaries and issuing per-OST requests in parallel.
+// A read comes back whole: past the end of an object the file is a hole,
+// and the client fills it with zeros, as Lustre's does a short OST read.
+func (cl *Client) ostIO(p *sim.Proc, path string, ino uint64, off int64, data blob.Blob, size int64, write bool) blob.Blob {
 	if write {
-		remaining = data.Len()
+		size = data.Len()
 	}
-	pos := off
-	for remaining > 0 {
-		take := ss - pos%ss
-		if take > remaining {
-			take = remaining
-		}
+	var calls []ostCall
+	for pos := off; pos < off+size; {
+		take := min(StripeSize-pos%StripeSize, off+size-pos)
 		oi, oo := cl.stripeFor(pos)
-		pieces = append(pieces, piece{ost: oi, objOff: oo, logicalOff: pos, size: take})
+		req := &ostReq{Write: write, Path: path, Ino: ino, Off: oo, Size: take}
+		if write {
+			req.Data = data.Slice(pos-off, pos-off+take)
+		}
+		calls = append(calls, ostCall{oi, req})
 		pos += take
-		remaining -= take
 	}
-	results := make([]blob.Blob, len(pieces))
-	if len(pieces) == 1 {
-		pc := pieces[0]
-		results[0] = cl.onePieceIO(p, path, pc.ost, pc.objOff, pc.logicalOff-off, pc.size, data, write)
-	} else {
-		events := make([]*sim.Event, len(pieces))
-		for i, pc := range pieces {
-			i, pc := i, pc
-			ev := sim.NewEvent(p.Env())
-			p.Env().Process("lustre-stripe", func(q *sim.Proc) {
-				results[i] = cl.onePieceIO(q, path, pc.ost, pc.objOff, pc.logicalOff-off, pc.size, data, write)
-				ev.Trigger(nil)
-			})
-			events[i] = ev
-		}
-		for _, ev := range events {
-			ev.Wait(p)
-		}
-	}
+	results := cl.callOSTs(p, calls)
 	if write {
 		return blob.Blob{}
+	}
+	for i, c := range calls {
+		if n := results[i].Len(); n < c.req.Size {
+			results[i] = blob.Concat(results[i], blob.Zeros(c.req.Size-n))
+		}
 	}
 	return blob.Concat(results...)
 }
 
-func (cl *Client) onePieceIO(p *sim.Proc, path string, ostIdx int, objOff, dataOff, size int64, data blob.Blob, write bool) blob.Blob {
-	o := cl.cluster.osts[ostIdx]
-	req := &ostReq{Write: write, Path: path, Off: objOff, Size: size}
-	if write {
-		req.Data = data.Slice(dataOff, dataOff+size)
+// callOSTs sends each call's request to its OST, one process a call when
+// there are several, and returns the replies' data in call order.
+func (cl *Client) callOSTs(p *sim.Proc, calls []ostCall) []blob.Blob {
+	results := make([]blob.Blob, len(calls))
+	call := func(q *sim.Proc, i int) {
+		m, _ := cl.node.Call(q, cl.cluster.osts[calls[i].ost].node, "ost", calls[i].req)
+		results[i] = m.(*ostResp).Data
 	}
-	m, _ := cl.node.Call(p, o.node, "ost", req)
-	resp := m.(*ostResp)
-	return resp.Data
+	if len(calls) == 1 {
+		call(p, 0)
+		return results
+	}
+	events := make([]*sim.Event, len(calls))
+	for i := range calls {
+		ev := sim.NewEvent(p.Env())
+		p.Env().Process("lustre-stripe", func(q *sim.Proc) {
+			call(q, i)
+			ev.Trigger(nil)
+		})
+		events[i] = ev
+	}
+	for _, ev := range events {
+		ev.Wait(p)
+	}
+	return results
 }
 
 // Read implements gluster.FS: page-granular, served from the coherent
@@ -282,76 +223,71 @@ func (cl *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, 
 	if off >= st.Size {
 		return blob.Blob{}, nil
 	}
-	if off+size > st.Size {
-		size = st.Size - off
-	}
+	size = min(size, st.Size-off)
 
 	// Register as a cache holder (the read lock).
 	if m := cl.cluster.files[path]; m != nil {
 		m.holders[cl.id] = cl
 	}
 
-	firstPage := off / ClientPageSize
-	lastPage := (off + size - 1) / ClientPageSize
-	var parts []blob.Blob
-	// Fetch contiguous runs of missing pages in single OST requests.
-	runStart := int64(-1)
-	flushRun := func(endPage int64) {
-		if runStart < 0 {
-			return
-		}
-		lo := runStart * ClientPageSize
-		hi := (endPage + 1) * ClientPageSize
-		if hi > st.Size {
-			hi = st.Size
-		}
-		data := cl.ostIO(p, path, lo, blob.Blob{}, hi-lo, false)
-		for pg := runStart; pg <= endPage; pg++ {
-			plo := pg*ClientPageSize - lo
-			phi := plo + ClientPageSize
-			if phi > data.Len() {
-				phi = data.Len()
-			}
-			if plo >= phi {
-				break
-			}
-			cl.cache.put(path, pg, data.Slice(plo, phi))
-		}
-		runStart = -1
+	// The pages that hit are copied out first: a fetch yields, and a
+	// revoke or this read's own inserts may drop them meanwhile. Then
+	// each run of missing pages is one OST request, in order.
+	ino, end, revokes := st.Ino, off+size, cl.revokes
+	missing := cl.cache.Lookup(ino, off, size)
+	parts := make([]blob.Blob, 0, 2*len(missing)+1)
+	slots := make([]int, len(missing)) // each run's place in parts
+	pos := off
+	for i, r := range missing {
+		parts = cl.appendCached(parts, ino, pos, r.Off)
+		slots[i] = len(parts)
+		parts = append(parts, blob.Blob{})
+		pos = min(r.End(), end)
 	}
-	for pg := firstPage; pg <= lastPage; pg++ {
-		if _, hit := cl.cache.get(path, pg); hit {
-			cl.CacheHits++
-			flushRun(pg - 1)
-		} else {
-			cl.CacheMisses++
-			if runStart < 0 {
-				runStart = pg
-			}
+	parts = cl.appendCached(parts, ino, pos, end)
+	for i, r := range missing {
+		data := cl.ostIO(p, path, ino, r.Off, blob.Blob{}, min(r.End(), st.Size)-r.Off, false)
+		if cl.revokes == revokes {
+			cl.fill(ino, r.Off, data)
 		}
-	}
-	flushRun(lastPage)
-
-	// Assemble from the now-complete cache.
-	for pg := firstPage; pg <= lastPage; pg++ {
-		page, hit := cl.cache.get(path, pg)
-		if !hit {
-			break // EOF page beyond data
-		}
-		lo := int64(0)
-		if pg == firstPage {
-			lo = off - pg*ClientPageSize
-		}
-		hi := page.Len()
-		if end := off + size - pg*ClientPageSize; end < hi {
-			hi = end
-		}
-		if lo >= hi {
-			break
-		}
-		parts = append(parts, page.Slice(lo, hi))
+		parts[slots[i]] = data.Slice(max(off, r.Off)-r.Off, min(end, r.Off+data.Len())-r.Off)
 	}
 	return blob.Concat(parts...), nil
+}
+
+// appendCached appends bytes [from, to) of file ino, every page of which
+// is resident, a page at a time.
+func (cl *Client) appendCached(parts []blob.Blob, ino uint64, from, to int64) []blob.Blob {
+	for from < to {
+		idx := from / ClientPageSize
+		base := idx * ClientPageSize
+		hi := min(to, base+ClientPageSize)
+		parts = append(parts, window(cl.pages[pageKey{ino, idx}], from-base, hi-base))
+		from = hi
+	}
+	return parts
+}
+
+// window returns bytes [lo, hi) of a cached page. A page short at EOF
+// stays short when this client's own write extends the file past it (any
+// other writer revokes it), so past its end the file is a hole: zeros.
+func window(page blob.Blob, lo, hi int64) blob.Blob {
+	n := page.Len()
+	if hi <= n {
+		return page.Slice(lo, hi)
+	}
+	return blob.Concat(page.Slice(min(lo, n), n), blob.Zeros(hi-max(lo, n)))
+}
+
+// fill caches the pages of data, read from page-aligned offset off of
+// ino. A run longer than the cache leaves only the pages Insert kept.
+func (cl *Client) fill(ino uint64, off int64, data blob.Blob) {
+	cl.cache.Insert(ino, off, data.Len())
+	for lo := int64(0); lo < data.Len(); lo += ClientPageSize {
+		if cl.cache.Contains(ino, off+lo, 1) {
+			cl.pages[pageKey{ino, (off + lo) / ClientPageSize}] = data.Slice(lo, min(lo+ClientPageSize, data.Len()))
+		}
+	}
 }
 
 // mdsStatCached returns the file's metadata. Attribute reads hit the MDS
@@ -391,30 +327,19 @@ func (cl *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (
 	// Acquire the write lock: MDS revokes all other holders.
 	_, _ = cl.node.Call(p, cl.cluster.mdsNode, "mds-lock", &lockReq{Path: path, Client: cl.id, Write: true})
 
-	cl.ostIO(p, path, off, data, 0, true)
+	cl.ostIO(p, path, m.ino, off, data, 0, true)
 
-	// Update our own cached pages covering the write.
-	first := off / ClientPageSize
-	last := (off + data.Len() - 1) / ClientPageSize
-	for pg := first; pg <= last; pg++ {
-		if e, okc := cl.cache.pages[cacheKey{path, pg}]; okc && e != nil {
-			lo := pg * ClientPageSize
-			hi := lo + ClientPageSize
-			plo, phi := maxI(off, lo), minI(off+data.Len(), hi)
-			if plo < phi {
-				// Patch the cached page with the written range.
-				page := e.data
-				var parts []blob.Blob
-				if plo > lo {
-					parts = append(parts, page.Slice(0, plo-lo))
-				}
-				parts = append(parts, data.Slice(plo-off, phi-off))
-				if phi-lo < page.Len() {
-					parts = append(parts, page.Slice(phi-lo, page.Len()))
-				}
-				e.data = blob.Concat(parts...)
-			}
+	// Patch our own cached pages the write covers.
+	for idx := off / ClientPageSize; idx*ClientPageSize < off+data.Len(); idx++ {
+		k := pageKey{m.ino, idx}
+		page, cached := cl.pages[k]
+		base := idx * ClientPageSize
+		lo, hi := max(off, base)-base, min(off+data.Len(), base+ClientPageSize)-base
+		if !cached || lo >= hi {
+			continue
 		}
+		tail := page.Slice(min(hi, page.Len()), page.Len())
+		cl.pages[k] = blob.Concat(window(page, 0, lo), data.Slice(base+lo-off, base+hi-off), tail)
 	}
 	m.holders[cl.id] = cl
 
@@ -432,11 +357,12 @@ func (cl *Client) Stat(p *sim.Proc, path string) (*gluster.Stat, error) {
 	return r.St, nil
 }
 
-// Unlink implements gluster.FS.
+// Unlink implements gluster.FS. The MDS revokes the other holders' pages.
 func (cl *Client) Unlink(p *sim.Proc, path string) error {
-	r := cl.mds(p, &mdsReq{Op: "unlink", Path: path})
-	cl.cache.dropFile(path)
-	return mapCode(r.Code)
+	if m := cl.cluster.files[path]; m != nil {
+		cl.cache.InvalidateFile(m.ino)
+	}
+	return mapCode(cl.mds(p, &mdsReq{Op: "unlink", Path: path}).Code)
 }
 
 // Mkdir implements gluster.FS.
@@ -451,7 +377,9 @@ func (cl *Client) Readdir(p *sim.Proc, path string) ([]string, error) {
 	return r.Names, mapCode(r.Code)
 }
 
-// Truncate implements gluster.FS (metadata-only in this model).
+// Truncate implements gluster.FS: the MDS sets the size and revokes the
+// other holders' pages, then every OST cuts (or extends) its object to its
+// share of the new size.
 func (cl *Client) Truncate(p *sim.Proc, path string, size int64) error {
 	if err := gluster.CheckRange(0, size); err != nil {
 		return err
@@ -460,9 +388,29 @@ func (cl *Client) Truncate(p *sim.Proc, path string, size int64) error {
 	if m == nil {
 		return gluster.ErrNotExist
 	}
-	cl.cache.dropFile(path)
+	cl.cache.InvalidateFile(m.ino)
 	r := cl.mds(p, &mdsReq{Op: "setattr", Path: path, Size: size, Exact: true, Mtime: cl.cluster.env.Now()})
-	return mapCode(r.Code)
+	if r.Code != "" {
+		return mapCode(r.Code)
+	}
+	// Byte size would land on OST at, at object offset end: in that
+	// round of stripes the OSTs before it keep a whole one, those after
+	// none.
+	at, end := cl.stripeFor(size)
+	round := end - end%StripeSize
+	calls := make([]ostCall, len(cl.cluster.osts))
+	for i := range calls {
+		objSize := round
+		switch {
+		case i < at:
+			objSize += StripeSize
+		case i == at:
+			objSize = end
+		}
+		calls[i] = ostCall{i, &ostReq{Punch: true, Path: path, Ino: m.ino, Size: objSize}}
+	}
+	cl.callOSTs(p, calls)
+	return nil
 }
 
 func mapCode(code string) error {
@@ -476,18 +424,4 @@ func mapCode(code string) error {
 	default:
 		return gluster.ErrBadFD
 	}
-}
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,8 @@
 // Package lustre implements a Lustre-like parallel file system baseline:
 // one metadata server (MDS), data striped across object storage targets
 // (OSTs), and a coherent client-side page cache kept consistent by
-// MDS-granted locks that are revoked when another client writes.
+// MDS-granted locks that are revoked when another client writes, truncates
+// or unlinks the file.
 //
 // It is the comparison system of the reproduced paper (Lustre 1.6 with 1 or
 // 4 data servers, warm or cold client cache). Clients implement gluster.FS,
@@ -16,6 +17,7 @@ package lustre
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"imca/internal/blob"
@@ -180,6 +182,10 @@ func (c *Cluster) handleMDS(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabr
 		if !ok {
 			return &mdsResp{Code: "ENOENT"}
 		}
+		if r.Exact {
+			// A truncate, like a write intent, revokes the other holders.
+			c.revokeLocked(p, r.Path, m, r.Client)
+		}
 		if r.Exact || r.Size > m.size {
 			m.size = r.Size
 		}
@@ -252,22 +258,32 @@ func (c *Cluster) revokeLocked(p *sim.Proc, path string, m *meta, exceptClient i
 	for _, id := range ids {
 		c.Revocations++
 		// Callback RPC to the client; the client drops its pages.
-		_, _ = c.mdsNode.Call(p, m.holders[id].node, "lustre-client", &revokeMsg{Path: path})
+		_, _ = c.mdsNode.Call(p, m.holders[id].node, "lustre-client", &revokeMsg{Path: path, Ino: m.ino})
 		delete(m.holders, id)
 	}
 }
 
-type revokeMsg struct{ Path string }
+// revokeMsg names the file whose pages the holder drops by its inode; the
+// path rides along and sizes the callback.
+type revokeMsg struct {
+	Path string
+	Ino  uint64
+}
 
 func (r *revokeMsg) WireSize() int64 { return 16 + int64(len(r.Path)) }
 
 // --- OST protocol ---
 
+// ostReq reads, writes or punches (truncates) the object of file Ino on
+// one OST: a file recreated at a path gets a fresh inode and so a fresh,
+// empty object. Path rides along and sizes the request.
 type ostReq struct {
 	Write bool
+	Punch bool
 	Path  string
+	Ino   uint64
 	Off   int64 // object-local offset
-	Size  int64
+	Size  int64 // a punch's new object size
 	Data  blob.Blob
 }
 
@@ -284,9 +300,17 @@ func (c *Cluster) makeOSTHandler(o *ost) fabric.Handler {
 	return func(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
 		r := req.(*ostReq)
 		o.node.CPU.Use(p, OSTOpCPU)
-		fd, err := o.store.Open(p, r.Path)
+		obj := "/" + strconv.FormatUint(r.Ino, 10)
+		if r.Punch {
+			// An object never written is a hole already.
+			if err := o.store.Truncate(p, obj, r.Size); err != nil && err != gluster.ErrNotExist {
+				return &ostResp{Code: "EIO"}
+			}
+			return &ostResp{}
+		}
+		fd, err := o.store.Open(p, obj)
 		if err != nil {
-			if fd, err = o.store.Create(p, r.Path); err != nil {
+			if fd, err = o.store.Create(p, obj); err != nil {
 				return &ostResp{Code: "EIO"}
 			}
 		}

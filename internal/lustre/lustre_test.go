@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,6 +133,14 @@ func TestLustreCoherencyWriterInvalidatesReader(t *testing.T) {
 		if string(got.Bytes()) != "version-two____" {
 			t.Errorf("reader saw stale %q after write", got.Bytes())
 		}
+		// A truncate revokes the reader's pages too: shrunk to 4 bytes and
+		// extended back, the file reads zeros past byte 4.
+		w.Truncate(p, "/shared", 4)
+		w.Truncate(p, "/shared", 15)
+		got, _ = r.Read(p, rfd, 0, 15)
+		if want := "vers" + strings.Repeat("\x00", 11); string(got.Bytes()) != want {
+			t.Errorf("reader saw %q after the truncates, want %q", got.Bytes(), want)
+		}
 	})
 	env.Run()
 	if cl.Revocations == 0 {
@@ -235,14 +244,21 @@ func TestLustreClientCacheBounded(t *testing.T) {
 		c.DropCaches()
 		c.Read(p, fd, 0, 8<<20)
 		// Re-read: most pages were evicted, so misses must dominate.
-		c.CacheHits, c.CacheMisses = 0, 0
-		c.Read(p, fd, 0, 8<<20)
+		c.cache.Hits, c.cache.Misses = 0, 0
+		// A read longer than the cache still returns every byte.
+		if got, _ := c.Read(p, fd, 0, 8<<20); !got.Equal(blob.Synthetic(1, 0, 8<<20)) {
+			t.Errorf("an 8MB read through a 1MB cache returned %d bytes, not the file", got.Len())
+		}
 	})
 	env.Run()
-	if c.cache.used > 1<<20 {
-		t.Errorf("client cache used %d > bound", c.cache.used)
+	if c.cache.Used() > 1<<20 {
+		t.Errorf("client cache used %d > bound", c.cache.Used())
 	}
-	if c.CacheMisses == 0 {
+	// The contents go with their pages: no more, no fewer than resident.
+	if len(c.pages) != c.cache.Len() {
+		t.Errorf("client holds the contents of %d pages, its cache %d", len(c.pages), c.cache.Len())
+	}
+	if c.cache.Misses == 0 {
 		t.Error("re-read of an 8MB file through a 1MB cache had no misses")
 	}
 }
@@ -275,6 +291,126 @@ func TestLustreTruncate(t *testing.T) {
 		}
 		if st, _ := c.Stat(p, "/t"); st.Size != 100 {
 			t.Errorf("size after the refused calls = %d, want 100", st.Size)
+		}
+	})
+	env.Run()
+}
+
+// A write whose revoke overtakes a reader's fetch leaves the reader
+// nothing cached from it: B's 4 MB read is still fetching when A rewrites
+// the first page, and B's next read, after both completed, sees the write.
+func TestLustreRevokeDuringFetchCachesNothing(t *testing.T) {
+	env, _, cls := deploy(t, 1)
+	a, b := cls[0], cls[1]
+	env.Process("t", func(p *sim.Proc) {
+		afd, _ := a.Create(p, "/f")
+		a.Write(p, afd, 0, blob.Synthetic(1, 0, 4<<20))
+		bfd, _ := b.Open(p, "/f")
+		var readEnd sim.Time
+		env.Process("reader", func(q *sim.Proc) {
+			b.Read(q, bfd, 0, 4<<20)
+			readEnd = q.Now()
+		})
+		p.Sleep(3 * time.Millisecond) // past the read's CPU charge and stat
+		a.Write(p, afd, 0, blob.Synthetic(2, 0, 4096))
+		if readEnd != 0 {
+			t.Fatal("the read finished before the write; nothing overtook its fetch")
+		}
+		p.Sleep(time.Second) // the overtaken read completes
+		got, _ := b.Read(p, bfd, 0, 4096)
+		if !got.Equal(blob.Synthetic(2, 0, 4096)) {
+			t.Error("reader served the bytes its overtaken fetch returned")
+		}
+	})
+	env.Run()
+}
+
+// A write that lands past the end of a cached page short at EOF patches
+// the page with a hole between the two: the page holds 10 bytes, the write
+// starts at 100, and bytes [10, 100) read as zeros. So do the bytes past
+// the page's end when a write on a later page extends the file.
+func TestLustreWritePastShortCachedPage(t *testing.T) {
+	env, _, cls := deploy(t, 1)
+	env.Process("t", func(p *sim.Proc) {
+		c := cls[0]
+		fd, _ := c.Create(p, "/short")
+		c.Write(p, fd, 0, blob.FromString("0123456789"))
+		c.Read(p, fd, 0, 10) // caches page 0, 10 bytes long
+		if _, err := c.Write(p, fd, 100, blob.FromString("abc")); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := c.Read(p, fd, 0, 103)
+		want := "0123456789" + strings.Repeat("\x00", 90) + "abc"
+		if string(got.Bytes()) != want {
+			t.Errorf("read %q, want %q", got.Bytes(), want)
+		}
+		// A write on the next page leaves page 0 short and cached; the
+		// rest of page 0 reads as zeros.
+		c.Write(p, fd, 5000, blob.FromString("xyz"))
+		got, _ = c.Read(p, fd, 0, 5003)
+		want += strings.Repeat("\x00", 5000-103) + "xyz"
+		if string(got.Bytes()) != want {
+			t.Errorf("read across the short page: %d bytes, want %d", got.Len(), len(want))
+		}
+	})
+	env.Run()
+}
+
+// Truncate and unlink leave no old bytes behind on the OSTs: a write past
+// a hole in the truncated or recreated file reads back zeros before it,
+// from the writer's mount and from a cold one.
+func TestLustreNoOldBytesAfterTruncateOrUnlink(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		remove func(p *sim.Proc, c *Client, fd gluster.FD) gluster.FD
+	}{
+		{"truncate", func(p *sim.Proc, c *Client, fd gluster.FD) gluster.FD {
+			c.Truncate(p, "/f", 0)
+			return fd
+		}},
+		{"unlink", func(p *sim.Proc, c *Client, fd gluster.FD) gluster.FD {
+			c.Unlink(p, "/f")
+			fd, _ = c.Create(p, "/f")
+			return fd
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, _, cls := deploy(t, 2)
+			env.Process("t", func(p *sim.Proc) {
+				c := cls[0]
+				fd, _ := c.Create(p, "/f")
+				c.Write(p, fd, 0, blob.FromString("version-one____"))
+				fd = tc.remove(p, c, fd)
+				c.Write(p, fd, 14, blob.FromString("x"))
+				want := strings.Repeat("\x00", 14) + "x"
+				for _, r := range cls {
+					rfd, _ := r.Open(p, "/f")
+					if got, _ := r.Read(p, rfd, 0, 15); string(got.Bytes()) != want {
+						t.Errorf("client %d read %q, want %q", r.id, got.Bytes(), want)
+					}
+				}
+			})
+			env.Run()
+		})
+	}
+}
+
+// A truncate cuts the object on every OST at its share of the new size:
+// shrinking a 5-stripe file on 3 OSTs to 1.5 stripes (OST 0 keeps a
+// stripe, OST 1 half of one, OST 2 none) and extending it back leaves the
+// first 1.5 stripes and zeros after them.
+func TestLustreTruncateCutsEveryStripe(t *testing.T) {
+	env, _, cls := deploy(t, 3)
+	env.Process("t", func(p *sim.Proc) {
+		c := cls[0]
+		fd, _ := c.Create(p, "/striped")
+		c.Write(p, fd, 0, blob.Synthetic(1, 0, 5*StripeSize))
+		c.Truncate(p, "/striped", 3*StripeSize/2)
+		c.Truncate(p, "/striped", 5*StripeSize)
+		got, _ := c.Read(p, fd, 0, 5*StripeSize)
+		want := blob.Concat(blob.Synthetic(1, 0, 3*StripeSize/2), blob.Zeros(7*StripeSize/2))
+		if !got.Equal(want) {
+			t.Error("read after shrinking and re-extending is not the kept stripes then zeros")
 		}
 	})
 	env.Run()

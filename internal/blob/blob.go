@@ -8,26 +8,26 @@
 // shipped, cached, and verified without ever allocating the data. Byte-backed
 // Blobs carry literal contents for correctness tests and for the real TCP
 // memcached server. The two kinds mix freely inside one Blob.
+//
+// A Blob value is 56 bytes of host memory wherever it is kept — a cached
+// item, a page, a message. That is the simulator's cost, not the modelled
+// system's: what a cached item costs memcached is its key, its Len and
+// memcache's itemOverhead, whatever the Blob behind it takes.
 package blob
 
 import (
 	"fmt"
+	"unsafe"
 )
 
-// segment is a contiguous run of payload, either byte-backed (data != nil)
-// or synthetic (generated from seed at absolute offset off).
+// segment is a contiguous run of n bytes of payload, either byte-backed
+// (data != nil, len(data) == n) or synthetic (generated from seed at
+// absolute offset off).
 type segment struct {
 	data []byte
 	seed uint64
 	off  int64
 	n    int64
-}
-
-func (s segment) length() int64 {
-	if s.data != nil {
-		return int64(len(s.data))
-	}
-	return s.n
 }
 
 func (s segment) at(i int64) byte {
@@ -39,7 +39,7 @@ func (s segment) at(i int64) byte {
 
 func (s segment) slice(from, to int64) segment {
 	if s.data != nil {
-		return segment{data: s.data[from:to]}
+		return segment{data: s.data[from:to], n: to - from}
 	}
 	return segment{seed: s.seed, off: s.off + from, n: to - from}
 }
@@ -48,22 +48,29 @@ func (s segment) slice(from, to int64) segment {
 //
 // The first segment lives inline in the value, so a single-segment blob —
 // every synthetic block, every FromBytes — is a plain value that is built,
-// sliced and copied without touching the heap. Only blobs that really mix
-// runs (a byte-backed header before synthetic data, two different streams)
-// carry the spill slice. The blob is non-empty exactly when n > 0, and then
-// first is its leading segment; no segment is ever empty.
+// sliced and copied without touching the heap. The blob is non-empty
+// exactly when first.n > 0; no segment is ever empty. Only blobs that
+// really mix runs (a byte-backed header before synthetic data, two
+// different streams) carry a spill: one allocation, a header segment
+// followed by segments 1, 2, …, so that spill[i] is segment i. The header's
+// off is the number of segments and its n the blob's total length.
 type Blob struct {
 	first segment
-	rest  []segment
-	n     int64
+	spill *segment
 }
+
+// spilled returns the spill, header included, as a slice.
+func (b *Blob) spilled() []segment { return unsafe.Slice(b.spill, b.spill.off) }
 
 // numSegs returns the number of segments.
 func (b *Blob) numSegs() int {
-	if b.n == 0 {
+	switch {
+	case b.spill != nil:
+		return int(b.spill.off)
+	case b.first.n == 0:
 		return 0
 	}
-	return 1 + len(b.rest)
+	return 1
 }
 
 // seg returns segment i, 0 <= i < numSegs.
@@ -71,19 +78,46 @@ func (b *Blob) seg(i int) *segment {
 	if i == 0 {
 		return &b.first
 	}
-	return &b.rest[i-1]
+	return &b.spilled()[i]
 }
 
-// push appends a non-empty segment. It is used only while building a fresh
-// blob, never on one that has been handed out: blobs share spill slices by
-// value.
-func (b *Blob) push(s segment) {
-	if b.n == 0 {
-		b.first = s
-	} else {
-		b.rest = append(b.rest, s)
+// builder assembles a fresh blob segment by segment. Blobs share spills by
+// value, so a spill is written only here, before the blob is handed out.
+type builder struct {
+	out  Blob
+	n    int64
+	segs []segment // the spill being filled, header first; nil until segment 1
+}
+
+// push appends the non-empty segment s; at most room segments follow it,
+// so the spill is allocated once, at the second segment.
+func (w *builder) push(s segment, room int) {
+	w.n += s.n
+	if w.out.first.n == 0 {
+		w.out.first = s
+		return
 	}
-	b.n += s.length()
+	if w.segs == nil {
+		w.segs = make([]segment, 1, 2+room)
+	}
+	w.segs = append(w.segs, s)
+}
+
+// last returns the segment pushed last; the blob must not be empty.
+func (w *builder) last() *segment {
+	if w.segs == nil {
+		return &w.out.first
+	}
+	return &w.segs[len(w.segs)-1]
+}
+
+// blob finishes the blob: the spill's header takes the count and length.
+func (w *builder) blob() Blob {
+	if w.segs != nil {
+		w.segs[0] = segment{off: int64(len(w.segs)), n: w.n}
+		w.out.spill = &w.segs[0]
+	}
+	return w.out
 }
 
 // FromBytes returns a byte-backed Blob. The caller must not mutate b after
@@ -92,7 +126,7 @@ func FromBytes(b []byte) Blob {
 	if len(b) == 0 {
 		return Blob{}
 	}
-	return Blob{first: segment{data: b}, n: int64(len(b))}
+	return Blob{first: segment{data: b, n: int64(len(b))}}
 }
 
 // FromString returns a byte-backed Blob with the bytes of s.
@@ -114,11 +148,16 @@ func Synthetic(seed uint64, off, n int64) Blob {
 	if n == 0 {
 		return Blob{}
 	}
-	return Blob{first: segment{seed: seed, off: off, n: n}, n: n}
+	return Blob{first: segment{seed: seed, off: off, n: n}}
 }
 
 // Len returns the total number of bytes.
-func (b Blob) Len() int64 { return b.n }
+func (b Blob) Len() int64 {
+	if b.spill != nil {
+		return b.spill.n
+	}
+	return b.first.n
+}
 
 // IsSynthetic reports whether the blob contains no byte-backed segments
 // (an empty blob is synthetic).
@@ -133,52 +172,40 @@ func (b Blob) IsSynthetic() bool {
 
 // At returns the byte at index i.
 func (b Blob) At(i int64) byte {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("blob: index %d out of range [0,%d)", i, b.n))
+	if i < 0 || i >= b.Len() {
+		panic(fmt.Sprintf("blob: index %d out of range [0,%d)", i, b.Len()))
 	}
 	for j, n := 0, b.numSegs(); j < n; j++ {
 		s := b.seg(j)
-		if l := s.length(); i < l {
+		if i < s.n {
 			return s.at(i)
-		} else {
-			i -= l
 		}
+		i -= s.n
 	}
 	panic("blob: corrupt segment lengths")
 }
 
 // Slice returns the sub-blob [from, to).
 func (b Blob) Slice(from, to int64) Blob {
-	if from < 0 || to < from || to > b.n {
-		panic(fmt.Sprintf("blob: slice [%d,%d) out of range [0,%d]", from, to, b.n))
+	if from < 0 || to < from || to > b.Len() {
+		panic(fmt.Sprintf("blob: slice [%d,%d) out of range [0,%d]", from, to, b.Len()))
 	}
 	if from == to {
 		return Blob{}
 	}
-	if b.rest == nil {
-		return Blob{first: b.first.slice(from, to), n: to - from}
+	if b.spill == nil {
+		return Blob{first: b.first.slice(from, to)}
 	}
-	var out Blob
+	var w builder
 	pos := int64(0)
-	for i, n := 0, b.numSegs(); i < n; i++ {
+	for i, n := 0, b.numSegs(); i < n && pos < to; i++ {
 		s := b.seg(i)
-		l := s.length()
-		lo, hi := from-pos, to-pos
-		if lo < 0 {
-			lo = 0
+		if lo, hi := max(from-pos, 0), min(to-pos, s.n); lo < hi {
+			w.push(s.slice(lo, hi), n-1-i)
 		}
-		if hi > l {
-			hi = l
-		}
-		if lo < hi {
-			out.push(s.slice(lo, hi))
-		}
-		pos += l
-		if pos >= to {
-			break
-		}
+		pos += s.n
 	}
-	return out
+	return w.blob()
 }
 
 // Concat returns the concatenation of parts. Adjacent synthetic segments
@@ -191,57 +218,52 @@ func Concat(parts ...Blob) Blob {
 	for i := range parts {
 		left += parts[i].numSegs()
 	}
-	var out Blob
+	var w builder
 	for i := range parts {
 		p := &parts[i]
 		for j, n := 0, p.numSegs(); j < n; j++ {
 			s := p.seg(j)
 			left--
-			if out.n > 0 && s.data == nil {
-				last := out.seg(len(out.rest))
-				if last.data == nil && last.seed == s.seed && last.off+last.n == s.off {
+			if w.n > 0 && s.data == nil {
+				if last := w.last(); last.data == nil && last.seed == s.seed && last.off+last.n == s.off {
 					last.n += s.n
-					out.n += s.n
+					w.n += s.n
 					continue
 				}
 			}
-			if out.n > 0 && out.rest == nil {
-				out.rest = make([]segment, 0, left+1)
-			}
-			out.push(*s)
+			w.push(*s, left)
 		}
 	}
-	return out
+	return w.blob()
 }
 
 // Bytes materializes the blob. Synthetic segments are generated; the result
 // is freshly allocated except for a single byte-backed segment, which is
 // returned as-is.
 func (b Blob) Bytes() []byte {
-	if b.rest == nil && b.first.data != nil {
+	if b.spill == nil && b.first.data != nil {
 		return b.first.data
 	}
-	out := make([]byte, b.n)
+	out := make([]byte, b.Len())
 	pos := 0
 	for i, n := 0, b.numSegs(); i < n; i++ {
 		s := b.seg(i)
-		l := s.length()
 		if s.data != nil {
 			pos += copy(out[pos:], s.data)
 			continue
 		}
-		synthFill(out[pos:pos+int(l)], s.seed, s.off)
-		pos += int(l)
+		synthFill(out[pos:pos+int(s.n)], s.seed, s.off)
+		pos += int(s.n)
 	}
 	return out
 }
 
 // Equal reports whether a and b have identical contents.
 func (b Blob) Equal(c Blob) bool {
-	if b.n != c.n {
+	if b.Len() != c.Len() {
 		return false
 	}
-	for i := int64(0); i < b.n; i++ {
+	for i := int64(0); i < b.Len(); i++ {
 		if b.At(i) != c.At(i) {
 			return false
 		}
@@ -255,8 +277,7 @@ func (b Blob) Checksum() uint64 {
 	h := uint64(offset64)
 	for j, n := 0, b.numSegs(); j < n; j++ {
 		s := b.seg(j)
-		l := s.length()
-		for i := int64(0); i < l; i++ {
+		for i := int64(0); i < s.n; i++ {
 			h ^= uint64(s.at(i))
 			h *= prime64
 		}
@@ -270,7 +291,7 @@ func (b Blob) String() string {
 	if b.IsSynthetic() {
 		kind = "synthetic"
 	}
-	return fmt.Sprintf("blob{%s, %d bytes, %d segs}", kind, b.n, b.numSegs())
+	return fmt.Sprintf("blob{%s, %d bytes, %d segs}", kind, b.Len(), b.numSegs())
 }
 
 // synthByte is the content function: a splitmix64-style mix of the seed and

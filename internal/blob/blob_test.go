@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEmptyBlob(t *testing.T) {
@@ -274,8 +275,8 @@ func TestPropertyMixedBlobsAgreeWithBytes(t *testing.T) {
 		if int64(len(am)) != a.Len() {
 			t.Fatalf("trial %d: Bytes has %d bytes, Len says %d", trial, len(am), a.Len())
 		}
-		if n := a.numSegs(); (n == 0) != (a.Len() == 0) || (n <= 1) != (a.rest == nil) {
-			t.Fatalf("trial %d: %d segments, %d bytes, spill %v: the inline invariant broke", trial, n, a.Len(), a.rest != nil)
+		if n := a.numSegs(); (n == 0) != (a.Len() == 0) || (n <= 1) != (a.spill == nil) {
+			t.Fatalf("trial %d: %d segments, %d bytes, spill %v: the inline invariant broke", trial, n, a.Len(), a.spill != nil)
 		}
 		lo := int64(0)
 		if a.Len() > 0 {
@@ -310,7 +311,7 @@ func TestPropertyMixedBlobsAgreeWithBytes(t *testing.T) {
 func TestSingleSegmentBlobsAreValues(t *testing.T) {
 	// same reports whether two blobs are the same single synthetic value.
 	same := func(a, b Blob) bool {
-		return a.rest == nil && b.rest == nil && a.n == b.n && a.first.data == nil && b.first.data == nil &&
+		return a.spill == nil && b.spill == nil && a.Len() == b.Len() && a.first.data == nil && b.first.data == nil &&
 			a.first.seed == b.first.seed && a.first.off == b.first.off && a.first.n == b.first.n
 	}
 	got := Synthetic(7, 0, 100).Slice(25, 75)
@@ -337,4 +338,123 @@ func TestSingleSegmentBlobsAreValues(t *testing.T) {
 	if string(sink.Bytes()) != "234567" {
 		t.Errorf("sliced byte blob = %q", sink.Bytes())
 	}
+}
+
+// TestBlobSize pins the Blob value at 56 bytes: a segment inline and one
+// pointer to the spill. Every cached item, page and message carries one.
+func TestBlobSize(t *testing.T) {
+	if got := unsafe.Sizeof(Blob{}); got != 56 {
+		t.Errorf("Blob is %d bytes, want 56", got)
+	}
+}
+
+// TestSpillIsOneAllocation: a blob that mixes k runs costs exactly one
+// allocation, its spill, whether Concat builds it or Slice cuts it from
+// another, for every k the bank's multi-block values reach.
+func TestSpillIsOneAllocation(t *testing.T) {
+	for k := 2; k <= 8; k++ {
+		parts := make([]Blob, k)
+		for i := range parts {
+			parts[i] = FromBytes([]byte{byte('a' + i), byte('A' + i)})
+		}
+		var b Blob
+		if got := testing.AllocsPerRun(100, func() { b = Concat(parts...) }); got != 1 {
+			t.Errorf("Concat of %d byte-backed parts: %.0f allocations, want 1", k, got)
+		}
+		if b.numSegs() != k || b.Len() != int64(2*k) {
+			t.Fatalf("Concat of %d parts: %d segments, %d bytes", k, b.numSegs(), b.Len())
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = b.Slice(1, b.Len()-1) }); got != 1 {
+			t.Errorf("Slice across %d segments: %.0f allocations, want 1", k, got)
+		}
+	}
+}
+
+// runBlobScript runs a script of blob operations against a []byte model of
+// each blob's contents. The script is read five bytes at a time as (op,
+// slot, a, b, c): FromBytes, Synthetic, Slice or Concat into one of four
+// slots, or a Len or At probe of one. After every build the slot's Len,
+// Bytes and segment shape must agree with the model.
+func runBlobScript(t *testing.T, script []byte) {
+	const slots, maxLen = 4, 4 << 10
+	var blobs [slots]Blob
+	var model [slots][]byte
+	check := func(step, i int) {
+		b, m := blobs[i], model[i]
+		if b.Len() != int64(len(m)) {
+			t.Fatalf("step %d: slot %d %v has Len %d, model %d bytes", step, i, b, b.Len(), len(m))
+		}
+		if !bytes.Equal(b.Bytes(), m) {
+			t.Fatalf("step %d: slot %d %v: Bytes differ from the model", step, i, b)
+		}
+		n, sum := b.numSegs(), int64(0)
+		for j := 0; j < n; j++ {
+			if s := b.seg(j); s.n <= 0 || (s.data != nil && int64(len(s.data)) != s.n) {
+				t.Fatalf("step %d: slot %d %v: segment %d holds %d bytes, says %d", step, i, b, j, len(s.data), s.n)
+			}
+			sum += b.seg(j).n
+		}
+		if sum != b.Len() || (n <= 1) != (b.spill == nil) {
+			t.Fatalf("step %d: slot %d %v: %d segments of %d bytes, spill %v", step, i, b, n, sum, b.spill != nil)
+		}
+	}
+	for step := 0; len(script) >= 5; step++ {
+		op, slot, a, b, c := script[0]%6, int(script[1]%slots), script[2], script[3], script[4]
+		script = script[5:]
+		src, m := blobs[a%slots], model[a%slots]
+		switch op {
+		case 0:
+			raw := make([]byte, b%40)
+			for i := range raw {
+				raw[i] = c + byte(i)*31
+			}
+			blobs[slot], model[slot] = FromBytes(raw), append([]byte(nil), raw...)
+		case 1:
+			// Four streams, zeros among them, at nearby offsets: windows
+			// of one stream often abut, so Concat coalesces.
+			seed, off, n := uint64(c%4), int64(a), int64(b%64)
+			blobs[slot], model[slot] = Synthetic(seed, off, n), make([]byte, n)
+			for i := range model[slot] {
+				model[slot][i] = synthByte(seed, off+int64(i))
+			}
+		case 2:
+			lo := int64(b) % (int64(len(m)) + 1)
+			hi := lo + int64(c)%(int64(len(m))-lo+1)
+			blobs[slot], model[slot] = src.Slice(lo, hi), m[lo:hi]
+		case 3:
+			parts, want := []Blob{src}, append([]byte(nil), m...)
+			for i := 0; i < int(c%4); i++ {
+				j := (int(b) + i) % slots
+				parts, want = append(parts, blobs[j]), append(want, model[j]...)
+			}
+			if len(want) > maxLen {
+				continue
+			}
+			blobs[slot], model[slot] = Concat(parts...), want
+		case 4:
+			if src.Len() != int64(len(m)) {
+				t.Fatalf("step %d: slot %d has Len %d, model %d bytes", step, a%slots, src.Len(), len(m))
+			}
+			continue
+		default:
+			if len(m) > 0 {
+				i := (int64(b)<<8 | int64(c)) % int64(len(m))
+				if got := src.At(i); got != m[i] {
+					t.Fatalf("step %d: slot %d %v: At(%d) = %#x, model %#x", step, a%slots, src, i, got, m[i])
+				}
+			}
+			continue
+		}
+		check(step, slot)
+	}
+}
+
+func FuzzBlobOps(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 40, 1, 1, 1, 40, 40, 1, 3, 2, 0, 1, 1, 2, 3, 2, 10, 50, 5, 3, 2, 0, 200})
+	for seed := int64(1); seed <= 8; seed++ {
+		script := make([]byte, 5*200)
+		rand.New(rand.NewSource(seed)).Read(script)
+		f.Add(script)
+	}
+	f.Fuzz(runBlobScript)
 }

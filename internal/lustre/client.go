@@ -319,6 +319,9 @@ func (cl *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (
 	if err := gluster.CheckRange(off, data.Len()); err != nil {
 		return 0, err
 	}
+	if data.Len() == 0 {
+		return 0, nil // as on a brick: an empty write changes nothing, the size included
+	}
 	cl.node.CPU.Use(p, ClientOpCPU+sim.Duration(float64(data.Len())*ClientPerByteNanos))
 	m := cl.cluster.files[path]
 	if m == nil {

@@ -356,6 +356,30 @@ func TestLustreWritePastShortCachedPage(t *testing.T) {
 	env.Run()
 }
 
+// An empty write changes nothing: a file written nothing at offset 100
+// keeps its size, seen from the writer's mount and from another.
+func TestLustreEmptyWriteKeepsSize(t *testing.T) {
+	env, _, cls := deploy(t, 2)
+	env.Process("t", func(p *sim.Proc) {
+		c := cls[0]
+		fd, _ := c.Create(p, "/empty")
+		for _, size := range []int64{0, 10} {
+			if size > 0 {
+				c.Write(p, fd, 0, blob.Synthetic(3, 0, size))
+			}
+			if n, err := c.Write(p, fd, 100, blob.Blob{}); n != 0 || err != nil {
+				t.Fatalf("empty write at 100: %d, %v", n, err)
+			}
+			for i, cl := range cls {
+				if st, err := cl.Stat(p, "/empty"); err != nil || st.Size != size {
+					t.Errorf("client %d: after an empty write at 100 the %d-byte file has size %v (%v)", i, size, st, err)
+				}
+			}
+		}
+	})
+	env.Run()
+}
+
 // Truncate and unlink leave no old bytes behind on the OSTs: a write past
 // a hole in the truncated or recreated file reads back zeros before it,
 // from the writer's mount and from a cold one.

@@ -28,6 +28,10 @@ type refItem struct {
 	prev, next *refItem
 }
 
+func (it *refItem) expired(now int64) bool {
+	return it.Expiration != 0 && it.Expiration <= now
+}
+
 type refClass struct {
 	chunkSize, freeChunks int64
 	head, tail            *refItem
@@ -321,7 +325,18 @@ type scriptCoverage struct {
 	evictions uint64
 	flushes   int
 	classes   int // slab classes in use at the end
+	// farEvictions counts evictions made while the store held entries
+	// past its doubling arenas (more than doublingEntries at once).
+	farEvictions uint64
 }
+
+// doublingArenas and doublingEntries are the arenas that double from
+// minArena to maxArena, and the entries they hold: an index past them is
+// in an arena of its own size.
+const (
+	doublingArenas  = 9
+	doublingEntries = minArena * (1<<doublingArenas - 1)
+)
 
 // maxScriptVerbs cuts a script the fuzzer has grown: past it a run is mostly
 // sorting key lists, and nothing new is reached that a shorter script cannot.
@@ -330,7 +345,6 @@ const maxScriptVerbs = 8192
 // runStoreScript runs data on the store and on the model and fails t at the
 // first verb whose outcome differs.
 func runStoreScript(t testing.TB, data []byte) (cov scriptCoverage) {
-	data = data[:min(len(data), 3*maxScriptVerbs)]
 	clock := int64(1000)
 	now := func() int64 { return clock }
 	s, r := NewStore(storeScriptLimit, now), newRefStore(storeScriptLimit, now)
@@ -351,7 +365,15 @@ func runStoreScript(t testing.TB, data []byte) (cov scriptCoverage) {
 		}
 	}
 	sameContents := func(step int, what string) {
-		if got, want := s.Keys(), r.keys(); !reflect.DeepEqual(got, want) {
+		// The store's keys equal the model's sorted keys: as many, each
+		// in the model, each above the last — no sort on the model side.
+		got := s.Keys()
+		same := len(got) == len(r.table)
+		for i := 0; same && i < len(got); i++ {
+			same = r.table[got[i]] != nil && (i == 0 || got[i-1] < got[i])
+		}
+		if !same {
+			want := r.keys()
 			t.Fatalf("verb %d %s: store holds %d keys, model %d:\n store %q\n model %q", step, what, len(got), len(want), got, want)
 		}
 		if got, want := s.SlabStats(), r.slabStats(); !reflect.DeepEqual(got, want) {
@@ -362,6 +384,7 @@ func runStoreScript(t testing.TB, data []byte) (cov scriptCoverage) {
 	for step := 0; len(data) >= 3; step++ {
 		verb, a, b := data[0]%16, data[1], data[2]
 		data = data[3:]
+		evictions := r.stats.Evictions
 		key := scriptKey(a, b)
 		item := func() (*Item, *Item) {
 			it := Item{Key: key, Value: scriptValue(a, b), Flags: uint32(b)}
@@ -438,6 +461,9 @@ func runStoreScript(t testing.TB, data []byte) (cov scriptCoverage) {
 			sameContents(step, what)
 		}
 		cov.buckets = max(cov.buckets, len(s.buckets))
+		if len(s.arenas) > doublingArenas {
+			cov.farEvictions += r.stats.Evictions - evictions
+		}
 	}
 	sameContents(-1, "at the end")
 	for _, k := range r.keys() {
@@ -458,19 +484,61 @@ func storeScriptBytes(seed int64) []byte {
 	return data
 }
 
+// arenaScriptBytes is a script that holds more entries than the doubling
+// arenas do, evicts there and recycles entries across arenas. It sets every
+// large-alphabet key whose value is small (one slab page of the smallest
+// class) or about 200 bytes (a page each for two classes), then all but 384
+// of the keys with 900-byte values: their class fills the last three pages
+// (2,673 chunks) and evicts 16. Then it deletes 64 of the first entries and
+// 64 of the last, interleaved, sets those keys back, and sets 64 fresh
+// 900-byte keys, which evict again.
+func arenaScriptBytes() []byte {
+	var small, mid, large []byte // (set, a, b) triples
+	for a := 96; a < 160; a++ {  // every a%64
+		for b := 0; b < 256; b++ {
+			if b&0x30 == 0x30 { // these expire
+				continue
+			}
+			switch v := []byte{0, byte(a), byte(b)}; b % 8 {
+			case 0, 1, 2:
+				small = append(small, v...)
+			case 7:
+				mid = append(mid, v...)
+			case 3, 4:
+				large = append(large, v...)
+			}
+		}
+	}
+	const churn = 3 * 64
+	held := len(large) - 3*384
+	data := append(append(append([]byte(nil), small...), mid...), large[:held]...)
+	for i := 0; i < churn; i += 3 {
+		data = append(data, 12, small[i+1], small[i+2], 12, large[held-churn+i+1], large[held-churn+i+2])
+	}
+	data = append(data, large[held-churn:held]...)
+	data = append(data, small[:churn]...)
+	return append(data, large[held:held+churn]...)
+}
+
 func TestStoreMatchesReference(t *testing.T) {
 	var all scriptCoverage
+	scripts := [][]byte{arenaScriptBytes()}
 	for seed := int64(1); seed <= 100; seed++ {
-		cov := runStoreScript(t, storeScriptBytes(seed))
+		scripts = append(scripts, storeScriptBytes(seed))
+	}
+	for _, script := range scripts {
+		cov := runStoreScript(t, script)
 		all.buckets = max(all.buckets, cov.buckets)
 		all.evictions += cov.evictions
 		all.flushes += cov.flushes
 		all.classes = max(all.classes, cov.classes)
+		all.farEvictions += cov.farEvictions
 	}
-	t.Logf("largest table %d buckets, %d evictions, %d FlushAlls, %d slab classes", all.buckets, all.evictions, all.flushes, all.classes)
-	if all.buckets < minBuckets<<3 || all.evictions == 0 || all.flushes == 0 || all.classes < 3 {
-		t.Errorf("the scripts reached a table of %d buckets (want >= %d, three doublings), %d evictions, %d FlushAlls and %d slab classes: part of the design went unchecked",
-			all.buckets, minBuckets<<3, all.evictions, all.flushes, all.classes)
+	t.Logf("largest table %d buckets, %d evictions (%d past the doubling arenas), %d FlushAlls, %d slab classes",
+		all.buckets, all.evictions, all.farEvictions, all.flushes, all.classes)
+	if all.buckets < minBuckets<<3 || all.evictions == 0 || all.flushes == 0 || all.classes < 3 || all.farEvictions == 0 {
+		t.Errorf("the scripts reached a table of %d buckets (want >= %d, three doublings), %d evictions, %d of them with more than %d entries held, %d FlushAlls and %d slab classes: part of the design went unchecked",
+			all.buckets, minBuckets<<3, all.evictions, all.farEvictions, doublingEntries, all.flushes, all.classes)
 	}
 }
 
@@ -478,5 +546,5 @@ func FuzzStoreOps(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(storeScriptBytes(seed))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { runStoreScript(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) { runStoreScript(t, data[:min(len(data), 3*maxScriptVerbs)]) })
 }

@@ -14,6 +14,13 @@
 // Values are blobs (see internal/blob), so simulated deployments can cache
 // gigabytes of synthetic file data without allocating it, while the TCP
 // daemon stores literal bytes.
+//
+// Two sizes of an item are kept apart. What memcached charges an item
+// against its memory limit — its key, its value and itemOverhead, the
+// modelled item header — decides slab classes, eviction and every
+// reported byte count. What the simulator spends holding it is the Go
+// entry (112 bytes, see entry) plus the key and value bytes; that is host
+// memory and never enters the model.
 package memcache
 
 import (
@@ -40,7 +47,8 @@ const (
 	MaxItemValueLen = slabPageSize - MaxKeyLen - itemOverhead
 	// slabPageSize is the allocation unit handed to a slab class.
 	slabPageSize = 1 << 20
-	// itemOverhead approximates memcached's per-item header + pointers.
+	// itemOverhead is memcached's per-item header and pointers, as the
+	// model charges them; it is not the Go entry's size.
 	itemOverhead = 48
 	// minChunkSize is the smallest slab chunk.
 	minChunkSize = 88
@@ -48,11 +56,12 @@ const (
 	growthFactor = 1.25
 	// minBuckets is the hash table's initial size, and minArena and
 	// maxArena bound an entry arena: each arena doubles the last between
-	// them (see entryLocked). A full arena is 608 KB, the most a store
+	// them (see entryLocked). A full arena is 448 KB, the most a store
 	// holds in entries it has no item for.
 	minBuckets = 16
 	minArena   = 16
-	maxArena   = 1 << 12
+	arenaShift = 12
+	maxArena   = 1 << arenaShift
 )
 
 // Store errors.
@@ -66,7 +75,8 @@ var (
 	ErrServerDown = errors.New("memcache: server down")
 )
 
-// Item is a cache entry.
+// Item is a cache item as callers see it: what they store, and what a read
+// returns — a copy; the store keeps its own entry.
 type Item struct {
 	Key   string
 	Value blob.Blob
@@ -75,14 +85,25 @@ type Item struct {
 	// no expiry. Protocol layers convert relative TTLs before storing.
 	Expiration int64
 	CAS        uint64
+}
 
-	// The store's own links: the key's table hash and chain, the slab
-	// class, and the class's LRU list (lruNext also chains free entries).
+// entry is a resident item. Entries are cut from arenas and linked by
+// index (see at), 0 meaning none, so a link is four bytes the collector
+// does not scan. A chain step reads hash, hnext and key, the entry's first
+// 24 bytes, so one cache line nearly always answers it; then come the
+// class's LRU links (lruNext also chains free entries), the slab class and
+// the item.
+type entry struct {
 	hash    uint32
-	class   int
-	hnext   *Item
-	lruPrev *Item
-	lruNext *Item
+	hnext   uint32
+	key     string
+	lruPrev uint32
+	lruNext uint32
+	class   int32
+	flags   uint32
+	value   blob.Blob
+	exp     int64
+	cas     uint64
 }
 
 // Stats mirrors the counters reported by memcached's "stats" command that
@@ -145,7 +166,7 @@ type slabClass struct {
 	chunkSize  int64
 	freeChunks int64
 	// Per-class LRU: head = most recently used.
-	head, tail *Item
+	head, tail uint32
 }
 
 // Store is the cache engine. It is safe for concurrent use.
@@ -155,21 +176,22 @@ type Store struct {
 	alloced int64 // slab pages handed out
 	classes []slabClass
 	// buckets is the hash table, in the shape of memcached's assoc: a
-	// power-of-two array of chains threaded through Item.hnext, doubled when
+	// power-of-two array of chains threaded through entry.hnext, doubled when
 	// it holds more than 1.5 items per bucket. An item keeps its hash, so
 	// growing, evicting and deleting never rehash a key. The hash is FNV-1a,
 	// deliberately not the client selector's CRC32: CRC32Selector picks the
 	// daemon from bits 16-30, so every key one daemon of a two-daemon bank
 	// receives has the same bit 16, and a CRC32-indexed table past 65,536
 	// buckets would fill half of them.
-	buckets []*Item
-	// free chains entries (through lruNext) for the next insert: the ones
-	// removeLocked cleared, and behind them the unused rest of the newest
-	// arena. arena is that arena's length. No *Item of the table leaves the
-	// store — every read copies.
-	free  *Item
-	arena int
-	cas   uint64
+	buckets []uint32
+	// arenas hold the entries: arena k holds indices k<<arenaShift + 1 on,
+	// as many as its length. free chains entries (through lruNext) for the
+	// next insert: the ones removeLocked cleared, and behind them the
+	// unused rest of the newest arena. No entry leaves the store — every
+	// read copies.
+	arenas [][]entry
+	free   uint32
+	cas    uint64
 	// Now returns the current time in seconds; the simulation supplies
 	// virtual time, the TCP server supplies wall time.
 	Now func() int64
@@ -183,7 +205,7 @@ func NewStore(limit int64, now func() int64) *Store {
 	if now == nil {
 		panic("memcache: nil clock")
 	}
-	s := &Store{limit: limit, buckets: make([]*Item, minBuckets), Now: now}
+	s := &Store{limit: limit, buckets: make([]uint32, minBuckets), Now: now}
 	s.stats.LimitBytes = limit
 	for size := int64(minChunkSize); ; {
 		s.classes = append(s.classes, slabClass{chunkSize: size})
@@ -232,37 +254,43 @@ func validKey(key string) bool {
 	return true
 }
 
-// lruUnlink removes it from its class's LRU list.
-func (c *slabClass) lruUnlink(it *Item) {
-	if it.lruPrev != nil {
-		it.lruPrev.lruNext = it.lruNext
-	} else {
-		c.head = it.lruNext
-	}
-	if it.lruNext != nil {
-		it.lruNext.lruPrev = it.lruPrev
-	} else {
-		c.tail = it.lruPrev
-	}
-	it.lruPrev, it.lruNext = nil, nil
+// at returns entry i, i != 0.
+func (s *Store) at(i uint32) *entry {
+	i--
+	return &s.arenas[i>>arenaShift][i&(maxArena-1)]
 }
 
-// lruPush inserts it at the head (most recent).
-func (c *slabClass) lruPush(it *Item) {
-	it.lruPrev = nil
-	it.lruNext = c.head
-	if c.head != nil {
-		c.head.lruPrev = it
+// lruUnlink removes e from class c's LRU list.
+func (s *Store) lruUnlink(c *slabClass, e *entry) {
+	if e.lruPrev != 0 {
+		s.at(e.lruPrev).lruNext = e.lruNext
+	} else {
+		c.head = e.lruNext
 	}
-	c.head = it
-	if c.tail == nil {
-		c.tail = it
+	if e.lruNext != 0 {
+		s.at(e.lruNext).lruPrev = e.lruPrev
+	} else {
+		c.tail = e.lruPrev
+	}
+	e.lruPrev, e.lruNext = 0, 0
+}
+
+// lruPush inserts entry i, e, at the head of class c's list (most recent).
+func (s *Store) lruPush(c *slabClass, i uint32, e *entry) {
+	e.lruPrev = 0
+	e.lruNext = c.head
+	if c.head != 0 {
+		s.at(c.head).lruPrev = i
+	}
+	c.head = i
+	if c.tail == 0 {
+		c.tail = i
 	}
 }
 
-// expired reports whether it has lazily expired at time now.
-func (it *Item) expired(now int64) bool {
-	return it.Expiration != 0 && it.Expiration <= now
+// expired reports whether e has lazily expired at time now.
+func (e *entry) expired(now int64) bool {
+	return e.exp != 0 && e.exp <= now
 }
 
 // hashKey is the table's hash of a key, 32-bit FNV-1a, for a key held as a
@@ -276,29 +304,32 @@ func hashKey[K string | []byte](key K) uint32 {
 }
 
 // bucket returns the head of the chain a key hashing to h belongs in.
-func (s *Store) bucket(h uint32) **Item { return &s.buckets[h&uint32(len(s.buckets)-1)] }
+func (s *Store) bucket(h uint32) *uint32 { return &s.buckets[h&uint32(len(s.buckets)-1)] }
 
-// findLocked returns key's entry (nil when absent) and key's hash. The
+// findLocked returns key's entry (0 when absent) and key's hash. The
 // comparison converts a []byte key in place, so a lookup builds no string.
-func findLocked[K string | []byte](s *Store, key K) (*Item, uint32) {
+func findLocked[K string | []byte](s *Store, key K) (uint32, uint32) {
 	h := hashKey(key)
-	for it := *s.bucket(h); it != nil; it = it.hnext {
-		if it.hash == h && it.Key == string(key) {
-			return it, h
+	for i := *s.bucket(h); i != 0; {
+		e := s.at(i)
+		if e.hash == h && e.key == string(key) {
+			return i, h
 		}
+		i = e.hnext
 	}
-	return nil, h
+	return 0, h
 }
 
-// growLocked doubles the table, moving each item by the hash it keeps.
+// growLocked doubles the table, moving each entry by the hash it keeps.
 func (s *Store) growLocked() {
 	old := s.buckets
-	s.buckets = make([]*Item, 2*len(old))
-	for _, it := range old {
-		for it != nil {
-			next, b := it.hnext, s.bucket(it.hash)
-			it.hnext, *b = *b, it
-			it = next
+	s.buckets = make([]uint32, 2*len(old))
+	for _, i := range old {
+		for i != 0 {
+			e := s.at(i)
+			next, b := e.hnext, s.bucket(e.hash)
+			e.hnext, *b = *b, i
+			i = next
 		}
 	}
 }
@@ -307,35 +338,43 @@ func (s *Store) growLocked() {
 // empty it is refilled with a new arena, each double the last from minArena
 // to maxArena entries: the store allocates per slab of entries, as memcached
 // cuts items from slab pages, not per item.
-func (s *Store) entryLocked() *Item {
-	if s.free == nil {
-		s.arena = min(max(2*s.arena, minArena), maxArena)
-		arena := make([]Item, s.arena)
-		for i := range arena[1:] {
-			arena[i].lruNext = &arena[i+1]
+func (s *Store) entryLocked() uint32 {
+	if s.free == 0 {
+		k := len(s.arenas)
+		size := minArena
+		if k > 0 {
+			size = min(2*len(s.arenas[k-1]), maxArena)
 		}
-		s.free = &arena[0]
+		arena := make([]entry, size)
+		first := uint32(k)<<arenaShift + 1
+		for i := range arena[1:] {
+			arena[i].lruNext = first + uint32(i) + 1
+		}
+		s.arenas = append(s.arenas, arena)
+		s.free = first
 	}
-	it := s.free
-	s.free, it.lruNext = it.lruNext, nil
-	return it
+	i := s.free
+	e := s.at(i)
+	s.free, e.lruNext = e.lruNext, 0
+	return i
 }
 
-// removeLocked deletes an item from the table, returns its chunk to the
-// class free list, and its entry, cleared, to the store's.
-func (s *Store) removeLocked(it *Item) {
-	b := s.bucket(it.hash)
-	for *b != it {
-		b = &(*b).hnext
+// removeLocked deletes entry i from the table, returns its chunk to the
+// class free list, and the entry, cleared, to the store's.
+func (s *Store) removeLocked(i uint32) {
+	e := s.at(i)
+	b := s.bucket(e.hash)
+	for *b != i {
+		b = &s.at(*b).hnext
 	}
-	*b = it.hnext
-	c := &s.classes[it.class]
-	c.lruUnlink(it)
+	*b = e.hnext
+	c := &s.classes[e.class]
+	s.lruUnlink(c, e)
 	c.freeChunks++
 	s.stats.CurrItems--
-	s.stats.Bytes -= itemSize(it.Key, it.Value)
-	*it = Item{lruNext: s.free}
-	s.free = it
+	s.stats.Bytes -= itemSize(e.key, e.value)
+	*e = entry{lruNext: s.free}
+	s.free = i
 }
 
 // reserveChunkLocked obtains a chunk in class ci, growing the class by a
@@ -354,9 +393,9 @@ func (s *Store) reserveChunkLocked(ci int) error {
 		return nil
 	}
 	// Evict from this class's LRU tail.
-	for c.tail != nil {
+	for c.tail != 0 {
 		evict := c.tail
-		if evict.expired(s.Now()) {
+		if s.at(evict).expired(s.Now()) {
 			s.stats.Expired++
 		} else {
 			s.stats.Evictions++
@@ -408,41 +447,42 @@ func (s *Store) apply(v verb, item *Item) error {
 	defer s.mu.Unlock()
 	s.stats.CmdSet++
 	old, hash := findLocked(s, item.Key)
-	if old != nil && old.expired(s.Now()) {
+	if old != 0 && s.at(old).expired(s.Now()) {
 		s.stats.Expired++
 		s.removeLocked(old)
-		old = nil
+		old = 0
 	}
 	switch {
-	case v == verbAdd && old != nil, (v == verbReplace || join) && old == nil:
+	case v == verbAdd && old != 0, (v == verbReplace || join) && old == 0:
 		return ErrNotStored
-	case v == verbCAS && old == nil:
+	case v == verbCAS && old == 0:
 		return ErrCacheMiss
-	case v == verbCAS && old.CAS != item.CAS:
+	case v == verbCAS && s.at(old).cas != item.CAS:
 		return ErrExists
 	case join:
+		e := s.at(old)
 		if v == verbAppend {
-			item.Value = blob.Concat(old.Value, item.Value)
+			item.Value = blob.Concat(e.value, item.Value)
 		} else {
-			item.Value = blob.Concat(item.Value, old.Value)
+			item.Value = blob.Concat(item.Value, e.value)
 		}
 		if item.Value.Len() > MaxValueLen {
 			return ErrTooLarge
 		}
-		item.Flags, item.Expiration = old.Flags, old.Expiration
+		item.Flags, item.Expiration = e.flags, e.exp
 	}
 	return s.insertLocked(item, hash, old)
 }
 
 // insertLocked places item, whose key hashes to hash, in the table,
-// replacing old unless nil.
-func (s *Store) insertLocked(item *Item, hash uint32, old *Item) error {
+// replacing entry old unless 0.
+func (s *Store) insertLocked(item *Item, hash uint32, old uint32) error {
 	size := itemSize(item.Key, item.Value)
 	ci := s.classFor(size)
 	if ci < 0 {
 		return ErrTooLarge
 	}
-	if old != nil {
+	if old != 0 {
 		s.removeLocked(old)
 	}
 	if err := s.reserveChunkLocked(ci); err != nil {
@@ -451,12 +491,13 @@ func (s *Store) insertLocked(item *Item, hash uint32, old *Item) error {
 	s.cas++
 	// Entries come zeroed (removeLocked cleared a recycled one), and
 	// lruPush sets both links.
-	stored := s.entryLocked()
-	stored.Key, stored.Value, stored.Flags, stored.Expiration = item.Key, item.Value, item.Flags, item.Expiration
-	stored.CAS, stored.hash, stored.class = s.cas, hash, ci
+	i := s.entryLocked()
+	e := s.at(i)
 	b := s.bucket(hash)
-	stored.hnext, *b = *b, stored
-	s.classes[ci].lruPush(stored)
+	e.hash, e.hnext, e.key, e.class = hash, *b, item.Key, int32(ci)
+	e.flags, e.value, e.exp, e.cas = item.Flags, item.Value, item.Expiration, s.cas
+	*b = i
+	s.lruPush(&s.classes[ci], i, e)
 	s.stats.CurrItems++
 	s.stats.TotalItems++
 	s.stats.Bytes += size
@@ -471,8 +512,8 @@ func (s *Store) insertLocked(item *Item, hash uint32, old *Item) error {
 func (s *Store) Get(key string) (*Item, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, _ := findLocked(s, key)
-	v, ok := s.viewLocked(it)
+	i, _ := findLocked(s, key)
+	v, ok := s.viewLocked(i)
 	if !ok {
 		return nil, ErrCacheMiss
 	}
@@ -480,27 +521,27 @@ func (s *Store) Get(key string) (*Item, error) {
 	return &hit, nil
 }
 
-// viewLocked is the one read path: given the table entry for a key (nil
+// viewLocked is the one read path: given the table entry for a key (0
 // when absent) it counts the get, lazily expires, touches the LRU and
 // returns a snapshot of the entry by value.
-func (s *Store) viewLocked(it *Item) (Item, bool) {
+func (s *Store) viewLocked(i uint32) (Item, bool) {
 	s.stats.CmdGet++
-	if it == nil {
+	if i == 0 {
 		s.stats.GetMisses++
 		return Item{}, false
 	}
-	now := s.Now()
-	if it.expired(now) {
+	e := s.at(i)
+	if e.expired(s.Now()) {
 		s.stats.Expired++
 		s.stats.GetMisses++
-		s.removeLocked(it)
+		s.removeLocked(i)
 		return Item{}, false
 	}
 	s.stats.GetHits++
-	c := &s.classes[it.class]
-	c.lruUnlink(it)
-	c.lruPush(it)
-	return Item{Key: it.Key, Value: it.Value, Flags: it.Flags, Expiration: it.Expiration, CAS: it.CAS}, true
+	c := &s.classes[e.class]
+	s.lruUnlink(c, e)
+	s.lruPush(c, i, e)
+	return Item{Key: e.key, Value: e.value, Flags: e.flags, Expiration: e.exp, CAS: e.cas}, true
 }
 
 // GetView is Get returning the entry by value: same lookup, same stats,
@@ -512,8 +553,8 @@ func (s *Store) viewLocked(it *Item) (Item, bool) {
 func (s *Store) GetView(key []byte) (Item, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, _ := findLocked(s, key)
-	return s.viewLocked(it)
+	i, _ := findLocked(s, key)
+	return s.viewLocked(i)
 }
 
 // Delete removes key, returning ErrCacheMiss if absent.
@@ -523,16 +564,16 @@ func (s *Store) Delete(key string) error { return deleteKey(s, key) }
 func deleteKey[K string | []byte](s *Store, key K) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, _ := findLocked(s, key)
-	if it == nil || it.expired(s.Now()) {
-		if it != nil {
+	i, _ := findLocked(s, key)
+	if i == 0 || s.at(i).expired(s.Now()) {
+		if i != 0 {
 			s.stats.Expired++
-			s.removeLocked(it)
+			s.removeLocked(i)
 		}
 		s.stats.DeleteMiss++
 		return ErrCacheMiss
 	}
-	s.removeLocked(it)
+	s.removeLocked(i)
 	s.stats.DeleteHits++
 	return nil
 }
@@ -542,15 +583,16 @@ func deleteKey[K string | []byte](s *Store, key K) error {
 func (s *Store) IncrDecr(key string, delta uint64, incr bool) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, hash := findLocked(s, key)
-	if it == nil || it.expired(s.Now()) {
-		if it != nil {
+	i, hash := findLocked(s, key)
+	if i == 0 || s.at(i).expired(s.Now()) {
+		if i != 0 {
 			s.stats.Expired++
-			s.removeLocked(it)
+			s.removeLocked(i)
 		}
 		return 0, ErrCacheMiss
 	}
-	cur, ok := parseUint(it.Value.Bytes())
+	e := s.at(i)
+	cur, ok := parseUint(e.value.Bytes())
 	if !ok {
 		return 0, ErrNotNumeric
 	}
@@ -563,8 +605,8 @@ func (s *Store) IncrDecr(key string, delta uint64, incr bool) (uint64, error) {
 		next = cur - delta
 	}
 	nv := blob.FromBytes(strconv.AppendUint(nil, next, 10))
-	item := &Item{Key: key, Value: nv, Flags: it.Flags, Expiration: it.Expiration}
-	if err := s.insertLocked(item, hash, it); err != nil {
+	item := &Item{Key: key, Value: nv, Flags: e.flags, Expiration: e.exp}
+	if err := s.insertLocked(item, hash, i); err != nil {
 		return 0, err
 	}
 	return next, nil
@@ -576,11 +618,11 @@ func (s *Store) FlushAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for ci := range s.classes {
-		for c := &s.classes[ci]; c.tail != nil; {
+		for c := &s.classes[ci]; c.tail != 0; {
 			s.removeLocked(c.tail)
 		}
 	}
-	s.buckets, s.free, s.arena = make([]*Item, minBuckets), nil, 0
+	s.buckets, s.arenas, s.free = make([]uint32, minBuckets), nil, 0
 }
 
 // Stats returns a snapshot of the counters.
@@ -606,7 +648,7 @@ func (s *Store) SlabStats() map[int]ClassStat {
 	for ci := range s.classes {
 		c := &s.classes[ci]
 		used := int64(0)
-		for it := c.head; it != nil; it = it.lruNext {
+		for i := c.head; i != 0; i = s.at(i).lruNext {
 			used++
 		}
 		if used == 0 && c.freeChunks == 0 {
@@ -636,9 +678,11 @@ func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]string, 0, s.stats.CurrItems)
-	for _, it := range s.buckets {
-		for ; it != nil; it = it.hnext {
-			out = append(out, it.Key)
+	for _, i := range s.buckets {
+		for i != 0 {
+			e := s.at(i)
+			out = append(out, e.key)
+			i = e.hnext
 		}
 	}
 	sort.Strings(out)
@@ -652,9 +696,9 @@ func (s *Store) Keys() []string {
 func (s *Store) Peek(key string) (blob.Blob, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, _ := findLocked(s, key)
-	if it == nil {
+	i, _ := findLocked(s, key)
+	if i == 0 {
 		return blob.Blob{}, false
 	}
-	return it.Value, true
+	return s.at(i).value, true
 }

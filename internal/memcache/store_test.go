@@ -6,9 +6,27 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"imca/internal/blob"
 )
+
+// TestEntryLayout pins what a resident item costs the host: a 112-byte
+// entry, whose chain step — hash, hnext, key — sits in its first 24 bytes,
+// and a 96-byte Item for what callers store and read.
+func TestEntryLayout(t *testing.T) {
+	var e entry
+	if got := unsafe.Sizeof(e); got != 112 {
+		t.Errorf("entry is %d bytes, want 112", got)
+	}
+	if end := unsafe.Offsetof(e.key) + unsafe.Sizeof(e.key); unsafe.Offsetof(e.hash) != 0 || unsafe.Offsetof(e.hnext) != 4 || end != 24 {
+		t.Errorf("a chain step reads hash at %d, hnext at %d and the key up to %d; want 0, 4 and 24",
+			unsafe.Offsetof(e.hash), unsafe.Offsetof(e.hnext), end)
+	}
+	if got := unsafe.Sizeof(Item{}); got != 96 {
+		t.Errorf("Item is %d bytes, want 96", got)
+	}
+}
 
 func fixedClock() func() int64 {
 	t := int64(1000)

@@ -33,7 +33,7 @@ regdiff:
 	sh scripts/regdiff.sh
 
 # The claims at every scale: the registry at scales 4096 down to 4, each
-# scale's scorecard and wall time, and every claim whose verdict differs
+# scale's scorecard, wall time and peak RSS, and every claim whose verdict differs
 # from the scale before. A record, not a gate.
 scales:
 	sh scripts/scales.sh

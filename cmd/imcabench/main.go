@@ -25,7 +25,8 @@
 // per-layer breakdowns, telemetry and flight-recorder dumps, latency
 // timelines, and the Perfetto trace — is cmd/imcareport's to render.
 //
-// -cpuprofile / -memprofile write pprof profiles of the whole run. Host-side
+// -cpuprofile / -memprofile write pprof profiles of the whole run, and a
+// finished run writes its peak resident set size to stderr. Host-side
 // performance is measured by benchmark/ (make benchpairs), not here.
 package main
 
@@ -36,6 +37,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 	"time"
 
 	"imca/internal/experiments"
@@ -123,6 +126,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runExp(e)
 	}
 	fmt.Fprintf(stdout, "\n== scorecard ==\n%s\n", experiments.Scorecard(claims))
+	if mb := peakRSSMB(); mb > 0 {
+		// On stderr, so the tables stay byte-identical from run to run.
+		fmt.Fprintf(stderr, "imcabench: peak RSS %.0f MB\n", mb)
+	}
 
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
@@ -136,6 +143,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if werr != nil {
 			return fatal(stderr, werr)
+		}
+	}
+	return 0
+}
+
+// peakRSSMB returns the process's peak resident set size in MB: the
+// kernel's high-water mark, VmHWM in /proc/self/status, which is what
+// getrusage reports as ru_maxrss on Linux. It is 0 where that file does
+// not exist; syscall.Getrusage itself does not build on every platform.
+func peakRSSMB() float64 {
+	data, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			if kb, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 64); err == nil {
+				return kb / 1024
+			}
 		}
 	}
 	return 0

@@ -93,86 +93,63 @@ func (d *Disk) Access(p *sim.Proc, addr, size int64, write bool) { access(p, d, 
 // AccessT implements Device: requests queue FIFO at the arm, pay a
 // seek unless they continue the previous access, then transfer.
 func (d *Disk) AccessT(t *sim.Task, addr, size int64, write bool, k func()) {
-	op := d.takeOp()
-	op.one[0] = chunk{addr: addr, size: size}
-	op.run(t, op.one[:], write, k)
-}
-
-// diskOp is one request at the spindle — a single access, or the run of
-// chunks a striped request maps to this member, served in order — as a
-// pooled frame with prebound continuations, so a disk access allocates
-// nothing. The frame returns to the pool before k runs.
-type diskOp struct {
-	d      *Disk
-	t      *sim.Task
-	chunks []chunk
-	one    [1]chunk // AccessT's single chunk
-	i      int
-	write  bool
-	k      func()
-
-	fnGranted, fnDone func()
-}
-
-func (d *Disk) takeOp() *diskOp {
-	if op := d.ops.Pop(); op != nil {
-		return op
-	}
-	op := &diskOp{d: d}
-	op.fnGranted, op.fnDone = op.granted, op.done
-	return op
-}
-
-func (op *diskOp) run(t *sim.Task, chunks []chunk, write bool, k func()) {
-	op.t, op.chunks, op.i, op.write, op.k = t, chunks, 0, write, k
-	op.next()
-}
-
-// next queues the op's next chunk at the arm, or completes the op.
-func (op *diskOp) next() {
-	if op.i == len(op.chunks) {
-		k := op.k
-		op.t, op.chunks, op.k = nil, nil, nil
-		op.d.ops.Push(op)
-		k()
-		return
-	}
-	if c := op.chunks[op.i]; c.size < 0 || c.addr < 0 {
+	if size < 0 || addr < 0 {
 		panic("disk: negative access")
 	}
-	op.d.arm.AcquireT(op.t, 1, op.fnGranted)
+	op := d.ops.Pop()
+	if op == nil {
+		op = &diskOp{d: d}
+		op.fnGranted, op.fnDone = op.granted, op.done
+	}
+	op.t, op.addr, op.size, op.write, op.k = t, addr, size, write, k
+	d.arm.AcquireT(t, 1, op.fnGranted)
+}
+
+// diskOp is one access at the spindle as a pooled frame with prebound
+// continuations, so a disk access allocates nothing. The frame returns to
+// the pool before k runs.
+type diskOp struct {
+	d          *Disk
+	t          *sim.Task
+	addr, size int64
+	write      bool
+	k          func()
+
+	fnGranted, fnDone func()
 }
 
 // granted holds the arm for the access. Cost is computed at grant time:
 // lastEnd reflects the request served before this one, not the one ahead
 // in the queue when we arrived.
 func (op *diskOp) granted() {
-	d, c := op.d, op.chunks[op.i]
+	d := op.d
 	cost := sim.Duration(0)
-	if c.addr != d.lastEnd {
+	if op.addr != d.lastEnd {
 		cost += d.params.SeekTime
 		d.Seeks++
 	}
-	cost += sim.Duration(float64(c.size) / d.params.TransferRate * 1e9)
+	cost += sim.Duration(float64(op.size) / d.params.TransferRate * 1e9)
 	if d.slow > 1 {
 		cost = sim.Duration(float64(cost) * d.slow)
 	}
-	d.lastEnd = c.addr + c.size
+	d.lastEnd = op.addr + op.size
 	op.t.Sleep(cost, op.fnDone)
 }
 
 func (op *diskOp) done() {
-	d, c := op.d, op.chunks[op.i]
+	d := op.d
 	d.arm.Release(1)
 	if op.write {
 		d.Writes++
-		d.BytesWritten += c.size
+		d.BytesWritten += op.size
 	} else {
 		d.Reads++
-		d.BytesRead += c.size
+		d.BytesRead += op.size
 	}
-	op.i++
-	op.next()
+	k := op.k
+	op.t, op.k = nil, nil
+	d.ops.Push(op)
+	k()
 }
 
 // Utilization returns the fraction of virtual time the arm has been busy.
@@ -203,6 +180,9 @@ type Array struct {
 	env        *sim.Env
 	disks      []*Disk
 	stripeSize int64
+
+	// ops is the free list of striped-request frames; see arrayOp.
+	ops sim.Free[arrayOp]
 }
 
 // NewArray builds a RAID-0 array of n disks with the given stripe size.
@@ -237,36 +217,28 @@ func (a *Array) SetSlowdown(factor float64) {
 
 // chunk is one stripe-aligned piece of a request mapped to a member disk.
 type chunk struct {
-	disk       *Disk
+	member     int
 	addr, size int64
 }
 
-// mapRequest splits [addr, addr+size) into per-disk chunks, appended to out
-// (the caller's scratch).
-func (a *Array) mapRequest(out []chunk, addr, size int64) []chunk {
+// chunkAt maps the first stripe-aligned piece of [addr, addr+size).
+func (a *Array) chunkAt(addr, size int64) chunk {
 	n := int64(len(a.disks))
-	for size > 0 {
-		stripe := addr / a.stripeSize
-		within := addr % a.stripeSize
-		take := a.stripeSize - within
-		if take > size {
-			take = size
-		}
-		member := stripe % n
-		memberAddr := (stripe/n)*a.stripeSize + within
-		out = append(out, chunk{disk: a.disks[member], addr: memberAddr, size: take})
-		addr += take
-		size -= take
+	stripe := addr / a.stripeSize
+	within := addr % a.stripeSize
+	return chunk{
+		member: int(stripe % n),
+		addr:   (stripe/n)*a.stripeSize + within,
+		size:   min(a.stripeSize-within, size),
 	}
-	return out
 }
 
 // Access implements Device.
 func (a *Array) Access(p *sim.Proc, addr, size int64, write bool) { access(p, a, addr, size, write) }
 
-// AccessT implements Device, striping the request across members: one
-// helper task per member disk serves that disk's chunks in order, and the
-// request completes when the last helper has.
+// AccessT implements Device, striping the request across members. A
+// request within one stripe is that member's access; a longer one runs
+// on an arrayOp.
 func (a *Array) AccessT(t *sim.Task, addr, size int64, write bool, k func()) {
 	if size <= 0 {
 		if size < 0 {
@@ -275,44 +247,127 @@ func (a *Array) AccessT(t *sim.Task, addr, size int64, write bool, k func()) {
 		k()
 		return
 	}
-	// The common request maps to a chunk or a few: they stay on the stack.
-	var scratch [4]chunk
-	chunks := a.mapRequest(scratch[:0], addr, size)
-	if len(chunks) == 1 {
-		chunks[0].disk.AccessT(t, chunks[0].addr, chunks[0].size, write, k)
+	if addr < 0 {
+		panic("disk: negative access")
+	}
+	if c := a.chunkAt(addr, size); c.size == size {
+		a.disks[c.member].AccessT(t, c.addr, c.size, write, k)
 		return
 	}
-	// Coalesce contiguous chunks on the same member so a long sequential
-	// request costs one seek per disk, not one per stripe.
-	perDisk := make(map[*Disk][]chunk)
-	for _, c := range chunks {
-		l := perDisk[c.disk]
-		if n := len(l); n > 0 && l[n-1].addr+l[n-1].size == c.addr {
-			l[n-1].size += c.size
+	op := a.ops.Pop()
+	if op == nil {
+		op = a.newOp()
+	}
+	op.run(t, addr, size, write, k)
+}
+
+// arrayOp is one striped request as a pooled frame. Each member it maps
+// to serves its share as one access on the caller's task (a disk access
+// uses its task only to acquire the arm and to sleep), and the request
+// completes when the last member has.
+//
+// The frame replays the event stream of one helper task per member
+// joined by waiting on each helper's Done event in disk order: a member
+// starts one event after the request (StartTask's first slice); the
+// member the join waits on costs one event when it finishes (Trigger of
+// its one waiter); members already finished by then are passed inline
+// (WaitFn on a triggered event). The frame returns to the pool before k
+// runs.
+type arrayOp struct {
+	a     *Array
+	t     *sim.Task
+	write bool
+	k     func()
+
+	members []member // indexed by member disk
+	started int      // the member the next start serves
+	waiting int      // the member the join waits on; len(members) at the end
+
+	fnStart, fnJoin func()
+}
+
+// member is one member disk's share of an arrayOp.
+type member struct {
+	// run is the request's chunks on this member, coalesced, so a long
+	// sequential request costs one seek per disk, not one per stripe. A
+	// member's chunks of one request are always contiguous in its address
+	// space: after the first, each starts a stripe row where the last one
+	// ended. Size 0 means the request does not reach the member.
+	run    chunk
+	done   bool
+	fnDone func() // memberDone bound to this member
+}
+
+func (a *Array) newOp() *arrayOp {
+	op := &arrayOp{a: a, members: make([]member, len(a.disks))}
+	for i := range op.members {
+		op.members[i].fnDone = func() { op.memberDone(i) }
+	}
+	op.fnStart, op.fnJoin = op.start, op.join
+	return op
+}
+
+func (op *arrayOp) run(t *sim.Task, addr, size int64, write bool, k func()) {
+	op.t, op.write, op.k = t, write, k
+	for i := range op.members {
+		op.members[i].run, op.members[i].done = chunk{}, false
+	}
+	for size > 0 {
+		c := op.a.chunkAt(addr, size)
+		if r := &op.members[c.member].run; r.size == 0 {
+			*r = c
 		} else {
-			l = append(l, c)
+			r.size += c.size
 		}
-		perDisk[c.disk] = l
+		addr += c.size
+		size -= c.size
 	}
-	events := make([]*sim.Event, 0, len(perDisk))
-	for _, d := range a.disks { // deterministic iteration order
-		l, ok := perDisk[d]
-		if !ok {
-			continue
-		}
-		d := d
-		helper := a.env.StartTask("raid-chunk", func(q *sim.Task) {
-			d.takeOp().run(q, l, write, q.End)
-		})
-		events = append(events, helper.Done())
+	op.started = op.next(-1)
+	op.waiting = op.started
+	for m := op.started; m < len(op.members); m = op.next(m) {
+		op.a.env.Defer(0, op.fnStart)
 	}
-	var join func(i int)
-	join = func(i int) {
-		if i == len(events) {
-			k()
-			return
-		}
-		events[i].WaitFn(func() { join(i + 1) })
+}
+
+// next returns the first member after m that the request reaches, or
+// len(members).
+func (op *arrayOp) next(m int) int {
+	for m++; m < len(op.members) && op.members[m].run.size == 0; m++ {
 	}
-	join(0)
+	return m
+}
+
+// start begins the next member's access; the starts were scheduled in
+// disk order, one per member.
+func (op *arrayOp) start() {
+	m := &op.members[op.started]
+	d := op.a.disks[op.started]
+	op.started = op.next(op.started)
+	d.AccessT(op.t, m.run.addr, m.run.size, op.write, m.fnDone)
+}
+
+// memberDone records member m's completion and, if the join waits on m,
+// schedules the join's next step.
+func (op *arrayOp) memberDone(m int) {
+	op.members[m].done = true
+	if m == op.waiting {
+		op.a.env.Defer(0, op.fnJoin)
+	}
+}
+
+// join passes the members that have already finished and waits on the
+// first that has not, or completes the request.
+func (op *arrayOp) join() {
+	m := op.next(op.waiting)
+	for m < len(op.members) && op.members[m].done {
+		m = op.next(m)
+	}
+	op.waiting = m
+	if m < len(op.members) {
+		return
+	}
+	k := op.k
+	op.t, op.k = nil, nil
+	op.a.ops.Push(op)
+	k()
 }

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -105,17 +106,29 @@ func TestWriteAccounting(t *testing.T) {
 	}
 }
 
+// mapRequest splits [addr, addr+size) into its stripe-aligned chunks.
+func mapRequest(a *Array, addr, size int64) []chunk {
+	var out []chunk
+	for size > 0 {
+		c := a.chunkAt(addr, size)
+		out = append(out, c)
+		addr += c.size
+		size -= c.size
+	}
+	return out
+}
+
 func TestArrayMapRequestSplitsAtStripes(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 4, 64<<10, HighPoint2008)
-	chunks := a.mapRequest(nil, 60<<10, 16<<10) // crosses the 64K boundary
+	chunks := mapRequest(a, 60<<10, 16<<10) // crosses the 64K boundary
 	if len(chunks) != 2 {
 		t.Fatalf("chunks = %d, want 2", len(chunks))
 	}
 	if chunks[0].size != 4<<10 || chunks[1].size != 12<<10 {
 		t.Errorf("chunk sizes %d,%d want 4K,12K", chunks[0].size, chunks[1].size)
 	}
-	if chunks[0].disk != a.disks[0] || chunks[1].disk != a.disks[1] {
+	if chunks[0].member != 0 || chunks[1].member != 1 {
 		t.Error("chunks mapped to wrong members")
 	}
 }
@@ -123,10 +136,10 @@ func TestArrayMapRequestSplitsAtStripes(t *testing.T) {
 func TestArrayMapRequestRoundRobins(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 2, 1024, HighPoint2008)
-	chunks := a.mapRequest(nil, 0, 4096)
+	chunks := mapRequest(a, 0, 4096)
 	want := []int{0, 1, 0, 1}
 	for i, c := range chunks {
-		if c.disk != a.disks[want[i]] {
+		if c.member != want[i] {
 			t.Errorf("chunk %d on wrong disk", i)
 		}
 	}
@@ -198,4 +211,102 @@ func TestZeroSizeAccessIsFree(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// TestArrayOverlappingRequestsOrder pins the event stream of a striped
+// array under overlapping traffic: single-disk requests queued on disk 0
+// so a striped request's join waits on it while the other members finish
+// first, striped requests that start mid-stripe and wrap the members,
+// one whose members all finish at the same instant, and both the task and
+// the process entry points. Completion times and the dispatched event
+// count are the stream's fingerprint; a change to how a striped request
+// is run must keep both.
+func TestArrayOverlappingRequestsOrder(t *testing.T) {
+	env := sim.NewEnv()
+	a := NewArray(env, 4, 64<<10, Params{SeekTime: time.Millisecond, TransferRate: 100e6})
+	const us = time.Microsecond
+	reqs := []struct {
+		start      sim.Duration
+		addr, size int64
+		write      bool
+		process    bool
+	}{
+		{0, 0, 64 << 10, false, false},              // disk 0
+		{0, 4 << 20, 32 << 10, false, true},         // disk 0, queued
+		{0, 8 << 20, 16 << 10, true, false},         // disk 0, queued
+		{0, 64 << 10, 256 << 10, false, false},      // members 1, 2, 3, then 0 behind the queue
+		{0, 96 << 10, 8 << 10, true, true},          // disk 1, behind the striped chunk
+		{5 * us, 100 << 10, 600 << 10, true, false}, // mid-stripe start, wraps to member 1 again
+		{5 * us, 1 << 20, 64 << 10, false, true},    // one full stripe, disk 0
+		{20 * time.Millisecond, 32 << 10, 1 << 20, false, true},
+		{20 * time.Millisecond, 3 << 20, 4096, false, false},
+		{21 * time.Millisecond, 190 << 10, 130 << 10, true, false}, // members 2, 3, 0
+		{60 * time.Millisecond, 4 << 20, 256 << 10, false, false},  // idle members, one finish instant
+		{60 * time.Millisecond, 8 << 20, 512 << 10, false, true},
+	}
+	done := make([]sim.Time, len(reqs))
+	for i, r := range reqs {
+		if r.process {
+			env.Process("p", func(p *sim.Proc) {
+				p.Sleep(r.start)
+				a.Access(p, r.addr, r.size, r.write)
+				done[i] = p.Now()
+			})
+			continue
+		}
+		env.StartTask("t", func(tk *sim.Task) {
+			tk.Sleep(r.start, func() {
+				a.AccessT(tk, r.addr, r.size, r.write, func() {
+					done[i] = tk.Now()
+					tk.End()
+				})
+			})
+		})
+	}
+	env.Run()
+	// Recorded from the helper-task implementation this stream replays.
+	want := []sim.Time{1655360, 2983040, 4146880, 5802240, 1081920, 9768320,
+		7457600, 24662400, 21040960, 26317760, 61655360, 63966080}
+	if !slices.Equal(done, want) {
+		t.Errorf("completion times\n got %v\nwant %v", done, want)
+	}
+	if got := env.EventsProcessed; got != 99 {
+		t.Errorf("EventsProcessed = %d, want 99", got)
+	}
+}
+
+// TestArrayStripedAccessAllocFree pins the striped path's zero-alloc
+// contract: once the frame pools, the arms' queues and the event queue
+// are warm, a batch of overlapping striped accesses allocates nothing,
+// with the pools' poison mode on and off.
+func TestArrayStripedAccessAllocFree(t *testing.T) {
+	defer sim.SetPoison(sim.Poison())
+	for _, poison := range []bool{false, true} {
+		sim.SetPoison(poison)
+		env := sim.NewEnv()
+		a := NewHighPoint(env, HighPointDisks)
+		ct := env.ContextTask("bench")
+		const perRun = 16
+		completed := 0
+		k := func() { completed++ }
+		run := func() {
+			for i := int64(0); i < perRun; i++ {
+				// Mid-stripe starts wrapping every member, and one
+				// request per member pair.
+				a.AccessT(ct, i*(3*HighPointStripe+4096), 9*HighPointStripe+512, i%2 == 0, k)
+				a.AccessT(ct, i*HighPointStripe, 2*HighPointStripe, false, k)
+			}
+			env.Run()
+		}
+		run() // grow the frame pools, arm queues and event queue once
+		completed = 0
+		const runs = 20
+		if avg := testing.AllocsPerRun(runs, run); avg != 0 {
+			t.Errorf("poison %v: batch of %d striped accesses allocated %.2f times, want 0", poison, 2*perRun, avg)
+		}
+		// AllocsPerRun invokes run once to warm up, then runs times measured.
+		if want := (runs + 1) * 2 * perRun; completed != want {
+			t.Errorf("poison %v: completed %d accesses, want %d", poison, completed, want)
+		}
+	}
 }

@@ -24,8 +24,9 @@ type fronting struct {
 	state awaitState
 	// fnEnd is t.End, bound once for the kernel's primitives to wait with.
 	fnEnd func()
-	// blockFn and blockK carry Block's arguments across the wake to the
-	// process parked in Await.
+	// blockFn and blockK hold a Block not yet run: across the wake to the
+	// process parked in Await, or until the continuation that issued it
+	// returns (see runBlocked).
 	blockFn func(p *Proc)
 	blockK  func()
 }
@@ -43,6 +44,9 @@ const (
 	// awaitBlocked: the process is running Block's blocking function, and
 	// may be parked inside it on any primitive.
 	awaitBlocked
+	// awaitChained: the process is running Block's continuation, where a
+	// further Block is queued, not run (see runBlocked).
+	awaitChained
 )
 
 // Await runs body on a task that fronts the calling process and returns
@@ -81,11 +85,7 @@ func (p *Proc) Await(body func(t *Task)) {
 		f.state = awaitParked
 		p.park()
 		f.state = awaitInline
-		if fn := f.blockFn; fn != nil {
-			k := f.blockK
-			f.blockFn, f.blockK = nil, nil
-			f.runBlocked(fn, k)
-		}
+		f.runBlocked()
 	}
 	p.depth--
 }
@@ -114,10 +114,15 @@ func (f *fronting) end() {
 // and returns when it next parks. Like End's hand-off this schedules
 // nothing: the only sequence numbers spent are fn's own.
 //
+// A Block issued from inside the continuation of an earlier one — a loop
+// of blocking calls written as continuations — is queued and runs when
+// that continuation returns, so the loop runs at a constant stack depth
+// however many calls it makes.
+//
 // Block panics if t fronts no process (it was created by StartTask or
 // ContextTask: there is no process to block), if its Await has already
-// ended, or if the process is already inside a Block on t — one process
-// runs one blocking call at a time.
+// ended, or if the process is already inside a Block on t, or has one
+// queued — one process runs one blocking call at a time.
 func (t *Task) Block(fn func(p *Proc), k func()) {
 	f := t.front
 	if f == nil {
@@ -126,21 +131,29 @@ func (t *Task) Block(fn func(p *Proc), k func()) {
 	if t.ended {
 		panic(fmt.Sprintf("sim: Block on %v after it ended", t))
 	}
+	if f.state == awaitBlocked || f.blockFn != nil {
+		panic(fmt.Sprintf("sim: %v is busy: Block on %v while an earlier Block is still running", f.p, t))
+	}
+	f.blockFn, f.blockK = fn, k
 	switch f.state {
 	case awaitInline:
-		f.runBlocked(fn, k)
+		f.runBlocked()
 	case awaitParked:
-		f.blockFn, f.blockK = fn, k
 		f.p.env.wake(f.p)
-	default:
-		panic(fmt.Sprintf("sim: %v is busy: Block on %v while an earlier Block is still running", f.p, t))
 	}
 }
 
-// runBlocked runs fn then k on the fronted process's coroutine.
-func (f *fronting) runBlocked(fn func(p *Proc), k func()) {
-	f.state = awaitBlocked
-	fn(f.p)
-	f.state = awaitInline
-	k()
+// runBlocked runs the queued Block's fn then k on the fronted process's
+// coroutine, and then each Block that k queued in turn: a trampoline, so
+// k's Block does not nest a call to runBlocked inside k.
+func (f *fronting) runBlocked() {
+	for f.blockFn != nil {
+		fn, k := f.blockFn, f.blockK
+		f.blockFn, f.blockK = nil, nil
+		f.state = awaitBlocked
+		fn(f.p)
+		f.state = awaitChained
+		k()
+		f.state = awaitInline
+	}
 }

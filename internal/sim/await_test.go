@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -338,6 +339,49 @@ func TestBlockSpendsNoSequenceNumbers(t *testing.T) {
 	}
 }
 
+// TestBlockLoopRunsAtConstantDepth: a loop of blocking calls written as
+// continuations — each Block issued from the previous one's k, the shape
+// of a task body over a Lift shim — runs every call at the same stack
+// depth, whether its blocking function parks or returns at once. Were k's
+// Block run inside k, each call would nest a frame set on the process's
+// stack and a long loop would hold a stack proportional to its length.
+func TestBlockLoopRunsAtConstantDepth(t *testing.T) {
+	env := NewEnv()
+	const n = 10000
+	pcs := make([]uintptr, 1024)
+	var first, last, calls int
+	env.Process("loop", func(p *Proc) {
+		p.Await(func(tk *Task) {
+			var step func()
+			step = func() {
+				if calls == n {
+					tk.End()
+					return
+				}
+				tk.Block(func(q *Proc) {
+					calls++
+					depth := runtime.Callers(0, pcs)
+					if calls == 1 {
+						first = depth
+					}
+					last = depth
+					if calls%3 != 0 {
+						q.Sleep(time.Microsecond)
+					}
+				}, step)
+			}
+			step()
+		})
+	})
+	env.Run()
+	if calls != n {
+		t.Fatalf("ran %d blocking calls, want %d", calls, n)
+	}
+	if first != last {
+		t.Fatalf("blocking call 1 ran at stack depth %d, call %d at %d", first, n, last)
+	}
+}
+
 func panicMessage(fn func()) (msg string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -374,7 +418,17 @@ func TestBlockPanics(t *testing.T) {
 	})
 	ctx := panicMessage(func() { env.ContextTask("frame").Block(func(*Proc) {}, func() {}) })
 
-	var busy, endBusy string
+	var busy, endBusy, queued string
+	env.Process("chain", func(p *Proc) {
+		p.Await(func(tk *Task) {
+			tk.Block(func(*Proc) {}, func() {
+				// Two Blocks from one continuation: the first is queued,
+				// the second finds the process already committed.
+				tk.Block(func(*Proc) {}, tk.End)
+				queued = panicMessage(func() { tk.Block(func(*Proc) {}, func() {}) })
+			})
+		})
+	})
 	env.Process("worker", func(p *Proc) {
 		p.Await(func(tk *Task) {
 			// A second operation on the same task arrives while the
@@ -392,6 +446,7 @@ func TestBlockPanics(t *testing.T) {
 		{"context task", ctx, "(frame) fronts no process"},
 		{"busy process", busy, "(worker) is busy"},
 		{"end while busy", endBusy, "(worker) is busy in Block"},
+		{"second Block queued", queued, "(chain) is busy"},
 	} {
 		if !strings.Contains(c.msg, c.want) {
 			t.Errorf("%s: panic %q, want it to contain %q", c.name, c.msg, c.want)

@@ -60,13 +60,11 @@ func (c Claim) String() string {
 
 // Scorecard is the line that closes a run: how many of its claims are
 // reproduced, deviating and unexplained, and the simulation error
-// Σ|ln(measured/paper)| over the numeric ones — each quote once, since
-// fig5-short re-checks fig5's numbers and they are still one paper number
-// each. A numeric claim whose run is not positive makes the error +Inf.
+// Σ|ln(measured/paper)| over the numeric ones. A numeric claim whose run is
+// not positive makes the error +Inf.
 func Scorecard(claims []Claim) string {
-	var reproduced, deviating, unexplained int
+	var reproduced, deviating, unexplained, numbers int
 	var sum float64
-	seen := make(map[string]bool)
 	for _, c := range claims {
 		switch {
 		case c.Reproduced():
@@ -76,13 +74,13 @@ func Scorecard(claims []Claim) string {
 		default:
 			unexplained++
 		}
-		if c.Paper != 0 && !seen[c.Quote] {
-			seen[c.Quote] = true
+		if c.Paper != 0 {
+			numbers++
 			sum += math.Abs(math.Log(max(c.Measured, 0) / c.Paper))
 		}
 	}
 	return fmt.Sprintf("scorecard: %d claims reproduced, %d deviating, %d unexplained; Σ|ln(measured/paper)| = %.3f over %d paper numbers",
-		reproduced, deviating, unexplained, sum, len(seen))
+		reproduced, deviating, unexplained, sum, numbers)
 }
 
 // cell prints a table value as a claim's text quotes it.

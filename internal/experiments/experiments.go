@@ -26,7 +26,7 @@
 // with systems, each system a column name plus the one recipe that deploys
 // it, a shared cell or whole-column measurement, and claims computed from
 // the finished table. Its registry entry holds the declaration. Observation
-// is declared per column. To add a column, add one system value. The five
+// is declared per column. To add a column, add one system value. The four
 // time-series experiments keep their drivers and state their claims there.
 //
 // Workers: each experiment declares its figure cells as a list of
@@ -177,7 +177,7 @@ type Experiment struct {
 	Name        string
 	Description string
 	Run         Runner
-	decl        func(Options) figure // what Run runs; nil for the five time-series experiments
+	decl        func(Options) figure // what Run runs; nil for the four time-series experiments
 }
 
 // grid is the registry entry of a declared figure.
@@ -189,7 +189,7 @@ func grid(name, description string, decl func(Options) figure) Experiment {
 var Registry = []Experiment{
 	grid("fig1a", "NFS multi-client IOzone read bandwidth, 4 GB server memory (motivation)", fig1a),
 	grid("fig1b", "NFS multi-client IOzone read bandwidth, 8 GB server memory (motivation)", fig1b),
-	grid("fig5", "Stat time vs. clients: NoCache, MCD(1/2/4/6), Lustre-4DS", fig5Full),
+	grid("fig5", "Stat time vs. clients: NoCache, MCD(1/2/4/6), Lustre-4DS", fig5),
 	grid("fig6a", "Single-client read latency vs. record size (small), IMCa block sizes + Lustre", fig6a),
 	grid("fig6b", "Single-client read latency vs. record size (large)", fig6b),
 	grid("fig6c", "Single-client write latency: NoCache vs. IMCa inline vs. threaded", fig6c),
@@ -211,10 +211,8 @@ var Registry = []Experiment{
 	grid("ext-bricks", "Extension (§2.1): scaling by storage bricks vs scaling by cache nodes", extBricks),
 	{"ext-breakdown", "Extension (§6): per-layer latency decomposition of one warm read at each block size", ExtBreakdown, nil},
 	{"ext-telemetry", "Extension (§6): MCD-bank vs server-pagecache hit rate over virtual time during warm-up", ExtTelemetry, nil},
-	{"ext-fault", "Extension (§4.4): graceful degradation through a cache-node crash, with and without client failover", ExtFault, nil},
+	{"ext-fault", "Extension (§4.4): graceful degradation through a node crash, a partition and a gray node: plain client vs client failover vs R=2 bank", ExtFault, nil},
 	{"ext-scale", "Extension: 10k open-loop tenants on the task engine — tail latency, bank hit rate, hot-key skew", ExtScale, nil},
-	{"ext-degrade", "Extension: R=2 bank replication through an MCD crash, partition, and gray node, vs the single-copy bank", ExtDegrade, nil},
-	grid("fig5-short", "Stat benchmark, stratified 1/8 sample: the full fig5 matrix at ~1/8 the events", fig5Short),
 }
 
 // Find returns the experiment with the given name.

@@ -27,14 +27,14 @@ var PlainRun = sync.OnceValue(func() []*Result { return RunAll(Options{Scale: Cl
 // CheckDeclarations: what a registry entry renders is what its figure
 // declares — the systems' names as the columns, in order, the sweep as the
 // rows — and no two systems of a figure share a name (Table.Value would
-// silently read the first). Only the five time-series experiments have no
+// silently read the first). Only the four time-series experiments have no
 // declaration, and an unobserved run attaches nothing observation would,
 // beyond ext-breakdown's decompositions, which are its subject. It is
 // exported to golden_test.go, an external test so that it can render
 // through the report package, which imports this one.
 func CheckDeclarations(t *testing.T, o Options, results []*Result) {
 	t.Helper()
-	series := map[string]bool{"ext-breakdown": true, "ext-telemetry": true, "ext-fault": true, "ext-scale": true, "ext-degrade": true}
+	series := map[string]bool{"ext-breakdown": true, "ext-telemetry": true, "ext-fault": true, "ext-scale": true}
 	for i, e := range Registry {
 		res := results[i]
 		if len(res.Telemetry)+len(res.Ops)+len(res.Timelines)+len(res.Flight)+len(res.Tracks) > 0 ||

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"imca/internal/cluster"
 	"imca/internal/metrics"
@@ -82,19 +81,8 @@ func ExtBreakdown(o Options) *Result {
 		res.Breakdowns = append(res.Breakdowns, NamedDump{r.name + " warm 2 KB read", textOf(r.b.Report)})
 	}
 
-	// The decomposition is a partition: at every block size the layer
-	// segments telescope to the end-to-end time.
-	sums, exact := make([]float64, len(runs)), true
-	for i, r := range runs {
-		for _, ln := range layers {
-			sums[i] += r.b.LayerMeanUs(ln)
-		}
-		exact = exact && math.Abs(sums[i]-totals[i]) < 0.01
-	}
 	mid, total := runs[1].b, totals[1] // the 2 KB block size matches the record size
 	bankUs := mid.LayerMeanUs(optrace.LayerMCD) + mid.LayerMeanUs(optrace.LayerNet) + mid.LayerMeanUs(optrace.LayerMCDSrv)
-	res.order("a traced read's layer segments partition its latency", exact,
-		"IMCa-2K: Σ layer segments %.1f µs vs end-to-end %.1f µs, and likewise at every block size", sums[1], total)
 	res.order("the bank round trip is where a cached read's time goes (§6)", bankUs > total-bankUs,
 		"IMCa-2K: bank round trip (mcd+net+mcdsrv) is %.1f µs of %.1f µs (%.0f%%)", bankUs, total, 100*bankUs/total)
 	none := mid.Layer(optrace.LayerServer) == nil && mid.Layer(optrace.LayerSMCache) == nil && mid.Layer(optrace.LayerPosix) == nil

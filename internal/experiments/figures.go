@@ -39,7 +39,7 @@ func fig1(o Options, paper, mem int64, name string) figure {
 	}
 }
 
-// fig5Full reproduces the stat benchmark: 262144 files are created (untimed),
+// fig5 reproduces the stat benchmark: 262144 files are created (untimed),
 // then every client stats every file; the maximum per-client completion
 // time is reported for GlusterFS without the cache, with 1/2/4/6 MCDs, and
 // for Lustre with 4 data servers.
@@ -47,19 +47,7 @@ func fig1(o Options, paper, mem int64, name string) figure {
 // Per-MCD memory is calibrated so one MCD cannot hold the full stat
 // working set (reproducing the paper's observation that the miss rate only
 // reaches zero beyond 2 MCDs) while two or more can.
-//
-// fig5Short is the stat benchmark's reduced-event variant: the same point
-// list (every client count × every column) over the same created namespace,
-// but each client stats a stratified sample — every 8th file in scan order —
-// instead of all of them. Event count per point drops ~8×, relative
-// comparisons between columns survive (every column is sampled identically),
-// and absolute times scale by the sampling factor. It exists so CI-grade
-// sweeps can exercise the full fig5 matrix cheaply; the headline numbers
-// still come from fig5.
-func fig5Full(o Options) figure  { return fig5(o, 1, "fig5") }
-func fig5Short(o Options) figure { return fig5(o, 8, "fig5-short") }
-
-func fig5(o Options, stride int, name string) figure {
+func fig5(o Options) figure {
 	nFiles := o.sized().statFiles
 	// Size each MCD to hold the stat working set with headroom. (A pure
 	// LRU cache under the benchmark's cyclic scan either fits or
@@ -73,15 +61,11 @@ func fig5(o Options, stride int, name string) figure {
 		systems = append(systems, glusterSys(fmt.Sprintf("MCD(%d)", m), cluster.Options{MCDs: m, MCDMemBytes: mcdMem}))
 	}
 	systems = append(systems, lustreSys("Lustre-4DS", 4, false))
-	title := "Fig 5: time to stat all files from every client"
-	if stride > 1 {
-		title = fmt.Sprintf("Fig 5 (short): time to stat every %dth file from every client", stride)
-	}
 	return figure{
-		name: name, title: title, x: "clients", y: "seconds",
+		name: "fig5", title: "Fig 5: time to stat all files from every client", x: "clients", y: "seconds",
 		rows:    []int64{1, 2, 4, 8, 16, 32, 64},
 		systems: systems,
-		cell:    statAll(nFiles, stride),
+		cell:    statAll(nFiles),
 		claims: func(f *filled) {
 			grow := func(col string) float64 { return f.last(col) / f.first(col) }
 			mcds := max(grow("MCD(1)"), grow("MCD(2)"), grow("MCD(4)"), grow("MCD(6)"))

@@ -12,6 +12,7 @@ import (
 
 	"imca/internal/experiments"
 	"imca/internal/report"
+	"imca/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the registry golden and digest from this run")
@@ -138,6 +139,30 @@ func TestHistFlightByteIdentical(t *testing.T) {
 // scheduling is invisible.
 func TestParallelByteIdentical(t *testing.T) {
 	diffBytes(t, rendered(t, serialRender).observed, rendered(t, workersRender).observed, "observed with four workers")
+}
+
+// TestLayersPartitionEveryOp: the per-layer decomposition is a partition
+// of each operation's latency, not only of synthetic spans. Every operation
+// the observed registry run retains — fig6a's instrumented IMCa-2K column
+// among them — has layer self times that sum to its duration exactly.
+func TestLayersPartitionEveryOp(t *testing.T) {
+	var ops int
+	for _, res := range rendered(t, serialRender).results {
+		if res.Name == "fig6a" && len(res.Ops) == 0 {
+			t.Error("fig6a retained no operations")
+		}
+		for _, op := range res.Ops {
+			var sum sim.Duration
+			for _, lt := range op.ByLayer() {
+				sum += lt.Self
+			}
+			if sum != op.Dur() {
+				t.Errorf("%s: op %d (%s): layer selves sum to %v, duration %v", res.Name, op.ID, op.Name, sum, op.Dur())
+			}
+			ops++
+		}
+	}
+	t.Logf("%d operations partitioned", ops)
 }
 
 // diffBytes fails with a located excerpt when two renderings diverge.

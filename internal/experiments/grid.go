@@ -362,11 +362,11 @@ func streamRead(fileSize, record int64) func(Options, testbed, int64) float64 {
 }
 
 // statAll is the stat benchmark: nFiles created (untimed), then every
-// client stats every stride-th one; the slowest client's seconds.
-func statAll(nFiles, stride int) func(Options, testbed, int64) float64 {
+// client stats every one; the slowest client's seconds.
+func statAll(nFiles int) func(Options, testbed, int64) float64 {
 	return func(o Options, tb testbed, _ int64) float64 {
 		workload.CreateFiles(tb.env, tb.mounts[0], "/stat", nFiles)
-		return workload.StatBenchStrided(tb.env, tb.mounts, "/stat", nFiles, stride).Seconds()
+		return workload.StatBench(tb.env, tb.mounts, "/stat", nFiles).Seconds()
 	}
 }
 

@@ -174,11 +174,6 @@ func Run(root string, patterns []string, cfg *Config) ([]Finding, error) {
 	var findings []Finding
 	var sups []*suppression
 	for _, dir := range dirs {
-		if ok, err := hasGoFiles(dir); err != nil {
-			return nil, err
-		} else if !ok {
-			continue
-		}
 		pkg, err := ld.loadDir(dir)
 		if err != nil {
 			return nil, err
@@ -334,9 +329,9 @@ func expandPatterns(root string, patterns []string) ([]string, error) {
 				if path != start && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 					return filepath.SkipDir
 				}
-				if ok, err := hasGoFiles(path); err != nil {
+				if names, err := goFiles(path); err != nil {
 					return err
-				} else if ok {
+				} else if len(names) > 0 {
 					add(path)
 				}
 				return nil
@@ -349,18 +344,4 @@ func expandPatterns(root string, patterns []string) ([]string, error) {
 		}
 	}
 	return dirs, nil
-}
-
-func hasGoFiles(dir string) (bool, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false, err
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true, nil
-		}
-	}
-	return false, nil
 }

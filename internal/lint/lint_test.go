@@ -88,6 +88,19 @@ func TestHostSideAllowlist(t *testing.T) {
 	}
 }
 
+// TestBuildConstraints: a package whose files declare one function under
+// complementary build constraints loads and comes up clean — the loader
+// takes a package's files from go/build, as the go command does.
+func TestBuildConstraints(t *testing.T) {
+	findings, err := Run(moduleRoot(t), []string{"./internal/lint/testdata/buildtags"}, DefaultConfig("imca"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("%s", f)
+	}
+}
+
 // TestSuppressionCovers verifies both placements: trailing on the line and
 // on the line immediately above.
 func TestSuppressionCovers(t *testing.T) {

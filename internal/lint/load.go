@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -156,12 +157,25 @@ func (l *loader) loadDir(dir string) (*pkgInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ok, err := hasGoFiles(dir); err != nil {
+	if names, err := goFiles(dir); err != nil || len(names) == 0 {
 		return nil, err
-	} else if !ok {
-		return nil, nil
 	}
 	return l.load(path)
+}
+
+// goFiles lists the non-test Go files of the package in dir that the go
+// command would build here: build.Default decides, so build constraints and
+// GOOS/GOARCH file suffixes apply. A directory with no such file lists none.
+func goFiles(dir string) ([]string, error) {
+	bp, err := build.Default.ImportDir(dir, 0)
+	var none *build.NoGoError
+	if errors.As(err, &none) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return bp.GoFiles, nil
 }
 
 func (l *loader) load(path string) (*pkgInfo, error) {
@@ -175,16 +189,12 @@ func (l *loader) load(path string) (*pkgInfo, error) {
 	defer delete(l.loading, path)
 
 	dir := l.dirFor(path)
-	ents, err := os.ReadDir(dir) // sorted: parse order is deterministic
+	names, err := goFiles(dir) // sorted: parse order is deterministic
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err

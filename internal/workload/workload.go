@@ -102,8 +102,7 @@ func StatBench(env *sim.Env, mounts []gluster.FS, dir string, n int) sim.Duratio
 // stratified sample of the same name population, in the same scan order,
 // against the same created namespace. Virtual durations scale by roughly
 // the stride (each client does 1/stride the work), while per-point host
-// cost drops by the same factor — the basis of the fig5 -short mode. A
-// stride of 1 is exactly StatBench.
+// cost drops by the same factor. A stride of 1 is exactly StatBench.
 func StatBenchStrided(env *sim.Env, mounts []gluster.FS, dir string, n, stride int) sim.Duration {
 	if stride < 1 {
 		stride = 1

@@ -6,7 +6,8 @@
 # in each table header ("== fig5 (scale 1/16, 1m3.998s wall) =="), which
 # is stripped from both sides first. Any other difference — one event
 # moved, one sequence number shifted — is a behaviour change and exits
-# non-zero with the diff.
+# non-zero: first one line per table that changed, is missing or is new,
+# named by its "== name" header ("   changed: ext-fault"), then the diff.
 #
 # After each mode's diff it prints what the render cost — real, user and
 # system seconds ("   serial cost: real 157 s, user 116 s, sys 54 s") — so
@@ -27,6 +28,32 @@ trap 'rm -rf "$out"' EXIT
 
 # ", <duration> wall": Go durations such as 982ms, 53.783s, 1m3.998s, 1h2m3s.
 strip() { sed -E 's/, [0-9][0-9a-zµ.]* wall\)/)/' "$1"; }
+
+# tables FILE DIR: split a render into DIR/<name>, one file per "== name"
+# header, and list the names in order in DIR/.names.
+tables() {
+	mkdir -p "$2"
+	awk -v dir="$2" '/^== / { if (f) close(f); f = dir "/" $2; print $2 > (dir "/.names") }
+		f { print > f }' "$1"
+}
+
+# moved WANT GOT: one line per table of either render that is not the same
+# in both, in the order the tables appear.
+moved() {
+	rm -rf "$out/want.d" "$out/got.d"
+	tables "$1" "$out/want.d"
+	tables "$2" "$out/got.d"
+	while read -r t; do
+		if [ ! -e "$out/got.d/$t" ]; then
+			echo "   missing: $t"
+		elif ! cmp -s "$out/want.d/$t" "$out/got.d/$t"; then
+			echo "   changed: $t"
+		fi
+	done < "$out/want.d/.names"
+	while read -r t; do
+		[ -e "$out/want.d/$t" ] || echo "   new: $t"
+	done < "$out/got.d/.names"
+}
 
 go build -o "$out/imcabench" ./cmd/imcabench
 strip results_scale16.txt > "$out/want.txt"
@@ -54,6 +81,7 @@ for mode in serial parallel; do
 		echo "   $mode: $(grep -c '^== .* (scale ' "$out/$mode.txt") tables identical to results_scale16.txt"
 	else
 		echo "regdiff: $mode run differs from results_scale16.txt:" >&2
+		moved "$out/want.txt" "$out/$mode.txt" >&2
 		cat "$out/$mode.diff" >&2
 		status=1
 	fi

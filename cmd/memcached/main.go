@@ -8,8 +8,10 @@
 //	memcached [-l 127.0.0.1:11211] [-m 64]
 //
 // Flags mirror the original daemon: -l listen address, -m memory limit in
-// megabytes. SIGINT or SIGTERM closes the listener and every connection
-// before the process exits.
+// megabytes. As in memcached, -m bounds the memory values take: they live
+// in slab pages of one -m-sized region outside the Go heap. SIGINT or
+// SIGTERM closes the listener and every connection before the process
+// exits.
 package main
 
 import (

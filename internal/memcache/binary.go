@@ -92,18 +92,16 @@ func ServeBinaryConn(store *Store, rw io.ReadWriter) error {
 	return serveBinary(store, bufio.NewReader(rw), bufio.NewWriter(rw))
 }
 
-// maxKeptBody bounds the body buffer a connection keeps between requests.
-// A larger body is read into a buffer of its own that is dropped after the
-// request, so one oversized message cannot pin its size for the life of
-// the connection.
-const maxKeptBody = 64 << 10
+// binBuffers are a binary connection's kept buffers (see bodyBuffer). The
+// connection holds one request at a time, and everything that outlives it
+// (keys, stored values) is copied out of it, so every body is read into
+// body. A get's hit is copied out into value: body still holds the key a
+// getk echoes.
+type binBuffers struct{ body, value []byte }
 
 func serveBinary(store *Store, r *bufio.Reader, bw *bufio.Writer) error {
 	w := &wireWriter{Writer: bw}
-	// The connection holds one request body at a time, and everything that
-	// outlives the request (keys, stored values) is copied out of it, so
-	// every body up to maxKeptBody is read into this one reused buffer.
-	var body []byte
+	var bufs binBuffers
 	for {
 		// The text loop's rule: flush when the next read could block — here,
 		// when less than a whole header is buffered.
@@ -112,7 +110,7 @@ func serveBinary(store *Store, r *bufio.Reader, bw *bufio.Writer) error {
 				return err
 			}
 		}
-		quit, err := serveBinaryOne(store, r, w, &body)
+		quit, err := serveBinaryOne(store, r, w, &bufs)
 		if err != nil {
 			_ = w.Flush() // the read error is the one to report
 			return err
@@ -123,22 +121,9 @@ func serveBinary(store *Store, r *bufio.Reader, bw *bufio.Writer) error {
 	}
 }
 
-// bodyBuffer returns a length-n buffer for a request body: *kept, grown as
-// needed, when n is at most maxKeptBody, and otherwise one of its own that
-// *kept never holds. Contents are unspecified; the caller reads over them.
-func bodyBuffer(kept *[]byte, n int) []byte {
-	if n > maxKeptBody {
-		return make([]byte, n)
-	}
-	if n > cap(*kept) {
-		*kept = make([]byte, min(max(n, 2*cap(*kept)), maxKeptBody))
-	}
-	return (*kept)[:n]
-}
-
-// serveBinaryOne serves one request, reading its body into *kept when it
-// fits (see bodyBuffer).
-func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, kept *[]byte) (quit bool, err error) {
+// serveBinaryOne serves one request, reading its body into bufs.body when
+// it fits (see bodyBuffer).
+func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, bufs *binBuffers) (quit bool, err error) {
 	// The header is decoded where it sits in the read buffer.
 	hdr, err := r.Peek(24)
 	if err != nil {
@@ -171,7 +156,7 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, kept *[]byte) 
 			return false, err
 		}
 	}
-	body := bodyBuffer(kept, int(h.bodyLen))
+	body := bodyBuffer(&bufs.body, int(h.bodyLen))
 	if _, err := io.ReadFull(r, body); err != nil {
 		return false, err
 	}
@@ -192,7 +177,7 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, kept *[]byte) 
 	}
 
 	if v == verbGet {
-		it, ok := store.GetView(keyBytes)
+		it, ok := store.GetView(keyBytes, &bufs.value)
 		if !ok {
 			respond(binStatusKeyNotFound, 0, nil, nil, nil)
 			return false, nil
@@ -216,7 +201,7 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, kept *[]byte) 
 		}
 		item := Item{
 			Key:        key,
-			Value:      blob.FromBytes(append([]byte(nil), value...)),
+			Value:      blob.FromBytes(value),
 			Flags:      binary.BigEndian.Uint32(extras[0:]),
 			Expiration: normalizeExp(int64(binary.BigEndian.Uint32(extras[4:])), store.Now()),
 			CAS:        h.cas,
@@ -224,12 +209,12 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, kept *[]byte) 
 		if h.cas != 0 {
 			v = verbCAS
 		}
-		serr := store.apply(v, &item)
+		serr := store.applyLent(v, &item)
 		respond(binStatusFor(serr), item.CAS, nil, nil, nil)
 
 	case verbAppend, verbPrepend:
-		item := Item{Key: key, Value: blob.FromBytes(append([]byte(nil), value...))}
-		respond(binStatusFor(store.apply(v, &item)), 0, nil, nil, nil)
+		item := Item{Key: key, Value: blob.FromBytes(value)}
+		respond(binStatusFor(store.applyLent(v, &item)), 0, nil, nil, nil)
 
 	case verbDelete:
 		respond(binStatusFor(store.Delete(key)), 0, nil, nil, nil)

@@ -305,7 +305,8 @@ func (cc *clientConn) readValues(keys []string, emit func(*Item)) (err error) {
 		if len(keys) == 0 {
 			return fmt.Errorf("memcache: server sent a key not asked for: %q", f[1])
 		}
-		data, ok, err := readBlock(cc.r, int64(size))
+		data := make([]byte, size) // the reply's value: the caller keeps it
+		ok, err := readBlock(cc.r, data)
 		if err != nil {
 			return err
 		}

@@ -331,8 +331,8 @@ func TestSimServerMatchesTCPServer(t *testing.T) {
 		if !got.Equal(want) {
 			t.Errorf("Peek(%q): tcp holds %d bytes, sim %d, and they differ", k, got.Len(), want.Len())
 		}
-		g, _ := tcpStore.GetView([]byte(k))
-		w, _ := simStore.GetView([]byte(k))
+		g, _ := tcpStore.GetView([]byte(k), nil)
+		w, _ := simStore.GetView([]byte(k), nil)
 		if g.Flags != w.Flags || g.Expiration != w.Expiration || g.CAS != w.CAS {
 			t.Errorf("%q: tcp flags %d exp %d cas %d, sim flags %d exp %d cas %d", k, g.Flags, g.Expiration, g.CAS, w.Flags, w.Expiration, w.CAS)
 		}

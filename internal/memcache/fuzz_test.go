@@ -10,9 +10,10 @@ import (
 
 // FuzzServeAutoConn feeds arbitrary bytes to the daemon's connection
 // handler — protocol sniffing, then the text or the binary loop — against
-// a store of one slab page. Whatever arrives, the handler must return
-// without panicking and leave the store within its memory limit and
-// consistent with its own counters. The seeds are the requests of both
+// a store of one slab page, of each kind (storeKinds). Whatever arrives, the
+// handler must return without panicking, leave the store within its memory
+// limit and consistent with its own counters, and answer the same bytes
+// whichever kind of store is behind it. The seeds are the requests of both
 // transcript tables — every text verb and every binary opcode — plus
 // testdata/fuzz/FuzzServeAutoConn (the two crashers this target was written
 // after, over-long lines, malformed binary frames); ordinary `go test`
@@ -30,16 +31,27 @@ func FuzzServeAutoConn(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const limit = 1 << 20
-		st := NewStore(limit, func() int64 { return transcriptClock })
-		var out bytes.Buffer
-		// Any error is an acceptable way to end a connection.
-		_ = ServeAutoConn(st, readWriter{bytes.NewReader(data), &out})
-		stats := st.Stats()
-		if stats.Bytes < 0 || stats.Bytes > limit {
-			t.Errorf("store holds %d bytes, limit %d", stats.Bytes, limit)
-		}
-		if stats.CurrItems != uint64(st.Len()) {
-			t.Errorf("curr_items %d, table holds %d", stats.CurrItems, st.Len())
+		var first []byte
+		for k, kind := range storeKinds {
+			st := kind.new(limit, func() int64 { return transcriptClock })
+			var out bytes.Buffer
+			// Any error is an acceptable way to end a connection.
+			_ = ServeAutoConn(st, readWriter{bytes.NewReader(data), &out})
+			stats := st.Stats()
+			if stats.Bytes < 0 || stats.Bytes > limit {
+				t.Errorf("%s store holds %d bytes, limit %d", kind.name, stats.Bytes, limit)
+			}
+			if stats.CurrItems != uint64(st.Len()) {
+				t.Errorf("%s store: curr_items %d, table holds %d", kind.name, stats.CurrItems, st.Len())
+			}
+			if err := st.release(); err != nil {
+				t.Fatal(err)
+			}
+			if k == 0 {
+				first = out.Bytes()
+			} else if !bytes.Equal(out.Bytes(), first) {
+				t.Errorf("the %s store answered\n%.300q\nthe %s store\n%.300q", kind.name, out.Bytes(), storeKinds[0].name, first)
+			}
 		}
 	})
 }

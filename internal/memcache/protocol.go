@@ -46,6 +46,10 @@ type textConn struct {
 	store *Store
 	r     *bufio.Reader
 	w     wireWriter
+	// kept is the connection's buffer for the value of the request in
+	// hand: a set's data block is read into it, a get's hit copied out
+	// into it (see bodyBuffer).
+	kept []byte
 }
 
 func serveText(store *Store, r *bufio.Reader, w *bufio.Writer) error {
@@ -141,7 +145,7 @@ func (c *textConn) ok(args []byte) {
 const badFormat = "CLIENT_ERROR bad command line format\r\n"
 
 // get answers from the store's by-bytes view: a hit costs no key string
-// and no item copy, only the bytes written.
+// and no item copy, only the bytes written, copied out through kept.
 func (c *textConn) get(keys []byte, withCAS bool) {
 	w := &c.w
 	for {
@@ -149,7 +153,7 @@ func (c *textConn) get(keys []byte, withCAS bool) {
 		if key, keys = nextField(keys); key == nil {
 			break
 		}
-		it, ok := c.store.GetView(key)
+		it, ok := c.store.GetView(key, &c.kept)
 		if !ok {
 			continue
 		}
@@ -206,7 +210,8 @@ func (c *textConn) storeCmd(v verb, args []byte) error {
 			return err
 		}
 	}
-	data, ok, err := readBlock(c.r, nbytes)
+	data := bodyBuffer(&c.kept, int(nbytes))
+	ok, err := readBlock(c.r, data)
 	if err != nil {
 		return err
 	}
@@ -223,7 +228,7 @@ func (c *textConn) storeCmd(v verb, args []byte) error {
 		Expiration: normalizeExp(exp, c.store.Now()),
 		CAS:        casID,
 	}
-	c.verdict(noreply, c.store.apply(v, &item))
+	c.verdict(noreply, c.store.applyLent(v, &item))
 	return nil
 }
 

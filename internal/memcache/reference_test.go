@@ -1,11 +1,13 @@
 package memcache
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 
 	"imca/internal/blob"
@@ -19,7 +21,11 @@ import (
 // seeded generator. Both stores run the script; every reply, and after
 // every verb Stats() and Len(), must be equal, and whenever an item left by
 // eviction or expiry — and every 32 verbs besides — Keys() and SlabStats()
-// too, so a wrong eviction victim is caught at the verb that chose it.
+// too, so a wrong eviction victim is caught at the verb that chose it. Each
+// script runs on each kind of store (storeKinds). On one that owns its
+// value bytes the values are literal bytes (see literal), and every value
+// read is compared byte for byte, so a chunk handed out twice or cut in the
+// wrong place shows as the value it tore.
 
 // refItem and refStore are the model.
 type refItem struct {
@@ -284,9 +290,10 @@ func scriptKey(a, b byte) string {
 	}
 }
 
-// scriptValue picks the verb's value: a number, or synthetic bytes of one of
-// three far-apart sizes (three more slab classes), or one over the limit.
-func scriptValue(a, b byte) blob.Blob {
+// scriptValue picks the verb's value: a number, or bytes of one of three
+// far-apart sizes (three more slab classes), or one over the limit, which
+// mk makes from a seed of their own and their length.
+func scriptValue(a, b byte, mk func(seed uint64, n int64) blob.Blob) blob.Blob {
 	seed := uint64(a)<<8 | uint64(b)
 	switch b % 8 {
 	case 0, 1:
@@ -294,29 +301,78 @@ func scriptValue(a, b byte) blob.Blob {
 	case 2:
 		return blob.FromString("18446744073709551615") // an incr from here wraps
 	case 3, 4:
-		return blob.Synthetic(seed, 0, 900+int64(a%16))
+		return mk(seed, 900+int64(a%16))
 	case 5:
-		return blob.Synthetic(seed, 0, 50_000+int64(a))
+		return mk(seed, 50_000+int64(a))
 	case 6:
-		return blob.Synthetic(seed, 0, 400_000+int64(a))
+		return mk(seed, 400_000+int64(a))
 	default:
 		if a == 0 {
-			return blob.Synthetic(seed, 0, MaxValueLen+1)
+			return mk(seed, MaxValueLen+1)
 		}
-		return blob.Synthetic(seed, 0, int64(a))
+		return mk(seed, int64(a))
 	}
 }
+
+// synthetic makes a script value as the simulator does, without its bytes.
+func synthetic(seed uint64, n int64) blob.Blob { return blob.Synthetic(seed, 0, n) }
+
+// literal makes a script value as a client sends one, in bytes: a window of
+// literalBytes at the seed's own offset, so no two seeds' values agree, and
+// a store that owns its value bytes copies the value in without first
+// generating it.
+func literal(seed uint64, n int64) blob.Blob {
+	off := int64(seed) * 16 // below 1 MB: a seed is 16 bits
+	return blob.FromBytes(literalBytes()[off : off+n])
+}
+
+var literalBytes = sync.OnceValue(func() []byte {
+	b := make([]byte, 1<<20+MaxValueLen+1)
+	rand.New(rand.NewSource(1)).Read(b)
+	return b
+})
 
 // sameValue compares two values by length and by their first and last 64
 // bytes: a script's values differ from their first byte (each has its own
 // seed), and comparing 400 KB of synthetic bytes on every hit is what the
-// property test would spend its time on.
+// property test would spend its time on — unless the store holds the bytes
+// itself.
 func sameValue(a, b blob.Blob) bool {
 	n := a.Len()
 	if n != b.Len() || n <= 128 {
 		return a.Equal(b)
 	}
 	return a.Slice(0, 64).Equal(b.Slice(0, 64)) && a.Slice(n-64, n).Equal(b.Slice(n-64, n))
+}
+
+// sameBytes compares two values byte for byte.
+func sameBytes(a, b blob.Blob) bool { return bytes.Equal(a.Bytes(), b.Bytes()) }
+
+// storeKinds are the stores a script runs on: the simulated bank's, which
+// keeps blobs by reference, and the TCP daemon's, which owns its value
+// bytes, on slab pages mapped outside the heap and on heap pages, as where
+// the system maps none. The last differs from the second only in where a
+// chunk's page is found, so TestStoreMatchesReference runs it on the first
+// scripts only.
+var storeKinds = []struct {
+	name    string
+	new     func(limit int64, now func() int64) *Store
+	owned   bool
+	scripts int // of TestStoreMatchesReference's; 0 is all
+}{
+	{"blobs", NewStore, false, 0},
+	{"mapped", newOwningStore, true, 0},
+	{"heap-paged", newHeapPagedStore, true, 21},
+}
+
+// newHeapPagedStore is newOwningStore as it is where the system maps no
+// memory: each slab page is allocated on the heap when it is granted.
+func newHeapPagedStore(limit int64, now func() int64) *Store {
+	s := newOwningStore(limit, now)
+	if err := s.mem.release(); err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // scriptCoverage is what one script exercised.
@@ -342,14 +398,20 @@ const (
 // sorting key lists, and nothing new is reached that a shorter script cannot.
 const maxScriptVerbs = 8192
 
-// runStoreScript runs data on the store and on the model and fails t at the
-// first verb whose outcome differs.
-func runStoreScript(t testing.TB, data []byte) (cov scriptCoverage) {
+// runStoreScript runs data on a store of kind k and on the model and fails
+// t at the first verb whose outcome differs.
+func runStoreScript(t testing.TB, k int, data []byte) (cov scriptCoverage) {
 	clock := int64(1000)
 	now := func() int64 { return clock }
-	s, r := NewStore(storeScriptLimit, now), newRefStore(storeScriptLimit, now)
+	s, r := storeKinds[k].new(storeScriptLimit, now), newRefStore(storeScriptLimit, now)
+	defer s.release()
+	sameValue, mk := sameValue, synthetic
+	if storeKinds[k].owned {
+		sameValue, mk = sameBytes, literal
+	}
 	tokens := map[string]uint64{} // the CAS each key's last hit reported
 	var leftBefore uint64         // Evictions + Expired after the previous verb
+	var scratch []byte            // GetView's
 
 	sameItem := func(step int, what string, got Item, gotOK bool, want Item, wantOK bool) {
 		if gotOK != wantOK || got.Key != want.Key || got.Flags != want.Flags || got.Expiration != want.Expiration ||
@@ -387,7 +449,7 @@ func runStoreScript(t testing.TB, data []byte) (cov scriptCoverage) {
 		evictions := r.stats.Evictions
 		key := scriptKey(a, b)
 		item := func() (*Item, *Item) {
-			it := Item{Key: key, Value: scriptValue(a, b), Flags: uint32(b)}
+			it := Item{Key: key, Value: scriptValue(a, b, mk), Flags: uint32(b)}
 			if b&0x30 == 0x30 {
 				it.Expiration = clock + int64(a>>3%4) // clock + 0: stored already expired
 			}
@@ -399,7 +461,9 @@ func runStoreScript(t testing.TB, data []byte) (cov scriptCoverage) {
 		case 0, 1, 2:
 			si, ri := item()
 			sameErr(step, what, s.Set(si), r.store(ri, verbSet))
-			sameItem(step, what+" (CAS handed back)", *si, true, *ri, true)
+			if si.CAS != ri.CAS {
+				t.Fatalf("verb %d %s: store handed back CAS %d, model %d", step, what, si.CAS, ri.CAS)
+			}
 		case 3:
 			si, ri := item()
 			sameErr(step, what, s.Add(si), r.store(ri, verbAdd))
@@ -411,9 +475,9 @@ func runStoreScript(t testing.TB, data []byte) (cov scriptCoverage) {
 			si.CAS, ri.CAS = tokens[key], tokens[key]
 			sameErr(step, what, s.CompareAndSwap(si), r.store(ri, verbCAS))
 		case 6:
-			sameErr(step, what, s.Append(key, scriptValue(a, b)), r.concat(key, scriptValue(a, b), false))
+			sameErr(step, what, s.Append(key, scriptValue(a, b, mk)), r.concat(key, scriptValue(a, b, mk), false))
 		case 7:
-			sameErr(step, what, s.Prepend(key, scriptValue(a, b)), r.concat(key, scriptValue(a, b), true))
+			sameErr(step, what, s.Prepend(key, scriptValue(a, b, mk)), r.concat(key, scriptValue(a, b, mk), true))
 		case 8:
 			gn, gerr := s.IncrDecr(key, uint64(b), b&1 == 0)
 			wn, werr := r.incrDecr(key, uint64(b), b&1 == 0)
@@ -433,7 +497,7 @@ func runStoreScript(t testing.TB, data []byte) (cov scriptCoverage) {
 				tokens[key] = want.CAS
 			}
 		case 11:
-			got, gok := s.GetView([]byte(key))
+			got, gok := s.GetView([]byte(key), &scratch)
 			want, ok := r.get(key)
 			if sameItem(step, what, got, gok, want, ok); ok {
 				tokens[key] = want.CAS
@@ -521,24 +585,32 @@ func arenaScriptBytes() []byte {
 }
 
 func TestStoreMatchesReference(t *testing.T) {
-	var all scriptCoverage
 	scripts := [][]byte{arenaScriptBytes()}
 	for seed := int64(1); seed <= 100; seed++ {
 		scripts = append(scripts, storeScriptBytes(seed))
 	}
-	for _, script := range scripts {
-		cov := runStoreScript(t, script)
-		all.buckets = max(all.buckets, cov.buckets)
-		all.evictions += cov.evictions
-		all.flushes += cov.flushes
-		all.classes = max(all.classes, cov.classes)
-		all.farEvictions += cov.farEvictions
-	}
-	t.Logf("largest table %d buckets, %d evictions (%d past the doubling arenas), %d FlushAlls, %d slab classes",
-		all.buckets, all.evictions, all.farEvictions, all.flushes, all.classes)
-	if all.buckets < minBuckets<<3 || all.evictions == 0 || all.flushes == 0 || all.classes < 3 || all.farEvictions == 0 {
-		t.Errorf("the scripts reached a table of %d buckets (want >= %d, three doublings), %d evictions, %d of them with more than %d entries held, %d FlushAlls and %d slab classes: part of the design went unchecked",
-			all.buckets, minBuckets<<3, all.evictions, all.farEvictions, doublingEntries, all.flushes, all.classes)
+	for k, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			var all scriptCoverage
+			scripts := scripts
+			if kind.scripts > 0 {
+				scripts = scripts[:kind.scripts]
+			}
+			for _, script := range scripts {
+				cov := runStoreScript(t, k, script)
+				all.buckets = max(all.buckets, cov.buckets)
+				all.evictions += cov.evictions
+				all.flushes += cov.flushes
+				all.classes = max(all.classes, cov.classes)
+				all.farEvictions += cov.farEvictions
+			}
+			t.Logf("largest table %d buckets, %d evictions (%d past the doubling arenas), %d FlushAlls, %d slab classes",
+				all.buckets, all.evictions, all.farEvictions, all.flushes, all.classes)
+			if all.buckets < minBuckets<<3 || all.evictions == 0 || all.flushes == 0 || all.classes < 3 || all.farEvictions == 0 {
+				t.Errorf("the scripts reached a table of %d buckets (want >= %d, three doublings), %d evictions, %d of them with more than %d entries held, %d FlushAlls and %d slab classes: part of the design went unchecked",
+					all.buckets, minBuckets<<3, all.evictions, all.farEvictions, doublingEntries, all.flushes, all.classes)
+			}
+		})
 	}
 }
 
@@ -546,5 +618,9 @@ func FuzzStoreOps(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(storeScriptBytes(seed))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { runStoreScript(t, data[:min(len(data), 3*maxScriptVerbs)]) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for k := range storeKinds {
+			runStoreScript(t, k, data[:min(len(data), 3*maxScriptVerbs)])
+		}
+	})
 }

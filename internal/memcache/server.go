@@ -22,11 +22,13 @@ type Server struct {
 }
 
 // NewServer returns a daemon bounded to limit bytes using wall-clock time
-// for expirations.
+// for expirations. Its store owns its value bytes (newOwningStore): limit
+// bytes of slab pages, mapped outside the collected heap where the system
+// allows.
 func NewServer(limit int64) *Server {
 	s := &Server{
 		//imcalint:allow wallclock real TCP daemon: expirations follow the host clock by design
-		store: NewStore(limit, func() int64 { return time.Now().Unix() }),
+		store: newOwningStore(limit, func() int64 { return time.Now().Unix() }),
 		conns: make(map[net.Conn]struct{}),
 	}
 	s.ctx, s.stop = context.WithCancel(context.Background())
@@ -103,7 +105,9 @@ func (s *Server) Serve(ln net.Listener) {
 	}
 }
 
-// Close stops accepting, drops live connections, and waits for handlers.
+// Close stops accepting, drops live connections, waits for handlers, and
+// then gives the store's slab memory back: the store keeps its counters and
+// answers as an empty store from then on. Closing again releases nothing.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.stop()
@@ -116,5 +120,8 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
+	if rerr := s.store.release(); err == nil {
+		err = rerr
+	}
 	return err
 }

@@ -188,7 +188,7 @@ func (op *srvOp) cpuDone() {
 		items := op.items[:0]
 		var moved int64
 		for i := range r.keys.len() {
-			if it, ok := s.store.GetView(r.keys.at(i)); ok {
+			if it, ok := s.store.GetView(r.keys.at(i), nil); ok {
 				items = append(items, it)
 				moved += it.Value.Len()
 			}

@@ -13,17 +13,21 @@
 //
 // Values are blobs (see internal/blob), so simulated deployments can cache
 // gigabytes of synthetic file data without allocating it, while the TCP
-// daemon stores literal bytes.
+// daemon stores literal bytes in its slab pages: memory the store owns,
+// outside the collected heap, which sets copy into and gets copy out of.
 //
 // Two sizes of an item are kept apart. What memcached charges an item
 // against its memory limit — its key, its value and itemOverhead, the
 // modelled item header — decides slab classes, eviction and every
 // reported byte count. What the simulator spends holding it is the Go
 // entry (112 bytes, see entry) plus the key and value bytes; that is host
-// memory and never enters the model.
+// memory and never enters the model. The TCP daemon's store spends its limit
+// on slab pages, as memcached does, and eight bytes per entry on where the
+// entry's chunk is.
 package memcache
 
 import (
+	"bytes"
 	"errors"
 	"sort"
 	"strconv"
@@ -191,7 +195,11 @@ type Store struct {
 	// read copies.
 	arenas [][]entry
 	free   uint32
-	cas    uint64
+	// mem holds the value bytes of a store that owns them, and where each
+	// entry's are (newOwningStore); it is nil for one that keeps blobs by
+	// reference.
+	mem *slabMemory
+	cas uint64
 	// Now returns the current time in seconds; the simulation supplies
 	// virtual time, the TCP server supplies wall time.
 	Now func() int64
@@ -351,6 +359,9 @@ func (s *Store) entryLocked() uint32 {
 			arena[i].lruNext = first + uint32(i) + 1
 		}
 		s.arenas = append(s.arenas, arena)
+		if s.mem != nil {
+			s.mem.chunks = append(s.mem.chunks, make([]int64, size))
+		}
 		s.free = first
 	}
 	i := s.free
@@ -371,6 +382,9 @@ func (s *Store) removeLocked(i uint32) {
 	c := &s.classes[e.class]
 	s.lruUnlink(c, e)
 	c.freeChunks++
+	if s.mem != nil {
+		s.mem.free(e.class, *s.mem.chunkOf(i))
+	}
 	s.stats.CurrItems--
 	s.stats.Bytes -= itemSize(e.key, e.value)
 	*e = entry{lruNext: s.free}
@@ -379,34 +393,35 @@ func (s *Store) removeLocked(i uint32) {
 
 // reserveChunkLocked obtains a chunk in class ci, growing the class by a
 // slab page if the memory limit allows, else evicting LRU items of the
-// same class (memcached's policy).
-func (s *Store) reserveChunkLocked(ci int) error {
+// same class (memcached's policy). It returns the chunk's offset in the
+// store's slab memory; a store without one has only the count.
+func (s *Store) reserveChunkLocked(ci int) (int64, error) {
 	c := &s.classes[ci]
-	if c.freeChunks > 0 {
-		c.freeChunks--
-		return nil
-	}
-	if s.alloced+slabPageSize <= s.limit {
+	if c.freeChunks == 0 && s.alloced+slabPageSize <= s.limit {
+		if s.mem != nil {
+			s.mem.grant(ci, s.alloced)
+		}
 		s.alloced += slabPageSize
 		c.freeChunks += slabPageSize / c.chunkSize // >=1: max chunk == page size
-		c.freeChunks--
-		return nil
 	}
 	// Evict from this class's LRU tail.
-	for c.tail != 0 {
+	for c.freeChunks == 0 {
 		evict := c.tail
+		if evict == 0 {
+			return 0, ErrTooLarge // class has no memory and nothing to evict
+		}
 		if s.at(evict).expired(s.Now()) {
 			s.stats.Expired++
 		} else {
 			s.stats.Evictions++
 		}
 		s.removeLocked(evict)
-		if c.freeChunks > 0 {
-			c.freeChunks--
-			return nil
-		}
 	}
-	return ErrTooLarge // class has no memory and nothing to evict
+	c.freeChunks--
+	if s.mem == nil {
+		return 0, nil
+	}
+	return s.mem.take(ci, c.chunkSize), nil
 }
 
 // Set unconditionally stores item.
@@ -461,17 +476,34 @@ func (s *Store) apply(v verb, item *Item) error {
 		return ErrExists
 	case join:
 		e := s.at(old)
-		if v == verbAppend {
-			item.Value = blob.Concat(e.value, item.Value)
-		} else {
-			item.Value = blob.Concat(item.Value, e.value)
+		head, tail := e.value, item.Value
+		if v == verbPrepend {
+			head, tail = tail, head
 		}
-		if item.Value.Len() > MaxValueLen {
+		if head.Len()+tail.Len() > MaxValueLen {
 			return ErrTooLarge
+		}
+		if s.mem != nil {
+			// The old chunk is freed before the joined value is copied in,
+			// so its bytes are taken first.
+			joined := make([]byte, 0, head.Len()+tail.Len())
+			item.Value = blob.FromBytes(append(append(joined, head.Bytes()...), tail.Bytes()...))
+		} else {
+			item.Value = blob.Concat(head, tail)
 		}
 		item.Flags, item.Expiration = e.flags, e.exp
 	}
 	return s.insertLocked(item, hash, old)
+}
+
+// applyLent is apply for a value whose bytes the caller lends and reuses,
+// a connection's read buffer: a store that owns its value bytes copies them
+// into the item's chunk, and any other is handed a copy of its own.
+func (s *Store) applyLent(v verb, item *Item) error {
+	if s.mem == nil {
+		item.Value = blob.FromBytes(bytes.Clone(item.Value.Bytes()))
+	}
+	return s.apply(v, item)
 }
 
 // insertLocked places item, whose key hashes to hash, in the table,
@@ -485,7 +517,8 @@ func (s *Store) insertLocked(item *Item, hash uint32, old uint32) error {
 	if old != 0 {
 		s.removeLocked(old)
 	}
-	if err := s.reserveChunkLocked(ci); err != nil {
+	off, err := s.reserveChunkLocked(ci)
+	if err != nil {
 		return err
 	}
 	s.cas++
@@ -496,6 +529,12 @@ func (s *Store) insertLocked(item *Item, hash uint32, old uint32) error {
 	b := s.bucket(hash)
 	e.hash, e.hnext, e.key, e.class = hash, *b, item.Key, int32(ci)
 	e.flags, e.value, e.exp, e.cas = item.Flags, item.Value, item.Expiration, s.cas
+	if s.mem != nil {
+		*s.mem.chunkOf(i) = off
+		chunk := s.mem.chunk(off, item.Value.Len())
+		copy(chunk, item.Value.Bytes())
+		e.value = blob.FromBytes(chunk)
+	}
 	*b = i
 	s.lruPush(&s.classes[ci], i, e)
 	s.stats.CurrItems++
@@ -513,7 +552,7 @@ func (s *Store) Get(key string) (*Item, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, _ := findLocked(s, key)
-	v, ok := s.viewLocked(i)
+	v, ok := s.viewLocked(i, nil)
 	if !ok {
 		return nil, ErrCacheMiss
 	}
@@ -523,8 +562,9 @@ func (s *Store) Get(key string) (*Item, error) {
 
 // viewLocked is the one read path: given the table entry for a key (0
 // when absent) it counts the get, lazily expires, touches the LRU and
-// returns a snapshot of the entry by value.
-func (s *Store) viewLocked(i uint32) (Item, bool) {
+// returns a snapshot of the entry by value. The value of a store that owns
+// its bytes is copied out into scratch (see copyOut).
+func (s *Store) viewLocked(i uint32, scratch *[]byte) (Item, bool) {
 	s.stats.CmdGet++
 	if i == 0 {
 		s.stats.GetMisses++
@@ -541,20 +581,27 @@ func (s *Store) viewLocked(i uint32) (Item, bool) {
 	c := &s.classes[e.class]
 	s.lruUnlink(c, e)
 	s.lruPush(c, i, e)
-	return Item{Key: e.key, Value: e.value, Flags: e.flags, Expiration: e.exp, CAS: e.cas}, true
+	v := e.value
+	if s.mem != nil {
+		v = copyOut(v, scratch)
+	}
+	return Item{Key: e.key, Value: v, Flags: e.flags, Expiration: e.exp, CAS: e.cas}, true
 }
 
 // GetView is Get returning the entry by value: same lookup, same stats,
 // same LRU touch and lazy expiry, but the snapshot lands in the caller's
 // Item instead of a freshly allocated copy. The key is bytes the caller
 // lends — a simulated request's key list or the real daemon's wire buffer —
-// and the lookup compares in place, so a get builds no key string. ok is
-// false on a miss.
-func (s *Store) GetView(key []byte) (Item, bool) {
+// and the lookup compares in place, so a get builds no key string. A store
+// that owns its value bytes copies the value into *scratch, grown as
+// bodyBuffer grows a connection's, or into a buffer of its own when scratch
+// is nil; a store of blobs hands out the blob and leaves scratch alone. ok
+// is false on a miss.
+func (s *Store) GetView(key []byte, scratch *[]byte) (Item, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, _ := findLocked(s, key)
-	return s.viewLocked(i)
+	return s.viewLocked(i, scratch)
 }
 
 // Delete removes key, returning ErrCacheMiss if absent.
@@ -613,16 +660,41 @@ func (s *Store) IncrDecr(key string, delta uint64, incr bool) (uint64, error) {
 }
 
 // FlushAll invalidates every item immediately and lets their entries, the
-// arenas and the grown table go.
+// arenas and the grown table go. The slab pages stay with their classes.
 func (s *Store) FlushAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.flushLocked()
+}
+
+func (s *Store) flushLocked() {
 	for ci := range s.classes {
 		for c := &s.classes[ci]; c.tail != 0; {
 			s.removeLocked(c.tail)
 		}
 	}
 	s.buckets, s.arenas, s.free = make([]uint32, minBuckets), nil, 0
+	if s.mem != nil {
+		s.mem.chunks = nil
+	}
+}
+
+// release empties a store that owns its value bytes and gives its slab
+// memory back. The store keeps its counters and has no memory left: it
+// answers every read as an empty store and refuses every store as too
+// large. Releasing again does nothing.
+func (s *Store) release() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.mem == nil {
+		return nil
+	}
+	s.flushLocked()
+	for ci := range s.classes {
+		s.classes[ci].freeChunks = 0
+	}
+	s.limit, s.alloced = 0, 0
+	return s.mem.release()
 }
 
 // Stats returns a snapshot of the counters.
@@ -699,6 +771,9 @@ func (s *Store) Peek(key string) (blob.Blob, bool) {
 	i, _ := findLocked(s, key)
 	if i == 0 {
 		return blob.Blob{}, false
+	}
+	if s.mem != nil {
+		return copyOut(s.at(i).value, nil), true
 	}
 	return s.at(i).value, true
 }

@@ -402,19 +402,30 @@ func TestSlabStats(t *testing.T) {
 	}
 }
 
-// TestRecycledEntryDoesNotAlias is the guard for entry recycling: what Get
-// and GetView hand out are copies, so they keep their key and value after
-// the key is evicted and its entry reused for another key. The second half
-// runs readers against an evicting writer, so that under -race a store
-// pointer escaping through either getter is reported as the race it is.
+// TestRecycledEntryDoesNotAlias is the guard for entry and chunk recycling,
+// on every kind of store: what Get and GetView hand out are copies, so they
+// keep their key and value after the key is evicted and its entry, and its
+// chunk, reused for another key. The second half runs readers against an
+// evicting writer, so that under -race a store pointer escaping through
+// either getter is reported as the race it is.
 func TestRecycledEntryDoesNotAlias(t *testing.T) {
-	s := NewStore(1<<20, func() int64 { return 0 })
-	val := func(i int) blob.Blob { return blob.Synthetic(uint64(i+1), 0, 100<<10) }
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			s := kind.new(1<<20, func() int64 { return 0 })
+			defer s.release()
+			testRecycledEntryDoesNotAlias(t, s)
+		})
+	}
+}
+
+func testRecycledEntryDoesNotAlias(t *testing.T, s *Store) {
+	val := func(i int) blob.Blob { return literal(uint64(i+1), 100<<10) }
 	if err := s.Set(&Item{Key: "victim", Value: val(0), Flags: 42}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Get("victim")
-	view, ok := s.GetView([]byte("victim"))
+	var scratch []byte
+	view, ok := s.GetView([]byte("victim"), &scratch)
 	if err != nil || !ok {
 		t.Fatalf("victim not stored: %v, %v", err, ok)
 	}
@@ -448,7 +459,7 @@ func TestRecycledEntryDoesNotAlias(t *testing.T) {
 				if it, err := s.Get(key); err == nil && (it.Key != key || it.Value.Len() != 100<<10) {
 					t.Errorf("Get(%s) returned %q, %d bytes", key, it.Key, it.Value.Len())
 				}
-				if it, ok := s.GetView([]byte(key)); ok && (it.Key != key || it.Value.Len() != 100<<10) {
+				if it, ok := s.GetView([]byte(key), nil); ok && (it.Key != key || it.Value.Len() != 100<<10) {
 					t.Errorf("GetView(%s) returned %q, %d bytes", key, it.Key, it.Value.Len())
 				}
 			}

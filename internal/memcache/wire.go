@@ -172,17 +172,37 @@ func verdictOf(line []byte) error {
 	return fmt.Errorf("memcache: server answered %q", line)
 }
 
-// readBlock reads an n-byte data block and its "\r\n" from r into a fresh
-// buffer. ok is false when the terminator is not where the length says.
-func readBlock(r *bufio.Reader, n int64) (data []byte, ok bool, err error) {
-	data = make([]byte, n)
+// maxKeptBody bounds the buffer a connection keeps between requests for a
+// request's body or a reply's value. A larger one gets a buffer of its own
+// that is dropped after the request, so one oversized message cannot pin
+// its size for the life of the connection.
+const maxKeptBody = 64 << 10
+
+// bodyBuffer returns a length-n buffer for a request body or a reply value:
+// *kept, grown as needed, when n is at most maxKeptBody, and otherwise one
+// of its own that *kept never holds. Contents are unspecified; the caller
+// writes over them.
+func bodyBuffer(kept *[]byte, n int) []byte {
+	if n > maxKeptBody {
+		return make([]byte, n)
+	}
+	if n > cap(*kept) {
+		*kept = make([]byte, min(max(n, 2*cap(*kept)), maxKeptBody))
+	}
+	return (*kept)[:n]
+}
+
+// readBlock reads a data block from r into data, which it fills, and then
+// the block's "\r\n". ok is false when the terminator is not where the
+// length says.
+func readBlock(r *bufio.Reader, data []byte) (ok bool, err error) {
 	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	cr, err := r.ReadByte()
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	lf, err := r.ReadByte()
-	return data, cr == '\r' && lf == '\n', err
+	return cr == '\r' && lf == '\n', err
 }

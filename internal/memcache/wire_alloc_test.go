@@ -63,9 +63,11 @@ func serveAllocs(t *testing.T, st *Store, req string, serve func(*Store, io.Read
 	return allocs
 }
 
-func allocStore(t *testing.T) *Store {
+// allocStore is a store that mk makes, holding one 2 KB item.
+func allocStore(t *testing.T, mk func(int64, func() int64) *Store) *Store {
 	t.Helper()
-	st := NewStore(16<<20, func() int64 { return 0 })
+	st := mk(16<<20, func() int64 { return 0 })
+	t.Cleanup(func() { st.release() })
 	if err := st.Set(&Item{Key: "/bench/file0000001:stat", Value: blob.FromBytes(bytes.Repeat([]byte("v"), 2048)), Flags: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -94,20 +96,22 @@ func TestServerAllocContracts(t *testing.T) {
 		{"text gets hit", "gets " + key + "\r\n", ServeConn, 0},
 		{"text get miss", "get /bench/absent\r\n", ServeConn, 0},
 		{"text get hit via sniffing", "get " + key + "\r\n", ServeAutoConn, 0},
-		// The value buffer and the key string: what must outlive the request.
-		// The stored entry is the one the replaced (or evicted) item gave up.
-		{"text set", "set /bench/file0000002:stat 3 0 100\r\n" + strings.Repeat("x", 100) + "\r\n", ServeConn, 2},
+		// The key string, what must outlive the request: the data block is
+		// read into the connection's kept buffer and copied into the chunk
+		// and the entry the replaced (or evicted) item gave up.
+		{"text set", "set /bench/file0000002:stat 3 0 100\r\n" + strings.Repeat("x", 100) + "\r\n", ServeConn, 1},
 		{"text pipelined batch", strings.Repeat("get "+key+" /bench/absent\r\n", 8), ServeConn, 0},
 		{"binary get hit", binGet(binOpGet), ServeBinaryConn, 0},
 		{"binary getk hit via sniffing", binGet(binOpGetK), ServeAutoConn, 0},
-		// As for text: the value copy and the key string. The body is read
-		// into the connection's kept buffer...
-		{"binary set", binReq(binOpSet, "/bench/file0000002:stat", 8, 100), ServeBinaryConn, 2},
+		// As for text: the key string. The body is read into the
+		// connection's kept buffer...
+		{"binary set", binReq(binOpSet, "/bench/file0000002:stat", 8, 100), ServeBinaryConn, 1},
 		// ...unless it is larger than the buffer may grow, when it is read
 		// into one of its own.
-		{"binary set of a 100 KB value", binReq(binOpSet, "/bench/file0000002:stat", 8, 100<<10), ServeBinaryConn, 3},
+		{"binary set of a 100 KB value", binReq(binOpSet, "/bench/file0000002:stat", 8, 100<<10), ServeBinaryConn, 2},
 	} {
-		if got := serveAllocs(t, allocStore(t), tc.req, tc.serve); got > tc.max {
+		// The daemon's store.
+		if got := serveAllocs(t, allocStore(t, newOwningStore), tc.req, tc.serve); got > tc.max {
 			t.Errorf("%s: %.0f allocs per request, want at most %.0f", tc.name, got, tc.max)
 		}
 	}
@@ -161,23 +165,33 @@ func TestBodyBufferSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// The three getters share one read path; only Get's hit pays for a copy.
+// The getters share one read path; only Get's hit pays for a copy — of the
+// item, and on a store that owns its value bytes of the value too, which
+// GetView copies into the caller's scratch.
 func TestStoreGetAllocContracts(t *testing.T) {
 	const key = "/bench/file0000001:stat"
-	st := allocStore(t)
 	kb := []byte(key)
-	for _, tc := range []struct {
-		name string
-		op   func()
-		want float64
-	}{
-		{"Get hit", func() { _, _ = st.Get(key) }, 1},
-		{"Get miss", func() { _, _ = st.Get("absent") }, 0},
-		{"GetView hit", func() { _, _ = st.GetView(kb) }, 0},
-		{"GetView miss", func() { _, _ = st.GetView(kb[:4]) }, 0},
-	} {
-		if got := testing.AllocsPerRun(200, tc.op); got != tc.want {
-			t.Errorf("%s: %.0f allocs, want %.0f", tc.name, got, tc.want)
+	for _, kind := range storeKinds {
+		st := allocStore(t, kind.new)
+		var scratch []byte
+		st.GetView(kb, &scratch) // grows scratch to the value
+		getHit := 1.0
+		if kind.owned {
+			getHit = 2
+		}
+		for _, tc := range []struct {
+			name string
+			op   func()
+			want float64
+		}{
+			{"Get hit", func() { _, _ = st.Get(key) }, getHit},
+			{"Get miss", func() { _, _ = st.Get("absent") }, 0},
+			{"GetView hit", func() { _, _ = st.GetView(kb, &scratch) }, 0},
+			{"GetView miss", func() { _, _ = st.GetView(kb[:4], &scratch) }, 0},
+		} {
+			if got := testing.AllocsPerRun(200, tc.op); got != tc.want {
+				t.Errorf("%s store, %s: %.0f allocs, want %.0f", kind.name, tc.name, got, tc.want)
+			}
 		}
 	}
 }

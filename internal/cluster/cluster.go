@@ -136,10 +136,6 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 	c := &Cluster{Env: env, Net: net, Opts: opts}
 
 	imcaCfg := core.Config{BlockSize: opts.BlockSize, Threaded: opts.Threaded}
-	// One stat-key intern table for every translator in this deployment:
-	// N clients statting one namespace build each "<path>:stat" key once,
-	// not once per client (see core.KeyInterner).
-	interner := core.NewKeyInterner()
 	for i := 0; i < opts.MCDs; i++ {
 		node := net.NewNode(fmt.Sprintf("mcd%d", i), 8)
 		c.MCDs = append(c.MCDs, memcache.NewSimServer(node, opts.MCDMemBytes))
@@ -174,7 +170,6 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 		var serverChild gluster.FS = px
 		if opts.MCDs > 0 {
 			brick.SMCache = core.NewSMCache(env, px, bankClient(srvNode), imcaCfg)
-			brick.SMCache.ShareStatKeys(interner)
 			serverChild = brick.SMCache
 		}
 		brick.Server = gluster.NewServer(srvNode, serverChild)
@@ -201,7 +196,6 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 		var cm *core.CMCache
 		if opts.MCDs > 0 {
 			cm = core.NewCMCache(stack, bankClient(node), imcaCfg)
-			cm.ShareStatKeys(interner)
 			stack = cm
 		}
 		stack = gluster.NewFuse(node, stack)

@@ -122,11 +122,11 @@ func TestReadTBankHitAllocations(t *testing.T) {
 	}
 }
 
-// TestPushBlocksTAllocations: an SMCache push allocates exactly one string,
-// the one its blocks' keys are cut from (see blockKeys in imca.go), and
-// nothing else — not for walking the blocks, not for recording them resident
-// (a bit each), and not for the bank's entries, which the store recycles
-// from the blocks these displace.
+// TestPushBlocksTAllocations: an SMCache push allocates nothing — not for
+// its blocks' keys, which it lends and the store copies into its key pages
+// (see blockKeys in imca.go), not for walking the blocks, not for recording
+// them resident (a bit each), and not for the bank's entries, which the
+// store recycles from the blocks these displace.
 func TestPushBlocksTAllocations(t *testing.T) {
 	const bs, blocks, pushesPerRun = 2048, 16, 4
 	eachPoison(t, func(t *testing.T) {
@@ -143,9 +143,8 @@ func TestPushBlocksTAllocations(t *testing.T) {
 		}
 		run()
 		avg := testing.AllocsPerRun(20, run)
-		if avg != pushesPerRun {
-			t.Errorf("batch of %d 16-block pushes allocated %.0f times, want %d (one key string per push)",
-				pushesPerRun, avg, pushesPerRun)
+		if avg != 0 {
+			t.Errorf("batch of %d 16-block pushes allocated %.0f times, want 0", pushesPerRun, avg)
 		}
 		if pushes != 22*pushesPerRun {
 			t.Errorf("completed %d pushes, want %d", pushes, 22*pushesPerRun)
@@ -296,12 +295,11 @@ func TestWriteTAllocations(t *testing.T) {
 	// fan-out to member disks is not part of this contract.
 	const bs, blocks, writesPerRun = 2048, 2, 16
 	const (
-		keyStrings  = 1 // the write-back's one push: its blocks' keys share a backing string
 		statValue   = 1 // encodeStat's bytes, which the bank keeps
 		stats       = 0 // Posix lends the stat before the write and the one after from its frame
 		extents     = 0 // extentMap.write splices an overwrite into the inode's extent slice in place
 		bankEntries = 0 // a rewritten block replaces its entry, and the store recycles the old one
-		retained    = keyStrings + statValue + stats + extents + bankEntries
+		retained    = statValue + stats + extents + bankEntries
 		helperActor = 3 // Threaded: the write-back's helper — its Task, its Done event, its first slice
 	)
 	// A concurrent batch under inline SMCache: every push is judged against
@@ -474,10 +472,8 @@ func TestMetadataVerbsAllocations(t *testing.T) {
 		// What one operation keeps, by name.
 		statValue  = 1 // encodeStat's bytes, which the bank keeps
 		inode      = 1 // Posix's inode of a new file
-		statKey    = 1 // the interned "<path>:stat" key of a new path
 		metaPages  = 3 // the page cache's records of the new file's metadata page
 		changesRec = 1 // SMCache's record of what applied to a path, made by its first unlink or truncate
-		pushKey    = 1 // the key string of the push that leaves blocks resident (TestPushBlocksTAllocations)
 		growth     = 1 // the maps a new path enters, their growth amortised over a batch
 	)
 	created := func(m *metaRig, first int) { m.created(first, batch) }
@@ -492,9 +488,9 @@ func TestMetadataVerbsAllocations(t *testing.T) {
 		// Per operation: events processed, keys purged.
 		events, purges uint64
 	}{
-		{"create+close", nil, (*metaRig).createClose, statValue + inode + statKey + metaPages + growth, 42, 0},
+		{"create+close", nil, (*metaRig).createClose, statValue + inode + metaPages + growth, 42, 0},
 		{"open+close", created, (*metaRig).openClose, statValue, 41, 0},
-		{"open+close resident", created, (*metaRig).pushOpenClose, pushKey + statValue, 145, 4},
+		{"open+close resident", created, (*metaRig).pushOpenClose, statValue, 145, 4},
 		{"truncate", created, (*metaRig).truncate, changesRec + statValue + growth, 41, 1},
 		{"unlink", created, (*metaRig).unlink, changesRec + growth, 28, 1},
 	}

@@ -36,10 +36,6 @@ type CMCache struct {
 	// fdPaths is the paper's client-side "database" recording the
 	// absolute path stored at Open for later Read key construction.
 	fdPaths map[gluster.FD]string
-	// skeys interns stat-structure MCD keys so the stat hot path does not
-	// rebuild "<path>:stat" per operation. Private by default; deployments
-	// share one table across all translators via ShareStatKeys.
-	skeys *KeyInterner
 	// openOps, statOps and readOps pool the per-operation frames of
 	// CreateT and OpenT, StatT and ReadT; writes pools WriteT's, and pushes
 	// the block-push frames of client-populate mode.
@@ -74,7 +70,7 @@ func NewCMCache(child gluster.FS, mcd *memcache.SimClient, cfg Config) *CMCache 
 		cfg:     cfg,
 		fdPaths: make(map[gluster.FD]string),
 	}
-	c.pushes = pushPool{mcd: mcd, bs: cfg.BlockSize, statKey: c.statKey}
+	c.pushes = pushPool{mcd: mcd, bs: cfg.BlockSize}
 	c.writes = writeBacks{child: c.child, pushes: &c.pushes}
 	c.Blocking = gluster.NewBlocking(c)
 	return c
@@ -83,19 +79,6 @@ func NewCMCache(child gluster.FS, mcd *memcache.SimClient, cfg Config) *CMCache 
 // TaskReady implements gluster.TaskFS: the translator is task-capable when
 // the wrapped protocol stack is (the bank client always is).
 func (c *CMCache) TaskReady() bool { return c.child.TaskReady() }
-
-// ShareStatKeys replaces the translator's private stat-key intern table
-// with a deployment-wide one; see KeyInterner.
-func (c *CMCache) ShareStatKeys(in *KeyInterner) { c.skeys = in }
-
-// statKey returns the interned "<path>:stat" key. A translator nobody gave
-// a shared table builds a private one on first use.
-func (c *CMCache) statKey(path string) string {
-	if c.skeys == nil {
-		c.skeys = NewKeyInterner()
-	}
-	return c.skeys.get(path)
-}
 
 // Bank returns the MCD bank client (for stats inspection).
 func (c *CMCache) Bank() *memcache.SimClient { return c.mcd }
@@ -173,6 +156,8 @@ type statOp struct {
 	t0    sim.Time
 	fnGot func(*memcache.Item, bool)
 	fnFwd func(*gluster.Stat, error)
+	// key is the scratch the path's stat key is built in and lent from.
+	key []byte
 	// st is the scratch frame hit results decode into; &st is handed to k
 	// as a borrow, valid only until this op's next bank hit. Stat callers
 	// consume the structure inside their continuation (the engine is
@@ -231,7 +216,8 @@ func (c *CMCache) StatT(t *sim.Task, path string, k func(*gluster.Stat, error)) 
 	op.t, op.path, op.k = t, path, k
 	op.sp = optrace.StartSpan(t, optrace.LayerCMCache, "stat")
 	op.t0 = t.Now()
-	c.mcd.GetT(t, c.statKey(path), op.fnGot)
+	op.key = appendStatKey(op.key[:0], path)
+	c.mcd.GetKeyT(t, op.key, op.fnGot)
 }
 
 // readOp is ReadT's pooled per-operation frame: the request, the covering

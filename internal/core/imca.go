@@ -67,8 +67,11 @@ func CheckBlockSize(bs int64) error {
 	return nil
 }
 
-// statKey returns the MCD key for a file's stat structure.
-func statKey(path string) string { return path + ":stat" }
+// appendStatKey appends the MCD key for path's stat structure,
+// "<path>:stat", to dst.
+func appendStatKey(dst []byte, path string) []byte {
+	return append(append(dst, path...), ":stat"...)
+}
 
 // appendBlockKey appends the MCD key for the data block at the given
 // aligned byte offset, "<path>:<off>", to dst.
@@ -110,19 +113,14 @@ func cutRange(data blob.Blob, alignedOff, off, size int64) blob.Blob {
 // blockKeys is the scratch a read or a push builds its span's block keys in:
 // the aligned block offsets covering the range, and the keys back to back in
 // buf, key i ending at ends[i]. All of it keeps its capacity across the
-// owning frame's lives. A read's keys are transient — the bank client copies
-// them into its pooled requests, the daemons look them up in place and let
-// go — so a read lends buf and ends and costs no string. A push's keys are
-// stored, so a push cuts them (cut) as substrings of one string: every block
-// of one push pins the whole push's key bytes until the last of them leaves
-// the bank. That pin is bounded: a push's blocks are one size, so one slab
-// class, and are inserted consecutively, so the class's LRU evicts them
-// together (DESIGN.md, "Memory discipline").
+// owning frame's lives. The keys are lent, never kept: the bank client
+// copies them into its pooled requests, and a daemon looks them up in place
+// or copies one it stores into its store's key pages, so neither a read nor
+// a push costs a string.
 type blockKeys struct {
 	offsets []int64
 	buf     []byte
 	ends    []int
-	keys    []string
 }
 
 // build fills the scratch for the blocks covering [off, off+size) of path.
@@ -137,22 +135,11 @@ func (bk *blockKeys) build(path string, off, size, bs int64) {
 	bk.offsets, bk.buf, bk.ends = offsets, buf, ends
 }
 
-// cut sets keys to the built keys as substrings of one string, the one
-// allocation a push's keys cost.
-func (bk *blockKeys) cut() {
-	all := string(bk.buf)
-	keys, from := bk.keys[:0], 0
-	for _, e := range bk.ends {
-		keys = append(keys, all[from:e])
-		from = e
+// key returns key i, a borrow of buf.
+func (bk *blockKeys) key(i int) []byte {
+	from := 0
+	if i > 0 {
+		from = bk.ends[i-1]
 	}
-	bk.keys = keys
-}
-
-// drop releases the key strings (the slices keep their capacity).
-func (bk *blockKeys) drop() {
-	for i := range bk.keys {
-		bk.keys[i] = ""
-	}
-	bk.keys = bk.keys[:0]
+	return bk.buf[from:bk.ends[i]]
 }

@@ -449,10 +449,7 @@ func TestAlignSpan(t *testing.T) {
 
 func TestBlockOffsets(t *testing.T) {
 	var bk blockKeys
-	build := func(path string, off, size int64) {
-		bk.build(path, off, size, 2048)
-		bk.cut() // the strings a push stores, cut from the bytes a read lends
-	}
+	build := func(path string, off, size int64) { bk.build(path, off, size, 2048) }
 	build("/a/f", 2047, 2)
 	if got := bk.offsets; len(got) != 2 || got[0] != 0 || got[1] != 2048 {
 		t.Errorf("offsets = %v, want [0 2048]", got)
@@ -460,17 +457,17 @@ func TestBlockOffsets(t *testing.T) {
 	if string(bk.buf) != "/a/f:0/a/f:2048" || len(bk.ends) != 2 || bk.ends[0] != len("/a/f:0") {
 		t.Errorf("lent keys = %q cut at %v, want the two covering block keys", bk.buf, bk.ends)
 	}
-	if got := bk.keys; len(got) != 2 || got[0] != "/a/f:0" || got[1] != "/a/f:2048" {
-		t.Errorf("keys = %q, want the two covering block keys", got)
+	if k0, k1 := bk.key(0), bk.key(1); string(k0) != "/a/f:0" || string(k1) != "/a/f:2048" {
+		t.Errorf("keys = %q, %q, want the two covering block keys", k0, k1)
 	}
 	// The scratch is reused: a narrower read must not see the wider one's
 	// leftovers.
 	build("/b", 4096, 100)
-	if len(bk.offsets) != 1 || bk.offsets[0] != 4096 || len(bk.keys) != 1 || bk.keys[0] != blockKey("/b", 4096) {
-		t.Errorf("rebuilt scratch = %v %q, want [4096] [/b:4096]", bk.offsets, bk.keys)
+	if len(bk.offsets) != 1 || bk.offsets[0] != 4096 || len(bk.ends) != 1 || string(bk.key(0)) != blockKey("/b", 4096) {
+		t.Errorf("rebuilt scratch = %v %q, want [4096] [/b:4096]", bk.offsets, bk.buf)
 	}
 	build("/b", 0, 0)
-	if len(bk.offsets) != 0 || len(bk.ends) != 0 || len(bk.keys) != 0 {
+	if len(bk.offsets) != 0 || len(bk.ends) != 0 {
 		t.Error("zero-size span returned blocks")
 	}
 }
@@ -497,6 +494,10 @@ func TestStatCodecRoundTrip(t *testing.T) {
 func blockKey(path string, blockOff int64) string {
 	return string(appendBlockKey(nil, path, blockOff))
 }
+
+// statKey returns the MCD key for path's stat structure, as the translators
+// build it (appendStatKey).
+func statKey(path string) string { return string(appendStatKey(nil, path)) }
 
 func TestKeyScheme(t *testing.T) {
 	if statKey("/a/f") != "/a/f:stat" {

@@ -82,9 +82,9 @@ func (b *blockSet) take() (bn int64, ok bool) {
 // pushOp is one push: aligned data split into blocks and stored in the bank
 // sequentially, or one stat structure. It is the frame both translators'
 // pushes run on — the keys, the position, the completion continuation, and
-// the store continuation prebound once — so a block push allocates the one
-// string its keys are cut from (the bank takes its entries from arenas) and
-// nothing for its own bookkeeping. The op returns to its pool before k runs,
+// the store continuation prebound once — so a push allocates nothing: its
+// keys are lent to the bank, whose store copies them into its key pages and
+// takes its entries from arenas. The op returns to its pool before k runs,
 // so k may start the next push on it.
 type pushOp struct {
 	pool *pushPool
@@ -93,7 +93,7 @@ type pushOp struct {
 	i    int       // the block being stored
 	data blob.Blob
 	// stat marks a stat push: data is the one value, stored under the one
-	// key in bk.keys.
+	// key in bk.
 	stat bool
 	k    func()
 	// set, unless nil, records each block as it lands.
@@ -124,13 +124,12 @@ func (c changes) applied() uint64 { return c.writes + c.truncates + c.unlinks }
 func (c changes) cuts() uint64 { return c.truncates + c.unlinks }
 
 // pushPool is a translator's free list of push frames, bound to its bank
-// client, block size and stat-key table. resident, unless nil, holds each
+// client and block size. resident, unless nil, holds each
 // path's set of blocks that may be in the bank: SMCache's resident-block
 // bookkeeping; CMCache keeps none.
 type pushPool struct {
 	mcd      *memcache.SimClient
 	bs       int64
-	statKey  func(path string) string
 	resident map[string]*blockSet
 	// stats, unless nil (CMCache), counts the blocks recorded into resident
 	// and the stats stored, and the write-backs' read-backs.
@@ -202,7 +201,6 @@ func (pp *pushPool) push(t *sim.Task, path string, base int64, data blob.Blob, s
 	op.t, op.i, op.data, op.set, op.k, op.path, op.stamp = t, 0, data, set, k, path, stamp
 	op.ctr = pp.changes[path]
 	op.bk.build(path, base, data.Len(), pp.bs)
-	op.bk.cut()
 	op.step()
 }
 
@@ -213,7 +211,8 @@ func (pp *pushPool) pushStat(t *sim.Task, path string, st *gluster.Stat, stamp u
 	op := pp.take()
 	op.t, op.i, op.stat, op.k, op.path, op.stamp = t, 0, true, k, path, stamp
 	op.ctr = pp.changes[path]
-	op.bk.keys = append(op.bk.keys, pp.statKey(path))
+	op.bk.buf = appendStatKey(op.bk.buf[:0], path)
+	op.bk.ends = append(op.bk.ends[:0], len(op.bk.buf))
 	if op.fresh() {
 		op.data = encodeStat(st) // a stale push deletes and needs no value
 	}
@@ -221,16 +220,15 @@ func (pp *pushPool) pushStat(t *sim.Task, path string, st *gluster.Stat, stamp u
 }
 
 func (op *pushOp) step() {
-	if op.i == len(op.bk.keys) {
+	if op.i == len(op.bk.ends) {
 		k := op.k
 		op.t, op.data, op.stat, op.set, op.k, op.path, op.ctr = nil, blob.Blob{}, false, nil, nil, "", nil
-		op.bk.drop()
 		op.pool.free.Push(op)
 		k()
 		return
 	}
 	if !op.fresh() {
-		op.pool.mcd.DeleteT(op.t, op.bk.keys[op.i], op.fnDeleted)
+		op.pool.mcd.DeleteKeyT(op.t, op.bk.key(op.i), op.fnDeleted)
 		return
 	}
 	value := op.data
@@ -241,7 +239,7 @@ func (op *pushOp) step() {
 		pos := int64(op.i) * op.pool.bs
 		value = op.data.Slice(pos, min(pos+op.pool.bs, op.data.Len()))
 	}
-	op.pool.mcd.SetFreshT(op.t, op.bk.keys[op.i], value, op.fnFresh, op.fnStored)
+	op.pool.mcd.SetFreshT(op.t, op.bk.key(op.i), value, op.fnFresh, op.fnStored)
 }
 
 // fresh reports whether the data is still what the path's file holds.

@@ -40,9 +40,6 @@ type SMCache struct {
 	// set lands and forgotten when a purge issues its delete. A path's set is
 	// never replaced or dropped — an in-flight push holds it.
 	pushed map[string]*blockSet
-	// skeys interns stat keys for the push/purge paths; shared with the
-	// deployment's CMCaches via ShareStatKeys.
-	skeys *KeyInterner
 	// metaOps, readOps, pushes and writes pool the frames of the namespace
 	// verbs and purges, reads, pushes and writes (see metaOp, smReadOp,
 	// pushOp, writeBack).
@@ -78,7 +75,7 @@ func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Con
 		fdPaths: make(map[gluster.FD]string),
 		pushed:  make(map[string]*blockSet),
 	}
-	s.pushes = pushPool{mcd: mcd, bs: cfg.BlockSize, statKey: s.statKey, resident: s.pushed, stats: &s.Stats,
+	s.pushes = pushPool{mcd: mcd, bs: cfg.BlockSize, resident: s.pushed, stats: &s.Stats,
 		changes: make(map[string]*changes), judged: !cfg.Threaded}
 	s.writes = writeBacks{child: s.child, pushes: &s.pushes, purge: s.purgeAllT}
 	if cfg.Threaded {
@@ -91,19 +88,6 @@ func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Con
 // TaskReady implements gluster.TaskFS: NewSMCache accepts only a task-ready
 // storage stack, and the MCD bank client always is.
 func (s *SMCache) TaskReady() bool { return true }
-
-// ShareStatKeys replaces the translator's private stat-key intern table
-// with a deployment-wide one; see KeyInterner.
-func (s *SMCache) ShareStatKeys(in *KeyInterner) { s.skeys = in }
-
-// statKey returns the interned "<path>:stat" key. A translator nobody gave
-// a shared table builds a private one on first use.
-func (s *SMCache) statKey(path string) string {
-	if s.skeys == nil {
-		s.skeys = NewKeyInterner()
-	}
-	return s.skeys.get(path)
-}
 
 // Bank returns the MCD bank client (for stats inspection).
 func (s *SMCache) Bank() *memcache.SimClient { return s.mcd }
@@ -297,7 +281,8 @@ func (op *metaOp) gotErr(err error) {
 // mutation made unknown, where a stale stat would be a false positive.
 func (op *metaOp) purgeAll() {
 	op.s.Stats.Purges++
-	op.s.mcd.DeleteT(op.t, op.s.statKey(op.path), op.fnStatGone)
+	op.key = appendStatKey(op.key[:0], op.path)
+	op.s.mcd.DeleteKeyT(op.t, op.key, op.fnStatGone)
 }
 
 func (op *metaOp) statGone(bool) {

@@ -192,7 +192,8 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, bufs *binBuffe
 		return false, nil
 	}
 
-	key := string(keyBytes)
+	// The key is lent to the store from the body buffer, which the next
+	// request overwrites; the store copies what it keeps.
 	switch v {
 	case verbSet, verbAdd, verbReplace:
 		if len(extras) != 8 {
@@ -200,7 +201,6 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, bufs *binBuffe
 			break
 		}
 		item := Item{
-			Key:        key,
 			Value:      blob.FromBytes(value),
 			Flags:      binary.BigEndian.Uint32(extras[0:]),
 			Expiration: normalizeExp(int64(binary.BigEndian.Uint32(extras[4:])), store.Now()),
@@ -209,15 +209,15 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, bufs *binBuffe
 		if h.cas != 0 {
 			v = verbCAS
 		}
-		serr := store.applyLent(v, &item)
+		serr := applyLent(store, v, keyBytes, &item)
 		respond(binStatusFor(serr), item.CAS, nil, nil, nil)
 
 	case verbAppend, verbPrepend:
-		item := Item{Key: key, Value: blob.FromBytes(value)}
-		respond(binStatusFor(store.applyLent(v, &item)), 0, nil, nil, nil)
+		item := Item{Value: blob.FromBytes(value)}
+		respond(binStatusFor(applyLent(store, v, keyBytes, &item)), 0, nil, nil, nil)
 
 	case verbDelete:
-		respond(binStatusFor(store.Delete(key)), 0, nil, nil, nil)
+		respond(binStatusFor(deleteKey(store, keyBytes)), 0, nil, nil, nil)
 
 	case verbIncr, verbDecr:
 		if len(extras) != 20 {
@@ -227,12 +227,12 @@ func serveBinaryOne(store *Store, r *bufio.Reader, w *wireWriter, bufs *binBuffe
 		delta := binary.BigEndian.Uint64(extras[0:])
 		initial := binary.BigEndian.Uint64(extras[8:])
 		expiry := binary.BigEndian.Uint32(extras[16:])
-		n, ierr := store.IncrDecr(key, delta, v == verbIncr)
+		n, ierr := incrDecr(store, keyBytes, delta, v == verbIncr)
 		if ierr == ErrCacheMiss && expiry != 0xffffffff {
 			// Binary protocol: a miss with expiry != -1 seeds the counter.
-			item := &Item{Key: key, Value: blob.FromBytes(strconv.AppendUint(nil, initial, 10)),
+			item := &Item{Value: blob.FromBytes(strconv.AppendUint(nil, initial, 10)),
 				Expiration: normalizeExp(int64(expiry), store.Now())}
-			n, ierr = initial, store.Set(item)
+			n, ierr = initial, apply(store, verbSet, keyBytes, item)
 		}
 		if ierr != nil {
 			respond(binStatusFor(ierr), 0, nil, nil, nil)

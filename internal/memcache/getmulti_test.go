@@ -179,8 +179,8 @@ func runMultiCase(t *testing.T, mc multiCase, task bool) (o multiOutcome, want [
 			switch {
 			case it == nil:
 				o.Values = append(o.Values, "")
-			case it.Key != keys[i]:
-				t.Errorf("position %d holds key %q, asked for %q", i, it.Key, keys[i])
+			case string(it.Value.Bytes()) != keys[i]: // lent items carry no key; the value is the key
+				t.Errorf("position %d holds the value of %q, asked for %q", i, it.Value.Bytes(), keys[i])
 			default:
 				o.Values = append(o.Values, string(it.Value.Bytes()))
 			}

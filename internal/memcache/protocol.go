@@ -48,8 +48,9 @@ type textConn struct {
 	w     wireWriter
 	// kept is the connection's buffer for the value of the request in
 	// hand: a set's data block is read into it, a get's hit copied out
-	// into it (see bodyBuffer).
-	kept []byte
+	// into it (see bodyBuffer). key holds a set's key while its data block
+	// is read over the line it came in on.
+	kept, key []byte
 }
 
 func serveText(store *Store, r *bufio.Reader, w *bufio.Writer) error {
@@ -202,8 +203,9 @@ func (c *textConn) storeCmd(v verb, args []byte) error {
 		return err
 	}
 	// The fields borrow the read buffer, which the data block overwrites:
-	// the key is copied first — the string the store then keeps.
-	key := string(f[0])
+	// the key is copied out first, into the connection's own buffer, which
+	// it lends the store.
+	c.key = append(c.key[:0], f[0]...)
 	if int64(c.r.Buffered()) < nbytes+2 {
 		// The block is still in flight: earlier replies leave first.
 		if err := c.w.Flush(); err != nil {
@@ -222,13 +224,12 @@ func (c *textConn) storeCmd(v verb, args []byte) error {
 		return nil
 	}
 	item := Item{
-		Key:        key,
 		Value:      blob.FromBytes(data),
 		Flags:      uint32(flags),
 		Expiration: normalizeExp(exp, c.store.Now()),
 		CAS:        casID,
 	}
-	c.verdict(noreply, c.store.applyLent(v, &item))
+	c.verdict(noreply, applyLent(c.store, v, c.key, &item))
 	return nil
 }
 
@@ -245,7 +246,7 @@ func (c *textConn) delete(args []byte) {
 		c.w.str(badFormat)
 		return
 	}
-	err := c.store.Delete(string(key))
+	err := deleteKey(c.store, key)
 	if noreply {
 		return
 	}
@@ -268,7 +269,7 @@ func (c *textConn) incrDecr(incr bool, args []byte) {
 		c.w.str("CLIENT_ERROR invalid numeric delta argument\r\n")
 		return
 	}
-	v, err := c.store.IncrDecr(string(f[0]), delta, incr)
+	v, err := incrDecr(c.store, f[0], delta, incr)
 	switch {
 	case noreply:
 	case err != nil:

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -277,18 +278,34 @@ const storeScriptLimit = 6 << 20
 
 // scriptKey picks the verb's key: from a small alphabet every verb keeps
 // hitting — it holds two keys with one FNV-1a hash, 0xaa0b0564, so a lookup
-// that trusts the hash alone answers with the wrong item — or from a large
-// one that grows the table; or, rarely, a key the store must refuse.
+// that trusts the hash alone answers with the wrong item, a key of
+// MaxKeyLen bytes, and keys on each side of two key-slot edges (16 and 17
+// bytes, 240 and 250) — or from a large one that grows the table; or,
+// rarely, a key the store must refuse.
 func scriptKey(a, b byte) string {
 	switch {
 	case a < 96:
-		return [...]string{"key-901258", "key-1540052", "a", "b", "c", "d", "e", "f"}[a%8]
+		return smallKeys[int(a)%len(smallKeys)]
 	case a == 255:
 		return "bad key"
 	default:
-		return fmt.Sprintf("key-%d", int(a%64)<<8|int(b))
+		return largeKeys[int(a%64)<<8|int(b)]
 	}
 }
+
+// smallKeys and largeKeys are scriptKey's alphabets, made once rather than
+// per verb.
+var (
+	smallKeys = []string{"key-901258", "key-1540052", "a", "b", "c", "d", "e", "f",
+		strings.Repeat("k", 16), strings.Repeat("k", 17), strings.Repeat("k", 240), strings.Repeat("k", MaxKeyLen)}
+	largeKeys = func() []string {
+		keys := make([]string, 64<<8)
+		for i := range keys {
+			keys[i] = "key-" + strconv.Itoa(i)
+		}
+		return keys
+	}()
+)
 
 // scriptValue picks the verb's value: a number, or bytes of one of three
 // far-apart sizes (three more slab classes), or one over the limit, which
@@ -398,6 +415,21 @@ const (
 // sorting key lists, and nothing new is reached that a shorter script cannot.
 const maxScriptVerbs = 8192
 
+// scriptStep names a script's verb in a failure message; it is formatted
+// only then, so a run spends nothing per verb on naming it.
+type scriptStep struct {
+	n    int
+	verb byte
+	key  string
+}
+
+func (at scriptStep) String() string {
+	if at.n < 0 {
+		return "at the end"
+	}
+	return fmt.Sprintf("verb %d %d on %q", at.n, at.verb, at.key)
+}
+
 // runStoreScript runs data on a store of kind k and on the model and fails
 // t at the first verb whose outcome differs.
 func runStoreScript(t testing.TB, k int, data []byte) (cov scriptCoverage) {
@@ -413,20 +445,20 @@ func runStoreScript(t testing.TB, k int, data []byte) (cov scriptCoverage) {
 	var leftBefore uint64         // Evictions + Expired after the previous verb
 	var scratch []byte            // GetView's
 
-	sameItem := func(step int, what string, got Item, gotOK bool, want Item, wantOK bool) {
+	sameItem := func(at scriptStep, got Item, gotOK bool, want Item, wantOK bool) {
 		if gotOK != wantOK || got.Key != want.Key || got.Flags != want.Flags || got.Expiration != want.Expiration ||
 			got.CAS != want.CAS || !sameValue(got.Value, want.Value) {
-			t.Fatalf("verb %d %s: store returned %v key %q flags %d exp %d cas %d (%d bytes), model %v key %q flags %d exp %d cas %d (%d bytes)",
-				step, what, gotOK, got.Key, got.Flags, got.Expiration, got.CAS, got.Value.Len(),
+			t.Fatalf("%s: store returned %v key %q flags %d exp %d cas %d (%d bytes), model %v key %q flags %d exp %d cas %d (%d bytes)",
+				at, gotOK, got.Key, got.Flags, got.Expiration, got.CAS, got.Value.Len(),
 				wantOK, want.Key, want.Flags, want.Expiration, want.CAS, want.Value.Len())
 		}
 	}
-	sameErr := func(step int, what string, got, want error) {
+	sameErr := func(at scriptStep, got, want error) {
 		if got != want {
-			t.Fatalf("verb %d %s: store replied %v, model %v", step, what, got, want)
+			t.Fatalf("%s: store replied %v, model %v", at, got, want)
 		}
 	}
-	sameContents := func(step int, what string) {
+	sameContents := func(at scriptStep) {
 		// The store's keys equal the model's sorted keys: as many, each
 		// in the model, each above the last — no sort on the model side.
 		got := s.Keys()
@@ -436,10 +468,10 @@ func runStoreScript(t testing.TB, k int, data []byte) (cov scriptCoverage) {
 		}
 		if !same {
 			want := r.keys()
-			t.Fatalf("verb %d %s: store holds %d keys, model %d:\n store %q\n model %q", step, what, len(got), len(want), got, want)
+			t.Fatalf("%s: store holds %d keys, model %d:\n store %q\n model %q", at, len(got), len(want), got, want)
 		}
 		if got, want := s.SlabStats(), r.slabStats(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("verb %d %s: SlabStats %v, model %v", step, what, got, want)
+			t.Fatalf("%s: SlabStats %v, model %v", at, got, want)
 		}
 	}
 
@@ -456,33 +488,33 @@ func runStoreScript(t testing.TB, k int, data []byte) (cov scriptCoverage) {
 			cp := it
 			return &it, &cp
 		}
-		what := fmt.Sprintf("%d on %q", verb, key)
+		at := scriptStep{step, verb, key}
 		switch verb {
 		case 0, 1, 2:
 			si, ri := item()
-			sameErr(step, what, s.Set(si), r.store(ri, verbSet))
+			sameErr(at, s.Set(si), r.store(ri, verbSet))
 			if si.CAS != ri.CAS {
-				t.Fatalf("verb %d %s: store handed back CAS %d, model %d", step, what, si.CAS, ri.CAS)
+				t.Fatalf("%s: store handed back CAS %d, model %d", at, si.CAS, ri.CAS)
 			}
 		case 3:
 			si, ri := item()
-			sameErr(step, what, s.Add(si), r.store(ri, verbAdd))
+			sameErr(at, s.Add(si), r.store(ri, verbAdd))
 		case 4:
 			si, ri := item()
-			sameErr(step, what, s.Replace(si), r.store(ri, verbReplace))
+			sameErr(at, s.Replace(si), r.store(ri, verbReplace))
 		case 5:
 			si, ri := item()
 			si.CAS, ri.CAS = tokens[key], tokens[key]
-			sameErr(step, what, s.CompareAndSwap(si), r.store(ri, verbCAS))
+			sameErr(at, s.CompareAndSwap(si), r.store(ri, verbCAS))
 		case 6:
-			sameErr(step, what, s.Append(key, scriptValue(a, b, mk)), r.concat(key, scriptValue(a, b, mk), false))
+			sameErr(at, s.Append(key, scriptValue(a, b, mk)), r.concat(key, scriptValue(a, b, mk), false))
 		case 7:
-			sameErr(step, what, s.Prepend(key, scriptValue(a, b, mk)), r.concat(key, scriptValue(a, b, mk), true))
+			sameErr(at, s.Prepend(key, scriptValue(a, b, mk)), r.concat(key, scriptValue(a, b, mk), true))
 		case 8:
 			gn, gerr := s.IncrDecr(key, uint64(b), b&1 == 0)
 			wn, werr := r.incrDecr(key, uint64(b), b&1 == 0)
-			if sameErr(step, what, gerr, werr); gn != wn {
-				t.Fatalf("verb %d %s: store counted to %d, model to %d", step, what, gn, wn)
+			if sameErr(at, gerr, werr); gn != wn {
+				t.Fatalf("%s: store counted to %d, model to %d", at, gn, wn)
 			}
 		case 9, 10:
 			var got Item
@@ -490,20 +522,21 @@ func runStoreScript(t testing.TB, k int, data []byte) (cov scriptCoverage) {
 			if err == nil {
 				got = *it
 			} else if err != ErrCacheMiss {
-				t.Fatalf("verb %d %s: Get failed with %v", step, what, err)
+				t.Fatalf("%s: Get failed with %v", at, err)
 			}
 			want, ok := r.get(key)
-			if sameItem(step, what, got, err == nil, want, ok); ok {
+			if sameItem(at, got, err == nil, want, ok); ok {
 				tokens[key] = want.CAS
 			}
 		case 11:
 			got, gok := s.GetView([]byte(key), &scratch)
 			want, ok := r.get(key)
-			if sameItem(step, what, got, gok, want, ok); ok {
+			want.Key = "" // a view carries no key
+			if sameItem(at, got, gok, want, ok); ok {
 				tokens[key] = want.CAS
 			}
 		case 12, 13:
-			sameErr(step, what, s.Delete(key), r.delete(key))
+			sameErr(at, s.Delete(key), r.delete(key))
 		case 14:
 			clock += int64(a % 3) // what was stored to expire soon, does
 		default:
@@ -515,21 +548,21 @@ func runStoreScript(t testing.TB, k int, data []byte) (cov scriptCoverage) {
 			cov.flushes++
 		}
 		if got, want := s.Stats(), r.stats; got != want {
-			t.Fatalf("verb %d %s: Stats\n store %+v\n model %+v", step, what, got, want)
+			t.Fatalf("%s: Stats\n store %+v\n model %+v", at, got, want)
 		}
 		if got, want := s.Len(), len(r.table); got != want {
-			t.Fatalf("verb %d %s: Len %d, model %d", step, what, got, want)
+			t.Fatalf("%s: Len %d, model %d", at, got, want)
 		}
 		if left := r.stats.Evictions + r.stats.Expired; left != leftBefore || step%32 == 0 {
 			leftBefore = left
-			sameContents(step, what)
+			sameContents(at)
 		}
 		cov.buckets = max(cov.buckets, len(s.buckets))
 		if len(s.arenas) > doublingArenas {
 			cov.farEvictions += r.stats.Evictions - evictions
 		}
 	}
-	sameContents(-1, "at the end")
+	sameContents(scriptStep{n: -1})
 	for _, k := range r.keys() {
 		got, ok := s.Peek(k)
 		if !ok || !sameValue(got, r.table[k].Value) {
@@ -614,6 +647,18 @@ func TestStoreMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzStoreOps runs arbitrary scripts on every kind of store against the
+// model. Run it with a minimizing budget in runs, not time:
+//
+//	go test -run '^$' -fuzz FuzzStoreOps -fuzzminimizetime 10x ./internal/memcache
+//
+// A script drives the store's code thousands of times and the fuzzer's
+// 8-bit edge counters wrap, so about one mutated script in four reads as
+// new coverage and is queued for minimizing, which removes bytes one run at
+// a time and finishes in no budget worth spending: under a time budget each
+// such input holds a worker for all of it (2 s held a run to about two
+// inputs a second), while ten runs are enough to cut a failing script's
+// tail.
 func FuzzStoreOps(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(storeScriptBytes(seed))

@@ -26,8 +26,9 @@ func copyTime(n int64) sim.Duration {
 }
 
 // request is the simulated protocol's one request message, of one of three
-// verbs: a get of keys, a set of item (always unconditional, as IMCa uses),
-// or a delete of the one key in keys. It lives inside a client-side frame —
+// verbs: a get of keys, a set of the one key in keys to item's value
+// (always unconditional, as IMCa uses; item.Key is unused), or a delete of
+// the one key in keys. It lives inside a client-side frame —
 // a bankOp, or one leg of a multi-key get — and the fabric recycles it when
 // the call's frame retires, which is what returns the owner to its pool.
 // WireSize values approximate the text protocol's framing.
@@ -46,16 +47,17 @@ func (r *request) Recycle() { r.owner.release() }
 func (r *request) WireSize() int64 {
 	switch r.verb {
 	case verbSet:
-		return int64(len(r.item.Key)) + r.item.Value.Len() + 40
+		return int64(len(r.keys.buf)) + r.item.Value.Len() + 40
 	case verbDelete:
 		return 8 + int64(len(r.keys.buf))
 	}
 	return 8 + int64(len(r.keys.buf)+len(r.keys.ends))
 }
 
-// keyList is a get's keys back to back in one byte buffer, with the end of
-// each key in it. A request owns its list: the client copies the caller's
-// keys in, the daemon hashes and looks up the bytes in place, and both
+// keyList is a request's keys back to back in one byte buffer, with the end
+// of each key in it. A request owns its list: the client copies the caller's
+// keys in, the daemon hashes and looks up (or stores) the bytes in place —
+// the store copies a key it keeps into its own key pages — and both
 // slices keep their capacity across the pooled request's lives. Because a
 // request returns to its pool only when the fabric recycles it, the bytes
 // cannot be rewritten while a daemon — or a leg a cut link abandoned — can
@@ -114,8 +116,14 @@ func flatKeys(keys []string) ([]byte, []int) {
 // response (op non-nil) belongs to a server-side srvOp and its items point
 // into that op's buffers: valid through the continuation that receives it,
 // reclaimed when the fabric recycles the response.
+//
+// An item found carries no key: hits[n] is the position in the request's
+// key list, keys, of the key items[n] was found for. The request outlives
+// its response, so keys stays readable while the fabric sizes the reply.
 type response struct {
 	items []*Item
+	hits  []int
+	keys  *keyList
 	err   string
 	found bool
 	down  bool
@@ -134,8 +142,8 @@ func (r *response) Recycle() {
 // refusal text — a verb's reply carries only its own part.
 func (r *response) WireSize() int64 {
 	n := 8 + int64(len(r.err))
-	for _, it := range r.items {
-		n += int64(len(it.Key)) + it.Value.Len() + 40
+	for i, it := range r.items {
+		n += int64(len(r.keys.at(r.hits[i]))) + it.Value.Len() + 40
 	}
 	return n
 }

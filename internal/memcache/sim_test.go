@@ -400,18 +400,21 @@ func TestWireSizes(t *testing.T) {
 		buf, ends := flatKeys(keys)
 		return keyList{buf, ends}
 	}
-	item := Item{Key: "block:7", Value: blob.Synthetic(1, 0, 2048)} // 7-byte key
+	item := Item{Value: blob.Synthetic(1, 0, 2048)}
+	asked := testKeys("k", "block:7") // a 1-byte and a 7-byte key
 	for _, tc := range []struct {
 		req      request
 		wantReq  int64
 		resp     response
 		wantResp int64
 	}{
-		{request{verb: verbGet, keys: testKeys("block:7", "k")}, 8 + (7 + 1) + (1 + 1),
-			response{items: []*Item{&item, &item}}, 8 + 2*(7+2048+40)},
+		{request{verb: verbGet, keys: asked}, 8 + (1 + 1) + (7 + 1),
+			response{items: []*Item{&item, &item}, hits: []int{1, 1}, keys: &asked}, 8 + 2*(7+2048+40)},
+		{request{verb: verbGet, keys: asked}, 8 + (1 + 1) + (7 + 1),
+			response{items: []*Item{&item}, hits: []int{0}, keys: &asked}, 8 + (1 + 2048 + 40)},
 		{request{verb: verbGet, keys: testKeys("k")}, 8 + (1 + 1), response{down: true}, 8},
-		{request{verb: verbSet, item: item}, 7 + 2048 + 40, response{err: "too large"}, 8 + 9},
-		{request{verb: verbSet, item: item}, 7 + 2048 + 40, response{}, 8},
+		{request{verb: verbSet, keys: testKeys("block:7"), item: item}, 7 + 2048 + 40, response{err: "too large"}, 8 + 9},
+		{request{verb: verbSet, keys: testKeys("block:7"), item: item}, 7 + 2048 + 40, response{}, 8},
 		{request{verb: verbDelete, keys: testKeys("block:7")}, 8 + 7, response{found: true}, 8},
 	} {
 		if got := tc.req.WireSize(); got != tc.wantReq {

@@ -115,13 +115,14 @@ func (c *SimClient) fail(a sim.Actor, idx int, err error) string {
 // also reads as a miss — the bank degrades, it never stalls or fails an
 // operation. An ejected server misses instantly without a wire request (see
 // SetEjection). With replication on, a failed primary leg retries once
-// against the replica. It is GetT awaited; the item GetT lends is copied, so
-// the caller owns it.
+// against the replica. It is GetT awaited; the item GetT lends is copied,
+// with key as its Key, so the caller owns it.
 func (c *SimClient) Get(p *sim.Proc, key string) (it *Item, ok bool) {
 	p.Await(func(t *sim.Task) {
 		c.GetT(t, key, func(lent *Item, hit bool) {
 			if hit {
 				cp := *lent
+				cp.Key = key
 				it, ok = &cp, true
 			}
 			t.End()
@@ -136,7 +137,7 @@ func (c *SimClient) Get(p *sim.Proc, key string) (it *Item, ok bool) {
 // dead daemon or over a cut link are simply nil — misses the caller
 // satisfies from the server. Keys on an ejected server are nil without a
 // request serializing onto the NIC. It is GetMultiT awaited, the lent items
-// copied.
+// copied, each with its key as its Key.
 func (c *SimClient) GetMulti(p *sim.Proc, keys []string) []*Item {
 	out := make([]*Item, len(keys))
 	buf, ends := flatKeys(keys)
@@ -145,6 +146,7 @@ func (c *SimClient) GetMulti(p *sim.Proc, keys []string) []*Item {
 			for i, it := range lent {
 				if it != nil {
 					cp := *it
+					cp.Key = keys[i]
 					out[i] = &cp
 				}
 			}
@@ -162,7 +164,7 @@ func (c *SimClient) GetMulti(p *sim.Proc, keys []string) []*Item {
 // like the bank itself). It is SetT awaited.
 func (c *SimClient) Set(p *sim.Proc, key string, value blob.Blob) (err error) {
 	p.Await(func(t *sim.Task) {
-		c.SetT(t, key, value, func(e error) {
+		setFreshT(c, t, key, value, nil, func(e error) {
 			err = e
 			t.End()
 		})
@@ -198,20 +200,13 @@ func multiRespResult(resp *response, asked int) string {
 	return "partial"
 }
 
-// matchItems pairs a daemon's reply with the keys that asked for it. The
-// daemon answers hits in request order and drops misses, so one forward walk
-// pairs them exactly; a key asked twice is answered twice. hit receives the
-// index into keys and the item found for it.
-func matchItems(keys *keyList, items []*Item, hit func(j int, it *Item)) {
-	n := 0
-	for j := range keys.len() {
-		if n == len(items) {
-			return
-		}
-		if items[n].Key == string(keys.at(j)) {
-			hit(j, items[n])
-			n++
-		}
+// matchItems pairs a daemon's reply with the keys that asked for it: the
+// reply names each hit by its key's position in the request, so a key
+// asked twice is answered twice. hit receives that position and the item
+// found for it.
+func matchItems(resp *response, hit func(j int, it *Item)) {
+	for n, it := range resp.items {
+		hit(resp.hits[n], it)
 	}
 }
 
@@ -241,7 +236,7 @@ func (c *SimClient) failover(a sim.Actor, r int) {
 func (c *SimClient) Stats() Stats { return c.stats }
 
 // bankOp is the pooled per-operation frame of one GetT, SetT or DeleteT
-// leg: the request (a get's key copied into its key list, which keeps its
+// leg: the request (its key copied into its key list, which keeps its
 // capacity), the completion continuation prebound as a method value, and the
 // span and latency bookkeeping. The op returns to its client's pool when the
 // fabric recycles the request — after both the continuation and the far
@@ -358,10 +353,14 @@ func (op *bankOp) done(m fabric.Msg, err error) {
 // GetT fetches one key: k receives (item, true) on a hit and (nil, false)
 // on any flavour of miss. A hit's item aliases pooled response storage and
 // is valid only until k returns; continuation code copies what it keeps,
-// exactly as it would from a network buffer. With replication on, a leg that
-// fails — ejected server, cut link, down reply — retries once against the
-// replica.
+// exactly as it would from a network buffer. The item has no Key: the
+// caller holds it. With replication on, a leg that fails — ejected server,
+// cut link, down reply — retries once against the replica.
 func (c *SimClient) GetT(t *sim.Task, key string, k func(*Item, bool)) { getKeyT(c, t, key, k) }
+
+// GetKeyT is GetT for a key lent as bytes, valid until k runs: the request
+// copies it.
+func (c *SimClient) GetKeyT(t *sim.Task, key []byte, k func(*Item, bool)) { getKeyT(c, t, key, k) }
 
 // getKeyT is GetT for a key held as a string or as borrowed bytes: the key
 // is copied into a pooled op's request and asked of its primary, with its
@@ -519,7 +518,7 @@ func (l *multiGetLeg) done(m fabric.Msg, err error) {
 		l.sp.SetAttr("result", multiRespResult(resp, l.req.keys.len()))
 		r.down = resp.down
 		if !resp.down {
-			matchItems(&l.req.keys, resp.items, func(j int, it *Item) {
+			matchItems(resp, func(j int, it *Item) {
 				op.items = append(op.items, *it)
 				op.out[l.pos[j]] = &op.items[len(op.items)-1]
 			})
@@ -655,11 +654,13 @@ func delOnT[K string | []byte](c *SimClient, t *sim.Task, idx int, key K, k func
 	op.send(idx, sp)
 }
 
-// SetT stores an item on its MCD; k receives the acknowledgement's error.
-// With replication on, the replica leg runs after the primary leg and the
-// primary's result is what k sees.
-func (c *SimClient) SetT(t *sim.Task, key string, value blob.Blob, k func(error)) {
-	c.SetFreshT(t, key, value, nil, k)
+// SetT stores value under key on its MCD; k receives the acknowledgement's
+// error. The key is lent until k runs: each leg copies it into its request,
+// and the daemon's store into its own key pages. With replication on, the
+// replica leg runs after the primary leg and the primary's result is what k
+// sees.
+func (c *SimClient) SetT(t *sim.Task, key []byte, value blob.Blob, k func(error)) {
+	setFreshT(c, t, key, value, nil, k)
 }
 
 // SetFreshT is SetT for a value that can go stale while the primary leg
@@ -667,24 +668,28 @@ func (c *SimClient) SetT(t *sim.Task, key string, value blob.Blob, k func(error)
 // returns, the replica leg deletes the key instead of storing it. A delete
 // issued meanwhile has reached the replica already, so a later store would
 // outlive it, and the copy the replica holds is older still.
-func (c *SimClient) SetFreshT(t *sim.Task, key string, value blob.Blob, fresh func() bool, k func(error)) {
+func (c *SimClient) SetFreshT(t *sim.Task, key []byte, value blob.Blob, fresh func() bool, k func(error)) {
+	setFreshT(c, t, key, value, fresh, k)
+}
+
+func setFreshT[K string | []byte](c *SimClient, t *sim.Task, key K, value blob.Blob, fresh func() bool, k func(error)) {
 	idx := pick(c, key)
 	next := replicaNext(c, key, idx)
 	if next < 0 {
-		c.setOnT(t, idx, key, value, k)
+		setOnT(c, t, idx, key, value, k)
 		return
 	}
-	c.setOnT(t, idx, key, value, func(err error) {
+	setOnT(c, t, idx, key, value, func(err error) {
 		if fresh != nil && !fresh() {
 			delOnT(c, t, next, key, func(bool) { k(err) })
 			return
 		}
-		c.setOnT(t, next, key, value, func(error) { k(err) })
+		setOnT(c, t, next, key, value, func(error) { k(err) })
 	})
 }
 
 // setOnT runs one SetT leg against server idx.
-func (c *SimClient) setOnT(t *sim.Task, idx int, key string, value blob.Blob, k func(error)) {
+func setOnT[K string | []byte](c *SimClient, t *sim.Task, idx int, key K, value blob.Blob, k func(error)) {
 	srv := c.servers[idx]
 	sp := optrace.StartSpan(t, optrace.LayerMCD, verbSet.String())
 	sp.SetAttr("server", srv.node.Name())
@@ -699,8 +704,7 @@ func (c *SimClient) setOnT(t *sim.Task, idx int, key string, value blob.Blob, k 
 	}
 	op := c.takeOp(t, verbSet)
 	op.kSet, op.t0 = k, t0
-	// The store copies on insert, so the frame's item is reusable the moment
-	// the daemon's Set returns.
-	op.req.item = Item{Key: key, Value: value}
+	appendKey(&op.req.keys, key)
+	op.req.item = Item{Value: value}
 	op.send(idx, sp)
 }

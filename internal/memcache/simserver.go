@@ -102,9 +102,11 @@ type srvOp struct {
 
 	resp response
 	// items holds a get's hit snapshots by value; ptrs aliases into it for
-	// resp.items. Both keep their capacity across reuses.
+	// resp.items, and hits says which key each was found for, resp.hits.
+	// All keep their capacity across reuses.
 	items []Item
 	ptrs  []*Item
+	hits  []int
 
 	fnDaemonHeld func()
 	fnCPUHeld    func()
@@ -118,6 +120,7 @@ type srvOp struct {
 func (op *srvOp) release() {
 	op.t, op.req, op.respond, op.sp = nil, nil, nil, nil
 	op.resp = response{op: op}
+	op.hits = op.hits[:0]
 	for i := range op.ptrs {
 		op.ptrs[i] = nil
 	}
@@ -185,21 +188,22 @@ func (op *srvOp) cpuDone() {
 	}
 	switch r.verb {
 	case verbGet:
-		items := op.items[:0]
+		items, hits := op.items[:0], op.hits[:0]
 		var moved int64
 		for i := range r.keys.len() {
 			if it, ok := s.store.GetView(r.keys.at(i), nil); ok {
 				items = append(items, it)
+				hits = append(hits, i)
 				moved += it.Value.Len()
 			}
 		}
-		op.items = items
+		op.items, op.hits = items, hits
 		ptrs := op.ptrs[:0]
 		for i := range items {
 			ptrs = append(ptrs, &items[i])
 		}
 		op.ptrs = ptrs
-		op.resp.items = ptrs
+		op.resp.items, op.resp.hits, op.resp.keys = ptrs, hits, &r.keys
 		if moved > 0 {
 			// Copy-out cost for the hit bytes: a second CPU use.
 			op.svcTime = s.stretch(copyTime(moved))
@@ -207,7 +211,7 @@ func (op *srvOp) cpuDone() {
 			return
 		}
 	case verbSet:
-		if err := s.store.Set(&r.item); err != nil {
+		if err := apply(s.store, verbSet, r.keys.at(0), &r.item); err != nil {
 			op.resp.err = err.Error()
 		}
 	case verbDelete:

@@ -20,8 +20,10 @@
 // against its memory limit — its key, its value and itemOverhead, the
 // modelled item header — decides slab classes, eviction and every
 // reported byte count. What the simulator spends holding it is the Go
-// entry (112 bytes, see entry) plus the key and value bytes; that is host
-// memory and never enters the model. The TCP daemon's store spends its limit
+// entry (104 bytes, see entry) plus the key's slot in the store's key pages
+// (16-byte steps) and the value; that is host memory and never enters the
+// model. Every store copies each key it stores into its key pages, so no
+// caller's key outlives its call. The TCP daemon's store spends its limit
 // on slab pages, as memcached does, and eight bytes per entry on where the
 // entry's chunk is.
 package memcache
@@ -50,7 +52,8 @@ const (
 	// MaxValueLen, is the bound on the IMCa block size.
 	MaxItemValueLen = slabPageSize - MaxKeyLen - itemOverhead
 	// slabPageSize is the allocation unit handed to a slab class.
-	slabPageSize = 1 << 20
+	slabPageShift = 20
+	slabPageSize  = 1 << slabPageShift
 	// itemOverhead is memcached's per-item header and pointers, as the
 	// model charges them; it is not the Go entry's size.
 	itemOverhead = 48
@@ -93,14 +96,16 @@ type Item struct {
 
 // entry is a resident item. Entries are cut from arenas and linked by
 // index (see at), 0 meaning none, so a link is four bytes the collector
-// does not scan. A chain step reads hash, hnext and key, the entry's first
-// 24 bytes, so one cache line nearly always answers it; then come the
+// does not scan. A chain step reads hash, hnext and where the key is — its
+// slot in the store's key pages and its length — the entry's first 16
+// bytes, and the key's bytes only when the hash matches; then come the
 // class's LRU links (lruNext also chains free entries), the slab class and
 // the item.
 type entry struct {
 	hash    uint32
 	hnext   uint32
-	key     string
+	key     uint32 // the key's slot, see keyPages
+	klen    uint32
 	lruPrev uint32
 	lruNext uint32
 	class   int32
@@ -195,6 +200,8 @@ type Store struct {
 	// read copies.
 	arenas [][]entry
 	free   uint32
+	// keys holds every resident key's bytes.
+	keys keyPages
 	// mem holds the value bytes of a store that owns them, and where each
 	// entry's are (newOwningStore); it is nil for one that keeps blobs by
 	// reference.
@@ -213,7 +220,7 @@ func NewStore(limit int64, now func() int64) *Store {
 	if now == nil {
 		panic("memcache: nil clock")
 	}
-	s := &Store{limit: limit, buckets: make([]uint32, minBuckets), Now: now}
+	s := &Store{limit: limit, buckets: make([]uint32, minBuckets), keys: newKeyPages(), Now: now}
 	s.stats.LimitBytes = limit
 	for size := int64(minChunkSize); ; {
 		s.classes = append(s.classes, slabClass{chunkSize: size})
@@ -245,11 +252,11 @@ func (s *Store) classFor(n int64) int {
 	return -1
 }
 
-func itemSize(key string, value blob.Blob) int64 {
+func itemSize[K string | []byte](key K, value blob.Blob) int64 {
 	return int64(len(key)) + value.Len() + itemOverhead
 }
 
-func validKey(key string) bool {
+func validKey[K string | []byte](key K) bool {
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return false
 	}
@@ -267,6 +274,10 @@ func (s *Store) at(i uint32) *entry {
 	i--
 	return &s.arenas[i>>arenaShift][i&(maxArena-1)]
 }
+
+// keyOf returns e's key, a borrow of the store's key pages valid while the
+// lock is held and e resident.
+func (s *Store) keyOf(e *entry) []byte { return s.keys.key(e.key, int(e.klen)) }
 
 // lruUnlink removes e from class c's LRU list.
 func (s *Store) lruUnlink(c *slabClass, e *entry) {
@@ -315,12 +326,12 @@ func hashKey[K string | []byte](key K) uint32 {
 func (s *Store) bucket(h uint32) *uint32 { return &s.buckets[h&uint32(len(s.buckets)-1)] }
 
 // findLocked returns key's entry (0 when absent) and key's hash. The
-// comparison converts a []byte key in place, so a lookup builds no string.
+// comparison converts both keys in place, so a lookup builds no string.
 func findLocked[K string | []byte](s *Store, key K) (uint32, uint32) {
 	h := hashKey(key)
 	for i := *s.bucket(h); i != 0; {
 		e := s.at(i)
-		if e.hash == h && e.key == string(key) {
+		if e.hash == h && int(e.klen) == len(key) && string(s.keyOf(e)) == string(key) {
 			return i, h
 		}
 		i = e.hnext
@@ -383,10 +394,11 @@ func (s *Store) removeLocked(i uint32) {
 	s.lruUnlink(c, e)
 	c.freeChunks++
 	if s.mem != nil {
-		s.mem.free(e.class, *s.mem.chunkOf(i))
+		s.mem.free(int(e.class), *s.mem.chunkOf(i))
 	}
 	s.stats.CurrItems--
-	s.stats.Bytes -= itemSize(e.key, e.value)
+	s.stats.Bytes -= itemSize(s.keyOf(e), e.value)
+	s.keys.release(e.key, int(e.klen))
 	*e = entry{lruNext: s.free}
 	s.free = i
 }
@@ -425,33 +437,36 @@ func (s *Store) reserveChunkLocked(ci int) (int64, error) {
 }
 
 // Set unconditionally stores item.
-func (s *Store) Set(item *Item) error { return s.apply(verbSet, item) }
+func (s *Store) Set(item *Item) error { return apply(s, verbSet, item.Key, item) }
 
 // Add stores item only if the key is absent.
-func (s *Store) Add(item *Item) error { return s.apply(verbAdd, item) }
+func (s *Store) Add(item *Item) error { return apply(s, verbAdd, item.Key, item) }
 
 // Replace stores item only if the key is present.
-func (s *Store) Replace(item *Item) error { return s.apply(verbReplace, item) }
+func (s *Store) Replace(item *Item) error { return apply(s, verbReplace, item.Key, item) }
 
 // CompareAndSwap stores item only if its CAS matches the stored item's.
-func (s *Store) CompareAndSwap(item *Item) error { return s.apply(verbCAS, item) }
+func (s *Store) CompareAndSwap(item *Item) error { return apply(s, verbCAS, item.Key, item) }
 
 // Append appends value bytes to an existing item.
 func (s *Store) Append(key string, v blob.Blob) error {
-	return s.apply(verbAppend, &Item{Key: key, Value: v})
+	return apply(s, verbAppend, key, &Item{Value: v})
 }
 
 // Prepend prepends value bytes to an existing item.
 func (s *Store) Prepend(key string, v blob.Blob) error {
-	return s.apply(verbPrepend, &Item{Key: key, Value: v})
+	return apply(s, verbPrepend, key, &Item{Value: v})
 }
 
 // apply runs storage verb v — set, add, replace, cas, append or prepend —
-// for item. An append or prepend joins item.Value to the stored value and
+// for key and item; item.Key is not read. The key is held as a string or
+// lent as bytes — a simulated request's key list, a connection's buffer —
+// and the store copies it into its key pages, so the lend ends when apply
+// returns. An append or prepend joins item.Value to the stored value and
 // keeps the stored flags and expiry; the others store item whole. On
 // success item.CAS is the stored item's new CAS.
-func (s *Store) apply(v verb, item *Item) error {
-	if !validKey(item.Key) {
+func apply[K string | []byte](s *Store, v verb, key K, item *Item) error {
+	if !validKey(key) {
 		return ErrBadKey
 	}
 	join := v == verbAppend || v == verbPrepend
@@ -461,7 +476,7 @@ func (s *Store) apply(v verb, item *Item) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.CmdSet++
-	old, hash := findLocked(s, item.Key)
+	old, hash := findLocked(s, key)
 	if old != 0 && s.at(old).expired(s.Now()) {
 		s.stats.Expired++
 		s.removeLocked(old)
@@ -493,23 +508,24 @@ func (s *Store) apply(v verb, item *Item) error {
 		}
 		item.Flags, item.Expiration = e.flags, e.exp
 	}
-	return s.insertLocked(item, hash, old)
+	return insertLocked(s, key, item, hash, old)
 }
 
 // applyLent is apply for a value whose bytes the caller lends and reuses,
 // a connection's read buffer: a store that owns its value bytes copies them
 // into the item's chunk, and any other is handed a copy of its own.
-func (s *Store) applyLent(v verb, item *Item) error {
+func applyLent[K string | []byte](s *Store, v verb, key K, item *Item) error {
 	if s.mem == nil {
 		item.Value = blob.FromBytes(bytes.Clone(item.Value.Bytes()))
 	}
-	return s.apply(v, item)
+	return apply(s, v, key, item)
 }
 
-// insertLocked places item, whose key hashes to hash, in the table,
-// replacing entry old unless 0.
-func (s *Store) insertLocked(item *Item, hash uint32, old uint32) error {
-	size := itemSize(item.Key, item.Value)
+// insertLocked places key and item, the key hashing to hash, in the table,
+// replacing entry old unless 0. The key is copied into a slot of the key
+// pages.
+func insertLocked[K string | []byte](s *Store, key K, item *Item, hash uint32, old uint32) error {
+	size := itemSize(key, item.Value)
 	ci := s.classFor(size)
 	if ci < 0 {
 		return ErrTooLarge
@@ -527,11 +543,12 @@ func (s *Store) insertLocked(item *Item, hash uint32, old uint32) error {
 	i := s.entryLocked()
 	e := s.at(i)
 	b := s.bucket(hash)
-	e.hash, e.hnext, e.key, e.class = hash, *b, item.Key, int32(ci)
+	e.hash, e.hnext, e.class = hash, *b, int32(ci)
+	e.key, e.klen = putKey(&s.keys, key), uint32(len(key))
 	e.flags, e.value, e.exp, e.cas = item.Flags, item.Value, item.Expiration, s.cas
 	if s.mem != nil {
 		*s.mem.chunkOf(i) = off
-		chunk := s.mem.chunk(off, item.Value.Len())
+		chunk := s.mem.at(off, item.Value.Len())
 		copy(chunk, item.Value.Bytes())
 		e.value = blob.FromBytes(chunk)
 	}
@@ -557,13 +574,14 @@ func (s *Store) Get(key string) (*Item, error) {
 		return nil, ErrCacheMiss
 	}
 	hit := v // the heap copy is made here, so a miss allocates nothing
+	hit.Key = key
 	return &hit, nil
 }
 
 // viewLocked is the one read path: given the table entry for a key (0
 // when absent) it counts the get, lazily expires, touches the LRU and
-// returns a snapshot of the entry by value. The value of a store that owns
-// its bytes is copied out into scratch (see copyOut).
+// returns a snapshot of the entry by value, without its key. The value of
+// a store that owns its bytes is copied out into scratch (see copyOut).
 func (s *Store) viewLocked(i uint32, scratch *[]byte) (Item, bool) {
 	s.stats.CmdGet++
 	if i == 0 {
@@ -585,18 +603,18 @@ func (s *Store) viewLocked(i uint32, scratch *[]byte) (Item, bool) {
 	if s.mem != nil {
 		v = copyOut(v, scratch)
 	}
-	return Item{Key: e.key, Value: v, Flags: e.flags, Expiration: e.exp, CAS: e.cas}, true
+	return Item{Value: v, Flags: e.flags, Expiration: e.exp, CAS: e.cas}, true
 }
 
 // GetView is Get returning the entry by value: same lookup, same stats,
 // same LRU touch and lazy expiry, but the snapshot lands in the caller's
-// Item instead of a freshly allocated copy. The key is bytes the caller
-// lends — a simulated request's key list or the real daemon's wire buffer —
-// and the lookup compares in place, so a get builds no key string. A store
-// that owns its value bytes copies the value into *scratch, grown as
-// bodyBuffer grows a connection's, or into a buffer of its own when scratch
-// is nil; a store of blobs hands out the blob and leaves scratch alone. ok
-// is false on a miss.
+// Item instead of a freshly allocated copy, and has no Key: the caller
+// holds it already. The key is bytes the caller lends — a simulated
+// request's key list or the real daemon's wire buffer — and the lookup
+// compares in place, so a get builds no key string. A store that owns its
+// value bytes copies the value into *scratch, grown as bodyBuffer grows a
+// connection's, or into a buffer of its own when scratch is nil; a store of
+// blobs hands out the blob and leaves scratch alone. ok is false on a miss.
 func (s *Store) GetView(key []byte, scratch *[]byte) (Item, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -628,6 +646,11 @@ func deleteKey[K string | []byte](s *Store, key K) error {
 // IncrDecr adjusts a numeric ASCII value by delta (decr floors at 0, as in
 // memcached). It returns the new value.
 func (s *Store) IncrDecr(key string, delta uint64, incr bool) (uint64, error) {
+	return incrDecr(s, key, delta, incr)
+}
+
+// incrDecr is IncrDecr for a key held as a string or lent as bytes.
+func incrDecr[K string | []byte](s *Store, key K, delta uint64, incr bool) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, hash := findLocked(s, key)
@@ -652,15 +675,16 @@ func (s *Store) IncrDecr(key string, delta uint64, incr bool) (uint64, error) {
 		next = cur - delta
 	}
 	nv := blob.FromBytes(strconv.AppendUint(nil, next, 10))
-	item := &Item{Key: key, Value: nv, Flags: e.flags, Expiration: e.exp}
-	if err := s.insertLocked(item, hash, i); err != nil {
+	item := &Item{Value: nv, Flags: e.flags, Expiration: e.exp}
+	if err := insertLocked(s, key, item, hash, i); err != nil {
 		return 0, err
 	}
 	return next, nil
 }
 
 // FlushAll invalidates every item immediately and lets their entries, the
-// arenas and the grown table go. The slab pages stay with their classes.
+// arenas, the key pages and the grown table go. The slab pages stay with
+// their classes.
 func (s *Store) FlushAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -674,6 +698,7 @@ func (s *Store) flushLocked() {
 		}
 	}
 	s.buckets, s.arenas, s.free = make([]uint32, minBuckets), nil, 0
+	s.keys.reset()
 	if s.mem != nil {
 		s.mem.chunks = nil
 	}
@@ -753,7 +778,7 @@ func (s *Store) Keys() []string {
 	for _, i := range s.buckets {
 		for i != 0 {
 			e := s.at(i)
-			out = append(out, e.key)
+			out = append(out, string(s.keyOf(e)))
 			i = e.hnext
 		}
 	}

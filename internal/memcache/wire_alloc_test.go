@@ -96,19 +96,20 @@ func TestServerAllocContracts(t *testing.T) {
 		{"text gets hit", "gets " + key + "\r\n", ServeConn, 0},
 		{"text get miss", "get /bench/absent\r\n", ServeConn, 0},
 		{"text get hit via sniffing", "get " + key + "\r\n", ServeAutoConn, 0},
-		// The key string, what must outlive the request: the data block is
-		// read into the connection's kept buffer and copied into the chunk
-		// and the entry the replaced (or evicted) item gave up.
-		{"text set", "set /bench/file0000002:stat 3 0 100\r\n" + strings.Repeat("x", 100) + "\r\n", ServeConn, 1},
+		// Nothing: the key is copied out of the line into the connection's
+		// key buffer and the data block read into its kept buffer, then both
+		// are copied into the store's key pages and chunk, for the entry the
+		// replaced (or evicted) item gave up.
+		{"text set", "set /bench/file0000002:stat 3 0 100\r\n" + strings.Repeat("x", 100) + "\r\n", ServeConn, 0},
 		{"text pipelined batch", strings.Repeat("get "+key+" /bench/absent\r\n", 8), ServeConn, 0},
 		{"binary get hit", binGet(binOpGet), ServeBinaryConn, 0},
 		{"binary getk hit via sniffing", binGet(binOpGetK), ServeAutoConn, 0},
-		// As for text: the key string. The body is read into the
-		// connection's kept buffer...
-		{"binary set", binReq(binOpSet, "/bench/file0000002:stat", 8, 100), ServeBinaryConn, 1},
+		// As for text: nothing. The body is read into the connection's kept
+		// buffer, and the key and value are copied from there...
+		{"binary set", binReq(binOpSet, "/bench/file0000002:stat", 8, 100), ServeBinaryConn, 0},
 		// ...unless it is larger than the buffer may grow, when it is read
 		// into one of its own.
-		{"binary set of a 100 KB value", binReq(binOpSet, "/bench/file0000002:stat", 8, 100<<10), ServeBinaryConn, 2},
+		{"binary set of a 100 KB value", binReq(binOpSet, "/bench/file0000002:stat", 8, 100<<10), ServeBinaryConn, 1},
 	} {
 		// The daemon's store.
 		if got := serveAllocs(t, allocStore(t, newOwningStore), tc.req, tc.serve); got > tc.max {

@@ -36,7 +36,8 @@ const (
 // intrusive LRU ring. Evicted and invalidated pages, and the chunks and
 // files they leave empty, go onto free lists the next insert draws from, so
 // a cache running at capacity — the steady state of every streaming
-// workload — inserts without allocating.
+// workload — inserts without allocating; and a filling cache cuts its pages
+// and chunks from arenas, an allocation per arena, not per node.
 type page struct {
 	idx        int64
 	chunk      *chunk
@@ -74,6 +75,8 @@ type Cache struct {
 	freePages  sim.Free[page]
 	freeChunks sim.Free[chunk]
 	freeFiles  sim.Free[file]
+	pageArena  arena[page]
+	chunkArena arena[chunk]
 
 	Hits, Misses, Evictions uint64
 
@@ -119,6 +122,32 @@ func (c *Cache) touch(pg *page) {
 	}
 }
 
+// Arena sizes: each arena a cache cuts nodes from doubles the last, from
+// minArena to maxArena nodes (32 KB of pages, 80 KB of chunks).
+const (
+	minArena = 4
+	maxArena = 1024
+)
+
+// arena is the rest of the newest arena a cache cuts nodes of one type from
+// when their free list is empty. A node, once cut, is recycled through the
+// free list and never returned, so an arena lives until Clear drops it.
+type arena[T any] struct {
+	rest []T
+	size int // the newest arena's
+}
+
+// cut returns a zeroed node, refilling the arena first if it is used up.
+func (a *arena[T]) cut() *T {
+	if len(a.rest) == 0 {
+		a.size = min(max(2*a.size, minArena), maxArena)
+		a.rest = make([]T, a.size)
+	}
+	x := &a.rest[0]
+	a.rest = a.rest[1:]
+	return x
+}
+
 // chunkOf returns the chunk holding page idx of ino: nil if none of its
 // pages is resident, unless create says to make it (and the file). A
 // sequential scan stays on the file's last chunk and hashes only the inode.
@@ -140,7 +169,7 @@ func (c *Cache) chunkOf(ino uint64, idx int64, create bool) *chunk {
 				return nil
 			}
 			if ch = c.freeChunks.Pop(); ch == nil {
-				ch = new(chunk)
+				ch = c.chunkArena.cut()
 			}
 			ch.file, ch.num = f, num
 			// A recycled file keeps its emptied map, so the map can be
@@ -245,7 +274,7 @@ func (c *Cache) Insert(ino uint64, off, size int64) {
 		// recycled the very chunk (or file) idx belongs to.
 		pg, ch := c.freePages.Pop(), c.chunkOf(ino, idx, true)
 		if pg == nil {
-			pg = new(page)
+			pg = c.pageArena.cut()
 		}
 		pg.idx, pg.chunk = idx, ch
 		ch.slots[idx&(chunkPages-1)] = pg
@@ -337,6 +366,7 @@ func (c *Cache) Clear() {
 	c.root.prev, c.root.next = &c.root, &c.root
 	c.files = make(map[uint64]*file)
 	c.freePages, c.freeChunks, c.freeFiles = nil, nil, nil
+	c.pageArena, c.chunkArena = arena[page]{}, arena[chunk]{}
 	c.used = 0
 }
 

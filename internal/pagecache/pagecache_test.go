@@ -596,3 +596,27 @@ func TestOnRemoveReportsEachPageOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestFillAllocations: a cache filling up cuts its pages and chunks from
+// arenas that double up to maxArena nodes, so filling an empty cache costs
+// a handful of allocations per arena and per doubling of the file's chunk
+// map, not one per page and per chunk. The fill streams a file of as many
+// pages as the cache holds, a sequential scan's first pass.
+func TestFillAllocations(t *testing.T) {
+	const pageSize, capPages = 4096, 4096
+	var c *Cache
+	fill := func() {
+		c = New(capPages*pageSize, pageSize)
+		for i := int64(0); i < capPages; i++ {
+			c.Insert(1, i*pageSize, pageSize)
+		}
+	}
+	avg := testing.AllocsPerRun(5, fill)
+	if c.Len() != capPages || c.Evictions != 0 {
+		t.Fatalf("cache holds %d pages after %d evictions; want it just full", c.Len(), c.Evictions)
+	}
+	t.Logf("filling %d pages: %.0f allocations", capPages, avg)
+	if avg > capPages/64 {
+		t.Errorf("filling an empty cache with %d pages allocated %.0f times, want at most %d (1 per 64 pages)", capPages, avg, capPages/64)
+	}
+}

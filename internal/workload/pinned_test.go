@@ -140,6 +140,10 @@ func TestDriversPinned(t *testing.T) {
 		{"mdtest", func(d pinDeployment) string {
 			return fmt.Sprintf("%+v", MDTest(d.env, d.mounts, MDTestOptions{Dir: "/md", FilesPerClient: 8}))
 		}},
+		{"statbench", func(d pinDeployment) string {
+			CreateFiles(d.env, d.mounts[0], "/st", 32)
+			return fmt.Sprintf("%d", int64(StatBench(d.env, d.mounts, "/st", 32)))
+		}},
 		{"smallfiles-keep", func(d pinDeployment) string {
 			return fmt.Sprintf("AvgAccess=%d", SmallFiles(d.env, d.mounts, SmallFilesOptions{
 				Dir: "/sf", Files: 16, FileSize: 4096, Accesses: 32, Seed: 3,
@@ -193,6 +197,9 @@ var pinnedResults = map[string]string{
 	"mdtest/imca4":              "{CreatePerSec:2332.914137824193 StatPerSec:33813.993974240606 UnlinkPerSec:9026.599696819083} events=4239",
 	"mdtest/lustre2":            "{CreatePerSec:17850.44893879081 StatPerSec:17856.823985285977 UnlinkPerSec:17992.87257335188} events=873",
 	"mdtest/nfs2":               "{CreatePerSec:1721.2796423180903 StatPerSec:20618.131584915773 UnlinkPerSec:12351.301904416361} events=892",
+	"statbench/imca4":           "3781569 events=3278",
+	"statbench/lustre2":         "3580849 events=1285",
+	"statbench/nfs2":            "3100849 events=1317",
 	"smallfiles-keep/imca4":     "AvgAccess=508062 events=8319",
 	"smallfiles-keep/lustre2":   "AvgAccess=118294 events=1731",
 	"smallfiles-keep/nfs2":      "AvgAccess=164172 events=1622",

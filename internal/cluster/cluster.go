@@ -167,7 +167,7 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 		arr := disk.NewHighPoint(env, disk.HighPointDisks)
 		px := gluster.NewPosix(env, gluster.PosixConfig{Dev: arr, CacheBytes: opts.ServerCacheBytes})
 		brick := &Brick{Node: srvNode, Array: arr, Posix: px}
-		var serverChild gluster.FS = px
+		var serverChild gluster.TaskFS = px
 		if opts.MCDs > 0 {
 			brick.SMCache = core.NewSMCache(env, px, bankClient(srvNode), imcaCfg)
 			serverChild = brick.SMCache
@@ -181,12 +181,12 @@ func NewOn(env *sim.Env, net *fabric.Network, opts Options) *Cluster {
 
 	for i := 0; i < opts.Clients; i++ {
 		node := net.NewNode(fmt.Sprintf("client%d", i), 8)
-		var stack gluster.FS
+		var stack gluster.TaskFS
 		var dht *gluster.Distribute
 		if opts.Bricks == 1 {
 			stack = gluster.NewClient(node, c.Bricks[0].Node)
 		} else {
-			subs := make([]gluster.FS, opts.Bricks)
+			subs := make([]gluster.TaskFS, opts.Bricks)
 			for b, brick := range c.Bricks {
 				subs[b] = gluster.NewClient(node, brick.Node)
 			}

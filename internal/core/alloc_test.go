@@ -86,7 +86,7 @@ func TestReadTBankHitAllocations(t *testing.T) {
 				for _, entry := range []struct {
 					name string
 					fs   gluster.TaskFS
-				}{{"CMCache.ReadT", r.cmcache}, {"Fuse.ReadT", gluster.Lift(r.client)}} {
+				}{{"CMCache.ReadT", r.cmcache}, {"Fuse.ReadT", r.client}} {
 					reads := 0
 					k := func(got blob.Blob, err error) {
 						if err != nil || got.Len() != tc.size {
@@ -333,7 +333,7 @@ func TestWriteTAllocations(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						r := mode.rig(t)
 						fd := r.writtenFile(t, "/alloc/w", blob.Synthetic(3, 0, writesPerRun*blocks*bs))
-						top, ct := gluster.Lift(r.client), r.env.ContextTask("writer")
+						top, ct := r.client, r.env.ContextTask("writer")
 						write := func(i int, k func(int64, error)) {
 							off := int64(i) * blocks * bs
 							top.WriteT(ct, fd, off, blob.Synthetic(3, off, blocks*bs), k)
@@ -403,7 +403,7 @@ func TestThreadedWriteBackOutlivesItsWrite(t *testing.T) {
 	ref.write(0, seed.Bytes())
 	r.env.Run() // let the setup write's helper finish
 
-	top, ct := gluster.Lift(r.client), r.env.ContextTask("writer")
+	top, ct := r.client, r.env.ContextTask("writer")
 	first, second := blob.Synthetic(6, 3*bs, 512*bs), blob.Synthetic(7, 10*bs+100, 9*bs)
 	pushesAtClose := uint64(0) // blocks landed when the close is issued
 	top.WriteT(ct, fd, 3*bs, first, func(_ int64, err error) {
@@ -579,7 +579,7 @@ type metaRig struct {
 
 func newMetaRig(t *testing.T, cfg Config, n int) *metaRig {
 	r := newRig(t, 2, cfg)
-	m := &metaRig{rig: r, top: gluster.Lift(r.client), ct: r.env.ContextTask("meta"), t: t}
+	m := &metaRig{rig: r, top: r.client, ct: r.env.ContextTask("meta"), t: t}
 	for i := 0; i < n; i++ {
 		m.paths = append(m.paths, fmt.Sprintf("/meta/f%06d", i))
 	}

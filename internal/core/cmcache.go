@@ -60,12 +60,12 @@ var _ gluster.TaskFS = (*CMCache)(nil)
 
 // NewCMCache wraps child with the client translator using the given MCD
 // bank client. It panics on a block size CheckBlockSize refuses.
-func NewCMCache(child gluster.FS, mcd *memcache.SimClient, cfg Config) *CMCache {
+func NewCMCache(child gluster.TaskFS, mcd *memcache.SimClient, cfg Config) *CMCache {
 	if err := CheckBlockSize(cfg.BlockSize); err != nil {
 		panic(err)
 	}
 	c := &CMCache{
-		child:   gluster.Lift(child),
+		child:   child,
 		mcd:     mcd,
 		cfg:     cfg,
 		fdPaths: make(map[gluster.FD]string),
@@ -75,10 +75,6 @@ func NewCMCache(child gluster.FS, mcd *memcache.SimClient, cfg Config) *CMCache 
 	c.Blocking = gluster.NewBlocking(c)
 	return c
 }
-
-// TaskReady implements gluster.TaskFS: the translator is task-capable when
-// the wrapped protocol stack is (the bank client always is).
-func (c *CMCache) TaskReady() bool { return c.child.TaskReady() }
 
 // Bank returns the MCD bank client (for stats inspection).
 func (c *CMCache) Bank() *memcache.SimClient { return c.mcd }

@@ -25,7 +25,7 @@ type rig struct {
 	posix   *gluster.Posix
 	smcache *SMCache
 	cmcache *CMCache
-	client  gluster.FS // full stack with fuse on top
+	client  gluster.TaskFS // full stack with fuse on top
 	mcds    []*memcache.SimServer
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"imca/internal/blob"
 	"imca/internal/gluster"
 	"imca/internal/memcache"
@@ -57,19 +55,13 @@ var _ gluster.TaskFS = (*SMCache)(nil)
 // on the server's own node — its traffic models the extra server-side load
 // the paper attributes to IMCa. It panics on a block size CheckBlockSize
 // refuses.
-func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Config) *SMCache {
+func NewSMCache(env *sim.Env, child gluster.TaskFS, mcd *memcache.SimClient, cfg Config) *SMCache {
 	if err := CheckBlockSize(cfg.BlockSize); err != nil {
 		panic(err)
 	}
-	// The translator runs on the brick daemon's request task and on helper
-	// tasks of its own, so the storage stack must be continuation-style.
-	tfs := gluster.AsTaskFS(child)
-	if tfs == nil {
-		panic(fmt.Sprintf("core: NewSMCache: child %T is not task-ready", child))
-	}
 	s := &SMCache{
 		env:     env,
-		child:   tfs,
+		child:   child,
 		mcd:     mcd,
 		cfg:     cfg,
 		fdPaths: make(map[gluster.FD]string),
@@ -84,10 +76,6 @@ func NewSMCache(env *sim.Env, child gluster.FS, mcd *memcache.SimClient, cfg Con
 	s.Blocking = gluster.NewBlocking(s)
 	return s
 }
-
-// TaskReady implements gluster.TaskFS: NewSMCache accepts only a task-ready
-// storage stack, and the MCD bank client always is.
-func (s *SMCache) TaskReady() bool { return true }
 
 // Bank returns the MCD bank client (for stats inspection).
 func (s *SMCache) Bank() *memcache.SimClient { return s.mcd }

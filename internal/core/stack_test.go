@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"imca/internal/blob"
@@ -11,41 +9,21 @@ import (
 	"imca/internal/sim"
 )
 
-// procOnly hides any TaskFS implementation behind the ten blocking FS
-// methods — the shape of the tree's blocking-only file systems (the Lustre
-// and NFS clients, fault.Oracle, iotrace.Recorder).
-type procOnly struct{ gluster.FS }
-
-// newLiftedMount builds a second mount on the rig's client node with a
-// blocking-only layer between CMCache and the protocol client and another
-// above Fuse: Lift(procOnly(fuse(cmcache(procOnly(protocol))))). Nothing in
-// it is task-ready, so every operation nests Await → Block → Await twice
-// over: the caller awaits the top shim's *T, which blocks into Fuse's
-// blocking method, which awaits Fuse's and CMCache's *T, which blocks into
-// the protocol client's blocking method, which awaits its *T.
-func newLiftedMount(t *testing.T, r *rig, cfg Config) (gluster.FS, *CMCache) {
-	t.Helper()
+// newMount builds a second mount on the rig's client node: Fuse over
+// CMCache over the protocol client, the stack the rig's own mount is.
+func newMount(r *rig, cfg Config) (gluster.FS, *CMCache) {
 	node := r.net.Node("client0")
-	below := procOnly{gluster.NewClient(node, r.net.Node("server"))}
-	cm := NewCMCache(below, memcache.NewSimClient(node, r.mcds), cfg)
-	fuse := gluster.NewFuse(node, cm)
-	top := gluster.Lift(procOnly{fuse})
-	if cm.TaskReady() || fuse.TaskReady() || top.TaskReady() || gluster.AsTaskFS(fuse) != nil {
-		t.Fatal("a stack over a blocking-only layer must not report task-ready")
-	}
-	b := gluster.NewBlocking(top)
-	return &b, cm
+	cm := NewCMCache(gluster.NewClient(node, r.net.Node("server")), memcache.NewSimClient(node, r.mcds), cfg)
+	return gluster.NewFuse(node, cm), cm
 }
 
-// TestFullTranslatorStackComposition puts a blocking-only layer above and
-// below the task-style client translators, against a server running
-// SMCache over Posix, and checks data integrity under a mixed workload:
-// the translator architecture composes whichever style each layer is
-// written in.
+// TestFullTranslatorStackComposition runs the whole client translator
+// stack against a server running SMCache over Posix, and checks data
+// integrity under a mixed workload.
 func TestFullTranslatorStackComposition(t *testing.T) {
 	cfg := Config{BlockSize: 2048}
 	r := newRig(t, 2, cfg)
-	full, cm := newLiftedMount(t, r, cfg)
+	full, cm := newMount(r, cfg)
 
 	ref := &refFile{}
 	rng := newRand(2024)
@@ -94,23 +72,23 @@ func TestFullTranslatorStackComposition(t *testing.T) {
 		}
 	})
 	if cm.Stats.ReadHits == 0 || cm.Stats.StatHits == 0 {
-		t.Errorf("bank not consulted through the lifted stack: %+v", cm.Stats)
+		t.Errorf("bank not consulted through the stack: %+v", cm.Stats)
 	}
 }
 
 // TestStackedStatStaysCoherent checks the stat path through the same
-// stack: the structure comes back through two Block hand-offs as the
-// caller's own copy, and a write through another mount is seen at once.
+// stack: a blocking Stat returns the caller's own copy of the structure
+// the bank hit lent, and a write through another mount is seen at once.
 func TestStackedStatStaysCoherent(t *testing.T) {
 	cfg := Config{BlockSize: 2048}
 	r := newRig(t, 1, cfg)
-	full, cm := newLiftedMount(t, r, cfg)
+	full, cm := newMount(r, cfg)
 	r.run(t, func(p *sim.Proc) {
 		fd, _ := full.Create(p, "/sc/f")
 		full.Write(p, fd, 0, blob.Synthetic(1, 0, 5000))
 		first, err := full.Stat(p, "/sc/f")
 		if err != nil || first.Size != 5000 {
-			t.Fatalf("stat through the lifted stack = %+v, %v", first, err)
+			t.Fatalf("stat through the stack = %+v, %v", first, err)
 		}
 		other, err := r.client.Open(p, "/sc/f")
 		if err != nil {
@@ -129,33 +107,5 @@ func TestStackedStatStaysCoherent(t *testing.T) {
 	})
 	if cm.Stats.StatHits != 2 {
 		t.Errorf("stat hits = %d, want 2 (both served from the bank)", cm.Stats.StatHits)
-	}
-}
-
-// TestBrickRejectsBlockingChild: the brick side is task-native by
-// construction — the daemon serves on the fabric frame's task and SMCache
-// runs helpers as tasks — so both constructors refuse a storage stack that
-// needs a process to block on, naming it.
-func TestBrickRejectsBlockingChild(t *testing.T) {
-	r := newRig(t, 1, Config{BlockSize: 2048})
-	node := r.net.Node("server")
-	for _, c := range []struct {
-		name  string
-		build func(child gluster.FS)
-	}{
-		{"NewServer", func(child gluster.FS) { gluster.NewServer(node, child) }},
-		{"NewSMCache", func(child gluster.FS) {
-			NewSMCache(r.env, child, memcache.NewSimClient(node, r.mcds), Config{BlockSize: 2048})
-		}},
-	} {
-		func() {
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, c.name) || !strings.Contains(msg, "core.procOnly") {
-					t.Errorf("%s over a blocking-only child: panic %q, want one naming %s and core.procOnly", c.name, msg, c.name)
-				}
-			}()
-			c.build(procOnly{r.posix})
-		}()
 	}
 }

@@ -37,12 +37,8 @@ const (
 )
 
 // Device is anything that can serve byte-addressed accesses in virtual
-// time. The access path is written once, in continuation style; the
-// blocking Access is derived from AccessT (see access).
+// time, in continuation style.
 type Device interface {
-	// Access performs a read or write of size bytes at addr, blocking p
-	// for the simulated duration.
-	Access(p *sim.Proc, addr, size int64, write bool)
 	// AccessT performs a read or write of size bytes at addr and runs k
 	// when the simulated transfer completes.
 	AccessT(t *sim.Task, addr, size int64, write bool, k func())
@@ -52,11 +48,6 @@ var (
 	_ Device = (*Disk)(nil)
 	_ Device = (*Array)(nil)
 )
-
-// access is the blocking face of a Device: the process awaits AccessT.
-func access(p *sim.Proc, dev Device, addr, size int64, write bool) {
-	p.Await(func(t *sim.Task) { dev.AccessT(t, addr, size, write, t.End) })
-}
 
 // Disk is a single spindle. Concurrent requests queue FIFO at the arm.
 type Disk struct {
@@ -86,9 +77,6 @@ func New(env *sim.Env, params Params) *Disk {
 	}
 	return &Disk{env: env, params: params, arm: sim.NewResource(env, 1), lastEnd: -1}
 }
-
-// Access implements Device.
-func (d *Disk) Access(p *sim.Proc, addr, size int64, write bool) { access(p, d, addr, size, write) }
 
 // AccessT implements Device: requests queue FIFO at the arm, pay a
 // seek unless they continue the previous access, then transfer.
@@ -232,9 +220,6 @@ func (a *Array) chunkAt(addr, size int64) chunk {
 		size:   min(a.stripeSize-within, size),
 	}
 }
-
-// Access implements Device.
-func (a *Array) Access(p *sim.Proc, addr, size int64, write bool) { access(p, a, addr, size, write) }
 
 // AccessT implements Device, striping the request across members. A
 // request within one stripe is that member's access; a longer one runs

@@ -8,6 +8,11 @@ import (
 	"imca/internal/sim"
 )
 
+// awaitAccess is a blocking access for a test's process: p awaits AccessT.
+func awaitAccess(p *sim.Proc, dev Device, addr, size int64, write bool) {
+	p.Await(func(t *sim.Task) { dev.AccessT(t, addr, size, write, t.End) })
+}
+
 func run(fn func(p *sim.Proc)) sim.Time {
 	env := sim.NewEnv()
 	env.Process("t", fn)
@@ -18,8 +23,8 @@ func TestSequentialAccessPaysOneSeek(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, Params{SeekTime: 10 * time.Millisecond, TransferRate: 100e6})
 	env.Process("t", func(p *sim.Proc) {
-		d.Access(p, 0, 1e6, false)
-		d.Access(p, 1e6, 1e6, false) // continues previous: no seek
+		awaitAccess(p, d, 0, 1e6, false)
+		awaitAccess(p, d, 1e6, 1e6, false) // continues previous: no seek
 	})
 	env.Run()
 	if d.Seeks != 1 {
@@ -37,7 +42,7 @@ func TestRandomAccessPaysSeekEachTime(t *testing.T) {
 	d := New(env, Params{SeekTime: 5 * time.Millisecond, TransferRate: 100e6})
 	env.Process("t", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			d.Access(p, int64(i)*1e9, 4096, false) // far apart
+			awaitAccess(p, d, int64(i)*1e9, 4096, false) // far apart
 		}
 	})
 	env.Run()
@@ -58,7 +63,7 @@ func TestInterleavedStreamsDegrade(t *testing.T) {
 			base := int64(s) * 1e10
 			env.Process("s", func(p *sim.Proc) {
 				for i := int64(0); i < per; i++ {
-					d.Access(p, base+i*1e6, 1e6, false)
+					awaitAccess(p, d, base+i*1e6, 1e6, false)
 				}
 			})
 		}
@@ -80,7 +85,7 @@ func TestDiskArmSerializes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		env.Process("t", func(p *sim.Proc) {
-			d.Access(p, int64(i)*1e8, 1e6, false)
+			awaitAccess(p, d, int64(i)*1e8, 1e6, false)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -94,8 +99,8 @@ func TestWriteAccounting(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, HighPoint2008)
 	env.Process("t", func(p *sim.Proc) {
-		d.Access(p, 0, 1000, true)
-		d.Access(p, 1000, 500, false)
+		awaitAccess(p, d, 0, 1000, true)
+		awaitAccess(p, d, 1000, 500, false)
 	})
 	env.Run()
 	if d.Writes != 1 || d.BytesWritten != 1000 {
@@ -156,7 +161,7 @@ func TestArrayParallelSpeedup(t *testing.T) {
 		env := sim.NewEnv()
 		a := NewArray(env, n, 64<<10, Params{SeekTime: time.Millisecond, TransferRate: 100e6})
 		env.Process("t", func(p *sim.Proc) {
-			a.Access(p, 0, 64<<20, false)
+			awaitAccess(p, a, 0, 64<<20, false)
 		})
 		return sim.Duration(env.Run())
 	}
@@ -172,7 +177,7 @@ func TestArraySmallRequestSingleDisk(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 8, 64<<10, HighPoint2008)
 	env.Process("t", func(p *sim.Proc) {
-		a.Access(p, 0, 4096, false)
+		awaitAccess(p, a, 0, 4096, false)
 	})
 	env.Run()
 	if a.disks[0].Reads != 1 {
@@ -191,7 +196,7 @@ func TestArrayCoalescesSequentialChunks(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 2, 64<<10, Params{SeekTime: time.Millisecond, TransferRate: 100e6})
 	env.Process("t", func(p *sim.Proc) {
-		a.Access(p, 0, 1<<20, false)
+		awaitAccess(p, a, 0, 1<<20, false)
 	})
 	env.Run()
 	for i, d := range a.disks {
@@ -205,7 +210,7 @@ func TestZeroSizeAccessIsFree(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 2, 1024, HighPoint2008)
 	env.Process("t", func(p *sim.Proc) {
-		a.Access(p, 0, 0, false)
+		awaitAccess(p, a, 0, 0, false)
 		if p.Now() != 0 {
 			t.Error("zero-size access advanced time")
 		}
@@ -249,7 +254,7 @@ func TestArrayOverlappingRequestsOrder(t *testing.T) {
 		if r.process {
 			env.Process("p", func(p *sim.Proc) {
 				p.Sleep(r.start)
-				a.Access(p, r.addr, r.size, r.write)
+				awaitAccess(p, a, r.addr, r.size, r.write)
 				done[i] = p.Now()
 			})
 			continue

@@ -9,8 +9,7 @@
 // speed, and it is what saturates a single server as client counts grow.
 //
 // Services register per-node request handlers; CallT performs an RPC in
-// virtual time and hands the result to a continuation, and Call is the same
-// RPC for a blocking process.
+// virtual time and hands the result to a continuation.
 package fabric
 
 import (
@@ -67,37 +66,28 @@ type Msg interface {
 	WireSize() int64
 }
 
-// Handler serves one request on the destination node; it runs in its own
-// simulated process and may block (CPU, disk, nested Calls). It is the
-// shape for services written as ordinary blocking code (Lustre, NFS).
-type Handler func(p *sim.Proc, from *Node, req Msg) Msg
-
-// HandlerT is a task-native service handler: it runs in scheduler context
-// on the destination node, advances through the kernel's *T primitives
-// instead of blocking, and delivers its response by calling respond
-// exactly once. The RPC's serve side is then plain heap events, with no
-// process per request; its dispatch costs the one scheduled event a
-// Handler's process start does.
+// HandlerT is a service handler: it runs in scheduler context on the
+// destination node, advances through the kernel's *T primitives, and
+// delivers its response by calling respond exactly once. The RPC's serve
+// side is plain heap events, with no process per request; its dispatch
+// costs one scheduled event.
 type HandlerT func(t *sim.Task, from *Node, req Msg, respond func(Msg))
 
 // Recyclable is implemented by pooled messages. After CallT delivers a
 // response and the caller's continuation returns, the fabric recycles a
 // Recyclable response; a Recyclable request is recycled when the call's
 // frame retires (both the caller's continuation and the far side are done
-// with it). Blocking Call refuses a Recyclable response: its result
-// escapes to the caller.
+// with it). A continuation that keeps a Recyclable response's contents
+// copies them before it returns.
 type Recyclable interface {
 	Recycle()
 }
 
-// service is a registered handler plus its interned names — op is the bare
-// service name (span label), name the "node/service" process name — both
-// resolved once at registration instead of per call.
+// service is a registered handler plus its name (the span label), resolved
+// once at registration instead of per call.
 type service struct {
-	h    Handler
-	ht   HandlerT
-	op   string
-	name string
+	handler HandlerT
+	op      string
 }
 
 // Network is a set of nodes joined by one transport through a non-blocking
@@ -107,7 +97,7 @@ type Network struct {
 	transport Transport
 	nodes     map[string]*Node
 	// faults is nil until a fault API (CutLink, DegradeLink, ...) is first
-	// used; see fault.go. Call's hot path pays one nil check for it.
+	// used; see fault.go. CallT's hot path pays one nil check for it.
 	faults *netFaults
 }
 
@@ -146,7 +136,7 @@ type Node struct {
 	UnreachableCalls int64
 
 	// rtt, when registered, records the full round-trip of every
-	// successful Call/CallT from this node — request serialization,
+	// successful CallT from this node — request serialization,
 	// service, response — as a latency distribution. Nil (a no-op) until
 	// Register runs.
 	rtt *metrics.Histogram
@@ -180,27 +170,13 @@ func (nd *Node) Network() *Network { return nd.net }
 
 func (nd *Node) String() string { return "node " + nd.name }
 
-// Handle registers a blocking (process-backed) service handler on the node.
-func (nd *Node) Handle(name string, h Handler) {
-	nd.register(name).h = h
-}
-
-// HandleT registers a task-native service handler on the node; see
-// HandlerT. A service is one or the other, never both.
-func (nd *Node) HandleT(name string, ht HandlerT) {
-	nd.register(name).ht = ht
-}
-
-// register interns the service entry — including its "node/service"
-// process name, so the RPC hot path never concatenates a string per call —
-// and panics on duplicate registration.
-func (nd *Node) register(name string) *service {
+// HandleT registers a service handler on the node; see HandlerT. It panics
+// on duplicate registration.
+func (nd *Node) HandleT(name string, h HandlerT) {
 	if _, dup := nd.services[name]; dup {
 		panic(fmt.Sprintf("fabric: duplicate service %q on %s", name, nd.name))
 	}
-	svc := &service{op: name, name: nd.name + "/" + name}
-	nd.services[name] = svc
-	return svc
+	nd.services[name] = &service{handler: h, op: name}
 }
 
 // Binding is a pre-resolved (caller, destination, service) route: the
@@ -265,25 +241,6 @@ func (nd *Node) CallT(t *sim.Task, dst *Node, service string, req Msg, k func(Ms
 // the frame.
 func (b *Binding) CallT(t *sim.Task, req Msg, k func(Msg, error)) {
 	callT(b.nd, b.dst, b.svc, t, req, k)
-}
-
-// Call is CallT for a blocking caller: p awaits the RPC and receives its
-// result. The response must be the caller's to keep, so a Recyclable
-// (pooled) response is refused with a panic rather than handed back and
-// recycled under the caller: services with pooled replies are reached
-// through CallT, whose continuation copies what it keeps.
-func (nd *Node) Call(p *sim.Proc, dst *Node, service string, req Msg) (resp Msg, err error) {
-	svc := nd.resolve(dst, service)
-	p.Await(func(t *sim.Task) {
-		callT(nd, dst, svc, t, req, func(m Msg, e error) {
-			if _, pooled := m.(Recyclable); pooled {
-				panic(fmt.Sprintf("fabric: blocking Call to %s got a pooled %T; use CallT", svc.name, m))
-			}
-			resp, err = m, e
-			t.End()
-		})
-	})
-	return resp, err
 }
 
 // Bytes is a convenience Msg for raw payloads of a given size.

@@ -7,8 +7,19 @@ import (
 	"imca/internal/sim"
 )
 
-// echo returns the request payload size as the response.
-func echo(p *sim.Proc, from *Node, req Msg) Msg { return req }
+// echo returns the request as the response.
+func echo(_ *sim.Task, _ *Node, req Msg, respond func(Msg)) { respond(req) }
+
+// call is a blocking RPC for a test's process: p awaits CallT's result.
+func call(p *sim.Proc, from, to *Node, service string, req Msg) (resp Msg, err error) {
+	p.Await(func(t *sim.Task) {
+		from.CallT(t, to, service, req, func(m Msg, e error) {
+			resp, err = m, e
+			t.End()
+		})
+	})
+	return resp, err
+}
 
 func newPair(t *testing.T, tr Transport) (*sim.Env, *Node, *Node) {
 	t.Helper()
@@ -16,7 +27,7 @@ func newPair(t *testing.T, tr Transport) (*sim.Env, *Node, *Node) {
 	net := NewNetwork(env, tr)
 	a := net.NewNode("a", 8)
 	b := net.NewNode("b", 8)
-	b.Handle("echo", echo)
+	b.HandleT("echo", echo)
 	return env, a, b
 }
 
@@ -28,7 +39,7 @@ func TestCallRoundTripLatency(t *testing.T) {
 	var rtt sim.Duration
 	env.Process("client", func(p *sim.Proc) {
 		start := p.Now()
-		a.Call(p, b, "echo", Bytes(0))
+		call(p, a, b, "echo", Bytes(0))
 		rtt = p.Now().Sub(start)
 	})
 	env.Run()
@@ -47,7 +58,7 @@ func TestTransportOrdering(t *testing.T) {
 		env, a, b := newPair(t, tr)
 		env.Process("client", func(p *sim.Proc) {
 			start := p.Now()
-			a.Call(p, b, "echo", Bytes(16))
+			call(p, a, b, "echo", Bytes(16))
 			rtts = append(rtts, p.Now().Sub(start))
 		})
 		env.Run()
@@ -63,7 +74,7 @@ func TestLargeTransferBandwidthBound(t *testing.T) {
 	var elapsed sim.Duration
 	env.Process("client", func(p *sim.Proc) {
 		start := p.Now()
-		a.Call(p, b, "echo", Bytes(10e6))
+		call(p, a, b, "echo", Bytes(10e6))
 		elapsed = p.Now().Sub(start)
 	})
 	env.Run()
@@ -79,12 +90,12 @@ func TestServerRxSerializesConcurrentSenders(t *testing.T) {
 	env := sim.NewEnv()
 	net := NewNetwork(env, GigE)
 	srv := net.NewNode("srv", 8)
-	srv.Handle("echo", func(p *sim.Proc, from *Node, req Msg) Msg { return Bytes(0) })
+	srv.HandleT("echo", func(_ *sim.Task, _ *Node, _ Msg, respond func(Msg)) { respond(Bytes(0)) })
 	var finish []sim.Time
 	for i := 0; i < 2; i++ {
 		c := net.NewNode("c"+string(rune('0'+i)), 8)
 		env.Process("client", func(p *sim.Proc) {
-			c.Call(p, srv, "echo", Bytes(5e6))
+			call(p, c, srv, "echo", Bytes(5e6))
 			finish = append(finish, p.Now())
 		})
 	}
@@ -104,14 +115,13 @@ func TestHandlerRunsOnServerAndCanSleep(t *testing.T) {
 	net := NewNetwork(env, RDMA)
 	a := net.NewNode("a", 8)
 	b := net.NewNode("b", 8)
-	b.Handle("slow", func(p *sim.Proc, from *Node, req Msg) Msg {
-		p.Sleep(time.Millisecond) // e.g. disk access
-		return Bytes(0)
+	b.HandleT("slow", func(tk *sim.Task, _ *Node, _ Msg, respond func(Msg)) {
+		tk.Sleep(time.Millisecond, func() { respond(Bytes(0)) }) // e.g. disk access
 	})
 	var rtt sim.Duration
 	env.Process("client", func(p *sim.Proc) {
 		start := p.Now()
-		a.Call(p, b, "slow", Bytes(0))
+		call(p, a, b, "slow", Bytes(0))
 		rtt = p.Now().Sub(start)
 	})
 	env.Run()
@@ -127,18 +137,17 @@ func TestNestedCalls(t *testing.T) {
 	a := net.NewNode("a", 8)
 	b := net.NewNode("b", 8)
 	c := net.NewNode("c", 8)
-	c.Handle("leaf", echo)
-	b.Handle("mid", func(p *sim.Proc, from *Node, req Msg) Msg {
-		resp, _ := b.Call(p, c, "leaf", req)
-		return resp
+	c.HandleT("leaf", echo)
+	b.HandleT("mid", func(tk *sim.Task, _ *Node, req Msg, respond func(Msg)) {
+		b.CallT(tk, c, "leaf", req, func(m Msg, _ error) { respond(m) })
 	})
 	var direct, nested sim.Duration
 	env.Process("client", func(p *sim.Proc) {
 		s := p.Now()
-		a.Call(p, c, "leaf", Bytes(8))
+		call(p, a, c, "leaf", Bytes(8))
 		direct = p.Now().Sub(s)
 		s = p.Now()
-		a.Call(p, b, "mid", Bytes(8))
+		call(p, a, b, "mid", Bytes(8))
 		nested = p.Now().Sub(s)
 	})
 	env.Run()
@@ -150,7 +159,7 @@ func TestNestedCalls(t *testing.T) {
 func TestTrafficAccounting(t *testing.T) {
 	env, a, b := newPair(t, IPoIB)
 	env.Process("client", func(p *sim.Proc) {
-		a.Call(p, b, "echo", Bytes(1000))
+		call(p, a, b, "echo", Bytes(1000))
 	})
 	env.Run()
 	if a.TxMsgs != 1 || a.RxMsgs != 1 || b.TxMsgs != 1 || b.RxMsgs != 1 {
@@ -172,7 +181,7 @@ func TestUnknownServicePanics(t *testing.T) {
 				t.Error("expected panic calling unknown service")
 			}
 		}()
-		a.Call(p, b, "nope", Bytes(0))
+		call(p, a, b, "nope", Bytes(0))
 	})
 	env.Run()
 }
@@ -196,13 +205,13 @@ func TestManyClientsOneServerCPUSaturation(t *testing.T) {
 	env := sim.NewEnv()
 	net := NewNetwork(env, IPoIB)
 	srv := net.NewNode("srv", 1)
-	srv.Handle("echo", echo)
+	srv.HandleT("echo", echo)
 	var last sim.Time
 	const n = 64
 	for i := 0; i < n; i++ {
 		c := net.NewNode(nodeName(i), 8)
 		env.Process("client", func(p *sim.Proc) {
-			c.Call(p, srv, "echo", Bytes(0))
+			call(p, c, srv, "echo", Bytes(0))
 			if p.Now() > last {
 				last = p.Now()
 			}
@@ -231,11 +240,11 @@ func TestPerByteCPUChargesHost(t *testing.T) {
 		net := NewNetwork(env, tr)
 		a := net.NewNode("a", 1)
 		b := net.NewNode("b", 1)
-		b.Handle("echo", echo)
+		b.HandleT("echo", echo)
 		var d sim.Duration
 		env.Process("c", func(p *sim.Proc) {
 			start := p.Now()
-			a.Call(p, b, "echo", Bytes(1<<20))
+			call(p, a, b, "echo", Bytes(1<<20))
 			d = p.Now().Sub(start)
 		})
 		env.Run()
@@ -259,12 +268,12 @@ func TestCPUContentionSlowsProtocolProcessing(t *testing.T) {
 		env := sim.NewEnv()
 		net := NewNetwork(env, IPoIB)
 		srv := net.NewNode("srv", cores)
-		srv.Handle("echo", echo)
+		srv.HandleT("echo", echo)
 		var last sim.Time
 		for i := 0; i < 16; i++ {
 			c := net.NewNode(nodeName(i), 8)
 			env.Process("c", func(p *sim.Proc) {
-				c.Call(p, srv, "echo", Bytes(0))
+				call(p, c, srv, "echo", Bytes(0))
 				if p.Now() > last {
 					last = p.Now()
 				}

@@ -8,12 +8,12 @@ import (
 	"imca/internal/sim"
 )
 
-// ErrUnreachable is returned by Call when the link between the caller and
-// the destination has been cut (see Network.CutLink). A fresh call on a cut
-// link fails after the network's connect timeout — the simulated analogue
-// of a TCP connect timing out against a partitioned peer — and a call
-// already in flight when the cut lands fails at the cut instant, like a
-// connection reset.
+// ErrUnreachable is handed to CallT's continuation when the link between
+// the caller and the destination has been cut (see Network.CutLink). A
+// fresh call on a cut link fails after the network's connect timeout —
+// the simulated analogue of a TCP connect timing out against a partitioned
+// peer — and a call already in flight when the cut lands fails at the cut
+// instant, like a connection reset.
 var ErrUnreachable = errors.New("fabric: destination unreachable")
 
 // DefaultConnectTimeout is how long a call to a partitioned destination
@@ -69,11 +69,11 @@ func (ls *linkState) drop(ev *sim.Event) {
 }
 
 // unreachableMark is the sentinel triggered into an in-flight call's done
-// event when its link is cut; Call translates it to ErrUnreachable.
+// event when its link is cut; CallT translates it to ErrUnreachable.
 type unreachableMark struct{}
 
 // netFaults carries a network's fault state. It is nil until the first
-// fault API call, and Call's fast path only ever checks the pointer — an
+// fault API call, and CallT's fast path only ever checks the pointer — an
 // unfaulted network schedules exactly the same events as one built before
 // this file existed (zero-cost abstention).
 type netFaults struct {

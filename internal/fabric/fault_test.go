@@ -16,7 +16,7 @@ func TestCutLinkRefusesAfterTimeout(t *testing.T) {
 	a.net.CutLink("a", "b")
 	env.Process("client", func(p *sim.Proc) {
 		start := p.Now()
-		resp, err := a.Call(p, b, "echo", Bytes(64))
+		resp, err := call(p, a, b, "echo", Bytes(64))
 		if !errors.Is(err, ErrUnreachable) {
 			t.Errorf("err = %v, want ErrUnreachable", err)
 		}
@@ -45,7 +45,7 @@ func TestCutLinkUnorderedPair(t *testing.T) {
 		t.Fatal("LinkCut(a, b) = false after CutLink(b, a)")
 	}
 	env.Process("client", func(p *sim.Proc) {
-		if _, err := a.Call(p, b, "echo", Bytes(0)); !errors.Is(err, ErrUnreachable) {
+		if _, err := call(p, a, b, "echo", Bytes(0)); !errors.Is(err, ErrUnreachable) {
 			t.Errorf("err = %v, want ErrUnreachable", err)
 		}
 	})
@@ -60,7 +60,7 @@ func TestHealLinkRestores(t *testing.T) {
 	var healthy sim.Duration
 	env.Process("baseline", func(p *sim.Proc) {
 		start := p.Now()
-		a.Call(p, b, "echo", Bytes(256))
+		call(p, a, b, "echo", Bytes(256))
 		healthy = p.Now().Sub(start)
 	})
 	env.Run()
@@ -69,7 +69,7 @@ func TestHealLinkRestores(t *testing.T) {
 	a.net.HealLink("a", "b")
 	env.Process("client", func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := a.Call(p, b, "echo", Bytes(256)); err != nil {
+		if _, err := call(p, a, b, "echo", Bytes(256)); err != nil {
 			t.Errorf("call on healed link failed: %v", err)
 		}
 		if got := p.Now().Sub(start); got != healthy {
@@ -88,7 +88,7 @@ func TestDegradeLinkScalesLegs(t *testing.T) {
 	timed := func(out *sim.Duration) func(p *sim.Proc) {
 		return func(p *sim.Proc) {
 			start := p.Now()
-			if _, err := a.Call(p, b, "echo", Bytes(4096)); err != nil {
+			if _, err := call(p, a, b, "echo", Bytes(4096)); err != nil {
 				t.Errorf("call failed: %v", err)
 			}
 			*out = p.Now().Sub(start)
@@ -124,10 +124,11 @@ func TestCutLinkAbortsInFlight(t *testing.T) {
 	a := net.NewNode("a", 8)
 	b := net.NewNode("b", 8)
 	handled := false
-	b.Handle("slow", func(hp *sim.Proc, from *Node, req Msg) Msg {
-		hp.Sleep(time.Millisecond)
-		handled = true
-		return req
+	b.HandleT("slow", func(tk *sim.Task, _ *Node, req Msg, respond func(Msg)) {
+		tk.Sleep(time.Millisecond, func() {
+			handled = true
+			respond(req)
+		})
 	})
 	// Touch the fault table before traffic starts so the call is tracked.
 	cutAt := 200 * time.Microsecond
@@ -135,7 +136,7 @@ func TestCutLinkAbortsInFlight(t *testing.T) {
 	env.Defer(cutAt, func() { net.CutLink("a", "b") })
 
 	env.Process("client", func(p *sim.Proc) {
-		_, err := a.Call(p, b, "slow", Bytes(0))
+		_, err := call(p, a, b, "slow", Bytes(0))
 		if !errors.Is(err, ErrUnreachable) {
 			t.Errorf("err = %v, want ErrUnreachable", err)
 		}

@@ -46,7 +46,7 @@ type callFrame struct {
 	hostReq    sim.Duration
 	hostCaller sim.Duration // caller-side receive processing for the response
 
-	// Response-leg state (task-native serve side).
+	// Response-leg state.
 	respMsg     Msg
 	rwire       int64
 	rlat, rxmit sim.Duration
@@ -54,7 +54,7 @@ type callFrame struct {
 
 	// Immortal per-frame machinery, created once.
 	done *sim.Event // completion event, Reset between calls
-	srv  *sim.Task  // server-side actor for task-native handlers
+	srv  *sim.Task  // server-side actor the handler runs on
 
 	// Prebound continuation steps. Each is a method value on this frame;
 	// binding them here is the whole point of pooling.
@@ -68,7 +68,6 @@ type callFrame struct {
 	fnDstCPUHeld    func()
 	fnDstCPUDone    func()
 	fnServe         func()
-	fnServeProc     func(*sim.Proc)
 	fnRespond       func(Msg)
 	fnRespCPUHeld   func()
 	fnRespCPUDone   func()
@@ -98,7 +97,6 @@ func newCallFrame(nd *Node) *callFrame {
 	f.fnDstCPUHeld = f.dstCPUHeld
 	f.fnDstCPUDone = f.dstCPUDone
 	f.fnServe = f.serve
-	f.fnServeProc = f.serveProc
 	f.fnRespond = f.respond
 	f.fnRespCPUHeld = f.respCPUHeld
 	f.fnRespCPUDone = f.respCPUDone
@@ -290,13 +288,9 @@ func (f *callFrame) afterRequest() {
 	f.refs++
 	// The server-side actor inherits the caller's operation context, so
 	// spans it opens (daemon, storage, disk) nest under this call's span.
-	// Either dispatch costs one scheduled event.
-	if f.svc.ht != nil {
-		f.env().Defer(0, f.fnServe)
-		optrace.Fork(t, f.srv)
-	} else {
-		optrace.Fork(t, f.env().Process(f.svc.name, f.fnServeProc))
-	}
+	// The dispatch costs one scheduled event.
+	f.env().Defer(0, f.fnServe)
+	optrace.Fork(t, f.srv)
 	f.done.WaitFn(f.fnRespReady)
 }
 
@@ -357,18 +351,10 @@ func (f *callFrame) finishResp(m Msg, err error) {
 	f.release()
 }
 
-// serve dispatches the task-native handler on the frame's server actor.
+// serve dispatches the handler on the frame's server actor.
 func (f *callFrame) serve() {
 	f.checkLive()
-	f.svc.ht(f.srv, f.nd, f.req, f.fnRespond)
-}
-
-// serveProc is the body of a blocking Handler's process: services whose
-// bodies block naturally (nested Calls, lock waits) run as one process per
-// request, and hand their response to the same response path.
-func (f *callFrame) serveProc(hp *sim.Proc) {
-	f.checkLive()
-	f.respond(f.svc.h(hp, f.nd, f.req))
+	f.svc.handler(f.srv, f.nd, f.req, f.fnRespond)
 }
 
 // respond is the handler's response path: the server pays its send-side

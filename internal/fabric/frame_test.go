@@ -55,7 +55,7 @@ func TestCallTSteadyStateAllocFree(t *testing.T) {
 
 // TestCallTNameResolutionAllocFree is the unbound variant: resolving the
 // service by name on every call must stay allocation-free too — the
-// service entry and its span/process names were interned at registration,
+// service entry and its span name were interned at registration,
 // so the per-call lookup is one map read, no string building.
 func TestCallTNameResolutionAllocFree(t *testing.T) {
 	env, a, b := newTaskPair(t)
@@ -187,45 +187,24 @@ type pooledMsg struct{ recycled int }
 func (m *pooledMsg) WireSize() int64 { return 8 }
 func (m *pooledMsg) Recycle()        { m.recycled++ }
 
-// TestBlockingCallRefusesPooledResponse pins the borrow rule at the fabric:
-// a Recyclable response goes back to its pool when CallT's continuation
-// returns, so blocking Call — whose result escapes to its caller — refuses
-// one instead of handing back a message that is about to be reused, while
-// CallT lends it and recycles it exactly once. A blocking Handler's
-// response takes the same path as a task-native one.
-func TestBlockingCallRefusesPooledResponse(t *testing.T) {
+// TestCallTLendsPooledResponse pins the borrow rule at the fabric: a
+// Recyclable response is lent to CallT's continuation, live, and goes back
+// to its pool exactly once when the continuation returns.
+func TestCallTLendsPooledResponse(t *testing.T) {
 	env, a, b := newTaskPair(t)
 	resp := &pooledMsg{}
 	b.HandleT("pooled", func(_ *sim.Task, _ *Node, _ Msg, respond func(Msg)) { respond(resp) })
-	b.Handle("pooled-proc", func(*sim.Proc, *Node, Msg) Msg { return resp })
-
-	// The refusal fires in the completion continuation, in scheduler
-	// context: it surfaces from Run.
-	var refused interface{}
-	env.Process("blocking", func(p *sim.Proc) { a.Call(p, b, "pooled", Bytes(0)) })
-	func() {
-		defer func() { refused = recover() }()
-		env.Run()
-	}()
-	if msg, _ := refused.(string); msg != "fabric: blocking Call to b/pooled got a pooled *fabric.pooledMsg; use CallT" {
-		t.Fatalf("blocking Call of a pooled response: recovered %v", refused)
-	}
-
-	env, a, b = newTaskPair(t)
-	b.HandleT("pooled", func(_ *sim.Task, _ *Node, _ Msg, respond func(Msg)) { respond(resp) })
-	b.Handle("pooled-proc", func(*sim.Proc, *Node, Msg) Msg { return resp })
-	resp.recycled = 0
-	for _, svc := range []string{"pooled", "pooled-proc"} {
+	for call := 0; call < 2; call++ {
 		lent, before := false, resp.recycled
 		env.StartTask("task", func(tk *sim.Task) {
-			a.CallT(tk, b, svc, Bytes(0), func(m Msg, err error) {
+			a.CallT(tk, b, "pooled", Bytes(0), func(m Msg, err error) {
 				lent = m == Msg(resp) && err == nil && resp.recycled == before
 				tk.End()
 			})
 		})
 		env.Run()
 		if !lent {
-			t.Fatalf("%s: CallT did not lend the live response to its continuation", svc)
+			t.Fatalf("call %d: CallT did not lend the live response to its continuation", call)
 		}
 	}
 	if resp.recycled != 2 {

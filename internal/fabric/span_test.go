@@ -15,7 +15,7 @@ func TestCallSpans(t *testing.T) {
 	env.Process("client", func(p *sim.Proc) {
 		col.Begin(p, "rpc")
 		start := p.Now()
-		if _, err := a.Call(p, b, "echo", Bytes(64)); err != nil {
+		if _, err := call(p, a, b, "echo", Bytes(64)); err != nil {
 			t.Errorf("Call: %v", err)
 		}
 		rtt := p.Now().Sub(start)
@@ -58,7 +58,7 @@ func TestCallUntracedUnchanged(t *testing.T) {
 				col.Begin(p, "rpc")
 			}
 			start := p.Now()
-			a.Call(p, b, "echo", Bytes(4096))
+			call(p, a, b, "echo", Bytes(4096))
 			d = p.Now().Sub(start)
 			if traced {
 				col.End(p)

@@ -178,76 +178,3 @@ func (b *Blocking) Truncate(p *sim.Proc, path string, size int64) error {
 	defer c.release()
 	return c.err
 }
-
-// Lift returns fs as a TaskFS, so an xlator can hold any child through one
-// interface: fs itself when it is written in continuation style, otherwise
-// a shim whose *T operations run fs's blocking methods on the process
-// their task fronts (sim.Task.Block). The shim reports TaskReady false —
-// it can only serve a task that fronts a process — and every xlator above
-// it inherits that answer, which is how a driver learns to run such a
-// stack under Process+Await rather than StartTask.
-func Lift(fs FS) TaskFS {
-	if tfs, ok := fs.(TaskFS); ok {
-		return tfs
-	}
-	return lifted{fs}
-}
-
-// lifted is Lift's shim over a blocking-only file system (the Lustre and
-// NFS clients, the fault oracle, the trace recorder).
-type lifted struct{ FS }
-
-func (l lifted) TaskReady() bool { return false }
-
-// block1 and block2 run one blocking operation on the process t fronts and
-// hand its results to k.
-func block1[A any](t *sim.Task, op func(p *sim.Proc) A, k func(A)) {
-	var a A
-	t.Block(func(p *sim.Proc) { a = op(p) }, func() { k(a) })
-}
-
-func block2[A, B any](t *sim.Task, op func(p *sim.Proc) (A, B), k func(A, B)) {
-	var a A
-	var b B
-	t.Block(func(p *sim.Proc) { a, b = op(p) }, func() { k(a, b) })
-}
-
-func (l lifted) CreateT(t *sim.Task, path string, k func(FD, error)) {
-	block2(t, func(p *sim.Proc) (FD, error) { return l.Create(p, path) }, k)
-}
-
-func (l lifted) OpenT(t *sim.Task, path string, k func(FD, error)) {
-	block2(t, func(p *sim.Proc) (FD, error) { return l.Open(p, path) }, k)
-}
-
-func (l lifted) CloseT(t *sim.Task, fd FD, k func(error)) {
-	block1(t, func(p *sim.Proc) error { return l.Close(p, fd) }, k)
-}
-
-func (l lifted) ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
-	block2(t, func(p *sim.Proc) (blob.Blob, error) { return l.Read(p, fd, off, size) }, k)
-}
-
-func (l lifted) WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
-	block2(t, func(p *sim.Proc) (int64, error) { return l.Write(p, fd, off, data) }, k)
-}
-
-func (l lifted) StatT(t *sim.Task, path string, k func(*Stat, error)) {
-	block2(t, func(p *sim.Proc) (*Stat, error) { return l.Stat(p, path) }, k)
-}
-
-func (l lifted) UnlinkT(t *sim.Task, path string, k func(error)) {
-	block1(t, func(p *sim.Proc) error { return l.Unlink(p, path) }, k)
-}
-
-func (l lifted) MkdirT(t *sim.Task, path string, k func(error)) {
-	block1(t, func(p *sim.Proc) error { return l.Mkdir(p, path) }, k)
-}
-
-func (l lifted) ReaddirT(t *sim.Task, path string, k func([]string, error)) {
-	block2(t, func(p *sim.Proc) ([]string, error) { return l.Readdir(p, path) }, k)
-}
-
-func (l lifted) TruncateT(t *sim.Task, path string, size int64, k func(error)) {
-	block1(t, func(p *sim.Proc) error { return l.Truncate(p, path, size) }, k)
-}

@@ -33,10 +33,6 @@ func NewClient(node, server *fabric.Node) *Client {
 	return c
 }
 
-// TaskReady implements TaskFS: the protocol client's stack ends at the
-// fabric, which serves any task.
-func (c *Client) TaskReady() bool { return true }
-
 // Register exposes the protocol client's RPC counters under prefix
 // (e.g. "client0.protocol"): how many brick RPCs this mount issued and
 // how many a cut link failed.

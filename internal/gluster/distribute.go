@@ -36,31 +36,17 @@ type fdMapping struct {
 var _ TaskFS = (*Distribute)(nil)
 
 // NewDistribute returns a distribute xlator over the given subvolumes.
-func NewDistribute(subvols ...FS) *Distribute {
+func NewDistribute(subvols ...TaskFS) *Distribute {
 	if len(subvols) == 0 {
 		panic("gluster: distribute needs subvolumes")
 	}
 	d := &Distribute{
-		subvols: make([]TaskFS, len(subvols)),
+		subvols: append([]TaskFS(nil), subvols...),
 		fdRoute: make(map[FD]fdMapping),
 		pathOps: make([]uint64, len(subvols)),
 	}
-	for i, sub := range subvols {
-		d.subvols[i] = Lift(sub)
-	}
 	d.Blocking = NewBlocking(d)
 	return d
-}
-
-// TaskReady implements TaskFS: distribution is task-capable when every
-// subvolume is.
-func (d *Distribute) TaskReady() bool {
-	for _, sub := range d.subvols {
-		if !sub.TaskReady() {
-			return false
-		}
-	}
-	return true
 }
 
 // dhtTable drives the string-keyed routing hash below.

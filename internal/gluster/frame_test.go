@@ -369,7 +369,6 @@ func newStubFS() *stubFS {
 	return s
 }
 
-func (stubFS) TaskReady() bool                                         { return true }
 func (stubFS) CreateT(_ *sim.Task, _ string, k func(FD, error))        { k(1, nil) }
 func (stubFS) OpenT(_ *sim.Task, _ string, k func(FD, error))          { k(1, nil) }
 func (stubFS) CloseT(_ *sim.Task, _ FD, k func(error))                 { k(nil) }

@@ -16,12 +16,11 @@
 // ReadaheadBytes and MetaRegion for the brick file system — each charged
 // where it is declared and listed in MODEL.md.
 //
-// All operations advance virtual time. The package's own xlators implement
-// each operation once, in continuation style (TaskFS), and derive the
-// blocking FS methods from that (Blocking); blocking-only file systems —
-// the Lustre and NFS clients, the fault oracle, the trace recorder — are
-// ordinary process code on top of FS and are held by the others through
-// Lift.
+// All operations advance virtual time. Every xlator — this package's, and
+// the IMCa, Lustre and NFS clients — implements each operation once, in
+// continuation style (TaskFS), and derives the blocking FS methods from
+// that (Blocking). Blocking-only wrappers — the fault oracle, the trace
+// recorder — sit above a mount, as ordinary process code on top of FS.
 package gluster
 
 import (
@@ -114,9 +113,10 @@ type FS interface {
 // TaskFS is an xlator written in continuation style: every operation takes
 // a sim.Task and a completion callback instead of blocking a process, and
 // that is the xlator's only implementation — its blocking FS methods are
-// the embedded Blocking adapter awaiting these. The stack's own xlators
-// (Posix, Client, Distribute, Fuse, and IMCa's CMCache and SMCache) are all
-// TaskFS; anything else reaches them through Lift.
+// the embedded Blocking adapter awaiting these. An xlator holds its
+// children as TaskFS, so a whole stack is continuation-style and its
+// operations run on any task: one started by Env.StartTask, a fabric
+// frame's server-side actor, or one fronting a process (sim.Proc.Await).
 //
 // Results handed to a continuation are lent, not given: a *Stat may be a
 // pooled frame's scratch, valid until the continuation returns.
@@ -132,22 +132,13 @@ type TaskFS interface {
 	MkdirT(t *sim.Task, path string, k func(error))
 	ReaddirT(t *sim.Task, path string, k func([]string, error))
 	TruncateT(t *sim.Task, path string, size int64, k func(error))
-	// TaskReady reports whether this instance's whole downward stack is
-	// continuation-style, so its operations can run on any task — one
-	// started by Env.StartTask, or a fabric frame's server-side actor.
-	// When it is not (a lifted blocking xlator sits somewhere below), the
-	// *T operations still work, but only on a task that fronts a process
-	// (sim.Proc.Await).
-	TaskReady() bool
 }
 
-// AsTaskFS returns fs as a TaskFS whose whole stack is continuation-style,
-// or nil when fs (or anything below it) needs a process to block on.
+// AsTaskFS returns fs as a TaskFS, or nil when fs is a blocking-only
+// wrapper.
 func AsTaskFS(fs FS) TaskFS {
-	if tfs, ok := fs.(TaskFS); ok && tfs.TaskReady() {
-		return tfs
-	}
-	return nil
+	tfs, _ := fs.(TaskFS)
+	return tfs
 }
 
 // errCode converts an FS error to a compact wire code and back.

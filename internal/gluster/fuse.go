@@ -41,15 +41,11 @@ type Fuse struct {
 var _ TaskFS = (*Fuse)(nil)
 
 // NewFuse wraps child with the FUSE cost model on the given client node.
-func NewFuse(node *fabric.Node, child FS) *Fuse {
-	f := &Fuse{node: node, child: Lift(child)}
+func NewFuse(node *fabric.Node, child TaskFS) *Fuse {
+	f := &Fuse{node: node, child: child}
 	f.Blocking = NewBlocking(f)
 	return f
 }
-
-// TaskReady implements TaskFS: the FUSE layer is task-capable when its
-// child stack is.
-func (f *Fuse) TaskReady() bool { return f.child.TaskReady() }
 
 // fuseOp is the FUSE layer's pooled per-operation frame: every operation
 // charges the crossing, runs on the child, and hands the result up, on

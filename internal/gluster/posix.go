@@ -107,10 +107,6 @@ func NewPosix(env *sim.Env, cfg PosixConfig) *Posix {
 	return p
 }
 
-// TaskReady implements TaskFS: every disk.Device serves accesses on any
-// task, so the storage xlator always does.
-func (px *Posix) TaskReady() bool { return true }
-
 // Cache exposes the buffer cache (for stats and cold-cache experiments).
 func (px *Posix) Cache() *pagecache.Cache { return px.cache }
 

@@ -1,7 +1,6 @@
 package gluster
 
 import (
-	"fmt"
 	"time"
 
 	"imca/internal/blob"
@@ -42,17 +41,12 @@ type Server struct {
 	Ops map[string]uint64
 }
 
-// NewServer attaches a GlusterFS daemon to node serving child.
-func NewServer(node *fabric.Node, child FS) *Server {
-	// Requests are served on the fabric frame's own task, so the whole
-	// brick stack must be continuation-style.
-	tfs := AsTaskFS(child)
-	if tfs == nil {
-		panic(fmt.Sprintf("gluster: NewServer: child %T is not task-ready", child))
-	}
+// NewServer attaches a GlusterFS daemon to node serving child. Requests are
+// served on the fabric frame's own task.
+func NewServer(node *fabric.Node, child TaskFS) *Server {
 	s := &Server{
 		node:    node,
-		child:   tfs,
+		child:   child,
 		threads: sim.NewResource(node.Network().Env(), ServerIOThreads),
 		Ops:     make(map[string]uint64),
 	}

@@ -15,18 +15,17 @@ import (
 // check exists to catch. The callback it arms is a different matter: it
 // runs later, in scheduler context, where scheduling is legal (the fault
 // injector's whole mechanism), so a Defer callback is ordinary sim-side
-// code and is never treated as an observer. Proc.Await and Task.Block
-// schedule nothing themselves, but they park and wake a process, which a
-// tick observer — called with no process running — must never do.
+// code and is never treated as an observer. Proc.Await schedules nothing
+// itself, but it parks a process, which a tick observer — called with no
+// process running — must never do.
 var simSchedMethods = map[string]bool{
 	"Env.Process": true, "Env.Run": true, "Env.Defer": true,
 	"Env.StartTask": true,
 	"Env.schedule":  true, "Env.wake": true,
 	"Proc.Sleep": true, "Proc.park": true, "Proc.Await": true,
-	"Task.Sleep": true, "Task.End": true, "Task.Start": true, "Task.Block": true,
-	"Event.Wait": true, "Event.Trigger": true, "Event.WaitFn": true,
-	"Resource.Acquire": true, "Resource.Release": true, "Resource.Use": true,
-	"Resource.AcquireT": true, "Resource.UseT": true,
+	"Task.Sleep": true, "Task.End": true, "Task.Start": true,
+	"Event.Trigger": true, "Event.WaitFn": true,
+	"Resource.Release": true, "Resource.AcquireT": true, "Resource.UseT": true,
 	"Barrier.Wait": true, "Barrier.WaitT": true,
 }
 

@@ -90,9 +90,8 @@ func observeAndSchedule(env *sim.Env, h *metrics.Histogram) {
 }
 
 // InstallAwait hooks an observer that drives a blocking API from its
-// sample: Await parks the calling process and Block wakes one, and a tick
-// observer runs with no process to park — reaching either is flagged, like
-// the End that completes the Await.
+// sample: Await parks the calling process, and a tick observer runs with
+// no process to park, so reaching it is flagged.
 func InstallAwait(env *sim.Env, p *sim.Proc) {
 	env.SetTick(1000, func(at sim.Time) {
 		awaitNothing(p)
@@ -100,7 +99,5 @@ func InstallAwait(env *sim.Env, p *sim.Proc) {
 }
 
 func awaitNothing(p *sim.Proc) {
-	p.Await(func(t *sim.Task) {
-		t.Block(func(*sim.Proc) {}, t.End)
-	})
+	p.Await(func(*sim.Task) {})
 }

@@ -29,8 +29,11 @@ type pageKey struct {
 }
 
 // Client is a Lustre client: a kernel-level file system client (no FUSE
-// crossing) with a coherent local page cache.
+// crossing) with a coherent local page cache. Every operation is written
+// once, in continuation style; the embedded Blocking derives the blocking
+// FS methods from those.
 type Client struct {
+	gluster.Blocking
 	cluster *Cluster
 	node    *fabric.Node
 	id      int
@@ -48,7 +51,7 @@ type Client struct {
 	nextFD  gluster.FD
 }
 
-var _ gluster.FS = (*Client)(nil)
+var _ gluster.TaskFS = (*Client)(nil)
 
 // Node returns the fabric node the client runs on.
 func (cl *Client) Node() *fabric.Node { return cl.node }
@@ -74,17 +77,18 @@ func (c *Cluster) NewClient(node *fabric.Node) *Client {
 		pages:   make(map[pageKey]blob.Blob),
 		fdPaths: make(map[gluster.FD]string),
 	}
+	cl.Blocking = gluster.NewBlocking(cl)
 	cl.cache.OnRemove = func(ino uint64, idx int64) { delete(cl.pages, pageKey{ino, idx}) }
-	node.Handle("lustre-client", cl.handleCallback)
+	node.HandleT("lustre-client", cl.handleCallback)
 	c.clients = append(c.clients, cl)
 	return cl
 }
 
 // handleCallback processes MDS lock-revocation callbacks.
-func (cl *Client) handleCallback(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
+func (cl *Client) handleCallback(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 	cl.revokes++
 	cl.cache.InvalidateFile(req.(*revokeMsg).Ino)
-	return &revokeMsg{}
+	respond(&revokeMsg{})
 }
 
 // DropCaches simulates unmount/remount: the cold-cache configuration of
@@ -97,42 +101,46 @@ func (cl *Client) DropCaches() {
 	}
 }
 
-func (cl *Client) mds(p *sim.Proc, req *mdsReq) *mdsResp {
+// mds sends req to the metadata server and hands k the reply.
+func (cl *Client) mds(t *sim.Task, req *mdsReq, k func(*mdsResp)) {
 	req.Client = cl.id
 	// No experiment cuts a Lustre cluster's links, and a cut link is the only
 	// way a call fails; a nil reply here would mean one did.
-	resp, _ := cl.node.Call(p, cl.cluster.mdsNode, "mds", req)
-	return resp.(*mdsResp)
+	cl.node.CallT(t, cl.cluster.mdsNode, "mds", req, func(m fabric.Msg, _ error) { k(m.(*mdsResp)) })
 }
 
-// Create implements gluster.FS.
-func (cl *Client) Create(p *sim.Proc, path string) (gluster.FD, error) {
-	return cl.open(p, "create", path)
+// CreateT implements gluster.TaskFS.
+func (cl *Client) CreateT(t *sim.Task, path string, k func(gluster.FD, error)) {
+	cl.open(t, "create", path, k)
 }
 
-// Open implements gluster.FS.
-func (cl *Client) Open(p *sim.Proc, path string) (gluster.FD, error) {
-	return cl.open(p, "open", path)
+// OpenT implements gluster.TaskFS.
+func (cl *Client) OpenT(t *sim.Task, path string, k func(gluster.FD, error)) {
+	cl.open(t, "open", path, k)
 }
 
 // open asks the MDS to create or open path and hands out a descriptor.
-func (cl *Client) open(p *sim.Proc, op, path string) (gluster.FD, error) {
-	if r := cl.mds(p, &mdsReq{Op: op, Path: path}); r.Code != "" {
-		return 0, mapCode(r.Code)
-	}
-	cl.nextFD++
-	cl.fdPaths[cl.nextFD] = path
-	return cl.nextFD, nil
+func (cl *Client) open(t *sim.Task, op, path string, k func(gluster.FD, error)) {
+	cl.mds(t, &mdsReq{Op: op, Path: path}, func(r *mdsResp) {
+		if r.Code != "" {
+			k(0, mapCode(r.Code))
+			return
+		}
+		cl.nextFD++
+		cl.fdPaths[cl.nextFD] = path
+		k(cl.nextFD, nil)
+	})
 }
 
-// Close implements gluster.FS. Locks and cached pages persist past close,
-// as in Lustre.
-func (cl *Client) Close(p *sim.Proc, fd gluster.FD) error {
+// CloseT implements gluster.TaskFS. Locks and cached pages persist past
+// close, as in Lustre.
+func (cl *Client) CloseT(t *sim.Task, fd gluster.FD, k func(error)) {
 	if _, ok := cl.fdPaths[fd]; !ok {
-		return gluster.ErrBadFD
+		k(gluster.ErrBadFD)
+		return
 	}
 	delete(cl.fdPaths, fd)
-	return nil
+	k(nil)
 }
 
 // stripeFor maps a logical file offset to its OST and object-local offset.
@@ -148,10 +156,11 @@ type ostCall struct {
 }
 
 // ostIO performs a striped read or write of [off, off+size) of file ino,
-// splitting at stripe boundaries and issuing per-OST requests in parallel.
-// A read comes back whole: past the end of an object the file is a hole,
-// and the client fills it with zeros, as Lustre's does a short OST read.
-func (cl *Client) ostIO(p *sim.Proc, path string, ino uint64, off int64, data blob.Blob, size int64, write bool) blob.Blob {
+// splitting at stripe boundaries and issuing per-OST requests in parallel,
+// and hands k what a read returned. A read comes back whole: past the end
+// of an object the file is a hole, and the client fills it with zeros, as
+// Lustre's does a short OST read.
+func (cl *Client) ostIO(t *sim.Task, path string, ino uint64, off int64, data blob.Blob, size int64, write bool, k func(blob.Blob)) {
 	if write {
 		size = data.Len()
 	}
@@ -166,65 +175,82 @@ func (cl *Client) ostIO(p *sim.Proc, path string, ino uint64, off int64, data bl
 		calls = append(calls, ostCall{oi, req})
 		pos += take
 	}
-	results := cl.callOSTs(p, calls)
-	if write {
-		return blob.Blob{}
-	}
-	for i, c := range calls {
-		if n := results[i].Len(); n < c.req.Size {
-			results[i] = blob.Concat(results[i], blob.Zeros(c.req.Size-n))
+	cl.callOSTs(t, calls, func(results []blob.Blob) {
+		if write {
+			k(blob.Blob{})
+			return
 		}
-	}
-	return blob.Concat(results...)
+		for i, c := range calls {
+			if n := results[i].Len(); n < c.req.Size {
+				results[i] = blob.Concat(results[i], blob.Zeros(c.req.Size-n))
+			}
+		}
+		k(blob.Concat(results...))
+	})
 }
 
-// callOSTs sends each call's request to its OST, one process a call when
-// there are several, and returns the replies' data in call order.
-func (cl *Client) callOSTs(p *sim.Proc, calls []ostCall) []blob.Blob {
+// callOSTs sends each call's request to its OST, one task a call when
+// there are several, and hands k the replies' data in call order.
+func (cl *Client) callOSTs(t *sim.Task, calls []ostCall, k func([]blob.Blob)) {
 	results := make([]blob.Blob, len(calls))
-	call := func(q *sim.Proc, i int) {
-		m, _ := cl.node.Call(q, cl.cluster.osts[calls[i].ost].node, "ost", calls[i].req)
-		results[i] = m.(*ostResp).Data
+	call := func(a *sim.Task, i int, k func()) {
+		cl.node.CallT(a, cl.cluster.osts[calls[i].ost].node, "ost", calls[i].req, func(m fabric.Msg, _ error) {
+			results[i] = m.(*ostResp).Data
+			k()
+		})
 	}
 	if len(calls) == 1 {
-		call(p, 0)
-		return results
+		call(t, 0, func() { k(results) })
+		return
 	}
-	events := make([]*sim.Event, len(calls))
+	stripes := make([]*sim.Event, len(calls))
 	for i := range calls {
-		ev := sim.NewEvent(p.Env())
-		p.Env().Process("lustre-stripe", func(q *sim.Proc) {
-			call(q, i)
-			ev.Trigger(nil)
-		})
-		events[i] = ev
+		stripes[i] = t.Env().StartTask("lustre-stripe", func(s *sim.Task) { call(s, i, s.End) }).Done()
 	}
-	for _, ev := range events {
-		ev.Wait(p)
+	// Wait on each stripe in call order.
+	var wait func()
+	wait = func() {
+		if len(stripes) == 0 {
+			k(results)
+			return
+		}
+		ev := stripes[0]
+		stripes = stripes[1:]
+		ev.WaitFn(wait)
 	}
-	return results
+	wait()
 }
 
-// Read implements gluster.FS: page-granular, served from the coherent
+// ReadT implements gluster.TaskFS: page-granular, served from the coherent
 // local cache when possible.
-func (cl *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, error) {
+func (cl *Client) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.Blob, error)) {
 	path, ok := cl.fdPaths[fd]
 	if !ok {
-		return blob.Blob{}, gluster.ErrBadFD
+		k(blob.Blob{}, gluster.ErrBadFD)
+		return
 	}
 	if err := gluster.CheckRange(off, size); err != nil {
-		return blob.Blob{}, err
+		k(blob.Blob{}, err)
+		return
 	}
-	cl.node.CPU.Use(p, ClientOpCPU+sim.Duration(float64(size)*ClientPerByteNanos))
-	st := cl.mdsStatCached(p, path)
-	if st == nil {
-		return blob.Blob{}, gluster.ErrNotExist
-	}
-	if off >= st.Size {
-		return blob.Blob{}, nil
-	}
-	size = min(size, st.Size-off)
+	cl.node.CPU.UseT(t, ClientOpCPU+sim.Duration(float64(size)*ClientPerByteNanos), func() {
+		cl.mdsStatCached(t, path, func(st *gluster.Stat) {
+			if st == nil {
+				k(blob.Blob{}, gluster.ErrNotExist)
+				return
+			}
+			if off >= st.Size {
+				k(blob.Blob{}, nil)
+				return
+			}
+			cl.read(t, path, st, off, min(size, st.Size-off), k)
+		})
+	})
+}
 
+// read serves [off, off+size) of the file st describes, all of it within
+// the file.
+func (cl *Client) read(t *sim.Task, path string, st *gluster.Stat, off, size int64, k func(blob.Blob, error)) {
 	// Register as a cache holder (the read lock).
 	if m := cl.cluster.files[path]; m != nil {
 		m.holders[cl.id] = cl
@@ -245,14 +271,24 @@ func (cl *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, 
 		pos = min(r.End(), end)
 	}
 	parts = cl.appendCached(parts, ino, pos, end)
-	for i, r := range missing {
-		data := cl.ostIO(p, path, ino, r.Off, blob.Blob{}, min(r.End(), st.Size)-r.Off, false)
-		if cl.revokes == revokes {
-			cl.fill(ino, r.Off, data)
+	i := 0
+	var fetch func()
+	fetch = func() {
+		if i == len(missing) {
+			k(blob.Concat(parts...), nil)
+			return
 		}
-		parts[slots[i]] = data.Slice(max(off, r.Off)-r.Off, min(end, r.Off+data.Len())-r.Off)
+		r := missing[i]
+		cl.ostIO(t, path, ino, r.Off, blob.Blob{}, min(r.End(), st.Size)-r.Off, false, func(data blob.Blob) {
+			if cl.revokes == revokes {
+				cl.fill(ino, r.Off, data)
+			}
+			parts[slots[i]] = data.Slice(max(off, r.Off)-r.Off, min(end, r.Off+data.Len())-r.Off)
+			i++
+			fetch()
+		})
 	}
-	return blob.Concat(parts...), nil
+	fetch()
 }
 
 // appendCached appends bytes [from, to) of file ino, every page of which
@@ -290,49 +326,67 @@ func (cl *Client) fill(ino uint64, off int64, data blob.Blob) {
 	}
 }
 
-// mdsStatCached returns the file's metadata. Attribute reads hit the MDS
-// only when the client holds no pages (a coarse model of Lustre's
-// attribute caching under locks).
-func (cl *Client) mdsStatCached(p *sim.Proc, path string) *gluster.Stat {
+// mdsStatCached hands k the file's metadata, or nil when it does not
+// exist. Attribute reads hit the MDS only when the client holds no pages
+// (a coarse model of Lustre's attribute caching under locks).
+func (cl *Client) mdsStatCached(t *sim.Task, path string, k func(*gluster.Stat)) {
 	m := cl.cluster.files[path]
 	if m == nil {
-		return nil
+		k(nil)
+		return
 	}
 	if _, holding := m.holders[cl.id]; holding {
-		return cl.cluster.statOf(path, m) // attributes valid under lock
+		k(cl.cluster.statOf(path, m)) // attributes valid under lock
+		return
 	}
-	r := cl.mds(p, &mdsReq{Op: "stat", Path: path})
-	if r.Code != "" {
-		return nil
-	}
-	return r.St
+	cl.mds(t, &mdsReq{Op: "stat", Path: path}, func(r *mdsResp) {
+		if r.Code != "" {
+			k(nil)
+			return
+		}
+		k(r.St)
+	})
 }
 
-// Write implements gluster.FS: write-through to the OSTs, with other
+// WriteT implements gluster.TaskFS: write-through to the OSTs, with other
 // clients' caches revoked first (writes are flushed before locks are
 // released, so readers always see completed writes).
-func (cl *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (int64, error) {
+func (cl *Client) WriteT(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
 	path, ok := cl.fdPaths[fd]
 	if !ok {
-		return 0, gluster.ErrBadFD
+		k(0, gluster.ErrBadFD)
+		return
 	}
 	if err := gluster.CheckRange(off, data.Len()); err != nil {
-		return 0, err
+		k(0, err)
+		return
 	}
 	if data.Len() == 0 {
-		return 0, nil // as on a brick: an empty write changes nothing, the size included
+		k(0, nil) // as on a brick: an empty write changes nothing, the size included
+		return
 	}
-	cl.node.CPU.Use(p, ClientOpCPU+sim.Duration(float64(data.Len())*ClientPerByteNanos))
-	m := cl.cluster.files[path]
-	if m == nil {
-		return 0, gluster.ErrNotExist
-	}
-	// Acquire the write lock: MDS revokes all other holders.
-	_, _ = cl.node.Call(p, cl.cluster.mdsNode, "mds-lock", &lockReq{Path: path, Client: cl.id, Write: true})
+	cl.node.CPU.UseT(t, ClientOpCPU+sim.Duration(float64(data.Len())*ClientPerByteNanos), func() {
+		m := cl.cluster.files[path]
+		if m == nil {
+			k(0, gluster.ErrNotExist)
+			return
+		}
+		// Acquire the write lock: MDS revokes all other holders.
+		cl.node.CallT(t, cl.cluster.mdsNode, "mds-lock", &lockReq{Path: path, Client: cl.id, Write: true}, func(fabric.Msg, error) {
+			cl.ostIO(t, path, m.ino, off, data, 0, true, func(blob.Blob) {
+				cl.patch(m, off, data)
+				// Size/mtime update at the MDS.
+				cl.mds(t, &mdsReq{Op: "setattr", Path: path, Size: off + data.Len(), Mtime: cl.cluster.env.Now()}, func(*mdsResp) {
+					k(data.Len(), nil)
+				})
+			})
+		})
+	})
+}
 
-	cl.ostIO(p, path, m.ino, off, data, 0, true)
-
-	// Patch our own cached pages the write covers.
+// patch updates this client's own cached pages of m that a write of data
+// at off covers, and registers the client as a holder.
+func (cl *Client) patch(m *meta, off int64, data blob.Blob) {
 	for idx := off / ClientPageSize; idx*ClientPageSize < off+data.Len(); idx++ {
 		k := pageKey{m.ino, idx}
 		page, cached := cl.pages[k]
@@ -345,75 +399,75 @@ func (cl *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (
 		cl.pages[k] = blob.Concat(window(page, 0, lo), data.Slice(base+lo-off, base+hi-off), tail)
 	}
 	m.holders[cl.id] = cl
-
-	// Size/mtime update at the MDS.
-	cl.mds(p, &mdsReq{Op: "setattr", Path: path, Size: off + data.Len(), Mtime: cl.cluster.env.Now()})
-	return data.Len(), nil
 }
 
-// Stat implements gluster.FS.
-func (cl *Client) Stat(p *sim.Proc, path string) (*gluster.Stat, error) {
-	r := cl.mds(p, &mdsReq{Op: "stat", Path: path})
-	if r.Code != "" {
-		return nil, mapCode(r.Code)
-	}
-	return r.St, nil
+// StatT implements gluster.TaskFS.
+func (cl *Client) StatT(t *sim.Task, path string, k func(*gluster.Stat, error)) {
+	cl.mds(t, &mdsReq{Op: "stat", Path: path}, func(r *mdsResp) {
+		if r.Code != "" {
+			k(nil, mapCode(r.Code))
+			return
+		}
+		k(r.St, nil)
+	})
 }
 
-// Unlink implements gluster.FS. The MDS revokes the other holders' pages.
-func (cl *Client) Unlink(p *sim.Proc, path string) error {
+// UnlinkT implements gluster.TaskFS. The MDS revokes the other holders'
+// pages.
+func (cl *Client) UnlinkT(t *sim.Task, path string, k func(error)) {
 	if m := cl.cluster.files[path]; m != nil {
 		cl.cache.InvalidateFile(m.ino)
 	}
-	return mapCode(cl.mds(p, &mdsReq{Op: "unlink", Path: path}).Code)
+	cl.mds(t, &mdsReq{Op: "unlink", Path: path}, func(r *mdsResp) { k(mapCode(r.Code)) })
 }
 
-// Mkdir implements gluster.FS.
-func (cl *Client) Mkdir(p *sim.Proc, path string) error {
-	r := cl.mds(p, &mdsReq{Op: "mkdir", Path: path})
-	return mapCode(r.Code)
+// MkdirT implements gluster.TaskFS.
+func (cl *Client) MkdirT(t *sim.Task, path string, k func(error)) {
+	cl.mds(t, &mdsReq{Op: "mkdir", Path: path}, func(r *mdsResp) { k(mapCode(r.Code)) })
 }
 
-// Readdir implements gluster.FS.
-func (cl *Client) Readdir(p *sim.Proc, path string) ([]string, error) {
-	r := cl.mds(p, &mdsReq{Op: "readdir", Path: path})
-	return r.Names, mapCode(r.Code)
+// ReaddirT implements gluster.TaskFS.
+func (cl *Client) ReaddirT(t *sim.Task, path string, k func([]string, error)) {
+	cl.mds(t, &mdsReq{Op: "readdir", Path: path}, func(r *mdsResp) { k(r.Names, mapCode(r.Code)) })
 }
 
-// Truncate implements gluster.FS: the MDS sets the size and revokes the
-// other holders' pages, then every OST cuts (or extends) its object to its
-// share of the new size.
-func (cl *Client) Truncate(p *sim.Proc, path string, size int64) error {
+// TruncateT implements gluster.TaskFS: the MDS sets the size and revokes
+// the other holders' pages, then every OST cuts (or extends) its object to
+// its share of the new size.
+func (cl *Client) TruncateT(t *sim.Task, path string, size int64, k func(error)) {
 	if err := gluster.CheckRange(0, size); err != nil {
-		return err
+		k(err)
+		return
 	}
 	m := cl.cluster.files[path]
 	if m == nil {
-		return gluster.ErrNotExist
+		k(gluster.ErrNotExist)
+		return
 	}
 	cl.cache.InvalidateFile(m.ino)
-	r := cl.mds(p, &mdsReq{Op: "setattr", Path: path, Size: size, Exact: true, Mtime: cl.cluster.env.Now()})
-	if r.Code != "" {
-		return mapCode(r.Code)
-	}
-	// Byte size would land on OST at, at object offset end: in that
-	// round of stripes the OSTs before it keep a whole one, those after
-	// none.
-	at, end := cl.stripeFor(size)
-	round := end - end%StripeSize
-	calls := make([]ostCall, len(cl.cluster.osts))
-	for i := range calls {
-		objSize := round
-		switch {
-		case i < at:
-			objSize += StripeSize
-		case i == at:
-			objSize = end
+	cl.mds(t, &mdsReq{Op: "setattr", Path: path, Size: size, Exact: true, Mtime: cl.cluster.env.Now()}, func(r *mdsResp) {
+		if r.Code != "" {
+			k(mapCode(r.Code))
+			return
 		}
-		calls[i] = ostCall{i, &ostReq{Punch: true, Path: path, Ino: m.ino, Size: objSize}}
-	}
-	cl.callOSTs(p, calls)
-	return nil
+		// Byte size would land on OST at, at object offset end: in that
+		// round of stripes the OSTs before it keep a whole one, those
+		// after none.
+		at, end := cl.stripeFor(size)
+		round := end - end%StripeSize
+		calls := make([]ostCall, len(cl.cluster.osts))
+		for i := range calls {
+			objSize := round
+			switch {
+			case i < at:
+				objSize += StripeSize
+			case i == at:
+				objSize = end
+			}
+			calls[i] = ostCall{i, &ostReq{Punch: true, Path: path, Ino: m.ino, Size: objSize}}
+		}
+		cl.callOSTs(t, calls, func([]blob.Blob) { k(nil) })
+	})
 }
 
 func mapCode(code string) error {

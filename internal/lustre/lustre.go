@@ -5,9 +5,12 @@
 // or unlinks the file.
 //
 // It is the comparison system of the reproduced paper (Lustre 1.6 with 1 or
-// 4 data servers, warm or cold client cache). Clients implement gluster.FS,
-// so every workload driver runs unchanged against GlusterFS, IMCa, and
-// Lustre.
+// 4 data servers, warm or cold client cache). Like every layer of the
+// GlusterFS and IMCa stacks it is written in continuation style: clients
+// implement gluster.TaskFS and the MDS, OSTs and clients' revocation
+// callbacks serve as fabric.HandlerT, so every workload driver — and a
+// CMCache stacked on a client — runs unchanged against GlusterFS, IMCa,
+// and Lustre.
 //
 // The testbed's service costs, thread counts, stripe and client page size
 // are package constants (MODEL.md lists them); a deployment's Config sets
@@ -103,14 +106,14 @@ func New(env *sim.Env, net *fabric.Network, prefix string, cfg Config) *Cluster 
 		files:      make(map[string]*meta),
 		dirs:       map[string]map[string]struct{}{"/": {}},
 	}
-	c.mdsNode.Handle("mds", c.handleMDS)
-	c.mdsNode.Handle("mds-lock", c.handleLock)
+	c.mdsNode.HandleT("mds", c.handleMDS)
+	c.mdsNode.HandleT("mds-lock", c.handleLock)
 	for i := 0; i < cfg.OSTs; i++ {
 		node := net.NewNode(fmt.Sprintf("%s-ost%d", prefix, i), 8)
 		dev := disk.NewHighPoint(env, max(1, disk.HighPointDisks/cfg.OSTs))
 		store := gluster.NewPosix(env, gluster.PosixConfig{Dev: dev, CacheBytes: cfg.OSTCacheBytes})
 		o := &ost{node: node, store: store}
-		node.Handle("ost", c.makeOSTHandler(o))
+		node.HandleT("ost", c.makeOSTHandler(o))
 		c.osts = append(c.osts, o)
 	}
 	return c
@@ -153,16 +156,34 @@ func (c *Cluster) statOf(path string, m *meta) *gluster.Stat {
 	}
 }
 
-func (c *Cluster) handleMDS(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
+// handleMDS serves one metadata request on an MDS thread. The thread is
+// released before the reply is sent.
+func (c *Cluster) handleMDS(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 	r := req.(*mdsReq)
 	c.MDSOps++
-	c.mdsThreads.Acquire(p, 1)
-	defer c.mdsThreads.Release(1)
-	c.mdsNode.CPU.Use(p, MDSOpCPU)
+	c.onThread(t, func(done func(fabric.Msg)) { c.mdsOp(t, r, done) }, respond)
+}
+
+// onThread runs op on an MDS thread after the per-request CPU charge, then
+// releases the thread and responds with what op produced.
+func (c *Cluster) onThread(t *sim.Task, op func(done func(fabric.Msg)), respond func(fabric.Msg)) {
+	c.mdsThreads.AcquireT(t, 1, func() {
+		c.mdsNode.CPU.UseT(t, MDSOpCPU, func() {
+			op(func(resp fabric.Msg) {
+				c.mdsThreads.Release(1)
+				respond(resp)
+			})
+		})
+	})
+}
+
+// mdsOp performs one metadata operation and hands its reply to done.
+func (c *Cluster) mdsOp(t *sim.Task, r *mdsReq, done func(fabric.Msg)) {
 	switch r.Op {
 	case "create":
 		if _, ok := c.files[r.Path]; ok {
-			return &mdsResp{Code: "EEXIST"}
+			done(&mdsResp{Code: "EEXIST"})
+			return
 		}
 		c.nextIno++
 		now := c.env.Now()
@@ -170,53 +191,62 @@ func (c *Cluster) handleMDS(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabr
 		c.files[r.Path] = m
 		dir, name := splitPath(r.Path)
 		c.ensureDir(dir)[name] = struct{}{}
-		return &mdsResp{St: c.statOf(r.Path, m)}
+		done(&mdsResp{St: c.statOf(r.Path, m)})
 	case "open", "stat":
 		m, ok := c.files[r.Path]
 		if !ok {
-			return &mdsResp{Code: "ENOENT"}
+			done(&mdsResp{Code: "ENOENT"})
+			return
 		}
-		return &mdsResp{St: c.statOf(r.Path, m)}
+		done(&mdsResp{St: c.statOf(r.Path, m)})
 	case "setattr":
 		m, ok := c.files[r.Path]
 		if !ok {
-			return &mdsResp{Code: "ENOENT"}
+			done(&mdsResp{Code: "ENOENT"})
+			return
 		}
-		if r.Exact {
-			// A truncate, like a write intent, revokes the other holders.
-			c.revokeLocked(p, r.Path, m, r.Client)
+		set := func() {
+			if r.Exact || r.Size > m.size {
+				m.size = r.Size
+			}
+			m.mtime = r.Mtime
+			done(&mdsResp{St: c.statOf(r.Path, m)})
 		}
-		if r.Exact || r.Size > m.size {
-			m.size = r.Size
+		if !r.Exact {
+			set()
+			return
 		}
-		m.mtime = r.Mtime
-		return &mdsResp{St: c.statOf(r.Path, m)}
+		// A truncate, like a write intent, revokes the other holders.
+		c.revoke(t, r.Path, m, r.Client, set)
 	case "unlink":
 		m, ok := c.files[r.Path]
 		if !ok {
-			return &mdsResp{Code: "ENOENT"}
+			done(&mdsResp{Code: "ENOENT"})
+			return
 		}
-		c.revokeLocked(p, r.Path, m, -1)
-		delete(c.files, r.Path)
-		dir, name := splitPath(r.Path)
-		if d, ok := c.dirs[dir]; ok {
-			delete(d, name)
-		}
-		return &mdsResp{}
+		c.revoke(t, r.Path, m, -1, func() {
+			delete(c.files, r.Path)
+			dir, name := splitPath(r.Path)
+			if d, ok := c.dirs[dir]; ok {
+				delete(d, name)
+			}
+			done(&mdsResp{})
+		})
 	case "mkdir":
 		c.ensureDir(r.Path)
-		return &mdsResp{}
+		done(&mdsResp{})
 	case "readdir":
 		d, ok := c.dirs[r.Path]
 		if !ok {
-			return &mdsResp{Code: "ENOENT"}
+			done(&mdsResp{Code: "ENOENT"})
+			return
 		}
 		names := make([]string, 0, len(d))
 		for n := range d {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		return &mdsResp{Names: names}
+		done(&mdsResp{Names: names})
 	default:
 		panic("lustre: unknown mds op " + r.Op)
 	}
@@ -233,21 +263,22 @@ func (r *lockReq) WireSize() int64 { return 32 + int64(len(r.Path)) }
 
 // handleLock serves lock acquisitions: a write intent revokes every other
 // holder's cached pages before the writer proceeds.
-func (c *Cluster) handleLock(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
+func (c *Cluster) handleLock(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 	r := req.(*lockReq)
-	c.mdsThreads.Acquire(p, 1)
-	defer c.mdsThreads.Release(1)
-	c.mdsNode.CPU.Use(p, MDSOpCPU)
-	if m, ok := c.files[r.Path]; ok && r.Write {
-		c.revokeLocked(p, r.Path, m, r.Client)
-	}
-	return &mdsResp{}
+	c.onThread(t, func(done func(fabric.Msg)) {
+		granted := func() { done(&mdsResp{}) }
+		if m, ok := c.files[r.Path]; ok && r.Write {
+			c.revoke(t, r.Path, m, r.Client, granted)
+			return
+		}
+		granted()
+	}, respond)
 }
 
-// revokeLocked drops every other client's cached pages for path. Each
-// revocation is a callback RPC from the MDS to the holder, issued in
-// sorted client order so identical runs revoke identically.
-func (c *Cluster) revokeLocked(p *sim.Proc, path string, m *meta, exceptClient int) {
+// revoke drops every other client's cached pages for path, then runs k.
+// Each revocation is a callback RPC from the MDS to the holder, issued one
+// at a time in sorted client order so identical runs revoke identically.
+func (c *Cluster) revoke(t *sim.Task, path string, m *meta, exceptClient int, k func()) {
 	ids := make([]int, 0, len(m.holders))
 	for id := range m.holders {
 		if id != exceptClient {
@@ -255,12 +286,22 @@ func (c *Cluster) revokeLocked(p *sim.Proc, path string, m *meta, exceptClient i
 		}
 	}
 	sort.Ints(ids)
-	for _, id := range ids {
+	var next func()
+	next = func() {
+		if len(ids) == 0 {
+			k()
+			return
+		}
+		id := ids[0]
+		ids = ids[1:]
 		c.Revocations++
 		// Callback RPC to the client; the client drops its pages.
-		_, _ = c.mdsNode.Call(p, m.holders[id].node, "lustre-client", &revokeMsg{Path: path, Ino: m.ino})
-		delete(m.holders, id)
+		c.mdsNode.CallT(t, m.holders[id].node, "lustre-client", &revokeMsg{Path: path, Ino: m.ino}, func(fabric.Msg, error) {
+			delete(m.holders, id)
+			next()
+		})
 	}
+	next()
 }
 
 // revokeMsg names the file whose pages the holder drops by its inode; the
@@ -296,36 +337,52 @@ type ostResp struct {
 
 func (r *ostResp) WireSize() int64 { return 16 + r.Data.Len() + int64(len(r.Code)) }
 
-func (c *Cluster) makeOSTHandler(o *ost) fabric.Handler {
-	return func(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
+// makeOSTHandler serves o's object reads, writes and punches. An object
+// opened for a read or write is closed before the reply is sent.
+func (c *Cluster) makeOSTHandler(o *ost) fabric.HandlerT {
+	return func(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 		r := req.(*ostReq)
-		o.node.CPU.Use(p, OSTOpCPU)
-		obj := "/" + strconv.FormatUint(r.Ino, 10)
-		if r.Punch {
-			// An object never written is a hole already.
-			if err := o.store.Truncate(p, obj, r.Size); err != nil && err != gluster.ErrNotExist {
-				return &ostResp{Code: "EIO"}
+		o.node.CPU.UseT(t, OSTOpCPU, func() {
+			obj := "/" + strconv.FormatUint(r.Ino, 10)
+			if r.Punch {
+				o.store.TruncateT(t, obj, r.Size, func(err error) {
+					// An object never written is a hole already.
+					if err != nil && err != gluster.ErrNotExist {
+						respond(&ostResp{Code: "EIO"})
+						return
+					}
+					respond(&ostResp{})
+				})
+				return
 			}
-			return &ostResp{}
-		}
-		fd, err := o.store.Open(p, obj)
-		if err != nil {
-			if fd, err = o.store.Create(p, obj); err != nil {
-				return &ostResp{Code: "EIO"}
+			serve := func(fd gluster.FD) {
+				reply := func(data blob.Blob, err error) {
+					resp := &ostResp{Data: data}
+					if err != nil {
+						resp = &ostResp{Code: "EIO"}
+					}
+					o.store.CloseT(t, fd, func(error) { respond(resp) })
+				}
+				if r.Write {
+					o.store.WriteT(t, fd, r.Off, r.Data, func(_ int64, err error) { reply(blob.Blob{}, err) })
+					return
+				}
+				o.store.ReadT(t, fd, r.Off, r.Size, reply)
 			}
-		}
-		defer o.store.Close(p, fd)
-		if r.Write {
-			if _, err := o.store.Write(p, fd, r.Off, r.Data); err != nil {
-				return &ostResp{Code: "EIO"}
-			}
-			return &ostResp{}
-		}
-		data, err := o.store.Read(p, fd, r.Off, r.Size)
-		if err != nil {
-			return &ostResp{Code: "EIO"}
-		}
-		return &ostResp{Data: data}
+			o.store.OpenT(t, obj, func(fd gluster.FD, err error) {
+				if err == nil {
+					serve(fd)
+					return
+				}
+				o.store.CreateT(t, obj, func(fd gluster.FD, err error) {
+					if err != nil {
+						respond(&ostResp{Code: "EIO"})
+						return
+					}
+					serve(fd)
+				})
+			})
+		})
 	}
 }
 

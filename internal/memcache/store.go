@@ -662,7 +662,7 @@ func incrDecr[K string | []byte](s *Store, key K, delta uint64, incr bool) (uint
 		return 0, ErrCacheMiss
 	}
 	e := s.at(i)
-	cur, ok := parseUint(e.value.Bytes())
+	cur, ok := parseUintBlob(e.value)
 	if !ok {
 		return 0, ErrNotNumeric
 	}
@@ -680,6 +680,24 @@ func incrDecr[K string | []byte](s *Store, key K, delta uint64, incr bool) (uint
 		return 0, err
 	}
 	return next, nil
+}
+
+// parseUintBlob is parseUint over a value's bytes, read one at a time: a
+// value that is no number is refused at its first bad byte, without
+// building its bytes.
+func parseUintBlob(b blob.Blob) (uint64, bool) {
+	n := b.Len()
+	if n == 0 {
+		return 0, false
+	}
+	var v uint64
+	for i := int64(0); i < n; i++ {
+		var ok bool
+		if v, ok = addDigit(v, b.At(i)); !ok {
+			return 0, false
+		}
+	}
+	return v, true
 }
 
 // FlushAll invalidates every item immediately and lets their entries, the

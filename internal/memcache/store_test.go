@@ -2,6 +2,7 @@ package memcache
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -267,6 +268,57 @@ func TestIncrDecr(t *testing.T) {
 	s.Set(&Item{Key: "s", Value: bval("abc")})
 	if _, err := s.IncrDecr("s", 1, true); err != ErrNotNumeric {
 		t.Errorf("incr non-numeric err = %v, want ErrNotNumeric", err)
+	}
+}
+
+// TestIncrDecrRefusesLongValueCheaply: an incr on a large value that is no
+// number is refused at its first byte, without building the value's bytes:
+// a few small allocations at most, not 400 KB of them.
+func TestIncrDecrRefusesLongValueCheaply(t *testing.T) {
+	s := newTestStore(4)
+	var v blob.Blob
+	for seed := uint64(1); ; seed++ {
+		if v = blob.Synthetic(seed, 0, 400<<10); v.At(0) < '0' || v.At(0) > '9' {
+			break
+		}
+	}
+	if err := s.Set(&Item{Key: "big", Value: v}); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	incr := func() {
+		if _, err := s.IncrDecr("big", 1, true); err != ErrNotNumeric {
+			t.Fatalf("incr of a non-numeric value: err %v, want ErrNotNumeric", err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		incr()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > 1<<10 {
+		t.Errorf("refusing a 400 KB non-numeric value allocated %d bytes, want under 1 KB", bytes)
+	}
+	if allocs := testing.AllocsPerRun(runs, incr); allocs > 2 {
+		t.Errorf("refusing a 400 KB non-numeric value allocated %.0f times, want at most 2", allocs)
+	}
+}
+
+// TestParseUintBlobMatchesParseUint: the value parser accepts exactly what
+// the wire parser does, leading zeros of any length and the overflow edge
+// included.
+func TestParseUintBlobMatchesParseUint(t *testing.T) {
+	for _, in := range []string{
+		"", "0", "7", "00000000000000000000000000042", "18446744073709551615",
+		"18446744073709551616", "99999999999999999999", "-1", "+1", "1 ", " 1", "12a", "a12",
+	} {
+		want, wantOK := parseUint([]byte(in))
+		for _, b := range []blob.Blob{blob.FromBytes([]byte(in)), blob.Concat(bval(in[:len(in)/2]), bval(in[len(in)/2:]))} {
+			if got, ok := parseUintBlob(b); got != want || ok != wantOK {
+				t.Errorf("parseUintBlob(%q) = %d, %v; parseUint = %d, %v", in, got, ok, want, wantOK)
+			}
+		}
 	}
 }
 

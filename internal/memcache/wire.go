@@ -82,13 +82,22 @@ func parseUint(b []byte) (uint64, bool) {
 	}
 	var v uint64
 	for _, c := range b {
-		d := uint64(c - '0')
-		if d > 9 || v > math.MaxUint64/10 || v*10 > math.MaxUint64-d {
+		var ok bool
+		if v, ok = addDigit(v, c); !ok {
 			return 0, false
 		}
-		v = v*10 + d
 	}
 	return v, true
+}
+
+// addDigit appends the decimal digit c to v. It reports false when c is
+// not a digit or the result would overflow.
+func addDigit(v uint64, c byte) (uint64, bool) {
+	d := uint64(c - '0')
+	if d > 9 || v > math.MaxUint64/10 || v*10 > math.MaxUint64-d {
+		return 0, false
+	}
+	return v*10 + d, true
 }
 
 // parseInt reads a decimal with an optional sign.

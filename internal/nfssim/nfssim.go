@@ -5,8 +5,9 @@
 // single server's disks cannot match the network.
 //
 // The protocol is stateless (NFSv3-style): clients address files by path
-// and offset. Clients implement gluster.FS so the common workload drivers
-// run unchanged.
+// and offset. Clients implement gluster.TaskFS and the server serves as a
+// fabric.HandlerT, in continuation style like every other layer, so the
+// common workload drivers run unchanged.
 //
 // The server is calibrated by two constants, OpCPU and Threads, over the
 // paper's 8-disk HighPoint array (disk.NewHighPoint); a deployment sets only
@@ -47,7 +48,7 @@ func NewServer(env *sim.Env, node *fabric.Node, memBytes int64) *Server {
 		store:   gluster.NewPosix(env, gluster.PosixConfig{Dev: arr, CacheBytes: memBytes}),
 		threads: sim.NewResource(env, Threads),
 	}
-	node.Handle("nfsd", s.handle)
+	node.HandleT("nfsd", s.handle)
 	return s
 }
 
@@ -78,60 +79,80 @@ func (r *nfsResp) WireSize() int64 {
 	return n
 }
 
-func (s *Server) handle(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
+// handle serves one request on an nfsd thread. The thread is released
+// before the reply is sent.
+func (s *Server) handle(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 	r := req.(*nfsReq)
-	s.threads.Acquire(p, 1)
-	defer s.threads.Release(1)
-	s.node.CPU.Use(p, OpCPU)
+	s.threads.AcquireT(t, 1, func() {
+		s.node.CPU.UseT(t, OpCPU, func() {
+			s.serve(t, r, func(resp *nfsResp) {
+				s.threads.Release(1)
+				respond(resp)
+			})
+		})
+	})
+}
+
+// serve performs one request against the store and hands its reply to
+// done.
+func (s *Server) serve(t *sim.Task, r *nfsReq, done func(*nfsResp)) {
 	switch r.Op {
 	case "create":
-		fd, err := s.store.Create(p, r.Path)
-		if err != nil {
-			return &nfsResp{Code: "EEXIST"}
-		}
-		_ = s.store.Close(p, fd)
-		return &nfsResp{}
-	case "read":
-		fd, err := s.store.Open(p, r.Path)
-		if err != nil {
-			return &nfsResp{Code: "ENOENT"}
-		}
-		data, err := s.store.Read(p, fd, r.Off, r.Size)
-		_ = s.store.Close(p, fd)
-		if err != nil {
-			return &nfsResp{Code: "EIO"}
-		}
-		return &nfsResp{Data: data}
-	case "write":
-		fd, err := s.store.Open(p, r.Path)
-		if err != nil {
-			return &nfsResp{Code: "ENOENT"}
-		}
-		_, err = s.store.Write(p, fd, r.Off, r.Data)
-		_ = s.store.Close(p, fd)
-		if err != nil {
-			return &nfsResp{Code: "EIO"}
-		}
-		return &nfsResp{}
+		s.store.CreateT(t, r.Path, func(fd gluster.FD, err error) {
+			if err != nil {
+				done(&nfsResp{Code: "EEXIST"})
+				return
+			}
+			s.store.CloseT(t, fd, func(error) { done(&nfsResp{}) })
+		})
+	case "read", "write":
+		s.store.OpenT(t, r.Path, func(fd gluster.FD, err error) {
+			if err != nil {
+				done(&nfsResp{Code: "ENOENT"})
+				return
+			}
+			// reply closes fd, then replies with the operation's outcome.
+			reply := func(data blob.Blob, err error) {
+				resp := &nfsResp{Data: data}
+				if err != nil {
+					resp = &nfsResp{Code: "EIO"}
+				}
+				s.store.CloseT(t, fd, func(error) { done(resp) })
+			}
+			if r.Op == "write" {
+				s.store.WriteT(t, fd, r.Off, r.Data, func(_ int64, err error) { reply(blob.Blob{}, err) })
+				return
+			}
+			s.store.ReadT(t, fd, r.Off, r.Size, reply)
+		})
 	case "stat":
-		st, err := s.store.Stat(p, r.Path)
-		if err != nil {
-			return &nfsResp{Code: "ENOENT"}
-		}
-		return &nfsResp{St: st}
+		s.store.StatT(t, r.Path, func(st *gluster.Stat, err error) {
+			if err != nil {
+				done(&nfsResp{Code: "ENOENT"})
+				return
+			}
+			own := *st // the store lends st; the reply keeps a copy
+			done(&nfsResp{St: &own})
+		})
 	case "unlink":
-		if err := s.store.Unlink(p, r.Path); err != nil {
-			return &nfsResp{Code: "ENOENT"}
-		}
-		return &nfsResp{}
+		s.store.UnlinkT(t, r.Path, func(err error) {
+			if err != nil {
+				done(&nfsResp{Code: "ENOENT"})
+				return
+			}
+			done(&nfsResp{})
+		})
 	default:
 		panic("nfssim: unknown op " + r.Op)
 	}
 }
 
 // Client is an NFS client on one fabric node. It performs no client-side
-// caching (the experiment isolates server behaviour).
+// caching (the experiment isolates server behaviour). Every operation is
+// written once, in continuation style; the embedded Blocking derives the
+// blocking FS methods from those.
 type Client struct {
+	gluster.Blocking
 	node    *fabric.Node
 	server  *fabric.Node
 	fdPaths map[gluster.FD]string
@@ -141,17 +162,19 @@ type Client struct {
 	rpcs uint64
 }
 
-var _ gluster.FS = (*Client)(nil)
+var _ gluster.TaskFS = (*Client)(nil)
 
 // NewClient returns an NFS client on node mounting the server.
 func NewClient(node *fabric.Node, server *Server) *Client {
-	return &Client{node: node, server: server.node, fdPaths: make(map[gluster.FD]string)}
+	c := &Client{node: node, server: server.node, fdPaths: make(map[gluster.FD]string)}
+	c.Blocking = gluster.NewBlocking(c)
+	return c
 }
 
-func (c *Client) call(p *sim.Proc, req *nfsReq) *nfsResp {
+// call sends req to the server and hands k the reply.
+func (c *Client) call(t *sim.Task, req *nfsReq, k func(*nfsResp)) {
 	c.rpcs++
-	resp, _ := c.node.Call(p, c.server, "nfsd", req)
-	return resp.(*nfsResp)
+	c.node.CallT(t, c.server, "nfsd", req, func(m fabric.Msg, _ error) { k(m.(*nfsResp)) })
 }
 
 // Register exposes the NFS client's RPC counter under prefix (e.g.
@@ -161,96 +184,116 @@ func (c *Client) Register(reg *telemetry.Registry, prefix string) {
 	reg.Counter(prefix+".rpcs", func() uint64 { return c.rpcs })
 }
 
-// Create implements gluster.FS.
-func (c *Client) Create(p *sim.Proc, path string) (gluster.FD, error) {
-	r := c.call(p, &nfsReq{Op: "create", Path: path})
-	if r.Code != "" {
-		return 0, gluster.ErrExist
-	}
-	c.nextFD++
-	c.fdPaths[c.nextFD] = path
-	return c.nextFD, nil
+// CreateT implements gluster.TaskFS.
+func (c *Client) CreateT(t *sim.Task, path string, k func(gluster.FD, error)) {
+	c.call(t, &nfsReq{Op: "create", Path: path}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(0, gluster.ErrExist)
+			return
+		}
+		k(c.newFD(path), nil)
+	})
 }
 
-// Open implements gluster.FS (a lookup RPC validates existence).
-func (c *Client) Open(p *sim.Proc, path string) (gluster.FD, error) {
-	r := c.call(p, &nfsReq{Op: "stat", Path: path})
-	if r.Code != "" {
-		return 0, gluster.ErrNotExist
-	}
-	c.nextFD++
-	c.fdPaths[c.nextFD] = path
-	return c.nextFD, nil
+// OpenT implements gluster.TaskFS (a lookup RPC validates existence).
+func (c *Client) OpenT(t *sim.Task, path string, k func(gluster.FD, error)) {
+	c.call(t, &nfsReq{Op: "stat", Path: path}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(0, gluster.ErrNotExist)
+			return
+		}
+		k(c.newFD(path), nil)
+	})
 }
 
-// Close implements gluster.FS.
-func (c *Client) Close(p *sim.Proc, fd gluster.FD) error {
+// newFD hands out a descriptor for path.
+func (c *Client) newFD(path string) gluster.FD {
+	c.nextFD++
+	c.fdPaths[c.nextFD] = path
+	return c.nextFD
+}
+
+// CloseT implements gluster.TaskFS.
+func (c *Client) CloseT(t *sim.Task, fd gluster.FD, k func(error)) {
 	if _, ok := c.fdPaths[fd]; !ok {
-		return gluster.ErrBadFD
+		k(gluster.ErrBadFD)
+		return
 	}
 	delete(c.fdPaths, fd)
-	return nil
+	k(nil)
 }
 
-// Read implements gluster.FS.
-func (c *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, error) {
+// ReadT implements gluster.TaskFS.
+func (c *Client) ReadT(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.Blob, error)) {
 	path, ok := c.fdPaths[fd]
 	if !ok {
-		return blob.Blob{}, gluster.ErrBadFD
+		k(blob.Blob{}, gluster.ErrBadFD)
+		return
 	}
 	if err := gluster.CheckRange(off, size); err != nil {
-		return blob.Blob{}, err
+		k(blob.Blob{}, err)
+		return
 	}
-	r := c.call(p, &nfsReq{Op: "read", Path: path, Off: off, Size: size})
-	if r.Code != "" {
-		return blob.Blob{}, gluster.ErrNotExist
-	}
-	return r.Data, nil
+	c.call(t, &nfsReq{Op: "read", Path: path, Off: off, Size: size}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(blob.Blob{}, gluster.ErrNotExist)
+			return
+		}
+		k(r.Data, nil)
+	})
 }
 
-// Write implements gluster.FS.
-func (c *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (int64, error) {
+// WriteT implements gluster.TaskFS.
+func (c *Client) WriteT(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
 	path, ok := c.fdPaths[fd]
 	if !ok {
-		return 0, gluster.ErrBadFD
+		k(0, gluster.ErrBadFD)
+		return
 	}
 	if err := gluster.CheckRange(off, data.Len()); err != nil {
-		return 0, err
+		k(0, err)
+		return
 	}
-	r := c.call(p, &nfsReq{Op: "write", Path: path, Off: off, Data: data})
-	if r.Code != "" {
-		return 0, gluster.ErrNotExist
-	}
-	return data.Len(), nil
+	c.call(t, &nfsReq{Op: "write", Path: path, Off: off, Data: data}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(0, gluster.ErrNotExist)
+			return
+		}
+		k(data.Len(), nil)
+	})
 }
 
-// Stat implements gluster.FS.
-func (c *Client) Stat(p *sim.Proc, path string) (*gluster.Stat, error) {
-	r := c.call(p, &nfsReq{Op: "stat", Path: path})
-	if r.Code != "" {
-		return nil, gluster.ErrNotExist
-	}
-	return r.St, nil
+// StatT implements gluster.TaskFS.
+func (c *Client) StatT(t *sim.Task, path string, k func(*gluster.Stat, error)) {
+	c.call(t, &nfsReq{Op: "stat", Path: path}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(nil, gluster.ErrNotExist)
+			return
+		}
+		k(r.St, nil)
+	})
 }
 
-// Unlink implements gluster.FS.
-func (c *Client) Unlink(p *sim.Proc, path string) error {
-	r := c.call(p, &nfsReq{Op: "unlink", Path: path})
-	if r.Code != "" {
-		return gluster.ErrNotExist
-	}
-	return nil
+// UnlinkT implements gluster.TaskFS.
+func (c *Client) UnlinkT(t *sim.Task, path string, k func(error)) {
+	c.call(t, &nfsReq{Op: "unlink", Path: path}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(gluster.ErrNotExist)
+			return
+		}
+		k(nil)
+	})
 }
 
-// Mkdir implements gluster.FS (directories are implicit server-side).
-func (c *Client) Mkdir(p *sim.Proc, path string) error { return nil }
+// MkdirT implements gluster.TaskFS (directories are implicit server-side).
+func (c *Client) MkdirT(t *sim.Task, path string, k func(error)) { k(nil) }
 
-// Readdir implements gluster.FS (not used by the Fig. 1 workload).
-func (c *Client) Readdir(p *sim.Proc, path string) ([]string, error) {
-	return nil, gluster.ErrNotExist
+// ReaddirT implements gluster.TaskFS (not used by the Fig. 1 workload).
+func (c *Client) ReaddirT(t *sim.Task, path string, k func([]string, error)) {
+	k(nil, gluster.ErrNotExist)
 }
 
-// Truncate implements gluster.FS (not used by the Fig. 1 workload).
-func (c *Client) Truncate(p *sim.Proc, path string, size int64) error {
-	return gluster.ErrNotExist
+// TruncateT implements gluster.TaskFS (not used by the Fig. 1 workload).
+func (c *Client) TruncateT(t *sim.Task, path string, size int64, k func(error)) {
+	k(gluster.ErrNotExist)
 }

@@ -125,7 +125,7 @@ func TestForkNesting(t *testing.T) {
 			done.Trigger(nil)
 		})
 		Fork(p, child)
-		done.Wait(p)
+		p.Await(func(t *sim.Task) { done.WaitFn(t.End) })
 		root.End(p)
 		op := col.End(p)
 		if len(op.Spans) != 2 {

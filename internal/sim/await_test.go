@@ -2,11 +2,21 @@ package sim
 
 import (
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
+
+// waitEvent, acquire and use are the blocking forms of the *T primitives
+// that have none in the kernel: a process awaits the primitive, as
+// Proc.Sleep and Barrier.Wait do.
+func waitEvent(p *Proc, ev *Event) { p.Await(func(tk *Task) { ev.WaitFn(tk.front.fnEnd) }) }
+
+func acquire(p *Proc, r *Resource, n int) {
+	p.Await(func(tk *Task) { r.AcquireT(tk, n, tk.front.fnEnd) })
+}
+
+func use(p *Proc, r *Resource, d Duration) { p.Await(func(tk *Task) { r.UseT(tk, d, tk.front.fnEnd) }) }
 
 // spelling is the kernel's waiting primitives in one of the forms an
 // activity can use them: continuation style on a task, or blocking on a
@@ -35,9 +45,9 @@ func taskSpelling(tk *Task) spelling {
 func procSpelling(p *Proc) spelling {
 	return spelling{
 		sleep:   func(d Duration, k func()) { p.Sleep(d); k() },
-		wait:    func(ev *Event, k func()) { ev.Wait(p); k() },
-		acquire: func(r *Resource, n int, k func()) { r.Acquire(p, n); k() },
-		use:     func(r *Resource, d Duration, k func()) { r.Use(p, d); k() },
+		wait:    func(ev *Event, k func()) { waitEvent(p, ev); k() },
+		acquire: func(r *Resource, n int, k func()) { acquire(p, r, n); k() },
+		use:     func(r *Resource, d Duration, k func()) { use(p, r, d); k() },
 		arrive:  func(b *Barrier, k func()) { b.Wait(p); k() },
 		end:     func() {},
 	}
@@ -169,29 +179,28 @@ func TestBlockingPrimitivesAllocFree(t *testing.T) {
 	fired, pending := NewEvent(env), NewEvent(env)
 	fired.Trigger(nil)
 	trigger := func() { pending.Trigger(nil) }
-	nested := func(q *Proc) { q.Sleep(1) }
 	var queued int
 	body := func(p *Proc) { // run by two processes at once
 		p.Sleep(1)
-		p.Await(func(tk *Task) { tk.Block(nested, tk.front.fnEnd) })
+		p.Await(func(tk *Task) { p.Sleep(1); tk.End() }) // a nested Await, inline on the process
 		before := env.parked
-		fired.Wait(p) // triggered: inline
-		free.Acquire(p, 1)
-		free.Use(p, 0) // second unit: granted inline, then a zero sleep
+		waitEvent(p, fired) // triggered: inline
+		acquire(p, free, 1)
+		use(p, free, 0) // second unit: granted inline, then a zero sleep
 		free.Release(1)
 		if env.parked != before {
 			t.Error("inline paths parked")
 		}
 		bar.Wait(p) // first arriver parks, second releases it
 		env.Defer(1, trigger)
-		pending.Wait(p)    // both park
-		busy.Acquire(p, 1) // one holds, the other queues
+		waitEvent(p, pending) // both park
+		acquire(p, busy, 1)   // one holds, the other queues
 		p.Sleep(1)
 		queued += busy.QueueLen()
 		busy.Release(1)
 		bar.Wait(p)
 		pending.Reset()
-		busy.Use(p, 1) // one holds, the other queues
+		use(p, busy, 1) // one holds, the other queues
 	}
 	pass := func(body func(*Proc)) func() {
 		return func() {
@@ -264,124 +273,6 @@ func TestAwaitSharesContextSlot(t *testing.T) {
 	env.Run()
 }
 
-// TestAwaitBlockAwaitUnwindsLIFO is the CMCache-over-Lustre shape: a
-// task-style layer (outer Await) calls a blocking layer (Block) that itself
-// sleeps (a kernel primitive, so a nested Await of its own) and then awaits
-// a task-style layer (inner Await). Both Block entry paths are covered:
-// from the Await body (process running) and from a continuation in
-// scheduler context (process parked).
-func TestAwaitBlockAwaitUnwindsLIFO(t *testing.T) {
-	env := NewEnv()
-	var log []string
-	note := func(s string) { log = append(log, s) }
-	blocking := func(p *Proc) { // the blocking layer: sleeps, then awaits
-		p.Sleep(time.Microsecond)
-		note("slept")
-		p.Await(func(in *Task) {
-			note("inner-start")
-			in.Sleep(time.Microsecond, func() {
-				note("inner-end")
-				in.End()
-			})
-		})
-		note("inner-returned")
-	}
-	env.Process("p", func(p *Proc) {
-		p.Await(func(out *Task) {
-			note("outer-start")
-			out.Block(blocking, func() { // inline entry
-				note("k1")
-				out.Sleep(time.Microsecond, func() {
-					out.Block(blocking, func() { // entry by wake
-						note("k2")
-						out.End()
-					})
-				})
-			})
-		})
-		note("outer-returned")
-	})
-	env.Run()
-	want := "outer-start slept inner-start inner-end inner-returned k1 " +
-		"slept inner-start inner-end inner-returned k2 outer-returned"
-	if got := strings.Join(log, " "); got != want {
-		t.Fatalf("order:\n got %s\nwant %s", got, want)
-	}
-	if env.Now() != Time(5*time.Microsecond) {
-		t.Fatalf("finished at %v, want 5µs (four sleeps in the blocking layer, one outside)", env.Now())
-	}
-}
-
-// TestBlockSpendsNoSequenceNumbers: the same blocking work reached directly
-// and reached through Await+Block from scheduler context consumes the same
-// sequence numbers.
-func TestBlockSpendsNoSequenceNumbers(t *testing.T) {
-	run := func(viaBlock bool) (uint64, uint64, Time) {
-		env := NewEnv()
-		work := func(p *Proc) { p.Sleep(2 * time.Microsecond) }
-		env.Process("p", func(p *Proc) {
-			p.Sleep(time.Microsecond)
-			if !viaBlock {
-				work(p)
-				return
-			}
-			p.Await(func(tk *Task) {
-				tk.Block(work, tk.End)
-			})
-		})
-		env.Run()
-		return env.seq, env.EventsProcessed, env.Now()
-	}
-	s1, e1, n1 := run(false)
-	s2, e2, n2 := run(true)
-	if s1 != s2 || e1 != e2 || n1 != n2 {
-		t.Fatalf("direct (seq %d, events %d, %v) vs Await+Block (seq %d, events %d, %v)", s1, e1, n1, s2, e2, n2)
-	}
-}
-
-// TestBlockLoopRunsAtConstantDepth: a loop of blocking calls written as
-// continuations — each Block issued from the previous one's k, the shape
-// of a task body over a Lift shim — runs every call at the same stack
-// depth, whether its blocking function parks or returns at once. Were k's
-// Block run inside k, each call would nest a frame set on the process's
-// stack and a long loop would hold a stack proportional to its length.
-func TestBlockLoopRunsAtConstantDepth(t *testing.T) {
-	env := NewEnv()
-	const n = 10000
-	pcs := make([]uintptr, 1024)
-	var first, last, calls int
-	env.Process("loop", func(p *Proc) {
-		p.Await(func(tk *Task) {
-			var step func()
-			step = func() {
-				if calls == n {
-					tk.End()
-					return
-				}
-				tk.Block(func(q *Proc) {
-					calls++
-					depth := runtime.Callers(0, pcs)
-					if calls == 1 {
-						first = depth
-					}
-					last = depth
-					if calls%3 != 0 {
-						q.Sleep(time.Microsecond)
-					}
-				}, step)
-			}
-			step()
-		})
-	})
-	env.Run()
-	if calls != n {
-		t.Fatalf("ran %d blocking calls, want %d", calls, n)
-	}
-	if first != last {
-		t.Fatalf("blocking call 1 ran at stack depth %d, call %d at %d", first, n, last)
-	}
-}
-
 func panicMessage(fn func()) (msg string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -407,53 +298,6 @@ func TestAwaitNeverEndedIsDeadlock(t *testing.T) {
 	}
 }
 
-// TestBlockPanics: Block on a task that fronts no process, and on a
-// process already inside a Block, are bugs reported by name.
-func TestBlockPanics(t *testing.T) {
-	env := NewEnv()
-	var plain string
-	env.StartTask("plain", func(tk *Task) {
-		plain = panicMessage(func() { tk.Block(func(*Proc) {}, func() {}) })
-		tk.End()
-	})
-	ctx := panicMessage(func() { env.ContextTask("frame").Block(func(*Proc) {}, func() {}) })
-
-	var busy, endBusy, queued string
-	env.Process("chain", func(p *Proc) {
-		p.Await(func(tk *Task) {
-			tk.Block(func(*Proc) {}, func() {
-				// Two Blocks from one continuation: the first is queued,
-				// the second finds the process already committed.
-				tk.Block(func(*Proc) {}, tk.End)
-				queued = panicMessage(func() { tk.Block(func(*Proc) {}, func() {}) })
-			})
-		})
-	})
-	env.Process("worker", func(p *Proc) {
-		p.Await(func(tk *Task) {
-			// A second operation on the same task arrives while the
-			// process is parked inside the first one's blocking call.
-			tk.Sleep(time.Microsecond, func() {
-				busy = panicMessage(func() { tk.Block(func(*Proc) {}, func() {}) })
-				endBusy = panicMessage(tk.End)
-			})
-			tk.Block(func(q *Proc) { q.Sleep(2 * time.Microsecond) }, tk.End)
-		})
-	})
-	env.Run()
-	for _, c := range []struct{ name, msg, want string }{
-		{"plain task", plain, "task 1 (plain) fronts no process"},
-		{"context task", ctx, "(frame) fronts no process"},
-		{"busy process", busy, "(worker) is busy"},
-		{"end while busy", endBusy, "(worker) is busy in Block"},
-		{"second Block queued", queued, "(chain) is busy"},
-	} {
-		if !strings.Contains(c.msg, c.want) {
-			t.Errorf("%s: panic %q, want it to contain %q", c.name, c.msg, c.want)
-		}
-	}
-}
-
 // TestPooledProcCleanAfterAwait: a Proc recycled after a life that used
 // Await starts its next life with no trace of it but its frontings, which
 // the next life's Awaits reuse depth for depth.
@@ -464,9 +308,8 @@ func TestPooledProcCleanAfterAwait(t *testing.T) {
 		first = p
 		p.SetCtx("stale")
 		p.Await(func(tk *Task) {
-			tk.Block(func(q *Proc) { q.Sleep(time.Microsecond) }, func() {
-				tk.Sleep(time.Microsecond, tk.End)
-			})
+			p.Sleep(time.Microsecond) // a nested Await, inline on the process
+			tk.Sleep(time.Microsecond, tk.End)
 		})
 		p.Sleep(time.Microsecond)
 	})
@@ -482,19 +325,16 @@ func TestPooledProcCleanAfterAwait(t *testing.T) {
 			if tk.Ctx() != nil {
 				t.Errorf("fresh Await sees ctx %v", tk.Ctx())
 			}
-			tk.Block(func(q *Proc) {
-				q.Await(func(in *Task) {
-					if len(p.fronts) != 2 || tk.front != p.fronts[0] || in.front != p.fronts[1] {
-						t.Errorf("Await and nested Await of a recycled process run on %p and %p, want its pooled %v",
-							tk.front, in.front, p.fronts)
-					}
-					in.End()
-				})
-			}, func() {
-				tk.Sleep(time.Microsecond, func() {
-					done = true
-					tk.End()
-				})
+			p.Await(func(in *Task) {
+				if len(p.fronts) != 2 || tk.front != p.fronts[0] || in.front != p.fronts[1] {
+					t.Errorf("Await and nested Await of a recycled process run on %p and %p, want its pooled %v",
+						tk.front, in.front, p.fronts)
+				}
+				in.End()
+			})
+			tk.Sleep(time.Microsecond, func() {
+				done = true
+				tk.End()
 			})
 		})
 		if !done {

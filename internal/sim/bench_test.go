@@ -38,7 +38,7 @@ func BenchmarkSpawn(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			done.Reset()
 			env.Process("child", child)
-			done.Wait(p)
+			waitEvent(p, done)
 		}
 	})
 	b.ResetTimer()

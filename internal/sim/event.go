@@ -40,12 +40,6 @@ func (ev *Event) Trigger(v interface{}) {
 	ev.waiters = ev.waiters[:0]
 }
 
-// Wait parks p until the event triggers. If the event has already
-// triggered it returns immediately.
-func (ev *Event) Wait(p *Proc) {
-	p.Await(func(t *Task) { ev.WaitFn(t.front.fnEnd) })
-}
-
 // WaitFn arranges for k to run when the event triggers. k takes no value
 // (the owner reads Value itself), so the registration and the eventual
 // dispatch allocate nothing — k is typically a method value bound once on

@@ -18,7 +18,7 @@ func Example() {
 		ready.Trigger("payload")
 	})
 	env.Process("consumer", func(p *sim.Proc) {
-		ready.Wait(p)
+		p.Await(func(t *sim.Task) { ready.WaitFn(t.End) })
 		fmt.Printf("received %q at t=%v\n", ready.Value(), sim.Duration(p.Now()))
 	})
 
@@ -31,10 +31,11 @@ func ExampleResource() {
 	env := sim.NewEnv()
 	server := sim.NewResource(env, 2)
 	for i := 0; i < 3; i++ {
-		i := i
-		env.Process("job", func(p *sim.Proc) {
-			server.Use(p, 10*time.Millisecond)
-			fmt.Printf("job %d done at %v\n", i, sim.Duration(p.Now()))
+		env.StartTask("job", func(t *sim.Task) {
+			server.UseT(t, 10*time.Millisecond, func() {
+				fmt.Printf("job %d done at %v\n", i, sim.Duration(t.Now()))
+				t.End()
+			})
 		})
 	}
 	env.Run()

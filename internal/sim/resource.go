@@ -52,11 +52,6 @@ func (r *Resource) accountBusy() {
 	r.lastBusy = r.env.now
 }
 
-// Acquire blocks p until n units are available and takes them.
-func (r *Resource) Acquire(p *Proc, n int) {
-	p.Await(func(t *Task) { r.AcquireT(t, n, t.front.fnEnd) })
-}
-
 // AcquireT takes n units and runs k. When the units are free the grant is
 // immediate: k runs inline and no event is scheduled. Otherwise the
 // continuation queues FIFO behind earlier acquirers and is dispatched by
@@ -108,12 +103,6 @@ func (r *Resource) Release(n int) {
 	}
 }
 
-// Use acquires one unit, holds it for d, and releases it: the common
-// "serve one request" pattern.
-func (r *Resource) Use(p *Proc, d Duration) {
-	p.Await(func(t *Task) { r.UseT(t, d, t.front.fnEnd) })
-}
-
 // useOp is one in-flight UseT: the acquire→hold→release chain as a pooled
 // frame with prebound continuations, so the kernel's most common task
 // pattern allocates nothing. The frame returns to its resource's free list
@@ -139,8 +128,8 @@ func (op *useOp) charged() {
 	k()
 }
 
-// UseT is Use for tasks: acquire one unit, hold it for d, release, then
-// run k.
+// UseT acquires one unit, holds it for d, releases it, then runs k: the
+// common "serve one request" pattern.
 func (r *Resource) UseT(t *Task, d Duration, k func()) {
 	op := r.useOps.Pop()
 	if op == nil {

@@ -26,10 +26,10 @@
 //
 // A Proc is an ordinary Go function running on a coroutine of its own, which
 // blocks in virtual time (p.Sleep returns when the time has passed). It is
-// the clearest way to write low-cardinality control logic — set-up passes,
-// fault injectors, interactive shells, the comparison systems' clients — and
-// all kernel methods that take a *Proc must be called from that process's
-// own body while it is the running process:
+// the clearest way to write low-cardinality control logic — benchmark
+// drivers, set-up passes, fault injectors, interactive shells — and all
+// kernel methods that take a *Proc must be called from that process's own
+// body while it is the running process:
 //
 //	env.Process("setup", func(p *sim.Proc) {
 //		p.Sleep(10 * time.Microsecond)
@@ -37,12 +37,10 @@
 //
 // The two meet in one adapter (await.go). Proc.Await runs continuation
 // code on behalf of a process and returns when it has finished, which is
-// how every blocking call in the tree — the kernel's own Proc.Sleep,
-// Event.Wait, Resource.Acquire/Use and Barrier.Wait included — is derived
-// from its task-style implementation; Task.Block runs blocking code on the
-// process such a task fronts. Neither spends a sequence number, so the
-// same activity replays the same (time, seq) event stream whichever way it
-// is driven.
+// how every blocking call in the tree — the kernel's own Proc.Sleep and
+// Barrier.Wait included — is derived from its task-style implementation.
+// It spends no sequence number, so the same activity replays the same
+// (time, seq) event stream whichever way it is driven.
 //
 // # Dispatch cost
 //
@@ -59,8 +57,8 @@
 // carries an activity cannot move an (at, seq).
 //
 // A process keeps its coroutine, and the stack it has grown, across pooled
-// lives: spawning one in steady state (a blocking RPC handler, a stripe
-// helper) is one switch and no allocation (BenchmarkSpawn). When Run
+// lives: spawning one in steady state (a driver client per run, a set-up
+// pass) is one switch and no allocation (BenchmarkSpawn). When Run
 // drains it stops every idle coroutine, so no goroutine outlives a
 // finished run. A panic in a process body — or runtime.Goexit, which is
 // what t.FailNow is — surfaces from Env.Run on its caller's goroutine with
@@ -431,8 +429,8 @@ func (e *Env) laneOf(d Duration) int {
 //
 // fn runs between event dispatches, when no process is mid-action. It may
 // schedule further work (trigger events, call Defer, create processes) but
-// must not call process primitives (Sleep, Acquire, Wait, …): there is no
-// process to block.
+// must not call process primitives (Sleep, Await, Barrier.Wait, …): there
+// is no process to block.
 func (e *Env) Defer(d Duration, fn func()) {
 	if fn == nil {
 		panic("sim: nil deferred function")
@@ -558,7 +556,7 @@ func (e *Env) wake(p *Proc) { p.next() }
 // events run, and none ran between the previous event and the boundary).
 // Because the hook schedules nothing, installing it cannot change a
 // simulation's behaviour — results are byte-identical with it on or off.
-// The callback must not call process primitives (Sleep, Acquire, …).
+// The callback must not call process primitives (Sleep, Await, …).
 func (e *Env) SetTick(interval Duration, fn func(at Time)) {
 	if fn == nil {
 		e.tickFn = nil

@@ -93,7 +93,7 @@ func TestEventWakesAllWaiters(t *testing.T) {
 	woke := 0
 	for i := 0; i < 5; i++ {
 		env.Process("waiter", func(p *Proc) {
-			ev.Wait(p)
+			waitEvent(p, ev)
 			if got := ev.Value(); got != "go" {
 				t.Errorf("after Wait the value is %v, want go", got)
 			}
@@ -119,7 +119,7 @@ func TestEventWaitAfterTriggerReturnsImmediately(t *testing.T) {
 	env.Process("p", func(p *Proc) {
 		ev.Trigger(7)
 		before := p.Now()
-		ev.Wait(p)
+		waitEvent(p, ev)
 		if got := ev.Value(); got != 7 {
 			t.Errorf("got %v, want 7", got)
 		}
@@ -149,7 +149,7 @@ func TestResourceSerializes(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		env.Process("user", func(p *Proc) {
-			res.Use(p, 10*time.Microsecond)
+			use(p, res, 10*time.Microsecond)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -168,7 +168,7 @@ func TestResourceCapacityTwoRunsPairsConcurrently(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 4; i++ {
 		env.Process("user", func(p *Proc) {
-			res.Use(p, 10*time.Microsecond)
+			use(p, res, 10*time.Microsecond)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -186,7 +186,7 @@ func TestResourceFIFOOrder(t *testing.T) {
 		i := i
 		env.Process("user", func(p *Proc) {
 			p.Sleep(Duration(i) * time.Microsecond) // arrive in index order
-			res.Acquire(p, 1)
+			acquire(p, res, 1)
 			order = append(order, i)
 			p.Sleep(100 * time.Microsecond)
 			res.Release(1)
@@ -204,7 +204,7 @@ func TestResourceUtilization(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, 1)
 	env.Process("u", func(p *Proc) {
-		res.Use(p, 30*time.Microsecond)
+		use(p, res, 30*time.Microsecond)
 		p.Sleep(70 * time.Microsecond)
 	})
 	env.Run()
@@ -260,7 +260,7 @@ func TestSpawnFromProcess(t *testing.T) {
 			})
 		}
 		for _, done := range kids {
-			done.Wait(p)
+			waitEvent(p, done)
 		}
 		total *= 10
 	})
@@ -279,7 +279,7 @@ func TestDeadlockPanics(t *testing.T) {
 	env := NewEnv()
 	ev := NewEvent(env)
 	env.Process("stuck", func(p *Proc) {
-		ev.Wait(p) // nobody will ever trigger it
+		waitEvent(p, ev) // nobody will ever trigger it
 	})
 	env.Run()
 }

@@ -65,7 +65,7 @@ func TestTickDoesNotPerturbSimulation(t *testing.T) {
 			d := time.Duration(i+1) * 5 * time.Microsecond
 			n := name
 			env.Process(n, func(p *Proc) {
-				r.Acquire(p, 1)
+				acquire(p, r, 1)
 				p.Sleep(d)
 				r.Release(1)
 				order = append(order, n)

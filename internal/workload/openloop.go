@@ -68,10 +68,11 @@ type OpenLoopRun struct {
 // run starts executing at the caller's next env.Run; use Run to drive it
 // to completion.
 //
-// The generator requires task-ready mounts (gluster.AsTaskFS): an open-loop
-// tenant has several reads in flight at once, which one process awaiting
-// its operations cannot express, and a process per arrival would defeat
-// the point at this cardinality. The set-up passes stay ordinary blocking
+// The generator requires mounts that are gluster.TaskFS (gluster.AsTaskFS),
+// not a blocking-only wrapper: an open-loop tenant has several reads in
+// flight at once, which one process awaiting its operations cannot
+// express, and a process per arrival would defeat the point at this
+// cardinality. The set-up passes stay ordinary blocking
 // code: they create, fill and open through the mounts' blocking methods,
 // so a mount value may refine those (warm a cache in Open, say).
 func PrepareOpenLoop(env *sim.Env, mounts []gluster.FS, opts OpenLoopOptions) *OpenLoopRun {

@@ -104,57 +104,35 @@ func TestOpenLoopZipfSkew(t *testing.T) {
 	}
 }
 
-// procOnly hides any TaskFS implementation, so the mount is not task-ready:
-// only the embedded interface's blocking methods are promoted. startClient
-// runs a statBench client over it on a process awaiting the task body, and
-// the open-loop generator refuses it.
-type procOnly struct{ gluster.FS }
-
+// TestOpenLoopRequiresTaskEngine: the generator refuses a blocking-only
+// wrapper over a mount (here one that fails nothing), since its tenants
+// keep several reads in flight and a process awaiting one cannot.
 func TestOpenLoopRequiresTaskEngine(t *testing.T) {
 	c := openLoopCluster()
 	wrapped := make([]gluster.FS, 0, len(c.Mounts))
 	for _, fs := range c.FSes() {
-		wrapped = append(wrapped, procOnly{fs})
+		wrapped = append(wrapped, failingFS{FS: fs})
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("open-loop generator accepted proc-only mounts")
+			t.Fatal("open-loop generator accepted blocking-only mounts")
 		}
 	}()
 	openLoop(c, wrapped, openLoopOpts())
 }
 
-// TestEngineEquivalence is the adapter's guarantee at workload level for the
-// one closed-loop body still written in continuation style: statBench runs
-// under StartTask on task-ready mounts, and on the same mounts wrapped
-// procOnly under Process+Await, each stat going task → Block → blocking
-// method → Await → the xlator's *T body. Identical deployments must give the
-// same result from the same number of events either way. The other drivers
-// are straight-line processes on both kinds of mount; TestDriversPinned pins
-// them.
-func TestEngineEquivalence(t *testing.T) {
-	// run builds a fresh deployment, wraps its mounts procOnly if asked, and
-	// stats bank hits through them: the operation whose result is a pooled
-	// borrow, copied by the blocking adapter.
-	run := func(wrap bool) [2]interface{} {
-		c := cluster.New(cluster.Options{Clients: 4, MCDs: 2, MCDMemBytes: 64 << 20, BlockSize: 2048})
-		mounts := c.FSes()
-		for i, fs := range mounts {
-			if gluster.AsTaskFS(fs) == nil {
-				t.Fatal("IMCa mounts should be task-capable")
-			}
-			if wrap {
-				mounts[i] = procOnly{fs}
-				if gluster.AsTaskFS(mounts[i]) != nil {
-					t.Fatal("wrapped mounts should not be task-capable")
-				}
-			}
-		}
-		CreateFiles(c.Env, mounts[0], "/st", 64)
-		return [2]interface{}{StatBench(c.Env, mounts, "/st", 64), c.Env.EventsProcessed}
-	}
-	if task, proc := run(false), run(true); task != proc {
-		t.Errorf("statbench differs across engines: task %+v, proc %+v", task, proc)
+// TestOpenLoopOverLustre: the comparison system's clients are task-style
+// too, so the generator runs over a Lustre deployment and every arrival
+// completes.
+func TestOpenLoopOverLustre(t *testing.T) {
+	d := pinLustre()
+	opts := openLoopOpts()
+	opts.Tenants = 20
+	run := PrepareOpenLoop(d.env, d.mounts, opts)
+	run.Run()
+	want := uint64(opts.Tenants * opts.ArrivalsPerTenant)
+	if run.Issued != want || run.Completed != want || run.Latency.Count() != want {
+		t.Fatalf("issued %d completed %d observed %d, want %d each", run.Issued, run.Completed, run.Latency.Count(), want)
 	}
 }
 

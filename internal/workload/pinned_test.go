@@ -25,14 +25,13 @@ type pinDeployment struct {
 	drop   func()
 }
 
-// pinIMCa is a four-client IMCa deployment: every layer continuation-style.
+// pinIMCa is a four-client IMCa deployment.
 func pinIMCa() pinDeployment {
 	c := cluster.New(cluster.Options{Clients: 4, MCDs: 2, MCDMemBytes: 64 << 20, BlockSize: 2048})
 	return pinDeployment{env: c.Env, mounts: c.FSes(), drop: func() {}}
 }
 
-// pinLustre is a two-client, two-OST Lustre deployment: blocking-only
-// clients over the fabric.
+// pinLustre is a two-client, two-OST Lustre deployment.
 func pinLustre() pinDeployment {
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
@@ -52,8 +51,8 @@ func pinLustre() pinDeployment {
 	return d
 }
 
-// pinNFS is a two-client NFS deployment over IPoIB: blocking-only clients
-// with no cache of their own, one server with 64 MB of page cache.
+// pinNFS is a two-client NFS deployment over IPoIB: clients with no cache
+// of their own, one server with 64 MB of page cache.
 func pinNFS() pinDeployment {
 	env := sim.NewEnv()
 	net := fabric.NewNetwork(env, fabric.IPoIB)
@@ -105,10 +104,10 @@ func renderLatency(res LatencyResult) string {
 	return b.String()
 }
 
-// TestDriversPinned pins what each closed-loop driver measures, on a
-// continuation-style deployment and on two blocking-only ones: every result
-// field and the number of kernel events the run dispatched. How a driver's
-// client bodies are written is free; the events they cause are not.
+// TestDriversPinned pins what each driver measures on IMCa, Lustre and NFS
+// deployments: every result field and the number of kernel events the run
+// dispatched. How a driver's client bodies, or the layers under them, are
+// written is free; the events they cause are not.
 func TestDriversPinned(t *testing.T) {
 	lat := func(opts LatencyOptions) func(d pinDeployment) string {
 		return func(d pinDeployment) string {
@@ -176,8 +175,9 @@ func TestDriversPinned(t *testing.T) {
 }
 
 // pinnedResults holds what TestDriversPinned's runs produced when the
-// drivers' client bodies were continuation closures started by startClient;
-// the nfs2 rows were recorded with the drivers as straight-line processes.
+// drivers' client bodies were continuation closures; the nfs2 rows were
+// recorded with the drivers as straight-line processes, and the statbench
+// rows with the Lustre and NFS layers still written as blocking code.
 var pinnedResults = map[string]string{
 	"latency/imca4":             "w256=971365 r256=134895 w4096=1177880 r4096=151618  ops=0/cbf29ce484222325 events=9122",
 	"latency/lustre2":           "w256=1343994 r256=11081 w4096=923037 r4096=133071  ops=0/cbf29ce484222325 events=3202",

@@ -9,12 +9,10 @@
 // A closed-loop driver's client is a process (sim.Proc) running a
 // straight-line loop of blocking gluster.FS calls, with barriers between
 // stages — the form the paper gives its benchmarks in. Two bodies stay in
-// continuation style against gluster.TaskFS: statBench, whose stat hits run
-// on the zero-alloc task path (a blocking Stat copies the lent *Stat, one
-// allocation per stat), and PrepareOpenLoop's tenants, each of which keeps
-// several reads in flight. startClient runs statBench's body as a sim.Task
-// on a task-ready mount and on a process awaiting it otherwise; the two
-// consume kernel schedules identically.
+// continuation style against gluster.TaskFS, each run as a sim.Task:
+// statBench, whose stat hits run on the zero-alloc task path (a blocking
+// Stat copies the lent *Stat, one allocation per stat), and
+// PrepareOpenLoop's tenants, each of which keeps several reads in flight.
 package workload
 
 import (
@@ -26,18 +24,6 @@ import (
 	"imca/internal/optrace"
 	"imca/internal/sim"
 )
-
-// startClient starts one statBench client running body, whose operations go
-// to tfs (a mount held through gluster.Lift): as a task when the mount's
-// whole stack is continuation-style, otherwise on a process awaiting the
-// same body.
-func startClient(env *sim.Env, name string, tfs gluster.TaskFS, body func(t *sim.Task)) {
-	if tfs.TaskReady() {
-		env.StartTask(name, body)
-		return
-	}
-	env.Process(name, func(p *sim.Proc) { p.Await(body) })
-}
 
 // CreateFiles makes n empty files "<dir>/f<k>" through fs (the stat
 // benchmark's untimed first stage). It runs the simulation to completion.
@@ -114,10 +100,11 @@ func StatBenchStrided(env *sim.Env, mounts []gluster.FS, dir string, n, stride i
 	return statBench(env, mounts, paths, stride)
 }
 
-// statBench stats every path from every mount. The client body keeps one
-// continuation pair per client — the per-operation closure a
-// naive recursion would allocate is exactly the kind of hot-path garbage
-// the benchmark exists to measure around.
+// statBench stats every path from every mount, each a gluster.TaskFS, on
+// one task per mount. The client body keeps one continuation pair per
+// client — the per-operation closure a naive recursion would allocate is
+// exactly the kind of hot-path garbage the benchmark exists to measure
+// around.
 func statBench(env *sim.Env, mounts []gluster.FS, paths []string, stride int) sim.Duration {
 	start := sim.NewBarrier(env, len(mounts))
 	var maxElapsed sim.Duration
@@ -127,8 +114,11 @@ func statBench(env *sim.Env, mounts []gluster.FS, paths []string, stride int) si
 		}
 	}
 	for _, fs := range mounts {
-		tfs := gluster.Lift(fs)
-		startClient(env, "statbench", tfs, func(t *sim.Task) {
+		tfs := gluster.AsTaskFS(fs)
+		if tfs == nil {
+			panic("workload: stat benchmark requires task-capable mounts")
+		}
+		env.StartTask("statbench", func(t *sim.Task) {
 			start.WaitT(t, func() {
 				t0 := t.Now()
 				i := 0

@@ -295,7 +295,10 @@ func TestWriteTAllocations(t *testing.T) {
 	// fan-out to member disks is not part of this contract.
 	const bs, blocks, writesPerRun = 2048, 2, 16
 	const (
-		statValue   = 1 // encodeStat's bytes, which the bank keeps
+		// A stat push cuts its encoding, which the bank keeps, from the
+		// pool's slab (statSlab): one 4 KB slab per 80 of this file's stats,
+		// so the 4 refills across AllocsPerRun's 20 batches truncate to 0.
+		statValue   = 0
 		stats       = 0 // Posix lends the stat before the write and the one after from its frame
 		extents     = 0 // extentMap.write splices an overwrite into the inode's extent slice in place
 		bankEntries = 0 // a rewritten block replaces its entry, and the store recycles the old one
@@ -470,13 +473,32 @@ func TestMetadataVerbsAllocations(t *testing.T) {
 		batch = 64
 		runs  = 4
 		// What one operation keeps, by name.
-		statValue  = 1 // encodeStat's bytes, which the bank keeps
+		statValue = 0
+		// A stat push cuts its encoding from the pool's slab (statSlab): a
+		// batch of 64 stats (3.6 KB) can straddle one 4 KB slab refill.
+		statSlab   = 1.0 / batch
 		inode      = 1 // Posix's inode of a new file
 		metaPages  = 3 // the page cache's records of the new file's metadata page
 		changesRec = 1 // SMCache's record of what applied to a path, made by its first unlink or truncate
 		growth     = 1 // the maps a new path enters, their growth amortised over a batch
 	)
 	created := func(m *metaRig, first int) { m.created(first, batch) }
+	// uncached makes the batch's files and drops their stats from the bank,
+	// so each stat of the batch misses and SMCache serves it and pushes it.
+	uncached := func(m *metaRig, first int) {
+		m.created(first, batch)
+		for _, path := range m.paths[first : first+batch] {
+			deleted := 0
+			for _, mcd := range m.mcds {
+				if mcd.Store().Delete(statKey(path)) == nil {
+					deleted++
+				}
+			}
+			if deleted != 1 {
+				m.t.Fatalf("%s's stat was on %d daemons, want 1", path, deleted)
+			}
+		}
+	}
 	cases := []struct {
 		name string
 		// prepare, unless nil, runs before each batch, unmeasured, with the
@@ -488,11 +510,12 @@ func TestMetadataVerbsAllocations(t *testing.T) {
 		// Per operation: events processed, keys purged.
 		events, purges uint64
 	}{
-		{"create+close", nil, (*metaRig).createClose, statValue + inode + metaPages + growth, 42, 0},
-		{"open+close", created, (*metaRig).openClose, statValue, 41, 0},
-		{"open+close resident", created, (*metaRig).pushOpenClose, statValue, 145, 4},
-		{"truncate", created, (*metaRig).truncate, changesRec + statValue + growth, 41, 1},
+		{"create+close", nil, (*metaRig).createClose, statValue + statSlab + inode + metaPages + growth, 42, 0},
+		{"open+close", created, (*metaRig).openClose, statValue + statSlab, 41, 0},
+		{"open+close resident", created, (*metaRig).pushOpenClose, statValue + statSlab, 145, 4},
+		{"truncate", created, (*metaRig).truncate, changesRec + statValue + statSlab + growth, 41, 1},
 		{"unlink", created, (*metaRig).unlink, changesRec + growth, 28, 1},
+		{"stat (bank miss)", uncached, (*metaRig).stat, statValue + statSlab, 40, 0},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -574,6 +597,7 @@ type metaRig struct {
 	fnOpened         func(gluster.FD, error)
 	fnClosed, fnDone func(error)
 	fnPushed         func()
+	fnStatted        func(*gluster.Stat, error)
 	t                *testing.T
 }
 
@@ -584,6 +608,7 @@ func newMetaRig(t *testing.T, cfg Config, n int) *metaRig {
 		m.paths = append(m.paths, fmt.Sprintf("/meta/f%06d", i))
 	}
 	m.fnFinished, m.fnOpened, m.fnClosed, m.fnDone, m.fnPushed = m.finished, m.opened, m.closed, m.closed, m.pushed
+	m.fnStatted = m.statted
 	m.data = blob.Synthetic(7, 0, 4*int64(cfg.BlockSize))
 	return m
 }
@@ -646,6 +671,18 @@ func (m *metaRig) truncate(i int, k func()) {
 func (m *metaRig) unlink(i int, k func()) {
 	m.k = k
 	m.top.UnlinkT(m.ct, m.paths[i], m.fnDone)
+}
+
+func (m *metaRig) stat(i int, k func()) {
+	m.k = k
+	m.top.StatT(m.ct, m.paths[i], m.fnStatted)
+}
+
+func (m *metaRig) statted(st *gluster.Stat, err error) {
+	if err != nil || st.IsDir {
+		m.t.Fatalf("stat = %+v, %v", st, err)
+	}
+	m.k()
 }
 
 // created makes files first through first+n-1.

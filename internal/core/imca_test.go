@@ -477,14 +477,15 @@ func TestStatCodecRoundTrip(t *testing.T) {
 		Path: "/a/b/c", Ino: 42, Size: 1 << 40,
 		Atime: 1, Mtime: 2, Ctime: 3, IsDir: false,
 	}
-	got, err := decodeStat(encodeStat(st))
-	if err != nil {
+	var slab statSlab
+	var got gluster.Stat
+	if err := decodeStatInto(&got, blob.FromBytes(slab.encode(st)), ""); err != nil {
 		t.Fatal(err)
 	}
-	if *got != *st {
+	if got != *st {
 		t.Errorf("round trip = %+v, want %+v", got, st)
 	}
-	if _, err := decodeStat(blob.FromString("junk")); err == nil {
+	if err := decodeStatInto(&got, blob.FromString("junk"), ""); err == nil {
 		t.Error("decode of junk succeeded")
 	}
 }

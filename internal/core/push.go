@@ -148,7 +148,9 @@ type pushPool struct {
 	// the write they refresh by design, so they are not judged stale against
 	// the writes that follow.
 	judged bool
-	free   sim.Free[pushOp]
+	// slab is where the pool's stat pushes cut their encodings from.
+	slab statSlab
+	free sim.Free[pushOp]
 }
 
 // changed returns path's record, made on first use, for a mutation to count
@@ -214,7 +216,7 @@ func (pp *pushPool) pushStat(t *sim.Task, path string, st *gluster.Stat, stamp u
 	op.bk.buf = appendStatKey(op.bk.buf[:0], path)
 	op.bk.ends = append(op.bk.ends[:0], len(op.bk.buf))
 	if op.fresh() {
-		op.data = encodeStat(st) // a stale push deletes and needs no value
+		op.data = blob.FromBytes(pp.slab.encode(st)) // a stale push deletes and needs no value
 	}
 	op.step()
 }

@@ -38,11 +38,12 @@ type SMCache struct {
 	// set lands and forgotten when a purge issues its delete. A path's set is
 	// never replaced or dropped — an in-flight push holds it.
 	pushed map[string]*blockSet
-	// metaOps, readOps, pushes and writes pool the frames of the namespace
-	// verbs and purges, reads, pushes and writes (see metaOp, smReadOp,
-	// pushOp, writeBack).
+	// metaOps, readOps, statOps, pushes and writes pool the frames of the
+	// namespace verbs and purges, reads, stats, pushes and writes (see
+	// metaOp, smReadOp, smStatOp, pushOp, writeBack).
 	metaOps sim.Free[metaOp]
 	readOps sim.Free[smReadOp]
+	statOps sim.Free[smStatOp]
 	pushes  pushPool
 	writes  writeBacks
 
@@ -438,31 +439,93 @@ func (s *SMCache) WriteT(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, 
 	s.writes.run(t, sp, fd, path, tracked, off, data, k)
 }
 
+// smStatOp is StatT's pooled per-operation frame: the request, the frame's
+// own copy of the stat the storage lent, and every continuation prebound,
+// so a stat that misses the bank allocates nothing of its own. Inline, the
+// op returns to its pool before k runs and lends k its copy. In Threaded
+// mode the stat completes as the storage answers, and the frame carries the
+// push on a helper actor, out of the pool until the push finishes — so the
+// copy k borrowed stays intact while k runs.
+type smStatOp struct {
+	s     *SMCache
+	t     *sim.Task // the caller's task, then in Threaded mode the helper's
+	sp    *optrace.Span
+	path  string
+	stamp uint64 // the path's applied count as the storage stat started
+	st    gluster.Stat
+	k     func(*gluster.Stat, error)
+
+	fnStat   func(*gluster.Stat, error)
+	fnPushed func()
+	fnHelper func(*sim.Task)
+	fnHelped func()
+}
+
 // StatT implements gluster.TaskFS, feeding the completed stat structure to
 // the MCDs so later client stats hit the cache.
 func (s *SMCache) StatT(t *sim.Task, path string, k func(*gluster.Stat, error)) {
-	sp := optrace.StartSpan(t, optrace.LayerSMCache, "stat")
-	stamp := s.pushes.stamp(path)
-	s.child.StatT(t, path, func(st *gluster.Stat, err error) {
-		if err != nil {
-			sp.End(t)
-			k(nil, err)
-			return
-		}
-		if st.IsDir {
-			sp.End(t)
-			k(st, nil)
-			return
-		}
-		own := *st // st is lent; the push and k outlive this continuation
-		st = &own
-		s.deferIfT(t, "smcache-stat-push",
-			func(h *sim.Task, k2 func()) { s.pushes.pushStat(h, path, st, stamp, k2) },
-			func() {
-				sp.End(t)
-				k(st, nil)
-			})
-	})
+	op := s.statOps.Pop()
+	if op == nil {
+		op = &smStatOp{s: s}
+		op.fnStat, op.fnPushed, op.fnHelper, op.fnHelped = op.gotStat, op.pushed, op.helper, op.helped
+	}
+	op.t, op.path, op.k = t, path, k
+	op.sp = optrace.StartSpan(t, optrace.LayerSMCache, "stat")
+	op.stamp = s.pushes.stamp(path)
+	s.child.StatT(t, path, op.fnStat)
+}
+
+// gotStat pushes a file's stat — inline, or on a helper actor in Threaded
+// mode — and passes an error or a directory's stat straight on.
+func (op *smStatOp) gotStat(st *gluster.Stat, err error) {
+	if err != nil {
+		op.finish(nil, err)
+		return
+	}
+	if st.IsDir {
+		op.finish(st, nil)
+		return
+	}
+	op.st = *st // st is lent; the push and k outlive this continuation
+	s := op.s
+	if !s.cfg.Threaded {
+		s.pushes.pushStat(op.t, op.path, &op.st, op.stamp, op.fnPushed)
+		return
+	}
+	s.env.StartTask("smcache-stat-push", op.fnHelper)
+	t, sp, k := op.t, op.sp, op.k
+	op.t, op.sp, op.k = nil, nil, nil
+	sp.End(t)
+	k(&op.st, nil)
+}
+
+func (op *smStatOp) pushed() { op.finish(&op.st, nil) }
+
+// finish closes the span, returns the frame to the pool, and hands the
+// caller st.
+func (op *smStatOp) finish(st *gluster.Stat, err error) {
+	t, sp, k := op.t, op.sp, op.k
+	sp.End(t)
+	op.release()
+	k(st, err)
+}
+
+func (op *smStatOp) release() {
+	op.t, op.sp, op.k, op.path = nil, nil, nil, ""
+	op.s.statOps.Push(op)
+}
+
+// helper is the Threaded push's actor.
+func (op *smStatOp) helper(h *sim.Task) {
+	op.t = h
+	op.s.pushes.pushStat(h, op.path, &op.st, op.stamp, op.fnHelped)
+}
+
+// helped ends the helper once its push has run.
+func (op *smStatOp) helped() {
+	h := op.t
+	op.release()
+	h.End()
 }
 
 // MkdirT implements gluster.TaskFS: forwarded without interception.

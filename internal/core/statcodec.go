@@ -17,8 +17,33 @@ const statFixedLen = 8*5 + 1 + 2
 
 var errBadStatEncoding = errors.New("core: bad stat encoding")
 
-func encodeStat(st *gluster.Stat) blob.Blob {
-	buf := make([]byte, statFixedLen+len(st.Path))
+// statSlabSize is the size of one stat slab: about 70 encodings of a
+// 16-byte path. An encoding larger than a slab gets a buffer of its own.
+const statSlabSize = 4 << 10
+
+// statSlab is a push pool's source of stat encodings. The simulated bank
+// keeps a value by reference, so an encoding is never rewritten and never
+// recycled: encode cuts each one off the current slab and starts a new slab
+// when the current one runs out, and the collector frees a slab once the
+// last stat cut from it is neither resident nor in flight — at worst one
+// slab per resident stat. Each cut is a three-index slice (cap == len), so
+// nothing appended to one encoding reaches its neighbour. A slab belongs to
+// one pool, never to the package: figure cells run on parallel goroutines.
+type statSlab struct{ free []byte }
+
+// encode returns st's encoding, cut from the slab.
+func (s *statSlab) encode(st *gluster.Stat) []byte {
+	n := statFixedLen + len(st.Path)
+	var buf []byte
+	switch {
+	case n > statSlabSize:
+		buf = make([]byte, n)
+	case n > len(s.free):
+		s.free = make([]byte, statSlabSize)
+		fallthrough
+	default:
+		buf, s.free = s.free[:n:n], s.free[n:]
+	}
 	binary.BigEndian.PutUint64(buf[0:], st.Ino)
 	binary.BigEndian.PutUint64(buf[8:], uint64(st.Size))
 	binary.BigEndian.PutUint64(buf[16:], uint64(st.Atime))
@@ -29,7 +54,7 @@ func encodeStat(st *gluster.Stat) blob.Blob {
 	}
 	binary.BigEndian.PutUint16(buf[41:], uint16(len(st.Path)))
 	copy(buf[statFixedLen:], st.Path)
-	return blob.FromBytes(buf)
+	return buf
 }
 
 // decodeStatInto decodes b into the caller-owned st, allocating nothing
@@ -60,12 +85,4 @@ func decodeStatInto(st *gluster.Stat, b blob.Blob, hint string) error {
 		st.Path = string(p)
 	}
 	return nil
-}
-
-func decodeStat(b blob.Blob) (*gluster.Stat, error) {
-	st := new(gluster.Stat)
-	if err := decodeStatInto(st, b, ""); err != nil {
-		return nil, err
-	}
-	return st, nil
 }

@@ -57,7 +57,11 @@ SEED ?= 1
 benchpairs:
 	bash scripts/benchpairs.sh "$(WORKLOAD)" "$(PARENT)" "$(PAIRS)" "$(SEED)"
 
-# Where one root bench_test.go figure allocates: alloc_objects by function,
-# flat and cumulative (every allocation sampled). BENCH is a -bench regex.
+# Where one benchmark allocates: alloc_objects by function, flat and
+# cumulative (every allocation sampled). BENCH is a -bench regex; PKG is its
+# package directory, by default the root bench_test.go figures; BENCHTIME is
+# its -benchtime, by default one run of a figure.
+PKG ?= .
+BENCHTIME ?= 1x
 allocsites:
-	sh scripts/allocsites.sh "$(BENCH)"
+	sh scripts/allocsites.sh "$(BENCH)" "$(PKG)" "$(BENCHTIME)"

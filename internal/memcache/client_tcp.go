@@ -32,7 +32,21 @@ type clientConn struct {
 	// err is the failure that left a reply unread or unparseable (see
 	// fail); once set, every call on the connection returns it.
 	err error
+	// items and slab are what get replies are cut from (see cut); like
+	// the reader and writer, they are touched only under mu.
+	items []Item
+	slab  []byte
 }
+
+const (
+	// replyItemChunk is how many get replies' Items one chunk holds.
+	replyItemChunk = 64
+	// replySlabSize is the size of one slab of get replies' values, and
+	// replyCutMax the largest value cut from one: a quarter of a slab, so a
+	// slab left behind is at least three quarters used.
+	replySlabSize = 32 << 10
+	replyCutMax   = replySlabSize / 4
+)
 
 func newClientConn(addr string, c io.ReadWriteCloser) *clientConn {
 	return &clientConn{addr: addr, c: c, r: bufio.NewReader(c), w: wireWriter{Writer: bufio.NewWriter(c)}}
@@ -163,10 +177,14 @@ func (cc *clientConn) readLine() ([]byte, error) {
 	return line, nil
 }
 
-// Get fetches one key.
+// Get fetches one key. The Item is the caller's; one whose value is 8 KB or
+// less shares memory with up to 63 other replies, so keeping it keeps at
+// most 550 KB alive.
 func (cl *Client) Get(key string) (*Item, error) { return cl.get(verbGet, key) }
 
-// Gets fetches one key with its CAS token for a later CompareAndSwap.
+// Gets fetches one key with its CAS token for a later CompareAndSwap. The
+// Item is the caller's; one whose value is 8 KB or less shares memory with
+// up to 63 other replies, so keeping it keeps at most 550 KB alive.
 func (cl *Client) Gets(key string) (*Item, error) { return cl.get(verbGets, key) }
 
 func (cl *Client) get(v verb, key string) (*Item, error) {
@@ -192,6 +210,8 @@ func (cl *Client) get(v verb, key string) (*Item, error) {
 // GetMulti fetches many keys with one request per server, as libmemcache's
 // mget does: every server's request is on the wire before the first reply
 // is awaited, so the call costs the slowest server, not the sum of them.
+// The Items are the caller's; one whose value is 8 KB or less shares memory
+// with up to 63 other replies, so keeping it keeps at most 550 KB alive.
 func (cl *Client) GetMulti(keys []string) (map[string]*Item, error) {
 	byConn := make([][]string, len(cl.conns))
 	for _, k := range keys {
@@ -305,7 +325,7 @@ func (cc *clientConn) readValues(keys []string, emit func(*Item)) (err error) {
 		if len(keys) == 0 {
 			return fmt.Errorf("memcache: server sent a key not asked for: %q", f[1])
 		}
-		data := make([]byte, size) // the reply's value: the caller keeps it
+		it, data := cc.cut(int(size))
 		ok, err := readBlock(cc.r, data)
 		if err != nil {
 			return err
@@ -313,10 +333,35 @@ func (cc *clientConn) readValues(keys []string, emit func(*Item)) (err error) {
 		if !ok {
 			return fmt.Errorf("memcache: bad data terminator")
 		}
-		emit(&Item{Key: keys[0], Value: blob.FromBytes(data), Flags: uint32(flags), CAS: cas})
+		*it = Item{Key: keys[0], Value: blob.FromBytes(data), Flags: uint32(flags), CAS: cas}
+		emit(it)
 		keys = keys[1:]
 	}
 	return nil
+}
+
+// cut returns a new Item and size bytes for one get reply, both the
+// caller's to keep. A value of up to replyCutMax bytes takes its Item from
+// the connection's chunk and its bytes from the connection's slab, as a
+// three-index slice (cap == len), so an append to it cannot reach the next
+// value; a chunk or a slab that runs out is replaced, never reused. A
+// larger value gets a buffer and an Item of its own: a chunk's Items point
+// only into slabs, so one kept Item never holds its chunk-mates' large
+// values. The collector frees a chunk and its slabs once no Item from them
+// is kept.
+func (cc *clientConn) cut(size int) (*Item, []byte) {
+	if size > replyCutMax {
+		return new(Item), make([]byte, size)
+	}
+	if len(cc.items) == 0 {
+		cc.items = make([]Item, replyItemChunk)
+	}
+	if size > len(cc.slab) {
+		cc.slab = make([]byte, replySlabSize)
+	}
+	it, data := &cc.items[0], cc.slab[:size:size]
+	cc.items, cc.slab = cc.items[1:], cc.slab[size:]
+	return it, data
 }
 
 // Delete removes a key.

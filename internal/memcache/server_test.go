@@ -1,10 +1,12 @@
 package memcache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,7 +14,7 @@ import (
 )
 
 // startServer launches a TCP daemon on an ephemeral port.
-func startServer(t *testing.T) (*Server, string) {
+func startServer(t testing.TB) (*Server, string) {
 	t.Helper()
 	srv := NewServer(16 << 20)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -184,6 +186,73 @@ func TestTCPConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestTCPSharedClient: goroutines sharing one Client share its
+// connections' Item chunks and value slabs. Each of 8 goroutines mixes
+// sets, gets and multi-key gets over two daemons, keeps every Item it is
+// handed, and checks at the end that each still holds what was set.
+func TestTCPSharedClient(t *testing.T) {
+	_, addr1 := startServer(t)
+	_, addr2 := startServer(t)
+	cl, err := Dial(addr1, addr2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const workers, rounds = 8, 40
+	sizes := []int{10, 2048, replyCutMax, replyCutMax + 1, 700}
+	value := func(k string, size int) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = k[i%len(k)]
+		}
+		return b
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var kept []*Item
+			var keys []string
+			for i := 0; i < rounds; i++ {
+				k := fmt.Sprintf("shared-w%d-i%d", w, i)
+				if err := cl.Set(&Item{Key: k, Value: blob.FromBytes(value(k, sizes[i%len(sizes)]))}); err != nil {
+					t.Errorf("set %s: %v", k, err)
+					return
+				}
+				keys = append(keys, k)
+				it, err := cl.Get(k)
+				if err != nil {
+					t.Errorf("get %s: %v", k, err)
+					return
+				}
+				kept = append(kept, it)
+				if i%4 == 3 {
+					m, err := cl.GetMulti(keys[i-3:])
+					if err != nil || len(m) != 4 {
+						t.Errorf("getmulti %v: %d items, %v", keys[i-3:], len(m), err)
+						return
+					}
+					for _, it := range m {
+						kept = append(kept, it)
+					}
+				}
+			}
+			for _, it := range kept {
+				var i int
+				if _, err := fmt.Sscanf(it.Key, "shared-w%d-i%d", new(int), &i); err != nil {
+					t.Errorf("kept item with key %q", it.Key)
+					continue
+				}
+				if !bytes.Equal(it.Value.Bytes(), value(it.Key, sizes[i%len(sizes)])) {
+					t.Errorf("kept item %s no longer holds the value set", it.Key)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 func TestTCPClientGetsAndCAS(t *testing.T) {
 	_, addr := startServer(t)
 	cl, _ := Dial(addr)
@@ -261,5 +330,41 @@ func TestServeSurvivesFailedAccepts(t *testing.T) {
 	<-served
 	if ln.fails != 0 {
 		t.Errorf("%d scripted Accept failures never happened", ln.fails)
+	}
+}
+
+// BenchmarkClientGet times one Get hit over loopback TCP per value size:
+// the client's allocations per hit are its Item and value share (see
+// TestClientAllocContracts); the daemon allocates nothing.
+func BenchmarkClientGet(b *testing.B) {
+	for _, size := range []int{100, 2 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			_, addr := startServer(b)
+			cl, err := Dial(addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			const key = "/bench/file0000001:blk"
+			if err := cl.Set(&Item{Key: key, Value: blob.FromBytes(bytes.Repeat([]byte{'v'}, size))}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it, err := cl.Get(key)
+				if err != nil || it.Value.Len() != int64(size) {
+					b.Fatalf("get: %v", err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			// allocs/op is rounded down, which reads a chunk's share of 1/64
+			// as 0; allocs/hit is the unrounded mean.
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/hit")
+		})
 	}
 }

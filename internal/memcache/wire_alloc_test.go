@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -269,26 +272,74 @@ func TestStoreSetEvictAllocFree(t *testing.T) {
 }
 
 // TestClientAllocContracts pins the client's side of a round trip against
-// a scripted peer: a Get hit keeps the value buffer and the Item, a miss
-// and a Set keep nothing.
+// a scripted peer, per call. A get hit of a value up to replyCutMax bytes
+// takes its Item from the connection's chunk and its bytes from the
+// connection's slab, so it costs a share of each refill; a larger value
+// costs its own buffer and its own Item; a miss and a set keep nothing.
 func TestClientAllocContracts(t *testing.T) {
+	const (
+		runs = 2048
+		// What one hit up to replyCutMax bytes keeps: its share of an Item
+		// chunk; its share of a slab is slab(size).
+		chunkItem = 1.0 / replyItemChunk
+		// What a larger hit keeps.
+		ownBuffer, ownItem = 1, 1
+		// GetMulti's own bookkeeping, per call: the per-server key lists
+		// (a list of lists and the five appends that grow one list to 16
+		// keys), the deferred unlock of a connection locked in a loop, and
+		// the result map sized for 16 entries (four with Go 1.24's maps).
+		getMultiFixed = 1 + 5 + 1 + 4
+		multiKeys     = 16
+	)
+	// slab is a hit's share of a slab refill: a slab holds
+	// replySlabSize/size values, and the one that does not fit starts the
+	// next slab.
+	slab := func(size int) float64 { return 1 / float64(replySlabSize/size) }
+
 	const key = "/bench/file0000001:stat"
-	value := strings.Repeat("v", 2048)
-	item := &Item{Key: key, Value: blob.FromString(value), Flags: 7} // the caller's, not the round trip's
-	hit := func(it *Item, err error) error {
-		if err == nil && (it.Key != key || it.Flags != 7 || string(it.Value.Bytes()) != value) {
-			return fmt.Errorf("got %+v", it)
-		}
-		return err
+	value := func(size int) string { return strings.Repeat("v", size) }
+	reply := func(size int, cas string) string {
+		return fmt.Sprintf("VALUE %s 7 %d%s\r\n%s\r\nEND\r\n", key, size, cas, value(size))
 	}
+	hit := func(size int) func(it *Item, err error) error {
+		want := value(size)
+		return func(it *Item, err error) error {
+			if err == nil && (it.Key != key || it.Flags != 7 || string(it.Value.Bytes()) != want) {
+				return fmt.Errorf("got %+v", it)
+			}
+			return err
+		}
+	}
+	hit100, hit2K, hit16K := hit(100), hit(2<<10), hit(16<<10)
+	value100 := value(100)
+	var multi []string
+	var multiReply strings.Builder
+	for i := 0; i < multiKeys; i++ {
+		k := fmt.Sprintf("/bench/file%07d:stat", i)
+		multi = append(multi, k)
+		fmt.Fprintf(&multiReply, "VALUE %s 0 100\r\n%s\r\n", k, value100)
+	}
+	multiReply.WriteString("END\r\n")
+	item := &Item{Key: key, Value: blob.FromString(value(2 << 10)), Flags: 7} // the caller's, not the round trip's
 	for _, tc := range []struct {
 		name  string
 		reply string
 		op    func(*Client) error
-		max   float64
+		// perCall bounds the mean allocations per call. A whole number
+		// amortises no refill, so the call must cost exactly that.
+		perCall float64
 	}{
-		{"get hit", "VALUE " + key + " 7 2048\r\n" + value + "\r\nEND\r\n", func(cl *Client) error { return hit(cl.Get(key)) }, 2},
-		{"gets hit", "VALUE " + key + " 7 2048 99\r\n" + value + "\r\nEND\r\n", func(cl *Client) error { return hit(cl.Gets(key)) }, 2},
+		{"get hit 100 B", reply(100, ""), func(cl *Client) error { return hit100(cl.Get(key)) }, chunkItem + slab(100)},
+		{"get hit 2 KB", reply(2<<10, ""), func(cl *Client) error { return hit2K(cl.Get(key)) }, chunkItem + slab(2<<10)},
+		{"gets hit 2 KB", reply(2<<10, " 99"), func(cl *Client) error { return hit2K(cl.Gets(key)) }, chunkItem + slab(2<<10)},
+		{"get hit 16 KB", reply(16<<10, ""), func(cl *Client) error { return hit16K(cl.Get(key)) }, ownBuffer + ownItem},
+		{"getmulti 16 x 100 B", multiReply.String(), func(cl *Client) error {
+			m, err := cl.GetMulti(multi)
+			if err == nil && (len(m) != multiKeys || string(m[multi[3]].Value.Bytes()) != value100) {
+				return fmt.Errorf("got %d items", len(m))
+			}
+			return err
+		}, getMultiFixed + multiKeys*(chunkItem+slab(100))},
 		{"get miss", "END\r\n", func(cl *Client) error {
 			if _, err := cl.Get(key); err != ErrCacheMiss {
 				return fmt.Errorf("miss returned %v", err)
@@ -299,20 +350,138 @@ func TestClientAllocContracts(t *testing.T) {
 	} {
 		cl := scriptedClient(tc.reply)
 		var err error
-		op := func() {
+		n := allocsOver(runs, func() {
 			if e := tc.op(cl); e != nil {
 				err = e
 			}
-		}
-		op() // warm
-		got := testing.AllocsPerRun(200, op)
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got > tc.max {
-			t.Errorf("%s: %.0f allocs per call, want at most %.0f", tc.name, got, tc.max)
+		got := float64(n) / runs
+		t.Logf("%s: %.4f allocs per call", tc.name, got)
+		if whole := tc.perCall == math.Trunc(tc.perCall); n > uint64(math.Ceil(tc.perCall*runs)) || whole && got != tc.perCall {
+			t.Errorf("%s: %.4f allocs per call over %d calls, want at most %.4f", tc.name, got, runs, tc.perCall)
 		}
 	}
+}
+
+// TestClientRepliesKeepTheirBytes: get replies are cut from a connection's
+// Item chunks and value slabs and handed to the caller to keep, so no kept
+// Item or value may be rewritten when a chunk or a slab runs out. Over a
+// mixed-size run of Get, Gets and GetMulti spanning several chunks and
+// slabs, every kept Item still holds its own key and the bytes the peer
+// sent, each value's capacity is its length, and neither an append to one
+// value nor a write into its bytes reaches any other value.
+func TestClientRepliesKeepTheirBytes(t *testing.T) {
+	sizes := []int{100, replyCutMax, 2048, replyCutMax + 1, 1, 5000, 16 << 10, 3000}
+	const n = 24 * 8
+	key := func(i int) string { return fmt.Sprintf("k%04d", i) }
+	sent := make([][]byte, n)
+	small, smallBytes := 0, 0
+	for i := range sent {
+		sent[i] = make([]byte, sizes[i%len(sizes)])
+		for j := range sent[i] {
+			sent[i][j] = byte(i + 31*j)
+		}
+		if size := len(sent[i]); size <= replyCutMax {
+			small, smallBytes = small+1, smallBytes+size
+		}
+	}
+	if small <= 2*replyItemChunk || smallBytes <= 3*replySlabSize {
+		t.Fatalf("the run cuts %d values (%d bytes): fewer than 2 chunks' and 3 slabs' worth", small, smallBytes)
+	}
+
+	// The peer answers each get or gets line with every key's value.
+	peer := &scriptedPeer{answer: func(req []byte) []byte {
+		var out []byte
+		for _, line := range strings.Split(strings.TrimSuffix(string(req), "\r\n"), "\r\n") {
+			f := strings.Fields(line)
+			for _, k := range f[1:] {
+				var i int
+				if _, err := fmt.Sscanf(k, "k%d", &i); err != nil {
+					panic(err)
+				}
+				cas := ""
+				if f[0] == "gets" {
+					cas = fmt.Sprintf(" %d", i+1)
+				}
+				out = fmt.Appendf(out, "VALUE %s %d %d%s\r\n%s\r\n", k, i, len(sent[i]), cas, sent[i])
+			}
+			out = append(out, "END\r\n"...)
+		}
+		return out
+	}}
+	cl := &Client{selector: CRC32Selector{}, conns: []*clientConn{newClientConn("", peer)}}
+	kept := make([]*Item, n)
+	for i := 0; i < n; i += 8 {
+		for j := i; j < i+4; j++ {
+			get := cl.Get
+			if j%2 == 1 {
+				get = cl.Gets
+			}
+			it, err := get(key(j))
+			if err != nil {
+				t.Fatalf("get %s: %v", key(j), err)
+			}
+			kept[j] = it
+		}
+		keys := []string{key(i + 4), key(i + 5), key(i + 6), key(i + 7)}
+		m, err := cl.GetMulti(keys)
+		if err != nil || len(m) != len(keys) {
+			t.Fatalf("getmulti %v: %d items, %v", keys, len(m), err)
+		}
+		for j, k := range keys {
+			kept[i+4+j] = m[k]
+		}
+	}
+
+	check := func(when string, except int) {
+		t.Helper()
+		for i, it := range kept {
+			if i != except && (it.Key != key(i) || it.Flags != uint32(i) || !bytes.Equal(it.Value.Bytes(), sent[i])) {
+				t.Fatalf("%s: item %d holds key %q, flags %d and %d bytes that are not the ones sent for %q",
+					when, i, it.Key, it.Flags, it.Value.Len(), key(i))
+			}
+		}
+	}
+	check("after the run", -1)
+	for i, it := range kept {
+		if b := it.Value.Bytes(); cap(b) != len(b) {
+			t.Errorf("item %d's %d bytes have capacity %d", i, len(b), cap(b))
+		}
+	}
+	for _, it := range kept {
+		_ = append(it.Value.Bytes(), 0xa5, 0x5a)
+	}
+	check("after an append to every value", -1)
+	for i, it := range kept {
+		b := it.Value.Bytes()
+		for j := range b {
+			b[j] ^= 0xff
+		}
+		check(fmt.Sprintf("after a write into item %d", i), i)
+		for j := range b {
+			b[j] ^= 0xff
+		}
+	}
+}
+
+// allocsOver counts the allocations of runs calls of f after one warm-up
+// call: testing.AllocsPerRun's count before it rounds the mean down, which
+// would read a share of 1/64 as 0. The collector is off while it counts: a
+// collection cycle makes a few allocations of the runtime's own.
+func allocsOver(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // scriptedClient is a one-server Client whose server answers every request
@@ -322,10 +491,11 @@ func scriptedClient(reply string) *Client {
 	return &Client{selector: CRC32Selector{}, conns: []*clientConn{newClientConn("", peer)}}
 }
 
-// scriptedPeer answers every flushed request with the same reply, and
-// counts the bytes it was sent.
+// scriptedPeer answers every flushed request with the same reply, or with
+// what answer makes of it, and counts the bytes it was sent.
 type scriptedPeer struct {
 	reply, pending []byte
+	answer         func(request []byte) []byte
 	wrote          int
 	closed         bool
 }
@@ -337,6 +507,9 @@ func (p *scriptedPeer) Close() error {
 
 func (p *scriptedPeer) Write(b []byte) (int, error) {
 	p.pending = p.reply
+	if p.answer != nil {
+		p.pending = p.answer(b)
+	}
 	p.wrote += len(b)
 	return len(b), nil
 }

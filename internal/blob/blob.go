@@ -9,7 +9,7 @@
 // Blobs carry literal contents for correctness tests and for the real TCP
 // memcached server. The two kinds mix freely inside one Blob.
 //
-// A Blob value is 56 bytes of host memory wherever it is kept — a cached
+// A Blob value is 32 bytes of host memory wherever it is kept — a cached
 // item, a page, a message. That is the simulator's cost, not the modelled
 // system's: what a cached item costs memcached is its key, its Len and
 // memcache's itemOverhead, whatever the Blob behind it takes.
@@ -20,54 +20,75 @@ import (
 	"unsafe"
 )
 
-// segment is a contiguous run of n bytes of payload, either byte-backed
-// (data != nil, len(data) == n) or synthetic (generated from seed at
-// absolute offset off).
+// segment is a contiguous run of n > 0 bytes, one of three things:
+//   - byte-backed: p is the first of the bytes, seed and off are 0;
+//   - synthetic: p is nil, and the bytes are generated from seed at
+//     absolute offset off;
+//   - a spill header, only ever a Blob's own segment: p is the spill's
+//     first segment, off the number of segments (at least 2) and n the
+//     blob's total length.
+//
+// A byte-backed segment never has a non-zero off, so p != nil && off != 0
+// is a spill.
 type segment struct {
-	data []byte
+	p    *byte
 	seed uint64
 	off  int64
 	n    int64
 }
 
-func (s segment) at(i int64) byte {
-	if s.data != nil {
-		return s.data[i]
+// isSpill reports whether s is a spill header.
+func (s *segment) isSpill() bool { return s.p != nil && s.off != 0 }
+
+// bytes returns a byte-backed segment's bytes.
+func (s *segment) bytes() []byte { return unsafe.Slice(s.p, s.n) }
+
+func (s *segment) at(i int64) byte {
+	if s.p != nil {
+		return s.bytes()[i]
 	}
 	return synthByte(s.seed, s.off+i)
 }
 
-func (s segment) slice(from, to int64) segment {
-	if s.data != nil {
-		return segment{data: s.data[from:to], n: to - from}
+func (s *segment) slice(from, to int64) segment {
+	if s.p != nil {
+		return segment{p: &s.bytes()[from], n: to - from}
 	}
 	return segment{seed: s.seed, off: s.off + from, n: to - from}
 }
 
 // Blob is an immutable sequence of payload bytes. The zero Blob is empty.
 //
-// The first segment lives inline in the value, so a single-segment blob —
-// every synthetic block, every FromBytes — is a plain value that is built,
-// sliced and copied without touching the heap. The blob is non-empty
-// exactly when first.n > 0; no segment is ever empty. Only blobs that
-// really mix runs (a byte-backed header before synthetic data, two
-// different streams) carry a spill: one allocation, a header segment
-// followed by segments 1, 2, …, so that spill[i] is segment i. The header's
-// off is the number of segments and its n the blob's total length.
+// A Blob is one segment, so a single-segment blob — every synthetic block,
+// every FromBytes — is a plain value that is built, sliced and copied
+// without touching the heap. The blob is non-empty exactly when s.n > 0;
+// no segment is ever empty, and s.n is the blob's length whatever s is.
+// Only blobs that really mix runs (a byte-backed header before synthetic
+// data, two different streams) carry a spill: one allocation holding
+// segments 0, 1, …, which s, a spill header, points at.
+//
+// Blobs are not comparable: == on s would compare pointers, never bytes
+// (Equal compares contents). The zero-size field keeps the compiler
+// refusing it; it comes first, since a zero-size last field is padded.
 type Blob struct {
-	first segment
-	spill *segment
+	_ [0]func()
+	s segment
 }
 
-// spilled returns the spill, header included, as a slice.
-func (b *Blob) spilled() []segment { return unsafe.Slice(b.spill, b.spill.off) }
+// spilled returns the spill, or nil for a blob of at most one segment.
+func (b *Blob) spilled() []segment {
+	if !b.s.isSpill() {
+		return nil
+	}
+	return unsafe.Slice((*segment)(unsafe.Pointer(b.s.p)), b.s.off)
+}
 
 // numSegs returns the number of segments.
 func (b *Blob) numSegs() int {
 	switch {
-	case b.spill != nil:
-		return int(b.spill.off)
-	case b.first.n == 0:
+	case b.s.isSpill():
+		return int(b.s.off)
+	case b.s.n == 0:
 		return 0
 	}
 	return 1
@@ -75,30 +96,30 @@ func (b *Blob) numSegs() int {
 
 // seg returns segment i, 0 <= i < numSegs.
 func (b *Blob) seg(i int) *segment {
-	if i == 0 {
-		return &b.first
+	if spill := b.spilled(); spill != nil {
+		return &spill[i]
 	}
-	return &b.spilled()[i]
+	return &b.s
 }
 
 // builder assembles a fresh blob segment by segment. Blobs share spills by
 // value, so a spill is written only here, before the blob is handed out.
 type builder struct {
-	out  Blob
-	n    int64
-	segs []segment // the spill being filled, header first; nil until segment 1
+	first segment
+	n     int64
+	segs  []segment // the spill being filled; nil until segment 1
 }
 
 // push appends the non-empty segment s; at most room segments follow it,
 // so the spill is allocated once, at the second segment.
 func (w *builder) push(s segment, room int) {
 	w.n += s.n
-	if w.out.first.n == 0 {
-		w.out.first = s
+	if w.first.n == 0 {
+		w.first = s
 		return
 	}
 	if w.segs == nil {
-		w.segs = make([]segment, 1, 2+room)
+		w.segs = append(make([]segment, 0, 2+room), w.first)
 	}
 	w.segs = append(w.segs, s)
 }
@@ -106,18 +127,17 @@ func (w *builder) push(s segment, room int) {
 // last returns the segment pushed last; the blob must not be empty.
 func (w *builder) last() *segment {
 	if w.segs == nil {
-		return &w.out.first
+		return &w.first
 	}
 	return &w.segs[len(w.segs)-1]
 }
 
-// blob finishes the blob: the spill's header takes the count and length.
+// blob finishes the blob: a spill's header takes its count and length.
 func (w *builder) blob() Blob {
-	if w.segs != nil {
-		w.segs[0] = segment{off: int64(len(w.segs)), n: w.n}
-		w.out.spill = &w.segs[0]
+	if w.segs == nil {
+		return Blob{s: w.first}
 	}
-	return w.out
+	return Blob{s: segment{p: (*byte)(unsafe.Pointer(&w.segs[0])), off: int64(len(w.segs)), n: w.n}}
 }
 
 // FromBytes returns a byte-backed Blob. The caller must not mutate b after
@@ -126,7 +146,7 @@ func FromBytes(b []byte) Blob {
 	if len(b) == 0 {
 		return Blob{}
 	}
-	return Blob{first: segment{data: b, n: int64(len(b))}}
+	return Blob{s: segment{p: &b[0], n: int64(len(b))}}
 }
 
 // FromString returns a byte-backed Blob with the bytes of s.
@@ -148,22 +168,17 @@ func Synthetic(seed uint64, off, n int64) Blob {
 	if n == 0 {
 		return Blob{}
 	}
-	return Blob{first: segment{seed: seed, off: off, n: n}}
+	return Blob{s: segment{seed: seed, off: off, n: n}}
 }
 
 // Len returns the total number of bytes.
-func (b Blob) Len() int64 {
-	if b.spill != nil {
-		return b.spill.n
-	}
-	return b.first.n
-}
+func (b Blob) Len() int64 { return b.s.n }
 
 // IsSynthetic reports whether the blob contains no byte-backed segments
 // (an empty blob is synthetic).
 func (b Blob) IsSynthetic() bool {
 	for i, n := 0, b.numSegs(); i < n; i++ {
-		if b.seg(i).data != nil {
+		if b.seg(i).p != nil {
 			return false
 		}
 	}
@@ -193,8 +208,8 @@ func (b Blob) Slice(from, to int64) Blob {
 	if from == to {
 		return Blob{}
 	}
-	if b.spill == nil {
-		return Blob{first: b.first.slice(from, to)}
+	if b.numSegs() == 1 {
+		return Blob{s: b.s.slice(from, to)}
 	}
 	var w builder
 	pos := int64(0)
@@ -224,8 +239,8 @@ func Concat(parts ...Blob) Blob {
 		for j, n := 0, p.numSegs(); j < n; j++ {
 			s := p.seg(j)
 			left--
-			if w.n > 0 && s.data == nil {
-				if last := w.last(); last.data == nil && last.seed == s.seed && last.off+last.n == s.off {
+			if w.n > 0 && s.p == nil {
+				if last := w.last(); last.p == nil && last.seed == s.seed && last.off+last.n == s.off {
 					last.n += s.n
 					w.n += s.n
 					continue
@@ -238,18 +253,18 @@ func Concat(parts ...Blob) Blob {
 }
 
 // Bytes materializes the blob. Synthetic segments are generated; the result
-// is freshly allocated except for a single byte-backed segment, which is
-// returned as-is.
+// is freshly allocated except for a single byte-backed segment, whose bytes
+// are returned as-is, with no capacity past them.
 func (b Blob) Bytes() []byte {
-	if b.spill == nil && b.first.data != nil {
-		return b.first.data
+	if b.numSegs() == 1 && b.s.p != nil {
+		return b.s.bytes()
 	}
 	out := make([]byte, b.Len())
 	pos := 0
 	for i, n := 0, b.numSegs(); i < n; i++ {
 		s := b.seg(i)
-		if s.data != nil {
-			pos += copy(out[pos:], s.data)
+		if s.p != nil {
+			pos += copy(out[pos:], s.bytes())
 			continue
 		}
 		synthFill(out[pos:pos+int(s.n)], s.seed, s.off)

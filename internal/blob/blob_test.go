@@ -3,6 +3,8 @@ package blob
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -275,8 +277,8 @@ func TestPropertyMixedBlobsAgreeWithBytes(t *testing.T) {
 		if int64(len(am)) != a.Len() {
 			t.Fatalf("trial %d: Bytes has %d bytes, Len says %d", trial, len(am), a.Len())
 		}
-		if n := a.numSegs(); (n == 0) != (a.Len() == 0) || (n <= 1) != (a.spill == nil) {
-			t.Fatalf("trial %d: %d segments, %d bytes, spill %v: the inline invariant broke", trial, n, a.Len(), a.spill != nil)
+		if n := a.numSegs(); (n == 0) != (a.Len() == 0) || (n <= 1) != (a.spilled() == nil) {
+			t.Fatalf("trial %d: %d segments, %d bytes, spill %v: the inline invariant broke", trial, n, a.Len(), a.spilled() != nil)
 		}
 		lo := int64(0)
 		if a.Len() > 0 {
@@ -311,8 +313,7 @@ func TestPropertyMixedBlobsAgreeWithBytes(t *testing.T) {
 func TestSingleSegmentBlobsAreValues(t *testing.T) {
 	// same reports whether two blobs are the same single synthetic value.
 	same := func(a, b Blob) bool {
-		return a.spill == nil && b.spill == nil && a.Len() == b.Len() && a.first.data == nil && b.first.data == nil &&
-			a.first.seed == b.first.seed && a.first.off == b.first.off && a.first.n == b.first.n
+		return a.s.p == nil && b.s.p == nil && a.s == b.s
 	}
 	got := Synthetic(7, 0, 100).Slice(25, 75)
 	want := Synthetic(7, 25, 50)
@@ -340,11 +341,64 @@ func TestSingleSegmentBlobsAreValues(t *testing.T) {
 	}
 }
 
-// TestBlobSize pins the Blob value at 56 bytes: a segment inline and one
-// pointer to the spill. Every cached item, page and message carries one.
+// TestBlobSize pins the Blob value at 32 bytes: one segment, which is the
+// bytes, the synthetic stream or the spill header. Every cached item, page
+// and message carries one.
 func TestBlobSize(t *testing.T) {
-	if got := unsafe.Sizeof(Blob{}); got != 56 {
-		t.Errorf("Blob is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(Blob{}); got != 32 {
+		t.Errorf("Blob is %d bytes, want 32", got)
+	}
+}
+
+// TestBlobIsNotComparable: == on a Blob would compare its segment's
+// pointer, never its bytes, so the type must stay incomparable (Equal is
+// the comparison).
+func TestBlobIsNotComparable(t *testing.T) {
+	if reflect.TypeOf(Blob{}).Comparable() {
+		t.Error("Blob is comparable")
+	}
+}
+
+// TestBytesBlobOutlivesItsSlice: a byte-backed segment keeps its bytes
+// through a pointer to the first of them, and a spill is reached through a
+// *byte, so both must keep their backing arrays alive with every other
+// reference to them gone. A one-segment byte blob's Bytes has no capacity
+// past its length, and a spill header never reads as a byte segment.
+func TestBytesBlobOutlivesItsSlice(t *testing.T) {
+	fill := func(n int, c byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = c + byte(i*7)
+		}
+		return b
+	}
+	one := FromBytes(fill(4096, 1)).Slice(100, 3000)
+	spilled := Concat(FromBytes(fill(300, 2)).Slice(10, 290), Synthetic(9, 0, 500), FromBytes(fill(700, 3)).Slice(1, 699))
+	wantOne := append([]byte(nil), fill(4096, 1)[100:3000]...)
+	wantSpilled := append(append(append([]byte(nil), fill(300, 2)[10:290]...), Synthetic(9, 0, 500).Bytes()...), fill(700, 3)[1:699]...)
+	runtime.GC()
+	runtime.GC()
+	// Fresh garbage of the same sizes, which a freed array would be reused for.
+	for i := 0; i < 64; i++ {
+		_ = fill(4096, 0xff)
+		_ = fill(700, 0xff)
+	}
+	if got := one.Bytes(); !bytes.Equal(got, wantOne) || cap(got) != len(got) {
+		t.Errorf("one-segment byte blob: %d bytes (cap %d), equal %v", len(got), cap(got), bytes.Equal(got, wantOne))
+	}
+	if got := spilled.Bytes(); !bytes.Equal(got, wantSpilled) {
+		t.Errorf("spilled blob %v differs from its bytes after GC", spilled)
+	}
+	if spilled.numSegs() != 3 || !spilled.s.isSpill() || spilled.IsSynthetic() {
+		t.Fatalf("%v: %d segments, spill %v", spilled, spilled.numSegs(), spilled.s.isSpill())
+	}
+	for i, s := range spilled.spilled() {
+		if s.isSpill() {
+			t.Errorf("segment %d of %v reads as a spill header", i, spilled)
+		}
+	}
+	if got := spilled.Slice(0, 280).Bytes(); !bytes.Equal(got, wantSpilled[:280]) || cap(got) != len(got) {
+		t.Errorf("the byte-backed head of a spill: %d bytes (cap %d)", len(got), cap(got))
 	}
 }
 
@@ -389,13 +443,13 @@ func runBlobScript(t *testing.T, script []byte) {
 		}
 		n, sum := b.numSegs(), int64(0)
 		for j := 0; j < n; j++ {
-			if s := b.seg(j); s.n <= 0 || (s.data != nil && int64(len(s.data)) != s.n) {
-				t.Fatalf("step %d: slot %d %v: segment %d holds %d bytes, says %d", step, i, b, j, len(s.data), s.n)
+			if s := b.seg(j); s.n <= 0 || (s.p != nil && (s.seed != 0 || s.off != 0)) {
+				t.Fatalf("step %d: slot %d %v: segment %d is %+v", step, i, b, j, *s)
 			}
 			sum += b.seg(j).n
 		}
-		if sum != b.Len() || (n <= 1) != (b.spill == nil) {
-			t.Fatalf("step %d: slot %d %v: %d segments of %d bytes, spill %v", step, i, b, n, sum, b.spill != nil)
+		if sum != b.Len() || (n <= 1) != (b.spilled() == nil) {
+			t.Fatalf("step %d: slot %d %v: %d segments of %d bytes, spill %v", step, i, b, n, sum, b.spilled() != nil)
 		}
 	}
 	for step := 0; len(script) >= 5; step++ {

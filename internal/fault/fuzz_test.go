@@ -220,25 +220,53 @@ type coverage struct {
 	disturbed, reads, crossReads, stats, mutations uint64
 }
 
-// runSection44 is the mechanized §4.4 argument for one input: its schedule
-// replayed through one oracle over every mount of a replicated bank while
-// its plan's faults land, then a full read-back audit, must produce zero
-// lost writes, zero stale reads, a coherent replica set, and a resident set
-// the next purges delete. A failure prints the decoded schedule and plan.
-func runSection44(t *testing.T, data []byte) coverage {
+// section44Mcds is every row's bank: 3 daemons give every key a node
+// outside its replica set.
+const section44Mcds = 3
+
+// replicated is the deployment the §4.4 fuzz was built on: a replicated
+// bank whose clients eject and suspect daemons under the faults.
+var replicated = cluster.Options{
+	MCDs:         section44Mcds,
+	MCDMemBytes:  4 << 20,
+	BlockSize:    1024,
+	Threaded:     false,                  // Threaded mode's deferred pushes have a known freshness window
+	EjectAfter:   2,                      // exercise the failover path under the faults
+	Replicas:     2,                      // replica coherence is part of the invariant below
+	SuspectAfter: 500 * time.Microsecond, // let gray nodes trip suspicion
+}
+
+// section44Rows are the deployments every §4.4 input runs on: the
+// replicated bank; the paper's, one copy of each key and no ejection or
+// suspicion; and the replicated one at other block sizes, where smaller
+// blocks split each write into more blocks and more of them mix runs.
+var section44Rows = []struct {
+	name string
+	opts cluster.Options
+}{
+	{"replicated", replicated},
+	{"paper", with(replicated, func(o *cluster.Options) { o.Replicas, o.EjectAfter, o.SuspectAfter = 1, 0, 0 })},
+	{"block512", with(replicated, func(o *cluster.Options) { o.BlockSize = 512 })},
+	{"block2048", with(replicated, func(o *cluster.Options) { o.BlockSize = 2048 })},
+	{"block8192", with(replicated, func(o *cluster.Options) { o.BlockSize = 8192 })},
+}
+
+func with(o cluster.Options, edit func(*cluster.Options)) cluster.Options {
+	edit(&o)
+	return o
+}
+
+// runSection44 is the mechanized §4.4 argument for one input on one
+// deployment: its schedule replayed through one oracle over every mount
+// while its plan's faults land, then a full read-back audit, must produce
+// zero lost writes, zero stale reads, a coherent replica set, and a
+// resident set the next purges delete. A failure prints the decoded
+// schedule and plan.
+func runSection44(t *testing.T, opts cluster.Options, data []byte) coverage {
 	t.Helper()
-	const mcds = 3 // 3 daemons give every key a node outside its replica set
-	s := decodeSchedule(data, mcds)
-	c := cluster.New(cluster.Options{
-		Clients:      s.clients,
-		MCDs:         mcds,
-		MCDMemBytes:  4 << 20,
-		BlockSize:    1024,
-		Threaded:     false,                  // Threaded mode's deferred pushes have a known freshness window
-		EjectAfter:   2,                      // exercise the failover path under the faults
-		Replicas:     2,                      // replica coherence is part of the invariant below
-		SuspectAfter: 500 * time.Microsecond, // let gray nodes trip suspicion
-	})
+	s := decodeSchedule(data, section44Mcds)
+	opts.Clients = s.clients
+	c := cluster.New(opts)
 	o := NewOracle(c.FSes()...)
 	c.Env.Process("setup", func(p *sim.Proc) {
 		for _, path := range fuzzPaths {
@@ -299,37 +327,51 @@ func section44Input(seed uint64) []byte {
 	return data
 }
 
-// TestFuzzPlansUpholdSection44 runs the §4.4 fuzz over 500 seeded inputs
-// and requires that, together, they really exercised the argument: reads
-// and stats judged, reads overlapping another mount's mutation, and bank
-// traffic the faults disturbed.
+// TestFuzzPlansUpholdSection44 runs the §4.4 fuzz over 500 seeded inputs,
+// each on every row, and requires that, together, the inputs really
+// exercised the argument on each row: reads and stats judged, reads
+// overlapping another mount's mutation, and bank traffic the faults
+// disturbed. A failing seed's log names the row it failed on last.
 func TestFuzzPlansUpholdSection44(t *testing.T) {
-	var all coverage
+	all := make([]coverage, len(section44Rows))
 	for seed := uint64(1); seed <= 500; seed++ {
 		if !t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			c := runSection44(t, section44Input(seed))
-			all.disturbed += c.disturbed
-			all.reads += c.reads
-			all.crossReads += c.crossReads
-			all.stats += c.stats
-			all.mutations += c.mutations
+			for i, row := range section44Rows {
+				t.Logf("row %s", row.name)
+				c := runSection44(t, row.opts, section44Input(seed))
+				all[i].disturbed += c.disturbed
+				all[i].reads += c.reads
+				all[i].crossReads += c.crossReads
+				all[i].stats += c.stats
+				all[i].mutations += c.mutations
+			}
 		}) {
 			return
 		}
 	}
-	t.Logf("%+v", all)
-	if all.disturbed == 0 || all.reads == 0 || all.crossReads == 0 || all.stats == 0 || all.mutations == 0 {
-		t.Fatalf("the inputs exercised nothing somewhere (%+v): a vacuous pass", all)
+	for i, row := range section44Rows {
+		c := all[i]
+		t.Logf("%s: %+v", row.name, c)
+		if c.disturbed == 0 || c.reads == 0 || c.crossReads == 0 || c.stats == 0 || c.mutations == 0 {
+			t.Errorf("on %s the inputs exercised nothing somewhere (%+v): a vacuous pass", row.name, c)
+		}
 	}
 }
 
-// FuzzSection44 is the nightly target. A failing input lands in
-// testdata/fuzz/FuzzSection44/ and replays in plain go test.
+// FuzzSection44 is the nightly target: each input runs on every row, the
+// files already in testdata/fuzz/FuzzSection44/ on the replicated row
+// first, as they were found. A failing input lands there and replays in
+// plain go test.
 func FuzzSection44(f *testing.F) {
 	for seed := uint64(101); seed <= 108; seed++ {
 		f.Add(section44Input(seed))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { runSection44(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, row := range section44Rows {
+			t.Logf("row %s", row.name)
+			runSection44(t, row.opts, data)
+		}
+	})
 }
 
 // flightDump renders the recorder for a failure message.

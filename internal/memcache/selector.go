@@ -3,6 +3,7 @@ package memcache
 import (
 	"hash/crc32"
 	"math"
+	"unsafe"
 )
 
 // Selector maps a key to one of n cache servers.
@@ -64,19 +65,12 @@ func replicaKey[K string | []byte](sel Selector, key K, n int) int {
 // hashing: the checksum is folded to 15 bits before the modulo.
 type CRC32Selector struct{}
 
-// ieeeTable drives the checksum below.
-var ieeeTable = crc32.MakeTable(crc32.IEEE)
-
-// crc32Key is crc32.ChecksumIEEE over a key, byte by byte, so hashing a
-// string key needs no []byte conversion (which the compiler cannot always
-// keep off the heap). The table-walk recurrence is the canonical CRC32
-// definition, so the checksum is identical.
+// crc32Key is crc32.ChecksumIEEE over a key's bytes in place: a string
+// key is viewed as bytes, not converted (a copy the compiler cannot
+// always keep off the heap). A []byte's header starts with a string's.
 func crc32Key[K string | []byte](key K) uint32 {
-	h := ^uint32(0)
-	for i := 0; i < len(key); i++ {
-		h = ieeeTable[byte(h)^key[i]] ^ (h >> 8)
-	}
-	return ^h
+	s := *(*string)(unsafe.Pointer(&key))
+	return crc32.ChecksumIEEE(unsafe.Slice(unsafe.StringData(s), len(s)))
 }
 
 // Pick implements Selector.

@@ -2,8 +2,43 @@ package memcache
 
 import (
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"testing"
 )
+
+// TestCRC32KeyMatchesChecksumIEEE: the in-place checksum of a key held as
+// a string or as bytes — at any offset into a larger buffer — is
+// crc32.ChecksumIEEE's, for every key length the protocol allows, and the
+// pick folds it as libmemcache does.
+func TestCRC32KeyMatchesChecksumIEEE(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	buf := make([]byte, MaxKeyLen+8)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(MaxKeyLen)
+		if trial < MaxKeyLen {
+			n = 1 + trial // every length once, 64 and more among them
+		}
+		rng.Read(buf)
+		at := rng.Intn(8)
+		key := buf[at : at+n]
+		want := crc32.ChecksumIEEE(key)
+		if got := crc32Key(key); got != want {
+			t.Fatalf("%d-byte key at offset %d: crc32Key([]byte) = %#x, want %#x", n, at, got, want)
+		}
+		if got := crc32Key(string(key)); got != want {
+			t.Fatalf("%d-byte key: crc32Key(string) = %#x, want %#x", n, got, want)
+		}
+		servers := 1 + rng.Intn(8)
+		pick := 0
+		if servers > 1 {
+			pick = int((want >> 16) & 0x7fff % uint32(servers))
+		}
+		if got := crc32Pick(key, servers); got != pick || (CRC32Selector{}).Pick(string(key), servers) != pick {
+			t.Fatalf("%d-byte key over %d servers: pick %d, want %d", n, servers, got, pick)
+		}
+	}
+}
 
 func TestCRC32SelectorInRangeAndDeterministic(t *testing.T) {
 	s := CRC32Selector{}

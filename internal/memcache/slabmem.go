@@ -21,18 +21,19 @@ type slotPages struct {
 	// the heap when it was.
 	mapped []byte
 	pages  [][]byte
-	// Per class, where its free slots are: slots heads the list of freed
-	// ones (see free), and next is the first never used in the class's
-	// newest page.
-	slots, next []int64
 }
 
-// grant makes the page at off usable and class ci's newest.
-func (m *slotPages) grant(ci int, off int64) {
+// slotList is where one class's free slots are: slots heads the list of
+// freed ones (see free), and next is the first never used in the class's
+// newest page. Each owner of a slotPages keeps one per class.
+type slotList struct{ slots, next int64 }
+
+// grant makes the page at off usable and l's class's newest.
+func (m *slotPages) grant(l *slotList, off int64) {
 	if m.mapped == nil {
 		m.pages = append(m.pages, make([]byte, 1<<m.shift))
 	}
-	m.next[ci] = off
+	l.next = off
 }
 
 // at returns the n bytes at off.
@@ -45,57 +46,43 @@ func (m *slotPages) at(off, n int64) []byte {
 	return page[off : off+n : off+n]
 }
 
-// take hands out one of class ci's free slots, of size bytes each, which
+// take hands out one of l's class's free slots, of size bytes each, which
 // its owner has made sure there is: the slot freed last, else the next
 // never used in the class's newest page.
-func (m *slotPages) take(ci int, size int64) int64 {
-	if m.slots[ci] != 0 {
-		off := m.slots[ci] - 1
-		m.slots[ci] = int64(binary.LittleEndian.Uint64(m.at(off, 8)))
+func (m *slotPages) take(l *slotList, size int64) int64 {
+	if l.slots != 0 {
+		off := l.slots - 1
+		l.slots = int64(binary.LittleEndian.Uint64(m.at(off, 8)))
 		return off
 	}
-	off := m.next[ci]
-	m.next[ci] += size
+	off := l.next
+	l.next += size
 	return off
 }
 
-// free puts the slot at off on class ci's list, threaded through the free
-// slots' first bytes as memcached's is: each holds the next slot's offset
-// plus one, 0 ending the list.
-func (m *slotPages) free(ci int, off int64) {
-	binary.LittleEndian.PutUint64(m.at(off, 8), uint64(m.slots[ci]))
-	m.slots[ci] = off + 1
+// free puts the slot at off on l, threaded through the free slots' first
+// bytes as memcached's is: each holds the next slot's offset plus one, 0
+// ending the list.
+func (m *slotPages) free(l *slotList, off int64) {
+	binary.LittleEndian.PutUint64(m.at(off, 8), uint64(l.slots))
+	l.slots = off + 1
 }
 
-// drop lets every page go, with every slot in it.
-func (m *slotPages) drop() {
-	m.mapped, m.pages = nil, nil
-	clear(m.slots)
-	clear(m.next)
-}
-
-// Keys live in keyPages: slots in 16-byte steps up to MaxKeyLen, cut from
+// Keys live in keyPages: slots in 8-byte steps up to MaxKeyLen, cut from
 // 16 KB heap pages, small because each slot size a store uses costs it a
 // page. An entry names its key's slot by its offset in keySlotSize units,
-// so four bytes address 64 GB of keys.
+// so four bytes address 32 GB of keys.
 const (
-	keySlotSize  = 16
+	keySlotSize  = 8
 	keyPageShift = 14
 	keyClasses   = (MaxKeyLen + keySlotSize - 1) / keySlotSize
 )
 
-// keyPages is the memory a store copies every key into. room counts, per
-// class, the slots of its newest page never used.
+// keyPages is the memory a store copies every key into, with each class's
+// list inline, so a new store allocates nothing for them.
 type keyPages struct {
 	slotPages
-	room []int64
-}
-
-func newKeyPages() keyPages {
-	return keyPages{
-		slotPages: slotPages{shift: keyPageShift, slots: make([]int64, keyClasses), next: make([]int64, keyClasses)},
-		room:      make([]int64, keyClasses),
-	}
+	lists [keyClasses]slotList
 }
 
 // keyClass is the slot class of a key of n bytes, 1 <= n <= MaxKeyLen.
@@ -105,15 +92,14 @@ func keyClass(n int) int { return (n - 1) / keySlotSize }
 // keySlotSize units.
 func putKey[K string | []byte](m *keyPages, key K) uint32 {
 	ci := keyClass(len(key))
-	size := int64(ci+1) * keySlotSize
-	if m.slots[ci] == 0 {
-		if m.room[ci] == 0 {
-			m.grant(ci, int64(len(m.pages))<<keyPageShift)
-			m.room[ci] = 1 << keyPageShift / size
-		}
-		m.room[ci]--
+	l, size := &m.lists[ci], int64(ci+1)*keySlotSize
+	// With no slot freed, the class needs a page when its newest is used
+	// up, or it has none: next is then at a page's start or too close to
+	// its end (pages are granted only to be cut from at once).
+	if in := l.next & (1<<keyPageShift - 1); l.slots == 0 && (in == 0 || in+size > 1<<keyPageShift) {
+		m.grant(l, int64(len(m.pages))<<keyPageShift)
 	}
-	off := m.take(ci, size)
+	off := m.take(l, size)
 	copy(m.at(off, int64(len(key))), key)
 	return uint32(off / keySlotSize)
 }
@@ -125,13 +111,13 @@ func (m *keyPages) key(slot uint32, n int) []byte {
 
 // release puts the slot of a key of n bytes back on its class's list.
 func (m *keyPages) release(slot uint32, n int) {
-	m.free(keyClass(n), int64(slot)*keySlotSize)
+	m.free(&m.lists[keyClass(n)], int64(slot)*keySlotSize)
 }
 
 // reset lets every key page go.
 func (m *keyPages) reset() {
-	m.drop()
-	clear(m.room)
+	m.pages = nil
+	clear(m.lists[:])
 }
 
 // slabMemory is what a store that owns its value bytes keeps them in, and
@@ -142,9 +128,10 @@ func (m *keyPages) reset() {
 // chunk is larger than one.
 type slabMemory struct {
 	slotPages
+	lists []slotList // per slab class
 	// chunks is a side array beside the store's entry arenas: chunks[k][j]
 	// is the chunk offset of arena k's entry j. The entry itself stays the
-	// simulated bank's 104 bytes.
+	// simulated bank's 80 bytes.
 	chunks [][]int64
 }
 
@@ -154,7 +141,7 @@ type slabMemory struct {
 // TCP daemon's store is one; a simulated bank's keeps blobs by reference.
 func newOwningStore(limit int64, now func() int64) *Store {
 	s := NewStore(limit, now)
-	s.mem = &slabMemory{slotPages: slotPages{shift: slabPageShift, slots: make([]int64, len(s.classes)), next: make([]int64, len(s.classes))}}
+	s.mem = &slabMemory{slotPages: slotPages{shift: slabPageShift}, lists: make([]slotList, len(s.classes))}
 	if n := limit / slabPageSize * slabPageSize; n > 0 && n <= math.MaxInt {
 		s.mem.mapped = mapSlabs(int(n))
 	}
@@ -170,8 +157,8 @@ func (m *slabMemory) chunkOf(i uint32) *int64 {
 // release gives every page back, with every chunk in it.
 func (m *slabMemory) release() error {
 	mapped := m.mapped
-	m.drop()
-	m.chunks = nil
+	m.mapped, m.pages, m.chunks = nil, nil, nil
+	clear(m.lists)
 	if mapped == nil {
 		return nil
 	}

@@ -20,8 +20,8 @@
 // against its memory limit — its key, its value and itemOverhead, the
 // modelled item header — decides slab classes, eviction and every
 // reported byte count. What the simulator spends holding it is the Go
-// entry (104 bytes, see entry) plus the key's slot in the store's key pages
-// (16-byte steps) and the value; that is host memory and never enters the
+// entry (80 bytes, see entry) plus the key's slot in the store's key pages
+// (8-byte steps) and the value; that is host memory and never enters the
 // model. Every store copies each key it stores into its key pages, so no
 // caller's key outlives its call. The TCP daemon's store spends its limit
 // on slab pages, as memcached does, and eight bytes per entry on where the
@@ -63,7 +63,7 @@ const (
 	growthFactor = 1.25
 	// minBuckets is the hash table's initial size, and minArena and
 	// maxArena bound an entry arena: each arena doubles the last between
-	// them (see entryLocked). A full arena is 448 KB, the most a store
+	// them (see entryLocked). A full arena is 320 KB, the most a store
 	// holds in entries it has no item for.
 	minBuckets = 16
 	minArena   = 16
@@ -220,12 +220,23 @@ func NewStore(limit int64, now func() int64) *Store {
 	if now == nil {
 		panic("memcache: nil clock")
 	}
-	s := &Store{limit: limit, buckets: make([]uint32, minBuckets), keys: newKeyPages(), Now: now}
+	s := &Store{limit: limit, buckets: make([]uint32, minBuckets), keys: keyPages{slotPages: slotPages{shift: keyPageShift}}, Now: now}
 	s.stats.LimitBytes = limit
+	s.classes = make([]slabClass, len(chunkSizes))
+	for i, size := range chunkSizes {
+		s.classes[i].chunkSize = size
+	}
+	return s
+}
+
+// chunkSizes are the slab classes' chunk sizes, from minChunkSize up by
+// growthFactor to slabPageSize.
+var chunkSizes = func() []int64 {
+	var sizes []int64
 	for size := int64(minChunkSize); ; {
-		s.classes = append(s.classes, slabClass{chunkSize: size})
+		sizes = append(sizes, size)
 		if size >= slabPageSize {
-			break
+			return sizes
 		}
 		next := int64(float64(size) * growthFactor)
 		// Align up to 8 like memcached.
@@ -233,13 +244,9 @@ func NewStore(limit int64, now func() int64) *Store {
 		if next <= size {
 			next = size + 8
 		}
-		if next > slabPageSize {
-			next = slabPageSize
-		}
-		size = next
+		size = min(next, slabPageSize)
 	}
-	return s
-}
+}()
 
 // classFor returns the slab class index for an item of total size n, or -1
 // if it does not fit the largest chunk.
@@ -394,7 +401,7 @@ func (s *Store) removeLocked(i uint32) {
 	s.lruUnlink(c, e)
 	c.freeChunks++
 	if s.mem != nil {
-		s.mem.free(int(e.class), *s.mem.chunkOf(i))
+		s.mem.free(&s.mem.lists[e.class], *s.mem.chunkOf(i))
 	}
 	s.stats.CurrItems--
 	s.stats.Bytes -= itemSize(s.keyOf(e), e.value)
@@ -411,7 +418,7 @@ func (s *Store) reserveChunkLocked(ci int) (int64, error) {
 	c := &s.classes[ci]
 	if c.freeChunks == 0 && s.alloced+slabPageSize <= s.limit {
 		if s.mem != nil {
-			s.mem.grant(ci, s.alloced)
+			s.mem.grant(&s.mem.lists[ci], s.alloced)
 		}
 		s.alloced += slabPageSize
 		c.freeChunks += slabPageSize / c.chunkSize // >=1: max chunk == page size
@@ -433,7 +440,7 @@ func (s *Store) reserveChunkLocked(ci int) (int64, error) {
 	if s.mem == nil {
 		return 0, nil
 	}
-	return s.mem.take(ci, c.chunkSize), nil
+	return s.mem.take(&s.mem.lists[ci], c.chunkSize), nil
 }
 
 // Set unconditionally stores item.

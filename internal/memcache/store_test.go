@@ -12,22 +12,22 @@ import (
 	"imca/internal/blob"
 )
 
-// TestEntryLayout pins what a resident item costs the host: a 104-byte
+// TestEntryLayout pins what a resident item costs the host: an 80-byte
 // entry, whose chain step — hash, hnext, the key's slot and length — sits
-// in its first 16 bytes, and a 96-byte Item for what callers store and
+// in its first 16 bytes, and a 72-byte Item for what callers store and
 // read. The key's bytes are in the store's key pages.
 func TestEntryLayout(t *testing.T) {
 	var e entry
-	if got := unsafe.Sizeof(e); got > 104 {
-		t.Errorf("entry is %d bytes, want at most 104", got)
+	if got := unsafe.Sizeof(e); got > 80 {
+		t.Errorf("entry is %d bytes, want at most 80", got)
 	}
 	if end := unsafe.Offsetof(e.klen) + unsafe.Sizeof(e.klen); unsafe.Offsetof(e.hash) != 0 || unsafe.Offsetof(e.hnext) != 4 ||
 		unsafe.Offsetof(e.key) != 8 || end != 16 {
 		t.Errorf("a chain step reads hash at %d, hnext at %d and the key's slot at %d and length up to %d; want 0, 4, 8 and 16",
 			unsafe.Offsetof(e.hash), unsafe.Offsetof(e.hnext), unsafe.Offsetof(e.key), end)
 	}
-	if got := unsafe.Sizeof(Item{}); got != 96 {
-		t.Errorf("Item is %d bytes, want 96", got)
+	if got := unsafe.Sizeof(Item{}); got != 72 {
+		t.Errorf("Item is %d bytes, want 72", got)
 	}
 }
 
